@@ -33,6 +33,7 @@ P ∈ {4, 16, 64} with a single diagnostic per root cause.
 from __future__ import annotations
 
 import inspect
+import math
 import sys
 from collections import deque
 from collections.abc import Callable, Generator, Iterable, Iterator
@@ -210,7 +211,7 @@ class SymbolicMachine:
                     dtype: Any, align: int = _HEAP_ALIGN) -> LocalArray:
         dtype = np.dtype(dtype)
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        nbytes = (int(np.prod(shape)) * dtype.itemsize if shape
+        nbytes = (int(math.prod(shape)) * dtype.itemsize if shape
                   else dtype.itemsize)
         nbytes = max(nbytes, dtype.itemsize)
         addr = _align(self._heap_next[pe], align)

@@ -584,8 +584,9 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
     tnet._next_serial = state["tnet"]["next_serial"]
     tnet.injected_count = state["tnet"]["injected_count"]
     tnet.delivered_count = state["tnet"]["delivered_count"]
-    for flow, packets in state["tnet"]["channels"].items():
-        tnet._channels[tuple(flow)] = deque(packets)
+    for packets in state["tnet"]["channels"].values():
+        for packet in packets:
+            tnet._enqueue(packet)
 
     faulty = state["faulty_tnet"]
     if faulty is not None:

@@ -21,7 +21,6 @@ byte-for-byte replayable record the chaos determinism tests compare.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.errors import CommTimeoutError
@@ -147,11 +146,9 @@ class FaultyTNet(TNet):
         for entry in self._delayed:
             entry[0] -= 1
             if entry[0] <= 0:
-                packet = entry[1]
                 # Already counted as injected when stashed; enter the
                 # channel directly so the quiescence accounting balances.
-                self._channels.setdefault(
-                    (packet.src, packet.dst), deque()).append(packet)
+                self._enqueue(entry[1])
             else:
                 still.append(entry)
         self._delayed = still

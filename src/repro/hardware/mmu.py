@@ -11,6 +11,7 @@ interrupts the OS and pulls the remaining message from the network.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
@@ -28,6 +29,20 @@ class PageEntry:
     physical_base: int
     size: int  # PAGE_4K or PAGE_256K
     writable: bool = True
+
+
+@functools.lru_cache(maxsize=32)
+def _range_entries(first_page: int, pages: int, offset: int, page_size: int,
+                   writable: bool) -> tuple[tuple[int, PageEntry], ...]:
+    """(page number, entry) pairs mapping ``pages`` consecutive pages at
+    ``physical == logical + offset``.
+
+    Entries are immutable, so every cell that boots with the same layout
+    installs the same objects into its own table.
+    """
+    return tuple(
+        (number, PageEntry(number * page_size + offset, page_size, writable))
+        for number in range(first_page, first_page + pages))
 
 
 class _DirectMappedTLB:
@@ -74,6 +89,10 @@ class MMU:
     )
     _table_4k: dict[int, PageEntry] = field(default_factory=dict)
     _table_256k: dict[int, PageEntry] = field(default_factory=dict)
+    #: 256 KB page numbers that have had a 4 KB mapping installed inside
+    #: them.  Such a mapping takes precedence over the large page, so a
+    #: range check may skip a large page's extent only outside this set.
+    _fine_grained: set[int] = field(default_factory=set)
     walks: int = 0
     faults: int = 0
 
@@ -86,22 +105,38 @@ class MMU:
             raise AddressError("page bases must be aligned to the page size")
         entry = PageEntry(physical_base=physical_base, size=size,
                           writable=writable)
-        table = self._table_4k if size == PAGE_4K else self._table_256k
-        table[logical_base // size] = entry
+        if size == PAGE_4K:
+            self._table_4k[logical_base // size] = entry
+            self._fine_grained.add(logical_base // PAGE_256K)
+        else:
+            self._table_256k[logical_base // size] = entry
 
     def map_range(self, logical_base: int, physical_base: int, size: int,
                   page_size: int = PAGE_4K, writable: bool = True) -> None:
-        """Identity-shaped mapping of a whole range with one page size."""
+        """Identity-shaped mapping of a whole range with one page size.
+
+        Every page overlapping ``[logical_base, logical_base + size)`` is
+        mapped at the same logical-to-physical offset, which must itself
+        be a multiple of the page size.
+        """
         if size <= 0:
             raise AddressError("mapped range must be non-empty")
-        start = (logical_base // page_size) * page_size
-        end = logical_base + size
+        if page_size not in (PAGE_4K, PAGE_256K):
+            raise AddressError(f"unsupported page size {page_size}")
         offset = physical_base - logical_base
-        page = start
-        while page < end:
-            self.map_page(page, page + offset, size=page_size,
-                          writable=writable)
-            page += page_size
+        if offset % page_size:
+            raise AddressError("page bases must be aligned to the page size")
+        first = logical_base // page_size
+        last = (logical_base + size - 1) // page_size
+        entries = _range_entries(first, last - first + 1, offset, page_size,
+                                 writable)
+        if page_size == PAGE_4K:
+            self._table_4k.update(entries)
+            self._fine_grained.update(
+                range(logical_base // PAGE_256K,
+                      (logical_base + size - 1) // PAGE_256K + 1))
+        else:
+            self._table_256k.update(entries)
 
     def unmap_page(self, logical_base: int, size: int = PAGE_4K) -> None:
         table = self._table_4k if size == PAGE_4K else self._table_256k
@@ -128,15 +163,24 @@ class MMU:
         """
         if size < 0:
             raise AddressError("negative range size")
-        first = self.translate(logical, write=write)
-        if size == 0:
-            return first
-        probe = (logical // PAGE_4K + 1) * PAGE_4K
-        end = logical + size
-        while probe < end:
-            self.translate(probe, write=write)
-            probe += PAGE_4K
-        return first
+        fine_grained = self._fine_grained
+        probe, end = logical, logical + size
+        while True:
+            entry = self._lookup(probe)
+            if write and not entry.writable:
+                raise ProtectionError(
+                    f"write to read-only page at {probe:#x}")
+            if probe == logical:
+                first = entry.physical_base + logical % entry.size
+            # Step to the end of what this entry vouches for: its whole
+            # extent, unless it is a large page that a 4 KB mapping may
+            # override part of.
+            step = entry.size
+            if step != PAGE_4K and probe // PAGE_256K in fine_grained:
+                step = PAGE_4K
+            probe = (probe // step + 1) * step
+            if probe >= end:
+                return first
 
     def _lookup(self, logical: int) -> PageEntry:
         if logical < 0:

@@ -18,6 +18,7 @@ import contextlib
 import functools
 import heapq
 import inspect
+import math
 import random
 from collections.abc import Callable
 from typing import Any
@@ -227,7 +228,7 @@ class Machine:
                     align: int = _HEAP_ALIGN) -> LocalArray:
         dtype = np.dtype(dtype)
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        nbytes = (int(np.prod(shape)) * dtype.itemsize if shape
+        nbytes = (int(math.prod(shape)) * dtype.itemsize if shape
                   else dtype.itemsize)
         nbytes = max(nbytes, dtype.itemsize)
         addr = _align(self._heap_next[pe], align)
@@ -358,7 +359,8 @@ class Machine:
         member — a killed cell then hangs the collective until the
         watchdog converts the hang into a CommTimeoutError.  Under
         degradation the group shrinks around its dead members."""
-        if self.fault_plan is not None and self.fault_plan.degrade:
+        if (self.killed and self.fault_plan is not None
+                and self.fault_plan.degrade):
             return tuple(m for m in members if m not in self.killed)
         return members
 
@@ -381,7 +383,16 @@ class Machine:
 
     def _maybe_release_barrier(self, gid: int, state: _BarrierState) -> None:
         required = self._alive_members(state.members)
-        if not required or not all(m in state.arrived for m in required):
+        if not required:
+            return
+        if required is state.members:
+            # barrier_arrive admits each member once and nobody else, so
+            # the full group has arrived exactly when the counts agree.
+            if len(state.arrived) < len(required):
+                return
+        elif not all(m in state.arrived for m in required):
+            # Degraded around killed members, some of which may have
+            # arrived before dying: only a membership scan can tell.
             return
         state.arrived.clear()
         state.generation += 1

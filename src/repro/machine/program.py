@@ -18,7 +18,7 @@ a sequential reference) and a *trace* (consumed by MLSim for timing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -733,7 +733,7 @@ class CellContext:
         return st
 
     def checkpoint(self, *, barrier: bool = False,
-                   group: Group | None = None) -> Iterator[None]:
+                   group: Group | None = None) -> Iterable[None]:
         """A cooperative checkpoint site (the gate of :mod:`repro.ckpt`).
 
         Place at the *end* of each main-loop iteration, after the bag
@@ -744,10 +744,22 @@ class CellContext:
         so cell programs pay nothing extra for being checkpointable.
 
         While the machine's gate is disarmed (no ``checkpoint_every``,
-        no ambient policy) the site costs one counter test and is
-        trace-invisible; armed, each cell parks at its threshold-th site
-        until every live cell has arrived and the machine captures.
+        no ambient policy, no checkpoint directory an interrupt could
+        land a snapshot in) a barrier-less site is this one test and an
+        empty ``yield from``: no generator, no counter, trace-invisible.
+        The test runs on every call, so a gate armed mid-run still parks
+        each cell at its next site.  Armed, each cell parks at its
+        threshold-th site until every live cell has arrived and the
+        machine captures.
         """
+        m = self.machine
+        if (not barrier and m.checkpoint_dir is None
+                and m._ckpt_threshold is None and not m._ckpt_oneshot):
+            return ()
+        return self._checkpoint_site(barrier, group)
+
+    def _checkpoint_site(self, barrier: bool,
+                         group: Group | None) -> Iterator[None]:
         if barrier:
             yield from self.barrier(group)
         m = self.machine

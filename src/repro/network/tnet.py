@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.core.errors import CommunicationError
@@ -24,13 +25,34 @@ LINK_BANDWIDTH_MB_S = 25.0
 LINKS_PER_CELL = 4
 
 
+class _Channel(deque[Packet]):
+    """The FIFO of one ordered (src, dst) pair.
+
+    ``rank`` is the channel's creation order; draining channels by rank
+    keeps packets that share a serial (duplicated or never-stamped frames
+    of the fault layer) in the order a scan of every channel would.
+    """
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int) -> None:
+        super().__init__()
+        self.rank = rank
+
+
+_serial = attrgetter("serial")
+
+
 @dataclass
 class TNet:
     """In-order per-pair packet transport over a 2-D torus."""
 
     topology: TorusTopology
-    _channels: dict[tuple[int, int], deque[Packet]] = field(
+    _channels: dict[tuple[int, int], _Channel] = field(
         default_factory=dict)
+    #: Channels (by rank) that took a packet since the last
+    #: :meth:`drain_all`; every non-empty channel is in here.
+    _fresh: dict[int, _Channel] = field(default_factory=dict)
     delivered_count: int = 0
     injected_count: int = 0
     #: Next serial to stamp on a first-time injection (per network
@@ -60,12 +82,19 @@ class TNet:
         if packet.serial < 0:
             packet.serial = self._next_serial
             self._next_serial += 1
-        channel = self._channels.setdefault((packet.src, packet.dst),
-                                            deque())
-        channel.append(packet)
+        self._enqueue(packet)
         self.injected_count += 1
         if self.observer is not None:
             self.observer.on_inject(packet)
+
+    def _enqueue(self, packet: Packet) -> None:
+        """Append to the packet's channel: the one way into the wire."""
+        flow = (packet.src, packet.dst)
+        channel = self._channels.get(flow)
+        if channel is None:
+            channel = self._channels[flow] = _Channel(len(self._channels))
+        channel.append(packet)
+        self._fresh[channel.rank] = channel
 
     def pending(self, src: int, dst: int) -> int:
         """Number of packets in flight from ``src`` to ``dst``."""
@@ -105,17 +134,21 @@ class TNet:
             if d == dst:
                 ready.extend(queue)
                 queue.clear()
-        ready.sort(key=lambda p: p.serial)
+        ready.sort(key=_serial)
         self.delivered_count += len(ready)
         return ready
 
     def drain_all(self) -> list[Packet]:
         """Deliver everything in flight, in injection order."""
+        fresh = self._fresh
         ready: list[Packet] = []
-        for queue in self._channels.values():
+        for rank in sorted(fresh):
+            queue = fresh[rank]
             ready.extend(queue)
             queue.clear()
-        ready.sort(key=lambda p: p.serial)
+        fresh.clear()
+        if len(ready) > 1:
+            ready.sort(key=_serial)
         self.delivered_count += len(ready)
         return ready
 

@@ -20,14 +20,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict
+from dataclasses import fields
 from typing import TYPE_CHECKING, Any
+
+from repro.hardware.msc import MSCStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
     from repro.network.packet import Packet
 
 _ACTIVE: ContextVar[bool] = ContextVar("repro_obs", default=False)
+
+_MSC_STAT_NAMES = tuple(f.name for f in fields(MSCStats))
 
 #: Occupancy series length bound; on overflow the series is decimated
 #: (every other sample dropped) and the sampling stride doubled, keeping
@@ -151,7 +155,7 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         "recv_bytes": 0,
         "largest_transfer": 0,
     }
-    msc_totals: dict[str, int] = {}
+    msc_totals = dict.fromkeys(_MSC_STAT_NAMES, 0)
     for cell in machine.hw_cells:
         msc = cell.msc
         cell_high = 0
@@ -169,8 +173,9 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         dma["largest_transfer"] = max(dma["largest_transfer"],
                                       msc.send_dma.largest_transfer,
                                       msc.recv_dma.largest_transfer)
-        for key, value in asdict(msc.stats).items():
-            msc_totals[key] = msc_totals.get(key, 0) + value
+        msc_stats = msc.stats
+        for key in _MSC_STAT_NAMES:
+            msc_totals[key] += getattr(msc_stats, key)
     queues["max_high_water_words"] = max(
         queues["per_cell_high_water_words"], default=0)
     queues["occupancy_series"] = (

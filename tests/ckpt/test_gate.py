@@ -8,6 +8,7 @@ import pytest
 from repro.ckpt import CheckpointPolicy, applied, load_snapshot
 from repro.ckpt import policy as ckpt_policy
 from repro.ckpt import restore_machine, resume_workload
+from repro.ckpt.snapshot import capture_snapshot
 from repro.core.errors import (
     CheckpointInterrupt,
     ConfigurationError,
@@ -15,14 +16,30 @@ from repro.core.errors import (
 )
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from repro.machine.program import CellContext
+from repro.network.packet import Packet, PacketKind
 
 from .conftest import run_small
 
 
-def stepper(ctx):
-    """Three gate crossings, loop state in a checkpoint bag."""
+def stepper(ctx, sites=3):
+    """``sites`` gate crossings, loop state in a checkpoint bag."""
     st = ctx.ckpt_state(it=0)
-    for it in range(st.it, 3):
+    for it in range(st.it, sites):
+        yield from ctx.barrier()
+        st.it = it + 1
+        yield from ctx.checkpoint()
+    return st.it
+
+
+def arming_stepper(ctx, arm):
+    """Five gate crossings; cell 0 calls ``arm(machine)`` after the
+    first, at a point no cell can be at a site (between two barriers)."""
+    st = ctx.ckpt_state(it=0)
+    for it in range(st.it, 5):
+        yield from ctx.barrier()
+        if ctx.pe == 0 and it == 1:
+            arm(ctx.machine)
         yield from ctx.barrier()
         st.it = it + 1
         yield from ctx.checkpoint()
@@ -79,6 +96,72 @@ class TestGate:
         assert load_snapshot(excinfo.value.snapshot_path).resumable
 
 
+def captured_sites(machine, directory=None):
+    """Loop index (the bag's ``it``, equal on all cells) and per-cell
+    site counts of every capture, oldest first."""
+    if directory is None:
+        snapshots = [machine.last_snapshot]
+    else:
+        snapshots = [load_snapshot(p) for p in sorted(directory.iterdir())
+                     if p.name.startswith("ckpt_")]
+    out = []
+    for snap in snapshots:
+        (it,) = {cell["it"] for cell in snap.state["cell_states"].values()}
+        out.append((it, snap.state["ckpt"]["counts"]))
+    return out
+
+
+class TestSites:
+    """Which site a capture lands on, however the gate was armed."""
+
+    def test_disarmed_site_yields_nothing_and_counts_nothing(self):
+        m = make()
+        ctx = CellContext(m, 0)
+        for _ in range(3):
+            assert list(ctx.checkpoint()) == []
+        assert m._ckpt_counts == [0, 0, 0, 0]
+        assert not m._gate_parked
+
+    def test_checkpoint_every_in_config(self, tmp_path):
+        m = make(tmp_path, checkpoint_every=2)
+        assert m.run(stepper, 5) == [5] * 4
+        assert captured_sites(m, tmp_path) == [(2, [2] * 4), (4, [4] * 4)]
+
+    def test_ambient_policy(self, tmp_path):
+        with applied(CheckpointPolicy(every=2, directory=str(tmp_path))):
+            m = make()
+            assert m.run(stepper, 5) == [5] * 4
+        assert captured_sites(m, tmp_path) == [(2, [2] * 4), (4, [4] * 4)]
+
+    def test_at_site(self):
+        with applied(CheckpointPolicy(at_site=3)):
+            m = make()
+            assert m.run(stepper, 5) == [5] * 4
+        assert m.ckpt_seq == 1
+        assert captured_sites(m) == [(3, [3] * 4)]
+
+    def test_interrupt_after_the_first_site(self, tmp_path):
+        m = make(tmp_path)
+        try:
+            with pytest.raises(CheckpointInterrupt):
+                m.run(arming_stepper,
+                      lambda machine: ckpt_policy.request_interrupt())
+        finally:
+            ckpt_policy.clear_interrupt()
+        assert captured_sites(m, tmp_path) == [(2, [1] * 4)]
+
+    def test_gate_armed_mid_run_without_a_directory(self):
+        # No directory, no policy: sites take the disarmed path until
+        # the one-shot gate is armed, and the very next one parks.
+        def arm(machine):
+            machine._ckpt_oneshot = True
+
+        m = make()
+        assert m.run(arming_stepper, arm) == [5] * 4
+        assert m.ckpt_seq == 1
+        assert captured_sites(m) == [(2, [1] * 4)]
+
+
 class TestInterruptRequest:
     def test_interrupt_parks_at_next_gate_and_resume_completes(
             self, tmp_path):
@@ -115,3 +198,25 @@ class TestWatchdogDump:
         with pytest.raises(DeadlockError):
             m.run(wedge)
         assert m.last_snapshot is None
+
+    def test_in_flight_channels_restore_through_the_wire(self, tmp_path):
+        # A dump keeps wedged frames; the loader refuses dumps, so the
+        # header is marked resumable here to reach the T-net restore.
+        m = make(num_cells=4)
+        for src, dst in [(2, 1), (0, 1), (2, 1), (3, 0), (0, 1), (1, 2)]:
+            m.tnet.inject(Packet(kind=PacketKind.PUT, src=src, dst=dst,
+                                 payload_bytes=0))
+        m.tnet.deliver_next(2, 1)
+        dump = capture_snapshot(m, resumable=False)
+        dump.header["resumable"] = True
+        restored = restore_machine(dump).tnet
+        assert restored.in_flight == 5
+        assert restored.injected_count - restored.delivered_count == 5
+        assert restored.pending(0, 1) == 2
+        restored.inject(Packet(kind=PacketKind.PUT, src=3, dst=0,
+                               payload_bytes=0))
+        out = restored.drain_all()
+        assert [(p.serial, p.src, p.dst) for p in out] == [
+            (1, 0, 1), (2, 2, 1), (3, 3, 0), (4, 0, 1), (5, 1, 2), (6, 3, 0)]
+        assert restored.in_flight == 0
+        assert restored.injected_count == restored.delivered_count

@@ -1,11 +1,14 @@
 """Cell kills: graceful degradation on, and structured timeouts off."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import CommTimeoutError
 from repro.faults.plan import FaultPlan, KillSpec
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from repro.machine.program import Group
 
 
 def make(n=4, plan=None, **kw):
@@ -101,3 +104,45 @@ class TestNoDegradation:
         message = str(err.value)
         assert "cell 1 was killed" in message
         assert m.tnet.stats.blackholed > 0
+
+
+class TestBarrierReleaseOracle:
+    """Barrier release against a membership scan over the members the
+    plan still requires, with cells killed before and after arriving."""
+
+    @given(degrade=st.booleans(),
+           members=st.sets(st.integers(0, 5), min_size=1).map(sorted),
+           events=st.lists(st.tuples(st.sampled_from(["arrive", "kill"]),
+                                     st.integers(0, 5)), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_membership_scan(self, degrade, members, events):
+        m = make(6, plan=FaultPlan(name="scan", seed=0, degrade=degrade))
+        world = len(members) == 6
+        group = m.world_group if world else Group(3, tuple(members))
+        arrived, killed, generation, opened = set(), set(), 0, False
+
+        def scan():
+            nonlocal generation
+            required = [pe for pe in members
+                        if not (degrade and pe in killed)]
+            if opened and required and all(pe in arrived
+                                           for pe in required):
+                arrived.clear()
+                generation += 1
+
+        for op, pe in events:
+            if op == "kill":
+                m.kill_cell(pe)
+                if pe not in killed:
+                    killed.add(pe)
+                    scan()
+            elif pe in members and pe not in killed and pe not in arrived:
+                assert m.barrier_arrive(group, pe) == generation
+                opened = True
+                arrived.add(pe)
+                scan()
+            if opened:
+                state = m._barriers[group.gid]
+                assert (state.generation, state.arrived) == \
+                    (generation, arrived)
+        assert m.snet.episodes_completed == (generation if world else 0)

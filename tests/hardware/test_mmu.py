@@ -1,8 +1,12 @@
 """Unit tests for the MC's MMU and direct-mapped TLBs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
+from repro.hardware.mc import MemoryController
+from repro.hardware.memory import CellMemory
 from repro.hardware.mmu import (
     MMU,
     PAGE_4K,
@@ -101,3 +105,181 @@ class TestTLB:
         m.unmap_page(0)
         with pytest.raises(PageFaultError):
             m.translate(0)
+
+
+# ----------------------------------------------------------------------
+# Oracles: the per-page loops that map_range / translate_range replaced
+# ----------------------------------------------------------------------
+
+SPACE = 4 * PAGE_256K                   # logical space the tables cover
+PAGES_4K = SPACE // PAGE_4K
+
+
+def probe_every_4k(mmu, logical, size, write):
+    """translate_range as one translate per 4 KB of the range."""
+    if size < 0:
+        raise AddressError("negative range size")
+    first = mmu.translate(logical, write=write)
+    probe = (logical // PAGE_4K + 1) * PAGE_4K
+    while probe < logical + size:
+        mmu.translate(probe, write=write)
+        probe += PAGE_4K
+    return first
+
+
+def map_page_by_page(mmu, logical_base, physical_base, size, page_size,
+                     writable):
+    """map_range as one map_page per page of the range."""
+    if size <= 0:
+        raise AddressError("mapped range must be non-empty")
+    page = (logical_base // page_size) * page_size
+    while page < logical_base + size:
+        mmu.map_page(page, page + physical_base - logical_base,
+                     size=page_size, writable=writable)
+        page += page_size
+
+
+def outcome(call):
+    try:
+        return call()
+    except (AddressError, PageFaultError, ProtectionError) as exc:
+        return type(exc)
+
+
+def apply_table_op(mmu, op):
+    if op[0] == "map_range":
+        mmu.map_range(*op[1:])
+        return
+    kind, page, frame, writable = op
+    if kind == "map4k":
+        mmu.map_page(page * PAGE_4K, frame * PAGE_4K, writable=writable)
+    elif kind == "map256k":
+        page %= SPACE // PAGE_256K
+        mmu.map_page(page * PAGE_256K, frame * PAGE_256K, size=PAGE_256K,
+                     writable=writable)
+    elif kind == "unmap4k":
+        mmu.unmap_page(page * PAGE_4K)
+    else:
+        mmu.unmap_page(page % (SPACE // PAGE_256K) * PAGE_256K,
+                       size=PAGE_256K)
+
+
+def assert_ranges_agree(steps):
+    """Apply table edits and range checks to two MMUs, one checked by
+    translate_range and one by the per-4 KB oracle; both must return or
+    raise the same, and charge the same walks and faults."""
+    mmu, reference = MMU(), MMU()
+    for step in steps:
+        if step[0] == "range":
+            _, logical, size, write = step
+            got = outcome(
+                lambda: mmu.translate_range(logical, size, write=write))
+            want = outcome(
+                lambda: probe_every_4k(reference, logical, size, write))
+            assert got == want, step
+            assert (mmu.walks, mmu.faults) == \
+                (reference.walks, reference.faults), step
+        else:
+            apply_table_op(mmu, step)
+            apply_table_op(reference, step)
+
+
+table_ops = st.tuples(
+    st.sampled_from(["map4k", "map256k", "unmap4k", "unmap256k"]),
+    st.integers(0, PAGES_4K - 1), st.integers(0, 63), st.booleans())
+range_checks = st.tuples(
+    st.just("range"), st.integers(-PAGE_4K, SPACE + PAGE_4K),
+    st.one_of(st.integers(-1, 3 * PAGE_4K), st.integers(0, SPACE),
+              # sizes that end exactly on a page boundary
+              st.integers(0, PAGES_4K).map(lambda n: n * PAGE_4K)),
+    st.booleans())
+
+
+class TestTranslateRangeOracle:
+    @given(steps=st.lists(st.one_of(table_ops, range_checks), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables_and_ranges(self, steps):
+        assert_ranges_agree(steps)
+
+    @pytest.mark.parametrize("logical, size, write", [
+        (0, 0, False),                              # size == 0
+        (PAGE_256K - 8, 0, True),
+        (0, PAGE_256K, True),                       # ends on a boundary
+        (4 * PAGE_4K, 4 * PAGE_4K, False),
+        (0, 2 * PAGE_256K, False),                  # large then small pages
+        (PAGE_256K - 16, 32, True),
+        (0, 3 * PAGE_256K, False),                  # hole inside the range
+        (2 * PAGE_256K - 8, 16, False),
+        (PAGE_256K, PAGE_256K, True),               # read-only page inside
+        (PAGE_256K + 9 * PAGE_4K, 8, True),
+        (0, PAGE_256K, False),                      # 4 KB overrides 256 KB
+        (5 * PAGE_4K, 8, True),
+        (3 * PAGE_256K, PAGE_256K + 1, False),      # runs off the end
+    ])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_named_cases(self, logical, size, write, warm):
+        # A 4 KB mapping inside a large page is seen on a table walk or
+        # through the 4 KB TLB, so each case also runs with those TLB
+        # entries filled.
+        touch = [("range", 5 * PAGE_4K, 8, False),
+                 ("range", (64 + 9) * PAGE_4K, 8, False)] if warm else []
+        table = [
+            ("map256k", 0, 2, True),
+            ("map4k", 5, 40, False),                # inside 256 KB page 0
+            *[("map4k", 64 + n, n, n != 9) for n in range(64)],
+            ("map256k", 3, 1, True),                # page 2 is a hole
+        ]
+        assert_ranges_agree(
+            [*table, *touch, ("range", logical, size, write),
+             ("unmap4k", 5, 0, True), ("range", logical, size, write)])
+
+
+class TestMapRangeOracle:
+    @given(logical_base=st.integers(0, SPACE),
+           offset=st.one_of(
+               st.integers(-4, 4).map(lambda n: n * PAGE_256K),
+               st.integers(-64, 64).map(lambda n: n * PAGE_4K),
+               st.integers(-PAGE_4K, PAGE_4K)),
+           size=st.integers(-1, SPACE),
+           page_size=st.sampled_from([PAGE_4K, PAGE_256K, 8192, 1000]),
+           writable=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_loop_of_map_page(self, logical_base, offset, size,
+                                       page_size, writable):
+        mmu, reference = MMU(), MMU()
+        args = (logical_base, logical_base + offset, size, page_size,
+                writable)
+        got = outcome(lambda: mmu.map_range(*args))
+        want = outcome(lambda: map_page_by_page(reference, *args))
+        assert got == want
+        assert mmu._table_4k == reference._table_4k
+        assert mmu._table_256k == reference._table_256k
+        if want is None:
+            probe = ("range", logical_base, size, writable)
+            assert_ranges_agree([("map_range", *args), probe])
+
+    def test_misaligned_and_unsupported_rejected(self):
+        with pytest.raises(AddressError):
+            MMU().map_range(0, 100, PAGE_4K)
+        with pytest.raises(AddressError):
+            MMU().map_range(0, PAGE_4K, PAGE_256K, page_size=PAGE_256K)
+        with pytest.raises(AddressError):
+            MMU().map_range(0, 0, 8192, page_size=8192)
+        with pytest.raises(AddressError):
+            MMU().map_range(0, 0, 0)
+
+    def test_cells_share_entries_but_not_tables(self):
+        size = 2 * PAGE_256K + 3 * PAGE_4K
+        one = MemoryController(CellMemory(size))
+        other = MemoryController(CellMemory(size))
+        one.identity_map()
+        other.identity_map()
+        one.mmu.map_page(0, 7 * PAGE_4K, writable=False)
+        one.mmu.unmap_page(PAGE_256K, size=PAGE_256K)
+        one.mmu.unmap_page(2 * PAGE_256K)
+        assert one.mmu.translate(8) == 7 * PAGE_4K + 8
+        for logical in (8, PAGE_256K + 8, 2 * PAGE_256K + 8, size - 1):
+            assert other.mmu.translate(logical, write=True) == logical
+        assert other.translate(0, size, write=True) == 0
+        with pytest.raises(PageFaultError):
+            other.translate(0, size + 1, write=True)

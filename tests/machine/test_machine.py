@@ -3,6 +3,8 @@ deadlock detection, collectives, shared memory."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import (
     CommunicationError,
@@ -11,6 +13,7 @@ from repro.core.errors import (
 )
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from repro.machine.program import Group
 
 
 def make(n=4):
@@ -154,6 +157,25 @@ class TestBarriers:
 
         with pytest.raises(CommunicationError):
             m.run(program)
+
+    @given(data=st.data(),
+           members=st.sets(st.integers(0, 7), min_size=1).map(sorted))
+    @settings(max_examples=60, deadline=None)
+    def test_release_on_exactly_the_last_arrival(self, data, members):
+        m = make(8)
+        world = len(members) == 8
+        group = m.world_group if world else Group(5, tuple(members))
+        for episode in range(2):
+            order = data.draw(st.permutations(members))
+            for count, pe in enumerate(order, start=1):
+                generation = m.barrier_arrive(group, pe)
+                assert generation == episode
+                assert m.barrier_passed(group.gid, generation) == \
+                    (count == len(order))
+                if count < len(order):
+                    with pytest.raises(CommunicationError):
+                        m.barrier_arrive(group, pe)      # arrived twice
+        assert m.snet.episodes_completed == (2 if world else 0)
 
 
 class TestReductions:

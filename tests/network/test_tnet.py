@@ -1,8 +1,14 @@
 """Unit tests for the T-net functional transport."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import CommunicationError
+from repro.faults.injector import FaultyTNet
+from repro.faults.plan import FaultPlan
 from repro.network.packet import Packet, PacketKind
 from repro.network.tnet import TNet
 from repro.network.topology import TorusTopology
@@ -96,3 +102,86 @@ class TestDraining:
 def test_transfer_time_matches_link_bandwidth(net):
     # 25 MB/s -> 0.04 us per byte.
     assert net.transfer_time_us(25) == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the scan of every channel that drain_all replaced
+# ----------------------------------------------------------------------
+
+CELLS = 8
+
+
+def scan_every_channel(net):
+    """drain_all as a visit of every channel the network ever opened."""
+    ready = []
+    for queue in net._channels.values():
+        ready.extend(queue)
+        queue.clear()
+    ready.sort(key=lambda p: p.serial)
+    net.delivered_count += len(ready)
+    return ready
+
+
+def ident(packets):
+    """What tells packets apart across two networks (payload_bytes is
+    the test's tag)."""
+    return [(p.serial, p.src, p.dst, p.payload_bytes) for p in packets]
+
+
+wire_ops = st.lists(st.tuples(
+    st.sampled_from(["inject", "inject", "inject", "deliver_next",
+                     "drain_to", "drain_all"]),
+    st.integers(0, CELLS - 1), st.integers(0, CELLS - 1)), max_size=120)
+
+
+def drive(ops, make_net, send, tick=lambda net: None):
+    """Run ``ops`` on a network drained by drain_all and on a twin
+    drained by the scan; every read-out must agree."""
+    net, reference = make_net(), make_net()
+    for tag, (op, src, dst) in enumerate(ops):
+        if op == "inject":
+            send(net, _pkt(src, dst, size=tag))
+            send(reference, _pkt(src, dst, size=tag))
+        elif op == "deliver_next":
+            if net.pending(src, dst):
+                assert ident([net.deliver_next(src, dst)]) == \
+                    ident([reference.deliver_next(src, dst)])
+        elif op == "drain_to":
+            assert ident(net.drain_to(dst)) == ident(reference.drain_to(dst))
+        else:
+            tick(reference)
+            out = net.drain_all()
+            assert ident(out) == ident(scan_every_channel(reference))
+            assert [p.serial for p in out] == sorted(p.serial for p in out)
+        assert net.in_flight == reference.in_flight
+        assert net.injected_count - net.delivered_count == net.in_flight
+        assert net.pending_for(dst) == reference.pending_for(dst)
+        assert net.pending_from(src) == reference.pending_from(src)
+    return net, reference
+
+
+class TestDrainAllOracle:
+    @given(ops=wire_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_perfect_wire(self, ops):
+        drive(ops, lambda: TNet(TorusTopology(4, 2)), TNet.inject)
+
+    @given(ops=wire_ops, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=150, deadline=None)
+    def test_faulty_wire_releases_delayed_frames_mid_sequence(self, ops,
+                                                              seed):
+        plan = FaultPlan(name="drain", seed=seed, dup_rate=0.2,
+                         delay_rate=0.4, delay_max_rounds=3)
+        net, reference = drive(
+            ops,
+            lambda: FaultyTNet(TorusTopology(4, 2), plan,
+                               random.Random(seed)),
+            FaultyTNet.transmit, tick=FaultyTNet._tick_delayed)
+        assert net.schedule == reference.schedule
+        # Held frames age out within delay_max_rounds further drains.
+        for _ in range(plan.delay_max_rounds):
+            reference._tick_delayed()
+            assert ident(net.drain_all()) == \
+                ident(scan_every_channel(reference))
+        assert net.in_flight == 0
+        assert net.injected_count == net.delivered_count
