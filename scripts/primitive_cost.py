@@ -1,0 +1,100 @@
+#!/usr/bin/env python
+"""Host cost of the functional machine's primitives, by message size.
+
+What one ``put`` / ``get`` / ``ack_get`` / satisfied ``flag_wait`` /
+``barrier`` costs *the host* (microseconds of wall clock, minimum over
+``--repeats`` batches of ``--batch`` operations, taken inside the cell
+program so the scheduler and the machine build are outside the timed
+region), in the manner of the per-primitive latency tables of the
+OpenSHMEM-on-Epiphany paper.  The simulated cost of the same PUT on the
+AP1000+ (Figure 7: sender CPU and time to the receive-flag update, over
+``--distance`` hops) is printed in its own ``sim_us`` columns; the two
+clock domains never share a column.
+
+    PYTHONPATH=src python scripts/primitive_cost.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import time
+
+import numpy as np
+
+SIZES = (8, 4096, 160_000)
+
+
+def program(ctx, size: int, batch: int, repeats: int):
+    """Cell 0 times batches of each primitive against cell 1; the other
+    cells only take part in the barriers."""
+    src = ctx.alloc(size, np.uint8)
+    dst = ctx.alloc(size, np.uint8)
+    flag = ctx.alloc_flag()
+    peer = 1
+    best: dict[str, float] = {}
+
+    def timed(name: str, start: float) -> None:
+        each = (time.perf_counter() - start) / batch
+        best[name] = min(best.get(name, each), each)
+
+    for _ in range(repeats):
+        if ctx.pe == 0:
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.put(peer, dst, src)
+            timed("put", start)
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.get(peer, src, dst, recv_flag=flag)
+            timed("get", start)
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.ack_get(peer)
+            timed("ack_get", start)
+            # Every GET reply has landed (the pump runs to quiescence at
+            # issue), so these waits are already satisfied: the cost of
+            # the check, not of blocking.
+            target = ctx.flag_read(flag)
+            start = time.perf_counter()
+            for _ in range(batch):
+                yield from ctx.flag_wait(flag, target)
+            timed("flag_wait", start)
+        start = time.perf_counter()
+        for _ in range(batch):
+            yield from ctx.barrier()
+        timed("barrier", start)
+    return best
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--cells", type=int, default=4)
+    parser.add_argument("--batch", type=int, default=200)
+    parser.add_argument("--repeats", type=int, default=50)
+    parser.add_argument("--distance", type=int, default=4,
+                        help="hops of the simulated Figure 7 PUT")
+    args = parser.parse_args()
+
+    from repro import Machine, MachineConfig
+    from repro.mlsim.params import preset
+    from repro.mlsim.put_model import put_timeline
+
+    plus = preset("ap1000+")
+    names = ("put", "get", "ack_get", "flag_wait", "barrier")
+    print(f"{args.cells} cells, min of {args.repeats} batches of "
+          f"{args.batch}; host_us = host wall clock per operation, "
+          f"sim_us = simulated AP1000+ PUT (Figure 7, {args.distance} hops)")
+    print(f"{'bytes':>8} " + " ".join(f"{n + ' host_us':>17}" for n in names)
+          + f" {'put send_cpu sim_us':>20} {'put recv_flag sim_us':>21}")
+    for size in SIZES:
+        machine = Machine(MachineConfig(num_cells=args.cells))
+        best = machine.run(program, size, args.batch, args.repeats)[0]
+        line = put_timeline(plus, size, args.distance)
+        print(f"{size:>8} "
+              + " ".join(f"{best[n] * 1e6:>17.2f}" for n in names)
+              + f" {line.send_cpu:>20.2f} {line.recv_flag_at:>21.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

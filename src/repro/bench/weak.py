@@ -55,25 +55,6 @@ LOG2_PAIRS_PER_CELL = 7
 Log = Callable[[str], None]
 
 
-def _pin_mmap_threshold() -> None:
-    """Keep multi-megabyte cell buffers on the mmap path.
-
-    glibc's dynamic mmap threshold grows as 16 MB cell buffers are
-    freed, after which fresh machines are served from the arena and
-    ``calloc`` must really memset them — ~64 GB of writes per
-    4096-cell machine.  Pinning the threshold keeps ``np.zeros`` on
-    fresh demand-zero mappings, so untouched cell DRAM stays free.
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.mallopt(ctypes.c_int(-3),          # M_MMAP_THRESHOLD
-                     ctypes.c_int(1 << 20))
-    except (OSError, AttributeError):  # non-glibc platforms
-        pass
-
-
 def weak_configs(cells: int) -> dict[str, dict[str, Any]]:
     """Per-app parameters at ``cells``, per-cell work held constant."""
     return {
@@ -166,10 +147,10 @@ def run_weak(
     log: Log | None = None,
 ) -> dict[str, Any]:
     """Run the study and return the artifact document."""
-    from repro.bench.perf import _utc_now
+    from repro.bench.perf import _utc_now, pin_mmap_threshold
 
     log = log or (lambda message: None)
-    _pin_mmap_threshold()
+    pin_mmap_threshold()
     rows = []
     for cells in points:
         configs = weak_configs(cells)

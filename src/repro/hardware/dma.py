@@ -40,7 +40,8 @@ class DMAEngine:
             )
         self.operations += 1
         self.bytes_moved += nbytes
-        self.largest_transfer = max(self.largest_transfer, nbytes)
+        if nbytes > self.largest_transfer:
+            self.largest_transfer = nbytes
 
     def snapshot(self) -> dict[str, int]:
         """Counter snapshot for the observability harvest."""

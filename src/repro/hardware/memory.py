@@ -52,25 +52,33 @@ class CellMemory:
                 f"{self.size_bytes}-byte DRAM"
             )
 
+    # Every access is range-checked exactly once, by the method that
+    # touches ``_buf``: the word and contiguous-stride forms reach DRAM
+    # through :meth:`read` / :meth:`write` and rely on their check.  Those
+    # two test the range in line and call ``_check_range`` only to raise.
+
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes starting at ``addr``."""
-        self._check_range(addr, size)
-        return self._buf[addr : addr + size].tobytes()
+        end = addr + size
+        if addr < 0 or size < 0 or end > self.size_bytes:
+            self._check_range(addr, size)
+        return self._buf[addr:end].tobytes()
 
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
         """Write ``data`` starting at ``addr``."""
-        raw = (np.frombuffer(data, dtype=np.uint8)
-               if isinstance(data, (bytes, bytearray)) else data)
-        self._check_range(addr, len(raw))
-        self._buf[addr : addr + len(raw)] = raw
+        end = addr + len(data)
+        if addr < 0 or end > self.size_bytes:
+            self._check_range(addr, len(data))
+        if isinstance(data, np.ndarray):
+            self._buf[addr:end] = data
+        else:
+            self._buf.data[addr:end] = data
 
     def read_word(self, addr: int) -> int:
         """Read a 4-byte little-endian word (used for flags)."""
-        self._check_range(addr, WORD_BYTES)
         return int.from_bytes(self.read(addr, WORD_BYTES), "little")
 
     def write_word(self, addr: int, value: int) -> None:
-        self._check_range(addr, WORD_BYTES)
         self.write(addr, (value % (1 << 32)).to_bytes(WORD_BYTES, "little"))
 
     def view(self, addr: int, size: int) -> np.ndarray:
@@ -80,9 +88,10 @@ class CellMemory:
 
     def gather(self, addr: int, stride: StrideSpec) -> bytes:
         """Collect ``stride.count`` items into one contiguous payload."""
-        self._check_range(addr, stride.extent_bytes)
         if stride.count <= 1 or stride.skip == stride.item_size:
+            # Contiguous: the extent is the payload.
             return self.read(addr, stride.total_bytes)
+        self._check_range(addr, stride.extent_bytes)
         parts = [
             self._buf[addr + off : addr + off + stride.item_size]
             for off in stride.offsets()
@@ -96,10 +105,10 @@ class CellMemory:
                 f"scatter payload is {len(data)} bytes but stride describes "
                 f"{stride.total_bytes}"
             )
-        self._check_range(addr, stride.extent_bytes)
         if stride.count <= 1 or stride.skip == stride.item_size:
             self.write(addr, data)
             return
+        self._check_range(addr, stride.extent_bytes)
         raw = np.frombuffer(data, dtype=np.uint8)
         for i, off in enumerate(stride.offsets()):
             chunk = raw[i * stride.item_size : (i + 1) * stride.item_size]

@@ -186,10 +186,14 @@ class MMU:
         if logical < 0:
             self.faults += 1
             raise PageFaultError(f"negative logical address {logical:#x}")
-        hit = self.tlb_4k.lookup(logical // PAGE_4K)
-        if hit is not None:
-            return hit
-        hit = self.tlb_256k.lookup(logical // PAGE_256K)
+        # A 4 KB entry can only exist inside a large page that had a
+        # 4 KB mapping installed; elsewhere that TLB is not probed.
+        large_page = logical // PAGE_256K
+        if large_page in self._fine_grained:
+            hit = self.tlb_4k.lookup(logical // PAGE_4K)
+            if hit is not None:
+                return hit
+        hit = self.tlb_256k.lookup(large_page)
         if hit is not None:
             return hit
         # TLB miss: hardware walker searches the page tables.
@@ -198,9 +202,9 @@ class MMU:
         if entry is not None:
             self.tlb_4k.fill(logical // PAGE_4K, entry)
             return entry
-        entry = self._table_256k.get(logical // PAGE_256K)
+        entry = self._table_256k.get(large_page)
         if entry is not None:
-            self.tlb_256k.fill(logical // PAGE_256K, entry)
+            self.tlb_256k.fill(large_page, entry)
             return entry
         self.faults += 1
         raise PageFaultError(f"no mapping for logical address {logical:#x}")

@@ -46,9 +46,14 @@ class CommandKind(enum.Enum):
     REMOTE_STORE = "remote_store"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Command:
-    """One entry in an MSC+ send queue."""
+    """One entry in an MSC+ send queue.
+
+    Written once by the issuing program and only read afterwards;
+    slotted rather than frozen because a frozen dataclass pays an
+    ``object.__setattr__`` per field on every construction.
+    """
 
     kind: CommandKind
     dst: int
@@ -145,7 +150,7 @@ class MSCPlus:
         sent = 0
         for queue in (self.remote_access_queue, self.system_send_queue,
                       self.user_send_queue):
-            while queue:
+            while queue.pushed != queue.popped:
                 self._execute(queue.pop())
                 sent += 1
         return sent
@@ -182,7 +187,8 @@ class MSCPlus:
         self.tnet.inject(packet)
         self.stats.puts_sent += 1
         # Send DMA complete: combined flag update on the sending side.
-        self.mc.increment_flag(command.send_flag)
+        if command.send_flag != NO_FLAG:
+            self.mc.increment_flag(command.send_flag)
 
     def _send_get(self, command: Command) -> None:
         packet = Packet(
@@ -198,7 +204,8 @@ class MSCPlus:
         self.tnet.inject(packet)
         self.stats.gets_sent += 1
         # The GET request itself has left: sending-side flag updates now.
-        self.mc.increment_flag(command.send_flag)
+        if command.send_flag != NO_FLAG:
+            self.mc.increment_flag(command.send_flag)
 
     def send_message(self, dst: int, data: bytes, *, context: int = 0,
                      send_flag: int = NO_FLAG) -> Packet:
@@ -212,7 +219,8 @@ class MSCPlus:
         )
         self.tnet.inject(packet)
         self.stats.sends_sent += 1
-        self.mc.increment_flag(send_flag)
+        if send_flag != NO_FLAG:
+            self.mc.increment_flag(send_flag)
         return packet
 
     def _send_remote_store(self, command: Command) -> None:
@@ -284,7 +292,8 @@ class MSCPlus:
         self._scatter_with_invalidate(packet.remote_addr, stride, packet.data)
         self.stats.puts_received += 1
         # Receive DMA complete: combined flag update on the receiving side.
-        self.mc.increment_flag(packet.recv_flag)
+        if packet.recv_flag != NO_FLAG:
+            self.mc.increment_flag(packet.recv_flag)
 
     def _receive_get_reply(self, packet: Packet) -> None:
         stride = (packet.recv_stride
@@ -294,7 +303,8 @@ class MSCPlus:
             self._scatter_with_invalidate(packet.remote_addr, stride,
                                           packet.data)
         self.stats.get_replies_received += 1
-        self.mc.increment_flag(packet.recv_flag)
+        if packet.recv_flag != NO_FLAG:
+            self.mc.increment_flag(packet.recv_flag)
 
     def _receive_send(self, packet: Packet) -> None:
         self.stats.sends_received += 1
@@ -324,11 +334,13 @@ class MSCPlus:
         is stalled on a remote load).
         """
         sent = 0
-        while self.remote_load_reply_queue:
-            self._reply_remote_load(self.remote_load_reply_queue.pop())
+        queue = self.remote_load_reply_queue
+        while queue.pushed != queue.popped:
+            self._reply_remote_load(queue.pop())
             sent += 1
-        while self.get_reply_queue:
-            self._reply_get(self.get_reply_queue.pop())
+        queue = self.get_reply_queue
+        while queue.pushed != queue.popped:
+            self._reply_get(queue.pop())
             sent += 1
         return sent
 

@@ -38,7 +38,9 @@ class CommandQueue:
 
     Entries are (command, word_count) pairs; occupancy is tracked in words
     because the hardware queue is sized in words (64), i.e. eight plain
-    PUT/GET commands.
+    PUT/GET commands.  ``pushed - popped`` is the number of commands
+    held (queue RAM plus spill), so the MSC+ pump finds a queue empty by
+    comparing two counters instead of calling into it.
     """
 
     name: str
@@ -76,9 +78,9 @@ class CommandQueue:
             self._queue.append((command, words))
             self._queue_words += words
         self.pushed += 1
-        self.high_water_words = max(
-            self.high_water_words, self._queue_words + self._spill_words
-        )
+        held = self._queue_words + self._spill_words
+        if held > self.high_water_words:
+            self.high_water_words = held
 
     def _spill_push(self, command: Any, words: int) -> None:
         capacity = self._spill_buffers_allocated * self.spill_buffer_words

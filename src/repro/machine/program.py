@@ -68,11 +68,15 @@ class LocalArray:
     base address used in communication commands.
     """
 
-    __slots__ = ("data", "addr")
+    __slots__ = ("data", "addr", "size", "itemsize")
 
     def __init__(self, data: np.ndarray, addr: int) -> None:
         self.data = data
         self.addr = addr
+        # Fixed for the life of the view, and read several times by
+        # every PUT/GET that names the array.
+        self.size = data.size
+        self.itemsize = data.dtype.itemsize
 
     @property
     def dtype(self) -> np.dtype:
@@ -81,14 +85,6 @@ class LocalArray:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def itemsize(self) -> int:
-        return self.data.dtype.itemsize
 
     @property
     def nbytes(self) -> int:

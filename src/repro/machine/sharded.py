@@ -1014,6 +1014,9 @@ def run_sharded(machine: Machine, program: Callable, args: tuple,
             shard_of[pe] = s
     ring_bytes = int(os.environ.get("REPRO_SHARD_RING_BYTES",
                                     DEFAULT_RING_BYTES))
+    # Windows are laid end to end; a multiple of 8 keeps every ring's
+    # counters 8-byte aligned (ShmRing reads them as single loads).
+    ring_bytes = -(-ring_bytes // 8) * 8
     t0_wall = time.perf_counter()
     machine._finished_cells = set()
     ctx = mp.get_context("fork")

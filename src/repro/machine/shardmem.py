@@ -16,12 +16,13 @@ Two pieces live here, both thin wrappers over POSIX shared memory:
   process-level twin of the AP1000+ ring buffer MSC+ SENDs land in
   (:mod:`repro.machine.ringbuffer`): the producer deposits length-
   prefixed records and publishes a monotonic tail counter; the consumer
-  drains up to the published tail and republishes its head.  Under
-  CPython (one bytecode at a time per process) on a total-store-order
-  machine the data write happens-before the tail publish, which is the
-  only ordering the protocol needs; there are no locks, and a full ring
-  is handled by the *caller* draining its own inbound rings while
-  retrying (deadlock-free back-pressure, see docs/sharding.md).
+  drains up to the published tail and republishes its head.  Each
+  counter is read and written as one aligned 8-byte load or store, and
+  on a total-store-order machine the data write happens-before the tail
+  publish, which is the only ordering the protocol needs; there are no
+  locks, and a full ring is handled by the *caller* draining its own
+  inbound rings while retrying (deadlock-free back-pressure, see
+  docs/sharding.md).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from multiprocessing import shared_memory
 DEFAULT_RING_BYTES = 1 << 20
 
 #: Ring header: two u64 monotonic byte counters (head, tail).
-_HEADER = struct.Struct("<QQ")
+_HEADER_BYTES = 16
 _LENGTH = struct.Struct("<I")
 
 #: Live segments of this process, by name.  Module-global (not
@@ -178,32 +179,46 @@ class ShmRing:
     head/tail counters followed by the circular data area.  Head and
     tail are *monotonic* byte counts (never wrapped), so "full" is
     simply ``tail - head == capacity`` and no sentinel byte is needed.
+
+    The other process reads a counter while this one writes it, so each
+    access must be a single load or store: the counters go through a
+    ``"Q"`` cast of the header (one aligned 8-byte access when the
+    window starts on an 8-byte boundary).  ``struct.pack_into`` is not
+    that — it zero-fills the destination before packing, and a consumer
+    that catches ``tail == 0`` on an empty ring parses stale bytes as a
+    record.
     """
 
     def __init__(self, buf: memoryview, capacity: int) -> None:
-        if len(buf) < _HEADER.size + capacity:
+        if len(buf) < _HEADER_BYTES + capacity:
             raise ValueError("ring window smaller than header + capacity")
-        self._buf = buf
-        self._data = buf[_HEADER.size:_HEADER.size + capacity]
+        self._counters = buf[:_HEADER_BYTES].cast("Q")   # [head, tail]
+        self._data = buf[_HEADER_BYTES:_HEADER_BYTES + capacity]
         self.capacity = capacity
+
+    def close(self) -> None:
+        """Drop the views into the window, so that the segment under it
+        can be closed without ``BufferError``."""
+        self._counters.release()
+        self._data.release()
 
     # -- counters ------------------------------------------------------
 
     @property
     def _head(self) -> int:
-        return _HEADER.unpack_from(self._buf, 0)[0]
+        return self._counters[0]
 
     @_head.setter
     def _head(self, value: int) -> None:
-        struct.pack_into("<Q", self._buf, 0, value)
+        self._counters[0] = value
 
     @property
     def _tail(self) -> int:
-        return _HEADER.unpack_from(self._buf, 0)[1]
+        return self._counters[1]
 
     @_tail.setter
     def _tail(self, value: int) -> None:
-        struct.pack_into("<Q", self._buf, 8, value)
+        self._counters[1] = value
 
     def __len__(self) -> int:
         return self._tail - self._head
@@ -230,9 +245,10 @@ class ShmRing:
     def try_push(self, record: bytes) -> bool:
         """Deposit one record; False when the ring lacks space.
 
-        The record bytes are fully written *before* the tail counter is
-        published, so a consumer that observes the new tail always sees
-        a complete record.
+        The record bytes are written *before* the tail counter is
+        published, and the publish is a single 8-byte store, so a
+        consumer sees either the old tail or the new one with a
+        complete record behind it — never a partly written counter.
         """
         need = _LENGTH.size + len(record)
         if need > self.capacity:

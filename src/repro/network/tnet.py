@@ -78,20 +78,25 @@ class TNet:
         the next serial; a retransmission (fault layer) keeps the serial
         of its first crossing so SEND/RECEIVE matching survives retries.
         """
-        self.validate_endpoints(packet)
+        self._enqueue(packet)
         if packet.serial < 0:
             packet.serial = self._next_serial
             self._next_serial += 1
-        self._enqueue(packet)
         self.injected_count += 1
         if self.observer is not None:
             self.observer.on_inject(packet)
 
     def _enqueue(self, packet: Packet) -> None:
-        """Append to the packet's channel: the one way into the wire."""
+        """Append to the packet's channel: the one way into the wire.
+
+        Endpoints are checked when a flow's channel is created, so a
+        channel exists only between cells of this machine and a packet
+        on an existing flow needs no check of its own.
+        """
         flow = (packet.src, packet.dst)
         channel = self._channels.get(flow)
         if channel is None:
+            self.validate_endpoints(packet)
             channel = self._channels[flow] = _Channel(len(self._channels))
         channel.append(packet)
         self._fresh[channel.rank] = channel

@@ -16,9 +16,12 @@ Two bugs this file pins down:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.bench.grid import BenchSpec
+from repro.bench.grid import BenchSpec, micro_specs
 from repro.bench.runner import run_bench
 from repro.bench.schema import results_bytes
 
@@ -62,3 +65,24 @@ class TestEngineModeDeterminism:
                               use_cache=False, grid_name="tiny")
         assert results_bytes(reference.artifact) == results_bytes(
             serial_outcome.artifact)
+
+
+class TestCommittedArtifact:
+    def test_latency_rows_of_the_canonical_micro_grid_reproduce(self):
+        """The PUT-bound rows of ``BENCH_micro_canonical.json``, fresh:
+        checks, trace statistics, the ``machine_metrics`` document
+        (MSC+, queue, DMA and network counters) and every replay, byte
+        for byte.  Host-side work on the message path must not show in
+        any of them."""
+        root = Path(__file__).resolve().parents[2]
+        committed = json.loads(
+            (root / "BENCH_micro_canonical.json").read_text("utf-8"))
+        specs = [spec for spec in micro_specs()
+                 if spec.app in ("PingPong", "RingShift")]
+        fresh = run_bench(specs, use_cache=False, grid_name="micro")
+        rows = fresh.artifact.results()["apps"]
+        assert sorted(rows) == ["PingPong", "RingShift"]
+        for app, row in rows.items():
+            assert (json.dumps(row, sort_keys=True)
+                    == json.dumps(committed["results"]["apps"][app],
+                                  sort_keys=True)), app

@@ -8,16 +8,17 @@ import pytest
 from repro.ckpt import CheckpointPolicy, applied, load_snapshot
 from repro.ckpt import policy as ckpt_policy
 from repro.ckpt import restore_machine, resume_workload
-from repro.ckpt.snapshot import capture_snapshot
+from repro.ckpt.snapshot import capture_snapshot, save_snapshot
 from repro.core.errors import (
     CheckpointInterrupt,
     ConfigurationError,
     DeadlockError,
 )
+from repro.hardware.msc import Command, CommandKind
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.program import CellContext
-from repro.network.packet import Packet, PacketKind
+from repro.network.packet import Packet, PacketKind, StrideSpec
 
 from .conftest import run_small
 
@@ -220,3 +221,60 @@ class TestWatchdogDump:
             (1, 0, 1), (2, 2, 1), (3, 3, 0), (4, 0, 1), (5, 1, 2), (6, 3, 0)]
         assert restored.in_flight == 0
         assert restored.injected_count == restored.delivered_count
+
+    def test_queued_commands_restore_and_pump_to_the_same_state(
+            self, tmp_path):
+        # Commands sit in the send queues (twelve on cell 0, half of
+        # them spilled to DRAM) when the dump is pickled to disk.  The
+        # machine rebuilt from it must pump to the same memory, flags
+        # and counters as the original.
+        m = make(num_cells=4)
+        src = [m.alloc_array(pe, 64, "uint8") for pe in range(4)]
+        dst = [m.alloc_array(pe, 64, "uint8") for pe in range(4)]
+        for pe in range(4):
+            src[pe].data[:] = range(pe, pe + 64)
+        whole, pair = StrideSpec.contiguous(8), StrideSpec.contiguous(0)
+        comb = StrideSpec(item_size=2, count=4, skip=8)
+        for n in range(12):
+            m.hw_cells[0].msc.issue(Command(
+                kind=CommandKind.PUT, dst=1 + n % 3,
+                raddr=dst[0].addr + 4 * n, laddr=src[0].addr + n,
+                send_stride=whole, recv_stride=comb if n % 2 else whole,
+                send_flag=64, recv_flag=68 + 4 * (n % 2)))
+        m.hw_cells[2].msc.issue(Command(
+            kind=CommandKind.GET, dst=3, raddr=src[3].addr + 5,
+            laddr=dst[2].addr + 48, send_stride=whole, recv_stride=whole,
+            recv_flag=72), system=True)
+        m.hw_cells[3].msc.issue(Command(
+            kind=CommandKind.GET, dst=0, raddr=0, laddr=0,
+            send_stride=pair, recv_stride=pair, recv_flag=76))
+        assert m.hw_cells[0].msc.user_send_queue.spilled == 6
+
+        dump = load_snapshot(save_snapshot(
+            capture_snapshot(m, resumable=False), tmp_path))
+        dump.header["resumable"] = True
+        restored = restore_machine(dump)
+        assert ([list(q._queue) + list(q._spill)
+                 for cell in restored.hw_cells
+                 for q in cell.msc.all_queues()]
+                == [list(q._queue) + list(q._spill)
+                    for cell in m.hw_cells for q in cell.msc.all_queues()])
+
+        end = dst[0].addr + 64
+        for machine in (m, restored):
+            for pe in range(4):
+                machine.mark_dirty(pe)
+            machine.pump()
+        for ours, theirs in zip(m.hw_cells, restored.hw_cells):
+            assert ours.memory.read(0, end) == theirs.memory.read(0, end)
+            assert vars(ours.msc.stats) == vars(theirs.msc.stats)
+            assert ([q.snapshot() for q in ours.msc.all_queues()]
+                    == [q.snapshot() for q in theirs.msc.all_queues()])
+            assert ours.msc.send_dma == theirs.msc.send_dma
+            assert ours.msc.recv_dma == theirs.msc.recv_dma
+            assert ours.mc.flag_increments == theirs.mc.flag_increments
+        assert m.hw_cells[0].mc.read_flag(64) == 12
+        assert m.hw_cells[2].memory.read(dst[2].addr + 48, 8) == \
+            bytes(range(8, 16))
+        assert m.hw_cells[3].mc.read_flag(76) == 1
+        assert m.tnet.injected_count == restored.tnet.injected_count == 16

@@ -1,8 +1,14 @@
 """Unit tests for the MC (flag incrementer, translated access) and DMA."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.errors import AddressError, CommunicationError
+from repro.core.errors import (
+    AddressError,
+    CommunicationError,
+    PageFaultError,
+)
 from repro.hardware.dma import MAX_DMA_BYTES, MIN_DMA_BYTES, DMAEngine
 from repro.hardware.mc import NO_FLAG, MemoryController, allocate_flag_area
 from repro.hardware.memory import CellMemory
@@ -50,6 +56,36 @@ class TestFlagIncrementer:
     def test_flag_area_at_zero_rejected(self, mc):
         with pytest.raises(AddressError):
             allocate_flag_area(mc, 0, 1)
+
+
+class TestFlagIncrementOracle:
+    """The incrementer against a plain read-then-write of the word."""
+
+    @given(start=st.one_of(st.integers(0, (1 << 32) - 1),
+                           st.integers((1 << 32) - 4, (1 << 32) - 1)),
+           bumps=st.integers(1, 6))
+    def test_equals_read_then_write_across_the_wrap(self, start, bumps):
+        mc = MemoryController(CellMemory(4096))
+        mc.identity_map()
+        mc.write_flag(64, start)
+        expected = start
+        for n in range(1, bumps + 1):
+            returned = mc.increment_flag(64)
+            # The count handed back is the fetched word plus one; the
+            # word stored wraps at 2**32 like the 4-byte counter it is.
+            assert returned == expected + 1
+            expected = (expected + 1) % (1 << 32)
+            assert mc.read_flag(64) == expected
+            assert mc.memory.read(64, 4) == expected.to_bytes(4, "little")
+            assert mc.flag_increments == n
+        assert mc.memory.read(60, 4) == mc.memory.read(68, 4) == bytes(4)
+
+    def test_flag_past_the_dram_edge_faults(self):
+        mc = MemoryController(CellMemory(8192))
+        mc.identity_map()
+        with pytest.raises(PageFaultError):
+            mc.increment_flag(8192)
+        assert mc.flag_increments == 0
 
 
 class TestTranslatedAccess:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import AddressError, ConfigurationError
 from repro.hardware.memory import (
@@ -10,6 +12,7 @@ from repro.hardware.memory import (
     AddressMap,
     CellMemory,
 )
+from repro.hardware.memory import WORD_BYTES
 from repro.network.packet import StrideSpec
 
 
@@ -90,6 +93,105 @@ class TestGatherScatter:
         payload = mem_a.gather(0, spec)
         mem_b.scatter(0, spec, payload)
         assert mem_b.gather(0, spec) == payload
+
+
+# ----------------------------------------------------------------------
+# Oracle: the nested checks that the once-per-access check replaced
+# ----------------------------------------------------------------------
+
+
+class NestedCheckMemory(CellMemory):
+    """Every form checks its own range, then calls a form that checks
+    again — how ``CellMemory`` was written before."""
+
+    def read(self, addr, size):
+        self._check_range(addr, size)
+        return self._buf[addr:addr + size].tobytes()
+
+    def write(self, addr, data):
+        raw = (np.frombuffer(data, dtype=np.uint8)
+               if isinstance(data, (bytes, bytearray)) else data)
+        self._check_range(addr, len(raw))
+        self._buf[addr:addr + len(raw)] = raw
+
+    def read_word(self, addr):
+        self._check_range(addr, WORD_BYTES)
+        return int.from_bytes(self.read(addr, WORD_BYTES), "little")
+
+    def write_word(self, addr, value):
+        self._check_range(addr, WORD_BYTES)
+        self.write(addr, (value % (1 << 32)).to_bytes(WORD_BYTES, "little"))
+
+    def gather(self, addr, stride):
+        self._check_range(addr, stride.extent_bytes)
+        if stride.count <= 1 or stride.skip == stride.item_size:
+            return self.read(addr, stride.total_bytes)
+        return b"".join(
+            self._buf[addr + off:addr + off + stride.item_size].tobytes()
+            for off in stride.offsets())
+
+    def scatter(self, addr, stride, data):
+        if len(data) != stride.total_bytes:
+            raise AddressError(
+                f"scatter payload is {len(data)} bytes but stride describes "
+                f"{stride.total_bytes}")
+        self._check_range(addr, stride.extent_bytes)
+        if stride.count <= 1 or stride.skip == stride.item_size:
+            self.write(addr, data)
+            return
+        raw = np.frombuffer(data, dtype=np.uint8)
+        for i, off in enumerate(stride.offsets()):
+            chunk = raw[i * stride.item_size:(i + 1) * stride.item_size]
+            self._buf[addr + off:addr + off + stride.item_size] = chunk
+
+
+DRAM = 96
+addresses = st.integers(-8, DRAM + 8)
+strides = st.builds(
+    lambda item, count, gap: StrideSpec(item, count, item + gap),
+    st.integers(0, 12), st.integers(0, 6), st.integers(0, 12))
+accesses = st.one_of(
+    st.tuples(st.just("read"), addresses, st.integers(-2, DRAM + 8)),
+    st.tuples(st.just("write"), addresses, st.binary(max_size=24)),
+    st.tuples(st.just("write"), addresses,
+              st.binary(max_size=24).map(
+                  lambda raw: np.frombuffer(raw, dtype=np.uint8))),
+    st.tuples(st.just("read_word"), addresses),
+    st.tuples(st.just("write_word"), addresses,
+              st.integers(-3, (1 << 33))),
+    st.tuples(st.just("gather"), addresses, strides),
+    st.tuples(st.just("scatter"), addresses, strides,
+              st.binary(max_size=72)),
+)
+
+
+def attempt(memory, access):
+    name, *args = access
+    if name == "scatter" and len(args[2]) >= args[1].total_bytes:
+        args[2] = args[2][:args[1].total_bytes]     # mostly well-sized
+    try:
+        return getattr(memory, name)(*args)
+    except AddressError as exc:
+        return str(exc)
+
+
+class TestOneCheckPerAccess:
+    @given(program=st.lists(accesses, max_size=30))
+    def test_same_results_errors_and_bytes_as_nested_checks(self, program):
+        memory, reference = CellMemory(DRAM), NestedCheckMemory(DRAM)
+        for access in program:
+            assert attempt(memory, access) == attempt(reference, access), \
+                access
+            assert memory.read(0, DRAM) == reference.read(0, DRAM), access
+
+    @pytest.mark.parametrize("addr", [DRAM - 3, DRAM, -1])
+    def test_word_forms_raise_at_the_dram_edge(self, addr):
+        memory = CellMemory(DRAM)
+        with pytest.raises(AddressError, match="outside 96-byte DRAM"):
+            memory.read_word(addr)
+        with pytest.raises(AddressError, match="outside 96-byte DRAM"):
+            memory.write_word(addr, 1)
+        assert memory.read(0, DRAM) == bytes(DRAM)     # nothing written
 
 
 class TestAddressMap:

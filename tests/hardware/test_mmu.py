@@ -283,3 +283,55 @@ class TestMapRangeOracle:
         assert other.translate(0, size, write=True) == 0
         with pytest.raises(PageFaultError):
             other.translate(0, size + 1, write=True)
+
+
+# ----------------------------------------------------------------------
+# Oracle: a lookup that probes both TLBs on every access
+# ----------------------------------------------------------------------
+
+
+def translate_probing_both_tlbs(mmu, logical, write):
+    """``MMU.translate`` with the 4 KB TLB probed before the 256 KB one
+    on every access, whether or not a 4 KB mapping can be there."""
+    if logical < 0:
+        mmu.faults += 1
+        raise PageFaultError("negative logical address")
+    entry = (mmu.tlb_4k.lookup(logical // PAGE_4K)
+             or mmu.tlb_256k.lookup(logical // PAGE_256K))
+    if entry is None:
+        mmu.walks += 1
+        for tlb, table in ((mmu.tlb_4k, mmu._table_4k),
+                           (mmu.tlb_256k, mmu._table_256k)):
+            entry = table.get(logical // tlb.page_size)
+            if entry is not None:
+                tlb.fill(logical // tlb.page_size, entry)
+                break
+        else:
+            mmu.faults += 1
+            raise PageFaultError("no mapping")
+    if write and not entry.writable:
+        raise ProtectionError("read-only page")
+    return entry.physical_base + logical % entry.size
+
+
+class TestLookupOracle:
+    @given(steps=st.lists(st.one_of(
+        table_ops,
+        st.tuples(st.just("translate"),
+                  st.integers(-PAGE_4K, SPACE + PAGE_4K), st.booleans())),
+        max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_same_address_walks_and_faults(self, steps):
+        mmu, reference = MMU(), MMU()
+        for step in steps:
+            if step[0] == "translate":
+                _, logical, write = step
+                got = outcome(lambda: mmu.translate(logical, write=write))
+                want = outcome(lambda: translate_probing_both_tlbs(
+                    reference, logical, write))
+                assert got == want, step
+                assert (mmu.walks, mmu.faults) == \
+                    (reference.walks, reference.faults), step
+            else:
+                apply_table_op(mmu, step)
+                apply_table_op(reference, step)

@@ -90,6 +90,19 @@ class TestDeterminismMatrix:
         assert serial.statistics == shard.statistics
 
 
+    def test_small_odd_sized_rings_same_bytes(self, monkeypatch):
+        # A ring size that is no multiple of 8 is rounded up, so every
+        # mailbox window keeps its counters 8-byte aligned; a ring this
+        # small also fills, which exercises the back-pressure path.
+        serial = run_with("RingShift", "batched", 1, monkeypatch)
+        monkeypatch.setenv("REPRO_SHARD_RING_BYTES", "1021")
+        shard = run_with("RingShift", "sharded", 4, monkeypatch)
+        assert shard.machine.shard_report["shards"] == 4
+        assert trace_digest(serial.trace) == trace_digest(shard.trace)
+        assert memory_digest(serial.machine) == \
+            memory_digest(shard.machine)
+
+
 class TestFallbacks:
     """Configurations the sharded engine refuses run serially — and
     still produce the same bytes."""

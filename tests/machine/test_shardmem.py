@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,30 @@ class TestShmRing:
             assert ring.try_push(b"0123")
             assert ring.pop() == b"0123"
         assert ring._head == ring._tail == 50 * 8
+
+
+    def test_close_lets_the_segment_under_it_close(self):
+        segment = shared_memory.SharedMemory(create=True, size=16 + 64)
+        try:
+            ring = ShmRing(segment.buf[:16 + 64], 64)
+            assert ring.try_push(b"abc") and ring.pop() == b"abc"
+            ring.close()
+            segment.close()       # BufferError while a view is exported
+        finally:
+            segment.unlink()
+
+    def test_two_process_stress_never_sees_a_torn_counter(self):
+        # Before head and tail were single 8-byte loads and stores this
+        # failed within 1 000 - 200 000 records (a consumer reading the
+        # tail while ``struct.pack_into`` had zero-filled it).
+        root = Path(__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "ring_stress.py"),
+             "--records", "250000"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("ok: 250000 records")
 
 
 class TestSegmentPool:

@@ -1,6 +1,8 @@
 """Unit tests for packet formats and stride descriptors."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.network.packet import HEADER_BYTES, Packet, PacketKind, StrideSpec
 
@@ -33,6 +35,43 @@ class TestStrideSpec:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             StrideSpec(item_size=-1, count=1, skip=1)
+
+
+class TestInternedContiguous:
+    """``contiguous`` hands out shared instances; nothing a caller can
+    observe tells them from freshly built ones."""
+
+    @given(size=st.integers(0, 1 << 23))
+    def test_equals_fresh_instance(self, size):
+        fresh = StrideSpec(item_size=size, count=1, skip=max(size, 1))
+        spec = StrideSpec.contiguous(size)
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert (spec.total_bytes, spec.extent_bytes, spec.offsets()) == \
+            (size, size, [0])
+
+    @given(size=st.integers(-(1 << 23), -1))
+    def test_negative_size_raises_every_time(self, size):
+        for _ in range(2):            # a failure is never cached
+            with pytest.raises(ValueError):
+                StrideSpec.contiguous(size)
+
+    def test_cache_is_bounded(self):
+        for size in range(5000):
+            StrideSpec.contiguous(size)
+        info = StrideSpec.contiguous.cache_info()
+        assert info.currsize <= info.maxsize == 256
+
+    @given(item=st.integers(0, 64), count=st.integers(0, 64),
+           gap=st.integers(0, 64))
+    def test_cached_sizes_match_the_formulas(self, item, count, gap):
+        spec = StrideSpec(item_size=item, count=count, skip=item + gap)
+        for _ in range(2):            # second read comes from the cache
+            assert spec.total_bytes == item * count
+            assert spec.extent_bytes == (
+                0 if not item or not count
+                else (item + gap) * (count - 1) + item)
+        assert spec == StrideSpec(item_size=item, count=count,
+                                  skip=item + gap)
 
 
 class TestPacket:

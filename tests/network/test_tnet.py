@@ -185,3 +185,34 @@ class TestDrainAllOracle:
                 ident(scan_every_channel(reference))
         assert net.in_flight == 0
         assert net.injected_count == net.delivered_count
+
+
+# ----------------------------------------------------------------------
+# Oracle: the endpoint check on every packet that the check at channel
+# creation replaced
+# ----------------------------------------------------------------------
+
+
+class TestEndpointCheckOracle:
+    @given(flows=st.lists(
+        st.tuples(st.integers(-2, CELLS + 2), st.integers(-2, CELLS + 2)),
+        max_size=60))
+    def test_rejects_what_a_check_per_packet_rejects(self, flows):
+        net = TNet(TorusTopology(4, 2))
+        accepted = []
+        for tag, (src, dst) in enumerate(flows):
+            packet = _pkt(src, dst, size=tag)
+            if 0 <= src < CELLS and 0 <= dst < CELLS:
+                net.inject(packet)
+                accepted.append(packet)
+                assert packet.serial == len(accepted) - 1
+            else:
+                with pytest.raises(CommunicationError, match="outside"):
+                    net.inject(packet)
+                # A refused packet leaves no trace: no serial drawn, no
+                # channel opened, nothing counted.
+                assert packet.serial == -1
+                assert (src, dst) not in net._channels
+            assert net.injected_count == net.in_flight == len(accepted)
+            assert net._next_serial == len(accepted)
+        assert net.drain_all() == accepted

@@ -46,6 +46,28 @@ def test_queue_conserves_commands(n):
     assert queue.popped == n
 
 
+@given(capacity=st.integers(12, 64),      # a command fits the queue RAM
+       ops=st.lists(st.one_of(st.integers(1, 12), st.none()), max_size=80))
+def test_queue_depth_and_high_water_mark(capacity, ops):
+    """``pushed - popped`` is the depth the MSC+ pump reads in place of
+    ``bool(queue)``, and the high-water mark is the running ``max`` of
+    the words held, through spills and refills."""
+    queue = CommandQueue("depth", capacity_words=capacity,
+                         spill_buffer_words=48)
+    high_water = 0
+    for op in ops:
+        if op is None:
+            if queue:
+                queue.pop()
+        else:
+            queue.push(object(), op)
+            high_water = max(high_water,
+                             queue.words_in_queue + queue.words_spilled)
+        assert queue.pushed - queue.popped == len(queue)
+        assert (queue.pushed != queue.popped) == bool(queue)
+        assert queue.high_water_words == high_water
+
+
 # ----------------------------------------------------------------------
 # Cache: invalidation after writes means memory and cache never disagree
 # ----------------------------------------------------------------------
