@@ -1,0 +1,104 @@
+#!/usr/bin/env python
+"""Host cost of the consume side of a trace, by trace size.
+
+What it costs *the host* to take a recorded trace through the warm
+path — ``load_trace`` (file -> events), ``load_trace_columns`` (file ->
+replay columns, what ``repro replay`` and the bench runner use),
+``compile_program`` and ``replay_columns`` under each preset, and the
+cache entry's two files (``save_trace_v2`` + ``save_columns_npz`` on a
+freshly loaded buffer) — in microseconds of wall clock per trace event,
+minimum over ``--repeats`` runs, in the manner of the per-stage cost
+tables of the OpenSHMEM-on-Epiphany paper.  The simulated elapsed time
+of the same trace is printed in ``sim_us`` columns of its own; the two
+clock domains never share a column.
+
+    PYTHONPATH=src python scripts/consume_cost.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import tempfile
+import time
+from pathlib import Path
+
+TRACES = (
+    ("RingShift", 256, {"hops": 1024}),
+    ("TC no st", 16, {"n": 65, "iters": 1, "use_stride": False}),
+    ("CG", 16, {"n": 1400, "outer": 3, "inner": 25}),
+)
+PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
+
+
+def least(repeats: int, func, *args, **kwargs) -> tuple[float, object]:
+    """Seconds of the fastest of ``repeats`` calls, and its result."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = func(*args, **kwargs)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args()
+
+    from repro.apps.workloads import workload
+    from repro.mlsim.engine_soa import compile_program, replay_columns
+    from repro.mlsim.params import preset
+    from repro.trace.io import (
+        load_trace,
+        load_trace_columns,
+        save_columns_npz,
+        save_trace_v2,
+    )
+
+    presets = [preset(name) for name in PRESETS]
+    stages = ["load", "decode", "compile",
+              *(f"replay {name}" for name in PRESETS), "save"]
+    print(f"min of {args.repeats}; host_us = host wall clock per trace "
+          "event, sim_us = simulated elapsed time of the whole trace")
+    print(f"{'trace':>10} {'events':>7} "
+          + " ".join(f"{s + ' host_us':>26}" for s in stages) + " "
+          + " ".join(f"{name + ' sim_us':>19}" for name in PRESETS))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "trace.jsonl")
+
+        def save(trace) -> None:
+            save_trace_v2(trace, Path(scratch, "copy.jsonl"))
+            save_columns_npz(trace, Path(scratch, "copy.npz"))
+
+        for app, cells, sizes in TRACES:
+            run = workload(app).runner(num_cells=cells, **sizes)
+            events = run.trace.total_events
+            save_trace_v2(run.trace, path)
+
+            cost = dict.fromkeys(stages, float("inf"))
+            for _ in range(args.repeats):
+                # A fresh buffer per save: a second save of one buffer
+                # would find its lists already extracted.
+                seconds, loaded = least(1, load_trace, path)
+                cost["load"] = min(cost["load"], seconds)
+                cost["save"] = min(cost["save"], least(1, save, loaded)[0])
+            cost["decode"], columns = least(
+                args.repeats, load_trace_columns, path)
+            sim = {}
+            for name, params in zip(PRESETS, presets):
+                seconds, program = least(
+                    args.repeats, compile_program, columns, params)
+                cost["compile"] = min(cost["compile"], seconds)
+                cost[f"replay {name}"], result = least(
+                    args.repeats, replay_columns, columns, params,
+                    collect_metrics=True, program=program)
+                sim[name] = result.elapsed_us
+            print(f"{app:>10} {events:>7} "
+                  + " ".join(f"{cost[s] * 1e6 / events:>26.3f}"
+                             for s in stages) + " "
+                  + " ".join(f"{sim[name]:>19.1f}" for name in PRESETS))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

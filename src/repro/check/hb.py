@@ -3,7 +3,10 @@
 The checker replays the recorded event streams through a small
 synchronization-only scheduler: per-PE stream pointers advance
 round-robin, and every blocking event blocks here too, until the events
-that would satisfy it at runtime have been processed.  Processing an
+that would satisfy it at runtime have been processed.  A blocked cell is
+not polled: it registers on the event it waits for and is put back into
+the round-robin sweep when that event is processed (see
+:meth:`_Replay.run`).  Processing an
 event ticks its PE's vector clock; satisfying a wait joins in the clocks
 of the events that discharged it.  The resulting per-event clocks encode
 exactly the ordering the synchronization in the trace *guarantees* —
@@ -39,6 +42,7 @@ trace.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any
 
@@ -191,6 +195,18 @@ class _Replay:
         ] = {}
         # Satisfied waits per instance in program order: (target, key).
         self.covering: dict[int, list[tuple[int, EventKey]]] = {}
+        # Scheduling (see run): the cells still to visit in this sweep
+        # (a heap, so they come out in cell order; ``_in_sweep`` is
+        # every cell the sweep ever held), those of the next one, the
+        # cell being advanced (``n`` between sweeps), and who waits on
+        # which event.
+        self._sweep: list[int] = []
+        self._in_sweep: set[int] = set()
+        self._next: set[int] = set()
+        self._cur = n
+        self._waiters: dict[EventKey, list[int]] = {}
+        self._done = [False] * n
+        self._unfinished = n
 
     # -- helpers -------------------------------------------------------
 
@@ -199,7 +215,13 @@ class _Replay:
 
     def _join(self, pe: int, keys: list[EventKey]) -> None:
         vc = self.vc[pe]
+        # A cell's clocks only grow along its program order, so of
+        # several events of one cell the latest carries the join.
+        latest: dict[int, int] = {}
         for kp, ki in keys:
+            if ki > latest.get(kp, -1):
+                latest[kp] = ki
+        for kp, ki in latest.items():
             other = self.clock[kp][ki]
             for c in range(self.num_pes):
                 if other[c] > vc[c]:
@@ -209,21 +231,51 @@ class _Replay:
         self.clock[pe][i] = tuple(self.vc[pe])
         self.idx[pe] = i + 1
         self.blocked[pe] = None
+        self._wake((pe, i))
+
+    def _schedule(self, pe: int) -> None:
+        """Visit ``pe`` at its next turn: later in this sweep when the
+        sweep has not reached it yet, else in the next one."""
+        if pe <= self._cur:
+            self._next.add(pe)
+        elif pe not in self._in_sweep:
+            self._in_sweep.add(pe)
+            heapq.heappush(self._sweep, pe)
+
+    def _wake(self, key: EventKey) -> None:
+        """``key`` has just been processed: its waiters get a visit."""
+        for pe in self._waiters.pop(key, ()):
+            self._schedule(pe)
 
     # -- main loop -----------------------------------------------------
 
     def run(self) -> HBResult:
+        """Sweep the cells in cell order until every program is done.
+
+        The order in which events are processed — and with it every
+        force-release and the order of ``diagnostics`` — is that of a
+        scheduler that visits *every* cell in every sweep.  Such a visit
+        does something only when the cell can move, so only those cells
+        are visited: all of them in the first sweep; afterwards a cell
+        released from a rendezvous, and a cell blocked on a flag or a
+        message when the event it registered on (``_waiters``) is
+        processed.  Whoever processes that event puts the waiter into
+        the current sweep if its turn is still ahead, else into the next
+        (:meth:`_schedule`) — the first turn at which the full sweep
+        would have found it able to move.  A sweep nobody is scheduled
+        for is the full sweep's pass without progress: a stall.
+        """
+        self._next = set(range(self.num_pes))
         while True:
-            progress = False
-            for pe in range(self.num_pes):
-                progress = self._advance(pe) or progress
-            if all(
-                self.blocked[pe] is None
-                and self.idx[pe] >= len(self.events[pe])
-                for pe in range(self.num_pes)
-            ):
+            self._in_sweep, self._next = self._next, set()
+            self._sweep = sorted(self._in_sweep)    # sorted: a valid heap
+            while self._sweep:
+                self._cur = heapq.heappop(self._sweep)
+                self._advance(self._cur)
+            self._cur = self.num_pes
+            if not self._unfinished:
                 break
-            if not progress:
+            if not self._next:
                 self._resolve_stall()
         return HBResult(
             num_pes=self.num_pes,
@@ -236,6 +288,7 @@ class _Replay:
         )
 
     def _advance(self, pe: int) -> bool:
+        """Run ``pe`` until it blocks or ends; True when it moved."""
         made = False
         while True:
             blk = self.blocked[pe]
@@ -246,6 +299,9 @@ class _Replay:
                 continue
             i = self.idx[pe]
             if i >= len(self.events[pe]):
+                if not self._done[pe]:
+                    self._done[pe] = True
+                    self._unfinished -= 1
                 return made
             state = self._process(pe, i, self.events[pe][i])
             made = True
@@ -288,15 +344,19 @@ class _Replay:
         need = incs[: min(target, len(incs))]
         block = _FlagBlock(iid=iid, target=target, need=need,
                            satisfied=satisfied)
-        if self._flag_ready(block):
+        if self._flag_ready(pe, block):
             self._release_wait(pe, i, block)
             return "done"
         self.blocked[pe] = block
         return "blocked"
 
-    def _flag_ready(self, block: _FlagBlock) -> bool:
+    def _flag_ready(self, pe: int, block: _FlagBlock) -> bool:
+        """True when every needed increment is processed; else ``pe``
+        registers on the first one that is not."""
         while block.ptr < len(block.need):
-            if not self._processed(block.need[block.ptr]):
+            key = block.need[block.ptr]
+            if not self._processed(key):
+                self._waiters.setdefault(key, []).append(pe)
                 return False
             block.ptr += 1
         return True
@@ -316,7 +376,9 @@ class _Replay:
         self.occ[pe][(cls, gid)] = occ + 1
         rkey = (cls, gid, occ)
         arrived = self.arrivals.setdefault(rkey, {})
-        arrived[pe] = (list(self.vc[pe]), i, EventKind(ev.kind))
+        # The clock itself, not a copy: a cell waiting at a rendezvous
+        # does not touch its clock, and leaves with a new list.
+        arrived[pe] = (self.vc[pe], i, EventKind(ev.kind))
         members = self.groups.members(gid)
         if len(arrived) == len(members):
             self._complete_rendezvous(rkey)
@@ -342,16 +404,19 @@ class _Replay:
                 ),
                 events=refs,
             ))
-        merged = [0] * self.num_pes
-        for clk, _i, _k in arrived.values():
-            for c in range(self.num_pes):
-                if clk[c] > merged[c]:
-                    merged[c] = clk[c]
+        # Component-wise: one max per column over all arrival clocks.
+        clocks = [clk for clk, _i, _k in arrived.values()]
+        merged = [max(column)
+                  for column in zip([0] * self.num_pes, *clocks)]
+        stamp = tuple(merged)
         for p, (_clk, i, _k) in arrived.items():
             self.vc[p] = list(merged)
-            self.clock[p][i] = tuple(merged)
+            self.clock[p][i] = stamp
             self.idx[p] = i + 1
             self.blocked[p] = None
+            self._wake((p, i))
+            if p != self._cur:       # the completing cell carries on
+                self._schedule(p)
 
     def _process_recv(self, pe: int, i: int, ev: TraceEvent) -> str:
         key = self.send_by_msg.get(ev.msg_id)
@@ -372,11 +437,12 @@ class _Replay:
             self._finish(pe, i)
             return "done"
         self.blocked[pe] = _RecvBlock(send_key=key)
+        self._waiters.setdefault(key, []).append(pe)
         return "blocked"
 
     def _try_release(self, pe: int, blk: Any) -> bool:
         if isinstance(blk, _FlagBlock):
-            if self._flag_ready(blk):
+            if self._flag_ready(pe, blk):
                 self._release_wait(pe, self.idx[pe], blk)
                 return True
             return False
@@ -452,8 +518,10 @@ class _Replay:
                 done = [k for k in blk.need if self._processed(k)]
                 self._join(pe, done)
                 self._finish(pe, i)
+                self._schedule(pe)
             elif isinstance(blk, _RecvBlock):
                 self._finish(pe, i)
+                self._schedule(pe)
             elif isinstance(blk, _CollectiveBlock):
                 self._complete_rendezvous(blk.rkey)
             return

@@ -270,7 +270,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace)
+    from repro.mlsim.simulator import _soa_enabled
+
     if args.params:
         params = parse_params(args.params, name=args.params)
     else:
@@ -278,14 +279,23 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.timeline:
         from repro.mlsim.engine import MLSimEngine
         from repro.mlsim.timeline import render_timeline
+        trace = load_trace(args.trace)
         trace.coalesce_compute()
         engine = MLSimEngine(trace, params, record_timeline=True,
                              collect_metrics=args.json)
         result = engine.run()
         if not args.json:
             print(render_timeline(engine.timeline))
+    elif _soa_enabled():
+        # File -> columns -> replay: no TraceEvent is built on the way
+        # (the bench runner's path for cached traces).
+        from repro.mlsim.engine_soa import replay_columns
+        from repro.trace.io import load_trace_columns
+        result = replay_columns(load_trace_columns(args.trace), params,
+                                collect_metrics=args.json)
     else:
-        result = simulate(trace, params, collect_metrics=args.json)
+        result = simulate(load_trace(args.trace), params,
+                          collect_metrics=args.json)
     if args.json:
         _print_json({
             "schema": "repro-replay-v1",

@@ -19,7 +19,12 @@ throughput:
 * the remaining sequential pass — the part that carries cross-PE
   ordering: FIFO channel clamping, flag wakeups, barrier generations,
   CPU-theft application — runs over plain Python lists with no
-  per-event object construction, attribute access, or function calls.
+  per-event object construction, attribute access or builtin-function
+  call: clamps are inline comparisons that keep the operand
+  ``min``/``max`` would keep on a tie.  What remains are container
+  methods (a dict probe per channel, deque and set traffic per context
+  switch) and one ``record_flag`` per flag update, held to a ceiling
+  by ``tests/mlsim/test_replay_cost.py``.
 
 Scheduling replicates the reference engine's runnable-deque discipline
 event for event.  Every scheduling decision (park, wake, completion) is
@@ -539,7 +544,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     state = [[starts[pe], 0.0, 0.0, False, 0.0, 0.0, 0.0]
              for pe in range(n)]
     theft = [0.0] * n
-    slot_of: list[int | None] = [None] * n
+    rec_of: list[list | None] = [None] * n
 
     # Shared registries — semantically the reference engine's, but laid
     # out for dict-op throughput: slots and channels are keyed by packed
@@ -643,10 +648,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = depart + f2[i]
                 last = chan_last.get(key)
                 if last is None:
-                    arrival = max(raw, 0.0)
+                    arrival = 0.0 if raw < 0.0 else raw
                     chan_last[key] = (depart, arrival)
                 elif depart >= last[0]:
-                    arrival = max(raw, last[1])
+                    arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (depart, arrival)
                 else:
                     arrival = raw
@@ -688,7 +693,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         break
                     t = times[target - 1]
                     if collect:
-                        w = max(t - clk, 0.0)
+                        w = 0.0 if t - clk < 0.0 else t - clk
                         fw_count += 1
                         fw_total += w
                         if w > fw_max:
@@ -733,7 +738,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         if clk > rec[1]:
                             rec[1] = clk
                     att = True
-                    slot_of[pe] = slot
+                    rec_of[pe] = rec
                     if rec[0] == i2[i]:
                         rec[2] = rec[1] + f0[i]
                         waiters = rec[3]
@@ -744,7 +749,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                                     queued.add(waiter)
                                     runnable.append(waiter)
                 else:
-                    rec = bar_slots[slot_of[pe]]
+                    rec = rec_of[pe]
                 release = rec[2]
                 if release is None:
                     if rec[3] is None:
@@ -753,7 +758,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         rec[3].append(pe)
                     break
                 if collect:
-                    w = max(release - clk, 0.0)
+                    w = 0.0 if release - clk < 0.0 else release - clk
                     bw_count += 1
                     bw_total += w
                     if w > bw_max:
@@ -788,7 +793,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         if clk > rec[1]:
                             rec[1] = clk
                     att = True
-                    slot_of[pe] = slot
+                    rec_of[pe] = rec
                     if rec[0] == size:
                         rec[2] = rec[1] + f0[i]
                         waiters = rec[3]
@@ -799,7 +804,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                                     queued.add(waiter)
                                     runnable.append(waiter)
                 else:
-                    rec = red_slots[slot_of[pe]]
+                    rec = rec_of[pe]
                 release = rec[2]
                 if release is None:
                     if rec[3] is None:
@@ -807,7 +812,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     else:
                         rec[3].append(pe)
                     break
-                busy = min(f1[i], max(release - clk, 0.0))
+                busy = 0.0 if release - clk < 0.0 else release - clk
+                if not busy < f1[i]:
+                    busy = f1[i]
                 clk += busy
                 over += busy
                 if release > clk:
@@ -832,10 +839,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = depart + f0[i]
                 last = chan_last.get(key)
                 if last is None:
-                    req_arrival = max(raw, 0.0)
+                    req_arrival = 0.0 if raw < 0.0 else raw
                     chan_last[key] = (depart, req_arrival)
                 elif depart >= last[0]:
-                    req_arrival = max(raw, last[1])
+                    req_arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (depart, req_arrival)
                 else:
                     req_arrival = raw
@@ -848,10 +855,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = reply_depart + f2[i]
                 last = chan_last.get(key)
                 if last is None:
-                    reply_arrival = max(raw, 0.0)
+                    reply_arrival = 0.0 if raw < 0.0 else raw
                     chan_last[key] = (reply_depart, reply_arrival)
                 elif reply_depart >= last[0]:
-                    reply_arrival = max(raw, last[1])
+                    reply_arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (reply_depart, reply_arrival)
                 else:
                     reply_arrival = raw
@@ -891,10 +898,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = depart + f2[i]
                 last = chan_last.get(key)
                 if last is None:
-                    arrival = max(raw, 0.0)
+                    arrival = 0.0 if raw < 0.0 else raw
                     chan_last[key] = (depart, arrival)
                 elif depart >= last[0]:
-                    arrival = max(raw, last[1])
+                    arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (depart, arrival)
                 else:
                     arrival = raw

@@ -12,6 +12,12 @@ Three on-disk formats share one loader:
   structure-of-arrays layout the vectorized MLSim engine consumes
   without materializing a single :class:`TraceEvent`, so a trace is
   decoded once per application instead of once per (app, preset) cell.
+  Both directions move whole columns: the writer dumps
+  :func:`repro.trace.soa.event_lists` (one walk, shared with the npz
+  sidecar), and :func:`load_trace` builds every event with one ``map``
+  over the file's columns, refusing a document that does not describe
+  one buffer.  v1 and stream files are line formats and load line by
+  line.
 * **stream** — v1-style event lines written *incrementally* while the
   run executes (:class:`StreamTraceWriter`): a minimal header, chunked
   line flushes at record boundaries, interleaved phase meta lines, and
@@ -39,40 +45,32 @@ from repro.core.errors import SimulationError
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, GroupTable, TraceEvent
 from repro.trace.soa import (
-    INT_COLUMNS,
+    EVENT_FIELDS,
+    RANGE_FIELDS,
     TraceColumns,
     coalesce_columns,
     columns_from_buffer,
+    columns_from_lists,
+    event_lists,
 )
 
 FORMAT_V1 = "ap1000-trace-v1"
 FORMAT_V2 = "ap1000-trace-v2"
 FORMAT_STREAM = "ap1000-trace-stream-v1"
 
-_FIELDS = (
-    "kind", "pe", "seq", "partner", "size", "stride", "send_flag",
-    "recv_flag", "is_ack", "msg_id", "flag", "target", "group",
-    "group_size", "work",
-)
-
-# Sanitizer annotations (repro.check): written only when present, so
-# unsanitized traces keep the original line format and older readers
-# that enumerate keys see nothing new.
-_RANGE_FIELDS = (
-    "raddr", "rchunk", "rcount", "rstep",
-    "laddr", "lchunk", "lcount", "lstep",
-)
+#: EventKind by value, for the v2 loader's ``kind`` column.
+_KIND_OF = {int(kind): kind for kind in EventKind}
 
 
 def _event_to_dict(ev: TraceEvent) -> dict:
     out: dict[str, object] = {}
-    for name in _FIELDS:
+    for name in EVENT_FIELDS:
         value = getattr(ev, name)
         if name == "kind":
             value = int(value)
         out[name] = value
     if ev.is_annotated():
-        for name in _RANGE_FIELDS:
+        for name in RANGE_FIELDS:
             out[name] = getattr(ev, name)
     return out
 
@@ -122,13 +120,7 @@ def save_trace_v2(trace: TraceBuffer, target: str | Path | IO[str]) -> None:
     """
     assert trace.groups is not None
     n = trace.num_pes
-    ordered = [ev for pe in range(n) for ev in trace.events_for(pe)]
-    columns: dict[str, list] = {}
-    for name in _FIELDS:
-        if name == "kind":
-            columns[name] = [int(ev.kind) for ev in ordered]
-        else:
-            columns[name] = [getattr(ev, name) for ev in ordered]
+    lists = event_lists(trace)
     doc: dict[str, object] = {
         "format": FORMAT_V2,
         "num_pes": n,
@@ -136,13 +128,10 @@ def save_trace_v2(trace: TraceBuffer, target: str | Path | IO[str]) -> None:
                    for gid in range(len(trace.groups))],
         "phases": list(trace.phases),
         "counts": [len(trace.events_for(pe)) for pe in range(n)],
-        "columns": columns,
+        "columns": {name: lists[name] for name in EVENT_FIELDS},
     }
-    if any(ev.is_annotated() for ev in ordered):
-        doc["ranges"] = {
-            name: [getattr(ev, name) for ev in ordered]
-            for name in _RANGE_FIELDS
-        }
+    if RANGE_FIELDS[0] in lists:
+        doc["ranges"] = {name: lists[name] for name in RANGE_FIELDS}
     line = json.dumps(doc, separators=(",", ":")) + "\n"
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
@@ -350,55 +339,56 @@ def _buffer_from_v1(header: dict, fh: IO[str]) -> TraceBuffer:
     return trace
 
 
-def _buffer_from_v2(doc: dict) -> TraceBuffer:
+def _malformed(source: str, why: str) -> SimulationError:
+    return SimulationError(f"{source}: malformed v2 trace: {why}")
+
+
+def _buffer_from_v2(doc: dict, source: str) -> TraceBuffer:
     """Rebuild a full TraceBuffer (event objects included) from a v2
-    columnar document."""
-    num_pes = doc["num_pes"]
-    groups = GroupTable(tuple(range(num_pes)))
-    for members in doc["groups"][1:]:  # gid 0 is always "all cells"
-        groups.intern(tuple(members))
+    columnar document: one ``map`` over the columns (they are in
+    :class:`TraceEvent`'s positional order), sliced per PE by
+    ``counts``.  Refused: columns of unequal length, ``counts`` that do
+    not cover them or do not match ``num_pes``, a ``pe`` column that
+    disagrees with ``counts``, a ``kind`` outside :class:`EventKind`.
+    """
+    try:
+        num_pes = doc["num_pes"]
+        counts = doc["counts"]
+        columns = [doc["columns"][name] for name in EVENT_FIELDS]
+        if "ranges" in doc:
+            columns += [doc["ranges"][name] for name in RANGE_FIELDS]
+        groups = GroupTable(tuple(range(num_pes)))
+        for members in doc["groups"][1:]:  # gid 0 is always "all cells"
+            groups.intern(tuple(members))
+    except (KeyError, TypeError) as exc:
+        raise _malformed(source, f"bad or missing field {exc}") from exc
+    try:
+        kinds = list(map(_KIND_OF.__getitem__, columns[0]))
+    except (KeyError, TypeError) as exc:
+        raise _malformed(source, f"kind {exc} is not an EventKind") from exc
+    total = len(kinds)
+    if any(len(column) != total for column in columns):
+        raise _malformed(source, "columns differ in length")
+    if len(counts) != num_pes or sum(counts) != total:
+        raise _malformed(
+            source, f"counts {counts} do not cover {total} events on "
+            f"{num_pes} PEs")
     trace = TraceBuffer(num_pes=num_pes, capacity=1 << 62, groups=groups,
                         attach_sink=False)
     for label in doc.get("phases", []):
         trace.phase_id(label)
-    cols = doc["columns"]
-    ranges = doc.get("ranges")
-    names = [name for name in _FIELDS if name != "kind"]
-    kinds = cols["kind"]
-    idx = 0
-    for count in doc["counts"]:
-        for _ in range(count):
-            kwargs = {name: cols[name][idx] for name in names}
-            kwargs["kind"] = EventKind(kinds[idx])
-            if ranges is not None:
-                for name in _RANGE_FIELDS:
-                    kwargs[name] = ranges[name][idx]
-            ev = TraceEvent(**kwargs)
-            seq = ev.seq
-            trace.record(ev)
-            ev.seq = seq  # preserve the original global order
-            idx += 1
+    events = list(map(TraceEvent, kinds, *columns[1:]))
+    pes = columns[1]
+    lo = 0
+    for pe, count in enumerate(counts):
+        hi = lo + count
+        if pes[lo:hi] != [pe] * count:
+            raise _malformed(
+                source, f"pe column disagrees with counts at PE {pe}")
+        trace._events[pe] = events[lo:hi]
+        lo = hi
+    trace.total_events = trace._seq = total
     return trace
-
-
-def _columns_from_v2(doc: dict) -> TraceColumns:
-    """Decode a v2 document straight into the structure-of-arrays
-    layout, skipping TraceEvent objects entirely."""
-    n = doc["num_pes"]
-    cols = doc["columns"]
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.asarray(doc["counts"], dtype=np.int64), out=starts[1:])
-    kind = np.asarray(cols["kind"], dtype=np.int16)
-    ints = {name: np.asarray(cols[name], dtype=np.int64)
-            for name in INT_COLUMNS if name != "kind"}
-    sizes = tuple(len(members) for members in doc["groups"])
-    explicit = np.asarray(cols["group_size"], dtype=np.int64)
-    table = np.asarray(sizes, dtype=np.int64)
-    group_size = np.where(explicit > 0, explicit, table[ints["group"]])
-    work = np.asarray(cols["work"], dtype=np.float64)
-    return TraceColumns(
-        num_pes=n, starts=starts, kind=kind, work=work,
-        group_size=group_size, group_sizes=sizes, **ints)
 
 
 #: Column order of the npz sidecar (everything TraceColumns carries).
@@ -416,7 +406,8 @@ def save_columns_npz(trace: TraceBuffer, target: str | Path) -> None:
     the timing-relevant columns (no seq, no sanitizer ranges), with the
     effective group size already resolved, so the replay stage can map
     it straight into :class:`TraceColumns` without touching JSON.  The
-    v2 JSON file stays the source of truth beside it.
+    v2 JSON file stays the source of truth beside it (and, written
+    first, leaves its lists on the buffer: no second walk here).
     """
     columns = columns_from_buffer(trace)
     arrays = {name: getattr(columns, name) for name in _NPZ_ARRAYS
@@ -464,7 +455,7 @@ def load_trace(source: str | Path | IO[str]) -> TraceBuffer:
     def _read(fh: IO[str], name: str) -> TraceBuffer:
         header = _sniff_header(fh, name)
         if header["format"] == FORMAT_V2:
-            return _buffer_from_v2(header)
+            return _buffer_from_v2(header, name)
         if header["format"] == FORMAT_STREAM:
             return _buffer_from_stream(header, fh, name)
         return _buffer_from_v1(header, fh)
@@ -493,7 +484,9 @@ def load_trace_columns(
     def _read(fh: IO[str], name: str) -> TraceColumns:
         header = _sniff_header(fh, name)
         if header["format"] == FORMAT_V2:
-            columns = _columns_from_v2(header)
+            columns = columns_from_lists(
+                header["num_pes"], header["counts"], header["columns"],
+                tuple(len(members) for members in header["groups"]))
         elif header["format"] == FORMAT_STREAM:
             columns = columns_from_buffer(
                 _buffer_from_stream(header, fh, name))

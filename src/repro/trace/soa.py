@@ -9,21 +9,34 @@ contiguous), which the vectorized MLSim engine
 computed with array operations over whole columns, and the remaining
 scalar replay loop only reads plain Python lists.
 
-The columns are cached on the source :class:`TraceBuffer` keyed on its
-event count, so replaying one trace under the three parameter presets
-decodes it only once.  :func:`repro.trace.io.load_trace_columns` builds
-the same layout straight from a trace file without materializing
-``TraceEvent`` objects at all.
+There is one walk from event objects to columns, :func:`event_lists`
+(one list per serialized field, kept on the :class:`TraceBuffer`
+under its event count).  The v2 writer dumps those lists as they are;
+:func:`columns_from_buffer` turns the timing-relevant ones into arrays
+through :func:`columns_from_lists`, which
+:func:`repro.trace.io.load_trace_columns` also feeds with the lists of
+a v2 file — no ``TraceEvent`` is built on that path.  Writing a cache
+entry (v2 file, then npz sidecar) and replaying one trace under three
+presets therefore walk the events once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import EventKind
+from repro.trace.events import EventKind, TraceEvent
+
+_NAMES = tuple(f.name for f in fields(TraceEvent))
+#: A :class:`TraceEvent`'s fields in its positional order: the keys of
+#: a v1 line and of the v2 ``columns`` table, then the sanitizer
+#: annotations (repro.check), written only when present so that
+#: unsanitized traces keep the original format.
+EVENT_FIELDS = _NAMES[:_NAMES.index("raddr")]
+RANGE_FIELDS = _NAMES[_NAMES.index("raddr"):]
 
 #: Integer event fields decoded into columns (timing-relevant only;
 #: sanitizer byte ranges stay on the event objects).
@@ -64,50 +77,74 @@ class TraceColumns:
         return int(self.starts[-1])
 
 
+def event_lists(trace: TraceBuffer) -> dict[str, list]:
+    """One list per :data:`EVENT_FIELDS` name (plus :data:`RANGE_FIELDS`
+    when any event is annotated), events per-PE contiguous, ``kind`` as
+    plain ints.
+
+    Kept on the buffer while its event count stands, until
+    :func:`columns_from_buffer` has made its arrays from them.  The
+    count suffices as the key: the only in-place rewrite of a recorded
+    event, :meth:`TraceBuffer.coalesce_compute`, changes ``work`` only
+    when it also removes an event.
+    """
+    cached = getattr(trace, "_event_lists", None)
+    if cached is not None and cached[0] == trace.total_events:
+        return cached[1]
+    ordered = [ev for pe in range(trace.num_pes)
+               for ev in trace.events_for(pe)]
+
+    def column(name: str) -> list:
+        return list(map(attrgetter(name), ordered))
+
+    lists = {name: column(name) for name in EVENT_FIELDS}
+    lists["kind"] = list(map(int, lists["kind"]))
+    if max(column("raddr"), default=-1) >= 0 \
+            or max(column("laddr"), default=-1) >= 0:
+        lists.update((name, column(name)) for name in RANGE_FIELDS)
+    trace._event_lists = (  # type: ignore[attr-defined]
+        trace.total_events, lists)
+    return lists
+
+
+def columns_from_lists(num_pes: int, counts: list[int],
+                       lists: dict[str, list],
+                       group_sizes: tuple[int, ...]) -> TraceColumns:
+    """Per-field lists (from :func:`event_lists` or a v2 document's
+    ``columns`` table) as :class:`TraceColumns`: one array per list,
+    the effective group size resolved from the group table."""
+    starts = np.zeros(num_pes + 1, dtype=np.int64)
+    np.cumsum(np.asarray(counts, dtype=np.int64), out=starts[1:])
+    kind = np.asarray(lists["kind"], dtype=np.int16)
+    ints = {name: np.asarray(lists[name], dtype=np.int64)
+            for name in INT_COLUMNS if name != "kind"}
+    explicit = np.asarray(lists["group_size"], dtype=np.int64)
+    table = np.asarray(group_sizes, dtype=np.int64)
+    group_size = np.where(explicit != 0, explicit, table[ints["group"]])
+    work = np.asarray(lists["work"], dtype=np.float64)
+    return TraceColumns(
+        num_pes=num_pes, starts=starts, kind=kind, work=work,
+        group_size=group_size, group_sizes=group_sizes, **ints)
+
+
 def columns_from_buffer(trace: TraceBuffer) -> TraceColumns:
     """Decode ``trace`` into columns, reusing a cached decode when the
-    buffer has not changed since (same event count)."""
+    buffer has not changed since (same event count, as for
+    :func:`event_lists`).  The lists are dropped once the arrays exist
+    (together with the events they would hold the trace three times),
+    so a cache entry costs one walk when the v2 file is written first.
+    """
     assert trace.groups is not None
     cached = getattr(trace, "_soa_columns", None)
     if cached is not None and cached.total_events == trace.total_events:
         return cached
-
     n = trace.num_pes
-    counts = [len(trace.events_for(pe)) for pe in range(n)]
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    total = int(starts[-1])
-
-    kind = np.empty(total, dtype=np.int16)
-    ints = {name: np.empty(total, dtype=np.int64)
-            for name in INT_COLUMNS if name != "kind"}
-    group_size = np.empty(total, dtype=np.int64)
-    work = np.empty(total, dtype=np.float64)
-
-    sizes = tuple(len(trace.groups.members(g))
-                  for g in range(len(trace.groups)))
-    lo = 0
-    for pe in range(n):
-        events = trace.events_for(pe)
-        hi = lo + len(events)
-        kind[lo:hi] = [ev.kind for ev in events]
-        ints["partner"][lo:hi] = [ev.partner for ev in events]
-        ints["size"][lo:hi] = [ev.size for ev in events]
-        ints["send_flag"][lo:hi] = [ev.send_flag for ev in events]
-        ints["recv_flag"][lo:hi] = [ev.recv_flag for ev in events]
-        ints["msg_id"][lo:hi] = [ev.msg_id for ev in events]
-        ints["flag"][lo:hi] = [ev.flag for ev in events]
-        ints["target"][lo:hi] = [ev.target for ev in events]
-        ints["group"][lo:hi] = [ev.group for ev in events]
-        group_size[lo:hi] = [ev.group_size or sizes[ev.group]
-                             for ev in events]
-        work[lo:hi] = [ev.work for ev in events]
-        lo = hi
-
-    columns = TraceColumns(
-        num_pes=n, starts=starts, kind=kind, work=work,
-        group_size=group_size, group_sizes=sizes, **ints)
+    columns = columns_from_lists(
+        n, [len(trace.events_for(pe)) for pe in range(n)],
+        event_lists(trace),
+        tuple(trace.groups.size(g) for g in range(len(trace.groups))))
     trace._soa_columns = columns  # type: ignore[attr-defined]
+    trace._event_lists = None  # type: ignore[attr-defined]
     return columns
 
 
@@ -128,7 +165,8 @@ def coalesce_columns(columns: TraceColumns) -> TraceColumns:
     # COMPUTE/RTSYS kind and belong to the same PE.
     same_prev = np.zeros(total, dtype=bool)
     same_prev[1:] = compute[1:] & (kind[1:] == kind[:-1])
-    same_prev[columns.starts[1:-1]] = False
+    boundaries = columns.starts[1:-1]
+    same_prev[boundaries[boundaries < total]] = False   # trailing empty PEs
     if not same_prev.any():
         return columns
     keep = ~same_prev

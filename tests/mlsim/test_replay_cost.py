@@ -1,0 +1,77 @@
+"""Host cost of the consume side must stay where the bytes put it.
+
+Counts, not seconds (as in ``tests/machine/test_message_cost.py``):
+what one ``replay_columns`` and one ``load_trace`` of a v2 file call,
+under cProfile.  The counts repeat exactly, so the ceilings sit just
+above what the code does today; a ``min``/``max`` back in the
+interpreter loop, or a loader that re-records events one by one, shows
+up here as a failure rather than as a slower benchmark.
+"""
+
+import cProfile
+import pstats
+
+import pytest
+
+from repro.apps.workloads import workload
+from repro.mlsim import engine_soa
+from repro.mlsim.engine_soa import compile_program, replay_columns
+from repro.mlsim.params import preset
+from repro.trace.buffer import TraceBuffer
+from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
+
+#: (workload, sizes, ceiling of calls per event inside one replay).
+#: CG is collectives only (deque and set traffic per context switch);
+#: TOMCATV without stride is 8-byte PUTs with their acknowledging GETs
+#: (one ``record_flag`` per flag update, a dict probe per channel).
+CASES = {
+    "CG": (dict(num_cells=8, n=120, outer=2, inner=5), 3.0),
+    "TC no st": (dict(num_cells=4, n=33, iters=1, use_stride=False), 4.6),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def recorded(request, tmp_path_factory):
+    sizes, ceiling = CASES[request.param]
+    run = workload(request.param).runner(**sizes)
+    path = tmp_path_factory.mktemp("cost") / "trace.jsonl"
+    save_trace_v2(run.trace, path)
+    return path, ceiling
+
+
+def profiled(func, *args, **kwargs):
+    profile = cProfile.Profile()
+    profile.runcall(func, *args, **kwargs)
+    return pstats.Stats(profile)
+
+
+def test_replay_calls_per_event(recorded):
+    path, ceiling = recorded
+    columns = load_trace_columns(path)
+    params = preset("ap1000+")
+    program = compile_program(columns, params)
+    program.index.link_plan()     # per trace, shared by every preset
+    stats = profiled(replay_columns, columns, params,
+                     collect_metrics=True, program=program)
+    events = columns.total_events
+    # min/max called from the interpreter: a handful after the loop
+    # (elapsed, DMA and link maxima), none per event.
+    from_engine = sum(
+        callers[caller][0]
+        for (_, _, name), (*_, callers) in stats.stats.items()
+        if name in ("<built-in method builtins.min>",
+                    "<built-in method builtins.max>")
+        for caller in callers if caller[0] == engine_soa.__file__)
+    assert from_engine <= 4, from_engine
+    # Everything the replay calls, C methods included (today: CG 2.73,
+    # TOMCATV 4.27 per event; the loop's own work is not a call).
+    per_event = stats.total_calls / events
+    assert per_event < ceiling, per_event
+
+
+def test_v2_load_records_nothing(recorded):
+    path, _ = recorded
+    stats = profiled(load_trace, path)
+    code = TraceBuffer.record.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    assert key not in stats.stats

@@ -5,8 +5,9 @@ preset, ``replay_columns`` must produce exactly the result the scalar
 ``MLSimEngine`` produces — per-PE breakdowns, message counts, and the
 full metrics block.  These tests compare complete result dictionaries
 (via ``json.dumps`` with sorted keys, so float bit patterns matter) on
-real workloads and on a synthetic trace that covers the event kinds the
-shipped applications rarely exercise.
+real workloads, on a synthetic trace that covers the event kinds the
+shipped applications rarely exercise, and on generated traces full of
+equal operands.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.workloads import workload
 from repro.bench.cache import jsonify
 from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.engine_soa import replay_columns
-from repro.mlsim.params import preset
+from repro.mlsim.params import MLSimParams, preset
 from repro.mlsim.simulator import simulate
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
@@ -145,3 +148,106 @@ class TestEngineFlag:
         monkeypatch.setenv("REPRO_MLSIM_ENGINE", "reference")
         slow = simulate(trace, p, collect_metrics=True)
         assert result_doc(fast) == result_doc(slow)
+
+
+# -- generated traces: the ties ------------------------------------------
+#
+# The interpreter's clamps are inline comparisons where the scalar
+# engine calls ``min``/``max``; they must pick the same operand when the
+# operands are equal.  Equality is the common case under a parameter
+# file whose costs are all zero (every clock stays where computation
+# left it), and shows up under the real presets with self-PUTs,
+# zero-byte transfers, zero work and one-member groups.
+
+FREE = MLSimParams(
+    name="free", computation_factor=1.0, hardware_put_get=True,
+    network_prolog_time=0.0, network_delay_time=0.0,
+    network_epilog_time=0.0, put_msg_time=0.0, barrier_net_time=0.0,
+    recv_copy_byte_time=0.0)
+
+
+@st.composite
+def tie_scripts(draw):
+    """(num_pes, steps): programs that cannot deadlock — every wait
+    follows the transfer that satisfies it, every collective is issued
+    by all members at once."""
+    n = draw(st.integers(1, 5))
+    pe = st.integers(0, n - 1)
+    size = st.sampled_from([0, 0, 8, 64, 4096])
+    work = st.sampled_from([0.0, 0.0, 1.5, 40.0])
+    members = st.sets(pe, min_size=1)
+    step = st.one_of(
+        st.tuples(st.sampled_from(["compute", "rtsys"]), pe, work),
+        st.tuples(st.just("put"), pe, pe, size, st.booleans()),
+        st.tuples(st.just("get"), pe, pe, size),
+        st.tuples(st.just("send"), pe, pe, size),
+        st.tuples(st.just("barrier"), members, st.booleans()),
+        st.tuples(st.sampled_from(["gop", "vgop"]), members,
+                  st.booleans(), size),
+    )
+    return n, draw(st.lists(step, max_size=16))
+
+
+def tie_trace(n: int, steps) -> TraceBuffer:
+    buf = TraceBuffer(num_pes=n)
+    assert buf.groups is not None
+    counts: dict[int, int] = {}
+
+    def bump(flag: int) -> int:
+        counts[flag] = counts.get(flag, 0) + 1
+        return counts[flag]
+
+    for serial, step in enumerate(steps):
+        name = step[0]
+        if name in ("compute", "rtsys"):
+            kind = (EventKind.COMPUTE if name == "compute"
+                    else EventKind.RTSYS)
+            buf.record(TraceEvent(kind, pe=step[1], work=step[2]))
+        elif name == "put":
+            _, src, dst, nbytes, wait_send = step
+            sent, landed = 1 + src, 100 + src * n + dst
+            buf.record(TraceEvent(
+                EventKind.PUT, pe=src, partner=dst, size=nbytes,
+                send_flag=sent if wait_send else 0, recv_flag=landed))
+            if wait_send:
+                buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=src,
+                                      flag=sent, target=bump(sent)))
+            buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=dst,
+                                  flag=landed, target=bump(landed)))
+        elif name == "get":
+            _, src, dst, nbytes = step
+            back = 200 + src * n + dst
+            buf.record(TraceEvent(EventKind.GET, pe=src, partner=dst,
+                                  size=nbytes, recv_flag=back))
+            buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=src, flag=back,
+                                  target=bump(back)))
+        elif name == "send":
+            _, src, dst, nbytes = step
+            buf.record(TraceEvent(EventKind.SEND, pe=src, partner=dst,
+                                  size=nbytes, msg_id=serial + 1))
+            buf.record(TraceEvent(EventKind.RECV, pe=dst, partner=src,
+                                  size=nbytes, msg_id=serial + 1))
+        else:
+            group, explicit = sorted(step[1]), step[2]
+            gid = buf.groups.intern(tuple(group))
+            kind = {"barrier": EventKind.BARRIER, "gop": EventKind.GOP,
+                    "vgop": EventKind.VGOP}[name]
+            for member in group:
+                buf.record(TraceEvent(
+                    kind, pe=member, group=gid,
+                    group_size=len(group) if explicit else 0,
+                    size=step[3] if name != "barrier" else 0))
+    return buf
+
+
+class TestGeneratedTies:
+    @settings(max_examples=80, deadline=None)
+    @given(tie_scripts(), st.booleans())
+    def test_scalar_and_soa_agree_bit_for_bit(self, script, collect):
+        trace = tie_trace(*script)
+        trace.coalesce_compute()
+        columns = columns_from_buffer(trace)
+        for p in (*map(preset, PRESETS), FREE):
+            ref = MLSimEngine(trace, p, None, collect_metrics=collect).run()
+            soa = replay_columns(columns, p, collect_metrics=collect)
+            assert result_doc(soa) == result_doc(ref), p.name

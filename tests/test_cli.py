@@ -290,6 +290,27 @@ class TestReplay:
                          "--preset", preset]) == 0
         assert "mean idle" in capsys.readouterr().out
 
+    def test_replay_from_columns_prints_what_the_reference_prints(
+            self, trace_file, tmp_path, capsys, monkeypatch):
+        """`replay` goes file -> columns -> SoA engine without building
+        an event; text and --json output are those of the event-object
+        path on v1, v2 and stream files."""
+        from repro.trace.io import load_trace, save_trace_v2
+        v2, stream = tmp_path / "t.v2.jsonl", tmp_path / "t.stream.jsonl"
+        save_trace_v2(load_trace(trace_file), v2)
+        main(["run", "MatMul", "--cells", "4", "--no-replay",
+              "--stream", str(stream)])
+        capsys.readouterr()
+        for path in (trace_file, v2, stream):
+            for flags in ([], ["--json"], ["--preset", "ap1000", "--json"]):
+                argv = ["replay", str(path), *flags]
+                monkeypatch.delenv("REPRO_MLSIM_ENGINE", raising=False)
+                assert main(argv) == 0
+                fast = capsys.readouterr().out
+                monkeypatch.setenv("REPRO_MLSIM_ENGINE", "reference")
+                assert main(argv) == 0
+                assert capsys.readouterr().out == fast
+
     def test_replay_timeline(self, trace_file, capsys):
         assert main(["replay", str(trace_file), "--timeline"]) == 0
         out = capsys.readouterr().out
