@@ -208,28 +208,6 @@ def _measure_functional(reps: int, log: Log) -> dict[str, Any]:
     }
 
 
-def pin_mmap_threshold() -> None:
-    """Keep multi-megabyte cell buffers on the mmap path.
-
-    glibc's dynamic mmap threshold grows as 16 MB cell buffers are
-    freed, after which fresh machines are served from the arena and
-    ``calloc`` must really memset them — ~64 GB of writes per
-    4096-cell machine.  Pinning the threshold keeps ``np.zeros`` on
-    fresh demand-zero mappings, so untouched cell DRAM stays free.
-    Any lane that builds more than one wide machine per process calls
-    this first (an unpinned second 1024-cell machine is OOM-killed on a
-    16 GB host).
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.mallopt(ctypes.c_int(-3),          # M_MMAP_THRESHOLD
-                     ctypes.c_int(1 << 20))
-    except (OSError, AttributeError):  # non-glibc platforms
-        pass
-
-
 def _measure_sharded(reps: int, log: Log) -> dict[str, Any]:
     """A/B the serial batched engine against the sharded engine.
 
@@ -374,7 +352,6 @@ def run_perf(
     first, baseline drift second.
     """
     log = log or (lambda message: None)
-    pin_mmap_threshold()
     specs = micro_specs()
     preset_names = ALL_PRESETS
     cache = TraceCache(cache_dir or "benchmarks/.trace_cache",

@@ -147,10 +147,9 @@ def run_weak(
     log: Log | None = None,
 ) -> dict[str, Any]:
     """Run the study and return the artifact document."""
-    from repro.bench.perf import _utc_now, pin_mmap_threshold
+    from repro.bench.perf import _utc_now
 
     log = log or (lambda message: None)
-    pin_mmap_threshold()
     rows = []
     for cells in points:
         configs = weak_configs(cells)

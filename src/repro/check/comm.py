@@ -5,7 +5,9 @@ of the program it generated; this module recovers that knowledge for our
 SPMD programs.  A :class:`SymbolicMachine` abstractly executes a cell
 program at several machine sizes — no hardware networks, no timing,
 instant delivery, but byte-faithful memory and numerically identical
-reductions — and records the same annotated trace the sanitizer would.
+reductions — and records the same annotated trace the sanitizer would,
+because :class:`SymbolicContext` is a back end of the one
+:class:`~repro.machine.program.CellContext` front end, not a copy of it.
 From those runs it extracts a **static communication graph** (sync-point
 nodes, PUT/GET/SEND edges with symbolic partner expressions and message
 count/byte closed forms in P, see :mod:`repro.check.symbolic`) and runs
@@ -33,15 +35,11 @@ P ∈ {4, 16, 64} with a single diagnostic per root cause.
 from __future__ import annotations
 
 import inspect
-import math
 import sys
-from collections import deque
-from collections.abc import Callable, Generator, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-import numpy as np
 
 from repro.check.diagnostics import (
     SEVERITY_ERROR,
@@ -55,15 +53,17 @@ from repro.check.symbolic import (
     fit_closed_form,
     infer_partner_pattern,
 )
-from repro.core.completion import AckPolicy, AckTracker
-from repro.core.errors import CommunicationError, ConfigurationError
-from repro.core.flags import MAX_FLAGS_PER_PE, Flag, flag_area_end
+from repro.core import api as _paper_api
+from repro.core.errors import ConfigurationError
 from repro.core.stride import ElementStride
-from repro.hardware.memory import WORD_BYTES
-from repro.machine.config import SPARC_US_PER_FLOP
-from repro.machine.machine import _combine_values
-from repro.machine.program import CkptState, Group, LocalArray
-from repro.network.packet import StrideSpec
+from repro.hardware.cell import HardwareCell
+from repro.hardware.msc import Command, CommandKind
+from repro.machine import program as _front_end
+from repro.machine import shmem as _shared_memory
+from repro.machine.base import MachineBase
+from repro.machine.config import MachineConfig
+from repro.machine.program import CellContext, Group, LocalArray
+from repro.network.packet import Packet, PacketKind
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 
@@ -87,7 +87,6 @@ __all__ = [
 #: Machine sizes the scale-generic findings are reported over.
 DEFAULT_SCALES = (4, 16, 64)
 
-_HEAP_ALIGN = 64
 _MEMORY_PER_CELL = 16 * 1024 * 1024
 
 #: Event kinds that form communication-graph edges.
@@ -97,18 +96,19 @@ _NODE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP,
                EventKind.FLAG_WAIT}
 _COLLECTIVE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP}
 
-_THIS_FILE = str(Path(__file__).resolve())
-
-
-def _align(value: int, alignment: int) -> int:
-    return (value + alignment - 1) // alignment * alignment
+#: Files whose frames are the interface itself, not a call site of it.
+_INTERFACE_FILES = frozenset(
+    str(Path(file).resolve())
+    for file in (__file__, _front_end.__file__, _paper_api.__file__,
+                 _shared_memory.__file__))
 
 
 def _caller_site() -> tuple[str, int]:
-    """(file, line) of the nearest stack frame outside this module —
-    the app or runtime-library call site of a communication op."""
+    """(file, line) of the nearest stack frame outside the interface's
+    own modules — the app or runtime-library call site of a
+    communication op."""
     frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_filename == _THIS_FILE:
+    while frame is not None and frame.f_code.co_filename in _INTERFACE_FILES:
         frame = frame.f_back
     if frame is None:  # pragma: no cover
         return ("<unknown>", 0)
@@ -126,78 +126,32 @@ def _rel_site(site: tuple[str, int]) -> tuple[str, int]:
     return (Path(path).name, line)
 
 
-@dataclass
-class _Message:
-    """An in-flight two-sided message (ring-buffer entry)."""
-
-    src: int
-    data: bytes
-    context: int
-    serial: int
-
-    @property
-    def payload_bytes(self) -> int:
-        return len(self.data)
-
-
-class _SymBarrier:
-    __slots__ = ("generation", "arrived", "members")
-
-    def __init__(self, members: tuple[int, ...]) -> None:
-        self.generation = 0
-        self.arrived: set[int] = set()
-        self.members = members
-
-
-class _SymReduction:
-    __slots__ = ("per_pe_generation", "slots", "results", "fetches",
-                 "members", "ops")
-
-    def __init__(self, members: tuple[int, ...]) -> None:
-        self.per_pe_generation: dict[int, int] = {}
-        self.slots: dict[int, dict[int, Any]] = {}
-        self.results: dict[int, Any] = {}
-        self.fetches: dict[int, int] = {}
-        self.members = members
-        self.ops: dict[int, str] = {}
-
-
-class SymbolicMachine:
+class SymbolicMachine(MachineBase):
     """An abstract AP1000+ for concolic analysis.
 
-    Byte-faithful per-cell memories and the exact allocation arithmetic
-    of :class:`repro.machine.machine.Machine` (so symmetric addresses
-    agree with a real run), but instant delivery and no hardware model:
-    a PUT lands and increments flags the moment it is issued.  Every
-    operation records the same :class:`TraceEvent` a sanitized real run
-    would, which is what makes trace conformance checking possible.
+    The real machine's memory system (DRAM, MC flags, communication
+    registers, ring buffers) and, through :class:`MachineBase`, its
+    exact allocation arithmetic and collectives — so symmetric
+    addresses and reduction results agree with a real run — but no
+    MSC+ and no networks: a command's bytes land and its flags count
+    the moment it is issued.  Programs run on it through
+    :class:`SymbolicContext`, so every operation records the same
+    :class:`TraceEvent` a sanitized real run would, which is what makes
+    trace conformance checking possible.
     """
 
+    sanitize = True
+
     def __init__(self, num_cells: int, *,
-                 memory_per_cell: int = _MEMORY_PER_CELL,
-                 trace_capacity: int | None = None) -> None:
-        if num_cells < 1:
-            raise ConfigurationError("need at least one cell")
+                 memory_per_cell: int = _MEMORY_PER_CELL) -> None:
+        config = MachineConfig(num_cells=num_cells,
+                               memory_per_cell=memory_per_cell,
+                               scheduler="batched")
+        super().__init__(config, [
+            HardwareCell.build(pe, None, memory_per_cell)
+            for pe in range(num_cells)])
         self.num_cells = num_cells
-        self.memory_per_cell = memory_per_cell
-        self.mem = [np.zeros(memory_per_cell, dtype=np.uint8)
-                    for _ in range(num_cells)]
-        self._heap_next = [_align(flag_area_end(), _HEAP_ALIGN)] * num_cells
-        self._private_next = [memory_per_cell] * num_cells
-        kwargs = {} if trace_capacity is None else {
-            "capacity": trace_capacity}
-        self.trace = TraceBuffer(num_pes=num_cells, **kwargs)
-        self.world_group = Group(gid=0, members=tuple(range(num_cells)))
-        self.rings: list[deque[_Message]] = [deque()
-                                             for _ in range(num_cells)]
         self._serial = 0
-        self._barriers: dict[int, _SymBarrier] = {}
-        self._reductions: dict[int, _SymReduction] = {}
-        self._registers: list[dict[int, int]] = [dict()
-                                                 for _ in range(num_cells)]
-        self.progress = 0
-        #: pe -> ("flag_wait"|"barrier"|"reduce"|"recv"|"creg", ...details)
-        self.blocked: dict[int, tuple] = {}
         #: event seq -> (file, line) call site.
         self.sites: dict[int, tuple[str, int]] = {}
         #: stride call site -> set of remote-side (items, skip) observed.
@@ -205,185 +159,19 @@ class SymbolicMachine:
         self.results: dict[int, Any] = {}
         self.deadlocked = False
 
-    # -- memory --------------------------------------------------------
+    # -- distributed shared memory, minus the wire ----------------------
 
-    def alloc_array(self, pe: int, shape: int | tuple[int, ...],
-                    dtype: Any, align: int = _HEAP_ALIGN) -> LocalArray:
-        dtype = np.dtype(dtype)
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        nbytes = (int(math.prod(shape)) * dtype.itemsize if shape
-                  else dtype.itemsize)
-        nbytes = max(nbytes, dtype.itemsize)
-        addr = _align(self._heap_next[pe], align)
-        end = addr + nbytes
-        if end > self._private_next[pe]:
-            raise ConfigurationError(
-                f"cell {pe} out of memory: heap would reach {end} bytes "
-                f"against the private area at {self._private_next[pe]}")
-        self._heap_next[pe] = _align(end, _HEAP_ALIGN)
-        data = self.mem[pe][addr:addr + nbytes].view(dtype).reshape(shape)
-        return LocalArray(data=data, addr=addr)
-
-    def alloc_private(self, pe: int, nbytes: int,
-                      align: int = _HEAP_ALIGN) -> LocalArray:
-        if nbytes <= 0:
-            raise ConfigurationError("private allocation must be non-empty")
-        addr = self._private_next[pe] - nbytes
-        addr -= addr % align
-        if addr < self._heap_next[pe]:
-            raise ConfigurationError(
-                f"cell {pe} out of memory: private area would reach {addr} "
-                f"against the heap at {self._heap_next[pe]}")
-        self._private_next[pe] = addr
-        return LocalArray(data=self.mem[pe][addr:addr + nbytes], addr=addr)
-
-    # -- flags ---------------------------------------------------------
-
-    def flag_value(self, pe: int, addr: int) -> int:
-        return int(self.mem[pe][addr:addr + WORD_BYTES]
-                   .view(np.int32)[0])
-
-    def flag_add(self, pe: int, addr: int, delta: int = 1) -> None:
-        view = self.mem[pe][addr:addr + WORD_BYTES].view(np.int32)
-        view[0] += delta
-
-    def flag_write(self, pe: int, addr: int, value: int) -> None:
-        self.mem[pe][addr:addr + WORD_BYTES].view(np.int32)[0] = value
-
-    # -- byte transfer (the DMA engines, minus time) -------------------
-
-    def _gather(self, pe: int, addr: int, spec: StrideSpec) -> bytes:
-        if spec.total_bytes == 0:
-            return b""
-        mem = self.mem[pe]
-        if spec.count == 1 or spec.skip == spec.item_size:
-            span = spec.item_size * spec.count
-            self._check_span(pe, addr, span)
-            return mem[addr:addr + span].tobytes()
-        chunks = []
-        for i in range(spec.count):
-            start = addr + i * spec.skip
-            self._check_span(pe, start, spec.item_size)
-            chunks.append(mem[start:start + spec.item_size].tobytes())
-        return b"".join(chunks)
-
-    def _scatter(self, pe: int, addr: int, spec: StrideSpec,
-                 data: bytes) -> None:
-        if spec.total_bytes == 0:
-            return
-        mem = self.mem[pe]
-        if spec.count == 1 or spec.skip == spec.item_size:
-            span = spec.item_size * spec.count
-            self._check_span(pe, addr, span)
-            mem[addr:addr + span] = np.frombuffer(data[:span],
-                                                  dtype=np.uint8)
-            return
-        for i in range(spec.count):
-            start = addr + i * spec.skip
-            lo = i * spec.item_size
-            self._check_span(pe, start, spec.item_size)
-            mem[start:start + spec.item_size] = np.frombuffer(
-                data[lo:lo + spec.item_size], dtype=np.uint8)
-
-    def _check_span(self, pe: int, addr: int, nbytes: int) -> None:
-        if addr < 0 or addr + nbytes > self.memory_per_cell:
-            raise CommunicationError(
-                f"transfer touches [{addr}, {addr + nbytes}) outside cell "
-                f"{pe}'s {self.memory_per_cell}-byte memory")
-
-    # -- synchronization state machines --------------------------------
-
-    def note_progress(self) -> None:
-        self.progress += 1
-
-    def barrier_arrive(self, group: Group, pe: int) -> int:
-        state = self._barriers.get(group.gid)
-        if state is None:
-            state = _SymBarrier(group.members)
-            self._barriers[group.gid] = state
-        if pe in state.arrived:
-            raise CommunicationError(
-                f"cell {pe} arrived twice at barrier of group {group.gid}")
-        if pe not in group:
-            raise CommunicationError(
-                f"cell {pe} synchronizing with group {group.gid} it does "
-                "not belong to")
-        state.arrived.add(pe)
-        generation = state.generation
-        if all(m in state.arrived for m in state.members):
-            state.arrived.clear()
-            state.generation += 1
-            self.progress += 1
-        return generation
-
-    def barrier_passed(self, gid: int, generation: int) -> bool:
-        state = self._barriers.get(gid)
-        return state is not None and state.generation > generation
-
-    def reduce(self, group: Group, pe: int, value: Any,
-               op: str) -> Generator[None, None, Any]:
-        if pe not in group:
-            raise CommunicationError(
-                f"cell {pe} reducing with group {group.gid} it does not "
-                "belong to")
-        state = self._reductions.get(group.gid)
-        if state is None:
-            state = _SymReduction(group.members)
-            self._reductions[group.gid] = state
-        generation = state.per_pe_generation.get(pe, 0)
-        state.per_pe_generation[pe] = generation + 1
-        slot = state.slots.setdefault(generation, {})
-        if pe in slot:
-            raise CommunicationError(
-                f"cell {pe} contributed twice to reduction {generation} "
-                f"of group {group.gid}")
-        slot[pe] = value
-        state.ops.setdefault(generation, op)
-        if all(m in slot for m in state.members):
-            # Combine in member order, exactly as the real machine does,
-            # so data-dependent loops take identical trip counts.
-            contributions = [slot[m] for m in state.members]
-            op_used = state.ops.pop(generation)
-            result = contributions[0]
-            for contribution in contributions[1:]:
-                result = _combine_values(op_used, result, contribution)
-            state.results[generation] = result
-            state.fetches[generation] = 0
-            del state.slots[generation]
-            self.progress += 1
-        while generation not in state.results:
-            self.blocked[pe] = ("reduce", group.gid, group.members)
-            yield
-        self.blocked.pop(pe, None)
-        self.note_progress()
-        result = state.results[generation]
-        state.fetches[generation] += 1
-        if state.fetches[generation] >= len(state.members):
-            del state.results[generation]
-            del state.fetches[generation]
-        return result
-
-    # -- two-sided messages --------------------------------------------
-
-    def deposit(self, dst: int, message: _Message) -> None:
-        self.rings[dst].append(message)
+    def remote_store(self, src: int, dst: int, remote_addr: int,
+                     data: bytes) -> None:
+        self.alloc_scratch(src, data)    # the heap moves as on the real one
+        self.hw_cells[dst].memory.write(remote_addr, data)
         self.note_progress()
 
-    def take(self, pe: int, src: int | None,
-             context: int | None) -> _Message | None:
-        ring = self.rings[pe]
-        for i, msg in enumerate(ring):
-            if src is not None and msg.src != src:
-                continue
-            if context is not None and msg.context != context:
-                continue
-            del ring[i]
-            return msg
-        return None
-
-    def next_serial(self) -> int:
-        self._serial += 1
-        return self._serial
+    def remote_load(self, src: int, target: int, remote_addr: int,
+                    size: int) -> bytes:
+        self.alloc_scratch(src, bytes(size))
+        self.note_progress()
+        return self.hw_cells[target].memory.read(remote_addr, size)
 
     # -- program execution ---------------------------------------------
 
@@ -427,400 +215,76 @@ class SymbolicMachine:
         return self.results
 
 
-class SymbolicContext:
-    """The :class:`~repro.machine.program.CellContext` duck type the
-    analyzer hands to programs.
+class SymbolicContext(CellContext):
+    """The analyzer's back end of :class:`CellContext`.
 
-    Event emission mirrors the real context field for field, and byte
-    footprints are always annotated (the static analyzer *is* the
-    sanitizer's compile-time twin).  Write-through page binding is the
-    one unsupported operation: its traffic depends on page-residency
-    state the static model deliberately leaves out.
+    The front end is the real one; only the seam differs.  Events also
+    note their call site, commands and messages are delivered instantly,
+    and stride transfers note their element skips for ``COMM-STRIDE``.
+    Byte footprints are always annotated (the machine is ``sanitize``:
+    the static analyzer *is* the sanitizer's compile-time twin).
+    Write-through page binding is the one unsupported operation: its
+    traffic depends on page-residency state the static model
+    deliberately leaves out.
     """
 
-    def __init__(self, machine: SymbolicMachine, pe: int) -> None:
-        self.machine = machine
-        self.pe = pe
-        self._next_flag = 0
-        self.ack_flag = self.alloc_flag()
-        self.acks = AckTracker(self.ack_flag, policy=AckPolicy.EVERY_PUT)
-        self._wt_flag = self.alloc_flag()
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def num_cells(self) -> int:
-        return self.machine.num_cells
-
-    @property
-    def world(self) -> Group:
-        return self.machine.world_group
+    machine: SymbolicMachine
 
     def _trace(self, kind: EventKind, **fields: Any) -> TraceEvent:
-        ev = self.machine.trace.record(
-            TraceEvent(kind, pe=self.pe, **fields))
+        ev = super()._trace(kind, **fields)
         self.machine.sites[ev.seq] = _caller_site()
         return ev
 
-    # -- memory and flags ----------------------------------------------
-
-    def alloc(self, shape: int | tuple[int, ...],
-              dtype: Any = np.float64) -> LocalArray:
-        return self.machine.alloc_array(self.pe, shape, dtype)
-
-    def alloc_flag(self) -> Flag:
-        if self._next_flag >= MAX_FLAGS_PER_PE:
-            raise ConfigurationError("flag area exhausted")
-        flag = Flag(index=self._next_flag, owner=self.pe)
-        self._next_flag += 1
-        return flag
-
-    def flag_read(self, flag: Flag) -> int:
-        return self.machine.flag_value(self.pe, flag.addr)
-
-    def flag_clear(self, flag: Flag) -> None:
-        self.machine.flag_write(self.pe, flag.addr, 0)
-
-    # -- computation charging ------------------------------------------
-
-    def compute(self, work_us: float) -> None:
-        if work_us < 0:
-            raise ConfigurationError("work must be non-negative")
-        if work_us:
-            self._trace(EventKind.COMPUTE, work=float(work_us))
-
-    def compute_flops(self, flops: float) -> None:
-        self.compute(flops * SPARC_US_PER_FLOP)
-
-    def rtsys(self, work_us: float) -> None:
-        if work_us < 0:
-            raise ConfigurationError("work must be non-negative")
-        if work_us:
-            self._trace(EventKind.RTSYS, work=float(work_us))
-
-    def phase(self, label: str) -> None:
-        self._trace(EventKind.PHASE,
-                    flag=self.machine.trace.phase_id(str(label)))
-
-    # -- PUT / GET -----------------------------------------------------
-
-    def _annotate(self, ev: TraceEvent, kind: EventKind, raddr: int,
-                  laddr: int, send_spec: StrideSpec,
-                  recv_spec: StrideSpec) -> None:
-        if kind is EventKind.PUT:
-            rspec, lspec = recv_spec, send_spec
+    def _issue(self, command: Command) -> None:
+        """The MSC+ and the wire in no time: gather, scatter, count."""
+        cells = self.machine.hw_cells
+        here, there = cells[self.pe], cells[command.dst]
+        if command.kind is CommandKind.PUT:
+            data = here.memory.gather(command.laddr, command.send_stride)
+            there.memory.scatter(command.raddr, command.recv_stride, data)
+            there.mc.increment_flag(command.recv_flag)
         else:
-            rspec, lspec = send_spec, recv_spec
-        if rspec.total_bytes:
-            ev.raddr = raddr
-            ev.rchunk = rspec.item_size
-            ev.rcount = rspec.count
-            ev.rstep = rspec.skip
-        if lspec.total_bytes:
-            ev.laddr = laddr
-            ev.lchunk = lspec.item_size
-            ev.lcount = lspec.count
-            ev.lstep = lspec.skip
+            data = there.memory.gather(command.raddr, command.send_stride)
+            here.memory.scatter(command.laddr, command.recv_stride, data)
+            here.mc.increment_flag(command.recv_flag)
+        here.mc.increment_flag(command.send_flag)
+        self.machine.note_progress()
+
+    def _post(self, dst: int, payload: bytes, context: int) -> Packet:
+        machine = self.machine
+        machine._serial += 1
+        packet = Packet(kind=PacketKind.SEND, src=self.pe, dst=dst,
+                        payload_bytes=len(payload), data=payload,
+                        context=context, serial=machine._serial)
+        machine.rings[dst].deposit(packet)
+        machine.note_progress()
+        return packet
 
     def _note_stride(self, remote: ElementStride) -> None:
         site = _caller_site()
         self.machine.stride_sites.setdefault(site, set()).add(
             (remote.items_per_block, remote.skip))
 
-    def put(self, dst: int, dest: LocalArray, src: LocalArray, *,
-            count: int | None = None, dest_offset: int = 0,
-            src_offset: int = 0, send_flag: Flag | None = None,
-            recv_flag: Flag | None = None, ack: bool = False) -> None:
-        if count is None:
-            count = src.size - src_offset
-        nbytes = count * src.itemsize
-        self._check_transfer(dest, src, dest_offset, src_offset, count)
-        raddr = dest.element_addr(dest_offset)
-        laddr = src.element_addr(src_offset)
-        spec = StrideSpec.contiguous(nbytes)
-        ev = self._trace(
-            EventKind.PUT, partner=dst, size=nbytes,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(dst) if recv_flag else 0,
-        )
-        self._annotate(ev, EventKind.PUT, raddr, laddr, spec, spec)
-        self._execute_put(dst, raddr, laddr, spec, spec,
-                          send_flag, recv_flag)
-        if ack and self.acks.record_put(dst):
-            self.ack_get(dst)
-
     def put_stride(self, dst: int, dest: LocalArray, src: LocalArray,
-                   send_stride: ElementStride, recv_stride: ElementStride, *,
-                   dest_offset: int = 0, src_offset: int = 0,
-                   send_flag: Flag | None = None,
-                   recv_flag: Flag | None = None, ack: bool = False) -> None:
-        if send_stride.total_elements != recv_stride.total_elements:
-            raise CommunicationError(
-                f"stride element counts disagree: send moves "
-                f"{send_stride.total_elements}, recv expects "
-                f"{recv_stride.total_elements}")
+                   send_stride: ElementStride, recv_stride: ElementStride,
+                   **options: Any) -> None:
         self._note_stride(recv_stride)
-        nbytes = send_stride.total_elements * src.itemsize
-        raddr = dest.element_addr(dest_offset)
-        laddr = src.element_addr(src_offset)
-        send_spec = send_stride.to_bytes(src.itemsize)
-        recv_spec = recv_stride.to_bytes(dest.itemsize)
-        ev = self._trace(
-            EventKind.PUT, partner=dst, size=nbytes, stride=True,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(dst) if recv_flag else 0,
-        )
-        self._annotate(ev, EventKind.PUT, raddr, laddr, send_spec,
-                       recv_spec)
-        self._execute_put(dst, raddr, laddr, send_spec, recv_spec,
-                          send_flag, recv_flag)
-        if ack and self.acks.record_put(dst):
-            self.ack_get(dst)
-
-    def _execute_put(self, dst: int, raddr: int, laddr: int,
-                     send_spec: StrideSpec, recv_spec: StrideSpec,
-                     send_flag: Flag | None,
-                     recv_flag: Flag | None) -> None:
-        data = self.machine._gather(self.pe, laddr, send_spec)
-        self.machine._scatter(dst, raddr, recv_spec, data)
-        if send_flag is not None:
-            self.machine.flag_add(self.pe, send_flag.addr)
-        if recv_flag is not None:
-            self.machine.flag_add(dst, recv_flag.addr)
-        self.machine.note_progress()
-
-    def get(self, src_pe: int, remote: LocalArray, local: LocalArray, *,
-            count: int | None = None, remote_offset: int = 0,
-            local_offset: int = 0, send_flag: Flag | None = None,
-            recv_flag: Flag | None = None) -> None:
-        if count is None:
-            count = local.size - local_offset
-        nbytes = count * local.itemsize
-        self._check_transfer(local, remote, local_offset, remote_offset,
-                             count)
-        raddr = remote.element_addr(remote_offset)
-        laddr = local.element_addr(local_offset)
-        spec = StrideSpec.contiguous(nbytes)
-        ev = self._trace(
-            EventKind.GET, partner=src_pe, size=nbytes,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(self.pe) if recv_flag else 0,
-        )
-        self._annotate(ev, EventKind.GET, raddr, laddr, spec, spec)
-        self._execute_get(src_pe, raddr, laddr, spec, spec,
-                          send_flag, recv_flag)
+        super().put_stride(dst, dest, src, send_stride, recv_stride,
+                           **options)
 
     def get_stride(self, src_pe: int, remote: LocalArray, local: LocalArray,
                    remote_stride: ElementStride,
-                   local_stride: ElementStride, *,
-                   remote_offset: int = 0, local_offset: int = 0,
-                   send_flag: Flag | None = None,
-                   recv_flag: Flag | None = None) -> None:
-        if remote_stride.total_elements != local_stride.total_elements:
-            raise CommunicationError(
-                f"stride element counts disagree: remote provides "
-                f"{remote_stride.total_elements}, local expects "
-                f"{local_stride.total_elements}")
+                   local_stride: ElementStride, **options: Any) -> None:
         self._note_stride(remote_stride)
-        nbytes = remote_stride.total_elements * local.itemsize
-        raddr = remote.element_addr(remote_offset)
-        laddr = local.element_addr(local_offset)
-        send_spec = remote_stride.to_bytes(remote.itemsize)
-        recv_spec = local_stride.to_bytes(local.itemsize)
-        ev = self._trace(
-            EventKind.GET, partner=src_pe, size=nbytes, stride=True,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(self.pe) if recv_flag else 0,
-        )
-        self._annotate(ev, EventKind.GET, raddr, laddr, send_spec,
-                       recv_spec)
-        self._execute_get(src_pe, raddr, laddr, send_spec, recv_spec,
-                          send_flag, recv_flag)
-
-    def _execute_get(self, src_pe: int, raddr: int, laddr: int,
-                     send_spec: StrideSpec, recv_spec: StrideSpec,
-                     send_flag: Flag | None,
-                     recv_flag: Flag | None) -> None:
-        data = self.machine._gather(src_pe, raddr, send_spec)
-        self.machine._scatter(self.pe, laddr, recv_spec, data)
-        if send_flag is not None:
-            self.machine.flag_add(self.pe, send_flag.addr)
-        if recv_flag is not None:
-            self.machine.flag_add(self.pe, recv_flag.addr)
-        self.machine.note_progress()
-
-    def _check_transfer(self, dest: LocalArray, src: LocalArray,
-                        dest_offset: int, src_offset: int,
-                        count: int) -> None:
-        if count < 0:
-            raise CommunicationError("negative transfer count")
-        if dest.itemsize != src.itemsize:
-            raise CommunicationError(
-                f"transfer between arrays of different item sizes "
-                f"({src.itemsize} vs {dest.itemsize})")
-        if src_offset + count > src.size or dest_offset + count > dest.size:
-            raise CommunicationError("transfer exceeds array bounds")
-
-    # -- acknowledge idiom and completion ------------------------------
-
-    def ack_get(self, dst: int) -> None:
-        self._trace(
-            EventKind.GET, partner=dst, size=0, is_ack=True,
-            recv_flag=self.ack_flag.id_on(self.pe),
-        )
-        self.machine.flag_add(self.pe, self.ack_flag.addr)
-        self.machine.note_progress()
-
-    def finish_puts(self) -> Iterator[None]:
-        for dst in self.acks.destinations_to_ack():
-            self.ack_get(dst)
-        yield from self.flag_wait(self.ack_flag, self.acks.expected_acks)
-        self.acks.reset_phase()
-
-    def flag_wait(self, flag: Flag, target: int) -> Iterator[None]:
-        self._trace(EventKind.FLAG_WAIT, flag=flag.id_on(self.pe),
-                    target=int(target))
-        machine = self.machine
-        while machine.flag_value(self.pe, flag.addr) < target:
-            machine.blocked[self.pe] = (
-                "flag_wait", flag.id_on(self.pe), int(target),
-                machine.flag_value(self.pe, flag.addr))
-            yield
-        machine.blocked.pop(self.pe, None)
-        machine.note_progress()
-
-    # -- SEND / RECEIVE ------------------------------------------------
-
-    def send(self, dst: int, data: np.ndarray | bytes, *,
-             context: int = 0) -> None:
-        payload = (data.tobytes() if isinstance(data, np.ndarray)
-                   else bytes(data))
-        serial = self.machine.next_serial()
-        self._trace(EventKind.SEND, partner=dst, size=len(payload),
-                    msg_id=serial)
-        self.machine.deposit(dst, _Message(src=self.pe, data=payload,
-                                           context=context, serial=serial))
-
-    def recv(self, src: int | None = None, context: int | None = None,
-             in_place: bool = False) -> Generator[None, None, _Message]:
-        machine = self.machine
-        while True:
-            packet = machine.take(self.pe, src, context)
-            if packet is not None:
-                break
-            machine.blocked[self.pe] = ("recv", src, context)
-            yield
-        machine.blocked.pop(self.pe, None)
-        machine.note_progress()
-        self._trace(EventKind.RECV, partner=packet.src,
-                    size=packet.payload_bytes, msg_id=packet.serial)
-        return packet
-
-    def recv_array(self, dtype: Any, src: int | None = None,
-                   context: int | None = None
-                   ) -> Generator[None, None, np.ndarray]:
-        packet = yield from self.recv(src=src, context=context)
-        return np.frombuffer(packet.data or b"", dtype=dtype).copy()
-
-    # -- barrier and reductions ----------------------------------------
-
-    def make_group(self, members: Iterable[int]) -> Group:
-        key = tuple(sorted(set(int(m) for m in members)))
-        gid = self.machine.trace.groups.intern(key)
-        return Group(gid=gid, members=key)
-
-    def barrier(self, group: Group | None = None) -> Iterator[None]:
-        grp = group or self.world
-        self._trace(EventKind.BARRIER, group=grp.gid, group_size=grp.size)
-        machine = self.machine
-        generation = machine.barrier_arrive(grp, self.pe)
-        while not machine.barrier_passed(grp.gid, generation):
-            machine.blocked[self.pe] = ("barrier", grp.gid, grp.members)
-            yield
-        machine.blocked.pop(self.pe, None)
-        machine.note_progress()
-
-    def gop(self, value: float, op: str = "sum",
-            group: Group | None = None) -> Generator[None, None, float]:
-        grp = group or self.world
-        self._trace(EventKind.GOP, group=grp.gid, group_size=grp.size,
-                    size=8)
-        result = yield from self.machine.reduce(grp, self.pe,
-                                                float(value), op)
-        return result
-
-    def vgop(self, vector: np.ndarray, op: str = "sum",
-             group: Group | None = None
-             ) -> Generator[None, None, np.ndarray]:
-        grp = group or self.world
-        self._trace(EventKind.VGOP, group=grp.gid, group_size=grp.size,
-                    size=int(vector.nbytes))
-        result = yield from self.machine.reduce(
-            grp, self.pe, np.array(vector, copy=True), op)
-        return np.array(result, copy=True)
-
-    # -- shared memory and communication registers ---------------------
-
-    def remote_store_word(self, dst: int, array: LocalArray,
-                          offset: int, value: float) -> None:
-        scratch = np.array([value], dtype=array.dtype)
-        raddr = array.element_addr(offset)
-        ev = self._trace(EventKind.REMOTE_STORE, partner=dst,
-                         size=scratch.nbytes)
-        ev.raddr = raddr
-        ev.rchunk = scratch.nbytes
-        ev.rcount = 1
-        ev.rstep = max(scratch.nbytes, 1)
-        self.machine._scatter(dst, raddr,
-                              StrideSpec.contiguous(scratch.nbytes),
-                              scratch.tobytes())
-        self.machine.note_progress()
-
-    def remote_load_word(self, src_pe: int, array: LocalArray,
-                         offset: int) -> float:
-        itemsize = array.itemsize
-        raddr = array.element_addr(offset)
-        ev = self._trace(EventKind.REMOTE_LOAD, partner=src_pe,
-                         size=itemsize)
-        ev.raddr = raddr
-        ev.rchunk = itemsize
-        ev.rcount = 1
-        ev.rstep = max(itemsize, 1)
-        raw = self.machine._gather(src_pe, raddr,
-                                   StrideSpec.contiguous(itemsize))
-        self.machine.note_progress()
-        return np.frombuffer(raw, dtype=array.dtype)[0]
-
-    def creg_store(self, dst: int, index: int, value: int) -> None:
-        self._trace(EventKind.CREG_STORE, partner=dst, size=4)
-        self.machine._registers[dst][index] = value
-        self.machine.note_progress()
-
-    def creg_load(self, index: int) -> Generator[None, None, int]:
-        self._trace(EventKind.CREG_LOAD, partner=self.pe, size=4)
-        machine = self.machine
-        while index not in machine._registers[self.pe]:
-            machine.blocked[self.pe] = ("creg_load", index)
-            yield
-        machine.blocked.pop(self.pe, None)
-        machine.note_progress()
-        return machine._registers[self.pe].pop(index)
-
-    # -- checkpoint sites ----------------------------------------------
-
-    def ckpt_state(self, **defaults: Any) -> CkptState:
-        """The static model always runs fresh (no snapshots to resume)."""
-        return CkptState(fresh=True, fields=dict(defaults))
+        super().get_stride(src_pe, remote, local, remote_stride,
+                           local_stride, **options)
 
     def checkpoint(self, *, barrier: bool = False,
                    group: Group | None = None) -> Iterator[None]:
         """Checkpoint sites are trace-invisible when disarmed, and the
         static model never arms a gate — only the subsumed barrier (if
         any) is executed and traced, exactly as on the real machine."""
-        if barrier:
-            yield from self.barrier(group)
-
-    # -- unsupported ---------------------------------------------------
+        return self.barrier(group) if barrier else ()
 
     def wt_bind(self, home: int, array: LocalArray) -> Iterator[None]:
         raise ConfigurationError(
@@ -1088,7 +552,8 @@ def _blocked_findings(run: CommRun,
     flag_cells = [(pe, state) for pe, state in
                   sorted(run.machine.blocked.items())
                   if state[0] == "flag_wait"]
-    for pe, (_, flag_id, target, current) in flag_cells:
+    for pe, (_, flag_id, target, addr) in flag_cells:
+        current = run.machine.hw_cells[pe].mc.read_flag(addr)
         ref: tuple[EventRef, ...] = ()
         site = None
         for ev in reversed(list(run.trace.events_for(pe))):

@@ -152,7 +152,7 @@ def _check_resumable(machine: "Machine") -> None:
     if machine.obs is not None:
         _refuse("the machine observer holds unserializable telemetry "
                 "state; checkpoint with observe off")
-    if getattr(machine, "_scratch", None) is not None:
+    if machine._scratch is not None:
         _refuse("remote-access scratch buffers were allocated lazily; "
                 "the restored prologue could not reproduce the heap")
     generators = machine._active_generators
@@ -167,9 +167,9 @@ def _check_resumable(machine: "Machine") -> None:
         _refuse(f"cells {sorted(machine._finished_cells)[:8]} already "
                 "finished; their results only exist in the running "
                 "scheduler frame")
-    if machine._flag_waits:
-        _refuse(f"cells {sorted(machine._flag_waits)[:8]} are inside "
-                "flag waits")
+    if machine.blocked:
+        _refuse(f"cells {sorted(machine.blocked)[:8]} are inside "
+                "blocking waits")
     contexts = machine._active_contexts
     assert contexts is not None
     for pe in generators:
@@ -511,11 +511,8 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
     returned machine; the header's ``app`` block records which (see
     :func:`resume_workload` for the turnkey path).
     """
-    from repro.machine.machine import (
-        Machine,
-        _BarrierState,
-        _ReductionState,
-    )
+    from repro.machine.base import _BarrierState, _ReductionState
+    from repro.machine.machine import Machine
 
     if not isinstance(snapshot, MachineSnapshot):
         snapshot = load_snapshot(snapshot)

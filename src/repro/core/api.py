@@ -20,9 +20,13 @@ and section 2.2 the translator-level direct remote access::
 
 This module provides exactly those signatures as functions over a
 :class:`~repro.machine.program.CellContext`, working on raw byte
-addresses.  The array-level methods on ``CellContext`` are more
-convenient for hand-written programs; compiler-like layers (and tests
-that want to match the paper letter-for-letter) use these.
+addresses.  They are argument adapters: the front end (command, trace
+event, sanitizer footprint, acknowledge policy) is
+``CellContext._transfer``, the same routine the array-level methods
+use, so every back end of the context runs them unchanged.  The
+array-level methods are more convenient for hand-written programs;
+compiler-like layers (and tests that want to match the paper
+letter-for-letter) use these.
 """
 
 from __future__ import annotations
@@ -30,17 +34,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.flags import Flag
-from repro.hardware.mc import NO_FLAG
-from repro.hardware.msc import Command, CommandKind
+from repro.hardware.msc import CommandKind
 from repro.network.packet import StrideSpec
-from repro.trace.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle breaker
     from repro.machine.program import CellContext
-
-
-def _addr(flag: Flag | None) -> int:
-    return flag.addr if flag is not None else NO_FLAG
 
 
 def put(ctx: CellContext, node_id: int, raddr: int, laddr: int, size: int,
@@ -53,32 +51,30 @@ def put(ctx: CellContext, node_id: int, raddr: int, laddr: int, size: int,
     its receive DMA finishes.  With ``ack`` the acknowledge policy decides
     whether a GET-to-address-0 follows.
     """
-    command = Command(
-        kind=CommandKind.PUT, dst=node_id, raddr=raddr, laddr=laddr,
-        send_stride=StrideSpec.contiguous(size),
-        recv_stride=StrideSpec.contiguous(size),
-        send_flag=_addr(send_flag), recv_flag=_addr(recv_flag))
-    ctx._trace(EventKind.PUT, partner=node_id, size=size,
-               send_flag=send_flag.id_on(ctx.pe) if send_flag else 0,
-               recv_flag=recv_flag.id_on(node_id) if recv_flag else 0)
-    ctx._issue(command)
-    if ack and ctx.acks.record_put(node_id):
-        ctx.ack_get(node_id)
+    spec = StrideSpec.contiguous(size)
+    ctx._transfer(CommandKind.PUT, node_id, raddr, laddr, spec, spec,
+                  send_flag, recv_flag, ack=ack)
 
 
 def get(ctx: CellContext, node_id: int, raddr: int, laddr: int, size: int,
         send_flag: Flag | None = None, recv_flag: Flag | None = None) -> None:
     """GET ``size`` bytes from ``raddr`` on ``node_id`` into local
     ``laddr``."""
-    command = Command(
-        kind=CommandKind.GET, dst=node_id, raddr=raddr, laddr=laddr,
-        send_stride=StrideSpec.contiguous(size),
-        recv_stride=StrideSpec.contiguous(size),
-        send_flag=_addr(send_flag), recv_flag=_addr(recv_flag))
-    ctx._trace(EventKind.GET, partner=node_id, size=size,
-               send_flag=send_flag.id_on(ctx.pe) if send_flag else 0,
-               recv_flag=recv_flag.id_on(ctx.pe) if recv_flag else 0)
-    ctx._issue(command)
+    spec = StrideSpec.contiguous(size)
+    ctx._transfer(CommandKind.GET, node_id, raddr, laddr, spec, spec,
+                  send_flag, recv_flag)
+
+
+def _strides(send: tuple[int, int, int], recv: tuple[int, int, int]
+             ) -> tuple[StrideSpec, StrideSpec]:
+    """The gather-side and scatter-side ``(item_size, cnt, skip)``."""
+    send_stride, recv_stride = StrideSpec(*send), StrideSpec(*recv)
+    if send_stride.total_bytes != recv_stride.total_bytes:
+        raise ValueError(
+            f"stride payload mismatch: gather side moves "
+            f"{send_stride.total_bytes} bytes, scatter side takes "
+            f"{recv_stride.total_bytes} bytes")
+    return send_stride, recv_stride
 
 
 def put_stride(ctx: CellContext, node_id: int, raddr: int, laddr: int,
@@ -92,23 +88,11 @@ def put_stride(ctx: CellContext, node_id: int, raddr: int, laddr: int,
     payload (``send_item_size * send_cnt``) must equal
     ``recv_item_size * recv_cnt``.
     """
-    send_stride = StrideSpec(send_item_size, send_cnt, send_skip)
-    recv_stride = StrideSpec(recv_item_size, recv_cnt, recv_skip)
-    if send_stride.total_bytes != recv_stride.total_bytes:
-        raise ValueError(
-            f"stride payload mismatch: send {send_stride.total_bytes} bytes, "
-            f"recv {recv_stride.total_bytes} bytes")
-    command = Command(
-        kind=CommandKind.PUT, dst=node_id, raddr=raddr, laddr=laddr,
-        send_stride=send_stride, recv_stride=recv_stride,
-        send_flag=_addr(send_flag), recv_flag=_addr(recv_flag))
-    ctx._trace(EventKind.PUT, partner=node_id,
-               size=send_stride.total_bytes, stride=True,
-               send_flag=send_flag.id_on(ctx.pe) if send_flag else 0,
-               recv_flag=recv_flag.id_on(node_id) if recv_flag else 0)
-    ctx._issue(command)
-    if ack and ctx.acks.record_put(node_id):
-        ctx.ack_get(node_id)
+    send_stride, recv_stride = _strides(
+        (send_item_size, send_cnt, send_skip),
+        (recv_item_size, recv_cnt, recv_skip))
+    ctx._transfer(CommandKind.PUT, node_id, raddr, laddr, send_stride,
+                  recv_stride, send_flag, recv_flag, stride=True, ack=ack)
 
 
 def get_stride(ctx: CellContext, node_id: int, raddr: int, laddr: int,
@@ -116,21 +100,11 @@ def get_stride(ctx: CellContext, node_id: int, raddr: int, laddr: int,
                send_item_size: int, send_cnt: int, send_skip: int,
                recv_item_size: int, recv_cnt: int, recv_skip: int) -> None:
     """Strided GET: gather on the remote side, scatter locally."""
-    send_stride = StrideSpec(send_item_size, send_cnt, send_skip)
-    recv_stride = StrideSpec(recv_item_size, recv_cnt, recv_skip)
-    if send_stride.total_bytes != recv_stride.total_bytes:
-        raise ValueError(
-            f"stride payload mismatch: remote {send_stride.total_bytes} "
-            f"bytes, local {recv_stride.total_bytes} bytes")
-    command = Command(
-        kind=CommandKind.GET, dst=node_id, raddr=raddr, laddr=laddr,
-        send_stride=send_stride, recv_stride=recv_stride,
-        send_flag=_addr(send_flag), recv_flag=_addr(recv_flag))
-    ctx._trace(EventKind.GET, partner=node_id,
-               size=send_stride.total_bytes, stride=True,
-               send_flag=send_flag.id_on(ctx.pe) if send_flag else 0,
-               recv_flag=recv_flag.id_on(ctx.pe) if recv_flag else 0)
-    ctx._issue(command)
+    send_stride, recv_stride = _strides(
+        (send_item_size, send_cnt, send_skip),
+        (recv_item_size, recv_cnt, recv_skip))
+    ctx._transfer(CommandKind.GET, node_id, raddr, laddr, send_stride,
+                  recv_stride, send_flag, recv_flag, stride=True)
 
 
 def write_remote(ctx: CellContext, node_id: int, raddr: int, laddr: int,

@@ -28,23 +28,28 @@ class HardwareCell:
     cell_id: int
     memory: CellMemory
     mc: MemoryController
-    cache: WriteThroughCache
-    msc: MSCPlus
+    cache: WriteThroughCache | None
+    msc: MSCPlus | None
 
     @classmethod
-    def build(cls, cell_id: int, tnet: TNet,
+    def build(cls, cell_id: int, tnet: TNet | None,
               memory_bytes: int = DEFAULT_MEMORY_BYTES,
               *, identity_map: bool = True) -> "HardwareCell":
         """Construct a cell wired to ``tnet``.
 
         With ``identity_map`` the MC maps the whole DRAM logical==physical
         (how the functional machine boots); pass False to set up page
-        tables explicitly in tests.
+        tables explicitly in tests.  Without a ``tnet`` the cell is its
+        memory system only (DRAM, MC flags, communication registers):
+        what the static analyzer's instant-delivery machine runs on.
         """
         memory = CellMemory(memory_bytes)
         mc = MemoryController(memory)
         if identity_map:
             mc.identity_map()
+        if tnet is None:
+            return cls(cell_id=cell_id, memory=memory, mc=mc, cache=None,
+                       msc=None)
         cache = WriteThroughCache()
         msc = MSCPlus(cell_id, mc, tnet, cache=cache)
         return cls(cell_id=cell_id, memory=memory, mc=mc, cache=cache, msc=msc)

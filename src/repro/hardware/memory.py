@@ -15,6 +15,7 @@ actual bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,29 @@ SHARED_SPACE_BASE = 1 << 35
 WORD_BYTES = 4
 
 
+@functools.cache
+def pin_mmap_threshold() -> None:
+    """Keep multi-megabyte cell buffers on the mmap path.
+
+    glibc's dynamic mmap threshold grows as 16 MB cell buffers are
+    freed, after which fresh machines are served from the arena and
+    ``calloc`` must really memset them — 1 GB of writes per 64-cell
+    machine, ~64 GB per 4096-cell one (an unpinned second 1024-cell
+    machine is OOM-killed on a 16 GB host).  Pinning the threshold keeps
+    ``np.zeros`` on fresh demand-zero mappings, so untouched cell DRAM
+    stays free.  Done once per process (cached), before the first
+    cell's DRAM is allocated.
+    """
+    try:
+        import ctypes
+
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.mallopt(ctypes.c_int(-3),          # M_MMAP_THRESHOLD
+                     ctypes.c_int(1 << 20))
+    except (OSError, AttributeError):  # non-glibc platforms
+        pass
+
+
 class CellMemory:
     """Byte-addressable DRAM of one cell."""
 
@@ -37,6 +61,7 @@ class CellMemory:
         if size_bytes <= 0:
             raise ConfigurationError(
                 f"memory size must be positive, got {size_bytes}")
+        pin_mmap_threshold()
         self._buf = np.zeros(size_bytes, dtype=np.uint8)
         self.size_bytes = size_bytes
 

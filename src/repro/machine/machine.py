@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import heapq
 import inspect
-import math
 import random
 from collections.abc import Callable
 from typing import Any
-
-import numpy as np
 
 from repro.ckpt import policy as _ckpt_policy
 from repro.core.completion import AckPolicy
@@ -31,64 +27,27 @@ from repro.core.errors import (
     CheckpointInterrupt,
     CommTimeoutError,
     CommunicationError,
-    ConfigurationError,
     DeadlockError,
 )
-from repro.core.flags import flag_area_end
 from repro.faults.injector import FaultyBNet, FaultyTNet
 from repro.faults.plan import active_plan as _active_fault_plan
 from repro.faults.transport import ReliableTransport
 from repro.hardware.cell import HardwareCell
 from repro.hardware.msc import Command, CommandKind
+from repro.machine.base import MachineBase, run_wake_rounds
 from repro.machine.config import MachineConfig
-from repro.machine.program import CellContext, Group, LocalArray
-from repro.machine.ringbuffer import RingBuffer
+from repro.machine.program import CellContext
 from repro.network.bnet import BNet
 from repro.network.packet import PacketKind, StrideSpec
-from repro.network.snet import SNet
 from repro.network.tnet import TNet
 from repro.network.topology import TorusTopology
 from repro.obs.observer import MachineObserver
 from repro.obs.observer import active as _obs_active
 from repro.trace import sanitize as trace_sanitize
-from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
-from repro.core.collectives import combine
-
-#: Heap allocations start above the flag area, page-aligned.
-_HEAP_ALIGN = 64
 
 
-def _align(value: int, alignment: int) -> int:
-    return (value + alignment - 1) // alignment * alignment
-
-
-class _BarrierState:
-    __slots__ = ("generation", "arrived", "members")
-
-    def __init__(self, members: tuple[int, ...] = ()) -> None:
-        self.generation = 0
-        self.arrived: set[int] = set()
-        self.members = tuple(members)
-
-
-class _ReductionState:
-    __slots__ = ("per_pe_generation", "slots", "results", "fetches",
-                 "members", "ops")
-
-    def __init__(self, members: tuple[int, ...] = ()) -> None:
-        self.per_pe_generation: dict[int, int] = {}
-        self.slots: dict[int, dict[int, Any]] = {}
-        self.results: dict[int, Any] = {}
-        self.fetches: dict[int, int] = {}
-        self.members = tuple(members)
-        #: Reduction op per pending generation (needed to finish a
-        #: degraded reduction when a kill, not a contribution, completes
-        #: it).
-        self.ops: dict[int, str] = {}
-
-
-class Machine:
+class Machine(MachineBase):
     """A functional AP1000+ with ``config.num_cells`` cells."""
 
     def __init__(self, config: MachineConfig | int | None = None, *,
@@ -97,7 +56,6 @@ class Machine:
             config = MachineConfig()
         elif isinstance(config, int):
             config = MachineConfig(num_cells=config)
-        self.config = config
         self.ack_policy = ack_policy
         n = config.num_cells
         self.topology = TorusTopology.for_cells(n)
@@ -115,15 +73,12 @@ class Machine:
             self.fault_rng = None
             self.tnet = TNet(self.topology)
             self.bnet = BNet(n)
-        self.snet = SNet(n)
-        self.hw_cells = [
+        super().__init__(config, [
             HardwareCell.build(pe, self.tnet, config.memory_per_cell)
             for pe in range(n)
-        ]
-        self.rings = [RingBuffer() for _ in range(n)]
+        ])
         for cell, ring in zip(self.hw_cells, self.rings):
             cell.msc.send_sink = ring.deposit
-        self.trace = TraceBuffer(num_pes=n, capacity=config.trace_capacity)
         #: Byte-range annotation for repro.check: on when the config asks
         #: for it or when the ambient sanitizer switch is set.
         self.sanitize = bool(config.sanitize or trace_sanitize.active())
@@ -135,26 +90,7 @@ class Machine:
         if self.obs is not None:
             self.tnet.observer = self.obs
             self.bnet.observer = self.obs
-        self.world_group = Group(gid=0, members=tuple(range(n)))
-        self._heap_next = [_align(flag_area_end(), _HEAP_ALIGN)] * n
-        # Private (non-symmetric) allocations grow downward from the top
-        # of DRAM so they never desynchronize the symmetric heap.
-        self._private_next = [config.memory_per_cell] * n
-        self._barriers: dict[int, _BarrierState] = {}
-        self._reductions: dict[int, _ReductionState] = {}
         self._dirty: set[int] = set()
-        #: Progress counter; blocking helpers bump it when their condition
-        #: passes, packet deliveries bump it too.
-        self.progress = 0
-        #: Wake set of the batched scheduler (None outside a batched
-        #: run).  Every state change that can unblock a parked cell must
-        #: name the cells it may have woken here; see :meth:`wake`.
-        self._wake: set[int] | None = None
-        #: Cells the fault plan has killed (mirrored into the T-net).
-        self.killed: set[int] = set()
-        #: Live flag waits, pe -> (flag id, target, flag addr); feeds the
-        #: deadlock/timeout report with "waiting on flag F (cur/target)".
-        self._flag_waits: dict[int, tuple[int, int, int]] = {}
         #: Scheduler resumptions per cell (drives kill/stall timing).
         self._resumes = [0] * n
         self._stalls: dict[int, list[Any]] = {}
@@ -221,70 +157,11 @@ class Machine:
         self._restore_killed: set[int] | None = None
 
     # ------------------------------------------------------------------
-    # Memory allocation
-    # ------------------------------------------------------------------
-
-    def alloc_array(self, pe: int, shape, dtype,
-                    align: int = _HEAP_ALIGN) -> LocalArray:
-        dtype = np.dtype(dtype)
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        nbytes = (int(math.prod(shape)) * dtype.itemsize if shape
-                  else dtype.itemsize)
-        nbytes = max(nbytes, dtype.itemsize)
-        addr = _align(self._heap_next[pe], align)
-        end = addr + nbytes
-        if end > self._private_next[pe]:
-            raise ConfigurationError(
-                f"cell {pe} out of memory: heap would reach {end} bytes "
-                f"against the private area at {self._private_next[pe]}")
-        self._heap_next[pe] = _align(end, _HEAP_ALIGN)
-        raw = self.hw_cells[pe].memory.view(addr, nbytes)
-        data = raw.view(dtype).reshape(shape)
-        return LocalArray(data=data, addr=addr)
-
-    def alloc_private(self, pe: int, nbytes: int,
-                      align: int = _HEAP_ALIGN) -> LocalArray:
-        """Allocate a per-cell *private* byte buffer from the top of DRAM.
-
-        Private areas (e.g. write-through page copies) may be allocated
-        by any subset of cells without breaking symmetric-heap address
-        agreement, because they never touch the upward-growing heap.
-        """
-        if nbytes <= 0:
-            raise ConfigurationError("private allocation must be non-empty")
-        addr = self._private_next[pe] - nbytes
-        addr -= addr % align
-        if addr < self._heap_next[pe]:
-            raise ConfigurationError(
-                f"cell {pe} out of memory: private area would reach {addr} "
-                f"against the heap at {self._heap_next[pe]}")
-        self._private_next[pe] = addr
-        raw = self.hw_cells[pe].memory.view(addr, nbytes)
-        return LocalArray(data=raw, addr=addr)
-
-    # ------------------------------------------------------------------
     # Packet movement
     # ------------------------------------------------------------------
 
     def mark_dirty(self, pe: int) -> None:
         self._dirty.add(pe)
-
-    def note_progress(self) -> None:
-        self.progress += 1
-
-    def wake(self, pe: int) -> None:
-        """Tell the batched scheduler that ``pe``'s blocking condition
-        may have flipped (no-op outside a batched run)."""
-        if self._wake is not None:
-            self._wake.add(pe)
-
-    def wake_group(self, members: tuple[int, ...]) -> None:
-        if self._wake is not None:
-            self._wake.update(members)
-
-    def wake_all(self) -> None:
-        if self._wake is not None:
-            self._wake.update(range(self.config.num_cells))
 
     def pump(self) -> None:
         """Move the machine to communication quiescence.
@@ -349,115 +226,6 @@ class Machine:
                         self._dirty.add(frame.dst)
 
     # ------------------------------------------------------------------
-    # Collectives
-    # ------------------------------------------------------------------
-
-    def _alive_members(self, members: tuple[int, ...]) -> tuple[int, ...]:
-        """The members a collective must wait for.
-
-        On a perfect machine (or without ``plan.degrade``) that is every
-        member — a killed cell then hangs the collective until the
-        watchdog converts the hang into a CommTimeoutError.  Under
-        degradation the group shrinks around its dead members."""
-        if (self.killed and self.fault_plan is not None
-                and self.fault_plan.degrade):
-            return tuple(m for m in members if m not in self.killed)
-        return members
-
-    def barrier_arrive(self, group: Group, pe: int) -> int:
-        state = self._barriers.get(group.gid)
-        if state is None:
-            state = _BarrierState(group.members)
-            self._barriers[group.gid] = state
-        if pe in state.arrived:
-            raise CommunicationError(
-                f"cell {pe} arrived twice at barrier of group {group.gid}")
-        if pe not in group:
-            raise CommunicationError(
-                f"cell {pe} synchronizing with group {group.gid} it does "
-                "not belong to")
-        state.arrived.add(pe)
-        generation = state.generation
-        self._maybe_release_barrier(group.gid, state)
-        return generation
-
-    def _maybe_release_barrier(self, gid: int, state: _BarrierState) -> None:
-        required = self._alive_members(state.members)
-        if not required:
-            return
-        if required is state.members:
-            # barrier_arrive admits each member once and nobody else, so
-            # the full group has arrived exactly when the counts agree.
-            if len(state.arrived) < len(required):
-                return
-        elif not all(m in state.arrived for m in required):
-            # Degraded around killed members, some of which may have
-            # arrived before dying: only a membership scan can tell.
-            return
-        state.arrived.clear()
-        state.generation += 1
-        self.progress += 1
-        self.wake_group(state.members)
-        if gid == 0:
-            # The all-cells barrier is the hardware S-net's job.
-            for member in state.members:
-                self.snet.arrive(member)
-
-    def barrier_passed(self, gid: int, generation: int) -> bool:
-        state = self._barriers.get(gid)
-        return state is not None and state.generation > generation
-
-    def reduce(self, group: Group, pe: int, value: Any, op: str):
-        """Generator implementing one member's part of a reduction."""
-        if pe not in group:
-            raise CommunicationError(
-                f"cell {pe} reducing with group {group.gid} it does not "
-                "belong to")
-        state = self._reductions.get(group.gid)
-        if state is None:
-            state = _ReductionState(group.members)
-            self._reductions[group.gid] = state
-        generation = state.per_pe_generation.get(pe, 0)
-        state.per_pe_generation[pe] = generation + 1
-        slot = state.slots.setdefault(generation, {})
-        if pe in slot:
-            raise CommunicationError(
-                f"cell {pe} contributed twice to reduction {generation} "
-                f"of group {group.gid}")
-        slot[pe] = value
-        state.ops.setdefault(generation, op)
-        self._maybe_complete_reduction(group.gid, state, generation)
-        while generation not in state.results:
-            yield
-        self.note_progress()
-        result = state.results[generation]
-        state.fetches[generation] += 1
-        if state.fetches[generation] >= len(
-                self._alive_members(state.members)):
-            del state.results[generation]
-            del state.fetches[generation]
-        return result
-
-    def _maybe_complete_reduction(self, gid: int, state: _ReductionState,
-                                  generation: int) -> None:
-        slot = state.slots.get(generation)
-        if slot is None:
-            return
-        required = self._alive_members(state.members)
-        if not required or not all(m in slot for m in required):
-            return
-        # Combine in member order (alive contributions only, when the
-        # group has degraded around killed cells).
-        contributions = [slot[m] for m in required]
-        op = state.ops.pop(generation)
-        state.results[generation] = functools.reduce(
-            lambda a, b: _combine_values(op, a, b), contributions)
-        state.fetches[generation] = 0
-        del state.slots[generation]
-        self.progress += 1
-        self.wake_group(state.members)
-
-    # ------------------------------------------------------------------
     # Distributed shared memory
     # ------------------------------------------------------------------
 
@@ -496,24 +264,6 @@ class Machine:
                 f"remote load from cell {target} produced no reply")
         assert reply.data is not None
         return reply.data
-
-    _SCRATCH_BYTES = 4096
-
-    def alloc_scratch(self, pe: int, data: bytes) -> LocalArray:
-        """A small per-cell staging buffer for shared-memory traffic."""
-        if len(data) > self._SCRATCH_BYTES:
-            raise CommunicationError(
-                f"remote access of {len(data)} bytes exceeds the "
-                f"{self._SCRATCH_BYTES}-byte staging buffer; use PUT/GET")
-        scratch = getattr(self, "_scratch", None)
-        if scratch is None:
-            scratch = [self.alloc_array(p, self._SCRATCH_BYTES, np.uint8)
-                       for p in range(self.config.num_cells)]
-            self._scratch = scratch
-        buf = scratch[pe]
-        if data:
-            buf.data[:len(data)] = np.frombuffer(data, dtype=np.uint8)
-        return buf
 
     # ------------------------------------------------------------------
     # SPMD scheduling
@@ -598,76 +348,41 @@ class Machine:
 
     def _run_batched(self, generators: dict[int, Any],
                      results: list[Any]) -> None:
-        """Wake-set scheduler: resume only cells named by a wake site.
-
-        A "round" mirrors one pass of the reference loop: cells resume
-        in ascending-pe order, each at most once per round.  A wake
-        caused by cell ``p`` for cell ``w`` joins the *current* round
-        when ``w > p`` and ``w`` has not yet run this round (the
-        reference pass would still reach it), and the next round
-        otherwise -- so the sequence of effective (non-no-op) resumes is
-        exactly the reference loop's.  A wake recorded for a cell that
-        is already past its wait costs one no-op resume, so stale wakes
-        are harmless; a *missed* wake would hang, which is what the
-        scheduler-equivalence tests pin down.
-        """
+        """Wake-set scheduler: resume only cells named by a wake site
+        (the round rule is :func:`~repro.machine.base.run_wake_rounds`)."""
         resumes = self._resumes
+
+        def resume(pe: int) -> None:
+            resumes[pe] += 1
+            try:
+                next(generators[pe])
+            except StopIteration as stop:
+                results[pe] = stop.value
+                del generators[pe]
+                self._finished_cells.add(pe)
+                self.progress += 1
+
+        def idle() -> None:
+            if self._ckpt_gate_ready():
+                # Every cell is parked at the checkpoint gate, not hung:
+                # capture and release.
+                self._capture_checkpoint()
+            elif self._gate_parked:
+                # Some cells parked but the gate can never fill (a cell
+                # finished mid-epoch): give up on checkpointing and
+                # release them.
+                self._abort_checkpoint()
+            else:
+                # Every unfinished cell is parked and nothing woke
+                # anyone: no re-check can ever pass again.  This is the
+                # hang the reference loop's watchdog needs three stalled
+                # passes to call.
+                self._raise_hang(generators)
+
         wake: set[int] = set()
         self._wake = wake
         try:
-            pending = set(generators)   # still to resume this round
-            heap = sorted(pending)
-            done: set[int] = set()      # resumed this round
-            nxt: set[int] = set()       # woken for the next round
-            while True:
-                while heap:
-                    pe = heapq.heappop(heap)
-                    if pe not in pending:
-                        continue
-                    pending.discard(pe)
-                    done.add(pe)
-                    resumes[pe] += 1
-                    try:
-                        next(generators[pe])
-                    except StopIteration as stop:
-                        results[pe] = stop.value
-                        del generators[pe]
-                        self._finished_cells.add(pe)
-                        self.progress += 1
-                    if wake:
-                        for w in wake:
-                            if w > pe and w not in done and w in generators:
-                                if w not in pending:
-                                    pending.add(w)
-                                    heapq.heappush(heap, w)
-                            else:
-                                nxt.add(w)
-                        wake.clear()
-                if not generators:
-                    return
-                pending = {w for w in nxt if w in generators}
-                heap = sorted(pending)
-                done.clear()
-                nxt.clear()
-                if not heap:
-                    if self._ckpt_gate_ready():
-                        # Every cell is parked at the checkpoint gate,
-                        # not hung: capture and release.
-                        self._capture_checkpoint()
-                    elif self._gate_parked:
-                        # Some cells parked but the gate can never fill
-                        # (a cell finished mid-epoch): give up on
-                        # checkpointing and release them.
-                        self._abort_checkpoint()
-                    else:
-                        # Every unfinished cell is parked and nothing
-                        # woke anyone: no re-check can ever pass again.
-                        # This is the hang the reference loop's watchdog
-                        # needs three stalled passes to call.
-                        self._raise_hang(generators)
-                    pending = set(generators)
-                    heap = sorted(pending)
-                    wake.clear()
+            run_wake_rounds(generators, wake, resume, idle)
         finally:
             self._wake = None
 
@@ -856,7 +571,7 @@ class Machine:
         self.killed.add(pe)
         if isinstance(self.tnet, FaultyTNet):
             self.tnet.killed.add(pe)
-        self._flag_waits.pop(pe, None)
+        self.blocked.pop(pe, None)
         self._gate_parked.discard(pe)
         self._finished_cells.discard(pe)
         self._dirty.discard(pe)
@@ -904,9 +619,9 @@ class Machine:
                     f"  barrier group {gid}: {len(state.arrived)} arrived, "
                     f"waiting for more")
         for pe in blocked[:16]:
-            wait = self._flag_waits.get(pe)
-            if wait is not None:
-                flag_id, target, addr = wait
+            wait = self.blocked.get(pe)
+            if wait is not None and wait[0] == "flag_wait":
+                _, flag_id, target, addr = wait
                 current = self.hw_cells[pe].mc.read_flag(addr)
                 status = f"waiting on flag {flag_id} ({current}/{target})"
             else:
@@ -921,17 +636,3 @@ class Machine:
         lines.append(f"  packets in flight: {in_flight}")
         return "\n".join(lines)
 
-
-def _combine_values(op: str, left: Any, right: Any) -> Any:
-    """Reduction combine supporting scalars and numpy arrays."""
-    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-        if op == "sum":
-            return left + right
-        if op == "max":
-            return np.maximum(left, right)
-        if op == "min":
-            return np.minimum(left, right)
-        if op == "prod":
-            return left * right
-        raise ConfigurationError(f"vector reduction op {op!r} not supported")
-    return combine(op, left, right)

@@ -13,6 +13,17 @@ condition can be satisfied by another cell's progress.
 Every operation is recorded as a :class:`~repro.trace.events.TraceEvent`,
 so running a program produces both a *numerical result* (testable against
 a sequential reference) and a *trace* (consumed by MLSim for timing).
+
+The interface is stated here once.  What a program runs on — the
+functional machine, the static analyzer's instant-delivery machine
+(:mod:`repro.check.comm`), a sharded worker
+(:mod:`repro.machine.sharded`) — differs only below a seam of private
+methods a back end may override: ``_trace`` (record an event),
+``_issue`` (hand a PUT/GET command to the hardware), ``_post`` (hand a
+two-sided message to the transport), ``_creg_store`` /
+``_creg_try_load``; flag words live in the cell's MC, and remote words,
+collectives and the table of what each cell is blocked on go through
+the machine (:class:`~repro.machine.base.MachineBase`).
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from repro.core.stride import ElementStride
 from repro.hardware.mc import NO_FLAG
 from repro.hardware.msc import Command, CommandKind
 from repro.machine.config import SPARC_US_PER_FLOP
-from repro.network.packet import StrideSpec
+from repro.network.packet import Packet, StrideSpec
 from repro.trace.events import EventKind, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -283,19 +294,14 @@ class CellContext:
     # PUT / GET (the paper's interface, array-level)
     # ------------------------------------------------------------------
 
-    def _flag_addr(self, flag: Flag | None) -> int:
-        return flag.addr if flag is not None else NO_FLAG
-
     def _annotate(self, ev: TraceEvent, command: Command) -> None:
         """Stamp the command's byte footprints onto a traced event.
 
-        Active only under the sanitizer (``repro check`` / opt-in config):
+        Called only under the sanitizer (``repro check`` / opt-in config):
         the remote side is the scatter of a PUT or the gather of a GET,
         the local side the other half.  Zero-byte transfers (the
         acknowledge idiom) carry no footprint.
         """
-        if not self.machine.sanitize:
-            return
         if command.kind is CommandKind.PUT:
             rspec, lspec = command.recv_stride, command.send_stride
         else:
@@ -316,6 +322,41 @@ class CellContext:
         self.machine.mark_dirty(self.pe)
         self.machine.pump()
 
+    def _transfer(self, kind: CommandKind, node: int, raddr: int,
+                  laddr: int, send_stride: StrideSpec,
+                  recv_stride: StrideSpec, send_flag: Flag | None = None,
+                  recv_flag: Flag | None = None, *, stride: bool = False,
+                  ack: bool = False, is_ack: bool = False) -> None:
+        """The one front end of every PUT and GET, whatever spelled it
+        (the array-level methods below, ``repro.core.api``, the
+        acknowledge idiom, write-through refresh): build the command,
+        trace it with its flag ids, stamp the sanitizer's footprint,
+        issue it, apply the acknowledge policy.
+
+        Both flags of a GET live on the requesting cell; a PUT's receive
+        flag is the destination's instance.
+        """
+        pe = self.pe
+        put = kind is CommandKind.PUT
+        command = Command(
+            kind=kind, dst=node, raddr=raddr, laddr=laddr,
+            send_stride=send_stride, recv_stride=recv_stride,
+            send_flag=send_flag.addr if send_flag is not None else NO_FLAG,
+            recv_flag=recv_flag.addr if recv_flag is not None else NO_FLAG,
+        )
+        ev = self._trace(
+            EventKind.PUT if put else EventKind.GET, partner=node,
+            size=send_stride.total_bytes, stride=stride, is_ack=is_ack,
+            send_flag=send_flag.id_on(pe) if send_flag else 0,
+            recv_flag=(recv_flag.id_on(node if put else pe)
+                       if recv_flag else 0),
+        )
+        if self.machine.sanitize:
+            self._annotate(ev, command)
+        self._issue(command)
+        if ack and self.acks.record_put(node):
+            self.ack_get(node)
+
     def put(self, dst: int, dest: LocalArray, src: LocalArray, *,
             count: int | None = None, dest_offset: int = 0,
             src_offset: int = 0, send_flag: Flag | None = None,
@@ -332,26 +373,11 @@ class CellContext:
         """
         if count is None:
             count = src.size - src_offset
-        nbytes = count * src.itemsize
         self._check_transfer(dest, src, dest_offset, src_offset, count)
-        command = Command(
-            kind=CommandKind.PUT, dst=dst,
-            raddr=dest.element_addr(dest_offset),
-            laddr=src.element_addr(src_offset),
-            send_stride=StrideSpec.contiguous(nbytes),
-            recv_stride=StrideSpec.contiguous(nbytes),
-            send_flag=self._flag_addr(send_flag),
-            recv_flag=self._flag_addr(recv_flag),
-        )
-        ev = self._trace(
-            EventKind.PUT, partner=dst, size=nbytes,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(dst) if recv_flag else 0,
-        )
-        self._annotate(ev, command)
-        self._issue(command)
-        if ack and self.acks.record_put(dst):
-            self.ack_get(dst)
+        spec = StrideSpec.contiguous(count * src.itemsize)
+        self._transfer(CommandKind.PUT, dst, dest.element_addr(dest_offset),
+                       src.element_addr(src_offset), spec, spec,
+                       send_flag, recv_flag, ack=ack)
 
     def put_stride(self, dst: int, dest: LocalArray, src: LocalArray,
                    send_stride: ElementStride, recv_stride: ElementStride, *,
@@ -368,25 +394,11 @@ class CellContext:
                 f"stride element counts disagree: send moves "
                 f"{send_stride.total_elements}, recv expects "
                 f"{recv_stride.total_elements}")
-        nbytes = send_stride.total_elements * src.itemsize
-        command = Command(
-            kind=CommandKind.PUT, dst=dst,
-            raddr=dest.element_addr(dest_offset),
-            laddr=src.element_addr(src_offset),
-            send_stride=send_stride.to_bytes(src.itemsize),
-            recv_stride=recv_stride.to_bytes(dest.itemsize),
-            send_flag=self._flag_addr(send_flag),
-            recv_flag=self._flag_addr(recv_flag),
-        )
-        ev = self._trace(
-            EventKind.PUT, partner=dst, size=nbytes, stride=True,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(dst) if recv_flag else 0,
-        )
-        self._annotate(ev, command)
-        self._issue(command)
-        if ack and self.acks.record_put(dst):
-            self.ack_get(dst)
+        self._transfer(CommandKind.PUT, dst, dest.element_addr(dest_offset),
+                       src.element_addr(src_offset),
+                       send_stride.to_bytes(src.itemsize),
+                       recv_stride.to_bytes(dest.itemsize),
+                       send_flag, recv_flag, stride=True, ack=ack)
 
     def get(self, src_pe: int, remote: LocalArray, local: LocalArray, *,
             count: int | None = None, remote_offset: int = 0,
@@ -400,24 +412,12 @@ class CellContext:
         """
         if count is None:
             count = local.size - local_offset
-        nbytes = count * local.itemsize
         self._check_transfer(local, remote, local_offset, remote_offset, count)
-        command = Command(
-            kind=CommandKind.GET, dst=src_pe,
-            raddr=remote.element_addr(remote_offset),
-            laddr=local.element_addr(local_offset),
-            send_stride=StrideSpec.contiguous(nbytes),   # remote gather
-            recv_stride=StrideSpec.contiguous(nbytes),   # local scatter
-            send_flag=self._flag_addr(send_flag),
-            recv_flag=self._flag_addr(recv_flag),
-        )
-        ev = self._trace(
-            EventKind.GET, partner=src_pe, size=nbytes,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(self.pe) if recv_flag else 0,
-        )
-        self._annotate(ev, command)
-        self._issue(command)
+        spec = StrideSpec.contiguous(count * local.itemsize)
+        self._transfer(CommandKind.GET, src_pe,
+                       remote.element_addr(remote_offset),
+                       local.element_addr(local_offset), spec, spec,
+                       send_flag, recv_flag)
 
     def get_stride(self, src_pe: int, remote: LocalArray, local: LocalArray,
                    remote_stride: ElementStride,
@@ -432,23 +432,12 @@ class CellContext:
                 f"stride element counts disagree: remote provides "
                 f"{remote_stride.total_elements}, local expects "
                 f"{local_stride.total_elements}")
-        nbytes = remote_stride.total_elements * local.itemsize
-        command = Command(
-            kind=CommandKind.GET, dst=src_pe,
-            raddr=remote.element_addr(remote_offset),
-            laddr=local.element_addr(local_offset),
-            send_stride=remote_stride.to_bytes(remote.itemsize),
-            recv_stride=local_stride.to_bytes(local.itemsize),
-            send_flag=self._flag_addr(send_flag),
-            recv_flag=self._flag_addr(recv_flag),
-        )
-        ev = self._trace(
-            EventKind.GET, partner=src_pe, size=nbytes, stride=True,
-            send_flag=send_flag.id_on(self.pe) if send_flag else 0,
-            recv_flag=recv_flag.id_on(self.pe) if recv_flag else 0,
-        )
-        self._annotate(ev, command)
-        self._issue(command)
+        self._transfer(CommandKind.GET, src_pe,
+                       remote.element_addr(remote_offset),
+                       local.element_addr(local_offset),
+                       remote_stride.to_bytes(remote.itemsize),
+                       local_stride.to_bytes(local.itemsize),
+                       send_flag, recv_flag, stride=True)
 
     def _check_transfer(self, dest: LocalArray, src: LocalArray,
                         dest_offset: int, src_offset: int, count: int) -> None:
@@ -473,17 +462,9 @@ class CellContext:
         (source, destination) pair — proves every earlier PUT to ``dst``
         has been received.
         """
-        command = Command(
-            kind=CommandKind.GET, dst=dst, raddr=0, laddr=0,
-            send_stride=StrideSpec.contiguous(0),
-            recv_stride=StrideSpec.contiguous(0),
-            recv_flag=self.ack_flag.addr,
-        )
-        self._trace(
-            EventKind.GET, partner=dst, size=0, is_ack=True,
-            recv_flag=self.ack_flag.id_on(self.pe),
-        )
-        self._issue(command)
+        nothing = StrideSpec.contiguous(0)
+        self._transfer(CommandKind.GET, dst, 0, 0, nothing, nothing,
+                       None, self.ack_flag, is_ack=True)
 
     def finish_puts(self) -> Iterator[None]:
         """Complete the Ack side of the Ack & Barrier model.
@@ -499,27 +480,33 @@ class CellContext:
 
     def flag_wait(self, flag: Flag, target: int) -> Iterator[None]:
         """Block until ``flag``'s counter on this cell reaches ``target``."""
-        self._trace(EventKind.FLAG_WAIT, flag=flag.id_on(self.pe),
-                    target=int(target))
-        # Register the wait so a hang report can say which flag this
-        # cell is stuck on, and how far the count got.
-        waits = self.machine._flag_waits
-        waits[self.pe] = (flag.id_on(self.pe), int(target), flag.addr)
+        pe = self.pe
+        flag_id = flag.id_on(pe)
+        self._trace(EventKind.FLAG_WAIT, flag=flag_id, target=int(target))
+        # Note the wait so a hang report (or the static analyzer's wedge
+        # finding) can say which flag this cell is stuck on.
+        blocked = self.machine.blocked
+        blocked[pe] = ("flag_wait", flag_id, int(target), flag.addr)
         while self.hw.mc.read_flag(flag.addr) < target:
             yield
-        waits.pop(self.pe, None)
+        blocked.pop(pe, None)
         self.machine.note_progress()
 
     # ------------------------------------------------------------------
     # SEND / RECEIVE (two-sided model, section 4.3)
     # ------------------------------------------------------------------
 
+    def _post(self, dst: int, payload: bytes, context: int) -> Packet:
+        """Hand one two-sided message to the transport; the returned
+        packet carries the serial SEND and RECEIVE events match on."""
+        return self.hw.msc.send_message(dst, payload, context=context)
+
     def send(self, dst: int, data: np.ndarray | bytes, *,
              context: int = 0) -> None:
         """Blocking SEND into the destination cell's ring buffer."""
         payload = (data.tobytes() if isinstance(data, np.ndarray)
                    else bytes(data))
-        packet = self.hw.msc.send_message(dst, payload, context=context)
+        packet = self._post(dst, payload, context)
         self._trace(EventKind.SEND, partner=dst, size=len(payload),
                     msg_id=packet.serial)
         self.machine.pump()
@@ -532,13 +519,15 @@ class CellContext:
         ``in_place`` the message is consumed directly out of the ring
         (no user-area copy — the vector-reduction path of section 4.5).
         """
+        taker = self.ring.consume_in_place if in_place else self.ring.receive
+        blocked = self.machine.blocked
         while True:
-            taker = (self.ring.consume_in_place if in_place
-                     else self.ring.receive)
             packet = taker(src=src, context=context)
             if packet is not None:
                 break
+            blocked[self.pe] = ("recv", src, context)
             yield
+        blocked.pop(self.pe, None)
         self.machine.note_progress()
         self._trace(EventKind.RECV, partner=packet.src,
                     size=packet.payload_bytes, msg_id=packet.serial)
@@ -569,10 +558,13 @@ class CellContext:
         """
         grp = group or self.world
         self._trace(EventKind.BARRIER, group=grp.gid, group_size=grp.size)
-        generation = self.machine.barrier_arrive(grp, self.pe)
-        while not self.machine.barrier_passed(grp.gid, generation):
+        machine = self.machine
+        generation = machine.barrier_arrive(grp, self.pe)
+        while not machine.barrier_passed(grp.gid, generation):
+            machine.blocked[self.pe] = ("barrier", grp.gid, grp.members)
             yield
-        self.machine.note_progress()
+        machine.blocked.pop(self.pe, None)
+        machine.note_progress()
 
     def gop(self, value: float, op: str = "sum",
             group: Group | None = None) -> Iterator[None]:
@@ -601,53 +593,66 @@ class CellContext:
     # Distributed shared memory and communication registers
     # ------------------------------------------------------------------
 
+    def _remote_store(self, dst: int, raddr: int, raw: bytes) -> None:
+        """Hardware remote STORE of ``raw`` to ``raddr`` on ``dst``."""
+        self._trace_word(EventKind.REMOTE_STORE, dst, raddr, len(raw))
+        self.machine.remote_store(self.pe, dst, raddr, raw)
+
+    def _remote_load(self, src_pe: int, raddr: int, size: int) -> bytes:
+        """Hardware remote LOAD of ``size`` bytes at ``raddr`` on
+        ``src_pe`` (the processor stalls until the reply)."""
+        self._trace_word(EventKind.REMOTE_LOAD, src_pe, raddr, size)
+        return self.machine.remote_load(self.pe, src_pe, raddr, size)
+
+    def _trace_word(self, kind: EventKind, partner: int, raddr: int,
+                    size: int) -> None:
+        ev = self._trace(kind, partner=partner, size=size)
+        if self.machine.sanitize:
+            ev.raddr = raddr
+            ev.rchunk = size
+            ev.rcount = 1
+            ev.rstep = max(size, 1)
+
     def remote_store_word(self, dst: int, array: LocalArray,
                           offset: int, value: float) -> None:
         """Non-blocking remote STORE of one element into ``dst``'s instance
         of a symmetric array (hardware-generated, section 4.2)."""
-        scratch = np.array([value], dtype=array.dtype)
-        ev = self._trace(EventKind.REMOTE_STORE, partner=dst,
-                         size=scratch.nbytes)
-        if self.machine.sanitize:
-            ev.raddr = array.element_addr(offset)
-            ev.rchunk = scratch.nbytes
-            ev.rcount = 1
-            ev.rstep = max(scratch.nbytes, 1)
-        self.machine.remote_store(self.pe, dst,
-                                  array.element_addr(offset),
-                                  scratch.tobytes())
+        self._remote_store(dst, array.element_addr(offset),
+                           np.array([value], dtype=array.dtype).tobytes())
 
     def remote_load_word(self, src_pe: int, array: LocalArray,
                          offset: int) -> float:
         """Blocking remote LOAD of one element from ``src_pe``."""
-        itemsize = array.itemsize
-        ev = self._trace(EventKind.REMOTE_LOAD, partner=src_pe, size=itemsize)
-        if self.machine.sanitize:
-            ev.raddr = array.element_addr(offset)
-            ev.rchunk = itemsize
-            ev.rcount = 1
-            ev.rstep = max(itemsize, 1)
-        raw = self.machine.remote_load(self.pe, src_pe,
-                                       array.element_addr(offset), itemsize)
+        raw = self._remote_load(src_pe, array.element_addr(offset),
+                                array.itemsize)
         return np.frombuffer(raw, dtype=array.dtype)[0]
+
+    def _creg_store(self, dst: int, index: int, value: int) -> None:
+        self.machine.hw_cells[dst].mc.registers.store(index, value)
+        self.machine.wake(dst)
+
+    def _creg_try_load(self, index: int) -> int | None:
+        return self.hw.mc.registers.try_load(index)
 
     def creg_store(self, dst: int, index: int, value: int) -> None:
         """Store into a communication register on ``dst`` (remote store to
         shared space; sets the register's p-bit)."""
         self._trace(EventKind.CREG_STORE, partner=dst, size=4)
-        self.machine.hw_cells[dst].mc.registers.store(index, value)
+        self._creg_store(dst, index, value)
         self.machine.note_progress()
-        self.machine.wake(dst)
 
     def creg_load(self, index: int) -> Iterator[None]:
         """Load from an own communication register, blocking until its
         p-bit is set (hardware retry, section 4.4)."""
         self._trace(EventKind.CREG_LOAD, partner=self.pe, size=4)
+        blocked = self.machine.blocked
         while True:
-            value = self.hw.mc.registers.try_load(index)
+            value = self._creg_try_load(index)
             if value is not None:
                 break
+            blocked[self.pe] = ("creg_load", index)
             yield
+        blocked.pop(self.pe, None)
         self.machine.note_progress()
         return value
 
@@ -687,17 +692,9 @@ class CellContext:
         coherence: call after a barrier when the home data may have
         changed)."""
         assert self._wt_table is not None and self._wt_flag is not None
-        span = handle.copy.nbytes
-        command = Command(
-            kind=CommandKind.GET, dst=handle.home,
-            raddr=handle.span_base, laddr=handle.copy.addr,
-            send_stride=StrideSpec.contiguous(span),
-            recv_stride=StrideSpec.contiguous(span),
-            recv_flag=self._wt_flag.addr)
-        ev = self._trace(EventKind.GET, partner=handle.home, size=span,
-                         recv_flag=self._wt_flag.id_on(self.pe))
-        self._annotate(ev, command)
-        self._issue(command)
+        spec = StrideSpec.contiguous(handle.copy.nbytes)
+        self._transfer(CommandKind.GET, handle.home, handle.span_base,
+                       handle.copy.addr, spec, spec, None, self._wt_flag)
         self._wt_fetches += 1
         yield from self.flag_wait(self._wt_flag, self._wt_fetches)
         if not initial:

@@ -50,10 +50,16 @@ from repro.core.errors import (
     ConfigurationError,
     DeadlockError,
 )
-from repro.core.flags import flag_area_end
+from repro.core.flags import MAX_FLAGS_PER_PE, Flag, flag_area_end
 from repro.hardware.mc import NO_FLAG
 from repro.hardware.msc import Command, CommandKind, MSCStats
-from repro.machine.machine import Machine, _combine_values
+from repro.machine.base import (
+    _align,
+    _BarrierState,
+    _combine_values,
+    run_wake_rounds,
+)
+from repro.machine.machine import Machine
 from repro.machine.program import CellContext, Group
 from repro.machine.shardmem import DEFAULT_RING_BYTES, SegmentPool, ShmRing
 from repro.network.packet import Packet, PacketKind, StrideSpec
@@ -158,11 +164,11 @@ class _ShardState:
         self.recv = [0] * self.nshards
         self.oplog: dict[int, list[tuple]] = {pe: [] for pe in self.local}
         self.generators: dict[int, Any] = {}
-        # Cross-shard barrier state: owner side counts arrivals, every
-        # member shard holds a release-generation cell to spin on.
+        # Cross-shard barrier state: owner side counts arrivals; every
+        # member shard spins on the release generation of its own
+        # machine's barrier state for the group.
         self.owner_arrived: dict[tuple, set[int]] = {}
         self.owner_bar_gen: dict[tuple, int] = {}
-        self.xbar_gen: dict[tuple, list[int]] = {}
         # Cross-shard reductions (same owner pattern, with values).
         self.owner_slots: dict[tuple, dict[int, Any]] = {}
         self.owner_ops: dict[tuple, str] = {}
@@ -315,9 +321,11 @@ class _ShardState:
                 self.push(shard, "rel", members, gen)
 
     def apply_release(self, members: tuple[int, ...], gen: int) -> None:
-        cell = self.xbar_gen.setdefault(members, [0])
-        cell[0] = gen
-        self.machine.note_progress()
+        # Every local member arrived before the release, so the group
+        # is interned here and its barrier state exists.
+        m = self.machine
+        m._barriers[m.trace.groups.intern(members)].generation = gen
+        m.note_progress()
         self.machine.wake_group(
             tuple(m for m in members if self.shard_of[m] == self.shard_id))
 
@@ -512,12 +520,14 @@ def _account_dma(dma: Any, nbytes: int) -> None:
 
 
 class _ShardCellContext(CellContext):
-    """A :class:`CellContext` that logs scheduling effects per cell.
+    """The worker-side back end of :class:`CellContext`.
 
     Local operations run the unmodified hardware path; cross-shard
     operations are emulated against the destination's shared segment.
     Either way every operation appends oplog items that let the parent
-    replay the exact serial schedule (see module docstring).
+    replay the exact serial schedule (see module docstring).  Only the
+    back-end seam is overridden: the front end (arguments, commands,
+    events, waits) is the base class's.
     """
 
     def __init__(self, machine: "Machine", pe: int,
@@ -526,10 +536,19 @@ class _ShardCellContext(CellContext):
         super().__init__(machine, pe)
 
     # Trace events are *built* here but recorded only at replay, where
-    # the parent assigns the canonical global sequence numbers.
+    # the parent assigns the canonical global sequence numbers.  The
+    # waits the replay must re-block on are functions of the event.
     def _trace(self, kind: EventKind, **fields) -> TraceEvent:
         ev = TraceEvent(kind, pe=self.pe, **fields)
-        self._sh.log(self.pe, ("ev", ev))
+        log = self._sh.oplog[self.pe]
+        log.append(("ev", ev))
+        if kind is EventKind.FLAG_WAIT:
+            slot = Flag((ev.flag - 1) % MAX_FLAGS_PER_PE, self.pe)
+            log.append(("wf", slot.addr, ev.target))
+        elif kind is EventKind.BARRIER:
+            log.append(("bar", self.machine.trace.groups.members(ev.group)))
+        elif kind is EventKind.GOP or kind is EventKind.VGOP:
+            log.append(("red", self.machine.trace.groups.members(ev.group)))
         return ev
 
     def _issue(self, command: Command) -> None:
@@ -557,28 +576,19 @@ class _ShardCellContext(CellContext):
         else:
             sh.emulate_put(self, command)
 
-    def send(self, dst: int, data: "np.ndarray | bytes", *,
-             context: int = 0) -> None:
-        payload = (data.tobytes() if isinstance(data, np.ndarray)
-                   else bytes(data))
+    def _post(self, dst: int, payload: bytes, context: int) -> Packet:
         sh = self._sh
         sh.log(self.pe, ("snd", dst, context))
         if sh.shard_of[dst] == sh.shard_id:
-            packet = self.hw.msc.send_message(dst, payload,
-                                              context=context)
-            self._trace(EventKind.SEND, partner=dst, size=len(payload),
-                        msg_id=packet.serial)
-            self.machine.pump()
-        else:
-            packet = Packet(kind=PacketKind.SEND, src=self.pe, dst=dst,
-                            payload_bytes=len(payload), data=payload,
-                            context=context)
-            sh.inject_parity(packet)
-            self.hw.msc.stats.sends_sent += 1
-            self._trace(EventKind.SEND, partner=dst, size=len(payload),
-                        msg_id=packet.serial)
-            sh.push(sh.shard_of[dst], "snd", dst, self.pe, context,
-                    payload, packet.serial)
+            return super()._post(dst, payload, context)
+        packet = Packet(kind=PacketKind.SEND, src=self.pe, dst=dst,
+                        payload_bytes=len(payload), data=payload,
+                        context=context)
+        sh.inject_parity(packet)
+        self.hw.msc.stats.sends_sent += 1
+        sh.push(sh.shard_of[dst], "snd", dst, self.pe, context,
+                payload, packet.serial)
+        return packet
 
     def recv(self, src: int | None = None, context: int | None = None,
              in_place: bool = False):
@@ -588,123 +598,66 @@ class _ShardCellContext(CellContext):
                 "receives are timing-dependent across shards (run with "
                 "scheduler='batched' for wildcard matching)")
         self._sh.log(self.pe, ("wr", src, context))
-        while True:
-            taker = (self.ring.consume_in_place if in_place
-                     else self.ring.receive)
-            packet = taker(src=src, context=context)
-            if packet is not None:
-                break
-            yield
-        self.machine.note_progress()
-        self._trace(EventKind.RECV, partner=packet.src,
-                    size=packet.payload_bytes, msg_id=packet.serial)
-        return packet
-
-    def flag_wait(self, flag, target: int):
-        self._trace(EventKind.FLAG_WAIT, flag=flag.id_on(self.pe),
-                    target=int(target))
-        self._sh.log(self.pe, ("wf", flag.addr, int(target)))
-        waits = self.machine._flag_waits
-        waits[self.pe] = (flag.id_on(self.pe), int(target), flag.addr)
-        while self.hw.mc.read_flag(flag.addr) < target:
-            yield
-        waits.pop(self.pe, None)
-        self.machine.note_progress()
+        return super().recv(src, context, in_place)
 
     def flag_clear(self, flag) -> None:
         self._sh.log(self.pe, ("fc", flag.addr))
-        self.hw.mc.write_flag(flag.addr, 0)
+        super().flag_clear(flag)
 
     def make_group(self, members) -> Group:
-        key = tuple(sorted(set(int(m) for m in members)))
-        gid = self.machine.trace.groups.intern(key)
-        self._sh.log(self.pe, ("grp", key))
-        return Group(gid=gid, members=key)
+        group = super().make_group(members)
+        self._sh.log(self.pe, ("grp", group.members))
+        return group
 
-    def barrier(self, group: Group | None = None):
-        grp = group or self.world
-        self._trace(EventKind.BARRIER, group=grp.gid,
-                    group_size=grp.size)
-        sh = self._sh
-        sh.log(self.pe, ("bar", grp.members))
-        if sh.group_local(grp.members):
-            generation = self.machine.barrier_arrive(grp, self.pe)
-            while not self.machine.barrier_passed(grp.gid, generation):
-                yield
-        else:
-            if self.pe not in grp.members:
-                raise CommunicationError(
-                    f"cell {self.pe} synchronizing with group "
-                    f"{grp.gid} it does not belong to")
-            holder = sh.xbar_gen.setdefault(grp.members, [0])
-            gen = holder[0]
-            sh.barrier_arrive_cross(grp.members, self.pe)
-            while holder[0] <= gen:
-                yield
-        self.machine.note_progress()
-
-    def gop(self, value: float, op: str = "sum",
-            group: Group | None = None):
-        grp = group or self.world
-        self._trace(EventKind.GOP, group=grp.gid, group_size=grp.size,
-                    size=8)
-        sh = self._sh
-        sh.log(self.pe, ("red", grp.members))
-        if sh.group_local(grp.members):
-            result = yield from self.machine.reduce(
-                grp, self.pe, float(value), op)
-        else:
-            result = yield from sh.reduce_cross(
-                grp.members, self.pe, float(value), op)
-        return result
-
-    def vgop(self, vector: np.ndarray, op: str = "sum",
-             group: Group | None = None):
-        grp = group or self.world
-        self._trace(EventKind.VGOP, group=grp.gid, group_size=grp.size,
-                    size=int(vector.nbytes))
-        sh = self._sh
-        sh.log(self.pe, ("red", grp.members))
-        if sh.group_local(grp.members):
-            result = yield from self.machine.reduce(
-                grp, self.pe, np.array(vector, copy=True), op)
-        else:
-            result = yield from sh.reduce_cross(
-                grp.members, self.pe, np.array(vector, copy=True), op)
-        return np.array(result, copy=True)
-
-    def creg_store(self, dst: int, index: int, value: int) -> None:
-        self._trace(EventKind.CREG_STORE, partner=dst, size=4)
+    def _creg_store(self, dst: int, index: int, value: int) -> None:
         sh = self._sh
         sh.log(self.pe, ("cs", dst, index))
         if sh.shard_of[dst] == sh.shard_id:
-            self.machine.hw_cells[dst].mc.registers.store(index, value)
-            self.machine.wake(dst)
+            super()._creg_store(dst, index, value)
         else:
             sh.push(sh.shard_of[dst], "creg", dst, index, value)
-        self.machine.note_progress()
 
-    def creg_load(self, index: int):
-        self._trace(EventKind.CREG_LOAD, partner=self.pe, size=4)
-        self._sh.log(self.pe, ("cl", index))
-        while True:
-            value = self.hw.mc.registers.try_load(index)
-            if value is not None:
-                break
-            yield
-        self.machine.note_progress()
+    def _creg_try_load(self, index: int) -> int | None:
+        value = super()._creg_try_load(index)
+        if value is not None:
+            # Logged when the load completes: a blocked cell logs nothing
+            # else in between, so the item still follows the CREG_LOAD
+            # event directly, which is where the replay must block.
+            self._sh.log(self.pe, ("cl", index))
         return value
 
 
 class _WorkerMachine(Machine):
     """The inherited machine, re-classed inside a worker process.
 
-    Only the distributed-shared-memory entry points need overriding:
-    everything else either stays local (pump, collectives via the
-    context overrides) or is emulated by :class:`_ShardCellContext`.
+    The entry points whose target may live on another shard are
+    overridden (distributed shared memory, collectives of groups that
+    span shards); everything else stays local or is emulated by
+    :class:`_ShardCellContext`.
     """
 
     _shard: _ShardState
+
+    def barrier_arrive(self, group: Group, pe: int) -> int:
+        sh = self._shard
+        if sh.group_local(group.members):
+            return super().barrier_arrive(group, pe)
+        if pe not in group:
+            raise CommunicationError(
+                f"cell {pe} synchronizing with group {group.gid} it does "
+                "not belong to")
+        state = self._barriers.get(group.gid)
+        if state is None:
+            state = self._barriers[group.gid] = _BarrierState(group.members)
+        generation = state.generation
+        sh.barrier_arrive_cross(group.members, pe)
+        return generation
+
+    def reduce(self, group: Group, pe: int, value: Any, op: str):
+        sh = self._shard
+        if sh.group_local(group.members):
+            return super().reduce(group, pe, value, op)
+        return sh.reduce_cross(group.members, pe, value, op)
 
     def remote_store(self, src: int, dst: int, remote_addr: int,
                      data: bytes) -> None:
@@ -976,10 +929,6 @@ def eligible(machine: Machine) -> bool:
             and sharded_supported())
 
 
-def _align(value: int, alignment: int) -> int:
-    return (value + alignment - 1) // alignment * alignment
-
-
 def _bind_shared_memory(machine: Machine, plan: list[list[int]],
                         pool: SegmentPool) -> None:
     """Re-back every cell's DRAM with a per-shard shared segment.
@@ -1234,7 +1183,7 @@ class _Cursor:
 
 def _replay(machine: Machine, shard_of: list[int],
             payloads: list[dict]) -> None:
-    """Mirror :meth:`Machine._run_batched` over the shipped oplogs.
+    """Run the serial engine's wake rounds over the shipped oplogs.
 
     Cells "resume" by advancing their oplog cursor; flag increments,
     message serials, barrier releases and reduction completions replay
@@ -1401,43 +1350,23 @@ def _replay(machine: Machine, shard_of: list[int],
                     f"cell {pe}: non-generator program blocked during "
                     "sharded replay")
 
-    # The exact _run_batched loop, with next(gen) replaced by advance().
+    # The serial engine's wake rounds, with next(gen) replaced by
+    # advance().
     live = set(genset)
     resumes = machine._resumes
     wake: set[int] = set()
-    pending = set(live)
-    heap = sorted(pending)
-    done: set[int] = set()
-    nxt: set[int] = set()
-    while True:
-        while heap:
-            pe = heapq.heappop(heap)
-            if pe not in pending:
-                continue
-            pending.discard(pe)
-            done.add(pe)
-            resumes[pe] += 1
-            if advance(pe, wake):
-                live.discard(pe)
-                machine._finished_cells.add(pe)
-                machine.progress += 1
-            if wake:
-                for w in wake:
-                    if w > pe and w not in done and w in live:
-                        if w not in pending:
-                            pending.add(w)
-                            heapq.heappush(heap, w)
-                    else:
-                        nxt.add(w)
-                wake.clear()
-        if not live:
-            return
-        pending = {w for w in nxt if w in live}
-        heap = sorted(pending)
-        done.clear()
-        nxt.clear()
-        if not heap:
-            raise CommunicationError(
-                "sharded replay diverged from the worker execution: "
-                f"cells {sorted(live)[:8]} blocked with no wake "
-                "pending (this is a bug in the sharded engine)")
+
+    def resume(pe: int) -> None:
+        resumes[pe] += 1
+        if advance(pe, wake):
+            live.discard(pe)
+            machine._finished_cells.add(pe)
+            machine.progress += 1
+
+    def idle() -> None:
+        raise CommunicationError(
+            "sharded replay diverged from the worker execution: "
+            f"cells {sorted(live)[:8]} blocked with no wake "
+            "pending (this is a bug in the sharded engine)")
+
+    run_wake_rounds(live, wake, resume, idle)

@@ -82,11 +82,7 @@ class SharedMemory:
             raw = self.ctx.hw.memory.read(local, dtype.itemsize)
         else:
             self.remote_loads += 1
-            from repro.trace.events import EventKind
-            self.ctx._trace(EventKind.REMOTE_LOAD, partner=cell,
-                            size=dtype.itemsize)
-            raw = self.ctx.machine.remote_load(self.ctx.pe, cell, local,
-                                               dtype.itemsize)
+            raw = self.ctx._remote_load(cell, local, dtype.itemsize)
         return np.frombuffer(raw, dtype=dtype)[0]
 
     def store(self, shared_addr: int, value, dtype=np.float64) -> None:
@@ -100,10 +96,7 @@ class SharedMemory:
             self.ctx.hw.memory.write(local, raw)
             return
         self.remote_stores += 1
-        from repro.trace.events import EventKind
-        self.ctx._trace(EventKind.REMOTE_STORE, partner=cell,
-                        size=dtype.itemsize)
-        self.ctx.machine.remote_store(self.ctx.pe, cell, local, raw)
+        self.ctx._remote_store(cell, local, raw)
 
     def load_element(self, cell: int, array: "LocalArray", offset: int,
                      dtype=None):

@@ -2,7 +2,9 @@
 
 from repro.bench.grid import BenchSpec
 from repro.check.comm import analyze_program, static_params
-from repro.check.conform import conform_app, conform_trace
+from repro.check.conform import _event_key, conform_app, conform_trace
+from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 from repro.trace import sanitize
 
 
@@ -38,6 +40,30 @@ class TestConformTrace:
         [diag] = conform_trace(run, trace)
         assert diag.code == "COMM-NONCONFORM"
         assert "4 cells" in diag.message
+
+    def test_addresses_agree_after_a_remote_store(self):
+        # The first remote store carves the staging buffer out of every
+        # cell's symmetric heap; both machines take it from the same
+        # allocator, so a later array sits at the same address in both.
+        def program(ctx):
+            word = ctx.alloc(1)
+            yield from ctx.barrier()
+            ctx.remote_store_word((ctx.pe + 1) % ctx.num_cells, word, 0, 1.0)
+            yield from ctx.barrier()
+            late = ctx.alloc(8)
+            flag = ctx.alloc_flag()
+            ctx.put((ctx.pe + 1) % ctx.num_cells, late, late, recv_flag=flag)
+            yield from ctx.flag_wait(flag, 1)
+
+        predicted = analyze_program(program, 4).trace
+        machine = Machine(MachineConfig(
+            num_cells=4, memory_per_cell=1 << 22, sanitize=True))
+        machine.run(program)
+        for pe in range(4):
+            assert [_event_key(ev, predicted)
+                    for ev in predicted.events_for(pe)] == \
+                [_event_key(ev, machine.trace)
+                 for ev in machine.trace.events_for(pe)]
 
 
 class TestConformApp:

@@ -1,7 +1,11 @@
 """End-to-end race-detection scenarios on the functional machine."""
 
+import numpy as np
+
+from repro.core import api
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from repro.machine.shmem import SharedMemory
 from repro.check.hb import build_happens_before
 from repro.check.races import find_races, extract_accesses, race_report
 
@@ -31,6 +35,23 @@ class TestPutPut:
         assert diag.home == 0
         assert diag.addr_hi - diag.addr_lo == 64
         assert {e.pe for e in diag.events} == {1, 2}
+
+    def test_paper_signature_put_races_the_same(self):
+        # The checker sees repro.core.api as it sees the array-level
+        # methods: one front end stamps the footprint of both.
+        def program(ctx):
+            victim = ctx.alloc(16)
+            src = ctx.alloc(16)
+            flag = ctx.alloc_flag()
+            yield from ctx.barrier()
+            if ctx.pe in (1, 2):
+                api.put(ctx, 0, victim.addr, src.addr, 64, recv_flag=flag)
+            yield from ctx.barrier()
+
+        report = check(program, 3)
+        assert report.codes() == {"RACE-PUT-PUT"}
+        [diag] = report.diagnostics
+        assert (diag.home, diag.addr_hi - diag.addr_lo) == (0, 64)
 
     def test_flag_wait_between_writers_is_clean(self):
         def program(ctx):
@@ -173,6 +194,30 @@ class TestRemoteWord:
         machine.run(program)
         hb = build_happens_before(machine.trace)
         assert not find_races(hb, extract_accesses(hb))
+
+    def test_shared_memory_traffic_carries_footprints(self):
+        # SharedMemory LOAD/STORE are the same hardware remote accesses
+        # as remote_load_word / remote_store_word, footprint included.
+        def program(ctx):
+            cell = ctx.alloc(4, dtype=np.float32)
+            shm = SharedMemory(ctx)
+            yield from ctx.barrier()
+            if ctx.pe == 1:
+                shm.store_element(0, cell, 2, 7.0)
+                assert shm.load_element(0, cell, 2) == 7.0
+            yield from ctx.barrier()
+            return cell.element_addr(2)
+
+        machine = Machine(MachineConfig(
+            num_cells=2, memory_per_cell=1 << 20, sanitize=True))
+        addr = machine.run(program)[1]
+        words = [ev for ev in machine.trace.events_for(1)
+                 if ev.kind.name in ("REMOTE_STORE", "REMOTE_LOAD")]
+        assert [ev.kind.name for ev in words] == ["REMOTE_STORE",
+                                                  "REMOTE_LOAD"]
+        for ev in words:
+            assert (ev.raddr, ev.rchunk, ev.rcount, ev.rstep) == \
+                (addr, 4, 1, 4)
 
 
 class TestDeterminism:

@@ -4,6 +4,8 @@ completion model (core.completion)."""
 import numpy as np
 import pytest
 
+from repro.check.comm import analyze_program
+from repro.check.conform import conform_trace
 from repro.core import api
 from repro.core.completion import AckPolicy, AckTracker
 from repro.core.flags import Flag
@@ -111,6 +113,37 @@ class TestPaperSignatures:
         results = m.run(program)
         assert results[1][0] == 0.0   # written by PE0's writeRemote
         assert results[0][1] == 1.0   # read back from PE1
+
+
+def paper_api_program(ctx):
+    """A neighbour exchange spelled entirely with the paper's calls."""
+    right = (ctx.pe + 1) % ctx.num_cells
+    buf = ctx.alloc(16)
+    flag = ctx.alloc_flag()
+    buf.data[:] = np.arange(16) + 100 * ctx.pe
+    yield from ctx.barrier()
+    api.put(ctx, right, buf.element_addr(8), buf.addr, 16, recv_flag=flag)
+    yield from ctx.flag_wait(flag, 1)
+    api.get_stride(ctx, right, buf.addr, buf.element_addr(12), None, flag,
+                   send_item_size=8, send_cnt=2, send_skip=16,
+                   recv_item_size=8, recv_cnt=2, recv_skip=8)
+    yield from ctx.flag_wait(flag, 2)
+    api.write_remote(ctx, right, buf.element_addr(10), buf.addr, 8)
+    yield from ctx.finish_puts()
+    yield from ctx.barrier()
+    return buf.data[8:14].tolist()
+
+
+class TestEveryBackEndRunsThePaperApi:
+    @pytest.mark.parametrize("cells", [4, 16, 64])
+    def test_static_analysis_conforms_to_a_sanitized_run(self, cells):
+        predicted = analyze_program(paper_api_program, cells)
+        assert not predicted.deadlocked
+        machine = Machine(MachineConfig(
+            num_cells=cells, memory_per_cell=1 << 22, sanitize=True))
+        results = machine.run(paper_api_program)
+        assert conform_trace(predicted, machine.trace) == []
+        assert predicted.results == dict(enumerate(results))
 
 
 class TestAckTracker:
