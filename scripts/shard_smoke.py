@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Byte-identity smoke check: sharded engine vs serial batched.
+"""Byte-identity smoke check: sharded engine vs the serial one.
 
 Runs each requested workload twice — serially and sharded — and
 compares trace digests, memory digests, per-cell result digests and
@@ -16,8 +16,7 @@ import os
 import sys
 
 
-def run_one(name: str, scheduler: str, shards: int, num_cells: int | None):
-    os.environ["REPRO_MACHINE_SCHEDULER"] = scheduler
+def run_one(name: str, shards: int, num_cells: int | None):
     os.environ["REPRO_MACHINE_SHARDS"] = str(shards)
     try:
         from repro.apps.workloads import workload
@@ -27,7 +26,6 @@ def run_one(name: str, scheduler: str, shards: int, num_cells: int | None):
             kwargs["num_cells"] = num_cells
         return workload(name).run(**kwargs)
     finally:
-        os.environ.pop("REPRO_MACHINE_SCHEDULER", None)
         os.environ.pop("REPRO_MACHINE_SHARDS", None)
 
 
@@ -56,11 +54,12 @@ def main() -> int:
     shm_before = _shm_entries()
     failures = 0
     for name in apps:
-        serial = run_one(name, "batched", 1, args.num_cells)
-        sharded = run_one(name, "sharded", args.shards, args.num_cells)
-        report = getattr(sharded.machine, "shard_report", None)
-        if report is None:
-            print(f"FAIL {name}: sharded run fell back to serial")
+        serial = run_one(name, 1, args.num_cells)
+        sharded = run_one(name, args.shards, args.num_cells)
+        engine = sharded.machine.engine
+        if engine["loop"] != "sharded":
+            print(f"FAIL {name}: ran the serial {engine['loop']} loop "
+                  f"({engine['fallback']})")
             failures += 1
             continue
         checks = {

@@ -1,25 +1,24 @@
-"""Parallel experiment runner for the (application x preset) grid.
+"""Experiment runner for the (application x preset) grid.
 
 The paper's methodology — record each application's trace once on the
 functional machine, then replay it through MLSim under many parameter
-files — is embarrassingly parallel in both stages, and the functional
-stage dominates (minutes of pure-Python SPMD simulation versus
-milliseconds of replay).  The runner fans both stages out across worker
-processes:
+files — is one pipeline of two tasks per application, and the
+functional one dominates (minutes of pure-Python SPMD simulation versus
+milliseconds of replay):
 
-1. **Functional stage** — one task per :class:`BenchSpec`; each worker
-   runs the application, verifies it numerically, and writes the trace
-   into the on-disk cache (:mod:`repro.bench.cache`).  Cache hits skip
-   the run entirely.
-2. **Replay stage** — one task per application, scheduled as soon as
-   that application's functional task finishes (so replay of a fast app
-   overlaps the functional run of a slow one).  The task decodes the
-   cached columnar trace once and replays it under every preset.
+1. :func:`_functional_task` — run the application, verify it
+   numerically, and write the trace into the on-disk cache
+   (:mod:`repro.bench.cache`; a temporary spool when the cache is off).
+   Cache hits skip the run entirely.
+2. :func:`_replay_app_task` — decode the entry's columnar trace once
+   and replay it under every preset.
 
-With ``jobs=1`` everything runs in-process (no worker pool, and no
-trace spooling unless the cache is enabled).  Both paths assemble
-results in grid order, so they produce byte-identical artifact
-``results`` sections (see :func:`repro.bench.schema.results_bytes`).
+One driver (:func:`_run_grid`) executes those two tasks for every row:
+in this process, row by row, when ``jobs == 1``; on a worker pool
+otherwise, each replay scheduled as soon as its functional task
+finishes.  Both assemble results in grid order, so they produce
+byte-identical artifact ``results`` sections (see
+:func:`repro.bench.schema.results_bytes`).
 
 **Crash tolerance** — when a ``journal_path`` is given, every finished
 application row (its deterministic artifact entry plus wall timings) is
@@ -34,6 +33,7 @@ section is byte-identical to an uninterrupted run.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import platform
@@ -53,6 +53,7 @@ from repro.bench.cache import (
     TraceCache,
     code_version,
     jsonify,
+    load_cached_columns,
 )
 from repro.bench.grid import ALL_PRESETS, BenchSpec
 from repro.bench.schema import (
@@ -64,11 +65,11 @@ from repro.bench.schema import (
 )
 from repro.core.errors import ConfigurationError
 from repro.mlsim.breakdown import MLSimResult
+from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import preset as load_preset
-from repro.mlsim.simulator import ModelComparison, simulate
+from repro.mlsim.simulator import ModelComparison
 from repro.obs import observer as obs
 from repro.trace import sanitize as trace_sanitize
-from repro.trace.io import load_trace
 
 BASELINE_PRESET = "ap1000"
 JOURNAL_SCHEMA = "repro-bench-journal-v1"
@@ -79,29 +80,24 @@ ABORT_AFTER_ENV = "REPRO_BENCH_ABORT_AFTER"
 
 @dataclass
 class _AppStage:
-    """Accumulated state of one application row while the grid runs."""
+    """One application row the grid has finished: record and replays."""
 
-    run: Any  # AppRun or CachedRun
-    total_events: int
-    functional_s: float
-    cache_hit: bool
-    replays: dict[str, MLSimResult] = field(default_factory=dict)
-    replay_s: dict[str, float] = field(default_factory=dict)
-    machine_metrics: dict[str, Any] = field(default_factory=dict)
+    run: CachedRun
+    replays: dict[str, MLSimResult]
+    replay_s: dict[str, float]
 
 
 @dataclass
 class BenchOutcome:
     """Everything one sweep produced, in memory.
 
-    ``runs`` duck-types ``repro.apps.base.AppRun`` far enough for the
-    analysis layer (``name``/``verified``/``checks``/``statistics``/
-    ``trace``); entries are real ``AppRun`` objects on the serial
-    cache-miss path and :class:`CachedRun` records otherwise.
+    ``runs`` holds one :class:`CachedRun` per row simulated this
+    session; the analysis layer reads its ``name``/``verified``/
+    ``checks``/``statistics``/``trace``.
     """
 
     artifact: BenchArtifact
-    runs: dict[str, Any] = field(default_factory=dict)
+    runs: dict[str, CachedRun] = field(default_factory=dict)
     replays: dict[str, dict[str, MLSimResult]] = field(default_factory=dict)
     #: Per-app ``repro.check`` reports (``check=True`` runs only).
     check_reports: dict[str, Any] = field(default_factory=dict)
@@ -160,47 +156,30 @@ def _functional_task(
 
 
 def _replay_app_task(
-    app: str,
     trace_path: str,
     preset_names: tuple[str, ...],
-) -> tuple[str, dict[str, MLSimResult], dict[str, float]]:
+) -> tuple[dict[str, MLSimResult], dict[str, float]]:
     """Worker: replay one cached trace under every preset.
 
-    The trace file is decoded exactly once — straight into numpy columns
-    on the vectorized engine (the v2 cache format never materializes a
-    TraceEvent), or into a TraceBuffer on the reference engine — and the
+    The trace file is decoded exactly once, straight into numpy columns
+    (the v2 cache format never materializes a TraceEvent), and the
     decode is shared by all presets.  Its wall time is folded into the
     first preset's replay wall so the stage totals stay honest.
     """
-    from repro.mlsim.simulator import _soa_enabled
-
     results: dict[str, MLSimResult] = {}
     walls: dict[str, float] = {}
     start = time.perf_counter()
-    if _soa_enabled():
-        from repro.bench.cache import load_cached_columns
-        from repro.mlsim.engine_soa import replay_columns
-
-        columns = load_cached_columns(trace_path)
-        decode_s = time.perf_counter() - start
-        for preset_name in preset_names:
-            t0 = time.perf_counter()
-            results[preset_name] = replay_columns(
-                columns, load_preset(preset_name), collect_metrics=True
-            )
-            walls[preset_name] = time.perf_counter() - t0
-    else:
-        trace = load_trace(trace_path)
-        decode_s = time.perf_counter() - start
-        for preset_name in preset_names:
-            t0 = time.perf_counter()
-            results[preset_name] = simulate(
-                trace, load_preset(preset_name), collect_metrics=True
-            )
-            walls[preset_name] = time.perf_counter() - t0
+    columns = load_cached_columns(trace_path)
+    decode_s = time.perf_counter() - start
+    for preset_name in preset_names:
+        t0 = time.perf_counter()
+        results[preset_name] = replay_columns(
+            columns, load_preset(preset_name), collect_metrics=True
+        )
+        walls[preset_name] = time.perf_counter() - t0
     if preset_names:
         walls[preset_names[0]] += decode_s
-    return app, results, walls
+    return results, walls
 
 
 def _app_result(spec: BenchSpec, stage: _AppStage,
@@ -213,14 +192,14 @@ def _app_result(spec: BenchSpec, stage: _AppStage,
         verified=bool(stage.run.verified),
         checks=jsonify(stage.run.checks),
         statistics=jsonify(asdict(stage.run.statistics)),
-        total_events=stage.total_events,
+        total_events=stage.run.total_events,
         presets={
             p: PresetMetrics.from_result(stage.replays[p])
             for p in preset_names
         },
         speedups_vs_ap1000=_speedups(stage.replays),
         metrics={
-            "machine": stage.machine_metrics,
+            "machine": stage.run.machine_metrics,
             "replay": {
                 p: jsonify(stage.replays[p].metrics or {})
                 for p in preset_names
@@ -231,8 +210,8 @@ def _app_result(spec: BenchSpec, stage: _AppStage,
 
 def _app_timings(stage: _AppStage) -> AppTimings:
     return AppTimings(
-        functional_s=stage.functional_s,
-        cache_hit=stage.cache_hit,
+        functional_s=stage.run.functional_wall_s,
+        cache_hit=stage.run.cache_hit,
         replay_s=dict(stage.replay_s),
     )
 
@@ -359,12 +338,12 @@ def load_journal(
 
 def _trace_for_check(spec: BenchSpec, stages: dict[str, _AppStage],
                      cache_root: Path, version: str):
-    """The trace to check for one row: the in-memory stage when the row
-    ran this session, else its cache entry (resumed rows)."""
+    """The trace to check for one row: this session's record, else the
+    cache entry of a row the journal carried over."""
     stage = stages.get(spec.app)
-    if stage is not None:
-        return stage.run.trace
-    record = TraceCache(cache_root, version).get(spec.app, spec.config())
+    record = (stage.run if stage is not None
+              else TraceCache(cache_root, version).get(spec.app,
+                                                       spec.config()))
     if record is None:
         raise ConfigurationError(
             f"--check on a resumed campaign needs {spec.app}'s cached "
@@ -394,80 +373,7 @@ def _speedups(by_preset: dict[str, MLSimResult]) -> dict[str, float]:
     }
 
 
-def _run_serial(
-    specs: list[BenchSpec],
-    preset_names: tuple[str, ...],
-    cache: TraceCache | None,
-    log: Callable[[str], None],
-    journal: BenchJournal | None = None,
-) -> dict[str, _AppStage]:
-    stages: dict[str, _AppStage] = {}
-    for i, spec in enumerate(specs, start=1):
-        record: Any = cache.get(spec.app, spec.config()) if cache else None
-        if record is not None:
-            stage = _AppStage(
-                run=record,
-                total_events=record.total_events,
-                functional_s=record.functional_wall_s,
-                cache_hit=True,
-                machine_metrics=record.machine_metrics,
-            )
-            log(
-                f"[{i}/{len(specs)}] {spec.app}: functional run cached "
-                f"({record.total_events} events)"
-            )
-        else:
-            start = time.perf_counter()
-            with trace_sanitize.enabled(), obs.enabled():
-                run = spec.run()
-            wall = time.perf_counter() - start
-            machine = getattr(run, "machine", None)
-            telemetry = (
-                jsonify(obs.machine_metrics(machine))
-                if machine is not None
-                else {}
-            )
-            if cache is not None:
-                # Store before replaying: replays coalesce the trace.
-                cache.put(spec.app, spec.config(), run, wall)
-            stage = _AppStage(
-                run=run,
-                total_events=run.trace.total_events,
-                functional_s=wall,
-                cache_hit=False,
-                machine_metrics=telemetry,
-            )
-            log(
-                f"[{i}/{len(specs)}] {spec.app}: functional run "
-                f"{wall:.2f}s ({run.trace.total_events} events)"
-            )
-        if stage.cache_hit:
-            # Replay straight from the cached columnar file; the lazy
-            # ``run.trace`` buffer stays unloaded unless a later stage
-            # (``--check``, analysis) actually needs event objects.
-            _, results, walls = _replay_app_task(
-                spec.app, str(stage.run.trace_path), preset_names
-            )
-            stage.replays.update(results)
-            stage.replay_s.update(walls)
-        else:
-            for preset_name in preset_names:
-                start = time.perf_counter()
-                result = simulate(
-                    stage.run.trace,
-                    load_preset(preset_name),
-                    collect_metrics=True,
-                )
-                stage.replays[preset_name] = result
-                stage.replay_s[preset_name] = time.perf_counter() - start
-        stages[spec.app] = stage
-        if journal is not None:
-            journal.record(spec, _app_result(spec, stage, preset_names),
-                           _app_timings(stage))
-    return stages
-
-
-def _run_parallel(
+def _run_grid(
     specs: list[BenchSpec],
     preset_names: tuple[str, ...],
     jobs: int,
@@ -477,65 +383,54 @@ def _run_parallel(
     log: Callable[[str], None],
     journal: BenchJournal | None = None,
 ) -> dict[str, _AppStage]:
+    """Run both tasks of every row: inline, row by row, when ``jobs``
+    is 1 (so a journaled campaign has simulated exactly the rows it
+    journaled); on a pool of ``jobs`` workers otherwise."""
     stages: dict[str, _AppStage] = {}
-    replaying: dict[Any, BenchSpec] = {}
+    functional = (str(cache_root), version, reuse_cache)
+    count = itertools.count(1)
+
+    def recorded(spec: BenchSpec, record: CachedRun) -> None:
+        state = ("cached" if record.cache_hit
+                 else f"{record.functional_wall_s:.2f}s")
+        log(f"[{next(count)}/{len(specs)}] {spec.app}: functional "
+            f"{state} ({record.total_events} events)")
+
+    def replayed(spec: BenchSpec, record: CachedRun,
+                 results: dict[str, MLSimResult],
+                 walls: dict[str, float]) -> None:
+        stage = stages[spec.app] = _AppStage(record, results, walls)
+        if journal is not None:
+            journal.record(spec, _app_result(spec, stage, preset_names),
+                           _app_timings(stage))
+
+    if jobs == 1:
+        for spec in specs:
+            record = _functional_task(spec, *functional)
+            recorded(spec, record)
+            replayed(spec, record, *_replay_app_task(
+                str(record.trace_path), preset_names))
+        return stages
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        functional = {
-            pool.submit(
-                _functional_task,
-                spec,
-                str(cache_root),
-                version,
-                reuse_cache,
-            ): spec
+        #: future -> (its row, the row's record once that is known: a
+        #: future without one is the row's functional task).
+        pending: dict[Any, tuple[BenchSpec, CachedRun | None]] = {
+            pool.submit(_functional_task, spec, *functional): (spec, None)
             for spec in specs
         }
-        pending = set(functional)
-        done_count = 0
         while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for fut in finished:
-                spec = functional.get(fut)
-                if spec is not None:
+                spec, record = pending.pop(fut)
+                if record is None:
                     record = fut.result()
-                    stages[spec.app] = _AppStage(
-                        run=record,
-                        total_events=record.total_events,
-                        functional_s=record.functional_wall_s,
-                        cache_hit=record.cache_hit,
-                        machine_metrics=record.machine_metrics,
-                    )
-                    done_count += 1
-                    state = (
-                        "cached"
-                        if record.cache_hit
-                        else f"{record.functional_wall_s:.2f}s"
-                    )
-                    log(
-                        f"[{done_count}/{len(specs)}] {spec.app}: "
-                        f"functional {state} "
-                        f"({record.total_events} events)"
-                    )
-                    replay_fut = pool.submit(
-                        _replay_app_task,
-                        spec.app,
-                        str(record.trace_path),
-                        preset_names,
-                    )
-                    replaying[replay_fut] = spec
-                    pending.add(replay_fut)
+                    recorded(spec, record)
+                    replay = pool.submit(_replay_app_task,
+                                         str(record.trace_path),
+                                         preset_names)
+                    pending[replay] = (spec, record)
                 else:
-                    app, results, walls = fut.result()
-                    stages[app].replays.update(results)
-                    stages[app].replay_s.update(walls)
-                    if journal is not None:
-                        done_spec = replaying.pop(fut)
-                        journal.record(
-                            done_spec,
-                            _app_result(done_spec, stages[app],
-                                        preset_names),
-                            _app_timings(stages[app]),
-                        )
+                    replayed(spec, record, *fut.result())
     return stages
 
 
@@ -599,14 +494,13 @@ def run_bench(
 ) -> BenchOutcome:
     """Run the (``specs`` x ``preset_names``) grid; return the outcome.
 
-    ``jobs`` > 1 fans both stages out across that many worker
-    processes.  ``use_cache=False`` ignores existing cache entries and
-    leaves none behind (parallel runs then spool traces through a
-    temporary directory, since worker processes can only hand traces
-    back through disk).  ``check=True`` adds a third stage: the
-    race/synchronization checker over every recorded trace (reports
-    land in each row's ``check`` field; they are deterministic, so
-    serial and parallel runs still produce identical results sections).
+    ``jobs`` > 1 runs the rows' tasks on that many worker processes.
+    ``use_cache=False`` ignores existing cache entries and leaves none
+    behind: traces spool through a temporary directory, the one route
+    from a functional task to its replays.  ``check=True`` adds a third
+    stage: the race/synchronization checker over every recorded trace
+    (reports land in each row's ``check`` field; they are deterministic,
+    so every ``jobs`` setting produces identical results sections).
 
     ``journal_path`` makes the campaign crash-tolerant: each completed
     row is journaled atomically, and ``resume=True`` skips rows the
@@ -644,28 +538,16 @@ def run_bench(
     start = time.perf_counter()
     spool: tempfile.TemporaryDirectory | None = None
     try:
-        if jobs == 1:
-            cache = TraceCache(cache_root, version) if use_cache else None
-            stages = _run_serial(todo, preset_names, cache, log, journal)
-        else:
-            if not use_cache:
-                spool = tempfile.TemporaryDirectory(prefix="repro-bench-")
-                cache_root = Path(spool.name)
-            stages = _run_parallel(
-                todo,
-                preset_names,
-                jobs,
-                cache_root,
-                version,
-                use_cache,
-                log,
-                journal,
-            )
-            if spool is not None:
-                # The spool dir dies with this call, so pull every
-                # trace into memory while the files still exist.
-                for stage in stages.values():
-                    stage.run.trace
+        if not use_cache:
+            spool = tempfile.TemporaryDirectory(prefix="repro-bench-")
+            cache_root = Path(spool.name)
+        stages = _run_grid(todo, preset_names, jobs, cache_root, version,
+                           use_cache, log, journal)
+        if spool is not None:
+            # The spool dir dies with this call, so pull every trace
+            # into memory while the files still exist.
+            for stage in stages.values():
+                stage.run.trace
     finally:
         if spool is not None:
             spool.cleanup()
@@ -705,7 +587,7 @@ def run_bench(
         check_wall = time.perf_counter() - check_start
     wall_s = time.perf_counter() - start
     stage_wall_s = {
-        "functional": sum(s.functional_s for s in stages.values())
+        "functional": sum(s.run.functional_wall_s for s in stages.values())
         + sum(t.functional_s for _, t in completed.values()),
         "replay": sum(
             wall
@@ -726,8 +608,9 @@ def run_bench(
         "stage_wall_s": stage_wall_s,
         "cache": {
             "enabled": use_cache,
-            "hits": sum(1 for s in stages.values() if s.cache_hit),
-            "misses": sum(1 for s in stages.values() if not s.cache_hit),
+            "hits": sum(1 for s in stages.values() if s.run.cache_hit),
+            "misses": sum(1 for s in stages.values()
+                          if not s.run.cache_hit),
         },
         "argv": list(sys.argv),
     }

@@ -35,6 +35,7 @@ from typing import Any, Callable
 
 from repro.apps import ep
 from repro.apps.latency import ring_shift_program
+from repro.core.errors import ConfigurationError
 from repro.faults.chaos import memory_digest, trace_digest
 from repro.machine.config import MAX_CELLS, MachineConfig
 from repro.machine.machine import Machine
@@ -84,7 +85,7 @@ def _run_point(app: str, cells: int, params: dict[str, Any],
     # cyclic-GC pass.  Collect before forking workers — a bloated
     # parent heap slows every fork and every GC pass in the children.
     gc.collect()
-    serial = _machine(cells, scheduler="batched")
+    serial = _machine(cells, shards=1)
     w0, c0 = time.perf_counter(), time.process_time()
     serial.run(program, **params)
     serial_cpu = time.process_time() - c0
@@ -94,7 +95,7 @@ def _run_point(app: str, cells: int, params: dict[str, Any],
 
     del serial
     gc.collect()
-    sharded = _machine(cells, scheduler="sharded", shards=shards)
+    sharded = _machine(cells, shards=shards)
     w0 = time.perf_counter()
     sharded.run(program, **params)
     sharded_wall = time.perf_counter() - w0
@@ -149,6 +150,10 @@ def run_weak(
     """Run the study and return the artifact document."""
     from repro.bench.perf import _utc_now
 
+    if shards < 2:
+        raise ConfigurationError(
+            "the weak-scaling study compares the sharded engine with the "
+            f"serial one; it needs at least 2 shards, got {shards}")
     log = log or (lambda message: None)
     rows = []
     for cells in points:

@@ -146,7 +146,7 @@ class SymbolicMachine(MachineBase):
                  memory_per_cell: int = _MEMORY_PER_CELL) -> None:
         config = MachineConfig(num_cells=num_cells,
                                memory_per_cell=memory_per_cell,
-                               scheduler="batched")
+                               shards=1)
         super().__init__(config, [
             HardwareCell.build(pe, None, memory_per_cell)
             for pe in range(num_cells)])

@@ -107,7 +107,6 @@ def config_document(machine: "Machine") -> dict[str, Any]:
         "trace_capacity": config.trace_capacity,
         "allow_nonstandard": config.allow_nonstandard,
         "sanitize": machine.sanitize,
-        "scheduler": config.scheduler,
         "fault_plan": plan.to_dict() if plan is not None else None,
         "ack_policy": machine.ack_policy,
     }
@@ -500,7 +499,6 @@ def _config_from_document(document: dict[str, Any]):
         allow_nonstandard=document["allow_nonstandard"],
         sanitize=document["sanitize"],
         fault_plan=plan,
-        scheduler=document["scheduler"],
     )
 
 

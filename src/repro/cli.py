@@ -113,19 +113,16 @@ def _graceful_interrupt(enabled: bool) -> Iterator[None]:
 
 @contextlib.contextmanager
 def _shard_env(shards: int):
-    """Select the sharded engine for machines built inside the block."""
-    saved = {key: os.environ.get(key)
-             for key in ("REPRO_MACHINE_SCHEDULER", "REPRO_MACHINE_SHARDS")}
-    os.environ["REPRO_MACHINE_SCHEDULER"] = "sharded"
+    """Shard count for machines built inside the block."""
+    saved = os.environ.get("REPRO_MACHINE_SHARDS")
     os.environ["REPRO_MACHINE_SHARDS"] = str(shards)
     try:
         yield
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            del os.environ["REPRO_MACHINE_SHARDS"]
+        else:
+            os.environ["REPRO_MACHINE_SHARDS"] = saved
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -239,6 +236,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "statistics": jsonify(asdict(statistics)),
             "speedups_vs_ap1000": speedups,
             "metrics": jsonify(obs.machine_metrics(run.machine)),
+            "engine": run.machine.engine,
             "shard_report": jsonify(
                 getattr(run.machine, "shard_report", None)),
             "trace_file": args.trace,
@@ -251,10 +249,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = getattr(run.machine, "shard_report", None)
     if report is not None:
         busy = max(report["worker_busy_s"])
-        print(f"  sharded over {report['shards']} workers "
-              f"({report['partitioner']}): critical path "
+        print(f"  sharded over {report['shards']} workers: critical path "
               f"{report['critical_path_s']:.3f}s (slowest worker "
               f"{busy:.3f}s + replay {report['replay_s']:.3f}s)")
+    engine = run.machine.engine
+    if engine["fallback"] is not None:
+        print(f"  sharded engine not used ({engine['fallback']}): ran "
+              f"the serial {engine['loop']} loop")
     for name, value in run.checks.items():
         print(f"  check {name}: {value}")
     print(format_table3_row(run.name, statistics))
@@ -270,32 +271,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.mlsim.simulator import _soa_enabled
-
     if args.params:
         params = parse_params(args.params, name=args.params)
     else:
         params = preset(args.preset)
     if args.timeline:
-        from repro.mlsim.engine import MLSimEngine
         from repro.mlsim.timeline import render_timeline
-        trace = load_trace(args.trace)
-        trace.coalesce_compute()
-        engine = MLSimEngine(trace, params, record_timeline=True,
-                             collect_metrics=args.json)
-        result = engine.run()
+        from repro.obs.export import replay_with_timeline
+        engine, result = replay_with_timeline(load_trace(args.trace), params)
         if not args.json:
             print(render_timeline(engine.timeline))
-    elif _soa_enabled():
+    else:
         # File -> columns -> replay: no TraceEvent is built on the way
         # (the bench runner's path for cached traces).
         from repro.mlsim.engine_soa import replay_columns
         from repro.trace.io import load_trace_columns
         result = replay_columns(load_trace_columns(args.trace), params,
                                 collect_metrics=args.json)
-    else:
-        result = simulate(load_trace(args.trace), params,
-                          collect_metrics=args.json)
     if args.json:
         _print_json({
             "schema": "repro-replay-v1",
@@ -453,7 +445,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             print(obs_top.render_bench_top(artifact))
         return 0
     trace = _source_trace(args)
-    result = obs_top.replay_for_top(trace, preset(args.preset))
+    result = simulate(trace, preset(args.preset), collect_metrics=True)
     if args.json:
         _print_json(obs_top.top_document(result))
     else:
@@ -800,7 +792,9 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
           f"(floor {doc['gates']['functional_min_speedup']:g}x)")
     print(f"sharded speedup: {doc['sharded']['speedup']:.1f}x over "
           f"serial at {doc['sharded']['config']['num_cells']} cells "
-          f"(floor {doc['gates']['sharded_min_speedup']:g}x)")
+          f"(critical path, floor "
+          f"{doc['gates']['sharded_min_speedup']:g}x); wall-clock "
+          f"{doc['sharded']['wall_ratio']:.1f}x (not gated)")
     path = report.save(args.output)
     print(f"perf report written to {path}")
     if args.write_baseline:

@@ -81,21 +81,12 @@ class MachineConfig:
     #: Directory snapshots are written to; None keeps captures in
     #: memory only (``machine.last_snapshot``).
     checkpoint_dir: str | None = None
-    #: SPMD scheduler — a three-way choice.  ``"batched"`` parks blocked
-    #: cells and resumes only those a progress bump may have woken;
-    #: ``"reference"`` is the original resume-everyone-every-pass loop;
-    #: ``"sharded"`` partitions the cells across worker processes with
-    #: shared-memory cell DRAM (:mod:`repro.machine.sharded`).  All three
-    #: produce identical traces; fault plans always use the reference
-    #: loop because kill and stall schedules are keyed on per-cell resume
-    #: counts.  The ``REPRO_MACHINE_SCHEDULER`` environment variable
-    #: overrides the default for configs that did not pick one explicitly
-    #: (the perf lane uses it to time the pre-refactor path).
-    scheduler: str = ""
-    #: Worker-process count for the sharded engine.  0 resolves from the
-    #: ``REPRO_MACHINE_SHARDS`` environment variable (default: 2 when the
-    #: scheduler is ``"sharded"``, else 1); a value > 1 implies
-    #: ``scheduler="sharded"`` when no scheduler was picked explicitly.
+    #: Worker-process count; > 1 runs the sharded multiprocess engine
+    #: (:mod:`repro.machine.sharded`) when the run is eligible for it —
+    #: ``Machine.run`` decides and records the outcome as
+    #: ``machine.engine``.  0 resolves from the ``REPRO_MACHINE_SHARDS``
+    #: environment variable (default 1), so an explicit 1 pins the
+    #: serial engine whatever the environment says.
     shards: int = 0
     #: Lift the official 4-1024 cell ceiling to ``EXTENDED_MAX_CELLS``
     #: (4096) for strict (``allow_nonstandard=False``) configurations.
@@ -104,22 +95,10 @@ class MachineConfig:
     extended: bool = False
 
     def __post_init__(self) -> None:
-        if not self.scheduler:
-            if self.shards > 1:
-                object.__setattr__(self, "scheduler", "sharded")
-            else:
-                object.__setattr__(
-                    self, "scheduler",
-                    os.environ.get("REPRO_MACHINE_SCHEDULER", "batched"))
-        if self.scheduler not in ("batched", "reference", "sharded"):
-            raise ConfigurationError(
-                f"unknown scheduler {self.scheduler!r}; expected 'batched', "
-                "'reference' or 'sharded'")
         if self.shards == 0:
-            default = 2 if self.scheduler == "sharded" else 1
             object.__setattr__(
                 self, "shards",
-                int(os.environ.get("REPRO_MACHINE_SHARDS", default)))
+                int(os.environ.get("REPRO_MACHINE_SHARDS", 1)))
         if self.shards < 1:
             raise ConfigurationError(
                 f"shards must be >= 1, got {self.shards}")

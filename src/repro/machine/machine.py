@@ -155,6 +155,10 @@ class Machine(MachineBase):
         self._restore_states: dict[int, dict[str, Any]] | None = None
         self._restore_ctx: dict[int, dict[str, Any]] | None = None
         self._restore_killed: set[int] | None = None
+        #: What the last :meth:`run` decided: ``{"loop": "sharded" |
+        #: "wake-set" | "resume-counting", "fallback": why ``shards > 1``
+        #: did not get the sharded engine, else None}``.
+        self.engine: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     # Packet movement
@@ -278,34 +282,43 @@ class Machine(MachineBase):
         hang is attributable to an active fault plan (killed cells or
         unacknowledged frames), the structured
         :class:`~repro.core.errors.CommTimeoutError` so chaos runs never
-        hang silently.  An active plan's kills and stalls fire here,
-        keyed on each cell's scheduler-resumption count.
+        hang silently.
 
-        Two scheduler loops produce the exact same interleaving (and
-        therefore byte-identical traces): the reference loop resumes
-        every unfinished cell every pass; the batched loop (the default)
-        parks a cell when it yields and resumes it only once a state
-        change that can flip its blocking condition names it in the
-        machine's wake set (frame delivery wakes the destination, an
-        MSC+ pump wakes its own cell's sending-side flags, barrier
-        release and reduction completion wake the group, a creg store
-        wakes the register's owner, host traffic wakes everyone).  A
-        skipped resume is provably a no-op: every yield in the cell
-        programs sits in a ``while not condition: yield`` loop whose
-        condition only flips through one of those wake sites, and the
-        failed re-check itself mutates nothing (``ring.receive`` returns
-        None without consuming on a miss).
+        Which loop runs is decided here, once, from the run itself, and
+        recorded as :attr:`engine`: a fault plan takes the
+        resume-counting loop (its kills and stalls are keyed on that
+        loop's per-cell resume counts); ``config.shards > 1`` takes the
+        sharded engine unless :func:`repro.machine.sharded.ineligible`
+        names an obstacle; everything else takes the wake-set loop.  All
+        three produce the exact same interleaving (and therefore
+        byte-identical traces): the resume-counting loop resumes every
+        unfinished cell every pass; the wake-set loop parks a cell when
+        it yields and resumes it only once a state change that can flip
+        its blocking condition names it in the machine's wake set (frame
+        delivery wakes the destination, an MSC+ pump wakes its own
+        cell's sending-side flags, barrier release and reduction
+        completion wake the group, a creg store wakes the register's
+        owner, host traffic wakes everyone).  A skipped resume is
+        provably a no-op: every yield in the cell programs sits in a
+        ``while not condition: yield`` loop whose condition only flips
+        through one of those wake sites, and the failed re-check itself
+        mutates nothing (``ring.receive`` returns None without consuming
+        on a miss).
         """
         n = self.config.num_cells
         plan = self.fault_plan
-        if plan is None and self.config.scheduler == "sharded":
+        fallback = None
+        if self.config.shards > 1:
             from repro.machine import sharded
 
-            # Ineligible runs (restores, armed checkpoint gates, pre-run
-            # allocations, no fork support) fall through to the batched
-            # loop, which produces the identical trace serially.
-            if sharded.eligible(self):
+            fallback = sharded.ineligible(self)
+            if fallback is None:
+                self.engine = {"loop": "sharded", "fallback": None}
                 return sharded.run_sharded(self, program, args, kwargs)
+        self.engine = {
+            "loop": "wake-set" if plan is None else "resume-counting",
+            "fallback": fallback,
+        }
         contexts = [CellContext(self, pe) for pe in range(n)]
         self._active_contexts = contexts
         if self._restore_ctx is not None:
@@ -334,8 +347,7 @@ class Machine(MachineBase):
         self._finished_cells = set()
         self._active_generators = generators
         try:
-            if plan is None and self.config.scheduler in ("batched",
-                                                          "sharded"):
+            if plan is None:
                 self._run_batched(generators, results)
             else:
                 self._run_reference(generators, results)

@@ -22,10 +22,11 @@ ids and phase ids, so traces, ``AppStatistics`` and memory digests are
 byte-identical to a serial run at every shard count.  See
 ``docs/sharding.md`` for the protocol walk-through.
 
-Limitations (all raise or fall back cleanly): fault plans and armed
-checkpoint gates use the reference/batched loops; ``recv`` needs an
+Limitations: runs :func:`ineligible` names (fault plans, armed
+checkpoint gates, used or restored machines, no ``fork`` start method)
+take a serial loop and say so in ``machine.engine``; ``recv`` needs an
 explicit ``src=`` (wildcard receives are timing-dependent across
-shards); the platform must support the ``fork`` start method.
+shards).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 
 from repro.core.errors import (
     CommunicationError,
-    ConfigurationError,
     DeadlockError,
 )
 from repro.core.flags import MAX_FLAGS_PER_PE, Flag, flag_area_end
@@ -68,14 +68,10 @@ from repro.trace.events import EventKind, TraceEvent
 #: Ring window = 16-byte header + data area.
 _RING_HEADER = 16
 
-# ----------------------------------------------------------------------
-# Partitioners (pluggable cell -> shard assignment)
-# ----------------------------------------------------------------------
 
-
-def _partition_contiguous(num_cells: int, shards: int) -> list[list[int]]:
-    """Balanced contiguous blocks; the first ``n % s`` shards get one
-    extra cell."""
+def partition(num_cells: int, shards: int) -> list[list[int]]:
+    """Balanced contiguous blocks of cells, one per worker; the first
+    ``n % s`` shards get one extra cell."""
     base, extra = divmod(num_cells, shards)
     plan: list[list[int]] = []
     start = 0
@@ -83,43 +79,6 @@ def _partition_contiguous(num_cells: int, shards: int) -> list[list[int]]:
         size = base + (1 if s < extra else 0)
         plan.append(list(range(start, start + size)))
         start += size
-    return plan
-
-
-def _partition_strided(num_cells: int, shards: int) -> list[list[int]]:
-    """Round-robin: cell ``pe`` lives on shard ``pe % shards``."""
-    return [list(range(s, num_cells, shards)) for s in range(shards)]
-
-
-PARTITIONERS: dict[str, Callable[[int, int], list[list[int]]]] = {
-    "contiguous": _partition_contiguous,
-    "strided": _partition_strided,
-}
-
-
-def register_partitioner(name: str,
-                         fn: Callable[[int, int], list[list[int]]]) -> None:
-    """Register a custom cell->shard partitioner selectable via the
-    ``REPRO_SHARD_PARTITIONER`` environment variable."""
-    PARTITIONERS[name] = fn
-
-
-def partition(num_cells: int, shards: int,
-              name: str | None = None) -> list[list[int]]:
-    """Partition ``num_cells`` cells across ``shards`` workers."""
-    if name is None:
-        name = os.environ.get("REPRO_SHARD_PARTITIONER", "contiguous")
-    try:
-        fn = PARTITIONERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown shard partitioner {name!r}; registered: "
-            f"{sorted(PARTITIONERS)}") from None
-    plan = fn(num_cells, shards)
-    seen = sorted(pe for block in plan for pe in block)
-    if seen != list(range(num_cells)) or any(not b for b in plan):
-        raise ConfigurationError(
-            f"partitioner {name!r} produced an invalid plan")
     return plan
 
 
@@ -596,7 +555,7 @@ class _ShardCellContext(CellContext):
             raise CommunicationError(
                 "the sharded engine requires recv(src=...): wildcard "
                 "receives are timing-dependent across shards (run with "
-                "scheduler='batched' for wildcard matching)")
+                "shards=1 for wildcard matching)")
         self._sh.log(self.pe, ("wr", src, context))
         return super().recv(src, context, in_place)
 
@@ -906,27 +865,34 @@ def sharded_supported() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-def eligible(machine: Machine) -> bool:
-    """Can this run use the sharded engine (else: batched fallback)?
+def ineligible(machine: Machine) -> str | None:
+    """Why this run cannot use the sharded engine (None: it can).
 
-    The cell memories are re-bound to *fresh* shared segments without
-    copying, so the machine must be unused (no events, no traffic, no
-    allocations); fault plans and armed checkpoint gates key on global
-    scheduling state the workers cannot see, so they fall back too.
+    Fault plans and armed checkpoint gates key on global scheduling
+    state the workers cannot see; the cell memories are re-bound to
+    *fresh* shared segments without copying, so the machine must be
+    unused (no restore staged, no events, no traffic, no allocations).
+    ``Machine.run`` records the reason as ``machine.engine["fallback"]``
+    and runs the identical interleaving serially.
     """
+    if machine.fault_plan is not None:
+        return "fault plan"
+    if (machine._restore_states is not None
+            or machine._restore_ctx is not None
+            or machine._restore_killed):
+        return "restored machine"
+    if machine.checkpoint_dir is not None or machine._ckpt_enabled():
+        return "armed checkpoint"
     initial_heap = _align(flag_area_end(), 64)
-    return (machine.fault_plan is None
-            and machine.checkpoint_dir is None
-            and not machine._ckpt_enabled()
-            and machine._restore_states is None
-            and machine._restore_ctx is None
-            and not machine._restore_killed
-            and machine.trace.total_events == 0
+    if not (machine.trace.total_events == 0
             and machine.tnet.injected_count == 0
             and all(h == initial_heap for h in machine._heap_next)
             and all(p == machine.config.memory_per_cell
-                    for p in machine._private_next)
-            and sharded_supported())
+                    for p in machine._private_next)):
+        return "machine already used"
+    if not sharded_supported():
+        return "no fork"
+    return None
 
 
 def _bind_shared_memory(machine: Machine, plan: list[list[int]],
@@ -954,18 +920,15 @@ def run_sharded(machine: Machine, program: Callable, args: tuple,
     the serial batched engine (see module docstring)."""
     config = machine.config
     n = config.num_cells
-    nshards = min(config.shards, n)
-    partitioner = os.environ.get("REPRO_SHARD_PARTITIONER", "contiguous")
-    plan = partition(n, nshards, partitioner)
+    nshards = config.shards
+    plan = partition(n, nshards)
     shard_of = [0] * n
     for s, block in enumerate(plan):
         for pe in block:
             shard_of[pe] = s
-    ring_bytes = int(os.environ.get("REPRO_SHARD_RING_BYTES",
-                                    DEFAULT_RING_BYTES))
     # Windows are laid end to end; a multiple of 8 keeps every ring's
     # counters 8-byte aligned (ShmRing reads them as single loads).
-    ring_bytes = -(-ring_bytes // 8) * 8
+    ring_bytes = -(-DEFAULT_RING_BYTES // 8) * 8
     t0_wall = time.perf_counter()
     machine._finished_cells = set()
     ctx = mp.get_context("fork")
@@ -1004,7 +967,6 @@ def run_sharded(machine: Machine, program: Callable, args: tuple,
     busy = [pl["busy_s"] for pl in payloads]
     machine.shard_report = {
         "shards": nshards,
-        "partitioner": partitioner,
         "plan": [len(block) for block in plan],
         "worker_busy_s": busy,
         "worker_wall_s": [pl["wall_s"] for pl in payloads],

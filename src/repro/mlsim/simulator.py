@@ -10,7 +10,6 @@ Typical use, mirroring the paper's methodology end to end::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.mlsim.breakdown import MLSimResult
@@ -25,13 +24,6 @@ from repro.network.topology import TorusTopology
 from repro.trace.buffer import TraceBuffer
 
 
-def _soa_enabled() -> bool:
-    """The vectorized engine is the default; ``REPRO_MLSIM_ENGINE=
-    reference`` forces the original event-object engine everywhere (the
-    golden equivalence tests pin both to identical results)."""
-    return os.environ.get("REPRO_MLSIM_ENGINE", "soa") != "reference"
-
-
 def simulate(trace: TraceBuffer, params: MLSimParams,
              topology: TorusTopology | None = None, *,
              link_contention: bool = False,
@@ -44,21 +36,22 @@ def simulate(trace: TraceBuffer, params: MLSimParams,
     the :mod:`repro.obs` replay metric document (wait-latency
     histograms, per-link utilization, DMA busy time) to the result.
 
-    Replay normally runs on the vectorized structure-of-arrays engine
-    (:mod:`repro.mlsim.engine_soa`), which is bit-identical to
-    :class:`MLSimEngine` and ~10x faster; the reference engine handles
-    the link-contention extension (and timeline recording, which has its
-    own entry points).
+    The engine follows from the arguments: the scalar
+    :class:`MLSimEngine` is the only one that models link contention, so
+    it runs exactly when ``link_contention`` is set; everything else runs
+    on the structure-of-arrays engine (:mod:`repro.mlsim.engine_soa`),
+    which is bit-identical to it and ~10x faster.  Timeline recording,
+    the scalar engine's other job, enters through
+    :func:`repro.obs.export.replay_with_timeline`.
     """
     trace.coalesce_compute()
-    if not link_contention and _soa_enabled():
-        from repro.mlsim.engine_soa import replay_columns
-        from repro.trace.soa import columns_from_buffer
-        return replay_columns(columns_from_buffer(trace), params, topology,
-                              collect_metrics=collect_metrics)
-    return MLSimEngine(trace, params, topology,
-                       link_contention=link_contention,
-                       collect_metrics=collect_metrics).run()
+    if link_contention:
+        return MLSimEngine(trace, params, topology, link_contention=True,
+                           collect_metrics=collect_metrics).run()
+    from repro.mlsim.engine_soa import replay_columns
+    from repro.trace.soa import columns_from_buffer
+    return replay_columns(columns_from_buffer(trace), params, topology,
+                          collect_metrics=collect_metrics)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.mlsim.breakdown import MLSimResult
-from repro.mlsim.engine import MLSimEngine
-from repro.mlsim.params import MLSimParams
-from repro.trace.buffer import TraceBuffer
 
 #: Schema tags of the two ``repro top --json`` document shapes.
 TOP_SCHEMA = "repro-top-v1"
@@ -25,12 +22,6 @@ _GLYPHS = (("execution", "#"), ("rtsys", "r"), ("overhead", "o"),
            ("idle", "."))
 #: Links shown in the heatmap (busiest first).
 MAX_LINKS = 12
-
-
-def replay_for_top(trace: TraceBuffer, params: MLSimParams) -> MLSimResult:
-    """Replay a trace with metric collection (no timeline needed)."""
-    trace.coalesce_compute()
-    return MLSimEngine(trace, params, collect_metrics=True).run()
 
 
 def _pe_bar(breakdown, clock_scale: float, width: int) -> str:

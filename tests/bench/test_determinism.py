@@ -1,6 +1,6 @@
 """Bench determinism regressions.
 
-Two bugs this file pins down:
+One bug this file pins down:
 
 * Trace-event interning (phase labels, packet serials) must not depend
   on whether an app was recorded by the serial runner or inside a
@@ -9,9 +9,6 @@ Two bugs this file pins down:
   became per-network counters, any network constructed earlier in the
   same process shifted every downstream serial, so results depended on
   run order.
-* The vectorized replay engine must be transparent to the artifact:
-  running the same grid with ``REPRO_MLSIM_ENGINE=reference`` must
-  reproduce the default (SoA) results bytes exactly.
 """
 
 from __future__ import annotations
@@ -50,21 +47,11 @@ class TestInterningDeterminism:
         assert results_bytes(parallel.artifact) == results_bytes(
             serial_outcome.artifact)
 
-    def test_packet_serials_start_at_zero_per_run(self, serial_outcome):
+    def test_packet_serials_start_at_zero_per_run(self):
         # Per-network serials (not a process-global counter) are what
         # keep worker-process recordings aligned with serial ones.
-        machine = serial_outcome.runs["RingShift"].machine
+        machine = GROUPED_SPECS[1].run().machine
         assert machine.tnet.injected_count > 0
-
-
-class TestEngineModeDeterminism:
-    def test_reference_engine_matches_soa(self, serial_outcome,
-                                          monkeypatch):
-        monkeypatch.setenv("REPRO_MLSIM_ENGINE", "reference")
-        reference = run_bench(GROUPED_SPECS, PRESETS, jobs=1,
-                              use_cache=False, grid_name="tiny")
-        assert results_bytes(reference.artifact) == results_bytes(
-            serial_outcome.artifact)
 
 
 class TestCommittedArtifact:

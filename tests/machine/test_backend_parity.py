@@ -183,7 +183,7 @@ EVERY_OP = [(op, 1 + k % 3) for k, op in enumerate(sorted(OPS))]
 def run_serial(cells, steps):
     machine = Machine(MachineConfig(
         num_cells=cells, memory_per_cell=MEMORY, sanitize=True,
-        scheduler="batched"))
+        shards=1))
     return machine, machine.run(round_program, steps=steps)
 
 
@@ -214,7 +214,7 @@ def test_sharded_engine_matches_the_functional_one(cells, steps):
     serial, results = run_serial(cells, steps)
     shard = Machine(MachineConfig(
         num_cells=cells, memory_per_cell=MEMORY, sanitize=True,
-        scheduler="sharded", shards=2))
+        shards=2))
     assert shard.run(round_program, steps=steps) == results
     assert shard.shard_report["shards"] == 2
     assert trace_digest(shard.trace) == trace_digest(serial.trace)

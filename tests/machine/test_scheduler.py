@@ -1,19 +1,25 @@
-"""Batched wake-set scheduler vs the reference round-robin sweep.
+"""Wake-set loop vs the resume-counting round-robin sweep.
 
-The batched scheduler must be invisible in every output: recorded
-traces (event streams, seq numbers, groups), application results, and
-statistics all byte-identical to the reference loop that steps every
-cell every round.  These tests pin that on a communication-heavy app and on the
-blocking-chain microbenchmark the scheduler exists to accelerate.
+The wake-set loop must be invisible in every output: recorded traces
+(event streams, seq numbers, groups), application results, and
+statistics all byte-identical to the loop that steps every cell every
+round.  These tests pin that on a communication-heavy app and on the
+blocking-chain microbenchmark the wake-set loop exists to accelerate.
+No option runs the resume-counting loop on a fault-free input, so the
+oracle side substitutes it for ``Machine._run_batched``.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.apps.workloads import workload
-from repro.core.errors import ConfigurationError
 from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 
 CASES = {
     "RingShift": dict(num_cells=16, hops=64),
@@ -22,16 +28,13 @@ CASES = {
 }
 
 
-def run_with(app, mode, monkeypatch):
-    monkeypatch.setenv("REPRO_MACHINE_SCHEDULER", mode)
-    return workload(app).runner(**CASES[app])
-
-
 class TestSchedulerEquivalence:
     @pytest.mark.parametrize("app", sorted(CASES))
     def test_traces_byte_identical(self, app, monkeypatch):
-        batched = run_with(app, "batched", monkeypatch)
-        reference = run_with(app, "reference", monkeypatch)
+        batched = workload(app).runner(**CASES[app])
+        monkeypatch.setattr(Machine, "_run_batched",
+                            Machine._run_reference)
+        reference = workload(app).runner(**CASES[app])
         assert batched.verified and reference.verified
         a = [repr(ev) for ev in batched.trace.all_events()]
         b = [repr(ev) for ev in reference.trace.all_events()]
@@ -41,13 +44,45 @@ class TestSchedulerEquivalence:
 
 class TestConfig:
     def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MACHINE_SCHEDULER", raising=False)
-        assert MachineConfig(num_cells=2).scheduler == "batched"
+        monkeypatch.delenv("REPRO_MACHINE_SHARDS", raising=False)
+        machine = Machine(MachineConfig(num_cells=2))
+        assert machine.config.shards == 1
+        machine.run(lambda ctx: ctx.pe)
+        assert machine.engine == {"loop": "wake-set", "fallback": None}
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MACHINE_SCHEDULER", "reference")
-        assert MachineConfig(num_cells=2).scheduler == "reference"
+        monkeypatch.setenv("REPRO_MACHINE_SHARDS", "2")
+        assert MachineConfig(num_cells=4).shards == 2
+        assert MachineConfig(num_cells=4, shards=1).shards == 1
 
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(num_cells=2, scheduler="fair")
+        # The engine is not a field: asking for one is a TypeError like
+        # any unknown keyword, so nothing can disagree with ``shards``.
+        with pytest.raises(TypeError, match="scheduler"):
+            MachineConfig(num_cells=2, scheduler="batched")
+
+
+def test_engine_knobs_do_not_grow_back():
+    """The engine follows from the run.  A new ``REPRO_*`` variable, or
+    a new place that builds the scalar MLSim engine by hand, is a new
+    way to choose otherwise; it fails here, by file."""
+    src = Path(repro.__file__).parent
+    env_names: dict[str, set[str]] = {}
+    scalar_builders = set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value.startswith("REPRO_")
+                    and node.value.isupper()):
+                env_names.setdefault(node.value, set()).add(rel)
+            elif isinstance(node, ast.Call) and "MLSimEngine" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                scalar_builders.add(rel)
+    assert (env_names, scalar_builders) == (
+        {"REPRO_MACHINE_SHARDS": {"cli.py", "machine/config.py"},
+         "REPRO_BENCH_ABORT_AFTER": {"bench/runner.py"}},
+        {"mlsim/simulator.py", "obs/export.py", "apps/micro.py",
+         "bench/perf.py"})

@@ -1,11 +1,12 @@
-"""Sharded multiprocess engine vs the serial batched scheduler.
+"""Sharded multiprocess engine vs the serial wake-set loop.
 
 The sharded engine must be invisible in every output — traces
 (including sequence numbers, message serials, group and phase ids),
 per-cell results, statistics, and memory digests byte-identical to a
 serial run at every shard count — and must clean up every shared-
-memory segment on every exit path.  Fault plans and checkpoint
-restores fall back to the serial engines, again byte-identically.
+memory segment on every exit path.  Fault plans, armed checkpoint
+gates and restores run serially, say so in ``machine.engine``, and
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -56,10 +57,14 @@ CASES = {
 SHARD_COUNTS = (1, 2, 4, 7)
 
 
-def run_with(app, scheduler, shards, monkeypatch):
-    monkeypatch.setenv("REPRO_MACHINE_SCHEDULER", scheduler)
+def run_with(app, shards, monkeypatch):
     monkeypatch.setenv("REPRO_MACHINE_SHARDS", str(shards))
     return workload(app).runner(**CASES[app])
+
+
+def strided(num_cells, shards):
+    """Round-robin plan: cell ``pe`` lives on shard ``pe % shards``."""
+    return [list(range(s, num_cells, shards)) for s in range(shards)]
 
 
 class TestDeterminismMatrix:
@@ -67,13 +72,21 @@ class TestDeterminismMatrix:
     @pytest.mark.parametrize("app", sorted(CASES))
     def test_byte_identical_at_every_shard_count(
             self, app, shards, monkeypatch):
-        serial = run_with(app, "batched", 1, monkeypatch)
-        shard = run_with(app, "sharded", shards, monkeypatch)
+        serial = run_with(app, 1, monkeypatch)
+        shard = run_with(app, shards, monkeypatch)
         assert serial.verified and shard.verified
-        # The sharded engine really ran (no silent fallback) ...
-        report = shard.machine.shard_report
-        assert report["shards"] == min(shards, CASES[app]["num_cells"])
-        # ... and was invisible in every output.
+        # The shard count alone selects the engine (no silent fallback;
+        # one shard is the serial wake-set loop) ...
+        assert serial.machine.engine == {"loop": "wake-set",
+                                         "fallback": None}
+        if shards > 1:
+            assert shard.machine.engine == {"loop": "sharded",
+                                            "fallback": None}
+            assert shard.machine.shard_report["shards"] == shards
+        else:
+            assert shard.machine.engine == serial.machine.engine
+            assert not hasattr(shard.machine, "shard_report")
+        # ... and the sharded engine is invisible in every output.
         assert trace_digest(serial.trace) == trace_digest(shard.trace)
         assert memory_digest(serial.machine) == \
             memory_digest(shard.machine)
@@ -82,21 +95,20 @@ class TestDeterminismMatrix:
         assert serial.statistics == shard.statistics
 
     def test_strided_partitioner_same_bytes(self, monkeypatch):
-        serial = run_with("MatMul", "batched", 1, monkeypatch)
-        monkeypatch.setenv("REPRO_SHARD_PARTITIONER", "strided")
-        shard = run_with("MatMul", "sharded", 3, monkeypatch)
-        assert shard.machine.shard_report["partitioner"] == "strided"
+        serial = run_with("MatMul", 1, monkeypatch)
+        monkeypatch.setattr(sharded, "partition", strided)
+        assert strided(7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
+        shard = run_with("MatMul", 3, monkeypatch)
         assert trace_digest(serial.trace) == trace_digest(shard.trace)
         assert serial.statistics == shard.statistics
-
 
     def test_small_odd_sized_rings_same_bytes(self, monkeypatch):
         # A ring size that is no multiple of 8 is rounded up, so every
         # mailbox window keeps its counters 8-byte aligned; a ring this
         # small also fills, which exercises the back-pressure path.
-        serial = run_with("RingShift", "batched", 1, monkeypatch)
-        monkeypatch.setenv("REPRO_SHARD_RING_BYTES", "1021")
-        shard = run_with("RingShift", "sharded", 4, monkeypatch)
+        serial = run_with("RingShift", 1, monkeypatch)
+        monkeypatch.setattr(sharded, "DEFAULT_RING_BYTES", 1021)
+        shard = run_with("RingShift", 4, monkeypatch)
         assert shard.machine.shard_report["shards"] == 4
         assert trace_digest(serial.trace) == trace_digest(shard.trace)
         assert memory_digest(serial.machine) == \
@@ -104,21 +116,32 @@ class TestDeterminismMatrix:
 
 
 class TestFallbacks:
-    """Configurations the sharded engine refuses run serially — and
-    still produce the same bytes."""
+    """Configurations the sharded engine refuses run serially, say why
+    in ``machine.engine`` — and still produce the same bytes."""
 
     STORM = FaultPlan(name="storm", seed=2718, drop_rate=0.05,
                       dup_rate=0.05, corrupt_rate=0.05, delay_rate=0.1)
 
     def test_fault_plan_falls_back_byte_identically(self, monkeypatch):
         serial = run_under_plan("MatMul", self.STORM, cells=4)
-        monkeypatch.setenv("REPRO_MACHINE_SCHEDULER", "sharded")
         monkeypatch.setenv("REPRO_MACHINE_SHARDS", "2")
         shard = run_under_plan("MatMul", self.STORM, cells=4)
+        assert shard.machine.engine == {"loop": "resume-counting",
+                                        "fallback": "fault plan"}
         assert not hasattr(shard.machine, "shard_report")
         assert trace_digest(serial.trace) == trace_digest(shard.trace)
         assert memory_digest(serial.machine) == \
             memory_digest(shard.machine)
+
+    def test_armed_checkpoint_falls_back_byte_identically(
+            self, monkeypatch):
+        with applied(CheckpointPolicy(every=1)):
+            serial = run_with("MatMul", 1, monkeypatch)
+            shard = run_with("MatMul", 2, monkeypatch)
+        assert shard.machine.ckpt_seq > 0
+        assert shard.machine.engine == {"loop": "wake-set",
+                                        "fallback": "armed checkpoint"}
+        assert trace_digest(serial.trace) == trace_digest(shard.trace)
 
     def test_checkpoint_resume_falls_back_byte_identically(
             self, tmp_path, monkeypatch):
@@ -130,10 +153,11 @@ class TestFallbacks:
         snapshot = sorted(tmp_path.iterdir())[0]
 
         serial = resume_workload(snapshot)
-        monkeypatch.setenv("REPRO_MACHINE_SCHEDULER", "sharded")
         monkeypatch.setenv("REPRO_MACHINE_SHARDS", "2")
         shard = resume_workload(snapshot)
         assert serial.verified and shard.verified
+        assert shard.machine.engine == {"loop": "wake-set",
+                                        "fallback": "restored machine"}
         assert not hasattr(shard.machine, "shard_report")
         assert memory_digest(serial.machine) == \
             memory_digest(shard.machine)
@@ -160,8 +184,7 @@ def wedge(ctx):
 def make(shards, **kw):
     kw.setdefault("num_cells", 4)
     kw.setdefault("memory_per_cell", 1 << 21)
-    return Machine(MachineConfig(scheduler="sharded", shards=shards,
-                                 **kw))
+    return Machine(MachineConfig(shards=shards, **kw))
 
 
 class TestRefusalsAndDeadlock:
@@ -179,29 +202,27 @@ class TestRefusalsAndDeadlock:
 
 class TestPartitioners:
     def test_contiguous_balanced_blocks(self):
-        plan = sharded.partition(10, 3, name="contiguous")
-        assert plan == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert sharded.partition(10, 3) == \
+            [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
 
-    def test_strided_round_robin(self):
-        plan = sharded.partition(7, 3, name="strided")
-        assert plan == [[0, 3, 6], [1, 4], [2, 5]]
 
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(ConfigurationError, match="registered"):
-            sharded.partition(8, 2, name="zigzag")
+class TestEngineSelection:
+    """``shards`` is the one setting (the matrix above selects the
+    engine with ``REPRO_MACHINE_SHARDS`` alone); what it cannot get, it
+    reports."""
 
-    def test_invalid_custom_plan_rejected(self, monkeypatch):
-        monkeypatch.setitem(sharded.PARTITIONERS, "broken",
-                            lambda n, s: [list(range(n)), []])
-        with pytest.raises(ConfigurationError, match="invalid plan"):
-            sharded.partition(8, 2, name="broken")
+    def test_used_machine_says_why_it_ran_serially(self):
+        machine = make(2)
+        machine.run(lambda ctx: ctx.alloc(4))
+        assert machine.engine["loop"] == "sharded"
+        machine.run(lambda ctx: ctx.pe)
+        assert machine.engine == {"loop": "wake-set",
+                                  "fallback": "machine already used"}
 
-    def test_register_partitioner(self, monkeypatch):
-        monkeypatch.setitem(sharded.PARTITIONERS, "placeholder", None)
-        sharded.register_partitioner(
-            "placeholder", lambda n, s: sharded._partition_strided(n, s))
-        assert sharded.partition(6, 2, name="placeholder") == \
-            [[0, 2, 4], [1, 3, 5]]
+    def test_weak_study_refuses_one_shard(self):
+        from repro.bench.weak import run_weak
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            run_weak(shards=1)
 
 
 _KILL_CHILD = """
@@ -220,9 +241,7 @@ class TestTermCleanup:
     def test_sigterm_mid_run_leaves_no_segments(self, tmp_path):
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         before = set(os.listdir("/dev/shm"))
-        env = dict(os.environ,
-                   REPRO_MACHINE_SCHEDULER="sharded",
-                   REPRO_MACHINE_SHARDS="2")
+        env = dict(os.environ, REPRO_MACHINE_SHARDS="2")
         proc = subprocess.Popen(
             [sys.executable, "-c",
              _KILL_CHILD.format(src=os.path.abspath(src))],

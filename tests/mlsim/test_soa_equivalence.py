@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from repro.apps.workloads import workload
 from repro.bench.cache import jsonify
+from repro.mlsim import simulator
 from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import MLSimParams, preset
-from repro.mlsim.simulator import simulate
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.soa import columns_from_buffer
@@ -133,21 +133,28 @@ class TestSyntheticCoverage:
         assert_equivalent(self._trace())
 
 
-class TestEngineFlag:
-    """``REPRO_MLSIM_ENGINE`` keeps the slow reference path reachable."""
+class TestSimulateRoute:
+    """``simulate`` picks its engine from its arguments: the scalar one
+    exactly when link contention, which only it models, is asked for."""
 
-    def _trace(self):
-        run = workload("MatMul").runner(num_cells=4, n=24)
-        return run.trace
+    def test_scalar_engine_runs_exactly_for_link_contention(
+            self, monkeypatch):
+        built = []
 
-    def test_reference_mode_matches_default(self, monkeypatch):
-        trace = self._trace()
+        class Spy(MLSimEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["link_contention"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "MLSimEngine", Spy)
+        trace = workload("MatMul").runner(num_cells=4, n=24).trace
         p = preset("ap1000+")
-        monkeypatch.delenv("REPRO_MLSIM_ENGINE", raising=False)
-        fast = simulate(trace, p, collect_metrics=True)
-        monkeypatch.setenv("REPRO_MLSIM_ENGINE", "reference")
-        slow = simulate(trace, p, collect_metrics=True)
-        assert result_doc(fast) == result_doc(slow)
+        fast = simulator.simulate(trace, p, collect_metrics=True)
+        assert built == []
+        simulator.simulate(trace, p, link_contention=True)
+        assert built == [True]
+        ref = MLSimEngine(trace, p, collect_metrics=True).run()
+        assert result_doc(fast) == result_doc(ref)
 
 
 # -- generated traces: the ties ------------------------------------------

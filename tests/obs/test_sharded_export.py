@@ -27,8 +27,7 @@ GOLDEN = Path(__file__).parent / "golden" / "matmul4.perfetto.json"
 APP, CELLS = "MatMul", 4
 
 
-def export_with(scheduler: str, shards: int, monkeypatch) -> str:
-    monkeypatch.setenv("REPRO_MACHINE_SCHEDULER", scheduler)
+def export_with(shards: int, monkeypatch) -> str:
     monkeypatch.setenv("REPRO_MACHINE_SHARDS", str(shards))
     run = workload(APP).run(num_cells=CELLS)
     return export_trace(run.trace, ap1000_plus_params(), "perfetto")
@@ -36,8 +35,7 @@ def export_with(scheduler: str, shards: int, monkeypatch) -> str:
 
 class TestSerialGolden:
     def test_serial_export_matches_golden(self, monkeypatch):
-        assert export_with("batched", 1, monkeypatch) == \
-            GOLDEN.read_text()
+        assert export_with(1, monkeypatch) == GOLDEN.read_text()
 
     def test_golden_carries_flow_arrows(self):
         doc = json.loads(GOLDEN.read_text())
@@ -50,8 +48,8 @@ class TestSerialGolden:
 @pytest.mark.skipif(not sharded.sharded_supported(),
                     reason="platform lacks the fork start method")
 class TestShardedGolden:
-    @pytest.mark.parametrize("shards", (1, 4))
+    @pytest.mark.parametrize("shards", (2, 4))
     def test_sharded_export_byte_identical_to_serial(
             self, shards, monkeypatch):
-        assert export_with("sharded", shards, monkeypatch) == \
+        assert export_with(shards, monkeypatch) == \
             GOLDEN.read_text()

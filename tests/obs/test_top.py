@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.mlsim.params import ap1000_plus_params
+from repro.mlsim.simulator import simulate
 from repro.obs.micro import MICRO_CELLS, micro_trace
 from repro.obs.top import (
     BENCH_TOP_SCHEMA,
@@ -12,14 +13,14 @@ from repro.obs.top import (
     bench_top_document,
     render_bench_top,
     render_top,
-    replay_for_top,
     top_document,
 )
 
 
 @pytest.fixture(scope="module")
 def result():
-    return replay_for_top(micro_trace(), ap1000_plus_params())
+    return simulate(micro_trace(), ap1000_plus_params(),
+                    collect_metrics=True)
 
 
 class TestTraceMode:

@@ -43,6 +43,22 @@ class TestRun:
         assert "Traceback" not in captured.err
 
 
+    def test_run_says_which_engine_ran(self, capsys):
+        import json
+        argv = ["run", "EP", "--cells", "4", "--shards", "2",
+                "--no-replay"]
+        assert main([*argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["engine"] == {"loop": "sharded", "fallback": None}
+        assert doc["shard_report"]["shards"] == 2
+        # An armed checkpoint gate keeps the run serial; one line says so.
+        assert main([*argv, "--checkpoint-every", "1"]) == 0
+        assert ("sharded engine not used (armed checkpoint)"
+                in capsys.readouterr().out)
+        assert main(argv[:4] + ["--no-replay"]) == 0
+        assert "sharded engine" not in capsys.readouterr().out
+
+
 class TestChaos:
     def test_plan_file_sweep(self, tmp_path, capsys):
         import json
@@ -291,10 +307,14 @@ class TestReplay:
         assert "mean idle" in capsys.readouterr().out
 
     def test_replay_from_columns_prints_what_the_reference_prints(
-            self, trace_file, tmp_path, capsys, monkeypatch):
+            self, trace_file, tmp_path, capsys):
         """`replay` goes file -> columns -> SoA engine without building
-        an event; text and --json output are those of the event-object
-        path on v1, v2 and stream files."""
+        an event; text and --json output carry the numbers of the
+        event-object engine on v1, v2 and stream files."""
+        import json
+
+        from repro.mlsim.engine import MLSimEngine
+        from repro.mlsim.params import preset
         from repro.trace.io import load_trace, save_trace_v2
         v2, stream = tmp_path / "t.v2.jsonl", tmp_path / "t.stream.jsonl"
         save_trace_v2(load_trace(trace_file), v2)
@@ -302,14 +322,22 @@ class TestReplay:
               "--stream", str(stream)])
         capsys.readouterr()
         for path in (trace_file, v2, stream):
-            for flags in ([], ["--json"], ["--preset", "ap1000", "--json"]):
-                argv = ["replay", str(path), *flags]
-                monkeypatch.delenv("REPRO_MLSIM_ENGINE", raising=False)
+            for name in ("ap1000+", "ap1000"):
+                trace = load_trace(path)
+                trace.coalesce_compute()
+                ref = MLSimEngine(trace, preset(name),
+                                  collect_metrics=True).run()
+                argv = ["replay", str(path), "--preset", name]
                 assert main(argv) == 0
-                fast = capsys.readouterr().out
-                monkeypatch.setenv("REPRO_MLSIM_ENGINE", "reference")
-                assert main(argv) == 0
-                assert capsys.readouterr().out == fast
+                assert (f"elapsed {ref.elapsed_us:.1f} us, "
+                        f"{ref.messages} messages"
+                        in capsys.readouterr().out)
+                assert main([*argv, "--json"]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                assert doc["elapsed_us"] == ref.elapsed_us
+                assert doc["mean_idle_us"] == ref.mean_idle
+                assert doc["metrics"] == json.loads(
+                    json.dumps(ref.metrics))
 
     def test_replay_timeline(self, trace_file, capsys):
         assert main(["replay", str(trace_file), "--timeline"]) == 0
