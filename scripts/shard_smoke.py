@@ -2,9 +2,10 @@
 """Byte-identity smoke check: sharded engine vs the serial one.
 
 Runs each requested workload twice — serially and sharded — and
-compares trace digests, memory digests, per-cell result digests and
-``AppStatistics``.  Exits non-zero on the first mismatch.  Used by the
-``shard-smoke`` CI job and handy for local bring-up:
+compares trace digests, memory digests, per-cell result digests,
+``AppStatistics`` and the per-cell flag-increment counts.  Exits
+non-zero on the first mismatch.  Used by the ``shard-smoke`` CI job and
+handy for local bring-up:
 
     PYTHONPATH=src python scripts/shard_smoke.py --shards 2 EP MatMul
 """
@@ -71,6 +72,11 @@ def main() -> int:
             "results": (results_digest(serial.results)
                         == results_digest(sharded.results)),
             "stats": serial.statistics == sharded.statistics,
+            # The parent holds what the owning workers' cells held.
+            "hardware": ([c.mc.flag_increments
+                          for c in serial.machine.hw_cells]
+                         == [c.mc.flag_increments
+                             for c in sharded.machine.hw_cells]),
         }
         bad = [k for k, ok in checks.items() if not ok]
         if bad:

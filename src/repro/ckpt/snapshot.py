@@ -12,9 +12,8 @@ enumerable machine state:
   above — the untouched middle is zero by construction and not stored);
 * the per-cell cooperative program state (the picklable ``st`` bag each
   checkpointable app keeps its loop-carried values in);
-* hardware counters: MSC+ stats, command-queue/DMA/MC/cache/register
-  state, ring buffers;
-* network state: T-net/B-net serials and queues, S-net episodes,
+* each hardware cell's, ring buffer's and network's own ``state()``
+  (:mod:`repro.core.state`: every attribute that is not wiring), plus
   barrier and reduction generations;
 * fault machinery: the plan RNG stream, injected-fault schedule, kill
   and stall ledgers, and the reliable transport's per-flow seq/ack/
@@ -46,12 +45,13 @@ under the same checkpoint schedule.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
 import pickle
 import shutil
 import tempfile
-from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -90,26 +90,26 @@ def _code_version() -> str:
     return code_version()
 
 
-def config_document(machine: "Machine") -> dict[str, Any]:
-    """The resolved machine configuration a snapshot is bound to.
+#: ``MachineConfig`` fields that are not a snapshot's identity: the
+#: checkpoint cadence lives in the snapshot *state* (counts/threshold) —
+#: restoring must continue the captured schedule regardless of ambient
+#: policy — and a restore picks its own engine and refuses an observer.
+_NOT_IDENTITY = frozenset(
+    {"checkpoint_every", "checkpoint_dir", "shards", "observe"})
 
-    Checkpoint cadence fields are deliberately excluded — they live in
-    the snapshot *state* (counts/threshold), not its identity: restoring
-    must continue the captured schedule regardless of ambient policy.
-    """
-    config = machine.config
+
+def config_document(machine: "Machine") -> dict[str, Any]:
+    """The resolved machine configuration a snapshot is bound to: every
+    ``MachineConfig`` field but :data:`_NOT_IDENTITY`, with the ambient
+    sanitizer and fault plan resolved, plus the ack policy."""
     plan = machine.fault_plan
-    return {
-        "num_cells": config.num_cells,
-        "memory_per_cell": config.memory_per_cell,
-        "clock_mhz": config.clock_mhz,
-        "cache_bytes": config.cache_bytes,
-        "trace_capacity": config.trace_capacity,
-        "allow_nonstandard": config.allow_nonstandard,
-        "sanitize": machine.sanitize,
-        "fault_plan": plan.to_dict() if plan is not None else None,
-        "ack_policy": machine.ack_policy,
-    }
+    document = {f.name: getattr(machine.config, f.name)
+                for f in dataclasses.fields(machine.config)
+                if f.name not in _NOT_IDENTITY}
+    document["sanitize"] = machine.sanitize
+    document["fault_plan"] = plan.to_dict() if plan is not None else None
+    document["ack_policy"] = machine.ack_policy
+    return document
 
 
 def config_hash(document: dict[str, Any]) -> str:
@@ -189,100 +189,6 @@ def _check_resumable(machine: "Machine") -> None:
             _refuse(f"cell {pe} holds unconsumed remote-load replies")
 
 
-def _queue_state(queue: Any) -> dict[str, Any]:
-    return {
-        "entries": list(queue._queue),
-        "spill": list(queue._spill),
-        "queue_words": queue._queue_words,
-        "spill_words": queue._spill_words,
-        "spill_buffers_allocated": queue._spill_buffers_allocated,
-        "refill_interrupts": queue.refill_interrupts,
-        "allocation_interrupts": queue.allocation_interrupts,
-        "pushed": queue.pushed,
-        "popped": queue.popped,
-        "spilled": queue.spilled,
-        "high_water_words": queue.high_water_words,
-    }
-
-
-def _restore_queue(queue: Any, saved: dict[str, Any]) -> None:
-    queue._queue.clear()
-    queue._queue.extend(saved["entries"])
-    queue._spill.clear()
-    queue._spill.extend(saved["spill"])
-    queue._queue_words = saved["queue_words"]
-    queue._spill_words = saved["spill_words"]
-    queue._spill_buffers_allocated = saved["spill_buffers_allocated"]
-    queue.refill_interrupts = saved["refill_interrupts"]
-    queue.allocation_interrupts = saved["allocation_interrupts"]
-    queue.pushed = saved["pushed"]
-    queue.popped = saved["popped"]
-    queue.spilled = saved["spilled"]
-    queue.high_water_words = saved["high_water_words"]
-
-
-def _cell_state(machine: "Machine", pe: int) -> dict[str, Any]:
-    cell = machine.hw_cells[pe]
-    msc = cell.msc
-    ring = machine.rings[pe]
-    return {
-        "msc_stats": dict(vars(msc.stats)),
-        "remote_store_acks": msc.remote_store_acks,
-        "load_replies": list(msc._load_replies),
-        "queues": [_queue_state(q) for q in msc.all_queues()],
-        "send_dma": dict(vars(msc.send_dma)),
-        "recv_dma": dict(vars(msc.recv_dma)),
-        "mc": {
-            "flag_increments": cell.mc.flag_increments,
-            "dram_reads": cell.mc.dram_reads,
-            "dram_writes": cell.mc.dram_writes,
-        },
-        "registers": dict(vars(cell.mc.registers)),
-        "cache": dict(vars(cell.cache)) if cell.cache is not None else None,
-        "ring": {
-            "capacity_bytes": ring.capacity_bytes,
-            "messages": list(ring._messages),
-            "bytes_buffered": ring.bytes_buffered,
-            "allocation_interrupts": ring.allocation_interrupts,
-            "extra_buffers": ring.extra_buffers,
-            "deposits": ring.deposits,
-            "copies_out": ring.copies_out,
-            "high_water_bytes": ring.high_water_bytes,
-        },
-    }
-
-
-def _restore_cell(machine: "Machine", pe: int, saved: dict[str, Any]) -> None:
-    cell = machine.hw_cells[pe]
-    msc = cell.msc
-    # Stats objects are aliased (FaultyBNet shares FaultStats with the
-    # T-net, msc.cache is cell.cache): always update fields in place.
-    vars(msc.stats).update(saved["msc_stats"])
-    msc.remote_store_acks = saved["remote_store_acks"]
-    msc._load_replies = list(saved["load_replies"])
-    for queue, qstate in zip(msc.all_queues(), saved["queues"]):
-        _restore_queue(queue, qstate)
-    vars(msc.send_dma).update(saved["send_dma"])
-    vars(msc.recv_dma).update(saved["recv_dma"])
-    cell.mc.flag_increments = saved["mc"]["flag_increments"]
-    cell.mc.dram_reads = saved["mc"]["dram_reads"]
-    cell.mc.dram_writes = saved["mc"]["dram_writes"]
-    vars(cell.mc.registers).update(saved["registers"])
-    if saved["cache"] is not None and cell.cache is not None:
-        vars(cell.cache).update(saved["cache"])
-    ring = machine.rings[pe]
-    rstate = saved["ring"]
-    ring.capacity_bytes = rstate["capacity_bytes"]
-    ring._messages.clear()
-    ring._messages.extend(rstate["messages"])
-    ring.bytes_buffered = rstate["bytes_buffered"]
-    ring.allocation_interrupts = rstate["allocation_interrupts"]
-    ring.extra_buffers = rstate["extra_buffers"]
-    ring.deposits = rstate["deposits"]
-    ring.copies_out = rstate["copies_out"]
-    ring.high_water_bytes = rstate["high_water_bytes"]
-
-
 def capture_snapshot(machine: "Machine", *,
                      resumable: bool = True) -> MachineSnapshot:
     """Capture the machine parked at a checkpoint gate.
@@ -295,10 +201,6 @@ def capture_snapshot(machine: "Machine", *,
     if resumable:
         machine.pump()
         _check_resumable(machine)
-    n = machine.config.num_cells
-    tnet = machine.tnet
-    bnet = machine.bnet
-
     document = config_document(machine)
     header: dict[str, Any] = {
         "schema": SCHEMA,
@@ -323,15 +225,6 @@ def capture_snapshot(machine: "Machine", *,
             "wt_fetches": ctx._wt_fetches,
         }
 
-    faulty: dict[str, Any] | None = None
-    if machine.fault_plan is not None:
-        faulty = {
-            "stats": dict(vars(tnet.stats)),
-            "killed": set(tnet.killed),
-            "schedule": list(tnet.schedule),
-            "delayed": [[rounds, packet] for rounds, packet in tnet._delayed],
-        }
-
     state: dict[str, Any] = {
         "progress": machine.progress,
         "resumes": list(machine._resumes),
@@ -348,53 +241,27 @@ def capture_snapshot(machine: "Machine", *,
             "seq": machine.ckpt_seq,
         },
         "trace": machine.trace,
-        "snet": {
-            "arrived": sorted(machine.snet._arrived),
-            "episodes_completed": machine.snet.episodes_completed,
-        },
-        "bnet": {
-            "queues": {cid: list(q) for cid, q in bnet._queues.items() if q},
-            "broadcast_count": bnet.broadcast_count,
-            "next_serial": bnet._next_serial,
-        },
-        "tnet": {
-            "next_serial": tnet._next_serial,
-            "injected_count": tnet.injected_count,
-            "delivered_count": tnet.delivered_count,
-            # Empty at a resumable gate (pump drained everything); a
-            # watchdog dump keeps the wedged frames for inspection.
-            "channels": {flow: list(queue)
-                         for flow, queue in tnet._channels.items()
-                         if queue},
-        },
-        "faulty_tnet": faulty,
+        # Each part says its own state (repro.core.state).  Empty wire
+        # and queues at a resumable gate (pump drained everything); a
+        # watchdog dump keeps the wedged frames for inspection.
+        "snet": machine.snet.state(),
+        "bnet": machine.bnet.state(),
+        "tnet": machine.tnet.state(),
         "fault_rng": (machine.fault_rng.getstate()
                       if machine.fault_rng is not None else None),
         "transport": (machine.transport.state()
                       if machine.transport is not None else None),
-        "barriers": {
-            gid: {"generation": s.generation,
-                  "arrived": sorted(s.arrived),
-                  "members": s.members}
-            for gid, s in machine._barriers.items()
-        },
-        "reductions": {
-            gid: {"per_pe_generation": dict(s.per_pe_generation),
-                  "slots": {g: dict(slot) for g, slot in s.slots.items()},
-                  "results": dict(s.results),
-                  "fetches": dict(s.fetches),
-                  "members": s.members,
-                  "ops": dict(s.ops)}
-            for gid, s in machine._reductions.items()
-        },
-        "cells": [_cell_state(machine, pe) for pe in range(n)],
+        "barriers": copy.deepcopy(machine._barriers),
+        "reductions": copy.deepcopy(machine._reductions),
+        "cells": [cell.state() for cell in machine.hw_cells],
+        "rings": [ring.state() for ring in machine.rings],
         "cell_states": cell_states,
         "ctx": ctx_states,
     }
 
     memories: dict[str, np.ndarray] = {}
-    for pe in range(n):
-        buf = machine.hw_cells[pe].memory._buf
+    for pe, cell in enumerate(machine.hw_cells):
+        buf = cell.memory._buf
         memories[f"lo{pe}"] = np.array(buf[: machine._heap_next[pe]],
                                        copy=True)
         hi = buf[machine._private_next[pe]:]
@@ -488,18 +355,11 @@ def load_snapshot(path: str | Path) -> MachineSnapshot:
 def _config_from_document(document: dict[str, Any]):
     from repro.machine.config import MachineConfig
 
-    plan_doc = document.get("fault_plan")
-    plan = FaultPlan.from_dict(plan_doc) if plan_doc is not None else None
-    return MachineConfig(
-        num_cells=document["num_cells"],
-        memory_per_cell=document["memory_per_cell"],
-        clock_mhz=document["clock_mhz"],
-        cache_bytes=document["cache_bytes"],
-        trace_capacity=document["trace_capacity"],
-        allow_nonstandard=document["allow_nonstandard"],
-        sanitize=document["sanitize"],
-        fault_plan=plan,
-    )
+    fields = {name: value for name, value in document.items()
+              if name != "ack_policy"}
+    if fields["fault_plan"] is not None:
+        fields["fault_plan"] = FaultPlan.from_dict(fields["fault_plan"])
+    return MachineConfig(**fields)
 
 
 def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
@@ -509,7 +369,6 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
     returned machine; the header's ``app`` block records which (see
     :func:`resume_workload` for the turnkey path).
     """
-    from repro.machine.base import _BarrierState, _ReductionState
     from repro.machine.machine import Machine
 
     if not isinstance(snapshot, MachineSnapshot):
@@ -539,10 +398,8 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
             "resolved config; restore inside the same sanitize context")
 
     state = snapshot.state
-    n = config.num_cells
-
-    for pe in range(n):
-        buf = machine.hw_cells[pe].memory._buf
+    for pe, cell in enumerate(machine.hw_cells):
+        buf = cell.memory._buf
         lo = snapshot.memories[f"lo{pe}"]
         buf[: lo.size] = lo
         hi = snapshot.memories.get(f"hi{pe}")
@@ -566,53 +423,19 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
     machine.ckpt_seq = ckpt["seq"]
 
     machine.trace = state["trace"]
-    machine.snet._arrived = set(state["snet"]["arrived"])
-    machine.snet.episodes_completed = state["snet"]["episodes_completed"]
-
-    bnet = machine.bnet
-    bnet.broadcast_count = state["bnet"]["broadcast_count"]
-    bnet._next_serial = state["bnet"]["next_serial"]
-    for cid, packets in state["bnet"]["queues"].items():
-        bnet._queues[cid] = deque(packets)
-
-    tnet = machine.tnet
-    tnet._next_serial = state["tnet"]["next_serial"]
-    tnet.injected_count = state["tnet"]["injected_count"]
-    tnet.delivered_count = state["tnet"]["delivered_count"]
-    for packets in state["tnet"]["channels"].values():
-        for packet in packets:
-            tnet._enqueue(packet)
-
-    faulty = state["faulty_tnet"]
-    if faulty is not None:
-        vars(tnet.stats).update(faulty["stats"])
-        tnet.killed = set(faulty["killed"])
-        tnet.schedule = list(faulty["schedule"])
-        tnet._delayed = [list(entry) for entry in faulty["delayed"]]
+    machine.snet.load_state(state["snet"])
+    machine.bnet.load_state(state["bnet"])
+    machine.tnet.load_state(state["tnet"])
     if state["fault_rng"] is not None and machine.fault_rng is not None:
         machine.fault_rng.setstate(state["fault_rng"])
     if state["transport"] is not None and machine.transport is not None:
         machine.transport.load_state(state["transport"])
-
-    machine._barriers = {}
-    for gid, saved in state["barriers"].items():
-        bstate = _BarrierState(saved["members"])
-        bstate.generation = saved["generation"]
-        bstate.arrived = set(saved["arrived"])
-        machine._barriers[gid] = bstate
-    machine._reductions = {}
-    for gid, saved in state["reductions"].items():
-        rstate = _ReductionState(saved["members"])
-        rstate.per_pe_generation = dict(saved["per_pe_generation"])
-        rstate.slots = {g: dict(slot)
-                        for g, slot in saved["slots"].items()}
-        rstate.results = dict(saved["results"])
-        rstate.fetches = dict(saved["fetches"])
-        rstate.ops = dict(saved["ops"])
-        machine._reductions[gid] = rstate
-
-    for pe in range(n):
-        _restore_cell(machine, pe, state["cells"][pe])
+    machine._barriers = copy.deepcopy(state["barriers"])
+    machine._reductions = copy.deepcopy(state["reductions"])
+    for cell, saved in zip(machine.hw_cells, state["cells"]):
+        cell.load_state(saved)
+    for ring, saved in zip(machine.rings, state["rings"]):
+        ring.load_state(saved)
 
     machine._restore_states = dict(state["cell_states"])
     machine._restore_ctx = dict(state["ctx"])

@@ -252,7 +252,7 @@ def _run_case(app: str, plan: FaultPlan, want_results: str,
         return case
     tnet = run.machine.tnet
     if isinstance(tnet, FaultyTNet):
-        case.counters = tnet.stats.as_dict()
+        case.counters = tnet.stats.state()
     case.results_match = results_digest(run.results) == want_results
     case.memory_match = memory_digest(run.machine) == want_memory
     case.verified = bool(run.verified)

@@ -24,6 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.core.errors import CommTimeoutError
+from repro.core.state import Stateful
 from repro.faults.plan import FaultPlan
 from repro.network.bnet import BNet
 from repro.network.packet import LINK_CONTROL_KINDS, Packet
@@ -32,7 +33,7 @@ from repro.network.topology import TorusTopology
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Stateful):
     """Counters shared by the injector and the reliable transport."""
 
     frames_sent: int = 0
@@ -51,12 +52,11 @@ class FaultStats:
     reordered: int = 0
     degraded_discards: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
 
 class FaultyTNet(TNet):
     """A T-net whose wire obeys a seeded :class:`FaultPlan`."""
+
+    _wiring = TNet._wiring | {"plan", "rng", "transport"}
 
     def __init__(self, topology: TorusTopology, plan: FaultPlan,
                  rng) -> None:
@@ -182,6 +182,8 @@ class FaultyBNet(BNet):
     sequence number is trivially detectable.  Functional semantics are
     therefore identical to the perfect bus; the fault and retry counters
     (shared with the T-net's :class:`FaultStats`) record the weather."""
+
+    _wiring = BNet._wiring | {"plan", "rng", "stats"}
 
     def __init__(self, num_cells: int, plan: FaultPlan, rng,
                  stats: FaultStats) -> None:

@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import ConfigurationError
+from repro.core.state import Stateful
 
 CACHE_BYTES = 36 * 1024
 LINE_BYTES = 32
 
 
 @dataclass
-class WriteThroughCache:
+class WriteThroughCache(Stateful):
     """Direct-mapped, write-through, write-no-allocate cache model."""
 
     size_bytes: int = CACHE_BYTES

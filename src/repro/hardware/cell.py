@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.state import Stateful
 from repro.hardware.cache import WriteThroughCache
 from repro.hardware.mc import MemoryController
 from repro.hardware.memory import CellMemory
@@ -22,7 +23,7 @@ DEFAULT_MEMORY_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
-class HardwareCell:
+class HardwareCell(Stateful):
     """The hardware complement of one cell."""
 
     cell_id: int
@@ -30,6 +31,7 @@ class HardwareCell:
     mc: MemoryController
     cache: WriteThroughCache | None
     msc: MSCPlus | None
+    _wiring = frozenset({"memory"})
 
     @classmethod
     def build(cls, cell_id: int, tnet: TNet | None,

@@ -18,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import AddressError
+from repro.core.state import Stateful
 
 NUM_REGISTERS = 128
 REGISTER_BYTES = 4
 
 
 @dataclass
-class CommRegisterFile:
+class CommRegisterFile(Stateful):
     """One cell's 128-register communication register file."""
 
     num_registers: int = NUM_REGISTERS

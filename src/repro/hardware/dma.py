@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import CommunicationError
+from repro.core.state import Stateful
 from repro.hardware.memory import CellMemory
 from repro.network.packet import StrideSpec
 
@@ -22,7 +23,7 @@ MAX_DMA_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
-class DMAEngine:
+class DMAEngine(Stateful):
     """One direction (send or receive) of the MSC+ DMA."""
 
     name: str
@@ -42,14 +43,6 @@ class DMAEngine:
         self.bytes_moved += nbytes
         if nbytes > self.largest_transfer:
             self.largest_transfer = nbytes
-
-    def snapshot(self) -> dict[str, int]:
-        """Counter snapshot for the observability harvest."""
-        return {
-            "operations": self.operations,
-            "bytes_moved": self.bytes_moved,
-            "largest_transfer": self.largest_transfer,
-        }
 
     def gather(self, memory: CellMemory, addr: int,
                stride: StrideSpec) -> bytes:

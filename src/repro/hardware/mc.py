@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import AddressError
+from repro.core.state import Stateful
 from repro.hardware.comm_registers import CommRegisterFile
 from repro.hardware.memory import WORD_BYTES, CellMemory
 from repro.hardware.mmu import MMU, PAGE_256K
@@ -29,7 +30,7 @@ NO_FLAG = 0
 
 
 @dataclass
-class MemoryController:
+class MemoryController(Stateful):
     """One cell's MC: DRAM port, MMU, flag incrementer, comm registers."""
 
     memory: CellMemory
@@ -38,6 +39,7 @@ class MemoryController:
     flag_increments: int = 0
     dram_reads: int = 0
     dram_writes: int = 0
+    _wiring = frozenset({"memory"})
 
     def identity_map(self) -> None:
         """Map exactly the DRAM logical==physical.

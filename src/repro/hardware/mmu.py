@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass, field
 
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
+from repro.core.state import Stateful
 
 PAGE_4K = 4 * 1024
 PAGE_256K = 256 * 1024
@@ -45,7 +46,7 @@ def _range_entries(first_page: int, pages: int, offset: int, page_size: int,
         for number in range(first_page, first_page + pages))
 
 
-class _DirectMappedTLB:
+class _DirectMappedTLB(Stateful):
     """A direct-mapped TLB for one page size."""
 
     def __init__(self, entries: int, page_size: int) -> None:
@@ -72,7 +73,7 @@ class _DirectMappedTLB:
 
 
 @dataclass
-class MMU:
+class MMU(Stateful):
     """Page table plus the MC's two direct-mapped TLBs.
 
     The page table maps logical page numbers to :class:`PageEntry` values;
@@ -95,6 +96,8 @@ class MMU:
     _fine_grained: set[int] = field(default_factory=set)
     walks: int = 0
     faults: int = 0
+    #: The page tables are boot-time layout a fresh machine rebuilds.
+    _wiring = frozenset({"_table_4k", "_table_256k", "_fine_grained"})
 
     def map_page(self, logical_base: int, physical_base: int,
                  size: int = PAGE_4K, writable: bool = True) -> None:

@@ -26,6 +26,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.core.errors import CommunicationError, PageFaultError
+from repro.core.state import Stateful
 from repro.hardware.cache import WriteThroughCache
 from repro.hardware.dma import DMAEngine
 from repro.hardware.mc import NO_FLAG, MemoryController
@@ -73,7 +74,7 @@ class Command:
 
 
 @dataclass
-class MSCStats:
+class MSCStats(Stateful):
     puts_sent: int = 0
     gets_sent: int = 0
     get_replies_sent: int = 0
@@ -87,8 +88,10 @@ class MSCStats:
     faults_pulled: int = 0
 
 
-class MSCPlus:
+class MSCPlus(Stateful):
     """Message controller of one cell."""
+
+    _wiring = frozenset({"mc", "tnet", "cache", "send_sink"})
 
     def __init__(self, cell_id: int, mc: MemoryController, tnet: TNet,
                  cache: WriteThroughCache | None = None) -> None:

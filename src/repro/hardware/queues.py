@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import QueueOverflowError
+from repro.core.state import Stateful
 
 QUEUE_WORDS = 64
 #: Default capacity of one spill buffer in DRAM, in words.
@@ -33,7 +34,7 @@ COMMAND_WORDS = 8
 
 
 @dataclass
-class CommandQueue:
+class CommandQueue(Stateful):
     """A fixed-size word queue that spills to DRAM buffers on overflow.
 
     Entries are (command, word_count) pairs; occupancy is tracked in words
@@ -62,6 +63,7 @@ class CommandQueue:
     #: command streams past the hardware queue into DRAM.  The functional
     #: machine points this at its trace so spills become SPILL events.
     on_spill: Callable[[str, int], None] | None = None
+    _wiring = frozenset({"on_spill"})
 
     def push(self, command: Any, words: int = COMMAND_WORDS) -> None:
         """Enqueue a command of ``words`` parameter words.

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core.state import Stateful
 from repro.network.packet import Packet
 
 #: Default ring buffer capacity in bytes.
@@ -24,7 +25,7 @@ DEFAULT_RING_BYTES = 256 * 1024
 
 
 @dataclass
-class RingBuffer:
+class RingBuffer(Stateful):
     """One cell's receive ring buffer."""
 
     capacity_bytes: int = DEFAULT_RING_BYTES

@@ -19,8 +19,10 @@ oplogs through an exact mirror of the serial batched scheduler
 (:meth:`repro.machine.machine.Machine._run_batched`).  The replay
 assigns global event sequence numbers, canonical message serials, group
 ids and phase ids, so traces, ``AppStatistics`` and memory digests are
-byte-identical to a serial run at every shard count.  See
-``docs/sharding.md`` for the protocol walk-through.
+byte-identical to a serial run at every shard count.  Each worker also
+hands back the ``state()`` of the cells it owns, which the parent loads
+whole (:mod:`repro.core.state`).  See ``docs/sharding.md`` for the
+protocol walk-through.
 
 Limitations: runs :func:`ineligible` names (fault plans, armed
 checkpoint gates, used or restored machines, no ``fork`` start method)
@@ -40,7 +42,6 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Callable
-from dataclasses import asdict
 from typing import Any
 
 import multiprocessing as mp
@@ -52,7 +53,7 @@ from repro.core.errors import (
 )
 from repro.core.flags import MAX_FLAGS_PER_PE, Flag, flag_area_end
 from repro.hardware.mc import NO_FLAG
-from repro.hardware.msc import Command, CommandKind, MSCStats
+from repro.hardware.msc import Command, CommandKind
 from repro.machine.base import (
     _align,
     _BarrierState,
@@ -682,11 +683,6 @@ class _WorkerMachine(Machine):
 # Worker process
 # ----------------------------------------------------------------------
 
-#: Queue counters shipped back to the parent (see CommandQueue).
-_QUEUE_COUNTERS = ("pushed", "popped", "spilled", "high_water_words",
-                   "refill_interrupts", "allocation_interrupts")
-
-
 def _worker_main(machine: Machine, shard_id: int, plan: list[list[int]],
                  shard_of: list[int], mailbox: Any, ring_bytes: int,
                  conn: Any, program: Callable, args: tuple,
@@ -817,20 +813,11 @@ def _service_done(sh: _ShardState) -> bool:
 def _collect_payload(machine: Machine, sh: _ShardState,
                      results: dict[int, Any], t0_proc: float,
                      t0_wall: float) -> dict[str, Any]:
-    """Everything the parent needs: oplogs, results, and counters."""
-    cells: dict[int, dict[str, Any]] = {}
-    for pe in sorted(sh.local):
-        msc = machine.hw_cells[pe].msc
-        cells[pe] = {
-            "stats": asdict(msc.stats),
-            "acks": msc.remote_store_acks,
-            "queues": [{k: getattr(q, k) for k in _QUEUE_COUNTERS}
-                       for q in msc.all_queues()],
-            "send_dma": msc.send_dma.snapshot(),
-            "recv_dma": msc.recv_dma.snapshot(),
-            "heap": machine._heap_next[pe],
-            "private": machine._private_next[pe],
-        }
+    """Everything the parent needs: oplogs, results, and the state
+    of the cells this worker owns."""
+    cells = {pe: (machine.hw_cells[pe].state(), machine._heap_next[pe],
+                  machine._private_next[pe])
+             for pe in sorted(sh.local)}
     obs = machine.obs
     return {
         "shard": sh.shard_id,
@@ -1088,25 +1075,17 @@ def _raise_worker_error(shard: int, exc: Any, tb: str) -> None:
 
 def _install_counters(machine: Machine,
                       payloads: list[dict]) -> list[Any]:
-    """Install worker-side results and hardware counters into the
-    parent machine; returns the assembled per-cell results list."""
+    """Load each worker's results and the state of the cells it owned
+    into the parent machine (network counts are sums over workers);
+    returns the assembled per-cell results list."""
     results: list[Any] = [None] * machine.config.num_cells
     for pl in sorted(payloads, key=lambda p: p["shard"]):
         for pe, value in pl["results"].items():
             results[pe] = value
-        for pe, c in pl["cells"].items():
-            msc = machine.hw_cells[pe].msc
-            msc.stats = MSCStats(**c["stats"])
-            msc.remote_store_acks = c["acks"]
-            for queue, snap in zip(msc.all_queues(), c["queues"]):
-                for key, value in snap.items():
-                    setattr(queue, key, value)
-            for dma, snap in ((msc.send_dma, c["send_dma"]),
-                              (msc.recv_dma, c["recv_dma"])):
-                for key, value in snap.items():
-                    setattr(dma, key, value)
-            machine._heap_next[pe] = c["heap"]
-            machine._private_next[pe] = c["private"]
+        for pe, (cell, heap, private) in pl["cells"].items():
+            machine.hw_cells[pe].load_state(cell)
+            machine._heap_next[pe] = heap
+            machine._private_next[pe] = private
         machine.tnet.injected_count += pl["tnet"][0]
         machine.tnet.delivered_count += pl["tnet"][1]
         machine.bnet.broadcast_count += pl["bnet"]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import CommunicationError
+from repro.core.state import Stateful
 from repro.network.packet import Packet
 
 #: Peak B-net bandwidth in megabytes per second.
@@ -24,7 +25,7 @@ HOST_ID = -1
 
 
 @dataclass
-class BNet:
+class BNet(Stateful):
     """Totally ordered broadcast transport."""
 
     num_cells: int
@@ -35,6 +36,7 @@ class BNet:
     #: Optional :class:`repro.obs.observer.MachineObserver`; its
     #: ``on_broadcast`` hook counts shared-bus frames and bytes.
     observer: Any = None
+    _wiring = frozenset({"observer"})
 
     def _queue(self, cell_id: int) -> deque[Packet]:
         return self._queues.setdefault(cell_id, deque())

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import CommunicationError
+from repro.core.state import Stateful
 
 
 @dataclass
-class SNet:
+class SNet(Stateful):
     """All-cells hardware barrier with episode counting."""
 
     num_cells: int

@@ -16,6 +16,7 @@ from operator import attrgetter
 from typing import Any
 
 from repro.core.errors import CommunicationError
+from repro.core.state import Stateful
 from repro.network.packet import Packet
 from repro.network.topology import TorusTopology
 
@@ -44,7 +45,7 @@ _serial = attrgetter("serial")
 
 
 @dataclass
-class TNet:
+class TNet(Stateful):
     """In-order per-pair packet transport over a 2-D torus."""
 
     topology: TorusTopology
@@ -61,6 +62,21 @@ class TNet:
     #: Optional :class:`repro.obs.observer.MachineObserver`; its
     #: ``on_inject`` hook charges per-link frame/byte counters.
     observer: Any = None
+    #: ``_channels`` / ``_fresh`` index one another by rank, so frames on
+    #: the wire ride as one packet list and come back through ``_enqueue``.
+    _wiring = frozenset({"topology", "observer", "_channels", "_fresh"})
+
+    def state(self) -> dict[str, Any]:
+        wire = [packet for queue in self._channels.values()
+                for packet in queue]
+        return {**super().state(), "wire": wire}
+
+    def load_state(self, saved: dict[str, Any]) -> None:
+        super().load_state({k: v for k, v in saved.items() if k != "wire"})
+        self._channels.clear()
+        self._fresh.clear()
+        for packet in saved["wire"]:
+            self._enqueue(packet)
 
     def validate_endpoints(self, packet: Packet) -> None:
         """Reject packets addressed outside the machine."""

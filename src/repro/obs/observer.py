@@ -129,7 +129,7 @@ class MachineObserver:
 def _zero_fault_stats() -> dict[str, int]:
     from repro.faults.injector import FaultStats
 
-    return FaultStats().as_dict()
+    return FaultStats().state()
 
 
 def machine_metrics(machine: "Machine") -> dict[str, Any]:
@@ -199,7 +199,7 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         "snet_barriers": machine.snet.episodes_completed,
     }
     stats = getattr(tnet, "stats", None)
-    faults = stats.as_dict() if stats is not None else _zero_fault_stats()
+    faults = stats.state() if stats is not None else _zero_fault_stats()
     from repro.obs.registry import MACHINE_SCHEMA
 
     return {

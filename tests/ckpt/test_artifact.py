@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +18,16 @@ from repro.ckpt import (
     restore_machine,
     resume_workload,
 )
-from repro.ckpt.snapshot import SCHEMA, config_hash
+from repro.ckpt.snapshot import (
+    _NOT_IDENTITY,
+    SCHEMA,
+    _config_from_document,
+    config_document,
+    config_hash,
+)
 from repro.core.errors import ConfigurationError
+from repro.faults.plan import FaultPlan
+from repro.machine.config import MachineConfig
 
 
 def _header_path(snapshot_dir):
@@ -62,6 +72,38 @@ class TestRoundTrip:
         by_dir = load_snapshot(matmul_snapshot_dir)
         by_path = load_snapshot(latest_snapshot(matmul_snapshot_dir))
         assert by_dir.header == by_path.header
+
+
+class TestConfigDocument:
+    #: A strict extended machine with every identity field off its
+    #: default (``extended`` was the one the hand-kept list forgot).
+    CONFIG = MachineConfig(
+        num_cells=2048, memory_per_cell=64 << 20, clock_mhz=25.0,
+        cache_bytes=1 << 14, trace_capacity=12345, allow_nonstandard=False,
+        sanitize=True, fault_plan=FaultPlan(name="storm", seed=3,
+                                            drop_rate=0.1),
+        extended=True, checkpoint_every=2, checkpoint_dir="x", observe=True,
+        shards=2)
+
+    def test_every_identity_field_survives_the_header(self):
+        config = self.CONFIG
+        # config_document reads four attributes of a machine; a stand-in
+        # spares allocating 2 048 cells.
+        document = config_document(SimpleNamespace(
+            config=config, fault_plan=config.fault_plan,
+            sanitize=config.sanitize, ack_policy="every-put"))
+        json.dumps(document)  # the header is JSON
+        back = _config_from_document(document)
+        default = MachineConfig()
+        for field in dataclasses.fields(MachineConfig):
+            name = field.name
+            # A new field lands here: give it a non-default value above.
+            assert getattr(config, name) != field.default, name
+            if name in _NOT_IDENTITY:
+                assert name not in document
+                assert getattr(back, name) == getattr(default, name), name
+            else:
+                assert getattr(back, name) == getattr(config, name), name
 
 
 def _copy_newest(matmul_snapshot_dir, tmp_path):

@@ -97,3 +97,8 @@ def test_crash_at_gate_resumes_byte_identical(
     assert trace_digest(resumed.machine.trace) == want_trace
     assert results_digest(resumed.results) == want_results
     assert memory_digest(resumed.machine) == want_memory
+    # The hardware too: TLBs, cache tags, registers, queue and DMA
+    # counters, rings — whatever the parts say their state is.
+    for ours, theirs in ((resumed.machine.hw_cells, golden.machine.hw_cells),
+                         (resumed.machine.rings, golden.machine.rings)):
+        assert [p.state() for p in ours] == [p.state() for p in theirs]

@@ -39,6 +39,7 @@ from repro.machine import sharded
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.shardmem import live_segment_names
+from repro.obs.observer import machine_metrics
 
 pytestmark = pytest.mark.skipif(
     not sharded.sharded_supported(),
@@ -93,6 +94,27 @@ class TestDeterminismMatrix:
         assert results_digest(serial.results) == \
             results_digest(shard.results)
         assert serial.statistics == shard.statistics
+
+    @pytest.mark.parametrize(("app", "params"), [
+        ("RingShift", dict(num_cells=8, hops=16)),
+        ("MatMul", dict(num_cells=8, n=16))])
+    def test_parent_holds_the_owning_workers_hardware(
+            self, app, params, monkeypatch):
+        # The hand-back is each owned cell's whole state(), not a
+        # picked list of counters.  Flag increments are order-
+        # independent and must match; TLB traffic depends on when a
+        # shard drains a remote frame, so only its presence is claimed.
+        monkeypatch.setenv("REPRO_MACHINE_SHARDS", "1")
+        serial = workload(app).runner(**params).machine
+        monkeypatch.setenv("REPRO_MACHINE_SHARDS", "2")
+        shard = workload(app).runner(**params).machine
+        assert shard.engine["loop"] == "sharded"
+        assert machine_metrics(serial) == machine_metrics(shard)
+        increments = [c.mc.flag_increments for c in serial.hw_cells]
+        assert any(increments)
+        assert [c.mc.flag_increments for c in shard.hw_cells] == increments
+        for ours, theirs in zip(shard.hw_cells, serial.hw_cells):
+            assert bool(ours.mc.mmu.walks) == bool(theirs.mc.mmu.walks)
 
     def test_strided_partitioner_same_bytes(self, monkeypatch):
         serial = run_with("MatMul", 1, monkeypatch)
