@@ -11,12 +11,13 @@ AP1000+ (Figure 7: sender CPU and time to the receive-flag update, over
 ``--distance`` hops) is printed in its own ``sim_us`` columns; the two
 clock domains never share a column.
 
-    PYTHONPATH=src python scripts/primitive_cost.py
+    PYTHONPATH=src python scripts/primitive_cost.py [--json FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import time
 
 import numpy as np
@@ -73,6 +74,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=50)
     parser.add_argument("--distance", type=int, default=4,
                         help="hops of the simulated Figure 7 PUT")
+    parser.add_argument("--json", metavar="FILE",
+                        help="also write the table as JSON to FILE")
     args = parser.parse_args()
 
     from repro import Machine, MachineConfig
@@ -86,6 +89,12 @@ def main() -> int:
           f"sim_us = simulated AP1000+ PUT (Figure 7, {args.distance} hops)")
     print(f"{'bytes':>8} " + " ".join(f"{n + ' host_us':>17}" for n in names)
           + f" {'put send_cpu sim_us':>20} {'put recv_flag sim_us':>21}")
+    # The process's first machine reads about 1 us high in every column
+    # (flag_wait and barrier included, which run no size-dependent
+    # code), so it is not one of the rows.
+    Machine(MachineConfig(num_cells=args.cells)).run(
+        program, SIZES[0], args.batch, max(1, args.repeats // 5))
+    rows = []
     for size in SIZES:
         machine = Machine(MachineConfig(num_cells=args.cells))
         best = machine.run(program, size, args.batch, args.repeats)[0]
@@ -93,6 +102,18 @@ def main() -> int:
         print(f"{size:>8} "
               + " ".join(f"{best[n] * 1e6:>17.2f}" for n in names)
               + f" {line.send_cpu:>20.2f} {line.recv_flag_at:>21.2f}")
+        rows.append({
+            "bytes": size,
+            "host_us": {n: round(best[n] * 1e6, 3) for n in names},
+            "sim_us": {"put_send_cpu": line.send_cpu,
+                       "put_recv_flag": line.recv_flag_at}})
+    if args.json:
+        document = {"cells": args.cells, "batch": args.batch,
+                    "repeats": args.repeats, "distance": args.distance,
+                    "rows": rows}
+        with open(args.json, "w", encoding="utf-8") as out:
+            json.dump(document, out, indent=2)
+            out.write("\n")
     return 0
 
 

@@ -82,22 +82,31 @@ class WriteThroughCache(Stateful):
         """Invalidate every cached line overlapping [addr, addr+size).
 
         Returns the number of lines actually dropped.  A range at least as
-        large as the cache clears the whole tag store in one step, keeping
-        invalidation O(min(range, cache)) — the hardware walks its tag RAM
-        the same way.
+        large as the cache clears the whole tag store in one step; a
+        smaller one walks its own lines or the resident tags, whichever
+        are fewer, keeping invalidation O(min(range, resident lines)).
         """
         if size <= 0:
             return 0
+        tags = self._tags
         dropped = 0
         if size >= self.size_bytes:
-            dropped = len(self._tags)
-            self._tags.clear()
+            dropped = len(tags)
+            tags.clear()
         else:
-            for line in self._lines(addr, size):
-                index = line % self.num_lines
-                if self._tags.get(index) == line:
-                    del self._tags[index]
-                    dropped += 1
+            lines = self._lines(addr, size)
+            if len(lines) <= len(tags):
+                for line in lines:
+                    index = line % self.num_lines
+                    if tags.get(index) == line:
+                        del tags[index]
+                        dropped += 1
+            else:
+                stale = [index for index, line in tags.items()
+                         if line in lines]
+                for index in stale:
+                    del tags[index]
+                dropped = len(stale)
         self.invalidated_lines += dropped
         return dropped
 

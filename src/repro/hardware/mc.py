@@ -90,9 +90,8 @@ class MemoryController(Stateful):
         """
         if flag_logical_addr == NO_FLAG:
             return None
-        paddr = self.mmu.translate(flag_logical_addr, write=True)
-        value = self.memory.read_word(paddr) + 1
-        self.memory.write_word(paddr, value)
+        value = self.memory.increment_word(
+            self.mmu.translate(flag_logical_addr, write=True))
         self.flag_increments += 1
         return value
 

@@ -80,7 +80,8 @@ class CellMemory:
     # Every access is range-checked exactly once, by the method that
     # touches ``_buf``: the word and contiguous-stride forms reach DRAM
     # through :meth:`read` / :meth:`write` and rely on their check.  Those
-    # two test the range in line and call ``_check_range`` only to raise.
+    # two and :meth:`increment_word` test the range in line and call
+    # ``_check_range`` only to raise.
 
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes starting at ``addr``."""
@@ -105,6 +106,20 @@ class CellMemory:
 
     def write_word(self, addr: int, value: int) -> None:
         self.write(addr, (value % (1 << 32)).to_bytes(WORD_BYTES, "little"))
+
+    def increment_word(self, addr: int) -> int:
+        """Fetch-and-increment the word at ``addr`` in one access.
+
+        Returns the fetched value plus one; the word stored wraps at
+        2**32 like the 4-byte counter it is.
+        """
+        end = addr + WORD_BYTES
+        if addr < 0 or end > self.size_bytes:
+            self._check_range(addr, WORD_BYTES)
+        word = self._buf.data[addr:end]
+        value = int.from_bytes(word, "little") + 1
+        word[:] = (value & 0xFFFFFFFF).to_bytes(WORD_BYTES, "little")
+        return value
 
     def view(self, addr: int, size: int) -> np.ndarray:
         """A live uint8 view of a memory range (no copy)."""

@@ -91,7 +91,8 @@ class MSCStats(Stateful):
 class MSCPlus(Stateful):
     """Message controller of one cell."""
 
-    _wiring = frozenset({"mc", "tnet", "cache", "send_sink"})
+    _wiring = frozenset({"mc", "tnet", "cache", "send_sink",
+                         "_send_priority"})
 
     def __init__(self, cell_id: int, mc: MemoryController, tnet: TNet,
                  cache: WriteThroughCache | None = None) -> None:
@@ -104,6 +105,12 @@ class MSCPlus(Stateful):
         self.remote_access_queue = CommandQueue("remote-access")
         self.get_reply_queue = CommandQueue("get-reply")
         self.remote_load_reply_queue = CommandQueue("remote-load-reply")
+        #: Send queues in the order the send controller serves them:
+        #: remote access first (the processor is stalled on remote
+        #: loads), then system, then user.
+        self._send_priority = (self.remote_access_queue,
+                               self.system_send_queue,
+                               self.user_send_queue)
         self.send_dma = DMAEngine("send")
         self.recv_dma = DMAEngine("recv")
         self.stats = MSCStats()
@@ -146,13 +153,10 @@ class MSCPlus(Stateful):
     def pump_send(self) -> int:
         """Process every queued send-side command.  Returns #packets sent.
 
-        Queue priority: remote access first (the processor is stalled on
-        remote loads), then system, then user; GET replies are sent from
-        :meth:`pump_replies`.
+        GET replies are sent from :meth:`pump_replies`.
         """
         sent = 0
-        for queue in (self.remote_access_queue, self.system_send_queue,
-                      self.user_send_queue):
+        for queue in self._send_priority:
             while queue.pushed != queue.popped:
                 self._execute(queue.pop())
                 sent += 1
@@ -171,7 +175,7 @@ class MSCPlus(Stateful):
             raise CommunicationError(f"unknown command kind {command.kind}")
 
     def _gather_payload(self, command: Command) -> bytes:
-        paddr = self.mc.translate(
+        paddr = self.mc.mmu.translate_range(
             command.laddr, command.send_stride.extent_bytes, write=False)
         return self.send_dma.gather(self.mc.memory, paddr, command.send_stride)
 
@@ -187,11 +191,14 @@ class MSCPlus(Stateful):
             recv_stride=command.recv_stride,
             context=command.context,
         )
-        self.tnet.inject(packet)
+        # Send-side completion precedes the injection here and below: a
+        # perfect wire has the packet at its destination, receive flag
+        # updated, when ``inject`` returns.
         self.stats.puts_sent += 1
         # Send DMA complete: combined flag update on the sending side.
         if command.send_flag != NO_FLAG:
             self.mc.increment_flag(command.send_flag)
+        self.tnet.inject(packet)
 
     def _send_get(self, command: Command) -> None:
         packet = Packet(
@@ -204,11 +211,11 @@ class MSCPlus(Stateful):
             recv_stride=command.recv_stride,  # local scatter layout
             context=command.context,
         )
-        self.tnet.inject(packet)
         self.stats.gets_sent += 1
-        # The GET request itself has left: sending-side flag updates now.
+        # The GET request itself leaves: sending-side flag updates now.
         if command.send_flag != NO_FLAG:
             self.mc.increment_flag(command.send_flag)
+        self.tnet.inject(packet)
 
     def send_message(self, dst: int, data: bytes, *, context: int = 0,
                      send_flag: int = NO_FLAG) -> Packet:
@@ -220,28 +227,28 @@ class MSCPlus(Stateful):
             kind=PacketKind.SEND, src=self.cell_id, dst=dst,
             payload_bytes=len(data), data=data, context=context,
         )
-        self.tnet.inject(packet)
         self.stats.sends_sent += 1
         if send_flag != NO_FLAG:
             self.mc.increment_flag(send_flag)
+        self.tnet.inject(packet)
         return packet
 
     def _send_remote_store(self, command: Command) -> None:
         data = self._gather_payload(command)
+        self.stats.remote_stores += 1
         self.tnet.inject(Packet(
             kind=PacketKind.REMOTE_STORE, src=self.cell_id, dst=command.dst,
             payload_bytes=len(data), data=data, remote_addr=command.raddr,
         ))
-        self.stats.remote_stores += 1
 
     def _send_remote_load(self, command: Command) -> None:
+        self.stats.remote_loads += 1
         self.tnet.inject(Packet(
             kind=PacketKind.REMOTE_LOAD, src=self.cell_id, dst=command.dst,
             payload_bytes=0, remote_addr=command.raddr,
             local_addr=command.laddr,
             send_stride=command.send_stride,
         ))
-        self.stats.remote_loads += 1
 
     # ------------------------------------------------------------------
     # Receive controller
@@ -277,7 +284,8 @@ class MSCPlus(Stateful):
     def _scatter_with_invalidate(self, laddr: int, stride: StrideSpec,
                                  data: bytes) -> None:
         try:
-            paddr = self.mc.translate(laddr, stride.extent_bytes, write=True)
+            paddr = self.mc.mmu.translate_range(
+                laddr, stride.extent_bytes, write=True)
         except PageFaultError:
             # Page fault in a remote cell during transfer: interrupt the OS
             # and pull the remaining message from the network (section 4.1).
@@ -355,10 +363,11 @@ class MSCPlus(Stateful):
             stride = StrideSpec.contiguous(0)
         else:
             gather = request.send_stride or StrideSpec.contiguous(0)
-            paddr = self.mc.translate(
+            paddr = self.mc.mmu.translate_range(
                 request.remote_addr, gather.extent_bytes, write=False)
             data = self.send_dma.gather(self.mc.memory, paddr, gather)
             stride = request.recv_stride or StrideSpec.contiguous(len(data))
+        self.stats.get_replies_sent += 1
         self.tnet.inject(Packet(
             kind=PacketKind.GET_REPLY, src=self.cell_id, dst=request.src,
             payload_bytes=len(data), data=data,
@@ -367,11 +376,11 @@ class MSCPlus(Stateful):
             recv_stride=stride,
             context=request.context,
         ))
-        self.stats.get_replies_sent += 1
 
     def _reply_remote_load(self, request: Packet) -> None:
         size = request.send_stride.total_bytes if request.send_stride else 4
-        paddr = self.mc.translate(request.remote_addr, size, write=False)
+        paddr = self.mc.mmu.translate_range(
+            request.remote_addr, size, write=False)
         data = self.mc.memory.read(paddr, size)
         self.tnet.inject(Packet(
             kind=PacketKind.REMOTE_LOAD_REPLY, src=self.cell_id,

@@ -33,18 +33,25 @@ from repro.faults.injector import FaultyBNet, FaultyTNet
 from repro.faults.plan import active_plan as _active_fault_plan
 from repro.faults.transport import ReliableTransport
 from repro.hardware.cell import HardwareCell
-from repro.hardware.msc import Command, CommandKind
+from repro.hardware.msc import Command, CommandKind, MSCPlus
 from repro.machine.base import MachineBase, run_wake_rounds
 from repro.machine.config import MachineConfig
 from repro.machine.program import CellContext
 from repro.network.bnet import BNet
-from repro.network.packet import PacketKind, StrideSpec
+from repro.network.packet import Packet, PacketKind, StrideSpec
 from repro.network.tnet import TNet
 from repro.network.topology import TorusTopology
 from repro.obs.observer import MachineObserver
 from repro.obs.observer import active as _obs_active
 from repro.trace import sanitize as trace_sanitize
 from repro.trace.events import EventKind, TraceEvent
+
+#: Frames the receiving MSC+ queues a reply for instead of consuming.
+_QUEUES_A_REPLY = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
+
+
+def _fall_off(packet: Packet) -> None:
+    """Receive port of a killed cell on a perfect wire."""
 
 
 class Machine(MachineBase):
@@ -104,6 +111,11 @@ class Machine(MachineBase):
                           if plan is not None else None)
         if self.transport is not None:
             self.tnet.transport = self.transport
+        else:
+            # A perfect wire holds no frame: each MSC+ is plugged into
+            # the T-net and a packet is delivered where it is injected.
+            self.tnet.ports = [functools.partial(self._arrive, cell.msc)
+                               for cell in self.hw_cells]
         for pe, cell in enumerate(self.hw_cells):
             msc = cell.msc
             for queue in msc.all_queues():
@@ -170,32 +182,56 @@ class Machine(MachineBase):
     def pump(self) -> None:
         """Move the machine to communication quiescence.
 
-        Drains every dirty MSC+ queue and every in-flight packet; GET
-        requests delivered to a cell dirty that cell (its MSC+ must send
-        the reply) so the loop runs until nothing moves.
+        On a perfect wire a frame is delivered, and a GET request or
+        remote load answered, inside the ``inject`` that sent it
+        (:meth:`_arrive`), so pumping the dirty MSC+ once is all there
+        is to do.
 
-        With a fault plan active the wire may eat frames, so "nothing
-        moves" is not enough: whenever the wire goes quiet while framed
-        packets remain unacknowledged, the reliable transport is ticked
-        (eventually retransmitting) and the wire is drained again.  The
-        loop ends only at *reliable* quiescence — every frame delivered
-        exactly once and acknowledged — or by raising
-        :class:`~repro.core.errors.CommTimeoutError` once a frame's
-        retry budget is spent.  Recovery thus completes inside the pump,
-        preserving the quiescence-at-issue property the happens-before
-        checker relies on.
+        With a fault plan active the wire holds frames and may eat them,
+        so "nothing moves" is not enough: whenever the wire goes quiet
+        while framed packets remain unacknowledged, the reliable
+        transport is ticked (eventually retransmitting) and the wire is
+        drained again.  The loop ends only at *reliable* quiescence —
+        every frame delivered exactly once and acknowledged — or by
+        raising :class:`~repro.core.errors.CommTimeoutError` once a
+        frame's retry budget is spent.  Recovery thus completes inside
+        the pump, preserving the quiescence-at-issue property the
+        happens-before checker relies on.
         """
         if self.obs is not None:
             self.obs.sample_queues()
         transport = self.transport
+        if transport is None:
+            while self._dirty:
+                dirty, self._dirty = self._dirty, set()
+                for pe in dirty:
+                    msc = self.hw_cells[pe].msc
+                    msc.pump_send()
+                    msc.pump_replies()
+                if self._wake is not None:
+                    # Pumping a cell's MSC+ updates its sending-side flags.
+                    self._wake.update(dirty)
+            return
         while True:
-            self._pump_wire()
-            if transport is None or transport.idle():
+            self._pump_wire(transport)
+            if transport.idle():
                 return
             transport.tick()
 
-    def _pump_wire(self) -> None:
-        """One perfect-wire quiescence loop (no retransmission)."""
+    def _arrive(self, msc: MSCPlus, packet: Packet) -> None:
+        """Receive port of one cell on a perfect wire: the MSC+ takes
+        the frame and answers at once what it queued a reply for."""
+        msc.deliver(packet)
+        if packet.kind in _QUEUES_A_REPLY:
+            msc.pump_replies()
+        self.progress += 1
+        if self._wake is not None:
+            self._wake.add(packet.dst)
+
+    def _pump_wire(self, transport: ReliableTransport) -> None:
+        """One quiescence loop of the wire that holds frames (the fault
+        layer's): drain it through the reliable transport until nothing
+        moves, without retransmitting."""
         wake = self._wake
         while True:
             dirty = self._dirty
@@ -213,20 +249,12 @@ class Machine(MachineBase):
                 # Pumping a cell's MSC+ updates its sending-side flags.
                 wake.update(dirty)
             for packet in self.tnet.drain_all():
-                if self.transport is not None:
-                    arrivals = self.transport.receive(packet)
-                elif packet.dst in self.killed:
-                    continue
-                else:
-                    arrivals = [packet]
-                for frame in arrivals:
-                    msc = self.hw_cells[frame.dst].msc
-                    msc.deliver(frame)
+                for frame in transport.receive(packet):
+                    self.hw_cells[frame.dst].msc.deliver(frame)
                     self.progress += 1
                     if wake is not None:
                         wake.add(frame.dst)
-                    if frame.kind in (PacketKind.GET_REQUEST,
-                                      PacketKind.REMOTE_LOAD):
+                    if frame.kind in _QUEUES_A_REPLY:
                         self._dirty.add(frame.dst)
 
     # ------------------------------------------------------------------
@@ -340,6 +368,7 @@ class Machine(MachineBase):
             # Cells that were already dead at capture never run again;
             # their kill side effects were restored with the snapshot.
             for pe in sorted(self._restore_killed):
+                self._cut_off(pe)
                 gen = generators.pop(pe, None)
                 if gen is not None:
                     gen.close()
@@ -581,8 +610,7 @@ class Machine(MachineBase):
             if gen is not None:
                 gen.close()
         self.killed.add(pe)
-        if isinstance(self.tnet, FaultyTNet):
-            self.tnet.killed.add(pe)
+        self._cut_off(pe)
         self.blocked.pop(pe, None)
         self._gate_parked.discard(pe)
         self._finished_cells.discard(pe)
@@ -592,6 +620,14 @@ class Machine(MachineBase):
         if self.fault_plan is not None and self.fault_plan.degrade:
             self._refresh_collectives()
         self.progress += 1
+
+    def _cut_off(self, pe: int) -> None:
+        """Frames toward a dead cell fall off the wire."""
+        tnet = self.tnet
+        if isinstance(tnet, FaultyTNet):
+            tnet.killed.add(pe)
+        elif tnet.ports is not None:
+            tnet.ports[pe] = _fall_off
 
     def _refresh_collectives(self) -> None:
         """Re-check every pending collective after the world shrank."""

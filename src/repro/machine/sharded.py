@@ -353,15 +353,9 @@ class _ShardState:
 
     def inject_parity(self, packet: Packet) -> None:
         """Account one emulated packet crossing as the serial T-net
-        would (serial stamp, inject+deliver counters, observer hook)."""
-        tnet = self.machine.tnet
-        packet.serial = tnet._next_serial
-        tnet._next_serial += 1
-        tnet.injected_count += 1
-        tnet.delivered_count += 1
-        obs = self.machine.obs
-        if obs is not None:
-            obs.on_inject(packet)
+        does (endpoint check, serial stamp, inject+deliver counters,
+        observer hook); the delivery itself is the caller's emulation."""
+        self.machine.tnet.admit(packet)
 
     def emulate_put(self, ctx: "_ShardCellContext",
                     command: Command) -> None:

@@ -11,6 +11,7 @@ the acknowledge idiom (GET after PUT) depends on.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
@@ -62,9 +63,15 @@ class TNet(Stateful):
     #: Optional :class:`repro.obs.observer.MachineObserver`; its
     #: ``on_inject`` hook charges per-link frame/byte counters.
     observer: Any = None
+    #: Receive port of every cell's MSC+, plugged by a machine whose
+    #: wire is perfect: :meth:`inject` then hands an admitted packet to
+    #: its destination's port and the wire never holds a frame.  None (a
+    #: bare network, the fault layer's) means queue-and-drain.
+    ports: list[Callable[[Packet], None]] | None = None
     #: ``_channels`` / ``_fresh`` index one another by rank, so frames on
     #: the wire ride as one packet list and come back through ``_enqueue``.
-    _wiring = frozenset({"topology", "observer", "_channels", "_fresh"})
+    _wiring = frozenset({"topology", "observer", "ports", "_channels",
+                         "_fresh"})
 
     def state(self) -> dict[str, Any]:
         wire = [packet for queue in self._channels.values()
@@ -93,12 +100,34 @@ class TNet(Stateful):
         A packet entering the network for the first time is stamped with
         the next serial; a retransmission (fault layer) keeps the serial
         of its first crossing so SEND/RECEIVE matching survives retries.
+        With :attr:`ports` plugged the packet is at its destination when
+        this returns, replies it triggered included.
         """
+        ports = self.ports
+        if ports is not None:
+            self.admit(packet)
+            ports[packet.dst](packet)
+            return
         self._enqueue(packet)
         if packet.serial < 0:
             packet.serial = self._next_serial
             self._next_serial += 1
         self.injected_count += 1
+        if self.observer is not None:
+            self.observer.on_inject(packet)
+
+    def admit(self, packet: Packet) -> None:
+        """One crossing of a perfect wire, accounted in one step: the
+        endpoint check, the serial, both counters and the observer hook
+        (a refused packet draws no serial)."""
+        n = self.topology.num_cells
+        if not (0 <= packet.src < n and 0 <= packet.dst < n):
+            self.validate_endpoints(packet)
+        if packet.serial < 0:
+            packet.serial = self._next_serial
+            self._next_serial += 1
+        self.injected_count += 1
+        self.delivered_count += 1
         if self.observer is not None:
             self.observer.on_inject(packet)
 

@@ -11,6 +11,7 @@ the PUT's acknowledgment (section 4.1, "Acknowledge packet").
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.errors import ConfigurationError
@@ -75,7 +76,7 @@ class TorusTopology:
         assert best is not None  # h=1 always divides
         return cls(width=best[0], height=best[1])
 
-    @property
+    @functools.cached_property
     def num_cells(self) -> int:
         return self.width * self.height
 

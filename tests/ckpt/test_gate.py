@@ -14,6 +14,7 @@ from repro.core.errors import (
     ConfigurationError,
     DeadlockError,
 )
+from repro.faults.plan import FaultPlan
 from repro.hardware.msc import Command, CommandKind
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
@@ -203,7 +204,9 @@ class TestWatchdogDump:
     def test_in_flight_channels_restore_through_the_wire(self, tmp_path):
         # A dump keeps wedged frames; the loader refuses dumps, so the
         # header is marked resumable here to reach the T-net restore.
-        m = make(num_cells=4)
+        # Only a wire with a fault plan holds frames: a perfect machine
+        # delivers at inject.
+        m = make(num_cells=4, fault_plan=FaultPlan(name="quiet", seed=5))
         for src, dst in [(2, 1), (0, 1), (2, 1), (3, 0), (0, 1), (1, 2)]:
             m.tnet.inject(Packet(kind=PacketKind.PUT, src=src, dst=dst,
                                  payload_bytes=0))

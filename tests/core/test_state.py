@@ -35,9 +35,14 @@ def parts(machine):
     msc, mc = cell.msc, cell.mc
     found = [cell, msc, msc.stats, msc.user_send_queue, msc.recv_dma, mc,
              mc.mmu, mc.mmu.tlb_256k, mc.registers, cell.cache,
-             machine.rings[1], machine.tnet, machine.bnet, machine.snet]
+             machine.rings[1], machine.bnet, machine.snet]
     if machine.fault_plan is not None:
-        found.append(machine.tnet.stats)
+        found += [machine.tnet, machine.tnet.stats]
+    else:
+        # A perfect machine's T-net is plugged into its cells and never
+        # holds a frame; the wire's state is a bare network's.
+        assert machine.tnet.ports is not None
+        found.append(TNet(machine.topology))
     return {type(part).__name__: part for part in found}
 
 

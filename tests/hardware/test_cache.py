@@ -1,6 +1,8 @@
 """Unit tests for the write-through cache and receive-side invalidation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.hardware.cache import CACHE_BYTES, LINE_BYTES, WriteThroughCache
@@ -78,3 +80,56 @@ class TestInvalidation:
         cache.read(0, 128)
         cache.flush()
         assert not cache.contains(0)
+
+
+def invalidate_per_line(cache, addr, size):
+    """Oracle: the per-line walk ``invalidate_range`` did before it
+    learned to walk the resident tags when those are fewer."""
+    if size <= 0:
+        return 0
+    dropped = 0
+    if size >= cache.size_bytes:
+        dropped = len(cache._tags)
+        cache._tags.clear()
+    else:
+        for line in cache._lines(addr, size):
+            index = line % cache.num_lines
+            if cache._tags.get(index) == line:
+                del cache._tags[index]
+                dropped += 1
+    cache.invalidated_lines += dropped
+    return dropped
+
+
+class TestInvalidationOracle:
+    """``invalidate_range`` against the per-line walk, on tag stores
+    from empty to full and ranges from one byte to past the cache."""
+
+    @given(reads=st.lists(st.tuples(st.integers(0, 8191),
+                                    st.integers(1, 700)), max_size=12),
+           ranges=st.lists(st.tuples(st.integers(0, 8191),
+                                     st.integers(0, 1400)),
+                           min_size=1, max_size=6))
+    def test_equals_the_per_line_walk(self, reads, ranges):
+        ours = WriteThroughCache(size_bytes=1024, line_bytes=32)
+        oracle = WriteThroughCache(size_bytes=1024, line_bytes=32)
+        for addr, size in reads:
+            ours.read(addr, size)
+            oracle.read(addr, size)
+        for addr, size in ranges:
+            assert (ours.invalidate_range(addr, size)
+                    == invalidate_per_line(oracle, addr, size))
+            assert ours._tags == oracle._tags
+            assert ours.invalidated_lines == oracle.invalidated_lines
+
+    def test_both_walks_are_taken(self):
+        # One resident line against a 4 KB range (the tags are fewer),
+        # then a full store against one line (the range is).
+        cache = WriteThroughCache()
+        cache.read(4096 + 64, 4)
+        assert cache.invalidate_range(4096, 4096) == 1
+        assert cache.invalidate_range(4096, 4096) == 0
+        cache.read(0, CACHE_BYTES)
+        assert cache.invalidate_range(LINE_BYTES, 1) == 1
+        assert len(cache._tags) == cache.num_lines - 1
+        assert cache.invalidated_lines == 2

@@ -12,9 +12,13 @@ import cProfile
 import os
 import pstats
 
+import numpy as np
+
 import repro
 from repro.apps import tomcatv
 from repro.apps.latency import run_ping_pong
+from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 
 LAYERS = tuple(os.path.join(os.path.dirname(repro.__file__), layer) + os.sep
                for layer in ("machine", "network", "hardware"))
@@ -35,15 +39,50 @@ def layer_calls_per_command(runner, *args, **kwargs):
 
 
 def test_tomcatv_without_stride():
-    # 8-byte PUTs, each with its acknowledging GET, and GETs: 49.1 today
-    # (86.5 before descriptors were interned and checks deduplicated).
+    # 8-byte PUTs, each with its acknowledging GET, and GETs: 43.1 today
+    # (49.1 while the wire held every frame for the pump to find, 86.5
+    # before descriptors were interned and checks deduplicated).
     cost = layer_calls_per_command(
         tomcatv.run, 4, n=33, iters=1, use_stride=False)
-    assert cost < 52, cost
+    assert cost < 45, cost
 
 
 def test_ping_pong():
     # One PUT and one blocking flag wait per command, so the scheduler's
-    # share is in here too: 71.0 today (118.0 before).
+    # share is in here too: 64.0 today (71.0, 118.0 before).
     cost = layer_calls_per_command(run_ping_pong, 4, iters=256)
-    assert cost < 75, cost
+    assert cost < 66, cost
+
+
+def put_burst(ctx, size, count):
+    src = ctx.alloc(size, np.uint8)
+    dst = ctx.alloc(size, np.uint8)
+    yield from ctx.barrier()
+    if ctx.pe == 0:
+        for _ in range(count):
+            ctx.put(1, dst, src)
+    yield from ctx.barrier()
+
+
+def calls_per_put(size):
+    """Profiled calls, builtins included, one more PUT of ``size``
+    bytes costs: the difference of two bursts, so set-up drops out."""
+    def total(count):
+        machine = Machine(MachineConfig(num_cells=2,
+                                        memory_per_cell=1 << 21))
+        profile = cProfile.Profile()
+        profile.runcall(machine.run, put_burst, size, count)
+        return sum(ncalls for _, ncalls, *_
+                   in pstats.Stats(profile).stats.values())
+
+    return (total(48) - total(16)) / 32
+
+
+def test_put_cost_does_not_grow_with_the_lines_it_invalidates():
+    # A 4 KB PUT covers 128 cache lines; with nothing resident that
+    # must cost what an 8-byte PUT costs, not 128 tag probes (62.4 and
+    # 62.4 today; 70.4 and 324.4 while invalidate_range always walked
+    # the lines of the range).
+    small, page = calls_per_put(8), calls_per_put(4096)
+    assert page <= small + 4, (small, page)
+    assert calls_per_put(160_000) <= small + 4

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -39,7 +40,10 @@ from repro.machine import sharded
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.shardmem import live_segment_names
+from repro.network.packet import Packet, PacketKind
 from repro.obs.observer import machine_metrics
+
+from .test_backend_parity import EVERY_OP, round_program
 
 pytestmark = pytest.mark.skipif(
     not sharded.sharded_supported(),
@@ -135,6 +139,71 @@ class TestDeterminismMatrix:
         assert trace_digest(serial.trace) == trace_digest(shard.trace)
         assert memory_digest(serial.machine) == \
             memory_digest(shard.machine)
+
+
+class TestInjectParity:
+    """A packet a worker emulates across shards is accounted by the
+    admission step a plugged ``TNet.inject`` uses, not by a copy."""
+
+    def test_cross_and_intra_shard_traffic_count_alike(self, monkeypatch):
+        # The same all-vocabulary rounds three ways: serial, contiguous
+        # blocks (most partners share the shard) and round-robin (every
+        # partner at distance 1 or 3 is on the other shard).
+        def run(shards):
+            machine = Machine(MachineConfig(
+                num_cells=4, memory_per_cell=1 << 21, observe=True,
+                shards=shards))
+            return machine, machine.run(round_program, steps=EVERY_OP)
+
+        serial, want = run(1)
+        blocks, got_blocks = run(2)
+        monkeypatch.setattr(sharded, "partition", strided)
+        robin, got_robin = run(2)
+        assert got_blocks == got_robin == want
+        for shard in (blocks, robin):
+            assert shard.engine["loop"] == "sharded"
+            for name in ("injected_count", "delivered_count",
+                         "_next_serial"):
+                assert getattr(shard.tnet, name) == \
+                    getattr(serial.tnet, name) > 0
+            # SEND events carry the packet's serial as msg_id, and the
+            # observer's link table is charged once per admitted packet.
+            assert trace_digest(shard.trace) == trace_digest(serial.trace)
+            assert machine_metrics(shard)["network"] == \
+                machine_metrics(serial)["network"]
+
+    def test_emulated_crossing_is_the_plugged_admission(self):
+        def frames():
+            return [Packet(kind=PacketKind.REMOTE_STORE_ACK, src=src,
+                           dst=dst, payload_bytes=0)
+                    for src, dst in [(0, 3), (2, 1), (0, 3), (3, 3)]]
+
+        def counters(machine):
+            tnet = machine.tnet
+            return (tnet.injected_count, tnet.delivered_count,
+                    tnet._next_serial, machine.obs.link_frames,
+                    machine.obs.link_bytes)
+
+        plugged, worker = (
+            Machine(MachineConfig(num_cells=4, memory_per_cell=1 << 21,
+                                  observe=True)) for _ in range(2))
+        shard = types.SimpleNamespace(machine=worker)
+        for ours, theirs in zip(frames(), frames()):
+            plugged.tnet.inject(ours)
+            sharded._ShardState.inject_parity(shard, theirs)
+            assert ours.serial == theirs.serial >= 0
+        assert counters(plugged) == counters(worker)
+        assert counters(worker)[:3] == (4, 4, 4)
+        # A refused packet is refused alike and draws no serial.
+        for send in (plugged.tnet.inject,
+                     lambda p: sharded._ShardState.inject_parity(shard, p)):
+            stray = Packet(kind=PacketKind.PUT, src=0, dst=4,
+                           payload_bytes=0)
+            with pytest.raises(CommunicationError, match="outside"):
+                send(stray)
+            assert stray.serial == -1
+        assert counters(plugged) == counters(worker)
+        assert counters(worker)[:3] == (4, 4, 4)
 
 
 class TestFallbacks:
