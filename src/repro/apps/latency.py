@@ -14,6 +14,9 @@ PUT/FLAG_WAIT chains, the densest replay input per byte moved.
 ``ring_shift`` passes a token *down* the ring (cell ``i`` forwards to
 ``i - 1``), the direction that defeats the ascending-pe scheduler sweep
 (an upward chain pipelines inside a single pass and never blocks).
+
+Both programs cost the host per trace event: a cell iterates over the
+bounces or hops it takes part in, never over the whole run's.
 """
 
 from __future__ import annotations
@@ -59,23 +62,31 @@ def ring_shift_program(ctx, *, hops: int = DEFAULT_ITERS):
     Cell 0 starts the token; each holder forwards it to the cell below
     (wrapping at 0), so consecutive hops always point *down* the pe
     order and every hop blocks the rest of the machine.
+
+    The token is at cell ``pe`` on hops ``(n - pe) % n + lap * n``, so a
+    cell walks *laps*: one iteration, and one checkpoint site, per trip
+    of the token round the ring.  Every cell passes ``ceil(hops / n)``
+    sites whatever ``hops % n`` is; on the last lap only the cells the
+    token still reaches hold a hop.
     """
     n = ctx.num_cells
     token = ctx.alloc(1)
     out = ctx.alloc(1)
     flag = ctx.alloc_flag()
-    st = ctx.ckpt_state(h=0, waits=0)
+    st = ctx.ckpt_state(lap=0, waits=0)
     if st.fresh:
         yield from ctx.barrier()
     nxt = (ctx.pe - 1) % n
-    for h in range(st.h, hops):
-        if h % n == (n - ctx.pe) % n:  # the token is here on hop h
+    mine = (n - ctx.pe) % n
+    for lap in range(st.lap, -(-hops // n)):
+        h = lap * n + mine  # the token is here on hop h
+        if h < hops:
             if h > 0:
                 st.waits += 1
                 yield from ctx.flag_wait(flag, st.waits)
             out.data[0] = float(h)
             ctx.put(nxt, token, out, recv_flag=flag)
-        st.h = h + 1
+        st.lap = lap + 1
         yield from ctx.checkpoint()
     yield from ctx.barrier()
     return st.waits

@@ -62,7 +62,9 @@ BASELINE_TOLERANCE_PCT = 25.0
 
 #: The functional A/B workload: a 256-cell ring where every hop blocks
 #: on its neighbour, so the reference scheduler's sweep over all cells
-#: per round is nearly all wasted work.
+#: per round is nearly all wasted work.  The program costs the host
+#: per trace event (a cell walks laps, not hops), so the part both
+#: sides share is small and the ratio is the schedulers'.
 FUNCTIONAL_AB = ("RingShift", {"num_cells": 256, "hops": 4096})
 
 #: The sharded A/B workload: EP at 1024 cells with enough pairs per

@@ -789,7 +789,9 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     print(f"replay speedup: {doc['replay']['aggregate_speedup']:.1f}x "
           f"aggregate (floor {doc['gates']['replay_min_speedup']:g}x)")
     print(f"functional speedup: {doc['functional']['speedup']:.1f}x "
-          f"(floor {doc['gates']['functional_min_speedup']:g}x)")
+          f"(floor {doc['gates']['functional_min_speedup']:g}x); "
+          f"wall-clock {doc['functional']['reference_s']:.2f}s vs "
+          f"{doc['functional']['batched_s']:.2f}s")
     print(f"sharded speedup: {doc['sharded']['speedup']:.1f}x over "
           f"serial at {doc['sharded']['config']['num_cells']} cells "
           f"(critical path, floor "

@@ -28,6 +28,7 @@ the machine (:class:`~repro.machine.base.MachineBase`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
@@ -50,7 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class Group:
-    """A synchronization group: a subset of cells with a stable rank order."""
+    """A synchronization group: a subset of cells with a stable rank order.
+
+    ``members`` is ascending without repeats (``make_group`` sorts), so
+    membership and rank are a bisection, not a scan: every barrier
+    arrival asks, and the world group is as wide as the machine.
+    """
 
     gid: int
     members: tuple[int, ...]
@@ -60,14 +66,15 @@ class Group:
         return len(self.members)
 
     def rank_of(self, pe: int) -> int:
-        try:
-            return self.members.index(pe)
-        except ValueError:
+        if pe not in self:
             raise CommunicationError(
-                f"cell {pe} is not a member of group {self.gid}") from None
+                f"cell {pe} is not a member of group {self.gid}")
+        return bisect_left(self.members, pe)
 
     def __contains__(self, pe: int) -> bool:
-        return pe in self.members
+        members = self.members
+        rank = bisect_left(members, pe)
+        return rank < len(members) and members[rank] == pe
 
 
 class LocalArray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import CheckpointPolicy, applied
+from repro.ckpt import CheckpointPolicy, applied, load_snapshot
 from repro.faults.chaos import SMOKE_RECOVER_PARAMS
 
 
@@ -21,6 +21,21 @@ def run_small(app: str):
     params = dict(SMOKE_RECOVER_PARAMS[app])
     cells = params.pop("num_cells")
     return workload(app).run(num_cells=cells, **params)
+
+
+def captured_sites(machine, directory=None, key="it"):
+    """Loop index (the bag's ``key``, equal on all cells) and per-cell
+    site counts of every capture, oldest first."""
+    if directory is None:
+        snapshots = [machine.last_snapshot]
+    else:
+        snapshots = [load_snapshot(p) for p in sorted(directory.iterdir())
+                     if p.name.startswith("ckpt_")]
+    out = []
+    for snap in snapshots:
+        (it,) = {cell[key] for cell in snap.state["cell_states"].values()}
+        out.append((it, snap.state["ckpt"]["counts"]))
+    return out
 
 
 @pytest.fixture(scope="session")

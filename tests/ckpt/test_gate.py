@@ -21,7 +21,7 @@ from repro.machine.machine import Machine
 from repro.machine.program import CellContext
 from repro.network.packet import Packet, PacketKind, StrideSpec
 
-from .conftest import run_small
+from .conftest import captured_sites, run_small
 
 
 def stepper(ctx, sites=3):
@@ -96,21 +96,6 @@ class TestGate:
                 m.run(stepper)
         assert excinfo.value.snapshot_path is not None
         assert load_snapshot(excinfo.value.snapshot_path).resumable
-
-
-def captured_sites(machine, directory=None):
-    """Loop index (the bag's ``it``, equal on all cells) and per-cell
-    site counts of every capture, oldest first."""
-    if directory is None:
-        snapshots = [machine.last_snapshot]
-    else:
-        snapshots = [load_snapshot(p) for p in sorted(directory.iterdir())
-                     if p.name.startswith("ckpt_")]
-    out = []
-    for snap in snapshots:
-        (it,) = {cell["it"] for cell in snap.state["cell_states"].values()}
-        out.append((it, snap.state["ckpt"]["counts"]))
-    return out
 
 
 class TestSites:

@@ -5,7 +5,8 @@ gate capture and resumes from the snapshot must finish with a trace,
 per-cell results, and memory image byte-identical to the uninterrupted
 run — per instrumented app, under both scheduler loops, and with an
 active fault plan (whose RNG stream and link-layer retransmit state
-ride inside the snapshot).
+ride inside the snapshot).  RingShift, whose site is a lap of the
+token, is also killed at laps that only some cells hold a hop of.
 
 The golden run is the *armed* uninterrupted run: gate barriers are
 observable in the trace, so both sides of every comparison run under
@@ -18,6 +19,7 @@ import contextlib
 
 import pytest
 
+from repro.apps.workloads import workload
 from repro.ckpt import CheckpointPolicy, applied, resume_workload
 from repro.core.errors import CheckpointInterrupt
 from repro.faults import FaultPlan
@@ -29,7 +31,7 @@ from repro.faults.chaos import (
 )
 from repro.machine.machine import Machine
 
-from .conftest import run_small
+from .conftest import captured_sites, run_small
 
 #: Every instrumented app crosses at least two gates at smoke sizes.
 SITE = 2
@@ -59,30 +61,30 @@ def _ambient(plan):
         contextlib.nullcontext())
 
 
-@pytest.mark.parametrize(
-    ("app", "plan", "scheduler"), CASES,
-    ids=[f"{a}-{p.name if p else 'none'}-{s}" for a, p, s in CASES])
-def test_crash_at_gate_resumes_byte_identical(
-        app, plan, scheduler, tmp_path, monkeypatch):
+def crash_and_resume(run, arm, plan, scheduler, tmp_path, monkeypatch):
+    """``run()`` three times under the gate ``arm`` (``CheckpointPolicy``
+    fields): straight through, killed at its first capture, resumed from
+    that snapshot.  Asserts the resumed run equals the straight one and
+    returns the straight one, its snapshots in ``tmp_path / "golden"``."""
     if plan is None and scheduler == "reference":
         monkeypatch.setattr(Machine, "_run_batched",
                             Machine._run_reference)
 
-    with _ambient(plan), applied(CheckpointPolicy(at_site=SITE)):
-        golden = run_small(app)
-    assert golden.machine.ckpt_seq == 1  # one-shot gate fired once
+    with _ambient(plan), applied(CheckpointPolicy(
+            **arm, directory=str(tmp_path / "golden"))):
+        golden = run()
     want_trace = trace_digest(golden.machine.trace)
     want_results = results_digest(golden.results)
     want_memory = memory_digest(golden.machine)
 
-    # The crash run dies by CheckpointInterrupt the moment the site-2
+    # The crash run dies by CheckpointInterrupt the moment its first
     # snapshot hits disk — the moral equivalent of kill -9 right after
     # a capture, minus the subprocess (tests/test_cli.py has that one).
     with _ambient(plan), applied(CheckpointPolicy(
-            at_site=SITE, directory=str(tmp_path),
+            **arm, directory=str(tmp_path / "crash"),
             stop_after_capture=True)):
         with pytest.raises(CheckpointInterrupt) as excinfo:
-            run_small(app)
+            run()
     snapshot = excinfo.value.snapshot_path
     assert snapshot is not None
 
@@ -102,3 +104,39 @@ def test_crash_at_gate_resumes_byte_identical(
     for ours, theirs in ((resumed.machine.hw_cells, golden.machine.hw_cells),
                          (resumed.machine.rings, golden.machine.rings)):
         assert [p.state() for p in ours] == [p.state() for p in theirs]
+    return golden
+
+
+@pytest.mark.parametrize(
+    ("app", "plan", "scheduler"), CASES,
+    ids=[f"{a}-{p.name if p else 'none'}-{s}" for a, p, s in CASES])
+def test_crash_at_gate_resumes_byte_identical(
+        app, plan, scheduler, tmp_path, monkeypatch):
+    golden = crash_and_resume(lambda: run_small(app), {"at_site": SITE},
+                              plan, scheduler, tmp_path, monkeypatch)
+    assert golden.machine.ckpt_seq == 1  # one-shot gate fired once
+
+
+#: RingShift (cells, hops) whose last lap only some cells hold a hop
+#: of: ``hops % cells != 0``, twice with ``hops < cells``.
+RING_SIZES = [(4, 9), (4, 3), (8, 5)]
+
+
+@pytest.mark.parametrize(("plan", "scheduler"), [
+    (None, "batched"), (None, "reference"), (PLAN, "reference")],
+    ids=["none-batched", "none-reference", "storm-reference"])
+@pytest.mark.parametrize("every_lap", [True, False],
+                         ids=["every-lap", "last-lap"])
+@pytest.mark.parametrize(("cells", "hops"), RING_SIZES)
+def test_ring_shift_site_is_a_lap(
+        cells, hops, every_lap, plan, scheduler, tmp_path, monkeypatch):
+    laps = -(-hops // cells)
+    golden = crash_and_resume(
+        lambda: workload("RingShift").run(num_cells=cells, hops=hops),
+        {"every": 1} if every_lap else {"at_site": laps},
+        plan, scheduler, tmp_path, monkeypatch)
+    # Every cell is at the same site with the same lap in its bag,
+    # whether or not the token reached it on that lap.
+    assert captured_sites(golden.machine, tmp_path / "golden", "lap") == [
+        (lap, [lap] * cells)
+        for lap in (range(1, laps + 1) if every_lap else [laps])]

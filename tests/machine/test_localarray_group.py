@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import CommunicationError, ConfigurationError
 from repro.machine.config import MachineConfig
@@ -99,6 +101,22 @@ class TestGroup:
             return ctx.world.members, ctx.world.gid
 
         assert m.run(program)[0] == ((0, 1, 2), 0)
+
+    @given(members=st.one_of(
+               st.sets(st.integers(0, 4095), max_size=64),
+               st.just(range(4096))).map(lambda m: tuple(sorted(m))),
+           probes=st.lists(st.integers(-2, 4097), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_membership_and_rank_match_a_scan(self, members, probes):
+        # Group bisects its sorted members; tuple.index / in are the scan.
+        g = Group(gid=1, members=members)
+        for pe in (*probes, *members[:3], *members[-3:]):
+            assert (pe in g) == (pe in members)
+            if pe in members:
+                assert g.rank_of(pe) == members.index(pe)
+            else:
+                with pytest.raises(CommunicationError, match=str(pe)):
+                    g.rank_of(pe)
 
 
 class TestContextHelpers:

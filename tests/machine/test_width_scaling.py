@@ -1,38 +1,86 @@
-"""Host cost per trace event must not grow with the machine's width.
+"""Host work follows trace events: not the machine's width, and not an
+application loop that records nothing.
 
-Counts, not seconds: profiled call counts repeat exactly, so the guard
-needs no allowance for host noise.
+Counts, not seconds: profiled call counts repeat exactly, so the guards
+need no allowance for host noise.
 """
 
 import cProfile
 import os
 import pstats
 
+import pytest
+
 import repro
 from repro.apps.latency import run_ring_shift
+from repro.apps.workloads import WORKLOADS
 
 HOPS = 512
-LAYERS = tuple(os.path.join(os.path.dirname(repro.__file__), layer) + os.sep
-               for layer in ("machine", "network", "hardware"))
+REPRO = os.path.dirname(repro.__file__) + os.sep
+APPS = REPRO + "apps" + os.sep
+LAYERS = (APPS, *(REPRO + layer + os.sep
+                  for layer in ("machine", "network", "hardware")))
+
+
+def profiled(runner, *args, **params):
+    """One verified run under cProfile: its trace event count and a
+    ``count(selects)`` summing the calls of the functions for which
+    ``selects(filename, function name)`` holds."""
+    profile = cProfile.Profile()
+    run = profile.runcall(runner, *args, **params)
+    assert run.verified
+    stats = pstats.Stats(profile).stats
+
+    def count(selects):
+        return sum(ncalls for (filename, _, name), (_, ncalls, *_)
+                   in stats.items() if selects(filename, name))
+
+    return len(run.trace.all_events()), count
 
 
 def layer_calls_per_event(num_cells):
-    """Calls into repro.machine/.network/.hardware per trace event of one
-    RingShift run.  ``CellContext.checkpoint`` is left out: the app calls
-    it hops x cells times, which is the app's own loop, not the
-    machine's cost of an operation."""
-    profile = cProfile.Profile()
-    run = profile.runcall(run_ring_shift, num_cells, hops=HOPS)
-    assert run.verified
-    calls = sum(
-        ncalls
-        for (filename, _, name), (_, ncalls, *_)
-        in pstats.Stats(profile).stats.items()
-        if filename.startswith(LAYERS) and name != "checkpoint")
-    return calls / len(run.trace.all_events())
+    """Calls into repro.apps/.machine/.network/.hardware per trace event
+    of one RingShift run, the app's own loop included."""
+    events, count = profiled(run_ring_shift, num_cells, hops=HOPS)
+    return count(lambda filename, _: filename.startswith(LAYERS)) / events
 
 
 def test_calls_per_event_flat_from_64_to_256_cells():
     narrow = layer_calls_per_event(64)
     wide = layer_calls_per_event(256)
     assert wide < 1.25 * narrow, (narrow, wide)
+
+
+def test_calls_per_event_flat_from_64_to_1024_cells():
+    narrow = layer_calls_per_event(64)
+    wide = layer_calls_per_event(1024)
+    assert wide < 1.25 * narrow, (narrow, wide)
+
+
+def test_ring_shift_calls_into_repro_per_event():
+    # sync_chain's size.  Recording alone: 40.7 calls into repro per
+    # event; 142.8 while every cell iterated over every hop.
+    events, count = profiled(run_ring_shift, 256, hops=1024)
+    assert events == 2 * 256 + 2 * 1024 - 1
+    assert count(lambda filename, _: filename.startswith(REPRO)) \
+        <= 50 * events
+
+
+#: Every registered app at its default size, TOMCATV cut to one
+#: iteration (the unstrided one records 6 000 events per iteration).
+SMOKE = {name: {} for name in WORKLOADS} | {
+    "TC st": {"iters": 1}, "TC no st": {"iters": 1}}
+
+
+@pytest.mark.parametrize("app", sorted(SMOKE))
+def test_app_loop_follows_its_trace_events(app):
+    """An app's own frames (and its checkpoint sites) stay under two per
+    trace event, plus sixteen per cell for start-up (allocation, the
+    enclosing barriers, the result).  A loop of cells x iterations that
+    records nothing breaks this at any size where both are large:
+    RingShift's old one read 29.5 per event at 64 cells x 512 hops."""
+    workload = WORKLOADS[app]
+    events, count = profiled(workload.run, **SMOKE[app])
+    own = count(lambda filename, name: filename.startswith(APPS) or (
+        name == "checkpoint" and filename.startswith(REPRO)))
+    assert own <= 2 * events + 16 * workload.default_pes, (own, events)
