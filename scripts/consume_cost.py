@@ -2,22 +2,25 @@
 """Host cost of the consume side of a trace, by trace size.
 
 What it costs *the host* to take a recorded trace through the warm
-path — ``load_trace`` (file -> events), ``load_trace_columns`` (file ->
-replay columns, what ``repro replay`` and the bench runner use),
+path — ``load_trace`` (file -> buffer; the block mapped and checked,
+no event built), ``events`` (that buffer's ``TraceEvent`` objects, for
+whoever asks: checker, exporter, digest), ``load_trace_columns`` (file
+-> replay columns, what ``repro replay`` and the bench runner use),
 ``compile_program`` and ``replay_columns`` under each preset, and the
-cache entry's two files (``save_trace_v2`` + ``save_columns_npz`` on a
-freshly loaded buffer) — in microseconds of wall clock per trace event,
-minimum over ``--repeats`` runs, in the manner of the per-stage cost
-tables of the OpenSHMEM-on-Epiphany paper.  The simulated elapsed time
-of the same trace is printed in ``sim_us`` columns of its own; the two
-clock domains never share a column.
+cache entry's trace file (``save_trace_v2`` of a freshly loaded buffer)
+— in microseconds of wall clock per trace event, minimum over
+``--repeats`` runs, in the manner of the per-stage cost tables of the
+OpenSHMEM-on-Epiphany paper.  The simulated elapsed time of the same
+trace is printed in ``sim_us`` columns of its own; the two clock
+domains never share a column.
 
-    PYTHONPATH=src python scripts/consume_cost.py
+    PYTHONPATH=src python scripts/consume_cost.py [--json FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import tempfile
 import time
 from pathlib import Path
@@ -43,33 +46,26 @@ def least(repeats: int, func, *args, **kwargs) -> tuple[float, object]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--json", metavar="FILE",
+                        help="also write the table as JSON to FILE")
     args = parser.parse_args()
 
     from repro.apps.workloads import workload
     from repro.mlsim.engine_soa import compile_program, replay_columns
     from repro.mlsim.params import preset
-    from repro.trace.io import (
-        load_trace,
-        load_trace_columns,
-        save_columns_npz,
-        save_trace_v2,
-    )
+    from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
     presets = [preset(name) for name in PRESETS]
-    stages = ["load", "decode", "compile",
+    stages = ["load", "events", "decode", "compile",
               *(f"replay {name}" for name in PRESETS), "save"]
     print(f"min of {args.repeats}; host_us = host wall clock per trace "
           "event, sim_us = simulated elapsed time of the whole trace")
     print(f"{'trace':>10} {'events':>7} "
           + " ".join(f"{s + ' host_us':>26}" for s in stages) + " "
           + " ".join(f"{name + ' sim_us':>19}" for name in PRESETS))
+    rows = []
     with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch, "trace.jsonl")
-
-        def save(trace) -> None:
-            save_trace_v2(trace, Path(scratch, "copy.jsonl"))
-            save_columns_npz(trace, Path(scratch, "copy.npz"))
-
+        path, copy = Path(scratch, "trace.jsonl"), Path(scratch, "copy.jsonl")
         for app, cells, sizes in TRACES:
             run = workload(app).runner(num_cells=cells, **sizes)
             events = run.trace.total_events
@@ -77,11 +73,14 @@ def main() -> int:
 
             cost = dict.fromkeys(stages, float("inf"))
             for _ in range(args.repeats):
-                # A fresh buffer per save: a second save of one buffer
-                # would find its lists already extracted.
+                # A fresh buffer per round: it is saved from the arrays
+                # it was mapped to, and its events are built once.
                 seconds, loaded = least(1, load_trace, path)
                 cost["load"] = min(cost["load"], seconds)
-                cost["save"] = min(cost["save"], least(1, save, loaded)[0])
+                cost["save"] = min(
+                    cost["save"], least(1, save_trace_v2, loaded, copy)[0])
+                cost["events"] = min(
+                    cost["events"], least(1, loaded.all_events)[0])
             cost["decode"], columns = least(
                 args.repeats, load_trace_columns, path)
             sim = {}
@@ -97,6 +96,16 @@ def main() -> int:
                   + " ".join(f"{cost[s] * 1e6 / events:>26.3f}"
                              for s in stages) + " "
                   + " ".join(f"{sim[name]:>19.1f}" for name in PRESETS))
+            rows.append({
+                "trace": app, "events": events,
+                "file_bytes": path.stat().st_size,
+                "host_us": {s: round(cost[s] * 1e6 / events, 4)
+                            for s in stages},
+                "sim_us": sim})
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as out:
+            json.dump({"repeats": args.repeats, "rows": rows}, out, indent=2)
+            out.write("\n")
     return 0
 
 

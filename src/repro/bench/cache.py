@@ -10,18 +10,21 @@ simulator, runtime, or applications invalidates every entry.
 
 Layout: ``<root>/<key>/meta.json`` (provenance, verification checks,
 Table 3 statistics) plus ``<root>/<key>/trace.jsonl`` (the recorded
-trace, written in the columnar ``repro.trace.io`` v2 format so the
-replay stage can decode it straight into numpy columns; v1 entries from
-older caches still load via format sniffing).
+trace in the ``repro.trace.io`` v2 format: a JSON header line and the
+column block the replay stage maps as it is; entries in the older
+encodings still load via format sniffing).  Two files, nothing beside
+them.
 
 Crash safety: entries are staged in a temporary directory inside the
 cache root and published with one ``os.replace``, so a run killed
 mid-write never leaves a half-entry behind a valid key.  ``get``
-additionally validates what it is about to serve (non-empty trace
-ending in a newline, readable sidecar archive, parseable meta) and
+additionally loads what it is about to serve (parseable meta, and the
+trace through every check of :func:`repro.trace.io.load_trace`: torn,
+short or mis-sized block, columns that disagree with the header) and
 moves anything corrupt — e.g. written by a pre-atomic cache and then
-killed — into ``<root>/.quarantine/<key>`` instead of serving it, so
-the sweep falls back to a fresh functional run.
+killed — into ``<root>/.quarantine/<key>`` with the loader's message,
+instead of serving it, so the sweep falls back to a fresh functional
+run.
 """
 
 from __future__ import annotations
@@ -37,21 +40,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 import repro
 from repro.obs.observer import machine_metrics
 from repro.trace.buffer import TraceBuffer
 from repro.core.errors import ReproError
-from repro.trace.io import (
-    ensure_intact,
-    load_columns_npz,
-    load_trace,
-    load_trace_columns,
-    save_columns_npz,
-    save_trace_v2,
-)
-from repro.trace.soa import TraceColumns
+from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 from repro.trace.stats import AppStatistics
 
 META_NAME = "meta.json"
@@ -59,22 +52,8 @@ TRACE_NAME = "trace.jsonl"
 #: Corrupt entries are moved here (under their original key) rather
 #: than deleted, so a damaged cache can still be inspected post-mortem.
 QUARANTINE_NAME = ".quarantine"
-#: Binary replay-columns sidecar written next to the trace; a decode
-#: accelerator only (the jsonl stays the source of truth).
-COLUMNS_NAME = "columns.npz"
-
-
-def load_cached_columns(trace_path: str | Path, *,
-                        coalesce: bool = True) -> TraceColumns:
-    """Replay columns for a cached trace: the binary sidecar when one
-    sits next to the trace file, else a decode of the trace itself."""
-    sidecar = Path(trace_path).with_name(COLUMNS_NAME)
-    if sidecar.exists():
-        try:
-            return load_columns_npz(sidecar, coalesce=coalesce)
-        except (OSError, ValueError, KeyError):
-            pass  # stale or truncated sidecar: fall through to the trace
-    return load_trace_columns(trace_path, coalesce=coalesce)
+#: Replay columns of a cached trace: the trace file is those columns.
+load_cached_columns = load_trace_columns
 
 #: Default cache location, shared by `repro bench` and the pytest
 #: benchmark harness.
@@ -169,8 +148,8 @@ class TraceCache:
         """The cached run for ``(app, config)`` at the current code
         version, or None.
 
-        A present-but-corrupt entry (truncated trace, unreadable
-        sidecar, damaged meta) is quarantined and treated as a miss.
+        A present-but-corrupt entry (a trace ``load_trace`` refuses,
+        damaged meta) is quarantined and treated as a miss.
         """
         entry = self.entry_dir(app, config)
         meta_path = entry / META_NAME
@@ -179,7 +158,7 @@ class TraceCache:
             return None
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            self._validate_entry(entry)
+            load_trace(trace_path)      # maps and checks; builds no event
             return CachedRun(
                 name=meta["app"],
                 config=meta["config"],
@@ -196,21 +175,6 @@ class TraceCache:
                 ReproError) as exc:
             self.quarantine(entry, reason=f"{type(exc).__name__}: {exc}")
             return None
-
-    def _validate_entry(self, entry: Path) -> None:
-        """Refuse to serve a torn entry.
-
-        The trace must pass :func:`repro.trace.io.ensure_intact` (the
-        shared torn-file detection ``repro top``/``replay`` use too: a
-        process killed mid-``write`` leaves an empty file or a partial
-        last line), and the binary sidecar, when present, must at least
-        be a readable archive.  Raises on damage.
-        """
-        ensure_intact(entry / TRACE_NAME)
-        sidecar = entry / COLUMNS_NAME
-        if sidecar.exists():
-            with np.load(sidecar) as archive:
-                _ = archive.files  # reads the zip directory
 
     def quarantine(self, entry: Path, *, reason: str) -> Path:
         """Move a corrupt entry under ``.quarantine/`` for post-mortem
@@ -261,7 +225,6 @@ class TraceCache:
         }
         try:
             save_trace_v2(run.trace, staging / TRACE_NAME)
-            save_columns_npz(run.trace, staging / COLUMNS_NAME)
             (staging / META_NAME).write_text(
                 json.dumps(meta, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",
@@ -272,7 +235,6 @@ class TraceCache:
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        trace_path = entry / TRACE_NAME
         return CachedRun(
             name=app,
             config=meta["config"],
@@ -282,6 +244,6 @@ class TraceCache:
             total_events=meta["total_events"],
             functional_wall_s=functional_wall_s,
             cache_hit=False,
-            trace_path=trace_path,
+            trace_path=entry / TRACE_NAME,
             machine_metrics=telemetry,
         )

@@ -147,20 +147,6 @@ class CommandQueue(Stateful):
     def words_spilled(self) -> int:
         return self._spill_words
 
-    def snapshot(self) -> dict[str, int]:
-        """Counter snapshot for the observability harvest
-        (:func:`repro.obs.observer.machine_metrics`)."""
-        return {
-            "pushed": self.pushed,
-            "popped": self.popped,
-            "spilled": self.spilled,
-            "high_water_words": self.high_water_words,
-            "refill_interrupts": self.refill_interrupts,
-            "allocation_interrupts": self.allocation_interrupts,
-            "words_in_queue": self.words_in_queue,
-            "words_spilled": self.words_spilled,
-        }
-
     def drain(self) -> list[Any]:
         """Pop everything (used by the functional machine's pump loop)."""
         out = []

@@ -218,7 +218,7 @@ class _TraceIndex:
         if self._link_plan is not None:
             return self._link_plan
         columns, topology = self.columns, self.topology
-        plan: list = [None] * len(columns.kind)
+        plan = np.full(len(columns.kind), None, dtype=object)
         link_ids: dict[tuple[int, int], int] = {}
         route_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -242,19 +242,28 @@ class _TraceIndex:
                 route_cache[(src, dst)] = got
             return got
 
-        partner = columns.partner
-        for k in (int(EventKind.PUT), int(EventKind.SEND)):
+        # Routes are resolved once per distinct (src, dst) pair, pairs
+        # in order of first appearance (PUTs, then SENDs, then GETs with
+        # their reply route), which is the order link ids are handed out
+        # in and therefore the order of ``link_table``.
+        for k in (int(EventKind.PUT), int(EventKind.SEND),
+                  int(EventKind.GET)):
             idx = self.by_kind.get(k)
-            if idx is not None and len(idx):
-                src = self.pe_src[k]
-                for j, i in enumerate(idx.tolist()):
-                    plan[i] = lids(int(src[j]), int(partner[i]))
-        idx = self.by_kind.get(int(EventKind.GET))
-        if idx is not None and len(idx):
-            src = self.pe_src[int(EventKind.GET)]
-            for j, i in enumerate(idx.tolist()):
-                s, d = int(src[j]), int(partner[i])
-                plan[i] = (lids(s, d), lids(d, s))
+            if idx is None or not len(idx):
+                continue
+            dst = columns.partner[idx]
+            span = int(dst.max()) + 2       # a partner may be -1
+            pairs, first, inverse = np.unique(
+                self.pe_src[k] * span + dst + 1,
+                return_index=True, return_inverse=True)
+            routes = np.empty(len(pairs), dtype=object)
+            for u in np.argsort(first).tolist():
+                s, d = divmod(int(pairs[u]), span)
+                d -= 1
+                routes[u] = (lids(s, d) if k != int(EventKind.GET)
+                             else (lids(s, d), lids(d, s)))
+            plan[idx] = routes[inverse]
+        plan = plan.tolist()
         self._link_plan = plan
         return plan
 

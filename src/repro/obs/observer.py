@@ -140,14 +140,10 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
     ``observed`` field says whether one was present).
     """
     obs = getattr(machine, "obs", None)
-    queues: dict[str, Any] = {
-        "per_cell_high_water_words": [],
-        "pushed": 0,
-        "popped": 0,
-        "spilled": 0,
-        "refill_interrupts": 0,
-        "allocation_interrupts": 0,
-    }
+    queues: dict[str, Any] = {"per_cell_high_water_words": []}
+    # Five queues on every cell: counters are read by attribute and
+    # summed in locals, not through a dict per queue.
+    pushed = popped = spilled = refills = allocations = 0
     dma = {
         "send_operations": 0,
         "send_bytes": 0,
@@ -160,11 +156,13 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         msc = cell.msc
         cell_high = 0
         for queue in msc.all_queues():
-            snap = queue.snapshot()
-            cell_high = max(cell_high, snap["high_water_words"])
-            for key in ("pushed", "popped", "spilled", "refill_interrupts",
-                        "allocation_interrupts"):
-                queues[key] += snap[key]
+            if queue.high_water_words > cell_high:
+                cell_high = queue.high_water_words
+            pushed += queue.pushed
+            popped += queue.popped
+            spilled += queue.spilled
+            refills += queue.refill_interrupts
+            allocations += queue.allocation_interrupts
         queues["per_cell_high_water_words"].append(cell_high)
         dma["send_operations"] += msc.send_dma.operations
         dma["send_bytes"] += msc.send_dma.bytes_moved
@@ -176,6 +174,9 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         msc_stats = msc.stats
         for key in _MSC_STAT_NAMES:
             msc_totals[key] += getattr(msc_stats, key)
+    queues.update(pushed=pushed, popped=popped, spilled=spilled,
+                  refill_interrupts=refills,
+                  allocation_interrupts=allocations)
     queues["max_high_water_words"] = max(
         queues["per_cell_high_water_words"], default=0)
     queues["occupancy_series"] = (

@@ -5,19 +5,20 @@ Three on-disk formats share one loader:
 * **v1** — JSON lines: one header object (machine size, groups) followed
   by one object per event in global order.  Human-greppable, kept for
   back-compat and for small diagnostic dumps.
-* **v2** — one columnar JSON object: the same header fields plus per-PE
-  event ``counts`` and a ``columns`` table (one list per event field,
-  events stored per-PE contiguous).  This is the cache format written by
-  the benchmark runner: :func:`load_trace_columns` turns it into the
-  structure-of-arrays layout the vectorized MLSim engine consumes
-  without materializing a single :class:`TraceEvent`, so a trace is
-  decoded once per application instead of once per (app, preset) cell.
-  Both directions move whole columns: the writer dumps
-  :func:`repro.trace.soa.event_lists` (one walk, shared with the npz
-  sidecar), and :func:`load_trace` builds every event with one ``map``
-  over the file's columns, refusing a document that does not describe
-  one buffer.  v1 and stream files are line formats and load line by
-  line.
+* **v2** — the trace's columns as they sit in memory: one JSON header
+  line (machine size, groups, phases, per-PE ``counts``, ``total`` and
+  the ``block`` layout as ``[name, dtype]`` pairs, dtypes explicit
+  little-endian), the raw column block (every :data:`EVENT_FIELDS`
+  column, plus :data:`RANGE_FIELDS` when any event is annotated, each
+  ``total`` items, events per-PE contiguous) and a closing newline, so
+  :func:`ensure_intact` is the torn-file test of every format.  The
+  bench cache stores this and :func:`save_trace_v2` writes nothing
+  else.  :func:`load_trace` maps the block with ``np.frombuffer``,
+  checks it vectorially and returns a :class:`TraceBuffer` that builds
+  events only for whoever asks; replay (:func:`load_trace_columns`) and
+  a second save use the arrays as they are.  The older encoding — the
+  same header, columns as JSON lists under ``"columns"`` / ``"ranges"``
+  — is still read, through the same checks, and written by nothing.
 * **stream** — v1-style event lines written *incrementally* while the
   run executes (:class:`StreamTraceWriter`): a minimal header, chunked
   line flushes at record boundaries, interleaved phase meta lines, and
@@ -42,24 +43,20 @@ from typing import IO
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.trace.buffer import TraceBuffer
+from repro.trace.buffer import EVENT_FIELDS, RANGE_FIELDS, TraceBuffer
 from repro.trace.events import EventKind, GroupTable, TraceEvent
 from repro.trace.soa import (
-    EVENT_FIELDS,
-    RANGE_FIELDS,
+    FIELD_DTYPES,
     TraceColumns,
     coalesce_columns,
     columns_from_buffer,
-    columns_from_lists,
-    event_lists,
+    event_block,
+    pack,
 )
 
 FORMAT_V1 = "ap1000-trace-v1"
 FORMAT_V2 = "ap1000-trace-v2"
 FORMAT_STREAM = "ap1000-trace-stream-v1"
-
-#: EventKind by value, for the v2 loader's ``kind`` column.
-_KIND_OF = {int(kind): kind for kind in EventKind}
 
 
 def _event_to_dict(ev: TraceEvent) -> dict:
@@ -107,37 +104,35 @@ def save_trace(trace: TraceBuffer, target: str | Path | IO[str]) -> None:
         _write(target)
 
 
-def save_trace_v2(trace: TraceBuffer, target: str | Path | IO[str]) -> None:
-    """Write a trace as one columnar JSON object (format v2).
+def save_trace_v2(trace: TraceBuffer, target: str | Path) -> None:
+    """Write a trace as its column block (format v2).
 
     Events are stored per-PE contiguous (each PE's program order), with
     the machine-global ``seq`` column preserving the total order v1
     lines carried implicitly.  Groups are written as a list in group-id
     order and phases in phase-id order, so the tables round-trip with
     deterministic interning no matter which process wrote the file.
-    Sanitizer byte ranges are emitted as full-length columns only when
-    at least one event carries an annotation.
+    The block is :func:`repro.trace.soa.event_block` byte for byte: a
+    loaded trace is written from the arrays it was mapped to, a
+    recorded one pays its one walk here.
     """
     assert trace.groups is not None
     n = trace.num_pes
-    lists = event_lists(trace)
-    doc: dict[str, object] = {
+    block = event_block(trace)
+    header = {
         "format": FORMAT_V2,
         "num_pes": n,
         "groups": [list(trace.groups.members(gid))
                    for gid in range(len(trace.groups))],
         "phases": list(trace.phases),
-        "counts": [len(trace.events_for(pe)) for pe in range(n)],
-        "columns": {name: lists[name] for name in EVENT_FIELDS},
+        "counts": np.bincount(block["pe"], minlength=n).tolist(),
+        "total": trace.total_events,
+        "block": [[name, column.dtype.str]
+                  for name, column in block.items()],
     }
-    if RANGE_FIELDS[0] in lists:
-        doc["ranges"] = {name: lists[name] for name in RANGE_FIELDS}
-    line = json.dumps(doc, separators=(",", ":")) + "\n"
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(line)
-    else:
-        target.write(line)
+    Path(target).write_bytes(b"".join([
+        json.dumps(header, separators=(",", ":")).encode(), b"\n",
+        *block.values(), b"\n"]))
 
 
 class StreamTraceWriter:
@@ -343,100 +338,92 @@ def _malformed(source: str, why: str) -> SimulationError:
     return SimulationError(f"{source}: malformed v2 trace: {why}")
 
 
-def _buffer_from_v2(doc: dict, source: str) -> TraceBuffer:
-    """Rebuild a full TraceBuffer (event objects included) from a v2
-    columnar document: one ``map`` over the columns (they are in
-    :class:`TraceEvent`'s positional order), sliced per PE by
-    ``counts``.  Refused: columns of unequal length, ``counts`` that do
-    not cover them or do not match ``num_pes``, a ``pe`` column that
-    disagrees with ``counts``, a ``kind`` outside :class:`EventKind`.
-    """
+def _map_block(layout: list, total: int, body: bytes | str,
+               source: str) -> dict[str, np.ndarray]:
+    """A v2 block's columns as read-only views of ``body`` (all that
+    follows the header line).  Refused: a dtype the field cannot have, a
+    block shorter than its layout, anything but a newline after it."""
+    if not isinstance(body, bytes):
+        raise _malformed(source, "a column block needs a binary stream")
+    block, offset = {}, 0
+    for name, code in layout:
+        dtype = np.dtype(code)
+        if dtype not in FIELD_DTYPES[name]:
+            raise _malformed(source, f"column {name} stored as {code!r}")
+        end = offset + total * dtype.itemsize
+        if end > len(body):
+            raise _malformed(
+                source, f"block is short: column {name} ends at byte "
+                f"{end} of {len(body)}")
+        block[name] = np.frombuffer(body, dtype, total, offset)
+        offset = end
+    if body[offset:] != b"\n":
+        raise _malformed(
+            source, f"{len(body) - offset} bytes after the block where "
+            "its closing newline belongs")
+    return block
+
+
+def _buffer_from_v2(header: dict, fh: IO, source: str) -> TraceBuffer:
+    """A v2 file as a block-backed :class:`TraceBuffer`; the JSON lists
+    older caches wrote become arrays and pass the same checks.  Refused:
+    a missing column, columns of unequal length, ``counts`` that do not
+    cover them or do not match ``num_pes``, a ``pe`` column that
+    disagrees with ``counts``, a ``kind`` outside :class:`EventKind`."""
     try:
-        num_pes = doc["num_pes"]
-        counts = doc["counts"]
-        columns = [doc["columns"][name] for name in EVENT_FIELDS]
-        if "ranges" in doc:
-            columns += [doc["ranges"][name] for name in RANGE_FIELDS]
+        num_pes = header["num_pes"]
+        counts = header["counts"]
         groups = GroupTable(tuple(range(num_pes)))
-        for members in doc["groups"][1:]:  # gid 0 is always "all cells"
+        for members in header["groups"][1:]:  # gid 0 is always "all cells"
             groups.intern(tuple(members))
-    except (KeyError, TypeError) as exc:
-        raise _malformed(source, f"bad or missing field {exc}") from exc
-    try:
-        kinds = list(map(_KIND_OF.__getitem__, columns[0]))
-    except (KeyError, TypeError) as exc:
-        raise _malformed(source, f"kind {exc} is not an EventKind") from exc
-    total = len(kinds)
-    if any(len(column) != total for column in columns):
+        if "block" in header:
+            block = _map_block(header["block"], header["total"],
+                               fh.read(), source)
+        else:
+            block = {name: pack(name, values) for name, values in (
+                header["columns"] | header.get("ranges", {})).items()}
+        names = EVENT_FIELDS + RANGE_FIELDS * any(
+            name in block for name in RANGE_FIELDS)
+        block = {name: block[name] for name in names}
+        expected_pe = np.repeat(np.arange(len(counts)), counts)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _malformed(source, f"bad or missing field: {exc!r}") from exc
+    total = len(block["kind"])
+    if any(len(column) != total for column in block.values()):
         raise _malformed(source, "columns differ in length")
-    if len(counts) != num_pes or sum(counts) != total:
+    if len(counts) != num_pes or len(expected_pe) != total:
         raise _malformed(
             source, f"counts {counts} do not cover {total} events on "
             f"{num_pes} PEs")
-    trace = TraceBuffer(num_pes=num_pes, capacity=1 << 62, groups=groups,
-                        attach_sink=False)
-    for label in doc.get("phases", []):
-        trace.phase_id(label)
-    events = list(map(TraceEvent, kinds, *columns[1:]))
-    pes = columns[1]
-    lo = 0
-    for pe, count in enumerate(counts):
-        hi = lo + count
-        if pes[lo:hi] != [pe] * count:
-            raise _malformed(
-                source, f"pe column disagrees with counts at PE {pe}")
-        trace._events[pe] = events[lo:hi]
-        lo = hi
-    trace.total_events = trace._seq = total
-    return trace
-
-
-#: Column order of the npz sidecar (everything TraceColumns carries).
-_NPZ_ARRAYS = (
-    "starts", "kind", "partner", "size", "send_flag", "recv_flag",
-    "msg_id", "flag", "target", "group", "group_size", "work",
-    "group_sizes",
-)
+    if not np.array_equal(block["pe"], expected_pe):
+        raise _malformed(source, "pe column disagrees with counts")
+    if total and not (0 <= block["kind"].min()
+                      and block["kind"].max() < len(EventKind)):
+        raise _malformed(source, "a kind is not an EventKind")
+    return TraceBuffer.from_block(num_pes, groups,
+                                  header.get("phases", []), block)
 
 
 def save_columns_npz(trace: TraceBuffer, target: str | Path) -> None:
-    """Write the trace's replay columns as a binary numpy archive.
-
-    This is a decode *accelerator*, not a trace format: it carries only
-    the timing-relevant columns (no seq, no sanitizer ranges), with the
-    effective group size already resolved, so the replay stage can map
-    it straight into :class:`TraceColumns` without touching JSON.  The
-    v2 JSON file stays the source of truth beside it (and, written
-    first, leaves its lists on the buffer: no second walk here).
-    """
+    """Write the trace's replay columns as a numpy archive.  Unused by
+    ``repro``: the v2 file *is* those columns and the cache sidecar this
+    wrote is gone.  It stays, callable as ``(trace, path)``, only
+    because ``benchmarks/e2e/child.py`` times it inside ``trace.save``;
+    the next ``[benchmark]`` PR can drop both."""
     columns = columns_from_buffer(trace)
-    arrays = {name: getattr(columns, name) for name in _NPZ_ARRAYS
-              if name != "group_sizes"}
-    arrays["group_sizes"] = np.asarray(columns.group_sizes, dtype=np.int64)
-    np.savez(target, **arrays)
+    np.savez(target, **{name: getattr(columns, name)
+                        for name in TraceColumns.__dataclass_fields__})
 
 
-def load_columns_npz(source: str | Path, *,
-                     coalesce: bool = True) -> TraceColumns:
-    """Read columns written by :func:`save_columns_npz`."""
-    with np.load(source) as data:
-        arrays = {name: data[name] for name in _NPZ_ARRAYS}
-    group_sizes = tuple(int(s) for s in arrays.pop("group_sizes"))
-    starts = arrays.pop("starts")
-    columns = TraceColumns(num_pes=len(starts) - 1, starts=starts,
-                           group_sizes=group_sizes, **arrays)
-    return coalesce_columns(columns) if coalesce else columns
-
-
-def _sniff_header(fh: IO[str], source: str = "<trace>") -> dict:
+def _sniff_header(fh: IO, source: str = "<trace>") -> dict:
     header_line = fh.readline()
     if not header_line:
         raise SimulationError(f"trace file {source} is empty")
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # bad JSON, or bytes that are no text
         raise SimulationError(
-            f"{source} is not a trace file (corrupt header: {exc.msg})"
+            f"{source} is not a trace file (corrupt header: {exc})"
         ) from exc
     if not isinstance(header, dict) or header.get("format") not in (
             FORMAT_V1, FORMAT_V2, FORMAT_STREAM):
@@ -445,57 +432,40 @@ def _sniff_header(fh: IO[str], source: str = "<trace>") -> dict:
     return header
 
 
-def load_trace(source: str | Path | IO[str]) -> TraceBuffer:
+def load_trace(source: str | Path | IO) -> TraceBuffer:
     """Read a trace written by :func:`save_trace`,
     :func:`save_trace_v2`, or :class:`StreamTraceWriter` (the format is
-    sniffed from the first line).  File paths are integrity-checked
-    first, so a torn file raises a clean :class:`SimulationError`
-    instead of a parser traceback."""
+    sniffed from the first line; a v2 block needs a path or a binary
+    stream).  File paths are integrity-checked first, so a torn file
+    raises a clean :class:`SimulationError` instead of a parser
+    traceback."""
 
-    def _read(fh: IO[str], name: str) -> TraceBuffer:
+    def _read(fh: IO, name: str) -> TraceBuffer:
         header = _sniff_header(fh, name)
         if header["format"] == FORMAT_V2:
-            return _buffer_from_v2(header, name)
+            return _buffer_from_v2(header, fh, name)
         if header["format"] == FORMAT_STREAM:
             return _buffer_from_stream(header, fh, name)
         return _buffer_from_v1(header, fh)
 
     if isinstance(source, (str, Path)):
         ensure_intact(source)
-        with open(source, encoding="utf-8") as fh:
+        with open(source, "rb") as fh:
             return _read(fh, str(source))
     return _read(source, "<stream>")
 
 
 def load_trace_columns(
-    source: str | Path | IO[str], *, coalesce: bool = True,
+    source: str | Path | IO, *, coalesce: bool = True,
 ) -> TraceColumns:
     """Read a trace file straight into :class:`TraceColumns`.
 
-    On a v2 file this is the replay fast path: each column deserializes
-    as one JSON list and lands in one numpy array, with the effective
-    group size resolved vectorially from the group table.  v1 files fall
-    back through :func:`load_trace` + :func:`columns_from_buffer`.  With
-    ``coalesce`` (the default) adjacent COMPUTE/RTSYS events are merged
-    exactly as :meth:`TraceBuffer.coalesce_compute` would, so replaying
-    from columns matches replaying from a coalesced buffer bit for bit.
+    On a v2 file this is the replay fast path: the block is mapped,
+    checked and widened, and no :class:`TraceEvent` is built; v1 and
+    stream files pay their events and one walk.  With ``coalesce`` (the
+    default) adjacent COMPUTE/RTSYS events are merged exactly as
+    :meth:`TraceBuffer.coalesce_compute` would, so replaying from
+    columns matches replaying from a coalesced buffer bit for bit.
     """
-
-    def _read(fh: IO[str], name: str) -> TraceColumns:
-        header = _sniff_header(fh, name)
-        if header["format"] == FORMAT_V2:
-            columns = columns_from_lists(
-                header["num_pes"], header["counts"], header["columns"],
-                tuple(len(members) for members in header["groups"]))
-        elif header["format"] == FORMAT_STREAM:
-            columns = columns_from_buffer(
-                _buffer_from_stream(header, fh, name))
-        else:
-            columns = columns_from_buffer(_buffer_from_v1(header, fh))
-        return coalesce_columns(columns) if coalesce else columns
-
-    if isinstance(source, (str, Path)):
-        ensure_intact(source)
-        with open(source, encoding="utf-8") as fh:
-            return _read(fh, str(source))
-    return _read(source, "<stream>")
+    columns = columns_from_buffer(load_trace(source))
+    return coalesce_columns(columns) if coalesce else columns

@@ -1,23 +1,17 @@
 """Structure-of-arrays trace layout.
 
-The trace-driven replay stage walks millions of :class:`TraceEvent`
-objects; attribute access and per-event dataclass overhead dominate its
-runtime.  This module decodes a trace **once** into flat per-field
-column arrays (one numpy array per event field, events stored per-PE
-contiguous), which the vectorized MLSim engine
-(:mod:`repro.mlsim.engine_soa`) consumes: parameter-dependent costs are
-computed with array operations over whole columns, and the remaining
-scalar replay loop only reads plain Python lists.
+A trace is its columns: one array per :class:`TraceEvent` field, events
+stored per-PE contiguous (the *block*, see :class:`TraceBuffer`).  The
+v2 file is that block behind a JSON header, a loaded buffer is that
+block mapped with ``np.frombuffer``, and the vectorized MLSim engine
+(:mod:`repro.mlsim.engine_soa`) consumes :class:`TraceColumns`, the
+timing-relevant columns widened to the engine's dtypes: file -> memory
+-> replay builds no ``TraceEvent`` and no list.
 
-There is one walk from event objects to columns, :func:`event_lists`
-(one list per serialized field, kept on the :class:`TraceBuffer`
-under its event count).  The v2 writer dumps those lists as they are;
-:func:`columns_from_buffer` turns the timing-relevant ones into arrays
-through :func:`columns_from_lists`, which
-:func:`repro.trace.io.load_trace_columns` also feeds with the lists of
-a v2 file — no ``TraceEvent`` is built on that path.  Writing a cache
-entry (v2 file, then npz sidecar) and replaying one trace under three
-presets therefore walk the events once.
+There is one walk from event objects to columns, :func:`event_lists`,
+paid by a recorded buffer at its first save or replay and by a loaded
+one only after something asked for its events.  Block arrays are
+read-only whether mapped or made here: whoever writes copies.
 """
 
 from __future__ import annotations
@@ -27,23 +21,23 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.trace.buffer import TraceBuffer
+from repro.trace.buffer import EVENT_FIELDS, RANGE_FIELDS, TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 
-_NAMES = tuple(f.name for f in fields(TraceEvent))
-#: A :class:`TraceEvent`'s fields in its positional order: the keys of
-#: a v1 line and of the v2 ``columns`` table, then the sanitizer
-#: annotations (repro.check), written only when present so that
-#: unsanitized traces keep the original format.
-EVENT_FIELDS = _NAMES[:_NAMES.index("raddr")]
-RANGE_FIELDS = _NAMES[_NAMES.index("raddr"):]
-
 #: Integer event fields decoded into columns (timing-relevant only;
-#: sanitizer byte ranges stay on the event objects).
+#: sanitizer byte ranges stay in the block).
 INT_COLUMNS = (
     "kind", "partner", "size", "send_flag", "recv_flag", "msg_id",
     "flag", "target", "group",
 )
+
+_INTS = tuple(np.dtype(code) for code in ("|i1", "<i2", "<i4", "<i8"))
+#: What each event field's block column may be stored as, on disk and in
+#: memory: explicit little-endian, integer widths narrowest first.
+FIELD_DTYPES = {
+    f.name: {"bool": (np.dtype("|b1"),),
+             "float": (np.dtype("<f8"),)}.get(f.type, _INTS)
+    for f in fields(TraceEvent)}
 
 
 @dataclass
@@ -69,7 +63,7 @@ class TraceColumns:
     target: np.ndarray            # int64
     group: np.ndarray             # int64
     group_size: np.ndarray        # int64 (effective)
-    work: np.ndarray              # float64
+    work: np.ndarray              # float64 (read-only: the block's own)
     group_sizes: tuple[int, ...]  # group id -> member count
 
     @property
@@ -77,20 +71,26 @@ class TraceColumns:
         return int(self.starts[-1])
 
 
-def event_lists(trace: TraceBuffer) -> dict[str, list]:
-    """One list per :data:`EVENT_FIELDS` name (plus :data:`RANGE_FIELDS`
-    when any event is annotated), events per-PE contiguous, ``kind`` as
-    plain ints.
+def pack(name: str, values: list | np.ndarray) -> np.ndarray:
+    """One field's values as its block column: read-only, ints in the
+    narrowest dtype that holds the column's range (a pure function of
+    the values, so equal traces make equal files)."""
+    choices = FIELD_DTYPES[name]
+    column = np.asarray(values, dtype=choices[-1])
+    if column.dtype.kind == "i":
+        lo, hi = ((int(column.min()), int(column.max())) if len(column)
+                  else (0, 0))
+        column = column.astype(next(
+            dtype for dtype in choices
+            if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max))
+    column.setflags(write=False)
+    return column
 
-    Kept on the buffer while its event count stands, until
-    :func:`columns_from_buffer` has made its arrays from them.  The
-    count suffices as the key: the only in-place rewrite of a recorded
-    event, :meth:`TraceBuffer.coalesce_compute`, changes ``work`` only
-    when it also removes an event.
-    """
-    cached = getattr(trace, "_event_lists", None)
-    if cached is not None and cached[0] == trace.total_events:
-        return cached[1]
+
+def event_lists(trace: TraceBuffer) -> dict[str, list]:
+    """The one walk over event objects: a list per :data:`EVENT_FIELDS`
+    name (plus :data:`RANGE_FIELDS` when any event is annotated),
+    events per-PE contiguous."""
     ordered = [ev for pe in range(trace.num_pes)
                for ev in trace.events_for(pe)]
 
@@ -98,53 +98,46 @@ def event_lists(trace: TraceBuffer) -> dict[str, list]:
         return list(map(attrgetter(name), ordered))
 
     lists = {name: column(name) for name in EVENT_FIELDS}
-    lists["kind"] = list(map(int, lists["kind"]))
     if max(column("raddr"), default=-1) >= 0 \
             or max(column("laddr"), default=-1) >= 0:
         lists.update((name, column(name)) for name in RANGE_FIELDS)
-    trace._event_lists = (  # type: ignore[attr-defined]
-        trace.total_events, lists)
     return lists
 
 
-def columns_from_lists(num_pes: int, counts: list[int],
-                       lists: dict[str, list],
-                       group_sizes: tuple[int, ...]) -> TraceColumns:
-    """Per-field lists (from :func:`event_lists` or a v2 document's
-    ``columns`` table) as :class:`TraceColumns`: one array per list,
-    the effective group size resolved from the group table."""
-    starts = np.zeros(num_pes + 1, dtype=np.int64)
-    np.cumsum(np.asarray(counts, dtype=np.int64), out=starts[1:])
-    kind = np.asarray(lists["kind"], dtype=np.int16)
-    ints = {name: np.asarray(lists[name], dtype=np.int64)
-            for name in INT_COLUMNS if name != "kind"}
-    explicit = np.asarray(lists["group_size"], dtype=np.int64)
-    table = np.asarray(group_sizes, dtype=np.int64)
-    group_size = np.where(explicit != 0, explicit, table[ints["group"]])
-    work = np.asarray(lists["work"], dtype=np.float64)
-    return TraceColumns(
-        num_pes=num_pes, starts=starts, kind=kind, work=work,
-        group_size=group_size, group_sizes=group_sizes, **ints)
+def event_block(trace: TraceBuffer) -> dict[str, np.ndarray]:
+    """The trace's column block: the one it holds while that stands
+    (:meth:`TraceBuffer.block`), else made from its events and held."""
+    block = trace.block()
+    if block is None:
+        block = {name: pack(name, values)
+                 for name, values in event_lists(trace).items()}
+        trace.hold_block(block)
+    return block
 
 
 def columns_from_buffer(trace: TraceBuffer) -> TraceColumns:
-    """Decode ``trace`` into columns, reusing a cached decode when the
-    buffer has not changed since (same event count, as for
-    :func:`event_lists`).  The lists are dropped once the arrays exist
-    (together with the events they would hold the trace three times),
-    so a cache entry costs one walk when the v2 file is written first.
-    """
+    """``trace`` as replay columns, the same object for as long as the
+    buffer's block stands (the per-trace replay index hangs off it)."""
     assert trace.groups is not None
+    block = event_block(trace)
     cached = getattr(trace, "_soa_columns", None)
-    if cached is not None and cached.total_events == trace.total_events:
-        return cached
+    if cached is not None and cached[0] is block:
+        return cached[1]
     n = trace.num_pes
-    columns = columns_from_lists(
-        n, [len(trace.events_for(pe)) for pe in range(n)],
-        event_lists(trace),
-        tuple(trace.groups.size(g) for g in range(len(trace.groups))))
-    trace._soa_columns = columns  # type: ignore[attr-defined]
-    trace._event_lists = None  # type: ignore[attr-defined]
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(block["pe"], minlength=n), out=starts[1:])
+    ints = {name: block[name].astype(np.int64)
+            for name in INT_COLUMNS if name != "kind"}
+    group_sizes = tuple(trace.groups.size(g)
+                        for g in range(len(trace.groups)))
+    explicit = block["group_size"].astype(np.int64)
+    table = np.asarray(group_sizes, dtype=np.int64)
+    columns = TraceColumns(
+        num_pes=n, starts=starts, kind=block["kind"].astype(np.int16),
+        work=block["work"], group_sizes=group_sizes,
+        group_size=np.where(explicit != 0, explicit, table[ints["group"]]),
+        **ints)
+    trace._soa_columns = (block, columns)  # type: ignore[attr-defined]
     return columns
 
 

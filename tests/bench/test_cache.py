@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from repro.apps.workloads import workload
 from repro.bench.cache import TraceCache, cache_key, code_version
 from repro.mlsim.params import ap1000_plus_params
@@ -107,11 +111,40 @@ class TestCrashSafety:
         assert cache.get("MatMul", CONFIG) is None
         assert (tmp_path / ".quarantine" / entry.name).is_dir()
 
-    def test_unreadable_sidecar_is_quarantined(self, tmp_path):
+    @pytest.mark.parametrize("tear, said", [
+        ("mid_block", "truncated"),
+        ("mid_block_after_a_newline_byte", "block is short"),
+        ("closing_newline", "truncated"),
+        ("header_total", "block is short"),
+    ])
+    def test_torn_block_is_quarantined(self, tmp_path, tear, said):
+        """No decoder falls back to anything: whatever is wrong with
+        the one file reaches ``get`` as the loader's SimulationError,
+        is kept with that text, and reads as a miss."""
         cache, entry = self._populate(tmp_path)
-        (entry / "columns.npz").write_bytes(b"\x00" * 16)
+        trace = entry / "trace.jsonl"
+        assert sorted(p.name for p in entry.iterdir()) == [
+            "meta.json", "trace.jsonl"]
+        data = trace.read_bytes()
+        head, _, body = data.partition(b"\n")
+        if tear.startswith("mid_block"):
+            torn = bytearray(data[:len(head) + len(body) // 2])
+            # A block is any bytes: the cut may fall behind a 0x0A, and
+            # then only the size says the file is torn.
+            torn[-1:] = b"\n" if tear.endswith("newline_byte") else b"\x00"
+            trace.write_bytes(torn)
+        elif tear == "closing_newline":
+            trace.write_bytes(data[:-1])
+        else:
+            header = json.loads(head)
+            header["total"] += 1
+            trace.write_bytes(json.dumps(header).encode() + b"\n" + body)
         assert cache.get("MatMul", CONFIG) is None
-        assert (tmp_path / ".quarantine" / entry.name).is_dir()
+        assert not entry.exists()
+        moved = tmp_path / ".quarantine" / entry.name
+        reason = (moved / "QUARANTINED.txt").read_text(encoding="utf-8")
+        assert reason.startswith("SimulationError:") and said in reason
+        assert str(trace) in reason
 
     def test_quarantined_key_can_be_repopulated(self, tmp_path):
         cache, entry = self._populate(tmp_path)

@@ -256,8 +256,8 @@ class TestWatchdogDump:
         for ours, theirs in zip(m.hw_cells, restored.hw_cells):
             assert ours.memory.read(0, end) == theirs.memory.read(0, end)
             assert vars(ours.msc.stats) == vars(theirs.msc.stats)
-            assert ([q.snapshot() for q in ours.msc.all_queues()]
-                    == [q.snapshot() for q in theirs.msc.all_queues()])
+            assert ([q.state() for q in ours.msc.all_queues()]
+                    == [q.state() for q in theirs.msc.all_queues()])
             assert ours.msc.send_dma == theirs.msc.send_dma
             assert ours.msc.recv_dma == theirs.msc.recv_dma
             assert ours.mc.flag_increments == theirs.mc.flag_increments

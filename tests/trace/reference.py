@@ -1,10 +1,12 @@
 """Reference implementations the trace tests hold ``repro.trace`` to.
 
-These are the per-event v2 loader and the per-field column decode as
-they shipped before the bulk loader and the shared extraction replaced
-them: slow, obviously right, and kept only as oracles.  ``golden_buffer``
-is the fixed trace behind ``golden/small.v2.jsonl``, a file written by
-the last commit that had the old writer.
+These are the per-event v2 loader, the per-field column decode and the
+JSON-``columns`` v2 writer as they shipped before the bulk loader, the
+shared extraction and the column block replaced them: slow, obviously
+right, and kept only as oracles.  ``golden_buffer`` is the fixed trace
+behind ``golden/small.v2.jsonl`` (the JSON encoding, written by the last
+commit that had that writer; read-only now) and ``golden/small.v2.bin``
+(the same trace as a column block).
 """
 
 from __future__ import annotations
@@ -24,6 +26,52 @@ RANGE_FIELDS = (
     "raddr", "rchunk", "rcount", "rstep",
     "laddr", "lchunk", "lcount", "lstep",
 )
+
+
+def buffer_doc(trace: TraceBuffer) -> dict:
+    """Everything a loaded buffer consists of."""
+    assert trace.groups is not None
+    return {
+        "events": [[repr(ev) for ev in trace.events_for(pe)]
+                   for pe in range(trace.num_pes)],
+        "kinds": [type(ev.kind) for pe in range(trace.num_pes)
+                  for ev in trace.events_for(pe)],
+        "bools": [(type(ev.stride), type(ev.is_ack))
+                  for pe in range(trace.num_pes)
+                  for ev in trace.events_for(pe)],
+        "total_events": trace.total_events,
+        "seq": trace._seq,
+        "groups": [trace.groups.members(g)
+                   for g in range(len(trace.groups))],
+        "phases": trace.phases,
+        "attach_sink": trace.attach_sink,
+        "sink": trace._sink,
+        "capacity": trace.capacity,
+    }
+
+
+def reference_v2_json(trace: TraceBuffer) -> dict:
+    """The JSON-``columns`` v2 document of ``trace``: what
+    ``save_trace_v2`` dumped (compact separators, one line) before the
+    block."""
+    assert trace.groups is not None
+    n = trace.num_pes
+    events = [ev for pe in range(n) for ev in trace.events_for(pe)]
+    doc: dict = {
+        "format": "ap1000-trace-v2",
+        "num_pes": n,
+        "groups": [list(trace.groups.members(g))
+                   for g in range(len(trace.groups))],
+        "phases": list(trace.phases),
+        "counts": [len(trace.events_for(pe)) for pe in range(n)],
+        "columns": {name: [int(ev.kind) if name == "kind"
+                           else getattr(ev, name) for ev in events]
+                    for name in FIELDS},
+    }
+    if any(ev.is_annotated() for ev in events):
+        doc["ranges"] = {name: [getattr(ev, name) for ev in events]
+                         for name in RANGE_FIELDS}
+    return doc
 
 
 def reference_buffer_from_v2(doc: dict) -> TraceBuffer:

@@ -1,4 +1,4 @@
-"""Columnar (v2) trace format: roundtrip, fast path, and npz sidecar.
+"""Columnar (v2) trace format: roundtrip, file shape, and fast path.
 
 The cache writes v2; readers sniff the format, so v1 and v2 files must
 load into identical buffers, and the column fast path must produce
@@ -8,15 +8,16 @@ exactly the arrays the event-object path produces.
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
 
 from repro.apps.workloads import workload
 from repro.core.errors import SimulationError
+from repro.mlsim.engine_soa import trace_index
 from repro.trace import sanitize as trace_sanitize
 from repro.trace.io import (
-    load_columns_npz,
     load_trace,
     load_trace_columns,
     save_columns_npz,
@@ -74,10 +75,21 @@ class TestRoundTrip:
             assert by_seq[ev.seq].raddr == ev.raddr
             assert by_seq[ev.seq].laddr == ev.laddr
 
-    def test_v2_is_one_line(self, recorded, tmp_path):
+    def test_v2_is_header_line_and_block(self, recorded, tmp_path):
+        """One JSON line that says how long the rest is, the columns,
+        a closing newline: nothing else, whatever the block's bytes."""
         path = tmp_path / "t.v2.jsonl"
         save_trace_v2(recorded, path)
-        assert len(path.read_text().splitlines()) == 1
+        data = path.read_bytes()
+        head, _, body = data.partition(b"\n")
+        header = json.loads(head)
+        assert header["total"] == recorded.total_events
+        assert sum(header["counts"]) == header["total"]
+        row = sum(np.dtype(code).itemsize for _, code in header["block"])
+        assert len(body) == header["total"] * row + 1
+        assert body.endswith(b"\n")
+        assert all(code[0] in "<|" for _, code in header["block"])
+        assert "columns" not in header
 
 
 class TestColumnsFastPath:
@@ -99,13 +111,25 @@ class TestColumnsFastPath:
         assert len(raw.kind) == recorded.total_events
 
 
-class TestNpzSidecar:
-    def test_sidecar_matches_v2_columns(self, recorded, tmp_path):
+class TestBlockIsTheReplayColumns:
+    def test_block_matches_buffer_columns(self, recorded, tmp_path):
+        """No sidecar: the file's own columns are what replay decodes.
+        ``save_columns_npz`` survives for the benchmark child that
+        times it, and still writes those arrays (and only arrays: not
+        the replay index a replay hangs off the columns)."""
         v2, npz = tmp_path / "t.v2.jsonl", tmp_path / "columns.npz"
         save_trace_v2(recorded, v2)
+        in_memory = columns_from_buffer(recorded)
+        assert_columns_equal(load_trace_columns(v2, coalesce=False),
+                             in_memory)
+        trace_index(in_memory)
         save_columns_npz(recorded, npz)
-        assert_columns_equal(load_columns_npz(npz),
-                             load_trace_columns(v2))
+        with np.load(npz) as archive:
+            assert not [name for name in archive.files if name[0] == "_"]
+            for name in ("starts", "kind", "partner", "size", "group_size",
+                         "work"):
+                np.testing.assert_array_equal(archive[name],
+                                              getattr(in_memory, name))
 
 
 class TestSniffing:

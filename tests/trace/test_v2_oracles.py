@@ -1,15 +1,18 @@
-"""The bulk v2 loader and the shared event extraction against their
-per-event references (``reference.py``), on generated buffers.
+"""The v2 column block against its references (``reference.py``), on
+generated buffers pushed through every decoder.
 
-Both replaced loops are pure restructurings: the files, the loaded
-buffers and the replay columns must be what the slow code produced,
-and a document that does not describe one buffer must be refused with
-the file's name.
+The block replaced a JSON ``columns`` table and a per-event build: the
+loaded buffers and the replay columns must be what the slow code
+produced from the same trace in any encoding, a loaded trace must be
+written from the arrays it was mapped to without building an event,
+and a file that does not describe one buffer must be refused with the
+file's name.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,35 +21,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
+from repro.mlsim.engine_soa import replay_columns
+from repro.mlsim.params import preset
 from repro.trace.buffer import TraceBuffer, streaming_to
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.io import (
-    load_columns_npz,
+    StreamTraceWriter,
     load_trace,
     load_trace_columns,
-    save_columns_npz,
+    save_trace,
     save_trace_v2,
 )
 from repro.trace.soa import coalesce_columns, columns_from_buffer
 
 from .reference import (
+    buffer_doc,
     golden_buffer,
     reference_buffer_from_v2,
     reference_columns_from_buffer,
+    reference_v2_json,
 )
 
-GOLDEN = Path(__file__).parent / "golden" / "small.v2.jsonl"
+GOLDEN_JSON = Path(__file__).parent / "golden" / "small.v2.jsonl"
+GOLDEN = Path(__file__).parent / "golden" / "small.v2.bin"
 
 ARRAYS = ("starts", "kind", "partner", "size", "send_flag", "recv_flag",
           "msg_id", "flag", "target", "group", "group_size", "work")
 
 
 @st.composite
-def buffers(draw) -> TraceBuffer:
+def buffers(draw, shuffle_seq: bool = True) -> TraceBuffer:
     """Any buffer the recorder could hand the writer: every event kind,
     PEs without events (or no events at all), sub-groups, phases,
-    sanitizer ranges on some events or none, and ``seq`` values that
-    are not the record order."""
+    ``partner`` of -1, sanitizer ranges on some events or none, columns
+    that need one byte and columns that need eight (``seq`` and
+    ``msg_id`` above 2**31), and — unless ``shuffle_seq`` is off, for
+    the line formats that store events in ``seq`` order — ``seq`` values
+    that are not the record order."""
     n = draw(st.integers(1, 6))
     buf = TraceBuffer(num_pes=n)
     assert buf.groups is not None
@@ -57,6 +68,7 @@ def buffers(draw) -> TraceBuffer:
         buf.phase_id(label)
     annotate = draw(st.booleans())
     small = st.integers(0, 1 << 20)
+    wide = st.one_of(small, st.integers(1 << 31, 1 << 40))
     ranges = st.fixed_dictionaries({
         "raddr": st.integers(-1, 1 << 24), "rchunk": small,
         "rcount": small, "rstep": small,
@@ -69,7 +81,7 @@ def buffers(draw) -> TraceBuffer:
         pe=st.integers(0, max(0, n - 2)),      # the last PE stays empty
         partner=st.integers(-1, n - 1),
         size=small, stride=st.booleans(), send_flag=small,
-        recv_flag=small, is_ack=st.booleans(), msg_id=small, flag=small,
+        recv_flag=small, is_ack=st.booleans(), msg_id=wide, flag=small,
         target=st.integers(0, 64),
         group=st.integers(0, len(buf.groups) - 1),
         group_size=st.integers(0, n),
@@ -80,29 +92,12 @@ def buffers(draw) -> TraceBuffer:
         for name, value in extra.items():
             setattr(ev, name, value)
         buf.record(ev)
-    order = draw(st.permutations(range(len(events))))
+    order = (draw(st.permutations(range(len(events)))) if shuffle_seq
+             else range(len(events)))
+    base = draw(st.sampled_from((0, 1000, 1 << 31, 1 << 40)))
     for (ev, _), seq in zip(events, order):
-        ev.seq = seq + 1000
+        ev.seq = seq + base
     return buf
-
-
-def buffer_doc(trace: TraceBuffer) -> dict:
-    """Everything a loaded buffer consists of."""
-    assert trace.groups is not None
-    return {
-        "events": [[repr(ev) for ev in trace.events_for(pe)]
-                   for pe in range(trace.num_pes)],
-        "kinds": [type(ev.kind) for pe in range(trace.num_pes)
-                  for ev in trace.events_for(pe)],
-        "total_events": trace.total_events,
-        "seq": trace._seq,
-        "groups": [trace.groups.members(g)
-                   for g in range(len(trace.groups))],
-        "phases": trace.phases,
-        "attach_sink": trace.attach_sink,
-        "sink": trace._sink,
-        "capacity": trace.capacity,
-    }
 
 
 def assert_same_arrays(a, b) -> None:
@@ -119,17 +114,76 @@ def saved(trace: TraceBuffer, path: Path) -> bytes:
     return path.read_bytes()
 
 
+def write_json_v2(trace: TraceBuffer, path: Path) -> dict:
+    doc = reference_v2_json(trace)
+    path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    return doc
+
+
+def write_stream(trace: TraceBuffer, path: Path) -> None:
+    """``trace`` as the stream writer would have written it live."""
+    with StreamTraceWriter(path, flush_events=7) as writer:
+        assert writer.bind(trace)
+        for pid, label in enumerate(trace.phases, start=1):
+            writer.phase(label, pid)
+        for ev in trace.all_events():
+            writer.emit(ev)
+
+
+def events_built(action) -> int:
+    """How many ``TraceEvent``s ``action()`` constructs, wherever."""
+    code, built = TraceEvent.__init__.__code__, 0
+
+    def profiler(frame, event, _arg):
+        nonlocal built
+        if event == "call" and frame.f_code is code:
+            built += 1
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
 class TestBulkLoad:
     @settings(max_examples=60, deadline=None)
     @given(buffers())
     def test_matches_per_event_loader(self, tmp_path_factory, trace):
+        """Block and JSON ``columns`` encodings of one trace load to
+        the buffer the per-event reference builds, and a loaded trace
+        is written back byte for byte."""
         tmp = tmp_path_factory.mktemp("v2")
-        written = saved(trace, tmp / "a.jsonl")
-        doc = json.loads(written)
-        loaded = load_trace(tmp / "a.jsonl")
-        assert buffer_doc(loaded) == buffer_doc(reference_buffer_from_v2(doc))
+        written = saved(trace, tmp / "a.bin")
+        doc = write_json_v2(trace, tmp / "a.jsonl")
+        reference = buffer_doc(reference_buffer_from_v2(doc))
+        loaded = load_trace(tmp / "a.bin")
         assert loaded.total_events == trace.total_events
-        assert saved(loaded, tmp / "b.jsonl") == written
+        assert saved(loaded, tmp / "b.bin") == written   # from the arrays
+        assert buffer_doc(loaded) == reference
+        assert saved(loaded, tmp / "c.bin") == written   # from the events
+        from_json = load_trace(tmp / "a.jsonl")
+        assert saved(from_json, tmp / "d.bin") == written
+        assert buffer_doc(from_json) == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(buffers(shuffle_seq=False))
+    def test_line_formats_load_the_same_buffer(self, tmp_path_factory,
+                                               trace):
+        """v1 and stream files of a trace load to the buffer its block
+        loads to (they store events in ``seq`` order, so only a trace
+        recorded in that order has the same per-PE lists)."""
+        tmp = tmp_path_factory.mktemp("lines")
+        save_trace_v2(trace, tmp / "t.bin")
+        save_trace(trace, tmp / "t.v1.jsonl")
+        write_stream(trace, tmp / "t.stream.jsonl")
+        block = load_trace(tmp / "t.bin")
+        for name in ("t.v1.jsonl", "t.stream.jsonl"):
+            assert_same_arrays(
+                load_trace_columns(tmp / name, coalesce=False),
+                columns_from_buffer(block))
+            assert buffer_doc(load_trace(tmp / name)) == buffer_doc(block)
 
     def test_never_restreams(self, tmp_path):
         """A loader's buffer must not bind to an ambient stream sink."""
@@ -145,15 +199,38 @@ class TestBulkLoad:
 
         with streaming_to(Sink()) as sink:
             loaded = load_trace(path)
+            loaded.events_for(0)
         assert not sink.bound and loaded._sink is None
 
     def test_golden_file_bytes(self, tmp_path):
-        """The writer's bytes are those of the commit before the shared
-        extraction, and the golden file loads to the buffer it holds."""
-        assert saved(golden_buffer(), tmp_path / "t.jsonl") \
+        """The writer's bytes are pinned; the golden of the old JSON
+        encoding (written by nothing now) still loads, to the same
+        buffer, and is what the reference writer produces."""
+        assert saved(golden_buffer(), tmp_path / "t.bin") \
             == GOLDEN.read_bytes()
-        assert buffer_doc(load_trace(GOLDEN)) == buffer_doc(
-            reference_buffer_from_v2(json.loads(GOLDEN.read_text())))
+        old = json.loads(GOLDEN_JSON.read_text())
+        assert reference_v2_json(golden_buffer()) == old
+        reference = buffer_doc(reference_buffer_from_v2(old))
+        assert buffer_doc(load_trace(GOLDEN)) == reference
+        assert buffer_doc(load_trace(GOLDEN_JSON)) == reference
+        assert saved(load_trace(GOLDEN_JSON), tmp_path / "u.bin") \
+            == GOLDEN.read_bytes()
+
+    def test_loaded_trace_builds_no_event(self, tmp_path):
+        """File -> memory -> file -> replay on columns alone."""
+        params = preset("ap1000+")
+
+        def warm_path():
+            trace = load_trace(GOLDEN)
+            save_trace_v2(trace, tmp_path / "copy.bin")
+            replay_columns(columns_from_buffer(trace), params,
+                           collect_metrics=True)
+            replay_columns(load_trace_columns(tmp_path / "copy.bin"),
+                           params)
+
+        assert events_built(warm_path) == 0
+        # The counter does count: asking for the events builds them all.
+        assert events_built(lambda: load_trace(GOLDEN).all_events()) == 26
 
 
 def _ragged(doc):
@@ -193,9 +270,106 @@ def _column_missing(doc):
     del doc["columns"]["target"]
 
 
+def _split(data: bytes) -> tuple[dict, bytearray]:
+    head, _, body = data.partition(b"\n")
+    return json.loads(head), bytearray(body)
+
+
+def _joined(header: dict, body: bytes) -> bytes:
+    return json.dumps(header, separators=(",", ":")).encode() + b"\n" + body
+
+
+def _column_at(header: dict, name: str) -> int:
+    """Byte offset of column ``name`` in the block."""
+    offset = 0
+    for column, code in header["block"]:
+        if column == name:
+            return offset
+        offset += header["total"] * np.dtype(code).itemsize
+    raise KeyError(name)
+
+
+def _block_short(header, body):
+    del body[len(body) // 2:]
+    body += b"\n"            # looks intact to ensure_intact
+
+
+def _block_trailing(header, body):
+    body += b"\x00\n"
+
+
+def _total_up(header, body):
+    header["total"] += 1
+
+
+def _total_down(header, body):
+    header["total"] -= 1
+
+
+def _total_negative(header, body):
+    header["total"] = -1
+
+
+def _block_counts_moved(header, body):
+    header["counts"][0] -= 1
+    header["counts"][1] += 1
+
+
+def _block_counts_short(header, body):
+    header["counts"][0] -= 1
+
+
+def _block_too_few_counts(header, body):
+    assert header["counts"].pop(3) == 0
+
+
+def _block_pe_disagrees(header, body):
+    body[_column_at(header, "pe")] = 1
+
+
+def _block_kind_too_large(header, body):
+    body[_column_at(header, "kind") + 3] = len(EventKind)
+
+
+def _block_kind_negative(header, body):
+    body[_column_at(header, "kind") + 3] = 0xFF
+
+
+def _block_column_missing(header, body):
+    assert ["target", "|i1"] in header["block"]
+    at = _column_at(header, "target")
+    del body[at:at + header["total"]]
+    header["block"] = [c for c in header["block"] if c[0] != "target"]
+
+
+def _block_half_the_ranges(header, body):
+    assert ["lstep", "|i1"] in header["block"]
+    at = _column_at(header, "lstep")
+    del body[at:at + header["total"]]
+    header["block"] = [c for c in header["block"] if c[0] != "lstep"]
+
+
+def _block_unknown_column(header, body):
+    header["block"][3][0] = "colour"
+
+
+def _block_big_endian(header, body):
+    assert header["block"][4] == ["size", "<i2"]
+    header["block"][4][1] = ">i2"
+
+
+def _block_int_as_bool(header, body):
+    assert header["block"][5] == ["stride", "|b1"]
+    header["block"][5][1] = "|i1"
+
+
+def _block_layout_missing(header, body):
+    del header["block"]      # nor "columns": neither encoding
+
+
 class TestRefusals:
-    """Today's loader refuses what the old one silently loaded into a
-    differently shaped buffer."""
+    """The loader refuses what does not describe one buffer, in either
+    encoding, instead of loading it into a differently shaped one."""
 
     @pytest.mark.parametrize("damage", [
         _ragged, _ragged_ranges, _pe_disagrees, _counts_moved,
@@ -203,12 +377,54 @@ class TestRefusals:
         _column_missing,
     ])
     def test_malformed_document(self, tmp_path, damage):
-        doc = json.loads(GOLDEN.read_text())
+        doc = json.loads(GOLDEN_JSON.read_text())
         damage(doc)
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(SimulationError, match="bad.jsonl"):
             load_trace(path)
+
+    @pytest.mark.parametrize("damage", [
+        _block_short, _block_trailing, _total_up, _total_down,
+        _total_negative, _block_counts_moved, _block_counts_short,
+        _block_too_few_counts, _block_pe_disagrees, _block_kind_too_large,
+        _block_kind_negative, _block_column_missing,
+        _block_half_the_ranges, _block_unknown_column, _block_big_endian,
+        _block_int_as_bool, _block_layout_missing,
+    ])
+    def test_malformed_block(self, tmp_path, damage):
+        header, body = _split(GOLDEN.read_bytes())
+        damage(header, body)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(_joined(header, bytes(body)))
+        with pytest.raises(SimulationError, match="bad.bin"):
+            load_trace(path)
+        with pytest.raises(SimulationError, match="bad.bin"):
+            load_trace_columns(path)
+
+    def test_undamaged_block_loads(self, tmp_path):
+        """The harness above rewrites the file it damages faithfully."""
+        header, body = _split(GOLDEN.read_bytes())
+        assert _joined(header, bytes(body)) == GOLDEN.read_bytes()
+
+    def test_block_needs_a_binary_stream(self):
+        import io
+
+        with pytest.raises(SimulationError, match="binary"):
+            load_trace(io.StringIO(GOLDEN.read_bytes().decode("latin-1")))
+        with GOLDEN.open("rb") as fh:
+            assert load_trace(fh).total_events == 26
+
+    def test_mapped_columns_are_read_only(self):
+        """Arrays over the file's bytes are views; whoever writes
+        copies — and so are the arrays made from recorded events."""
+        for trace in (load_trace(GOLDEN), golden_buffer()):
+            columns = columns_from_buffer(trace)
+            with pytest.raises(ValueError, match="read-only"):
+                columns.work[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                trace.block()["size"][0] = 1
+            columns.size[0] = 1          # widened columns are copies
 
 
 class TestSharedExtraction:
@@ -218,20 +434,23 @@ class TestSharedExtraction:
         tmp = tmp_path_factory.mktemp("cols")
         reference = reference_columns_from_buffer(trace)
         # The writer runs first, as in TraceCache.put: the columns come
-        # from the lists it left on the buffer.
-        save_trace_v2(trace, tmp / "t.jsonl")
+        # from the block it left on the buffer.
+        save_trace_v2(trace, tmp / "t.bin")
         assert_same_arrays(columns_from_buffer(trace), reference)
-        save_columns_npz(trace, tmp / "c.npz")
-        assert_same_arrays(load_columns_npz(tmp / "c.npz", coalesce=False),
-                           reference)
-        assert_same_arrays(load_trace_columns(tmp / "t.jsonl",
+        loaded = load_trace(tmp / "t.bin")
+        assert_same_arrays(columns_from_buffer(loaded), reference)
+        assert_same_arrays(load_trace_columns(tmp / "t.bin",
                                               coalesce=False), reference)
-        assert_same_arrays(load_columns_npz(tmp / "c.npz"),
+        assert_same_arrays(load_trace_columns(tmp / "t.bin"),
                            coalesce_columns(reference))
+        loaded.coalesce_compute()
+        assert_same_arrays(load_trace_columns(tmp / "t.bin"),
+                           columns_from_buffer(loaded))
 
     def test_extraction_follows_the_buffer(self):
-        """The cache is keyed on the event count: a coalesce that
-        removes events and a newly recorded event both invalidate it."""
+        """The block is kept under (events recorded, events held): a
+        coalesce that removes events and a newly recorded event both
+        invalidate it, also when together they restore the count."""
         trace = golden_buffer()
         before = columns_from_buffer(trace)
         assert columns_from_buffer(trace) is before
@@ -242,3 +461,44 @@ class TestSharedExtraction:
         trace.record(TraceEvent(EventKind.COMPUTE, pe=3, work=1.0))
         assert_same_arrays(columns_from_buffer(trace),
                            reference_columns_from_buffer(trace))
+        trace.record(TraceEvent(EventKind.COMPUTE, pe=3, work=2.0))
+        trace.coalesce_compute()                # the count is as it was
+        assert_same_arrays(columns_from_buffer(trace),
+                           reference_columns_from_buffer(trace))
+
+
+class TestStaleness:
+    """The one rule of ``TraceBuffer``: a block answers for the buffer
+    only while no event object can have changed under it."""
+
+    def test_building_events_drops_the_block(self):
+        trace = load_trace(GOLDEN)
+        assert trace.block() is not None and trace._events is None
+        trace.events_for(2)
+        assert trace.block() is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(buffers(), st.sampled_from(("coalesce", "record", "edit")))
+    def test_mutated_load_is_saved_as_mutated(self, tmp_path_factory,
+                                              trace, mutation):
+        tmp = tmp_path_factory.mktemp("stale")
+        save_trace_v2(trace, tmp / "a.bin")
+        loaded = load_trace(tmp / "a.bin")
+        columns_from_buffer(loaded)              # every cache is warm
+        if mutation == "coalesce":
+            loaded.coalesce_compute()
+        elif mutation == "record":
+            loaded.record(TraceEvent(EventKind.PUT, pe=0, partner=0,
+                                     size=1 << 33))
+        else:       # an event edited in place, count unchanged
+            for ev in loaded.all_events()[:1]:
+                ev.size += 1 << 20
+        save_trace_v2(loaded, tmp / "b.bin")
+        saved_doc = buffer_doc(load_trace(tmp / "b.bin"))
+        # A file holds the events, not how many were ever recorded.
+        assert saved_doc == buffer_doc(loaded) | {"seq": saved_doc["seq"]}
+        assert_same_arrays(load_trace_columns(tmp / "b.bin",
+                                              coalesce=False),
+                           reference_columns_from_buffer(loaded))
+        assert_same_arrays(columns_from_buffer(loaded),
+                           reference_columns_from_buffer(loaded))
