@@ -23,6 +23,45 @@ import time
 import numpy as np
 
 SIZES = (8, 4096, 160_000)
+#: Payload sizes of the stride rows: one column of a two-column float64
+#: matrix on both sides (8-byte items, 16 bytes apart), the canonical
+#: stride of section 2.2.  8 bytes would be one item: no stride.
+STRIDE_SIZES = SIZES[1:]
+
+
+def keep_best(best: dict[str, float], name: str, start: float,
+              batch: int) -> None:
+    """Seconds per operation of the batch begun at ``start``, kept under
+    ``name`` when it is the lowest so far."""
+    each = (time.perf_counter() - start) / batch
+    best[name] = min(best.get(name, each), each)
+
+
+def stride_program(ctx, size: int, batch: int, repeats: int):
+    """Cell 0 times batches of ``put_stride`` / ``get_stride`` against
+    cell 1 (reported in the ``put`` and ``get`` columns)."""
+    from repro.core.stride import column_of
+
+    src = ctx.alloc((size // 8, 2))
+    dst = ctx.alloc((size // 8, 2))
+    flag = ctx.alloc_flag()
+    offset, column = column_of(src.data, 1)
+    best: dict[str, float] = {}
+    if ctx.pe == 0:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.put_stride(1, dst, src, column, column,
+                               dest_offset=offset, src_offset=offset)
+            keep_best(best, "put", start, batch)
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.get_stride(1, src, dst, column, column,
+                               remote_offset=offset, local_offset=offset,
+                               recv_flag=flag)
+            keep_best(best, "get", start, batch)
+    yield from ctx.barrier()
+    return best
 
 
 def program(ctx, size: int, batch: int, repeats: int):
@@ -35,8 +74,7 @@ def program(ctx, size: int, batch: int, repeats: int):
     best: dict[str, float] = {}
 
     def timed(name: str, start: float) -> None:
-        each = (time.perf_counter() - start) / batch
-        best[name] = min(best.get(name, each), each)
+        keep_best(best, name, start, batch)
 
     for _ in range(repeats):
         if ctx.pe == 0:
@@ -86,8 +124,9 @@ def main() -> int:
     names = ("put", "get", "ack_get", "flag_wait", "barrier")
     print(f"{args.cells} cells, min of {args.repeats} batches of "
           f"{args.batch}; host_us = host wall clock per operation, "
-          f"sim_us = simulated AP1000+ PUT (Figure 7, {args.distance} hops)")
-    print(f"{'bytes':>8} " + " ".join(f"{n + ' host_us':>17}" for n in names)
+          f"sim_us = simulated AP1000+ PUT (Figure 7, {args.distance} hops); "
+          "'st' rows: put_stride / get_stride of 8-byte items 16 apart")
+    print(f"{'bytes':>10} " + " ".join(f"{n + ' host_us':>17}" for n in names)
           + f" {'put send_cpu sim_us':>20} {'put recv_flag sim_us':>21}")
     # The process's first machine reads about 1 us high in every column
     # (flag_wait and barrier included, which run no size-dependent
@@ -99,7 +138,7 @@ def main() -> int:
         machine = Machine(MachineConfig(num_cells=args.cells))
         best = machine.run(program, size, args.batch, args.repeats)[0]
         line = put_timeline(plus, size, args.distance)
-        print(f"{size:>8} "
+        print(f"{size:>10} "
               + " ".join(f"{best[n] * 1e6:>17.2f}" for n in names)
               + f" {line.send_cpu:>20.2f} {line.recv_flag_at:>21.2f}")
         rows.append({
@@ -107,6 +146,18 @@ def main() -> int:
             "host_us": {n: round(best[n] * 1e6, 3) for n in names},
             "sim_us": {"put_send_cpu": line.send_cpu,
                        "put_recv_flag": line.recv_flag_at}})
+    # The strided DMA path (one gather, one scatter per transfer), at
+    # a tenth of the batches: its 160 000-byte row moves 20 000 items.
+    for size in STRIDE_SIZES:
+        machine = Machine(MachineConfig(num_cells=args.cells))
+        best = machine.run(stride_program, size, args.batch,
+                           max(1, args.repeats // 10))[0]
+        print(f"{str(size) + ' st':>10} "
+              + " ".join(f"{best[n] * 1e6:>17.2f}" if n in best
+                         else f"{'-':>17}" for n in names))
+        rows.append({
+            "bytes": size, "stride": True,
+            "host_us": {n: round(v * 1e6, 3) for n, v in best.items()}})
     if args.json:
         document = {"cells": args.cells, "batch": args.batch,
                     "repeats": args.repeats, "distance": args.distance,

@@ -56,7 +56,7 @@ from repro.check.symbolic import (
 from repro.core import api as _paper_api
 from repro.core.errors import ConfigurationError
 from repro.core.stride import ElementStride
-from repro.hardware.cell import HardwareCell
+from repro.hardware.cell import boot_cells
 from repro.hardware.msc import Command, CommandKind
 from repro.machine import program as _front_end
 from repro.machine import shmem as _shared_memory
@@ -147,9 +147,8 @@ class SymbolicMachine(MachineBase):
         config = MachineConfig(num_cells=num_cells,
                                memory_per_cell=memory_per_cell,
                                shards=1)
-        super().__init__(config, [
-            HardwareCell.build(pe, None, memory_per_cell)
-            for pe in range(num_cells)])
+        super().__init__(config,
+                         boot_cells(num_cells, None, memory_per_cell))
         self.num_cells = num_cells
         self._serial = 0
         #: event seq -> (file, line) call site.

@@ -3,7 +3,11 @@ write-through cache, communication registers, MSC+ command queues and DMA,
 the MC memory controller, and the MSC+ message controller."""
 
 from repro.hardware.cache import CACHE_BYTES, LINE_BYTES, WriteThroughCache
-from repro.hardware.cell import DEFAULT_MEMORY_BYTES, HardwareCell
+from repro.hardware.cell import (
+    DEFAULT_MEMORY_BYTES,
+    HardwareCell,
+    boot_cells,
+)
 from repro.hardware.comm_registers import (
     NUM_REGISTERS,
     REGISTER_BYTES,
@@ -52,6 +56,7 @@ __all__ = [
     "WriteThroughCache",
     "DEFAULT_MEMORY_BYTES",
     "HardwareCell",
+    "boot_cells",
     "NUM_REGISTERS",
     "REGISTER_BYTES",
     "CommRegisterFile",

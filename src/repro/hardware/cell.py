@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.state import Stateful
 from repro.hardware.cache import WriteThroughCache
 from repro.hardware.mc import MemoryController
-from repro.hardware.memory import CellMemory
+from repro.hardware.memory import CellMemory, zeroed_dram
 from repro.hardware.msc import MSCPlus
 from repro.network.tnet import TNet
 
@@ -36,7 +38,8 @@ class HardwareCell(Stateful):
     @classmethod
     def build(cls, cell_id: int, tnet: TNet | None,
               memory_bytes: int = DEFAULT_MEMORY_BYTES,
-              *, identity_map: bool = True) -> "HardwareCell":
+              *, identity_map: bool = True,
+              dram: np.ndarray | None = None) -> "HardwareCell":
         """Construct a cell wired to ``tnet``.
 
         With ``identity_map`` the MC maps the whole DRAM logical==physical
@@ -44,14 +47,31 @@ class HardwareCell(Stateful):
         tables explicitly in tests.  Without a ``tnet`` the cell is its
         memory system only (DRAM, MC flags, communication registers):
         what the static analyzer's instant-delivery machine runs on.
+        ``dram`` is the zeroed buffer to use as DRAM; without one the
+        cell allocates its own.
         """
-        memory = CellMemory(memory_bytes)
+        memory = CellMemory(memory_bytes, dram)
         mc = MemoryController(memory)
         if identity_map:
             mc.identity_map()
         if tnet is None:
-            return cls(cell_id=cell_id, memory=memory, mc=mc, cache=None,
-                       msc=None)
+            return cls(cell_id, memory, mc, None, None)
         cache = WriteThroughCache()
-        msc = MSCPlus(cell_id, mc, tnet, cache=cache)
-        return cls(cell_id=cell_id, memory=memory, mc=mc, cache=cache, msc=msc)
+        return cls(cell_id, memory, mc, cache,
+                   MSCPlus(cell_id, mc, tnet, cache=cache))
+
+
+def boot_cells(count: int, tnet: TNet | None,
+               memory_bytes: int = DEFAULT_MEMORY_BYTES
+               ) -> list[HardwareCell]:
+    """The cells ``0 .. count - 1`` of one machine: how every machine
+    boots.
+
+    Each cell is what :meth:`HardwareCell.build` makes, but what is
+    identical across cells is made once: the DRAM buffers are rows of a
+    few zeroed banks (:func:`~repro.hardware.memory.zeroed_dram`), and
+    the page tables are filled from one template per DRAM size
+    (:meth:`MemoryController.identity_map`).
+    """
+    return [HardwareCell.build(pe, tnet, memory_bytes, dram=dram)
+            for pe, dram in enumerate(zeroed_dram(count, memory_bytes))]

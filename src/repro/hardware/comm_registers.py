@@ -29,16 +29,15 @@ class CommRegisterFile(Stateful):
     """One cell's 128-register communication register file."""
 
     num_registers: int = NUM_REGISTERS
-    _values: list[int] = field(default_factory=list)
-    _present: list[bool] = field(default_factory=list)
+    _values: list[int] = field(init=False)
+    _present: list[bool] = field(init=False)
     stores: int = 0
     loads: int = 0
     retries: int = 0
 
     def __post_init__(self) -> None:
-        if not self._values:
-            self._values = [0] * self.num_registers
-            self._present = [False] * self.num_registers
+        self._values = [0] * self.num_registers
+        self._present = [False] * self.num_registers
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.num_registers:

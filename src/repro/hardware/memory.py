@@ -15,7 +15,7 @@ actual bytes.
 
 from __future__ import annotations
 
-import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,38 +31,67 @@ SHARED_SPACE_BASE = 1 << 35
 WORD_BYTES = 4
 
 
-@functools.cache
-def pin_mmap_threshold() -> None:
-    """Keep multi-megabyte cell buffers on the mmap path.
+#: Cell DRAM is carved out of anonymous mappings of this size: large
+#: enough that a 1 024-cell machine asks the kernel 64 times, far below
+#: what heuristic overcommit refuses in one request.
+BANK_BYTES = 256 << 20
 
-    glibc's dynamic mmap threshold grows as 16 MB cell buffers are
-    freed, after which fresh machines are served from the arena and
-    ``calloc`` must really memset them — 1 GB of writes per 64-cell
-    machine, ~64 GB per 4096-cell one (an unpinned second 1024-cell
-    machine is OOM-killed on a 16 GB host).  Pinning the threshold keeps
-    ``np.zeros`` on fresh demand-zero mappings, so untouched cell DRAM
-    stays free.  Done once per process (cached), before the first
-    cell's DRAM is allocated.
+
+def _map_bank(nbytes: int) -> mmap.mmap:
+    """One bank: private anonymous memory straight from the kernel.
+
+    Mapped directly, not through ``np.zeros``: demand-zero whatever the
+    allocator did before (freed 16 MB buffers raise glibc's mmap
+    threshold, after which ``calloc`` memsets the next machine's DRAM),
+    so untouched DRAM costs nothing and the library changes no malloc
+    setting.  And without huge pages, which numpy advises for large
+    arrays: on DRAM touched a few kilobytes per cell they zero 2 MiB
+    per touch.
     """
-    try:
-        import ctypes
+    bank = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if nbytes > mmap.PAGESIZE:
+        try:
+            # From the second page on.  A bank whose pages do not all
+            # carry one advice cannot be merged with its neighbours into
+            # a single mapping, and must not be: fork() accounts for a
+            # private mapping as a whole and refuses one larger than RAM
+            # (a live 1 024-cell machine is 16 GiB of banks).
+            bank.madvise(mmap.MADV_NOHUGEPAGE, mmap.PAGESIZE)
+        except (AttributeError, OSError):
+            pass                # not Linux, or a kernel without THP
+    return bank
 
-        libc = ctypes.CDLL(None, use_errno=True)
-        libc.mallopt(ctypes.c_int(-3),          # M_MMAP_THRESHOLD
-                     ctypes.c_int(1 << 20))
-    except (OSError, AttributeError):  # non-glibc platforms
-        pass
+
+def zeroed_dram(count: int, size_bytes: int) -> list[np.ndarray]:
+    """``count`` zeroed ``size_bytes`` byte buffers, carved out of banks.
+
+    One bank is one mapping of up to :data:`BANK_BYTES` and its rows
+    are the buffers.  A cell's buffer keeps its whole bank mapped for
+    as long as it (or an array carved from it) is alive; only touched
+    pages are resident.
+    """
+    if size_bytes <= 0:
+        raise ConfigurationError(
+            f"memory size must be positive, got {size_bytes}")
+    per_bank = max(1, BANK_BYTES // size_bytes)
+    buffers: list[np.ndarray] = []
+    for first in range(0, count, per_bank):
+        cells = min(per_bank, count - first)
+        bank = _map_bank(cells * size_bytes)
+        buffers.extend(np.frombuffer(bank, dtype=np.uint8)
+                       .reshape(cells, size_bytes))
+    return buffers
 
 
 class CellMemory:
     """Byte-addressable DRAM of one cell."""
 
-    def __init__(self, size_bytes: int) -> None:
-        if size_bytes <= 0:
-            raise ConfigurationError(
-                f"memory size must be positive, got {size_bytes}")
-        pin_mmap_threshold()
-        self._buf = np.zeros(size_bytes, dtype=np.uint8)
+    def __init__(self, size_bytes: int,
+                 buffer: np.ndarray | None = None) -> None:
+        """``buffer`` is the zeroed DRAM to use (a row of a bank, see
+        :func:`zeroed_dram`); without one the cell gets its own."""
+        self._buf = (zeroed_dram(1, size_bytes)[0] if buffer is None
+                     else buffer)
         self.size_bytes = size_bytes
 
     @property
@@ -126,17 +155,19 @@ class CellMemory:
         self._check_range(addr, size)
         return self._buf[addr : addr + size]
 
+    def _items(self, addr: int, stride: StrideSpec) -> np.ndarray:
+        """The stride's items at ``addr`` as one live ``count x
+        item_size`` view of DRAM."""
+        self._check_range(addr, stride.extent_bytes)
+        return np.ndarray((stride.count, stride.item_size), np.uint8,
+                          self._buf, addr, (stride.skip, 1))
+
     def gather(self, addr: int, stride: StrideSpec) -> bytes:
         """Collect ``stride.count`` items into one contiguous payload."""
         if stride.count <= 1 or stride.skip == stride.item_size:
             # Contiguous: the extent is the payload.
             return self.read(addr, stride.total_bytes)
-        self._check_range(addr, stride.extent_bytes)
-        parts = [
-            self._buf[addr + off : addr + off + stride.item_size]
-            for off in stride.offsets()
-        ]
-        return np.concatenate(parts).tobytes() if parts else b""
+        return self._items(addr, stride).tobytes()
 
     def scatter(self, addr: int, stride: StrideSpec, data: bytes) -> None:
         """Spread a contiguous payload into ``stride``-spaced items."""
@@ -148,11 +179,8 @@ class CellMemory:
         if stride.count <= 1 or stride.skip == stride.item_size:
             self.write(addr, data)
             return
-        self._check_range(addr, stride.extent_bytes)
-        raw = np.frombuffer(data, dtype=np.uint8)
-        for i, off in enumerate(stride.offsets()):
-            chunk = raw[i * stride.item_size : (i + 1) * stride.item_size]
-            self._buf[addr + off : addr + off + stride.item_size] = chunk
+        self._items(addr, stride)[:] = np.frombuffer(
+            data, dtype=np.uint8).reshape(stride.count, stride.item_size)
 
 
 @dataclass(frozen=True)

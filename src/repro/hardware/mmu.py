@@ -11,7 +11,6 @@ interrupts the OS and pulls the remaining message from the network.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
@@ -30,20 +29,6 @@ class PageEntry:
     physical_base: int
     size: int  # PAGE_4K or PAGE_256K
     writable: bool = True
-
-
-@functools.lru_cache(maxsize=32)
-def _range_entries(first_page: int, pages: int, offset: int, page_size: int,
-                   writable: bool) -> tuple[tuple[int, PageEntry], ...]:
-    """(page number, entry) pairs mapping ``pages`` consecutive pages at
-    ``physical == logical + offset``.
-
-    Entries are immutable, so every cell that boots with the same layout
-    installs the same objects into its own table.
-    """
-    return tuple(
-        (number, PageEntry(number * page_size + offset, page_size, writable))
-        for number in range(first_page, first_page + pages))
 
 
 class _DirectMappedTLB(Stateful):
@@ -131,8 +116,9 @@ class MMU(Stateful):
             raise AddressError("page bases must be aligned to the page size")
         first = logical_base // page_size
         last = (logical_base + size - 1) // page_size
-        entries = _range_entries(first, last - first + 1, offset, page_size,
-                                 writable)
+        entries = {
+            number: PageEntry(number * page_size + offset, page_size, writable)
+            for number in range(first, last + 1)}
         if page_size == PAGE_4K:
             self._table_4k.update(entries)
             self._fine_grained.update(

@@ -91,8 +91,7 @@ class MSCStats(Stateful):
 class MSCPlus(Stateful):
     """Message controller of one cell."""
 
-    _wiring = frozenset({"mc", "tnet", "cache", "send_sink",
-                         "_send_priority"})
+    _wiring = frozenset({"mc", "tnet", "cache", "send_sink"})
 
     def __init__(self, cell_id: int, mc: MemoryController, tnet: TNet,
                  cache: WriteThroughCache | None = None) -> None:
@@ -105,12 +104,6 @@ class MSCPlus(Stateful):
         self.remote_access_queue = CommandQueue("remote-access")
         self.get_reply_queue = CommandQueue("get-reply")
         self.remote_load_reply_queue = CommandQueue("remote-load-reply")
-        #: Send queues in the order the send controller serves them:
-        #: remote access first (the processor is stalled on remote
-        #: loads), then system, then user.
-        self._send_priority = (self.remote_access_queue,
-                               self.system_send_queue,
-                               self.user_send_queue)
         self.send_dma = DMAEngine("send")
         self.recv_dma = DMAEngine("recv")
         self.stats = MSCStats()
@@ -156,7 +149,10 @@ class MSCPlus(Stateful):
         GET replies are sent from :meth:`pump_replies`.
         """
         sent = 0
-        for queue in self._send_priority:
+        # Remote access first (the processor is stalled on remote
+        # loads), then system, then user.
+        for queue in (self.remote_access_queue, self.system_send_queue,
+                      self.user_send_queue):
             while queue.pushed != queue.popped:
                 self._execute(queue.pop())
                 sent += 1

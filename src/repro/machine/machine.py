@@ -32,7 +32,7 @@ from repro.core.errors import (
 from repro.faults.injector import FaultyBNet, FaultyTNet
 from repro.faults.plan import active_plan as _active_fault_plan
 from repro.faults.transport import ReliableTransport
-from repro.hardware.cell import HardwareCell
+from repro.hardware.cell import boot_cells
 from repro.hardware.msc import Command, CommandKind, MSCPlus
 from repro.machine.base import MachineBase, run_wake_rounds
 from repro.machine.config import MachineConfig
@@ -80,10 +80,8 @@ class Machine(MachineBase):
             self.fault_rng = None
             self.tnet = TNet(self.topology)
             self.bnet = BNet(n)
-        super().__init__(config, [
-            HardwareCell.build(pe, self.tnet, config.memory_per_cell)
-            for pe in range(n)
-        ])
+        super().__init__(
+            config, boot_cells(n, self.tnet, config.memory_per_cell))
         for cell, ring in zip(self.hw_cells, self.rings):
             cell.msc.send_sink = ring.deposit
         #: Byte-range annotation for repro.check: on when the config asks
@@ -114,12 +112,15 @@ class Machine(MachineBase):
         else:
             # A perfect wire holds no frame: each MSC+ is plugged into
             # the T-net and a packet is delivered where it is injected.
-            self.tnet.ports = [functools.partial(self._arrive, cell.msc)
+            arrive = self._arrive
+            self.tnet.ports = [functools.partial(arrive, cell.msc)
                                for cell in self.hw_cells]
+        record_spill = self._record_spill
         for pe, cell in enumerate(self.hw_cells):
-            msc = cell.msc
-            for queue in msc.all_queues():
-                queue.on_spill = functools.partial(self._record_spill, pe)
+            # One hook per cell, shared by its five queues.
+            on_spill = functools.partial(record_spill, pe)
+            for queue in cell.msc.all_queues():
+                queue.on_spill = on_spill
                 if plan is not None:
                     if plan.queue_capacity_words is not None:
                         queue.capacity_words = plan.queue_capacity_words

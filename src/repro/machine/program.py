@@ -199,15 +199,15 @@ class CellContext:
         self.pe = pe
         self.hw = machine.hw_cells[pe]
         self.ring = machine.rings[pe]
-        self._next_flag = 0
-        # Every cell allocates its acknowledge flag first (slot 0), the
+        # Every cell's first flag (slot 0) is its acknowledge flag, the
         # implicit flag the Ack & Barrier model counts GET replies on.
-        self.ack_flag = self.alloc_flag()
+        self.ack_flag = Flag(0, pe)
         self.acks = AckTracker(self.ack_flag, policy=machine.ack_policy)
         # Write-through page state.  The fetch flag is allocated eagerly
         # (slot 1 on every cell) so that cells which never bind pages stay
         # in symmetric-allocation lockstep with cells that do.
-        self._wt_flag: Flag = self.alloc_flag()
+        self._wt_flag = Flag(1, pe)
+        self._next_flag = 2
         self._wt_table = None
         self._wt_fetches = 0
         #: Checkpointable loop state registered via :meth:`ckpt_state`;
@@ -255,7 +255,7 @@ class CellContext:
         """
         if self._next_flag >= MAX_FLAGS_PER_PE:
             raise ConfigurationError("flag area exhausted")
-        flag = Flag(index=self._next_flag, owner=self.pe)
+        flag = Flag(self._next_flag, self.pe)
         self._next_flag += 1
         return flag
 

@@ -881,7 +881,9 @@ def _bind_shared_memory(machine: Machine, plan: list[list[int]],
     """Re-back every cell's DRAM with a per-shard shared segment.
 
     The machine is fresh (see :func:`eligible`), so both the old numpy
-    buffers and the new segments are all-zero — no copy needed.  Array
+    buffers and the new segments are all-zero — no copy needed.  The
+    rows of the boot banks (``repro.hardware.memory.zeroed_dram``) are
+    dropped here, untouched, and their mappings go with them.  Array
     views carved out later (``ctx.alloc``) land in shared memory
     automatically, and the parent's own views stay valid after the
     workers exit because the pool unlinks without unmapping.

@@ -21,6 +21,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.hardware.msc import MSCStats
@@ -32,6 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _ACTIVE: ContextVar[bool] = ContextVar("repro_obs", default=False)
 
 _MSC_STAT_NAMES = tuple(f.name for f in fields(MSCStats))
+#: One MSC+'s statistics as a row, in ``_MSC_STAT_NAMES`` order.
+_MSC_COUNTERS = attrgetter(*_MSC_STAT_NAMES)
 
 #: Occupancy series length bound; on overflow the series is decimated
 #: (every other sample dropped) and the sampling stride doubled, keeping
@@ -151,11 +154,14 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         "recv_bytes": 0,
         "largest_transfer": 0,
     }
-    msc_totals = dict.fromkeys(_MSC_STAT_NAMES, 0)
     for cell in machine.hw_cells:
         msc = cell.msc
         cell_high = 0
         for queue in msc.all_queues():
+            # Every counter of a queue counts pushes or what became of
+            # them, and a wide machine is mostly queues never pushed to.
+            if not queue.pushed:
+                continue
             if queue.high_water_words > cell_high:
                 cell_high = queue.high_water_words
             pushed += queue.pushed
@@ -171,9 +177,8 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         dma["largest_transfer"] = max(dma["largest_transfer"],
                                       msc.send_dma.largest_transfer,
                                       msc.recv_dma.largest_transfer)
-        msc_stats = msc.stats
-        for key in _MSC_STAT_NAMES:
-            msc_totals[key] += getattr(msc_stats, key)
+    msc_totals = dict(zip(_MSC_STAT_NAMES, map(sum, zip(
+        *[_MSC_COUNTERS(cell.msc.stats) for cell in machine.hw_cells]))))
     queues.update(pushed=pushed, popped=popped, spilled=spilled,
                   refill_interrupts=refills,
                   allocation_interrupts=allocations)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.errors import AddressError, ConfigurationError
@@ -192,6 +192,46 @@ class TestOneCheckPerAccess:
         with pytest.raises(AddressError, match="outside 96-byte DRAM"):
             memory.write_word(addr, 1)
         assert memory.read(0, DRAM) == bytes(DRAM)     # nothing written
+
+
+class TestStridedDMAIsOneOperation:
+    """``gather`` / ``scatter`` through one strided view of DRAM equal
+    the loop over items they replaced (``NestedCheckMemory`` keeps it)."""
+
+    @staticmethod
+    def pair(fill):
+        memory, reference = CellMemory(DRAM), NestedCheckMemory(DRAM)
+        memory.write(0, fill)
+        reference.write(0, fill)
+        return memory, reference
+
+    #: (item_size, count, gap, distance of the extent's end from the end
+    #: of DRAM; negative runs over it).
+    layouts = st.tuples(st.integers(0, 9), st.integers(0, 8),
+                        st.integers(0, 9), st.integers(-2, 40))
+
+    @given(layout=layouts, fill=st.binary(min_size=DRAM, max_size=DRAM),
+           payload=st.binary(min_size=72, max_size=72))
+    @example(layout=(4, 0, 3, 0), fill=bytes(range(DRAM)),
+             payload=bytes(72))                           # count == 0
+    @example(layout=(4, 5, 0, 7), fill=bytes(range(DRAM)),
+             payload=bytes(range(72)))                    # skip == item_size
+    @example(layout=(3, 6, 2, 0), fill=bytes(range(DRAM)),
+             payload=bytes(range(72)))                    # last byte of DRAM
+    @example(layout=(1, 8, 9, -1), fill=bytes(range(DRAM)),
+             payload=bytes(range(72)))                    # one byte past it
+    def test_equals_the_loop_over_items(self, layout, fill, payload):
+        item, count, gap, slack = layout
+        stride = StrideSpec(item, count, item + gap)
+        addr = DRAM - slack - stride.extent_bytes
+        memory, reference = self.pair(fill)
+        gather = ("gather", addr, stride)
+        assert attempt(memory, gather) == attempt(reference, gather)
+        scatter = ("scatter", addr, stride, payload[:stride.total_bytes])
+        assert attempt(memory, scatter) == attempt(reference, scatter)
+        assert memory.read(0, DRAM) == reference.read(0, DRAM)
+        if slack >= 0 and addr >= 0:
+            assert memory.gather(addr, stride) == payload[:stride.total_bytes]
 
 
 class TestAddressMap:

@@ -6,6 +6,7 @@ need no allowance for host noise.
 """
 
 import cProfile
+import gc
 import os
 import pstats
 
@@ -14,6 +15,7 @@ import pytest
 import repro
 from repro.apps.latency import run_ring_shift
 from repro.apps.workloads import WORKLOADS
+from repro.machine.machine import Machine
 
 HOPS = 512
 REPRO = os.path.dirname(repro.__file__) + os.sep
@@ -64,6 +66,28 @@ def test_ring_shift_calls_into_repro_per_event():
     assert events == 2 * 256 + 2 * 1024 - 1
     assert count(lambda filename, _: filename.startswith(REPRO)) \
         <= 50 * events
+
+
+def test_gc_tracked_objects_per_cell_of_a_built_machine():
+    # 40.6 (five queues and their ten deques are half of it); 50.4 while
+    # every queue had a spill hook of its own.  What the cycle collector
+    # walks is a third of a wide machine's build.
+    Machine(4)                                  # first-use set-up
+    gc.collect()
+    before = len(gc.get_objects())
+    machine = Machine(64)
+    tracked = len(gc.get_objects()) - before
+    assert machine.config.num_cells == 64
+    assert tracked <= 42 * 64, tracked / 64
+
+
+def test_profiled_calls_per_cell_of_a_machine_build():
+    # 15.4: no table is derived and no buffer mapped per cell.
+    Machine(4)
+    profile = cProfile.Profile()
+    profile.runcall(Machine, 256)
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= 16 * 256, calls / 256
 
 
 #: Every registered app at its default size, TOMCATV cut to one
