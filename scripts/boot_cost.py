@@ -17,15 +17,20 @@ and the gc-tracked objects one cell leaves alive in a built machine.
 The cycle collector runs as it does for a user: its passes over those
 objects are part of every column.
 
-    PYTHONPATH=src python scripts/boot_cost.py [--json FILE]
+    python scripts/boot_cost.py [--json FILE]
+
+(``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
+import sys
 import time
+from pathlib import Path
 
 WIDTHS = (64, 1024, 4096)
 PARTS = ("DRAM", "MC + tables", "MSC+", "wiring", "context")
@@ -92,6 +97,9 @@ def main() -> int:
                         help="also write the table as JSON to FILE")
     args = parser.parse_args()
 
+    if importlib.util.find_spec("repro") is None:
+        # Not installed and no PYTHONPATH provides it: this checkout's.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     print(f"us per cell by part, min of {args.repeats} builds; "
           "Machine(n) in seconds; gc-tracked objects per cell")
     print(f"{'cells':>6} " + " ".join(f"{name:>12}" for name in PARTS)

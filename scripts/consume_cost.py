@@ -14,13 +14,17 @@ OpenSHMEM-on-Epiphany paper.  The simulated elapsed time of the same
 trace is printed in ``sim_us`` columns of its own; the two clock
 domains never share a column.
 
-    PYTHONPATH=src python scripts/consume_cost.py [--json FILE]
+    python scripts/consume_cost.py [--json FILE]
+
+(``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -50,6 +54,9 @@ def main() -> int:
                         help="also write the table as JSON to FILE")
     args = parser.parse_args()
 
+    if importlib.util.find_spec("repro") is None:
+        # Not installed and no PYTHONPATH provides it: this checkout's.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro.apps.workloads import workload
     from repro.mlsim.engine_soa import compile_program, replay_columns
     from repro.mlsim.params import preset

@@ -9,16 +9,25 @@ region), in the manner of the per-primitive latency tables of the
 OpenSHMEM-on-Epiphany paper.  The simulated cost of the same PUT on the
 AP1000+ (Figure 7: sender CPU and time to the receive-flag update, over
 ``--distance`` hops) is printed in its own ``sim_us`` columns; the two
-clock domains never share a column.
+clock domains never share a column.  Under every ``host_us`` row a
+``calls`` row gives the profiled calls into ``repro`` one more such
+operation makes: a count, exact on every host.
 
-    PYTHONPATH=src python scripts/primitive_cost.py [--json FILE]
+    python scripts/primitive_cost.py [--json FILE]
+
+(``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
+import importlib.util
 import json
+import pstats
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -105,6 +114,48 @@ def program(ctx, size: int, batch: int, repeats: int):
     return best
 
 
+def counted_program(ctx, size: int, name: str, count: int):
+    """``count`` operations of the primitive ``name``, as :func:`program`
+    issues them."""
+    src = ctx.alloc(size, np.uint8)
+    dst = ctx.alloc(size, np.uint8)
+    flag = ctx.alloc_flag()
+    if name == "barrier":
+        for _ in range(count):
+            yield from ctx.barrier()
+    elif ctx.pe == 0:
+        ctx.get(1, src, dst, recv_flag=flag)
+        for _ in range(count):
+            if name == "put":
+                ctx.put(1, dst, src)
+            elif name == "get":
+                ctx.get(1, src, dst, recv_flag=flag)
+            elif name == "ack_get":
+                ctx.ack_get(1)
+            else:
+                yield from ctx.flag_wait(flag, 1)
+    yield from ctx.barrier()
+
+
+def calls_per_operation(cells: int, size: int, name: str) -> float:
+    """Profiled calls into ``repro`` that one more ``name`` costs: the
+    difference of two runs, so machine build and set-up drop out."""
+    import repro
+    from repro import Machine, MachineConfig
+
+    package = str(Path(repro.__file__).parent)
+
+    def total(count: int) -> int:
+        machine = Machine(MachineConfig(num_cells=cells))
+        profile = cProfile.Profile()
+        profile.runcall(machine.run, counted_program, size, name, count)
+        return sum(ncalls for (filename, _, _), (_, ncalls, *_)
+                   in pstats.Stats(profile).stats.items()
+                   if filename.startswith(package))
+
+    return (total(48) - total(16)) / 32
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--cells", type=int, default=4)
@@ -116,6 +167,9 @@ def main() -> int:
                         help="also write the table as JSON to FILE")
     args = parser.parse_args()
 
+    if importlib.util.find_spec("repro") is None:
+        # Not installed and no PYTHONPATH provides it: this checkout's.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro import Machine, MachineConfig
     from repro.mlsim.params import preset
     from repro.mlsim.put_model import put_timeline
@@ -138,12 +192,16 @@ def main() -> int:
         machine = Machine(MachineConfig(num_cells=args.cells))
         best = machine.run(program, size, args.batch, args.repeats)[0]
         line = put_timeline(plus, size, args.distance)
+        calls = {n: calls_per_operation(args.cells, size, n) for n in names}
         print(f"{size:>10} "
               + " ".join(f"{best[n] * 1e6:>17.2f}" for n in names)
               + f" {line.send_cpu:>20.2f} {line.recv_flag_at:>21.2f}")
+        print(f"{'calls':>10} "
+              + " ".join(f"{calls[n]:>17.1f}" for n in names))
         rows.append({
             "bytes": size,
             "host_us": {n: round(best[n] * 1e6, 3) for n in names},
+            "calls": calls,
             "sim_us": {"put_send_cpu": line.send_cpu,
                        "put_recv_flag": line.recv_flag_at}})
     # The strided DMA path (one gather, one scatter per transfer), at

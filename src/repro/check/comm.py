@@ -229,8 +229,8 @@ class SymbolicContext(CellContext):
 
     machine: SymbolicMachine
 
-    def _trace(self, kind: EventKind, **fields: Any) -> TraceEvent:
-        ev = super()._trace(kind, **fields)
+    def _record(self, ev: TraceEvent) -> TraceEvent:
+        super()._record(ev)
         self.machine.sites[ev.seq] = _caller_site()
         return ev
 

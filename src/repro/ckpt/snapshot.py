@@ -261,7 +261,7 @@ def capture_snapshot(machine: "Machine", *,
 
     memories: dict[str, np.ndarray] = {}
     for pe, cell in enumerate(machine.hw_cells):
-        buf = cell.memory._buf
+        buf = cell.memory.buffer
         memories[f"lo{pe}"] = np.array(buf[: machine._heap_next[pe]],
                                        copy=True)
         hi = buf[machine._private_next[pe]:]
@@ -399,7 +399,7 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
 
     state = snapshot.state
     for pe, cell in enumerate(machine.hw_cells):
-        buf = cell.memory._buf
+        buf = cell.memory.buffer
         lo = snapshot.memories[f"lo{pe}"]
         buf[: lo.size] = lo
         hi = snapshot.memories.get(f"hi{pe}")

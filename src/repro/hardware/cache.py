@@ -81,14 +81,15 @@ class WriteThroughCache(Stateful):
     def invalidate_range(self, addr: int, size: int) -> int:
         """Invalidate every cached line overlapping [addr, addr+size).
 
-        Returns the number of lines actually dropped.  A range at least as
-        large as the cache clears the whole tag store in one step; a
-        smaller one walks its own lines or the resident tags, whichever
-        are fewer, keeping invalidation O(min(range, resident lines)).
+        Returns the number of lines actually dropped.  With nothing
+        resident there is nothing to drop; a range at least as large as
+        the cache clears the whole tag store in one step; a smaller one
+        walks its own lines or the resident tags, whichever are fewer,
+        keeping invalidation O(min(range, resident lines)).
         """
-        if size <= 0:
-            return 0
         tags = self._tags
+        if size <= 0 or not tags:
+            return 0
         dropped = 0
         if size >= self.size_bytes:
             dropped = len(tags)

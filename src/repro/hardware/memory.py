@@ -16,6 +16,7 @@ actual bytes.
 from __future__ import annotations
 
 import mmap
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ PHYSICAL_SPACE_BYTES = 1 << 36
 SHARED_SPACE_BASE = 1 << 35
 #: Word size used by flags and communication registers.
 WORD_BYTES = 4
+#: A word in DRAM: little-endian whatever the host is.
+_WORD = struct.Struct("<I")
+_read_word, _write_word = _WORD.unpack_from, _WORD.pack_into
 
 
 #: Cell DRAM is carved out of anonymous mappings of this size: large
@@ -90,9 +94,18 @@ class CellMemory:
                  buffer: np.ndarray | None = None) -> None:
         """``buffer`` is the zeroed DRAM to use (a row of a bank, see
         :func:`zeroed_dram`); without one the cell gets its own."""
+        self.size_bytes = size_bytes
         self._buf = (zeroed_dram(1, size_bytes)[0] if buffer is None
                      else buffer)
-        self.size_bytes = size_bytes
+        #: Byte and word accesses go through this one view of ``_buf``.
+        self._view = self._buf.data
+
+    def rebind(self, buffer: np.ndarray) -> None:
+        """Make ``buffer`` this cell's DRAM, contents as they are: the
+        one way to replace it, because an assignment to the array alone
+        would leave the held view, and every access, on the old DRAM."""
+        self._buf = buffer
+        self._view = buffer.data
 
     @property
     def buffer(self) -> np.ndarray:
@@ -107,9 +120,9 @@ class CellMemory:
             )
 
     # Every access is range-checked exactly once, by the method that
-    # touches ``_buf``: the word and contiguous-stride forms reach DRAM
-    # through :meth:`read` / :meth:`write` and rely on their check.  Those
-    # two and :meth:`increment_word` test the range in line and call
+    # touches DRAM: the contiguous-stride forms reach it through
+    # :meth:`read` / :meth:`write` and rely on their check.  Those two
+    # and the word operations test the range in line and call
     # ``_check_range`` only to raise.
 
     def read(self, addr: int, size: int) -> bytes:
@@ -117,7 +130,7 @@ class CellMemory:
         end = addr + size
         if addr < 0 or size < 0 or end > self.size_bytes:
             self._check_range(addr, size)
-        return self._buf[addr:end].tobytes()
+        return self._view[addr:end].tobytes()
 
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
         """Write ``data`` starting at ``addr``."""
@@ -127,14 +140,18 @@ class CellMemory:
         if isinstance(data, np.ndarray):
             self._buf[addr:end] = data
         else:
-            self._buf.data[addr:end] = data
+            self._view[addr:end] = data
 
     def read_word(self, addr: int) -> int:
         """Read a 4-byte little-endian word (used for flags)."""
-        return int.from_bytes(self.read(addr, WORD_BYTES), "little")
+        if addr < 0 or addr + WORD_BYTES > self.size_bytes:
+            self._check_range(addr, WORD_BYTES)
+        return _read_word(self._view, addr)[0]
 
     def write_word(self, addr: int, value: int) -> None:
-        self.write(addr, (value % (1 << 32)).to_bytes(WORD_BYTES, "little"))
+        if addr < 0 or addr + WORD_BYTES > self.size_bytes:
+            self._check_range(addr, WORD_BYTES)
+        _write_word(self._view, addr, value & 0xFFFFFFFF)
 
     def increment_word(self, addr: int) -> int:
         """Fetch-and-increment the word at ``addr`` in one access.
@@ -142,12 +159,11 @@ class CellMemory:
         Returns the fetched value plus one; the word stored wraps at
         2**32 like the 4-byte counter it is.
         """
-        end = addr + WORD_BYTES
-        if addr < 0 or end > self.size_bytes:
+        if addr < 0 or addr + WORD_BYTES > self.size_bytes:
             self._check_range(addr, WORD_BYTES)
-        word = self._buf.data[addr:end]
-        value = int.from_bytes(word, "little") + 1
-        word[:] = (value & 0xFFFFFFFF).to_bytes(WORD_BYTES, "little")
+        view = self._view
+        value = _read_word(view, addr)[0] + 1
+        _write_word(view, addr, value & 0xFFFFFFFF)
         return value
 
     def view(self, addr: int, size: int) -> np.ndarray:

@@ -32,7 +32,9 @@ class PageEntry:
 
 
 class _DirectMappedTLB(Stateful):
-    """A direct-mapped TLB for one page size."""
+    """A direct-mapped TLB for one page size: slot ``page % entries``
+    holds ``(page, entry)``.  :meth:`MMU._lookup` probes it and counts
+    the hit or miss."""
 
     def __init__(self, entries: int, page_size: int) -> None:
         self.entries = entries
@@ -40,15 +42,6 @@ class _DirectMappedTLB(Stateful):
         self._slots: dict[int, tuple[int, PageEntry]] = {}
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, page_number: int) -> PageEntry | None:
-        index = page_number % self.entries
-        slot = self._slots.get(index)
-        if slot is not None and slot[0] == page_number:
-            self.hits += 1
-            return slot[1]
-        self.misses += 1
-        return None
 
     def fill(self, page_number: int, entry: PageEntry) -> None:
         self._slots[page_number % self.entries] = (page_number, entry)
@@ -179,12 +172,18 @@ class MMU(Stateful):
         # 4 KB mapping installed; elsewhere that TLB is not probed.
         large_page = logical // PAGE_256K
         if large_page in self._fine_grained:
-            hit = self.tlb_4k.lookup(logical // PAGE_4K)
-            if hit is not None:
-                return hit
-        hit = self.tlb_256k.lookup(large_page)
-        if hit is not None:
-            return hit
+            tlb, page = self.tlb_4k, logical // PAGE_4K
+            slot = tlb._slots.get(page % tlb.entries)
+            if slot is not None and slot[0] == page:
+                tlb.hits += 1
+                return slot[1]
+            tlb.misses += 1
+        tlb = self.tlb_256k
+        slot = tlb._slots.get(large_page % tlb.entries)
+        if slot is not None and slot[0] == large_page:
+            tlb.hits += 1
+            return slot[1]
+        tlb.misses += 1
         # TLB miss: hardware walker searches the page tables.
         self.walks += 1
         entry = self._table_4k.get(logical // PAGE_4K)

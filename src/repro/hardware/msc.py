@@ -132,12 +132,13 @@ class MSCPlus(Stateful):
 
     def issue(self, command: Command, *, system: bool = False) -> None:
         """Issue a PUT/GET command at user (or system) level."""
-        if command.kind in (CommandKind.REMOTE_LOAD, CommandKind.REMOTE_STORE):
-            self.remote_access_queue.push(command, command.words)
+        kind, words = command.kind, command.words
+        if kind is CommandKind.REMOTE_LOAD or kind is CommandKind.REMOTE_STORE:
+            self.remote_access_queue.push(command, words)
         elif system:
-            self.system_send_queue.push(command, command.words)
+            self.system_send_queue.push(command, words)
         else:
-            self.user_send_queue.push(command, command.words)
+            self.user_send_queue.push(command, words)
 
     # ------------------------------------------------------------------
     # Send controller
@@ -154,39 +155,39 @@ class MSCPlus(Stateful):
         for queue in (self.remote_access_queue, self.system_send_queue,
                       self.user_send_queue):
             while queue.pushed != queue.popped:
-                self._execute(queue.pop())
+                command = queue.pop()
+                kind = command.kind
+                if kind is CommandKind.PUT:
+                    self._send_put(command)
+                elif kind is CommandKind.GET:
+                    self._send_get(command)
+                elif kind is CommandKind.REMOTE_STORE:
+                    self._send_remote_store(command)
+                elif kind is CommandKind.REMOTE_LOAD:
+                    self._send_remote_load(command)
+                else:  # pragma: no cover - enum is exhaustive
+                    raise CommunicationError(
+                        f"unknown command kind {command.kind}")
                 sent += 1
         return sent
-
-    def _execute(self, command: Command) -> None:
-        if command.kind is CommandKind.PUT:
-            self._send_put(command)
-        elif command.kind is CommandKind.GET:
-            self._send_get(command)
-        elif command.kind is CommandKind.REMOTE_STORE:
-            self._send_remote_store(command)
-        elif command.kind is CommandKind.REMOTE_LOAD:
-            self._send_remote_load(command)
-        else:  # pragma: no cover - enum is exhaustive
-            raise CommunicationError(f"unknown command kind {command.kind}")
 
     def _gather_payload(self, command: Command) -> bytes:
         paddr = self.mc.mmu.translate_range(
             command.laddr, command.send_stride.extent_bytes, write=False)
         return self.send_dma.gather(self.mc.memory, paddr, command.send_stride)
 
+    # Packet(kind, src, dst, payload_bytes, remote_addr, local_addr,
+    #        send_flag, recv_flag, data, send_stride, recv_stride, context)
+
     def _send_put(self, command: Command) -> None:
         data = self._gather_payload(command)
-        stride = command.recv_stride.count > 1 or command.send_stride.count > 1
+        recv_stride = command.recv_stride
         packet = Packet(
-            kind=PacketKind.PUT_STRIDE if stride else PacketKind.PUT,
-            src=self.cell_id, dst=command.dst,
-            payload_bytes=len(data), data=data,
-            remote_addr=command.raddr,
-            recv_flag=command.recv_flag,
-            recv_stride=command.recv_stride,
-            context=command.context,
-        )
+            PacketKind.PUT_STRIDE
+            if recv_stride.count > 1 or command.send_stride.count > 1
+            else PacketKind.PUT,
+            self.cell_id, command.dst, len(data), command.raddr, 0, 0,
+            command.recv_flag, data, None, recv_stride, command.context)
         # Send-side completion precedes the injection here and below: a
         # perfect wire has the packet at its destination, receive flag
         # updated, when ``inject`` returns.
@@ -198,15 +199,11 @@ class MSCPlus(Stateful):
 
     def _send_get(self, command: Command) -> None:
         packet = Packet(
-            kind=PacketKind.GET_REQUEST,
-            src=self.cell_id, dst=command.dst,
-            payload_bytes=0,
-            remote_addr=command.raddr, local_addr=command.laddr,
-            recv_flag=command.recv_flag,
-            send_stride=command.send_stride,  # remote-side gather layout
-            recv_stride=command.recv_stride,  # local scatter layout
-            context=command.context,
-        )
+            PacketKind.GET_REQUEST, self.cell_id, command.dst, 0,
+            command.raddr, command.laddr, 0, command.recv_flag, None,
+            command.send_stride,    # remote-side gather layout
+            command.recv_stride,    # local scatter layout
+            command.context)
         self.stats.gets_sent += 1
         # The GET request itself leaves: sending-side flag updates now.
         if command.send_flag != NO_FLAG:
@@ -257,13 +254,26 @@ class MSCPlus(Stateful):
                 f"packet for cell {packet.dst} delivered to cell "
                 f"{self.cell_id}")
         kind = packet.kind
-        if kind in (PacketKind.PUT, PacketKind.PUT_STRIDE):
-            self._receive_put(packet)
+        reply = kind is PacketKind.GET_REPLY
+        if reply or kind is PacketKind.PUT or kind is PacketKind.PUT_STRIDE:
+            # Data lands (none in the reply to an acknowledging GET),
+            # then the receive DMA's combined flag update.
+            if packet.payload_bytes or not reply:
+                assert packet.data is not None
+                self._scatter_with_invalidate(
+                    packet.remote_addr,
+                    packet.recv_stride
+                    or StrideSpec.contiguous(packet.payload_bytes),
+                    packet.data)
+            if reply:
+                self.stats.get_replies_received += 1
+            else:
+                self.stats.puts_received += 1
+            if packet.recv_flag != NO_FLAG:
+                self.mc.increment_flag(packet.recv_flag)
         elif kind is PacketKind.GET_REQUEST:
             self.stats.get_requests_received += 1
             self.get_reply_queue.push(packet, PUT_COMMAND_WORDS)
-        elif kind is PacketKind.GET_REPLY:
-            self._receive_get_reply(packet)
         elif kind is PacketKind.SEND:
             self._receive_send(packet)
         elif kind is PacketKind.REMOTE_STORE:
@@ -279,39 +289,19 @@ class MSCPlus(Stateful):
 
     def _scatter_with_invalidate(self, laddr: int, stride: StrideSpec,
                                  data: bytes) -> None:
+        mc = self.mc
+        extent = stride.extent_bytes
         try:
-            paddr = self.mc.mmu.translate_range(
-                laddr, stride.extent_bytes, write=True)
+            paddr = mc.mmu.translate_range(laddr, extent, write=True)
         except PageFaultError:
             # Page fault in a remote cell during transfer: interrupt the OS
             # and pull the remaining message from the network (section 4.1).
             self.stats.faults_pulled += 1
             raise
-        self.recv_dma.scatter(self.mc.memory, paddr, stride, data)
+        self.recv_dma.scatter(mc.memory, paddr, stride, data)
         # Cache invalidation happens at message reception, in hardware.
         if self.cache is not None:
-            self.cache.invalidate_range(paddr, stride.extent_bytes)
-
-    def _receive_put(self, packet: Packet) -> None:
-        stride = (packet.recv_stride
-                  or StrideSpec.contiguous(packet.payload_bytes))
-        assert packet.data is not None
-        self._scatter_with_invalidate(packet.remote_addr, stride, packet.data)
-        self.stats.puts_received += 1
-        # Receive DMA complete: combined flag update on the receiving side.
-        if packet.recv_flag != NO_FLAG:
-            self.mc.increment_flag(packet.recv_flag)
-
-    def _receive_get_reply(self, packet: Packet) -> None:
-        stride = (packet.recv_stride
-                  or StrideSpec.contiguous(packet.payload_bytes))
-        if packet.payload_bytes:
-            assert packet.data is not None
-            self._scatter_with_invalidate(packet.remote_addr, stride,
-                                          packet.data)
-        self.stats.get_replies_received += 1
-        if packet.recv_flag != NO_FLAG:
-            self.mc.increment_flag(packet.recv_flag)
+            self.cache.invalidate_range(paddr, extent)
 
     def _receive_send(self, packet: Packet) -> None:
         self.stats.sends_received += 1
@@ -365,13 +355,9 @@ class MSCPlus(Stateful):
             stride = request.recv_stride or StrideSpec.contiguous(len(data))
         self.stats.get_replies_sent += 1
         self.tnet.inject(Packet(
-            kind=PacketKind.GET_REPLY, src=self.cell_id, dst=request.src,
-            payload_bytes=len(data), data=data,
-            remote_addr=request.local_addr,  # requester's landing address
-            recv_flag=request.recv_flag,
-            recv_stride=stride,
-            context=request.context,
-        ))
+            PacketKind.GET_REPLY, self.cell_id, request.src, len(data),
+            request.local_addr,     # requester's landing address
+            0, 0, request.recv_flag, data, None, stride, request.context))
 
     def _reply_remote_load(self, request: Packet) -> None:
         size = request.send_stride.total_bytes if request.send_stride else 4

@@ -146,10 +146,3 @@ class CommandQueue(Stateful):
     @property
     def words_spilled(self) -> int:
         return self._spill_words
-
-    def drain(self) -> list[Any]:
-        """Pop everything (used by the functional machine's pump loop)."""
-        out = []
-        while self:
-            out.append(self.pop())
-        return out

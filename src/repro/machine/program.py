@@ -18,7 +18,7 @@ The interface is stated here once.  What a program runs on — the
 functional machine, the static analyzer's instant-delivery machine
 (:mod:`repro.check.comm`), a sharded worker
 (:mod:`repro.machine.sharded`) — differs only below a seam of private
-methods a back end may override: ``_trace`` (record an event),
+methods a back end may override: ``_record`` (record a built event),
 ``_issue`` (hand a PUT/GET command to the hardware), ``_post`` (hand a
 two-sided message to the transport), ``_creg_store`` /
 ``_creg_try_load``; flag words live in the cell's MC, and remote words,
@@ -226,9 +226,13 @@ class CellContext:
     def world(self) -> Group:
         return self.machine.world_group
 
+    def _record(self, ev: TraceEvent) -> TraceEvent:
+        return self.machine.trace.record(ev)
+
     def _trace(self, kind: EventKind, **fields) -> TraceEvent:
-        return self.machine.trace.record(
-            TraceEvent(kind, pe=self.pe, **fields))
+        """Build and record an event: the convenience of the rarer ones
+        (transfers, waits, barriers and computation build theirs)."""
+        return self._record(TraceEvent(kind, self.pe, **fields))
 
     # ------------------------------------------------------------------
     # Memory and flags
@@ -274,7 +278,8 @@ class CellContext:
         if work_us < 0:
             raise ConfigurationError("work must be non-negative")
         if work_us:
-            self._trace(EventKind.COMPUTE, work=float(work_us))
+            self._record(TraceEvent(EventKind.COMPUTE, self.pe,
+                                    work=float(work_us)))
 
     def compute_flops(self, flops: float) -> None:
         """Charge computation by floating-point operation count."""
@@ -285,7 +290,8 @@ class CellContext:
         if work_us < 0:
             raise ConfigurationError("work must be non-negative")
         if work_us:
-            self._trace(EventKind.RTSYS, work=float(work_us))
+            self._record(TraceEvent(EventKind.RTSYS, self.pe,
+                                    work=float(work_us)))
 
     def phase(self, label: str) -> None:
         """Label the start of a program phase (e.g. one solver iteration).
@@ -346,18 +352,16 @@ class CellContext:
         pe = self.pe
         put = kind is CommandKind.PUT
         command = Command(
-            kind=kind, dst=node, raddr=raddr, laddr=laddr,
-            send_stride=send_stride, recv_stride=recv_stride,
-            send_flag=send_flag.addr if send_flag is not None else NO_FLAG,
-            recv_flag=recv_flag.addr if recv_flag is not None else NO_FLAG,
-        )
-        ev = self._trace(
-            EventKind.PUT if put else EventKind.GET, partner=node,
-            size=send_stride.total_bytes, stride=stride, is_ack=is_ack,
-            send_flag=send_flag.id_on(pe) if send_flag else 0,
-            recv_flag=(recv_flag.id_on(node if put else pe)
-                       if recv_flag else 0),
-        )
+            kind, node, raddr, laddr, send_stride, recv_stride,
+            send_flag.addr if send_flag is not None else NO_FLAG,
+            recv_flag.addr if recv_flag is not None else NO_FLAG)
+        # kind, pe, seq, partner, size, stride, the two flag ids, is_ack
+        ev = self._record(TraceEvent(
+            EventKind.PUT if put else EventKind.GET, pe, 0, node,
+            send_stride.total_bytes, stride,
+            send_flag.id_on(pe) if send_flag else 0,
+            recv_flag.id_on(node if put else pe) if recv_flag else 0,
+            is_ack))
         if self.machine.sanitize:
             self._annotate(ev, command)
         self._issue(command)
@@ -489,12 +493,15 @@ class CellContext:
         """Block until ``flag``'s counter on this cell reaches ``target``."""
         pe = self.pe
         flag_id = flag.id_on(pe)
-        self._trace(EventKind.FLAG_WAIT, flag=flag_id, target=int(target))
+        addr = flag.addr
+        self._record(TraceEvent(EventKind.FLAG_WAIT, pe, flag=flag_id,
+                                target=int(target)))
         # Note the wait so a hang report (or the static analyzer's wedge
         # finding) can say which flag this cell is stuck on.
         blocked = self.machine.blocked
-        blocked[pe] = ("flag_wait", flag_id, int(target), flag.addr)
-        while self.hw.mc.read_flag(flag.addr) < target:
+        blocked[pe] = ("flag_wait", flag_id, int(target), addr)
+        read_flag = self.hw.mc.read_flag
+        while read_flag(addr) < target:
             yield
         blocked.pop(pe, None)
         self.machine.note_progress()
@@ -564,7 +571,8 @@ class CellContext:
         differently, the functional semantics are the same.
         """
         grp = group or self.world
-        self._trace(EventKind.BARRIER, group=grp.gid, group_size=grp.size)
+        self._record(TraceEvent(EventKind.BARRIER, self.pe, group=grp.gid,
+                                group_size=grp.size))
         machine = self.machine
         generation = machine.barrier_arrive(grp, self.pe)
         while not machine.barrier_passed(grp.gid, generation):

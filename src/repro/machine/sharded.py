@@ -489,11 +489,11 @@ class _ShardCellContext(CellContext):
         self._sh = sh
         super().__init__(machine, pe)
 
-    # Trace events are *built* here but recorded only at replay, where
-    # the parent assigns the canonical global sequence numbers.  The
+    # The front end's events are logged here and recorded only at replay,
+    # where the parent assigns the canonical global sequence numbers.  The
     # waits the replay must re-block on are functions of the event.
-    def _trace(self, kind: EventKind, **fields) -> TraceEvent:
-        ev = TraceEvent(kind, pe=self.pe, **fields)
+    def _record(self, ev: TraceEvent) -> TraceEvent:
+        kind = ev.kind
         log = self._sh.oplog[self.pe]
         log.append(("ev", ev))
         if kind is EventKind.FLAG_WAIT:
@@ -894,7 +894,7 @@ def _bind_shared_memory(machine: Machine, plan: list[list[int]],
         for i, pe in enumerate(block):
             view = np.frombuffer(seg.buf, dtype=np.uint8, count=mem,
                                  offset=i * mem)
-            machine.hw_cells[pe].memory._buf = view
+            machine.hw_cells[pe].memory.rebind(view)
 
 
 def run_sharded(machine: Machine, program: Callable, args: tuple,

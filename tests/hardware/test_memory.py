@@ -122,6 +122,11 @@ class NestedCheckMemory(CellMemory):
         self._check_range(addr, WORD_BYTES)
         self.write(addr, (value % (1 << 32)).to_bytes(WORD_BYTES, "little"))
 
+    def increment_word(self, addr):
+        value = self.read_word(addr) + 1
+        self.write_word(addr, value)
+        return value
+
     def gather(self, addr, stride):
         self._check_range(addr, stride.extent_bytes)
         if stride.count <= 1 or stride.skip == stride.item_size:
@@ -159,6 +164,7 @@ accesses = st.one_of(
     st.tuples(st.just("read_word"), addresses),
     st.tuples(st.just("write_word"), addresses,
               st.integers(-3, (1 << 33))),
+    st.tuples(st.just("increment_word"), addresses),
     st.tuples(st.just("gather"), addresses, strides),
     st.tuples(st.just("scatter"), addresses, strides,
               st.binary(max_size=72)),
@@ -192,6 +198,71 @@ class TestOneCheckPerAccess:
         with pytest.raises(AddressError, match="outside 96-byte DRAM"):
             memory.write_word(addr, 1)
         assert memory.read(0, DRAM) == bytes(DRAM)     # nothing written
+
+
+class TestWordOpsAreStructOps:
+    """One ``struct`` operation on the held view does what slicing,
+    ``int.from_bytes`` and ``to_bytes`` did: same word at any alignment,
+    same wrap, same refusal with DRAM untouched."""
+
+    WRAP = (1 << 32) - 1
+
+    @given(fill=st.binary(min_size=DRAM, max_size=DRAM), addr=addresses,
+           value=st.one_of(st.integers(0, 1 << 33), st.just(WRAP)))
+    @example(fill=bytes(range(DRAM)), addr=DRAM - WORD_BYTES, value=WRAP)
+    @example(fill=b"\xff" * DRAM, addr=DRAM - WORD_BYTES, value=0)
+    @example(fill=b"\xff" * DRAM, addr=1, value=WRAP)       # unaligned
+    @example(fill=bytes(DRAM), addr=DRAM - WORD_BYTES + 1, value=1)
+    def test_against_from_bytes(self, fill, addr, value):
+        memory = CellMemory(DRAM)
+        memory.write(0, fill)
+        if not 0 <= addr <= DRAM - WORD_BYTES:
+            for refused in (lambda: memory.read_word(addr),
+                            lambda: memory.write_word(addr, value),
+                            lambda: memory.increment_word(addr)):
+                with pytest.raises(AddressError, match="outside 96-byte"):
+                    refused()
+                assert memory.read(0, DRAM) == fill
+            return
+        word = slice(addr, addr + WORD_BYTES)
+        stored = int.from_bytes(fill[word], "little")
+        assert memory.read_word(addr) == stored
+        # The value returned is the count; the word stored is 32 bits.
+        assert memory.increment_word(addr) == stored + 1
+        want = bytearray(fill)
+        want[word] = ((stored + 1) % (1 << 32)).to_bytes(4, "little")
+        assert memory.read(0, DRAM) == bytes(want)
+        memory.write_word(addr, value)
+        want[word] = (value % (1 << 32)).to_bytes(4, "little")
+        assert memory.read(0, DRAM) == bytes(want)
+        assert memory.read_word(addr) == value % (1 << 32)
+
+
+class TestRebind:
+    def test_every_access_lands_in_the_new_buffer_and_none_in_the_old(self):
+        old = np.zeros(DRAM, dtype=np.uint8)
+        new = np.zeros(DRAM, dtype=np.uint8)
+        memory = CellMemory(DRAM, old)
+        memory.rebind(new)
+        assert memory.buffer is new
+        memory.write(0, b"bytes")
+        memory.write(8, np.arange(4, dtype=np.uint8))
+        memory.write_word(16, 0x01020304)
+        assert memory.increment_word(16) == 0x01020305
+        memory.scatter(24, StrideSpec(2, 3, 5), b"aabbcc")
+        memory.view(48, 4)[:] = 7
+        assert not old.any()
+        assert new.tobytes() == memory.read(0, DRAM)
+        assert memory.read(0, 5) == b"bytes"
+        assert memory.read(8, 4) == bytes(range(4))
+        assert memory.read_word(16) == 0x01020305
+        assert memory.gather(24, StrideSpec(2, 3, 5)) == b"aabbcc"
+        assert memory.read(48, 4) == bytes([7] * 4)
+        # What was in the new buffer before is DRAM contents now.
+        other = np.frombuffer(bytearray(b"\x2a" * DRAM), dtype=np.uint8)
+        memory.rebind(other)
+        assert memory.read_word(0) == 0x2a2a2a2a
+        assert new.tobytes()[:5] == b"bytes"
 
 
 class TestStridedDMAIsOneOperation:

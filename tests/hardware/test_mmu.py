@@ -290,14 +290,25 @@ class TestMapRangeOracle:
 # ----------------------------------------------------------------------
 
 
+def probe(tlb, page_number):
+    """One TLB's entry for a page, counting the hit or miss (what
+    ``MMU._lookup`` does in line)."""
+    slot = tlb._slots.get(page_number % tlb.entries)
+    if slot is not None and slot[0] == page_number:
+        tlb.hits += 1
+        return slot[1]
+    tlb.misses += 1
+    return None
+
+
 def translate_probing_both_tlbs(mmu, logical, write):
     """``MMU.translate`` with the 4 KB TLB probed before the 256 KB one
     on every access, whether or not a 4 KB mapping can be there."""
     if logical < 0:
         mmu.faults += 1
         raise PageFaultError("negative logical address")
-    entry = (mmu.tlb_4k.lookup(logical // PAGE_4K)
-             or mmu.tlb_256k.lookup(logical // PAGE_256K))
+    entry = (probe(mmu.tlb_4k, logical // PAGE_4K)
+             or probe(mmu.tlb_256k, logical // PAGE_256K))
     if entry is None:
         mmu.walks += 1
         for tlb, table in ((mmu.tlb_4k, mmu._table_4k),

@@ -93,7 +93,7 @@ class TestSpill:
         q = CommandQueue("t")
         for i in range(12):
             q.push(i)
-        assert q.drain() == list(range(12))
+        assert [q.pop() for _ in range(len(q))] == list(range(12))
         assert not q
 
     def test_exhaustion_error_names_queue_and_budget(self):

@@ -241,10 +241,10 @@ def test_back_ends_override_only_the_seam():
     # above it the stride-noting pair (COMM-STRIDE), write-through
     # pages refused, and a checkpoint site that never arms a gate.
     assert overridden(SymbolicContext) == {
-        "_trace", "_issue", "_post",
+        "_record", "_issue", "_post",
         "put_stride", "get_stride", "wt_bind", "wt_refresh", "checkpoint"}
     # A worker: shard logic below the seam; above it the wildcard
     # RECEIVE refusal and the two ops whose oplog item no event carries.
     assert overridden(sharded._ShardCellContext) == {
-        "_trace", "_issue", "_post", "_creg_store", "_creg_try_load",
+        "_record", "_issue", "_post", "_creg_store", "_creg_try_load",
         "recv", "flag_clear", "make_group"}

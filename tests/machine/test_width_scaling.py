@@ -69,16 +69,18 @@ def test_ring_shift_calls_into_repro_per_event():
 
 
 def test_gc_tracked_objects_per_cell_of_a_built_machine():
-    # 40.6 (five queues and their ten deques are half of it); 50.4 while
-    # every queue had a spill hook of its own.  What the cycle collector
-    # walks is a third of a wide machine's build.
+    # 42.6 (five queues and their ten deques are half of it; one is the
+    # memoryview of its DRAM that ``CellMemory`` holds so a flag access
+    # need not make one); 50.4 while every queue had a spill hook of its
+    # own.  What the cycle collector walks is a third of a wide
+    # machine's build.
     Machine(4)                                  # first-use set-up
     gc.collect()
     before = len(gc.get_objects())
     machine = Machine(64)
     tracked = len(gc.get_objects()) - before
     assert machine.config.num_cells == 64
-    assert tracked <= 42 * 64, tracked / 64
+    assert tracked <= 43 * 64, tracked / 64
 
 
 def test_profiled_calls_per_cell_of_a_machine_build():

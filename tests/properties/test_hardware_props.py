@@ -41,7 +41,7 @@ def test_queue_conserves_commands(n):
         queue.push(i)
     assert queue.pushed == n
     assert len(queue) == n
-    out = queue.drain()
+    out = [queue.pop() for _ in range(n)]
     assert out == list(range(n))
     assert queue.popped == n
 
