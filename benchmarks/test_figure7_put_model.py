@@ -9,8 +9,8 @@ import pytest
 from conftest import write_artifact
 from repro.analysis.figures import figure7_text
 from repro.mlsim import put_model as pm
-from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.params import ap1000_params, ap1000_plus_params
+from repro.mlsim.simulator import simulate
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 
@@ -62,7 +62,7 @@ def test_single_put_replay(benchmark, model, params):
     """End-to-end engine latency of one PUT + flag check."""
 
     def replay():
-        return MLSimEngine(_single_put_trace(1024), params).run()
+        return simulate(_single_put_trace(1024), params)
 
     result = benchmark(replay)
     assert result.messages == 1

@@ -6,8 +6,10 @@ path — ``load_trace`` (file -> buffer; the block mapped and checked,
 no event built), ``events`` (that buffer's ``TraceEvent`` objects, for
 whoever asks: checker, exporter, digest), ``load_trace_columns`` (file
 -> replay columns, what ``repro replay`` and the bench runner use),
-``compile_program`` and ``replay_columns`` under each preset, and the
+``compile_program`` and ``replay_columns`` under each preset, the
 cache entry's trace file (``save_trace_v2`` of a freshly loaded buffer)
+and ``export`` (``obs.export.export_trace`` of a freshly loaded buffer
+under ``ap1000+``: a recording replay and the Perfetto document)
 — in microseconds of wall clock per trace event, minimum over
 ``--repeats`` runs, in the manner of the per-stage cost tables of the
 OpenSHMEM-on-Epiphany paper.  The simulated elapsed time of the same
@@ -60,11 +62,12 @@ def main() -> int:
     from repro.apps.workloads import workload
     from repro.mlsim.engine_soa import compile_program, replay_columns
     from repro.mlsim.params import preset
+    from repro.obs.export import export_trace
     from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
     presets = [preset(name) for name in PRESETS]
     stages = ["load", "events", "decode", "compile",
-              *(f"replay {name}" for name in PRESETS), "save"]
+              *(f"replay {name}" for name in PRESETS), "save", "export"]
     print(f"min of {args.repeats}; host_us = host wall clock per trace "
           "event, sim_us = simulated elapsed time of the whole trace")
     print(f"{'trace':>10} {'events':>7} "
@@ -88,6 +91,8 @@ def main() -> int:
                     cost["save"], least(1, save_trace_v2, loaded, copy)[0])
                 cost["events"] = min(
                     cost["events"], least(1, loaded.all_events)[0])
+                cost["export"] = min(cost["export"], least(
+                    1, export_trace, load_trace(path), presets[-1])[0])
             cost["decode"], columns = least(
                 args.repeats, load_trace_columns, path)
             sim = {}

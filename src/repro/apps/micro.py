@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.params import MLSimParams
+from repro.mlsim.simulator import simulate
 from repro.network.topology import TorusTopology
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
@@ -49,7 +49,7 @@ def ping_pong(params: MLSimParams, size: int, *,
                                 recv_flag=flag_a))
         trace.record(TraceEvent(EventKind.FLAG_WAIT, pe=a, flag=flag_a,
                                 target=i + 1))
-    result = MLSimEngine(trace, params).run()
+    result = simulate(trace, params)
     round_trip = result.elapsed_us / rounds
     one_way = round_trip / 2.0
     bandwidth = (size / one_way) if one_way > 0 else 0.0  # B/us == MB/s
@@ -93,7 +93,7 @@ def collective_sweep(params: MLSimParams,
             for pe in range(n):
                 trace.record(TraceEvent(kind, pe=pe, group=0, group_size=n,
                                         size=size))
-            return MLSimEngine(trace, params, topo).run().elapsed_us
+            return simulate(trace, params, topo).elapsed_us
 
         rows.append(CollectivePoint(
             cells=n,

@@ -1,19 +1,20 @@
 """Perf lane: the measurements behind the CI performance job.
 
-The vectorized replay engine and the batched SPMD scheduler exist for
-throughput, so their speedups are regression-tested like any other
-output.  ``repro bench perf`` runs the micro grid twice through the
-normal benchmark runner (a first pass that pays whatever the trace
-cache does not already hold, then a cache-hit pass), then measures two
-controlled A/B speedups:
+The batched SPMD scheduler and the sharded engine exist for throughput,
+so their speedups are regression-tested like any other output.
+``repro bench perf`` runs the micro grid twice through the normal
+benchmark runner (a first pass that pays whatever the trace cache does
+not already hold, then a cache-hit pass, whose artifacts must agree byte
+for byte), then measures two controlled A/B speedups:
 
-* **replay** — the pre-refactor replay pipeline (per-preset v1 JSON
-  trace load + scalar ``MLSimEngine``) against the current one (one
-  binary column load per application + ``replay_columns``), per
-  micro-grid application;
 * **functional** — the reference run-every-cell-every-round SPMD
   scheduler against the batched wake-set scheduler on a long blocking
-  chain (``RingShift``), where scheduler overhead dominates.
+  chain (``RingShift``), where scheduler overhead dominates;
+* **sharded** — the serial engine against the sharded one on its
+  critical path (see :data:`SHARDED_AB`).
+
+Replay speed has no ratio here: there is one replay engine, and its
+wall-clock is ``benchmarks/e2e``'s ``replay_sweep`` workload.
 
 Both A/B passes time identical work under ``gc`` control and keep the
 minimum of ``reps`` repetitions, so the ratios are stable even on noisy
@@ -32,27 +33,20 @@ import gc
 import json
 import os
 import platform
-import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.bench.cache import TraceCache, code_version, load_cached_columns
-from repro.bench.grid import ALL_PRESETS, BenchSpec, micro_specs
+from repro.bench.cache import TraceCache, code_version
+from repro.bench.grid import ALL_PRESETS, micro_specs
 from repro.bench.runner import run_bench
 from repro.bench.schema import results_bytes
-from repro.mlsim.engine import MLSimEngine
-from repro.mlsim.engine_soa import replay_columns
-from repro.mlsim.params import preset as load_preset
-from repro.trace.io import load_trace, save_trace
 
 PERF_SCHEMA = "repro-perf-v1"
 
 #: Hard floors: the refactor's contract, independent of any baseline.
-REPLAY_MIN_SPEEDUP = 10.0
 FUNCTIONAL_MIN_SPEEDUP = 3.0
 SHARDED_MIN_SPEEDUP = 2.0
 
@@ -121,65 +115,6 @@ def _timed_min(fn: Callable[[], None], reps: int) -> float:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _measure_replay(
-    specs: list[BenchSpec],
-    preset_names: tuple[str, ...],
-    cache: TraceCache,
-    reps: int,
-    log: Log,
-) -> dict[str, Any]:
-    """A/B the replay pipelines over every cached micro-grid trace.
-
-    The "old" side is the pre-refactor pipeline exactly: each (app,
-    preset) cell re-reads the v1 JSON-lines trace, coalesces, and runs
-    the scalar engine.  The "new" side is what the runner does today:
-    one binary column load per application, then the vectorized replay
-    per preset.  Both collect metrics, as the runner always has.
-    """
-    presets = [load_preset(name) for name in preset_names]
-    apps: dict[str, Any] = {}
-    old_total = new_total = 0.0
-    with tempfile.TemporaryDirectory(prefix="repro-perf-") as tmp:
-        for spec in specs:
-            cached = cache.get(spec.app, spec.config())
-            if cached is None:  # pragma: no cover - runner just filled it
-                raise RuntimeError(f"no cache entry for {spec.app}")
-            v1_path = Path(tmp) / f"{spec.app}.v1.jsonl"
-            save_trace(cached.trace, v1_path)
-
-            def old_pass() -> None:
-                for p in presets:
-                    trace = load_trace(v1_path)
-                    trace.coalesce_compute()
-                    MLSimEngine(trace, p, None, collect_metrics=True).run()
-
-            def new_pass() -> None:
-                columns = load_cached_columns(cached.trace_path)
-                for p in presets:
-                    replay_columns(columns, p, collect_metrics=True)
-
-            old_s = _timed_min(old_pass, reps)
-            new_s = _timed_min(new_pass, reps)
-            old_total += old_s
-            new_total += new_s
-            apps[spec.app] = {
-                "old_s": old_s,
-                "new_s": new_s,
-                "speedup": old_s / new_s,
-            }
-            log(f"replay {spec.app}: old {old_s * 1000:.0f}ms, "
-                f"new {new_s * 1000:.0f}ms "
-                f"({old_s / new_s:.1f}x)")
-    return {
-        "reps": reps,
-        "presets": list(preset_names),
-        "apps": apps,
-        "old_total_s": old_total,
-        "new_total_s": new_total,
-        "aggregate_speedup": old_total / new_total,
-    }
 
 
 def _measure_functional(reps: int, log: Log) -> dict[str, Any]:
@@ -292,9 +227,6 @@ def compare_to_baseline(
     failures = []
     floor_factor = 1.0 - tolerance_pct / 100.0
     pairs = [
-        ("replay aggregate",
-         document["replay"]["aggregate_speedup"],
-         baseline["speedups"]["replay_aggregate"]),
         ("functional scheduler",
          document["functional"]["speedup"],
          baseline["speedups"]["functional"]),
@@ -303,10 +235,6 @@ def compare_to_baseline(
         pairs.append(("sharded engine",
                       document["sharded"]["speedup"],
                       baseline["speedups"]["sharded"]))
-    for app, ratio in baseline["speedups"].get("replay_apps", {}).items():
-        current = document["replay"]["apps"].get(app)
-        if current is not None:
-            pairs.append((f"replay {app}", current["speedup"], ratio))
     for name, current, base in pairs:
         if current < base * floor_factor:
             failures.append(
@@ -323,18 +251,12 @@ def baseline_from_report(document: dict[str, Any]) -> dict[str, Any]:
         "recorded_utc": document["created_utc"],
         "host": document["host"],
         "speedups": {
-            "replay_aggregate": document["replay"]["aggregate_speedup"],
-            "replay_apps": {
-                app: row["speedup"]
-                for app, row in document["replay"]["apps"].items()
-            },
             "functional": document["functional"]["speedup"],
             "sharded": document["sharded"]["speedup"],
         },
         "walls_informational": {
             "micro_cold_s": document["micro"]["cold"]["wall_s"],
             "micro_warm_s": document["micro"]["warm"]["wall_s"],
-            "replay_new_total_s": document["replay"]["new_total_s"],
             "sharded_critical_path_s": document["sharded"][
                 "critical_path_s"],
         },
@@ -344,7 +266,6 @@ def baseline_from_report(document: dict[str, Any]) -> dict[str, Any]:
 def run_perf(
     *,
     cache_dir: str | Path | None = None,
-    replay_reps: int = 3,
     functional_reps: int = 2,
     baseline_path: str | Path | None = None,
     tolerance_pct: float = BASELINE_TOLERANCE_PCT,
@@ -354,7 +275,7 @@ def run_perf(
 
     Stages: micro grid first pass (fills or reuses the trace cache),
     micro grid cache-hit pass, byte-identity check between the two
-    artifacts, replay A/B, functional A/B, then gating — hard floors
+    artifacts, functional A/B, sharded A/B, then gating — hard floors
     first, baseline drift second.
     """
     log = log or (lambda message: None)
@@ -383,7 +304,6 @@ def run_perf(
 
     identical = (results_bytes(artifacts["cold"])
                  == results_bytes(artifacts["warm"]))
-    replay = _measure_replay(specs, preset_names, cache, replay_reps, log)
     functional = _measure_functional(functional_reps, log)
     sharded = _measure_sharded(functional_reps, log)
 
@@ -400,11 +320,9 @@ def run_perf(
             "presets": list(preset_names),
         },
         "micro": {**passes, "results_identical": identical},
-        "replay": replay,
         "functional": functional,
         "sharded": sharded,
         "gates": {
-            "replay_min_speedup": REPLAY_MIN_SPEEDUP,
             "functional_min_speedup": FUNCTIONAL_MIN_SPEEDUP,
             "sharded_min_speedup": SHARDED_MIN_SPEEDUP,
             "baseline_tolerance_pct": tolerance_pct,
@@ -417,10 +335,6 @@ def run_perf(
     if not identical:
         failures.append(
             "cold and cache-hit micro artifacts differ byte for byte")
-    if replay["aggregate_speedup"] < REPLAY_MIN_SPEEDUP:
-        failures.append(
-            f"replay aggregate speedup {replay['aggregate_speedup']:.1f}x "
-            f"is below the {REPLAY_MIN_SPEEDUP:g}x floor")
     if functional["speedup"] < FUNCTIONAL_MIN_SPEEDUP:
         failures.append(
             f"functional scheduler speedup {functional['speedup']:.1f}x "

@@ -275,19 +275,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         params = parse_params(args.params, name=args.params)
     else:
         params = preset(args.preset)
-    if args.timeline:
+    # File -> columns -> replay: no TraceEvent is built on the way (the
+    # bench runner's path for cached traces), timeline or not.
+    from repro.mlsim.engine_soa import replay_columns
+    from repro.trace.io import load_trace_columns
+    result = replay_columns(load_trace_columns(args.trace), params,
+                            record_timeline=args.timeline,
+                            collect_metrics=args.json)
+    if args.timeline and not args.json:
         from repro.mlsim.timeline import render_timeline
-        from repro.obs.export import replay_with_timeline
-        engine, result = replay_with_timeline(load_trace(args.trace), params)
-        if not args.json:
-            print(render_timeline(engine.timeline))
-    else:
-        # File -> columns -> replay: no TraceEvent is built on the way
-        # (the bench runner's path for cached traces).
-        from repro.mlsim.engine_soa import replay_columns
-        from repro.trace.io import load_trace_columns
-        result = replay_columns(load_trace_columns(args.trace), params,
-                                collect_metrics=args.json)
+        print(render_timeline(result.timeline))
     if args.json:
         _print_json({
             "schema": "repro-replay-v1",
@@ -779,15 +776,12 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     baseline = None if args.no_baseline else args.baseline
     report = run_perf(
         cache_dir=args.cache_dir,
-        replay_reps=args.replay_reps,
         functional_reps=args.functional_reps,
         baseline_path=baseline,
         tolerance_pct=args.tolerance,
         log=print,
     )
     doc = report.document
-    print(f"replay speedup: {doc['replay']['aggregate_speedup']:.1f}x "
-          f"aggregate (floor {doc['gates']['replay_min_speedup']:g}x)")
     print(f"functional speedup: {doc['functional']['speedup']:.1f}x "
           f"(floor {doc['gates']['functional_min_speedup']:g}x); "
           f"wall-clock {doc['functional']['reference_s']:.2f}s vs "
@@ -1147,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench_perf = bench_sub.add_parser(
         "perf",
-        help="measure replay/scheduler speedups and gate on regressions")
+        help="measure scheduler/engine speedups and gate on regressions")
     p_bench_perf.add_argument("--output", metavar="FILE",
                               default="perf_report.json",
                               help="perf report path "
@@ -1166,10 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="PCT",
                               help="allowed %% drop below the baseline "
                                    "speedups (default 25)")
-    p_bench_perf.add_argument("--replay-reps", type=int, default=3,
-                              metavar="N",
-                              help="repetitions per replay A/B timing "
-                                   "(minimum kept; default 3)")
     p_bench_perf.add_argument("--functional-reps", type=int, default=2,
                               metavar="N",
                               help="repetitions per scheduler A/B timing "

@@ -6,7 +6,6 @@ model (Figure 7), a discrete-event engine, and the four-bucket time
 breakdown of section 5.3."""
 
 from repro.mlsim.breakdown import MLSimResult, PEBreakdown
-from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.params import (
     PRESETS,
     MLSimParams,
@@ -37,7 +36,6 @@ from repro.mlsim.timeline import Span, Timeline, render_timeline
 __all__ = [
     "MLSimResult",
     "PEBreakdown",
-    "MLSimEngine",
     "PRESETS",
     "MLSimParams",
     "ap1000_fast_params",

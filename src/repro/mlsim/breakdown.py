@@ -46,6 +46,9 @@ class MLSimResult:
     #: Replay metric document (repro.obs); None unless the engine ran
     #: with ``collect_metrics=True``.
     metrics: dict[str, Any] | None = None
+    #: The span / flow / mark log (:class:`repro.mlsim.timeline.Timeline`);
+    #: None unless the engine ran with ``record_timeline=True``.
+    timeline: Any | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_pes(self) -> int:

@@ -1,8 +1,29 @@
-"""Vectorized MLSim replay over structure-of-arrays traces.
+"""The MLSim timing engine: trace replay as a discrete-event simulation.
 
-Bit-for-bit equivalent to :class:`repro.mlsim.engine.MLSimEngine` (the
-reference implementation, kept for the timeline and link-contention
-extensions and for the golden equivalence tests), but restructured for
+Each PE walks its own trace, accumulating time into the four buckets of
+section 5.3.  Cross-PE interactions — flag updates from arriving
+messages, barrier establishment, reductions, SEND/RECEIVE matching —
+are resolved through shared registries: a PE that reaches a wait it
+cannot satisfy yet *parks*; the PE whose progress satisfies the
+condition wakes it.  MLSim "preserv[es] the order of message
+communications and barrier synchronization between processors with a
+delay parameter": per-channel FIFO clamping keeps (source, destination)
+message order, which the acknowledge idiom (GET after PUT) relies on.
+
+Two deliberate approximations, both in the spirit of a message-level
+simulator:
+
+* Receive-side software service (interrupt handling on the AP1000) is
+  charged to the receiving PE as *stolen* CPU time applied at its next
+  event, rather than preempting it mid-activity.
+* A flag wait resumes at the time of the ``target``-th flag increment
+  among those currently known; a sender processed later with an earlier
+  completion time cannot move an already-resumed waiter earlier (a
+  conservative, no-rollback policy).
+
+This is the one implementation of those rules ``repro`` runs; the scalar
+object-per-event engine it replaced is its oracle
+(``tests/mlsim/reference_engine.py``), bit for bit.  It is laid out for
 throughput:
 
 * the trace is decoded once into flat column arrays
@@ -12,10 +33,10 @@ throughput:
 * every parameter-dependent cost — the Figure 7 PUT decomposition, wire
   times, reduction durations, barrier establishment — is precomputed
   for *all* events of a kind at once with numpy expressions that
-  replicate the reference's float operation order exactly (IEEE-754
-  double arithmetic is deterministic given the same expression tree,
-  and numpy's elementwise float64 ops produce the same bits as the
-  equivalent Python float expressions);
+  replicate :mod:`repro.mlsim.put_model`'s float operation order
+  exactly (IEEE-754 double arithmetic is deterministic given the same
+  expression tree, and numpy's elementwise float64 ops produce the same
+  bits as the equivalent Python float expressions);
 * the remaining sequential pass — the part that carries cross-PE
   ordering: FIFO channel clamping, flag wakeups, barrier generations,
   CPU-theft application — runs over plain Python lists with no
@@ -26,13 +47,21 @@ throughput:
   switch) and one ``record_flag`` per flag update, held to a ceiling
   by ``tests/mlsim/test_replay_cost.py``.
 
-Scheduling replicates the reference engine's runnable-deque discipline
-event for event.  Every scheduling decision (park, wake, completion) is
-a *structural* predicate — flag counts, arrival counts, queue
-membership — never a float comparison, so wake order and therefore
-every float accumulation order is identical to the reference engine,
-which is what the golden equivalence tests in
-``tests/mlsim/test_soa_equivalence.py`` pin down.
+Scheduling replicates the oracle's runnable-deque discipline event for
+event.  Every scheduling decision (park, wake, completion) is a
+*structural* predicate — flag counts, arrival counts, queue membership
+— never a float comparison, so wake order and therefore every float
+accumulation order is identical to the oracle's, which is what
+``tests/mlsim/test_soa_equivalence.py`` pins down on generated traces:
+results, metrics, timelines and link contention alike.
+
+Two optional jobs ride the same pass.  ``record_timeline`` appends every
+span, packet flow and instant to plain columns keyed by event index
+(:class:`repro.mlsim.timeline.Timeline` derives PEs and labels from the
+index when someone reads them).  ``link_contention`` — an extension
+beyond the paper's MLSim, which models the network with delay
+parameters only — serializes transfers that share a physical T-net
+link, one step before the FIFO clamp (``contended`` below).
 """
 
 from __future__ import annotations
@@ -47,6 +76,14 @@ from repro.core.errors import SimulationError
 from repro.machine.config import SPARC_US_PER_FLOP
 from repro.mlsim.breakdown import MLSimResult, PEBreakdown
 from repro.mlsim.params import MLSimParams
+from repro.mlsim.timeline import (
+    EXECUTION,
+    IDLE,
+    OVERHEAD,
+    RTSYS,
+    STOLEN,
+    Timeline,
+)
 from repro.network.topology import TorusTopology
 from repro.obs.registry import REPLAY_SCHEMA, Histogram
 from repro.trace.events import EventKind
@@ -130,8 +167,9 @@ class _TraceIndex:
     per-preset :class:`_Program`: event-kind partitions, hop distances
     for communication events, the integer operand lists of the
     interpreter (none of which depend on timing parameters), and —
-    materialized lazily because only metric collection needs it — each
-    communication event's route as a tuple of dense physical-link ids.
+    materialized lazily because only metric collection and link
+    contention need it — each communication event's route as a tuple of
+    dense physical-link ids.
     """
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
@@ -143,6 +181,10 @@ class _TraceIndex:
         self.columns = columns
         self.topology = topology
         kind = columns.kind
+        known = np.isin(kind, list(_OPCODE))
+        if not known.all():
+            raise SimulationError(
+                f"unknown trace event kind {int(kind[~known][0])}")
         self.by_kind = {k: np.nonzero(kind == k)[0]
                         for k in np.unique(kind).tolist()}
         pe_of_all = np.searchsorted(columns.starts,
@@ -208,7 +250,7 @@ class _TraceIndex:
         self.link_table: list[tuple[int, int]] = []
 
     def link_plan(self) -> list:
-        """Per-event link-id routes for metric collection.
+        """Per-event link-id routes (metric collection, link contention).
 
         ``plan[i]`` is ``None`` for non-communication events, a tuple of
         link ids for PUT/SEND (empty for self-sends), and a
@@ -418,7 +460,8 @@ class _Program:
         if len(idx):
             f0[idx] = p.recv_copy_byte_time * columns.size[idx]
 
-        # BARRIER: f0 establishment time.
+        # BARRIER: f0 establishment time (S-net hardware for group 0, a
+        # software barrier over communication registers otherwise).
         idx = idx_of(EventKind.BARRIER)
         if len(idx):
             gs = columns.group_size[idx]
@@ -438,8 +481,13 @@ class _Program:
             f0[idx] = vals
             f1[idx] = vals
 
-        # VGOP: f0 duration, f1 member cpu share
-        # (MLSimEngine._reduction_duration, vectorized).
+        # VGOP: f0 duration, f1 member cpu share.  A pipelined ring
+        # reduction over ring buffers with blocking SEND/RECEIVE (section
+        # 4.5): the vector streams around the ring twice (reduce lap +
+        # result lap); per-stage library setup and hop latency pay
+        # 2*(P-1) times on the critical path, but the vector's wire time,
+        # the combining arithmetic and (software model only) the
+        # ring-buffer copy pipeline, and pay roughly once each lap.
         idx = idx_of(EventKind.VGOP)
         if len(idx):
             sz = columns.size[idx]
@@ -502,13 +550,17 @@ def _histogram(count: int, total: float, high: float,
 
 def replay_columns(columns: TraceColumns, params: MLSimParams,
                    topology: TorusTopology | None = None, *,
+                   link_contention: bool = False,
+                   record_timeline: bool = False,
                    collect_metrics: bool = False,
                    program: _Program | None = None) -> MLSimResult:
     """Replay decoded trace columns under one parameter set.
 
-    The scalar pass below is the reference engine's scheduling loop with
-    every cost lookup replaced by a precomputed operand; see the module
-    docstring for the equivalence argument.
+    ``link_contention`` serializes transfers behind earlier traffic on
+    shared physical links; ``record_timeline`` attaches the span / flow /
+    instant log as ``result.timeline``; ``collect_metrics`` attaches the
+    :mod:`repro.obs` replay metric document.  See the module docstring
+    for how the pass below is laid out.
     """
     n = columns.num_pes
     if topology is not None and topology.num_cells != n:
@@ -542,9 +594,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     remote_access = p.remote_access_time
     creg_access = p.creg_access_time
 
-    # Per-PE replay state (flat twins of _PEState).  Everything a visit
-    # touches is packed into one list per PE — [cursor, clock, overhead,
-    # attempted, execution, rtsys, idle] — so a context switch is one
+    # Per-PE replay state.  Everything a visit touches is packed into
+    # one list per PE — [cursor, clock, overhead, attempted, execution,
+    # rtsys, idle] — so a context switch is one
     # unpack on entry and one slice-assign on exit instead of seven list
     # reads and writes (visits outnumber events on blocking-heavy
     # traces, so switch cost is a first-order term).  Stolen CPU time is
@@ -555,8 +607,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     theft = [0.0] * n
     rec_of: list[list | None] = [None] * n
 
-    # Shared registries — semantically the reference engine's, but laid
-    # out for dict-op throughput: slots and channels are keyed by packed
+    # Shared registries — semantically the oracle's, but laid out for
+    # dict-op throughput: slots and channels are keyed by packed
     # integers instead of tuples, and barrier/reduction rendezvous keep a
     # running (count, max-arrival) pair instead of a per-PE arrival dict
     # (``max`` over floats is order-independent, so the release time is
@@ -581,10 +633,12 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     messages = 0
     bytes_on_wire = 0
 
-    # Metric accumulators, inlined from engine._MetricsAccum: wait
-    # histograms as flat counters (bucket index via frexp instead of
-    # Histogram.observe's linear scan), link charges as dense arrays
-    # indexed by the trace index's link-id plan.
+    # Metric accumulators: wait histograms as flat counters (bucket
+    # index via frexp instead of Histogram.observe's linear scan), link
+    # charges as dense arrays indexed by the trace index's link-id plan.
+    # A message's wire time is charged to every physical link on its
+    # route, the same store-and-forward convention as ``contended``: an
+    # upper bound that exposes hot links.
     collect = collect_metrics
     frexp = math.frexp
     fw_count = 0
@@ -595,17 +649,69 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     bw_total = 0.0
     bw_max = 0.0
     bw_buckets = [0] * (_HIST_OVERFLOW + 1)
+    contend = link_contention
+    plan = index.link_plan() if collect or contend else []
+    nlinks = len(index.link_table)
     if collect:
         dma_busy = [0.0] * n
-        plan = index.link_plan()
-        nlinks = len(index.link_table)
         link_busy = [0.0] * nlinks
         link_bytes = [0] * nlinks
         link_frames = [0] * nlinks
     else:
         dma_busy = []
-        plan = []
         link_busy = link_bytes = link_frames = []
+    link_free = [0.0] * nlinks
+
+    def contended(route: tuple[int, ...], inject: float,
+                  raw: float) -> float:
+        """Arrival of a transfer serialized behind earlier traffic.
+
+        Each physical link on the dimension-order route is busy for the
+        message's wire time (prolog + per-hop delay + payload); a
+        message starting while any of its links is busy waits for the
+        latest of them.  Approximation: contention is resolved in trace
+        *processing* order, which is close to — but not exactly —
+        global-time order; good enough to expose hot links, which is
+        what the ablation quantifies.  Self-sends have no route.
+        """
+        if not route:
+            return raw
+        busy = inject
+        for lid in route:
+            if link_free[lid] > busy:
+                busy = link_free[lid]
+        delay = busy - inject
+        until = inject + delay + (raw - inject)
+        for lid in route:
+            link_free[lid] = until
+        return raw + delay
+
+    # The timeline log: plain columns, every row keyed by the index of
+    # the event being replayed (PE, label, packet endpoints and size are
+    # that event's; Timeline derives them on read).  A GET logs its
+    # request flow, then its reply.
+    record = record_timeline
+    sp_event: list[int] = []
+    sp_code: list[int] = []
+    sp_start: list[float] = []
+    sp_end: list[float] = []
+    fl_event: list[int] = []
+    fl_depart: list[float] = []
+    fl_arrival: list[float] = []
+    mk_event: list[int] = []
+    mk_t: list[float] = []
+
+    def span(event: int, code: int, start: float, end: float) -> None:
+        if end > start:     # no time passed on this clock: no span
+            sp_event.append(event)
+            sp_code.append(code)
+            sp_start.append(start)
+            sp_end.append(end)
+
+    def flow(event: int, depart: float, arrival: float) -> None:
+        fl_event.append(event)
+        fl_depart.append(depart)
+        fl_arrival.append(arrival)
 
     def record_flag(gid: int, t: float) -> None:
         if gid == 0:
@@ -633,18 +739,22 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
         th = theft[pe]
         while i < end:
             op = ops[i]
+            if th and not att and op < _INSTANT:
+                # Interrupts serviced since this PE's last event are
+                # charged before its next timed one starts.
+                if record:
+                    span(i, STOLEN, clk, clk + th)
+                clk += th
+                over += th
+                th = 0.0
             if op == _COMPUTE:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, EXECUTION, clk, clk + f0[i])
                 clk += f0[i]
                 bex += f0[i]
             elif op == _PUT:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, OVERHEAD, clk, clk + f0[i])
                 clk += f0[i]
                 over += f0[i]
                 depart = clk + dma_setup
@@ -655,6 +765,15 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 partner = i0[i]
                 key = pe * n + partner
                 raw = depart + f2[i]
+                if contend:
+                    raw = contended(plan[i], depart, raw)
+                # FIFO clamp (static T-net routing), ordered by
+                # *injection* time: an arrival queues behind the
+                # channel's previous one.  A message discovered out of
+                # order — a GET reply, injected by the target's MSC+ the
+                # moment the request arrived, perhaps long before the
+                # target's own later sends were processed — was injected
+                # earlier than the channel head and must not wait for it.
                 last = chan_last.get(key)
                 if last is None:
                     arrival = 0.0 if raw < 0.0 else raw
@@ -671,6 +790,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     th += f4[i]
                 else:
                     theft[partner] += f4[i]
+                if record:
+                    flow(i, depart, arrival)
                 if collect:
                     dma_busy[pe] += f1[i]
                     wire = f2[i]
@@ -683,15 +804,15 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 bytes_on_wire += i1[i]
             elif op == _FLAG_WAIT:
                 if not att:
-                    if th:
-                        clk += th
-                        over += th
-                        th = 0.0
+                    if record:
+                        span(i, OVERHEAD, clk, clk + flag_prolog)
                     clk += flag_prolog
                     over += flag_prolog
                     att = True
                 target = i1[i]
                 if target <= 0:
+                    if record:
+                        span(i, OVERHEAD, clk, clk + flag_epilog)
                     clk += flag_epilog
                     over += flag_epilog
                 else:
@@ -715,23 +836,23 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                             fw_buckets[b if b < _HIST_OVERFLOW
                                        else _HIST_OVERFLOW] += 1
                     if t > clk:
+                        if record:
+                            span(i, IDLE, clk, clk + (t - clk))
                         bid += t - clk
                         clk = t
+                    if record:
+                        span(i, OVERHEAD, clk, clk + flag_epilog)
                     clk += flag_epilog
                     over += flag_epilog
             elif op == _RTSYS:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, RTSYS, clk, clk + f0[i])
                 clk += f0[i]
                 brt += f0[i]
             elif op == _BARRIER:
                 if not att:
-                    if th:
-                        clk += th
-                        over += th
-                        th = 0.0
+                    if record:
+                        span(i, OVERHEAD, clk, clk + barrier_lib)
                     clk += barrier_lib
                     over += barrier_lib
                     pk = pe * ngroups + i0[i]
@@ -780,15 +901,13 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         bw_buckets[b if b < _HIST_OVERFLOW
                                    else _HIST_OVERFLOW] += 1
                 if release > clk:
+                    if record:
+                        span(i, IDLE, clk, clk + (release - clk))
                     bid += release - clk
                     clk = release
             elif op == _REDUCTION:
                 size = i2[i]
                 if not att:
-                    if th:
-                        clk += th
-                        over += th
-                        th = 0.0
                     pk = pe * ngroups + i0[i]
                     gen = red_gens[pk]
                     red_gens[pk] = gen + 1
@@ -821,22 +940,26 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     else:
                         rec[3].append(pe)
                     break
+                # The member is busy for its share of the reduction and
+                # idles for the rest of the establishment window.
                 busy = 0.0 if release - clk < 0.0 else release - clk
                 if not busy < f1[i]:
                     busy = f1[i]
+                if record:
+                    span(i, OVERHEAD, clk, clk + busy)
                 clk += busy
                 over += busy
                 if release > clk:
+                    if record:
+                        span(i, IDLE, clk, clk + (release - clk))
                     bid += release - clk
                     clk = release
                 if i3[i]:  # VGOP ring traffic
                     messages += size - 1
                     bytes_on_wire += i1[i] * (size - 1)
             elif op == _GET:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, OVERHEAD, clk, clk + get_send_cpu)
                 clk += get_send_cpu
                 over += get_send_cpu
                 depart = clk + dma_setup
@@ -846,6 +969,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 partner = i0[i]
                 key = pe * n + partner
                 raw = depart + f0[i]
+                if contend:
+                    raw = contended(plan[i][0], depart, raw)
                 last = chan_last.get(key)
                 if last is None:
                     req_arrival = 0.0 if raw < 0.0 else raw
@@ -862,6 +987,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     theft[partner] += f3[i]
                 key = partner * n + pe
                 raw = reply_depart + f2[i]
+                if contend:
+                    raw = contended(plan[i][1], reply_depart, raw)
                 last = chan_last.get(key)
                 if last is None:
                     reply_arrival = 0.0 if raw < 0.0 else raw
@@ -875,6 +1002,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 if rfl:
                     record_flag(rfl, reply_arrival + f4[i])
                 th += f5[i]
+                if record:
+                    flow(i, depart, req_arrival)
+                    flow(i, reply_depart, reply_arrival)
                 if collect:
                     dma_busy[partner] += f1[i]
                     req_route, rep_route = plan[i]
@@ -891,20 +1021,25 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 messages += 2
                 bytes_on_wire += i1[i]
             elif op == _SEND:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, OVERHEAD, clk, clk + f0[i])
                 clk += f0[i]
                 over += f0[i]
                 depart = clk + dma_setup
+                # SEND is blocking: the library spins until the transfer
+                # leaves the cell, and that wait counts as overhead
+                # (section 5.4, CG).
                 blocked = depart + f1[i] - clk
                 if blocked > 0:
+                    if record:
+                        span(i, OVERHEAD, clk, clk + blocked)
                     clk += blocked
                     over += blocked
                 partner = i0[i]
                 key = pe * n + partner
                 raw = depart + f2[i]
+                if contend:
+                    raw = contended(plan[i], depart, raw)
                 last = chan_last.get(key)
                 if last is None:
                     arrival = 0.0 if raw < 0.0 else raw
@@ -919,6 +1054,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     th += f4[i]
                 else:
                     theft[partner] += f4[i]
+                if record:
+                    flow(i, depart, arrival)
                 if collect:
                     dma_busy[pe] += f1[i]
                     wire = f2[i]
@@ -937,10 +1074,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 bytes_on_wire += i1[i]
             elif op == _RECV:
                 if not att:
-                    if th:
-                        clk += th
-                        over += th
-                        th = 0.0
+                    if record:
+                        span(i, OVERHEAD, clk, clk + recv_lib)
                     clk += recv_lib
                     over += recv_lib
                     att = True
@@ -949,27 +1084,29 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     ring_waiters[i0[i]] = pe
                     break
                 if ready > clk:
+                    if record:
+                        span(i, IDLE, clk, clk + (ready - clk))
                     bid += ready - clk
                     clk = ready
+                if record:
+                    span(i, OVERHEAD, clk, clk + f0[i])
                 clk += f0[i]
                 over += f0[i]
             elif op == _REMOTE_LOAD:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, OVERHEAD, clk, clk + remote_access)
                 clk += remote_access
                 over += remote_access
                 t = clk + f0[i]
                 if t > clk:
+                    if record:
+                        span(i, IDLE, clk, clk + (t - clk))
                     bid += t - clk
                     clk = t
                 messages += 2
             elif op == _REMOTE_STORE:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, OVERHEAD, clk, clk + remote_access)
                 clk += remote_access
                 over += remote_access
                 partner = i0[i]
@@ -980,16 +1117,16 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 messages += 1
                 bytes_on_wire += i1[i]
             elif op == _CREG:
-                if th:
-                    clk += th
-                    over += th
-                    th = 0.0
+                if record:
+                    span(i, OVERHEAD, clk, clk + creg_access)
                 clk += creg_access
                 over += creg_access
-            elif op == _INSTANT or op == _PHASE:
-                pass
-            else:
-                raise SimulationError(f"unknown opcode {op}")
+            elif record:
+                # _INSTANT (the link layer and the queue spill hardware
+                # run concurrently with the processor) and _PHASE (a user
+                # annotation) take no simulated time: a mark at most.
+                mk_event.append(i)
+                mk_t.append(clk)
             i += 1
             att = False
         st[:] = i, clk, over, att, bex, brt, bid
@@ -1007,6 +1144,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
               for st in state]
     result = MLSimResult(model_name=p.name, per_pe=per_pe,
                          messages=messages, bytes_on_wire=bytes_on_wire)
+    if record:
+        result.timeline = Timeline(
+            columns, (sp_event, sp_code, sp_start, sp_end),
+            (fl_event, fl_depart, fl_arrival), (mk_event, mk_t))
     if collect:
         elapsed = max((st[1] for st in state), default=0.0)
         lid_of = {pair: lid for lid, pair in enumerate(index.link_table)}

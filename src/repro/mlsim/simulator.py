@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.mlsim.breakdown import MLSimResult
-from repro.mlsim.engine import MLSimEngine
+from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import (
     MLSimParams,
     ap1000_fast_params,
@@ -22,6 +22,7 @@ from repro.mlsim.params import (
 )
 from repro.network.topology import TorusTopology
 from repro.trace.buffer import TraceBuffer
+from repro.trace.soa import columns_from_buffer
 
 
 def simulate(trace: TraceBuffer, params: MLSimParams,
@@ -36,21 +37,15 @@ def simulate(trace: TraceBuffer, params: MLSimParams,
     the :mod:`repro.obs` replay metric document (wait-latency
     histograms, per-link utilization, DMA busy time) to the result.
 
-    The engine follows from the arguments: the scalar
-    :class:`MLSimEngine` is the only one that models link contention, so
-    it runs exactly when ``link_contention`` is set; everything else runs
-    on the structure-of-arrays engine (:mod:`repro.mlsim.engine_soa`),
-    which is bit-identical to it and ~10x faster.  Timeline recording,
-    the scalar engine's other job, enters through
-    :func:`repro.obs.export.replay_with_timeline`.
+    There is one engine, :func:`repro.mlsim.engine_soa.replay_columns`;
+    this is its front door for a recorded :class:`TraceBuffer` (a trace
+    *file* goes through :func:`repro.trace.io.load_trace_columns`
+    instead and builds no event).  Timeline recording, its third
+    option, enters through :func:`repro.obs.export.replay_with_timeline`.
     """
     trace.coalesce_compute()
-    if link_contention:
-        return MLSimEngine(trace, params, topology, link_contention=True,
-                           collect_metrics=collect_metrics).run()
-    from repro.mlsim.engine_soa import replay_columns
-    from repro.trace.soa import columns_from_buffer
     return replay_columns(columns_from_buffer(trace), params, topology,
+                          link_contention=link_contention,
                           collect_metrics=collect_metrics)
 
 

@@ -25,10 +25,13 @@ import json
 from collections.abc import Iterable, Iterator
 
 from repro.core.errors import ConfigurationError
-from repro.mlsim.engine import MLSimEngine
+from repro.mlsim.breakdown import MLSimResult
+from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import MLSimParams
+from repro.mlsim.timeline import Timeline
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import save_trace
+from repro.trace.soa import coalesce_columns, columns_from_buffer
 
 #: Formats accepted by :func:`export_trace` / ``repro trace export``.
 FORMATS = ("perfetto", "chrome", "jsonl")
@@ -39,13 +42,16 @@ def _ts(value: float) -> float:
     return round(value, 3)
 
 
-def replay_with_timeline(trace: TraceBuffer, params: MLSimParams):
-    """Replay a trace recording the timeline; returns (engine, result)."""
-    trace.coalesce_compute()
-    engine = MLSimEngine(trace, params, record_timeline=True,
-                         collect_metrics=True)
-    result = engine.run()
-    return engine, result
+def replay_with_timeline(trace: TraceBuffer,
+                         params: MLSimParams) -> MLSimResult:
+    """Replay recording timeline and metrics; see ``result.timeline``.
+
+    The buffer is decoded and coalesced as columns and left as it was:
+    a loaded one builds no :class:`TraceEvent` on the way.
+    """
+    columns = coalesce_columns(columns_from_buffer(trace))
+    return replay_columns(columns, params, record_timeline=True,
+                          collect_metrics=True)
 
 
 def _metadata_events(num_pes: int, model: str) -> list[dict]:
@@ -61,81 +67,57 @@ def _metadata_events(num_pes: int, model: str) -> list[dict]:
     return events
 
 
-def _iter_span_events(timeline) -> Iterator[dict]:
+def _iter_span_events(timeline: Timeline) -> Iterator[dict]:
     for pe in range(timeline.num_pes):
-        for span in timeline.spans_for(pe):
+        for start, end, bucket, label in timeline.span_rows(pe):
             yield {
-                "ph": "X", "name": span.label, "cat": span.bucket,
+                "ph": "X", "name": label, "cat": bucket,
                 "pid": 0, "tid": pe,
-                "ts": _ts(span.start), "dur": _ts(span.duration),
+                "ts": _ts(start), "dur": _ts(end - start),
             }
 
 
-def _iter_flow_events(timeline) -> Iterator[dict]:
-    # The flow id is the *global* index into ``timeline.flows``, never a
-    # per-document counter, so a packet whose `s`/`f` halves land in
+def _iter_flow_events(timeline: Timeline) -> Iterator[dict]:
+    # The flow id is the *global* index into the timeline's flows, never
+    # a per-document counter, so a packet whose `s`/`f` halves land in
     # different chunks of a chunked export still pairs up in Perfetto.
-    for i, flow in enumerate(timeline.flows):
-        name = f"{flow.kind} {flow.size}B"
+    for i, (src, depart, dst, arrival, kind, size) in enumerate(
+            timeline.flow_rows()):
+        name = f"{kind} {size}B"
         yield {
             "ph": "s", "id": i, "name": name, "cat": "packet",
-            "pid": 0, "tid": flow.src, "ts": _ts(flow.depart),
+            "pid": 0, "tid": src, "ts": _ts(depart),
         }
         yield {
             "ph": "f", "bp": "e", "id": i, "name": name, "cat": "packet",
-            "pid": 0, "tid": flow.dst, "ts": _ts(flow.arrival),
+            "pid": 0, "tid": dst, "ts": _ts(arrival),
         }
 
 
-def _iter_instant_events(timeline) -> Iterator[dict]:
-    for inst in timeline.instants:
-        yield {
-            "ph": "i", "s": "t", "name": inst.name, "cat": "robustness",
-            "pid": 0, "tid": inst.pe, "ts": _ts(inst.t),
-        }
-    for mark in timeline.phase_marks:
-        yield {
-            "ph": "i", "s": "t", "name": mark.label, "cat": "phase",
-            "pid": 0, "tid": mark.pe, "ts": _ts(mark.t),
-        }
+def _iter_instant_events(timeline: Timeline) -> Iterator[dict]:
+    for cat, rows in (("robustness", timeline.instant_rows()),
+                      ("phase", timeline.phase_rows())):
+        for pe, t, name in rows:
+            yield {
+                "ph": "i", "s": "t", "name": name, "cat": cat,
+                "pid": 0, "tid": pe, "ts": _ts(t),
+            }
 
 
-def _span_events(timeline) -> list[dict]:
-    return list(_iter_span_events(timeline))
+def _iter_payload_events(timeline: Timeline, fmt: str) -> Iterator[dict]:
+    """Non-metadata events in document order."""
+    yield from _iter_span_events(timeline)
+    if fmt == "perfetto":
+        yield from _iter_flow_events(timeline)
+        yield from _iter_instant_events(timeline)
 
 
-def _flow_events(timeline) -> list[dict]:
-    return list(_iter_flow_events(timeline))
-
-
-def _instant_events(timeline) -> list[dict]:
-    return list(_iter_instant_events(timeline))
-
-
-def chrome_document(engine: MLSimEngine, result) -> dict:
-    """Span tracks only — the strict Chrome trace-event subset."""
-    timeline = engine.timeline
-    assert timeline is not None
-    return {
-        "displayTimeUnit": "ms",
-        "traceEvents": (_metadata_events(timeline.num_pes, result.model_name)
-                        + _span_events(timeline)),
-        "otherData": {"model": result.model_name,
-                      "elapsed_us": _ts(result.elapsed_us)},
-    }
-
-
-def perfetto_document(engine: MLSimEngine, result) -> dict:
-    """Chrome document plus flow arrows, robustness instants, and phase
-    marks (Perfetto renders them all)."""
-    doc = chrome_document(engine, result)
-    timeline = engine.timeline
-    doc["traceEvents"] = (doc["traceEvents"]
-                          + _flow_events(timeline)
-                          + _instant_events(timeline))
-    if result.metrics is not None:
-        doc["otherData"]["metrics"] = result.metrics
-    return doc
+def _other_data(result: MLSimResult, fmt: str) -> dict:
+    other: dict = {"model": result.model_name,
+                   "elapsed_us": _ts(result.elapsed_us)}
+    if fmt == "perfetto":
+        other["metrics"] = result.metrics
+    return other
 
 
 def export_trace(trace: TraceBuffer, params: MLSimParams,
@@ -153,18 +135,16 @@ def export_trace(trace: TraceBuffer, params: MLSimParams,
     if fmt not in ("chrome", "perfetto"):
         raise ConfigurationError(
             f"unknown export format {fmt!r}; choose from {FORMATS}")
-    engine, result = replay_with_timeline(trace, params)
-    doc = (chrome_document if fmt == "chrome"
-           else perfetto_document)(engine, result)
+    result = replay_with_timeline(trace, params)
+    timeline = result.timeline
+    doc = {
+        "displayTimeUnit": "ms",
+        "traceEvents": (_metadata_events(timeline.num_pes,
+                                         result.model_name)
+                        + list(_iter_payload_events(timeline, fmt))),
+        "otherData": _other_data(result, fmt),
+    }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _iter_payload_events(timeline, fmt: str) -> Iterator[dict]:
-    """Non-metadata events in the exact monolithic document order."""
-    yield from _iter_span_events(timeline)
-    if fmt == "perfetto":
-        yield from _iter_flow_events(timeline)
-        yield from _iter_instant_events(timeline)
 
 
 def export_trace_chunked(
@@ -192,14 +172,10 @@ def export_trace_chunked(
     if chunk_events < 1:
         raise ConfigurationError(
             f"--chunk-events must be positive, got {chunk_events}")
-    engine, result = replay_with_timeline(trace, params)
-    timeline = engine.timeline
-    assert timeline is not None
+    result = replay_with_timeline(trace, params)
+    timeline = result.timeline
     metadata = _metadata_events(timeline.num_pes, result.model_name)
-    other: dict = {"model": result.model_name,
-                   "elapsed_us": _ts(result.elapsed_us)}
-    if fmt == "perfetto" and result.metrics is not None:
-        other["metrics"] = result.metrics
+    other = _other_data(result, fmt)
 
     def render(index: int, payload: list[dict]) -> str:
         doc = {

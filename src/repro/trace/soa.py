@@ -65,6 +65,7 @@ class TraceColumns:
     group_size: np.ndarray        # int64 (effective)
     work: np.ndarray              # float64 (read-only: the block's own)
     group_sizes: tuple[int, ...]  # group id -> member count
+    phases: tuple[str, ...] = ()  # PHASE events' ``flag`` - 1 -> label
 
     @property
     def total_events(self) -> int:
@@ -134,7 +135,7 @@ def columns_from_buffer(trace: TraceBuffer) -> TraceColumns:
     table = np.asarray(group_sizes, dtype=np.int64)
     columns = TraceColumns(
         num_pes=n, starts=starts, kind=block["kind"].astype(np.int16),
-        work=block["work"], group_sizes=group_sizes,
+        work=block["work"], group_sizes=group_sizes, phases=trace.phases,
         group_size=np.where(explicit != 0, explicit, table[ints["group"]]),
         **ints)
     trace._soa_columns = (block, columns)  # type: ignore[attr-defined]
@@ -193,4 +194,5 @@ def coalesce_columns(columns: TraceColumns) -> TraceColumns:
         group_size=columns.group_size[kept],
         work=work[kept],
         group_sizes=columns.group_sizes,
+        phases=columns.phases,
     )

@@ -9,18 +9,13 @@ from repro.bench.perf import (
 )
 
 
-def report_doc(replay=11.0, functional=5.0, sharded=3.5):
+def report_doc(functional=5.0, sharded=3.5):
     return {
         "created_utc": "2026-01-01T00:00:00+00:00",
         "host": {"platform": "test", "python": "3.12", "cpu_count": 4},
         "micro": {
             "cold": {"wall_s": 2.0},
             "warm": {"wall_s": 0.2},
-        },
-        "replay": {
-            "aggregate_speedup": replay,
-            "new_total_s": 0.15,
-            "apps": {"CG": {"speedup": replay + 1.0}},
         },
         "functional": {"speedup": functional},
         "sharded": {"speedup": sharded, "critical_path_s": 0.3},
@@ -29,27 +24,20 @@ def report_doc(replay=11.0, functional=5.0, sharded=3.5):
 
 class TestBaselineGate:
     def test_within_tolerance_passes(self):
-        base = baseline_from_report(report_doc(replay=12.0))
+        base = baseline_from_report(report_doc(functional=12.0))
         # 25% below 12.0 is 9.0; 10.0 is inside the band.
-        failures = compare_to_baseline(report_doc(replay=10.0), base)
+        failures = compare_to_baseline(report_doc(functional=10.0), base)
         assert failures == []
 
     def test_regression_beyond_tolerance_fails(self):
-        base = baseline_from_report(report_doc(replay=16.0))
-        failures = compare_to_baseline(report_doc(replay=11.0), base)
-        assert any("replay aggregate" in f for f in failures)
+        base = baseline_from_report(report_doc(functional=16.0))
+        failures = compare_to_baseline(report_doc(functional=11.0), base)
+        assert any("functional scheduler" in f for f in failures)
 
     def test_functional_regression_detected(self):
         base = baseline_from_report(report_doc(functional=8.0))
         failures = compare_to_baseline(report_doc(functional=3.1), base)
         assert any("functional" in f for f in failures)
-
-    def test_per_app_regression_detected(self):
-        base = baseline_from_report(report_doc(replay=11.0))
-        current = report_doc(replay=11.0)
-        current["replay"]["apps"]["CG"]["speedup"] = 1.0
-        failures = compare_to_baseline(current, base)
-        assert any("replay CG" in f for f in failures)
 
     def test_sharded_regression_detected(self):
         base = baseline_from_report(report_doc(sharded=8.0))
@@ -71,10 +59,8 @@ class TestBaselineGate:
 
 class TestBaselineShape:
     def test_round_trip_keeps_ratios_only(self):
-        base = baseline_from_report(report_doc(replay=11.5,
-                                               functional=5.5))
-        assert base["speedups"]["replay_aggregate"] == 11.5
-        assert base["speedups"]["functional"] == 5.5
-        assert base["speedups"]["replay_apps"]["CG"] == 12.5
+        base = baseline_from_report(report_doc(functional=5.5,
+                                               sharded=2.5))
+        assert base["speedups"] == {"functional": 5.5, "sharded": 2.5}
         assert "walls_informational" in base
         assert BASELINE_TOLERANCE_PCT == 25.0

@@ -63,12 +63,14 @@ class TestConfig:
 
 
 def test_engine_knobs_do_not_grow_back():
-    """The engine follows from the run.  A new ``REPRO_*`` variable, or
-    a new place that builds the scalar MLSim engine by hand, is a new
-    way to choose otherwise; it fails here, by file."""
+    """The engine follows from the run.  A new ``REPRO_*`` variable, a
+    place that builds the scalar MLSim engine (the test oracle, see
+    ``tests/mlsim/reference_engine.py``), or an import from ``tests``
+    is a new way to choose otherwise; it fails here, by file."""
     src = Path(repro.__file__).parent
     env_names: dict[str, set[str]] = {}
     scalar_builders = set()
+    imports_tests = set()
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -81,8 +83,13 @@ def test_engine_knobs_do_not_grow_back():
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
                 scalar_builders.add(rel)
-    assert (env_names, scalar_builders) == (
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names]
+                           if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                if any(m.split(".")[0] == "tests" for m in modules):
+                    imports_tests.add(rel)
+    assert (env_names, scalar_builders, imports_tests) == (
         {"REPRO_MACHINE_SHARDS": {"cli.py", "machine/config.py"},
          "REPRO_BENCH_ABORT_AFTER": {"bench/runner.py"}},
-        {"mlsim/simulator.py", "obs/export.py", "apps/micro.py",
-         "bench/perf.py"})
+        set(), set())

@@ -1,25 +1,18 @@
-"""The MLSim timing engine: trace replay as a discrete-event simulation.
+"""The scalar MLSim engine: the oracle ``replay_columns`` is held to.
+
+One object per event, one method per event kind, every cost a
+:mod:`repro.mlsim.put_model` call: slow, obviously the rule set of
+``docs/TIMING_MODEL.md``, and until PR 24 ``repro.mlsim.engine`` — the
+engine behind timelines and link contention.  The production engine
+(:mod:`repro.mlsim.engine_soa`) does both now, and
+``test_soa_equivalence.py`` holds it to this file bit for bit: results,
+metric documents, span / flow / instant / phase logs and contended
+arrivals, on real workloads and on generated traces.  Nothing under
+``src/`` imports it (``tests/machine/test_scheduler.py`` checks).
 
 Each PE walks its own trace, accumulating time into the four buckets of
-section 5.3.  Cross-PE interactions — flag updates from arriving messages,
-barrier establishment, reductions, SEND/RECEIVE matching — are resolved
-through shared registries: a PE that reaches a wait it cannot satisfy yet
-*parks*; the PE whose progress satisfies the condition wakes it.  MLSim
-"preserv[es] the order of message communications and barrier
-synchronization between processors with a delay parameter": per-channel
-FIFO clamping keeps (source, destination) message order, which the
-acknowledge idiom (GET after PUT) relies on.
-
-Two deliberate approximations, both in the spirit of a message-level
-simulator:
-
-* Receive-side software service (interrupt handling on the AP1000) is
-  charged to the receiving PE as *stolen* CPU time applied at its next
-  event, rather than preempting it mid-activity.
-* A flag wait resumes at the time of the ``target``-th flag increment
-  among those currently known; a sender processed later with an earlier
-  completion time cannot move an already-resumed waiter earlier (a
-  conservative, no-rollback policy).
+section 5.3; a PE that reaches a wait it cannot satisfy yet *parks*, and
+the PE whose progress satisfies the condition wakes it.
 """
 
 from __future__ import annotations
@@ -37,7 +30,26 @@ from repro.mlsim import put_model as pm
 from repro.network.topology import TorusTopology
 from repro.obs.registry import REPLAY_SCHEMA, Histogram
 from repro.trace.buffer import TraceBuffer
+from repro.mlsim.timeline import Flow, Instant, PhaseMark, Span
 from repro.trace.events import EventKind, TraceEvent
+
+
+class ReferenceTimeline:
+    """The log as row objects, in the order the engine made them."""
+
+    def __init__(self, num_pes: int) -> None:
+        self.num_pes = num_pes
+        self._spans: list[list[Span]] = [[] for _ in range(num_pes)]
+        self.flows: list[Flow] = []
+        self.instants: list[Instant] = []
+        self.phase_marks: list[PhaseMark] = []
+
+    def add(self, span: Span) -> None:
+        if span.duration > 0:
+            self._spans[span.pe].append(span)
+
+    def spans_for(self, pe: int) -> list[Span]:
+        return self._spans[pe]
 
 
 class _MetricsAccum:
@@ -101,8 +113,7 @@ class MLSimEngine:
         #: Optional span log (see repro.mlsim.timeline).
         self.timeline = None
         if record_timeline:
-            from repro.mlsim.timeline import Timeline
-            self.timeline = Timeline(num_pes=trace.num_pes)
+            self.timeline = ReferenceTimeline(trace.num_pes)
         #: Optional replay metric accumulation (repro.obs).
         self.collect = _MetricsAccum(trace.num_pes) if collect_metrics \
             else None
@@ -227,7 +238,6 @@ class MLSimEngine:
     def _span(self, st: _PEState, duration: float, bucket: str,
               label: str | None = None) -> None:
         if self.timeline is not None and duration > 0:
-            from repro.mlsim.timeline import Span
             self.timeline.add(Span(
                 pe=st.pe, start=st.clock, end=st.clock + duration,
                 bucket=bucket,
@@ -321,8 +331,7 @@ class MLSimEngine:
     def _flow(self, src: int, depart: float, dst: int, arrival: float,
               kind: str, size: int) -> None:
         if self.timeline is not None:
-            from repro.mlsim.timeline import Flow
-            self.timeline.add_flow(Flow(
+            self.timeline.flows.append(Flow(
                 src=src, depart=depart, dst=dst, arrival=arrival,
                 kind=kind, size=size))
 
@@ -401,15 +410,13 @@ class MLSimEngine:
             if self.collect is not None:
                 self.collect.instants[kind.name] += 1
             if self.timeline is not None:
-                from repro.mlsim.timeline import Instant
-                self.timeline.add_instant(Instant(
+                self.timeline.instants.append(Instant(
                     pe=st.pe, t=st.clock, name=kind.name))
             return True
         if kind is EventKind.PHASE:
             # User phase annotation (repro.obs): zero simulated time.
             if self.timeline is not None:
-                from repro.mlsim.timeline import PhaseMark
-                self.timeline.add_phase(PhaseMark(
+                self.timeline.phase_marks.append(PhaseMark(
                     pe=st.pe, t=st.clock,
                     label=self.trace.phase_label(ev.flag)))
             return True

@@ -1,27 +1,26 @@
 """Unit tests for the optional link-contention extension."""
 
+import inspect
+
 import pytest
 
-from repro.mlsim.engine import MLSimEngine
-from repro.mlsim.params import ap1000_plus_params
+from repro.mlsim.engine_soa import replay_columns
 from repro.network.topology import TorusTopology
-from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
+
+from . import replay as driver
 
 
 def replay(events, num_pes, contention, topology=None):
-    buf = TraceBuffer(num_pes=num_pes)
-    for ev in events:
-        buf.record(ev)
-    return MLSimEngine(buf, ap1000_plus_params(), topology,
-                       link_contention=contention).run()
+    return driver.replay(driver.trace_of(num_pes, events), None, topology,
+                         link_contention=contention)
 
 
 class TestLinkContention:
     def test_disabled_by_default(self):
-        buf = TraceBuffer(num_pes=2)
-        engine = MLSimEngine(buf, ap1000_plus_params())
-        assert engine.link_contention is False
+        option = inspect.signature(replay_columns).parameters[
+            "link_contention"]
+        assert option.default is False
 
     def test_two_senders_share_a_link(self):
         """On a 4x1 ring, 0->2 and 1->2 both use the link 1->2: with

@@ -4,21 +4,10 @@ import pytest
 
 from repro.core.errors import SimulationError
 from repro.mlsim import put_model as pm
-from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.params import ap1000_params, ap1000_plus_params
-from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 
-
-def trace_of(num_pes, events):
-    buf = TraceBuffer(num_pes=num_pes)
-    for ev in events:
-        buf.record(ev)
-    return buf
-
-
-def run(trace, params=None):
-    return MLSimEngine(trace, params or ap1000_plus_params()).run()
+from .replay import flag_wait_ends, replay as run, trace_of
 
 
 class TestComputeAndRtsys:
@@ -118,11 +107,11 @@ class TestChannelOrdering:
             TraceEvent(EventKind.GET, pe=0, partner=1, size=0, is_ack=True,
                        recv_flag=60),
             TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=60, target=1),
+            TraceEvent(EventKind.FLAG_WAIT, pe=1, flag=50, target=1),
         ])
-        eng = MLSimEngine(tr, p)
-        eng.run()
-        put_done = eng._flag_times[50][0]
-        ack_done = eng._flag_times[60][0]
+        res = run(tr, p, record_timeline=True)
+        [put_done] = flag_wait_ends(res, 1)
+        [ack_done] = flag_wait_ends(res, 0)
         assert ack_done > put_done - pm.recv_flag_update_time(p, size)
 
     def test_out_of_order_discovery_not_clamped(self):
@@ -137,9 +126,8 @@ class TestChannelOrdering:
             TraceEvent(EventKind.GET, pe=0, partner=1, size=8, recv_flag=80),
             TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=80, target=1),
         ])
-        eng = MLSimEngine(tr, p)
-        res = eng.run()
-        get_done = eng._flag_times[80][0]
+        res = run(tr, p, record_timeline=True)
+        [get_done] = flag_wait_ends(res, 0)
         assert get_done < 1000.0   # far earlier than PE1's 12.5 ms compute
         assert res.per_pe[0].idle < 1000.0
 
@@ -196,9 +184,11 @@ class TestBarriers:
 
     def test_group_barrier_costs_more_than_snet(self):
         def bar(gid, gsize):
-            tr = trace_of(4, [
-                TraceEvent(EventKind.BARRIER, pe=pe, group=gid,
-                           group_size=gsize) for pe in range(4)])
+            tr = trace_of(5, [])
+            assert tr.groups.intern((0, 1, 2, 3)) == 1
+            for pe in range(4):
+                tr.record(TraceEvent(EventKind.BARRIER, pe=pe, group=gid,
+                                     group_size=gsize))
             return run(tr).elapsed_us
 
         # Software (comm-register) group barrier vs hardware S-net.
@@ -270,4 +260,4 @@ class TestValidation:
         from repro.network.topology import TorusTopology
         tr = trace_of(2, [])
         with pytest.raises(SimulationError):
-            MLSimEngine(tr, ap1000_plus_params(), TorusTopology(4, 4))
+            run(tr, topology=TorusTopology(4, 4))

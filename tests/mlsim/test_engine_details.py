@@ -5,21 +5,18 @@ helper."""
 import pytest
 
 from repro.mlsim import put_model as pm
-from repro.mlsim.engine import MLSimEngine
 from repro.mlsim.params import (
     ap1000_params,
     ap1000_plus_params,
     scale_processor,
 )
-from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 
+from .replay import flag_wait_ends, replay, trace_of
 
-def engine_for(events, num_pes=2, params=None):
-    buf = TraceBuffer(num_pes=num_pes)
-    for ev in events:
-        buf.record(ev)
-    return MLSimEngine(buf, params or ap1000_plus_params())
+
+def run(events, num_pes=2, params=None):
+    return replay(trace_of(num_pes, events), params, record_timeline=True)
 
 
 class TestGetDecomposition:
@@ -28,13 +25,12 @@ class TestGetDecomposition:
         + receive service, computed from the model components."""
         p = ap1000_plus_params()
         size = 8192
-        eng = engine_for([
+        result = run([
             TraceEvent(EventKind.GET, pe=0, partner=1, size=size,
                        recv_flag=33),
             TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=33, target=1),
         ], params=p)
-        eng.run()
-        done = eng._flag_times[33][0]
+        [done] = flag_wait_ends(result, 0)
         issue = pm.get_send_cpu_time(p, size) + pm.send_dma_setup_time(p)
         expected = (issue
                     + pm.network_time(p, 0, 1)            # request
@@ -48,13 +44,12 @@ class TestGetDecomposition:
         p = ap1000_plus_params()
 
         def done(size):
-            eng = engine_for([
+            result = run([
                 TraceEvent(EventKind.GET, pe=0, partner=1, size=size,
                            recv_flag=33),
                 TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=33, target=1),
             ], params=p)
-            eng.run()
-            return eng._flag_times[33][0]
+            return flag_wait_ends(result, 0)[0]
 
         delta = done(20_000) - done(10_000)
         assert delta == pytest.approx(10_000 * p.put_msg_time, rel=0.01)
@@ -62,44 +57,40 @@ class TestGetDecomposition:
     def test_software_target_pays_for_the_reply(self):
         """On the AP1000 the GET target's CPU serves the reply."""
         p = ap1000_params()
-        eng = engine_for([
+        result = run([
             TraceEvent(EventKind.GET, pe=0, partner=1, size=1000,
                        recv_flag=33),
             TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=33, target=1),
             TraceEvent(EventKind.COMPUTE, pe=1, work=10.0),
         ], params=p)
-        result = eng.run()
         assert result.per_pe[1].overhead >= pm.get_reply_cpu_theft(p, 1000)
 
 
 class TestTheftAccounting:
     def test_theft_applied_exactly_once(self):
         p = ap1000_params()
-        eng = engine_for([
+        result = run([
             TraceEvent(EventKind.PUT, pe=0, partner=1, size=1000),
             TraceEvent(EventKind.COMPUTE, pe=1, work=10.0),
             TraceEvent(EventKind.COMPUTE, pe=1, work=10.0),
         ], params=p)
-        result = eng.run()
         theft = pm.recv_cpu_theft(p, 1000)
         assert result.per_pe[1].overhead == pytest.approx(theft)
 
     def test_theft_zero_on_hardware(self):
-        eng = engine_for([
+        result = run([
             TraceEvent(EventKind.PUT, pe=0, partner=1, size=1000),
             TraceEvent(EventKind.COMPUTE, pe=1, work=10.0),
         ])
-        result = eng.run()
         assert result.per_pe[1].overhead == 0.0
 
     def test_unconsumed_theft_does_not_crash(self):
         """A receiver with no further events simply never charges the
         stolen time (it has no next activity to delay)."""
         p = ap1000_params()
-        eng = engine_for([
+        result = run([
             TraceEvent(EventKind.PUT, pe=0, partner=1, size=1000),
         ], params=p)
-        result = eng.run()
         assert result.per_pe[1].clock == 0.0
 
 

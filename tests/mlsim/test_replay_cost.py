@@ -20,23 +20,27 @@ from repro.mlsim.params import preset
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
-#: (workload, sizes, ceiling of calls per event inside one replay).
-#: CG is collectives only (deque and set traffic per context switch);
-#: TOMCATV without stride is 8-byte PUTs with their acknowledging GETs
-#: (one ``record_flag`` per flag update, a dict probe per channel).
+#: (workload, sizes, ceiling of calls per event inside one replay,
+#: the same with ``record_timeline``).  CG is collectives only (deque
+#: and set traffic per context switch); TOMCATV without stride is 8-byte
+#: PUTs with their acknowledging GETs (one ``record_flag`` per flag
+#: update, a dict probe per channel).  Recording adds one call and four
+#: column appends per span (1.25 and 1.03 spans per event) and one and
+#: three per packet flow (none and 1.54): nothing is built per row.
 CASES = {
-    "CG": (dict(num_cells=8, n=120, outer=2, inner=5), 3.0),
-    "TC no st": (dict(num_cells=4, n=33, iters=1, use_stride=False), 4.6),
+    "CG": (dict(num_cells=8, n=120, outer=2, inner=5), 3.0, 9.5),
+    "TC no st": (dict(num_cells=4, n=33, iters=1, use_stride=False),
+                 4.6, 16.5),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def recorded(request, tmp_path_factory):
-    sizes, ceiling = CASES[request.param]
+    sizes, *ceilings = CASES[request.param]
     run = workload(request.param).runner(**sizes)
     path = tmp_path_factory.mktemp("cost") / "trace.jsonl"
     save_trace_v2(run.trace, path)
-    return path, ceiling
+    return path, ceilings
 
 
 def profiled(func, *args, **kwargs):
@@ -46,7 +50,7 @@ def profiled(func, *args, **kwargs):
 
 
 def test_replay_calls_per_event(recorded):
-    path, ceiling = recorded
+    path, (ceiling, recording_ceiling) = recorded
     columns = load_trace_columns(path)
     params = preset("ap1000+")
     program = compile_program(columns, params)
@@ -67,6 +71,20 @@ def test_replay_calls_per_event(recorded):
     # TOMCATV 4.27 per event; the loop's own work is not a call).
     per_event = stats.total_calls / events
     assert per_event < ceiling, per_event
+    # The same replay keeping its timeline (today: 8.97 and 15.61; a
+    # ``Span`` per span would be six calls more per span), and what it
+    # kept: event indices and times, no label built in the loop.
+    profile = cProfile.Profile()
+    result = profile.runcall(
+        replay_columns, columns, params, record_timeline=True,
+        collect_metrics=True, program=program)
+    per_event = pstats.Stats(profile).total_calls / events
+    assert per_event < recording_ceiling, per_event
+    timeline = result.timeline
+    kept = {type(value) for log in (timeline.span_log, timeline.flow_log,
+                                    timeline.mark_log)
+            for column in log for value in column}
+    assert kept == {int, float}, kept
 
 
 def test_v2_load_records_nothing(recorded):

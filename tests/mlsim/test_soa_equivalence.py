@@ -1,10 +1,14 @@
-"""Golden equivalence: the vectorized SoA replay vs the reference engine.
+"""Oracle equivalence: the production replay vs the scalar engine.
 
-The refactor's contract is byte-identical output: for any trace and any
-preset, ``replay_columns`` must produce exactly the result the scalar
-``MLSimEngine`` produces — per-PE breakdowns, message counts, and the
-full metrics block.  These tests compare complete result dictionaries
-(via ``json.dumps`` with sorted keys, so float bit patterns matter) on
+The contract is byte-identical output: for any trace, any preset and
+any combination of options, ``replay_columns`` must produce exactly
+what the scalar ``MLSimEngine`` (``reference_engine.py``, the engine
+``src/`` shipped until PR 24) produces — per-PE breakdowns, message
+counts, the full metrics block, the timeline (spans, flows, instants
+and phase marks: equal values in equal order) and, with
+``link_contention``, the serialized arrivals behind all of those.
+These tests compare complete result documents (via ``json.dumps`` with
+sorted keys, so float bit patterns matter) and timelines row by row on
 real workloads, on a synthetic trace that covers the event kinds the
 shipped applications rarely exercise, and on generated traces full of
 equal operands.
@@ -13,38 +17,59 @@ equal operands.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.workloads import workload
 from repro.bench.cache import jsonify
-from repro.mlsim import simulator
-from repro.mlsim.engine import MLSimEngine
+from repro.core.errors import SimulationError
 from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import MLSimParams, preset
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.soa import columns_from_buffer
 
+from .reference_engine import MLSimEngine
+
 PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
 
 
 def result_doc(result) -> str:
     """Canonical byte-exact rendering of a full MLSimResult."""
-    return json.dumps(jsonify(asdict(result)), sort_keys=True)
+    return json.dumps(jsonify(asdict(replace(result, timeline=None))),
+                      sort_keys=True)
 
 
-def assert_equivalent(trace: TraceBuffer, preset_names=PRESETS) -> None:
+def timeline_rows(timeline) -> tuple:
+    return ([timeline.spans_for(pe) for pe in range(timeline.num_pes)],
+            timeline.flows, timeline.instants, timeline.phase_marks)
+
+
+def assert_equivalent(trace: TraceBuffer, params=None,
+                      collect: bool = True) -> None:
+    """Every option combination the oracle and production share."""
     trace.coalesce_compute()
     columns = columns_from_buffer(trace)
-    for name in preset_names:
-        p = preset(name)
-        ref = MLSimEngine(trace, p, None, collect_metrics=True).run()
-        soa = replay_columns(columns, p, collect_metrics=True)
-        assert result_doc(soa) == result_doc(ref), name
+    for p in params or map(preset, PRESETS):
+        for contend in (False, True):
+            engine = MLSimEngine(trace, p, None, link_contention=contend,
+                                 record_timeline=True,
+                                 collect_metrics=collect)
+            ref = engine.run()
+            soa = replay_columns(columns, p, link_contention=contend,
+                                 record_timeline=True,
+                                 collect_metrics=collect)
+            assert result_doc(soa) == result_doc(ref), (p.name, contend)
+            assert timeline_rows(soa.timeline) == timeline_rows(
+                engine.timeline), (p.name, contend)
+            plain = replay_columns(columns, p, link_contention=contend,
+                                   collect_metrics=collect)
+            assert plain.timeline is None
+            assert result_doc(plain) == result_doc(ref), (p.name, contend)
 
 
 WORKLOAD_CASES = {
@@ -133,28 +158,49 @@ class TestSyntheticCoverage:
         assert_equivalent(self._trace())
 
 
-class TestSimulateRoute:
-    """``simulate`` picks its engine from its arguments: the scalar one
-    exactly when link contention, which only it models, is asked for."""
+class TestDiscoveryOrder:
+    """A GET reply is injected by the *target's* MSC+ the moment the
+    request arrives; the target's own later sends may have been
+    processed first.  The FIFO clamp must not queue the early reply
+    behind them (the link step, resolved in processing order, does: the
+    approximation ``contended`` documents — and the oracle's too)."""
 
-    def test_scalar_engine_runs_exactly_for_link_contention(
-            self, monkeypatch):
-        built = []
+    def test_reply_discovered_after_a_later_injection(self):
+        buf = TraceBuffer(num_pes=3)
+        for ev in (
+            # PE0 parks until PE2 (processed last) sends at time ~0 ...
+            TraceEvent(EventKind.RECV, pe=0, partner=2, size=8, msg_id=1),
+            # ... by which point PE1's late PUT 1 -> 0 is already known.
+            TraceEvent(EventKind.COMPUTE, pe=1, work=100000.0),
+            TraceEvent(EventKind.PUT, pe=1, partner=0, size=4096,
+                       recv_flag=70),
+            TraceEvent(EventKind.SEND, pe=2, partner=0, size=8, msg_id=1),
+            # The reply travels 1 -> 0 and was injected long before.
+            TraceEvent(EventKind.GET, pe=0, partner=1, size=4096,
+                       recv_flag=80),
+            TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=80, target=1),
+        ):
+            buf.record(ev)
+        assert_equivalent(buf)
+        result = replay_columns(columns_from_buffer(buf), preset("ap1000+"),
+                                record_timeline=True)
+        put, _send, _request, reply = result.timeline.flows
+        assert (reply.kind, reply.src, reply.dst) == ("GET-REPLY", 1, 0)
+        assert reply.depart < put.depart and reply.arrival < put.depart
 
-        class Spy(MLSimEngine):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs["link_contention"])
-                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "MLSimEngine", Spy)
-        trace = workload("MatMul").runner(num_cells=4, n=24).trace
-        p = preset("ap1000+")
-        fast = simulator.simulate(trace, p, collect_metrics=True)
-        assert built == []
-        simulator.simulate(trace, p, link_contention=True)
-        assert built == [True]
-        ref = MLSimEngine(trace, p, collect_metrics=True).run()
-        assert result_doc(fast) == result_doc(ref)
+class TestUnknownKinds:
+    """The refusal the scalar engine's dispatch gave, from the index."""
+
+    @pytest.mark.parametrize("kind", [99, -1])
+    def test_unknown_kind_is_a_simulation_error(self, kind):
+        buf = TraceBuffer(num_pes=1)
+        buf.record(TraceEvent(EventKind.COMPUTE, pe=0, work=1.0))
+        columns = replace(columns_from_buffer(buf),
+                          kind=np.array([kind], dtype=np.int16))
+        with pytest.raises(SimulationError,
+                           match=f"unknown trace event kind {kind}$"):
+            replay_columns(columns, preset("ap1000+"))
 
 
 # -- generated traces: the ties ------------------------------------------
@@ -177,20 +223,25 @@ FREE = MLSimParams(
 def tie_scripts(draw):
     """(num_pes, steps): programs that cannot deadlock — every wait
     follows the transfer that satisfies it, every collective is issued
-    by all members at once."""
+    by all members at once.  A PUT's receiver need not wait for it, so
+    a cell may run ahead of traffic addressed to it (which is how a GET
+    reply comes to be discovered out of injection order)."""
     n = draw(st.integers(1, 5))
     pe = st.integers(0, n - 1)
     size = st.sampled_from([0, 0, 8, 64, 4096])
-    work = st.sampled_from([0.0, 0.0, 1.5, 40.0])
+    work = st.sampled_from([0.0, 0.0, 1.5, 40.0, 100000.0])
     members = st.sets(pe, min_size=1)
     step = st.one_of(
         st.tuples(st.sampled_from(["compute", "rtsys"]), pe, work),
-        st.tuples(st.just("put"), pe, pe, size, st.booleans()),
+        st.tuples(st.just("put"), pe, pe, size, st.booleans(),
+                  st.booleans()),
         st.tuples(st.just("get"), pe, pe, size),
         st.tuples(st.just("send"), pe, pe, size),
         st.tuples(st.just("barrier"), members, st.booleans()),
         st.tuples(st.sampled_from(["gop", "vgop"]), members,
                   st.booleans(), size),
+        st.tuples(st.just("mark"), pe, st.sampled_from(
+            ["RETRY", "TIMEOUT", "SPILL", "phase a", "phase b"])),
     )
     return n, draw(st.lists(step, max_size=16))
 
@@ -211,7 +262,7 @@ def tie_trace(n: int, steps) -> TraceBuffer:
                     else EventKind.RTSYS)
             buf.record(TraceEvent(kind, pe=step[1], work=step[2]))
         elif name == "put":
-            _, src, dst, nbytes, wait_send = step
+            _, src, dst, nbytes, wait_send, wait_recv = step
             sent, landed = 1 + src, 100 + src * n + dst
             buf.record(TraceEvent(
                 EventKind.PUT, pe=src, partner=dst, size=nbytes,
@@ -219,8 +270,10 @@ def tie_trace(n: int, steps) -> TraceBuffer:
             if wait_send:
                 buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=src,
                                       flag=sent, target=bump(sent)))
-            buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=dst,
-                                  flag=landed, target=bump(landed)))
+            target = bump(landed)
+            if wait_recv:
+                buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=dst,
+                                      flag=landed, target=target))
         elif name == "get":
             _, src, dst, nbytes = step
             back = 200 + src * n + dst
@@ -234,6 +287,13 @@ def tie_trace(n: int, steps) -> TraceBuffer:
                                   size=nbytes, msg_id=serial + 1))
             buf.record(TraceEvent(EventKind.RECV, pe=dst, partner=src,
                                   size=nbytes, msg_id=serial + 1))
+        elif name == "mark":
+            _, where, what = step
+            if what.startswith("phase"):
+                buf.record(TraceEvent(EventKind.PHASE, pe=where,
+                                      flag=buf.phase_id(what)))
+            else:
+                buf.record(TraceEvent(EventKind[what], pe=where))
         else:
             group, explicit = sorted(step[1]), step[2]
             gid = buf.groups.intern(tuple(group))
@@ -250,11 +310,10 @@ def tie_trace(n: int, steps) -> TraceBuffer:
 class TestGeneratedTies:
     @settings(max_examples=80, deadline=None)
     @given(tie_scripts(), st.booleans())
+    # TestDiscoveryOrder's shape, in the generator's vocabulary.
+    @example((3, [("send", 2, 0, 8), ("compute", 1, 100000.0),
+                  ("put", 1, 0, 4096, False, False),
+                  ("get", 0, 1, 4096)]), True)
     def test_scalar_and_soa_agree_bit_for_bit(self, script, collect):
-        trace = tie_trace(*script)
-        trace.coalesce_compute()
-        columns = columns_from_buffer(trace)
-        for p in (*map(preset, PRESETS), FREE):
-            ref = MLSimEngine(trace, p, None, collect_metrics=collect).run()
-            soa = replay_columns(columns, p, collect_metrics=collect)
-            assert result_doc(soa) == result_doc(ref), p.name
+        assert_equivalent(tie_trace(*script),
+                          (*map(preset, PRESETS), FREE), collect)

@@ -1,28 +1,46 @@
 """Tests for the per-PE timeline span log."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.mlsim.engine import MLSimEngine
-from repro.mlsim.params import ap1000_params, ap1000_plus_params
-from repro.mlsim.timeline import Span, Timeline, render_timeline
-from repro.trace.buffer import TraceBuffer
+from repro.mlsim.params import MLSimParams, ap1000_params
+from repro.mlsim.timeline import render_timeline
 from repro.trace.events import EventKind, TraceEvent
+
+from .replay import replay, trace_of
 
 
 def engine(events, num_pes=2, params=None):
-    buf = TraceBuffer(num_pes=num_pes)
-    for ev in events:
-        buf.record(ev)
-    eng = MLSimEngine(buf, params or ap1000_plus_params(),
-                      record_timeline=True)
-    eng.run()
-    return eng
+    """One recording replay: its timeline and its per-PE results."""
+    result = replay(trace_of(num_pes, events), params, record_timeline=True)
+    return SimpleNamespace(timeline=result.timeline, pes=result.per_pe)
+
+
+#: One microsecond per unit of work, communication-register access ten,
+#: everything else free: spans land on round numbers.
+ROUND = MLSimParams(
+    name="round", computation_factor=1.0, hardware_put_get=True,
+    network_prolog_time=0.0, network_delay_time=0.0,
+    network_epilog_time=0.0, put_msg_time=0.0, barrier_net_time=0.0,
+    recv_copy_byte_time=0.0, creg_access_time=10.0)
+
+
+def compute(pe, work):
+    return TraceEvent(EventKind.COMPUTE, pe=pe, work=work)
+
+
+def barrier(pe):
+    return TraceEvent(EventKind.BARRIER, pe=pe, group=0, group_size=2)
+
+
+def rounded(*events):
+    return engine(list(events), params=ROUND).timeline
 
 
 class TestSpanRecording:
     def test_disabled_by_default(self):
-        buf = TraceBuffer(num_pes=1)
-        assert MLSimEngine(buf, ap1000_plus_params()).timeline is None
+        assert replay(trace_of(1, [])).timeline is None
 
     def test_compute_span(self):
         eng = engine([TraceEvent(EventKind.COMPUTE, pe=0, work=80.0)])
@@ -72,25 +90,28 @@ class TestSpanRecording:
 
 class TestAnalysis:
     def test_busy_fraction(self):
-        tl = Timeline(num_pes=1)
-        tl.add(Span(pe=0, start=0, end=60, bucket="execution", label="C"))
-        tl.add(Span(pe=0, start=60, end=100, bucket="idle", label="B"))
+        tl = rounded(compute(0, 60.0), barrier(0),
+                     compute(1, 100.0), barrier(1))
+        assert [(s.start, s.end, s.bucket) for s in tl.spans_for(0)] == [
+            (0.0, 60.0, "execution"), (60.0, 100.0, "idle")]
         assert tl.busy_fraction(0) == pytest.approx(0.6)
 
     def test_busy_fraction_empty(self):
-        assert Timeline(num_pes=1).busy_fraction(0) == 0.0
+        assert rounded().busy_fraction(0) == 0.0
 
     def test_window(self):
-        tl = Timeline(num_pes=1)
-        tl.add(Span(pe=0, start=0, end=10, bucket="execution", label="a"))
-        tl.add(Span(pe=0, start=10, end=20, bucket="idle", label="b"))
-        tl.add(Span(pe=0, start=20, end=30, bucket="overhead", label="c"))
+        tl = rounded(
+            compute(0, 10.0), barrier(0),
+            TraceEvent(EventKind.CREG_STORE, pe=0, partner=1, size=4),
+            compute(1, 20.0), barrier(1))
+        assert [(s.start, s.end, s.bucket) for s in tl.spans_for(0)] == [
+            (0.0, 10.0, "execution"), (10.0, 20.0, "idle"),
+            (20.0, 30.0, "overhead")]
         hits = tl.window(0, 5, 15)
-        assert [s.label for s in hits] == ["a", "b"]
+        assert [s.label for s in hits] == ["COMPUTE", "BARRIER"]
 
     def test_zero_duration_spans_dropped(self):
-        tl = Timeline(num_pes=1)
-        tl.add(Span(pe=0, start=5, end=5, bucket="idle", label="x"))
+        tl = rounded(compute(0, 0.0))
         assert tl.spans_for(0) == []
 
 
@@ -107,7 +128,7 @@ class TestRendering:
         assert "#" in lines[1]
 
     def test_render_empty(self):
-        assert "(empty timeline)" in render_timeline(Timeline(num_pes=2))
+        assert "(empty timeline)" in render_timeline(rounded())
 
     def test_render_subset(self):
         eng = engine([

@@ -106,8 +106,7 @@ class TestDeterminism:
 
 class TestReplayHelper:
     def test_returns_engine_with_timeline_and_metrics(self):
-        engine, result = replay_with_timeline(micro_trace(),
-                                              ap1000_plus_params())
-        assert engine.timeline is not None
-        assert engine.timeline.flows
+        result = replay_with_timeline(micro_trace(), ap1000_plus_params())
+        assert result.timeline is not None
+        assert result.timeline.flows
         assert result.metrics is not None

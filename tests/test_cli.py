@@ -308,14 +308,14 @@ class TestReplay:
 
     def test_replay_from_columns_prints_what_the_reference_prints(
             self, trace_file, tmp_path, capsys):
-        """`replay` goes file -> columns -> SoA engine without building
-        an event; text and --json output carry the numbers of the
-        event-object engine on v1, v2 and stream files."""
+        """`replay` goes file -> columns -> engine without building an
+        event; text and --json output carry the numbers of the
+        event-object oracle on v1, v2 and stream files."""
         import json
 
-        from repro.mlsim.engine import MLSimEngine
         from repro.mlsim.params import preset
         from repro.trace.io import load_trace, save_trace_v2
+        from tests.mlsim.reference_engine import MLSimEngine
         v2, stream = tmp_path / "t.v2.jsonl", tmp_path / "t.stream.jsonl"
         save_trace_v2(load_trace(trace_file), v2)
         main(["run", "MatMul", "--cells", "4", "--no-replay",
