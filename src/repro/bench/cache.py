@@ -44,7 +44,7 @@ import repro
 from repro.obs.observer import machine_metrics
 from repro.trace.buffer import TraceBuffer
 from repro.core.errors import ReproError
-from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
+from repro.trace.io import load_trace, load_trace_columns, save_trace
 from repro.trace.stats import AppStatistics
 
 META_NAME = "meta.json"
@@ -224,7 +224,7 @@ class TraceCache:
             "machine_metrics": telemetry,
         }
         try:
-            save_trace_v2(run.trace, staging / TRACE_NAME)
+            save_trace(run.trace, staging / TRACE_NAME)
             (staging / META_NAME).write_text(
                 json.dumps(meta, indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",

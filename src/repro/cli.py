@@ -3,17 +3,17 @@ parameter files, and reproduce the full evaluation.
 
 Usage::
 
-    python -m repro.cli run CG --cells 16 --trace cg.jsonl [--json]
+    python -m repro.cli run CG --cells 16 --trace cg.trc [--json]
     python -m repro.cli run CG --observe
-    python -m repro.cli replay cg.jsonl --preset ap1000+ [--json]
-    python -m repro.cli replay cg.jsonl --params my_model.params
+    python -m repro.cli replay cg.trc --preset ap1000+ [--json]
+    python -m repro.cli replay cg.trc --params my_model.params
     python -m repro.cli trace export --micro --format perfetto -o out.json
-    python -m repro.cli trace export cg.jsonl --format chrome
-    python -m repro.cli trace export cg.jsonl --chunk-events 5000 -o out.json
-    python -m repro.cli top cg.jsonl [--json]
+    python -m repro.cli trace export cg.trc --format chrome
+    python -m repro.cli trace export cg.trc --chunk-events 5000 -o out.json
+    python -m repro.cli top cg.trc [--json]
     python -m repro.cli top BENCH_20260101T000000Z.json
-    python -m repro.cli run CG --stream cg.stream.jsonl
-    python -m repro.cli top cg.stream.jsonl --follow
+    python -m repro.cli run CG --stream cg.stream.trc
+    python -m repro.cli top cg.stream.trc --follow
     python -m repro.cli ingest foreign.vef [--reader vef] [--json]
     python -m repro.cli params ap1000
     python -m repro.cli report [--paper-scale] [--apps EP MatMul ...]
@@ -189,6 +189,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "engine records per-worker and merges at the end, so "
                 "the combination would not stream anything live — "
                 "drop one of --stream/--shards")
+        if args.resume_from:
+            raise ConfigurationError(
+                "--stream binds to a trace buffer as the run creates "
+                "it; a run restored by --resume-from continues the "
+                "buffer it saved, so nothing would be streamed — drop "
+                "one of --stream/--resume-from")
         from repro.trace.buffer import streaming_to
         from repro.trace.io import StreamTraceWriter
 
@@ -209,7 +215,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               + _run_resume_command(args, str(exc.snapshot_path)))
         return EXIT_RESUMABLE
     finally:
-        # On success this lands the v2-compatible footer; on a crash or
+        # On success this lands the footer; on a crash or
         # checkpoint interrupt it flushes what was recorded so the file
         # stays tailable/loadable.
         if stream_writer is not None:
@@ -863,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--paper-scale", action="store_true",
                        help="use the paper's problem size")
     p_run.add_argument("--trace", metavar="FILE",
-                       help="write the recorded trace as JSON lines")
+                       help="write the recorded trace (a v2 column "
+                            "file) to FILE")
     p_run.add_argument("--stream", metavar="FILE",
                        help="stream the trace to FILE incrementally "
                             "while the run executes (bounded memory; "
@@ -922,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_trace_exp = trace_sub.add_parser(
         "export",
-        help="export a trace as Perfetto/Chrome JSON or native JSONL")
+        help="export a trace's replay as Perfetto/Chrome JSON")
     p_trace_exp.add_argument("trace", nargs="?",
                              help="trace file from `run --trace`")
     p_trace_exp.add_argument("--micro", action="store_true",
@@ -933,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace_exp.add_argument("--cells", type=int, default=None,
                              help="cell count for --micro/--app")
     p_trace_exp.add_argument("--format", default="perfetto",
-                             choices=("perfetto", "chrome", "jsonl"),
+                             choices=("perfetto", "chrome"),
                              help="output format (default: perfetto)")
     p_trace_exp.add_argument("--preset", default="ap1000+",
                              choices=sorted(PRESETS),

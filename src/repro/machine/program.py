@@ -356,14 +356,15 @@ class CellContext:
             send_flag.addr if send_flag is not None else NO_FLAG,
             recv_flag.addr if recv_flag is not None else NO_FLAG)
         # kind, pe, seq, partner, size, stride, the two flag ids, is_ack
-        ev = self._record(TraceEvent(
+        ev = TraceEvent(
             EventKind.PUT if put else EventKind.GET, pe, 0, node,
             send_stride.total_bytes, stride,
             send_flag.id_on(pe) if send_flag else 0,
             recv_flag.id_on(node if put else pe) if recv_flag else 0,
-            is_ack))
-        if self.machine.sanitize:
+            is_ack)
+        if self.machine.sanitize:   # stamped first: a sink sees it final
             self._annotate(ev, command)
+        self._record(ev)
         self._issue(command)
         if ack and self.acks.record_put(node):
             self.ack_get(node)
@@ -621,12 +622,13 @@ class CellContext:
 
     def _trace_word(self, kind: EventKind, partner: int, raddr: int,
                     size: int) -> None:
-        ev = self._trace(kind, partner=partner, size=size)
+        ev = TraceEvent(kind, self.pe, partner=partner, size=size)
         if self.machine.sanitize:
             ev.raddr = raddr
             ev.rchunk = size
             ev.rcount = 1
             ev.rstep = max(size, 1)
+        self._record(ev)
 
     def remote_store_word(self, dst: int, array: LocalArray,
                           offset: int, value: float) -> None:

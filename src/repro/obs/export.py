@@ -20,7 +20,6 @@ serialize identically — the property CI's golden-fixture step enforces.
 
 from __future__ import annotations
 
-import io
 import json
 from collections.abc import Iterable, Iterator
 
@@ -30,11 +29,10 @@ from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import MLSimParams
 from repro.mlsim.timeline import Timeline
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import save_trace
 from repro.trace.soa import coalesce_columns, columns_from_buffer
 
 #: Formats accepted by :func:`export_trace` / ``repro trace export``.
-FORMATS = ("perfetto", "chrome", "jsonl")
+FORMATS = ("perfetto", "chrome")
 
 
 def _ts(value: float) -> float:
@@ -122,17 +120,11 @@ def _other_data(result: MLSimResult, fmt: str) -> dict:
 
 def export_trace(trace: TraceBuffer, params: MLSimParams,
                  fmt: str = "perfetto") -> str:
-    """Serialize a trace in one of :data:`FORMATS`; returns the text.
-
-    ``jsonl`` writes the native replayable trace format (no replay
-    happens); ``chrome``/``perfetto`` replay under ``params`` and render
-    the timeline.  All three are byte-deterministic.
+    """Replay a trace under ``params`` and render its timeline in one of
+    :data:`FORMATS`; returns the text, byte-deterministic.  The trace
+    file itself is :func:`repro.trace.io.save_trace`'s.
     """
-    if fmt == "jsonl":
-        out = io.StringIO()
-        save_trace(trace, out)
-        return out.getvalue()
-    if fmt not in ("chrome", "perfetto"):
+    if fmt not in FORMATS:
         raise ConfigurationError(
             f"unknown export format {fmt!r}; choose from {FORMATS}")
     result = replay_with_timeline(trace, params)
@@ -165,10 +157,9 @@ def export_trace_chunked(
     :func:`merge_chunks`), and only one chunk of events is materialized
     at a time.
     """
-    if fmt not in ("chrome", "perfetto"):
+    if fmt not in FORMATS:
         raise ConfigurationError(
-            f"cannot chunk format {fmt!r}; chunked export renders a "
-            "replay timeline (use 'perfetto' or 'chrome')")
+            f"cannot chunk format {fmt!r}; choose from {FORMATS}")
     if chunk_events < 1:
         raise ConfigurationError(
             f"--chunk-events must be positive, got {chunk_events}")

@@ -3,9 +3,9 @@
 Two followable subjects:
 
 * a **stream trace** being written by ``repro run --stream`` —
-  :class:`FollowState` tails the file incrementally (complete lines
+  :class:`FollowState` tails the file incrementally (complete chunks
   only, constant memory) and aggregates link traffic, a queue-pressure
-  proxy, and phase progress from the raw events;
+  proxy, and phase progress from each chunk's columns;
 * a **bench campaign journal** (``repro-bench-journal-v1``) — re-read
   atomically-replaced snapshots each tick and show row completion.
 
@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.core.errors import SimulationError
 from repro.trace.events import EventKind
-from repro.trace.io import FORMAT_STREAM
+from repro.trace.io import FORMAT_STREAM, stream_records
 
 #: Pairs shown in the live link table (busiest first).
 MAX_LINKS = 10
@@ -31,15 +31,19 @@ MAX_LINKS = 10
 _WIRE_KINDS = (int(EventKind.PUT), int(EventKind.SEND),
                int(EventKind.GET), int(EventKind.REMOTE_STORE),
                int(EventKind.REMOTE_LOAD))
+#: The columns a chunk is aggregated from, in ``FollowState._event``'s
+#: argument order.
+_READ = ("kind", "pe", "partner", "size", "flag", "target", "work")
 
 
 class FollowState:
     """Incremental aggregation over a growing stream-trace file.
 
-    ``poll`` consumes any new *complete* lines since the last call (a
-    partial last line from a live writer is left for the next tick), so
-    memory and per-tick work are proportional to the increment, never
-    to the file.
+    ``poll`` consumes any new *complete* records since the last call —
+    the header line, chunks (a JSON line, the block its layout sizes, a
+    newline) and the footer — and leaves a partial one from a live
+    writer for the next tick, so memory and per-tick work are
+    proportional to the increment, never to the file.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -66,64 +70,41 @@ class FollowState:
         self.pe_phase: list[int] = []
         self.phase_entries: dict[int, int] = {}
         self._offset = 0
-        self._header_seen = False
 
     # ------------------------------------------------------------------
     # Ingestion of increments
     # ------------------------------------------------------------------
 
     def poll(self) -> int:
-        """Consume new complete lines; returns how many were read."""
+        """Consume new complete records; returns how many were read."""
         try:
             with open(self.path, "rb") as fh:
                 fh.seek(self._offset)
-                chunk = fh.read()
+                data = fh.read()
         except OSError as exc:
             raise SimulationError(
                 f"cannot follow {self.path}: {exc}") from exc
-        if not chunk:
-            return 0
-        # Keep only complete lines; a torn tail stays for next time.
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return 0
-        complete_part = chunk[:end + 1]
-        self._offset += len(complete_part)
-        consumed = 0
-        for raw in complete_part.splitlines():
-            text = raw.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            self._line(text)
+        at = consumed = 0
+        for doc, block, at in stream_records(data, str(self.path)):
             consumed += 1
-        return consumed
-
-    def _line(self, text: str) -> None:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SimulationError(
-                f"{self.path}: corrupt stream line: {exc.msg}") from exc
-        if not self._header_seen:
-            if obj.get("format") != FORMAT_STREAM:
+            if block is not None:
+                self.phase_labels += doc.get("phases", [])
+                columns = [block[name].tolist() for name in _READ]
+                for event in zip(*columns):
+                    self._event(*event)
+            elif "footer" in doc:
+                self.complete = True
+            elif doc["format"] == FORMAT_STREAM and not self.num_pes:
+                self._begin(int(doc["num_pes"]))
+            else:
                 raise SimulationError(
                     f"{self.path} is not a stream trace (format "
-                    f"{obj.get('format')!r}; `repro top --follow` tails "
-                    "files written by `repro run --stream`)")
-            self._begin(int(obj["num_pes"]))
-            return
-        if "footer" in obj:
-            self.complete = True
-            return
-        if obj.get("meta") == "phase":
-            pid = int(obj["id"])
-            while len(self.phase_labels) < pid:
-                self.phase_labels.append(str(obj["label"]))
-            return
-        self._event(obj)
+                    f"{doc['format']!r}; `repro top --follow` tails files "
+                    "written by `repro run --stream`)")
+        self._offset += at
+        return consumed
 
     def _begin(self, num_pes: int) -> None:
-        self._header_seen = True
         self.num_pes = num_pes
         self.pe_events = [0] * num_pes
         self.pe_work_us = [0.0] * num_pes
@@ -132,9 +113,8 @@ class FollowState:
         self._acked = [0] * num_pes
         self.pe_phase = [0] * num_pes
 
-    def _event(self, obj: dict[str, Any]) -> None:
-        kind = int(obj["kind"])
-        pe = int(obj["pe"])
+    def _event(self, kind: int, pe: int, partner: int, size: int,
+               flag: int, target: int, work: float) -> None:
         self.total_events += 1
         if 0 <= pe < self.num_pes:
             self.pe_events[pe] += 1
@@ -142,11 +122,9 @@ class FollowState:
         self.kind_counts[name] = self.kind_counts.get(name, 0) + 1
         if kind in (int(EventKind.COMPUTE), int(EventKind.RTSYS)):
             if 0 <= pe < self.num_pes:
-                self.pe_work_us[pe] += float(obj.get("work", 0.0))
+                self.pe_work_us[pe] += work
             return
-        partner = int(obj.get("partner", -1))
         if kind in _WIRE_KINDS and 0 <= partner < self.num_pes:
-            size = int(obj.get("size", 0))
             stats = self.links.setdefault((pe, partner), [0, 0])
             stats[0] += 1
             stats[1] += size
@@ -160,12 +138,11 @@ class FollowState:
         elif kind == int(EventKind.FLAG_WAIT):
             # The wait's target is a cumulative completion count toward
             # this PE; reaching it drains the proxy queue to there.
-            self._drain(pe, int(obj.get("target", 0)))
+            self._drain(pe, target)
         elif kind == int(EventKind.PHASE):
-            pid = int(obj.get("flag", 0))
             if 0 <= pe < self.num_pes:
-                self.pe_phase[pe] = pid
-            self.phase_entries[pid] = self.phase_entries.get(pid, 0) + 1
+                self.pe_phase[pe] = flag
+            self.phase_entries[flag] = self.phase_entries.get(flag, 0) + 1
 
     def _drain(self, pe: int, acked: int) -> None:
         if not 0 <= pe < self.num_pes:

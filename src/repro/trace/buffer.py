@@ -26,10 +26,10 @@ from repro.trace.events import EventKind, GroupTable, TraceEvent
 DEFAULT_CAPACITY = 4_000_000
 
 _NAMES = tuple(f.name for f in fields(TraceEvent))
-#: A :class:`TraceEvent`'s fields in its positional order: the keys of
-#: a v1 line and the columns of a v2 block, then the sanitizer
-#: annotations (repro.check), written only when present so that
-#: unsanitized traces keep the original format.
+#: A :class:`TraceEvent`'s fields in its positional order: the columns
+#: of a v2 block (and the keys of an imported v1 line), then the
+#: sanitizer annotations (repro.check), written only when present so
+#: that unsanitized traces keep the original format.
 EVENT_FIELDS = _NAMES[:_NAMES.index("raddr")]
 RANGE_FIELDS = _NAMES[_NAMES.index("raddr"):]
 

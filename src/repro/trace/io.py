@@ -1,42 +1,41 @@
-"""Trace serialization.
+"""Trace serialization: one writer, two read-only line formats.
 
-Three on-disk formats share one loader:
+* **v2** (:func:`save_trace`, the only writer) — the trace's columns as
+  they sit in memory: one JSON header line (machine size, groups,
+  phases, per-PE ``counts``, ``total`` and the ``block`` layout as
+  ``[name, dtype]`` pairs, dtypes explicit little-endian), the raw
+  column block (every :data:`EVENT_FIELDS` column, plus
+  :data:`RANGE_FIELDS` when any event is annotated, each ``total``
+  items, events per-PE contiguous) and a closing newline, so
+  :func:`ensure_intact` is the torn-file test of every format.
+  :func:`load_trace` maps the block with ``np.frombuffer``, checks it
+  vectorially and returns a :class:`TraceBuffer` that builds events
+  only for whoever asks; replay and a second save use the arrays.
+* **stream** (:class:`StreamTraceWriter`) — the same layout appended
+  while the run executes: a header line, one chunk per flush (a JSON
+  line with the chunk's ``total``, the phase labels interned since the
+  last chunk and its ``block`` layout; the block; a newline) and at
+  close a footer with groups, phases, per-PE counts and total.
+  ``repro top --follow`` tails it chunk by chunk; the loader maps the
+  chunks, puts their events in PE order and packs them again, so the
+  file loads, and re-saves, as the v2 file of its run.
+* **v1** and **stream-v1** — one JSON object per event; imported by
+  :func:`_buffer_from_lines`, written by nothing (nor is the v2 header
+  with its columns as JSON lists that older caches hold).
 
-* **v1** — JSON lines: one header object (machine size, groups) followed
-  by one object per event in global order.  Human-greppable, kept for
-  back-compat and for small diagnostic dumps.
-* **v2** — the trace's columns as they sit in memory: one JSON header
-  line (machine size, groups, phases, per-PE ``counts``, ``total`` and
-  the ``block`` layout as ``[name, dtype]`` pairs, dtypes explicit
-  little-endian), the raw column block (every :data:`EVENT_FIELDS`
-  column, plus :data:`RANGE_FIELDS` when any event is annotated, each
-  ``total`` items, events per-PE contiguous) and a closing newline, so
-  :func:`ensure_intact` is the torn-file test of every format.  The
-  bench cache stores this and :func:`save_trace_v2` writes nothing
-  else.  :func:`load_trace` maps the block with ``np.frombuffer``,
-  checks it vectorially and returns a :class:`TraceBuffer` that builds
-  events only for whoever asks; replay (:func:`load_trace_columns`) and
-  a second save use the arrays as they are.  The older encoding — the
-  same header, columns as JSON lists under ``"columns"`` / ``"ranges"``
-  — is still read, through the same checks, and written by nothing.
-* **stream** — v1-style event lines written *incrementally* while the
-  run executes (:class:`StreamTraceWriter`): a minimal header, chunked
-  line flushes at record boundaries, interleaved phase meta lines, and
-  a v2-compatible footer (groups, phases, per-PE counts) appended at
-  close.  The file is readable mid-run — ``repro top --follow`` tails
-  it live — and loads like any other trace once the footer lands.
-
-The formats exist so a long functional run can be recorded once and
-replayed through MLSim many times with different parameter files — the
-same decoupling the paper's methodology relied on.  ``load_trace`` and
-``load_trace_columns`` sniff the format from the first line, so readers
-never need to know which writer produced a file.
+Every reader ends in the checks of :func:`_checked` and a block-backed
+buffer, and ``load_trace`` sniffs the format from the first line: a run
+is recorded once and replayed through MLSim under many parameter files,
+the decoupling the paper's methodology relied on.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import IO
 
@@ -54,122 +53,91 @@ from repro.trace.soa import (
     pack,
 )
 
-FORMAT_V1 = "ap1000-trace-v1"
 FORMAT_V2 = "ap1000-trace-v2"
-FORMAT_STREAM = "ap1000-trace-stream-v1"
+FORMAT_STREAM = "ap1000-trace-stream-v2"
+
+_FIELDS = EVENT_FIELDS + RANGE_FIELDS
+#: The range fields of an event the sanitizer did not stamp.
+_UNANNOTATED = tuple(f.default for f in fields(TraceEvent)
+                     if f.name in RANGE_FIELDS)
 
 
-def _event_to_dict(ev: TraceEvent) -> dict:
-    out: dict[str, object] = {}
-    for name in EVENT_FIELDS:
-        value = getattr(ev, name)
-        if name == "kind":
-            value = int(value)
-        out[name] = value
-    if ev.is_annotated():
-        for name in RANGE_FIELDS:
-            out[name] = getattr(ev, name)
-    return out
+def _json_line(doc: dict) -> bytes:
+    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
 
 
-def _event_from_dict(obj: dict) -> TraceEvent:
-    kwargs = dict(obj)
-    kwargs["kind"] = EventKind(kwargs["kind"])
-    return TraceEvent(**kwargs)
+def _with_block(doc: dict, block: dict[str, np.ndarray]) -> bytes:
+    """``doc`` and ``block``'s layout as one JSON line, the block and
+    the newline that closes it."""
+    layout = [[name, column.dtype.str] for name, column in block.items()]
+    return b"".join([_json_line(doc | {"block": layout}),
+                     *block.values(), b"\n"])
 
 
-def save_trace(trace: TraceBuffer, target: str | Path | IO[str]) -> None:
-    """Write a trace as JSON lines (format v1)."""
+def _group_lists(trace: TraceBuffer) -> list[list[int]]:
     assert trace.groups is not None
-    header = {
-        "format": FORMAT_V1,
-        "num_pes": trace.num_pes,
-        "groups": {str(gid): list(trace.groups.members(gid))
-                   for gid in range(len(trace.groups))},
-    }
-    if trace.phases:
-        # Phase labels are optional so unannotated traces keep the
-        # original header shape.
-        header["phases"] = list(trace.phases)
-
-    def _write(fh: IO[str]) -> None:
-        fh.write(json.dumps(header) + "\n")
-        for ev in trace.all_events():
-            fh.write(json.dumps(_event_to_dict(ev)) + "\n")
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            _write(fh)
-    else:
-        _write(target)
+    return [list(trace.groups.members(gid))
+            for gid in range(len(trace.groups))]
 
 
-def save_trace_v2(trace: TraceBuffer, target: str | Path) -> None:
-    """Write a trace as its column block (format v2).
+def save_trace(trace: TraceBuffer, target: str | Path | IO[bytes]) -> None:
+    """Write a trace as its column block (format v2) to a path or a
+    binary file object.
 
     Events are stored per-PE contiguous (each PE's program order), with
-    the machine-global ``seq`` column preserving the total order v1
-    lines carried implicitly.  Groups are written as a list in group-id
-    order and phases in phase-id order, so the tables round-trip with
-    deterministic interning no matter which process wrote the file.
-    The block is :func:`repro.trace.soa.event_block` byte for byte: a
-    loaded trace is written from the arrays it was mapped to, a
-    recorded one pays its one walk here.
+    the machine-global ``seq`` column preserving the total order.
+    Groups are written as a list in group-id order and phases in
+    phase-id order, so the tables round-trip with deterministic
+    interning no matter which process wrote the file.  The block is
+    :func:`repro.trace.soa.event_block` byte for byte: a loaded trace is
+    written from the arrays it was mapped to, a recorded one pays its
+    one walk here.
     """
-    assert trace.groups is not None
     n = trace.num_pes
     block = event_block(trace)
-    header = {
+    data = _with_block({
         "format": FORMAT_V2,
         "num_pes": n,
-        "groups": [list(trace.groups.members(gid))
-                   for gid in range(len(trace.groups))],
+        "groups": _group_lists(trace),
         "phases": list(trace.phases),
         "counts": np.bincount(block["pe"], minlength=n).tolist(),
         "total": trace.total_events,
-        "block": [[name, column.dtype.str]
-                  for name, column in block.items()],
-    }
-    Path(target).write_bytes(b"".join([
-        json.dumps(header, separators=(",", ":")).encode(), b"\n",
-        *block.values(), b"\n"]))
+    }, block)
+    if isinstance(target, (str, Path)):
+        Path(target).write_bytes(data)
+    else:
+        target.write(data)
+
+
+#: The writer under the name ``benchmarks/e2e/child.py`` times it by.
+save_trace_v2 = save_trace
 
 
 class StreamTraceWriter:
     """Incremental, bounded-memory trace writer (the stream format).
 
     Registered as the ambient sink via
-    :func:`repro.trace.buffer.streaming_to`; the first
-    :class:`TraceBuffer` created inside the context binds to it and
-    every recorded event is appended to the file as it happens, in
-    chunks of ``flush_events`` complete lines (so a concurrent reader
-    never sees a torn record from a live writer).  Memory held is one
-    pending chunk plus per-PE counters — independent of trace length.
-
-    ``close`` appends the v2-compatible footer (groups, phases, per-PE
-    counts, total) that lets :func:`load_trace` rebuild the exact
-    buffer; a file without a footer (run still going, or killed) is
-    still tailable by ``repro top --follow`` and loadable best-effort.
+    :func:`repro.trace.buffer.streaming_to`, it binds to the first
+    :class:`TraceBuffer` created inside the context and keeps each
+    recorded event's field values as they are at ``record`` (a later
+    rewrite such as :meth:`TraceBuffer.coalesce_compute` does not reach
+    the file).  Every ``flush_events`` events are written as one whole
+    chunk, so memory held is one pending chunk plus per-PE counters.
+    ``close`` appends the footer that lets :func:`load_trace` rebuild
+    the exact buffer; a file without one (run still going, or killed)
+    is still tailable by ``repro top --follow`` and loadable.
     """
 
     def __init__(self, target: str | Path, *,
                  flush_events: int = 1024) -> None:
         self.path = Path(target)
         self.flush_events = max(1, flush_events)
-        self._fh: IO[str] | None = None
+        self._fh: IO[bytes] | None = None
         self._buffer: TraceBuffer | None = None
-        self._pending: list[str] = []
+        self._rows: list[tuple] = []
+        self._phases: list[str] = []
         self._counts: list[int] = []
-        self._total = 0
         self._closed = False
-
-    @property
-    def bound(self) -> bool:
-        return self._buffer is not None
-
-    @property
-    def total_events(self) -> int:
-        return self._total
 
     def bind(self, buffer: TraceBuffer) -> bool:
         """Attach to the first buffer created in the streaming context;
@@ -177,32 +145,38 @@ class StreamTraceWriter:
         if self._buffer is not None or self._closed:
             return False
         self._buffer = buffer
-        self._fh = open(self.path, "w", encoding="utf-8")
-        header = {"format": FORMAT_STREAM, "num_pes": buffer.num_pes}
-        self._fh.write(json.dumps(header) + "\n")
+        self._fh = open(self.path, "wb")
+        self._fh.write(_json_line(
+            {"format": FORMAT_STREAM, "num_pes": buffer.num_pes}))
         self._fh.flush()
         self._counts = [0] * buffer.num_pes
         return True
 
+    _values = staticmethod(attrgetter(*_FIELDS))
+
     def emit(self, event: TraceEvent) -> None:
-        self._pending.append(json.dumps(_event_to_dict(event)))
+        self._rows.append(self._values(event))
         self._counts[event.pe] += 1
-        self._total += 1
-        if len(self._pending) >= self.flush_events:
+        if len(self._rows) >= self.flush_events:
             self.flush()
 
     def phase(self, label: str, pid: int) -> None:
-        self._pending.append(
-            json.dumps({"meta": "phase", "label": label, "id": pid}))
-        if len(self._pending) >= self.flush_events:
-            self.flush()
+        self._phases.append(label)
 
     def flush(self) -> None:
-        """Push pending complete lines to disk."""
-        if self._fh is not None and self._pending:
-            self._fh.write("\n".join(self._pending) + "\n")
-            self._pending.clear()
-            self._fh.flush()
+        """Write the pending events and phase labels as one chunk."""
+        if self._fh is None or not (self._rows or self._phases):
+            return
+        rows = self._rows
+        names = _FIELDS if any(row[len(EVENT_FIELDS):] != _UNANNOTATED
+                               for row in rows) else EVENT_FIELDS
+        columns = list(zip(*rows)) or [()] * len(names)
+        block = {name: pack(name, values)
+                 for name, values in zip(names, columns)}
+        self._fh.write(_with_block(
+            {"total": len(rows), "phases": self._phases}, block))
+        self._fh.flush()
+        self._rows, self._phases = [], []
 
     def close(self) -> None:
         """Flush, append the footer, and release the file."""
@@ -213,16 +187,14 @@ class StreamTraceWriter:
             return
         self.flush()
         buffer = self._buffer
-        assert buffer is not None and buffer.groups is not None
-        footer = {
+        assert buffer is not None
+        self._fh.write(_json_line({
             "footer": FORMAT_STREAM,
-            "groups": [list(buffer.groups.members(gid))
-                       for gid in range(len(buffer.groups))],
+            "groups": _group_lists(buffer),
             "phases": list(buffer.phases),
             "counts": self._counts,
-            "total_events": self._total,
-        }
-        self._fh.write(json.dumps(footer) + "\n")
+            "total_events": sum(self._counts),
+        }))
         self._fh.close()
         self._fh = None
 
@@ -257,137 +229,52 @@ def ensure_intact(path: str | Path) -> None:
                               ) from exc
 
 
-def _buffer_from_stream(header: dict, fh: IO[str],
-                        source: str = "<stream>") -> TraceBuffer:
-    """Rebuild a TraceBuffer from a stream-format file.
-
-    A footer, when present, restores the group table exactly; a
-    footer-less file (live or killed writer) loads best-effort with
-    only the implicit all-cells group.
-    """
-    num_pes = header["num_pes"]
-    trace = TraceBuffer(num_pes=num_pes, capacity=1 << 62,
-                        attach_sink=False)
-    assert trace.groups is not None
-    footer: dict | None = None
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SimulationError(
-                f"{source}:{lineno}: corrupt trace line: {exc.msg}"
-            ) from exc
-        if "footer" in obj:
-            footer = obj
-            break
-        if obj.get("meta") == "phase":
-            pid = trace.phase_id(obj["label"])
-            if pid != obj["id"]:
-                raise SimulationError(
-                    f"{source}:{lineno}: phase id mismatch "
-                    f"({pid} != {obj['id']})")
-            continue
-        ev = _event_from_dict(obj)
-        seq = ev.seq
-        trace.record(ev)
-        ev.seq = seq  # preserve the original global order
-    if footer is not None:
-        for members in footer.get("groups", [])[1:]:
-            trace.groups.intern(tuple(members))
-        total = footer.get("total_events")
-        if total is not None and total != trace.total_events:
-            raise SimulationError(
-                f"{source}: footer promises {total} events but the "
-                f"stream holds {trace.total_events}")
-    return trace
-
-
-def _buffer_from_v1(header: dict, fh: IO[str]) -> TraceBuffer:
-    """Rebuild a TraceBuffer from a v1 stream positioned after the
-    header line."""
-    num_pes = header["num_pes"]
-    groups = GroupTable(tuple(range(num_pes)))
-    for gid_str, members in sorted(
-            header["groups"].items(), key=lambda kv: int(kv[0])):
-        if int(gid_str) == 0:
-            continue
-        groups.intern(tuple(members))
-    trace = TraceBuffer(num_pes=num_pes, capacity=1 << 62, groups=groups,
-                        attach_sink=False)
-    for label in header.get("phases", []):
-        trace.phase_id(label)
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            ev = _event_from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise SimulationError(
-                f"corrupt trace line {lineno}: {exc}") from exc
-        seq = ev.seq
-        trace.record(ev)
-        ev.seq = seq  # preserve the original global order
-    return trace
-
-
 def _malformed(source: str, why: str) -> SimulationError:
-    return SimulationError(f"{source}: malformed v2 trace: {why}")
+    return SimulationError(f"{source}: malformed trace: {why}")
 
 
-def _map_block(layout: list, total: int, body: bytes | str,
-               source: str) -> dict[str, np.ndarray]:
-    """A v2 block's columns as read-only views of ``body`` (all that
-    follows the header line).  Refused: a dtype the field cannot have, a
-    block shorter than its layout, anything but a newline after it."""
+def _map_block(layout: list, total: int, body: bytes | str, source: str,
+               at: int = 0) -> tuple[dict[str, np.ndarray], int]:
+    """A block's columns as read-only views of ``body`` from byte
+    ``at``, and the offset after the newline that closes it.  Refused:
+    a dtype the field cannot have, a block shorter than its layout, no
+    newline after it."""
     if not isinstance(body, bytes):
         raise _malformed(source, "a column block needs a binary stream")
-    block, offset = {}, 0
+    block = {}
     for name, code in layout:
         dtype = np.dtype(code)
         if dtype not in FIELD_DTYPES[name]:
             raise _malformed(source, f"column {name} stored as {code!r}")
-        end = offset + total * dtype.itemsize
+        end = at + total * dtype.itemsize
         if end > len(body):
             raise _malformed(
                 source, f"block is short: column {name} ends at byte "
                 f"{end} of {len(body)}")
-        block[name] = np.frombuffer(body, dtype, total, offset)
-        offset = end
-    if body[offset:] != b"\n":
-        raise _malformed(
-            source, f"{len(body) - offset} bytes after the block where "
-            "its closing newline belongs")
-    return block
+        block[name] = np.frombuffer(body, dtype, total, at)
+        at = end
+    if body[at:at + 1] != b"\n":
+        raise _malformed(source, "no newline closes the block")
+    return block, at + 1
 
 
-def _buffer_from_v2(header: dict, fh: IO, source: str) -> TraceBuffer:
-    """A v2 file as a block-backed :class:`TraceBuffer`; the JSON lists
-    older caches wrote become arrays and pass the same checks.  Refused:
-    a missing column, columns of unequal length, ``counts`` that do not
+def _checked(source: str, num_pes: int, groups: list, phases: list,
+             counts: list | None, block: dict[str, np.ndarray]
+             ) -> TraceBuffer:
+    """``block`` as a block-backed :class:`TraceBuffer`, ``counts``
+    derived from its ``pe`` column when the file has none.  Refused: a
+    missing column, columns of unequal length, ``counts`` that do not
     cover them or do not match ``num_pes``, a ``pe`` column that
     disagrees with ``counts``, a ``kind`` outside :class:`EventKind`."""
-    try:
-        num_pes = header["num_pes"]
-        counts = header["counts"]
-        groups = GroupTable(tuple(range(num_pes)))
-        for members in header["groups"][1:]:  # gid 0 is always "all cells"
-            groups.intern(tuple(members))
-        if "block" in header:
-            block = _map_block(header["block"], header["total"],
-                               fh.read(), source)
-        else:
-            block = {name: pack(name, values) for name, values in (
-                header["columns"] | header.get("ranges", {})).items()}
-        names = EVENT_FIELDS + RANGE_FIELDS * any(
-            name in block for name in RANGE_FIELDS)
-        block = {name: block[name] for name in names}
-        expected_pe = np.repeat(np.arange(len(counts)), counts)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _malformed(source, f"bad or missing field: {exc!r}") from exc
+    table = GroupTable(tuple(range(num_pes)))
+    for members in groups[1:]:  # gid 0 is always "all cells"
+        table.intern(tuple(members))
+    names = EVENT_FIELDS + RANGE_FIELDS * any(
+        name in block for name in RANGE_FIELDS)
+    block = {name: block[name] for name in names}
+    if counts is None:
+        counts = np.bincount(block["pe"], minlength=num_pes).tolist()
+    expected_pe = np.repeat(np.arange(len(counts)), counts)
     total = len(block["kind"])
     if any(len(column) != total for column in block.values()):
         raise _malformed(source, "columns differ in length")
@@ -400,19 +287,148 @@ def _buffer_from_v2(header: dict, fh: IO, source: str) -> TraceBuffer:
     if total and not (0 <= block["kind"].min()
                       and block["kind"].max() < len(EventKind)):
         raise _malformed(source, "a kind is not an EventKind")
-    return TraceBuffer.from_block(num_pes, groups,
-                                  header.get("phases", []), block)
+    return TraceBuffer.from_block(num_pes, table, phases, block)
+
+
+def _buffer_from_v2(header: dict, fh: IO, source: str) -> TraceBuffer:
+    """A v2 file; the JSON lists older caches wrote become arrays and
+    pass the same checks."""
+    if "block" in header:
+        body = fh.read()
+        block, end = _map_block(header["block"], header["total"], body,
+                                source)
+        if end != len(body):
+            raise _malformed(source, f"{len(body) - end} bytes after the "
+                             "block's closing newline")
+    else:
+        block = {name: pack(name, values) for name, values in (
+            header["columns"] | header.get("ranges", {})).items()}
+    return _checked(source, header["num_pes"], header["groups"],
+                    header.get("phases", []), header["counts"], block)
+
+
+def _in_pe_order(source: str, num_pes: int, parts: list[dict],
+                 groups: list, phases: list, footer: dict) -> TraceBuffer:
+    """Events in record order — ``parts`` each hold every field's
+    column, concatenated in order — as the buffer their v2 file loads
+    to: stably sorted by PE and packed, range columns kept only when an
+    event is annotated (the rule of :func:`repro.trace.soa.event_lists`).
+    A footer's groups, phases and counts win over the caller's."""
+    columns = {name: np.concatenate([np.empty(0, FIELD_DTYPES[name][-1]),
+                                     *(part[name] for part in parts)])
+               for name in _FIELDS}
+    order = np.argsort(columns["pe"], kind="stable")
+    names = EVENT_FIELDS + RANGE_FIELDS * bool(
+        np.max(columns["raddr"], initial=-1) >= 0
+        or np.max(columns["laddr"], initial=-1) >= 0)
+    block = {name: pack(name, columns[name][order]) for name in names}
+    if footer.get("total_events", len(order)) != len(order):
+        raise _malformed(source, f"footer promises {footer['total_events']}"
+                         f" events, the file holds {len(order)}")
+    return _checked(source, num_pes, footer.get("groups", groups),
+                    footer.get("phases", phases), footer.get("counts"),
+                    block)
+
+
+def stream_records(data: bytes, source: str, at: int = 0
+                   ) -> Iterator[tuple[dict, dict[str, np.ndarray] | None,
+                                       int]]:
+    """The complete records of a stream file from byte ``at`` of
+    ``data``, each with the offset after it: each chunk's JSON line with
+    its mapped block, the header's and the footer's with None.  The
+    footer, or a record still being written, ends the walk."""
+    while (end := data.find(b"\n", at)) >= 0:
+        try:
+            doc = json.loads(data[at:end])
+            if "format" in doc or "footer" in doc:
+                block, at = None, end + 1
+            else:
+                total, layout = doc["total"], doc["block"]
+                if end + 2 + total * sum(
+                        np.dtype(code).itemsize for _, code in layout
+                ) > len(data):
+                    return
+                block, at = _map_block(layout, total, data, source,
+                                       end + 1)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(source, f"bad chunk at byte {at}: {exc!r}"
+                             ) from exc
+        yield doc, block, at
+        if "footer" in doc:
+            return
+
+
+def _buffer_from_stream(header: dict, fh: IO, source: str) -> TraceBuffer:
+    """A stream file, with or without its footer: the chunks in order,
+    a chunk without range columns holding unannotated events."""
+    data = fh.read()
+    parts: list[dict[str, np.ndarray]] = []
+    phases: list[str] = []
+    footer: dict = {}
+    at = 0
+    for doc, block, at in stream_records(data, source):
+        if block is None:   # the walk ends at the footer
+            footer = doc
+            continue
+        if RANGE_FIELDS[0] not in block:
+            block |= {name: np.full(doc["total"], default) for name, default
+                      in zip(RANGE_FIELDS, _UNANNOTATED)}
+        parts.append(block)
+        phases += doc.get("phases", [])
+    if at != len(data):
+        raise _malformed(source, f"{len(data) - at} bytes after the "
+                         "last complete record")
+    return _in_pe_order(source, header["num_pes"], parts, [], phases,
+                        footer)
+
+
+#: The line formats: imported here, written by nothing.
+_LINE_FORMATS = ("ap1000-trace-v1", "ap1000-trace-stream-v1")
+
+
+def _buffer_from_lines(header: dict, fh: IO, source: str) -> TraceBuffer:
+    """A v1 or stream-v1 file: after the header, one JSON object per
+    event in ``seq`` order (range fields only on annotated events) and,
+    in a stream-v1 file, phase ``meta`` lines and a footer.  Groups and
+    phases come from the header, the ``meta`` lines or the footer,
+    whichever the file has."""
+    groups = [members for _, members in sorted(
+        header.get("groups", {}).items(), key=lambda kv: int(kv[0]))]
+    phases = list(header.get("phases", []))
+    rows: list[dict] = []
+    footer: dict = {}
+    for line in fh:
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        if "footer" in obj:
+            footer = obj
+            break
+        if obj.get("meta") != "phase":
+            rows.append(obj)
+        elif obj["id"] == len(phases) + 1:
+            phases.append(obj["label"])
+        else:
+            raise _malformed(source, f"phase id {obj['id']} where "
+                             f"{len(phases) + 1} comes next")
+    columns = {name: [row[name] for row in rows] for name in EVENT_FIELDS}
+    columns |= {name: [row.get(name, default) for row in rows]
+                for name, default in zip(RANGE_FIELDS, _UNANNOTATED)}
+    return _in_pe_order(source, header["num_pes"], [columns], groups,
+                        phases, footer)
 
 
 def save_columns_npz(trace: TraceBuffer, target: str | Path) -> None:
     """Write the trace's replay columns as a numpy archive.  Unused by
-    ``repro``: the v2 file *is* those columns and the cache sidecar this
-    wrote is gone.  It stays, callable as ``(trace, path)``, only
-    because ``benchmarks/e2e/child.py`` times it inside ``trace.save``;
-    the next ``[benchmark]`` PR can drop both."""
+    ``repro`` (the v2 file *is* those columns); it stays only because
+    ``benchmarks/e2e/child.py`` times it inside ``trace.save``."""
     columns = columns_from_buffer(trace)
     np.savez(target, **{name: getattr(columns, name)
                         for name in TraceColumns.__dataclass_fields__})
+
+
+_READERS = {FORMAT_V2: _buffer_from_v2, FORMAT_STREAM: _buffer_from_stream,
+            **dict.fromkeys(_LINE_FORMATS, _buffer_from_lines)}
 
 
 def _sniff_header(fh: IO, source: str = "<trace>") -> dict:
@@ -425,28 +441,26 @@ def _sniff_header(fh: IO, source: str = "<trace>") -> dict:
         raise SimulationError(
             f"{source} is not a trace file (corrupt header: {exc})"
         ) from exc
-    if not isinstance(header, dict) or header.get("format") not in (
-            FORMAT_V1, FORMAT_V2, FORMAT_STREAM):
-        fmt = header.get("format") if isinstance(header, dict) else None
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt not in _READERS:
         raise SimulationError(f"unrecognized trace format {fmt!r}")
     return header
 
 
 def load_trace(source: str | Path | IO) -> TraceBuffer:
-    """Read a trace written by :func:`save_trace`,
-    :func:`save_trace_v2`, or :class:`StreamTraceWriter` (the format is
-    sniffed from the first line; a v2 block needs a path or a binary
-    stream).  File paths are integrity-checked first, so a torn file
-    raises a clean :class:`SimulationError` instead of a parser
-    traceback."""
+    """Read a trace of any format (sniffed from the first line; a
+    column block needs a path or a binary stream).  File paths are
+    integrity-checked first, so a torn file raises a clean
+    :class:`SimulationError` instead of a parser traceback."""
 
     def _read(fh: IO, name: str) -> TraceBuffer:
         header = _sniff_header(fh, name)
-        if header["format"] == FORMAT_V2:
-            return _buffer_from_v2(header, fh, name)
-        if header["format"] == FORMAT_STREAM:
-            return _buffer_from_stream(header, fh, name)
-        return _buffer_from_v1(header, fh)
+        try:
+            return _READERS[header["format"]](header, fh, name)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # A field missing, of the wrong type or out of range.
+            raise _malformed(name, f"bad or missing field: {exc!r}"
+                             ) from exc
 
     if isinstance(source, (str, Path)):
         ensure_intact(source)
@@ -460,10 +474,9 @@ def load_trace_columns(
 ) -> TraceColumns:
     """Read a trace file straight into :class:`TraceColumns`.
 
-    On a v2 file this is the replay fast path: the block is mapped,
-    checked and widened, and no :class:`TraceEvent` is built; v1 and
-    stream files pay their events and one walk.  With ``coalesce`` (the
-    default) adjacent COMPUTE/RTSYS events are merged exactly as
+    Every format is mapped, checked and widened with no
+    :class:`TraceEvent` built.  With ``coalesce`` (the default) adjacent
+    COMPUTE/RTSYS events are merged exactly as
     :meth:`TraceBuffer.coalesce_compute` would, so replaying from
     columns matches replaying from a coalesced buffer bit for bit.
     """

@@ -56,10 +56,13 @@ class TestTraceDeterminism:
 
     def test_serialization_preserves_comparison(self):
         a, _ = run_twice("TC st")
-        stream = io.StringIO()
+        stream = io.BytesIO()
         save_trace(a.trace, stream)
         stream.seek(0)
         loaded = load_trace(stream)
+        again = io.BytesIO()
+        save_trace(loaded, again)
+        assert again.getvalue() == stream.getvalue()
         # msg_id round-trips through serialization, so compare everything.
         from repro.trace.compare import COMPARE_FIELDS
         assert compare_traces(a.trace, loaded,

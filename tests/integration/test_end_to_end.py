@@ -49,10 +49,14 @@ class TestTraceReplayEquivalence:
     def test_full_pipeline_through_serialization(self):
         run = tomcatv.run(num_cells=4, n=17, iters=2)
         direct = simulate(run.trace, ap1000_plus_params())
-        stream = io.StringIO()
+        stream = io.BytesIO()
         save_trace(run.trace, stream)
         stream.seek(0)
-        replayed = simulate(load_trace(stream), ap1000_plus_params())
+        loaded = load_trace(stream)
+        again = io.BytesIO()
+        save_trace(loaded, again)
+        assert again.getvalue() == stream.getvalue()
+        replayed = simulate(loaded, ap1000_plus_params())
         assert replayed.elapsed_us == pytest.approx(direct.elapsed_us)
         assert replayed.mean_overhead == pytest.approx(direct.mean_overhead)
 

@@ -3,7 +3,7 @@
 :class:`~repro.machine.program.CellContext` is the only front end; the
 functional machine, the static analyzer's instant-delivery machine and a
 sharded worker differ below a narrow seam.  Generated SPMD programs over
-the whole public vocabulary (``repro.core.api`` spellings included) must
+the whole public vocabulary (``tests/programs.py``) must
 therefore record the same per-cell events on all three and leave the
 same bytes in memory, and a structural guard keeps either back end from
 re-stating a front-end method.
@@ -11,173 +11,23 @@ re-stating a front-end method.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check.comm import SymbolicContext, SymbolicMachine
-from repro.check.conform import _event_key
-from repro.core import api
-from repro.core.stride import ElementStride
 from repro.faults.chaos import memory_digest, trace_digest
 from repro.machine import sharded
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.program import CellContext
-
-MEMORY = 1 << 21
-#: Elements of the receive area each step owns.  Steps write disjoint
-#: slots and only ever read the never-written ``out`` array remotely,
-#: so every generated program is race-free without extra barriers.
-SLOT = 8
-WORD = 8  # bytes per element
-
-#: Element strides moving four elements: every other one, or two pairs.
-EVERY_OTHER = ElementStride(1, 4, 2)
-PAIRS = ElementStride(2, 2, 4)
-
-
-def _flagged(ctx):
-    """A fresh flag and the wait for its single increment."""
-    flag = ctx.alloc_flag()
-    return flag, ctx.flag_wait(flag, 1)
-
-
-def op_put(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    ctx.put(to, inbox, out, count=SLOT, dest_offset=k * SLOT,
-            recv_flag=flag)
-    yield from landed
-
-
-def op_put_stride(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    ctx.put_stride(to, inbox, out, EVERY_OTHER, PAIRS,
-                   dest_offset=k * SLOT, recv_flag=flag)
-    yield from landed
-
-
-def op_get(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    ctx.get(to, out, inbox, count=SLOT - 2, remote_offset=1,
-            local_offset=k * SLOT, recv_flag=flag)
-    yield from landed
-
-
-def op_get_stride(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    ctx.get_stride(to, out, inbox, PAIRS, EVERY_OTHER,
-                   local_offset=k * SLOT, recv_flag=flag)
-    yield from landed
-
-
-def op_acked_put(ctx, k, to, frm, out, inbox, seen):
-    ctx.put(to, inbox, out, count=3, dest_offset=k * SLOT, ack=True)
-    ctx.put(to, inbox, out, count=2, dest_offset=k * SLOT + 4, ack=True)
-    yield from ctx.finish_puts()
-
-
-def op_send_recv(ctx, k, to, frm, out, inbox, seen):
-    ctx.send(to, out.data[2:6], context=k)
-    values = yield from ctx.recv_array(np.float64, src=frm, context=k)
-    inbox.data[k * SLOT:k * SLOT + 4] = values
-
-
-def op_barrier(ctx, k, to, frm, out, inbox, seen):
-    yield from ctx.barrier()
-
-
-def op_gop(ctx, k, to, frm, out, inbox, seen):
-    seen.append((yield from ctx.gop(float(ctx.pe + k),
-                                    "max" if k % 2 else "sum")))
-
-
-def op_vgop_subgroup(ctx, k, to, frm, out, inbox, seen):
-    same_parity = ctx.make_group(range(ctx.pe % 2, ctx.num_cells, 2))
-    inbox.data[k * SLOT:k * SLOT + 4] = yield from ctx.vgop(
-        out.data[:4], "sum", group=same_parity)
-
-
-def op_creg(ctx, k, to, frm, out, inbox, seen):
-    ctx.creg_store(to, k, 1000 * ctx.pe + k)
-    seen.append((yield from ctx.creg_load(k)))
-
-
-def op_remote_word(ctx, k, to, frm, out, inbox, seen):
-    ctx.remote_store_word(to, inbox, k * SLOT, float(ctx.pe))
-    seen.append(ctx.remote_load_word(to, out, 3))
-    yield from ()
-
-
-def op_api_put(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    api.put(ctx, to, inbox.element_addr(k * SLOT), out.addr, SLOT * WORD,
-            recv_flag=flag)
-    yield from landed
-
-
-def op_api_get(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    api.get(ctx, to, out.element_addr(2), inbox.element_addr(k * SLOT),
-            4 * WORD, recv_flag=flag)
-    yield from landed
-
-
-def op_api_put_stride(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    api.put_stride(ctx, to, inbox.element_addr(k * SLOT), out.addr, False,
-                   None, flag,
-                   send_item_size=WORD, send_cnt=4, send_skip=2 * WORD,
-                   recv_item_size=2 * WORD, recv_cnt=2, recv_skip=3 * WORD)
-    yield from landed
-
-
-def op_api_get_stride(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    api.get_stride(ctx, to, out.addr, inbox.element_addr(k * SLOT),
-                   None, flag,
-                   send_item_size=WORD, send_cnt=3, send_skip=3 * WORD,
-                   recv_item_size=3 * WORD, recv_cnt=1, recv_skip=3 * WORD)
-    yield from landed
-
-
-def op_api_remote(ctx, k, to, frm, out, inbox, seen):
-    flag, landed = _flagged(ctx)
-    api.write_remote(ctx, to, inbox.element_addr(k * SLOT), out.addr,
-                     2 * WORD)
-    yield from ctx.finish_puts()
-    api.read_remote(ctx, to, out.element_addr(5),
-                    inbox.element_addr(k * SLOT + 4), 2 * WORD,
-                    recv_flag=flag)
-    yield from landed
-
-
-OPS = {name[3:]: fn for name, fn in sorted(globals().items())
-       if name.startswith("op_")}
-
-
-def round_program(ctx, steps):
-    """Each step is one SPMD round: every cell does the op toward
-    ``(pe + shift) mod P``, then the matching wait."""
-    cells = ctx.num_cells
-    out = ctx.alloc(SLOT)
-    inbox = ctx.alloc(SLOT * len(steps))
-    out.data[:] = np.arange(SLOT) + 100.0 * ctx.pe
-    seen: list = []
-    yield from ctx.barrier()
-    for k, (op, shift) in enumerate(steps):
-        yield from OPS[op](ctx, k, (ctx.pe + shift) % cells,
-                           (ctx.pe - shift) % cells, out, inbox, seen)
-    yield from ctx.barrier()
-    return [float(v) for v in seen], inbox.data.tolist()
-
-
-programs = st.lists(
-    st.tuples(st.sampled_from(sorted(OPS)), st.integers(1, 3)),
-    min_size=1, max_size=8)
-#: The generated programs sample the vocabulary; this one is all of it.
-EVERY_OP = [(op, 1 + k % 3) for k, op in enumerate(sorted(OPS))]
+from tests.programs import (
+    EVERY_OP,
+    MEMORY,
+    event_keys,
+    programs,
+    round_program,
+)
 
 
 def run_serial(cells, steps):
@@ -185,10 +35,6 @@ def run_serial(cells, steps):
         num_cells=cells, memory_per_cell=MEMORY, sanitize=True,
         shards=1))
     return machine, machine.run(round_program, steps=steps)
-
-
-def event_keys(trace, pe):
-    return [_event_key(ev, trace) for ev in trace.events_for(pe)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -43,7 +43,7 @@ from repro.machine.shardmem import live_segment_names
 from repro.network.packet import Packet, PacketKind
 from repro.obs.observer import machine_metrics
 
-from .test_backend_parity import EVERY_OP, round_program
+from tests.programs import EVERY_OP, round_program
 
 pytestmark = pytest.mark.skipif(
     not sharded.sharded_supported(),

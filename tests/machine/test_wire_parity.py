@@ -27,7 +27,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.network.tnet import TNet
 
-from .test_backend_parity import (
+from tests.programs import (
     EVERY_OP,
     MEMORY,
     event_keys,

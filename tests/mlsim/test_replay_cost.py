@@ -18,7 +18,7 @@ from repro.mlsim import engine_soa
 from repro.mlsim.engine_soa import compile_program, replay_columns
 from repro.mlsim.params import preset
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
+from repro.trace.io import load_trace, load_trace_columns, save_trace
 
 #: (workload, sizes, ceiling of calls per event inside one replay,
 #: the same with ``record_timeline``).  CG is collectives only (deque
@@ -39,7 +39,7 @@ def recorded(request, tmp_path_factory):
     sizes, *ceilings = CASES[request.param]
     run = workload(request.param).runner(**sizes)
     path = tmp_path_factory.mktemp("cost") / "trace.jsonl"
-    save_trace_v2(run.trace, path)
+    save_trace(run.trace, path)
     return path, ceilings
 
 

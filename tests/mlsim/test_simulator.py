@@ -80,10 +80,13 @@ class TestSerializationInterop:
 
         m = ping_pong_machine()
         direct = simulate(m.trace, ap1000_plus_params())
-        stream = io.StringIO()
+        stream = io.BytesIO()
         save_trace(m.trace, stream)
         stream.seek(0)
         loaded = load_trace(stream)
+        again = io.BytesIO()
+        save_trace(loaded, again)
+        assert again.getvalue() == stream.getvalue()
         replayed = simulate(loaded, ap1000_plus_params())
         assert replayed.elapsed_us == pytest.approx(direct.elapsed_us)
 

@@ -83,7 +83,10 @@ class TestChunkDocuments:
 
 class TestValidation:
     def test_jsonl_cannot_chunk(self):
-        with pytest.raises(ConfigurationError, match="chunk"):
+        """``jsonl`` is no export format at all (the trace file is
+        ``repro run --trace``'s); a chunk names the ones there are."""
+        with pytest.raises(ConfigurationError,
+                           match="cannot chunk format 'jsonl'.*perfetto"):
             chunked(5, "jsonl")
 
     def test_chunk_events_must_be_positive(self):

@@ -15,7 +15,6 @@ from repro.core.errors import ConfigurationError
 from repro.mlsim.params import ap1000_plus_params
 from repro.obs.export import export_trace, replay_with_timeline
 from repro.obs.micro import micro_trace
-from repro.trace.io import load_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,13 +67,11 @@ class TestDocumentStructure:
         assert {e["ph"] for e in doc["traceEvents"]} == {"M", "X"}
         assert "metrics" not in doc["otherData"]
 
-    def test_jsonl_is_the_native_format(self):
-        import io
-
-        text = export_trace(micro_trace(), ap1000_plus_params(),
-                            "jsonl")
-        loaded = load_trace(io.StringIO(text))
-        assert loaded.phases == ("init", "exchange", "reduce")
+    def test_jsonl_is_not_an_export_format(self):
+        """The trace file has one writer, ``repro run --trace``'s; an
+        export is always a replay timeline."""
+        with pytest.raises(ConfigurationError, match="perfetto"):
+            export_trace(micro_trace(), ap1000_plus_params(), "jsonl")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,9 +1,10 @@
 """Live follow mode (``repro top --follow``).
 
 FollowState tails a growing stream-trace file: each poll consumes only
-the new complete lines (a torn tail from a live writer waits for the
-next tick), aggregates in constant memory, and the renderer never
-replays — a live run is still producing the trace.
+the new complete records — header, chunks, footer — (a torn tail from a
+live writer waits for the next tick), aggregates in constant memory,
+and the renderer never replays — a live run is still producing the
+trace.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from repro.obs.follow import (
 )
 from repro.obs.micro import micro_trace
 from repro.trace.buffer import streaming_to
-from repro.trace.io import FORMAT_V1, StreamTraceWriter, save_trace
+from repro.trace.io import FORMAT_V2, StreamTraceWriter, save_trace
 
 
 @pytest.fixture
 def stream_path(tmp_path):
-    path = tmp_path / "micro.stream.jsonl"
-    with StreamTraceWriter(path) as writer:
+    path = tmp_path / "micro.stream.trc"
+    with StreamTraceWriter(path, flush_events=8) as writer:
         with streaming_to(writer):
             micro_trace(4)
     return path
@@ -45,7 +46,7 @@ class TestIncrementalPolling:
 
     def test_incremental_growth(self, stream_path, tmp_path):
         full = stream_path.read_bytes()
-        growing = tmp_path / "growing.jsonl"
+        growing = tmp_path / "growing.trc"
         state = FollowState(growing)
         half = len(full) // 2
         growing.write_bytes(full[:half])
@@ -63,8 +64,8 @@ class TestIncrementalPolling:
 
     def test_torn_tail_left_for_next_tick(self, stream_path, tmp_path):
         data = stream_path.read_bytes()
-        torn = tmp_path / "torn.jsonl"
-        torn.write_bytes(data[:-20])  # mid-line cut
+        torn = tmp_path / "torn.trc"
+        torn.write_bytes(data[:-20])  # mid-footer cut
         state = FollowState(torn)
         state.poll()
         events_before = state.total_events
@@ -94,10 +95,10 @@ class TestIncrementalPolling:
             state.poll()
 
     def test_non_stream_format_is_refused_with_hint(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
+        path = tmp_path / "v2.trc"
         save_trace(micro_trace(4), path)
-        assert json.loads(path.read_text().splitlines()[0])[
-            "format"] == FORMAT_V1
+        assert json.loads(path.read_bytes().partition(b"\n")[0])[
+            "format"] == FORMAT_V2
         state = FollowState(path)
         with pytest.raises(SimulationError, match="--stream"):
             state.poll()

@@ -117,10 +117,13 @@ class TestPhaseAnnotations:
 
     def test_phase_labels_roundtrip_through_jsonl(self):
         trace = micro_trace()
-        stream = io.StringIO()
+        stream = io.BytesIO()
         save_trace(trace, stream)
         stream.seek(0)
         loaded = load_trace(stream)
+        again = io.BytesIO()
+        save_trace(loaded, again)
+        assert again.getvalue() == stream.getvalue()
         assert loaded.phases == trace.phases
         for ev in loaded.events_for(1):
             if ev.kind is EventKind.PHASE:

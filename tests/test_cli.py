@@ -310,18 +310,19 @@ class TestReplay:
             self, trace_file, tmp_path, capsys):
         """`replay` goes file -> columns -> engine without building an
         event; text and --json output carry the numbers of the
-        event-object oracle on v1, v2 and stream files."""
+        event-object oracle on v2, stream and (imported) v1 files."""
         import json
 
         from repro.mlsim.params import preset
-        from repro.trace.io import load_trace, save_trace_v2
+        from repro.trace.io import load_trace
         from tests.mlsim.reference_engine import MLSimEngine
-        v2, stream = tmp_path / "t.v2.jsonl", tmp_path / "t.stream.jsonl"
-        save_trace_v2(load_trace(trace_file), v2)
+        from tests.trace.reference import reference_v1_text
+        v1, stream = tmp_path / "t.v1.jsonl", tmp_path / "t.stream.trc"
+        v1.write_text(reference_v1_text(load_trace(trace_file)))
         main(["run", "MatMul", "--cells", "4", "--no-replay",
               "--stream", str(stream)])
         capsys.readouterr()
-        for path in (trace_file, v2, stream):
+        for path in (trace_file, v1, stream):
             for name in ("ap1000+", "ap1000"):
                 trace = load_trace(path)
                 trace.coalesce_compute()
@@ -593,6 +594,21 @@ class TestStreamAndFollow:
         assert main(["run", "EP", "--cells", "4", "--shards", "2",
                      "--stream", str(tmp_path / "s.jsonl")]) == 2
         assert "--stream" in capsys.readouterr().err
+
+    def test_stream_refuses_resume(self, tmp_path, capsys):
+        """A restored run continues the buffer it saved, which no sink
+        binds to: refused, not a sealed stream of zero events."""
+        ckpts, stream = tmp_path / "ckpts", tmp_path / "s.trc"
+        assert main(["run", "MatMul", "--cells", "4", "--no-replay",
+                     "--checkpoint-dir", str(ckpts),
+                     "--checkpoint-every", "1"]) == 0
+        capsys.readouterr()
+        assert main(["run", "MatMul", "--cells", "4", "--no-replay",
+                     "--resume-from", str(ckpts),
+                     "--stream", str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert "--stream" in err and "--resume-from" in err
+        assert not stream.exists()
 
     def test_follow_without_file_is_clean_error(self, capsys):
         assert main(["top", "--follow"]) == 2

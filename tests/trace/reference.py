@@ -1,15 +1,19 @@
 """Reference implementations the trace tests hold ``repro.trace`` to.
 
-These are the per-event v2 loader, the per-field column decode and the
-JSON-``columns`` v2 writer as they shipped before the bulk loader, the
-shared extraction and the column block replaced them: slow, obviously
-right, and kept only as oracles.  ``golden_buffer`` is the fixed trace
-behind ``golden/small.v2.jsonl`` (the JSON encoding, written by the last
-commit that had that writer; read-only now) and ``golden/small.v2.bin``
-(the same trace as a column block).
+These are the per-event v2 loader, the per-field column decode, the
+JSON-``columns`` v2 writer and the v1 / stream-v1 line writers as they
+shipped before the bulk loader, the shared extraction and the column
+block replaced them: slow, obviously right, and kept only as oracles
+and as the makers of files in formats ``repro`` now only reads.
+``golden_buffer`` is the fixed trace behind ``golden/small.v2.bin`` (a
+column block) and the files the last commits with the older writers
+wrote from it: ``small.v2.jsonl`` (the JSON encoding), ``small.v1.jsonl``
+and ``small.stream-v1.jsonl``.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -72,6 +76,57 @@ def reference_v2_json(trace: TraceBuffer) -> dict:
         doc["ranges"] = {name: [getattr(ev, name) for ev in events]
                          for name in RANGE_FIELDS}
     return doc
+
+
+def _event_line(ev: TraceEvent) -> str:
+    doc = {name: int(ev.kind) if name == "kind" else getattr(ev, name)
+           for name in FIELDS}
+    if ev.is_annotated():
+        doc |= {name: getattr(ev, name) for name in RANGE_FIELDS}
+    return json.dumps(doc) + "\n"
+
+
+def reference_v1_text(trace: TraceBuffer) -> str:
+    """The v1 file of ``trace``: a header, then one line per event in
+    ``seq`` order (range fields on annotated events only)."""
+    assert trace.groups is not None
+    header: dict = {
+        "format": "ap1000-trace-v1",
+        "num_pes": trace.num_pes,
+        "groups": {str(g): list(trace.groups.members(g))
+                   for g in range(len(trace.groups))},
+    }
+    if trace.phases:
+        header["phases"] = list(trace.phases)
+    return json.dumps(header) + "\n" + "".join(
+        map(_event_line, trace.all_events()))
+
+
+def reference_stream_v1_text(trace: TraceBuffer,
+                             events: list | None = None) -> str:
+    """The stream-v1 file of ``trace`` as its live writer left it after
+    emitting ``events`` (default: all, in ``seq`` order), the phases
+    interned first: a header, a ``meta`` line per phase, the event
+    lines and the footer."""
+    assert trace.groups is not None
+    events = trace.all_events() if events is None else events
+    counts = [0] * trace.num_pes
+    for ev in events:
+        counts[ev.pe] += 1
+    lines = [{"format": "ap1000-trace-stream-v1",
+              "num_pes": trace.num_pes}]
+    lines += [{"meta": "phase", "label": label, "id": pid}
+              for pid, label in enumerate(trace.phases, start=1)]
+    footer = {
+        "footer": "ap1000-trace-stream-v1",
+        "groups": [list(trace.groups.members(g))
+                   for g in range(len(trace.groups))],
+        "phases": list(trace.phases),
+        "counts": counts,
+        "total_events": len(events),
+    }
+    return ("".join(json.dumps(doc) + "\n" for doc in lines)
+            + "".join(map(_event_line, events)) + json.dumps(footer) + "\n")
 
 
 def reference_buffer_from_v2(doc: dict) -> TraceBuffer:

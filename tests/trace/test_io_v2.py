@@ -1,7 +1,8 @@
 """Columnar (v2) trace format: roundtrip, file shape, and fast path.
 
-The cache writes v2; readers sniff the format, so v1 and v2 files must
-load into identical buffers, and the column fast path must produce
+Everything writes v2; readers sniff the format, so a v1 file (imported,
+written by nothing) and the v2 file of one trace must load into buffers
+that save to the same bytes, and the column fast path must produce
 exactly the arrays the event-object path produces.
 """
 
@@ -26,6 +27,8 @@ from repro.trace.io import (
 )
 from repro.trace.soa import columns_from_buffer
 
+from .reference import reference_v1_text
+
 
 @pytest.fixture(scope="module")
 def recorded():
@@ -40,6 +43,12 @@ def events_doc(trace):
     return [repr(ev) for ev in trace.all_events()]
 
 
+def dump(trace) -> bytes:
+    out = io.BytesIO()
+    save_trace(trace, out)
+    return out.getvalue()
+
+
 def assert_columns_equal(a, b):
     assert a.num_pes == b.num_pes
     assert a.group_sizes == b.group_sizes
@@ -52,11 +61,14 @@ def assert_columns_equal(a, b):
 
 class TestRoundTrip:
     def test_v2_buffer_matches_v1(self, recorded, tmp_path):
-        v1, v2 = tmp_path / "t.v1.jsonl", tmp_path / "t.v2.jsonl"
-        save_trace(recorded, v1)
-        save_trace_v2(recorded, v2)
+        v1, v2 = tmp_path / "t.v1.jsonl", tmp_path / "t.trc"
+        v1.write_text(reference_v1_text(recorded))
+        save_trace(recorded, v2)
         a, b = load_trace(v1), load_trace(v2)
         assert events_doc(a) == events_doc(b) == events_doc(recorded)
+        assert dump(a) == dump(b) == v2.read_bytes() == dump(recorded)
+        save_trace_v2(recorded, tmp_path / "alias.trc")   # one writer
+        assert (tmp_path / "alias.trc").read_bytes() == v2.read_bytes()
         assert a.num_pes == b.num_pes == recorded.num_pes
         assert list(a.phases) == list(b.phases) == list(recorded.phases)
         assert len(a.groups) == len(recorded.groups)
@@ -65,7 +77,7 @@ class TestRoundTrip:
 
     def test_v2_preserves_sanitizer_ranges(self, recorded, tmp_path):
         path = tmp_path / "t.v2.jsonl"
-        save_trace_v2(recorded, path)
+        save_trace(recorded, path)
         reloaded = load_trace(path)
         annotated = [ev for ev in recorded.all_events()
                      if ev.is_annotated()]
@@ -79,7 +91,7 @@ class TestRoundTrip:
         """One JSON line that says how long the rest is, the columns,
         a closing newline: nothing else, whatever the block's bytes."""
         path = tmp_path / "t.v2.jsonl"
-        save_trace_v2(recorded, path)
+        save_trace(recorded, path)
         data = path.read_bytes()
         head, _, body = data.partition(b"\n")
         header = json.loads(head)
@@ -94,9 +106,9 @@ class TestRoundTrip:
 
 class TestColumnsFastPath:
     def test_columns_match_buffer_decode(self, recorded, tmp_path):
-        v1, v2 = tmp_path / "t.v1.jsonl", tmp_path / "t.v2.jsonl"
-        save_trace(recorded, v1)
-        save_trace_v2(recorded, v2)
+        v1, v2 = tmp_path / "t.v1.jsonl", tmp_path / "t.trc"
+        v1.write_text(reference_v1_text(recorded))
+        save_trace(recorded, v2)
         direct = load_trace_columns(v2)
         via_v1 = load_trace_columns(v1)
         recorded.coalesce_compute()
@@ -106,7 +118,7 @@ class TestColumnsFastPath:
 
     def test_uncoalesced_columns(self, recorded, tmp_path):
         path = tmp_path / "t.v2.jsonl"
-        save_trace_v2(recorded, path)
+        save_trace(recorded, path)
         raw = load_trace_columns(path, coalesce=False)
         assert len(raw.kind) == recorded.total_events
 
@@ -118,7 +130,7 @@ class TestBlockIsTheReplayColumns:
         times it, and still writes those arrays (and only arrays: not
         the replay index a replay hangs off the columns)."""
         v2, npz = tmp_path / "t.v2.jsonl", tmp_path / "columns.npz"
-        save_trace_v2(recorded, v2)
+        save_trace(recorded, v2)
         in_memory = columns_from_buffer(recorded)
         assert_columns_equal(load_trace_columns(v2, coalesce=False),
                              in_memory)

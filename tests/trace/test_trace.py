@@ -109,10 +109,13 @@ class TestSerialization:
 
     def test_roundtrip(self):
         buf = self._sample()
-        stream = io.StringIO()
+        stream = io.BytesIO()
         save_trace(buf, stream)
         stream.seek(0)
         loaded = load_trace(stream)
+        again = io.BytesIO()
+        save_trace(loaded, again)
+        assert again.getvalue() == stream.getvalue()
         assert loaded.num_pes == 2
         assert loaded.total_events == buf.total_events
         orig = buf.all_events()
@@ -125,19 +128,23 @@ class TestSerialization:
 
     def test_groups_roundtrip(self):
         buf = self._sample()
-        stream = io.StringIO()
+        stream = io.BytesIO()
         save_trace(buf, stream)
         stream.seek(0)
         loaded = load_trace(stream)
         assert loaded.groups is not None
         assert len(loaded.groups) == len(buf.groups)
+        assert loaded.groups.members(1) == (0,)
 
     def test_file_roundtrip(self, tmp_path):
         buf = self._sample()
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.trc"
         save_trace(buf, path)
         loaded = load_trace(path)
         assert loaded.total_events == buf.total_events
+        stream = io.BytesIO()
+        save_trace(loaded, stream)
+        assert stream.getvalue() == path.read_bytes()
 
     def test_bad_format_rejected(self):
         from repro.core.errors import SimulationError

@@ -11,6 +11,8 @@ file's name.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -30,7 +32,6 @@ from repro.trace.io import (
     load_trace,
     load_trace_columns,
     save_trace,
-    save_trace_v2,
 )
 from repro.trace.soa import coalesce_columns, columns_from_buffer
 
@@ -39,11 +40,19 @@ from .reference import (
     golden_buffer,
     reference_buffer_from_v2,
     reference_columns_from_buffer,
+    reference_stream_v1_text,
+    reference_v1_text,
     reference_v2_json,
 )
 
 GOLDEN_JSON = Path(__file__).parent / "golden" / "small.v2.jsonl"
 GOLDEN = Path(__file__).parent / "golden" / "small.v2.bin"
+GOLDEN_V1 = Path(__file__).parent / "golden" / "small.v1.jsonl"
+GOLDEN_STREAM_V1 = Path(__file__).parent / "golden" / "small.stream-v1.jsonl"
+#: What the last commit with the v1 writer made of ``GOLDEN_V1``: its
+#: loader's buffer, written by its ``save_trace_v2``.
+V1_RESAVED_SHA256 = (
+    "6da3b565b6a45dec74275f643a86e20843c7384aa24b30b935db99770afc3c55")
 
 ARRAYS = ("starts", "kind", "partner", "size", "send_flag", "recv_flag",
           "msg_id", "flag", "target", "group", "group_size", "work")
@@ -110,7 +119,7 @@ def assert_same_arrays(a, b) -> None:
 
 
 def saved(trace: TraceBuffer, path: Path) -> bytes:
-    save_trace_v2(trace, path)
+    save_trace(trace, path)
     return path.read_bytes()
 
 
@@ -120,14 +129,30 @@ def write_json_v2(trace: TraceBuffer, path: Path) -> dict:
     return doc
 
 
-def write_stream(trace: TraceBuffer, path: Path) -> None:
-    """``trace`` as the stream writer would have written it live."""
-    with StreamTraceWriter(path, flush_events=7) as writer:
+def write_stream(trace: TraceBuffer, path: Path, flush_events=7) -> None:
+    """``trace`` as the stream writer would have written it live, had
+    the run recorded its events PE after PE."""
+    with StreamTraceWriter(path, flush_events=flush_events) as writer:
         assert writer.bind(trace)
         for pid, label in enumerate(trace.phases, start=1):
             writer.phase(label, pid)
-        for ev in trace.all_events():
-            writer.emit(ev)
+        for pe in range(trace.num_pes):
+            for ev in trace.events_for(pe):
+                writer.emit(ev)
+
+
+def in_seq_order(trace: TraceBuffer) -> TraceBuffer:
+    """``trace`` recorded in ``seq`` order: what a line file, which
+    stores its events that way, holds of it."""
+    out = TraceBuffer(num_pes=trace.num_pes, capacity=1 << 62,
+                      groups=trace.groups, attach_sink=False)
+    for label in trace.phases:
+        out.phase_id(label)
+    for ev in trace.all_events():
+        copy = dataclasses.replace(ev)
+        out.record(copy)
+        copy.seq = ev.seq
+    return out
 
 
 def events_built(action) -> int:
@@ -151,9 +176,9 @@ class TestBulkLoad:
     @settings(max_examples=60, deadline=None)
     @given(buffers())
     def test_matches_per_event_loader(self, tmp_path_factory, trace):
-        """Block and JSON ``columns`` encodings of one trace load to
-        the buffer the per-event reference builds, and a loaded trace
-        is written back byte for byte."""
+        """Block, stream and JSON ``columns`` encodings of one trace
+        load to the buffer the per-event reference builds, and a loaded
+        trace is written back byte for byte."""
         tmp = tmp_path_factory.mktemp("v2")
         written = saved(trace, tmp / "a.bin")
         doc = write_json_v2(trace, tmp / "a.jsonl")
@@ -166,18 +191,22 @@ class TestBulkLoad:
         from_json = load_trace(tmp / "a.jsonl")
         assert saved(from_json, tmp / "d.bin") == written
         assert buffer_doc(from_json) == reference
+        write_stream(trace, tmp / "a.trc", flush_events=3)
+        from_stream = load_trace(tmp / "a.trc")
+        assert saved(from_stream, tmp / "e.bin") == written
+        assert buffer_doc(from_stream) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(buffers(shuffle_seq=False))
     def test_line_formats_load_the_same_buffer(self, tmp_path_factory,
                                                trace):
-        """v1 and stream files of a trace load to the buffer its block
-        loads to (they store events in ``seq`` order, so only a trace
-        recorded in that order has the same per-PE lists)."""
+        """v1 and stream-v1 files of a trace load to the buffer its
+        block loads to (they store events in ``seq`` order, so only a
+        trace recorded in that order has the same per-PE lists)."""
         tmp = tmp_path_factory.mktemp("lines")
-        save_trace_v2(trace, tmp / "t.bin")
-        save_trace(trace, tmp / "t.v1.jsonl")
-        write_stream(trace, tmp / "t.stream.jsonl")
+        save_trace(trace, tmp / "t.bin")
+        (tmp / "t.v1.jsonl").write_text(reference_v1_text(trace))
+        (tmp / "t.stream.jsonl").write_text(reference_stream_v1_text(trace))
         block = load_trace(tmp / "t.bin")
         for name in ("t.v1.jsonl", "t.stream.jsonl"):
             assert_same_arrays(
@@ -187,8 +216,8 @@ class TestBulkLoad:
 
     def test_never_restreams(self, tmp_path):
         """A loader's buffer must not bind to an ambient stream sink."""
-        path = tmp_path / "t.jsonl"
-        save_trace_v2(golden_buffer(), path)
+        path = tmp_path / "t.trc"
+        save_trace(golden_buffer(), path)
 
         class Sink:
             bound = False
@@ -216,13 +245,34 @@ class TestBulkLoad:
         assert saved(load_trace(GOLDEN_JSON), tmp_path / "u.bin") \
             == GOLDEN.read_bytes()
 
+    def test_line_format_goldens(self, tmp_path):
+        """The v1 and stream-v1 files the last commit with those
+        writers made of the golden trace (the reference writers make
+        them again) load to what that commit loaded them to."""
+        gold = golden_buffer()
+        pe_major = [ev for pe in range(gold.num_pes)
+                    for ev in gold.events_for(pe)]
+        assert reference_v1_text(gold) == GOLDEN_V1.read_text()
+        assert reference_stream_v1_text(gold, pe_major) \
+            == GOLDEN_STREAM_V1.read_text()
+        # Written PE after PE, the stream holds the golden trace itself.
+        stream = load_trace(GOLDEN_STREAM_V1)
+        assert buffer_doc(stream) == buffer_doc(load_trace(GOLDEN))
+        assert saved(stream, tmp_path / "s.bin") == GOLDEN.read_bytes()
+        # A v1 file holds it in seq order, which golden_buffer shuffles.
+        v1 = load_trace(GOLDEN_V1)
+        assert buffer_doc(v1) == buffer_doc(in_seq_order(gold))
+        resaved = saved(v1, tmp_path / "v.bin")
+        assert hashlib.sha256(resaved).hexdigest() == V1_RESAVED_SHA256
+        assert resaved == saved(in_seq_order(gold), tmp_path / "w.bin")
+
     def test_loaded_trace_builds_no_event(self, tmp_path):
         """File -> memory -> file -> replay on columns alone."""
         params = preset("ap1000+")
 
         def warm_path():
             trace = load_trace(GOLDEN)
-            save_trace_v2(trace, tmp_path / "copy.bin")
+            save_trace(trace, tmp_path / "copy.bin")
             replay_columns(columns_from_buffer(trace), params,
                            collect_metrics=True)
             replay_columns(load_trace_columns(tmp_path / "copy.bin"),
@@ -402,6 +452,17 @@ class TestRefusals:
         with pytest.raises(SimulationError, match="bad.bin"):
             load_trace_columns(path)
 
+    @pytest.mark.parametrize("golden, old, new", [
+        (GOLDEN_STREAM_V1, '"id": 2', '"id": 3'),      # a phase skipped
+        (GOLDEN_V1, '"pe": 0, ', ""),                  # an event, no PE
+        (GOLDEN_V1, '"kind": 17', '"kind": 99'),       # no such kind
+    ])
+    def test_malformed_line_file(self, tmp_path, golden, old, new):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(golden.read_text().replace(old, new, 1))
+        with pytest.raises(SimulationError, match="bad.jsonl"):
+            load_trace(path)
+
     def test_undamaged_block_loads(self, tmp_path):
         """The harness above rewrites the file it damages faithfully."""
         header, body = _split(GOLDEN.read_bytes())
@@ -435,7 +496,7 @@ class TestSharedExtraction:
         reference = reference_columns_from_buffer(trace)
         # The writer runs first, as in TraceCache.put: the columns come
         # from the block it left on the buffer.
-        save_trace_v2(trace, tmp / "t.bin")
+        save_trace(trace, tmp / "t.bin")
         assert_same_arrays(columns_from_buffer(trace), reference)
         loaded = load_trace(tmp / "t.bin")
         assert_same_arrays(columns_from_buffer(loaded), reference)
@@ -482,7 +543,7 @@ class TestStaleness:
     def test_mutated_load_is_saved_as_mutated(self, tmp_path_factory,
                                               trace, mutation):
         tmp = tmp_path_factory.mktemp("stale")
-        save_trace_v2(trace, tmp / "a.bin")
+        save_trace(trace, tmp / "a.bin")
         loaded = load_trace(tmp / "a.bin")
         columns_from_buffer(loaded)              # every cache is warm
         if mutation == "coalesce":
@@ -493,7 +554,7 @@ class TestStaleness:
         else:       # an event edited in place, count unchanged
             for ev in loaded.all_events()[:1]:
                 ev.size += 1 << 20
-        save_trace_v2(loaded, tmp / "b.bin")
+        save_trace(loaded, tmp / "b.bin")
         saved_doc = buffer_doc(load_trace(tmp / "b.bin"))
         # A file holds the events, not how many were ever recorded.
         assert saved_doc == buffer_doc(loaded) | {"seq": saved_doc["seq"]}
