@@ -10,10 +10,13 @@ OpenSHMEM-on-Epiphany paper.  The simulated cost of the same PUT on the
 AP1000+ (Figure 7: sender CPU and time to the receive-flag update, over
 ``--distance`` hops) is printed in its own ``sim_us`` columns; the two
 clock domains never share a column.  Under every ``host_us`` row a
-``calls`` row gives the profiled calls into ``repro`` one more such
-operation makes: a count, exact on every host.
+``calls`` row gives the profiled calls, builtins included and counted
+per code object as ``tests/machine/test_message_cost.py`` counts them,
+that one more such operation makes: a count, exact on every host.
+``--max-put-calls N`` exits 1 when the 8-byte ``put`` count exceeds N
+(CI passes that test's ``PUT_CALLS_CEILING``).
 
-    python scripts/primitive_cost.py [--json FILE]
+    python scripts/primitive_cost.py [--json FILE] [--max-put-calls N]
 
 (``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
@@ -24,7 +27,6 @@ import argparse
 import cProfile
 import importlib.util
 import json
-import pstats
 import sys
 import time
 from pathlib import Path
@@ -138,20 +140,15 @@ def counted_program(ctx, size: int, name: str, count: int):
 
 
 def calls_per_operation(cells: int, size: int, name: str) -> float:
-    """Profiled calls into ``repro`` that one more ``name`` costs: the
-    difference of two runs, so machine build and set-up drop out."""
-    import repro
+    """Profiled calls that one more ``name`` costs: the difference of
+    two runs, so machine build and set-up drop out."""
     from repro import Machine, MachineConfig
-
-    package = str(Path(repro.__file__).parent)
 
     def total(count: int) -> int:
         machine = Machine(MachineConfig(num_cells=cells))
         profile = cProfile.Profile()
         profile.runcall(machine.run, counted_program, size, name, count)
-        return sum(ncalls for (filename, _, _), (_, ncalls, *_)
-                   in pstats.Stats(profile).stats.items()
-                   if filename.startswith(package))
+        return sum(entry.callcount for entry in profile.getstats())
 
     return (total(48) - total(16)) / 32
 
@@ -165,6 +162,9 @@ def main() -> int:
                         help="hops of the simulated Figure 7 PUT")
     parser.add_argument("--json", metavar="FILE",
                         help="also write the table as JSON to FILE")
+    parser.add_argument("--max-put-calls", type=float, metavar="N",
+                        help="exit 1 if one more 8-byte put costs more "
+                        "than N profiled calls")
     args = parser.parse_args()
 
     if importlib.util.find_spec("repro") is None:
@@ -223,6 +223,11 @@ def main() -> int:
         with open(args.json, "w", encoding="utf-8") as out:
             json.dump(document, out, indent=2)
             out.write("\n")
+    put_calls = rows[0]["calls"]["put"]
+    if args.max_put_calls is not None and put_calls > args.max_put_calls:
+        print(f"FAIL: an 8-byte put costs {put_calls:.1f} calls, more "
+              f"than the ceiling of {args.max_put_calls:g}")
+        return 1
     return 0
 
 

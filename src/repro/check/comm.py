@@ -229,10 +229,14 @@ class SymbolicContext(CellContext):
 
     machine: SymbolicMachine
 
-    def _record(self, ev: TraceEvent) -> TraceEvent:
-        super()._record(ev)
-        self.machine.sites[ev.seq] = _caller_site()
-        return ev
+    def __init__(self, machine: SymbolicMachine, pe: int) -> None:
+        super().__init__(machine, pe)
+        self._record = self._record_site
+
+    def _record_site(self, *row: Any, **fields: Any) -> int:
+        seq = self.machine.trace.append(*row, **fields)
+        self.machine.sites[seq] = _caller_site()
+        return seq
 
     def _issue(self, command: Command) -> None:
         """The MSC+ and the wire in no time: gather, scatter, count."""

@@ -25,6 +25,7 @@ import tempfile
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -34,7 +35,12 @@ from repro.core.errors import ReproError
 from repro.faults.injector import FaultyTNet
 from repro.faults.plan import FaultPlan, applied, full_plans, smoke_plans
 from repro.trace import sanitize
-from repro.trace.buffer import TraceBuffer
+from repro.trace.buffer import (
+    EVENT_FIELDS,
+    RANGE_FIELDS,
+    UNANNOTATED,
+    TraceBuffer,
+)
 
 #: Apps exercised by ``repro chaos --smoke`` (one VPP Fortran app with
 #: flag-synchronized PUTs, one C app with GET traffic — small but they
@@ -105,20 +111,25 @@ def trace_digest(trace: TraceBuffer) -> str:
     ``msg_id`` carries raw packet serial numbers from a process-wide
     counter, so two identical runs in one process get different raw ids;
     they are renumbered densely in order of first appearance before
-    hashing.  Two runs with the same fault schedule must digest equal."""
+    hashing.  Two runs with the same fault schedule must digest equal.
+    Reads the buffer's columns in ``seq`` order: a recorded buffer's
+    rows as they are (no block is packed for the digest), a loaded
+    one's block."""
+    columns = trace.seq_columns()
+    footprints = (zip(*(columns[name] for name in RANGE_FIELDS))
+                  if RANGE_FIELDS[0] in columns else repeat(UNANNOTATED))
     remap: dict[int, int] = {0: 0}
     h = hashlib.sha256()
-    for ev in trace.all_events():
-        if ev.msg_id not in remap:
-            remap[ev.msg_id] = len(remap)
+    for (kind, pe, seq, partner, size, stride, send_flag, recv_flag, is_ack,
+         msg_id, flag, target, group, group_size, work), footprint in zip(
+            zip(*(columns[name] for name in EVENT_FIELDS)), footprints):
+        if msg_id not in remap:
+            remap[msg_id] = len(remap)
         record = (
-            int(ev.kind), ev.pe, ev.seq, ev.partner, ev.size,
-            int(ev.stride), ev.send_flag, ev.recv_flag, int(ev.is_ack),
-            remap[ev.msg_id], ev.flag, ev.target, ev.group,
-            ev.group_size, round(ev.work, 9), ev.raddr, ev.rchunk,
-            ev.rcount, ev.rstep, ev.laddr, ev.lchunk, ev.lcount,
-            ev.lstep,
-        )
+            int(kind), pe, seq, partner, size, int(stride), send_flag,
+            recv_flag, int(is_ack), remap[msg_id], flag, target, group,
+            group_size, round(work, 9),
+        ) + footprint
         h.update(repr(record).encode())
     return h.hexdigest()
 

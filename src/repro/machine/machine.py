@@ -44,7 +44,7 @@ from repro.network.topology import TorusTopology
 from repro.obs.observer import MachineObserver
 from repro.obs.observer import active as _obs_active
 from repro.trace import sanitize as trace_sanitize
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 #: Frames the receiving MSC+ queues a reply for instead of consuming.
 _QUEUES_A_REPLY = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
@@ -645,13 +645,11 @@ class Machine(MachineBase):
     def record_robustness_event(self, kind: EventKind, *, pe: int,
                                 partner: int, count: int = 0) -> None:
         """Record a RETRY/TIMEOUT trace event from the transport."""
-        self.trace.record(TraceEvent(kind=kind, pe=pe, partner=partner,
-                                     size=int(count)))
+        self.trace.append(kind, pe, partner, int(count))
 
     def _record_spill(self, pe: int, queue_name: str, words: int) -> None:
         """A command-queue word streamed past the MSC+ into DRAM."""
-        self.trace.record(TraceEvent(kind=EventKind.SPILL, pe=pe,
-                                     size=int(words)))
+        self.trace.append(EventKind.SPILL, pe, size=int(words))
 
     def _deadlock_report(self, generators: dict[int, Any] | None = None
                          ) -> str:

@@ -10,15 +10,18 @@ reductions, communication-register loads) are generator methods used with
 ``yield from``; each ``yield`` returns control to the scheduler until the
 condition can be satisfied by another cell's progress.
 
-Every operation is recorded as a :class:`~repro.trace.events.TraceEvent`,
-so running a program produces both a *numerical result* (testable against
-a sequential reference) and a *trace* (consumed by MLSim for timing).
+Every operation is recorded as one fixed-width trace row (appended by
+:meth:`~repro.trace.buffer.TraceBuffer.append`, no event object built),
+so running a program produces both a *numerical result* (testable
+against a sequential reference) and a *trace* (consumed by MLSim for
+timing).
 
 The interface is stated here once.  What a program runs on — the
 functional machine, the static analyzer's instant-delivery machine
 (:mod:`repro.check.comm`), a sharded worker
 (:mod:`repro.machine.sharded`) — differs only below a seam of private
-methods a back end may override: ``_record`` (record a built event),
+methods a back end may override: ``_record`` (record one row; an
+attribute bound per context, so a back end rebinds it),
 ``_issue`` (hand a PUT/GET command to the hardware), ``_post`` (hand a
 two-sided message to the transport), ``_creg_store`` /
 ``_creg_try_load``; flag words live in the cell's MC, and remote words,
@@ -43,10 +46,13 @@ from repro.hardware.mc import NO_FLAG
 from repro.hardware.msc import Command, CommandKind
 from repro.machine.config import SPARC_US_PER_FLOP
 from repro.network.packet import Packet, StrideSpec
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
+
+#: The range values of a footprint side that moves no bytes.
+_NO_SIDE = (-1, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,11 @@ class CellContext:
         #: Checkpointable loop state registered via :meth:`ckpt_state`;
         #: None marks the program as not checkpointable.
         self._ckpt_st: CkptState | None = None
+        #: The seam that records one row, called as
+        #: :meth:`TraceBuffer.append <repro.trace.buffer.TraceBuffer.append>`
+        #: is; it returns the row's ``seq``.  Here it *is* the machine
+        #: trace's ``append``, so a probe costs one call.
+        self._record = machine.trace.append
 
     # ------------------------------------------------------------------
     # Introspection
@@ -226,13 +237,11 @@ class CellContext:
     def world(self) -> Group:
         return self.machine.world_group
 
-    def _record(self, ev: TraceEvent) -> TraceEvent:
-        return self.machine.trace.record(ev)
-
-    def _trace(self, kind: EventKind, **fields) -> TraceEvent:
-        """Build and record an event: the convenience of the rarer ones
-        (transfers, waits, barriers and computation build theirs)."""
-        return self._record(TraceEvent(kind, self.pe, **fields))
+    def _trace(self, kind: EventKind, **fields) -> int:
+        """Record a row of this cell's: the convenience of the rarer
+        events (transfers, waits, barriers and computation pass theirs
+        positionally)."""
+        return self._record(kind, self.pe, **fields)
 
     # ------------------------------------------------------------------
     # Memory and flags
@@ -278,8 +287,7 @@ class CellContext:
         if work_us < 0:
             raise ConfigurationError("work must be non-negative")
         if work_us:
-            self._record(TraceEvent(EventKind.COMPUTE, self.pe,
-                                    work=float(work_us)))
+            self._record(EventKind.COMPUTE, self.pe, work=float(work_us))
 
     def compute_flops(self, flops: float) -> None:
         """Charge computation by floating-point operation count."""
@@ -290,8 +298,7 @@ class CellContext:
         if work_us < 0:
             raise ConfigurationError("work must be non-negative")
         if work_us:
-            self._record(TraceEvent(EventKind.RTSYS, self.pe,
-                                    work=float(work_us)))
+            self._record(EventKind.RTSYS, self.pe, work=float(work_us))
 
     def phase(self, label: str) -> None:
         """Label the start of a program phase (e.g. one solver iteration).
@@ -307,28 +314,27 @@ class CellContext:
     # PUT / GET (the paper's interface, array-level)
     # ------------------------------------------------------------------
 
-    def _annotate(self, ev: TraceEvent, command: Command) -> None:
-        """Stamp the command's byte footprints onto a traced event.
+    @staticmethod
+    def _footprint(command: Command) -> tuple | None:
+        """The command's byte footprints as a row's range values.
 
-        Called only under the sanitizer (``repro check`` / opt-in config):
-        the remote side is the scatter of a PUT or the gather of a GET,
-        the local side the other half.  Zero-byte transfers (the
-        acknowledge idiom) carry no footprint.
+        Taken only under the sanitizer (``repro check`` / opt-in
+        config): the remote side is the scatter of a PUT or the gather
+        of a GET, the local side the other half.  A zero-byte side
+        carries none, and a transfer with neither (the acknowledge
+        idiom) no ranges at all.
         """
         if command.kind is CommandKind.PUT:
             rspec, lspec = command.recv_stride, command.send_stride
         else:
             rspec, lspec = command.send_stride, command.recv_stride
-        if rspec.total_bytes:
-            ev.raddr = command.raddr
-            ev.rchunk = rspec.item_size
-            ev.rcount = rspec.count
-            ev.rstep = rspec.skip
-        if lspec.total_bytes:
-            ev.laddr = command.laddr
-            ev.lchunk = lspec.item_size
-            ev.lcount = lspec.count
-            ev.lstep = lspec.skip
+        if not (rspec.total_bytes or lspec.total_bytes):
+            return None
+        remote = ((command.raddr, rspec.item_size, rspec.count, rspec.skip)
+                  if rspec.total_bytes else _NO_SIDE)
+        local = ((command.laddr, lspec.item_size, lspec.count, lspec.skip)
+                 if lspec.total_bytes else _NO_SIDE)
+        return remote + local
 
     def _issue(self, command: Command) -> None:
         self.hw.msc.issue(command)
@@ -355,16 +361,14 @@ class CellContext:
             kind, node, raddr, laddr, send_stride, recv_stride,
             send_flag.addr if send_flag is not None else NO_FLAG,
             recv_flag.addr if recv_flag is not None else NO_FLAG)
-        # kind, pe, seq, partner, size, stride, the two flag ids, is_ack
-        ev = TraceEvent(
-            EventKind.PUT if put else EventKind.GET, pe, 0, node,
+        # kind, pe, partner, size, stride, the two flag ids, is_ack
+        self._record(
+            EventKind.PUT if put else EventKind.GET, pe, node,
             send_stride.total_bytes, stride,
             send_flag.id_on(pe) if send_flag else 0,
             recv_flag.id_on(node if put else pe) if recv_flag else 0,
-            is_ack)
-        if self.machine.sanitize:   # stamped first: a sink sees it final
-            self._annotate(ev, command)
-        self._record(ev)
+            is_ack, ranges=(self._footprint(command)
+                            if self.machine.sanitize else None))
         self._issue(command)
         if ack and self.acks.record_put(node):
             self.ack_get(node)
@@ -495,8 +499,8 @@ class CellContext:
         pe = self.pe
         flag_id = flag.id_on(pe)
         addr = flag.addr
-        self._record(TraceEvent(EventKind.FLAG_WAIT, pe, flag=flag_id,
-                                target=int(target)))
+        self._record(EventKind.FLAG_WAIT, pe, flag=flag_id,
+                     target=int(target))
         # Note the wait so a hang report (or the static analyzer's wedge
         # finding) can say which flag this cell is stuck on.
         blocked = self.machine.blocked
@@ -572,8 +576,8 @@ class CellContext:
         differently, the functional semantics are the same.
         """
         grp = group or self.world
-        self._record(TraceEvent(EventKind.BARRIER, self.pe, group=grp.gid,
-                                group_size=grp.size))
+        self._record(EventKind.BARRIER, self.pe, group=grp.gid,
+                     group_size=grp.size)
         machine = self.machine
         generation = machine.barrier_arrive(grp, self.pe)
         while not machine.barrier_passed(grp.gid, generation):
@@ -622,13 +626,9 @@ class CellContext:
 
     def _trace_word(self, kind: EventKind, partner: int, raddr: int,
                     size: int) -> None:
-        ev = TraceEvent(kind, self.pe, partner=partner, size=size)
-        if self.machine.sanitize:
-            ev.raddr = raddr
-            ev.rchunk = size
-            ev.rcount = 1
-            ev.rstep = max(size, 1)
-        self._record(ev)
+        self._record(kind, self.pe, partner, size, ranges=(
+            (raddr, size, 1, max(size, 1)) + _NO_SIDE
+            if self.machine.sanitize else None))
 
     def remote_store_word(self, dst: int, array: LocalArray,
                           offset: int, value: float) -> None:

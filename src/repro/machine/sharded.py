@@ -488,22 +488,29 @@ class _ShardCellContext(CellContext):
                  sh: _ShardState) -> None:
         self._sh = sh
         super().__init__(machine, pe)
+        self._record = self._log_row
 
-    # The front end's events are logged here and recorded only at replay,
+    # The front end's rows are logged here and recorded only at replay,
     # where the parent assigns the canonical global sequence numbers.  The
-    # waits the replay must re-block on are functions of the event.
-    def _record(self, ev: TraceEvent) -> TraceEvent:
-        kind = ev.kind
-        log = self._sh.oplog[self.pe]
-        log.append(("ev", ev))
+    # waits the replay must re-block on are functions of the row.
+    def _log_row(self, kind: EventKind, pe: int, partner: int = -1,
+                size: int = 0, stride: bool = False, send_flag: int = 0,
+                recv_flag: int = 0, is_ack: bool = False, msg_id: int = 0,
+                flag: int = 0, target: int = 0, group: int = 0,
+                group_size: int = 0, work: float = 0.0,
+                ranges: tuple | None = None) -> int:
+        log = self._sh.oplog[pe]
+        log.append(("ev", (kind, pe, 0, partner, size, stride, send_flag,
+                           recv_flag, is_ack, msg_id, flag, target, group,
+                           group_size, work, *(ranges or ()))))
         if kind is EventKind.FLAG_WAIT:
-            slot = Flag((ev.flag - 1) % MAX_FLAGS_PER_PE, self.pe)
-            log.append(("wf", slot.addr, ev.target))
+            slot = Flag((flag - 1) % MAX_FLAGS_PER_PE, pe)
+            log.append(("wf", slot.addr, target))
         elif kind is EventKind.BARRIER:
-            log.append(("bar", self.machine.trace.groups.members(ev.group)))
+            log.append(("bar", self.machine.trace.groups.members(group)))
         elif kind is EventKind.GOP or kind is EventKind.VGOP:
-            log.append(("red", self.machine.trace.groups.members(ev.group)))
-        return ev
+            log.append(("red", self.machine.trace.groups.members(group)))
+        return 0
 
     def _issue(self, command: Command) -> None:
         sh = self._sh
@@ -1246,7 +1253,7 @@ def _replay(machine: Machine, shard_of: list[int],
             cur.idx += 1
             t = item[0]
             if t == "ev":
-                ev = item[1]
+                ev = TraceEvent(*item[1])
                 if (cur.pending is not None
                         and ev.kind in (EventKind.SEND, EventKind.RECV)):
                     ev.msg_id = cur.pending

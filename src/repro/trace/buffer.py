@@ -1,4 +1,4 @@
-"""Bounded trace buffer.
+"""Bounded trace buffer: the trace as its columns.
 
 The real AP1000 probes stored events "in a trace buffer along with time
 and message information", and the buffer was finite — the paper could
@@ -7,6 +7,15 @@ buffer limitations", and could not simulate FT without stride transfers
 at all because the trace overflowed.  We keep the same failure mode (it
 is part of faithfully reproducing the methodology) but with a
 configurable, much larger bound.
+
+A probe writes one fixed-width record, as the AP1000's did: one value
+per :data:`EVENT_FIELDS` name (plus the :data:`RANGE_FIELDS` once the
+sanitizer stamps a row), and a recorded buffer is those growable
+columns plus the block it packs from them when a consumer asks.  No
+event object is built, walked or counted on the way to a file;
+:class:`TraceEvent` is only the view type of :meth:`TraceBuffer.events_for`
+/ :meth:`TraceBuffer.all_events` and the argument of the
+:meth:`TraceBuffer.record` shim.
 """
 
 from __future__ import annotations
@@ -32,23 +41,87 @@ _NAMES = tuple(f.name for f in fields(TraceEvent))
 #: that unsanitized traces keep the original format.
 EVENT_FIELDS = _NAMES[:_NAMES.index("raddr")]
 RANGE_FIELDS = _NAMES[_NAMES.index("raddr"):]
+#: Values per row: a row is one value per :data:`EVENT_FIELDS` name.
+ROW = len(EVENT_FIELDS)
+#: The range fields of a row the sanitizer did not stamp.
+UNANNOTATED = tuple(f.default for f in fields(TraceEvent)[ROW:])
+
+_INTS = tuple(np.dtype(code) for code in ("|i1", "<i2", "<i4", "<i8"))
+#: What each event field's block column may be stored as, on disk and in
+#: memory: explicit little-endian, integer widths narrowest first.
+FIELD_DTYPES = {
+    f.name: {"bool": (np.dtype("|b1"),),
+             "float": (np.dtype("<f8"),)}.get(f.type, _INTS)
+    for f in fields(TraceEvent)}
 
 #: EventKind by value, for turning a ``kind`` column back into events.
 _KIND_OF = {int(kind): kind for kind in EventKind}
+_MERGED = (int(EventKind.COMPUTE), int(EventKind.RTSYS))
+
+
+def pack(name: str, values: list | np.ndarray) -> np.ndarray:
+    """One field's values as its block column: read-only, ints in the
+    narrowest dtype that holds the column's range (a pure function of
+    the values, so equal traces make equal files)."""
+    choices = FIELD_DTYPES[name]
+    column = np.asarray(values, dtype=choices[-1])
+    if column.dtype.kind == "i":
+        lo, hi = ((int(column.min()), int(column.max())) if len(column)
+                  else (0, 0))
+        column = column.astype(next(
+            dtype for dtype in choices
+            if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max))
+    column.setflags(write=False)
+    return column
+
+
+def block_of(columns: dict) -> dict[str, np.ndarray]:
+    """Columns in record order (lists or arrays) as a block: stably
+    sorted by ``pe`` and packed, :data:`RANGE_FIELDS` kept only when a
+    row carries a sanitizer footprint."""
+    order = np.argsort(np.asarray(columns["pe"], np.int64), kind="stable")
+    names = EVENT_FIELDS + RANGE_FIELDS * ("raddr" in columns and any(
+        np.max(np.asarray(columns[name]), initial=-1) >= 0
+        for name in ("raddr", "laddr")))
+    return {name: pack(name, np.asarray(
+        columns[name], FIELD_DTYPES[name][-1])[order]) for name in names}
+
+
+def coalesced(kind: np.ndarray, starts: np.ndarray, work: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Merge adjacent COMPUTE (and adjacent RTSYS) events per PE, for
+    events per-PE contiguous (``starts[pe]`` is PE ``pe``'s first): the
+    mask of events kept and the work column with each merged event's
+    work folded, left to right, into the nearest kept event before it.
+    None when nothing merges."""
+    total = len(kind)
+    same_prev = np.zeros(total, dtype=bool)
+    same_prev[1:] = np.isin(kind[1:], _MERGED) & (kind[1:] == kind[:-1])
+    boundaries = starts[1:-1]
+    same_prev[boundaries[boundaries < total]] = False   # trailing empty PEs
+    if not same_prev.any():
+        return None
+    keep = ~same_prev
+    target = np.maximum.accumulate(
+        np.where(keep, np.arange(total), -1)).tolist()
+    merged = work.tolist()
+    for i in np.nonzero(same_prev)[0].tolist():
+        merged[target[i]] += merged[i]
+    return keep, np.asarray(merged)
 
 
 class TraceSink(Protocol):
-    """Consumer of live trace events (see
+    """Consumer of live trace rows (see
     :class:`repro.trace.io.StreamTraceWriter`).
 
     A sink binds to the *first* buffer created inside a
     :func:`streaming_to` context (``bind`` returns False to refuse) and
-    then observes every recorded event and phase interning in order.
+    then observes every recorded row and phase interning in order.
     """
 
     def bind(self, buffer: TraceBuffer) -> bool: ...
 
-    def emit(self, event: TraceEvent) -> None: ...
+    def emit(self, row: tuple) -> None: ...
 
     def phase(self, label: str, pid: int) -> None: ...
 
@@ -62,7 +135,7 @@ _active_sink: ContextVar[TraceSink | None] = ContextVar(
 
 @contextlib.contextmanager
 def streaming_to(sink: TraceSink) -> Iterator[TraceSink]:
-    """Stream events of the next-created trace buffer into ``sink``."""
+    """Stream rows of the next-created trace buffer into ``sink``."""
     token = _active_sink.set(sink)
     try:
         yield sink
@@ -72,25 +145,21 @@ def streaming_to(sink: TraceSink) -> Iterator[TraceSink]:
 
 @dataclass
 class TraceBuffer:
-    """Per-PE event lists with a machine-wide capacity bound.
+    """A trace as fixed-width rows, with a machine-wide capacity bound.
 
-    A buffer may also hold its events as a *column block*: one
-    read-only array per :data:`EVENT_FIELDS` name (plus
-    :data:`RANGE_FIELDS` when any event is annotated), events per-PE
-    contiguous.  That is what a v2 file contains and what replay
-    decodes, so a loaded buffer starts as a block alone and builds its
-    :class:`TraceEvent` objects on the first :meth:`events_for`,
-    :meth:`all_events` or :meth:`record`; a recorded buffer gains a
-    block at its first save (:func:`repro.trace.soa.event_block`).
+    Rows are held in the order appended in one flat list, ``ROW``
+    values a row, so field ``k``'s column is the slice ``_rows[k::ROW]``
+    (one ``extend`` a probe: half the cost of an ``append`` per field
+    list); :data:`RANGE_FIELDS` get a second flat list, ``_ranges``,
+    once a stamped row arrives.  The *block* — what a v2 file holds and
+    replay decodes — is those columns through :func:`block_of`.  A
+    loaded buffer is a block alone until something records into it.
 
-    One staleness rule, enforced by :meth:`block`: the block answers
-    for the buffer only while no event object can have changed under
-    it.  Building a loaded buffer's events drops its block; a block
-    made from recorded events is kept under the ``(events recorded,
-    events held)`` pair it was made at: :meth:`record` raises the
-    first, and the only in-place rewrite of a recorded event,
-    :meth:`coalesce_compute`, changes ``work`` only when it also lowers
-    the second.
+    One staleness rule, enforced by :meth:`block`: a held block answers
+    for the buffer while the ``(events recorded, events held)`` pair it
+    was made at stands.  :meth:`append` raises the first;
+    :meth:`coalesce_compute` lowers the second and keeps the merged
+    block as the buffer's only storage.
     """
 
     num_pes: int
@@ -99,8 +168,9 @@ class TraceBuffer:
     #: Whether to bind to the ambient streaming sink at creation.
     #: Loaders pass False so re-reading a trace never re-streams it.
     attach_sink: bool = True
-    #: None on a loaded buffer whose events are still columns.
-    _events: list[list[TraceEvent]] | None = field(default_factory=list)
+    #: The rows, flat; None on a buffer whose rows are a block only.
+    _rows: list | None = field(default_factory=list, repr=False)
+    _ranges: list | None = field(default=None, repr=False)
     _seq: int = 0
     total_events: int = 0
     _phase_labels: list[str] = field(default_factory=list)
@@ -112,8 +182,6 @@ class TraceBuffer:
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self._events:
-            self._events = [[] for _ in range(self.num_pes)]
         if self.groups is None:
             self.groups = GroupTable(tuple(range(self.num_pes)))
         if self.attach_sink and self._sink is None:
@@ -125,55 +193,83 @@ class TraceBuffer:
     def from_block(cls, num_pes: int, groups: GroupTable, phases: list[str],
                    block: dict[str, np.ndarray]) -> TraceBuffer:
         """A loaded trace: ``block`` (checked by the loader, keys in
-        field order) and not one event object."""
+        field order) and no rows."""
         trace = cls(num_pes=num_pes, capacity=1 << 62, groups=groups,
-                    attach_sink=False)
+                    attach_sink=False, _rows=None)
         for label in phases:
             trace.phase_id(label)
-        trace._events = None
         trace.total_events = trace._seq = len(block["kind"])
-        trace.hold_block(block)
+        trace._block = (trace._seq, trace.total_events, block)
         return trace
 
-    def block(self) -> dict[str, np.ndarray] | None:
-        """The column block, or None when there is none or it is stale."""
+    def _columns(self) -> dict[str, list]:
+        """Every field's values in record order, sliced out of the rows."""
+        rows, ranges = self._rows, self._ranges
+        assert rows is not None
+        columns = {name: rows[k::ROW] for k, name in enumerate(EVENT_FIELDS)}
+        if ranges is not None:
+            columns.update((name, ranges[k::len(RANGE_FIELDS)])
+                           for k, name in enumerate(RANGE_FIELDS))
+        return columns
+
+    def block(self) -> dict[str, np.ndarray]:
+        """The column block: the held one while it stands, else packed
+        from the rows and held."""
         held = self._block
         if held is not None and held[:2] == (self._seq, self.total_events):
             return held[2]
-        return None
-
-    def hold_block(self, block: dict[str, np.ndarray]) -> None:
-        """Keep ``block`` as the columns of the events as they are now."""
+        block = block_of(self._columns())
         self._block = (self._seq, self.total_events, block)
+        return block
 
-    def _build_events(self) -> None:
-        """A loaded buffer's events, from its block, which is dropped:
-        from here on the objects may be changed in place."""
-        assert self._block is not None
-        block, self._block = self._block[2], None
-        columns = [column.tolist() for column in block.values()]
-        kinds = map(_KIND_OF.__getitem__, columns[0])
-        events = list(map(TraceEvent, kinds, *columns[1:]))
-        ends = np.cumsum(np.bincount(block["pe"], minlength=self.num_pes))
-        self._events = [events[lo:hi] for lo, hi
-                        in zip([0, *ends.tolist()], ends.tolist())]
+    def _open(self) -> list:
+        """A block-only buffer's rows, in block order."""
+        columns = [column.tolist() for column in self.block().values()]
+        self._rows = [value for row in zip(*columns[:ROW]) for value in row]
+        if columns[ROW:]:
+            self._ranges = [value for row in zip(*columns[ROW:])
+                            for value in row]
+        return self._rows
 
-    def record(self, event: TraceEvent) -> TraceEvent:
-        """Append an event, assigning its global sequence number."""
-        if self._events is None:
-            self._build_events()
+    def append(self, kind: EventKind, pe: int, partner: int = -1,
+               size: int = 0, stride: bool = False, send_flag: int = 0,
+               recv_flag: int = 0, is_ack: bool = False, msg_id: int = 0,
+               flag: int = 0, target: int = 0, group: int = 0,
+               group_size: int = 0, work: float = 0.0,
+               ranges: tuple | None = None) -> int:
+        """Record one row (``ranges``: the sanitizer's eight
+        :data:`RANGE_FIELDS` values, or None) and return its global
+        sequence number."""
         if self.total_events >= self.capacity:
             raise TraceBufferOverflowError(
                 f"trace buffer full at {self.capacity} events (the AP1000 "
                 "probes hit the same limit; raise `capacity` or shrink the "
                 "workload)"
             )
-        event.seq = self._seq
-        self._seq += 1
-        self._events[event.pe].append(event)
+        rows = self._rows
+        if rows is None:
+            rows = self._open()
+        seq = self._seq
+        self._seq = seq + 1
         self.total_events += 1
+        row = (kind, pe, seq, partner, size, stride, send_flag, recv_flag,
+               is_ack, msg_id, flag, target, group, group_size, work)
+        rows.extend(row)
+        if ranges is not None or self._ranges is not None:
+            if self._ranges is None:
+                self._ranges = list(UNANNOTATED) * (len(rows) // ROW - 1)
+            self._ranges.extend(ranges or UNANNOTATED)
         if self._sink is not None:
-            self._sink.emit(event)
+            self._sink.emit(row + ranges if ranges is not None else row)
+        return seq
+
+    def record(self, event: TraceEvent) -> TraceEvent:
+        """Append one event object as a row (the shim of callers that
+        build events: ingest, hand-made traces, the sharded replay)."""
+        values = [getattr(event, name) for name in _NAMES]
+        event.seq = self.append(
+            *values[:2], *values[3:ROW],
+            ranges=tuple(values[ROW:]) if event.is_annotated() else None)
         return event
 
     def phase_id(self, label: str) -> int:
@@ -209,38 +305,52 @@ class TraceBuffer:
         """All interned phase labels, in id order."""
         return tuple(self._phase_labels)
 
+    def seq_columns(self) -> dict[str, list]:
+        """Every field's values in global issue (``seq``) order, as
+        Python values: a recorded buffer's rows as they are (no block is
+        packed for them), else the block's columns sorted by ``seq``."""
+        if self._rows is not None:
+            columns = self._columns()
+            if np.all(np.diff(columns["seq"]) > 0):     # as appended
+                return columns
+        block = self.block()
+        order = np.argsort(block["seq"], kind="stable")
+        return {name: column[order].tolist() for name, column in block.items()}
+
+    def _views(self, index: slice | np.ndarray) -> list[TraceEvent]:
+        columns = [column[index].tolist() for column in self.block().values()]
+        return list(map(TraceEvent, map(_KIND_OF.__getitem__, columns[0]),
+                        *columns[1:]))
+
     def events_for(self, pe: int) -> list[TraceEvent]:
-        if self._events is None:
-            self._build_events()
-        return self._events[pe]
+        """PE ``pe``'s events in program order, as views of the block."""
+        lo, hi = np.searchsorted(self.block()["pe"], (pe, pe + 1)).tolist()
+        return self._views(slice(lo, hi))
 
     def all_events(self) -> list[TraceEvent]:
-        """Every event in global issue order."""
-        merged = [ev for pe in range(self.num_pes)
-                  for ev in self.events_for(pe)]
-        merged.sort(key=lambda ev: ev.seq)
-        return merged
+        """Every event in global issue order, as views of the block."""
+        return self._views(np.argsort(self.block()["seq"], kind="stable"))
 
     def count(self, kind: EventKind, pe: int | None = None) -> int:
-        pes = range(self.num_pes) if pe is None else (pe,)
-        return sum(1 for pe in pes for ev in self.events_for(pe)
-                   if ev.kind is kind)
+        block = self.block()
+        kinds = block["kind"][block["pe"] == pe if pe is not None else ...]
+        return int(np.bincount(kinds, minlength=len(EventKind))[kind])
 
     def coalesce_compute(self) -> None:
         """Merge adjacent COMPUTE (and adjacent RTSYS) events per PE.
 
         Applications may charge work in many small slices; MLSim timing is
-        unaffected by merging, and replay gets cheaper.
+        unaffected by merging, and replay gets cheaper.  The merged
+        block becomes the buffer's storage.
         """
-        for pe in range(self.num_pes):
-            merged: list[TraceEvent] = []
-            for ev in self.events_for(pe):
-                if (merged
-                        and ev.kind in (EventKind.COMPUTE, EventKind.RTSYS)
-                        and merged[-1].kind is ev.kind):
-                    merged[-1].work += ev.work
-                else:
-                    merged.append(ev)
-            removed = len(self._events[pe]) - len(merged)
-            self._events[pe] = merged
-            self.total_events -= removed
+        block = self.block()
+        starts = np.searchsorted(block["pe"], np.arange(self.num_pes + 1))
+        merged = coalesced(block["kind"], starts, block["work"])
+        if merged is None:
+            return
+        keep, work = merged
+        self._rows = self._ranges = None
+        self.total_events = int(np.count_nonzero(keep))
+        self._block = (self._seq, self.total_events, block_of(
+            {name: column[keep] for name, column
+             in (block | {"work": work}).items()}))

@@ -5,8 +5,8 @@ points in the operating and run-time systems ... at entries and exits of
 the communication and synchronization library and interrupt service
 routine", then replayed them through MLSim.  Our functional machine plays
 the role of the real AP1000: while an application executes, a probe layer
-records one :class:`TraceEvent` per communication/synchronization call and
-per computation interval.  MLSim consumes exactly these events.
+records one row of :class:`TraceEvent` fields per communication or
+synchronization call and per computation interval; MLSim consumes them.
 
 Event kinds map one-to-one onto the columns of Table 3: SEND, Gop, V Gop,
 Sync, PUT, PUTS (stride PUT), GET, GETS (stride GET) — plus COMPUTE /
@@ -51,11 +51,12 @@ MESSAGE_KINDS = frozenset({
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One probe record.
-
-    Only the fields relevant to ``kind`` are meaningful; the rest keep
-    their defaults.  ``seq`` is a machine-global issue counter that gives
-    MLSim one legal total order to break ties with.
+    """One probe record as an object: the view type of
+    :meth:`TraceBuffer.events_for` and what :meth:`TraceBuffer.record`
+    takes (a probe appends a row and builds none).  Only the fields
+    relevant to ``kind`` are meaningful; the rest keep their defaults.
+    ``seq`` is a machine-global issue counter that gives MLSim one legal
+    total order to break ties with.
     """
 
     kind: EventKind
@@ -92,9 +93,6 @@ class TraceEvent:
     lchunk: int = 0
     lcount: int = 0
     lstep: int = 0
-
-    def is_message(self) -> bool:
-        return self.kind in MESSAGE_KINDS
 
     def is_annotated(self) -> bool:
         """True when the sanitizer stamped a byte range on this event."""

@@ -9,8 +9,7 @@
   items, events per-PE contiguous) and a closing newline, so
   :func:`ensure_intact` is the torn-file test of every format.
   :func:`load_trace` maps the block with ``np.frombuffer``, checks it
-  vectorially and returns a :class:`TraceBuffer` that builds events
-  only for whoever asks; replay and a second save use the arrays.
+  vectorially and returns a :class:`TraceBuffer` over those arrays.
 * **stream** (:class:`StreamTraceWriter`) — the same layout appended
   while the run executes: a header line, one chunk per flush (a JSON
   line with the chunk's ``total``, the phase labels interned since the
@@ -34,32 +33,29 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import fields
-from operator import attrgetter
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
 from repro.core.errors import SimulationError
-from repro.trace.buffer import EVENT_FIELDS, RANGE_FIELDS, TraceBuffer
-from repro.trace.events import EventKind, GroupTable, TraceEvent
-from repro.trace.soa import (
+from repro.trace.buffer import (
+    EVENT_FIELDS,
     FIELD_DTYPES,
-    TraceColumns,
-    coalesce_columns,
-    columns_from_buffer,
-    event_block,
+    RANGE_FIELDS,
+    ROW,
+    UNANNOTATED,
+    TraceBuffer,
+    block_of,
     pack,
 )
+from repro.trace.events import EventKind, GroupTable
+from repro.trace.soa import TraceColumns, coalesce_columns, columns_from_buffer
 
 FORMAT_V2 = "ap1000-trace-v2"
 FORMAT_STREAM = "ap1000-trace-stream-v2"
 
 _FIELDS = EVENT_FIELDS + RANGE_FIELDS
-#: The range fields of an event the sanitizer did not stamp.
-_UNANNOTATED = tuple(f.default for f in fields(TraceEvent)
-                     if f.name in RANGE_FIELDS)
 
 
 def _json_line(doc: dict) -> bytes:
@@ -89,12 +85,12 @@ def save_trace(trace: TraceBuffer, target: str | Path | IO[bytes]) -> None:
     Groups are written as a list in group-id order and phases in
     phase-id order, so the tables round-trip with deterministic
     interning no matter which process wrote the file.  The block is
-    :func:`repro.trace.soa.event_block` byte for byte: a loaded trace is
-    written from the arrays it was mapped to, a recorded one pays its
-    one walk here.
+    :meth:`TraceBuffer.block` byte for byte: a loaded trace is written
+    from the arrays it was mapped to, a recorded one packs its rows
+    here.
     """
     n = trace.num_pes
-    block = event_block(trace)
+    block = trace.block()
     data = _with_block({
         "format": FORMAT_V2,
         "num_pes": n,
@@ -118,10 +114,10 @@ class StreamTraceWriter:
 
     Registered as the ambient sink via
     :func:`repro.trace.buffer.streaming_to`, it binds to the first
-    :class:`TraceBuffer` created inside the context and keeps each
-    recorded event's field values as they are at ``record`` (a later
-    rewrite such as :meth:`TraceBuffer.coalesce_compute` does not reach
-    the file).  Every ``flush_events`` events are written as one whole
+    :class:`TraceBuffer` created inside the context and keeps each row
+    the buffer appends (a later rewrite such as
+    :meth:`TraceBuffer.coalesce_compute` does not reach the file).
+    Every ``flush_events`` events are written as one whole
     chunk, so memory held is one pending chunk plus per-PE counters.
     ``close`` appends the footer that lets :func:`load_trace` rebuild
     the exact buffer; a file without one (run still going, or killed)
@@ -152,11 +148,9 @@ class StreamTraceWriter:
         self._counts = [0] * buffer.num_pes
         return True
 
-    _values = staticmethod(attrgetter(*_FIELDS))
-
-    def emit(self, event: TraceEvent) -> None:
-        self._rows.append(self._values(event))
-        self._counts[event.pe] += 1
+    def emit(self, row: tuple) -> None:
+        self._rows.append(row)
+        self._counts[row[1]] += 1
         if len(self._rows) >= self.flush_events:
             self.flush()
 
@@ -168,11 +162,10 @@ class StreamTraceWriter:
         if self._fh is None or not (self._rows or self._phases):
             return
         rows = self._rows
-        names = _FIELDS if any(row[len(EVENT_FIELDS):] != _UNANNOTATED
-                               for row in rows) else EVENT_FIELDS
-        columns = list(zip(*rows)) or [()] * len(names)
-        block = {name: pack(name, values)
-                 for name, values in zip(names, columns)}
+        if any(len(row) > ROW for row in rows):     # a stamped row
+            rows = [row + UNANNOTATED * (len(row) == ROW) for row in rows]
+        block = {name: pack(name, values) for name, values
+                 in zip(_FIELDS, list(zip(*rows)) or [()] * ROW)}
         self._fh.write(_with_block(
             {"total": len(rows), "phases": self._phases}, block))
         self._fh.flush()
@@ -311,20 +304,15 @@ def _in_pe_order(source: str, num_pes: int, parts: list[dict],
                  groups: list, phases: list, footer: dict) -> TraceBuffer:
     """Events in record order — ``parts`` each hold every field's
     column, concatenated in order — as the buffer their v2 file loads
-    to: stably sorted by PE and packed, range columns kept only when an
-    event is annotated (the rule of :func:`repro.trace.soa.event_lists`).
+    to (:func:`repro.trace.buffer.block_of`, as a recorded buffer's).
     A footer's groups, phases and counts win over the caller's."""
-    columns = {name: np.concatenate([np.empty(0, FIELD_DTYPES[name][-1]),
-                                     *(part[name] for part in parts)])
-               for name in _FIELDS}
-    order = np.argsort(columns["pe"], kind="stable")
-    names = EVENT_FIELDS + RANGE_FIELDS * bool(
-        np.max(columns["raddr"], initial=-1) >= 0
-        or np.max(columns["laddr"], initial=-1) >= 0)
-    block = {name: pack(name, columns[name][order]) for name in names}
-    if footer.get("total_events", len(order)) != len(order):
+    block = block_of({name: np.concatenate([
+        np.empty(0, FIELD_DTYPES[name][-1]), *(part[name] for part in parts)])
+        for name in _FIELDS})
+    total = len(block["pe"])
+    if footer.get("total_events", total) != total:
         raise _malformed(source, f"footer promises {footer['total_events']}"
-                         f" events, the file holds {len(order)}")
+                         f" events, the file holds {total}")
     return _checked(source, num_pes, footer.get("groups", groups),
                     footer.get("phases", phases), footer.get("counts"),
                     block)
@@ -372,7 +360,7 @@ def _buffer_from_stream(header: dict, fh: IO, source: str) -> TraceBuffer:
             continue
         if RANGE_FIELDS[0] not in block:
             block |= {name: np.full(doc["total"], default) for name, default
-                      in zip(RANGE_FIELDS, _UNANNOTATED)}
+                      in zip(RANGE_FIELDS, UNANNOTATED)}
         parts.append(block)
         phases += doc.get("phases", [])
     if at != len(data):
@@ -413,7 +401,7 @@ def _buffer_from_lines(header: dict, fh: IO, source: str) -> TraceBuffer:
                              f"{len(phases) + 1} comes next")
     columns = {name: [row[name] for row in rows] for name in EVENT_FIELDS}
     columns |= {name: [row.get(name, default) for row in rows]
-                for name, default in zip(RANGE_FIELDS, _UNANNOTATED)}
+                for name, default in zip(RANGE_FIELDS, UNANNOTATED)}
     return _in_pe_order(source, header["num_pes"], [columns], groups,
                         phases, footer)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind
 
@@ -51,30 +53,21 @@ class AppStatistics:
 
 
 def collect_statistics(trace: TraceBuffer) -> AppStatistics:
-    """Compute the Table 3 row for a recorded trace."""
+    """Compute the Table 3 row of a trace from its block's columns."""
     n = trace.num_pes
-    counts = {kind: 0 for kind in EventKind}
-    puts_stride = gets_stride = 0
-    msg_bytes = 0
-    msg_count = 0
-    for pe in range(n):
-        for ev in trace.events_for(pe):
-            counts[ev.kind] += 1
-            if ev.kind is EventKind.PUT:
-                if ev.stride:
-                    puts_stride += 1
-                msg_bytes += ev.size
-                msg_count += 1
-            elif ev.kind is EventKind.GET:
-                if ev.is_ack:
-                    # "without GET for acknowledge": excluded from both the
-                    # GET count column and the message-size average.
-                    counts[ev.kind] -= 1
-                    continue
-                if ev.stride:
-                    gets_stride += 1
-                msg_bytes += ev.size
-                msg_count += 1
+    block = trace.block()
+    kind = block["kind"]
+    counts = np.bincount(kind, minlength=len(EventKind)).tolist()
+    # "without GET for acknowledge": acknowledge GETs leave both the GET
+    # count column and the message-size average.
+    put = kind == EventKind.PUT
+    get = (kind == EventKind.GET) & ~block["is_ack"]
+    message = put | get
+    puts_stride = int(np.count_nonzero(put & block["stride"]))
+    gets_stride = int(np.count_nonzero(get & block["stride"]))
+    gets = int(np.count_nonzero(get))
+    msg_count = int(np.count_nonzero(message))
+    msg_bytes = int(block["size"][message].sum(dtype=np.int64))
 
     def per_pe(value: int) -> float:
         return value / n
@@ -87,7 +80,7 @@ def collect_statistics(trace: TraceBuffer) -> AppStatistics:
         sync_per_pe=per_pe(counts[EventKind.BARRIER]),
         put_per_pe=per_pe(counts[EventKind.PUT] - puts_stride),
         puts_per_pe=per_pe(puts_stride),
-        get_per_pe=per_pe(counts[EventKind.GET] - gets_stride),
+        get_per_pe=per_pe(gets - gets_stride),
         gets_per_pe=per_pe(gets_stride),
         avg_message_bytes=(msg_bytes / msg_count) if msg_count else 0.0,
         retries=counts[EventKind.RETRY],

@@ -87,10 +87,17 @@ def test_back_ends_override_only_the_seam():
     # above it the stride-noting pair (COMM-STRIDE), write-through
     # pages refused, and a checkpoint site that never arms a gate.
     assert overridden(SymbolicContext) == {
-        "_record", "_issue", "_post",
+        "_issue", "_post",
         "put_stride", "get_stride", "wt_bind", "wt_refresh", "checkpoint"}
     # A worker: shard logic below the seam; above it the wildcard
     # RECEIVE refusal and the two ops whose oplog item no event carries.
     assert overridden(sharded._ShardCellContext) == {
-        "_record", "_issue", "_post", "_creg_store", "_creg_try_load",
+        "_issue", "_post", "_creg_store", "_creg_try_load",
         "recv", "flag_clear", "make_group"}
+    # The row seam is an attribute each context binds: the trace's own
+    # ``append`` on the functional machine, a back end's recorder else.
+    machine = Machine(MachineConfig(num_cells=2, memory_per_cell=MEMORY))
+    assert CellContext(machine, 0)._record == machine.trace.append
+    symbolic = SymbolicMachine(2, memory_per_cell=MEMORY)
+    ctx = SymbolicContext(symbolic, 0)
+    assert ctx._record == ctx._record_site

@@ -2,8 +2,9 @@
 
 Counts, not seconds (as in ``test_width_scaling``): calls into
 ``repro.machine`` / ``.network`` / ``.hardware`` per command a program
-issues, under cProfile.  The counts repeat exactly, so the ceilings sit
-just above what the implementation does today; per-message object
+issues, and into ``repro.trace`` per event it records, under
+cProfile.  The counts repeat exactly, so the ceilings sit just above
+what the implementation does today; per-message object
 churn (a descriptor rebuilt, a range checked twice, an empty queue
 polled) shows up here as a failure rather than as a slower benchmark.
 """
@@ -19,9 +20,14 @@ from repro.apps import tomcatv
 from repro.apps.latency import run_ping_pong
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from repro.trace.events import TraceEvent
 
 LAYERS = tuple(os.path.join(os.path.dirname(repro.__file__), layer) + os.sep
                for layer in ("machine", "network", "hardware"))
+TRACE = os.path.join(os.path.dirname(repro.__file__), "trace") + os.sep
+#: Profiled calls one more 8-byte PUT may cost; ``scripts/primitive_cost.py
+#: --max-put-calls`` holds its ``calls`` row to the same number in CI.
+PUT_CALLS_CEILING = 55
 
 
 def layer_calls_per_command(runner, *args, **kwargs):
@@ -39,22 +45,41 @@ def layer_calls_per_command(runner, *args, **kwargs):
 
 
 def test_tomcatv_without_stride():
-    # 8-byte PUTs, each with its acknowledging GET, and GETs: 37.7 today
-    # (43.1 while the MSC+ dispatched through ``_execute`` and
-    # ``_receive_*``, a TLB probe was a call and an empty cache still
-    # walked its range; 49.1 while the wire held every frame for the
-    # pump to find, 86.5 before descriptors were interned and checks
-    # deduplicated).
+    # 8-byte PUTs, each with its acknowledging GET, and GETs: 36.6 today
+    # (37.7 while a probe built a ``TraceEvent`` and reached the buffer
+    # through a ``_record`` method; 43.1 while the MSC+ dispatched
+    # through ``_execute`` and ``_receive_*``, a TLB probe was a call
+    # and an empty cache still walked its range; 49.1 while the wire
+    # held every frame for the pump to find, 86.5 before descriptors
+    # were interned and checks deduplicated).
     cost = layer_calls_per_command(
         tomcatv.run, 4, n=33, iters=1, use_stride=False)
-    assert cost < 39, cost
+    assert cost < 37.5, cost
+
+
+def test_tomcatv_records_rows_not_events():
+    # A probe is one ``TraceBuffer.append``: 646 calls into
+    # ``repro.trace`` for 646 events plus 3 of set-up today (1 292 plus
+    # set-up, and 646 ``TraceEvent``s built, while each probe built an
+    # event and handed it to ``record``).
+    profile = cProfile.Profile()
+    run = profile.runcall(tomcatv.run, 4, n=33, iters=1, use_stride=False)
+    entries = [entry for entry in profile.getstats()
+               if not isinstance(entry.code, str)]
+    calls = sum(entry.callcount for entry in entries
+                if entry.code.co_filename.startswith(TRACE))
+    built = sum(entry.callcount for entry in entries
+                if entry.code is TraceEvent.__init__.__code__)
+    events = run.machine.trace.total_events
+    assert built == 0, built
+    assert calls <= events + 4, (calls, events)
 
 
 def test_ping_pong():
     # One PUT and one blocking flag wait per command, so the scheduler's
-    # share is in here too: 53.0 today (64.0, 71.0, 118.0 before).
+    # share is in here too: 51.0 today (53.0, 64.0, 71.0, 118.0 before).
     cost = layer_calls_per_command(run_ping_pong, 4, iters=256)
-    assert cost < 55, cost
+    assert cost < 52, cost
 
 
 def put_burst(ctx, size, count):
@@ -69,14 +94,16 @@ def put_burst(ctx, size, count):
 
 def calls_per_put(size):
     """Profiled calls, builtins included, one more PUT of ``size``
-    bytes costs: the difference of two bursts, so set-up drops out."""
+    bytes costs: the difference of two bursts, so set-up drops out.
+    Counted per code object: ``pstats`` keys a function by file, line
+    and name, and so merges every dataclass's generated ``__init__``
+    (all ``<string>:__init__``) into one entry."""
     def total(count):
         machine = Machine(MachineConfig(num_cells=2,
                                         memory_per_cell=1 << 21))
         profile = cProfile.Profile()
         profile.runcall(machine.run, put_burst, size, count)
-        return sum(ncalls for _, ncalls, *_
-                   in pstats.Stats(profile).stats.values())
+        return sum(entry.callcount for entry in profile.getstats())
 
     return (total(48) - total(16)) / 32
 
@@ -84,12 +111,16 @@ def calls_per_put(size):
 def test_put_cost_does_not_grow_with_the_lines_it_invalidates():
     # A 4 KB PUT covers 128 cache lines and a 160 000-byte one more
     # lines than the cache has; with nothing resident both must cost
-    # what an 8-byte PUT costs, not a tag probe per line: 52.0, 52.4
+    # what an 8-byte PUT costs, not a tag probe per line: 52.4, 52.4
     # and 54.4 today, the last translating across a page boundary on
-    # both sides (62.4, 62.4 and 61.4 before; 70.4 and 324.4 while
-    # invalidate_range always walked the lines of the range).  The two
-    # large ones are held to each other and all three to a ceiling, so
-    # a cheaper small PUT cannot hide a walk.
+    # both sides (54.4, 54.4 and 56.4 while each probe built a
+    # ``TraceEvent`` and reached the buffer through a ``_record``
+    # method.  Earlier counts were taken through ``pstats``, which hid
+    # the dataclass ``__init__``s: 62.4, 62.4 and 61.4 before the MSC+
+    # was folded, 70.4 and 324.4 while invalidate_range always walked
+    # the lines of the range).  The two large ones are held to each
+    # other and all three to a ceiling, so a cheaper small PUT cannot
+    # hide a walk.
     small, page, large = (calls_per_put(size) for size in (8, 4096, 160_000))
     assert abs(page - large) <= 4, (page, large)
-    assert max(small, page, large) < 56, (small, page, large)
+    assert max(small, page, large) < PUT_CALLS_CEILING, (small, page, large)

@@ -84,12 +84,16 @@ def test_gc_tracked_objects_per_cell_of_a_built_machine():
 
 
 def test_profiled_calls_per_cell_of_a_machine_build():
-    # 15.4: no table is derived and no buffer mapped per cell.
+    # 28.5, 14 of them dataclass ``__init__``s: no table is derived and
+    # no buffer mapped per cell.  Counted per code object: ``pstats``
+    # keys every generated ``__init__`` as ``<string>:2`` and keeps one
+    # of them, so its total (15.4 when this ceiling was set on it) moved
+    # with whichever ``__init__`` the profiler happened to list last.
     Machine(4)
     profile = cProfile.Profile()
     profile.runcall(Machine, 256)
-    calls = pstats.Stats(profile).total_calls
-    assert calls <= 16 * 256, calls / 256
+    calls = sum(entry.callcount for entry in profile.getstats())
+    assert calls <= 29 * 256, calls / 256
 
 
 #: Every registered app at its default size, TOMCATV cut to one

@@ -3,8 +3,10 @@
 These are the per-event v2 loader, the per-field column decode, the
 JSON-``columns`` v2 writer and the v1 / stream-v1 line writers as they
 shipped before the bulk loader, the shared extraction and the column
-block replaced them: slow, obviously right, and kept only as oracles
-and as the makers of files in formats ``repro`` now only reads.
+block replaced them, and the object recorder (:class:`ObjectRecorder`,
+with its statistics and digest walks) as it shipped before probes
+appended rows: slow, obviously right, and kept only as oracles and as
+the makers of files in formats ``repro`` now only reads.
 ``golden_buffer`` is the fixed trace behind ``golden/small.v2.bin`` (a
 column block) and the files the last commits with the older writers
 wrote from it: ``small.v2.jsonl`` (the JSON encoding), ``small.v1.jsonl``
@@ -13,13 +15,17 @@ and ``small.stream-v1.jsonl``.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from operator import attrgetter
 
 import numpy as np
 
-from repro.trace.buffer import TraceBuffer
+from repro.core.errors import TraceBufferOverflowError
+from repro.trace.buffer import EVENT_FIELDS, ROW, TraceBuffer, pack
 from repro.trace.events import EventKind, GroupTable, TraceEvent
 from repro.trace.soa import INT_COLUMNS, TraceColumns
+from repro.trace.stats import AppStatistics
 
 FIELDS = (
     "kind", "pe", "seq", "partner", "size", "stride", "send_flag",
@@ -30,6 +36,15 @@ RANGE_FIELDS = (
     "raddr", "rchunk", "rcount", "rstep",
     "laddr", "lchunk", "lcount", "lstep",
 )
+
+
+def with_seq(trace: TraceBuffer, seqs) -> TraceBuffer:
+    """``trace`` with its rows' ``seq`` values replaced, in record order:
+    what a trace loaded from a file whose ``seq`` is not the record
+    order holds (a probe cannot make one)."""
+    assert trace._rows is not None
+    trace._rows[EVENT_FIELDS.index("seq")::ROW] = list(seqs)
+    return trace
 
 
 def buffer_doc(trace: TraceBuffer) -> dict:
@@ -151,12 +166,9 @@ def reference_buffer_from_v2(doc: dict) -> TraceBuffer:
             if ranges is not None:
                 for name in RANGE_FIELDS:
                     kwargs[name] = ranges[name][idx]
-            ev = TraceEvent(**kwargs)
-            seq = ev.seq
-            trace.record(ev)
-            ev.seq = seq  # preserve the original global order
+            trace.record(TraceEvent(**kwargs))
             idx += 1
-    return trace
+    return with_seq(trace, cols["seq"])  # the original global order
 
 
 def reference_columns_from_buffer(trace: TraceBuffer) -> TraceColumns:
@@ -236,6 +248,143 @@ def golden_buffer() -> TraceBuffer:
     ]
     for ev in events:
         buf.record(ev)
-    for ev in events:  # a loaded trace keeps the file's seq, whatever it is
-        ev.seq = (ev.seq * 7) % len(events) + 100
-    return buf
+    # A loaded trace keeps the file's seq, whatever it is.
+    return with_seq(buf, [(seq * 7) % len(events) + 100
+                          for seq in range(len(events))])
+
+
+class ObjectRecorder:
+    """The recorder before probes appended rows: one :class:`TraceEvent`
+    built per probe (the sanitizer's footprint stamped on it), per-PE
+    event lists, and every reader a walk over the objects.  A machine
+    records into it when it stands in for ``machine.trace``; the
+    writer reads it through :meth:`block`, the one walk from objects to
+    columns."""
+
+    def __init__(self, num_pes: int, capacity: int = 1 << 62) -> None:
+        self.num_pes = num_pes
+        self.capacity = capacity
+        self.groups = GroupTable(tuple(range(num_pes)))
+        self.total_events = self._seq = 0
+        self._events: list[list[TraceEvent]] = [[] for _ in range(num_pes)]
+        self._phase_labels: list[str] = []
+
+    def append(self, kind, pe, partner=-1, size=0, stride=False,
+               send_flag=0, recv_flag=0, is_ack=False, msg_id=0, flag=0,
+               target=0, group=0, group_size=0, work=0.0, ranges=None):
+        ev = TraceEvent(kind, pe, 0, partner, size, stride, send_flag,
+                        recv_flag, is_ack, msg_id, flag, target, group,
+                        group_size, work, *(ranges or ()))
+        return self.record(ev).seq
+
+    def record(self, event: TraceEvent) -> TraceEvent:
+        if self.total_events >= self.capacity:
+            raise TraceBufferOverflowError(
+                f"trace buffer full at {self.capacity} events")
+        event.seq = self._seq
+        self._seq += 1
+        self._events[event.pe].append(event)
+        self.total_events += 1
+        return event
+
+    def phase_id(self, label: str) -> int:
+        if label not in self._phase_labels:
+            self._phase_labels.append(label)
+        return self._phase_labels.index(label) + 1
+
+    @property
+    def phases(self) -> tuple[str, ...]:
+        return tuple(self._phase_labels)
+
+    def events_for(self, pe: int) -> list[TraceEvent]:
+        return self._events[pe]
+
+    def all_events(self) -> list[TraceEvent]:
+        merged = [ev for pe in range(self.num_pes)
+                  for ev in self.events_for(pe)]
+        merged.sort(key=lambda ev: ev.seq)
+        return merged
+
+    def count(self, kind: EventKind, pe: int | None = None) -> int:
+        pes = range(self.num_pes) if pe is None else (pe,)
+        return sum(1 for pe in pes for ev in self.events_for(pe)
+                   if ev.kind is kind)
+
+    def coalesce_compute(self) -> None:
+        for pe in range(self.num_pes):
+            merged: list[TraceEvent] = []
+            for ev in self.events_for(pe):
+                if (merged
+                        and ev.kind in (EventKind.COMPUTE, EventKind.RTSYS)
+                        and merged[-1].kind is ev.kind):
+                    merged[-1].work += ev.work
+                else:
+                    merged.append(ev)
+            self.total_events -= len(self._events[pe]) - len(merged)
+            self._events[pe] = merged
+
+    def block(self) -> dict[str, np.ndarray]:
+        """The column block by the walk over the objects (per-PE
+        contiguous, range columns when any event is annotated)."""
+        ordered = [ev for pe in range(self.num_pes)
+                   for ev in self.events_for(pe)]
+        names = FIELDS + RANGE_FIELDS * any(ev.is_annotated()
+                                            for ev in ordered)
+        return {name: pack(name, list(map(attrgetter(name), ordered)))
+                for name in names}
+
+
+def reference_statistics(trace) -> AppStatistics:
+    """The Table 3 row by the walk over a trace's event objects."""
+    n = trace.num_pes
+    counts = {kind: 0 for kind in EventKind}
+    puts_stride = gets_stride = msg_bytes = msg_count = 0
+    for pe in range(n):
+        for ev in trace.events_for(pe):
+            counts[ev.kind] += 1
+            if ev.kind is EventKind.PUT:
+                puts_stride += ev.stride
+                msg_bytes += ev.size
+                msg_count += 1
+            elif ev.kind is EventKind.GET:
+                if ev.is_ack:       # "without GET for acknowledge"
+                    counts[ev.kind] -= 1
+                    continue
+                gets_stride += ev.stride
+                msg_bytes += ev.size
+                msg_count += 1
+    return AppStatistics(
+        num_pes=n,
+        send_per_pe=counts[EventKind.SEND] / n,
+        gop_per_pe=counts[EventKind.GOP] / n,
+        vgop_per_pe=counts[EventKind.VGOP] / n,
+        sync_per_pe=counts[EventKind.BARRIER] / n,
+        put_per_pe=(counts[EventKind.PUT] - puts_stride) / n,
+        puts_per_pe=puts_stride / n,
+        get_per_pe=(counts[EventKind.GET] - gets_stride) / n,
+        gets_per_pe=gets_stride / n,
+        avg_message_bytes=(msg_bytes / msg_count) if msg_count else 0.0,
+        retries=counts[EventKind.RETRY],
+        timeouts=counts[EventKind.TIMEOUT],
+        spills=counts[EventKind.SPILL],
+    )
+
+
+def reference_digest(trace) -> str:
+    """``repro.faults.chaos.trace_digest`` by the walk over a trace's
+    event objects in ``seq`` order, ``msg_id`` renumbered densely."""
+    remap: dict[int, int] = {0: 0}
+    h = hashlib.sha256()
+    for ev in trace.all_events():
+        if ev.msg_id not in remap:
+            remap[ev.msg_id] = len(remap)
+        record = (
+            int(ev.kind), ev.pe, ev.seq, ev.partner, ev.size,
+            int(ev.stride), ev.send_flag, ev.recv_flag, int(ev.is_ack),
+            remap[ev.msg_id], ev.flag, ev.target, ev.group,
+            ev.group_size, round(ev.work, 9), ev.raddr, ev.rchunk,
+            ev.rcount, ev.rstep, ev.laddr, ev.lchunk, ev.lcount,
+            ev.lstep,
+        )
+        h.update(repr(record).encode())
+    return h.hexdigest()
