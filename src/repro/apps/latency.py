@@ -6,9 +6,10 @@ two cells (round-trip latency, Figure 6) or circulates around the torus.
 These are the functional-machine twins of those experiments — they are
 also the workloads that stress the SPMD *scheduler* rather than the
 data path, because at any moment exactly one cell can make progress and
-everyone else is blocked.  The perf lane (``repro bench perf``) uses
-them to time scheduler and replay-engine changes; their traces are
-PUT/FLAG_WAIT chains, the densest replay input per byte moved.
+everyone else is blocked.  ``benchmarks/e2e``'s ``sync_chain`` and
+``wide_machine`` workloads run the ring shift to time the scheduler;
+its traces are PUT/FLAG_WAIT chains, the densest replay input per byte
+moved.
 
 ``ping_pong`` bounces one word between cell 0 and the highest cell;
 ``ring_shift`` passes a token *down* the ring (cell ``i`` forwards to

@@ -1,35 +1,27 @@
 """Perf lane: the measurements behind the CI performance job.
 
-The batched SPMD scheduler and the sharded engine exist for throughput,
-so their speedups are regression-tested like any other output.
 ``repro bench perf`` runs the micro grid twice through the normal
 benchmark runner (a first pass that pays whatever the trace cache does
 not already hold, then a cache-hit pass, whose artifacts must agree byte
-for byte), then measures two controlled A/B speedups:
+for byte), then measures one controlled A/B speedup: the serial engine
+against the sharded one on its critical path (see :data:`SHARDED_AB`).
 
-* **functional** — the reference run-every-cell-every-round SPMD
-  scheduler against the batched wake-set scheduler on a long blocking
-  chain (``RingShift``), where scheduler overhead dominates;
-* **sharded** — the serial engine against the sharded one on its
-  critical path (see :data:`SHARDED_AB`).
+The SPMD scheduler and replay have no ratio here: each has one
+production path, its reference is a test oracle, and its wall-clock is
+``benchmarks/e2e``'s (``sync_chain``, ``replay_sweep``).
 
-Replay speed has no ratio here: there is one replay engine, and its
-wall-clock is ``benchmarks/e2e``'s ``replay_sweep`` workload.
-
-Both A/B passes time identical work under ``gc`` control and keep the
-minimum of ``reps`` repetitions, so the ratios are stable even on noisy
-runners.  The gate is expressed in **ratios** (speedups), not absolute
-wall-clock: ratios compare the same host against itself and therefore
-transfer across CI hardware generations, while absolute walls are
-recorded in the artifact for humans but never gated on.  A checked-in
-baseline (``benchmarks/perf_baseline.json``) pins the expected ratios;
-a run fails if any speedup falls below its hard floor or drops more
-than ``baseline_tolerance_pct`` below the baseline ratio.
+The A/B keeps the minimum of :data:`REPS` repetitions, so the ratio is
+stable even on noisy runners.  The gate is expressed as a **ratio**,
+not absolute wall-clock: a ratio compares the same host against itself
+and therefore transfers across CI hardware generations, while absolute
+walls are recorded in the artifact for humans but never gated on.  A
+checked-in baseline (``benchmarks/perf_baseline.json``) pins the
+expected ratio; a run fails if the speedup falls below its hard floor or
+drops more than ``baseline_tolerance_pct`` below the baseline ratio.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import platform
@@ -46,20 +38,12 @@ from repro.bench.schema import results_bytes
 
 PERF_SCHEMA = "repro-perf-v1"
 
-#: Hard floors: the refactor's contract, independent of any baseline.
-FUNCTIONAL_MIN_SPEEDUP = 3.0
+#: Hard floor: the sharded engine's contract, whatever the baseline.
 SHARDED_MIN_SPEEDUP = 2.0
 
 #: A speedup may drift this far below the checked-in baseline ratio
 #: before the lane fails (noise headroom on shared CI runners).
 BASELINE_TOLERANCE_PCT = 25.0
-
-#: The functional A/B workload: a 256-cell ring where every hop blocks
-#: on its neighbour, so the reference scheduler's sweep over all cells
-#: per round is nearly all wasted work.  The program costs the host
-#: per trace event (a cell walks laps, not hops), so the part both
-#: sides share is small and the ratio is the schedulers'.
-FUNCTIONAL_AB = ("RingShift", {"num_cells": 256, "hops": 4096})
 
 #: The sharded A/B workload: EP at 1024 cells with enough pairs per
 #: cell that per-cell computation dominates scheduler overhead — the
@@ -70,6 +54,8 @@ FUNCTIONAL_AB = ("RingShift", {"num_cells": 256, "hops": 4096})
 #: wall-clock there measures core contention, not the engine.
 SHARDED_AB = ("EP", {"num_cells": 1024, "log2_pairs": 20})
 SHARDED_AB_SHARDS = 4
+#: Repetitions of each side of the A/B; the minimum counts.
+REPS = 2
 
 Log = Callable[[str], None]
 
@@ -99,57 +85,7 @@ class PerfReport:
         return path
 
 
-def _timed_min(fn: Callable[[], None], reps: int) -> float:
-    """Minimum wall-clock of ``reps`` calls, with the collector parked
-    so a background GC pass cannot land inside a timed region."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        best = float("inf")
-        for _ in range(reps):
-            gc.collect()
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _measure_functional(reps: int, log: Log) -> dict[str, Any]:
-    """A/B the SPMD schedulers on the blocking-chain workload."""
-    from repro.apps.latency import run_ring_shift
-    from repro.machine.machine import Machine
-
-    app, config = FUNCTIONAL_AB
-
-    def run() -> None:
-        run_ring_shift(**config)
-
-    walls = {"batched": _timed_min(run, reps)}
-    # The slow side is the resume-counting loop on an input the
-    # wake-set loop serves; no option selects that, so substitute the
-    # loop for the duration of the timing.
-    wake_set = Machine._run_batched
-    Machine._run_batched = Machine._run_reference
-    try:
-        walls["reference"] = _timed_min(run, reps)
-    finally:
-        Machine._run_batched = wake_set
-    for mode, wall in walls.items():
-        log(f"functional {app} [{mode}]: {wall:.2f}s")
-    return {
-        "app": app,
-        "config": config,
-        "reps": reps,
-        "batched_s": walls["batched"],
-        "reference_s": walls["reference"],
-        "speedup": walls["reference"] / walls["batched"],
-    }
-
-
-def _measure_sharded(reps: int, log: Log) -> dict[str, Any]:
+def _measure_sharded(log: Log) -> dict[str, Any]:
     """A/B the serial batched engine against the sharded engine.
 
     Serial side: CPU time of ``Machine.run`` under the batched
@@ -172,7 +108,7 @@ def _measure_sharded(reps: int, log: Log) -> dict[str, Any]:
     serial_cpu = float("inf")
     serial_wall = float("inf")
     digest = None
-    for _ in range(reps):
+    for _ in range(REPS):
         machine = Machine(MachineConfig(num_cells=cells, shards=1))
         w0, c0 = time.perf_counter(), time.process_time()
         machine.run(ep.program, **params)
@@ -183,7 +119,7 @@ def _measure_sharded(reps: int, log: Log) -> dict[str, Any]:
     critical = float("inf")
     sharded_wall = float("inf")
     report = None
-    for _ in range(reps):
+    for _ in range(REPS):
         machine = Machine(MachineConfig(num_cells=cells, shards=shards))
         machine.run(ep.program, **params)
         if trace_digest(machine.trace) != digest:
@@ -205,7 +141,7 @@ def _measure_sharded(reps: int, log: Log) -> dict[str, Any]:
         "app": app,
         "config": config,
         "shards": shards,
-        "reps": reps,
+        "reps": REPS,
         "serial_cpu_s": serial_cpu,
         "serial_wall_s": serial_wall,
         "critical_path_s": critical,
@@ -222,25 +158,16 @@ def compare_to_baseline(
     baseline: dict[str, Any],
     tolerance_pct: float = BASELINE_TOLERANCE_PCT,
 ) -> list[str]:
-    """Failures where a current speedup fell more than ``tolerance_pct``
-    below the baseline's ratio (absolute walls are never compared)."""
-    failures = []
-    floor_factor = 1.0 - tolerance_pct / 100.0
-    pairs = [
-        ("functional scheduler",
-         document["functional"]["speedup"],
-         baseline["speedups"]["functional"]),
-    ]
-    if "sharded" in baseline["speedups"]:
-        pairs.append(("sharded engine",
-                      document["sharded"]["speedup"],
-                      baseline["speedups"]["sharded"]))
-    for name, current, base in pairs:
-        if current < base * floor_factor:
-            failures.append(
-                f"{name} speedup {current:.1f}x is more than "
-                f"{tolerance_pct:g}% below baseline {base:.1f}x")
-    return failures
+    """Failures where the current speedup fell more than
+    ``tolerance_pct`` below the baseline's ratio (absolute walls are
+    never compared; a ``functional`` ratio in an older baseline is
+    ignored, its scheduler A/B is retired)."""
+    base = baseline["speedups"].get("sharded")
+    current = document["sharded"]["speedup"]
+    if base is None or current >= base * (1.0 - tolerance_pct / 100.0):
+        return []
+    return [f"sharded engine speedup {current:.1f}x is more than "
+            f"{tolerance_pct:g}% below baseline {base:.1f}x"]
 
 
 def baseline_from_report(document: dict[str, Any]) -> dict[str, Any]:
@@ -250,10 +177,7 @@ def baseline_from_report(document: dict[str, Any]) -> dict[str, Any]:
         "schema": PERF_SCHEMA + "-baseline",
         "recorded_utc": document["created_utc"],
         "host": document["host"],
-        "speedups": {
-            "functional": document["functional"]["speedup"],
-            "sharded": document["sharded"]["speedup"],
-        },
+        "speedups": {"sharded": document["sharded"]["speedup"]},
         "walls_informational": {
             "micro_cold_s": document["micro"]["cold"]["wall_s"],
             "micro_warm_s": document["micro"]["warm"]["wall_s"],
@@ -266,7 +190,6 @@ def baseline_from_report(document: dict[str, Any]) -> dict[str, Any]:
 def run_perf(
     *,
     cache_dir: str | Path | None = None,
-    functional_reps: int = 2,
     baseline_path: str | Path | None = None,
     tolerance_pct: float = BASELINE_TOLERANCE_PCT,
     log: Log | None = None,
@@ -275,8 +198,8 @@ def run_perf(
 
     Stages: micro grid first pass (fills or reuses the trace cache),
     micro grid cache-hit pass, byte-identity check between the two
-    artifacts, functional A/B, sharded A/B, then gating — hard floors
-    first, baseline drift second.
+    artifacts, sharded A/B, then gating — hard floor first, baseline
+    drift second.
     """
     log = log or (lambda message: None)
     specs = micro_specs()
@@ -304,8 +227,7 @@ def run_perf(
 
     identical = (results_bytes(artifacts["cold"])
                  == results_bytes(artifacts["warm"]))
-    functional = _measure_functional(functional_reps, log)
-    sharded = _measure_sharded(functional_reps, log)
+    sharded = _measure_sharded(log)
 
     document: dict[str, Any] = {
         "schema": PERF_SCHEMA,
@@ -320,10 +242,8 @@ def run_perf(
             "presets": list(preset_names),
         },
         "micro": {**passes, "results_identical": identical},
-        "functional": functional,
         "sharded": sharded,
         "gates": {
-            "functional_min_speedup": FUNCTIONAL_MIN_SPEEDUP,
             "sharded_min_speedup": SHARDED_MIN_SPEEDUP,
             "baseline_tolerance_pct": tolerance_pct,
         },
@@ -335,10 +255,6 @@ def run_perf(
     if not identical:
         failures.append(
             "cold and cache-hit micro artifacts differ byte for byte")
-    if functional["speedup"] < FUNCTIONAL_MIN_SPEEDUP:
-        failures.append(
-            f"functional scheduler speedup {functional['speedup']:.1f}x "
-            f"is below the {FUNCTIONAL_MIN_SPEEDUP:g}x floor")
     if sharded["speedup"] < SHARDED_MIN_SPEEDUP:
         failures.append(
             f"sharded engine speedup {sharded['speedup']:.1f}x "

@@ -12,12 +12,12 @@ enumerable machine state:
   above — the untouched middle is zero by construction and not stored);
 * the per-cell cooperative program state (the picklable ``st`` bag each
   checkpointable app keeps its loop-carried values in);
-* each hardware cell's, ring buffer's and network's own ``state()``
-  (:mod:`repro.core.state`: every attribute that is not wiring), plus
-  barrier and reduction generations;
-* fault machinery: the plan RNG stream, injected-fault schedule, kill
-  and stall ledgers, and the reliable transport's per-flow seq/ack/
-  retry/reorder state;
+* each cell context's, hardware cell's, ring buffer's and network's own
+  ``state()`` (:mod:`repro.core.state`: every attribute that is not
+  wiring), plus barrier and reduction generations;
+* fault machinery: the plan RNG stream, injected-fault schedule, the
+  killed set, and the reliable transport's per-flow seq/ack/retry/
+  reorder state;
 * the whole trace buffer (the high-water mark of the recorded run).
 
 The artifact is a directory written atomically (temp dir +
@@ -219,19 +219,11 @@ def capture_snapshot(machine: "Machine", *,
         st = getattr(ctx, "_ckpt_st", None)
         if st is not None:
             cell_states[pe] = st.capture()
-        ctx_states[pe] = {
-            "puts_per_dest": dict(ctx.acks._puts_per_dest),
-            "acks_issued": ctx.acks._acks_issued,
-            "wt_fetches": ctx._wt_fetches,
-        }
+        ctx_states[pe] = ctx.state()
 
     state: dict[str, Any] = {
         "progress": machine.progress,
-        "resumes": list(machine._resumes),
         "killed": sorted(machine.killed),
-        "stalls": {pe: list(specs)
-                   for pe, specs in machine._stalls.items() if specs},
-        "stall_remaining": dict(machine._stall_remaining),
         "heap_next": list(machine._heap_next),
         "private_next": list(machine._private_next),
         "ckpt": {
@@ -410,11 +402,7 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
     # captured addresses (the all-allocations-in-prologue contract).
 
     machine.progress = state["progress"]
-    machine._resumes[:] = state["resumes"]
     machine.killed = set(state["killed"])
-    machine._stalls = {pe: list(specs)
-                       for pe, specs in state["stalls"].items()}
-    machine._stall_remaining = dict(state["stall_remaining"])
 
     ckpt = state["ckpt"]
     machine._ckpt_counts[:] = ckpt["counts"]

@@ -782,16 +782,11 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
     baseline = None if args.no_baseline else args.baseline
     report = run_perf(
         cache_dir=args.cache_dir,
-        functional_reps=args.functional_reps,
         baseline_path=baseline,
         tolerance_pct=args.tolerance,
         log=print,
     )
     doc = report.document
-    print(f"functional speedup: {doc['functional']['speedup']:.1f}x "
-          f"(floor {doc['gates']['functional_min_speedup']:g}x); "
-          f"wall-clock {doc['functional']['reference_s']:.2f}s vs "
-          f"{doc['functional']['batched_s']:.2f}s")
     print(f"sharded speedup: {doc['sharded']['speedup']:.1f}x over "
           f"serial at {doc['sharded']['config']['num_cells']} cells "
           f"(critical path, floor "
@@ -1167,10 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="PCT",
                               help="allowed %% drop below the baseline "
                                    "speedups (default 25)")
-    p_bench_perf.add_argument("--functional-reps", type=int, default=2,
-                              metavar="N",
-                              help="repetitions per scheduler A/B timing "
-                                   "(default 2)")
     p_bench_perf.add_argument("--cache-dir", metavar="DIR", default=None,
                               help="trace cache directory (default "
                                    "benchmarks/.trace_cache)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.flags import Flag
+from repro.core.state import Stateful
 
 
 class AckPolicy:
@@ -31,7 +32,7 @@ class AckPolicy:
 
 
 @dataclass
-class AckTracker:
+class AckTracker(Stateful):
     """Books outstanding PUT acknowledgments for one cell.
 
     The tracker is policy-agnostic bookkeeping: callers record each PUT
@@ -40,6 +41,8 @@ class AckTracker:
     The acknowledge flag is incremented by each GET reply, and
     :meth:`expected_acks` is the flag value proving all of them returned.
     """
+
+    _wiring = frozenset({"ack_flag", "policy"})
 
     ack_flag: Flag
     policy: str = AckPolicy.EVERY_PUT

@@ -18,7 +18,6 @@ from repro.faults.injector import FaultStats, FaultyBNet, FaultyTNet
 from repro.faults.plan import (
     FaultPlan,
     KillSpec,
-    StallSpec,
     active_plan,
     applied,
     full_plans,
@@ -29,7 +28,6 @@ from repro.faults.transport import ReliableTransport
 __all__ = [
     "FaultPlan",
     "KillSpec",
-    "StallSpec",
     "active_plan",
     "applied",
     "full_plans",

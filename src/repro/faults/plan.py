@@ -1,7 +1,7 @@
 """Fault plans: declarative, seed-reproducible failure schedules.
 
 A :class:`FaultPlan` describes *everything* that will go wrong during one
-run — wire fault rates, cell kills and stalls, queue-pressure overrides —
+run — wire fault rates, cell kills, queue-pressure overrides —
 plus the recovery budget the reliable transport may spend tolerating it.
 All randomness flows from ``plan.seed`` through one ``random.Random``
 held by the injector, so a failing run replays byte-for-byte from its
@@ -22,7 +22,7 @@ backs the ``repro chaos --plan file.json`` CLI.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields
@@ -34,21 +34,53 @@ from repro.core.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class KillSpec:
-    """Kill cell ``pe`` immediately before its ``at_resume``-th scheduler
-    resumption (0 kills it before it runs its first blocked step)."""
+    """Kill cell ``pe`` once it has recorded ``at_event`` trace rows of
+    its own: the probe that would record the next row kills it instead.
+    0 kills it before its program takes its first step.
+
+    The schedule is in the trace's terms, the one thing every scheduler
+    and every replay of a run agrees on, not in how often the host
+    happened to resume the cell's program."""
 
     pe: int
-    at_resume: int = 0
+    at_event: int = 0
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.pe, int) and isinstance(self.at_event, int)
+                and self.at_event >= 0):
+            raise ConfigurationError(
+                f"kill {self}: pe must be an int and at_event an int "
+                ">= 0")
 
 
-@dataclass(frozen=True)
-class StallSpec:
-    """Freeze cell ``pe`` for ``passes`` scheduler rounds starting at its
-    ``at_resume``-th resumption — a transient hiccup, not a death."""
+#: Plan keys that no longer exist, and what to write instead.
+_RETIRED = {
+    "stalls": "a stalled program's MSC+ kept running, so a stall could "
+              "delay no ack, retransmit or delivery; drop the key",
+    "watchdog_passes": "the scheduler detects a hang exactly; drop the "
+                       "key",
+    "kills[].at_resume": "use 'kills[].at_event', the trace rows the "
+                         "cell records before it dies",
+}
 
-    pe: int
-    at_resume: int = 0
-    passes: int = 3
+
+def _refuse_retired(keys: Iterable[str]) -> None:
+    for key in keys:
+        if key in _RETIRED:
+            raise ConfigurationError(
+                f"fault plan key {key!r} is retired: {_RETIRED[key]}")
+
+
+def _kill_from_dict(entry: Any) -> KillSpec:
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"fault plan kills entry {entry!r} is not an object")
+    _refuse_retired(f"kills[].{key}" for key in entry)
+    try:
+        return KillSpec(**entry)
+    except TypeError as exc:  # an unknown or a missing key, by name
+        raise ConfigurationError(
+            f"fault plan kills entry {entry!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -66,7 +98,6 @@ class FaultPlan:
     delay_max_rounds: int = 4
     # --- cell faults -----------------------------------------------------
     kills: tuple[KillSpec, ...] = ()
-    stalls: tuple[StallSpec, ...] = ()
     #: With degradation on, collectives shrink around killed cells and
     #: frames to them are discarded; off, communication with a killed
     #: cell exhausts its retries into a CommTimeoutError.
@@ -81,9 +112,6 @@ class FaultPlan:
     timeout_rounds: int = 3
     #: Retransmissions per frame before giving up with CommTimeoutError.
     max_retries: int = 16
-    #: Scheduler passes with no progress before the flag-wait/barrier
-    #: watchdog converts a silent hang into a CommTimeoutError.
-    watchdog_passes: int = 6
 
     def __post_init__(self) -> None:
         for rate_name in ("drop_rate", "dup_rate", "corrupt_rate",
@@ -100,9 +128,6 @@ class FaultPlan:
             raise ConfigurationError(
                 f"fault plan {self.name!r}: recovery budget must allow at "
                 "least one timeout round and one retry")
-        if self.watchdog_passes < 1:
-            raise ConfigurationError(
-                f"fault plan {self.name!r}: watchdog_passes must be >= 1")
 
     @property
     def wire_faults(self) -> bool:
@@ -110,8 +135,11 @@ class FaultPlan:
         return bool(self.drop_rate or self.dup_rate or self.corrupt_rate
                     or self.delay_rate)
 
-    def killed_at(self, pe: int, resume: int) -> bool:
-        return any(k.pe == pe and resume >= k.at_resume for k in self.kills)
+    def killed_at(self, pe: int) -> int | None:
+        """The rows cell ``pe`` records before it dies (the earliest of
+        its kills), or None when the plan never kills it."""
+        rows = [k.at_event for k in self.kills if k.pe == pe]
+        return min(rows) if rows else None
 
     # ------------------------------------------------------------------
     # Serialization
@@ -120,11 +148,11 @@ class FaultPlan:
     def to_dict(self) -> dict[str, Any]:
         out = asdict(self)
         out["kills"] = [asdict(k) for k in self.kills]
-        out["stalls"] = [asdict(s) for s in self.stalls]
         return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FaultPlan":
+        _refuse_retired(data)
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -132,9 +160,7 @@ class FaultPlan:
                 f"fault plan has unknown keys {sorted(unknown)}")
         kwargs = dict(data)
         kwargs["kills"] = tuple(
-            KillSpec(**k) for k in data.get("kills", ()))
-        kwargs["stalls"] = tuple(
-            StallSpec(**s) for s in data.get("stalls", ()))
+            _kill_from_dict(k) for k in data.get("kills", ()))
         return cls(**kwargs)
 
     @classmethod

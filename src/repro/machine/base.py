@@ -202,7 +202,7 @@ class MachineBase:
 
         On a perfect machine (or without ``plan.degrade``) that is every
         member — a killed cell then hangs the collective until the
-        watchdog converts the hang into a CommTimeoutError.  Under
+        scheduler finds the hang and raises a CommTimeoutError.  Under
         degradation the group shrinks around its dead members."""
         if (self.killed and self.fault_plan is not None
                 and self.fault_plan.degrade):
@@ -325,10 +325,12 @@ def run_wake_rounds(live, wake: set[int], resume: Callable[[int], None],
     """The wake-set scheduling kernel: resume only cells a wake names.
 
     ``live`` holds the unfinished cells; ``resume(pe)`` runs one cell to
-    its next block and removes it from ``live`` when it finished; every
-    state change that may unblock a cell names it in ``wake``.
+    its next block and removes it from ``live`` when it finished or
+    died; every state change that may unblock a cell names it in
+    ``wake``.
 
-    A "round" mirrors one pass of the resume-everyone reference loop:
+    A "round" mirrors one pass of the resume-everyone reference loop
+    (the test oracle, ``tests/machine/reference_loop.py``):
     cells resume in ascending-pe order, each at most once per round.  A
     wake caused by cell ``p`` for cell ``w`` joins the *current* round
     when ``w > p`` and ``w`` has not yet run this round (the reference

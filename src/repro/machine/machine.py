@@ -6,10 +6,10 @@ count, barriers synchronize) while the probe layer records the trace that
 MLSim later replays under different timing models.
 
 Scheduling is cooperative.  Each cell's program is a generator; the
-scheduler round-robins over unfinished programs, resuming each until it
-either finishes or yields (blocks).  Blocking helpers re-check their
-condition on every resume, and bump a progress counter when they pass, so
-the scheduler can distinguish "still working" from deadlock.
+scheduler resumes a program until it either finishes or yields (blocks),
+and resumes a blocked one only once a state change names it in the wake
+set.  A round that wakes nobody is a hang, or a checkpoint gate to
+capture.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.core.errors import (
     CheckpointInterrupt,
     CommTimeoutError,
     CommunicationError,
+    ConfigurationError,
     DeadlockError,
 )
 from repro.faults.injector import FaultyBNet, FaultyTNet
@@ -52,6 +53,28 @@ _QUEUES_A_REPLY = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
 
 def _fall_off(packet: Packet) -> None:
     """Receive port of a killed cell on a perfect wire."""
+
+
+class _Killed(BaseException):
+    """Raised by a doomed cell's probe in place of the row it dies at.
+    Not an ``Exception``, so no program's handler can hold it."""
+
+
+def _doom(ctx: CellContext, at_event: int) -> None:
+    """Rebind ``ctx._record`` so the cell dies in place of the row after
+    its ``at_event``-th, whose operation is never issued: a probe records
+    before it issues (but SEND, whose row carries the serial of the
+    message it posted).  ``ctx._rows`` rides in ``ctx.state()``, so a
+    resumed run dies at the same row."""
+    record = ctx._record
+
+    def record_or_die(*args: Any, **fields: Any) -> int:
+        if ctx._rows >= at_event:
+            raise _Killed
+        ctx._rows += 1
+        return record(*args, **fields)
+
+    ctx._record = record_or_die
 
 
 class Machine(MachineBase):
@@ -96,13 +119,12 @@ class Machine(MachineBase):
             self.tnet.observer = self.obs
             self.bnet.observer = self.obs
         self._dirty: set[int] = set()
-        #: Scheduler resumptions per cell (drives kill/stall timing).
-        self._resumes = [0] * n
-        self._stalls: dict[int, list[Any]] = {}
-        self._stall_remaining: dict[int, int] = {}
         if plan is not None:
-            for spec in plan.stalls:
-                self._stalls.setdefault(spec.pe, []).append(spec)
+            strays = sorted({k.pe for k in plan.kills} - set(range(n)))
+            if strays:
+                raise ConfigurationError(
+                    f"fault plan {plan.name!r} kills cells {strays} "
+                    f"outside this {n}-cell machine")
         self._active_generators: dict[int, Any] | None = None
         #: Reliable link layer; None on a perfect machine.
         self.transport = (ReliableTransport(self.tnet, plan, self)
@@ -164,13 +186,14 @@ class Machine(MachineBase):
         self._active_contexts: list[CellContext] | None = None
         #: Restore payloads staged by repro.ckpt.restore_machine and
         #: consumed by the next run(): per-cell app loop state, context
-        #: counters, and the killed set whose generators must be closed.
+        #: ``state()``s, and the killed set whose generators must be
+        #: closed.
         self._restore_states: dict[int, dict[str, Any]] | None = None
         self._restore_ctx: dict[int, dict[str, Any]] | None = None
         self._restore_killed: set[int] | None = None
         #: What the last :meth:`run` decided: ``{"loop": "sharded" |
-        #: "wake-set" | "resume-counting", "fallback": why ``shards > 1``
-        #: did not get the sharded engine, else None}``.
+        #: "wake-set", "fallback": why ``shards > 1`` did not get the
+        #: sharded engine, else None}``.
         self.engine: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
@@ -313,29 +336,30 @@ class Machine(MachineBase):
         :class:`~repro.core.errors.CommTimeoutError` so chaos runs never
         hang silently.
 
-        Which loop runs is decided here, once, from the run itself, and
-        recorded as :attr:`engine`: a fault plan takes the
-        resume-counting loop (its kills and stalls are keyed on that
-        loop's per-cell resume counts); ``config.shards > 1`` takes the
-        sharded engine unless :func:`repro.machine.sharded.ineligible`
-        names an obstacle; everything else takes the wake-set loop.  All
-        three produce the exact same interleaving (and therefore
-        byte-identical traces): the resume-counting loop resumes every
-        unfinished cell every pass; the wake-set loop parks a cell when
-        it yields and resumes it only once a state change that can flip
-        its blocking condition names it in the machine's wake set (frame
-        delivery wakes the destination, an MSC+ pump wakes its own
-        cell's sending-side flags, barrier release and reduction
-        completion wake the group, a creg store wakes the register's
-        owner, host traffic wakes everyone).  A skipped resume is
-        provably a no-op: every yield in the cell programs sits in a
+        ``config.shards > 1`` takes the sharded engine unless
+        :func:`repro.machine.sharded.ineligible` names an obstacle;
+        everything else takes the wake-set loop, and :attr:`engine`
+        records which.  Both produce the interleaving of a loop that
+        resumes every unfinished cell every pass, in ascending pe order
+        (and therefore byte-identical traces; ``tests/machine/
+        reference_loop.py`` keeps that loop as the oracle).  The wake-set
+        loop parks a cell when it yields and resumes it only once a state
+        change that can flip its blocking condition names it in the
+        machine's wake set (frame delivery wakes the destination, an MSC+
+        pump wakes its own cell's sending-side flags, barrier release and
+        reduction completion wake the group, a creg store wakes the
+        register's owner, host traffic wakes everyone).  A skipped resume
+        is provably a no-op: every yield in the cell programs sits in a
         ``while not condition: yield`` loop whose condition only flips
         through one of those wake sites, and the failed re-check itself
         mutates nothing (``ring.receive`` returns None without consuming
         on a miss).
+
+        A fault plan's kills are keyed on the trace, not on the loop:
+        each doomed cell's ``_record`` is rebound (:func:`_doom`) so the
+        cell dies in place of a row it would record.
         """
         n = self.config.num_cells
-        plan = self.fault_plan
         fallback = None
         if self.config.shards > 1:
             from repro.machine import sharded
@@ -344,18 +368,12 @@ class Machine(MachineBase):
             if fallback is None:
                 self.engine = {"loop": "sharded", "fallback": None}
                 return sharded.run_sharded(self, program, args, kwargs)
-        self.engine = {
-            "loop": "wake-set" if plan is None else "resume-counting",
-            "fallback": fallback,
-        }
+        self.engine = {"loop": "wake-set", "fallback": fallback}
         contexts = [CellContext(self, pe) for pe in range(n)]
         self._active_contexts = contexts
         if self._restore_ctx is not None:
             for pe, saved in self._restore_ctx.items():
-                ctx = contexts[pe]
-                ctx.acks._puts_per_dest = dict(saved["puts_per_dest"])
-                ctx.acks._acks_issued = saved["acks_issued"]
-                ctx._wt_fetches = saved["wt_fetches"]
+                contexts[pe].load_state(saved)
             self._restore_ctx = None
         results: list[Any] = [None] * n
         generators: dict[int, Any] = {}
@@ -377,10 +395,9 @@ class Machine(MachineBase):
         self._finished_cells = set()
         self._active_generators = generators
         try:
-            if plan is None:
-                self._run_batched(generators, results)
-            else:
-                self._run_reference(generators, results)
+            if self.fault_plan is not None:
+                self._arm_kills(contexts, generators)
+            self._run_batched(generators, results)
         finally:
             self._active_generators = None
             self._active_contexts = None
@@ -388,14 +405,24 @@ class Machine(MachineBase):
         self.pump()
         return results
 
+    def _arm_kills(self, contexts: list[CellContext],
+                   generators: dict[int, Any]) -> None:
+        """Kill the plan's ``at_event=0`` cells before any program
+        steps; doom the others at their row."""
+        plan = self.fault_plan
+        for pe in sorted({k.pe for k in plan.kills} & generators.keys()):
+            at_event = plan.killed_at(pe)
+            if at_event:
+                _doom(contexts[pe], at_event)
+            else:
+                self.kill_cell(pe)
+
     def _run_batched(self, generators: dict[int, Any],
                      results: list[Any]) -> None:
         """Wake-set scheduler: resume only cells named by a wake site
         (the round rule is :func:`~repro.machine.base.run_wake_rounds`)."""
-        resumes = self._resumes
 
         def resume(pe: int) -> None:
-            resumes[pe] += 1
             try:
                 next(generators[pe])
             except StopIteration as stop:
@@ -403,6 +430,8 @@ class Machine(MachineBase):
                 del generators[pe]
                 self._finished_cells.add(pe)
                 self.progress += 1
+            except _Killed:
+                self.kill_cell(pe)
 
         def idle() -> None:
             if self._ckpt_gate_ready():
@@ -416,9 +445,7 @@ class Machine(MachineBase):
                 self._abort_checkpoint()
             else:
                 # Every unfinished cell is parked and nothing woke
-                # anyone: no re-check can ever pass again.  This is the
-                # hang the reference loop's watchdog needs three stalled
-                # passes to call.
+                # anyone: no re-check can ever pass again.
                 self._raise_hang(generators)
 
         wake: set[int] = set()
@@ -427,51 +454,6 @@ class Machine(MachineBase):
             run_wake_rounds(generators, wake, resume, idle)
         finally:
             self._wake = None
-
-    def _run_reference(self, generators: dict[int, Any],
-                       results: list[Any]) -> None:
-        """Resume-everyone-every-pass scheduler (fault plans need it:
-        kill/stall schedules count per-cell resumes)."""
-        plan = self.fault_plan
-        stalled_passes = 0
-        watchdog = 3 if plan is None else max(3, plan.watchdog_passes)
-        while generators:
-            before = self.progress
-            saw_stall = False
-            for pe in sorted(generators):
-                if plan is not None:
-                    if self._kill_due(pe):
-                        self.kill_cell(pe)
-                        continue
-                    if self._stall_check(pe):
-                        saw_stall = True
-                        continue
-                self._resumes[pe] += 1
-                try:
-                    next(generators[pe])
-                except StopIteration as stop:
-                    results[pe] = stop.value
-                    del generators[pe]
-                    self._finished_cells.add(pe)
-                    self.progress += 1
-            if self._ckpt_gate_ready():
-                self._capture_checkpoint()
-                stalled_passes = 0
-                continue
-            if self.progress == before and not saw_stall:
-                stalled_passes += 1
-                if stalled_passes >= watchdog:
-                    if self._gate_parked:
-                        # Parked cells and a dead epoch: the gate can
-                        # never fill (a killed cohort, a finished cell).
-                        # Release the parked cells instead of calling it
-                        # a hang.
-                        self._abort_checkpoint()
-                        stalled_passes = 0
-                    else:
-                        self._raise_hang(generators)
-            else:
-                stalled_passes = 0
 
     # ------------------------------------------------------------------
     # Checkpoint gate (repro.ckpt)
@@ -553,7 +535,8 @@ class Machine(MachineBase):
         self.wake_all()
 
     def _raise_hang(self, generators: dict[int, Any]) -> None:
-        """Watchdog expiry: name the hang for what it is."""
+        """No live cell can ever be resumed again: name the hang for
+        what it is."""
         report = self._deadlock_report(generators)
         if self.checkpoint_dir is not None:
             with contextlib.suppress(Exception):
@@ -575,28 +558,6 @@ class Machine(MachineBase):
                 "communication watchdog expired: cells blocked on "
                 "communication that can no longer complete\n" + report)
         raise DeadlockError(report)
-
-    def _kill_due(self, pe: int) -> bool:
-        plan = self.fault_plan
-        return (plan is not None and pe not in self.killed
-                and plan.killed_at(pe, self._resumes[pe]))
-
-    def _stall_check(self, pe: int) -> bool:
-        """True when the plan freezes ``pe`` for this scheduler pass."""
-        remaining = self._stall_remaining.get(pe, 0)
-        if remaining > 0:
-            self._stall_remaining[pe] = remaining - 1
-            return True
-        specs = self._stalls.get(pe)
-        if specs:
-            resumes = self._resumes[pe]
-            for spec in list(specs):
-                if resumes >= spec.at_resume:
-                    specs.remove(spec)
-                    # This pass counts as the first frozen one.
-                    self._stall_remaining[pe] = spec.passes - 1
-                    return True
-        return False
 
     def kill_cell(self, pe: int) -> None:
         """Kill cell ``pe`` mid-program: its generator dies instantly and

@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.completion import AckTracker
 from repro.core.errors import CommunicationError, ConfigurationError
 from repro.core.flags import MAX_FLAGS_PER_PE, Flag
+from repro.core.state import Stateful
 from repro.core.stride import ElementStride
 from repro.hardware.mc import NO_FLAG
 from repro.hardware.msc import Command, CommandKind
@@ -197,8 +198,16 @@ class CkptState:
         return state
 
 
-class CellContext:
-    """The programming interface one cell's program sees."""
+class CellContext(Stateful):
+    """The programming interface one cell's program sees.
+
+    Its ``state()`` is what a checkpoint carries per cell.  What the
+    re-run prologue rebuilds (the flag allocator, page bindings, the
+    loop-state bag) is wiring: restoring it would allocate flags twice."""
+
+    _wiring = frozenset({"machine", "pe", "hw", "ring", "ack_flag",
+                         "_wt_flag", "_next_flag", "_wt_table", "_ckpt_st",
+                         "_record"})
 
     def __init__(self, machine: "Machine", pe: int) -> None:
         self.machine = machine
@@ -224,6 +233,9 @@ class CellContext:
         #: is; it returns the row's ``seq``.  Here it *is* the machine
         #: trace's ``append``, so a probe costs one call.
         self._record = machine.trace.append
+        #: Rows this cell has recorded, counted only while a fault plan
+        #: dooms it (``repro.machine.machine._doom``); 0 elsewhere.
+        self._rows = 0
 
     # ------------------------------------------------------------------
     # Introspection

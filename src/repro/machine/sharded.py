@@ -752,7 +752,6 @@ def _worker_run(machine: Machine, sh: _ShardState, program: Callable,
                     continue
                 pending.discard(pe)
                 done.add(pe)
-                machine._resumes[pe] += 1
                 try:
                     next(generators[pe])
                 except StopIteration as stop:
@@ -1297,11 +1296,9 @@ def _replay(machine: Machine, shard_of: list[int],
     # The serial engine's wake rounds, with next(gen) replaced by
     # advance().
     live = set(genset)
-    resumes = machine._resumes
     wake: set[int] = set()
 
     def resume(pe: int) -> None:
-        resumes[pe] += 1
         if advance(pe, wake):
             live.discard(pe)
             machine._finished_cells.add(pe)

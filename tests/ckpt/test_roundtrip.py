@@ -3,10 +3,12 @@
 The tentpole contract of ``repro.ckpt``: a run that dies right after a
 gate capture and resumes from the snapshot must finish with a trace,
 per-cell results, and memory image byte-identical to the uninterrupted
-run — per instrumented app, under both scheduler loops, and with an
-active fault plan (whose RNG stream and link-layer retransmit state
-ride inside the snapshot).  RingShift, whose site is a lap of the
-token, is also killed at laps that only some cells hold a hop of.
+run — per instrumented app, under the wake-set loop and its oracle
+(``tests/machine/reference_loop.py``), and with an active fault plan
+(whose RNG stream and link-layer retransmit state ride inside the
+snapshot).  RingShift, whose site is a lap of the token, is also killed
+at laps that only some cells hold a hop of; a plan's kill after the
+gate dies at the same row in the resumed run.
 
 The golden run is the *armed* uninterrupted run: gate barriers are
 observable in the trace, so both sides of every comparison run under
@@ -20,17 +22,24 @@ import contextlib
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import CheckpointPolicy, applied, resume_workload
+from repro.ckpt import (
+    CheckpointPolicy,
+    applied,
+    restore_machine,
+    resume_workload,
+)
 from repro.core.errors import CheckpointInterrupt
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, KillSpec
 from repro.faults import applied as faults_applied
 from repro.faults.chaos import (
     memory_digest,
     results_digest,
     trace_digest,
 )
+from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 
+from ..machine.reference_loop import run_reference
 from .conftest import captured_sites, run_small
 
 #: Every instrumented app crosses at least two gates at smoke sizes.
@@ -39,21 +48,11 @@ SITE = 2
 PLAN = FaultPlan(name="storm", seed=77, drop_rate=0.05, dup_rate=0.05,
                  corrupt_rate=0.05, delay_rate=0.1)
 
-#: (app, plan, loop).  ``Machine.run`` picks the resume-counting
-#: ("reference") loop exactly when a plan is active; the plan-free
-#: "reference" rows keep that loop's gate handling pinned without
-#: fault noise by substituting it for ``Machine._run_batched``.
-CASES = [
-    ("MatMul", None, "batched"),
-    ("MatMul", None, "reference"),
-    ("MatMul", PLAN, "reference"),
-    ("CG", None, "batched"),
-    ("CG", None, "reference"),
-    ("CG", PLAN, "reference"),
-    ("RingShift", None, "batched"),
-    ("RingShift", None, "reference"),
-    ("RingShift", PLAN, "reference"),
-]
+#: (app, plan, loop).  ``Machine.run`` always takes the wake-set
+#: ("batched") loop; the "reference" rows substitute the oracle for
+#: ``Machine._run_batched``, so its gate handling stays pinned too.
+CASES = [(app, plan, loop) for app in ("MatMul", "CG", "RingShift")
+         for plan in (None, PLAN) for loop in ("batched", "reference")]
 
 
 def _ambient(plan):
@@ -66,9 +65,8 @@ def crash_and_resume(run, arm, plan, scheduler, tmp_path, monkeypatch):
     fields): straight through, killed at its first capture, resumed from
     that snapshot.  Asserts the resumed run equals the straight one and
     returns the straight one, its snapshots in ``tmp_path / "golden"``."""
-    if plan is None and scheduler == "reference":
-        monkeypatch.setattr(Machine, "_run_batched",
-                            Machine._run_reference)
+    if scheduler == "reference":
+        monkeypatch.setattr(Machine, "_run_batched", run_reference)
 
     with _ambient(plan), applied(CheckpointPolicy(
             **arm, directory=str(tmp_path / "golden"))):
@@ -88,11 +86,9 @@ def crash_and_resume(run, arm, plan, scheduler, tmp_path, monkeypatch):
     snapshot = excinfo.value.snapshot_path
     assert snapshot is not None
 
-    # No ambient state: the snapshot's config carries the fault plan,
-    # and with it the loop the crash run used.
+    # No ambient state: the snapshot's config carries the fault plan.
     resumed = resume_workload(snapshot)
-    assert resumed.machine.engine["loop"] == (
-        "wake-set" if plan is None else "resume-counting")
+    assert resumed.machine.engine["loop"] == "wake-set"
 
     assert resumed.verified
     assert resumed.machine.ckpt_seq == golden.machine.ckpt_seq
@@ -123,8 +119,10 @@ RING_SIZES = [(4, 9), (4, 3), (8, 5)]
 
 
 @pytest.mark.parametrize(("plan", "scheduler"), [
-    (None, "batched"), (None, "reference"), (PLAN, "reference")],
-    ids=["none-batched", "none-reference", "storm-reference"])
+    (None, "batched"), (None, "reference"), (PLAN, "batched"),
+    (PLAN, "reference")],
+    ids=["none-batched", "none-reference", "storm-batched",
+         "storm-reference"])
 @pytest.mark.parametrize("every_lap", [True, False],
                          ids=["every-lap", "last-lap"])
 @pytest.mark.parametrize(("cells", "hops"), RING_SIZES)
@@ -140,3 +138,44 @@ def test_ring_shift_site_is_a_lap(
     assert captured_sites(golden.machine, tmp_path / "golden", "lap") == [
         (lap, [lap] * cells)
         for lap in (range(1, laps + 1) if every_lap else [laps])]
+
+
+def laps_program(ctx, laps):
+    """A checkpointable loop of compute, gop and a gate barrier: three
+    rows a lap on every cell."""
+    st = ctx.ckpt_state(lap=0, total=0.0)
+    while st.lap < laps:
+        ctx.compute(1.0)
+        st.total = yield from ctx.gop(st.total + ctx.pe, "sum")
+        st.lap += 1
+        yield from ctx.checkpoint(barrier=True)
+    return st.total
+
+
+@pytest.mark.parametrize("scheduler", ["batched", "reference"])
+def test_kill_after_the_gate_resumes_byte_identical(
+        scheduler, tmp_path, monkeypatch):
+    """Cell 2 dies in place of its fifth row, the gop of lap 1, after
+    the gate at the end of lap 0: the resumed run carries the rows it
+    recorded before the capture and kills it at the same row."""
+    if scheduler == "reference":
+        monkeypatch.setattr(Machine, "_run_batched", run_reference)
+    plan = FaultPlan(name="kill", seed=3, degrade=True,
+                     kills=(KillSpec(pe=2, at_event=4),))
+    config = MachineConfig(num_cells=4, fault_plan=plan,
+                           memory_per_cell=1 << 21)
+
+    def digests(machine, results):
+        return (sorted(machine.killed), trace_digest(machine.trace),
+                results_digest(results), memory_digest(machine))
+
+    with applied(CheckpointPolicy(at_site=1)):
+        straight = Machine(config)
+        want = digests(straight, straight.run(laps_program, laps=3))
+    assert want[0] == [2]
+    with applied(CheckpointPolicy(at_site=1, directory=str(tmp_path),
+                                  stop_after_capture=True)):
+        with pytest.raises(CheckpointInterrupt) as excinfo:
+            Machine(config).run(laps_program, laps=3)
+    resumed = restore_machine(excinfo.value.snapshot_path)
+    assert digests(resumed, resumed.run(laps_program, laps=3)) == want

@@ -1,6 +1,11 @@
 """Chaos harness: digests, seeded determinism, and the sweep itself."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
+
+from repro.cli import main
 
 from repro.faults.chaos import (
     chaos_sweep,
@@ -80,3 +85,17 @@ class TestSweep:
     def test_empty_report_is_not_ok(self):
         from repro.faults.chaos import ChaosReport
         assert not ChaosReport().ok
+
+
+#: ``repro chaos [--recover] --smoke --json``, written by the commit
+#: before fault plans stopped counting scheduler resumes; CI ``cmp``s
+#: the same files.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(("flags", "golden"), [
+    ([], "chaos_smoke.json"), (["--recover"], "recover_smoke.json")])
+def test_smoke_reports_match_the_goldens(flags, golden, capsys):
+    assert main(["chaos", *flags, "--smoke", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

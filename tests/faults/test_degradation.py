@@ -26,7 +26,7 @@ def collective_program(ctx):
 class TestDegradation:
     def test_collectives_shrink_around_killed_cell(self):
         plan = FaultPlan(name="kill", seed=1, degrade=True,
-                         kills=(KillSpec(pe=2, at_resume=1),))
+                         kills=(KillSpec(pe=2, at_event=1),))
         m = make(plan=plan)
         out = m.run(collective_program)
         assert m.killed == {2}
@@ -36,20 +36,19 @@ class TestDegradation:
 
     def test_kill_before_first_resume(self):
         plan = FaultPlan(name="kill", seed=1, degrade=True,
-                         kills=(KillSpec(pe=0, at_resume=0),))
+                         kills=(KillSpec(pe=0, at_event=0),))
         m = make(2, plan=plan)
         out = m.run(collective_program)
         assert out == [None, 1.0]
 
     def test_put_toward_corpse_is_discarded_not_fatal(self):
         plan = FaultPlan(name="kill", seed=1, degrade=True,
-                         kills=(KillSpec(pe=1, at_resume=0),))
+                         kills=(KillSpec(pe=1, at_event=0),))
         m = make(2, plan=plan)
 
         def program(ctx):
             a = ctx.alloc(4)
             flag = ctx.alloc_flag()
-            yield  # let the kill fire first
             ctx.put(1 - ctx.pe, a, a, send_flag=flag)
             yield from ctx.flag_wait(flag, 1)
             return "done"
@@ -60,14 +59,14 @@ class TestDegradation:
 
     def test_remote_load_from_corpse_has_no_graceful_answer(self):
         plan = FaultPlan(name="kill", seed=1, degrade=True,
-                         kills=(KillSpec(pe=1, at_resume=0),))
+                         kills=(KillSpec(pe=1, at_event=0),))
         m = make(2, plan=plan)
 
         def program(ctx):
             a = ctx.alloc(4)
-            yield  # let the kill fire first
             if ctx.pe == 0:
                 ctx.remote_load_word(1, a, 0)
+            yield from ctx.barrier()
 
         with pytest.raises(CommTimeoutError) as err:
             m.run(program)
@@ -77,7 +76,7 @@ class TestDegradation:
 class TestNoDegradation:
     def test_kill_surfaces_as_structured_timeout_not_hang(self):
         plan = FaultPlan(name="kill", seed=1,
-                         kills=(KillSpec(pe=2, at_resume=1),))
+                         kills=(KillSpec(pe=2, at_event=1),))
         m = make(plan=plan)
         with pytest.raises(CommTimeoutError) as err:
             m.run(collective_program)
@@ -88,14 +87,13 @@ class TestNoDegradation:
     def test_put_toward_corpse_exhausts_retries(self):
         plan = FaultPlan(name="kill", seed=1, timeout_rounds=1,
                          max_retries=3,
-                         kills=(KillSpec(pe=1, at_resume=0),))
+                         kills=(KillSpec(pe=1, at_event=0),))
         m = make(2, plan=plan)
 
         def program(ctx):
             a = ctx.alloc(4)
             flag = ctx.alloc_flag()
             if ctx.pe == 0:
-                yield  # let the kill fire first
                 ctx.put(1, a, a, send_flag=flag)
                 yield from ctx.flag_wait(flag, 1)
 

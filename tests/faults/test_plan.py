@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 from repro.faults.plan import (
     FaultPlan,
     KillSpec,
-    StallSpec,
     active_plan,
     applied,
     full_plans,
@@ -28,8 +29,6 @@ class TestValidation:
             FaultPlan(timeout_rounds=0)
         with pytest.raises(ConfigurationError):
             FaultPlan(max_retries=0)
-        with pytest.raises(ConfigurationError):
-            FaultPlan(watchdog_passes=0)
 
     def test_delay_rounds_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -41,19 +40,32 @@ class TestValidation:
         assert FaultPlan(delay_rate=0.01).wire_faults
 
     def test_killed_at(self):
-        plan = FaultPlan(kills=(KillSpec(pe=2, at_resume=5),))
-        assert not plan.killed_at(2, 4)
-        assert plan.killed_at(2, 5)
-        assert plan.killed_at(2, 9)
-        assert not plan.killed_at(1, 9)
+        plan = FaultPlan(kills=(KillSpec(pe=2, at_event=5),
+                                KillSpec(pe=2, at_event=3),
+                                KillSpec(pe=0)))
+        assert plan.killed_at(2) == 3
+        assert plan.killed_at(0) == 0
+        assert plan.killed_at(1) is None
+
+    def test_kill_rows_must_be_counts(self):
+        with pytest.raises(ConfigurationError):
+            KillSpec(pe=1, at_event=-1)
+        with pytest.raises(ConfigurationError):
+            KillSpec(pe="1")
+
+    @pytest.mark.parametrize("pe", [4, 9, -1])
+    def test_machine_refuses_a_kill_outside_it(self, pe):
+        plan = FaultPlan(name="stray", kills=(KillSpec(pe=pe),))
+        with pytest.raises(ConfigurationError, match=rf"\[{pe}\]"):
+            Machine(MachineConfig(num_cells=4, fault_plan=plan,
+                                  memory_per_cell=1 << 20))
 
 
 class TestSerialization:
     def test_round_trip(self):
         plan = FaultPlan(
             name="rt", seed=7, drop_rate=0.1, delay_rate=0.2,
-            kills=(KillSpec(pe=1, at_resume=3),),
-            stalls=(StallSpec(pe=0, at_resume=2, passes=4),),
+            kills=(KillSpec(pe=1, at_event=3),),
             degrade=True, queue_capacity_words=16)
         again = FaultPlan.from_dict(plan.to_dict())
         assert again == plan
@@ -62,6 +74,29 @@ class TestSerialization:
         with pytest.raises(ConfigurationError) as err:
             FaultPlan.from_dict({"name": "x", "drop_rat": 0.5})
         assert "drop_rat" in str(err.value)
+
+    @pytest.mark.parametrize(("entry", "key"), [
+        ({"pe": 1, "at_events": 3}, "at_events"),
+        ({"at_event": 3}, "'pe'"),
+        ({"pe": 1, "at_event": "3"}, "at_event"),
+        ([1, 3], "[1, 3]"),
+    ])
+    def test_malformed_kill_named(self, entry, key):
+        with pytest.raises(ConfigurationError) as err:
+            FaultPlan.from_dict({"kills": [entry]})
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize(("data", "key", "instead"), [
+        ({"stalls": [{"pe": 0, "at_resume": 2, "passes": 4}]}, "'stalls'",
+         "drop the key"),
+        ({"watchdog_passes": 6}, "'watchdog_passes'", "drop the key"),
+        ({"kills": [{"pe": 1, "at_resume": 3}]}, "'kills[].at_resume'",
+         "'kills[].at_event'"),
+    ])
+    def test_retired_keys_refused(self, data, key, instead):
+        with pytest.raises(ConfigurationError) as err:
+            FaultPlan.from_dict(data)
+        assert key in str(err.value) and instead in str(err.value)
 
     def test_load_single_and_list(self, tmp_path):
         single = tmp_path / "one.json"

@@ -146,12 +146,3 @@ class TestQueuePressure:
                  if e.kind == EventKind.SPILL]
         assert ev.pe == 0
         assert ev.size == 8  # words spilled ride in the size field
-
-
-class TestStalls:
-    def test_stalled_cell_recovers(self):
-        from repro.faults.plan import StallSpec
-        plan = FaultPlan(name="stall", seed=7,
-                         stalls=(StallSpec(pe=1, at_resume=1, passes=5),))
-        m = make(plan=plan)
-        assert m.run(ring_exchange) == EXPECTED

@@ -217,7 +217,7 @@ class TestFallbacks:
         serial = run_under_plan("MatMul", self.STORM, cells=4)
         monkeypatch.setenv("REPRO_MACHINE_SHARDS", "2")
         shard = run_under_plan("MatMul", self.STORM, cells=4)
-        assert shard.machine.engine == {"loop": "resume-counting",
+        assert shard.machine.engine == {"loop": "wake-set",
                                         "fallback": "fault plan"}
         assert not hasattr(shard.machine, "shard_report")
         assert trace_digest(serial.trace) == trace_digest(shard.trace)

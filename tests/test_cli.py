@@ -94,6 +94,24 @@ class TestChaos:
         assert code == 2
         assert "repro: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(("plan", "key"), [
+        ({"stalls": [{"pe": 1, "at_resume": 1, "passes": 5}]}, "stalls"),
+        ({"watchdog_passes": 6}, "watchdog_passes"),
+        ({"kills": [{"pe": 1, "at_resume": 3}]}, "kills[].at_resume"),
+        ({"kills": [{"pe": 1, "at_evnt": 3}]}, "at_evnt"),
+    ])
+    def test_old_or_malformed_plan_is_a_clean_error(
+            self, plan, key, tmp_path, capsys):
+        import json
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        code = main(["chaos", "MatMul", "--cells", "4", "--no-check",
+                     "--plan", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and key in err
+        assert "Traceback" not in err
+
 
 class TestRunCheckpoint:
     def test_checkpoint_run_and_cli_resume(self, tmp_path, capsys):
