@@ -13,7 +13,7 @@ Run:  python examples/nas_breakdown.py          (about ten seconds)
 import sys
 
 from repro.apps import cg
-from repro.mlsim import simulate_models
+from repro.mlsim.simulator import simulate_models
 from repro.trace.stats import format_table3_row
 
 SEGMENTS = ("execution", "rtsys", "overhead", "idle")

@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import Machine, MachineConfig
-from repro.mlsim import simulate_models
+from repro.mlsim.simulator import simulate_models
 
 CELLS = 8
 N = 64

@@ -16,7 +16,7 @@ Run:  python examples/shared_memory_reduction.py
 import numpy as np
 
 from repro import Machine, MachineConfig
-from repro.lang import CommRegisterReducer, ring_vector_reduce
+from repro.lang.reductions import CommRegisterReducer, ring_vector_reduce
 
 CELLS = 6   # deliberately not a power of two: exercises fold-in/out
 VLEN = 10

@@ -14,7 +14,7 @@ Run:  python examples/stencil_overlap.py
 import numpy as np
 
 from repro import Machine, MachineConfig
-from repro.lang import VPPRuntime
+from repro.lang.runtime import VPPRuntime
 from repro.trace.events import EventKind
 
 CELLS = 8

@@ -18,7 +18,8 @@ import numpy as np
 from repro import Machine, MachineConfig
 from repro.core.stride import ElementStride
 from repro.lang.distribution import BlockDistribution
-from repro.mlsim import ap1000_plus_params, ap1000_params, simulate
+from repro.mlsim.params import ap1000_plus_params, ap1000_params
+from repro.mlsim.simulator import simulate
 from repro.trace.events import EventKind
 
 CELLS = 8

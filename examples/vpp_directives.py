@@ -13,7 +13,8 @@ Run:  python examples/vpp_directives.py
 import numpy as np
 
 from repro import Machine, MachineConfig
-from repro.lang import VPPRuntime, execute_fragment, parse_fragment
+from repro.lang.directives import execute_fragment, parse_fragment
+from repro.lang.runtime import VPPRuntime
 from repro.trace.events import EventKind
 
 CELLS = 8

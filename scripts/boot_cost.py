@@ -1,7 +1,15 @@
 #!/usr/bin/env python
-"""Host cost of booting a machine, per cell and by part.
+"""Host cost of starting a process and of booting a machine, per cell
+and by part.
 
-Microseconds of wall clock per cell (minimum over ``--repeats`` builds,
+First the start-up table: milliseconds a fresh interpreter spends in
+``import numpy``, and above it in the six imports of a benchmark child
+(``benchmarks/e2e/child.py``) and in ``import repro.cli``, each the
+median over ``--repeats`` spawns, with the ``repro`` modules each loads.
+Bytecode is cached in a temporary directory (a warm-up spawn fills it),
+so the table reads what an import costs a user, not a compile.
+
+Then microseconds of wall clock per cell (minimum over ``--repeats`` builds,
 each dropped before the next) for the parts a machine boots in order,
 each timed as the difference to the build one step smaller:
 
@@ -17,7 +25,7 @@ and the gc-tracked objects one cell leaves alive in a built machine.
 The cycle collector runs as it does for a user: its passes over those
 objects are part of every column.
 
-    python scripts/boot_cost.py [--json FILE]
+    python scripts/boot_cost.py [--repeats N] [--json FILE]
 
 (``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
@@ -28,12 +36,69 @@ import argparse
 import gc
 import importlib.util
 import json
+import os
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 WIDTHS = (64, 1024, 4096)
 PARTS = ("DRAM", "MC + tables", "MSC+", "wiring", "context")
+
+#: What each start-up row times, and what it imports first, untimed.
+STARTUP = {
+    "import numpy": ("", "import numpy"),
+    "child imports": ("import numpy", """
+from repro.apps.workloads import workload
+from repro.bench.cache import TraceCache, load_cached_columns
+from repro.faults.chaos import memory_digest, trace_digest
+from repro.mlsim.engine_soa import replay_columns
+from repro.mlsim.params import preset
+from repro.trace.io import load_trace, save_columns_npz, save_trace_v2
+"""),
+    "import repro.cli": ("import numpy", "import repro.cli"),
+}
+
+#: Run in each spawn: ``before`` untimed, ``timed`` timed; prints the
+#: milliseconds and the number of ``repro`` modules loaded.
+SPAWN = """
+import sys, time
+{before}
+start = time.perf_counter()
+{timed}
+ms = (time.perf_counter() - start) * 1e3
+print(ms, sum(name.split(".")[0] == "repro" for name in sys.modules))
+"""
+
+
+def startup(repeats: int) -> list[dict]:
+    """One row per ``STARTUP`` entry: median milliseconds over
+    ``repeats`` fresh interpreters, spawned round-robin."""
+    src = Path(importlib.util.find_spec("repro").origin).parents[1]
+    with tempfile.TemporaryDirectory() as pycache:
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONDONTWRITEBYTECODE"}
+        env.update(PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=pycache)
+
+        def spawn(before: str, timed: str) -> tuple[float, int]:
+            code = SPAWN.format(before=before, timed=timed)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 check=True, capture_output=True, text=True)
+            ms, modules = out.stdout.split()
+            return float(ms), int(modules)
+
+        for before, timed in STARTUP.values():
+            spawn(before, timed)                 # fills the bytecode cache
+        samples: dict[str, list[float]] = {name: [] for name in STARTUP}
+        modules = {}
+        for _ in range(repeats):
+            for name, (before, timed) in STARTUP.items():
+                ms, modules[name] = spawn(before, timed)
+                samples[name].append(ms)
+    return [{"import": name, "ms": round(statistics.median(samples[name]), 1),
+             "repro_modules": modules[name]} for name in STARTUP]
 
 
 def best(builds, repeats: int) -> list[float]:
@@ -100,6 +165,13 @@ def main() -> int:
     if importlib.util.find_spec("repro") is None:
         # Not installed and no PYTHONPATH provides it: this checkout's.
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    print(f"start-up: ms in a fresh interpreter, median of {args.repeats} "
+          "spawns (rows 2 and 3 above numpy); repro modules loaded")
+    started = startup(args.repeats)
+    for row in started:
+        print(f"  {row['import']:<16} {row['ms']:>8.1f} "
+              f"{row['repro_modules']:>4}")
+    print()
     print(f"us per cell by part, min of {args.repeats} builds; "
           "Machine(n) in seconds; gc-tracked objects per cell")
     print(f"{'cells':>6} " + " ".join(f"{name:>12}" for name in PARTS)
@@ -114,7 +186,8 @@ def main() -> int:
         rows.append(row)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as out:
-            json.dump({"repeats": args.repeats, "rows": rows}, out, indent=2)
+            json.dump({"repeats": args.repeats, "startup": started,
+                       "rows": rows}, out, indent=2)
             out.write("\n")
     return 0
 

@@ -19,6 +19,8 @@ Layers, bottom up:
 
 __version__ = "1.0.0"
 
-from repro.machine import CellContext, Machine, MachineConfig
+from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
+from repro.machine.program import CellContext
 
 __all__ = ["Machine", "MachineConfig", "CellContext", "__version__"]

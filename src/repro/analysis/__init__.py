@@ -1,61 +1,2 @@
 """Evaluation analysis: paper reference data, Table 1/2/3 and Figure 7/8
 generators, and the end-to-end experiment driver."""
-
-from repro.analysis import paper_data
-from repro.analysis.figures import (
-    Figure8Bar,
-    figure7_text,
-    figure8_bars,
-    render_figure8,
-)
-from repro.analysis.markdown import report_markdown
-from repro.analysis.report import ExperimentReport, run_experiments
-from repro.analysis.sensitivity import (
-    Elasticity,
-    format_elasticities,
-    parameter_elasticities,
-    sweep_parameter,
-    sweepable_parameters,
-)
-from repro.analysis.validate import (
-    ShapeCheck,
-    all_shapes_hold,
-    format_checks,
-    validate_report,
-)
-from repro.analysis.tables import (
-    Table2Row,
-    Table3Cmp,
-    format_table2,
-    format_table3,
-    table1_text,
-    table2_rows,
-    table3_rows,
-)
-
-__all__ = [
-    "paper_data",
-    "Figure8Bar",
-    "figure7_text",
-    "figure8_bars",
-    "render_figure8",
-    "report_markdown",
-    "ExperimentReport",
-    "run_experiments",
-    "Elasticity",
-    "format_elasticities",
-    "parameter_elasticities",
-    "sweep_parameter",
-    "sweepable_parameters",
-    "ShapeCheck",
-    "all_shapes_hold",
-    "format_checks",
-    "validate_report",
-    "Table2Row",
-    "Table3Cmp",
-    "format_table2",
-    "format_table3",
-    "table1_text",
-    "table2_rows",
-    "table3_rows",
-]

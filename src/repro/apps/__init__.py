@@ -2,15 +2,3 @@
 no-stride), MatMul, and SCG — each a real, verifiable kernel running on
 the functional machine, plus the pentadiagonal solver substrate and the
 workload registry."""
-
-from repro.apps import (cg, ep, ft, matmul, micro, penta, scg, sp, summa,
-                        tomcatv)
-from repro.apps.base import AppRun, execute
-from repro.apps.workloads import ORDER, WORKLOADS, Workload, run_all, workload
-
-__all__ = [
-    "cg", "ep", "ft", "matmul", "micro", "penta", "scg", "sp", "summa",
-    "tomcatv",
-    "AppRun", "execute",
-    "ORDER", "WORKLOADS", "Workload", "run_all", "workload",
-]

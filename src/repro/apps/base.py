@@ -76,8 +76,8 @@ def execute(name: str, program: Callable, num_cells: int,
         if meta is None:
             raise ConfigurationError(
                 f"snapshot {policy.resume_from} carries no application "
-                "identity; resume it via repro.ckpt.restore_machine and "
-                "Machine.run directly")
+                "identity; resume it via repro.ckpt.snapshot."
+                "restore_machine and Machine.run directly")
         if (meta["workload"] != name or meta["num_cells"] != num_cells
                 or meta["params"] != params):
             raise ConfigurationError(

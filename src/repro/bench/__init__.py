@@ -4,47 +4,9 @@ artifacts, and compare them for regressions.
 
 Typical use::
 
-    from repro.bench import bench_specs, run_bench
+    from repro.bench.grid import bench_specs
+    from repro.bench.runner import run_bench
 
     outcome = run_bench(bench_specs(), jobs=4, grid_name="bench")
     path = outcome.artifact.save("BENCH_now.json")
 """
-
-from repro.bench.cache import TraceCache, code_version
-from repro.bench.compare import Comparison, compare_artifacts
-from repro.bench.grid import (
-    ALL_PRESETS,
-    BENCH_CONFIGS,
-    SMOKE_PRESETS,
-    BenchSpec,
-    bench_specs,
-    micro_specs,
-    smoke_specs,
-    workload_specs,
-)
-from repro.bench.runner import BenchOutcome, run_bench
-from repro.bench.schema import (
-    BenchArtifact,
-    artifact_filename,
-    results_bytes,
-)
-
-__all__ = [
-    "ALL_PRESETS",
-    "BENCH_CONFIGS",
-    "SMOKE_PRESETS",
-    "BenchArtifact",
-    "BenchOutcome",
-    "BenchSpec",
-    "Comparison",
-    "TraceCache",
-    "artifact_filename",
-    "bench_specs",
-    "code_version",
-    "compare_artifacts",
-    "micro_specs",
-    "results_bytes",
-    "run_bench",
-    "smoke_specs",
-    "workload_specs",
-]

@@ -39,7 +39,7 @@ from repro.core.errors import ConfigurationError
 from repro.faults.chaos import memory_digest, trace_digest
 from repro.machine.config import MAX_CELLS, MachineConfig
 from repro.machine.machine import Machine
-from repro.mlsim import simulate_models
+from repro.mlsim.simulator import simulate_models
 
 WEAK_SCHEMA = "repro-bench-weak-v1"
 

@@ -21,97 +21,3 @@ Two cooperating analyses over the same diagnostic vocabulary:
 
 Drive them through :mod:`repro.check.runner` or ``repro check``.
 """
-
-from repro.check.comm import (
-    STATIC_APPS,
-    CommGraph,
-    CommRun,
-    analyze_app,
-    analyze_program,
-    check_program,
-)
-from repro.check.conform import (
-    CONFORM_APPS,
-    conform_app,
-    conform_trace,
-)
-from repro.check.diagnostics import (
-    CHECK_SCHEMA,
-    KNOWN_CHECK_SCHEMAS,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    CheckReport,
-    Diagnostic,
-    EventRef,
-    report_json,
-)
-from repro.check.hb import HBResult, build_happens_before, hb_report
-from repro.check.lint import lint_file, lint_paths, lint_source
-from repro.check.races import (
-    Access,
-    Footprint,
-    extract_accesses,
-    find_races,
-    race_report,
-)
-from repro.check.runner import (
-    check_app,
-    check_apps,
-    check_buggy,
-    check_conform,
-    check_static_apps,
-    check_static_buggy,
-    check_trace,
-    default_lint_paths,
-    lint_report,
-    trace_is_annotated,
-)
-from repro.check.symbolic import (
-    ClosedForm,
-    fit_closed_form,
-    infer_partner_pattern,
-)
-
-__all__ = [
-    "CHECK_SCHEMA",
-    "CONFORM_APPS",
-    "KNOWN_CHECK_SCHEMAS",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "STATIC_APPS",
-    "Access",
-    "CheckReport",
-    "ClosedForm",
-    "CommGraph",
-    "CommRun",
-    "Diagnostic",
-    "EventRef",
-    "Footprint",
-    "HBResult",
-    "analyze_app",
-    "analyze_program",
-    "build_happens_before",
-    "check_app",
-    "check_apps",
-    "check_buggy",
-    "check_conform",
-    "check_program",
-    "check_static_apps",
-    "check_static_buggy",
-    "check_trace",
-    "conform_app",
-    "conform_trace",
-    "default_lint_paths",
-    "extract_accesses",
-    "find_races",
-    "fit_closed_form",
-    "hb_report",
-    "infer_partner_pattern",
-    "lint_file",
-    "lint_paths",
-    "lint_report",
-    "lint_source",
-    "race_report",
-    "report_json",
-    "trace_is_annotated",
-]

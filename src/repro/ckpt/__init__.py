@@ -23,31 +23,3 @@ The package splits into:
 See ``docs/checkpoint.md`` for the format and the safe-point contract
 checkpointable applications follow.
 """
-
-from repro.ckpt.policy import CheckpointPolicy, applied, active_policy
-from repro.ckpt.snapshot import (
-    CKPT_APPS,
-    SCHEMA,
-    MachineSnapshot,
-    capture_snapshot,
-    latest_snapshot,
-    load_snapshot,
-    restore_machine,
-    resume_workload,
-    save_snapshot,
-)
-
-__all__ = [
-    "CKPT_APPS",
-    "SCHEMA",
-    "CheckpointPolicy",
-    "MachineSnapshot",
-    "active_policy",
-    "applied",
-    "capture_snapshot",
-    "latest_snapshot",
-    "load_snapshot",
-    "restore_machine",
-    "resume_workload",
-    "save_snapshot",
-]

@@ -53,7 +53,9 @@ import sys
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 
-from repro.analysis.report import run_experiments
+# Argument parsing needs these (choices, the error type main() reports);
+# everything else is imported by the verb that uses it, so `repro
+# replay` pays for no grid runner, checker or report generator.
 from repro.apps.workloads import ORDER, WORKLOADS, workload
 from repro.core.errors import (
     CheckpointInterrupt,
@@ -61,9 +63,6 @@ from repro.core.errors import (
     ReproError,
 )
 from repro.mlsim.params import PRESETS, format_params, parse_params, preset
-from repro.mlsim.simulator import simulate, simulate_models
-from repro.trace.io import load_trace, save_trace
-from repro.trace.stats import format_table3_row
 
 #: Exit status of a run interrupted but resumable from a checkpoint or
 #: journal (EX_TEMPFAIL: "try again later").
@@ -161,8 +160,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro.bench.cache import jsonify
     from repro.ckpt import policy as ckpt_policy
+    from repro.mlsim.simulator import simulate_models
     from repro.obs import observer as obs
     from repro.trace import sanitize
+    from repro.trace.io import save_trace
+    from repro.trace.stats import format_table3_row
 
     w = workload(args.app)
     overrides = {}
@@ -318,8 +320,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _source_trace(args: argparse.Namespace):
     """The trace named by a ``trace export``/``top`` invocation."""
-    from repro.core.errors import ConfigurationError
     from repro.obs.micro import MICRO_CELLS, micro_trace
+    from repro.trace.io import load_trace
 
     if args.micro:
         return micro_trace(args.cells or MICRO_CELLS)
@@ -428,6 +430,7 @@ def _cmd_top_follow(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.bench.schema import SCHEMA_NAME, BenchArtifact
+    from repro.mlsim.simulator import simulate
     from repro.obs import top as obs_top
 
     if args.follow:
@@ -460,7 +463,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     """Translate a foreign trace and land it in the bench trace cache."""
     import time
 
-    from repro.ingest import ingest_file, land_in_cache
+    from repro.ingest.cache import land_in_cache
+    from repro.ingest.mapper import ingest_file
+    from repro.trace.io import save_trace
 
     t0 = time.perf_counter()
     result = ingest_file(args.source, reader=args.reader,
@@ -513,6 +518,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.report import run_experiments
+
     report = run_experiments(paper_scale=args.paper_scale,
                              names=tuple(args.apps), jobs=args.jobs)
     if args.format == "markdown":
@@ -532,14 +539,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.bench.cache import DEFAULT_CACHE_DIR
-    from repro.check import check_buggy, check_trace, report_json
+    from repro.check.diagnostics import report_json
     from repro.check.runner import (
         check_apps,
+        check_buggy,
         check_conform,
         check_static_apps,
         check_static_buggy,
+        check_trace,
         lint_report,
     )
+    from repro.trace.io import load_trace
 
     reports = []
     ok = True
@@ -677,16 +687,16 @@ def _bench_resume_command(args: argparse.Namespace) -> str:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from repro.bench import (
+    from repro.bench.cache import DEFAULT_CACHE_DIR
+    from repro.bench.grid import (
         ALL_PRESETS,
         SMOKE_PRESETS,
-        artifact_filename,
         bench_specs,
         micro_specs,
-        run_bench,
         smoke_specs,
     )
-    from repro.bench.cache import DEFAULT_CACHE_DIR
+    from repro.bench.runner import run_bench
+    from repro.bench.schema import artifact_filename
 
     if args.smoke and args.micro:
         print("choose one of --smoke / --micro", file=sys.stderr)
@@ -830,7 +840,8 @@ def _cmd_bench_weak(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import BenchArtifact, compare_artifacts
+    from repro.bench.compare import compare_artifacts
+    from repro.bench.schema import BenchArtifact
 
     current = BenchArtifact.load(args.current)
     baseline = BenchArtifact.load(args.baseline)

@@ -1,65 +1,3 @@
 """The paper's primary contribution: the PUT/GET interface with combined
 flag update, stride transfer, the acknowledge idiom, and completion/
 collective models."""
-
-from repro.core.api import (
-    get,
-    get_stride,
-    put,
-    put_stride,
-    read_remote,
-    write_remote,
-)
-from repro.core.collectives import (
-    REDUCE_OPS,
-    Role,
-    Step,
-    butterfly_rounds,
-    butterfly_schedule,
-    combine,
-    tree_schedule,
-)
-from repro.core.completion import AckPolicy, AckTracker
-from repro.core.errors import (
-    AddressError,
-    CommunicationError,
-    ConfigurationError,
-    DeadlockError,
-    PageFaultError,
-    ProtectionError,
-    QueueOverflowError,
-    ReproError,
-    SimulationError,
-    TraceBufferOverflowError,
-)
-from repro.core.flags import (
-    FLAG_AREA_BASE,
-    MAX_FLAGS_PER_PE,
-    Flag,
-    FlagCounter,
-    flag_area_end,
-    flag_global_id,
-)
-from repro.core.stride import (
-    ElementStride,
-    column_of,
-    contiguous_elements,
-    row_block_of,
-    stride_message_count,
-    submatrix_columns,
-)
-
-__all__ = [
-    "get", "get_stride", "put", "put_stride", "read_remote", "write_remote",
-    "REDUCE_OPS", "Role", "Step", "butterfly_rounds", "butterfly_schedule",
-    "combine", "tree_schedule",
-    "AckPolicy", "AckTracker",
-    "AddressError", "CommunicationError", "ConfigurationError",
-    "DeadlockError", "PageFaultError", "ProtectionError",
-    "QueueOverflowError", "ReproError", "SimulationError",
-    "TraceBufferOverflowError",
-    "FLAG_AREA_BASE", "MAX_FLAGS_PER_PE", "Flag", "FlagCounter",
-    "flag_area_end", "flag_global_id",
-    "ElementStride", "column_of", "contiguous_elements", "row_block_of",
-    "stride_message_count", "submatrix_columns",
-]

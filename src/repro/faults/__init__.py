@@ -9,31 +9,8 @@ Layers (bottom up):
 * :mod:`repro.faults.transport` — :class:`ReliableTransport`, the
   sequence-number/checksum/ack/retransmit layer that makes the faulty
   wire deliver exactly-once, in per-flow order, or fail loudly;
-* :mod:`repro.faults.chaos` — the sweep harness behind ``repro chaos``
-  (imported lazily by the CLI, not here: chaos pulls in the application
-  suite, which would cycle back into the machine).
+* :mod:`repro.faults.chaos` — the sweep harness behind ``repro chaos``.
+
+A machine imports the injector and the transport only when it is built
+under a plan: a perfect machine never loads them.
 """
-
-from repro.faults.injector import FaultStats, FaultyBNet, FaultyTNet
-from repro.faults.plan import (
-    FaultPlan,
-    KillSpec,
-    active_plan,
-    applied,
-    full_plans,
-    smoke_plans,
-)
-from repro.faults.transport import ReliableTransport
-
-__all__ = [
-    "FaultPlan",
-    "KillSpec",
-    "active_plan",
-    "applied",
-    "full_plans",
-    "smoke_plans",
-    "FaultStats",
-    "FaultyTNet",
-    "FaultyBNet",
-    "ReliableTransport",
-]

@@ -7,15 +7,13 @@ a clean :mod:`repro.check` report over the (sanitized) trace — except
 for the robustness counters that say how hard the fabric had to work.
 
 Every application is first run on a perfect machine to capture golden
-digests; each plan then re-runs it inside ``repro.faults.applied(plan)``
-and the digests must match.  Failures are collected, not raised, so one
-sweep reports every broken (app, plan) pair; an unexpected error (for
-example a CommTimeoutError from an exhausted retry budget) marks its
-case failed with the message attached.
+digests; each plan then re-runs it inside ``applied(plan)`` and the
+digests must match.  Failures are collected, not raised, so one sweep
+reports every broken (app, plan) pair; an unexpected error (for example
+a CommTimeoutError from an exhausted retry budget) marks its case
+failed with the message attached.
 
-Imports of the application registry happen lazily inside functions:
-this module is reachable from the CLI while :mod:`repro.machine` imports
-:mod:`repro.faults`, and the app modules import the machine right back.
+The checker and checkpoint capture load only when a case asks for them.
 """
 
 from __future__ import annotations
@@ -27,12 +25,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
-from repro.core.errors import ReproError
-from repro.faults.injector import FaultyTNet
+from repro.apps.workloads import ORDER, workload
+from repro.core.errors import CheckpointInterrupt, ReproError
 from repro.faults.plan import FaultPlan, applied, full_plans, smoke_plans
 from repro.trace import sanitize
 from repro.trace.buffer import (
@@ -41,6 +39,9 @@ from repro.trace.buffer import (
     UNANNOTATED,
     TraceBuffer,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultyTNet
 
 #: Apps exercised by ``repro chaos --smoke`` (one VPP Fortran app with
 #: flag-synchronized PUTs, one C app with GET traffic — small but they
@@ -218,8 +219,6 @@ class ChaosReport:
 def run_under_plan(app: str, plan: FaultPlan | None, *,
                    cells: int | None = None, annotate: bool = False):
     """Run one workload under ``plan`` (None = perfect machine)."""
-    from repro.apps.workloads import workload  # lazy: cycles via machine
-
     with applied(plan), sanitize.enabled(annotate):
         return workload(app).run(num_cells=cells)
 
@@ -230,8 +229,6 @@ def chaos_sweep(apps: Iterable[str] | None = None,
                 log: Callable[[str], None] | None = None) -> ChaosReport:
     """Run ``apps`` x ``plans`` and compare every faulted run against
     its app's fault-free golden run."""
-    from repro.apps.workloads import ORDER  # lazy: cycles via machine
-
     app_names = tuple(apps) if apps else ORDER
     plan_list = tuple(plans) if plans else full_plans()
     report = ChaosReport()
@@ -253,7 +250,7 @@ def chaos_sweep(apps: Iterable[str] | None = None,
 def _run_case(app: str, plan: FaultPlan, want_results: str,
               want_memory: str, *, cells: int | None,
               check: bool) -> ChaosCase:
-    from repro.check.runner import check_trace  # lazy: heavy import
+    from repro.check.runner import check_trace
 
     case = ChaosCase(app=app, plan=plan.name, seed=plan.seed, ok=False)
     try:
@@ -261,8 +258,8 @@ def _run_case(app: str, plan: FaultPlan, want_results: str,
     except ReproError as exc:
         case.error = f"{type(exc).__name__}: {exc}".splitlines()[0]
         return case
-    tnet = run.machine.tnet
-    if isinstance(tnet, FaultyTNet):
+    if run.machine.fault_plan is not None:     # so its wire is faulty
+        tnet = cast("FaultyTNet", run.machine.tnet)
         case.counters = tnet.stats.state()
     case.results_match = results_digest(run.results) == want_results
     case.memory_match = memory_digest(run.machine) == want_memory
@@ -381,7 +378,7 @@ def recover_sweep(apps: Iterable[str] | None = None,
     keeps each case's snapshot on disk (for artifact upload on
     failure); by default they live in temp directories.
     """
-    from repro.ckpt.snapshot import CKPT_APPS  # lazy: cycles via machine
+    from repro.ckpt.snapshot import CKPT_APPS
 
     app_names = tuple(apps) if apps else CKPT_APPS
     if plans is None:
@@ -403,10 +400,8 @@ def recover_sweep(apps: Iterable[str] | None = None,
 def _recover_case(app: str, plan: FaultPlan | None, base_seed: int, *,
                   cells: int | None, smoke: bool,
                   snapshot_root: str | Path | None) -> RecoverCase:
-    from repro.apps.workloads import workload  # lazy: cycles via machine
     from repro.ckpt import policy as ckpt_policy
     from repro.ckpt.snapshot import resume_workload
-    from repro.core.errors import CheckpointInterrupt
 
     plan_seed = plan.seed if plan is not None else base_seed
     plan_name = plan.name if plan is not None else "none"

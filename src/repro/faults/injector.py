@@ -21,36 +21,13 @@ byte-for-byte replayable record the chaos determinism tests compare.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 from repro.core.errors import CommTimeoutError
-from repro.core.state import Stateful
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultStats
 from repro.network.bnet import BNet
 from repro.network.packet import LINK_CONTROL_KINDS, Packet
 from repro.network.tnet import TNet
 from repro.network.topology import TorusTopology
-
-
-@dataclass
-class FaultStats(Stateful):
-    """Counters shared by the injector and the reliable transport."""
-
-    frames_sent: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-    corrupted: int = 0
-    delayed: int = 0
-    blackholed: int = 0
-    # transport side
-    retries: int = 0
-    timeouts: int = 0
-    acks_sent: int = 0
-    nacks_sent: int = 0
-    dup_discarded: int = 0
-    corrupt_discarded: int = 0
-    reordered: int = 0
-    degraded_discards: int = 0
 
 
 class FaultyTNet(TNet):

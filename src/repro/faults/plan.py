@@ -11,7 +11,7 @@ Plans travel three ways:
 
 * programmatically — ``FaultPlan(seed=7, drop_rate=0.02)``;
 * through the machine config — ``MachineConfig(fault_plan=plan)``;
-* ambiently — ``with repro.faults.applied(plan): app.run()``, the path
+* ambiently — ``with applied(plan): app.run()``, the path
   the chaos harness uses because application ``run()`` entry points
   build their machines internally (mirrors ``repro.trace.sanitize``).
 
@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.errors import ConfigurationError
+from repro.core.state import Stateful
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,29 @@ class FaultPlan:
         if isinstance(data, dict):
             data = [data]
         return [cls.from_dict(entry) for entry in data]
+
+
+@dataclass
+class FaultStats(Stateful):
+    """What a plan did to one run: counters shared by the injector and
+    the reliable transport.  Here, not beside them, because a perfect
+    machine reports the same ledger, all zero, without loading either."""
+
+    frames_sent: int = 0
+    dropped: int = 0
+    duplicated: int = 0
+    corrupted: int = 0
+    delayed: int = 0
+    blackholed: int = 0
+    # transport side
+    retries: int = 0
+    timeouts: int = 0
+    acks_sent: int = 0
+    nacks_sent: int = 0
+    dup_discarded: int = 0
+    corrupt_discarded: int = 0
+    reordered: int = 0
+    degraded_discards: int = 0
 
 
 # ----------------------------------------------------------------------

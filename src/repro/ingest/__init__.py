@@ -11,59 +11,3 @@ put/get flag plumbing, send/recv matching — that ``repro replay``,
 ``repro check``, and ``repro trace export`` consume unmodified.  See
 ``docs/ingest.md``.
 """
-
-from repro.core.errors import IngestError
-from repro.ingest.cache import (
-    ingest_app_name,
-    ingest_config,
-    land_in_cache,
-    source_digest,
-)
-from repro.ingest.events import (
-    OP_ALIASES,
-    PARTNER_OPS,
-    ForeignEvent,
-    ForeignOp,
-    parse_op,
-)
-from repro.ingest.mapper import (
-    GET_FLAG_SLOT,
-    PUT_FLAG_SLOT,
-    SCALAR_REDUCE_BYTES,
-    IngestResult,
-    ingest_file,
-    map_events,
-)
-from repro.ingest.readers import (
-    Reader,
-    get_reader,
-    read_events,
-    reader_names,
-    register_reader,
-    sniff_reader,
-)
-
-__all__ = [
-    "OP_ALIASES",
-    "PARTNER_OPS",
-    "GET_FLAG_SLOT",
-    "PUT_FLAG_SLOT",
-    "SCALAR_REDUCE_BYTES",
-    "ForeignEvent",
-    "ForeignOp",
-    "IngestError",
-    "IngestResult",
-    "Reader",
-    "get_reader",
-    "ingest_app_name",
-    "ingest_config",
-    "ingest_file",
-    "land_in_cache",
-    "map_events",
-    "parse_op",
-    "read_events",
-    "reader_names",
-    "register_reader",
-    "sniff_reader",
-    "source_digest",
-]

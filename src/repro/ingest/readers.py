@@ -7,7 +7,8 @@ one explicitly; :func:`sniff_reader` picks one from the file itself
 
 Third-party formats plug in with :func:`register_reader`::
 
-    from repro.ingest import ForeignEvent, register_reader
+    from repro.ingest.events import ForeignEvent
+    from repro.ingest.readers import register_reader
 
     @register_reader("otf-lite")
     def read_otf_lite(path):

@@ -1,31 +1,3 @@
 """The VPP Fortran runtime layer: data distributions, global arrays with
 overlap areas, SPREAD MOVE / OVERLAP FIX / MOVEWAIT, and global
 reductions over communication registers and ring buffers."""
-
-from repro.lang.directives import (
-    Fragment,
-    MoveWait,
-    SpreadMove,
-    execute_fragment,
-    parse_fragment,
-)
-from repro.lang.distribution import BlockDistribution, CyclicDistribution
-from repro.lang.global_array import GlobalArray
-from repro.lang.reductions import CommRegisterReducer, ring_vector_reduce
-from repro.lang.runtime import RT_CALL_US, RT_PER_MSG_US, VPPRuntime
-
-__all__ = [
-    "Fragment",
-    "MoveWait",
-    "SpreadMove",
-    "execute_fragment",
-    "parse_fragment",
-    "BlockDistribution",
-    "CyclicDistribution",
-    "GlobalArray",
-    "CommRegisterReducer",
-    "ring_vector_reduce",
-    "RT_CALL_US",
-    "RT_PER_MSG_US",
-    "VPPRuntime",
-]

@@ -1,33 +1,2 @@
 """The functional AP1000+ machine: configuration, SPMD scheduler, the
 per-cell programming interface, and ring buffers for SEND/RECEIVE."""
-
-from repro.machine.config import (
-    MEGABYTE,
-    PEAK_MFLOPS_PER_CELL,
-    SPARC_US_PER_FLOP,
-    MachineConfig,
-)
-from repro.machine.machine import Machine
-from repro.machine.program import (
-    CellContext,
-    Group,
-    LocalArray,
-    WriteThroughArray,
-)
-from repro.machine.shmem import SharedMemory
-from repro.machine.ringbuffer import DEFAULT_RING_BYTES, RingBuffer
-
-__all__ = [
-    "MEGABYTE",
-    "PEAK_MFLOPS_PER_CELL",
-    "SPARC_US_PER_FLOP",
-    "MachineConfig",
-    "Machine",
-    "CellContext",
-    "Group",
-    "LocalArray",
-    "WriteThroughArray",
-    "SharedMemory",
-    "DEFAULT_RING_BYTES",
-    "RingBuffer",
-]

@@ -71,7 +71,7 @@ class MachineConfig:
     observe: bool = False
     #: Seeded fault-injection schedule (:mod:`repro.faults`); None runs a
     #: perfect machine.  Also switchable ambiently via
-    #: :func:`repro.faults.applied`.
+    #: :func:`repro.faults.plan.applied`.
     fault_plan: "FaultPlan | None" = None
     #: Arm a periodic checkpoint gate: every cell parks at its N-th
     #: arrival at a ``ctx.checkpoint()`` site and a snapshot is captured

@@ -19,7 +19,7 @@ import functools
 import inspect
 import random
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.ckpt import policy as _ckpt_policy
 from repro.core.completion import AckPolicy
@@ -30,9 +30,7 @@ from repro.core.errors import (
     ConfigurationError,
     DeadlockError,
 )
-from repro.faults.injector import FaultyBNet, FaultyTNet
 from repro.faults.plan import active_plan as _active_fault_plan
-from repro.faults.transport import ReliableTransport
 from repro.hardware.cell import boot_cells
 from repro.hardware.msc import Command, CommandKind, MSCPlus
 from repro.machine.base import MachineBase, run_wake_rounds
@@ -46,6 +44,10 @@ from repro.obs.observer import MachineObserver
 from repro.obs.observer import active as _obs_active
 from repro.trace import sanitize as trace_sanitize
 from repro.trace.events import EventKind
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultyTNet
+    from repro.faults.transport import ReliableTransport
 
 #: Frames the receiving MSC+ queues a reply for instead of consuming.
 _QUEUES_A_REPLY = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
@@ -94,6 +96,9 @@ class Machine(MachineBase):
                 else _active_fault_plan())
         self.fault_plan = plan
         if plan is not None:
+            # The fault layer loads only for a machine that has a plan.
+            from repro.faults.injector import FaultyBNet, FaultyTNet
+
             self.fault_rng = random.Random(plan.seed)
             self.tnet: TNet = FaultyTNet(self.topology, plan,
                                          self.fault_rng)
@@ -127,9 +132,11 @@ class Machine(MachineBase):
                     f"outside this {n}-cell machine")
         self._active_generators: dict[int, Any] | None = None
         #: Reliable link layer; None on a perfect machine.
-        self.transport = (ReliableTransport(self.tnet, plan, self)
-                          if plan is not None else None)
-        if self.transport is not None:
+        self.transport: ReliableTransport | None = None
+        if plan is not None:
+            from repro.faults.transport import ReliableTransport
+
+            self.transport = ReliableTransport(self.tnet, plan, self)
             self.tnet.transport = self.transport
         else:
             # A perfect wire holds no frame: each MSC+ is plugged into
@@ -184,7 +191,7 @@ class Machine(MachineBase):
         #: ``repro run --resume-from`` knows what to re-launch.
         self.ckpt_meta: dict[str, Any] | None = None
         self._active_contexts: list[CellContext] | None = None
-        #: Restore payloads staged by repro.ckpt.restore_machine and
+        #: Restore payloads staged by ``snapshot.restore_machine`` and
         #: consumed by the next run(): per-cell app loop state, context
         #: ``state()``s, and the killed set whose generators must be
         #: closed.
@@ -584,10 +591,11 @@ class Machine(MachineBase):
         self.progress += 1
 
     def _cut_off(self, pe: int) -> None:
-        """Frames toward a dead cell fall off the wire."""
+        """Frames toward a dead cell fall off the wire (a faulty one,
+        which exists exactly when a plan does, drops them itself)."""
         tnet = self.tnet
-        if isinstance(tnet, FaultyTNet):
-            tnet.killed.add(pe)
+        if self.fault_plan is not None:
+            cast("FaultyTNet", tnet).killed.add(pe)
         elif tnet.ports is not None:
             tnet.ports[pe] = _fall_off
 

@@ -1,23 +1,2 @@
 """AP1000+ interconnect models: T-net (torus), B-net (broadcast), S-net
 (barrier), plus the packet formats they carry."""
-
-from repro.network.bnet import BNet, BNET_BANDWIDTH_MB_S, HOST_ID
-from repro.network.packet import HEADER_BYTES, Packet, PacketKind, StrideSpec
-from repro.network.snet import SNet
-from repro.network.tnet import LINK_BANDWIDTH_MB_S, LINKS_PER_CELL, TNet
-from repro.network.topology import TorusTopology
-
-__all__ = [
-    "BNet",
-    "BNET_BANDWIDTH_MB_S",
-    "HOST_ID",
-    "HEADER_BYTES",
-    "Packet",
-    "PacketKind",
-    "StrideSpec",
-    "SNet",
-    "TNet",
-    "LINK_BANDWIDTH_MB_S",
-    "LINKS_PER_CELL",
-    "TorusTopology",
-]

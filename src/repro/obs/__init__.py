@@ -8,45 +8,16 @@ deep* an MSC+ queue ran before spilling.  ``repro.obs`` adds:
 * :mod:`repro.obs.registry` — counters, gauges, and log2-bucketed
   latency histograms with a canonical JSON form;
 * :mod:`repro.obs.observer` — a per-machine observer (plus the ambient
-  :func:`enabled` switch mirroring the sanitizer's) that samples queue
+  ``enabled()`` switch mirroring the sanitizer's) that samples queue
   occupancy and per-link traffic during functional runs, and
-  :func:`machine_metrics`, which harvests the machine's always-on
+  ``machine_metrics()``, which harvests the machine's always-on
   hardware counters into one JSON document;
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto export of an
-  MLSim replay (spans, flow arrows, instants, phase marks), imported
-  explicitly to keep the import graph acyclic;
+  MLSim replay (spans, flow arrows, instants, phase marks);
 * :mod:`repro.obs.top` — ASCII per-PE utilization bars and link
-  heatmaps (``repro top``), also imported explicitly.
+  heatmaps (``repro top``).
 
 Observation is off by default; a machine built without
-``MachineConfig(observe=True)`` (or outside :func:`enabled`) carries
+``MachineConfig(observe=True)`` (or outside ``enabled()``) carries
 ``machine.obs is None`` and pays one attribute test per pump.
 """
-
-from repro.obs.observer import (
-    MachineObserver,
-    active,
-    enabled,
-    machine_metrics,
-)
-from repro.obs.registry import (
-    MACHINE_SCHEMA,
-    REPLAY_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-__all__ = [
-    "MACHINE_SCHEMA",
-    "REPLAY_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MachineObserver",
-    "MetricsRegistry",
-    "active",
-    "enabled",
-    "machine_metrics",
-]

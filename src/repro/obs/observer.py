@@ -24,7 +24,9 @@ from dataclasses import fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
+from repro.faults.plan import FaultStats
 from repro.hardware.msc import MSCStats
+from repro.obs.registry import MACHINE_SCHEMA
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -129,12 +131,6 @@ class MachineObserver:
         return self._occupancy
 
 
-def _zero_fault_stats() -> dict[str, int]:
-    from repro.faults.injector import FaultStats
-
-    return FaultStats().state()
-
-
 def machine_metrics(machine: "Machine") -> dict[str, Any]:
     """Harvest one machine's counters into a JSON-native document.
 
@@ -205,9 +201,7 @@ def machine_metrics(machine: "Machine") -> dict[str, Any]:
         "snet_barriers": machine.snet.episodes_completed,
     }
     stats = getattr(tnet, "stats", None)
-    faults = stats.state() if stats is not None else _zero_fault_stats()
-    from repro.obs.registry import MACHINE_SCHEMA
-
+    faults = (stats if stats is not None else FaultStats()).state()
     return {
         "schema": MACHINE_SCHEMA,
         "observed": obs is not None,

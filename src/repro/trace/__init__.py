@@ -1,40 +1,2 @@
 """Trace recording (probe events), bounded buffering, serialization, and
 Table 3 statistics."""
-
-from repro.trace.buffer import DEFAULT_CAPACITY, TraceBuffer
-from repro.trace.compare import (
-    assert_traces_equal,
-    compare_traces,
-    trace_fingerprint,
-)
-from repro.trace.events import (
-    MESSAGE_KINDS,
-    EventKind,
-    GroupTable,
-    TraceEvent,
-)
-from repro.trace.io import load_trace, save_trace
-from repro.trace.stats import (
-    TABLE3_COLUMNS,
-    AppStatistics,
-    collect_statistics,
-    format_table3_row,
-)
-
-__all__ = [
-    "DEFAULT_CAPACITY",
-    "TraceBuffer",
-    "assert_traces_equal",
-    "compare_traces",
-    "trace_fingerprint",
-    "MESSAGE_KINDS",
-    "EventKind",
-    "GroupTable",
-    "TraceEvent",
-    "load_trace",
-    "save_trace",
-    "TABLE3_COLUMNS",
-    "AppStatistics",
-    "collect_statistics",
-    "format_table3_row",
-]

@@ -128,7 +128,7 @@ class TraceSink(Protocol):
 
 #: Ambient sink for incremental trace writing.  A ContextVar (not a
 #: module global) so nested tools and tests compose; the pattern
-#: mirrors ``repro.trace.sanitize.enabled`` / ``repro.obs.enabled``.
+#: mirrors ``repro.trace.sanitize.enabled`` / ``repro.obs.observer.enabled``.
 _active_sink: ContextVar[TraceSink | None] = ContextVar(
     "repro_trace_sink", default=None)
 

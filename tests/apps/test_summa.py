@@ -79,7 +79,8 @@ class TestTiming:
         """Software group barriers (comm registers) are charged per
         butterfly round; the hardware S-net barrier is flat — visible in
         the replay."""
-        from repro.mlsim import ap1000_plus_params, simulate
+        from repro.mlsim.params import ap1000_plus_params
+        from repro.mlsim.simulator import simulate
         run = summa.run(num_cells=16, n=32)
         res = simulate(run.trace, ap1000_plus_params())
         assert res.elapsed_us > 0

@@ -5,7 +5,7 @@ import json
 
 from repro.bench.grid import BenchSpec
 from repro.bench.cache import TraceCache
-from repro.check import report_json
+from repro.check.diagnostics import report_json
 from repro.check.runner import (
     check_app,
     check_buggy,

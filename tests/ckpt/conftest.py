@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import CheckpointPolicy, applied, load_snapshot
+from repro.ckpt.policy import CheckpointPolicy, applied
+from repro.ckpt.snapshot import load_snapshot
 from repro.faults.chaos import SMOKE_RECOVER_PARAMS
 
 

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import (
-    CheckpointPolicy,
-    applied,
+from repro.ckpt.policy import CheckpointPolicy, applied
+from repro.ckpt.snapshot import (
     latest_snapshot,
     load_snapshot,
     restore_machine,

@@ -5,10 +5,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ckpt import CheckpointPolicy, applied, load_snapshot
 from repro.ckpt import policy as ckpt_policy
-from repro.ckpt import restore_machine, resume_workload
-from repro.ckpt.snapshot import capture_snapshot, save_snapshot
+from repro.ckpt.policy import CheckpointPolicy, applied
+from repro.ckpt.snapshot import (
+    capture_snapshot,
+    load_snapshot,
+    restore_machine,
+    resume_workload,
+    save_snapshot,
+)
 from repro.core.errors import (
     CheckpointInterrupt,
     ConfigurationError,

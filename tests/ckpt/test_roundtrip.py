@@ -22,20 +22,16 @@ import contextlib
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import (
-    CheckpointPolicy,
-    applied,
-    restore_machine,
-    resume_workload,
-)
+from repro.ckpt.policy import CheckpointPolicy, applied
+from repro.ckpt.snapshot import restore_machine, resume_workload
 from repro.core.errors import CheckpointInterrupt
-from repro.faults import FaultPlan, KillSpec
-from repro.faults import applied as faults_applied
 from repro.faults.chaos import (
     memory_digest,
     results_digest,
     trace_digest,
 )
+from repro.faults.plan import FaultPlan, KillSpec
+from repro.faults.plan import applied as faults_applied
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 

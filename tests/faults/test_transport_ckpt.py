@@ -10,12 +10,12 @@ import pickle
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import CheckpointPolicy, applied as ckpt_applied
-from repro.ckpt import load_snapshot, restore_machine
+from repro.ckpt.policy import CheckpointPolicy, applied as ckpt_applied
+from repro.ckpt.snapshot import load_snapshot, restore_machine
 from repro.core.errors import CheckpointInterrupt
-from repro.faults import applied as faults_applied
 from repro.faults.chaos import SMOKE_RECOVER_PARAMS
 from repro.faults.plan import FaultPlan
+from repro.faults.plan import applied as faults_applied
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.network.packet import Packet, PacketKind, link_checksum

@@ -11,13 +11,13 @@ import pytest
 
 from repro.bench.cache import TraceCache
 from repro.core.errors import IngestError
-from repro.ingest import (
+from repro.ingest.cache import (
     ingest_app_name,
     ingest_config,
-    ingest_file,
     land_in_cache,
     source_digest,
 )
+from repro.ingest.mapper import ingest_file
 from repro.trace.io import load_trace
 
 

@@ -12,11 +12,10 @@ import pytest
 
 from repro.core.errors import IngestError
 from repro.core.flags import flag_global_id
-from repro.ingest import (
+from repro.ingest.events import ForeignEvent, ForeignOp
+from repro.ingest.mapper import (
     GET_FLAG_SLOT,
     PUT_FLAG_SLOT,
-    ForeignEvent,
-    ForeignOp,
     ingest_file,
     map_events,
 )
@@ -229,7 +228,7 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("sample", ["ring4.vef", "pingpong.jsonl"])
     def test_samples_pass_the_checker(self, sample, examples_dir):
-        from repro.check import check_trace
+        from repro.check.runner import check_trace
 
         result = ingest_file(examples_dir / sample)
         report = check_trace(result.trace, sample)

@@ -13,11 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import IngestError, ReproError
-from repro.ingest import (
-    ForeignEvent,
-    ForeignOp,
+from repro.ingest.events import ForeignEvent, ForeignOp, parse_op
+from repro.ingest.readers import (
     get_reader,
-    parse_op,
     read_events,
     reader_names,
     register_reader,

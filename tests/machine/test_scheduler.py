@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.apps.workloads import workload
 from repro.core.errors import CommTimeoutError
-from repro.faults import FaultPlan, KillSpec, applied, smoke_plans
+from repro.faults.plan import FaultPlan, KillSpec, applied, smoke_plans
 from repro.faults.chaos import memory_digest, results_digest, trace_digest
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine

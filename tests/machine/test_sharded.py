@@ -21,7 +21,7 @@ import types
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt import CheckpointPolicy, applied
+from repro.ckpt.policy import CheckpointPolicy, applied
 from repro.ckpt.snapshot import resume_workload
 from repro.core.errors import (
     CommunicationError,

@@ -286,7 +286,7 @@ class TestBenchResume:
             seen.update(kwargs)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.bench.run_bench", fake_run_bench)
+        monkeypatch.setattr("repro.bench.runner.run_bench", fake_run_bench)
         code = main(["bench", "run", "--smoke",
                      "--cache-dir", str(tmp_path)])
         assert code == EXIT_RESUMABLE
@@ -298,7 +298,7 @@ class TestBenchResume:
         def fake_run_bench(specs, presets, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.bench.run_bench", fake_run_bench)
+        monkeypatch.setattr("repro.bench.runner.run_bench", fake_run_bench)
         code = main(["bench", "run", "--smoke", "--no-cache"])
         assert code == 130
         assert "no journal" in capsys.readouterr().out
