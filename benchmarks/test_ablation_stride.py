@@ -11,6 +11,7 @@ import pytest
 from conftest import write_artifact
 from repro.apps import ft, tomcatv
 from repro.core.errors import TraceBufferOverflowError
+from repro.machine.config import MachineConfig
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +54,13 @@ class TestFTStrideAblation:
         element-wise transposes overflow before finishing."""
         with pytest.raises(TraceBufferOverflowError):
             ft.run(num_cells=8, shape=(32, 32, 32), iters=6,
-                   use_stride=False, trace_capacity=100_000)
+                   use_stride=False,
+                   config=MachineConfig(trace_capacity=100_000))
 
     def test_ft_with_stride_fits_easily(self):
         run = ft.run(num_cells=8, shape=(32, 32, 32), iters=6,
-                     use_stride=True, trace_capacity=100_000)
+                     use_stride=True,
+                     config=MachineConfig(trace_capacity=100_000))
         assert run.verified
         assert run.trace.total_events < 10_000
 

@@ -18,16 +18,11 @@ import sys
 
 
 def run_one(name: str, shards: int, num_cells: int | None):
-    os.environ["REPRO_MACHINE_SHARDS"] = str(shards)
-    try:
-        from repro.apps.workloads import workload
+    from repro.apps.workloads import workload
+    from repro.machine.config import MachineConfig
 
-        kwargs = {}
-        if num_cells is not None:
-            kwargs["num_cells"] = num_cells
-        return workload(name).run(**kwargs)
-    finally:
-        os.environ.pop("REPRO_MACHINE_SHARDS", None)
+    return workload(name).run(num_cells=num_cells,
+                              config=MachineConfig(shards=shards))
 
 
 def _shm_entries() -> set[str]:

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.lang.distribution import BlockDistribution
 from repro.lang.runtime import VPPRuntime
 
@@ -153,7 +154,8 @@ def reference(*, n: int = DEFAULT_N, outer: int = DEFAULT_OUTER,
 
 def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
         outer: int = DEFAULT_OUTER, inner: int = DEFAULT_INNER,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run CG and verify the eigenvalue estimate against the sequential
     reference."""
 
@@ -169,5 +171,5 @@ def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
         }
 
     return execute("CG", program, num_cells, verify,
-                   trace_capacity=trace_capacity,
+                   config=config, resume_from=resume_from,
                    n=n, outer=outer, inner=inner)

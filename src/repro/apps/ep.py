@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 
 #: NPB EP constants.
 LCG_A = 5 ** 13
@@ -92,7 +93,8 @@ def reference(*, log2_pairs: int = DEFAULT_LOG2_PAIRS):
 
 def run(num_cells: int = DEFAULT_PES, *,
         log2_pairs: int = DEFAULT_LOG2_PAIRS,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run EP and verify the distributed counts against the sequential
     reference (the LCG split must be seamless)."""
 
@@ -113,4 +115,5 @@ def run(num_cells: int = DEFAULT_PES, *,
         }
 
     return execute("EP", program, num_cells, verify,
-                   trace_capacity=trace_capacity, log2_pairs=log2_pairs)
+                   config=config, resume_from=resume_from,
+                   log2_pairs=log2_pairs)

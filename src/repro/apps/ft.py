@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.core.stride import ElementStride
 from repro.lang.distribution import BlockDistribution
 from repro.lang.runtime import VPPRuntime
@@ -227,7 +228,8 @@ def reference(*, shape: tuple[int, int, int] = DEFAULT_SHAPE,
 def run(num_cells: int = DEFAULT_PES, *,
         shape: tuple[int, int, int] = DEFAULT_SHAPE,
         iters: int = DEFAULT_ITERS, use_stride: bool = True,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run FT and verify the per-iteration checksums against numpy."""
 
     def verify(results, machine):
@@ -243,5 +245,5 @@ def run(num_cells: int = DEFAULT_PES, *,
         }
 
     return execute("FT", program, num_cells, verify,
-                   trace_capacity=trace_capacity,
+                   config=config, resume_from=resume_from,
                    shape=shape, iters=iters, use_stride=use_stride)

@@ -23,6 +23,7 @@ bounces or hops it takes part in, never over the whole run's.
 from __future__ import annotations
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 
 PAPER_PES = 64
 DEFAULT_PES = 64
@@ -95,7 +96,8 @@ def ring_shift_program(ctx, *, hops: int = DEFAULT_ITERS):
 
 def run_ping_pong(num_cells: int = DEFAULT_PES, *,
                   iters: int = DEFAULT_ITERS,
-                  trace_capacity: int | None = None) -> AppRun:
+                  config: MachineConfig | None = None,
+                  resume_from: str | None = None) -> AppRun:
     """Run ping-pong and check the last bounce arrived intact."""
 
     def verify(results, machine):
@@ -107,12 +109,13 @@ def run_ping_pong(num_cells: int = DEFAULT_PES, *,
         }
 
     return execute("PingPong", ping_pong_program, num_cells, verify,
-                   trace_capacity=trace_capacity, iters=iters)
+                   config=config, resume_from=resume_from, iters=iters)
 
 
 def run_ring_shift(num_cells: int = DEFAULT_PES, *,
                    hops: int = DEFAULT_ITERS,
-                   trace_capacity: int | None = None) -> AppRun:
+                   config: MachineConfig | None = None,
+                   resume_from: str | None = None) -> AppRun:
     """Run the ring shift and check every cell took its share of hops."""
 
     def verify(results, machine):
@@ -120,4 +123,4 @@ def run_ring_shift(num_cells: int = DEFAULT_PES, *,
         return {"hops_complete": sum(results) == max(hops - 1, 0)}
 
     return execute("RingShift", ring_shift_program, num_cells, verify,
-                   trace_capacity=trace_capacity, hops=hops)
+                   config=config, resume_from=resume_from, hops=hops)

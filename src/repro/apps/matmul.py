@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.lang.distribution import BlockDistribution
 
 PAPER_PES = 64
@@ -89,7 +90,8 @@ def reference(*, n: int = DEFAULT_N) -> np.ndarray:
 
 
 def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run MatMul and verify C against numpy's ``A @ B``."""
 
     def verify(results, machine):
@@ -101,4 +103,4 @@ def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
         }
 
     return execute("MatMul", program, num_cells, verify,
-                   trace_capacity=trace_capacity, n=n)
+                   config=config, resume_from=resume_from, n=n)

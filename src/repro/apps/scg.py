@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.lang.distribution import BlockDistribution
 
 PAPER_PES = 64
@@ -141,7 +142,8 @@ def reference(*, m: int = DEFAULT_M, tol: float = TOL,
 
 def run(num_cells: int = DEFAULT_PES, *, m: int = DEFAULT_M,
         tol: float = TOL, max_iters: int = MAX_ITERS,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run SCG and verify convergence and the solution itself."""
 
     def verify(results, machine):
@@ -161,5 +163,5 @@ def run(num_cells: int = DEFAULT_PES, *, m: int = DEFAULT_M,
         }
 
     return execute("SCG", program, num_cells, verify,
-                   trace_capacity=trace_capacity,
+                   config=config, resume_from=resume_from,
                    m=m, tol=tol, max_iters=max_iters)

@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.apps.penta import (
     PentaBands,
     back_substitute,
@@ -227,7 +228,8 @@ def reference(*, shape: tuple[int, int, int] = DEFAULT_SHAPE,
 def run(num_cells: int = DEFAULT_PES, *,
         shape: tuple[int, int, int] = DEFAULT_SHAPE,
         iters: int = DEFAULT_ITERS, chunks: int | None = DEFAULT_CHUNKS,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run SP and verify the field against the sequential reference."""
 
     def verify(results, machine):
@@ -243,5 +245,5 @@ def run(num_cells: int = DEFAULT_PES, *,
         }
 
     return execute("SP", program, num_cells, verify,
-                   trace_capacity=trace_capacity,
+                   config=config, resume_from=resume_from,
                    shape=shape, iters=iters, chunks=chunks)

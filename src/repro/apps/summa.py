@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.core.errors import ConfigurationError
 from repro.core.stride import ElementStride
 from repro.lang.distribution import BlockDistribution
@@ -135,7 +136,8 @@ def reference(*, n: int = DEFAULT_N) -> np.ndarray:
 
 
 def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run SUMMA and verify both the assembled product and the
     group-reduced checksum."""
     g = grid_side(num_cells)
@@ -160,4 +162,4 @@ def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
         }
 
     return execute("SUMMA", program, num_cells, verify,
-                   trace_capacity=trace_capacity, n=n)
+                   config=config, resume_from=resume_from, n=n)

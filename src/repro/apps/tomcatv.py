@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.apps.base import AppRun, execute
+from repro.machine.config import MachineConfig
 from repro.lang.runtime import VPPRuntime
 
 PAPER_PES = 16
@@ -162,7 +163,8 @@ def reference(*, n: int = DEFAULT_N, iters: int = DEFAULT_ITERS):
 
 def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
         iters: int = DEFAULT_ITERS, use_stride: bool = True,
-        trace_capacity: int | None = None) -> AppRun:
+        config: MachineConfig | None = None,
+        resume_from: str | None = None) -> AppRun:
     """Run TOMCATV and verify mesh coordinates against the sequential
     reference (elementwise-identical arithmetic, so the match is tight)."""
 
@@ -181,5 +183,5 @@ def run(num_cells: int = DEFAULT_PES, *, n: int = DEFAULT_N,
         }
 
     return execute("TOMCATV", program, num_cells, verify,
-                   trace_capacity=trace_capacity,
+                   config=config, resume_from=resume_from,
                    n=n, iters=iters, use_stride=use_stride)

@@ -23,6 +23,7 @@ from typing import Any
 from repro.apps import cg, ep, ft, latency, matmul, scg, sp, tomcatv
 from repro.apps.base import AppRun
 from repro.core.errors import ConfigurationError
+from repro.machine.config import MachineConfig
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,18 @@ class Workload:
     language: str  # "VPP Fortran" or "C"
 
     def run(self, *, paper_scale: bool = False,
-            num_cells: int | None = None, **overrides) -> AppRun:
+            num_cells: int | None = None,
+            config: MachineConfig | None = None,
+            resume_from: str | None = None, **overrides) -> AppRun:
+        """Run the row at the default (or paper) size on a machine
+        configured by ``config``; see :func:`repro.apps.base.execute`."""
         params = dict(self.paper_params if paper_scale
                       else self.default_params)
         params.update(overrides)
         cells = num_cells or (self.paper_pes if paper_scale
                               else self.default_pes)
-        return self.runner(num_cells=cells, **params)
+        return self.runner(num_cells=cells, config=config,
+                           resume_from=resume_from, **params)
 
 
 WORKLOADS: dict[str, Workload] = {

@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.apps.workloads import ORDER, workload
 from repro.core.errors import ConfigurationError
+from repro.machine.config import MachineConfig
 
 #: All Figure 6 parameter presets, in canonical replay order.
 ALL_PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
@@ -75,10 +76,13 @@ class BenchSpec:
         artifact provenance)."""
         return {"num_cells": self.num_cells, **self.params}
 
-    def run(self):
-        """Execute the functional run and return the verified AppRun."""
+    def run(self, config: MachineConfig | None = None,
+            resume_from: str | None = None):
+        """Execute the functional run on a machine configured by
+        ``config`` and return the verified AppRun."""
         return workload(self.app).runner(
-            num_cells=self.num_cells, **self.params
+            num_cells=self.num_cells, config=config,
+            resume_from=resume_from, **self.params
         )
 
 

@@ -64,12 +64,11 @@ from repro.bench.schema import (
     app_result_from_dict,
 )
 from repro.core.errors import ConfigurationError
+from repro.machine.config import MachineConfig
 from repro.mlsim.breakdown import MLSimResult
 from repro.mlsim.engine_soa import replay_columns
 from repro.mlsim.params import preset as load_preset
 from repro.mlsim.simulator import ModelComparison
-from repro.obs import observer as obs
-from repro.trace import sanitize as trace_sanitize
 
 BASELINE_PRESET = "ap1000"
 JOURNAL_SCHEMA = "repro-bench-journal-v1"
@@ -149,8 +148,7 @@ def _functional_task(
     # `repro check` and the --check stage (replays ignore the fields),
     # and with the machine observer attached so the cache entry carries
     # the telemetry harvest (link traffic, queue occupancy).
-    with trace_sanitize.enabled(), obs.enabled():
-        run = spec.run()
+    run = spec.run(MachineConfig(sanitize=True, observe=True))
     wall = time.perf_counter() - start
     return cache.put(spec.app, spec.config(), run, wall)
 

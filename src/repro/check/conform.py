@@ -20,10 +20,8 @@ clean report whose stats record the verified counts at each P.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from pathlib import Path
-from typing import Any
 
 from repro.bench.cache import DEFAULT_CACHE_DIR, TraceCache
 from repro.bench.grid import BenchSpec
@@ -40,7 +38,6 @@ from repro.check.diagnostics import (
     Diagnostic,
     EventRef,
 )
-from repro.trace import sanitize
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 
@@ -164,25 +161,6 @@ def conform_trace(run: CommRun,
     return diags
 
 
-def _recorded_run(spec: BenchSpec, cache: TraceCache | None) -> Any:
-    """A sanitized (byte-annotated) recorded run, via the trace cache."""
-    from repro.check.runner import trace_is_annotated
-
-    if cache is not None:
-        cached = cache.get(spec.app, spec.config())
-        if cached is not None and trace_is_annotated(cached.trace):
-            return cached
-    start = time.perf_counter()
-    with sanitize.enabled():
-        app_run = spec.run()
-    wall = time.perf_counter() - start
-    if cache is not None:
-        run = cache.put(spec.app, spec.config(), app_run, wall)
-        run._trace = app_run.trace
-        return run
-    return app_run
-
-
 def conform_app(
     name: str,
     *,
@@ -193,6 +171,9 @@ def conform_app(
 ) -> CheckReport:
     """Record (or load) real traces of one app at several machine sizes
     and check each against the static communication graph."""
+    # Lazy: the runner imports this module.
+    from repro.check.runner import sanitized_run
+
     report = CheckReport(subject=f"conform/{name}")
     static_report, graph, runs = analyze_app(name, scales=scales)
     if not static_report.clean:
@@ -207,7 +188,7 @@ def conform_app(
         if log is not None:
             log(f"conform {name} at P={p}")
         spec = BenchSpec(app=name, num_cells=p, params=dict(params))
-        recorded = _recorded_run(spec, cache)
+        recorded, _ = sanitized_run(spec, cache)
         report.extend(conform_trace(runs[p], recorded.trace))
         recorded_totals = kind_totals(recorded.trace)
         verified_forms = 0

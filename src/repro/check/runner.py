@@ -36,7 +36,7 @@ from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.check.hb import hb_report
 from repro.check.lint import lint_file, lint_paths
 from repro.check.races import race_report
-from repro.trace import sanitize
+from repro.machine.config import MachineConfig
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind
 
@@ -81,6 +81,26 @@ def trace_is_annotated(trace: TraceBuffer) -> bool:
     )
 
 
+def sanitized_run(spec: BenchSpec, cache: TraceCache | None, *,
+                  reuse: bool = True) -> tuple[Any, bool]:
+    """A byte-annotated recorded run of ``spec`` and whether it came
+    from the cache: an annotated cache entry when ``reuse`` finds one,
+    else a run recorded with the sanitizer on and ``put`` in ``cache``
+    (when there is one)."""
+    if cache is not None and reuse:
+        cached = cache.get(spec.app, spec.config())
+        if cached is not None and trace_is_annotated(cached.trace):
+            return cached, True
+    start = time.perf_counter()
+    app_run = spec.run(MachineConfig(sanitize=True))
+    wall = time.perf_counter() - start
+    if cache is None:
+        return app_run, False
+    run = cache.put(spec.app, spec.config(), app_run, wall)
+    run._trace = app_run.trace
+    return run, False
+
+
 def check_app(
     spec: BenchSpec,
     *,
@@ -90,23 +110,7 @@ def check_app(
     """Check one application configuration, reusing a cached sanitized
     trace when one exists and re-recording (with annotations) when not.
     """
-    run: Any = None
-    cache_hit = False
-    if cache is not None and use_cache:
-        cached = cache.get(spec.app, spec.config())
-        if cached is not None and trace_is_annotated(cached.trace):
-            run, cache_hit = cached, True
-    wall = 0.0
-    if run is None:
-        start = time.perf_counter()
-        with sanitize.enabled():
-            app_run = spec.run()
-        wall = time.perf_counter() - start
-        if cache is not None:
-            run = cache.put(spec.app, spec.config(), app_run, wall)
-            run._trace = app_run.trace
-        else:
-            run = app_run
+    run, cache_hit = sanitized_run(spec, cache, reuse=use_cache)
     report = check_trace(run.trace, spec.app)
     report.stats["cache_hit"] = int(cache_hit)
     if not getattr(run, "verified", True):

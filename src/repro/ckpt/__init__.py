@@ -11,10 +11,10 @@ checkpoint schedule.
 
 The package splits into:
 
-* :mod:`repro.ckpt.policy` — the ambient checkpoint policy (capture
-  cadence, snapshot directory, resume source) applied around a run the
-  same way fault plans and the sanitizer are, plus the signal-safe
-  interrupt flag ``repro run`` uses to checkpoint on SIGTERM.
+* :mod:`repro.ckpt.policy` — the signal-safe interrupt flag ``repro
+  run`` uses to checkpoint on SIGTERM.  The capture cadence, one-shot
+  site and snapshot directory are ``MachineConfig`` fields; the resume
+  source is ``Workload.run(resume_from=...)``.
 * :mod:`repro.ckpt.snapshot` — capture/save/load/restore of the
   versioned ``repro-ckpt-v1`` artifact (JSON header + pickled machine
   state + npz memories), refused loudly on schema or code-version

@@ -1,72 +1,17 @@
-"""Ambient checkpoint policy and the signal-safe interrupt flag.
+"""The signal-safe checkpoint interrupt flag.
 
-The policy travels the same way fault plans (:mod:`repro.faults.plan`)
-and the sanitizer switch do: a :func:`applied` context manager sets a
-:class:`ContextVar` that :class:`~repro.machine.machine.Machine`
-consults at construction time, so application ``run()`` signatures stay
-untouched.  Explicit :class:`~repro.machine.config.MachineConfig`
-fields win over the ambient policy.
-
-The interrupt flag is a plain :class:`threading.Event` so signal
-handlers can request "checkpoint at the next gate and stop" without
-touching interpreter state mid-simulation; the machine polls it only at
+Every other checkpoint setting (cadence, one-shot site, directory,
+stop after a capture) is a :class:`~repro.machine.config.MachineConfig`
+field.  This one is not, because it is set by a signal handler, which
+has no machine to hand it to: a plain :class:`threading.Event` lets the
+handler request "checkpoint at the next gate and stop" without touching
+interpreter state mid-simulation.  The machine polls it only at
 checkpoint sites and only when a checkpoint directory is configured.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
-from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator
-
-
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """Checkpoint behaviour applied around a machine run.
-
-    ``every`` arms a periodic gate: each cell parks at its ``every``-th
-    arrival at a checkpoint site, a snapshot is captured once all live
-    cells are parked, and the threshold advances by ``every`` again.
-    ``at_site`` arms a one-shot gate at exactly that site count instead
-    (used by ``repro chaos --recover`` to pick a deterministic kill
-    point).  ``directory`` is where snapshots are written;
-    ``stop_after_capture`` raises
-    :class:`~repro.core.errors.CheckpointInterrupt` right after the
-    capture, simulating a crash at the boundary.  ``resume_from`` makes
-    :func:`repro.apps.base.execute` restore the named snapshot instead
-    of building a fresh machine.
-    """
-
-    every: int | None = None
-    at_site: int | None = None
-    directory: str | None = None
-    stop_after_capture: bool = False
-    resume_from: str | None = None
-
-
-_POLICY: ContextVar[CheckpointPolicy | None] = ContextVar(
-    "repro_ckpt_policy", default=None
-)
-
-
-def active_policy() -> CheckpointPolicy | None:
-    """Return the ambient checkpoint policy, if one is applied."""
-
-    return _POLICY.get()
-
-
-@contextlib.contextmanager
-def applied(policy: CheckpointPolicy) -> Iterator[CheckpointPolicy]:
-    """Apply ``policy`` to every machine built inside the block."""
-
-    token = _POLICY.set(policy)
-    try:
-        yield policy
-    finally:
-        _POLICY.reset(token)
-
 
 _INTERRUPT = threading.Event()
 

@@ -28,10 +28,10 @@ The artifact is a directory written atomically (temp dir +
         state.pkl       # everything above except raw memory bytes
         memories.npz    # per-cell used DRAM regions
 
-``header.json`` carries ``schema: repro-ckpt-v1`` plus the resolved
-machine config, a hash of it, and the repo code-version hash — the same
-refuse-loudly pattern as ``repro-check-v1``: a snapshot from different
-code or a different config never restores silently.
+``header.json`` carries ``schema: repro-ckpt-v1`` plus the machine
+config the run was given, a hash of it, and the repo code-version hash
+— the same refuse-loudly pattern as ``repro-check-v1``: a snapshot from
+different code or a different config never restores silently.
 
 Restore builds a *fresh* machine from the header config and replays the
 state onto it.  Generator frames cannot be pickled, so cell programs
@@ -59,8 +59,10 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.completion import AckPolicy
 from repro.core.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
+from repro.machine.config import MachineConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
@@ -90,25 +92,27 @@ def _code_version() -> str:
     return code_version()
 
 
-#: ``MachineConfig`` fields that are not a snapshot's identity: the
-#: checkpoint cadence lives in the snapshot *state* (counts/threshold) —
-#: restoring must continue the captured schedule regardless of ambient
-#: policy — and a restore picks its own engine and refuses an observer.
+#: ``MachineConfig`` fields that are not a snapshot's identity: how a
+#: run checkpoints (the captured schedule lives in the snapshot *state*:
+#: counts and threshold), which engine it takes, and whether it is
+#: observed.  A resumed run takes these from its own config and every
+#: other field from the snapshot.
 _NOT_IDENTITY = frozenset(
-    {"checkpoint_every", "checkpoint_dir", "shards", "observe"})
+    {"checkpoint_every", "checkpoint_at_site", "stop_after_checkpoint",
+     "checkpoint_dir", "shards", "observe"})
 
 
-def config_document(machine: "Machine") -> dict[str, Any]:
-    """The resolved machine configuration a snapshot is bound to: every
-    ``MachineConfig`` field but :data:`_NOT_IDENTITY`, with the ambient
-    sanitizer and fault plan resolved, plus the ack policy."""
-    plan = machine.fault_plan
-    document = {f.name: getattr(machine.config, f.name)
-                for f in dataclasses.fields(machine.config)
+def config_document(config: MachineConfig,
+                    ack_policy: str = AckPolicy.EVERY_PUT) -> dict[str, Any]:
+    """The configuration a snapshot is bound to: every ``MachineConfig``
+    field but :data:`_NOT_IDENTITY` (the fault plan as its dict), plus
+    the ack policy."""
+    document = {f.name: getattr(config, f.name)
+                for f in dataclasses.fields(config)
                 if f.name not in _NOT_IDENTITY}
-    document["sanitize"] = machine.sanitize
-    document["fault_plan"] = plan.to_dict() if plan is not None else None
-    document["ack_policy"] = machine.ack_policy
+    if config.fault_plan is not None:
+        document["fault_plan"] = config.fault_plan.to_dict()
+    document["ack_policy"] = ack_policy
     return document
 
 
@@ -201,7 +205,7 @@ def capture_snapshot(machine: "Machine", *,
     if resumable:
         machine.pump()
         _check_resumable(machine)
-    document = config_document(machine)
+    document = config_document(machine.config, machine.ack_policy)
     header: dict[str, Any] = {
         "schema": SCHEMA,
         "code_version": _code_version(),
@@ -344,9 +348,7 @@ def load_snapshot(path: str | Path) -> MachineSnapshot:
 # Restore
 # ----------------------------------------------------------------------
 
-def _config_from_document(document: dict[str, Any]):
-    from repro.machine.config import MachineConfig
-
+def _config_from_document(document: dict[str, Any]) -> MachineConfig:
     fields = {name: value for name, value in document.items()
               if name != "ack_policy"}
     if fields["fault_plan"] is not None:
@@ -354,12 +356,44 @@ def _config_from_document(document: dict[str, Any]):
     return MachineConfig(**fields)
 
 
-def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
+def _resumed_config(document: dict[str, Any],
+                    config: MachineConfig | None) -> MachineConfig:
+    """The snapshot's identity fields with ``config``'s
+    :data:`_NOT_IDENTITY` ones.  A field of the identity that ``config``
+    states (moves off its default; ``num_cells`` aside, the workload
+    check compares it) cannot be honoured, so it is refused by name."""
+    restored = _config_from_document(document)
+    if config is None:
+        return restored
+    default = MachineConfig()
+    stated = tuple(
+        f.name for f in dataclasses.fields(config)
+        if f.name not in _NOT_IDENTITY and f.name != "num_cells"
+        and getattr(config, f.name) != getattr(default, f.name))
+    if stated:
+        raise ConfigurationError(
+            f"a resumed run keeps its snapshot's {', '.join(stated)}; "
+            "leave it at its default or start a fresh run", fields=stated)
+    if config.observe:
+        raise ConfigurationError(
+            "cannot resume with observe on: a snapshot carries no "
+            "telemetry state, so the observer would see only the run's "
+            "tail; resume with observe off", fields=("observe",))
+    return dataclasses.replace(
+        restored, **{name: getattr(config, name) for name in _NOT_IDENTITY})
+
+
+def restore_machine(snapshot: MachineSnapshot | str | Path,
+                    config: MachineConfig | None = None) -> "Machine":
     """Build a machine whose next ``run()`` continues the snapshot.
 
     The caller runs the *same program with the same parameters* on the
     returned machine; the header's ``app`` block records which (see
-    :func:`resume_workload` for the turnkey path).
+    :func:`resume_workload` for the turnkey path).  The snapshot's
+    settings are the run's: ``config`` may state only how the resumed
+    run checkpoints, its shard count and ``observe`` (which is refused).
+    With no cadence stated the captured checkpoint schedule continues; a
+    stated ``checkpoint_every`` counts from the sites already passed.
     """
     from repro.machine.machine import Machine
 
@@ -378,16 +412,8 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
             f"{current[:12]}…; byte-exact replay is not guaranteed "
             "across code changes — re-run from scratch")
     document = header["config"]
-    config = _config_from_document(document)
-    machine = Machine(config, ack_policy=document["ack_policy"])
-    if machine.obs is not None:
-        raise ConfigurationError(
-            "cannot restore under an active observer (snapshots carry "
-            "no telemetry state); disable observe and retry")
-    if machine.sanitize != document["sanitize"]:
-        raise ConfigurationError(
-            "ambient sanitizer setting contradicts the snapshot's "
-            "resolved config; restore inside the same sanitize context")
+    machine = Machine(_resumed_config(document, config),
+                      ack_policy=document["ack_policy"])
 
     state = snapshot.state
     for pe, cell in enumerate(machine.hw_cells):
@@ -406,9 +432,13 @@ def restore_machine(snapshot: MachineSnapshot | str | Path) -> "Machine":
 
     ckpt = state["ckpt"]
     machine._ckpt_counts[:] = ckpt["counts"]
-    machine._ckpt_threshold = ckpt["threshold"]
-    machine._ckpt_every = ckpt["every"]
     machine.ckpt_seq = ckpt["seq"]
+    if machine._ckpt_threshold is None:
+        machine._ckpt_threshold = ckpt["threshold"]
+        machine._ckpt_every = ckpt["every"]
+    elif machine.config.checkpoint_at_site is None:
+        machine._ckpt_threshold = (max(ckpt["counts"], default=0)
+                                   + machine._ckpt_every)
 
     machine.trace = state["trace"]
     machine.snet.load_state(state["snet"])
@@ -440,7 +470,6 @@ def resume_workload(path: str | Path):
     resumed this way.
     """
     from repro.apps.workloads import workload
-    from repro.ckpt import policy as ckpt_policy
 
     snapshot = load_snapshot(path)
     meta = snapshot.app
@@ -448,7 +477,6 @@ def resume_workload(path: str | Path):
         raise ConfigurationError(
             "snapshot records no application metadata; resume it by "
             "restoring the machine and re-running your program")
-    wl = workload(meta["workload"])
-    resume = ckpt_policy.CheckpointPolicy(resume_from=str(path))
-    with ckpt_policy.applied(resume):
-        return wl.run(num_cells=meta["num_cells"], **meta["params"])
+    return workload(meta["workload"]).run(
+        num_cells=meta["num_cells"], resume_from=str(path),
+        **meta["params"])

@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import signal
 import sys
 from collections.abc import Iterator, Sequence
@@ -110,18 +109,14 @@ def _graceful_interrupt(enabled: bool) -> Iterator[None]:
                 signal.signal(sig, old)
 
 
-@contextlib.contextmanager
-def _shard_env(shards: int):
-    """Shard count for machines built inside the block."""
-    saved = os.environ.get("REPRO_MACHINE_SHARDS")
-    os.environ["REPRO_MACHINE_SHARDS"] = str(shards)
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["REPRO_MACHINE_SHARDS"]
-        else:
-            os.environ["REPRO_MACHINE_SHARDS"] = saved
+#: The ``repro run`` option behind each setting a resume can refuse
+#: (``ConfigurationError.fields``): the snapshot's identity settings,
+#: and which workload run it belongs to.
+_RUN_OPTIONS = {
+    "workload": "APP", "num_cells": "--cells", "params": "--paper-scale",
+    "sanitize": "--sanitize", "observe": "--observe",
+    "trace_capacity": "--trace-capacity",
+}
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -145,8 +140,6 @@ def _run_resume_command(args: argparse.Namespace, snapshot: str) -> str:
         parts.append(f"--cells {args.cells}")
     if args.paper_scale:
         parts.append("--paper-scale")
-    if args.trace_capacity is not None:
-        parts.append(f"--trace-capacity {args.trace_capacity}")
     if args.checkpoint_dir:
         parts.append(f"--checkpoint-dir {args.checkpoint_dir}")
     if args.checkpoint_every is not None:
@@ -159,30 +152,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
     from repro.bench.cache import jsonify
-    from repro.ckpt import policy as ckpt_policy
+    from repro.machine.config import MachineConfig
     from repro.mlsim.simulator import simulate_models
-    from repro.obs import observer as obs
-    from repro.trace import sanitize
+    from repro.obs.observer import machine_metrics
     from repro.trace.io import save_trace
     from repro.trace.stats import format_table3_row
 
     w = workload(args.app)
-    overrides = {}
-    if args.trace_capacity is not None:
-        overrides["trace_capacity"] = args.trace_capacity
-    if (args.checkpoint_dir or args.checkpoint_every
-            or args.resume_from):
-        policy_ctx = ckpt_policy.applied(ckpt_policy.CheckpointPolicy(
-            every=args.checkpoint_every,
-            directory=args.checkpoint_dir,
-            resume_from=args.resume_from,
-        ))
-    else:
-        policy_ctx = contextlib.nullcontext()
-    if args.shards is not None:
-        shard_ctx = _shard_env(args.shards)
-    else:
-        shard_ctx = contextlib.nullcontext()
+    cells = args.cells or (w.paper_pes if args.paper_scale
+                           else w.default_pes)
+    settings = {"trace_capacity": args.trace_capacity,
+                "shards": args.shards}
+    config = MachineConfig(
+        num_cells=cells, sanitize=args.sanitize, observe=args.observe,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir,
+        **{name: value for name, value in settings.items()
+           if value is not None})
     stream_writer = None
     if args.stream:
         if args.shards is not None:
@@ -205,17 +191,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         stream_ctx = contextlib.nullcontext()
     try:
-        with _graceful_interrupt(bool(args.checkpoint_dir)), policy_ctx, \
-                sanitize.enabled(args.sanitize), obs.enabled(args.observe), \
-                shard_ctx, stream_ctx:
-            run = w.run(paper_scale=args.paper_scale,
-                        num_cells=args.cells, **overrides)
+        with _graceful_interrupt(bool(args.checkpoint_dir)), stream_ctx:
+            run = w.run(paper_scale=args.paper_scale, num_cells=cells,
+                        config=config, resume_from=args.resume_from)
     except CheckpointInterrupt as exc:
         print(f"{args.app}: interrupted; snapshot saved to "
               f"{exc.snapshot_path}")
         print("resume with: "
               + _run_resume_command(args, str(exc.snapshot_path)))
         return EXIT_RESUMABLE
+    except ConfigurationError as exc:
+        if not (args.resume_from and exc.fields):
+            raise
+        options = " / ".join(_RUN_OPTIONS.get(name, name)
+                             for name in exc.fields)
+        raise ConfigurationError(
+            f"{options} with --resume-from: {exc}") from None
     finally:
         # On success this lands the footer; on a crash or
         # checkpoint interrupt it flushes what was recorded so the file
@@ -243,7 +234,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "total_events": total_events,
             "statistics": jsonify(asdict(statistics)),
             "speedups_vs_ap1000": speedups,
-            "metrics": jsonify(obs.machine_metrics(run.machine)),
+            "metrics": jsonify(machine_metrics(run.machine)),
             "engine": run.machine.engine,
             "shard_report": jsonify(
                 getattr(run.machine, "shard_report", None)),

@@ -17,7 +17,17 @@ class ReproError(Exception):
 
 
 class ConfigurationError(ReproError):
-    """A machine, application, or simulator was configured inconsistently."""
+    """A machine, application, or simulator was configured inconsistently.
+
+    ``fields`` names the settings at fault when the error is about
+    particular ones (``MachineConfig`` fields, or a workload's
+    ``workload`` / ``num_cells`` / ``params``), so a front end can name
+    its own option for each."""
+
+    def __init__(self, message: str = "", *,
+                 fields: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.fields = fields
 
 
 class AddressError(ReproError):

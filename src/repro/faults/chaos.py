@@ -7,8 +7,8 @@ a clean :mod:`repro.check` report over the (sanitized) trace — except
 for the robustness counters that say how hard the fabric had to work.
 
 Every application is first run on a perfect machine to capture golden
-digests; each plan then re-runs it inside ``applied(plan)`` and the
-digests must match.  Failures are collected, not raised, so one sweep
+digests; each plan then re-runs it with ``MachineConfig(fault_plan=plan)``
+and the digests must match.  Failures are collected, not raised, so one sweep
 reports every broken (app, plan) pair; an unexpected error (for example
 a CommTimeoutError from an exhausted retry budget) marks its case
 failed with the message attached.
@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.apps.workloads import ORDER, workload
 from repro.core.errors import CheckpointInterrupt, ReproError
-from repro.faults.plan import FaultPlan, applied, full_plans, smoke_plans
-from repro.trace import sanitize
+from repro.faults.plan import FaultPlan, full_plans, smoke_plans
+from repro.machine.config import MachineConfig
 from repro.trace.buffer import (
     EVENT_FIELDS,
     RANGE_FIELDS,
@@ -219,8 +219,8 @@ class ChaosReport:
 def run_under_plan(app: str, plan: FaultPlan | None, *,
                    cells: int | None = None, annotate: bool = False):
     """Run one workload under ``plan`` (None = perfect machine)."""
-    with applied(plan), sanitize.enabled(annotate):
-        return workload(app).run(num_cells=cells)
+    return workload(app).run(num_cells=cells, config=MachineConfig(
+        fault_plan=plan, sanitize=annotate))
 
 
 def chaos_sweep(apps: Iterable[str] | None = None,
@@ -369,7 +369,7 @@ def recover_sweep(apps: Iterable[str] | None = None,
 
     Each case runs its application three times: a golden run with the
     checkpoint gate armed at a seed-chosen site; a crash run that dies
-    (``stop_after_capture``) right after saving that site's snapshot;
+    (``stop_after_checkpoint``) right after saving that site's snapshot;
     and a resumed run completing from the snapshot.  The resumed run
     must be byte-identical to the golden one — trace, per-cell results,
     and memory image — including under every fault plan.
@@ -400,7 +400,6 @@ def recover_sweep(apps: Iterable[str] | None = None,
 def _recover_case(app: str, plan: FaultPlan | None, base_seed: int, *,
                   cells: int | None, smoke: bool,
                   snapshot_root: str | Path | None) -> RecoverCase:
-    from repro.ckpt import policy as ckpt_policy
     from repro.ckpt.snapshot import resume_workload
 
     plan_seed = plan.seed if plan is not None else base_seed
@@ -413,13 +412,12 @@ def _recover_case(app: str, plan: FaultPlan | None, base_seed: int, *,
     if cells is not None:
         run_cells = cells
 
-    def _run():
-        return workload(app).run(num_cells=run_cells, **params)
+    def _run(**crash):
+        return workload(app).run(num_cells=run_cells, config=MachineConfig(
+            fault_plan=plan, checkpoint_at_site=site, **crash), **params)
 
     try:
-        with applied(plan), ckpt_policy.applied(
-                ckpt_policy.CheckpointPolicy(at_site=site)):
-            golden = _run()
+        golden = _run()
         captures = golden.machine.ckpt_seq
         if captures == 0:
             case.error = (f"checkpoint site {site} never reached; the "
@@ -436,11 +434,7 @@ def _recover_case(app: str, plan: FaultPlan | None, base_seed: int, *,
             holder = tempfile.TemporaryDirectory(prefix="repro-recover-")
         with holder as snap:
             try:
-                with applied(plan), ckpt_policy.applied(
-                        ckpt_policy.CheckpointPolicy(
-                            at_site=site, directory=str(snap),
-                            stop_after_capture=True)):
-                    _run()
+                _run(checkpoint_dir=str(snap), stop_after_checkpoint=True)
             except CheckpointInterrupt as exc:
                 snapshot_path = exc.snapshot_path
             else:
@@ -449,8 +443,8 @@ def _recover_case(app: str, plan: FaultPlan | None, base_seed: int, *,
                 return case
             if snapshot_root is not None:
                 case.snapshot = str(snapshot_path)
-            # The snapshot's config carries the fault plan (and the
-            # scheduler it forces), so resume needs no ambient state.
+            # The snapshot's config carries the fault plan, so the
+            # resume is given no config.
             resumed = resume_workload(snapshot_path)
         case.captures = resumed.machine.ckpt_seq
         case.trace_match = (

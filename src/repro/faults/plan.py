@@ -7,24 +7,18 @@ All randomness flows from ``plan.seed`` through one ``random.Random``
 held by the injector, so a failing run replays byte-for-byte from its
 plan alone.
 
-Plans travel three ways:
-
-* programmatically — ``FaultPlan(seed=7, drop_rate=0.02)``;
-* through the machine config — ``MachineConfig(fault_plan=plan)``;
-* ambiently — ``with applied(plan): app.run()``, the path
-  the chaos harness uses because application ``run()`` entry points
-  build their machines internally (mirrors ``repro.trace.sanitize``).
-
-JSON round-tripping (:meth:`FaultPlan.to_dict` / :meth:`from_dict`)
-backs the ``repro chaos --plan file.json`` CLI.
+A plan reaches a machine through its config —
+``MachineConfig(fault_plan=plan)``, or
+``workload(app).run(config=MachineConfig(fault_plan=plan))`` for an
+application entry point.  JSON round-tripping
+(:meth:`FaultPlan.to_dict` / :meth:`from_dict`) backs the ``repro chaos
+--plan file.json`` CLI.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -223,26 +217,3 @@ def full_plans(seed: int = 1994) -> tuple[FaultPlan, ...]:
         FaultPlan(name="squeeze", seed=seed + 5, drop_rate=0.01,
                   delay_rate=0.05, queue_capacity_words=16),
     )
-
-
-# ----------------------------------------------------------------------
-# Ambient plan (mirrors repro.trace.sanitize)
-# ----------------------------------------------------------------------
-
-_ACTIVE: ContextVar[FaultPlan | None] = ContextVar(
-    "repro_fault_plan", default=None)
-
-
-def active_plan() -> FaultPlan | None:
-    """The ambient fault plan, if a :func:`applied` region is open."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def applied(plan: FaultPlan | None) -> Iterator[None]:
-    """Apply ``plan`` to every Machine built inside the region."""
-    token = _ACTIVE.set(plan)
-    try:
-        yield
-    finally:
-        _ACTIVE.reset(token)

@@ -13,6 +13,10 @@ The same chassis also describes the predecessor AP1000 (25 MHz SPARC with
 software message handling); MLSim distinguishes the two via its parameter
 file, but the functional machine needs processor constants for converting
 operation counts into trace work.
+
+A ``MachineConfig`` is the only way a run setting reaches a machine:
+application entry points take one (``Workload.run(config=...)``) and
+:class:`~repro.machine.machine.Machine` reads every setting from it.
 """
 
 from __future__ import annotations
@@ -62,22 +66,25 @@ class MachineConfig:
     #: (handy for tests); official configurations leave this False.
     allow_nonstandard: bool = field(default=True)
     #: Annotate communication events with byte-range footprints for the
-    #: race checker (:mod:`repro.check`).  Also switchable ambiently via
-    #: :func:`repro.trace.sanitize.enabled`.
+    #: race checker (:mod:`repro.check`): ``repro check`` and the trace
+    #: cache record with it on, so cached traces are always checkable.
     sanitize: bool = False
     #: Attach the :mod:`repro.obs` machine observer (per-link traffic
-    #: accounting and queue-occupancy sampling).  Also switchable
-    #: ambiently via :func:`repro.obs.observer.enabled`.
+    #: accounting and queue-occupancy sampling).
     observe: bool = False
     #: Seeded fault-injection schedule (:mod:`repro.faults`); None runs a
-    #: perfect machine.  Also switchable ambiently via
-    #: :func:`repro.faults.plan.applied`.
+    #: perfect machine.
     fault_plan: "FaultPlan | None" = None
     #: Arm a periodic checkpoint gate: every cell parks at its N-th
     #: arrival at a ``ctx.checkpoint()`` site and a snapshot is captured
-    #: once all are parked (:mod:`repro.ckpt`).  Also switchable
-    #: ambiently via :func:`repro.ckpt.policy.applied`.
+    #: once all are parked (:mod:`repro.ckpt`).
     checkpoint_every: int | None = None
+    #: Arm a one-shot gate at exactly this site count instead (``repro
+    #: chaos --recover`` picks its kill point with it).
+    checkpoint_at_site: int | None = None
+    #: Raise :class:`~repro.core.errors.CheckpointInterrupt` right after
+    #: a capture: a crash at the checkpoint boundary.
+    stop_after_checkpoint: bool = False
     #: Directory snapshots are written to; None keeps captures in
     #: memory only (``machine.last_snapshot``).
     checkpoint_dir: str | None = None
@@ -85,8 +92,9 @@ class MachineConfig:
     #: (:mod:`repro.machine.sharded`) when the run is eligible for it —
     #: ``Machine.run`` decides and records the outcome as
     #: ``machine.engine``.  0 resolves from the ``REPRO_MACHINE_SHARDS``
-    #: environment variable (default 1), so an explicit 1 pins the
-    #: serial engine whatever the environment says.
+    #: environment variable (default 1; the benchmark's shard probe sets
+    #: it), so an explicit 1 pins the serial engine whatever the
+    #: environment says.
     shards: int = 0
     #: Lift the official 4-1024 cell ceiling to ``EXTENDED_MAX_CELLS``
     #: (4096) for strict (``allow_nonstandard=False``) configurations.
@@ -108,10 +116,11 @@ class MachineConfig:
             raise ConfigurationError(
                 f"cannot split {self.num_cells} cells across "
                 f"{self.shards} shards")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 1 site, got "
-                f"{self.checkpoint_every}")
+        for name in ("checkpoint_every", "checkpoint_at_site"):
+            sites = getattr(self, name)
+            if sites is not None and sites < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1 site, got {sites}")
         if self.memory_per_cell < 1024:
             raise ConfigurationError("cell memory unrealistically small")
         if not self.allow_nonstandard:

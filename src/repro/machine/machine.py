@@ -30,7 +30,6 @@ from repro.core.errors import (
     ConfigurationError,
     DeadlockError,
 )
-from repro.faults.plan import active_plan as _active_fault_plan
 from repro.hardware.cell import boot_cells
 from repro.hardware.msc import Command, CommandKind, MSCPlus
 from repro.machine.base import MachineBase, run_wake_rounds
@@ -41,8 +40,6 @@ from repro.network.packet import Packet, PacketKind, StrideSpec
 from repro.network.tnet import TNet
 from repro.network.topology import TorusTopology
 from repro.obs.observer import MachineObserver
-from repro.obs.observer import active as _obs_active
-from repro.trace import sanitize as trace_sanitize
 from repro.trace.events import EventKind
 
 if TYPE_CHECKING:
@@ -91,9 +88,8 @@ class Machine(MachineBase):
         self.ack_policy = ack_policy
         n = config.num_cells
         self.topology = TorusTopology.for_cells(n)
-        #: Fault-injection schedule: explicit config wins, else ambient.
-        plan = (config.fault_plan if config.fault_plan is not None
-                else _active_fault_plan())
+        #: Fault-injection schedule; None is a perfect machine.
+        plan = config.fault_plan
         self.fault_plan = plan
         if plan is not None:
             # The fault layer loads only for a machine that has a plan.
@@ -112,14 +108,11 @@ class Machine(MachineBase):
             config, boot_cells(n, self.tnet, config.memory_per_cell))
         for cell, ring in zip(self.hw_cells, self.rings):
             cell.msc.send_sink = ring.deposit
-        #: Byte-range annotation for repro.check: on when the config asks
-        #: for it or when the ambient sanitizer switch is set.
-        self.sanitize = bool(config.sanitize or trace_sanitize.active())
-        #: Telemetry observer (repro.obs): None unless the config or the
-        #: ambient switch asks for it, so unobserved hot paths pay one
-        #: ``is None`` test.
-        self.obs = (MachineObserver(self)
-                    if (config.observe or _obs_active()) else None)
+        #: Byte-range annotation for repro.check.
+        self.sanitize = config.sanitize
+        #: Telemetry observer (repro.obs): None unless the config asks
+        #: for it, so unobserved hot paths pay one ``is None`` test.
+        self.obs = MachineObserver(self) if config.observe else None
         if self.obs is not None:
             self.tnet.observer = self.obs
             self.bnet.observer = self.obs
@@ -157,25 +150,14 @@ class Machine(MachineBase):
                         queue.spill_buffer_words = plan.spill_buffer_words
                     if plan.max_spill_buffers is not None:
                         queue.max_spill_buffers = plan.max_spill_buffers
-        #: Checkpoint gate (repro.ckpt): explicit config wins, else the
-        #: ambient policy.  ``_ckpt_threshold`` is the site count each
-        #: cell parks at; None means the gate is disarmed.
-        ckpt = _ckpt_policy.active_policy()
-        every = config.checkpoint_every
-        ckpt_dir = config.checkpoint_dir
-        at_site = None
-        stop_after = False
-        if ckpt is not None:
-            if every is None:
-                every = ckpt.every
-            if ckpt_dir is None:
-                ckpt_dir = ckpt.directory
-            at_site = ckpt.at_site
-            stop_after = ckpt.stop_after_capture
-        self.checkpoint_dir = ckpt_dir
-        self._ckpt_every = every
-        self._ckpt_threshold = at_site if at_site is not None else every
-        self._ckpt_stop_after = stop_after
+        #: Checkpoint gate (repro.ckpt).  ``_ckpt_threshold`` is the site
+        #: count each cell parks at; None means the gate is disarmed.
+        self.checkpoint_dir = config.checkpoint_dir
+        self._ckpt_every = config.checkpoint_every
+        self._ckpt_threshold = (config.checkpoint_at_site
+                                if config.checkpoint_at_site is not None
+                                else config.checkpoint_every)
+        self._ckpt_stop_after = config.stop_after_checkpoint
         self._ckpt_counts = [0] * n
         #: One-shot gate armed by a SIGTERM/SIGINT interrupt request:
         #: every cell parks at its very next checkpoint site.

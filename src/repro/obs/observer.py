@@ -10,16 +10,12 @@ Two layers, matching the cost budget:
 * The **observer hooks** (per-link frame/byte accounting on T-net
   injection, B-net broadcast bytes, queue-occupancy time series sampled
   at every pump) only exist when a :class:`MachineObserver` is attached
-  — via ``MachineConfig(observe=True)`` or ambiently with
-  :func:`enabled`, exactly like the sanitizer switch.  Without one the
-  hot paths pay a single ``is None`` test.
+  — via ``MachineConfig(observe=True)``.  Without one the hot paths pay
+  a single ``is None`` test.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import fields
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any
@@ -32,8 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.machine import Machine
     from repro.network.packet import Packet
 
-_ACTIVE: ContextVar[bool] = ContextVar("repro_obs", default=False)
-
 _MSC_STAT_NAMES = tuple(f.name for f in fields(MSCStats))
 #: One MSC+'s statistics as a row, in ``_MSC_STAT_NAMES`` order.
 _MSC_COUNTERS = attrgetter(*_MSC_STAT_NAMES)
@@ -42,22 +36,6 @@ _MSC_COUNTERS = attrgetter(*_MSC_STAT_NAMES)
 #: (every other sample dropped) and the sampling stride doubled, keeping
 #: the stored series deterministic for any run length.
 MAX_SERIES_SAMPLES = 512
-
-
-def active() -> bool:
-    """True when the ambient observability switch is on."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def enabled(on: bool = True) -> Iterator[None]:
-    """Context manager attaching an observer to every
-    :class:`~repro.machine.machine.Machine` built inside it."""
-    token = _ACTIVE.set(bool(on))
-    try:
-        yield
-    finally:
-        _ACTIVE.reset(token)
 
 
 class MachineObserver:

@@ -126,9 +126,10 @@ class TraceSink(Protocol):
     def phase(self, label: str, pid: int) -> None: ...
 
 
-#: Ambient sink for incremental trace writing.  A ContextVar (not a
-#: module global) so nested tools and tests compose; the pattern
-#: mirrors ``repro.trace.sanitize.enabled`` / ``repro.obs.observer.enabled``.
+#: Ambient sink for incremental trace writing: the one run setting that
+#: is not a ``MachineConfig`` field, because it holds an open file the
+#: caller must close in a ``finally``.  A ContextVar (not a module
+#: global) so nested tools and tests compose.
 _active_sink: ContextVar[TraceSink | None] = ContextVar(
     "repro_trace_sink", default=None)
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.apps import cg, ep, ft, matmul, scg, sp, tomcatv
 from repro.core.errors import ConfigurationError, TraceBufferOverflowError
+from repro.machine.config import MachineConfig
 from repro.trace.events import EventKind
 
 
@@ -171,7 +172,8 @@ class TestFT:
         because the trace buffer overflows; reproduce that failure."""
         with pytest.raises(TraceBufferOverflowError):
             ft.run(num_cells=4, shape=(16, 16, 16), iters=3,
-                   use_stride=False, trace_capacity=2000)
+                   use_stride=False,
+                   config=MachineConfig(trace_capacity=2000))
 
     def test_evolution_factor_symmetry(self):
         f = ft.evolution_factor((8, 8, 8), 1)

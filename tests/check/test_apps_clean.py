@@ -5,13 +5,12 @@ import pytest
 
 from repro.apps.workloads import ORDER, workload
 from repro.check.runner import check_trace, trace_is_annotated
-from repro.trace import sanitize
+from repro.machine.config import MachineConfig
 
 
 @pytest.mark.parametrize("name", ORDER)
 def test_workload_checks_clean(name):
-    with sanitize.enabled():
-        run = workload(name).run()
+    run = workload(name).run(config=MachineConfig(sanitize=True))
     assert run.verified
     assert trace_is_annotated(run.trace)
     report = check_trace(run.trace, name)

@@ -5,14 +5,12 @@ from repro.check.comm import analyze_program, static_params
 from repro.check.conform import _event_key, conform_app, conform_trace
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
-from repro.trace import sanitize
 
 
 def recorded_trace(app, num_cells):
     _, params = static_params(app)
     spec = BenchSpec(app=app, num_cells=num_cells, params=dict(params))
-    with sanitize.enabled():
-        run = spec.run()
+    run = spec.run(MachineConfig(sanitize=True))
     return run.trace
 
 

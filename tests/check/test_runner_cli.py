@@ -13,7 +13,7 @@ from repro.check.runner import (
     trace_is_annotated,
 )
 from repro.cli import main
-from repro.trace import sanitize
+from repro.machine.config import MachineConfig
 from repro.apps.workloads import workload
 
 
@@ -53,8 +53,8 @@ class TestCheckApp:
 
 class TestAnnotation:
     def test_sanitized_run_is_annotated(self):
-        with sanitize.enabled():
-            run = workload("MatMul").run(num_cells=4)
+        run = workload("MatMul").run(num_cells=4,
+                                     config=MachineConfig(sanitize=True))
         assert trace_is_annotated(run.trace)
 
     def test_default_run_is_not_annotated(self):
@@ -80,8 +80,8 @@ class TestBuggyGate:
 
 class TestJson:
     def test_schema_and_determinism(self):
-        with sanitize.enabled():
-            run = workload("MatMul").run(num_cells=4)
+        run = workload("MatMul").run(num_cells=4,
+                                     config=MachineConfig(sanitize=True))
         reports = [check_trace(run.trace, "MatMul")]
         payload = json.loads(report_json(reports))
         assert payload["schema"] == "repro-check-v1"

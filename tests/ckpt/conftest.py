@@ -11,17 +11,19 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt.policy import CheckpointPolicy, applied
 from repro.ckpt.snapshot import load_snapshot
 from repro.faults.chaos import SMOKE_RECOVER_PARAMS
+from repro.machine.config import MachineConfig
 
 
-def run_small(app: str):
-    """One smoke-sized run of an instrumented app (ambient policy
-    decides whether it checkpoints)."""
+def run_small(app: str, **settings):
+    """One smoke-sized run of an instrumented app on a machine
+    configured by ``settings`` (``MachineConfig`` fields: whether and
+    how it checkpoints, its fault plan)."""
     params = dict(SMOKE_RECOVER_PARAMS[app])
     cells = params.pop("num_cells")
-    return workload(app).run(num_cells=cells, **params)
+    return workload(app).run(num_cells=cells,
+                             config=MachineConfig(**settings), **params)
 
 
 def captured_sites(machine, directory=None, key="it"):
@@ -44,7 +46,7 @@ def matmul_snapshot_dir(tmp_path_factory):
     """A checkpoint directory holding every gate snapshot of one small
     MatMul run (periodic policy, every site)."""
     directory = tmp_path_factory.mktemp("ckpts")
-    with applied(CheckpointPolicy(every=1, directory=str(directory))):
-        run = run_small("MatMul")
+    run = run_small("MatMul", checkpoint_every=1,
+                    checkpoint_dir=str(directory))
     assert run.machine.ckpt_seq > 1  # several gates were crossed
     return directory

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt.policy import CheckpointPolicy, applied
 from repro.ckpt.snapshot import (
     latest_snapshot,
     load_snapshot,
@@ -81,16 +79,13 @@ class TestConfigDocument:
         cache_bytes=1 << 14, trace_capacity=12345, allow_nonstandard=False,
         sanitize=True, fault_plan=FaultPlan(name="storm", seed=3,
                                             drop_rate=0.1),
-        extended=True, checkpoint_every=2, checkpoint_dir="x", observe=True,
+        extended=True, checkpoint_every=2, checkpoint_at_site=3,
+        stop_after_checkpoint=True, checkpoint_dir="x", observe=True,
         shards=2)
 
     def test_every_identity_field_survives_the_header(self):
         config = self.CONFIG
-        # config_document reads four attributes of a machine; a stand-in
-        # spares allocating 2 048 cells.
-        document = config_document(SimpleNamespace(
-            config=config, fault_plan=config.fault_plan,
-            sanitize=config.sanitize, ack_policy="every-put"))
+        document = config_document(config)
         json.dumps(document)  # the header is JSON
         back = _config_from_document(document)
         default = MachineConfig()
@@ -150,16 +145,15 @@ class TestRefusals:
     def test_resume_refuses_a_different_workload(
             self, matmul_snapshot_dir):
         snap = latest_snapshot(matmul_snapshot_dir)
-        with applied(CheckpointPolicy(resume_from=str(snap))), \
-                pytest.raises(ConfigurationError, match="captured by"):
-            workload("CG").run(num_cells=4, n=32, outer=3, inner=3)
+        with pytest.raises(ConfigurationError, match="captured by"):
+            workload("CG").run(num_cells=4, n=32, outer=3, inner=3,
+                               resume_from=str(snap))
 
     def test_resume_refuses_different_parameters(
             self, matmul_snapshot_dir):
         snap = latest_snapshot(matmul_snapshot_dir)
-        with applied(CheckpointPolicy(resume_from=str(snap))), \
-                pytest.raises(ConfigurationError, match="captured by"):
-            workload("MatMul").run(num_cells=8, n=16)
+        with pytest.raises(ConfigurationError, match="captured by"):
+            workload("MatMul").run(num_cells=8, n=16, resume_from=str(snap))
 
     def test_resume_workload_needs_app_metadata(
             self, matmul_snapshot_dir, tmp_path):

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.base import execute
 from repro.ckpt import policy as ckpt_policy
-from repro.ckpt.policy import CheckpointPolicy, applied
 from repro.ckpt.snapshot import (
     capture_snapshot,
     load_snapshot,
@@ -87,18 +87,15 @@ class TestGate:
         assert m.last_snapshot is not None
 
     def test_at_site_captures_exactly_once(self):
-        with applied(CheckpointPolicy(at_site=2)):
-            m = make()
-            assert m.run(stepper) == [3, 3, 3, 3]
+        m = make(checkpoint_at_site=2)
+        assert m.run(stepper) == [3, 3, 3, 3]
         assert m.ckpt_seq == 1
         assert m.last_snapshot.state["ckpt"]["seq"] == 1
 
     def test_stop_after_capture_raises_with_snapshot_path(self, tmp_path):
-        with applied(CheckpointPolicy(at_site=1, directory=str(tmp_path),
-                                      stop_after_capture=True)):
-            m = make()
-            with pytest.raises(CheckpointInterrupt) as excinfo:
-                m.run(stepper)
+        m = make(tmp_path, checkpoint_at_site=1, stop_after_checkpoint=True)
+        with pytest.raises(CheckpointInterrupt) as excinfo:
+            m.run(stepper)
         assert excinfo.value.snapshot_path is not None
         assert load_snapshot(excinfo.value.snapshot_path).resumable
 
@@ -120,15 +117,20 @@ class TestSites:
         assert captured_sites(m, tmp_path) == [(2, [2] * 4), (4, [4] * 4)]
 
     def test_ambient_policy(self, tmp_path):
-        with applied(CheckpointPolicy(every=2, directory=str(tmp_path))):
-            m = make()
-            assert m.run(stepper, 5) == [5] * 4
-        assert captured_sites(m, tmp_path) == [(2, [2] * 4), (4, [4] * 4)]
+        # A checkpoint policy around an application's run is the
+        # config ``execute`` takes; the gate fires on its machine.
+        run = execute("stepper", stepper, 4, lambda results, machine: {},
+                      config=MachineConfig(memory_per_cell=1 << 21,
+                                           checkpoint_every=2,
+                                           checkpoint_dir=str(tmp_path)),
+                      sites=5)
+        assert run.results == [5] * 4
+        assert captured_sites(run.machine, tmp_path) == [
+            (2, [2] * 4), (4, [4] * 4)]
 
     def test_at_site(self):
-        with applied(CheckpointPolicy(at_site=3)):
-            m = make()
-            assert m.run(stepper, 5) == [5] * 4
+        m = make(checkpoint_at_site=3)
+        assert m.run(stepper, 5) == [5] * 4
         assert m.ckpt_seq == 1
         assert captured_sites(m) == [(3, [3] * 4)]
 
@@ -164,9 +166,8 @@ class TestInterruptRequest:
         # in test_roundtrip.py crashes at scheduled sites instead.)
         ckpt_policy.request_interrupt()
         try:
-            with applied(CheckpointPolicy(directory=str(tmp_path))):
-                with pytest.raises(CheckpointInterrupt) as excinfo:
-                    run_small("CG")
+            with pytest.raises(CheckpointInterrupt) as excinfo:
+                run_small("CG", checkpoint_dir=str(tmp_path))
         finally:
             ckpt_policy.clear_interrupt()
         resumed = resume_workload(excinfo.value.snapshot_path)

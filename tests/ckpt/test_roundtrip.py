@@ -17,12 +17,11 @@ the identical checkpoint policy.
 
 from __future__ import annotations
 
-import contextlib
+from dataclasses import replace
 
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt.policy import CheckpointPolicy, applied
 from repro.ckpt.snapshot import restore_machine, resume_workload
 from repro.core.errors import CheckpointInterrupt
 from repro.faults.chaos import (
@@ -31,7 +30,6 @@ from repro.faults.chaos import (
     trace_digest,
 )
 from repro.faults.plan import FaultPlan, KillSpec
-from repro.faults.plan import applied as faults_applied
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 
@@ -51,22 +49,17 @@ CASES = [(app, plan, loop) for app in ("MatMul", "CG", "RingShift")
          for plan in (None, PLAN) for loop in ("batched", "reference")]
 
 
-def _ambient(plan):
-    return faults_applied(plan) if plan is not None else (
-        contextlib.nullcontext())
-
-
 def crash_and_resume(run, arm, plan, scheduler, tmp_path, monkeypatch):
-    """``run()`` three times under the gate ``arm`` (``CheckpointPolicy``
-    fields): straight through, killed at its first capture, resumed from
-    that snapshot.  Asserts the resumed run equals the straight one and
-    returns the straight one, its snapshots in ``tmp_path / "golden"``."""
+    """``run(**settings)`` three times under the gate ``arm``
+    (``MachineConfig`` checkpoint fields) and ``plan``: straight
+    through, killed at its first capture, resumed from that snapshot.
+    Asserts the resumed run equals the straight one and returns the
+    straight one, its snapshots in ``tmp_path / "golden"``."""
     if scheduler == "reference":
         monkeypatch.setattr(Machine, "_run_batched", run_reference)
 
-    with _ambient(plan), applied(CheckpointPolicy(
-            **arm, directory=str(tmp_path / "golden"))):
-        golden = run()
+    golden = run(fault_plan=plan, **arm,
+                 checkpoint_dir=str(tmp_path / "golden"))
     want_trace = trace_digest(golden.machine.trace)
     want_results = results_digest(golden.results)
     want_memory = memory_digest(golden.machine)
@@ -74,15 +67,13 @@ def crash_and_resume(run, arm, plan, scheduler, tmp_path, monkeypatch):
     # The crash run dies by CheckpointInterrupt the moment its first
     # snapshot hits disk — the moral equivalent of kill -9 right after
     # a capture, minus the subprocess (tests/test_cli.py has that one).
-    with _ambient(plan), applied(CheckpointPolicy(
-            **arm, directory=str(tmp_path / "crash"),
-            stop_after_capture=True)):
-        with pytest.raises(CheckpointInterrupt) as excinfo:
-            run()
+    with pytest.raises(CheckpointInterrupt) as excinfo:
+        run(fault_plan=plan, **arm, checkpoint_dir=str(tmp_path / "crash"),
+            stop_after_checkpoint=True)
     snapshot = excinfo.value.snapshot_path
     assert snapshot is not None
 
-    # No ambient state: the snapshot's config carries the fault plan.
+    # Given no config: the snapshot's carries the fault plan.
     resumed = resume_workload(snapshot)
     assert resumed.machine.engine["loop"] == "wake-set"
 
@@ -104,7 +95,9 @@ def crash_and_resume(run, arm, plan, scheduler, tmp_path, monkeypatch):
     ids=[f"{a}-{p.name if p else 'none'}-{s}" for a, p, s in CASES])
 def test_crash_at_gate_resumes_byte_identical(
         app, plan, scheduler, tmp_path, monkeypatch):
-    golden = crash_and_resume(lambda: run_small(app), {"at_site": SITE},
+    golden = crash_and_resume(
+        lambda **settings: run_small(app, **settings),
+        {"checkpoint_at_site": SITE},
                               plan, scheduler, tmp_path, monkeypatch)
     assert golden.machine.ckpt_seq == 1  # one-shot gate fired once
 
@@ -126,8 +119,10 @@ def test_ring_shift_site_is_a_lap(
         cells, hops, every_lap, plan, scheduler, tmp_path, monkeypatch):
     laps = -(-hops // cells)
     golden = crash_and_resume(
-        lambda: workload("RingShift").run(num_cells=cells, hops=hops),
-        {"every": 1} if every_lap else {"at_site": laps},
+        lambda **settings: workload("RingShift").run(
+            num_cells=cells, hops=hops, config=MachineConfig(**settings)),
+        {"checkpoint_every": 1} if every_lap
+        else {"checkpoint_at_site": laps},
         plan, scheduler, tmp_path, monkeypatch)
     # Every cell is at the same site with the same lap in its bag,
     # whether or not the token reached it on that lap.
@@ -159,19 +154,17 @@ def test_kill_after_the_gate_resumes_byte_identical(
     plan = FaultPlan(name="kill", seed=3, degrade=True,
                      kills=(KillSpec(pe=2, at_event=4),))
     config = MachineConfig(num_cells=4, fault_plan=plan,
-                           memory_per_cell=1 << 21)
+                           memory_per_cell=1 << 21, checkpoint_at_site=1)
 
     def digests(machine, results):
         return (sorted(machine.killed), trace_digest(machine.trace),
                 results_digest(results), memory_digest(machine))
 
-    with applied(CheckpointPolicy(at_site=1)):
-        straight = Machine(config)
-        want = digests(straight, straight.run(laps_program, laps=3))
+    straight = Machine(config)
+    want = digests(straight, straight.run(laps_program, laps=3))
     assert want[0] == [2]
-    with applied(CheckpointPolicy(at_site=1, directory=str(tmp_path),
-                                  stop_after_capture=True)):
-        with pytest.raises(CheckpointInterrupt) as excinfo:
-            Machine(config).run(laps_program, laps=3)
+    with pytest.raises(CheckpointInterrupt) as excinfo:
+        Machine(replace(config, checkpoint_dir=str(tmp_path),
+                        stop_after_checkpoint=True)).run(laps_program, laps=3)
     resumed = restore_machine(excinfo.value.snapshot_path)
     assert digests(resumed, resumed.run(laps_program, laps=3)) == want

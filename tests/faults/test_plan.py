@@ -1,4 +1,4 @@
-"""FaultPlan validation, serialization, and the ambient switch."""
+"""FaultPlan validation and serialization."""
 
 import json
 
@@ -10,8 +10,6 @@ from repro.machine.machine import Machine
 from repro.faults.plan import (
     FaultPlan,
     KillSpec,
-    active_plan,
-    applied,
     full_plans,
     smoke_plans,
 )
@@ -133,14 +131,3 @@ class TestBuiltinSets:
         squeeze = next(p for p in full_plans() if p.name == "squeeze")
         assert squeeze.queue_capacity_words == 16
 
-
-class TestAmbient:
-    def test_applied_scopes_the_plan(self):
-        assert active_plan() is None
-        plan = FaultPlan(name="scoped", drop_rate=0.01)
-        with applied(plan):
-            assert active_plan() is plan
-            with applied(None):
-                assert active_plan() is None
-            assert active_plan() is plan
-        assert active_plan() is None

@@ -10,12 +10,10 @@ import pickle
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt.policy import CheckpointPolicy, applied as ckpt_applied
 from repro.ckpt.snapshot import load_snapshot, restore_machine
 from repro.core.errors import CheckpointInterrupt
 from repro.faults.chaos import SMOKE_RECOVER_PARAMS
 from repro.faults.plan import FaultPlan
-from repro.faults.plan import applied as faults_applied
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.network.packet import Packet, PacketKind, link_checksum
@@ -98,11 +96,11 @@ class TestSnapshotCarriesTransport:
         plan = FaultPlan(name="drop", seed=21, drop_rate=0.15)
         params = dict(SMOKE_RECOVER_PARAMS["MatMul"])
         cells = params.pop("num_cells")
-        with faults_applied(plan), ckpt_applied(CheckpointPolicy(
-                at_site=2, directory=str(tmp_path),
-                stop_after_capture=True)):
-            with pytest.raises(CheckpointInterrupt) as excinfo:
-                workload("MatMul").run(num_cells=cells, **params)
+        config = MachineConfig(fault_plan=plan, checkpoint_at_site=2,
+                               checkpoint_dir=str(tmp_path),
+                               stop_after_checkpoint=True)
+        with pytest.raises(CheckpointInterrupt) as excinfo:
+            workload("MatMul").run(num_cells=cells, config=config, **params)
         snapshot = load_snapshot(excinfo.value.snapshot_path)
         saved = snapshot.state["transport"]
         assert saved is not None

@@ -24,9 +24,10 @@ from pathlib import Path
 GOLDEN = Path(__file__).with_name("counter_golden.json")
 
 
-def _tomcatv(use_stride, n=33):
+def _tomcatv(use_stride, n=33, config=None):
     from repro.apps import tomcatv
-    return tomcatv.run(4, n=n, iters=1, use_stride=use_stride)
+    return tomcatv.run(4, n=n, iters=1, use_stride=use_stride,
+                       config=config)
 
 
 def _ping_pong():
@@ -40,11 +41,11 @@ def _matmul():
 
 
 def _held_wire():
-    from repro.faults.plan import FaultPlan, applied
+    from repro.faults.plan import FaultPlan
+    from repro.machine.config import MachineConfig
     plan = FaultPlan(name="squeeze", seed=1999, drop_rate=0.01,
                      delay_rate=0.05, queue_capacity_words=16)
-    with applied(plan):
-        return _tomcatv(False, n=17)
+    return _tomcatv(False, n=17, config=MachineConfig(fault_plan=plan))
 
 
 RUNS = {

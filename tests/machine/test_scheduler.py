@@ -20,7 +20,7 @@ import pytest
 import repro
 from repro.apps.workloads import workload
 from repro.core.errors import CommTimeoutError
-from repro.faults.plan import FaultPlan, KillSpec, applied, smoke_plans
+from repro.faults.plan import FaultPlan, KillSpec, smoke_plans
 from repro.faults.chaos import memory_digest, results_digest, trace_digest
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
@@ -49,8 +49,8 @@ class TestSchedulerEquivalence:
 
 def outcome(app, plan):
     """Everything a faulted run leaves behind, digested."""
-    with applied(plan):
-        run = workload(app).runner(**CASES[app])
+    run = workload(app).runner(config=MachineConfig(fault_plan=plan),
+                               **CASES[app])
     tnet = run.machine.tnet
     return (run.verified, trace_digest(run.trace),
             results_digest(run.results), memory_digest(run.machine),
@@ -166,7 +166,7 @@ def test_engine_knobs_do_not_grow_back():
                 if any(m.split(".")[0] == "tests" for m in modules):
                     imports_tests.add(rel)
     assert (env_names, scalar_builders, imports_tests, retired) == (
-        {"REPRO_MACHINE_SHARDS": {"cli.py", "machine/config.py"},
+        {"REPRO_MACHINE_SHARDS": {"machine/config.py"},
          "REPRO_BENCH_ABORT_AFTER": {"bench/runner.py"}},
         set(), set(), {})
     assert run_loops == {"_run_batched"}

@@ -21,7 +21,6 @@ import types
 import pytest
 
 from repro.apps.workloads import workload
-from repro.ckpt.policy import CheckpointPolicy, applied
 from repro.ckpt.snapshot import resume_workload
 from repro.core.errors import (
     CommunicationError,
@@ -224,11 +223,10 @@ class TestFallbacks:
         assert memory_digest(serial.machine) == \
             memory_digest(shard.machine)
 
-    def test_armed_checkpoint_falls_back_byte_identically(
-            self, monkeypatch):
-        with applied(CheckpointPolicy(every=1)):
-            serial = run_with("MatMul", 1, monkeypatch)
-            shard = run_with("MatMul", 2, monkeypatch)
+    def test_armed_checkpoint_falls_back_byte_identically(self):
+        serial, shard = (workload("MatMul").runner(
+            config=MachineConfig(shards=shards, checkpoint_every=1),
+            **CASES["MatMul"]) for shards in (1, 2))
         assert shard.machine.ckpt_seq > 0
         assert shard.machine.engine == {"loop": "wake-set",
                                         "fallback": "armed checkpoint"}
@@ -238,8 +236,9 @@ class TestFallbacks:
             self, tmp_path, monkeypatch):
         params = dict(SMOKE_RECOVER_PARAMS["MatMul"])
         cells = params.pop("num_cells")
-        with applied(CheckpointPolicy(every=1, directory=str(tmp_path))):
-            first = workload("MatMul").run(num_cells=cells, **params)
+        first = workload("MatMul").run(
+            num_cells=cells, config=MachineConfig(
+                checkpoint_every=1, checkpoint_dir=str(tmp_path)), **params)
         assert first.machine.ckpt_seq > 1
         snapshot = sorted(tmp_path.iterdir())[0]
 

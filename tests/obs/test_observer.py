@@ -7,7 +7,6 @@ import pytest
 
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
-from repro.obs import observer as obs
 from repro.obs.micro import MICRO_CELLS, micro_machine, micro_trace
 from repro.obs.observer import MAX_SERIES_SAMPLES, machine_metrics
 from repro.obs.registry import MACHINE_SCHEMA
@@ -26,19 +25,6 @@ class TestAttachment:
         assert m.obs is not None
         assert m.tnet.observer is m.obs
         assert m.bnet.observer is m.obs
-
-    def test_ambient_switch_attaches(self):
-        with obs.enabled():
-            m = Machine(MachineConfig(num_cells=2,
-                                      memory_per_cell=1 << 20))
-        assert m.obs is not None
-        assert not obs.active()
-
-    def test_ambient_switch_off_is_explicit(self):
-        with obs.enabled(False):
-            m = Machine(MachineConfig(num_cells=2,
-                                      memory_per_cell=1 << 20))
-        assert m.obs is None
 
 
 class TestHarvest:
@@ -97,10 +83,9 @@ class TestFaultyHarvest:
         from repro.faults.plan import FaultPlan
 
         plan = FaultPlan(name="obs", seed=7, drop_rate=0.2)
-        with obs.enabled():
-            m = Machine(MachineConfig(num_cells=MICRO_CELLS,
-                                      memory_per_cell=1 << 22,
-                                      fault_plan=plan))
+        m = Machine(MachineConfig(num_cells=MICRO_CELLS,
+                                  memory_per_cell=1 << 22,
+                                  fault_plan=plan, observe=True))
         from repro.obs.micro import micro_program
         m.run(micro_program)
         metrics = machine_metrics(m)

@@ -129,6 +129,66 @@ class TestRunCheckpoint:
                      "--resume-from", str(ckpts)]) == 0
         assert "VERIFIED" in capsys.readouterr().out
 
+    #: Every other ``repro run`` option beside ``--resume-from``: what it
+    #: adds to the plain resume, and the option a refusal must name
+    #: (None: the resume honours it and records the same trace).
+    RESUME_PAIRS = [
+        (["--trace", "{tmp}/t.trc"], None),
+        (["--no-replay"], None),
+        (["--json"], None),
+        (["--shards", "2"], None),
+        (["--checkpoint-dir", "{tmp}/more"], None),
+        (["--checkpoint-every", "2"], None),
+        (["--cells", "8"], "--cells"),
+        (["--paper-scale"], "--paper-scale"),
+        (["--sanitize"], "--sanitize"),
+        (["--trace-capacity", "5"], "--trace-capacity"),
+        (["--observe"], "--observe"),
+        (["--stream", "{tmp}/s.trc"], "--stream"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def matmul_ckpts(self, tmp_path_factory):
+        ckpts = tmp_path_factory.mktemp("resume") / "ckpts"
+        assert main(["run", "MatMul", "--cells", "4", "--no-replay",
+                     "--checkpoint-dir", str(ckpts),
+                     "--checkpoint-every", "1"]) == 0
+        return ckpts
+
+    @pytest.mark.parametrize(("extra", "refused"), RESUME_PAIRS,
+                             ids=[pair[0][0] for pair in RESUME_PAIRS])
+    def test_resume_honours_or_refuses_every_option(
+            self, extra, refused, matmul_ckpts, tmp_path, capsys,
+            monkeypatch):
+        """A resumed run's identity settings are its snapshot's: an
+        option that would change them exits 2 naming both options,
+        never a run that silently ignores it."""
+        from repro.apps.workloads import Workload
+        from repro.faults.chaos import trace_digest
+
+        digests = []
+        run = Workload.run
+
+        def recording(self, **kwargs):
+            result = run(self, **kwargs)
+            digests.append(trace_digest(result.trace))
+            return result
+
+        monkeypatch.setattr(Workload, "run", recording)
+        plain = ["run", "MatMul", "--cells", "4",
+                 "--resume-from", str(matmul_ckpts)]
+        assert main(plain) == 0
+        code = main(plain + [arg.format(tmp=tmp_path) for arg in extra])
+        err = capsys.readouterr().err
+        assert "ambient" not in err
+        if refused is None:
+            assert code == 0, err
+            assert digests[1] == digests[0]
+        else:
+            assert code == 2
+            assert refused in err and "--resume-from" in err, err
+            assert len(digests) == 1
+
     def test_resume_from_missing_dir_is_a_clean_error(
             self, tmp_path, capsys):
         assert main(["run", "MatMul", "--cells", "4", "--no-replay",

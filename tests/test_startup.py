@@ -59,9 +59,10 @@ with tempfile.TemporaryDirectory() as scratch:
         replay_columns(columns, preset(name), collect_metrics=True)
 unit = loaded(NAMES)
 
-from repro.faults.plan import applied, smoke_plans
-with applied(smoke_plans()[0]):
-    workload("RingShift").runner(**config)
+from repro.faults.plan import smoke_plans
+from repro.machine.config import MachineConfig
+workload("RingShift").runner(
+    config=MachineConfig(fault_plan=smoke_plans()[0]), **config)
 print(json.dumps({"unit": unit, "faulted": loaded(NAMES)}))
 """
 

@@ -16,8 +16,8 @@ import pytest
 
 from repro.apps.workloads import workload
 from repro.core.errors import SimulationError
+from repro.machine.config import MachineConfig
 from repro.mlsim.engine_soa import trace_index
-from repro.trace import sanitize as trace_sanitize
 from repro.trace.io import (
     load_trace,
     load_trace_columns,
@@ -34,8 +34,8 @@ from .reference import reference_v1_text
 def recorded():
     """A sanitized MatMul run: PUT traffic (so byte-range annotations),
     collectives, and phases all present."""
-    with trace_sanitize.enabled():
-        run = workload("MatMul").runner(num_cells=4, n=32)
+    run = workload("MatMul").runner(num_cells=4, n=32,
+                                    config=MachineConfig(sanitize=True))
     return run.trace
 
 
