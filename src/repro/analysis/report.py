@@ -3,7 +3,7 @@
 ``run_experiments`` executes the paper's whole evaluation: run every
 workload functionally (with numerical verification), replay each trace
 under the three machine models, and assemble Tables 2/3 and Figure 8.
-``python -m repro.analysis.report`` prints the full report.
+``repro report`` prints the full report.
 """
 
 from __future__ import annotations
@@ -100,25 +100,3 @@ def run_experiments(*, paper_scale: bool = False,
     )
     return ExperimentReport(runs=outcome.runs,
                             comparisons=outcome.comparisons)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Reproduce the AP1000+ evaluation (Tables 2-3, Fig 8)")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="use the paper's problem sizes and PE counts "
-                             "(slow: minutes of pure-Python simulation)")
-    parser.add_argument("--apps", nargs="*", default=list(ORDER),
-                        help="subset of workloads to run")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep")
-    args = parser.parse_args()
-    report = run_experiments(paper_scale=args.paper_scale,
-                             names=tuple(args.apps), jobs=args.jobs)
-    print(report.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

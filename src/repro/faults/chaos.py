@@ -272,13 +272,6 @@ def _run_case(app: str, plan: FaultPlan, want_results: str,
     return case
 
 
-def smoke_sweep(*, seed: int = 1994, cells: int | None = None,
-                log: Callable[[str], None] | None = None) -> ChaosReport:
-    """The CI-sized sweep behind ``repro chaos --smoke``."""
-    return chaos_sweep(SMOKE_APPS, smoke_plans(seed), cells=cells,
-                       log=log)
-
-
 # ----------------------------------------------------------------------
 # Kill-and-resume sweep (repro chaos --recover)
 # ----------------------------------------------------------------------

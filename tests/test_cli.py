@@ -206,7 +206,7 @@ class TestRunCheckpoint:
         import sys
         import time
 
-        from repro.cli import EXIT_RESUMABLE
+        from repro.cli.common import EXIT_RESUMABLE
 
         # Paper-scale CG crosses ~15 gates over a few seconds, leaving
         # a wide window between the first snapshot and completion for
@@ -262,7 +262,7 @@ class TestChaosRecover:
             self, monkeypatch, capsys):
         import json
 
-        from repro.cli import EXIT_DIVERGED
+        from repro.cli.common import EXIT_DIVERGED
         from repro.faults import chaos as chaos_mod
 
         def fake_sweep(*args, **kwargs):
@@ -283,7 +283,7 @@ class TestChaosRecover:
 
     def test_chaos_divergence_exits_3_crash_exits_1(
             self, monkeypatch, capsys):
-        from repro.cli import EXIT_DIVERGED
+        from repro.cli.common import EXIT_DIVERGED
         from repro.faults import chaos as chaos_mod
 
         def report_with(case):
@@ -311,7 +311,7 @@ class TestChaosRecover:
 class TestBenchResume:
     def test_abort_exits_resumable_then_resume_completes(
             self, tmp_path, monkeypatch, capsys):
-        from repro.cli import EXIT_RESUMABLE
+        from repro.cli.common import EXIT_RESUMABLE
 
         journal = tmp_path / "journal.json"
         monkeypatch.setenv("REPRO_BENCH_ABORT_AFTER", "1")
@@ -338,7 +338,7 @@ class TestBenchResume:
             self, tmp_path, monkeypatch, capsys):
         from pathlib import Path
 
-        from repro.cli import EXIT_RESUMABLE
+        from repro.cli.common import EXIT_RESUMABLE
 
         seen = {}
 
