@@ -97,7 +97,8 @@ WORKLOADS: dict[str, Workload] = {
         "SCG", scg.run, scg.DEFAULT_PES, {"m": scg.DEFAULT_M},
         scg.PAPER_PES, {"m": scg.PAPER_M}, "C"),
     # Section 5 latency microbenchmarks; not Table 2/3 rows (they are
-    # excluded from ORDER) but first-class workloads for the perf lane.
+    # excluded from ORDER) but first-class workloads of the micro and
+    # wide bench grids.
     "PingPong": Workload(
         "PingPong", latency.run_ping_pong, latency.DEFAULT_PES,
         {"iters": latency.DEFAULT_ITERS},

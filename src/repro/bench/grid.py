@@ -6,15 +6,21 @@ replayed through MLSim under every parameter preset.  A grid is a list
 of :class:`BenchSpec` rows (one functional run each) plus the preset
 names to replay every trace under.
 
-Four grids are defined here:
+``repro bench run --grid NAME`` runs one of the four named grids in
+:data:`GRIDS`:
 
-* :func:`bench_specs` — the benchmark-scale configurations used by
-  ``pytest benchmarks/`` (the Table 2/3 rows at or near paper scale);
-* :func:`smoke_specs` — a two-app, seconds-long grid for CI smoke runs;
-* :func:`micro_specs` — the perf-lane grid (latency microbenchmarks +
-  a small CG) timed by ``repro bench perf``;
-* :func:`workload_specs` — the workload registry's default or paper
-  sizes, used by ``repro report``.
+* ``bench`` (:func:`bench_specs`) — the benchmark-scale configurations
+  also used by ``pytest benchmarks/`` (the Table 2/3 rows at or near
+  paper scale);
+* ``smoke`` (:func:`smoke_specs`) — a two-app, seconds-long grid for CI
+  smoke runs;
+* ``micro`` (:func:`micro_specs`) — latency microbenchmarks + a small
+  CG, recorded by the CI cost-table job;
+* ``wide`` (:func:`wide_specs`) — Figure 8 past the paper's machine
+  sizes, per-cell work held constant up to 4096 cells.
+
+:func:`workload_specs` gives the workload registry's default or paper
+sizes, used by ``repro report``.
 """
 
 from __future__ import annotations
@@ -51,16 +57,20 @@ SMOKE_CONFIGS: dict[str, dict[str, Any]] = {
     "MatMul": dict(num_cells=16, n=200),
 }
 
-#: Perf-lane grid (``repro bench perf``): the section 5 latency
-#: microbenchmarks at many cells — long blocking chains that stress the
-#: SPMD scheduler — plus one real solver whose trace is dominated by the
-#: section 5.3 replay arithmetic.  Sized for seconds per run so the CI
-#: perf job can afford cold + warm passes under both engine modes.
+#: Micro grid: the section 5 latency microbenchmarks at many cells —
+#: long blocking chains that stress the SPMD scheduler — plus one real
+#: solver whose trace is dominated by the section 5.3 replay
+#: arithmetic.  Sized for seconds per run.
 MICRO_CONFIGS: dict[str, dict[str, Any]] = {
     "PingPong": dict(num_cells=256, iters=1024),
     "RingShift": dict(num_cells=256, hops=2048),
     "CG": dict(num_cells=16, n=700, outer=8, inner=25),
 }
+
+
+#: Machine sizes of the wide grid: two official Table 1 sizes and one
+#: four times the largest.
+WIDE_POINTS = (256, 1024, 4096)
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,13 @@ class BenchSpec:
     app: str
     num_cells: int
     params: dict[str, Any] = field(default_factory=dict)
+    #: The row's key in the artifact and the journal: the application
+    #: name, unless the grid runs the application more than once.
+    name: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            object.__setattr__(self, "name", self.app)
 
     def config(self) -> dict[str, Any]:
         """The full configuration, cell count included (cache key and
@@ -95,19 +112,10 @@ def _specs_from(configs: dict[str, dict[str, Any]]) -> list[BenchSpec]:
     return specs
 
 
-def bench_specs(
-    names: tuple[str, ...] | None = None,
-) -> list[BenchSpec]:
-    """The full benchmark grid (all eight Table 2/3 rows), optionally
-    restricted to ``names`` (paper row order is preserved)."""
-    selected = ORDER if names is None else names
-    unknown = [n for n in selected if n not in BENCH_CONFIGS]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown benchmark apps {unknown}; choose from {list(ORDER)}"
-        )
-    ordered = [n for n in ORDER if n in selected]
-    return _specs_from({n: BENCH_CONFIGS[n] for n in ordered})
+def bench_specs() -> list[BenchSpec]:
+    """The full benchmark grid: all eight Table 2/3 rows, in paper
+    order."""
+    return _specs_from(BENCH_CONFIGS)
 
 
 def smoke_specs() -> list[BenchSpec]:
@@ -116,8 +124,54 @@ def smoke_specs() -> list[BenchSpec]:
 
 
 def micro_specs() -> list[BenchSpec]:
-    """The perf-lane grid: latency microbenchmarks + a small CG."""
+    """The micro grid: latency microbenchmarks + a small CG."""
     return _specs_from(MICRO_CONFIGS)
+
+
+def wide_specs() -> list[BenchSpec]:
+    """Figure 8 at P in :data:`WIDE_POINTS` with the per-cell problem
+    held constant (weak scaling): EP at 128 pairs per cell, the
+    pure-computation end of the figure, and RingShift carrying one
+    token a full lap (one hop per cell), the latency-bound end.  Rows
+    are named ``APP@P``."""
+    return [
+        BenchSpec(app=app, num_cells=cells, params=params,
+                  name=f"{app}@{cells}")
+        for cells in WIDE_POINTS
+        for app, params in (
+            ("EP", {"log2_pairs": cells.bit_length() - 1 + 7}),
+            ("RingShift", {"hops": cells}),
+        )
+    ]
+
+
+#: The named grids of ``repro bench run --grid``: each one's rows and
+#: the presets it replays them under.
+GRIDS = {
+    "bench": (bench_specs, ALL_PRESETS),
+    "smoke": (smoke_specs, SMOKE_PRESETS),
+    "micro": (micro_specs, ALL_PRESETS),
+    "wide": (wide_specs, ALL_PRESETS),
+}
+
+#: Every application some grid runs (``--apps`` choices).
+GRID_APPS = tuple(dict.fromkeys(
+    spec.app for specs, _ in GRIDS.values() for spec in specs()))
+
+
+def grid_specs(grid: str, apps: tuple[str, ...] | None = None,
+               ) -> list[BenchSpec]:
+    """The rows of the named grid, restricted to the rows of ``apps``
+    when given (grid order is preserved)."""
+    specs = GRIDS[grid][0]()
+    if apps is None:
+        return specs
+    missing = sorted(set(apps) - {s.app for s in specs})
+    if missing:
+        raise ConfigurationError(
+            f"grid {grid!r} has no {', '.join(missing)} rows; its apps "
+            f"are {list(dict.fromkeys(s.app for s in specs))}")
+    return [s for s in specs if s.app in apps]
 
 
 def workload_specs(

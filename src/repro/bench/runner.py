@@ -233,7 +233,7 @@ class BenchJournal:
         self.grid = grid
         self.version = version
         self.preset_names = list(preset_names)
-        self.app_order = [s.app for s in specs]
+        self.app_order = [s.name for s in specs]
         self.apps: dict[str, dict[str, Any]] = {}
         abort_after = os.environ.get(ABORT_AFTER_ENV)
         self._abort_after = int(abort_after) if abort_after else None
@@ -247,8 +247,8 @@ class BenchJournal:
 
     def record(self, spec: BenchSpec, result: AppResult,
                timings: AppTimings) -> None:
-        self.apps[spec.app] = {"result": asdict(result),
-                               "timings": asdict(timings)}
+        self.apps[spec.name] = {"result": asdict(result),
+                                "timings": asdict(timings)}
         self._write()
         if (self._abort_after is not None
                 and len(self.apps) >= self._abort_after):
@@ -307,7 +307,7 @@ def load_journal(
         "grid": grid,
         "code_version": version,
         "preset_names": list(preset_names),
-        "app_order": [s.app for s in specs],
+        "app_order": [s.name for s in specs],
     }
     for key, want in expected.items():
         got = data.get(key)
@@ -316,21 +316,21 @@ def load_journal(
                 f"cannot resume: journal {path} was written for "
                 f"{key}={got!r} but this campaign has {key}={want!r}; "
                 "rerun without --resume to start over")
-    spec_by_app = {s.app: s for s in specs}
+    spec_by_name = {s.name: s for s in specs}
     completed: dict[str, tuple[AppResult, AppTimings]] = {}
-    for app, entry in data.get("apps", {}).items():
-        spec = spec_by_app.get(app)
+    for name, entry in data.get("apps", {}).items():
+        spec = spec_by_name.get(name)
         if spec is None:
             raise ConfigurationError(
                 f"cannot resume: journal {path} carries unknown "
-                f"application {app!r}")
-        result = app_result_from_dict(app, entry["result"])
+                f"row {name!r}")
+        result = app_result_from_dict(name, entry["result"])
         if result.config != jsonify(spec.config()):
             raise ConfigurationError(
-                f"cannot resume: journaled {app} row was produced with "
+                f"cannot resume: journaled {name} row was produced with "
                 f"config {result.config!r}, but this campaign would run "
                 f"it with {jsonify(spec.config())!r}")
-        completed[app] = (result, AppTimings(**entry["timings"]))
+        completed[name] = (result, AppTimings(**entry["timings"]))
     return completed
 
 
@@ -338,13 +338,13 @@ def _trace_for_check(spec: BenchSpec, stages: dict[str, _AppStage],
                      cache_root: Path, version: str):
     """The trace to check for one row: this session's record, else the
     cache entry of a row the journal carried over."""
-    stage = stages.get(spec.app)
+    stage = stages.get(spec.name)
     record = (stage.run if stage is not None
               else TraceCache(cache_root, version).get(spec.app,
                                                        spec.config()))
     if record is None:
         raise ConfigurationError(
-            f"--check on a resumed campaign needs {spec.app}'s cached "
+            f"--check on a resumed campaign needs {spec.name}'s cached "
             "trace, but the cache holds no entry at this code version; "
             "rerun without --resume")
     return record.trace
@@ -391,13 +391,13 @@ def _run_grid(
     def recorded(spec: BenchSpec, record: CachedRun) -> None:
         state = ("cached" if record.cache_hit
                  else f"{record.functional_wall_s:.2f}s")
-        log(f"[{next(count)}/{len(specs)}] {spec.app}: functional "
+        log(f"[{next(count)}/{len(specs)}] {spec.name}: functional "
             f"{state} ({record.total_events} events)")
 
     def replayed(spec: BenchSpec, record: CachedRun,
                  results: dict[str, MLSimResult],
                  walls: dict[str, float]) -> None:
-        stage = stages[spec.app] = _AppStage(record, results, walls)
+        stage = stages[spec.name] = _AppStage(record, results, walls)
         if journal is not None:
             journal.record(spec, _app_result(spec, stage, preset_names),
                            _app_timings(stage))
@@ -445,31 +445,31 @@ def _assemble(
     apps: dict[str, AppResult] = {}
     timings: dict[str, AppTimings] = {}
     for spec in specs:
-        report = (check_reports or {}).get(spec.app)
-        static = (static_reports or {}).get(spec.app)
+        report = (check_reports or {}).get(spec.name)
+        static = (static_reports or {}).get(spec.name)
         check_dict = report.to_dict() if report is not None else None
         if check_dict is not None and static is not None:
             check_dict["static"] = static.to_dict()
-        if completed and spec.app in completed:
+        if completed and spec.name in completed:
             # A row journaled by the killed run: splice it back
             # verbatim (the check report, when the check stage ran, was
             # recomputed this session — it is deterministic).
-            result, row_timings = completed[spec.app]
+            result, row_timings = completed[spec.name]
             if check_dict is not None:
                 result = replace(result, check=check_dict)
-            apps[spec.app] = result
-            timings[spec.app] = row_timings
+            apps[spec.name] = result
+            timings[spec.name] = row_timings
             continue
-        stage = stages[spec.app]
+        stage = stages[spec.name]
         result = _app_result(spec, stage, preset_names)
         if check_dict is not None:
             result = replace(result, check=check_dict)
-        apps[spec.app] = result
-        timings[spec.app] = _app_timings(stage)
+        apps[spec.name] = result
+        timings[spec.name] = _app_timings(stage)
     return BenchArtifact(
         grid=grid_name,
         preset_names=list(preset_names),
-        app_order=[s.app for s in specs],
+        app_order=[s.name for s in specs],
         apps=apps,
         timings=timings,
         environment=_environment(),
@@ -508,8 +508,8 @@ def run_bench(
     """
     if jobs < 1:
         raise ConfigurationError("--jobs must be at least 1")
-    if len({s.app for s in specs}) != len(specs):
-        raise ConfigurationError("duplicate application in benchmark grid")
+    if len({s.name for s in specs}) != len(specs):
+        raise ConfigurationError("duplicate row in benchmark grid")
     log = log or (lambda message: None)
     cache_root = Path(cache_dir) if cache_dir else DEFAULT_CACHE_DIR
     version = code_version()
@@ -532,7 +532,7 @@ def run_bench(
             Path(journal_path), grid=grid_name, version=version,
             preset_names=preset_names, specs=specs)
         journal.seed(completed)
-    todo = [s for s in specs if s.app not in completed]
+    todo = [s for s in specs if s.name not in completed]
     start = time.perf_counter()
     spool: tempfile.TemporaryDirectory | None = None
     try:
@@ -563,9 +563,9 @@ def run_bench(
             report = check_trace(
                 _trace_for_check(spec, stages, cache_root, version),
                 spec.app)
-            check_reports[spec.app] = report
+            check_reports[spec.name] = report
             log(
-                f"check {spec.app}: "
+                f"check {spec.name}: "
                 + ("clean" if report.clean
                    else f"{len(report.diagnostics)} diagnostic(s)")
             )
@@ -576,9 +576,9 @@ def run_bench(
                 static, _graph, _runs = analyze_app(
                     spec.app, scales=(spec.num_cells,),
                     build_graph=False)
-                static_reports[spec.app] = static
+                static_reports[spec.name] = static
                 log(
-                    f"check {spec.app} static: "
+                    f"check {spec.name} static: "
                     + ("clean" if static.clean
                        else f"{len(static.diagnostics)} diagnostic(s)")
                 )

@@ -9,7 +9,7 @@ verb's options and the combinations it refuses, e.g.::
     repro replay cg.trc --preset ap1000+
     repro run CG --checkpoint-dir ckpts --checkpoint-every 2
     repro run CG --resume-from ckpts
-    repro bench run --smoke
+    repro bench run --grid smoke
 
 The ``run``/``replay`` split mirrors the paper's methodology: traces are
 recorded once on the (functional) machine, then replayed through MLSim
@@ -42,16 +42,15 @@ GROUPS = {"trace": "trace tooling (Perfetto/Chrome timeline export)",
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.cli import (bench_compare, bench_perf, bench_run, bench_weak,
-                           chaos, check, ingest, list_, params, replay,
-                           report, run, top, trace_export)
+    from repro.cli import (bench_compare, bench_run, chaos, check, ingest,
+                           list_, params, replay, report, run, top,
+                           trace_export)
 
     # Every verb, in ``repro --help`` order.
     verbs = {"list": list_, "run": run, "replay": replay,
              "trace export": trace_export, "top": top, "ingest": ingest,
              "params": params, "report": report, "check": check,
              "chaos": chaos, "bench run": bench_run,
-             "bench perf": bench_perf, "bench weak": bench_weak,
              "bench compare": bench_compare}
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -8,16 +8,13 @@ import shlex
 import signal
 from pathlib import Path
 
-from repro.apps.workloads import ORDER
+from repro.bench.grid import GRID_APPS, GRIDS, grid_specs
 from repro.cli.common import (CACHE_RULE, EXIT_RESUMABLE, Rule, command_line,
                               on_signals)
 from repro.mlsim.params import PRESETS
 
 HELP = "run the (application x preset) grid"
 RULES = (
-    Rule("--micro", ("--smoke",), "each names its own grid"),
-    Rule("--apps", ("--micro", "--smoke"),
-         "the micro and smoke grids fix their applications"),
     Rule("--output", ("--output-dir",),
          "--output is the artifact's whole path"),
     CACHE_RULE,
@@ -28,17 +25,17 @@ RULES = (
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--grid", choices=list(GRIDS), default="bench",
+                        help="bench: the Table 2/3 rows (default); smoke: "
+                             "EP + MatMul, CI-sized, 2 presets; micro: "
+                             "latency microbenchmarks + small CG; wide: "
+                             "EP and RingShift at 256-4096 cells")
     parser.add_argument("--apps", nargs="*", metavar="APP",
-                        choices=list(ORDER),
-                        help="subset of the benchmark grid")
+                        choices=list(GRID_APPS),
+                        help="the named grid's rows of these apps")
     parser.add_argument("--presets", nargs="*", metavar="PRESET",
                         choices=sorted(PRESETS),
                         help="parameter presets to replay under")
-    parser.add_argument("--micro", action="store_true",
-                        help="run the perf-lane micro grid (latency "
-                             "microbenchmarks + small CG)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small CI grid: EP + MatMul, 2 presets")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default: 1, serial)")
     parser.add_argument("--output", metavar="FILE",
@@ -72,24 +69,12 @@ def _interrupted(signum: int, frame: object) -> None:
 
 def main(args: argparse.Namespace) -> int:
     from repro.bench.cache import DEFAULT_CACHE_DIR
-    from repro.bench.grid import (
-        ALL_PRESETS,
-        SMOKE_PRESETS,
-        bench_specs,
-        micro_specs,
-        smoke_specs,
-    )
     from repro.bench.runner import run_bench
     from repro.bench.schema import artifact_filename
 
-    if args.micro:
-        grid_name, specs, presets = "micro", micro_specs(), ALL_PRESETS
-    elif args.smoke:
-        grid_name, specs, presets = "smoke", smoke_specs(), SMOKE_PRESETS
-    else:
-        grid_name, presets = "bench", ALL_PRESETS
-        specs = bench_specs(tuple(args.apps) if args.apps else None)
-    preset_names = tuple(args.presets or presets)
+    grid_name = args.grid
+    specs = grid_specs(grid_name, tuple(args.apps) if args.apps else None)
+    preset_names = tuple(args.presets or GRIDS[grid_name][1])
     journal_path = Path(args.journal) if args.journal else None
     if journal_path is None and not args.no_cache:
         cache_root = (Path(args.cache_dir) if args.cache_dir
@@ -115,22 +100,22 @@ def main(args: argparse.Namespace) -> int:
               "pass --journal, to make campaigns resumable)")
         return 130
     artifact = outcome.artifact
-    for app in artifact.app_order:
-        result = artifact.apps[app]
+    for row in artifact.app_order:
+        result = artifact.apps[row]
         status = "VERIFIED" if result.verified else "FAILED"
         elapsed = "  ".join(f"{p}={result.presets[p].elapsed_us:.1f}us"
                             for p in preset_names)
-        print(f"{app:10s} {status:8s} {elapsed}")
+        print(f"{row:14s} {status:8s} {elapsed}")
     run = artifact.run
-    print(f"grid {grid_name}: {len(specs)} apps x {len(preset_names)} "
+    print(f"grid {grid_name}: {len(specs)} rows x {len(preset_names)} "
           f"presets, jobs={args.jobs}, wall {run['wall_s']:.2f}s "
           f"(functional {run['stage_wall_s']['functional']:.2f}s, "
           f"replay {run['stage_wall_s']['replay']:.2f}s, "
           f"cache hits {run['cache']['hits']})")
     if args.check:
-        for app, report in outcome.check_reports.items():
+        for row, report in outcome.check_reports.items():
             if not report.clean:
-                print(f"check {app}:")
+                print(f"check {row}:")
                 print(report.render())
         status = "clean" if outcome.all_check_clean else "DIAGNOSTICS FOUND"
         print(f"check stage: {status}")

@@ -36,10 +36,6 @@ MEGABYTE = 1024 * 1024
 #: Official cell-count range of the product (Table 1).
 MIN_CELLS = 4
 MAX_CELLS = 1024
-#: Cell-count ceiling of the *extended* configuration: the sharded
-#: multiprocess engine (:mod:`repro.machine.sharded`) scales past the
-#: product catalogue, to the 4096 cells the weak-scaling study uses.
-EXTENDED_MAX_CELLS = 4096
 #: Official memory options per cell.
 MEMORY_OPTIONS = (16 * MEGABYTE, 64 * MEGABYTE)
 
@@ -96,11 +92,6 @@ class MachineConfig:
     #: it), so an explicit 1 pins the serial engine whatever the
     #: environment says.
     shards: int = 0
-    #: Lift the official 4-1024 cell ceiling to ``EXTENDED_MAX_CELLS``
-    #: (4096) for strict (``allow_nonstandard=False``) configurations.
-    #: Official presets stay within Table 1; the extended range exists
-    #: for the sharded weak-scaling study.
-    extended: bool = False
 
     def __post_init__(self) -> None:
         if self.shards == 0:
@@ -124,14 +115,10 @@ class MachineConfig:
         if self.memory_per_cell < 1024:
             raise ConfigurationError("cell memory unrealistically small")
         if not self.allow_nonstandard:
-            max_cells = EXTENDED_MAX_CELLS if self.extended else MAX_CELLS
-            if not MIN_CELLS <= self.num_cells <= max_cells:
-                hint = ("" if self.extended else
-                        "; pass extended=True to allow up to "
-                        f"{EXTENDED_MAX_CELLS} cells on the sharded engine")
+            if not MIN_CELLS <= self.num_cells <= MAX_CELLS:
                 raise ConfigurationError(
-                    f"official configurations have {MIN_CELLS}-{max_cells} "
-                    f"cells, got {self.num_cells}{hint}")
+                    f"official configurations have {MIN_CELLS}-{MAX_CELLS} "
+                    f"cells, got {self.num_cells}")
             if self.memory_per_cell not in MEMORY_OPTIONS:
                 raise ConfigurationError(
                     f"official memory options are 16 or 64 MB per cell, got "

@@ -136,7 +136,7 @@ def render_bench_top(artifact) -> str:
     """ASCII summary of the metrics blocks in a bench artifact."""
     lines = [f"bench artifact: grid {artifact.grid!r}, "
              f"presets {', '.join(artifact.preset_names)}"]
-    header = (f"  {'app':<12} {'preset':<12} {'elapsed us':>12} "
+    header = (f"  {'app':<14} {'preset':<12} {'elapsed us':>12} "
               f"{'link util':>10} {'queue hw':>9} {'spills':>7} "
               f"{'retries':>8}")
     lines.append(header)
@@ -154,7 +154,7 @@ def render_bench_top(artifact) -> str:
             util = _metric_at(metrics, "replay", preset,
                               "links_max_utilization")
             lines.append(
-                f"  {app:<12} {preset:<12} {pm.elapsed_us:>12.1f} "
+                f"  {app:<14} {preset:<12} {pm.elapsed_us:>12.1f} "
                 + (f"{100.0 * util:>9.1f}%" if util is not None
                    else f"{'-':>10}")
                 + (f" {queue_hw:>9d}" if queue_hw is not None
@@ -163,7 +163,7 @@ def render_bench_top(artifact) -> str:
                 + (f" {retries:>8d}" if retries is not None
                    else f" {'-':>8}"))
         if metrics is None:
-            lines.append(f"  {app:<12} (no metrics block in this artifact)")
+            lines.append(f"  {app:<14} (no metrics block in this artifact)")
     return "\n".join(lines)
 
 

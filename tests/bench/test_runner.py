@@ -10,6 +10,8 @@ from repro.bench.grid import (
     BENCH_CONFIGS,
     BenchSpec,
     bench_specs,
+    grid_specs,
+    micro_specs,
     smoke_specs,
     workload_specs,
 )
@@ -27,17 +29,28 @@ class TestGrids:
             assert spec.config() == BENCH_CONFIGS[spec.app]
 
     def test_bench_grid_subset_keeps_paper_order(self):
-        specs = bench_specs(("MatMul", "EP"))
+        specs = grid_specs("bench", ("MatMul", "EP"))
         assert [s.app for s in specs] == ["EP", "MatMul"]
 
     def test_bench_grid_rejects_unknown_app(self):
         with pytest.raises(ConfigurationError):
-            bench_specs(("LU",))
+            grid_specs("bench", ("LU",))
 
     def test_smoke_grid_is_two_small_apps(self):
         specs = smoke_specs()
         assert [s.app for s in specs] == ["EP", "MatMul"]
         assert all(s.num_cells <= 16 for s in specs)
+
+    def test_wide_grid_keys_rows_by_name(self):
+        specs = grid_specs("wide")
+        assert [s.name for s in specs] == [
+            f"{app}@{cells}" for cells in (256, 1024, 4096)
+            for app in ("EP", "RingShift")]
+        assert [s.name for s in grid_specs("wide", ("EP",))] == [
+            "EP@256", "EP@1024", "EP@4096"]
+        # Names key the rows; two identical specs are still refused.
+        with pytest.raises(ConfigurationError, match="duplicate row"):
+            run_bench([specs[0], specs[0]], use_cache=False)
 
     def test_workload_specs_match_registry_defaults(self):
         by_app = {s.app: s for s in workload_specs()}
@@ -99,32 +112,39 @@ class TestSerialParallelEquivalence:
     def test_cached_rerun_byte_identical_and_hits(
         self, tiny_outcome, tmp_path
     ):
-        first = run_bench(
-            TINY_SPECS,
-            TINY_PRESETS,
-            cache_dir=tmp_path,
-            grid_name="tiny",
-        )
-        assert first.artifact.run["cache"] == {
-            "enabled": True,
-            "hits": 0,
-            "misses": 2,
-        }
-        second = run_bench(
-            TINY_SPECS,
-            TINY_PRESETS,
-            cache_dir=tmp_path,
-            grid_name="tiny",
-        )
-        assert second.artifact.run["cache"]["hits"] == 2
-        assert results_bytes(second.artifact) == results_bytes(
-            first.artifact
-        )
-        assert results_bytes(first.artifact) == results_bytes(
-            tiny_outcome.artifact
-        )
-        for app in ("EP", "MatMul"):
-            assert second.artifact.timings[app].cache_hit is True
+        # Cold and warm (cache-hit) runs of the tiny grid and of the
+        # micro grid's long latency chains and CG.
+        for grid, specs, presets in (
+                ("tiny", TINY_SPECS, TINY_PRESETS),
+                ("micro", micro_specs(), ALL_PRESETS)):
+            first = run_bench(
+                specs,
+                presets,
+                cache_dir=tmp_path,
+                grid_name=grid,
+            )
+            assert first.artifact.run["cache"] == {
+                "enabled": True,
+                "hits": 0,
+                "misses": len(specs),
+            }
+            assert first.all_verified
+            second = run_bench(
+                specs,
+                presets,
+                cache_dir=tmp_path,
+                grid_name=grid,
+            )
+            assert second.artifact.run["cache"]["hits"] == len(specs)
+            assert results_bytes(second.artifact) == results_bytes(
+                first.artifact
+            ), grid
+            for spec in specs:
+                assert second.artifact.timings[spec.name].cache_hit is True
+            if grid == "tiny":
+                assert results_bytes(first.artifact) == results_bytes(
+                    tiny_outcome.artifact
+                )
 
     def test_parallel_populates_cache_for_serial(self, tmp_path):
         parallel = run_bench(

@@ -72,14 +72,13 @@ class TestRoundTrip:
 
 
 class TestConfigDocument:
-    #: A strict extended machine with every identity field off its
-    #: default (``extended`` was the one the hand-kept list forgot).
+    #: A strict machine with every identity field off its default.
     CONFIG = MachineConfig(
-        num_cells=2048, memory_per_cell=64 << 20, clock_mhz=25.0,
+        num_cells=1024, memory_per_cell=64 << 20, clock_mhz=25.0,
         cache_bytes=1 << 14, trace_capacity=12345, allow_nonstandard=False,
         sanitize=True, fault_plan=FaultPlan(name="storm", seed=3,
                                             drop_rate=0.1),
-        extended=True, checkpoint_every=2, checkpoint_at_site=3,
+        checkpoint_every=2, checkpoint_at_site=3,
         stop_after_checkpoint=True, checkpoint_dir="x", observe=True,
         shards=2)
 

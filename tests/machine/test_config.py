@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.machine.config import (
-    EXTENDED_MAX_CELLS,
     MEGABYTE,
     PEAK_MFLOPS_PER_CELL,
     MachineConfig,
@@ -40,31 +39,8 @@ class TestOfficialConfigs:
 
 
 class TestExtendedConfigs:
-    """The extended=True escape hatch: 4096 cells for the sharded
-    weak-scaling study, every other strict check intact."""
-
-    def test_oversized_strict_config_names_the_escape_hatch(self):
-        with pytest.raises(ConfigurationError,
-                           match="pass extended=True"):
-            MachineConfig(num_cells=2048, allow_nonstandard=False)
-
-    def test_extended_lifts_ceiling_to_4096(self):
-        cfg = MachineConfig(num_cells=EXTENDED_MAX_CELLS,
-                            allow_nonstandard=False, extended=True)
-        assert cfg.num_cells == 4096
-
-    def test_extended_ceiling_still_enforced(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            MachineConfig(num_cells=8192, allow_nonstandard=False,
-                          extended=True)
-        # No self-referential hint once the hatch is already open.
-        assert "pass extended=True" not in str(excinfo.value)
-
-    def test_extended_keeps_other_strict_checks(self):
-        with pytest.raises(ConfigurationError, match="16 or 64 MB"):
-            MachineConfig(num_cells=2048, allow_nonstandard=False,
-                          extended=True,
-                          memory_per_cell=32 * MEGABYTE)
+    """Past Table 1 a strict configuration has no extended range: only
+    ``allow_nonstandard`` (the default) runs more than 1024 cells."""
 
     def test_official_presets_stay_within_table1(self):
         with pytest.raises(ConfigurationError):

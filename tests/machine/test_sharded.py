@@ -22,11 +22,7 @@ import pytest
 
 from repro.apps.workloads import workload
 from repro.ckpt.snapshot import resume_workload
-from repro.core.errors import (
-    CommunicationError,
-    ConfigurationError,
-    DeadlockError,
-)
+from repro.core.errors import CommunicationError, DeadlockError
 from repro.faults.chaos import (
     SMOKE_RECOVER_PARAMS,
     memory_digest,
@@ -308,11 +304,6 @@ class TestEngineSelection:
         machine.run(lambda ctx: ctx.pe)
         assert machine.engine == {"loop": "wake-set",
                                   "fallback": "machine already used"}
-
-    def test_weak_study_refuses_one_shard(self):
-        from repro.bench.weak import run_weak
-        with pytest.raises(ConfigurationError, match="at least 2"):
-            run_weak(shards=1)
 
 
 _KILL_CHILD = """

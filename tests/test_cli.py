@@ -315,7 +315,7 @@ class TestBenchResume:
 
         journal = tmp_path / "journal.json"
         monkeypatch.setenv("REPRO_BENCH_ABORT_AFTER", "1")
-        code = main(["bench", "run", "--smoke", "--no-cache",
+        code = main(["bench", "run", "--grid", "smoke", "--no-cache",
                      "--journal", str(journal),
                      "--output-dir", str(tmp_path)])
         assert code == EXIT_RESUMABLE
@@ -325,7 +325,7 @@ class TestBenchResume:
         assert "--resume" in out
 
         monkeypatch.delenv("REPRO_BENCH_ABORT_AFTER")
-        code = main(["bench", "run", "--smoke", "--no-cache",
+        code = main(["bench", "run", "--grid", "smoke", "--no-cache",
                      "--journal", str(journal), "--resume",
                      "--output-dir", str(tmp_path)])
         assert code == 0
@@ -347,7 +347,7 @@ class TestBenchResume:
             raise KeyboardInterrupt
 
         monkeypatch.setattr("repro.bench.runner.run_bench", fake_run_bench)
-        code = main(["bench", "run", "--smoke",
+        code = main(["bench", "run", "--grid", "smoke",
                      "--cache-dir", str(tmp_path)])
         assert code == EXIT_RESUMABLE
         assert seen["journal_path"] == Path(tmp_path) / "journal-smoke.json"
@@ -359,7 +359,7 @@ class TestBenchResume:
             raise KeyboardInterrupt
 
         monkeypatch.setattr("repro.bench.runner.run_bench", fake_run_bench)
-        code = main(["bench", "run", "--smoke", "--no-cache"])
+        code = main(["bench", "run", "--grid", "smoke", "--no-cache"])
         assert code == 130
         assert "no journal" in capsys.readouterr().out
 
@@ -472,7 +472,7 @@ class TestBench:
     @pytest.fixture
     def smoke_artifact(self, tmp_path, capsys):
         path = tmp_path / "BENCH_smoke.json"
-        code = main(["bench", "run", "--smoke", "--no-cache",
+        code = main(["bench", "run", "--grid", "smoke", "--no-cache",
                      "--output", str(path)])
         capsys.readouterr()
         assert code == 0
@@ -487,14 +487,14 @@ class TestBench:
         assert data["run"]["jobs"] == 1
 
     def test_run_reports_summary(self, tmp_path, capsys):
-        assert main(["bench", "run", "--smoke", "--no-cache",
+        assert main(["bench", "run", "--grid", "smoke", "--no-cache",
                      "--output", str(tmp_path / "b.json")]) == 0
         out = capsys.readouterr().out
         assert "VERIFIED" in out
         assert "artifact written to" in out
 
     def test_default_output_is_timestamped(self, tmp_path, capsys):
-        assert main(["bench", "run", "--smoke", "--no-cache",
+        assert main(["bench", "run", "--grid", "smoke", "--no-cache",
                      "--output-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         (artifact,) = tmp_path.glob("BENCH_*.json")
@@ -503,11 +503,25 @@ class TestBench:
     def test_run_uses_cache_dir(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         for _ in range(2):
-            assert main(["bench", "run", "--smoke",
+            assert main(["bench", "run", "--grid", "smoke",
                          "--cache-dir", str(cache),
                          "--output-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "cached" in out
+
+    def test_apps_subset_the_named_grid(self, tmp_path, capsys):
+        import json
+        path = tmp_path / "ep.json"
+        assert main(["bench", "run", "--grid", "smoke", "--apps", "EP",
+                     "--no-cache", "--output", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["results"]["app_order"] == ["EP"]
+
+        assert main(["bench", "run", "--grid", "micro", "--apps", "EP",
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "grid 'micro' has no EP rows" in err
 
     def test_compare_passes_against_itself(self, smoke_artifact, capsys):
         assert main(["bench", "compare", str(smoke_artifact),
@@ -592,7 +606,7 @@ class TestJsonDocuments:
     def test_top_artifact_mode(self, tmp_path, capsys):
         import json
         artifact = tmp_path / "BENCH_t.json"
-        assert main(["bench", "run", "--smoke", "--no-cache",
+        assert main(["bench", "run", "--grid", "smoke", "--no-cache",
                      "--output", str(artifact)]) == 0
         capsys.readouterr()
         assert main(["top", str(artifact)]) == 0
