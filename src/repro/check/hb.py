@@ -17,7 +17,7 @@ not ordered by these edges is a race on real hardware.
 Edges modeled:
 
 * **FLAG_WAIT** joins the clocks of the first ``target`` increments of
-  its flag instance in issue order.  (The functional machine pumps to
+  its flag instance in issue order.  (The functional machine reaches
   quiescence at every issue, so by the time a wait with target *t*
   returns, at least the *t* earliest increments have been delivered —
   the edge is sound and as strong as the trace supports.)  Flag ids are

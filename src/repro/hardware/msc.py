@@ -9,13 +9,14 @@ processor involvement (section 4.1):
   eight store instructions;
 * **five queues** (user send, system send, remote access, GET reply,
   remote-load reply) with automatic spill to DRAM on overflow;
-* the **send controller** that pops commands, gathers (optionally strided)
-  data via send DMA, injects the packet, and asks the MC to increment the
-  send flag at DMA completion;
+* the **send controller** that takes each command as it is issued (or
+  pops those a queue holds), gathers (optionally strided) data via send
+  DMA, injects the packet, and asks the MC to increment the send flag at
+  DMA completion;
 * the **receive controller** that parses arriving headers, scatters data
   via receive DMA, invalidates the cached copies of the written range, and
   increments the receive flag — and that *automatically answers GET
-  requests* from the reply queue;
+  requests* through the reply queue;
 * the translation of shared-space physical addresses into remote
   load/store packets (section 4.2).
 """
@@ -23,6 +24,7 @@ processor involvement (section 4.1):
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.errors import CommunicationError, PageFaultError
@@ -91,7 +93,7 @@ class MSCStats(Stateful):
 class MSCPlus(Stateful):
     """Message controller of one cell."""
 
-    _wiring = frozenset({"mc", "tnet", "cache", "send_sink"})
+    _wiring = frozenset({"mc", "tnet", "cache", "send_sink", "on_issue"})
 
     def __init__(self, cell_id: int, mc: MemoryController, tnet: TNet,
                  cache: WriteThroughCache | None = None) -> None:
@@ -113,6 +115,9 @@ class MSCPlus(Stateful):
         self.send_sink = None
         #: Remote-load replies awaiting pickup by the stalled processor.
         self._load_replies: list[Packet] = []
+        #: Called while an issued command counts as queued (the machine
+        #: points it at its observer's occupancy sample); None: no call.
+        self.on_issue: Callable[[], None] | None = None
 
     def all_queues(self) -> tuple[CommandQueue, ...]:
         """The five hardware queues, in section 4.1 order."""
@@ -131,7 +136,8 @@ class MSCPlus(Stateful):
     # ------------------------------------------------------------------
 
     def issue(self, command: Command, *, system: bool = False) -> None:
-        """Issue a PUT/GET command at user (or system) level."""
+        """Queue a PUT/GET command at user (or system) level, for
+        :meth:`pump_send` to send."""
         kind, words = command.kind, command.words
         if kind is CommandKind.REMOTE_LOAD or kind is CommandKind.REMOTE_STORE:
             self.remote_access_queue.push(command, words)
@@ -139,6 +145,26 @@ class MSCPlus(Stateful):
             self.system_send_queue.push(command, words)
         else:
             self.user_send_queue.push(command, words)
+
+    def send(self, command: Command) -> None:
+        """Issue a command and send it at once.
+
+        The MSC+ activates the send DMA the moment the last parameter
+        word lands (section 4.1), so a command passes through its queue
+        (:meth:`CommandQueue.pass_through`: counted pushed and popped,
+        seen by ``on_issue`` while it counts as queued) and leaves in
+        this call.  Behind older commands (a restored queue) it waits,
+        and the send controller drains them in order.
+        """
+        kind = command.kind
+        queue = (self.remote_access_queue
+                 if kind is CommandKind.REMOTE_LOAD
+                 or kind is CommandKind.REMOTE_STORE
+                 else self.user_send_queue)
+        if queue.pass_through(command, command.words, self.on_issue):
+            self._send(command)
+        else:
+            self.pump_send()
 
     # ------------------------------------------------------------------
     # Send controller
@@ -155,21 +181,23 @@ class MSCPlus(Stateful):
         for queue in (self.remote_access_queue, self.system_send_queue,
                       self.user_send_queue):
             while queue.pushed != queue.popped:
-                command = queue.pop()
-                kind = command.kind
-                if kind is CommandKind.PUT:
-                    self._send_put(command)
-                elif kind is CommandKind.GET:
-                    self._send_get(command)
-                elif kind is CommandKind.REMOTE_STORE:
-                    self._send_remote_store(command)
-                elif kind is CommandKind.REMOTE_LOAD:
-                    self._send_remote_load(command)
-                else:  # pragma: no cover - enum is exhaustive
-                    raise CommunicationError(
-                        f"unknown command kind {command.kind}")
+                self._send(queue.pop())
                 sent += 1
         return sent
+
+    def _send(self, command: Command) -> None:
+        """Put one command on the wire."""
+        kind = command.kind
+        if kind is CommandKind.PUT:
+            self._send_put(command)
+        elif kind is CommandKind.GET:
+            self._send_get(command)
+        elif kind is CommandKind.REMOTE_STORE:
+            self._send_remote_store(command)
+        elif kind is CommandKind.REMOTE_LOAD:
+            self._send_remote_load(command)
+        else:  # pragma: no cover - enum is exhaustive
+            raise CommunicationError(f"unknown command kind {kind}")
 
     def _gather_payload(self, command: Command) -> bytes:
         paddr = self.mc.mmu.translate_range(
@@ -323,6 +351,25 @@ class MSCPlus(Stateful):
     # ------------------------------------------------------------------
     # Reply controller (GET requests answered without the processor)
     # ------------------------------------------------------------------
+
+    def answer(self, request: Packet) -> None:
+        """Receive a GET request or remote load and answer it at once.
+
+        The reply controller serves a request without the processor
+        (section 4.1), so where nothing waits ahead of it the request
+        passes through its reply queue and the reply leaves in this
+        call; :meth:`deliver` queues it instead, for a wire that holds
+        frames and pumps replies in rounds.
+        """
+        if request.kind is PacketKind.GET_REQUEST:
+            self.stats.get_requests_received += 1
+            if self.get_reply_queue.pass_through(request):
+                self._reply_get(request)
+                return
+        elif self.remote_load_reply_queue.pass_through(request):
+            self._reply_remote_load(request)
+            return
+        self.pump_replies()
 
     def pump_replies(self) -> int:
         """Serve queued GET requests and remote loads; returns #replies.

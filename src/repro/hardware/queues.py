@@ -84,6 +84,32 @@ class CommandQueue(Stateful):
         if held > self.high_water_words:
             self.high_water_words = held
 
+    def pass_through(self, command: Any, words: int = COMMAND_WORDS,
+                     observe: Callable[[], None] | None = None) -> bool:
+        """Push ``command`` for a controller that takes it as it lands.
+
+        In an empty queue with room, a command waits for nothing: it is
+        counted pushed, popped and at the high-water mark without
+        entering the queue, and ``observe()`` runs while it still counts
+        as held.  Behind older commands, or too large to fit, it is
+        pushed as usual (``observe()`` runs after the push), and False
+        tells the caller to drain the queue in order.
+        """
+        if self.pushed != self.popped or not 0 < words <= self.capacity_words:
+            self.push(command, words)
+            if observe is not None:
+                observe()
+            return False
+        self.pushed += 1
+        if words > self.high_water_words:
+            self.high_water_words = words
+        if observe is not None:
+            self._queue_words = words
+            observe()
+            self._queue_words = 0
+        self.popped += 1
+        return True
+
     def _spill_push(self, command: Any, words: int) -> None:
         capacity = self._spill_buffers_allocated * self.spill_buffer_words
         if self._spill_words + words > capacity:

@@ -46,8 +46,8 @@ if TYPE_CHECKING:
     from repro.faults.injector import FaultyTNet
     from repro.faults.transport import ReliableTransport
 
-#: Frames the receiving MSC+ queues a reply for instead of consuming.
-_QUEUES_A_REPLY = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
+#: Frames the receiving MSC+ answers with a reply instead of consuming.
+_REQUESTS = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
 
 
 def _fall_off(packet: Packet) -> None:
@@ -150,6 +150,8 @@ class Machine(MachineBase):
                         queue.spill_buffer_words = plan.spill_buffer_words
                     if plan.max_spill_buffers is not None:
                         queue.max_spill_buffers = plan.max_spill_buffers
+            if self.obs is not None:
+                cell.msc.on_issue = self.obs.sample_queues
         #: Checkpoint gate (repro.ckpt).  ``_ckpt_threshold`` is the site
         #: count each cell parks at; None means the gate is disarmed.
         self.checkpoint_dir = config.checkpoint_dir
@@ -190,15 +192,39 @@ class Machine(MachineBase):
     # ------------------------------------------------------------------
 
     def mark_dirty(self, pe: int) -> None:
+        """Have the next :meth:`pump` drain ``pe``'s MSC+ queues (which
+        hold commands only when a snapshot restored them, or a test
+        pushed them with :meth:`MSCPlus.issue`)."""
         self._dirty.add(pe)
 
     def pump(self) -> None:
         """Move the machine to communication quiescence.
 
-        On a perfect wire a frame is delivered, and a GET request or
-        remote load answered, inside the ``inject`` that sent it
-        (:meth:`_arrive`), so pumping the dirty MSC+ once is all there
-        is to do.
+        A command leaves its MSC+ in the call that issues it
+        (:meth:`MSCPlus.send`), and on a perfect wire a frame is
+        delivered, and a GET request or remote load answered, inside the
+        ``inject`` that sent it (:meth:`_arrive`).  What is left to pump
+        are queues that hold commands (:meth:`mark_dirty`) and the wire
+        that holds frames (:meth:`settle`).
+        """
+        if self.obs is not None:
+            self.obs.sample_queues()
+        if self.transport is not None:
+            self.settle()
+            return
+        while self._dirty:
+            dirty, self._dirty = self._dirty, set()
+            for pe in dirty:
+                msc = self.hw_cells[pe].msc
+                msc.pump_send()
+                msc.pump_replies()
+            if self._wake is not None:
+                # Pumping a cell's MSC+ updates its sending-side flags.
+                self._wake.update(dirty)
+
+    def settle(self) -> None:
+        """Bring the wire that holds frames to reliable quiescence; a
+        perfect wire is always there.
 
         With a fault plan active the wire holds frames and may eat them,
         so "nothing moves" is not enough: whenever the wire goes quiet
@@ -208,22 +234,11 @@ class Machine(MachineBase):
         every frame delivered exactly once and acknowledged — or by
         raising :class:`~repro.core.errors.CommTimeoutError` once a
         frame's retry budget is spent.  Recovery thus completes inside
-        the pump, preserving the quiescence-at-issue property the
+        the call, preserving the quiescence-at-issue property the
         happens-before checker relies on.
         """
-        if self.obs is not None:
-            self.obs.sample_queues()
         transport = self.transport
         if transport is None:
-            while self._dirty:
-                dirty, self._dirty = self._dirty, set()
-                for pe in dirty:
-                    msc = self.hw_cells[pe].msc
-                    msc.pump_send()
-                    msc.pump_replies()
-                if self._wake is not None:
-                    # Pumping a cell's MSC+ updates its sending-side flags.
-                    self._wake.update(dirty)
             return
         while True:
             self._pump_wire(transport)
@@ -233,10 +248,12 @@ class Machine(MachineBase):
 
     def _arrive(self, msc: MSCPlus, packet: Packet) -> None:
         """Receive port of one cell on a perfect wire: the MSC+ takes
-        the frame and answers at once what it queued a reply for."""
-        msc.deliver(packet)
-        if packet.kind in _QUEUES_A_REPLY:
-            msc.pump_replies()
+        the frame, and answers a GET request or remote load in the same
+        call."""
+        if packet.kind in _REQUESTS:
+            msc.answer(packet)
+        else:
+            msc.deliver(packet)
         self.progress += 1
         if self._wake is not None:
             self._wake.add(packet.dst)
@@ -267,7 +284,7 @@ class Machine(MachineBase):
                     self.progress += 1
                     if wake is not None:
                         wake.add(frame.dst)
-                    if frame.kind in _QUEUES_A_REPLY:
+                    if frame.kind in _REQUESTS:
                         self._dirty.add(frame.dst)
 
     # ------------------------------------------------------------------
@@ -282,9 +299,8 @@ class Machine(MachineBase):
             kind=CommandKind.REMOTE_STORE, dst=dst, raddr=remote_addr,
             laddr=scratch.addr, send_stride=StrideSpec.contiguous(len(data)),
             recv_stride=StrideSpec.contiguous(len(data)))
-        self.hw_cells[src].msc.issue(command)
-        self.mark_dirty(src)
-        self.pump()
+        self.hw_cells[src].msc.send(command)
+        self.settle()
 
     def remote_load(self, src: int, target: int, remote_addr: int,
                     size: int) -> bytes:
@@ -294,9 +310,8 @@ class Machine(MachineBase):
             kind=CommandKind.REMOTE_LOAD, dst=target, raddr=remote_addr,
             laddr=scratch.addr, send_stride=StrideSpec.contiguous(size),
             recv_stride=StrideSpec.contiguous(size))
-        self.hw_cells[src].msc.issue(command)
-        self.mark_dirty(src)
-        self.pump()
+        self.hw_cells[src].msc.send(command)
+        self.settle()
         reply = self.hw_cells[src].msc.take_load_reply()
         if reply is None:
             if target in self.killed:
@@ -334,15 +349,16 @@ class Machine(MachineBase):
         reference_loop.py`` keeps that loop as the oracle).  The wake-set
         loop parks a cell when it yields and resumes it only once a state
         change that can flip its blocking condition names it in the
-        machine's wake set (frame delivery wakes the destination, an MSC+
-        pump wakes its own cell's sending-side flags, barrier release and
-        reduction completion wake the group, a creg store wakes the
-        register's owner, host traffic wakes everyone).  A skipped resume
-        is provably a no-op: every yield in the cell programs sits in a
-        ``while not condition: yield`` loop whose condition only flips
-        through one of those wake sites, and the failed re-check itself
-        mutates nothing (``ring.receive`` returns None without consuming
-        on a miss).
+        machine's wake set (frame delivery wakes the destination, pumping
+        a queue that held commands wakes its cell's sending-side flags --
+        an issue updates them inside the issuing cell's own step --
+        barrier release and reduction completion wake the group, a creg
+        store wakes the register's owner, host traffic wakes everyone).
+        A skipped resume is provably a no-op: every yield in the cell
+        programs sits in a ``while not condition: yield`` loop whose
+        condition only flips through one of those wake sites, and the
+        failed re-check itself mutates nothing (``ring.receive`` returns
+        None without consuming on a miss).
 
         A fault plan's kills are keyed on the trace, not on the loop:
         each doomed cell's ``_record`` is rebound (:func:`_doom`) so the

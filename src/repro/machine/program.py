@@ -349,9 +349,8 @@ class CellContext(Stateful):
         return remote + local
 
     def _issue(self, command: Command) -> None:
-        self.hw.msc.issue(command)
-        self.machine.mark_dirty(self.pe)
-        self.machine.pump()
+        self.hw.msc.send(command)
+        self.machine.settle()
 
     def _transfer(self, kind: CommandKind, node: int, raddr: int,
                   laddr: int, send_stride: StrideSpec,

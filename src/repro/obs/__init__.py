@@ -19,5 +19,6 @@ deep* an MSC+ queue ran before spilling.  ``repro.obs`` adds:
 
 Observation is off by default; a machine built without
 ``MachineConfig(observe=True)`` (or outside ``enabled()``) carries
-``machine.obs is None`` and pays one attribute test per pump.
+``machine.obs is None`` and pays one ``is None`` test per issued
+command and per pump.
 """

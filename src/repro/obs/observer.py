@@ -9,7 +9,8 @@ Two layers, matching the cost budget:
   the run.
 * The **observer hooks** (per-link frame/byte accounting on T-net
   injection, B-net broadcast bytes, queue-occupancy time series sampled
-  at every pump) only exist when a :class:`MachineObserver` is attached
+  at every issued command and every other pump) only exist when a
+  :class:`MachineObserver` is attached
   — via ``MachineConfig(observe=True)``.  Without one the hot paths pay
   a single ``is None`` test.
 """
@@ -50,14 +51,14 @@ class MachineObserver:
         #: B-net broadcast accounting (shared bus, no per-link split).
         self.bnet_frames = 0
         self.bnet_bytes = 0
-        #: [pump index, total queued words, busiest cell's words] samples.
+        #: [sample index, total queued words, busiest cell's words] samples.
         self._occupancy: list[list[int]] = []
-        self._pump_index = 0
+        self._sample_index = 0
         self._sample_stride = 1
         self._route_cache: dict[tuple[int, int], tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
-    # Hooks (called from the networks / the pump loop)
+    # Hooks (called from the networks, the MSC+ and the pump)
     # ------------------------------------------------------------------
 
     def on_inject(self, packet: "Packet") -> None:
@@ -82,14 +83,16 @@ class MachineObserver:
         self.bnet_bytes += packet.wire_bytes
 
     def sample_queues(self) -> None:
-        """Record one MSC+ queue-occupancy sample (called at pump entry).
+        """Record one MSC+ queue-occupancy sample: every MSC+ calls it
+        as ``on_issue`` while an issued command counts as queued, and
+        :meth:`Machine.pump` at entry.
 
         Sampling is strided: when the series fills, every other sample
         is dropped and the stride doubles, so arbitrarily long runs keep
         a bounded, deterministic series.
         """
-        idx = self._pump_index
-        self._pump_index = idx + 1
+        idx = self._sample_index
+        self._sample_index = idx + 1
         if idx % self._sample_stride:
             return
         total = 0

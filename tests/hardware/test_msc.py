@@ -152,6 +152,46 @@ class TestGet:
         assert order == [PacketKind.PUT, PacketKind.GET_REQUEST]
 
 
+class TestSendAtIssue:
+    def test_command_leaves_in_the_call_that_issues_it(self, rig):
+        tnet, a, b = rig
+        a.memory.write(DATA, b"at once!")
+        a.msc.send(put_cmd(1, DATA + 64, DATA, 8, send_flag=FLAG_A))
+        assert a.mc.read_flag(FLAG_A) == 1
+        assert [p.kind for p in tnet.drain_all()] == [PacketKind.PUT]
+        queue = a.msc.user_send_queue
+        assert (queue.pushed, queue.popped) == (1, 1)
+        assert queue.high_water_words == 8 and not queue
+
+    def test_command_behind_a_queued_one_leaves_after_it(self, rig):
+        tnet, a, b = rig
+        a.msc.issue(put_cmd(1, DATA, DATA, 8))
+        a.msc.send(Command(
+            kind=CommandKind.GET, dst=1, raddr=0, laddr=0,
+            send_stride=StrideSpec.contiguous(0),
+            recv_stride=StrideSpec.contiguous(0), recv_flag=FLAG_A))
+        assert [p.kind for p in tnet.drain_all()] == [
+            PacketKind.PUT, PacketKind.GET_REQUEST]
+        assert not a.msc.user_send_queue
+
+    def test_request_is_answered_where_it_lands(self, rig):
+        tnet, a, b = rig
+        b.memory.write(DATA, b"answered")
+        a.msc.send(Command(
+            kind=CommandKind.GET, dst=1, raddr=DATA, laddr=DATA + 8,
+            send_stride=StrideSpec.contiguous(8),
+            recv_stride=StrideSpec.contiguous(8), recv_flag=FLAG_A))
+        (request,) = tnet.drain_all()
+        b.msc.answer(request)
+        assert b.msc.stats.get_requests_received == 1
+        assert b.msc.get_reply_queue.popped == 1
+        assert not b.msc.get_reply_queue
+        (reply,) = tnet.drain_all()
+        a.msc.deliver(reply)
+        assert a.memory.read(DATA + 8, 8) == b"answered"
+        assert a.mc.read_flag(FLAG_A) == 1
+
+
 class TestSendModel:
     def test_send_goes_to_ring_sink(self, rig):
         tnet, a, b = rig

@@ -106,6 +106,33 @@ class TestSpill:
         assert "2 buffers of 8 words" in message
 
 
+class TestPassThrough:
+    def test_empty_queue_counts_without_holding(self):
+        q = CommandQueue("t")
+        held = []
+        assert q.pass_through("a", 12, lambda: held.append(q.words_in_queue))
+        assert held == [12]        # observed while it counts as queued
+        assert (q.pushed, q.popped, q.high_water_words) == (1, 1, 12)
+        assert not q and q.words_in_queue == 0
+        assert q.pass_through("b")
+        assert (q.pushed, q.popped, q.high_water_words) == (2, 2, 12)
+
+    def test_queues_behind_older_commands(self):
+        q = CommandQueue("t")
+        q.push("old")
+        held = []
+        assert not q.pass_through("new", 8, lambda: held.append(len(q)))
+        assert held == [2]
+        assert [q.pop(), q.pop()] == ["old", "new"]
+
+    def test_command_larger_than_the_queue_spills_as_a_push(self):
+        spilled = []
+        q = CommandQueue("t", capacity_words=8)
+        q.on_spill = lambda name, words: spilled.append(words)
+        assert not q.pass_through("stride", 12)
+        assert spilled == [12] and q.spilled == 1 and q.pushed == 1
+
+
 class TestSpillObserver:
     def test_on_spill_sees_every_spilled_command(self):
         seen = []

@@ -1,13 +1,17 @@
 """A perfect wire holds no frame; the wire that holds them is its oracle.
 
-A machine without a fault plan plugs every MSC+ into the T-net, so a
+On both wires an MSC+ sends a command in the call that issues it.  A
+machine without a fault plan plugs every MSC+ into the T-net, so a
 packet is delivered (and a GET request answered) inside the ``inject``
 that sent it.  A machine with a *quiet* fault plan — no fault ever
 fires — keeps queue-and-drain: frames sit in per-pair channels until
-``Machine._pump_wire`` drains them through the reliable transport.  The
-same program must leave both machines in the same state: results,
-events, memory, flag words, every hardware counter, and the T-net's
-counters net of the link-control frames only the transport sends.
+``Machine._pump_wire`` drains them through the reliable transport, and
+a GET request waits in its reply queue for the next round.  The same
+program must leave both machines in the same state: results, events,
+memory, flag words, every hardware counter, the queue and MSC+ blocks
+of the harvested metrics (the occupancy series included, when
+observed), and the T-net's counters net of the link-control frames
+only the transport sends.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from repro.faults.chaos import memory_digest
 from repro.faults.plan import FaultPlan
 from repro.hardware.mmu import PAGE_256K
 from repro.machine.config import MachineConfig
+from repro.hardware.msc import MSCPlus
 from repro.machine.machine import Machine
 from repro.network.tnet import TNet
+from repro.obs.observer import machine_metrics
 
 from tests.programs import (
     EVERY_OP,
@@ -38,10 +44,11 @@ from tests.programs import (
 QUIET = FaultPlan(name="quiet", seed=11)
 
 
-def machines(cells=4):
-    plugged = Machine(MachineConfig(num_cells=cells, memory_per_cell=MEMORY))
+def machines(cells=4, observe=False):
+    plugged = Machine(MachineConfig(num_cells=cells, memory_per_cell=MEMORY,
+                                    observe=observe))
     held = Machine(MachineConfig(num_cells=cells, memory_per_cell=MEMORY,
-                                 fault_plan=QUIET))
+                                 fault_plan=QUIET, observe=observe))
     return plugged, held
 
 
@@ -69,13 +76,17 @@ def assert_same_state(plugged, held):
         assert ours.state() == theirs.state()
     for ours, theirs in zip(plugged.rings, held.rings):
         assert ours.state() == theirs.state()
+    ours, theirs = machine_metrics(plugged), machine_metrics(held)
+    assert ours["queues"] == theirs["queues"]
+    assert ours["msc"] == theirs["msc"]
 
 
 @settings(max_examples=30, deadline=None)
-@given(cells=st.sampled_from([4, 5]), steps=programs)
-@example(cells=5, steps=EVERY_OP)
-def test_generated_programs_leave_both_wires_alike(cells, steps):
-    plugged, held = machines(cells)
+@given(cells=st.sampled_from([4, 5]), steps=programs, observe=st.booleans())
+@example(cells=5, steps=EVERY_OP, observe=False)
+@example(cells=5, steps=EVERY_OP, observe=True)
+def test_generated_programs_leave_both_wires_alike(cells, steps, observe):
+    plugged, held = machines(cells, observe)
     want = plugged.run(round_program, steps=steps)
     assert held.run(round_program, steps=steps) == want
     assert plugged.engine["loop"] == "wake-set"
@@ -99,6 +110,14 @@ def test_perfect_machine_never_drains_and_faulted_one_never_plugs(
                         never("a perfect wire was drained"))
     monkeypatch.setattr(Machine, "_pump_wire",
                         never("a perfect machine took the fault loop"))
+    # A command leaves at issue and a request is answered on arrival:
+    # no queue is left for a pump to find.
+    monkeypatch.setattr(MSCPlus, "pump_send",
+                        never("a perfect machine queued a command"))
+    monkeypatch.setattr(MSCPlus, "pump_replies",
+                        never("a perfect machine queued a request"))
+    monkeypatch.setattr(Machine, "mark_dirty",
+                        never("a perfect machine marked a cell dirty"))
     plugged.run(round_program, steps=EVERY_OP)
 
 
