@@ -23,7 +23,10 @@ each timed as the difference to the build one step smaller:
 
 and the gc-tracked objects one cell leaves alive in a built machine.
 The cycle collector runs as it does for a user: its passes over those
-objects are part of every column.
+objects are part of every column, and beside them are the collections
+one ``Machine(n)`` runs per generation and the milliseconds they take
+(``gc.callbacks``; a build from a collected heap, minimum of the
+milliseconds over ``--repeats`` builds).
 
     python scripts/boot_cost.py [--repeats N] [--json FILE]
 
@@ -116,6 +119,36 @@ def best(builds, repeats: int) -> list[float]:
     return seconds
 
 
+def collections(build, repeats: int) -> tuple[list[int], float]:
+    """Collections per generation that one ``build()`` from a collected
+    heap runs, and the fewest milliseconds they took over ``repeats``
+    builds."""
+    counts: list[int] = []
+    spent = started = 0.0
+
+    def note(phase: str, info: dict) -> None:
+        nonlocal spent, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            counts[info["generation"]] += 1
+            spent += time.perf_counter() - started
+
+    best_ms = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        counts[:] = [0, 0, 0]
+        spent = 0.0
+        gc.callbacks.append(note)
+        try:
+            built = build()
+        finally:
+            gc.callbacks.remove(note)
+        best_ms = min(best_ms, spent * 1e3)
+        del built
+    return counts, best_ms
+
+
 def measure(cells: int, repeats: int) -> dict:
     from repro import Machine, MachineConfig
     from repro.hardware.cell import boot_cells
@@ -142,6 +175,8 @@ def measure(cells: int, repeats: int) -> dict:
     before = len(gc.get_objects())
     machine = Machine(config)
     objects = len(gc.get_objects()) - before
+    del machine
+    generations, gc_ms = collections(lambda: Machine(config), repeats)
     parts = [steps[0], *(b - a for a, b in zip(steps, steps[1:])), context]
     return {
         "cells": cells,
@@ -152,6 +187,10 @@ def measure(cells: int, repeats: int) -> dict:
         # differences.
         "build_s": [round(step, 5) for step in (*steps, context)],
         "gc_objects_per_cell": round(objects / cells, 1),
+        # What the collector ran in one ``Machine(n)``: collections of
+        # generations 0, 1 and 2, and their milliseconds.
+        "gc_collections": generations,
+        "gc_ms": round(gc_ms, 2),
     }
 
 
@@ -173,16 +212,20 @@ def main() -> int:
               f"{row['repro_modules']:>4}")
     print()
     print(f"us per cell by part, min of {args.repeats} builds; "
-          "Machine(n) in seconds; gc-tracked objects per cell")
+          "Machine(n) in seconds; gc-tracked objects per cell; the "
+          "collections of one Machine(n) per generation and their ms")
     print(f"{'cells':>6} " + " ".join(f"{name:>12}" for name in PARTS)
-          + f" {'Machine s':>10} {'gc objects':>11}")
+          + f" {'Machine s':>10} {'gc objects':>11} {'gc 0/1/2':>10}"
+          + f" {'gc ms':>7}")
     rows = []
     for cells in WIDTHS:
         row = measure(cells, args.repeats)
         print(f"{cells:>6} "
               + " ".join(f"{row['us_per_cell'][name]:>12.2f}"
                          for name in PARTS)
-              + f" {row['build_s'][3]:>10.4f} {row['gc_objects_per_cell']:>11.1f}")
+              + f" {row['build_s'][3]:>10.4f} {row['gc_objects_per_cell']:>11.1f}"
+              + f" {'/'.join(map(str, row['gc_collections'])):>10}"
+              + f" {row['gc_ms']:>7.2f}")
         rows.append(row)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as out:

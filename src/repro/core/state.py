@@ -6,7 +6,10 @@ inherits :class:`Stateful` answers with everything in ``vars(self)``
 except the names it declares as ``_wiring``: references to other parts,
 callbacks, the DRAM buffer, the page tables a fresh machine rebuilds.
 A blacklist, so a counter added to a class is captured without anyone
-remembering to list it.
+remembering to list it.  A container a part creates only at its first
+use (a queue's deque, say) is ``None`` until then and named in the
+class's ``_lazy`` with its type: its state is that empty container
+either way.
 
 Nothing on a run path calls these methods: ``state()`` copies
 containers, which is the price of a snapshot that stays valid while the
@@ -16,6 +19,7 @@ machine runs on.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from typing import Any, ClassVar
 
 #: Immutable values: most of what a part holds, shared as they are.
@@ -42,13 +46,17 @@ class Stateful:
 
     #: Attribute names that are not state (see the module docstring).
     _wiring: ClassVar[frozenset[str]] = frozenset()
+    #: Containers made at first use: attribute name -> the type whose
+    #: empty instance an unmade (``None``) one saves as.
+    _lazy: ClassVar[dict[str, Callable[[], Any]]] = {}
 
     def state(self) -> dict[str, Any]:
         """A picklable copy of every non-wiring attribute, nested parts
         as their own ``state()``."""
-        wiring = self._wiring
-        return {name: _copied(value) for name, value in vars(self).items()
-                if name not in wiring}
+        wiring, lazy = self._wiring, self._lazy
+        return {name: (lazy[name]() if value is None and name in lazy
+                       else _copied(value))
+                for name, value in vars(self).items() if name not in wiring}
 
     def load_state(self, saved: dict[str, Any]) -> None:
         """Take over a :meth:`state` of the same class.

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.state import Stateful
 from repro.hardware.cache import WriteThroughCache
-from repro.hardware.mc import MemoryController
+from repro.hardware.mc import MemoryController, identity_mmu
 from repro.hardware.memory import CellMemory, zeroed_dram
 from repro.hardware.msc import MSCPlus
 from repro.network.tnet import TNet
@@ -51,9 +51,8 @@ class HardwareCell(Stateful):
         cell allocates its own.
         """
         memory = CellMemory(memory_bytes, dram)
-        mc = MemoryController(memory)
-        if identity_map:
-            mc.identity_map()
+        mc = (MemoryController(memory, identity_mmu(memory_bytes))
+              if identity_map else MemoryController(memory))
         if tnet is None:
             return cls(cell_id, memory, mc, None, None)
         cache = WriteThroughCache()
@@ -70,8 +69,8 @@ def boot_cells(count: int, tnet: TNet | None,
     Each cell is what :meth:`HardwareCell.build` makes, but what is
     identical across cells is made once: the DRAM buffers are rows of a
     few zeroed banks (:func:`~repro.hardware.memory.zeroed_dram`), and
-    the page tables are filled from one template per DRAM size
-    (:meth:`MemoryController.identity_map`).
+    every MMU boots on the one set of page tables of its DRAM size
+    (:func:`~repro.hardware.mc.identity_mmu`).
     """
     return [HardwareCell.build(pe, tnet, memory_bytes, dram=dram)
             for pe, dram in enumerate(zeroed_dram(count, memory_bytes))]

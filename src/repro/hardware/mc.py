@@ -18,29 +18,33 @@ translates it with its own MMU, and a flag address of 0 means "no flag"
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.core.errors import AddressError
 from repro.core.state import Stateful
 from repro.hardware.comm_registers import CommRegisterFile
 from repro.hardware.memory import WORD_BYTES, CellMemory
-from repro.hardware.mmu import MMU, PAGE_4K, PAGE_256K
+from repro.hardware.mmu import MMU, PAGE_4K, PAGE_256K, PageEntry
 
 #: Flag address 0 disables the flag update for that side of the transfer.
 NO_FLAG = 0
 
 
 @functools.lru_cache(maxsize=8)
-def _identity_tables(size_bytes: int) -> tuple[dict, dict, frozenset]:
+def _identity_tables(size_bytes: int) -> tuple[
+        Mapping[int, PageEntry], Mapping[int, PageEntry], Set[int]]:
     """The boot page tables of a ``size_bytes`` DRAM: ``(4 KB table,
     256 KB table, fine-grained large pages)`` of an MMU that maps
-    exactly ``[0, size_bytes)`` logical==physical.
+    exactly ``[0, size_bytes)`` logical==physical, read-only.
 
     Large (256 KB) pages cover the bulk, 4 KB pages the remainder, so
     the mapping ends exactly at the DRAM boundary: an access past it
     misses the page table and raises a proper page fault (the
     protection behaviour of section 4.1), rather than over-mapping
-    into nonexistent memory.  A template: callers copy out of it.
+    into nonexistent memory.  Every MMU booted on them shares them
+    until its first map or unmap copies them.
     """
     mmu = MMU()
     bulk = (size_bytes // PAGE_256K) * PAGE_256K
@@ -48,7 +52,17 @@ def _identity_tables(size_bytes: int) -> tuple[dict, dict, frozenset]:
         mmu.map_range(0, 0, bulk, page_size=PAGE_256K)
     if size_bytes > bulk:
         mmu.map_range(bulk, bulk, size_bytes - bulk, page_size=PAGE_4K)
-    return mmu._table_4k, mmu._table_256k, frozenset(mmu._fine_grained)
+    return (MappingProxyType(mmu._table_4k),
+            MappingProxyType(mmu._table_256k),
+            frozenset(mmu._fine_grained))
+
+
+def identity_mmu(size_bytes: int) -> MMU:
+    """An MMU booted on the identity tables of a ``size_bytes`` DRAM
+    (:func:`_identity_tables`)."""
+    table_4k, table_256k, fine_grained = _identity_tables(size_bytes)
+    return MMU(_table_4k=table_4k, _table_256k=table_256k,
+               _fine_grained=fine_grained)
 
 
 @dataclass
@@ -62,22 +76,6 @@ class MemoryController(Stateful):
     dram_reads: int = 0
     dram_writes: int = 0
     _wiring = frozenset({"memory"})
-
-    def identity_map(self) -> None:
-        """Map exactly the DRAM logical==physical.
-
-        The functional machine boots every cell this way, from the one
-        set of tables :func:`_identity_tables` derives per DRAM size:
-        this MMU's own tables take the entries (shared, immutable), so
-        a later ``map_page`` / ``unmap_page`` here never shows on
-        another cell.  Tests exercise non-trivial mappings explicitly.
-        """
-        tables_4k, tables_256k, fine_grained = _identity_tables(
-            self.memory.size_bytes)
-        mmu = self.mmu
-        mmu._table_4k.update(tables_4k)
-        mmu._table_256k.update(tables_256k)
-        mmu._fine_grained.update(fine_grained)
 
     # ------------------------------------------------------------------
     # Translated DRAM access (used by the MSC+ DMA paths)

@@ -171,6 +171,13 @@ class CellMemory:
         self._check_range(addr, size)
         return self._buf[addr : addr + size]
 
+    def array(self, addr: int, nbytes: int, shape: tuple[int, ...],
+              dtype: np.dtype) -> np.ndarray:
+        """A live ``shape`` array of ``dtype`` laid over the ``nbytes``
+        at ``addr`` (no copy): one view, not a byte view recast."""
+        self._check_range(addr, nbytes)
+        return np.ndarray(shape, dtype, self._buf, addr)
+
     def _items(self, addr: int, stride: StrideSpec) -> np.ndarray:
         """The stride's items at ``addr`` as one live ``count x
         item_size`` view of DRAM."""

@@ -11,6 +11,7 @@ interrupts the OS and pulls the remaining message from the network.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
@@ -57,7 +58,9 @@ class MMU(Stateful):
     The page table maps logical page numbers to :class:`PageEntry` values;
     a miss in both TLBs triggers a table walk (counted, so timing models
     can charge the walker), and a miss in the table raises
-    :class:`PageFaultError`.
+    :class:`PageFaultError`.  An MMU may boot on read-only tables it
+    shares with others (the identity map of its DRAM size): it copies
+    them at its first map or unmap, so the change is its own.
     """
 
     tlb_4k: _DirectMappedTLB = field(
@@ -66,16 +69,30 @@ class MMU(Stateful):
     tlb_256k: _DirectMappedTLB = field(
         default_factory=lambda: _DirectMappedTLB(TLB_ENTRIES_256K, PAGE_256K)
     )
-    _table_4k: dict[int, PageEntry] = field(default_factory=dict)
-    _table_256k: dict[int, PageEntry] = field(default_factory=dict)
+    _table_4k: Mapping[int, PageEntry] = field(default_factory=dict)
+    _table_256k: Mapping[int, PageEntry] = field(default_factory=dict)
     #: 256 KB page numbers that have had a 4 KB mapping installed inside
     #: them.  Such a mapping takes precedence over the large page, so a
     #: range check may skip a large page's extent only outside this set.
-    _fine_grained: set[int] = field(default_factory=set)
+    _fine_grained: Set[int] = field(default_factory=set)
     walks: int = 0
     faults: int = 0
     #: The page tables are boot-time layout a fresh machine rebuilds.
     _wiring = frozenset({"_table_4k", "_table_256k", "_fine_grained"})
+
+    def _own_tables(self) -> tuple[dict[int, PageEntry],
+                                   dict[int, PageEntry], set[int]]:
+        """The tables, to change: copies of the shared read-only ones
+        this MMU booted on, made at the first call."""
+        table_4k, table_256k = self._table_4k, self._table_256k
+        fine_grained = self._fine_grained
+        if not (isinstance(table_4k, dict) and isinstance(table_256k, dict)
+                and isinstance(fine_grained, set)):
+            table_4k, table_256k = dict(table_4k), dict(table_256k)
+            fine_grained = set(fine_grained)
+            self._table_4k, self._table_256k = table_4k, table_256k
+            self._fine_grained = fine_grained
+        return table_4k, table_256k, fine_grained
 
     def map_page(self, logical_base: int, physical_base: int,
                  size: int = PAGE_4K, writable: bool = True) -> None:
@@ -86,11 +103,12 @@ class MMU(Stateful):
             raise AddressError("page bases must be aligned to the page size")
         entry = PageEntry(physical_base=physical_base, size=size,
                           writable=writable)
+        table_4k, table_256k, fine_grained = self._own_tables()
         if size == PAGE_4K:
-            self._table_4k[logical_base // size] = entry
-            self._fine_grained.add(logical_base // PAGE_256K)
+            table_4k[logical_base // size] = entry
+            fine_grained.add(logical_base // PAGE_256K)
         else:
-            self._table_256k[logical_base // size] = entry
+            table_256k[logical_base // size] = entry
 
     def map_range(self, logical_base: int, physical_base: int, size: int,
                   page_size: int = PAGE_4K, writable: bool = True) -> None:
@@ -112,16 +130,18 @@ class MMU(Stateful):
         entries = {
             number: PageEntry(number * page_size + offset, page_size, writable)
             for number in range(first, last + 1)}
+        table_4k, table_256k, fine_grained = self._own_tables()
         if page_size == PAGE_4K:
-            self._table_4k.update(entries)
-            self._fine_grained.update(
+            table_4k.update(entries)
+            fine_grained.update(
                 range(logical_base // PAGE_256K,
                       (logical_base + size - 1) // PAGE_256K + 1))
         else:
-            self._table_256k.update(entries)
+            table_256k.update(entries)
 
     def unmap_page(self, logical_base: int, size: int = PAGE_4K) -> None:
-        table = self._table_4k if size == PAGE_4K else self._table_256k
+        table_4k, table_256k, _ = self._own_tables()
+        table = table_4k if size == PAGE_4K else table_256k
         table.pop(logical_base // size, None)
         tlb = self.tlb_4k if size == PAGE_4K else self.tlb_256k
         tlb.flush()

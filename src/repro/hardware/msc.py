@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.errors import CommunicationError, PageFaultError
 from repro.core.state import Stateful
@@ -93,7 +94,16 @@ class MSCStats(Stateful):
 class MSCPlus(Stateful):
     """Message controller of one cell."""
 
-    _wiring = frozenset({"mc", "tnet", "cache", "send_sink", "on_issue"})
+    _wiring = frozenset({"mc", "tnet", "cache", "ring", "on_issue"})
+    _lazy = {"_load_replies": list}
+    #: The cell's receive ring buffer (a :class:`~repro.machine.
+    #: ringbuffer.RingBuffer`, set by the machine), where SEND packets
+    #: are deposited; None: a SEND arriving here is an error.
+    ring: Any = None
+    #: Called as ``on_issue(cell)`` while an issued command counts as
+    #: queued (the machine points it at its observer's occupancy
+    #: sample); None: no call.
+    on_issue: Callable[[int], None] | None = None
 
     def __init__(self, cell_id: int, mc: MemoryController, tnet: TNet,
                  cache: WriteThroughCache | None = None) -> None:
@@ -101,23 +111,21 @@ class MSCPlus(Stateful):
         self.mc = mc
         self.tnet = tnet
         self.cache = cache
-        self.user_send_queue = CommandQueue("user-send")
-        self.system_send_queue = CommandQueue("system-send")
-        self.remote_access_queue = CommandQueue("remote-access")
-        self.get_reply_queue = CommandQueue("get-reply")
-        self.remote_load_reply_queue = CommandQueue("remote-load-reply")
+        self.user_send_queue = CommandQueue("user-send", cell=cell_id)
+        self.system_send_queue = CommandQueue("system-send", cell=cell_id)
+        self.remote_access_queue = CommandQueue("remote-access",
+                                                cell=cell_id)
+        self.get_reply_queue = CommandQueue("get-reply", cell=cell_id)
+        self.remote_load_reply_queue = CommandQueue("remote-load-reply",
+                                                    cell=cell_id)
         self.send_dma = DMAEngine("send")
         self.recv_dma = DMAEngine("recv")
         self.stats = MSCStats()
         #: Implicit per-cell acknowledge counter for remote stores.
         self.remote_store_acks = 0
-        #: Where SEND packets are deposited (set by the cell: a ring buffer).
-        self.send_sink = None
-        #: Remote-load replies awaiting pickup by the stalled processor.
-        self._load_replies: list[Packet] = []
-        #: Called while an issued command counts as queued (the machine
-        #: points it at its observer's occupancy sample); None: no call.
-        self.on_issue: Callable[[], None] | None = None
+        #: Remote-load replies awaiting pickup by the stalled processor
+        #: (a list from the first one on).
+        self._load_replies: list[Packet] | None = None
 
     def all_queues(self) -> tuple[CommandQueue, ...]:
         """The five hardware queues, in section 4.1 order."""
@@ -311,6 +319,8 @@ class MSCPlus(Stateful):
         elif kind is PacketKind.REMOTE_LOAD:
             self.remote_load_reply_queue.push(packet, PUT_COMMAND_WORDS)
         elif kind is PacketKind.REMOTE_LOAD_REPLY:
+            if self._load_replies is None:
+                self._load_replies = []
             self._load_replies.append(packet)
         else:
             raise CommunicationError(f"cell {self.cell_id}: unroutable {kind}")
@@ -333,10 +343,10 @@ class MSCPlus(Stateful):
 
     def _receive_send(self, packet: Packet) -> None:
         self.stats.sends_received += 1
-        if self.send_sink is None:
+        if self.ring is None:
             raise CommunicationError(
                 f"cell {self.cell_id} received SEND but has no ring buffer")
-        self.send_sink(packet)
+        self.ring.deposit(packet)
 
     def _receive_remote_store(self, packet: Packet) -> None:
         assert packet.data is not None

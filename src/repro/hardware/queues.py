@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import QueueOverflowError
@@ -41,15 +41,17 @@ class CommandQueue(Stateful):
     because the hardware queue is sized in words (64), i.e. eight plain
     PUT/GET commands.  ``pushed - popped`` is the number of commands
     held (queue RAM plus spill), so the MSC+ pump finds a queue empty by
-    comparing two counters instead of calling into it.
+    comparing two counters instead of calling into it.  The queue RAM
+    and the spill are made at their first command: a queue every
+    command passes through (:meth:`pass_through`) never owns either.
     """
 
     name: str
     capacity_words: int = QUEUE_WORDS
     spill_buffer_words: int = DEFAULT_SPILL_WORDS
     max_spill_buffers: int | None = None
-    _queue: deque[tuple[Any, int]] = field(default_factory=deque)
-    _spill: deque[tuple[Any, int]] = field(default_factory=deque)
+    _queue: deque[tuple[Any, int]] | None = None
+    _spill: deque[tuple[Any, int]] | None = None
     _queue_words: int = 0
     _spill_words: int = 0
     _spill_buffers_allocated: int = 1
@@ -59,11 +61,19 @@ class CommandQueue(Stateful):
     popped: int = 0
     spilled: int = 0
     high_water_words: int = 0
-    #: Observer invoked as ``on_spill(queue_name, words)`` every time a
-    #: command streams past the hardware queue into DRAM.  The functional
-    #: machine points this at its trace so spills become SPILL events.
-    on_spill: Callable[[str, int], None] | None = None
-    _wiring = frozenset({"on_spill"})
+    #: Observer invoked as ``on_spill(cell, queue_name, words)`` every
+    #: time a command streams past the hardware queue into DRAM.  The
+    #: functional machine points every queue at one method that makes
+    #: spills SPILL events of its trace.
+    on_spill: Callable[[int, str, int], None] | None = None
+    #: The cell whose MSC+ holds this queue, as hooks are told it.
+    cell: int = 0
+    #: Told ``on_hold(cell)`` by every push; set on the queues of an
+    #: observed machine, whose occupancy samples read only the cells
+    #: they were told of.
+    on_hold: Callable[[int], None] | None = None
+    _wiring = frozenset({"on_spill", "cell", "on_hold"})
+    _lazy = {"_queue": deque, "_spill": deque}
 
     def push(self, command: Any, words: int = COMMAND_WORDS) -> None:
         """Enqueue a command of ``words`` parameter words.
@@ -77,35 +87,39 @@ class CommandQueue(Stateful):
         if self._spill or self._queue_words + words > self.capacity_words:
             self._spill_push(command, words)
         else:
+            if self._queue is None:
+                self._queue = deque()
             self._queue.append((command, words))
             self._queue_words += words
         self.pushed += 1
         held = self._queue_words + self._spill_words
         if held > self.high_water_words:
             self.high_water_words = held
+        if self.on_hold is not None:
+            self.on_hold(self.cell)
 
     def pass_through(self, command: Any, words: int = COMMAND_WORDS,
-                     observe: Callable[[], None] | None = None) -> bool:
+                     observe: Callable[[int], None] | None = None) -> bool:
         """Push ``command`` for a controller that takes it as it lands.
 
         In an empty queue with room, a command waits for nothing: it is
         counted pushed, popped and at the high-water mark without
-        entering the queue, and ``observe()`` runs while it still counts
-        as held.  Behind older commands, or too large to fit, it is
-        pushed as usual (``observe()`` runs after the push), and False
-        tells the caller to drain the queue in order.
+        entering the queue, and ``observe(cell)`` runs while it still
+        counts as held.  Behind older commands, or too large to fit, it
+        is pushed as usual (``observe(cell)`` runs after the push), and
+        False tells the caller to drain the queue in order.
         """
         if self.pushed != self.popped or not 0 < words <= self.capacity_words:
             self.push(command, words)
             if observe is not None:
-                observe()
+                observe(self.cell)
             return False
         self.pushed += 1
         if words > self.high_water_words:
             self.high_water_words = words
         if observe is not None:
             self._queue_words = words
-            observe()
+            observe(self.cell)
             self._queue_words = 0
         self.popped += 1
         return True
@@ -124,11 +138,13 @@ class CommandQueue(Stateful):
             # The MSC+ interrupts the OS, which allocates a new buffer.
             self._spill_buffers_allocated += 1
             self.allocation_interrupts += 1
+        if self._spill is None:
+            self._spill = deque()
         self._spill.append((command, words))
         self._spill_words += words
         self.spilled += 1
         if self.on_spill is not None:
-            self.on_spill(self.name, words)
+            self.on_spill(self.cell, self.name, words)
 
     def pop(self) -> Any:
         """Dequeue the oldest command, refilling from the spill buffer."""
@@ -148,6 +164,8 @@ class CommandQueue(Stateful):
         if not self._spill:
             return
         self.refill_interrupts += 1
+        if self._queue is None:
+            self._queue = deque()
         while self._spill:
             command, words = self._spill[0]
             if self._queue_words + words > self.capacity_words:
@@ -160,7 +178,7 @@ class CommandQueue(Stateful):
             self._spill_buffers_allocated = 1
 
     def __len__(self) -> int:
-        return len(self._queue) + len(self._spill)
+        return len(self._queue or ()) + len(self._spill or ())
 
     def __bool__(self) -> bool:
         return bool(self._queue or self._spill)

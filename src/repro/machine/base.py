@@ -128,8 +128,7 @@ class MachineBase:
                 f"cell {pe} out of memory: heap would reach {end} bytes "
                 f"against the private area at {self._private_next[pe]}")
         self._heap_next[pe] = _align(end, _HEAP_ALIGN)
-        raw = self.hw_cells[pe].memory.view(addr, nbytes)
-        data = raw.view(dtype).reshape(shape)
+        data = self.hw_cells[pe].memory.array(addr, nbytes, shape, dtype)
         return LocalArray(data=data, addr=addr)
 
     def alloc_private(self, pe: int, nbytes: int,

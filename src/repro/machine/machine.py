@@ -15,7 +15,6 @@ capture.
 from __future__ import annotations
 
 import contextlib
-import functools
 import inspect
 import random
 from collections.abc import Callable
@@ -48,10 +47,6 @@ if TYPE_CHECKING:
 
 #: Frames the receiving MSC+ answers with a reply instead of consuming.
 _REQUESTS = (PacketKind.GET_REQUEST, PacketKind.REMOTE_LOAD)
-
-
-def _fall_off(packet: Packet) -> None:
-    """Receive port of a killed cell on a perfect wire."""
 
 
 class _Killed(BaseException):
@@ -106,8 +101,6 @@ class Machine(MachineBase):
             self.bnet = BNet(n)
         super().__init__(
             config, boot_cells(n, self.tnet, config.memory_per_cell))
-        for cell, ring in zip(self.hw_cells, self.rings):
-            cell.msc.send_sink = ring.deposit
         #: Byte-range annotation for repro.check.
         self.sanitize = config.sanitize
         #: Telemetry observer (repro.obs): None unless the config asks
@@ -131,18 +124,21 @@ class Machine(MachineBase):
 
             self.transport = ReliableTransport(self.tnet, plan, self)
             self.tnet.transport = self.transport
-        else:
+        mscs = [cell.msc for cell in self.hw_cells]
+        if plan is None:
             # A perfect wire holds no frame: each MSC+ is plugged into
             # the T-net and a packet is delivered where it is injected.
-            arrive = self._arrive
-            self.tnet.ports = [functools.partial(arrive, cell.msc)
-                               for cell in self.hw_cells]
+            self.tnet.ports = mscs
+            self.tnet.arrive = self._arrive
+        # One spill hook for every queue, told the queue's cell.
         record_spill = self._record_spill
-        for pe, cell in enumerate(self.hw_cells):
-            # One hook per cell, shared by its five queues.
-            on_spill = functools.partial(record_spill, pe)
-            for queue in cell.msc.all_queues():
-                queue.on_spill = on_spill
+        obs = self.obs
+        if obs is not None:
+            hold, sample = obs.hold, obs.sample_queues
+        for msc, ring in zip(mscs, self.rings):
+            msc.ring = ring
+            for queue in msc.all_queues():
+                queue.on_spill = record_spill
                 if plan is not None:
                     if plan.queue_capacity_words is not None:
                         queue.capacity_words = plan.queue_capacity_words
@@ -150,8 +146,10 @@ class Machine(MachineBase):
                         queue.spill_buffer_words = plan.spill_buffer_words
                     if plan.max_spill_buffers is not None:
                         queue.max_spill_buffers = plan.max_spill_buffers
-            if self.obs is not None:
-                cell.msc.on_issue = self.obs.sample_queues
+                if obs is not None:
+                    queue.on_hold = hold
+            if obs is not None:
+                msc.on_issue = sample
         #: Checkpoint gate (repro.ckpt).  ``_ckpt_threshold`` is the site
         #: count each cell parks at; None means the gate is disarmed.
         self.checkpoint_dir = config.checkpoint_dir
@@ -196,6 +194,8 @@ class Machine(MachineBase):
         hold commands only when a snapshot restored them, or a test
         pushed them with :meth:`MSCPlus.issue`)."""
         self._dirty.add(pe)
+        if self.obs is not None:
+            self.obs.hold(pe)
 
     def pump(self) -> None:
         """Move the machine to communication quiescence.
@@ -246,10 +246,12 @@ class Machine(MachineBase):
                 return
             transport.tick()
 
-    def _arrive(self, msc: MSCPlus, packet: Packet) -> None:
-        """Receive port of one cell on a perfect wire: the MSC+ takes
+    def _arrive(self, msc: MSCPlus | None, packet: Packet) -> None:
+        """Receive port of the cells on a perfect wire: the MSC+ takes
         the frame, and answers a GET request or remote load in the same
-        call."""
+        call.  A killed cell's frames fall off the wire."""
+        if msc is None:
+            return
         if packet.kind in _REQUESTS:
             msc.answer(packet)
         else:
@@ -595,7 +597,7 @@ class Machine(MachineBase):
         if self.fault_plan is not None:
             cast("FaultyTNet", tnet).killed.add(pe)
         elif tnet.ports is not None:
-            tnet.ports[pe] = _fall_off
+            tnet.ports[pe] = None
 
     def _refresh_collectives(self) -> None:
         """Re-check every pending collective after the world shrank."""

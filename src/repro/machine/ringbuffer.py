@@ -15,7 +15,7 @@ the message copy overhead" (section 4.5).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.state import Stateful
 from repro.network.packet import Packet
@@ -26,16 +26,18 @@ DEFAULT_RING_BYTES = 256 * 1024
 
 @dataclass
 class RingBuffer(Stateful):
-    """One cell's receive ring buffer."""
+    """One cell's receive ring buffer; its message deque is made at the
+    first deposit."""
 
     capacity_bytes: int = DEFAULT_RING_BYTES
-    _messages: deque[Packet] = field(default_factory=deque)
+    _messages: deque[Packet] | None = None
     bytes_buffered: int = 0
     allocation_interrupts: int = 0
     extra_buffers: int = 0
     deposits: int = 0
     copies_out: int = 0
     high_water_bytes: int = 0
+    _lazy = {"_messages": deque}
 
     def deposit(self, packet: Packet) -> None:
         """The MSC+ writes an arriving SEND message into the ring."""
@@ -44,6 +46,8 @@ class RingBuffer(Stateful):
             # Full: the MSC+ interrupts the OS, which allocates a new buffer.
             self.extra_buffers += 1
             self.allocation_interrupts += 1
+        if self._messages is None:
+            self._messages = deque()
         self._messages.append(packet)
         self.bytes_buffered += size
         self.deposits += 1
@@ -56,7 +60,7 @@ class RingBuffer(Stateful):
     def search(self, src: int | None = None,
                context: int | None = None) -> Packet | None:
         """Find (without removing) the oldest message matching the filters."""
-        for packet in self._messages:
+        for packet in self._messages or ():
             if src is not None and packet.src != src:
                 continue
             if context is not None and packet.context != context:
@@ -73,7 +77,7 @@ class RingBuffer(Stateful):
         counts it so the copy-elimination claim of section 4.5 is testable.
         """
         found = self.search(src=src, context=context)
-        if found is None:
+        if found is None or self._messages is None:
             return None
         self._messages.remove(found)
         self.bytes_buffered -= found.payload_bytes
@@ -85,11 +89,11 @@ class RingBuffer(Stateful):
         """Use a message directly out of the ring without the user-area copy
         (the vector-reduction path of section 4.5)."""
         found = self.search(src=src, context=context)
-        if found is None:
+        if found is None or self._messages is None:
             return None
         self._messages.remove(found)
         self.bytes_buffered -= found.payload_bytes
         return found
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._messages or ())

@@ -212,7 +212,7 @@ class _ShardState:
                             context=context, serial=serial)
             msc = m.hw_cells[dst].msc
             msc.stats.sends_received += 1
-            msc.send_sink(packet)
+            msc.ring.deposit(packet)
             m.wake(dst)
         elif kind == "rst":
             dst, raddr, nbytes = args

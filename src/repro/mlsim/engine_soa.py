@@ -873,11 +873,11 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         rec[2] = rec[1] + f0[i]
                         waiters = rec[3]
                         if waiters:
+                            # Parked members are never queued: release
+                            # them in arrival order, all at once.
                             rec[3] = None
-                            for waiter in waiters:
-                                if waiter not in queued:
-                                    queued.add(waiter)
-                                    runnable.append(waiter)
+                            queued.update(waiters)
+                            runnable.extend(waiters)
                 else:
                     rec = rec_of[pe]
                 release = rec[2]
@@ -926,11 +926,11 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         rec[2] = rec[1] + f0[i]
                         waiters = rec[3]
                         if waiters:
+                            # Parked members are never queued: release
+                            # them in arrival order, all at once.
                             rec[3] = None
-                            for waiter in waiters:
-                                if waiter not in queued:
-                                    queued.add(waiter)
-                                    runnable.append(waiter)
+                            queued.update(waiters)
+                            runnable.extend(waiters)
                 else:
                     rec = rec_of[pe]
                 release = rec[2]

@@ -63,15 +63,18 @@ class TNet(Stateful):
     #: Optional :class:`repro.obs.observer.MachineObserver`; its
     #: ``on_inject`` hook charges per-link frame/byte counters.
     observer: Any = None
-    #: Receive port of every cell's MSC+, plugged by a machine whose
-    #: wire is perfect: :meth:`inject` then hands an admitted packet to
-    #: its destination's port and the wire never holds a frame.  None (a
-    #: bare network, the fault layer's) means queue-and-drain.
-    ports: list[Callable[[Packet], None]] | None = None
+    #: Receive ports, plugged by a machine whose wire is perfect: one
+    #: entry per cell (its MSC+), and ``arrive(port, packet)``, to which
+    #: :meth:`inject` hands an admitted packet with its destination's
+    #: entry, so the wire never holds a frame.  None (a bare network,
+    #: the fault layer's) means queue-and-drain.
+    ports: list[Any] | None = None
+    arrive: Callable[[Any, Packet], None] = field(
+        default=lambda port, packet: None)
     #: ``_channels`` / ``_fresh`` index one another by rank, so frames on
     #: the wire ride as one packet list and come back through ``_enqueue``.
-    _wiring = frozenset({"topology", "observer", "ports", "_channels",
-                         "_fresh"})
+    _wiring = frozenset({"topology", "observer", "ports", "arrive",
+                         "_channels", "_fresh"})
 
     def state(self) -> dict[str, Any]:
         wire = [packet for queue in self._channels.values()
@@ -106,7 +109,7 @@ class TNet(Stateful):
         ports = self.ports
         if ports is not None:
             self.admit(packet)
-            ports[packet.dst](packet)
+            self.arrive(ports[packet.dst], packet)
             return
         self._enqueue(packet)
         if packet.serial < 0:

@@ -9,7 +9,8 @@ Two layers, matching the cost budget:
   the run.
 * The **observer hooks** (per-link frame/byte accounting on T-net
   injection, B-net broadcast bytes, queue-occupancy time series sampled
-  at every issued command and every other pump) only exist when a
+  at every issued command and every other pump, over the cells whose
+  queues were pushed to) only exist when a
   :class:`MachineObserver` is attached
   — via ``MachineConfig(observe=True)``.  Without one the hot paths pay
   a single ``is None`` test.
@@ -55,6 +56,10 @@ class MachineObserver:
         self._occupancy: list[list[int]] = []
         self._sample_index = 0
         self._sample_stride = 1
+        #: Cells whose MSC+ queues may hold words: every push names its
+        #: cell (:meth:`hold`), and a sample drops those it finds empty,
+        #: so it reads only cells that held words since the last one.
+        self._holding: set[int] = set()
         self._route_cache: dict[tuple[int, int], tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -82,23 +87,38 @@ class MachineObserver:
         self.bnet_frames += 1
         self.bnet_bytes += packet.wire_bytes
 
-    def sample_queues(self) -> None:
-        """Record one MSC+ queue-occupancy sample: every MSC+ calls it
-        as ``on_issue`` while an issued command counts as queued, and
-        :meth:`Machine.pump` at entry.
+    def hold(self, pe: int) -> None:
+        """A command was pushed into one of ``pe``'s MSC+ queues (every
+        queue's ``on_hold``, and :meth:`Machine.mark_dirty`)."""
+        self._holding.add(pe)
 
-        Sampling is strided: when the series fills, every other sample
-        is dropped and the stride doubles, so arbitrarily long runs keep
-        a bounded, deterministic series.
+    def sample_queues(self, pe: int | None = None) -> None:
+        """Record one MSC+ queue-occupancy sample: every MSC+ calls it
+        as ``on_issue(pe)`` while a command issued on cell ``pe`` counts
+        as queued, and :meth:`Machine.pump` at entry.
+
+        A sample reads the cells that may hold words (``pe`` and those
+        :meth:`hold` named), not the machine: its cost follows the
+        commands queued, whatever the width.  Sampling is strided: when
+        the series fills, every other sample is dropped and the stride
+        doubles, so arbitrarily long runs keep a bounded, deterministic
+        series.
         """
         idx = self._sample_index
         self._sample_index = idx + 1
         if idx % self._sample_stride:
             return
+        holding = self._holding
+        if pe is not None:
+            holding.add(pe)
+        cells = self.machine.hw_cells
         total = 0
         peak = 0
-        for cell in self.machine.hw_cells:
-            words = cell.msc.queued_words()
+        for cell in tuple(holding):
+            words = cells[cell].msc.queued_words()
+            if not words:
+                holding.discard(cell)
+                continue
             total += words
             if words > peak:
                 peak = words

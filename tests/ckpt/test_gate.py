@@ -248,11 +248,10 @@ class TestWatchdogDump:
             capture_snapshot(m, resumable=False), tmp_path))
         dump.header["resumable"] = True
         restored = restore_machine(dump)
-        assert ([list(q._queue) + list(q._spill)
-                 for cell in restored.hw_cells
+        assert ([q.state() for cell in restored.hw_cells
                  for q in cell.msc.all_queues()]
-                == [list(q._queue) + list(q._spill)
-                    for cell in m.hw_cells for q in cell.msc.all_queues()])
+                == [q.state() for cell in m.hw_cells
+                    for q in cell.msc.all_queues()])
 
         end = dst[0].addr + 64
         for machine in (m, restored):

@@ -10,16 +10,19 @@ from repro.core.errors import (
     PageFaultError,
 )
 from repro.hardware.dma import MAX_DMA_BYTES, MIN_DMA_BYTES, DMAEngine
-from repro.hardware.mc import NO_FLAG, MemoryController, allocate_flag_area
+from repro.hardware.mc import (
+    NO_FLAG,
+    MemoryController,
+    allocate_flag_area,
+    identity_mmu,
+)
 from repro.hardware.memory import CellMemory
 from repro.network.packet import StrideSpec
 
 
 @pytest.fixture
 def mc():
-    controller = MemoryController(CellMemory(1 << 20))
-    controller.identity_map()
-    return controller
+    return MemoryController(CellMemory(1 << 20), identity_mmu(1 << 20))
 
 
 class TestFlagIncrementer:
@@ -65,8 +68,7 @@ class TestFlagIncrementOracle:
                            st.integers((1 << 32) - 4, (1 << 32) - 1)),
            bumps=st.integers(1, 6))
     def test_equals_read_then_write_across_the_wrap(self, start, bumps):
-        mc = MemoryController(CellMemory(4096))
-        mc.identity_map()
+        mc = MemoryController(CellMemory(4096), identity_mmu(4096))
         mc.write_flag(64, start)
         expected = start
         for n in range(1, bumps + 1):
@@ -81,8 +83,7 @@ class TestFlagIncrementOracle:
         assert mc.memory.read(60, 4) == mc.memory.read(68, 4) == bytes(4)
 
     def test_flag_past_the_dram_edge_faults(self):
-        mc = MemoryController(CellMemory(8192))
-        mc.identity_map()
+        mc = MemoryController(CellMemory(8192), identity_mmu(8192))
         with pytest.raises(PageFaultError):
             mc.increment_flag(8192)
         assert mc.flag_increments == 0

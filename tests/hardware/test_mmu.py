@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
-from repro.hardware.mc import MemoryController
+from repro.hardware.mc import MemoryController, identity_mmu
 from repro.hardware.memory import CellMemory
 from repro.hardware.mmu import (
     MMU,
@@ -268,12 +268,31 @@ class TestMapRangeOracle:
         with pytest.raises(AddressError):
             MMU().map_range(0, 0, 0)
 
+    def test_a_map_on_one_identity_booted_mmu_is_invisible_to_another(
+            self):
+        # Both boot on the one read-only identity table; the first map
+        # or unmap gives an MMU tables of its own.
+        size = PAGE_256K + 3 * PAGE_4K
+        one, other, third = (identity_mmu(size) for _ in range(3))
+        assert one._table_256k is other._table_256k
+        assert one._fine_grained is other._fine_grained
+        one.map_page(2 * PAGE_256K, 0, writable=False)
+        third.unmap_page(0, size=PAGE_256K)
+        assert one._table_4k is not other._table_4k
+        assert one.translate(2 * PAGE_256K + 8) == 8
+        with pytest.raises(PageFaultError):
+            other.translate(2 * PAGE_256K + 8)
+        with pytest.raises(PageFaultError):
+            third.translate(8)
+        assert other.translate(8, write=True) == 8
+        assert other._table_4k is identity_mmu(size)._table_4k
+        assert len(other._table_4k) == 3 and 0 in other._table_256k
+        assert other._fine_grained == {1}
+
     def test_cells_share_entries_but_not_tables(self):
         size = 2 * PAGE_256K + 3 * PAGE_4K
-        one = MemoryController(CellMemory(size))
-        other = MemoryController(CellMemory(size))
-        one.identity_map()
-        other.identity_map()
+        one = MemoryController(CellMemory(size), identity_mmu(size))
+        other = MemoryController(CellMemory(size), identity_mmu(size))
         one.mmu.map_page(0, 7 * PAGE_4K, writable=False)
         one.mmu.unmap_page(PAGE_256K, size=PAGE_256K)
         one.mmu.unmap_page(2 * PAGE_256K)

@@ -11,6 +11,7 @@ import pytest
 from repro.core.errors import CommunicationError, PageFaultError
 from repro.hardware.cell import HardwareCell
 from repro.hardware.msc import Command, CommandKind
+from repro.machine.ringbuffer import RingBuffer
 from repro.network.packet import PacketKind, StrideSpec
 from repro.network.tnet import TNet
 from repro.network.topology import TorusTopology
@@ -195,16 +196,15 @@ class TestSendAtIssue:
 class TestSendModel:
     def test_send_goes_to_ring_sink(self, rig):
         tnet, a, b = rig
-        received = []
-        b.msc.send_sink = received.append
+        b.msc.ring = RingBuffer()
         a.msc.send_message(1, b"two-sided")
         pump(tnet, (a, b))
-        assert len(received) == 1
-        assert received[0].data == b"two-sided"
+        assert b.msc.ring.deposits == 1
+        assert b.msc.ring.search(src=0).data == b"two-sided"
 
     def test_send_without_sink_fails(self, rig):
         tnet, a, b = rig
-        b.msc.send_sink = None
+        b.msc.ring = None
         a.msc.send_message(1, b"x")
         with pytest.raises(CommunicationError):
             pump(tnet, (a, b))

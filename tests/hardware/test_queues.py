@@ -1,5 +1,7 @@
 """Unit tests for MSC+ command queues and DRAM spill (section 4.1)."""
 
+from collections import deque
+
 import pytest
 
 from repro.core.errors import QueueOverflowError
@@ -106,11 +108,44 @@ class TestSpill:
         assert "2 buffers of 8 words" in message
 
 
+class TestStorageAtFirstCommand:
+    def test_a_drained_queue_saves_as_one_never_used(self):
+        # A queue makes its RAM and spill deques at its first command;
+        # until then, and once drained, its state reads the same.
+        never, drained = CommandQueue("t"), CommandQueue("t")
+        assert never.pass_through("a")         # counted, never held
+        drained.push("b")
+        assert drained.pop() == "b"
+        assert never._queue is None and drained._queue is not None
+        assert drained.state() == never.state()
+        assert never.state()["_queue"] == never.state()["_spill"] == deque()
+
+    def test_a_spilled_and_refilled_queue_saves_as_one_never_used(self):
+        never, spilled = CommandQueue("t", capacity_words=8), CommandQueue(
+            "t", capacity_words=8)
+        for command in range(3):
+            spilled.push(command)
+        assert [spilled.pop() for _ in range(3)] == [0, 1, 2]
+        for name in ("pushed", "popped", "spilled", "high_water_words",
+                     "refill_interrupts"):
+            setattr(never, name, getattr(spilled, name))
+        assert spilled.state() == never.state()
+
+    def test_a_push_names_the_queue_cell_to_on_hold(self):
+        told = []
+        q = CommandQueue("t", cell=7)
+        q.on_hold = told.append
+        assert q.pass_through("passes")
+        q.push("held")
+        assert told == [7]
+
+
 class TestPassThrough:
     def test_empty_queue_counts_without_holding(self):
         q = CommandQueue("t")
         held = []
-        assert q.pass_through("a", 12, lambda: held.append(q.words_in_queue))
+        assert q.pass_through("a", 12,
+                              lambda cell: held.append(q.words_in_queue))
         assert held == [12]        # observed while it counts as queued
         assert (q.pushed, q.popped, q.high_water_words) == (1, 1, 12)
         assert not q and q.words_in_queue == 0
@@ -121,14 +156,14 @@ class TestPassThrough:
         q = CommandQueue("t")
         q.push("old")
         held = []
-        assert not q.pass_through("new", 8, lambda: held.append(len(q)))
+        assert not q.pass_through("new", 8, lambda cell: held.append(len(q)))
         assert held == [2]
         assert [q.pop(), q.pop()] == ["old", "new"]
 
     def test_command_larger_than_the_queue_spills_as_a_push(self):
         spilled = []
         q = CommandQueue("t", capacity_words=8)
-        q.on_spill = lambda name, words: spilled.append(words)
+        q.on_spill = lambda cell, name, words: spilled.append(words)
         assert not q.pass_through("stride", 12)
         assert spilled == [12] and q.spilled == 1 and q.pushed == 1
 
@@ -137,7 +172,7 @@ class TestSpillObserver:
     def test_on_spill_sees_every_spilled_command(self):
         seen = []
         q = CommandQueue("user_send")
-        q.on_spill = lambda name, words: seen.append((name, words))
+        q.on_spill = lambda cell, name, words: seen.append((name, words))
         for i in range(8):
             q.push(i)
         assert seen == []          # the hardware queue absorbed them all
@@ -149,7 +184,7 @@ class TestSpillObserver:
     def test_observer_fires_for_post_overflow_stream(self):
         seen = []
         q = CommandQueue("t")
-        q.on_spill = lambda name, words: seen.append(words)
+        q.on_spill = lambda cell, name, words: seen.append(words)
         for i in range(9):
             q.push(i)
         q.pop()
@@ -159,7 +194,7 @@ class TestSpillObserver:
     def test_observer_failure_propagates(self):
         # The machine wires on_spill to its trace buffer; a full trace
         # must surface, not be swallowed by the queue.
-        def boom(name, words):
+        def boom(cell, name, words):
             raise RuntimeError("trace full")
 
         q = CommandQueue("t")

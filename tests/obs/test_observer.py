@@ -8,7 +8,11 @@ import pytest
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.obs.micro import MICRO_CELLS, micro_machine, micro_trace
-from repro.obs.observer import MAX_SERIES_SAMPLES, machine_metrics
+from repro.obs.observer import (
+    MAX_SERIES_SAMPLES,
+    MachineObserver,
+    machine_metrics,
+)
 from repro.obs.registry import MACHINE_SCHEMA
 from repro.trace.events import EventKind
 from repro.trace.io import load_trace, save_trace
@@ -91,6 +95,75 @@ class TestFaultyHarvest:
         metrics = machine_metrics(m)
         assert metrics["network"]["links"], "faulty T-net bypassed hooks"
         assert metrics["faults"]["retries"] > 0
+
+
+def _scanning(sample):
+    """``sample`` checked against a scan of every queue of every cell
+    taken at the same moment."""
+    checked = []
+
+    def sample_and_scan(self, pe=None):
+        words = [cell.msc.queued_words() for cell in self.machine.hw_cells]
+        idx, stride = self._sample_index, self._sample_stride
+        sample(self, pe)
+        if idx % stride == 0:
+            assert self._occupancy[-1] == [idx, sum(words), max(words)]
+            checked.append(idx)
+
+    return sample_and_scan, checked
+
+
+class TestOccupancySample:
+    """A sample reads only the cells pushed to since the last one; it
+    must read what a scan of the whole machine reads."""
+
+    def run(self, monkeypatch, app, config):
+        sample, checked = _scanning(MachineObserver.sample_queues)
+        monkeypatch.setattr(MachineObserver, "sample_queues", sample)
+        assert app(config).verified
+        return checked
+
+    def test_on_the_held_wire_with_spilling_queues(self, monkeypatch):
+        from repro.apps import tomcatv
+        from repro.faults.plan import FaultPlan
+
+        plan = FaultPlan(name="squeeze", seed=1999, drop_rate=0.01,
+                         delay_rate=0.05, queue_capacity_words=16)
+        checked = self.run(monkeypatch, lambda config: tomcatv.run(
+            4, n=17, iters=1, use_stride=False, config=config),
+            MachineConfig(fault_plan=plan, observe=True))
+        assert len(checked) > 200
+
+    def test_on_the_perfect_wire(self, monkeypatch):
+        from repro.apps.latency import run_ping_pong
+
+        checked = self.run(monkeypatch,
+                           lambda config: run_ping_pong(4, config=config),
+                           MachineConfig(observe=True))
+        assert len(checked) > 200
+
+    def test_of_commands_queued_across_samples(self, monkeypatch):
+        from repro.hardware.msc import Command, CommandKind
+        from repro.network.packet import StrideSpec
+
+        sample, checked = _scanning(MachineObserver.sample_queues)
+        monkeypatch.setattr(MachineObserver, "sample_queues", sample)
+        m = Machine(MachineConfig(num_cells=4, memory_per_cell=1 << 20,
+                                  observe=True))
+        src = m.alloc_array(0, 64, "uint8")
+        whole = StrideSpec.contiguous(8)
+        for n in range(12):
+            m.hw_cells[0].msc.issue(Command(
+                kind=CommandKind.PUT, dst=1 + n % 3, raddr=src.addr,
+                laddr=src.addr + n, send_stride=whole, recv_stride=whole))
+        # Cell 1 issues while cell 0 holds twelve commands.
+        m.hw_cells[1].msc.send(Command(
+            kind=CommandKind.PUT, dst=2, raddr=src.addr, laddr=src.addr,
+            send_stride=whole, recv_stride=whole))
+        m.mark_dirty(0)
+        m.pump()
+        assert m.obs.occupancy_series == [[0, 104, 96], [1, 96, 96]]
+        assert checked == [0, 1]
 
 
 class TestPhaseAnnotations:
