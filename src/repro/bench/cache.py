@@ -29,6 +29,7 @@ run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -131,6 +132,22 @@ class CachedRun:
         return self._trace
 
 
+def _cached_run(meta: dict[str, Any], trace_path: Path) -> CachedRun:
+    """The cache hit an entry's meta describes."""
+    return CachedRun(
+        name=meta["app"],
+        config=meta["config"],
+        verified=meta["verified"],
+        checks=meta["checks"],
+        statistics=AppStatistics(**meta["statistics"]),
+        total_events=meta["total_events"],
+        functional_wall_s=meta["functional_wall_s"],
+        cache_hit=True,
+        trace_path=trace_path,
+        machine_metrics=meta.get("machine_metrics", {}),
+    )
+
+
 class TraceCache:
     """Content-addressed store of recorded traces."""
 
@@ -159,22 +176,26 @@ class TraceCache:
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
             load_trace(trace_path)      # maps and checks; builds no event
-            return CachedRun(
-                name=meta["app"],
-                config=meta["config"],
-                verified=meta["verified"],
-                checks=meta["checks"],
-                statistics=AppStatistics(**meta["statistics"]),
-                total_events=meta["total_events"],
-                functional_wall_s=meta["functional_wall_s"],
-                cache_hit=True,
-                trace_path=trace_path,
-                machine_metrics=meta.get("machine_metrics", {}),
-            )
+            return _cached_run(meta, trace_path)
         except (OSError, ValueError, KeyError, TypeError,
                 ReproError) as exc:
             self.quarantine(entry, reason=f"{type(exc).__name__}: {exc}")
             return None
+
+    def entries(self) -> list[CachedRun]:
+        """Every published entry at this code version, oldest first,
+        read from its meta alone (the trace is neither loaded nor
+        checked, and an unreadable meta is skipped, not quarantined:
+        a live campaign may be writing the cache)."""
+        found: list[tuple[str, CachedRun]] = []
+        for meta_path in self.root.glob(f"[!.]*/{META_NAME}"):
+            with contextlib.suppress(OSError, ValueError, KeyError,
+                                     TypeError):
+                meta = json.loads(meta_path.read_text(encoding="utf-8"))
+                if meta["code_version"] == self.version:
+                    found.append((meta["created_utc"], _cached_run(
+                        meta, meta_path.with_name(TRACE_NAME))))
+        return [record for _, record in sorted(found, key=lambda f: f[0])]
 
     def quarantine(self, entry: Path, *, reason: str) -> Path:
         """Move a corrupt entry under ``.quarantine/`` for post-mortem

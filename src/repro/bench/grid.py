@@ -80,7 +80,7 @@ class BenchSpec:
     app: str
     num_cells: int
     params: dict[str, Any] = field(default_factory=dict)
-    #: The row's key in the artifact and the journal: the application
+    #: The row's key in the artifact: the application
     #: name, unless the grid runs the application more than once.
     name: str = ""
 

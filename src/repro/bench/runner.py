@@ -20,21 +20,16 @@ finishes.  Both assemble results in grid order, so they produce
 byte-identical artifact ``results`` sections (see
 :func:`repro.bench.schema.results_bytes`).
 
-**Crash tolerance** — when a ``journal_path`` is given, every finished
-application row (its deterministic artifact entry plus wall timings) is
-appended to a ``repro-bench-journal-v1`` file, rewritten atomically
-after each row.  A campaign killed mid-sweep restarted with
-``resume=True`` validates the journal (grid, presets, code version —
-any drift fails loudly) and re-simulates only the missing rows; the
-journaled rows are spliced back verbatim, so the final ``results``
-section is byte-identical to an uninterrupted run.
+**Crash tolerance** — every row's trace is published to the cache as
+soon as its functional task finishes, so a campaign killed mid-sweep
+and run again re-simulates only the rows it had not recorded; the
+recorded ones come back as cache hits and the ``results`` section is
+byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-import json
 import os
 import platform
 import sys
@@ -61,7 +56,6 @@ from repro.bench.schema import (
     AppTimings,
     BenchArtifact,
     PresetMetrics,
-    app_result_from_dict,
 )
 from repro.core.errors import ConfigurationError
 from repro.machine.config import MachineConfig
@@ -71,10 +65,6 @@ from repro.mlsim.params import preset as load_preset
 from repro.mlsim.simulator import ModelComparison
 
 BASELINE_PRESET = "ap1000"
-JOURNAL_SCHEMA = "repro-bench-journal-v1"
-#: Test hook: simulate a crash after this many rows have been
-#: journaled (raises KeyboardInterrupt, the same path a Ctrl-C takes).
-ABORT_AFTER_ENV = "REPRO_BENCH_ABORT_AFTER"
 
 
 @dataclass
@@ -206,150 +196,6 @@ def _app_result(spec: BenchSpec, stage: _AppStage,
     )
 
 
-def _app_timings(stage: _AppStage) -> AppTimings:
-    return AppTimings(
-        functional_s=stage.run.functional_wall_s,
-        cache_hit=stage.run.cache_hit,
-        replay_s=dict(stage.replay_s),
-    )
-
-
-class BenchJournal:
-    """Crash-tolerant record of a campaign's completed rows.
-
-    Every time an application finishes its replays, its assembled
-    artifact row and timings are added and the whole journal rewritten
-    atomically (temp file + ``os.replace``), so a kill at any point
-    leaves either the previous journal or the new one — never a torn
-    file.  Serialized rows round-trip through JSON exactly (floats use
-    shortest-repr encoding), so a resumed campaign's ``results``
-    section is byte-identical to an uninterrupted one.
-    """
-
-    def __init__(self, path: Path, *, grid: str, version: str,
-                 preset_names: tuple[str, ...],
-                 specs: list[BenchSpec]) -> None:
-        self.path = Path(path)
-        self.grid = grid
-        self.version = version
-        self.preset_names = list(preset_names)
-        self.app_order = [s.name for s in specs]
-        self.apps: dict[str, dict[str, Any]] = {}
-        abort_after = os.environ.get(ABORT_AFTER_ENV)
-        self._abort_after = int(abort_after) if abort_after else None
-
-    def seed(self, completed: dict[str, tuple[AppResult, AppTimings]],
-             ) -> None:
-        """Carry rows journaled by the killed run into this one."""
-        for app, (result, timings) in completed.items():
-            self.apps[app] = {"result": asdict(result),
-                              "timings": asdict(timings)}
-
-    def record(self, spec: BenchSpec, result: AppResult,
-               timings: AppTimings) -> None:
-        self.apps[spec.name] = {"result": asdict(result),
-                                "timings": asdict(timings)}
-        self._write()
-        if (self._abort_after is not None
-                and len(self.apps) >= self._abort_after):
-            raise KeyboardInterrupt(
-                f"{ABORT_AFTER_ENV}={self._abort_after}: simulated crash "
-                f"after journaling {len(self.apps)}/{len(self.app_order)} "
-                "rows")
-
-    def _write(self) -> None:
-        doc = {
-            "schema": JOURNAL_SCHEMA,
-            "grid": self.grid,
-            "code_version": self.version,
-            "preset_names": self.preset_names,
-            "app_order": self.app_order,
-            "apps": self.apps,
-        }
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=f".{self.path.name}.")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-
-
-def load_journal(
-    path: str | Path, *, grid: str, version: str,
-    preset_names: tuple[str, ...], specs: list[BenchSpec],
-) -> dict[str, tuple[AppResult, AppTimings]]:
-    """The completed rows of a killed campaign, validated against the
-    campaign being resumed.
-
-    Any drift — schema, grid name, preset set, app order, code version,
-    or a journaled row whose config no longer matches its spec — raises
-    :class:`ConfigurationError` instead of silently splicing stale
-    results into a fresh artifact.
-    """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(
-            f"cannot resume: journal {path} is unreadable ({exc})"
-        ) from exc
-    if data.get("schema") != JOURNAL_SCHEMA:
-        raise ConfigurationError(
-            f"cannot resume: journal {path} has schema "
-            f"{data.get('schema')!r} (expected {JOURNAL_SCHEMA!r})")
-    expected = {
-        "grid": grid,
-        "code_version": version,
-        "preset_names": list(preset_names),
-        "app_order": [s.name for s in specs],
-    }
-    for key, want in expected.items():
-        got = data.get(key)
-        if got != want:
-            raise ConfigurationError(
-                f"cannot resume: journal {path} was written for "
-                f"{key}={got!r} but this campaign has {key}={want!r}; "
-                "rerun without --resume to start over")
-    spec_by_name = {s.name: s for s in specs}
-    completed: dict[str, tuple[AppResult, AppTimings]] = {}
-    for name, entry in data.get("apps", {}).items():
-        spec = spec_by_name.get(name)
-        if spec is None:
-            raise ConfigurationError(
-                f"cannot resume: journal {path} carries unknown "
-                f"row {name!r}")
-        result = app_result_from_dict(name, entry["result"])
-        if result.config != jsonify(spec.config()):
-            raise ConfigurationError(
-                f"cannot resume: journaled {name} row was produced with "
-                f"config {result.config!r}, but this campaign would run "
-                f"it with {jsonify(spec.config())!r}")
-        completed[name] = (result, AppTimings(**entry["timings"]))
-    return completed
-
-
-def _trace_for_check(spec: BenchSpec, stages: dict[str, _AppStage],
-                     cache_root: Path, version: str):
-    """The trace to check for one row: this session's record, else the
-    cache entry of a row the journal carried over."""
-    stage = stages.get(spec.name)
-    record = (stage.run if stage is not None
-              else TraceCache(cache_root, version).get(spec.app,
-                                                       spec.config()))
-    if record is None:
-        raise ConfigurationError(
-            f"--check on a resumed campaign needs {spec.name}'s cached "
-            "trace, but the cache holds no entry at this code version; "
-            "rerun without --resume")
-    return record.trace
-
-
 def _environment() -> dict[str, Any]:
     return {
         "python": platform.python_version(),
@@ -379,11 +225,9 @@ def _run_grid(
     version: str,
     reuse_cache: bool,
     log: Callable[[str], None],
-    journal: BenchJournal | None = None,
 ) -> dict[str, _AppStage]:
     """Run both tasks of every row: inline, row by row, when ``jobs``
-    is 1 (so a journaled campaign has simulated exactly the rows it
-    journaled); on a pool of ``jobs`` workers otherwise."""
+    is 1 (no pool to start); on a pool of ``jobs`` workers otherwise."""
     stages: dict[str, _AppStage] = {}
     functional = (str(cache_root), version, reuse_cache)
     count = itertools.count(1)
@@ -394,19 +238,11 @@ def _run_grid(
         log(f"[{next(count)}/{len(specs)}] {spec.name}: functional "
             f"{state} ({record.total_events} events)")
 
-    def replayed(spec: BenchSpec, record: CachedRun,
-                 results: dict[str, MLSimResult],
-                 walls: dict[str, float]) -> None:
-        stage = stages[spec.name] = _AppStage(record, results, walls)
-        if journal is not None:
-            journal.record(spec, _app_result(spec, stage, preset_names),
-                           _app_timings(stage))
-
     if jobs == 1:
         for spec in specs:
             record = _functional_task(spec, *functional)
             recorded(spec, record)
-            replayed(spec, record, *_replay_app_task(
+            stages[spec.name] = _AppStage(record, *_replay_app_task(
                 str(record.trace_path), preset_names))
         return stages
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -428,7 +264,7 @@ def _run_grid(
                                          preset_names)
                     pending[replay] = (spec, record)
                 else:
-                    replayed(spec, record, *fut.result())
+                    stages[spec.name] = _AppStage(record, *fut.result())
     return stages
 
 
@@ -440,32 +276,25 @@ def _assemble(
     run_info: dict[str, Any],
     check_reports: dict[str, Any] | None = None,
     static_reports: dict[str, Any] | None = None,
-    completed: dict[str, tuple[AppResult, AppTimings]] | None = None,
 ) -> BenchArtifact:
     apps: dict[str, AppResult] = {}
     timings: dict[str, AppTimings] = {}
     for spec in specs:
-        report = (check_reports or {}).get(spec.name)
-        static = (static_reports or {}).get(spec.name)
-        check_dict = report.to_dict() if report is not None else None
-        if check_dict is not None and static is not None:
-            check_dict["static"] = static.to_dict()
-        if completed and spec.name in completed:
-            # A row journaled by the killed run: splice it back
-            # verbatim (the check report, when the check stage ran, was
-            # recomputed this session — it is deterministic).
-            result, row_timings = completed[spec.name]
-            if check_dict is not None:
-                result = replace(result, check=check_dict)
-            apps[spec.name] = result
-            timings[spec.name] = row_timings
-            continue
         stage = stages[spec.name]
         result = _app_result(spec, stage, preset_names)
-        if check_dict is not None:
+        report = (check_reports or {}).get(spec.name)
+        if report is not None:
+            check_dict = report.to_dict()
+            static = (static_reports or {}).get(spec.name)
+            if static is not None:
+                check_dict["static"] = static.to_dict()
             result = replace(result, check=check_dict)
         apps[spec.name] = result
-        timings[spec.name] = _app_timings(stage)
+        timings[spec.name] = AppTimings(
+            functional_s=stage.run.functional_wall_s,
+            cache_hit=stage.run.cache_hit,
+            replay_s=dict(stage.replay_s),
+        )
     return BenchArtifact(
         grid=grid_name,
         preset_names=list(preset_names),
@@ -487,8 +316,6 @@ def run_bench(
     grid_name: str = "custom",
     log: Callable[[str], None] | None = None,
     check: bool = False,
-    journal_path: str | Path | None = None,
-    resume: bool = False,
 ) -> BenchOutcome:
     """Run the (``specs`` x ``preset_names``) grid; return the outcome.
 
@@ -499,12 +326,6 @@ def run_bench(
     stage: the race/synchronization checker over every recorded trace
     (reports land in each row's ``check`` field; they are deterministic,
     so every ``jobs`` setting produces identical results sections).
-
-    ``journal_path`` makes the campaign crash-tolerant: each completed
-    row is journaled atomically, and ``resume=True`` skips rows the
-    journal already holds (validating grid/presets/code version first).
-    The resumed artifact's ``results`` section is byte-identical to an
-    uninterrupted run's.
     """
     if jobs < 1:
         raise ConfigurationError("--jobs must be at least 1")
@@ -513,34 +334,14 @@ def run_bench(
     log = log or (lambda message: None)
     cache_root = Path(cache_dir) if cache_dir else DEFAULT_CACHE_DIR
     version = code_version()
-    if resume and journal_path is None:
-        raise ConfigurationError(
-            "resume=True needs the journal_path of the killed campaign")
-    completed: dict[str, tuple[AppResult, AppTimings]] = {}
-    if resume and Path(journal_path).exists():
-        completed = load_journal(
-            journal_path, grid=grid_name, version=version,
-            preset_names=preset_names, specs=specs)
-        log(f"resume: {len(completed)}/{len(specs)} rows already "
-            f"journaled in {journal_path}; re-simulating the rest")
-    elif resume:
-        log(f"resume: no journal at {journal_path}; running the full "
-            "grid")
-    journal: BenchJournal | None = None
-    if journal_path is not None:
-        journal = BenchJournal(
-            Path(journal_path), grid=grid_name, version=version,
-            preset_names=preset_names, specs=specs)
-        journal.seed(completed)
-    todo = [s for s in specs if s.name not in completed]
     start = time.perf_counter()
     spool: tempfile.TemporaryDirectory | None = None
     try:
         if not use_cache:
             spool = tempfile.TemporaryDirectory(prefix="repro-bench-")
             cache_root = Path(spool.name)
-        stages = _run_grid(todo, preset_names, jobs, cache_root, version,
-                           use_cache, log, journal)
+        stages = _run_grid(specs, preset_names, jobs, cache_root,
+                           version, use_cache, log)
         if spool is not None:
             # The spool dir dies with this call, so pull every trace
             # into memory while the files still exist.
@@ -560,9 +361,7 @@ def run_bench(
 
         check_start = time.perf_counter()
         for spec in specs:
-            report = check_trace(
-                _trace_for_check(spec, stages, cache_root, version),
-                spec.app)
+            report = check_trace(stages[spec.name].run.trace, spec.app)
             check_reports[spec.name] = report
             log(
                 f"check {spec.name}: "
@@ -585,17 +384,11 @@ def run_bench(
         check_wall = time.perf_counter() - check_start
     wall_s = time.perf_counter() - start
     stage_wall_s = {
-        "functional": sum(s.run.functional_wall_s for s in stages.values())
-        + sum(t.functional_s for _, t in completed.values()),
+        "functional": sum(s.run.functional_wall_s for s in stages.values()),
         "replay": sum(
             wall
             for stage in stages.values()
             for wall in stage.replay_s.values()
-        )
-        + sum(
-            wall
-            for _, t in completed.values()
-            for wall in t.replay_s.values()
         ),
     }
     if check:
@@ -612,13 +405,8 @@ def run_bench(
         },
         "argv": list(sys.argv),
     }
-    if journal_path is not None:
-        run_info["journal"] = {
-            "path": str(journal_path),
-            "resumed_rows": sorted(completed),
-        }
     artifact = _assemble(specs, preset_names, grid_name, stages, run_info,
-                         check_reports, static_reports, completed)
+                         check_reports, static_reports)
     return BenchOutcome(
         artifact=artifact,
         runs={app: stage.run for app, stage in stages.items()},

@@ -148,8 +148,8 @@ class AppResult:
 
 
 def app_result_from_dict(name: str, a: dict[str, Any]) -> AppResult:
-    """Rehydrate one serialized :class:`AppResult` (artifact ``results``
-    row or bench-journal entry), validating any embedded check block."""
+    """Rehydrate one artifact ``results`` row, validating any embedded
+    check block."""
     _validate_check_schema(name, a.get("check"))
     _validate_metrics_schema(name, a.get("metrics"))
     return AppResult(

@@ -1,5 +1,6 @@
 """``repro bench run``: run the (application x preset) grid into a
-``repro-bench-v1`` artifact, journaled so a killed campaign resumes."""
+``repro-bench-v1`` artifact; a killed campaign finishes by running it
+again, the rows it recorded served from the trace cache."""
 
 from __future__ import annotations
 
@@ -18,9 +19,6 @@ RULES = (
     Rule("--output", ("--output-dir",),
          "--output is the artifact's whole path"),
     CACHE_RULE,
-    Rule("--resume", ("--no-cache",),
-         "the default journal lives in the cache; name one with --journal",
-         unless="--journal"),
 )
 
 
@@ -30,10 +28,10 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "EP + MatMul, CI-sized, 2 presets; micro: "
                              "latency microbenchmarks + small CG; wide: "
                              "EP and RingShift at 256-4096 cells")
-    parser.add_argument("--apps", nargs="*", metavar="APP",
+    parser.add_argument("--apps", nargs="+", metavar="APP",
                         choices=list(GRID_APPS),
                         help="the named grid's rows of these apps")
-    parser.add_argument("--presets", nargs="*", metavar="PRESET",
+    parser.add_argument("--presets", nargs="+", metavar="PRESET",
                         choices=sorted(PRESETS),
                         help="parameter presets to replay under")
     parser.add_argument("--jobs", type=int, default=1,
@@ -51,19 +49,11 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--check", action="store_true",
                         help="run the race/synchronization checker over "
                              "every recorded trace")
-    parser.add_argument("--journal", metavar="FILE", default=None,
-                        help="campaign journal path (default: "
-                             "<cache-dir>/journal-<grid>.json; every "
-                             "completed row is recorded atomically)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume a killed campaign from its journal, "
-                             "re-simulating only the missing rows "
-                             "(byte-identical results section)")
 
 
 def _interrupted(signum: int, frame: object) -> None:
     # A SIGTERM (CI timeout, scheduler preemption) takes the same clean
-    # path as Ctrl-C: the journal already holds every completed row.
+    # path as Ctrl-C: the cache already holds every recorded row.
     raise KeyboardInterrupt
 
 
@@ -75,30 +65,22 @@ def main(args: argparse.Namespace) -> int:
     grid_name = args.grid
     specs = grid_specs(grid_name, tuple(args.apps) if args.apps else None)
     preset_names = tuple(args.presets or GRIDS[grid_name][1])
-    journal_path = Path(args.journal) if args.journal else None
-    if journal_path is None and not args.no_cache:
-        cache_root = (Path(args.cache_dir) if args.cache_dir
-                      else DEFAULT_CACHE_DIR)
-        journal_path = cache_root / f"journal-{grid_name}.json"
     try:
         with on_signals(_interrupted, signal.SIGTERM):
             outcome = run_bench(
                 specs, preset_names, jobs=args.jobs,
                 cache_dir=args.cache_dir, use_cache=not args.no_cache,
-                grid_name=grid_name, log=print, check=args.check,
-                journal_path=journal_path, resume=args.resume)
+                grid_name=grid_name, log=print, check=args.check)
     except KeyboardInterrupt:
         print()
-        if journal_path is not None:
-            print(f"interrupted: completed rows journaled in "
-                  f"{journal_path}")
-            print("resume with: " + shlex.join(
-                command_line(args, args.parser, drop=("--resume",))
-                + ["--resume"]))
-            return EXIT_RESUMABLE
-        print("interrupted (no journal: rerun without --no-cache, or "
-              "pass --journal, to make campaigns resumable)")
-        return 130
+        if args.no_cache:
+            print("interrupted (--no-cache keeps no recorded rows)")
+            return 130
+        print(f"interrupted: recorded rows are cached in "
+              f"{args.cache_dir or DEFAULT_CACHE_DIR}")
+        print("run again with: "
+              + shlex.join(command_line(args, args.parser)))
+        return EXIT_RESUMABLE
     artifact = outcome.artifact
     for row in artifact.app_order:
         result = artifact.apps[row]

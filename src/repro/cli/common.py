@@ -27,8 +27,9 @@ from typing import Any
 
 from repro.core.errors import ConfigurationError, ReproError
 
-#: Exit status of a run interrupted but resumable from a checkpoint or
-#: journal (EX_TEMPFAIL: "try again later").
+#: Exit status of a run interrupted but resumable from a checkpoint, or
+#: a bench campaign the trace cache finishes when run again
+#: (EX_TEMPFAIL: "try again later").
 EXIT_RESUMABLE = 75
 #: Exit status of a chaos sweep whose runs completed but diverged from
 #: the golden digests (distinct from 1 = crashed case, 2 = usage/error).

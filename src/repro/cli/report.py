@@ -12,7 +12,7 @@ RULES = ()
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paper-scale", action="store_true")
-    parser.add_argument("--apps", nargs="*", default=list(ORDER),
+    parser.add_argument("--apps", nargs="+", default=list(ORDER),
                         choices=list(ORDER))
     parser.add_argument("--format", default="text",
                         choices=("text", "markdown"))

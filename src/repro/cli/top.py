@@ -1,5 +1,5 @@
 """``repro top``: an ASCII utilisation dashboard for a trace or a bench
-artifact, or a live one over a growing stream trace or bench journal."""
+artifact, or a live one over a growing stream trace or trace cache."""
 
 from __future__ import annotations
 
@@ -36,8 +36,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help=f"replay preset (default: {DEFAULT_PRESET})")
     parser.add_argument("--follow", action="store_true",
                         help="live mode: tail an in-progress stream trace "
-                             "(`repro run --stream`) or bench journal and "
-                             "redraw until it completes")
+                             "(`repro run --stream`) and redraw until it "
+                             "completes, or list a bench campaign's "
+                             "trace cache directory as entries land")
     parser.add_argument("--interval", type=float, default=1.0,
                         metavar="SEC",
                         help="--follow redraw interval (default: 1s)")
@@ -49,47 +50,44 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _follow(args: argparse.Namespace) -> int:
-    """Live dashboard: tail a stream trace or a bench journal."""
+    """Live dashboard: tail a stream trace or list a trace cache."""
     import time
 
+    from repro.bench.cache import TraceCache
     from repro.obs.follow import (
         FollowState,
         follow_document,
-        read_journal_snapshot,
+        render_cache_follow,
         render_follow,
-        render_journal_follow,
     )
 
     if not args.trace:
         raise ConfigurationError(
             "--follow needs a file to tail: a stream trace from "
-            "`repro run --stream` or a bench campaign journal")
+            "`repro run --stream` or a bench campaign's cache directory")
     path = Path(args.trace)
     if not path.exists():
         raise ConfigurationError(f"nothing to follow: {path} does not "
                                  "exist (start the run first)")
-    # A journal is rewritten atomically per row, so each tick re-reads
-    # the whole (small) document; a stream trace is polled for chunks.
-    state = (None if read_journal_snapshot(path) is not None
-             else FollowState(path))
+    if path.is_dir() and args.json:
+        raise Refused("--json with a cache directory TRACE: the cache "
+                      "view is text only", ("--json", "TRACE"))
+    # A cache has no end: it is listed until --frames or Ctrl-C.
+    state = None if path.is_dir() else FollowState(path)
     frame = 0
     try:
         while True:
             if state is None:
-                doc = read_journal_snapshot(path)
-                done = doc is not None and set(
-                    doc.get("app_order", [])) <= set(doc.get("apps", {}))
-                text = doc and render_journal_follow(doc)
+                print(render_cache_follow(TraceCache(path)))
             else:
                 state.poll()
-                doc, done = follow_document(state), state.complete
-                text = render_follow(state)
-            if doc is not None and args.json:
-                print_json(doc)
-            elif doc is not None:
-                print(text)
+                if args.json:
+                    print_json(follow_document(state))
+                else:
+                    print(render_follow(state))
             frame += 1
-            if done or (args.frames is not None and frame >= args.frames):
+            if ((state is not None and state.complete)
+                    or (args.frames is not None and frame >= args.frames)):
                 return 0
             time.sleep(args.interval)
     except KeyboardInterrupt:

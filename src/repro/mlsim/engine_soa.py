@@ -76,6 +76,15 @@ from repro.core.errors import SimulationError
 from repro.machine.config import SPARC_US_PER_FLOP
 from repro.mlsim.breakdown import MLSimResult, PEBreakdown
 from repro.mlsim.params import MLSimParams
+from repro.mlsim.put_model import (
+    get_reply_cpu_theft,
+    get_reply_service_time,
+    network_time,
+    put_send_cpu_time,
+    recv_cpu_theft,
+    recv_flag_update_time,
+    recv_service_time,
+)
 from repro.mlsim.timeline import (
     EXECUTION,
     IDLE,
@@ -367,68 +376,24 @@ class _Program:
             got = by_kind.get(int(k))
             return got if got is not None else np.empty(0, dtype=np.int64)
 
-        # Vectorized twins of repro.mlsim.put_model, replicating each
-        # function's float accumulation order exactly.
-        def put_send_cpu(size):
-            cpu = p.put_prolog_time + p.put_enqueue_time
-            if not hw:
-                cpu = cpu + p.put_msg_post_time * size
-                cpu = cpu + p.put_dma_set_time
-            cpu = cpu + p.put_epilog_time
-            return cpu
-
-        def network(size, dist):
-            return (p.network_prolog_time
-                    + p.network_delay_time * np.maximum(dist, 0)
-                    + p.put_msg_time * size
-                    + p.network_epilog_time)
-
-        def recv_service(size):
-            if hw:
-                return p.recv_dma_set_time + np.zeros_like(size, dtype=float)
-            return (p.intr_rtc_time
-                    + p.recv_msg_flush_time * size
-                    + p.recv_dma_set_time
-                    + p.recv_complete_time)
-
-        def recv_flag_update(size):
-            return recv_service(size) + p.recv_complete_flag_time
-
-        def recv_theft(size):
-            if hw:
-                return np.zeros_like(size, dtype=float)
-            return recv_service(size)
-
-        def get_reply_service(size):
-            if hw:
-                return (p.recv_dma_set_time + p.put_dma_set_time
-                        + np.zeros_like(size, dtype=float))
-            return (p.intr_rtc_time
-                    + p.recv_dma_set_time
-                    + p.put_msg_post_time * size
-                    + p.put_dma_set_time)
-
-        def get_reply_theft(size):
-            if hw:
-                return np.zeros_like(size, dtype=float)
-            return get_reply_service(size)
-
         for k in (EventKind.COMPUTE, EventKind.RTSYS):
             idx = idx_of(k)
             if len(idx):
                 f0[idx] = columns.work[idx] * p.computation_factor
 
+        # Message costs are the repro.mlsim.put_model functions applied
+        # to whole size and distance columns.
         # PUT: f0 send cpu, f1 dma drain, f2 wire, f3 arrival->recv-flag,
         # f4 receiver theft.
         idx = idx_of(EventKind.PUT)
         if len(idx):
             sz = columns.size[idx]
             dist = index.dist[int(EventKind.PUT)]
-            f0[idx] = put_send_cpu(sz)
+            f0[idx] = put_send_cpu_time(p, sz)
             f1[idx] = p.put_msg_time * sz
-            f2[idx] = network(sz, dist)
-            f3[idx] = recv_flag_update(sz)
-            f4[idx] = recv_theft(sz)
+            f2[idx] = network_time(p, sz, dist)
+            f3[idx] = recv_flag_update_time(p, sz)
+            f4[idx] = recv_cpu_theft(p, sz)
 
         # GET: f0 request wire, f1 reply service, f2 reply wire,
         # f3 target theft, f4 reply-arrival->recv-flag, f5 self theft.
@@ -436,12 +401,12 @@ class _Program:
         if len(idx):
             sz = columns.size[idx]
             dist = index.dist[int(EventKind.GET)]
-            f0[idx] = network(0, dist)
-            f1[idx] = get_reply_service(sz)
-            f2[idx] = network(sz, dist)
-            f3[idx] = get_reply_theft(sz)
-            f4[idx] = recv_flag_update(sz)
-            f5[idx] = recv_theft(sz)
+            f0[idx] = network_time(p, 0, dist)
+            f1[idx] = get_reply_service_time(p, sz)
+            f2[idx] = network_time(p, sz, dist)
+            f3[idx] = get_reply_cpu_theft(p, sz)
+            f4[idx] = recv_flag_update_time(p, sz)
+            f5[idx] = recv_cpu_theft(p, sz)
 
         # SEND: f0 library+issue cpu, f1 dma drain, f2 wire,
         # f3 arrival->ready service, f4 receiver theft.
@@ -449,11 +414,11 @@ class _Program:
         if len(idx):
             sz = columns.size[idx]
             dist = index.dist[int(EventKind.SEND)]
-            f0[idx] = p.send_lib_time + put_send_cpu(sz)
+            f0[idx] = p.send_lib_time + put_send_cpu_time(p, sz)
             f1[idx] = p.put_msg_time * sz
-            f2[idx] = network(sz, dist)
-            f3[idx] = recv_service(sz)
-            f4[idx] = recv_theft(sz)
+            f2[idx] = network_time(p, sz, dist)
+            f3[idx] = recv_service_time(p, sz)
+            f4[idx] = recv_cpu_theft(p, sz)
 
         # RECV: f0 ring-buffer copy.
         idx = idx_of(EventKind.RECV)
@@ -495,9 +460,9 @@ class _Program:
             flops = sz / 8.0
             exec_us = flops * SPARC_US_PER_FLOP * p.computation_factor
             copy_us = 0.0 if hw else p.recv_copy_byte_time * sz
-            stage_setup = (p.send_lib_time + put_send_cpu(0)
+            stage_setup = (p.send_lib_time + put_send_cpu_time(p, 0)
                            + p.recv_lib_time)
-            hop = network(0, 1)
+            hop = network_time(p, 0, 1)
             stages = 2 * np.maximum(gs - 1, 0)
             wire = 2.0 * sz * p.put_msg_time
             f0[idx] = stages * (stage_setup + hop) + wire + exec_us + copy_us
@@ -509,14 +474,14 @@ class _Program:
         if len(idx):
             sz = columns.size[idx]
             dist = index.dist[int(EventKind.REMOTE_LOAD)]
-            f0[idx] = (network(0, dist)
-                       + get_reply_service(sz)
-                       + network(sz, dist))
+            f0[idx] = (network_time(p, 0, dist)
+                       + get_reply_service_time(p, sz)
+                       + network_time(p, sz, dist))
 
         # REMOTE_STORE: f0 receiver theft.
         idx = idx_of(EventKind.REMOTE_STORE)
         if len(idx):
-            f0[idx] = recv_theft(columns.size[idx])
+            f0[idx] = recv_cpu_theft(p, columns.size[idx])
 
         # Slots no kind wrote stay identically zero; materialize those as
         # plain zero lists instead of round-tripping numpy zeros.

@@ -22,11 +22,17 @@ them component by component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.mlsim.params import MLSimParams
 
+#: A message size or hop distance, or a numpy column of them: the replay
+#: engine (``engine_soa``) costs a whole trace's messages in one call,
+#: so the functions that take one are written to broadcast.
+Count = Any
 
-def put_send_cpu_time(p: MLSimParams, size: int) -> float:
+
+def put_send_cpu_time(p: MLSimParams, size: Count) -> float:
     """Processor time consumed by issuing a PUT of ``size`` bytes.
 
     Matches section 5.1's formula for the AP1000:
@@ -58,11 +64,12 @@ def dma_drain_time(p: MLSimParams, size: int) -> float:
     return p.put_msg_time * size
 
 
-def network_time(p: MLSimParams, size: int, distance: int) -> float:
+def network_time(p: MLSimParams, size: Count,
+                 distance: Count) -> float:
     """Wire time: ``network_prolog + network_delay*distance +
     put_msg_time*size + network_epilog`` (Figure 7, components 15-18)."""
     return (p.network_prolog_time
-            + p.network_delay_time * max(distance, 0)
+            + p.network_delay_time * distance
             + p.put_msg_time * size
             + p.network_epilog_time)
 
@@ -82,7 +89,7 @@ def send_complete_cpu_theft(p: MLSimParams) -> float:
     return 0.0 if p.hardware_put_get else p.send_complete_time
 
 
-def recv_service_time(p: MLSimParams, size: int) -> float:
+def recv_service_time(p: MLSimParams, size: Count) -> float:
     """From message arrival to receive-DMA completion.
 
     Software (section 5.1): ``intr_rtc + recv_msg_flush*size +
@@ -98,12 +105,12 @@ def recv_service_time(p: MLSimParams, size: int) -> float:
             + p.recv_complete_time)
 
 
-def recv_flag_update_time(p: MLSimParams, size: int) -> float:
+def recv_flag_update_time(p: MLSimParams, size: Count) -> float:
     """From message arrival to the receive flag being incremented."""
     return recv_service_time(p, size) + p.recv_complete_flag_time
 
 
-def recv_cpu_theft(p: MLSimParams, size: int) -> float:
+def recv_cpu_theft(p: MLSimParams, size: Count) -> float:
     """Processor time stolen on the *receiver* per arriving PUT/GET-reply
     (zero with hardware handling — "data reception from a network does not
     prevent user program execution")."""
@@ -112,7 +119,7 @@ def recv_cpu_theft(p: MLSimParams, size: int) -> float:
     return recv_service_time(p, size)
 
 
-def get_reply_service_time(p: MLSimParams, size: int) -> float:
+def get_reply_service_time(p: MLSimParams, size: Count) -> float:
     """At the GET target: from request arrival to the reply entering the
     network.  The MSC+ answers from its reply queue; the software model
     needs an interrupt, a queue operation, and a software DMA setup."""
@@ -124,7 +131,7 @@ def get_reply_service_time(p: MLSimParams, size: int) -> float:
             + p.put_dma_set_time)
 
 
-def get_reply_cpu_theft(p: MLSimParams, size: int) -> float:
+def get_reply_cpu_theft(p: MLSimParams, size: Count) -> float:
     """Processor time stolen at the GET *target* to serve the request."""
     return 0.0 if p.hardware_put_get else get_reply_service_time(p, size)
 

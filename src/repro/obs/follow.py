@@ -6,8 +6,8 @@ Two followable subjects:
   :class:`FollowState` tails the file incrementally (complete chunks
   only, constant memory) and aggregates link traffic, a queue-pressure
   proxy, and phase progress from each chunk's columns;
-* a **bench campaign journal** (``repro-bench-journal-v1``) — re-read
-  atomically-replaced snapshots each tick and show row completion.
+* a **trace cache directory** being filled by ``repro bench run`` —
+  list the entries recorded at the current code version each tick.
 
 Unlike ``repro top``'s replay mode, follow mode never replays: the run
 is still producing the trace, so the dashboard reports *recorded*
@@ -17,10 +17,10 @@ outstanding (issued-but-unacknowledged) messages — not simulated time.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
+from repro.bench.cache import TraceCache
 from repro.core.errors import SimulationError
 from repro.trace.events import EventKind
 from repro.trace.io import FORMAT_STREAM, stream_records
@@ -239,44 +239,20 @@ def follow_document(state: FollowState) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Journal follow (bench campaigns)
+# Cache follow (bench campaigns)
 # ----------------------------------------------------------------------
 
 
-def read_journal_snapshot(path: str | Path) -> dict[str, Any] | None:
-    """The current journal document, or None when the file is not a
-    bench journal (lets the caller fall back to trace mode)."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if (isinstance(data, dict)
-            and data.get("schema") == "repro-bench-journal-v1"):
-        return data
-    return None
-
-
-def render_journal_follow(doc: dict[str, Any]) -> str:
-    """One frame of the campaign dashboard over a journal snapshot."""
-    apps = doc.get("apps", {})
-    order = doc.get("app_order", sorted(apps))
-    done = sum(1 for app in order if app in apps)
-    total = len(order) or 1
-    bar = "#" * int(round(done / total * 30))
-    lines = [
-        f"bench campaign [{doc.get('grid', '?')}]: {done}/{len(order)} "
-        f"rows journaled |{bar:<30}|",
-    ]
-    for app in order:
-        row = apps.get(app)
-        if row is None:
-            lines.append(f"  {app:<12} pending")
-            continue
-        result = row.get("result", {})
-        timings = row.get("timings", {})
-        verified = "VERIFIED" if result.get("verified") else "FAILED"
-        hit = " (cache hit)" if timings.get("cache_hit") else ""
-        functional = timings.get("functional_s", 0.0)
-        lines.append(f"  {app:<12} {verified:<8} "
-                     f"functional {functional:7.2f}s{hit}")
+def render_cache_follow(cache: TraceCache) -> str:
+    """One frame of the campaign dashboard: the cache's entries at its
+    code version, oldest first."""
+    runs = cache.entries()
+    lines = [f"trace cache {cache.root}: {len(runs)} entries at this code "
+             "version"]
+    for run in runs:
+        verified = "VERIFIED" if run.verified else "FAILED"
+        cells = run.config.get("num_cells", "?")
+        lines.append(f"  {run.name:<12} {cells:>5} cells  {verified:<8} "
+                     f"{run.total_events:>9d} events  "
+                     f"functional {run.functional_wall_s:7.2f}s")
     return "\n".join(lines)

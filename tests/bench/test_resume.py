@@ -1,26 +1,20 @@
-"""Crash-tolerant bench campaigns: journal, kill, resume, byte-equal.
+"""A killed bench campaign finishes by running it again.
 
-A campaign with a ``journal_path`` records every completed row; a
-killed campaign resumed with ``resume=True`` re-simulates only the
-missing rows and must reproduce the uninterrupted artifact's
+Every row's trace is published to the trace cache as soon as its
+functional task finishes, so a campaign interrupted after k recorded
+rows and run again on the same cache serves those rows as cache hits,
+re-simulates the rest, and must reproduce the uninterrupted artifact's
 ``results`` section byte for byte.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro.bench.cache import TraceCache
 from repro.bench.grid import BenchSpec
-from repro.bench.runner import (
-    ABORT_AFTER_ENV,
-    JOURNAL_SCHEMA,
-    load_journal,
-    run_bench,
-)
+from repro.bench.runner import run_bench
 from repro.bench.schema import results_bytes
-from repro.core.errors import ConfigurationError
 
 SPECS = [
     BenchSpec(app="MatMul", num_cells=4, params={"n": 16}),
@@ -32,16 +26,27 @@ PRESETS = ("ap1000", "ap1000+")
 GRID = "tiny-resume"
 
 
-def _campaign(journal_path=None, *, resume=False, jobs=1):
-    return run_bench(
-        SPECS,
-        PRESETS,
-        jobs=jobs,
-        use_cache=False,
-        grid_name=GRID,
-        journal_path=journal_path,
-        resume=resume,
-    )
+def _campaign(cache_dir=None, *, jobs=1, specs=SPECS, log=None):
+    return run_bench(specs, PRESETS, jobs=jobs, cache_dir=cache_dir,
+                     use_cache=cache_dir is not None, grid_name=GRID,
+                     log=log)
+
+
+def _kill_after(rows: int):
+    """A ``log`` that interrupts the campaign once ``rows`` rows have
+    logged their functional stage (their traces are in the cache)."""
+    logged = []
+
+    def log(message: str) -> None:
+        if "functional" in message:
+            logged.append(message)
+            if len(logged) == rows:
+                raise KeyboardInterrupt
+    return log
+
+
+def _hits(outcome) -> int:
+    return outcome.artifact.run["cache"]["hits"]
 
 
 @pytest.fixture(scope="module")
@@ -52,85 +57,31 @@ def reference_bytes():
 
 class TestKillAndResume:
     def test_aborted_campaign_resumes_byte_identical(
-            self, tmp_path, monkeypatch, reference_bytes):
-        journal = tmp_path / "journal.json"
-        monkeypatch.setenv(ABORT_AFTER_ENV, "1")
+            self, tmp_path, reference_bytes):
         with pytest.raises(KeyboardInterrupt):
-            _campaign(journal)
-        doc = json.loads(journal.read_text(encoding="utf-8"))
-        assert doc["schema"] == JOURNAL_SCHEMA
-        assert list(doc["apps"]) == ["MatMul"]  # one row survived
-
-        monkeypatch.delenv(ABORT_AFTER_ENV)
-        outcome = _campaign(journal, resume=True)
+            _campaign(tmp_path, log=_kill_after(1))
+        outcome = _campaign(tmp_path)
         assert results_bytes(outcome.artifact) == reference_bytes
-        assert outcome.artifact.run["journal"]["resumed_rows"] == [
-            "MatMul"]
-        doc = json.loads(journal.read_text(encoding="utf-8"))
-        assert sorted(doc["apps"]) == ["CG", "MatMul", "RingShift"]
+        assert _hits(outcome) == 1
 
-    def test_parallel_resume_matches_too(
-            self, tmp_path, monkeypatch, reference_bytes):
-        journal = tmp_path / "journal.json"
-        monkeypatch.setenv(ABORT_AFTER_ENV, "2")
+    def test_parallel_resume_matches_too(self, tmp_path, reference_bytes):
         with pytest.raises(KeyboardInterrupt):
-            _campaign(journal)
-        monkeypatch.delenv(ABORT_AFTER_ENV)
-        outcome = _campaign(journal, resume=True, jobs=2)
+            _campaign(tmp_path, jobs=2, log=_kill_after(1))
+        outcome = _campaign(tmp_path, jobs=2)
         assert results_bytes(outcome.artifact) == reference_bytes
+        # The pool finishes the functional tasks already submitted.
+        assert _hits(outcome) >= 1
 
-    def test_journal_is_written_per_completed_row(
-            self, tmp_path, monkeypatch):
-        journal = tmp_path / "journal.json"
-        monkeypatch.setenv(ABORT_AFTER_ENV, "2")
+    def test_each_recorded_row_is_a_cache_entry(self, tmp_path):
         with pytest.raises(KeyboardInterrupt):
-            _campaign(journal)
-        doc = json.loads(journal.read_text(encoding="utf-8"))
-        assert list(doc["apps"]) == ["MatMul", "RingShift"]
-        assert doc["app_order"] == ["MatMul", "RingShift", "CG"]
+            _campaign(tmp_path, log=_kill_after(2))
+        assert [run.name for run in TraceCache(tmp_path).entries()] == [
+            "MatMul", "RingShift"]
 
-
-class TestJournalValidation:
-    @pytest.fixture()
-    def one_row_journal(self, tmp_path, monkeypatch):
-        journal = tmp_path / "journal.json"
-        monkeypatch.setenv(ABORT_AFTER_ENV, "1")
-        with pytest.raises(KeyboardInterrupt):
-            _campaign(journal)
-        monkeypatch.delenv(ABORT_AFTER_ENV)
-        return journal
-
-    def test_resume_needs_a_journal_path(self):
-        with pytest.raises(ConfigurationError, match="journal_path"):
-            run_bench(SPECS, PRESETS, resume=True, use_cache=False)
-
-    def test_grid_drift_is_refused(self, one_row_journal):
-        from repro.bench.cache import code_version
-
-        with pytest.raises(ConfigurationError, match="grid="):
-            load_journal(one_row_journal, grid="other",
-                         version=code_version(), preset_names=PRESETS,
-                         specs=SPECS)
-
-    def test_code_version_drift_is_refused(self, one_row_journal):
-        doc = json.loads(one_row_journal.read_text(encoding="utf-8"))
-        doc["code_version"] = "f" * 64
-        one_row_journal.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="code_version"):
-            _campaign(one_row_journal, resume=True)
-
-    def test_config_drift_is_refused(self, one_row_journal):
-        from repro.bench.cache import code_version
-
-        drifted = [BenchSpec(app="MatMul", num_cells=4,
+    def test_changed_config_misses_only_if_unrecorded(self, tmp_path):
+        changed = [BenchSpec(app="MatMul", num_cells=4,
                              params={"n": 24})] + SPECS[1:]
-        with pytest.raises(ConfigurationError, match="config"):
-            load_journal(one_row_journal, grid=GRID,
-                         version=code_version(), preset_names=PRESETS,
-                         specs=drifted)
-
-    def test_torn_journal_is_refused(self, tmp_path):
-        journal = tmp_path / "journal.json"
-        journal.write_text('{"schema": "repro-bench-jou', encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="unreadable"):
-            _campaign(journal, resume=True)
+        assert _hits(_campaign(tmp_path)) == 0
+        assert _hits(_campaign(tmp_path, specs=changed)) == 2
+        assert _hits(_campaign(tmp_path, specs=changed)) == 3
+        assert _hits(_campaign(tmp_path)) == 3

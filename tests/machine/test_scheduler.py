@@ -166,7 +166,6 @@ def test_engine_knobs_do_not_grow_back():
                 if any(m.split(".")[0] == "tests" for m in modules):
                     imports_tests.add(rel)
     assert (env_names, scalar_builders, imports_tests, retired) == (
-        {"REPRO_MACHINE_SHARDS": {"machine/config.py"},
-         "REPRO_BENCH_ABORT_AFTER": {"bench/runner.py"}},
+        {"REPRO_MACHINE_SHARDS": {"machine/config.py"}},
         set(), set(), {})
     assert run_loops == {"_run_batched"}

@@ -13,13 +13,14 @@ import json
 
 import pytest
 
+from repro.apps.workloads import workload
+from repro.bench.cache import TraceCache
 from repro.core.errors import SimulationError
 from repro.obs.follow import (
     FollowState,
     follow_document,
-    read_journal_snapshot,
+    render_cache_follow,
     render_follow,
-    render_journal_follow,
 )
 from repro.obs.micro import micro_trace
 from repro.trace.buffer import streaming_to
@@ -130,28 +131,37 @@ class TestRendering:
         json.dumps(doc)  # must be JSON-clean
 
 
-class TestJournalFollow:
-    DOC = {
-        "schema": "repro-bench-journal-v1",
-        "grid": "smoke",
-        "app_order": ["EP", "CG"],
-        "apps": {"EP": {"result": {"verified": True},
-                        "timings": {"functional_s": 2.0,
-                                    "cache_hit": True}}},
-    }
+class TestCacheFollow:
+    """``repro top --follow`` over a bench campaign's trace cache."""
 
-    def test_snapshot_roundtrip(self, tmp_path):
-        p = tmp_path / "journal.json"
-        p.write_text(json.dumps(self.DOC))
-        assert read_journal_snapshot(p) == self.DOC
+    @pytest.fixture(scope="class")
+    def run(self):
+        return workload("MatMul").runner(num_cells=4, n=16)
 
-    def test_non_journal_returns_none(self, tmp_path, stream_path):
-        assert read_journal_snapshot(stream_path) is None
-        assert read_journal_snapshot(tmp_path / "missing.json") is None
+    def test_entries_list_this_code_version(self, tmp_path, run):
+        TraceCache(tmp_path, "v1").put("MatMul", {"num_cells": 4}, run, 1.0)
+        TraceCache(tmp_path, "v2").put("MatMul", {"num_cells": 4}, run, 2.0)
+        TraceCache(tmp_path, "v1").put("EP", {"num_cells": 4}, run, 3.0)
+        entries = TraceCache(tmp_path, "v1").entries()
+        assert [(e.name, e.functional_wall_s) for e in entries] == [
+            ("MatMul", 1.0), ("EP", 3.0)]
 
-    def test_render_shows_progress_and_pending(self):
-        text = render_journal_follow(self.DOC)
-        assert "1/2" in text
-        assert "VERIFIED" in text
-        assert "(cache hit)" in text
-        assert "pending" in text
+    def test_staging_and_quarantine_are_skipped(self, tmp_path, run):
+        cache = TraceCache(tmp_path, "v1")
+        cache.put("MatMul", {"num_cells": 4}, run, 1.0)
+        cache.quarantine(cache.entry_dir("MatMul", {"num_cells": 4}),
+                         reason="test")
+        staging = tmp_path / ".staging-x"
+        staging.mkdir()
+        (staging / "meta.json").write_text("{", encoding="utf-8")
+        assert cache.entries() == []
+        assert TraceCache(tmp_path / "missing", "v1").entries() == []
+
+    def test_render_lists_entries(self, tmp_path, run):
+        cache = TraceCache(tmp_path, "v1")
+        cache.put("MatMul", {"num_cells": 4, "n": 16}, run, 1.5)
+        text = render_cache_follow(cache)
+        assert f"trace cache {tmp_path}: 1 entries" in text
+        assert "MatMul" in text and "VERIFIED" in text
+        assert f"{run.trace.total_events} events" in text
+        assert "functional    1.50s" in text

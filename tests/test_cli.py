@@ -311,49 +311,39 @@ class TestChaosRecover:
 class TestBenchResume:
     def test_abort_exits_resumable_then_resume_completes(
             self, tmp_path, monkeypatch, capsys):
+        import shlex
+
+        from repro.bench import runner
         from repro.cli.common import EXIT_RESUMABLE
 
-        journal = tmp_path / "journal.json"
-        monkeypatch.setenv("REPRO_BENCH_ABORT_AFTER", "1")
-        code = main(["bench", "run", "--grid", "smoke", "--no-cache",
-                     "--journal", str(journal),
+        run_bench = runner.run_bench
+
+        def killed_after_one_row(specs, presets, **kwargs):
+            def log(message):
+                print(message)
+                if "functional" in message:
+                    raise KeyboardInterrupt
+            return run_bench(specs, presets, **{**kwargs, "log": log})
+
+        monkeypatch.setattr(runner, "run_bench", killed_after_one_row)
+        code = main(["bench", "run", "--grid", "smoke",
+                     "--cache-dir", str(tmp_path / "cache"),
                      "--output-dir", str(tmp_path)])
         assert code == EXIT_RESUMABLE
         out = capsys.readouterr().out
-        assert "completed rows journaled" in out
-        assert "resume with: repro bench run" in out
-        assert "--resume" in out
+        assert f"recorded rows are cached in {tmp_path / 'cache'}" in out
+        line = out.split("run again with: ")[1].strip()
+        argv = shlex.split(line)
+        assert argv[:3] == ["repro", "bench", "run"]
 
-        monkeypatch.delenv("REPRO_BENCH_ABORT_AFTER")
-        code = main(["bench", "run", "--grid", "smoke", "--no-cache",
-                     "--journal", str(journal), "--resume",
-                     "--output-dir", str(tmp_path)])
-        assert code == 0
+        monkeypatch.setattr(runner, "run_bench", run_bench)
+        assert main(argv[1:]) == 0
         out = capsys.readouterr().out
-        assert "resume: 1/2 rows already journaled" in out
+        assert "cache hits 1)" in out
         (artifact,) = tmp_path.glob("BENCH_*.json")
         assert artifact.stat().st_size > 0
 
-    def test_default_journal_lands_in_cache_dir(
-            self, tmp_path, monkeypatch, capsys):
-        from pathlib import Path
-
-        from repro.cli.common import EXIT_RESUMABLE
-
-        seen = {}
-
-        def fake_run_bench(specs, presets, **kwargs):
-            seen.update(kwargs)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("repro.bench.runner.run_bench", fake_run_bench)
-        code = main(["bench", "run", "--grid", "smoke",
-                     "--cache-dir", str(tmp_path)])
-        assert code == EXIT_RESUMABLE
-        assert seen["journal_path"] == Path(tmp_path) / "journal-smoke.json"
-        capsys.readouterr()
-
-    def test_interrupt_without_journal_exits_130(
+    def test_interrupt_under_no_cache_exits_130(
             self, monkeypatch, capsys):
         def fake_run_bench(specs, presets, **kwargs):
             raise KeyboardInterrupt
@@ -361,7 +351,23 @@ class TestBenchResume:
         monkeypatch.setattr("repro.bench.runner.run_bench", fake_run_bench)
         code = main(["bench", "run", "--grid", "smoke", "--no-cache"])
         assert code == 130
-        assert "no journal" in capsys.readouterr().out
+        assert "--no-cache keeps no recorded rows" in capsys.readouterr().out
+
+
+class TestNameLists:
+    """An option that takes names takes at least one."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "run", "--grid", "smoke", "--apps"],
+        ["bench", "run", "--grid", "smoke", "--presets"],
+        ["report", "--apps"],
+    ], ids=["bench-run-apps", "bench-run-presets", "report-apps"])
+    def test_empty_list_exits_2_naming_the_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: expected at least one argument" in err
 
 
 class TestReplay:
@@ -710,6 +716,20 @@ class TestStreamAndFollow:
         assert main(["top", str(tmp_path / "nope.jsonl"),
                      "--follow"]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_follow_cache_dir_lists_entries(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["bench", "run", "--grid", "smoke", "--apps", "EP",
+                     "--cache-dir", str(cache),
+                     "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["top", str(cache), "--follow", "--frames", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"trace cache {cache}: 1 entries" in out
+        assert "EP" in out and "VERIFIED" in out
+        assert main(["top", str(cache), "--follow", "--json"]) == 2
+        err = capsys.readouterr().err
+        assert "--json" in err and "TRACE" in err
 
 
 class TestTornTraces:
