@@ -18,7 +18,7 @@ from repro.machine.machine import Machine
 NAME = "variable_stride"
 CELLS = 4
 EXPECT = {"SPMD005", "SPMD002"}
-#: The symbolic execution observes two distinct element skips at the
+#: The analyzer's run observes two distinct remote byte skips at the
 #: same put_stride call site — no name heuristics involved.
 EXPECT_STATIC = {"COMM-STRIDE"}
 

@@ -14,9 +14,8 @@ each dropped before the next) for the parts a machine boots in order,
 each timed as the difference to the build one step smaller:
 
     DRAM         the zeroed buffers (``zeroed_dram``) and their ``CellMemory``
-    MC + tables  ``boot_cells`` without a T-net, minus DRAM
-    MSC+         ``boot_cells`` on a T-net (cache, five queues, two DMA
-                 engines), minus the same without
+    cell         ``boot_cells`` on a T-net (MC and page tables, cache, MSC+
+                 with five queues and two DMA engines), minus DRAM
     wiring       ``Machine(n)``, minus ``boot_cells`` on a T-net (rings,
                  ports, spill hooks, allocator and scheduler tables)
     context      one ``CellContext`` per cell, what ``Machine.run`` adds
@@ -48,7 +47,7 @@ import time
 from pathlib import Path
 
 WIDTHS = (64, 1024, 4096)
-PARTS = ("DRAM", "MC + tables", "MSC+", "wiring", "context")
+PARTS = ("DRAM", "cell", "wiring", "context")
 
 #: What each start-up row times, and what it imports first, untimed.
 STARTUP = {
@@ -162,7 +161,6 @@ def measure(cells: int, repeats: int) -> dict:
     tnet = TNet(TorusTopology.for_cells(cells))
     steps = best((
         lambda: [CellMemory(size, dram) for dram in zeroed_dram(cells, size)],
-        lambda: boot_cells(cells, None, size),
         lambda: boot_cells(cells, tnet, size),
         lambda: Machine(config),
     ), repeats)
@@ -182,7 +180,7 @@ def measure(cells: int, repeats: int) -> dict:
         "cells": cells,
         "us_per_cell": {name: round(part / cells * 1e6, 2)
                         for name, part in zip(PARTS, parts)},
-        # Seconds of the four nested builds (the last is ``Machine(n)``)
+        # Seconds of the three nested builds (the last is ``Machine(n)``)
         # and of the contexts, as timed; the columns above are their
         # differences.
         "build_s": [round(step, 5) for step in (*steps, context)],
@@ -223,7 +221,7 @@ def main() -> int:
         print(f"{cells:>6} "
               + " ".join(f"{row['us_per_cell'][name]:>12.2f}"
                          for name in PARTS)
-              + f" {row['build_s'][3]:>10.4f} {row['gc_objects_per_cell']:>11.1f}"
+              + f" {row['build_s'][2]:>10.4f} {row['gc_objects_per_cell']:>11.1f}"
               + f" {'/'.join(map(str, row['gc_collections'])):>10}"
               + f" {row['gc_ms']:>7.2f}")
         rows.append(row)

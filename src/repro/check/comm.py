@@ -2,12 +2,15 @@
 
 The paper's compiler statically knows the PUT/GET communication pattern
 of the program it generated; this module recovers that knowledge for our
-SPMD programs.  A :class:`SymbolicMachine` abstractly executes a cell
-program at several machine sizes — no hardware networks, no timing,
-instant delivery, but byte-faithful memory and numerically identical
-reductions — and records the same annotated trace the sanitizer would,
-because :class:`SymbolicContext` is a back end of the one
-:class:`~repro.machine.program.CellContext` front end, not a copy of it.
+SPMD programs.  It runs a cell program at several machine sizes on the
+functional :class:`~repro.machine.machine.Machine` itself — sanitized,
+so every PUT/GET row carries its byte footprint, serial, and on the
+perfect wire, where a command's bytes land in the call that issues it —
+and notes the call site of every communication row through a trace
+sink.  The program sees the one
+:class:`~repro.machine.program.CellContext`, so every spelling of the
+interface is analysed as it runs and predicted addresses are the real
+ones.
 From those runs it extracts a **static communication graph** (sync-point
 nodes, PUT/GET/SEND edges with symbolic partner expressions and message
 count/byte closed forms in P, see :mod:`repro.check.symbolic`) and runs
@@ -16,16 +19,16 @@ scale-generic analyses the dynamic checker cannot:
 ``COMM-DIVERGENCE``
     group members execute different collective sequences (a deadlock at
     *any* machine size exhibiting the divergent branch), or a cell is
-    stuck at a collective/RECEIVE when the symbolic run wedges;
+    stuck at a collective/RECEIVE when the run wedges;
 ``COMM-UNMATCHED-FLAG``
     a flag wait whose target exceeds the increments the rest of the
     program ever produces;
 ``COMM-OVERLAP``
     write-write or write-read footprint overlap predicted from the
-    symbolic trace (``repro.check.races`` beyond the traced execution);
+    predicted trace (``repro.check.races`` beyond the traced execution);
 ``COMM-STRIDE``
-    a stride-transfer call site whose element skip varies within one
-    run — the non-constant-stride pattern SPMD005 approximates in the
+    a stride-transfer call site whose remote byte skip varies within
+    one run — the non-constant-stride pattern SPMD005 approximates in the
     AST, checked here against actually-issued transfers.
 
 Findings are aggregated across machine sizes, so one report covers
@@ -34,9 +37,9 @@ P ∈ {4, 16, 64} with a single diagnostic per root cause.
 
 from __future__ import annotations
 
-import inspect
+import functools
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -54,24 +57,18 @@ from repro.check.symbolic import (
     infer_partner_pattern,
 )
 from repro.core import api as _paper_api
-from repro.core.errors import ConfigurationError
-from repro.core.stride import ElementStride
-from repro.hardware.cell import boot_cells
-from repro.hardware.msc import Command, CommandKind
+from repro.core.errors import ConfigurationError, DeadlockError
 from repro.machine import program as _front_end
 from repro.machine import shmem as _shared_memory
-from repro.machine.base import MachineBase
 from repro.machine.config import MachineConfig
-from repro.machine.program import CellContext, Group, LocalArray
-from repro.network.packet import Packet, PacketKind
-from repro.trace.buffer import TraceBuffer
+from repro.machine.machine import Machine
+from repro.trace import buffer as _trace_buffer
+from repro.trace.buffer import TraceBuffer, streaming_to
 from repro.trace.events import EventKind, TraceEvent
 
 __all__ = [
     "CommGraph",
     "CommRun",
-    "SymbolicContext",
-    "SymbolicMachine",
     "DEFAULT_SCALES",
     "STATIC_APPS",
     "UNTIMED_KINDS",
@@ -95,19 +92,23 @@ _EDGE_KINDS = {EventKind.PUT, EventKind.GET, EventKind.SEND}
 _NODE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP,
                EventKind.FLAG_WAIT}
 _COLLECTIVE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP}
+#: Timing/annotation records, not communication; both the graph and the
+#: conformance comparison skip them, and they get no call site.
+UNTIMED_KINDS = frozenset({EventKind.COMPUTE, EventKind.RTSYS,
+                           EventKind.PHASE})
 
 #: Files whose frames are the interface itself, not a call site of it.
 _INTERFACE_FILES = frozenset(
     str(Path(file).resolve())
     for file in (__file__, _front_end.__file__, _paper_api.__file__,
-                 _shared_memory.__file__))
+                 _shared_memory.__file__, _trace_buffer.__file__))
 
 
 def _caller_site() -> tuple[str, int]:
     """(file, line) of the nearest stack frame outside the interface's
     own modules — the app or runtime-library call site of a
     communication op."""
-    frame = sys._getframe(2)
+    frame = sys._getframe()
     while frame is not None and frame.f_code.co_filename in _INTERFACE_FILES:
         frame = frame.f_back
     if frame is None:  # pragma: no cover
@@ -115,6 +116,7 @@ def _caller_site() -> tuple[str, int]:
     return (frame.f_code.co_filename, frame.f_lineno)
 
 
+@functools.cache
 def _rel_site(site: tuple[str, int]) -> tuple[str, int]:
     """Shorten a site path to be repo-relative when possible."""
     path, line = site
@@ -126,179 +128,25 @@ def _rel_site(site: tuple[str, int]) -> tuple[str, int]:
     return (Path(path).name, line)
 
 
-class SymbolicMachine(MachineBase):
-    """An abstract AP1000+ for concolic analysis.
+class _SiteSink:
+    """A :class:`~repro.trace.buffer.TraceSink` noting the call site of
+    every communication row of the machine it binds to."""
 
-    The real machine's memory system (DRAM, MC flags, communication
-    registers, ring buffers) and, through :class:`MachineBase`, its
-    exact allocation arithmetic and collectives — so symmetric
-    addresses and reduction results agree with a real run — but no
-    MSC+ and no networks: a command's bytes land and its flags count
-    the moment it is issued.  Programs run on it through
-    :class:`SymbolicContext`, so every operation records the same
-    :class:`TraceEvent` a sanitized real run would, which is what makes
-    trace conformance checking possible.
-    """
-
-    sanitize = True
-
-    def __init__(self, num_cells: int, *,
-                 memory_per_cell: int = _MEMORY_PER_CELL) -> None:
-        config = MachineConfig(num_cells=num_cells,
-                               memory_per_cell=memory_per_cell,
-                               shards=1)
-        super().__init__(config,
-                         boot_cells(num_cells, None, memory_per_cell))
-        self.num_cells = num_cells
-        self._serial = 0
-        #: event seq -> (file, line) call site.
+    def __init__(self) -> None:
+        self.bound = False
+        #: event seq -> repo-relative (file, line) call site.
         self.sites: dict[int, tuple[str, int]] = {}
-        #: stride call site -> set of remote-side (items, skip) observed.
-        self.stride_sites: dict[tuple[str, int], set[tuple[int, int]]] = {}
-        self.results: dict[int, Any] = {}
-        self.deadlocked = False
 
-    # -- distributed shared memory, minus the wire ----------------------
+    def bind(self, buffer: TraceBuffer) -> bool:
+        bound, self.bound = self.bound, True
+        return not bound
 
-    def remote_store(self, src: int, dst: int, remote_addr: int,
-                     data: bytes) -> None:
-        self.alloc_scratch(src, data)    # the heap moves as on the real one
-        self.hw_cells[dst].memory.write(remote_addr, data)
-        self.note_progress()
+    def emit(self, row: tuple) -> None:
+        if row[0] not in UNTIMED_KINDS:
+            self.sites[row[2]] = _rel_site(_caller_site())
 
-    def remote_load(self, src: int, target: int, remote_addr: int,
-                    size: int) -> bytes:
-        self.alloc_scratch(src, bytes(size))
-        self.note_progress()
-        return self.hw_cells[target].memory.read(remote_addr, size)
-
-    # -- program execution ---------------------------------------------
-
-    def run(self, program: Callable[..., Any],
-            **params: Any) -> dict[int, Any]:
-        """Concolically execute ``program`` on every cell.
-
-        Round-robin scheduling in ascending pe order, one resumption per
-        pass; a pass in which no cell makes progress and none finishes
-        is a wedged machine — recorded (with each cell's blocked state)
-        rather than raised, because a deadlock is a *finding* here.
-        """
-        contexts = [SymbolicContext(self, pe)
-                    for pe in range(self.num_cells)]
-        generators: dict[int, Any] = {}
-        for pe, ctx in enumerate(contexts):
-            outcome = program(ctx, **params)
-            if inspect.isgenerator(outcome):
-                generators[pe] = outcome
-            else:
-                self.results[pe] = outcome
-        stalled = 0
-        while generators:
-            before = self.progress
-            finished: list[int] = []
-            for pe in sorted(generators):
-                try:
-                    next(generators[pe])
-                except StopIteration as stop:
-                    self.results[pe] = stop.value
-                    finished.append(pe)
-            for pe in finished:
-                del generators[pe]
-            if finished or self.progress != before:
-                stalled = 0
-            else:
-                stalled += 1
-            if stalled >= 2:
-                self.deadlocked = True
-                break
-        return self.results
-
-
-class SymbolicContext(CellContext):
-    """The analyzer's back end of :class:`CellContext`.
-
-    The front end is the real one; only the seam differs.  Events also
-    note their call site, commands and messages are delivered instantly,
-    and stride transfers note their element skips for ``COMM-STRIDE``.
-    Byte footprints are always annotated (the machine is ``sanitize``:
-    the static analyzer *is* the sanitizer's compile-time twin).
-    Write-through page binding is the one unsupported operation: its
-    traffic depends on page-residency state the static model
-    deliberately leaves out.
-    """
-
-    machine: SymbolicMachine
-
-    def __init__(self, machine: SymbolicMachine, pe: int) -> None:
-        super().__init__(machine, pe)
-        self._record = self._record_site
-
-    def _record_site(self, *row: Any, **fields: Any) -> int:
-        seq = self.machine.trace.append(*row, **fields)
-        self.machine.sites[seq] = _caller_site()
-        return seq
-
-    def _issue(self, command: Command) -> None:
-        """The MSC+ and the wire in no time: gather, scatter, count."""
-        cells = self.machine.hw_cells
-        here, there = cells[self.pe], cells[command.dst]
-        if command.kind is CommandKind.PUT:
-            data = here.memory.gather(command.laddr, command.send_stride)
-            there.memory.scatter(command.raddr, command.recv_stride, data)
-            there.mc.increment_flag(command.recv_flag)
-        else:
-            data = there.memory.gather(command.raddr, command.send_stride)
-            here.memory.scatter(command.laddr, command.recv_stride, data)
-            here.mc.increment_flag(command.recv_flag)
-        here.mc.increment_flag(command.send_flag)
-        self.machine.note_progress()
-
-    def _post(self, dst: int, payload: bytes, context: int) -> Packet:
-        machine = self.machine
-        machine._serial += 1
-        packet = Packet(kind=PacketKind.SEND, src=self.pe, dst=dst,
-                        payload_bytes=len(payload), data=payload,
-                        context=context, serial=machine._serial)
-        machine.rings[dst].deposit(packet)
-        machine.note_progress()
-        return packet
-
-    def _note_stride(self, remote: ElementStride) -> None:
-        site = _caller_site()
-        self.machine.stride_sites.setdefault(site, set()).add(
-            (remote.items_per_block, remote.skip))
-
-    def put_stride(self, dst: int, dest: LocalArray, src: LocalArray,
-                   send_stride: ElementStride, recv_stride: ElementStride,
-                   **options: Any) -> None:
-        self._note_stride(recv_stride)
-        super().put_stride(dst, dest, src, send_stride, recv_stride,
-                           **options)
-
-    def get_stride(self, src_pe: int, remote: LocalArray, local: LocalArray,
-                   remote_stride: ElementStride,
-                   local_stride: ElementStride, **options: Any) -> None:
-        self._note_stride(remote_stride)
-        super().get_stride(src_pe, remote, local, remote_stride,
-                           local_stride, **options)
-
-    def checkpoint(self, *, barrier: bool = False,
-                   group: Group | None = None) -> Iterator[None]:
-        """Checkpoint sites are trace-invisible when disarmed, and the
-        static model never arms a gate — only the subsumed barrier (if
-        any) is executed and traced, exactly as on the real machine."""
-        return self.barrier(group) if barrier else ()
-
-    def wt_bind(self, home: int, array: LocalArray) -> Iterator[None]:
-        raise ConfigurationError(
-            "write-through page binding depends on page-residency state "
-            "outside the static communication model")
-
-    def wt_refresh(self, handle: Any, *, initial: bool = False
-                   ) -> Iterator[None]:
-        raise ConfigurationError(
-            "write-through page refresh depends on page-residency state "
-            "outside the static communication model")
+    def phase(self, label: str, pid: int) -> None:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -307,37 +155,22 @@ class SymbolicContext(CellContext):
 
 @dataclass
 class CommRun:
-    """One concolic execution at a fixed machine size."""
+    """One concolic execution at a fixed machine size: the machine it
+    ran on, each communication row's call site, and the per-cell
+    results (``{}`` when the run wedged)."""
 
-    subject: str
-    num_cells: int
-    params: dict[str, Any]
-    machine: SymbolicMachine
+    machine: Machine
+    sites: dict[int, tuple[str, int]]
+    deadlocked: bool
+    results: dict[int, Any]
+
+    @property
+    def num_cells(self) -> int:
+        return self.machine.config.num_cells
 
     @property
     def trace(self) -> TraceBuffer:
         return self.machine.trace
-
-    @property
-    def deadlocked(self) -> bool:
-        return self.machine.deadlocked
-
-    @property
-    def results(self) -> dict[int, Any]:
-        return self.machine.results
-
-    def site_of(self, seq: int) -> tuple[str, int] | None:
-        site = self.machine.sites.get(seq)
-        return _rel_site(site) if site is not None else None
-
-    def kind_totals(self) -> dict[str, tuple[int, int]]:
-        return kind_totals(self.trace)
-
-
-#: Timing/annotation records, not communication; both the graph and the
-#: conformance comparison skip them.
-UNTIMED_KINDS = frozenset({EventKind.COMPUTE, EventKind.RTSYS,
-                           EventKind.PHASE})
 
 
 def kind_totals(trace: TraceBuffer) -> dict[str, tuple[int, int]]:
@@ -371,13 +204,23 @@ def _kind_label(ev: TraceEvent) -> str:
 
 def analyze_program(program: Callable[..., Any], num_cells: int,
                     params: dict[str, Any] | None = None, *,
-                    subject: str = "program",
                     memory_per_cell: int = _MEMORY_PER_CELL) -> CommRun:
-    """Concolically execute ``program`` at one machine size."""
-    machine = SymbolicMachine(num_cells, memory_per_cell=memory_per_cell)
-    machine.run(program, **(params or {}))
-    return CommRun(subject=subject, num_cells=num_cells,
-                   params=dict(params or {}), machine=machine)
+    """Concolically execute ``program`` at one machine size.
+
+    The program runs on the functional machine, sanitized and serial; a
+    wedge is recorded (``deadlocked``, with ``machine.blocked`` saying
+    what each cell waits for) rather than raised, because a deadlock is
+    a *finding* here."""
+    sink = _SiteSink()
+    with streaming_to(sink):
+        machine = Machine(MachineConfig(
+            num_cells=num_cells, memory_per_cell=memory_per_cell,
+            sanitize=True, shards=1))
+    try:
+        results = machine.run(program, **(params or {}))
+    except DeadlockError:
+        return CommRun(machine, sink.sites, True, {})
+    return CommRun(machine, sink.sites, False, dict(enumerate(results)))
 
 
 # ----------------------------------------------------------------------
@@ -411,10 +254,10 @@ class CommGraph:
 
     def add_run(self, run: CommRun) -> None:
         p = run.num_cells
-        self.totals[p] = run.kind_totals()
+        self.totals[p] = kind_totals(run.trace)
         for pe in range(run.num_cells):
             for ev in run.trace.events_for(pe):
-                site = run.site_of(ev.seq)
+                site = run.sites.get(ev.seq)
                 if site is None:
                     continue
                 key = (_kind_label(ev), site[0], site[1])
@@ -529,7 +372,7 @@ def _divergence_findings(run: CommRun) -> list[Diagnostic]:
                                            kind=evs[pos].kind.name))
             site = None
             for ref in events:
-                site = run.site_of(ref.seq)
+                site = run.sites.get(ref.seq)
                 if site is not None:
                     break
             out.append(Diagnostic(
@@ -562,7 +405,7 @@ def _blocked_findings(run: CommRun,
         for ev in reversed(list(run.trace.events_for(pe))):
             if ev.kind is EventKind.FLAG_WAIT and ev.flag == flag_id:
                 ref = (EventRef(pe=pe, seq=ev.seq, kind=ev.kind.name),)
-                site = run.site_of(ev.seq)
+                site = run.sites.get(ev.seq)
                 break
         out.append(Diagnostic(
             code="COMM-UNMATCHED-FLAG",
@@ -608,7 +451,7 @@ def _blocked_findings(run: CommRun,
         out.append(Diagnostic(
             code="COMM-DIVERGENCE",
             severity=SEVERITY_ERROR,
-            message="symbolic execution wedged with no runnable cell",
+            message="the run wedged with no runnable cell",
         ))
     return out
 
@@ -644,23 +487,26 @@ def _overlap_findings(run: CommRun, subject: str) -> list[Diagnostic]:
 
 
 def _stride_findings(run: CommRun) -> list[Diagnostic]:
-    out = []
-    for site, shapes in sorted(run.machine.stride_sites.items()):
-        skips = sorted({skip for _, skip in shapes})
-        if len(skips) <= 1:
-            continue
-        file, line = _rel_site(site)
-        out.append(Diagnostic(
-            code="COMM-STRIDE",
-            severity=SEVERITY_ERROR,
-            message=(
-                f"stride transfers issued here use {len(skips)} distinct "
-                f"element skips {skips}; the 1-D hardware stride engine "
-                f"needs one constant descriptor per transfer pattern"),
-            file=file,
-            line=line,
-        ))
-    return out
+    """Call sites whose stride transfers use more than one remote skip
+    (the ``rstep`` of the sanitizer's footprint, in bytes)."""
+    block = run.trace.block()
+    strided = block["stride"]
+    if not strided.any():
+        return []
+    skips_at: dict[tuple[str, int], set[int]] = {}
+    for seq, skip in zip(block["seq"][strided].tolist(),
+                         block["rstep"][strided].tolist()):
+        skips_at.setdefault(run.sites[seq], set()).add(skip)
+    return [Diagnostic(
+        code="COMM-STRIDE",
+        severity=SEVERITY_ERROR,
+        message=(
+            f"stride transfers issued here use {len(skips)} distinct "
+            f"byte skips {sorted(skips)}; the 1-D hardware stride engine "
+            f"needs one constant descriptor per transfer pattern"),
+        file=file,
+        line=line,
+    ) for (file, line), skips in sorted(skips_at.items()) if len(skips) > 1]
 
 
 def run_findings(run: CommRun, subject: str) -> list[Diagnostic]:
@@ -711,21 +557,23 @@ def check_program(program: Callable[..., Any], scales: tuple[int, ...],
     findings that share a root cause into one diagnostic naming all the
     sizes that exhibit it — the entry point for checking arbitrary
     programs (the seeded-bug fixtures use it)."""
-    per_scale: list[tuple[int, Diagnostic]] = []
-    events = deadlocks = 0
-    sizes = sorted(set(scales))
-    for p in sizes:
-        run = analyze_program(program, p, params, subject=subject,
-                              memory_per_cell=memory_per_cell)
-        events += run.trace.total_events
-        deadlocks += int(run.deadlocked)
-        per_scale.extend((p, d) for d in run_findings(run, subject))
+    runs = [analyze_program(program, p, params,
+                            memory_per_cell=memory_per_cell)
+            for p in sorted(set(scales))]
+    return _scale_report(subject, runs).finalize()
+
+
+def _scale_report(subject: str, runs: list[CommRun]) -> CheckReport:
+    """The merged findings of runs at several sizes, with run stats."""
     report = CheckReport(subject=subject)
-    report.extend(_merge_findings(per_scale))
-    report.stats["static_scales"] = len(sizes)
-    report.stats["static_events"] = events
-    report.stats["static_deadlocks"] = deadlocks
-    return report.finalize()
+    report.extend(_merge_findings([
+        (run.num_cells, diag)
+        for run in runs for diag in run_findings(run, subject)]))
+    report.stats["static_scales"] = len(runs)
+    report.stats["static_events"] = sum(
+        run.trace.total_events for run in runs)
+    report.stats["static_deadlocks"] = sum(run.deadlocked for run in runs)
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -789,24 +637,13 @@ def analyze_app(name: str, *,
     program, params = static_params(name)
     subject = f"static/{name}"
     sizes = sorted(set(scales) | (set(samples) if build_graph else set()))
-    runs: dict[int, CommRun] = {}
-    for p in sizes:
-        runs[p] = analyze_program(program, p, params, subject=subject)
+    runs = {p: analyze_program(program, p, params) for p in sizes}
     graph: CommGraph | None = None
     if build_graph:
         graph = CommGraph(subject)
         for p in samples:
             graph.add_run(runs[p])
-    per_scale = [(p, diag)
-                 for p in scales
-                 for diag in run_findings(runs[p], subject)]
-    report = CheckReport(subject=subject)
-    report.extend(_merge_findings(per_scale))
-    report.stats["static_scales"] = len(scales)
-    report.stats["static_events"] = sum(
-        runs[p].trace.total_events for p in scales)
-    report.stats["static_deadlocks"] = sum(
-        int(runs[p].deadlocked) for p in scales)
+    report = _scale_report(subject, [runs[p] for p in scales])
     if graph is not None:
         for line in graph.summary():
             report.notes.append(f"graph: {line}")

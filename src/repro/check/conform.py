@@ -11,7 +11,7 @@ predictions:
   order and message serials excluded, since those depend on the
   interleaving) must equal the predicted sequence;
 * **aggregate ground truth** — machine-wide per-kind message counts and
-  byte totals must match the symbolic run at the same P, and — where an
+  byte totals must match the analyzer's run at the same P, and — where an
   exact closed form was fitted — the closed form's prediction.
 
 Failures are ``COMM-NONCONFORM`` diagnostics; a conforming app gets a
@@ -144,7 +144,7 @@ def conform_trace(run: CommRun,
             message=(f"{len(mismatched)} of {p} cells diverge from the "
                      f"static graph (first: cells {mismatched[:3]})"),
         ))
-    predicted_totals = run.kind_totals()
+    predicted_totals = kind_totals(run.trace)
     recorded_totals = kind_totals(trace)
     for label in sorted(set(predicted_totals) | set(recorded_totals)):
         want = predicted_totals.get(label, (0, 0))

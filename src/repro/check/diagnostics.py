@@ -30,7 +30,7 @@ Static codes (communication-graph analyzer, :mod:`repro.check.comm`)
     ``COMM-OVERLAP``        predicted one-sided footprints overlap with
                             no ordering (a race at *some* P)
     ``COMM-STRIDE``         one call site issues stride transfers with
-                            multiple element skips
+                            multiple remote byte skips
     ``COMM-NONCONFORM``     a recorded trace is not a linearization of
                             the static graph, or its message counts or
                             bytes disagree with the predicted closed

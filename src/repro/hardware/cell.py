@@ -31,12 +31,12 @@ class HardwareCell(Stateful):
     cell_id: int
     memory: CellMemory
     mc: MemoryController
-    cache: WriteThroughCache | None
-    msc: MSCPlus | None
+    cache: WriteThroughCache
+    msc: MSCPlus
     _wiring = frozenset({"memory"})
 
     @classmethod
-    def build(cls, cell_id: int, tnet: TNet | None,
+    def build(cls, cell_id: int, tnet: TNet,
               memory_bytes: int = DEFAULT_MEMORY_BYTES,
               *, identity_map: bool = True,
               dram: np.ndarray | None = None) -> "HardwareCell":
@@ -44,23 +44,18 @@ class HardwareCell(Stateful):
 
         With ``identity_map`` the MC maps the whole DRAM logical==physical
         (how the functional machine boots); pass False to set up page
-        tables explicitly in tests.  Without a ``tnet`` the cell is its
-        memory system only (DRAM, MC flags, communication registers):
-        what the static analyzer's instant-delivery machine runs on.
-        ``dram`` is the zeroed buffer to use as DRAM; without one the
-        cell allocates its own.
+        tables explicitly in tests.  ``dram`` is the zeroed buffer to use
+        as DRAM; without one the cell allocates its own.
         """
         memory = CellMemory(memory_bytes, dram)
         mc = (MemoryController(memory, identity_mmu(memory_bytes))
               if identity_map else MemoryController(memory))
-        if tnet is None:
-            return cls(cell_id, memory, mc, None, None)
         cache = WriteThroughCache()
         return cls(cell_id, memory, mc, cache,
                    MSCPlus(cell_id, mc, tnet, cache=cache))
 
 
-def boot_cells(count: int, tnet: TNet | None,
+def boot_cells(count: int, tnet: TNet,
                memory_bytes: int = DEFAULT_MEMORY_BYTES
                ) -> list[HardwareCell]:
     """The cells ``0 .. count - 1`` of one machine: how every machine

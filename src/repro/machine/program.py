@@ -17,8 +17,8 @@ against a sequential reference) and a *trace* (consumed by MLSim for
 timing).
 
 The interface is stated here once.  What a program runs on — the
-functional machine, the static analyzer's instant-delivery machine
-(:mod:`repro.check.comm`), a sharded worker
+functional machine (the static analyzer, :mod:`repro.check.comm`, runs
+its programs there too) or a sharded worker
 (:mod:`repro.machine.sharded`) — differs only below a seam of private
 methods a back end may override: ``_record`` (record one row; an
 attribute bound per context, so a back end rebinds it),
@@ -26,7 +26,7 @@ attribute bound per context, so a back end rebinds it),
 two-sided message to the transport), ``_creg_store`` /
 ``_creg_try_load``; flag words live in the cell's MC, and remote words,
 collectives and the table of what each cell is blocked on go through
-the machine (:class:`~repro.machine.base.MachineBase`).
+the machine (:class:`~repro.machine.machine.Machine`).
 """
 
 from __future__ import annotations
@@ -512,7 +512,7 @@ class CellContext(Stateful):
         addr = flag.addr
         self._record(EventKind.FLAG_WAIT, pe, flag=flag_id,
                      target=int(target))
-        # Note the wait so a hang report (or the static analyzer's wedge
+        # Note the wait so a hang report (and the static analyzer's wedge
         # finding) can say which flag this cell is stuck on.
         blocked = self.machine.blocked
         blocked[pe] = ("flag_wait", flag_id, int(target), addr)

@@ -54,13 +54,13 @@ from repro.core.errors import (
 from repro.core.flags import MAX_FLAGS_PER_PE, Flag, flag_area_end
 from repro.hardware.mc import NO_FLAG
 from repro.hardware.msc import Command, CommandKind
-from repro.machine.base import (
+from repro.machine.machine import (
+    Machine,
     _align,
     _BarrierState,
     _combine_values,
     run_wake_rounds,
 )
-from repro.machine.machine import Machine
 from repro.machine.program import CellContext, Group
 from repro.machine.shardmem import DEFAULT_RING_BYTES, SegmentPool, ShmRing
 from repro.network.packet import Packet, PacketKind, StrideSpec

@@ -8,6 +8,7 @@ from repro.check.comm import (
     analyze_app,
     analyze_program,
     check_program,
+    kind_totals,
     run_findings,
 )
 from repro.check.runner import check_static_apps, check_static_buggy
@@ -43,7 +44,7 @@ class TestSymbolicExecution:
     def test_ring_data_actually_moves(self):
         # One 8-double message per cell (alloc counts elements).
         run, _ = findings(ring_program, 4)
-        totals = run.kind_totals()
+        totals = kind_totals(run.trace)
         assert totals["PUT"] == (4, 4 * 64)
 
     def test_deadlock_is_recorded_not_raised(self):
@@ -65,6 +66,56 @@ class TestSymbolicExecution:
         run, found = findings(local_only, 4)
         assert found == []
         assert run.results == {pe: 8.0 for pe in range(4)}
+
+
+def write_through_program(ctx):
+    """Every cell binds its right neighbour's table as write-through
+    pages, writes one element through and refreshes after a barrier."""
+    table = ctx.alloc(64)
+    table.data[:] = float(ctx.pe)
+    yield from ctx.barrier()
+    pages = yield from ctx.wt_bind((ctx.pe + 1) % ctx.num_cells, table)
+    pages.write(ctx.pe % 64, -1.0)
+    yield from ctx.barrier()
+    yield from ctx.wt_refresh(pages)
+    yield from ctx.barrier()
+    return float(pages.data.sum())
+
+
+class TestProductionMachine:
+    def test_write_through_programs_are_analyzed(self):
+        report = check_program(write_through_program, (4, 16),
+                               memory_per_cell=MEM)
+        assert report.clean, report.render()
+        assert report.stats["static_deadlocks"] == 0
+        run = analyze_program(write_through_program, 4,
+                              memory_per_cell=MEM)
+        assert run.results == {pe: 63 * float((pe + 1) % 4) - 1.0
+                               for pe in range(4)}
+
+    def test_the_serial_engine_is_pinned(self, monkeypatch):
+        expected = check_program(ring_program, (4, 16),
+                                 memory_per_cell=MEM).to_dict()
+        monkeypatch.setenv("REPRO_MACHINE_SHARDS", "2")
+        run = analyze_program(ring_program, 4, memory_per_cell=MEM)
+        assert run.machine.config.shards == 1
+        assert run.machine.engine == {"loop": "wake-set", "fallback": None}
+        assert check_program(ring_program, (4, 16),
+                             memory_per_cell=MEM).to_dict() == expected
+
+    def test_a_wedge_keeps_what_each_cell_waits_for(self):
+        def program(ctx):
+            if ctx.pe == 0:
+                yield from ctx.recv(src=1, context=7)
+            yield from ctx.barrier()
+
+        run, found = findings(program, 4)
+        assert run.deadlocked and run.results == {}
+        assert run.machine.blocked[0] == ("recv", 1, 7)
+        assert {state[0] for pe, state in run.machine.blocked.items()
+                if pe} == {"barrier"}
+        assert any("RECEIVE from cell 1 (context=7)" in d.message
+                   for d in found)
 
 
 class TestScaleGenericFindings:
@@ -106,7 +157,8 @@ class TestScaleGenericFindings:
             yield from ctx.barrier()
 
         _, found = findings(program, 4)
-        assert {d.code for d in found} >= {"COMM-STRIDE"}
+        [stride] = [d for d in found if d.code == "COMM-STRIDE"]
+        assert "2 distinct byte skips [16, 24]" in stride.message
 
     def test_scale_dependent_bug_found_only_at_scale(self):
         def program(ctx):

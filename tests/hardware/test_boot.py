@@ -67,12 +67,11 @@ def neighbours(ctx, words):
     return float(dst.data.sum())
 
 
-@pytest.mark.parametrize("wired", [True, False], ids=["tnet", "no tnet"])
+@pytest.mark.parametrize("network", [TNet], ids=["tnet"])
 @pytest.mark.parametrize("size", SIZES)
-def test_booted_cells_equal_cells_built_one_at_a_time(size, wired):
+def test_booted_cells_equal_cells_built_one_at_a_time(size, network):
     def cells(build):
-        tnet = TNet(TorusTopology.for_cells(CELLS)) if wired else None
-        return build(CELLS, tnet, size)
+        return build(CELLS, network(TorusTopology.for_cells(CELLS)), size)
 
     for booted, alone in zip(cells(boot_cells), cells(one_at_a_time)):
         assert booted.state() == alone.state()
@@ -80,7 +79,6 @@ def test_booted_cells_equal_cells_built_one_at_a_time(size, wired):
         assert booted.memory.size_bytes == alone.memory.size_bytes == size
         assert booted.memory.buffer.shape == alone.memory.buffer.shape
         assert edges(booted) == edges(alone)
-        assert (booted.msc is None) == (not wired)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -106,7 +104,8 @@ class TestNoAliasing:
     K = 5                   # cells 4 and 6 share its bank; 15 | 16 do not
 
     def untouched(self, cell, size):
-        fresh = HardwareCell.build(cell.cell_id, None, size)
+        fresh = HardwareCell.build(
+            cell.cell_id, TNet(TorusTopology.for_cells(CELLS)), size)
         assert tables(cell) == tables(fresh)
         assert edges(cell) == (bytes(PAGE_4K), bytes(PAGE_4K))
 

@@ -108,8 +108,48 @@ class TestDeadlocks:
         message = str(err.value)
         assert "2 cell(s) blocked" in message
         # Per-cell diagnosis includes the in-flight T-net packet counts.
-        assert "cell 0: blocked (barrier, receive, or reduction)" in message
+        assert ("cell 0: waiting at barrier of group 0 (2 of 3 arrived)"
+                in message)
         assert "T-net in flight: 0 inbound, 0 outbound" in message
+
+    def test_report_names_the_receive_a_cell_waits_in(self):
+        m = make(2)
+
+        def program(ctx):
+            if ctx.pe == 0:
+                yield from ctx.recv(src=1, context=5)
+            yield from ctx.barrier()
+
+        with pytest.raises(DeadlockError) as err:
+            m.run(program)
+        message = str(err.value)
+        assert "cell 0: waiting in RECEIVE from cell 1 (context=5)" in message
+        assert ("cell 1: waiting at barrier of group 0 (1 of 2 arrived)"
+                in message)
+
+    def test_report_names_the_register_a_cell_loads(self):
+        m = make(2)
+
+        def program(ctx):
+            if ctx.pe == 1:
+                yield from ctx.creg_load(3)
+
+        with pytest.raises(DeadlockError) as err:
+            m.run(program)
+        assert ("cell 1: waiting to load communication register 3"
+                in str(err.value))
+
+    def test_report_counts_reduction_contributions(self):
+        m = make(3)
+
+        def program(ctx):
+            if ctx.pe:
+                yield from ctx.gop(1.0)
+
+        with pytest.raises(DeadlockError) as err:
+            m.run(program)
+        assert ("cell 1: waiting in reduction of group 0 "
+                "(2 of 3 contributed)" in str(err.value))
 
     def test_report_names_pending_flag_wait_targets(self):
         m = make(2)

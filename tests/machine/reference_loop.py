@@ -1,7 +1,7 @@
 """The resume-counting scheduler: the wake-set loop's oracle.
 
 ``Machine.run`` resumes only cells a wake site names
-(:func:`repro.machine.base.run_wake_rounds`).  This loop resumes every
+(:func:`repro.machine.machine.run_wake_rounds`).  This loop resumes every
 unfinished cell every pass, in ascending pe order, and calls a hang
 after three passes in which nothing moved.  It is slow and obviously
 right, so tests substitute it for ``Machine._run_batched``::

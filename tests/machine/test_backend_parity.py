@@ -1,12 +1,12 @@
-"""One cell-program interface, three back ends, the same events.
+"""One cell-program interface, the same events wherever it runs.
 
 :class:`~repro.machine.program.CellContext` is the only front end; the
-functional machine, the static analyzer's instant-delivery machine and a
-sharded worker differ below a narrow seam.  Generated SPMD programs over
-the whole public vocabulary (``tests/programs.py``) must
-therefore record the same per-cell events on all three and leave the
-same bytes in memory, and a structural guard keeps either back end from
-re-stating a front-end method.
+functional machine and a sharded worker differ below a narrow seam, and
+the static analyzer runs its programs on the functional machine itself.
+Generated SPMD programs over the whole public vocabulary
+(``tests/programs.py``) must therefore record the same events on each
+and leave the same bytes in memory, and a structural guard keeps a
+back end from re-stating a front-end method.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.check.comm import SymbolicContext, SymbolicMachine
+from repro.check.comm import UNTIMED_KINDS, analyze_program
 from repro.faults.chaos import memory_digest, trace_digest
 from repro.machine import sharded
 from repro.machine.config import MachineConfig
@@ -24,7 +24,6 @@ from repro.machine.program import CellContext
 from tests.programs import (
     EVERY_OP,
     MEMORY,
-    event_keys,
     programs,
     round_program,
 )
@@ -40,15 +39,21 @@ def run_serial(cells, steps):
 @settings(max_examples=40, deadline=None)
 @given(cells=st.sampled_from([4, 5]), steps=programs)
 @example(cells=5, steps=EVERY_OP)
-def test_symbolic_machine_matches_the_functional_one(cells, steps):
+def test_the_analyzers_run_is_a_production_run(cells, steps):
     serial, results = run_serial(cells, steps)
-    symbolic = SymbolicMachine(cells, memory_per_cell=MEMORY)
-    predicted = symbolic.run(round_program, steps=steps)
-    assert not symbolic.deadlocked
-    for pe in range(cells):
-        assert event_keys(symbolic.trace, pe) == event_keys(serial.trace, pe)
-    assert predicted == dict(enumerate(results))
-    assert memory_digest(symbolic) == memory_digest(serial)
+    run = analyze_program(round_program, cells, {"steps": steps},
+                          memory_per_cell=MEMORY)
+    assert not run.deadlocked
+    assert run.results == dict(enumerate(results))
+    assert trace_digest(run.trace) == trace_digest(serial.trace)
+    assert memory_digest(run.machine) == memory_digest(serial)
+    # Every communication row, and no other, has a call site: the
+    # program's own line, whichever spelling of the interface it used.
+    columns = run.trace.seq_columns()
+    assert set(run.sites) == {
+        seq for seq, kind in zip(columns["seq"], columns["kind"])
+        if kind not in UNTIMED_KINDS}
+    assert {file for file, _ in run.sites.values()} == {"programs.py"}
 
 
 @pytest.mark.skipif(not sharded.sharded_supported(),
@@ -81,14 +86,7 @@ def test_back_ends_override_only_the_seam():
     """Adding an op to ``CellContext`` reaches every back end by
     inheritance; re-stating a front-end method in one fails here by
     name."""
-    assert issubclass(SymbolicContext, CellContext)
     assert issubclass(sharded._ShardCellContext, CellContext)
-    # The analyzer: call sites and instant delivery below the seam;
-    # above it the stride-noting pair (COMM-STRIDE), write-through
-    # pages refused, and a checkpoint site that never arms a gate.
-    assert overridden(SymbolicContext) == {
-        "_issue", "_post",
-        "put_stride", "get_stride", "wt_bind", "wt_refresh", "checkpoint"}
     # A worker: shard logic below the seam; above it the wildcard
     # RECEIVE refusal and the two ops whose oplog item no event carries.
     assert overridden(sharded._ShardCellContext) == {
@@ -98,6 +96,3 @@ def test_back_ends_override_only_the_seam():
     # ``append`` on the functional machine, a back end's recorder else.
     machine = Machine(MachineConfig(num_cells=2, memory_per_cell=MEMORY))
     assert CellContext(machine, 0)._record == machine.trace.append
-    symbolic = SymbolicMachine(2, memory_per_cell=MEMORY)
-    ctx = SymbolicContext(symbolic, 0)
-    assert ctx._record == ctx._record_site
