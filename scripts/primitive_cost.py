@@ -13,6 +13,9 @@ clock domains never share a column.  Under every ``host_us`` row a
 ``calls`` row gives the profiled calls, builtins included and counted
 per code object as ``tests/machine/test_message_cost.py`` counts them,
 that one more such operation makes: a count, exact on every host.
+The ``batch`` row gives both per element of a ``transfer_batch`` of
+64 one-element (8-byte) PUTs, and of GETs, in the ``put`` and ``get``
+columns: what the VPP runtime pays per message without stride.
 ``--max-put-calls N`` exits 1 when the 8-byte ``put`` count exceeds N
 (CI passes that test's ``PUT_CALLS_CEILING``).
 
@@ -38,6 +41,8 @@ SIZES = (8, 4096, 160_000)
 #: matrix on both sides (8-byte items, 16 bytes apart), the canonical
 #: stride of section 2.2.  8 bytes would be one item: no stride.
 STRIDE_SIZES = SIZES[1:]
+#: Elements of one batch of the ``batch`` row.
+BATCH_ELEMENTS = 64
 
 
 def keep_best(best: dict[str, float], name: str, start: float,
@@ -71,6 +76,30 @@ def stride_program(ctx, size: int, batch: int, repeats: int):
                                remote_offset=offset, local_offset=offset,
                                recv_flag=flag)
             keep_best(best, "get", start, batch)
+    yield from ctx.barrier()
+    return best
+
+
+def batch_program(ctx, batch: int, repeats: int):
+    """Cell 0 times batches of ``transfer_batch`` runs of
+    :data:`BATCH_ELEMENTS` 8-byte PUTs, then GETs, against cell 1
+    (reported per element in the ``put`` and ``get`` columns)."""
+    src = ctx.alloc(BATCH_ELEMENTS)
+    dst = ctx.alloc(BATCH_ELEMENTS)
+    flag = ctx.alloc_flag()
+    offsets = np.arange(BATCH_ELEMENTS)
+    best: dict[str, float] = {}
+    if ctx.pe == 0:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.transfer_batch(1, dst, src, False, offsets, offsets)
+            keep_best(best, "put", start, batch * BATCH_ELEMENTS)
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.transfer_batch(1, src, dst, True, offsets, offsets,
+                                   recv_flag=flag)
+            keep_best(best, "get", start, batch * BATCH_ELEMENTS)
     yield from ctx.barrier()
     return best
 
@@ -139,18 +168,36 @@ def counted_program(ctx, size: int, name: str, count: int):
     yield from ctx.barrier()
 
 
-def calls_per_operation(cells: int, size: int, name: str) -> float:
-    """Profiled calls that one more ``name`` costs: the difference of
-    two runs, so machine build and set-up drop out."""
+def counted_batch(ctx, name: str, count: int):
+    """``count`` batches of ``name`` ("put" or "get"), as
+    :func:`batch_program` issues them."""
+    src = ctx.alloc(BATCH_ELEMENTS)
+    dst = ctx.alloc(BATCH_ELEMENTS)
+    flag = ctx.alloc_flag()
+    offsets = np.arange(BATCH_ELEMENTS)
+    if ctx.pe == 0:
+        for _ in range(count):
+            if name == "put":
+                ctx.transfer_batch(1, dst, src, False, offsets, offsets)
+            else:
+                ctx.transfer_batch(1, src, dst, True, offsets, offsets,
+                                   recv_flag=flag)
+    yield from ctx.barrier()
+
+
+def calls_per_operation(cells: int, program, *args, per: int = 1) -> float:
+    """Profiled calls that one more operation of ``program(ctx, *args,
+    count)`` costs, divided by the ``per`` messages it sends: the
+    difference of two runs, so machine build and set-up drop out."""
     from repro import Machine, MachineConfig
 
     def total(count: int) -> int:
         machine = Machine(MachineConfig(num_cells=cells))
         profile = cProfile.Profile()
-        profile.runcall(machine.run, counted_program, size, name, count)
+        profile.runcall(machine.run, program, *args, count)
         return sum(entry.callcount for entry in profile.getstats())
 
-    return (total(48) - total(16)) / 32
+    return (total(48) - total(16)) / (32 * per)
 
 
 def main() -> int:
@@ -179,7 +226,9 @@ def main() -> int:
     print(f"{args.cells} cells, min of {args.repeats} batches of "
           f"{args.batch}; host_us = host wall clock per operation, "
           f"sim_us = simulated AP1000+ PUT (Figure 7, {args.distance} hops); "
-          "'st' rows: put_stride / get_stride of 8-byte items 16 apart")
+          "'st' rows: put_stride / get_stride of 8-byte items 16 apart; "
+          f"'batch': per element of a {BATCH_ELEMENTS}-element "
+          "transfer_batch")
     print(f"{'bytes':>10} " + " ".join(f"{n + ' host_us':>17}" for n in names)
           + f" {'put send_cpu sim_us':>20} {'put recv_flag sim_us':>21}")
     # The process's first machine reads about 1 us high in every column
@@ -192,7 +241,8 @@ def main() -> int:
         machine = Machine(MachineConfig(num_cells=args.cells))
         best = machine.run(program, size, args.batch, args.repeats)[0]
         line = put_timeline(plus, size, args.distance)
-        calls = {n: calls_per_operation(args.cells, size, n) for n in names}
+        calls = {n: calls_per_operation(args.cells, counted_program, size, n)
+                 for n in names}
         print(f"{size:>10} "
               + " ".join(f"{best[n] * 1e6:>17.2f}" for n in names)
               + f" {line.send_cpu:>20.2f} {line.recv_flag_at:>21.2f}")
@@ -216,6 +266,23 @@ def main() -> int:
         rows.append({
             "bytes": size, "stride": True,
             "host_us": {n: round(v * 1e6, 3) for n, v in best.items()}})
+    # One-element transfers issued as batches, per element; the arrays
+    # are float64, so the size is 8.
+    machine = Machine(MachineConfig(num_cells=args.cells))
+    best = machine.run(batch_program, args.batch,
+                       max(1, args.repeats // 10))[0]
+    calls = {n: calls_per_operation(args.cells, counted_batch, n,
+                                    per=BATCH_ELEMENTS) for n in best}
+    print(f"{'8 batch':>10} "
+          + " ".join(f"{best[n] * 1e6:>17.2f}" if n in best
+                     else f"{'-':>17}" for n in names))
+    print(f"{'calls':>10} "
+          + " ".join(f"{calls[n]:>17.1f}" if n in calls
+                     else f"{'-':>17}" for n in names))
+    rows.append({
+        "bytes": 8, "batch": BATCH_ELEMENTS,
+        "host_us": {n: round(v * 1e6, 3) for n, v in best.items()},
+        "calls": calls})
     if args.json:
         document = {"cells": args.cells, "batch": args.batch,
                     "repeats": args.repeats, "distance": args.distance,

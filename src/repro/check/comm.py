@@ -58,6 +58,7 @@ from repro.check.symbolic import (
 )
 from repro.core import api as _paper_api
 from repro.core.errors import ConfigurationError, DeadlockError
+from repro.machine import batch as _batch
 from repro.machine import program as _front_end
 from repro.machine import shmem as _shared_memory
 from repro.machine.config import MachineConfig
@@ -100,8 +101,9 @@ UNTIMED_KINDS = frozenset({EventKind.COMPUTE, EventKind.RTSYS,
 #: Files whose frames are the interface itself, not a call site of it.
 _INTERFACE_FILES = frozenset(
     str(Path(file).resolve())
-    for file in (__file__, _front_end.__file__, _paper_api.__file__,
-                 _shared_memory.__file__, _trace_buffer.__file__))
+    for file in (__file__, _front_end.__file__, _batch.__file__,
+                 _paper_api.__file__, _shared_memory.__file__,
+                 _trace_buffer.__file__))
 
 
 def _caller_site() -> tuple[str, int]:

@@ -58,11 +58,17 @@ class AckTracker(Stateful):
     def record_put(self, dest: int) -> bool:
         """Record a PUT to ``dest``; returns True if it needs an immediate
         acknowledging GET (EVERY_PUT policy)."""
-        self._puts_per_dest[dest] = self._puts_per_dest.get(dest, 0) + 1
+        return self.record_puts(dest, 1) > 0
+
+    def record_puts(self, dest: int, count: int) -> int:
+        """Record ``count`` (at least one) PUTs to ``dest``; returns how
+        many need an immediate acknowledging GET (all of them under
+        EVERY_PUT)."""
+        self._puts_per_dest[dest] = self._puts_per_dest.get(dest, 0) + count
         if self.policy == AckPolicy.EVERY_PUT:
-            self._acks_issued += 1
-            return True
-        return False
+            self._acks_issued += count
+            return count
+        return 0
 
     def destinations_to_ack(self) -> list[int]:
         """Destinations needing one final acknowledging GET at phase end.

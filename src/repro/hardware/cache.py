@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import ConfigurationError
 from repro.core.state import Stateful
 
@@ -110,6 +112,26 @@ class WriteThroughCache(Stateful):
                 dropped = len(stale)
         self.invalidated_lines += dropped
         return dropped
+
+    def invalidate_items(self, addrs: np.ndarray, size: int) -> int:
+        """:meth:`invalidate_range` of ``size`` bytes at each of
+        ``addrs``, in one step: a resident line goes when any of the
+        ranges covers it, which is what the calls in turn drop."""
+        tags = self._tags
+        if size <= 0 or not tags or not len(addrs):
+            return 0
+        if size >= self.size_bytes:
+            return self.invalidate_range(int(addrs[0]), size)
+        first = addrs // self.line_bytes
+        last = (addrs + size - 1) // self.line_bytes
+        lines = np.fromiter(tags.values(), np.int64, len(tags))[:, None]
+        covered = ((first <= lines) & (lines <= last)).any(axis=1)
+        stale = [index for index, hit in zip(list(tags), covered.tolist())
+                 if hit]
+        for index in stale:
+            del tags[index]
+        self.invalidated_lines += len(stale)
+        return len(stale)
 
     def contains(self, addr: int) -> bool:
         index, line = self._index_tag(addr)

@@ -44,6 +44,16 @@ class DMAEngine(Stateful):
         if nbytes > self.largest_transfer:
             self.largest_transfer = nbytes
 
+    def account_run(self, nbytes: int, times: int) -> None:
+        """Count ``times`` operations of ``nbytes`` each, as
+        :meth:`_account` counts them one by one (the caller checked
+        ``nbytes`` against the hardware range)."""
+        if times and nbytes:
+            self.operations += times
+            self.bytes_moved += nbytes * times
+            if nbytes > self.largest_transfer:
+                self.largest_transfer = nbytes
+
     def gather(self, memory: CellMemory, addr: int,
                stride: StrideSpec) -> bytes:
         """Read a (possibly strided) block out of memory as one payload."""

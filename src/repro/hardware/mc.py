@@ -112,6 +112,12 @@ class MemoryController(Stateful):
         self.flag_increments += 1
         return value
 
+    def increment_flag_run(self, paddr: int, times: int) -> None:
+        """``times`` increments of the flag word at physical ``paddr``
+        (the caller translated it, once per increment) in one access."""
+        self.memory.increment_word(paddr, times)
+        self.flag_increments += times
+
     def read_flag(self, flag_logical_addr: int) -> int:
         """Read a flag's current value (the program's flag-check load)."""
         if flag_logical_addr == NO_FLAG:

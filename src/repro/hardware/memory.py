@@ -153,16 +153,17 @@ class CellMemory:
             self._check_range(addr, WORD_BYTES)
         _write_word(self._view, addr, value & 0xFFFFFFFF)
 
-    def increment_word(self, addr: int) -> int:
-        """Fetch-and-increment the word at ``addr`` in one access.
+    def increment_word(self, addr: int, by: int = 1) -> int:
+        """Fetch-and-increment the word at ``addr`` in one access
+        (``by`` increments at once).
 
-        Returns the fetched value plus one; the word stored wraps at
+        Returns the fetched value plus ``by``; the word stored wraps at
         2**32 like the 4-byte counter it is.
         """
         if addr < 0 or addr + WORD_BYTES > self.size_bytes:
             self._check_range(addr, WORD_BYTES)
         view = self._view
-        value = _read_word(view, addr)[0] + 1
+        value = _read_word(view, addr)[0] + by
         _write_word(view, addr, value & 0xFFFFFFFF)
         return value
 
@@ -184,6 +185,18 @@ class CellMemory:
         self._check_range(addr, stride.extent_bytes)
         return np.ndarray((stride.count, stride.item_size), np.uint8,
                           self._buf, addr, (stride.skip, 1))
+
+    def gather_items(self, addrs: np.ndarray, size: int) -> np.ndarray:
+        """The ``size`` bytes at each of ``addrs`` (in range, as the
+        caller checked) as one ``len(addrs) x size`` copy."""
+        return self._buf[addrs[:, None] + np.arange(size)]
+
+    def scatter_items(self, addrs: np.ndarray, size: int,
+                      items: np.ndarray) -> None:
+        """Write row ``i`` of ``items`` as the ``size`` bytes at
+        ``addrs[i]`` (in range and not overlapping, as the caller
+        checked)."""
+        self._buf[addrs[:, None] + np.arange(size)] = items
 
     def gather(self, addr: int, stride: StrideSpec) -> bytes:
         """Collect ``stride.count`` items into one contiguous payload."""

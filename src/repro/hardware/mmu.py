@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.errors import AddressError, PageFaultError, ProtectionError
 from repro.core.state import Stateful
 
@@ -183,6 +185,52 @@ class MMU(Stateful):
             probe = (probe // step + 1) * step
             if probe >= end:
                 return first
+
+    def plan_run(self, logical: np.ndarray, write: np.ndarray,
+                 size: int) -> np.ndarray | None:
+        """Where a run of lookups lands, changing nothing: the physical
+        address of each of ``logical`` (``size`` bytes from it, to be
+        written where ``write``), or None if one would fault, be
+        refused, leave its page, meet a 4 KB mapping or a TLB entry the
+        page table no longer holds.  :meth:`charge_run` counts the
+        lookups once the run is issued."""
+        numbers = logical // PAGE_256K
+        offset = logical - numbers * PAGE_256K
+        first, last = int(numbers.min()), int(numbers.max())
+        if first < 0 or offset.max() + size > PAGE_256K:
+            return None
+        if first == last:
+            pages, which, written = [first], None, [bool(write.any())]
+        else:
+            pages, which = np.unique(numbers, return_inverse=True)
+            written = (np.bincount(which, write, len(pages)) > 0).tolist()
+            pages = pages.tolist()
+        tlb = self.tlb_256k
+        bases = []
+        for page, writes in zip(pages, written):
+            entry = self._table_256k.get(page)
+            slot = tlb._slots.get(page % tlb.entries)
+            if (entry is None or page in self._fine_grained
+                    or (writes and not entry.writable)
+                    or (slot is not None and slot[0] == page
+                        and slot[1] != entry)):
+                return None
+            bases.append(entry.physical_base)
+        if which is None:
+            return offset + bases[0]
+        return np.asarray(bases, np.int64)[which] + offset
+
+    def charge_run(self, logical: np.ndarray) -> None:
+        """Count the TLB traffic of a run :meth:`plan_run` accepted as
+        its lookups one by one count it: the first of each stretch on
+        one page looks up (a hit, or a miss, walk and fill), and every
+        other one hits."""
+        pages = logical // PAGE_256K
+        changes = np.flatnonzero(pages[1:] != pages[:-1]) + 1
+        self._lookup(int(logical[0]))
+        for address in logical[changes].tolist():
+            self._lookup(address)
+        self.tlb_256k.hits += len(logical) - 1 - len(changes)
 
     def _lookup(self, logical: int) -> PageEntry:
         if logical < 0:

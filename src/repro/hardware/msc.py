@@ -28,6 +28,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.core.errors import CommunicationError, PageFaultError
 from repro.core.state import Stateful
 from repro.hardware.cache import WriteThroughCache
@@ -39,7 +41,8 @@ from repro.network.tnet import TNet
 
 #: Word count of a plain PUT/GET command (8 parameter stores).
 PUT_COMMAND_WORDS = COMMAND_WORDS
-#: Stride commands carry six extra parameters (item/cnt/skip for each side).
+#: Word count of a stride command: item/count/skip on each side (six
+#: parameters) take the place of the two size words, four words more.
 STRIDE_COMMAND_WORDS = COMMAND_WORDS + 4
 
 
@@ -173,6 +176,51 @@ class MSCPlus(Stateful):
             self._send(command)
         else:
             self.pump_send()
+
+    def exchange_run(self, peer: MSCPlus, size: int, put_src: np.ndarray,
+                     put_dst: np.ndarray, get_src: np.ndarray,
+                     get_dst: np.ndarray, acks: int,
+                     flags: list[tuple[int, int]]) -> int:
+        """The hardware side of a run of plain ``size``-byte PUTs from
+        here to ``peer`` (``put_src`` here to ``put_dst`` there), GETs
+        from it (``get_src`` there to ``get_dst`` here) and ``acks``
+        acknowledging GETs, on a perfect wire with nothing queued: what
+        :meth:`send`, :meth:`deliver` and :meth:`answer` do per command,
+        counted for the run.  Addresses are physical (the MMUs charge
+        their lookups apart); the ranges are in DRAM, and no range one
+        side writes overlaps another range the run touches on that
+        side.  ``flags`` are ``(physical address, increments)`` of this
+        cell's flag words the replies count on.  Returns the packets the
+        run put on the wire."""
+        puts, gets = len(put_src), len(get_src)
+        requests = gets + acks
+        self.user_send_queue.pass_through_run(puts + requests)
+        peer.get_reply_queue.pass_through_run(requests)
+        ours, theirs = self.stats, peer.stats
+        ours.puts_sent += puts
+        ours.gets_sent += requests
+        ours.get_replies_received += requests
+        theirs.puts_received += puts
+        theirs.get_requests_received += requests
+        theirs.get_replies_sent += requests
+        self.send_dma.account_run(size, puts)
+        peer.recv_dma.account_run(size, puts)
+        peer.send_dma.account_run(size, gets)
+        self.recv_dma.account_run(size, gets)
+        here, there = self.mc.memory, peer.mc.memory
+        put_items = here.gather_items(put_src, size)
+        get_items = there.gather_items(get_src, size)
+        there.scatter_items(put_dst, size, put_items)
+        here.scatter_items(get_dst, size, get_items)
+        if peer.cache is not None:
+            peer.cache.invalidate_items(put_dst, size)
+        if self.cache is not None:
+            self.cache.invalidate_items(get_dst, size)
+        for paddr, times in flags:
+            self.mc.increment_flag_run(paddr, times)
+        packets = puts + 2 * requests
+        self.tnet.admit_run(packets)
+        return packets
 
     # ------------------------------------------------------------------
     # Send controller

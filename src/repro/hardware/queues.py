@@ -124,6 +124,18 @@ class CommandQueue(Stateful):
         self.popped += 1
         return True
 
+    def pass_through_run(self, times: int,
+                         words: int = COMMAND_WORDS) -> None:
+        """Count ``times`` commands of ``words`` words through, as
+        :meth:`pass_through` counts each one that waits for nothing
+        (the caller found this queue empty, the words fitting and no
+        one observing)."""
+        if times:
+            self.pushed += times
+            self.popped += times
+            if words > self.high_water_words:
+                self.high_water_words = words
+
     def _spill_push(self, command: Any, words: int) -> None:
         capacity = self._spill_buffers_allocated * self.spill_buffer_words
         if self._spill_words + words > capacity:

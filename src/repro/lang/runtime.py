@@ -15,7 +15,10 @@ what the "Run-time system" bucket of Figure 8 measures.
 
 The ``use_stride`` switch selects between hardware stride transfers and
 element-by-element transfers; TOMCATV with/without stride (section 5.4)
-is exactly this switch.
+is exactly this switch.  Element by element, a move hands its run of
+one-element commands to the cell as one batch
+(:meth:`~repro.machine.program.CellContext.transfer_batch`): the
+simulated machine still sees, records and charges every message.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ RT_CALL_US = 60.0      # per runtime library call (partition lookup,
                        # stride-pattern discovery)
 RT_PER_MSG_US = 12.0   # per communication operation generated
                        # (global-to-local address conversion)
+
+
+def _halo_offsets(nrows: int, width: int, alloc_cols: int) -> np.ndarray:
+    """Flat offsets, row by row, of the ``width`` leading columns of an
+    ``nrows x alloc_cols`` block: a halo's elements, from its first."""
+    return (np.arange(nrows)[:, None] * alloc_cols
+            + np.arange(width)).ravel()
 
 
 class VPPRuntime:
@@ -137,11 +147,10 @@ class VPPRuntime:
                 self._gets_expected += 1
                 messages += 1
             else:
-                for i in range(count):
-                    self.ctx.get(part, src.block, dest, count=1,
-                                 remote_offset=base + i * alloc_cols,
-                                 local_offset=lo + i,
-                                 recv_flag=self.move_flag)
+                rows = np.arange(count)
+                self.ctx.transfer_batch(
+                    part, src.block, dest, True, base + rows * alloc_cols,
+                    lo + rows, recv_flag=self.move_flag)
                 self._gets_expected += count
                 messages += count
         self._charge(messages)
@@ -276,14 +285,11 @@ class VPPRuntime:
                                     ack=True)
                 messages += 1
             else:
-                for row in range(nrows):
-                    for w in range(width):
-                        flat_src = row * alloc_cols + src_off + w
-                        flat_dst = row * alloc_cols + dst_off + w
-                        self.ctx.put(neighbour, g.block, g.block, count=1,
-                                     dest_offset=flat_dst,
-                                     src_offset=flat_src, ack=True)
-                        messages += 1
+                halo = _halo_offsets(nrows, width, alloc_cols)
+                self.ctx.transfer_batch(neighbour, g.block, g.block, False,
+                                        halo + dst_off, halo + src_off,
+                                        ack=True)
+                messages += len(halo)
         return messages
 
     def overlap_fix_mixed(self, g: GlobalArray) -> None:
@@ -324,18 +330,15 @@ class VPPRuntime:
             self._gets_expected += 1
             messages += 2
         else:
-            for row in range(nrows):
-                for w in range(width):
-                    base = row * alloc_cols + w
-                    self.ctx.put(right, g.block, g.block, count=1,
-                                 dest_offset=base + put_dst,
-                                 src_offset=base + put_src, ack=True)
-                    self.ctx.get(right, g.block, g.block, count=1,
-                                 remote_offset=base + get_src,
-                                 local_offset=base + get_dst,
-                                 recv_flag=self.move_flag)
-                    self._gets_expected += 1
-                    messages += 2
+            # Element by element, each PUT followed by its GET.
+            halo = _halo_offsets(nrows, width, alloc_cols)
+            self.ctx.transfer_batch(
+                right, g.block, g.block, np.tile([False, True], len(halo)),
+                np.column_stack((halo + put_dst, halo + get_src)).ravel(),
+                np.column_stack((halo + put_src, halo + get_dst)).ravel(),
+                recv_flag=self.move_flag, ack=True)
+            self._gets_expected += len(halo)
+            messages += 2 * len(halo)
         self._charge(messages)
 
     # ------------------------------------------------------------------

@@ -466,6 +466,44 @@ class CellContext(Stateful):
                        local_stride.to_bytes(local.itemsize),
                        send_flag, recv_flag, stride=True)
 
+    def transfer_batch(self, node: int, remote: LocalArray,
+                       local: LocalArray, gets, remote_offsets,
+                       local_offsets, *, recv_flag: Flag | None = None,
+                       ack: bool = False) -> None:
+        """Issue a run of one-element PUTs and GETs to and from ``node``.
+
+        Command ``i`` moves element ``remote_offsets[i]`` of ``remote``
+        on ``node`` and element ``local_offsets[i]`` of ``local`` here:
+        a GET into ``local`` with ``recv_flag`` where ``gets[i]`` (a
+        bool, or one per command), a PUT into ``remote`` with ``ack``
+        otherwise, in the order given — what :meth:`get` and :meth:`put`
+        with ``count=1`` issue one by one, and record, move and count
+        exactly as they would (:mod:`repro.machine.batch`).  A run that
+        would raise does so at the same command.
+        """
+        remote_offsets = np.asarray(remote_offsets, np.int64)
+        local_offsets = np.asarray(local_offsets, np.int64)
+        if remote_offsets.ndim != 1 or \
+                remote_offsets.shape != local_offsets.shape:
+            raise CommunicationError(
+                "a batch needs one remote and one local offset per command")
+        gets = np.broadcast_to(np.asarray(gets, bool), remote_offsets.shape)
+        if not len(gets):
+            return
+        from repro.machine.batch import issue_batch
+
+        if issue_batch(self, node, remote, local, gets, remote_offsets,
+                       local_offsets, recv_flag, ack):
+            return
+        for get, theirs, ours in zip(gets.tolist(), remote_offsets.tolist(),
+                                     local_offsets.tolist()):
+            if get:
+                self.get(node, remote, local, count=1, remote_offset=theirs,
+                         local_offset=ours, recv_flag=recv_flag)
+            else:
+                self.put(node, remote, local, count=1, dest_offset=theirs,
+                         src_offset=ours, ack=ack)
+
     def _check_transfer(self, dest: LocalArray, src: LocalArray,
                         dest_offset: int, src_offset: int, count: int) -> None:
         if count < 0:

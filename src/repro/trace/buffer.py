@@ -264,6 +264,39 @@ class TraceBuffer:
             self._sink.emit(row + ranges if ranges is not None else row)
         return seq
 
+    def append_rows(self, rows: np.ndarray,
+                    ranges: np.ndarray | None = None) -> None:
+        """Record ``rows`` as one :meth:`append` per row would: an
+        ``n x ROW`` object array (its ``seq`` column is numbered here),
+        and ``ranges`` None or ``n x 8`` range values (a row whose two
+        addresses are -1 is unstamped).  The caller checked that the
+        buffer has room for them."""
+        listed = self._rows
+        if listed is None:
+            listed = self._open()
+        count = len(rows)
+        seq = self._seq
+        values = rows.ravel().tolist()
+        values[2::ROW] = range(seq, seq + count)
+        self._seq = seq + count
+        self.total_events += count
+        listed.extend(values)
+        stamped = None
+        if ranges is not None:
+            stamped = (ranges[:, 0] >= 0) | (ranges[:, 4] >= 0)
+            if self._ranges is None and stamped.any():
+                self._ranges = list(UNANNOTATED) * (len(listed) // ROW
+                                                    - count)
+        if self._ranges is not None:
+            self._ranges.extend(UNANNOTATED * count if ranges is None
+                                else ranges.ravel().tolist())
+        if self._sink is not None:
+            extra = [()] * count if ranges is None else [
+                tuple(footprint) if keep else ()
+                for footprint, keep in zip(ranges.tolist(), stamped.tolist())]
+            for start, more in zip(range(0, len(values), ROW), extra):
+                self._sink.emit(tuple(values[start:start + ROW]) + more)
+
     def record(self, event: TraceEvent) -> TraceEvent:
         """Append one event object as a row (the shim of callers that
         build events: ingest, hand-made traces, the sharded replay)."""

@@ -1,5 +1,6 @@
 """Unit tests for the write-through cache and receive-side invalidation."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,6 +122,22 @@ class TestInvalidationOracle:
                     == invalidate_per_line(oracle, addr, size))
             assert ours._tags == oracle._tags
             assert ours.invalidated_lines == oracle.invalidated_lines
+
+    @given(reads=st.lists(st.tuples(st.integers(0, 8191),
+                                    st.integers(1, 700)), max_size=12),
+           addrs=st.lists(st.integers(0, 8191), max_size=16),
+           size=st.sampled_from([0, 4, 8, 40, 1024, 2000]))
+    def test_items_equal_their_ranges_in_turn(self, reads, addrs, size):
+        ours = WriteThroughCache(size_bytes=1024, line_bytes=32)
+        oracle = WriteThroughCache(size_bytes=1024, line_bytes=32)
+        for addr, length in reads:
+            ours.read(addr, length)
+            oracle.read(addr, length)
+        dropped = sum(oracle.invalidate_range(addr, size) for addr in addrs)
+        assert ours.invalidate_items(np.array(addrs, np.int64),
+                                     size) == dropped
+        assert ours._tags == oracle._tags
+        assert ours.invalidated_lines == oracle.invalidated_lines
 
     def test_both_walks_are_taken(self):
         # One resident line against a 4 KB range (the tags are fewer),

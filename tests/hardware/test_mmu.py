@@ -1,5 +1,6 @@
 """Unit tests for the MC's MMU and direct-mapped TLBs."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -365,3 +366,61 @@ class TestLookupOracle:
             else:
                 apply_table_op(mmu, step)
                 apply_table_op(reference, step)
+
+
+#: Pages of the run oracle: two mapped large pages, one sharing the
+#: first's TLB slot (read-only), and one never mapped.
+RUN_PAGES = (0, 1, TLB_ENTRIES_256K, TLB_ENTRIES_256K + 1)
+
+
+class TestRunOracle:
+    """A run planned and charged at once (the batch front end's) against
+    its lookups one by one: where the plan accepts the run, the same
+    physical addresses and the same TLB slots, hits, misses and walks;
+    where a lookup would fault or be refused, no plan and no change."""
+
+    @given(remaps=st.lists(st.sampled_from(RUN_PAGES[:3]), max_size=2),
+           fine=st.booleans(),
+           run=st.lists(st.tuples(st.sampled_from(RUN_PAGES),
+                                  st.sampled_from([0, 8, PAGE_256K - 8,
+                                                   PAGE_256K - 4]),
+                                  st.booleans()),
+                        min_size=1, max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_and_charge_equal_the_lookups(self, remaps, fine, run):
+        mmu = MMU()
+        mmu.map_range(0, 0, 2 * PAGE_256K, page_size=PAGE_256K)
+        mmu.map_page(TLB_ENTRIES_256K * PAGE_256K, 2 * PAGE_256K,
+                     size=PAGE_256K, writable=False)
+        mmu.translate(0)
+        for page in remaps:
+            # No flush: a TLB entry may now disagree with the table.
+            mmu.map_page(page * PAGE_256K, (page + 3) * PAGE_256K,
+                         size=PAGE_256K)
+        if fine:
+            mmu.map_page(PAGE_256K, PAGE_256K)
+        logical = np.array([page * PAGE_256K + offset
+                            for page, offset, _ in run])
+        write = np.array([written for *_, written in run])
+        oracle = MMU(**{name: getattr(mmu, name) for name in (
+            "_table_4k", "_table_256k", "_fine_grained")})
+        oracle.load_state(mmu.state())
+        before = mmu.state()
+        planned = mmu.plan_run(logical, write, 8)
+        assert mmu.state() == before
+        want = [outcome(lambda: oracle.translate_range(int(a), 8, write=w))
+                for a, w in zip(logical, write.tolist())]
+        if planned is None:
+            return
+        assert planned.tolist() == want
+        mmu.charge_run(logical)
+        assert mmu.state() == oracle.state()
+
+    def test_a_stretch_on_one_page_looks_up_once(self):
+        mmu = identity_mmu(PAGE_256K)
+        logical = np.arange(0, 800, 8)
+        assert mmu.plan_run(logical, logical % 16 == 0, 8).tolist() \
+            == logical.tolist()
+        mmu.charge_run(logical)
+        assert (mmu.walks, mmu.tlb_256k.misses, mmu.tlb_256k.hits) \
+            == (1, 1, 99)

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check.comm import UNTIMED_KINDS, analyze_program
+from repro.core.completion import AckPolicy
 from repro.faults.chaos import memory_digest, trace_digest
 from repro.machine import sharded
 from repro.machine.config import MachineConfig
@@ -29,10 +30,10 @@ from tests.programs import (
 )
 
 
-def run_serial(cells, steps):
+def run_serial(cells, steps, policy=AckPolicy.EVERY_PUT):
     machine = Machine(MachineConfig(
         num_cells=cells, memory_per_cell=MEMORY, sanitize=True,
-        shards=1))
+        shards=1), ack_policy=policy)
     return machine, machine.run(round_program, steps=steps)
 
 
@@ -59,13 +60,17 @@ def test_the_analyzers_run_is_a_production_run(cells, steps):
 @pytest.mark.skipif(not sharded.sharded_supported(),
                     reason="platform lacks the fork start method")
 @settings(max_examples=20, deadline=None)
-@given(cells=st.sampled_from([4, 5]), steps=programs)
-@example(cells=5, steps=EVERY_OP)
-def test_sharded_engine_matches_the_functional_one(cells, steps):
-    serial, results = run_serial(cells, steps)
+@given(cells=st.sampled_from([4, 5]), steps=programs,
+       policy=st.sampled_from(AckPolicy.ALL))
+@example(cells=5, steps=EVERY_OP, policy=AckPolicy.EVERY_PUT)
+@example(cells=4, steps=EVERY_OP, policy=AckPolicy.LAST_PER_DEST)
+def test_sharded_engine_matches_the_functional_one(cells, steps, policy):
+    # The functional machine issues a batch as one, a worker command by
+    # command: the generated batch ops compare the two as well.
+    serial, results = run_serial(cells, steps, policy)
     shard = Machine(MachineConfig(
         num_cells=cells, memory_per_cell=MEMORY, sanitize=True,
-        shards=2))
+        shards=2), ack_policy=policy)
     assert shard.run(round_program, steps=steps) == results
     assert shard.shard_report["shards"] == 2
     assert trace_digest(shard.trace) == trace_digest(serial.trace)

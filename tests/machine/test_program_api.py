@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.completion import AckPolicy
 from repro.core.errors import CommunicationError, ConfigurationError
 from repro.core.stride import ElementStride
+from repro.faults.chaos import memory_digest
+from repro.machine import batch
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
@@ -231,6 +234,142 @@ class TestSendRecv:
             return packet.data
 
         assert m.run(program)[1] == b"raw-bytes"
+
+
+#: A batch of one-element commands: GET where True, else PUT.  PUTs
+#: read ``ours[0:]`` into ``theirs[0:]``, GETs ``theirs[32:]`` into
+#: ``ours[32:]``, so no command touches what another one moves.
+BATCH_GETS = [False, True, True, False, False, True, False, True, True,
+              False, True, False]
+
+
+def batch_offsets():
+    theirs = [32 + 2 * i if get else 3 * i
+              for i, get in enumerate(BATCH_GETS)]
+    ours = [40 + i if get else 2 * i for i, get in enumerate(BATCH_GETS)]
+    return theirs, ours
+
+
+def one_batch(ctx, batched, node, pad, cached):
+    """Cell 0 issues the batch toward ``node``, as one or command by
+    command; returns its acknowledge books and the machine's progress
+    right after it."""
+    if pad:
+        # Push the arrays 16 MB up: their 256 KB page then shares a TLB
+        # slot with the flag page, and the lookups alternate in it.
+        ctx.alloc(2 << 20)
+    theirs, ours = ctx.alloc(64), ctx.alloc(64)
+    flag = ctx.alloc_flag()
+    theirs.data[:] = np.arange(64) + 100.0 * ctx.pe
+    ours.data[:] = -np.arange(64) - 100.0 * ctx.pe
+    if cached:
+        ctx.hw.cache.read(theirs.addr, theirs.nbytes)
+        ctx.hw.cache.read(ours.addr, ours.nbytes)
+    yield from ctx.barrier()
+    if ctx.pe != 0:
+        yield from ctx.barrier()
+        return None
+    remote_offsets, local_offsets = batch_offsets()
+    if batched:
+        ctx.transfer_batch(node, theirs, ours, BATCH_GETS, remote_offsets,
+                           local_offsets, recv_flag=flag, ack=True)
+    else:
+        for get, r, loc in zip(BATCH_GETS, remote_offsets, local_offsets):
+            if get:
+                ctx.get(node, theirs, ours, count=1, remote_offset=r,
+                        local_offset=loc, recv_flag=flag)
+            else:
+                ctx.put(node, theirs, ours, count=1, dest_offset=r,
+                        src_offset=loc, ack=True)
+    after = (ctx.acks.state(), ctx.machine.progress)
+    yield from ctx.barrier()
+    return after
+
+
+class TestTransferBatch:
+    """A batch against the same commands through ``put`` / ``get``."""
+
+    @staticmethod
+    def run(batched, policy, sanitize, node, pad=False, cached=False):
+        machine = Machine(MachineConfig(
+            num_cells=2, memory_per_cell=(32 if pad else 4) << 20,
+            sanitize=sanitize), ack_policy=policy)
+        after = machine.run(one_batch, batched, node, pad, cached)[0]
+        return machine, after
+
+    @pytest.mark.parametrize("policy", AckPolicy.ALL)
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("node", [1, 0], ids=["peer", "self"])
+    @pytest.mark.parametrize("pad,cached", [(False, False), (True, False),
+                                            (False, True)],
+                             ids=["plain", "tlb-conflict", "cache-resident"])
+    def test_batch_leaves_what_its_commands_leave(
+            self, monkeypatch, policy, sanitize, node, pad, cached):
+        issued = []
+        real = batch.issue_batch
+
+        def spy(*args):
+            issued.append(real(*args))
+            return issued[-1]
+
+        monkeypatch.setattr(batch, "issue_batch", spy)
+        ours, after = self.run(True, policy, sanitize, node, pad, cached)
+        theirs, expected = self.run(False, policy, sanitize, node, pad,
+                                    cached)
+        assert issued == [True]         # one batch, not expanded
+        assert after == expected        # acknowledge books, progress
+        block, want = ours.trace.block(), theirs.trace.block()
+        assert block.keys() == want.keys()
+        for name in want:
+            assert block[name].tobytes() == want[name].tobytes(), name
+        assert memory_digest(ours) == memory_digest(theirs)
+        for mine, other in zip(ours.hw_cells, theirs.hw_cells):
+            assert mine.state() == other.state()
+        assert ours.tnet.state() == theirs.tnet.state()
+        if pad:     # every lookup of cell 0 evicted the one before
+            assert ours.hw_cells[0].mc.mmu.walks > len(BATCH_GETS)
+        if cached:
+            assert ours.hw_cells[node].cache.invalidated_lines > 0
+
+    def test_overlapping_batch_is_expanded(self):
+        """A batch reading back what it wrote is issued command by
+        command, and so reads what the single commands would."""
+        def program(ctx):
+            box = ctx.alloc(8)
+            flag = ctx.alloc_flag()
+            box.data[:] = np.arange(8) + 10.0 * ctx.pe
+            yield from ctx.barrier()
+            if ctx.pe == 0:
+                # PUT box[0] to box[4] there, GET it back into box[6].
+                ctx.transfer_batch(1, box, box, [False, True], [4, 4],
+                                   [0, 6], recv_flag=flag)
+                yield from ctx.flag_wait(flag, 1)
+            yield from ctx.barrier()
+            return box.data.tolist()
+
+        results = make(2).run(program)
+        assert results[0][6] == 0.0 and results[1][4] == 0.0
+
+    def test_refused_command_stops_the_batch_where_it_stands(self):
+        def program(ctx):
+            box = ctx.alloc(8)
+            if ctx.pe == 0:
+                with pytest.raises(CommunicationError, match="bounds"):
+                    ctx.transfer_batch(1, box, box, False, [0, 1, 8],
+                                       [0, 1, 2])
+            yield from ctx.barrier()
+
+        m = make(2)
+        m.run(program)
+        assert m.trace.count(EventKind.PUT) == 2
+
+    def test_offsets_must_pair_up(self):
+        def program(ctx):
+            box = ctx.alloc(8)
+            ctx.transfer_batch(1 - ctx.pe, box, box, True, [0, 1], [0])
+
+        with pytest.raises(CommunicationError, match="one remote and one"):
+            make(2).run(program)
 
 
 class TestComputeCharging:

@@ -11,7 +11,11 @@ program must leave both machines in the same state: results, events,
 memory, flag words, every hardware counter, the queue and MSC+ blocks
 of the harvested metrics (the occupancy series included, when
 observed), and the T-net's counters net of the link-control frames
-only the transport sends.
+only the transport sends.  A batch of one-element commands
+(``CellContext.transfer_batch``) is issued as one on the plugged,
+unobserved wire and one command at a time on the held one, so the
+generated programs compare the batch with its expansion too, under
+every acknowledge policy.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import api
+from repro.core.completion import AckPolicy
 from repro.core.errors import CommunicationError, PageFaultError
 from repro.core.flags import flag_area_end
-from repro.faults.chaos import memory_digest
+from repro.faults.chaos import memory_digest, trace_digest
 from repro.faults.plan import FaultPlan
 from repro.hardware.mmu import PAGE_256K
 from repro.machine.config import MachineConfig
@@ -44,11 +49,14 @@ from tests.programs import (
 QUIET = FaultPlan(name="quiet", seed=11)
 
 
-def machines(cells=4, observe=False):
+def machines(cells=4, observe=False, sanitize=False,
+             policy=AckPolicy.EVERY_PUT):
     plugged = Machine(MachineConfig(num_cells=cells, memory_per_cell=MEMORY,
-                                    observe=observe))
+                                    observe=observe, sanitize=sanitize),
+                      ack_policy=policy)
     held = Machine(MachineConfig(num_cells=cells, memory_per_cell=MEMORY,
-                                 fault_plan=QUIET, observe=observe))
+                                 fault_plan=QUIET, observe=observe,
+                                 sanitize=sanitize), ack_policy=policy)
     return plugged, held
 
 
@@ -82,17 +90,26 @@ def assert_same_state(plugged, held):
 
 
 @settings(max_examples=30, deadline=None)
-@given(cells=st.sampled_from([4, 5]), steps=programs, observe=st.booleans())
-@example(cells=5, steps=EVERY_OP, observe=False)
-@example(cells=5, steps=EVERY_OP, observe=True)
-def test_generated_programs_leave_both_wires_alike(cells, steps, observe):
-    plugged, held = machines(cells, observe)
+@given(cells=st.sampled_from([4, 5]), steps=programs, observe=st.booleans(),
+       sanitize=st.booleans(), policy=st.sampled_from(AckPolicy.ALL))
+@example(cells=5, steps=EVERY_OP, observe=False, sanitize=False,
+         policy=AckPolicy.EVERY_PUT)
+@example(cells=5, steps=EVERY_OP, observe=True, sanitize=False,
+         policy=AckPolicy.EVERY_PUT)
+@example(cells=4, steps=EVERY_OP, observe=False, sanitize=True,
+         policy=AckPolicy.LAST_PER_DEST)
+@example(cells=5, steps=EVERY_OP, observe=False, sanitize=False,
+         policy=AckPolicy.NONE)
+def test_generated_programs_leave_both_wires_alike(cells, steps, observe,
+                                                   sanitize, policy):
+    plugged, held = machines(cells, observe, sanitize, policy)
     want = plugged.run(round_program, steps=steps)
     assert held.run(round_program, steps=steps) == want
     assert plugged.engine["loop"] == "wake-set"
     assert held.engine["loop"] == "wake-set"
     for pe in range(cells):
         assert event_keys(plugged.trace, pe) == event_keys(held.trace, pe)
+    assert trace_digest(plugged.trace) == trace_digest(held.trace)
     assert_same_state(plugged, held)
 
 

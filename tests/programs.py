@@ -5,10 +5,12 @@ each as one SPMD round in which every cell does ``op`` toward
 ``(pe + shift) mod P`` and then the matching wait.  The ops cover put /
 get and their strided forms, acked put, send-recv, barrier, scalar and
 sub-group vector reductions, communication registers, remote word
-access and the ``repro.core.api`` spellings; steps write disjoint slots
-and only ever read the never-written ``out`` array remotely, so every
-generated program is race-free without extra barriers.  The equivalence
-tests (back ends, wires, streamed traces) draw from :data:`programs`.
+access, batches of one-element PUTs and GETs (one that reads what it
+wrote, one refused part-way) and the ``repro.core.api`` spellings;
+steps write disjoint slots and only ever read remotely the never-written
+``out`` array or what its owner wrote before a barrier, so every
+generated program is race-free.  The equivalence tests (back ends,
+wires, streamed traces) draw from :data:`programs`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.check.conform import _event_key
 from repro.core import api
+from repro.core.errors import CommunicationError
 from repro.core.stride import ElementStride
 
 MEMORY = 1 << 21
@@ -100,6 +103,55 @@ def op_remote_word(ctx, k, to, frm, out, inbox, seen):
     ctx.remote_store_word(to, inbox, k * SLOT, float(ctx.pe))
     seen.append(ctx.remote_load_word(to, out, 3))
     yield from ()
+
+
+def _seeded(ctx, k, inbox):
+    """Write the first two elements of slot ``k`` here, then barrier, so
+    that the batch ops may read them remotely; returns the slot base."""
+    base = k * SLOT
+    inbox.data[base:base + 2] = (1000.0 * ctx.pe + k, -1.0 - k)
+    yield from ctx.barrier()
+    return base
+
+
+def op_batch(ctx, k, to, frm, out, inbox, seen):
+    """Interleaved one-element PUTs (acked) and GETs in one batch."""
+    base = yield from _seeded(ctx, k, inbox)
+    flag = ctx.alloc_flag()
+    ctx.transfer_batch(to, inbox, inbox, [False, True, False, True],
+                       [base + 4, base + 1, base + 6, base],
+                       [base, base + 5, base + 1, base + 7],
+                       recv_flag=flag, ack=True)
+    yield from ctx.flag_wait(flag, 2)
+    yield from ctx.finish_puts()
+
+
+def op_batch_overlap(ctx, k, to, frm, out, inbox, seen):
+    """A batch that reads what it wrote: its GET reads back there what
+    its first PUT landed, its last PUT sends on what the GET landed."""
+    base = yield from _seeded(ctx, k, inbox)
+    flag = ctx.alloc_flag()
+    ctx.transfer_batch(to, inbox, inbox, [False, True, False],
+                       [base + 2, base + 2, base + 3],
+                       [base, base + 4, base + 4], recv_flag=flag, ack=True)
+    yield from ctx.flag_wait(flag, 1)
+    yield from ctx.finish_puts()
+
+
+def op_batch_refused(ctx, k, to, frm, out, inbox, seen):
+    """A batch whose last command fails its bounds check: the commands
+    before it are issued, and it is refused as it would be alone."""
+    base = yield from _seeded(ctx, k, inbox)
+    flag = ctx.alloc_flag()
+    try:
+        ctx.transfer_batch(to, inbox, inbox, [True, False, True],
+                           [base, base + 6, base + 1],
+                           [base + 5, base + 1, inbox.size],
+                           recv_flag=flag, ack=True)
+    except CommunicationError:
+        seen.append(-1.0)
+    yield from ctx.flag_wait(flag, 1)
+    yield from ctx.finish_puts()
 
 
 def op_api_put(ctx, k, to, frm, out, inbox, seen):
