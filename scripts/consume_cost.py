@@ -14,9 +14,14 @@ under ``ap1000+``: a recording replay and the Perfetto document)
 ``--repeats`` runs, in the manner of the per-stage cost tables of the
 OpenSHMEM-on-Epiphany paper.  The simulated elapsed time of the same
 trace is printed in ``sim_us`` columns of its own; the two clock
-domains never share a column.
+domains never share a column.  Every replay collects its metrics, as
+the bench runner's do.  ``replay calls`` is the profiled calls per
+event of one ``ap1000+`` replay (the program compiled and the link plan
+made beforehand, as ``tests/mlsim/test_replay_cost.py`` counts them), a
+count that repeats exactly; ``--max-replay-calls N`` exits 1 when TC no
+st's exceeds N (CI passes that test's ceiling).
 
-    python scripts/consume_cost.py [--json FILE]
+    python scripts/consume_cost.py [--json FILE] [--max-replay-calls N]
 
 (``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
@@ -24,7 +29,9 @@ domains never share a column.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import importlib.util
+import pstats
 import json
 import sys
 import tempfile
@@ -37,6 +44,8 @@ TRACES = (
     ("CG", 16, {"n": 1400, "outer": 3, "inner": 25}),
 )
 PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
+#: The trace whose replay calls per event ``--max-replay-calls`` holds.
+GATED = "TC no st"
 
 
 def least(repeats: int, func, *args, **kwargs) -> tuple[float, object]:
@@ -54,6 +63,9 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--json", metavar="FILE",
                         help="also write the table as JSON to FILE")
+    parser.add_argument("--max-replay-calls", type=float, metavar="N",
+                        help=f"exit 1 if one {GATED} replay makes more "
+                        "than N profiled calls per trace event")
     args = parser.parse_args()
 
     if importlib.util.find_spec("repro") is None:
@@ -72,8 +84,10 @@ def main() -> int:
           "event, sim_us = simulated elapsed time of the whole trace")
     print(f"{'trace':>10} {'events':>7} "
           + " ".join(f"{s + ' host_us':>26}" for s in stages) + " "
+          + f"{'replay calls':>13} "
           + " ".join(f"{name + ' sim_us':>19}" for name in PRESETS))
     rows = []
+    calls: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as scratch:
         path, copy = Path(scratch, "trace.jsonl"), Path(scratch, "copy.jsonl")
         for app, cells, sizes in TRACES:
@@ -104,20 +118,34 @@ def main() -> int:
                     args.repeats, replay_columns, columns, params,
                     collect_metrics=True, program=program)
                 sim[name] = result.elapsed_us
+            plus = presets[PRESETS.index("ap1000+")]
+            program = compile_program(columns, plus)
+            program.index.link_plan()
+            profile = cProfile.Profile()
+            profile.runcall(replay_columns, columns, plus,
+                            collect_metrics=True, program=program)
+            calls[app] = pstats.Stats(profile).total_calls / events
             print(f"{app:>10} {events:>7} "
                   + " ".join(f"{cost[s] * 1e6 / events:>26.3f}"
                              for s in stages) + " "
+                  + f"{calls[app]:>13.2f} "
                   + " ".join(f"{sim[name]:>19.1f}" for name in PRESETS))
             rows.append({
                 "trace": app, "events": events,
                 "file_bytes": path.stat().st_size,
                 "host_us": {s: round(cost[s] * 1e6 / events, 4)
                             for s in stages},
+                "replay_calls": round(calls[app], 4),
                 "sim_us": sim})
     if args.json:
         with open(args.json, "w", encoding="utf-8") as out:
             json.dump({"repeats": args.repeats, "rows": rows}, out, indent=2)
             out.write("\n")
+    ceiling = args.max_replay_calls
+    if ceiling is not None and calls[GATED] > ceiling:
+        print(f"FAIL: a {GATED} replay makes {calls[GATED]:.2f} calls per "
+              f"event, more than the ceiling of {ceiling:g}")
+        return 1
     return 0
 
 

@@ -45,7 +45,15 @@ throughput:
   ``min``/``max`` would keep on a tie.  What remains are container
   methods (a dict probe per channel, deque and set traffic per context
   switch) and one ``record_flag`` per flag update, held to a ceiling
-  by ``tests/mlsim/test_replay_cost.py``.
+  by ``tests/mlsim/test_replay_cost.py``;
+* a run — a maximal stretch of at least ``_RUN_MIN`` consecutive
+  PUT/GET rows of one PE, found with array operations — is one step of
+  that pass, planned once per trace and applied per preset in array
+  operations that leave every float and all scheduler state as the rows
+  would (:mod:`repro.mlsim.runs`).  The loop reaches a run through one
+  opcode at its first row; under ``link_contention`` or
+  ``record_timeline`` the step declines and the rows are replayed one
+  by one.
 
 Scheduling replicates the oracle's runnable-deque discipline event for
 event.  Every scheduling decision (park, wake, completion) is a
@@ -69,6 +77,8 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
+from dataclasses import fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -98,6 +108,9 @@ from repro.obs.registry import REPLAY_SCHEMA, Histogram
 from repro.trace.events import EventKind
 from repro.trace.soa import TraceColumns
 
+if TYPE_CHECKING:
+    from repro.mlsim.runs import RunCosts
+
 # Interpreter opcodes: EventKind collapsed to what the replay loop
 # distinguishes (GOP/VGOP share a handler, as do the CREG pair and the
 # three robustness instants).
@@ -115,6 +128,9 @@ _REMOTE_STORE = 10
 _CREG = 11
 _INSTANT = 12
 _PHASE = 13
+#: The first row of a run (:mod:`repro.mlsim.runs`); above ``_INSTANT``
+#: so the loop's theft check passes it by: the run step charges that.
+_RUN = 14
 
 _OPCODE = {
     int(EventKind.COMPUTE): _COMPUTE,
@@ -148,6 +164,12 @@ _INSTANT_NAME = {
 #: instead of the Histogram's linear scan.
 _HIST_OVERFLOW = 21
 
+#: Fewest consecutive PUT/GET rows the loop replays as one run step: the
+#: break-even.  With metrics on, the step costs about 45 µs whatever its
+#: length up to a few dozen rows, the loop about 1.45 µs per row (2-vCPU
+#: KVM guest, CPython 3.11, numpy 2.4), so they meet at 31-32 rows.
+_RUN_MIN = 32
+
 
 def _torus_distances(topology: TorusTopology, src: np.ndarray,
                      dst: np.ndarray) -> np.ndarray:
@@ -169,6 +191,36 @@ def _log2_rounds(sizes: np.ndarray) -> dict[int, int]:
             for s in np.unique(sizes)}
 
 
+def _find_runs(columns: TraceColumns, pe_of: np.ndarray) -> dict:
+    """The plan (:class:`repro.mlsim.runs.Run`) of every maximal stretch
+    of at least ``_RUN_MIN`` consecutive PUT/GET rows of one PE, by first
+    row.
+
+    A GET a PE sends itself ends a stretch: its reply takes the channel
+    its request just took, so that channel's clamps depend on each
+    other and the scalar loop replays the row.
+    """
+    kind, partner = columns.kind, columns.partner
+    if not len(kind):
+        return {}
+    flows = (kind == int(EventKind.PUT)) | (
+        (kind == int(EventKind.GET)) & (partner != pe_of))
+    joined = np.zeros(len(kind), dtype=bool)   # continues the row above
+    joined[1:] = flows[1:] & flows[:-1]
+    heads = columns.starts[:-1]
+    joined[heads[heads < len(kind)]] = False
+    firsts = np.flatnonzero(flows & ~joined)
+    lasts = np.flatnonzero(flows & ~np.append(joined[1:], False))
+    long = np.flatnonzero(lasts - firsts + 1 >= _RUN_MIN)
+    if not len(long):
+        return {}
+    from repro.mlsim.runs import Run    # the run step, for traces with runs
+
+    return {first: Run(columns, first, last + 1, int(pe_of[first]))
+            for first, last in zip(firsts[long].tolist(),
+                                   lasts[long].tolist())}
+
+
 class _TraceIndex:
     """Preset-independent structure of one decoded trace.
 
@@ -182,7 +234,8 @@ class _TraceIndex:
     """
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
-                 "ops", "starts", "i0", "i1", "i2", "i3",
+                 "ops", "run_ops", "runs", "gaps", "starts",
+                 "i0", "i1", "i2", "i3",
                  "instant_counts", "_link_plan", "link_table")
 
     def __init__(self, columns: TraceColumns,
@@ -214,6 +267,20 @@ class _TraceIndex:
             table[k] = op
         self.ops = table[kind].tolist()
         self.starts = columns.starts.tolist()
+        self.runs = _find_runs(columns, pe_of_all)
+        self.run_ops = self.ops
+        self.gaps = [(0, len(kind))]    # the rows outside runs
+        if self.runs:
+            self.run_ops = list(self.ops)
+            self.gaps = []
+            done = 0
+            for first, run in self.runs.items():
+                self.run_ops[first] = _RUN
+                if first > done:
+                    self.gaps.append((done, first))
+                done = run.stop
+            if done < len(kind):
+                self.gaps.append((done, len(kind)))
         # Integer operands (see the _Program docstring table).  The
         # generic layout is the PUT/GET one; kinds whose operands differ
         # are rewritten with vectorized index assignments.  ``tolist``
@@ -264,7 +331,8 @@ class _TraceIndex:
         ``plan[i]`` is ``None`` for non-communication events, a tuple of
         link ids for PUT/SEND (empty for self-sends), and a
         ``(request_route, reply_route)`` pair for GET.  Link ids are
-        dense indices into ``link_table``.
+        dense indices into ``link_table``.  Each run gets its charges
+        (:meth:`repro.mlsim.runs.Run.plan_links`) with the plan.
         """
         if self._link_plan is not None:
             return self._link_plan
@@ -316,6 +384,8 @@ class _TraceIndex:
             plan[idx] = routes[inverse]
         plan = plan.tolist()
         self._link_plan = plan
+        for run in self.runs.values():
+            run.plan_links(columns, plan)
         return plan
 
 
@@ -352,16 +422,31 @@ class _Program:
     ========  =======  =======  ==========  =========
 
     Float slots carry the precomputed per-event costs; see the per-kind
-    blocks below.
+    blocks below.  A trace with runs also gets them as arrays for the run
+    step (``run_costs``, a :class:`repro.mlsim.runs.RunCosts`), and its
+    lists skip the rows inside runs, which only a replay that declines
+    the step reads (:meth:`operands`).
     """
 
-    __slots__ = ("index", "f0", "f1", "f2", "f3", "f4", "f5")
+    __slots__ = ("index", "params", "costs", "lists", "_full", "run_costs",
+                 "dma_setup", "send_flag_tail", "send_theft",
+                 "get_send_cpu")
 
     def __init__(self, index: _TraceIndex, params: MLSimParams) -> None:
         self.index = index
+        self.params = params
         columns = index.columns
         p = params
         hw = p.hardware_put_get
+        # Per-preset scalar constants (put_model functions of params only).
+        self.dma_setup = p.put_dma_set_time if hw else 0.0
+        self.send_flag_tail = p.send_complete_time + p.send_complete_flag_time
+        self.send_theft = 0.0 if hw else p.send_complete_time
+        get_send_cpu = p.put_prolog_time + p.put_enqueue_time
+        if not hw:
+            get_send_cpu += p.put_msg_post_time * 0
+            get_send_cpu += p.put_dma_set_time
+        self.get_send_cpu = get_send_cpu + p.put_epilog_time
         kind = columns.kind
         total = len(kind)
         by_kind = index.by_kind
@@ -483,24 +568,86 @@ class _Program:
         if len(idx):
             f0[idx] = recv_cpu_theft(p, columns.size[idx])
 
-        # Slots no kind wrote stay identically zero; materialize those as
-        # plain zero lists instead of round-tripping numpy zeros.
-        zeros = None
-        out = []
-        for arr in (f0, f1, f2, f3, f4, f5):
-            if arr.any():
-                out.append(arr.tolist())
-            else:
-                if zeros is None:
-                    zeros = [0.0] * total
-                out.append(zeros)
-        self.f0, self.f1, self.f2, self.f3, self.f4, self.f5 = out
+        costs = (f0, f1, f2, f3, f4, f5)
+        self.lists = _operand_lists(costs, index.gaps)
+        self.costs: tuple[np.ndarray, ...] = ()
+        self._full: tuple[list[float], ...] | None = self.lists
+        self.run_costs: RunCosts | None = None
+        if index.runs:
+            from repro.mlsim.runs import RunCosts
+
+            self.costs = costs          # kept for the full lists
+            self._full = None
+            self.run_costs = RunCosts(
+                kind, index.runs, costs, self.dma_setup,
+                self.send_flag_tail, self.send_theft, self.get_send_cpu)
+
+    def operands(self, runs: bool) -> tuple[list[float], ...]:
+        """The float slots as lists: with ``runs`` (the loop replays runs
+        as steps) every row outside them, else every row."""
+        if runs:
+            return self.lists
+        if self._full is None:       # a trace with runs: costs are kept
+            self._full = _operand_lists(self.costs, [(0, len(self.costs[0]))])
+        return self._full
+
+def _operand_lists(costs: tuple[np.ndarray, ...],
+                   spans) -> tuple[list[float], ...]:
+    """``costs`` as lists holding the rows of ``spans`` and one shared
+    zero elsewhere (so does a slot no kind wrote: one zero list)."""
+    total = len(costs[0])
+    whole = spans == [(0, total)]
+    zeros = None
+    lists = []
+    for arr in costs:
+        written = arr.any()
+        if written and whole:
+            lists.append(arr.tolist())
+            continue
+        if zeros is None:
+            zeros = [0.0] * total
+        got = zeros
+        if written:
+            got = list(zeros)
+            for a, b in spans:
+                got[a:b] = arr[a:b].tolist()
+        lists.append(got)
+    return tuple(lists)
 
 
 def compile_program(columns: TraceColumns, params: MLSimParams,
                     topology: TorusTopology | None = None) -> _Program:
     """Precompute the operand lists for one (trace, params) pair."""
     return _Program(trace_index(columns, topology), params)
+
+
+def _check_program(program: _Program, columns: TraceColumns,
+                   params: MLSimParams,
+                   topology: TorusTopology | None) -> None:
+    """Refuse a program compiled for other columns, another torus or
+    other params: replaying it would give a wrong result, not an error."""
+    index = program.index
+    if index.columns is not columns:
+        raise SimulationError(
+            "program was compiled for other trace columns")
+    if topology is None:
+        topology = TorusTopology.for_cells(columns.num_pes)
+    have = (index.topology.width, index.topology.height)
+    want = (topology.width, topology.height)
+    if have != want:
+        raise SimulationError(
+            "program was compiled for another torus "
+            f"({have[0]}x{have[1]}, not {want[0]}x{want[1]})")
+    if program.params != params:
+        if program.params.name != params.name:
+            what = f"{program.params.name!r}, not {params.name!r}"
+        else:
+            what = ", ".join(
+                f.name for f in fields(params)
+                if getattr(program.params, f.name) != getattr(params, f.name))
+            what += " differ"
+        raise SimulationError(
+            f"program was compiled for other params ({what})")
 
 
 def _histogram(count: int, total: float, high: float,
@@ -535,23 +682,27 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     p = params
     if program is None:
         program = compile_program(columns, p, topology)
+    else:
+        _check_program(program, columns, p, topology)
     index = program.index
-    ops = index.ops
+    contend = link_contention
+    record = record_timeline
+    # Runs are replayed as one step unless a timeline or the link step
+    # needs every row on its own.
+    stepped = not (contend or record)
+    ops = index.run_ops if stepped else index.ops
+    runs = index.runs
+    if program.run_costs is not None:   # no _RUN row otherwise
+        run_step = program.run_costs.replay
     starts = index.starts
     i0, i1, i2, i3 = index.i0, index.i1, index.i2, index.i3
-    f0, f1, f2, f3, f4, f5 = (program.f0, program.f1, program.f2,
-                              program.f3, program.f4, program.f5)
+    f0, f1, f2, f3, f4, f5 = program.operands(stepped)
 
     # Per-preset scalar constants (put_model functions of params only).
-    hw = p.hardware_put_get
-    dma_setup = p.put_dma_set_time if hw else 0.0
-    send_flag_tail = p.send_complete_time + p.send_complete_flag_time
-    send_theft = 0.0 if hw else p.send_complete_time
-    get_send_cpu = p.put_prolog_time + p.put_enqueue_time
-    if not hw:
-        get_send_cpu += p.put_msg_post_time * 0
-        get_send_cpu += p.put_dma_set_time
-    get_send_cpu += p.put_epilog_time
+    dma_setup = program.dma_setup
+    send_flag_tail = program.send_flag_tail
+    send_theft = program.send_theft
+    get_send_cpu = program.get_send_cpu
     flag_prolog = p.flag_check_prolog_time
     flag_epilog = p.flag_check_epilog_time
     recv_lib = p.recv_lib_time
@@ -614,7 +765,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     bw_total = 0.0
     bw_max = 0.0
     bw_buckets = [0] * (_HIST_OVERFLOW + 1)
-    contend = link_contention
     plan = index.link_plan() if collect or contend else []
     nlinks = len(index.link_table)
     if collect:
@@ -622,9 +772,11 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
         link_busy = [0.0] * nlinks
         link_bytes = [0] * nlinks
         link_frames = [0] * nlinks
+        metrics = (dma_busy, link_busy, link_bytes, link_frames)
     else:
         dma_busy = []
         link_busy = link_bytes = link_frames = []
+        metrics = None
     link_free = [0.0] * nlinks
 
     def contended(route: tuple[int, ...], inject: float,
@@ -655,7 +807,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     # the event being replayed (PE, label, packet endpoints and size are
     # that event's; Timeline derives them on read).  A GET logs its
     # request flow, then its reply.
-    record = record_timeline
     sp_event: list[int] = []
     sp_code: list[int] = []
     sp_start: list[float] = []
@@ -1086,6 +1237,14 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     span(i, OVERHEAD, clk, clk + creg_access)
                 clk += creg_access
                 over += creg_access
+            elif op == _RUN:
+                run = runs[i]
+                clk, over, th = run_step(
+                    run, clk, over, th, n, chan_last, theft, flag_times,
+                    flag_waiters, queued, runnable, metrics)
+                messages += run.messages
+                bytes_on_wire += run.nbytes
+                i = run.stop - 1
             elif record:
                 # _INSTANT (the link layer and the queue spill hardware
                 # run concurrently with the processor) and _PHASE (a user

@@ -17,6 +17,7 @@ equal operands.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -27,8 +28,10 @@ from hypothesis import strategies as st
 from repro.apps.workloads import workload
 from repro.bench.cache import jsonify
 from repro.core.errors import SimulationError
-from repro.mlsim.engine_soa import replay_columns
+from repro.mlsim.engine_soa import compile_program, replay_columns, trace_index
 from repro.mlsim.params import MLSimParams, preset
+from repro.mlsim.runs import fifo
+from repro.network.topology import TorusTopology
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.soa import columns_from_buffer
@@ -78,6 +81,9 @@ WORKLOAD_CASES = {
     "MatMul": dict(num_cells=16, n=64),
     "RingShift": dict(num_cells=16, hops=48),
     "PingPong": dict(num_cells=16, iters=24),
+    # Six runs of 99 PUT/GET rows: replayed as run steps, and row by row
+    # under a timeline or link contention.
+    "TC no st": dict(num_cells=4, n=33, iters=1, use_stride=False),
 }
 
 
@@ -225,7 +231,9 @@ def tie_scripts(draw):
     follows the transfer that satisfies it, every collective is issued
     by all members at once.  A PUT's receiver need not wait for it, so
     a cell may run ahead of traffic addressed to it (which is how a GET
-    reply comes to be discovered out of injection order)."""
+    reply comes to be discovered out of injection order).  A burst is
+    one PE's run of 1-300 PUT/GETs to 1-3 partners, itself included (see
+    ``burst_rows``): long ones are replayed as one run step."""
     n = draw(st.integers(1, 5))
     pe = st.integers(0, n - 1)
     size = st.sampled_from([0, 0, 8, 64, 4096])
@@ -242,8 +250,45 @@ def tie_scripts(draw):
                   st.booleans(), size),
         st.tuples(st.just("mark"), pe, st.sampled_from(
             ["RETRY", "TIMEOUT", "SPILL", "phase a", "phase b"])),
+        st.tuples(st.just("burst"), pe,
+                  st.lists(pe, min_size=1, max_size=3, unique=True),
+                  st.integers(1, 300), st.integers(0, 2**16)),
     )
     return n, draw(st.lists(step, max_size=16))
+
+
+def burst_rows(buf: TraceBuffer, n: int, src: int, partners, count: int,
+               seed: int, counts: dict[int, int]) -> None:
+    """``count`` PUT/GETs from ``src`` (zero-size acknowledging GETs
+    among them, some with send flags), then waits on the flags they
+    raised by any PE, for the last count or any earlier one: a PE that
+    gets there first parks, and the burst wakes it."""
+    rng = random.Random(seed)
+    raised = set()
+    get_share = rng.choice([0.1, 0.5, 0.9])
+    for _ in range(count):
+        dst = rng.choice(partners)
+        get = rng.random() < get_share
+        sent = 1 + src if rng.random() < 0.2 else 0
+        landed = 0
+        if rng.random() < 0.8:
+            landed = (200 if get else 100) + src * n + dst
+        buf.record(TraceEvent(
+            EventKind.GET if get else EventKind.PUT, pe=src, partner=dst,
+            size=rng.choice([0, 0, 8, 64, 4096]), send_flag=sent,
+            recv_flag=landed))
+        for flag in (sent, landed):
+            if flag:
+                raised.add(flag)
+                counts[flag] = counts.get(flag, 0) + 1
+    for flag in sorted(raised):
+        for waiter in range(n):
+            if rng.random() < 0.4:
+                reached = counts[flag]
+                if rng.random() < 0.5:
+                    reached = rng.randint(1, reached)
+                buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=waiter,
+                                      flag=flag, target=reached))
 
 
 def tie_trace(n: int, steps) -> TraceBuffer:
@@ -294,6 +339,8 @@ def tie_trace(n: int, steps) -> TraceBuffer:
                                       flag=buf.phase_id(what)))
             else:
                 buf.record(TraceEvent(EventKind[what], pe=where))
+        elif name == "burst":
+            burst_rows(buf, n, *step[1:], counts)
         else:
             group, explicit = sorted(step[1]), step[2]
             gid = buf.groups.intern(tuple(group))
@@ -317,3 +364,125 @@ class TestGeneratedTies:
     def test_scalar_and_soa_agree_bit_for_bit(self, script, collect):
         assert_equivalent(tie_trace(*script),
                           (*map(preset, PRESETS), FREE), collect)
+
+
+#: Bursts on both sides of the run step's threshold (``_RUN_MIN``).
+BURSTS = {
+    # PEs 0 and 1 run first and park on flags the burst raises, for
+    # counts it reaches in its middle: the wake order.
+    "parked partners": (3, [("burst", 2, [0, 1], 200, 7)]),
+    "parked partners, short": (3, [("burst", 2, [0, 1], 20, 7)]),
+    # The burst wakes PEs out of flag-id order, and the order they run
+    # in decides the clamps and theft sums that follow.
+    "wake order decides a clamp": (4, [
+        ("burst", 3, [2, 1, 0], 87, 887), ("compute", 2, 1.5),
+        ("get", 3, 1, 4096)]),
+    # PE 1's late PUT 1 -> 0 is known before PE 0's GETs to 1: their
+    # replies depart before the channel's last packet.
+    "replies out of order": (3, [
+        ("send", 2, 0, 8), ("compute", 1, 100000.0),
+        ("put", 1, 0, 4096, False, False), ("burst", 0, [1], 120, 5)]),
+    "replies out of order, short": (3, [
+        ("send", 2, 0, 8), ("compute", 1, 100000.0),
+        ("put", 1, 0, 4096, False, False), ("burst", 0, [1], 20, 5)]),
+    # The PE among its partners: self-PUTs ride in a run, self-GETs
+    # end one.
+    "self among three": (4, [("compute", 0, 40.0),
+                             ("burst", 3, [3, 0, 2], 300, 2)]),
+    "self and one": (2, [("burst", 1, [1, 0], 150, 1)]),
+}
+
+
+class TestBursts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                              st.sampled_from([0.0, 0.5, 3.0])),
+                    min_size=1, max_size=12),
+           st.one_of(st.none(), st.tuples(
+               st.sampled_from([-1.0, 0.0, 2.5, 9.0]),
+               st.sampled_from([0.0, 3.0, 12.0]))))
+    def test_channel_clamp_is_the_loops(self, transfers, last):
+        """``fifo`` against the loop's rule, departures out of order."""
+        depart = np.array([d for d, _ in transfers])
+        raw = depart + np.array([w for _, w in transfers])
+        want, chan = [], last
+        for d, r in zip(depart.tolist(), raw.tolist()):
+            if chan is None:
+                chan = (d, 0.0 if r < 0.0 else r)
+                want.append(chan[1])
+            elif d >= chan[0]:
+                chan = (d, chan[1] if chan[1] > r else r)
+                want.append(chan[1])
+            else:
+                want.append(r)
+        got, got_chan = fifo(depart, raw, last)
+        assert (got.tolist(), got_chan) == (want, chan)
+
+    @pytest.mark.parametrize("name", sorted(BURSTS))
+    def test_burst_replays_bit_for_bit(self, name):
+        trace = tie_trace(*BURSTS[name])
+        assert_equivalent(trace, (*map(preset, PRESETS), FREE))
+        runs = trace_index(columns_from_buffer(trace)).runs
+        assert bool(runs) == ("short" not in name), sorted(runs)
+
+    def test_runs_are_maximal_stretches_of_one_pe(self):
+        buf = TraceBuffer(num_pes=2)
+        for pe in (0, 1):
+            for k in range(40):
+                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=1 - pe,
+                                      size=8))
+        # A self-GET ends PE 1's stretch: 40 + 39 rows around it.
+        buf.record(TraceEvent(EventKind.GET, pe=1, partner=1, size=8))
+        for k in range(39):
+            buf.record(TraceEvent(EventKind.GET, pe=1, partner=0, size=8))
+        runs = trace_index(columns_from_buffer(buf)).runs
+        assert [(r.start, r.stop, r.pe) for r in runs.values()] == [
+            (0, 40, 0), (40, 80, 1), (81, 120, 1)]
+
+
+class TestProgramRefusals:
+    """A compiled program replays only the columns, torus and params it
+    was compiled for; anything else would be a wrong result, not an
+    error."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        return columns_from_buffer(
+            workload("RingShift").runner(num_cells=8).trace)
+
+    def test_its_own_program_is_the_plain_replay(self, ring):
+        plus = preset("ap1000+")
+        program = compile_program(ring, plus)
+        assert result_doc(replay_columns(ring, plus, program=program)) \
+            == result_doc(replay_columns(ring, plus))
+
+    def test_other_columns(self, ring):
+        other = columns_from_buffer(
+            workload("PingPong").runner(num_cells=8).trace)
+        program = compile_program(other, preset("ap1000+"))
+        with pytest.raises(SimulationError,
+                           match="compiled for other trace columns$"):
+            replay_columns(ring, preset("ap1000+"), program=program)
+
+    def test_another_torus(self, ring):
+        program = compile_program(ring, preset("ap1000+"),
+                                  TorusTopology(8, 1))
+        with pytest.raises(SimulationError, match=r"another torus "
+                           r"\(8x1, not 4x2\)$"):
+            replay_columns(ring, preset("ap1000+"), program=program)
+        with pytest.raises(SimulationError, match=r"another torus "
+                           r"\(4x2, not 8x1\)$"):
+            replay_columns(ring, preset("ap1000+"), TorusTopology(8, 1),
+                           program=compile_program(ring, preset("ap1000+")))
+
+    def test_other_params(self, ring):
+        plus = preset("ap1000+")
+        program = compile_program(ring, preset("ap1000-fast"))
+        with pytest.raises(SimulationError, match=r"other params "
+                           r"\('AP1000/SuperSPARC', not 'AP1000\+'\)$"):
+            replay_columns(ring, plus, program=program)
+        slower = replace(plus, network_delay_time=1.0, put_msg_time=0.1)
+        with pytest.raises(SimulationError, match=r"other params "
+                           r"\(network_delay_time, put_msg_time differ\)$"):
+            replay_columns(ring, slower,
+                           program=compile_program(ring, plus))
