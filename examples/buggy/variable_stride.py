@@ -2,8 +2,8 @@
 
 Each cell PUTs around a ring with an ``ElementStride`` whose skip is
 the *loop variable* — a different stride every iteration, so no single
-1-D hardware stride transfer describes the pattern (``SPMD005``).  The
-closing ``finish_puts`` is called without ``yield from``, so the
+1-D hardware stride transfer describes the pattern (``COMM-STRIDE``).
+The closing ``finish_puts`` is called without ``yield from``, so the
 completion it was supposed to provide silently never happens
 (``SPMD002``).  Both are static findings; the program itself runs (the
 same-channel T-net FIFO keeps one cell's own PUTs ordered).
@@ -17,7 +17,7 @@ from repro.machine.machine import Machine
 
 NAME = "variable_stride"
 CELLS = 4
-EXPECT = {"SPMD005", "SPMD002"}
+EXPECT = {"SPMD002"}
 #: The analyzer's run observes two distinct remote byte skips at the
 #: same put_stride call site — no name heuristics involved.
 EXPECT_STATIC = {"COMM-STRIDE"}

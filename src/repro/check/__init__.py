@@ -1,7 +1,7 @@
 """repro.check — one-sided race detector, synchronization sanitizer,
 and SPMD lint.
 
-Two cooperating analyses over the same diagnostic vocabulary:
+Three cooperating analyses over the same diagnostic vocabulary:
 
 * the **dynamic checker** (:mod:`repro.check.hb`,
   :mod:`repro.check.races`) replays a recorded trace, reconstructs the
@@ -10,14 +10,15 @@ Two cooperating analyses over the same diagnostic vocabulary:
   plus synchronization defects (deadlocked waits, mismatched
   collectives);
 * the **static lint** (:mod:`repro.check.lint`) walks application
-  source for SPMD API misuse that may only misbehave at other scales;
+  source for the SPMD API misuse no trace records: CPU reads before
+  ``movewait``, dropped blocking generators, reused RECEIVE slots;
 * the **static communication-graph analyzer** (:mod:`repro.check.comm`,
   :mod:`repro.check.symbolic`) concolically executes cell programs at
   several machine sizes, extracts the PUT/GET communication graph with
   closed-form message counts in P, and reports scale-generic deadlock,
-  race, and stride findings — plus a **trace-conformance** mode
-  (:mod:`repro.check.conform`) that checks recorded traces are
-  linearizations of the predicted graph.
+  race, and stride findings.  It runs the programs on the production
+  :class:`~repro.machine.machine.Machine`, so its trace at a size is the
+  trace a sanitized run of the app records there.
 
 Drive them through :mod:`repro.check.runner` or ``repro check``.
 """

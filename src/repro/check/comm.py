@@ -28,8 +28,8 @@ scale-generic analyses the dynamic checker cannot:
     predicted trace (``repro.check.races`` beyond the traced execution);
 ``COMM-STRIDE``
     a stride-transfer call site whose remote byte skip varies within
-    one run — the non-constant-stride pattern SPMD005 approximates in the
-    AST, checked here against actually-issued transfers.
+    one run — a non-constant stride, read off the transfers actually
+    issued.
 
 Findings are aggregated across machine sizes, so one report covers
 P ∈ {4, 16, 64} with a single diagnostic per root cause.
@@ -93,8 +93,8 @@ _EDGE_KINDS = {EventKind.PUT, EventKind.GET, EventKind.SEND}
 _NODE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP,
                EventKind.FLAG_WAIT}
 _COLLECTIVE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP}
-#: Timing/annotation records, not communication; both the graph and the
-#: conformance comparison skip them, and they get no call site.
+#: Timing/annotation records, not communication; the graph skips them,
+#: and they get no call site.
 UNTIMED_KINDS = frozenset({EventKind.COMPUTE, EventKind.RTSYS,
                            EventKind.PHASE})
 

@@ -19,8 +19,6 @@ Static codes (SPMD lint)
     ``SPMD001`` move destination read before ``movewait``
     ``SPMD002`` blocking call not driven with ``yield from``
     ``SPMD003`` in-place RECEIVE packet used after further blocking calls
-    ``SPMD004`` ungrouped collective under a cell-dependent branch
-    ``SPMD005`` stride built from a loop variable (non-constant stride)
 
 Static codes (communication-graph analyzer, :mod:`repro.check.comm`)
     ``COMM-DIVERGENCE``     group members issue diverging collective
@@ -31,10 +29,6 @@ Static codes (communication-graph analyzer, :mod:`repro.check.comm`)
                             no ordering (a race at *some* P)
     ``COMM-STRIDE``         one call site issues stride transfers with
                             multiple remote byte skips
-    ``COMM-NONCONFORM``     a recorded trace is not a linearization of
-                            the static graph, or its message counts or
-                            bytes disagree with the predicted closed
-                            forms (:mod:`repro.check.conform`)
 
 Reports serialize with an explicit ``schema`` version
 (:data:`CHECK_SCHEMA`); consumers must reject versions they do not

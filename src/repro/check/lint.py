@@ -1,12 +1,13 @@
 """Static SPMD lint over application and example sources.
 
-The dynamic checker sees one execution; these AST rules catch API misuse
-patterns that may only misbehave at other scales or timings.  All rules
-are heuristics over names (``ctx``/``rt`` receivers are not resolved),
-so every finding can be suppressed with a ``# spmd: ignore`` or
-``# spmd: ignore[CODE]`` comment on the flagged line, or file-wide with
-``# spmd: ignore-file`` / ``# spmd: ignore-file[CODE]`` anywhere in the
-file (file-level suppression applies first; per-line comments then
+The dynamic checker and the static analyzer (:mod:`repro.check.comm`)
+judge what a run issues; these AST rules catch the API misuse no run
+records: CPU reads, dropped generators and reused RECEIVE slots.  All
+rules are heuristics over names (``ctx``/``rt`` receivers are not
+resolved), so every finding can be suppressed with a ``# spmd: ignore``
+or ``# spmd: ignore[CODE]`` comment on the flagged line, or file-wide
+with ``# spmd: ignore-file`` / ``# spmd: ignore-file[CODE]`` anywhere in
+the file (file-level suppression applies first; per-line comments then
 cover whatever codes it left active).
 
 Rules:
@@ -24,19 +25,6 @@ Rules:
 ``SPMD003``
     A packet obtained from an in-place RECEIVE is used after a later
     blocking receive — the ring-buffer slot may have been reused.
-``SPMD004``
-    An *ungrouped* collective under a cell-dependent branch: if not
-    every cell takes the branch, the collective's membership is wrong
-    and the program deadlocks (collectives passed an explicit group are
-    exempt — conditioning a group collective on membership is correct).
-    ``ctx.ckpt_state(...)`` bags are treated as uniform: the checkpoint
-    gate is a whole-machine barrier, so their control fields (``fresh``,
-    loop counters) agree across cells even when the data defaults that
-    seeded them were cell-local.
-``SPMD005``
-    An ``ElementStride`` built from an enclosing loop variable: the
-    stride changes per iteration, defeating the single 1-D hardware
-    stride transfer the pattern is meant to produce.
 """
 
 from __future__ import annotations
@@ -58,9 +46,6 @@ BLOCKING_CALLS = frozenset({
     "recv", "recv_array", "creg_load", "wt_bind", "wt_refresh",
     "checkpoint",
 })
-
-#: Collective calls whose membership must agree across cells.
-COLLECTIVE_CALLS = frozenset({"barrier", "gop", "vgop", "movewait"})
 
 #: Run-time move calls -> index of the argument naming the destination.
 MOVE_DEST_ARG = {
@@ -163,15 +148,6 @@ def _walk_headers(headers: list[ast.AST]) -> Iterator[ast.AST]:
             yield node
 
 
-def _mentions_taint(node: ast.AST, tainted: set[str]) -> bool:
-    for cur in ast.walk(node):
-        if isinstance(cur, ast.Name) and cur.id in tainted:
-            return True
-        if isinstance(cur, ast.Attribute) and cur.attr == "pe":
-            return True
-    return False
-
-
 def _assigned_names(target: ast.expr) -> list[str]:
     if isinstance(target, ast.Name):
         return [target.id]
@@ -224,28 +200,16 @@ class _FunctionLinter:
         ))
 
     def run(self) -> list[Diagnostic]:
-        self._lint_statements(self._own_body(), tainted={"pe"},
-                              pe_branch=False)
-        self._lint_strides()
-        return self.diagnostics
-
-    def _own_body(self) -> list[ast.stmt]:
-        return self.func.body
-
-    # -- linear rules (SPMD001/002/003/004) ----------------------------
-
-    def _lint_statements(self, body: list[ast.stmt], *, tainted: set[str],
-                         pe_branch: bool) -> None:
         # pending destination name -> (line, move call name)
         pending: dict[str, tuple[int, str]] = {}
         unsafe_packets: dict[str, int] = {}
         inplace_packets: set[str] = set()
-        for stmt in body:
-            self._scan_statement(stmt, tainted, pe_branch, pending,
-                                 inplace_packets, unsafe_packets)
+        for stmt in self.func.body:
+            self._scan_statement(stmt, pending, inplace_packets,
+                                 unsafe_packets)
+        return self.diagnostics
 
-    def _scan_statement(self, stmt: ast.stmt, tainted: set[str],
-                        pe_branch: bool,
+    def _scan_statement(self, stmt: ast.stmt,
                         pending: dict[str, tuple[int, str]],
                         inplace_packets: set[str],
                         unsafe_packets: dict[str, int]) -> None:
@@ -271,15 +235,6 @@ class _FunctionLinter:
                         f"blocking call `{name}` is not driven with "
                         f"`yield from`; the generator is created and "
                         f"dropped, so the {name} never happens",
-                    )
-                if pe_branch and name in COLLECTIVE_CALLS \
-                        and not self._grouped(node, name):
-                    self.emit(
-                        "SPMD004", node.lineno,
-                        f"ungrouped collective `{name}` under a "
-                        f"cell-dependent branch: cells that skip this "
-                        f"branch never arrive, so the collective "
-                        f"deadlocks or matches the wrong instance",
                     )
                 if name == "movewait":
                     pending.clear()
@@ -320,43 +275,11 @@ class _FunctionLinter:
             for name in inplace_packets:
                 unsafe_packets.setdefault(name, stmt.lineno)
         self._track_inplace(stmt, inplace_packets)
-        self._track_taint(stmt, tainted)
         # Recurse into compound statements in order.
-        for child_body, child_pe in self._child_bodies(stmt, tainted,
-                                                       pe_branch):
+        for child_body in _child_bodies(stmt):
             for child in child_body:
-                self._scan_statement(child, tainted, child_pe, pending,
-                                     inplace_packets, unsafe_packets)
-
-    def _child_bodies(self, stmt: ast.stmt, tainted: set[str],
-                      pe_branch: bool) -> Iterator[
-            tuple[list[ast.stmt], bool]]:
-        if isinstance(stmt, ast.If):
-            dependent = pe_branch or _mentions_taint(stmt.test, tainted)
-            yield stmt.body, dependent
-            yield stmt.orelse, dependent
-        elif isinstance(stmt, ast.While):
-            dependent = pe_branch or _mentions_taint(stmt.test, tainted)
-            yield stmt.body, dependent
-            yield stmt.orelse, dependent
-        elif isinstance(stmt, ast.For):
-            dependent = pe_branch or _mentions_taint(stmt.iter, tainted)
-            yield stmt.body, dependent
-            yield stmt.orelse, dependent
-        elif isinstance(stmt, (ast.With, ast.Try)):
-            for attr in ("body", "orelse", "finalbody"):
-                yield getattr(stmt, attr, []), pe_branch
-            for handler in getattr(stmt, "handlers", []):
-                yield handler.body, pe_branch
-
-    def _grouped(self, call: ast.Call, name: str) -> bool:
-        if any(kw.arg == "group" for kw in call.keywords):
-            return True
-        if name == "barrier":
-            return len(call.args) >= 1
-        if name in ("gop", "vgop"):
-            return len(call.args) >= 3
-        return False  # movewait always synchronizes all cells
+                self._scan_statement(child, pending, inplace_packets,
+                                     unsafe_packets)
 
     def _track_inplace(self, stmt: ast.stmt,
                        inplace_packets: set[str]) -> None:
@@ -378,88 +301,14 @@ class _FunctionLinter:
         if in_place:
             inplace_packets.update(_assigned_names(stmt.targets[0]))
 
-    def _track_taint(self, stmt: ast.stmt, tainted: set[str]) -> None:
-        if isinstance(stmt, ast.Assign):
-            if self._launders_taint(stmt.value):
-                # An ungrouped reduction returns the same value on every
-                # cell: its result is symmetric even if its inputs were
-                # cell-dependent.
-                for target in stmt.targets:
-                    tainted.difference_update(_assigned_names(target))
-                return
-            if _mentions_taint(stmt.value, tainted):
-                for target in stmt.targets:
-                    tainted.update(_assigned_names(target))
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            if stmt.value is not None \
-                    and _mentions_taint(stmt.value, tainted):
-                tainted.update(_assigned_names(stmt.target))
-        elif isinstance(stmt, ast.For):
-            if _mentions_taint(stmt.iter, tainted):
-                tainted.update(_assigned_names(stmt.target))
-
-    def _launders_taint(self, value: ast.expr) -> bool:
-        if isinstance(value, ast.Call) \
-                and _attr_name(value.func) == "ckpt_state":
-            # A checkpoint state bag: the gate it feeds is a
-            # whole-machine barrier, so its control fields are uniform
-            # across cells even when its defaults were cell-local.
-            return True
-        if not isinstance(value, ast.YieldFrom):
-            return False
-        call = value.value
-        if not isinstance(call, ast.Call):
-            return False
-        name = _attr_name(call.func)
-        return name in ("gop", "vgop") and not self._grouped(call, name)
-
-    # -- SPMD005 -------------------------------------------------------
-
-    def _lint_strides(self) -> None:
-        self._walk_strides(self.func.body, loop_vars=set())
-
-    def _walk_strides(self, body: list[ast.stmt],
-                      loop_vars: set[str]) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            inner = set(loop_vars)
-            if isinstance(stmt, ast.For):
-                inner.update(_assigned_names(stmt.target))
-            if loop_vars:
-                for node in _walk_headers(_header_nodes(stmt)):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    if _attr_name(node.func) != "ElementStride":
-                        continue
-                    used = {
-                        n for arg in node.args for n in ast.walk(arg)
-                        if isinstance(n, ast.Name) and n.id in loop_vars
-                    }
-                    if used:
-                        names = ", ".join(
-                            sorted(n.id  # type: ignore[attr-defined]
-                                   for n in used)
-                        )
-                        self.emit(
-                            "SPMD005", node.lineno,
-                            f"ElementStride built from loop "
-                            f"variable(s) {names}: the stride varies "
-                            f"per iteration, so this cannot become one "
-                            f"1-D hardware stride transfer",
-                            severity=SEVERITY_WARNING,
-                        )
-            for child_body, _pe in _all_bodies(stmt):
-                self._walk_strides(child_body, inner)
-
-
-def _all_bodies(stmt: ast.stmt) -> Iterator[list[ast.stmt]]:
-    for attr in ("body", "orelse", "finalbody"):
-        child = getattr(stmt, attr, None)
-        if isinstance(child, list):
-            yield child, False
-    for handler in getattr(stmt, "handlers", []):
-        yield handler.body, False
+def _child_bodies(stmt: ast.stmt) -> Iterator[list[ast.stmt]]:
+    """The nested statement bodies of a compound statement whose header
+    :func:`_header_nodes` scans apart from them, in order."""
+    if isinstance(stmt, (ast.If, ast.While, ast.For, ast.With, ast.Try)):
+        for attr in ("body", "orelse", "finalbody"):
+            yield getattr(stmt, attr, [])
+        for handler in getattr(stmt, "handlers", []):
+            yield handler.body
 
 
 def lint_source(source: str, filename: str) -> list[Diagnostic]:

@@ -27,11 +27,6 @@ from repro.check.comm import (
     analyze_app,
     check_program,
 )
-from repro.check.conform import (
-    CONFORM_APPS,
-    DEFAULT_CONFORM_SCALES,
-    conform_app,
-)
 from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.check.hb import hb_report
 from repro.check.lint import lint_file, lint_paths
@@ -188,22 +183,6 @@ def check_static_apps(
         report, _graph, _runs = analyze_app(name, scales=scales)
         reports.append(report)
     return reports
-
-
-def check_conform(
-    names: tuple[str, ...] | None = None,
-    *,
-    scales: tuple[int, ...] = DEFAULT_CONFORM_SCALES,
-    cache_dir: str | Path = DEFAULT_CACHE_DIR,
-    use_cache: bool = True,
-    log: Callable[[str], None] | None = None,
-) -> list[CheckReport]:
-    """Record (or reuse cached) traces and check each against the static
-    communication graph; one report per app."""
-    selected = CONFORM_APPS if not names else names
-    return [conform_app(name, scales=scales, cache_dir=cache_dir,
-                        use_cache=use_cache, log=log)
-            for name in selected]
 
 
 # ----------------------------------------------------------------------

@@ -11,17 +11,15 @@ from repro.cli.common import CACHE_RULE, Rule
 HELP = "race detector, synchronization sanitizer, and SPMD lint"
 _CACHE = ("--cache-dir", "--no-cache")
 RULES = (
-    Rule("--trace", ("APP", "--all", "--buggy", "--static", "--conform",
-                     "--lint-only", "--paper-scale", *_CACHE, "--quiet"),
+    Rule("--trace", ("APP", "--all", "--buggy", "--static", "--lint-only",
+                     "--paper-scale", *_CACHE, "--quiet"),
          "it checks that one file and nothing else"),
-    Rule("--buggy", ("APP", "--all", "--conform", "--lint-only",
-                     "--paper-scale", *_CACHE),
+    Rule("--buggy", ("APP", "--all", "--lint-only", "--paper-scale",
+                     *_CACHE),
          "it checks the seeded fixtures in examples/buggy/ (with "
          "--static, statically)"),
-    Rule("--static", ("--conform", "--lint-only", "--paper-scale", *_CACHE),
+    Rule("--static", ("--lint-only", "--paper-scale", *_CACHE),
          "it records no trace: it analyzes the apps at P = 4, 16, 64"),
-    Rule("--conform", ("--lint-only", "--paper-scale"),
-         "it checks the P = 4, 16, 64 configurations"),
     Rule("--lint-only", ("APP", "--all", "--paper-scale", *_CACHE),
          "the lint reads application source and records no trace"),
     Rule("--all", ("APP",), "--all names every application"),
@@ -50,10 +48,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                              "concolically execute the apps at P = 4, 16, "
                              "64 and report scale-generic findings (no "
                              "traces recorded)")
-    parser.add_argument("--conform", action="store_true",
-                        help="check recorded traces are linearizations of "
-                             "the static graph and match its predicted "
-                             "message counts at P = 4, 16, 64")
     parser.add_argument("--trace", metavar="FILE",
                         help="check one recorded trace file instead")
     parser.add_argument("--json", action="store_true",
@@ -96,7 +90,6 @@ def main(args: argparse.Namespace) -> int:
     from repro.check.diagnostics import report_json
     from repro.check.runner import (
         check_apps,
-        check_conform,
         check_static_apps,
         check_trace,
         lint_report,
@@ -107,19 +100,17 @@ def main(args: argparse.Namespace) -> int:
         return _buggy(args)
     names = tuple(args.apps) or None
     log = None if args.json else print
-    cached = {"cache_dir": args.cache_dir or DEFAULT_CACHE_DIR,
-              "use_cache": not args.no_cache, "log": log}
     if args.trace:
         reports = [check_trace(load_trace(args.trace), args.trace)]
     elif args.static:
         reports = check_static_apps(names, log=log)
-    elif args.conform:
-        reports = check_conform(names, **cached)
     elif args.lint_only:
         reports = [lint_report()]
     else:
         reports = [*check_apps(names, paper_scale=args.paper_scale,
-                               **cached), lint_report()]
+                               cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
+                               use_cache=not args.no_cache, log=log),
+                   lint_report()]
     if args.json:
         print(report_json(reports))
     else:

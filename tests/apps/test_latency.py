@@ -50,7 +50,7 @@ def test_lap_loop_records_what_the_hop_loop_recorded(cells, hops):
 @settings(max_examples=60, deadline=None)
 def test_every_cell_passes_one_site_per_lap(cells, hops):
     # Armed so that sites are counted, at a period no run reaches: the
-    # gate's parking rule needs the same count on every cell (SPMD004).
+    # gate's parking rule needs the same count on every cell.
     machine, _ = run(ring_shift_program, cells, hops,
                      checkpoint_every=1 << 30)
     assert machine._ckpt_counts == [-(-hops // cells)] * cells

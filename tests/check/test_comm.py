@@ -1,6 +1,9 @@
 """The static communication-graph analyzer: concolic execution,
 scale-generic findings, closed-form extraction, and the fixture gate."""
 
+import inspect
+import textwrap
+
 import pytest
 
 from repro.check.comm import (
@@ -11,8 +14,13 @@ from repro.check.comm import (
     kind_totals,
     run_findings,
 )
+from repro.check.lint import lint_source
 from repro.check.runner import check_static_apps, check_static_buggy
 from repro.core.stride import ElementStride
+from repro.faults.chaos import trace_digest
+from repro.lang.runtime import VPPRuntime
+from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 
 MEM = 1 << 20
 
@@ -102,6 +110,26 @@ class TestProductionMachine:
         assert run.machine.engine == {"loop": "wake-set", "fallback": None}
         assert check_program(ring_program, (4, 16),
                              memory_per_cell=MEM).to_dict() == expected
+
+    def test_addresses_agree_after_a_remote_store(self):
+        # The first remote store carves the staging buffer out of every
+        # cell's symmetric heap; both machines take it from the same
+        # allocator, so a later array sits at the same address in both.
+        def program(ctx):
+            word = ctx.alloc(1)
+            yield from ctx.barrier()
+            ctx.remote_store_word((ctx.pe + 1) % ctx.num_cells, word, 0, 1.0)
+            yield from ctx.barrier()
+            late = ctx.alloc(8)
+            flag = ctx.alloc_flag()
+            ctx.put((ctx.pe + 1) % ctx.num_cells, late, late, recv_flag=flag)
+            yield from ctx.flag_wait(flag, 1)
+
+        predicted = analyze_program(program, 4).trace
+        machine = Machine(MachineConfig(
+            num_cells=4, memory_per_cell=1 << 22, sanitize=True))
+        machine.run(program)
+        assert trace_digest(predicted) == trace_digest(machine.trace)
 
     def test_a_wedge_keeps_what_each_cell_waits_for(self):
         def program(ctx):
@@ -222,3 +250,127 @@ class TestDrivers:
         subjects = {r.subject for r in reports}
         assert "static/buggy/scale_dependent_barrier" in subjects
         assert len(subjects) >= 6
+
+
+def static_codes(program, params=None):
+    report = check_program(program, (4, 16, 64), params,
+                           memory_per_cell=MEM)
+    return report.codes()
+
+
+def stride_ring(ctx, stride_of, rounds):
+    """Every cell PUTs ``rounds`` stride transfers to its right
+    neighbour, round ``i`` into its own slot with ``stride_of(i)``."""
+    dest = ctx.alloc(16 * rounds)
+    src = ctx.alloc(16)
+    src.data[:] = float(ctx.pe)
+    flag = ctx.alloc_flag()
+    right = (ctx.pe + 1) % ctx.num_cells
+    yield from ctx.barrier()
+    for i in range(rounds):
+        stride = stride_of(i)
+        ctx.put_stride(right, dest, src, stride, stride,
+                       dest_offset=16 * i, recv_flag=flag)
+    yield from ctx.flag_wait(flag, rounds)
+    yield from ctx.barrier()
+
+
+class TestCellDependentCollectives:
+    """The analyzer runs every cell, so a collective only some cells
+    reach is a divergence it observes; branches every cell takes alike,
+    grouped collectives and branches on reduction results are clean."""
+
+    def test_barrier_under_pe_branch(self):
+        def program(ctx):
+            if ctx.pe != 0:
+                yield from ctx.barrier()
+
+        assert static_codes(program) == {"COMM-DIVERGENCE"}
+
+    def test_branch_on_a_value_derived_from_pe(self):
+        def program(ctx):
+            row, col = divmod(ctx.pe, 4)
+            if col == 0:
+                yield from ctx.barrier()
+
+        assert static_codes(program) == {"COMM-DIVERGENCE"}
+
+    def test_grouped_collective_under_its_members_branch(self):
+        def program(ctx):
+            row, col = divmod(ctx.pe, 4)
+            col_group = ctx.make_group(
+                pe for pe in range(ctx.num_cells) if pe % 4 == 0)
+            if col == 0:
+                total = yield from ctx.gop(1.0, group=col_group)
+                yield from ctx.barrier(col_group)
+                assert total == len(col_group.members)
+            yield from ctx.barrier()
+
+        assert static_codes(program) == set()
+
+    def test_branch_on_a_reduction_result(self):
+        def program(ctx):
+            r = float(ctx.pe + 1)
+            rho = yield from ctx.gop(r * r)
+            while rho > 1.0:
+                r /= 2.0
+                rho = yield from ctx.gop(r * r)
+                yield from ctx.barrier()
+            return rho
+
+        assert static_codes(program) == set()
+
+    def test_loop_every_cell_runs_alike(self):
+        def program(ctx, iters):
+            for it in range(iters):
+                yield from ctx.barrier()
+
+        assert static_codes(program, {"iters": 3}) == set()
+
+
+class TestStrideDescriptors:
+    """A stride that changes per iteration shows as several byte skips
+    at one call site; a constant one, in a loop or not, is clean."""
+
+    def test_stride_from_the_loop_variable(self):
+        def program(ctx):
+            yield from stride_ring(
+                ctx, lambda i: ElementStride(1, 4, i + 1), 3)
+
+        assert static_codes(program) == {"COMM-STRIDE"}
+
+    def test_constant_stride_in_a_loop(self):
+        def program(ctx, n):
+            yield from stride_ring(ctx, lambda i: ElementStride(1, 4, n), 3)
+
+        assert static_codes(program, {"n": 3}) == set()
+
+    def test_stride_from_a_parameter_outside_a_loop(self):
+        def program(ctx, i):
+            yield from stride_ring(
+                ctx, lambda _: ElementStride(1, 4, i + 1), 1)
+
+        assert static_codes(program, {"i": 2}) == set()
+
+
+def read_before_movewait(ctx):
+    rt = VPPRuntime(ctx)
+    g = rt.global_array((8 * ctx.num_cells,))
+    mine = ctx.alloc(8)
+    mine.data[:] = float(ctx.pe + 1)
+    yield from ctx.barrier()
+    right = (ctx.pe + 1) % ctx.num_cells
+    rt.write_move_block(mine, g, 8 * right, 8)
+    checksum = float(g.block.data.sum())
+    yield from rt.movewait()
+    return checksum
+
+
+class TestCpuReadsStayWithTheLint:
+    def test_read_before_movewait_is_invisible_to_the_analyzer(self):
+        # Every cell writes only its right neighbour's block, so no two
+        # transfers overlap; the early read of ``g`` is a CPU load, which
+        # no run records.  Only the lint sees it.
+        assert static_codes(read_before_movewait) == set()
+        source = textwrap.dedent(inspect.getsource(read_before_movewait))
+        assert [d.code for d in lint_source(source, "t.py")] == ["SPMD001"]

@@ -128,80 +128,6 @@ def kernel(ctx):
         assert codes(src) == []
 
 
-class TestSPMD004:
-    def test_barrier_under_pe_branch(self):
-        src = """
-def kernel(ctx):
-    if ctx.pe != 0:
-        yield from ctx.barrier()
-"""
-        assert codes(src) == ["SPMD004"]
-
-    def test_taint_propagates_through_assignment(self):
-        src = """
-def kernel(ctx):
-    row, col = divmod(ctx.pe, 4)
-    if col == 0:
-        yield from ctx.barrier()
-"""
-        assert codes(src) == ["SPMD004"]
-
-    def test_grouped_collective_is_exempt(self):
-        src = """
-def kernel(ctx, col_group):
-    row, col = divmod(ctx.pe, 4)
-    if col == 0:
-        total = yield from ctx.gop(1.0, group=col_group)
-        yield from ctx.barrier(col_group)
-"""
-        assert codes(src) == []
-
-    def test_reduction_result_launders_taint(self):
-        # A gop returns the same value everywhere, so branching on it
-        # is NOT cell-dependent (the SCG convergence-loop pattern).
-        src = """
-def kernel(ctx, r):
-    rho = yield from ctx.gop(float((r * r).sum()))
-    while rho > 1.0:
-        rho = yield from ctx.gop(float((r * r).sum()))
-        yield from ctx.barrier()
-"""
-        assert codes(src) == []
-
-    def test_symmetric_branch_is_fine(self):
-        src = """
-def kernel(ctx, iters):
-    for it in range(iters):
-        yield from ctx.barrier()
-"""
-        assert codes(src) == []
-
-
-class TestSPMD005:
-    def test_loop_variable_stride(self):
-        src = """
-def kernel(ctx):
-    for i in range(4):
-        s = ElementStride(1, 4, i + 1)
-"""
-        assert codes(src) == ["SPMD005"]
-
-    def test_constant_stride_in_loop_is_fine(self):
-        src = """
-def kernel(ctx, n):
-    for i in range(4):
-        s = ElementStride(1, 4, n)
-"""
-        assert codes(src) == []
-
-    def test_stride_outside_loop_is_fine(self):
-        src = """
-def kernel(ctx, i):
-    s = ElementStride(1, 4, i + 1)
-"""
-        assert codes(src) == []
-
-
 class TestSuppression:
     def test_ignore_comment_suppresses(self):
         src = """

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.check.comm import analyze_program
-from repro.check.conform import conform_trace
 from repro.core import api
 from repro.core.completion import AckPolicy, AckTracker
 from repro.core.flags import Flag
+from repro.faults.chaos import trace_digest
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 
@@ -142,7 +142,7 @@ class TestEveryBackEndRunsThePaperApi:
         machine = Machine(MachineConfig(
             num_cells=cells, memory_per_cell=1 << 22, sanitize=True))
         results = machine.run(paper_api_program)
-        assert conform_trace(predicted, machine.trace) == []
+        assert trace_digest(predicted.trace) == trace_digest(machine.trace)
         assert predicted.results == dict(enumerate(results))
 
 

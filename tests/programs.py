@@ -18,10 +18,10 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.check.conform import _event_key
 from repro.core import api
 from repro.core.errors import CommunicationError
 from repro.core.stride import ElementStride
+from repro.trace.events import EventKind
 
 MEMORY = 1 << 21
 #: Elements of the receive area each step owns.
@@ -222,6 +222,28 @@ programs = st.lists(
     min_size=1, max_size=8)
 #: The generated programs sample the vocabulary; this one is all of it.
 EVERY_OP = [(op, 1 + k % 3) for k, op in enumerate(sorted(OPS))]
+
+
+_GROUPED_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP}
+
+
+def _event_key(ev, trace):
+    """The interleaving-independent identity of one recorded event.
+
+    Message serials (``msg_id``) and the global issue counter (``seq``)
+    depend on scheduling order and are excluded; group ids are replaced
+    by member tuples because interning order is interleaving-dependent.
+    """
+    members = ()
+    if ev.kind in _GROUPED_KINDS:
+        members = trace.groups.members(ev.group)
+    return (
+        ev.kind.name, ev.partner, ev.size, ev.stride, ev.is_ack,
+        ev.send_flag, ev.recv_flag, ev.flag, ev.target, members,
+        ev.group_size,
+        ev.raddr, ev.rchunk, ev.rcount, ev.rstep,
+        ev.laddr, ev.lchunk, ev.lcount, ev.lstep,
+    )
 
 
 def event_keys(trace, pe):
