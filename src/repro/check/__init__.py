@@ -4,9 +4,9 @@ and SPMD lint.
 Three cooperating analyses over the same diagnostic vocabulary:
 
 * the **dynamic checker** (:mod:`repro.check.hb`,
-  :mod:`repro.check.races`) replays a recorded trace, reconstructs the
-  happens-before order implied by barriers, reductions, flag waits, and
-  message pairs, and reports unordered conflicting PUT/GET footprints
+  :mod:`repro.check.races`) reads a recorded trace's columns, computes
+  the happens-before order implied by barriers, reductions, flag waits,
+  and message pairs, and reports unordered conflicting PUT/GET footprints
   plus synchronization defects (deadlocked waits, mismatched
   collectives);
 * the **static lint** (:mod:`repro.check.lint`) walks application

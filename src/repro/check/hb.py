@@ -1,64 +1,54 @@
 """Happens-before over a trace, via vector clocks.
 
-The checker replays the recorded event streams through a small
-synchronization-only scheduler: per-PE stream pointers advance
-round-robin, and every blocking event blocks here too, until the events
-that would satisfy it at runtime have been processed.  A blocked cell is
-not polled: it registers on the event it waits for and is put back into
-the round-robin sweep when that event is processed (see
-:meth:`_Replay.run`).  Processing an
-event ticks its PE's vector clock; satisfying a wait joins in the clocks
-of the events that discharged it.  The resulting per-event clocks encode
-exactly the ordering the synchronization in the trace *guarantees* —
-PUT/GET delivery order contributes nothing, which is the point: MSC+
-promises no ordering beyond the combined flag update, so any conflict
-not ordered by these edges is a race on real hardware.
+The MSC+ orders nothing beyond the combined flag update, so these edges
+are all the ordering a PUT/GET program is guaranteed, and a conflict
+they leave unordered is a race on real hardware.  They are read off the
+trace's columns (:meth:`~repro.trace.buffer.TraceBuffer.block`):
 
-Edges modeled:
-
-* **FLAG_WAIT** joins the clocks of the first ``target`` increments of
-  its flag instance in issue order.  (The functional machine reaches
-  quiescence at every issue, so by the time a wait with target *t*
-  returns, at least the *t* earliest increments have been delivered —
-  the edge is sound and as strong as the trace supports.)  Flag ids are
-  machine-global, so an instance names both the owning cell and the slot.
-* **BARRIER** rendezvous: the k-th barrier of a group on each member
-  matches the k-th on every other; all members leave with the join of
-  all arrival clocks.
-* **GOP/VGOP** rendezvous like barriers.  The machine runs reductions of
-  a group through one shared per-member generation counter regardless of
-  kind, so the k-th reduction on one member matches the k-th on every
-  other — mixed GOP/VGOP kinds at one rendezvous are flagged.
+* **FLAG_WAIT** joins the first ``target`` increments of its flag
+  instance (a machine-global id) in issue (``seq``) order — when a wait
+  for *t* returns, at least the *t* earliest have been delivered.
+* **BARRIER**, **GOP/VGOP**: the k-th barrier (or reduction, whatever
+  its kind: mixed kinds are flagged) of a group on each member meet, and
+  all leave with the join of their arrival clocks.
 * **SEND -> RECV** by packet serial (``msg_id``).
 
-A replay that stalls is itself a finding: a wait whose flag instance
-never accumulates enough increments is a ``FLAG-DEADLOCK``, a rendezvous
-abandoned by a member that finished its program is a
-``BARRIER-MISMATCH``/``REDUCTION-MISMATCH``, and any remaining cycle is
-a ``SYNC-STALL``.  After reporting, the replay force-releases the lowest
-blocked cell and continues, so one bug does not hide the rest of the
-trace.
+Only the *sync* rows these edges end at get clocks.  Any other event
+never blocks: its clock is the last sync row's before it on its cell
+with its own component set to its index + 1, so an edge from it (an
+increment, a SEND) is one from that sync row.  One Kahn pass over the
+sync rows joins the clocks; neither a clock nor the set of rows the
+pass reaches depends on the order it takes ready rows in.
+
+``FLAG-DEADLOCK`` (an instance never gets enough increments) and
+``UNMATCHED-RECV`` are known up front.  When nothing is ready, a
+rendezvous abandoned by a member that finished its program is a
+``BARRIER-MISMATCH``/``REDUCTION-MISMATCH``, else the lowest blocked
+cell a ``SYNC-STALL``; that row is force-released (a wait with the
+increments processed so far, a rendezvous with who arrived) and the
+pass goes on.  The sweep scheduler this replaced is the oracle
+``tests/check/reference_hb.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from typing import Any
 
-from repro.core.flags import MAX_FLAGS_PER_PE
-from repro.trace.events import EventKind, TraceEvent
-from repro.check.diagnostics import (
-    SEVERITY_WARNING,
-    CheckReport,
-    Diagnostic,
-    EventRef,
-)
+import numpy as np
 
-#: (pe, index within that PE's event list) — the identity of one event.
+from repro.core.flags import MAX_FLAGS_PER_PE
+from repro.trace.events import EventKind
+from repro.check.diagnostics import (SEVERITY_WARNING, CheckReport,
+                                     Diagnostic, EventRef)
+
+#: (pe, index within that PE's events) — the identity of one event.
 EventKey = tuple[int, int]
 
-_COLLECTIVES = (EventKind.BARRIER, EventKind.GOP, EventKind.VGOP)
+_PUT, _GET = int(EventKind.PUT), int(EventKind.GET)
+_BARRIER, _GOP, _VGOP = (int(EventKind.BARRIER), int(EventKind.GOP),
+                         int(EventKind.VGOP))
+#: A completed node's ``need``: no decrement brings it back to 0.
+_SPENT = -(1 << 62)
 
 
 def describe_flag(iid: int) -> str:
@@ -67,470 +57,382 @@ def describe_flag(iid: int) -> str:
     return f"flag {slot} on cell {owner}"
 
 
-def _ref(ev: TraceEvent) -> EventRef:
-    return EventRef(pe=ev.pe, seq=ev.seq, kind=EventKind(ev.kind).name)
+def _index_in(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Where each of ``values`` is in the sorted ``keys``; -1 if absent."""
+    if not len(keys):
+        return np.full(len(values), -1)
+    at = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return np.where(keys[at] == values, at, -1)
 
 
-@dataclass
-class _FlagBlock:
-    iid: int
-    target: int
-    need: list[EventKey]       # increments that must be processed first
-    satisfied: bool            # False when the trace can never reach target
-    ptr: int = 0               # how many of ``need`` are known processed
-
-
-@dataclass
-class _RecvBlock:
-    send_key: EventKey
-
-
-@dataclass
-class _CollectiveBlock:
-    rkey: tuple[str, int, int]  # (class, gid, occurrence)
+def _offsets(owner: np.ndarray, size: int) -> list[int]:
+    """CSR offsets of the sorted ``owner`` values in ``[0, size)``."""
+    return np.searchsorted(owner, np.arange(size + 1)).tolist()
 
 
 class HBResult:
-    """Per-event vector clocks plus the flag bookkeeping races.py needs."""
+    """Vector clocks of a trace's sync rows, and its flag bookkeeping.
 
-    def __init__(
-        self,
-        num_pes: int,
-        events: list[list[TraceEvent]],
-        clock: list[list[tuple[int, ...]]],
-        diagnostics: list[Diagnostic],
-        increments: dict[int, list[EventKey]],
-        increment_index: dict[tuple[int, EventKey], int],
-        covering: dict[int, list[tuple[int, EventKey]]],
-    ) -> None:
-        self.num_pes = num_pes
-        self.events = events
-        self.clock = clock
-        self.diagnostics = diagnostics
-        self.flag_increments = increments
-        self._increment_index = increment_index
-        self._covering = covering
+    ``block`` is the trace's columns, ``starts[pe]`` the row of ``pe``'s
+    first event, and ``recv_cover[row]`` the row of the wait covering a
+    PUT/GET row's receive-flag increment (-1: none) — its completion.
+    """
 
-    def event(self, key: EventKey) -> TraceEvent:
-        return self.events[key[0]][key[1]]
+    def __init__(self, sync: _SyncPass, clock: np.ndarray,
+                 row_clock: np.ndarray, inc_cover: np.ndarray) -> None:
+        self.num_pes = sync.num_pes
+        self.block = sync.block
+        self.starts = sync.starts
+        self.diagnostics = sync.diagnostics
+        self._start: list[int] = sync.starts.tolist()
+        #: A clock per completed sync node, zero rows last (row -1); each
+        #: row's clock in it.  Increments by instance in issue order, and
+        #: each one's covering wait.
+        self._clock, self._row_clock = clock, row_clock.tolist()
+        self._inc_iid, self._inc_row = sync.inc_iid, sync.inc_row
+        self._inc_cover = inc_cover
+        self.recv_cover = np.full(len(sync.kind), -1, np.int64)
+        self.recv_cover[sync.inc_row[sync.inc_recv]] = \
+            inc_cover[sync.inc_recv]
+
+    def _key(self, row: int) -> EventKey:
+        pe = int(self.block["pe"][row])
+        return pe, row - self._start[pe]
 
     def happens_before(self, a: EventKey, b: EventKey) -> bool:
         """True when event ``a`` is ordered strictly before ``b``."""
-        if a == b:
-            return False
-        return self.clock[b[0]][b[1]][a[0]] >= a[1] + 1
+        if a[0] == b[0]:
+            return a[1] < b[1]
+        clock = self._row_clock[self._start[b[0]] + b[1]]
+        return int(self._clock[clock, a[0]]) > a[1]
 
     def concurrent(self, a: EventKey, b: EventKey) -> bool:
-        return (
-            a != b
-            and not self.happens_before(a, b)
-            and not self.happens_before(b, a)
-        )
+        return (a != b and not self.happens_before(a, b)
+                and not self.happens_before(b, a))
+
+    @property
+    def flag_increments(self) -> dict[int, list[EventKey]]:
+        """Each flag instance's increments in issue order (an event that
+        updates one as both its send and receive flag counts twice)."""
+        out: dict[int, list[EventKey]] = {}
+        for iid, row in zip(self._inc_iid.tolist(), self._inc_row.tolist()):
+            out.setdefault(iid, []).append(self._key(row))
+        return out
 
     def increment_index(self, iid: int, key: EventKey) -> int:
-        """1-based position of ``key`` among instance ``iid``'s increments."""
-        return self._increment_index[(iid, key)]
+        """1-based position of ``key`` among instance ``iid``'s
+        increments (the later, when it counts twice)."""
+        at = np.flatnonzero(self._inc_row[self._inc_iid == iid]
+                            == self._start[key[0]] + key[1])
+        return int(at[-1]) + 1      # IndexError: not an increment of iid
 
     def covering_wait(self, iid: int, k: int) -> EventKey | None:
         """The first satisfied wait on ``iid`` whose target covers the
         k-th increment — the event that proves that increment's transfer
         completed.  None when nothing ever waits that far."""
-        for target, key in self._covering.get(iid, []):
-            if target >= k:
-                return key
-        return None
+        covers = self._inc_cover[self._inc_iid == iid]
+        row = int(covers[k - 1]) if 0 < k <= len(covers) else -1
+        return None if row < 0 else self._key(row)
 
 
 def build_happens_before(trace: Any) -> HBResult:
-    """Replay ``trace`` (a :class:`~repro.trace.buffer.TraceBuffer` or
-    anything duck-typing ``num_pes``/``events_for``/``groups``) and
-    return clocks plus any deadlock/mismatch diagnostics."""
-    return _Replay(trace).run()
+    """Clocks and synchronization diagnostics of ``trace`` (a
+    :class:`~repro.trace.buffer.TraceBuffer`, or anything with
+    ``num_pes``, ``groups`` and ``block()``)."""
+    return _SyncPass(trace).run()
 
 
-class _Replay:
+class _SyncPass:
+    """The sync edges of one trace, and the pass that joins clocks.
+
+    Sync rows are numbered in block order (their *ordinals*: one cell's
+    are consecutive).  A wait or receive is the node of its ordinal,
+    rendezvous r node ``S + r``.  ``need[node]`` counts its row's arrival
+    (the sync row before it on its cell completes) and each source's
+    *guard* (the sync row before the source on its cell) — for a
+    rendezvous, one arrival per member — not yet seen."""
+
     def __init__(self, trace: Any) -> None:
-        self.num_pes: int = trace.num_pes
-        self.events: list[list[TraceEvent]] = [
-            trace.events_for(pe) for pe in range(self.num_pes)
-        ]
+        block = self.block = trace.block()
         self.groups = trace.groups
-        n = self.num_pes
-        self.idx = [0] * n
-        self.vc: list[list[int]] = [[0] * n for _ in range(n)]
-        self.clock: list[list[tuple[int, ...]]] = [
-            [()] * len(evs) for evs in self.events
-        ]
-        self.blocked: list[Any] = [None] * n
+        n = self.num_pes = trace.num_pes
+        col = {name: block[name].astype(np.int64) for name in (
+            "kind", "pe", "seq", "send_flag", "recv_flag", "flag", "target",
+            "msg_id", "group")}
+        kind, pe, seq = self.kind, self.pe, self.seq = (
+            col["kind"], col["pe"], col["seq"])
+        total = len(kind)
+        starts = self.starts = np.searchsorted(pe, np.arange(n + 1))
+        local = self.local = np.arange(total) - starts[pe]
         self.diagnostics: list[Diagnostic] = []
-        # Flag increments per instance, in global issue order; and each
-        # increment's 1-based position within its instance.
-        self.increments: dict[int, list[EventKey]] = {}
-        self.inc_index: dict[tuple[int, EventKey], int] = {}
-        # SEND events by packet serial.
-        self.send_by_msg: dict[int, EventKey] = {}
-        ordered = sorted(
-            (
-                (ev.seq, pe, i)
-                for pe, evs in enumerate(self.events)
-                for i, ev in enumerate(evs)
-            ),
-        )
-        for _seq, pe, i in ordered:
-            ev = self.events[pe][i]
-            if ev.kind in (EventKind.PUT, EventKind.GET):
-                for iid in (ev.send_flag, ev.recv_flag):
-                    if iid:
-                        bucket = self.increments.setdefault(iid, [])
-                        bucket.append((pe, i))
-                        self.inc_index[(iid, (pe, i))] = len(bucket)
-            elif ev.kind is EventKind.SEND:
-                self.send_by_msg.setdefault(ev.msg_id, (pe, i))
-        # Collective occurrence counters per (class, gid) per PE, and
-        # open rendezvous: rkey -> {pe: (clock, event index, kind)}.
-        self.occ: list[dict[tuple[str, int], int]] = [{} for _ in range(n)]
-        self.arrivals: dict[
-            tuple[str, int, int],
-            dict[int, tuple[list[int], int, EventKind]],
-        ] = {}
-        # Satisfied waits per instance in program order: (target, key).
-        self.covering: dict[int, list[tuple[int, EventKey]]] = {}
-        # Scheduling (see run): the cells still to visit in this sweep
-        # (a heap, so they come out in cell order; ``_in_sweep`` is
-        # every cell the sweep ever held), those of the next one, the
-        # cell being advanced (``n`` between sweeps), and who waits on
-        # which event.
-        self._sweep: list[int] = []
-        self._in_sweep: set[int] = set()
-        self._next: set[int] = set()
-        self._cur = n
-        self._waiters: dict[EventKey, list[int]] = {}
-        self._done = [False] * n
-        self._unfinished = n
 
-    # -- helpers -------------------------------------------------------
+        # Flag increments by instance in issue order; a PUT/GET's
+        # send-flag update counts before its receive-flag one.
+        data = (kind == _PUT) | (kind == _GET)
+        sides = [np.flatnonzero(data & (col[name] != 0))
+                 for name in ("send_flag", "recv_flag")]
+        row = np.concatenate(sides)
+        iid = np.r_[col["send_flag"][sides[0]], col["recv_flag"][sides[1]]]
+        recv = np.arange(len(row)) >= len(sides[0])
+        order = np.lexsort((recv, row, seq[row], iid))
+        self.inc_row, self.inc_iid, self.inc_recv = (
+            row[order], iid[order], recv[order])
+        self.inc_ids, self.inc_first, self.inc_count = np.unique(
+            self.inc_iid, return_index=True, return_counts=True)
 
-    def _processed(self, key: EventKey) -> bool:
-        return key[1] < self.idx[key[0]]
+        # Waits need the first ``wait_need`` increments of their instance.
+        flag, target = col["flag"], col["target"]
+        waits = self.waits = np.flatnonzero(
+            (kind == int(EventKind.FLAG_WAIT)) & (flag != 0) & (target > 0))
+        at = _index_in(self.inc_ids, flag[waits])
+        have = np.r_[self.inc_count, 0][at]
+        self.wait_first = np.r_[self.inc_first, 0][at]
+        self.wait_target = target[waits]
+        self.wait_need = np.minimum(self.wait_target, have)
+        self.satisfied = have >= self.wait_target
+        for row, has in zip(waits[~self.satisfied].tolist(),
+                            have[~self.satisfied].tolist()):
+            self._report(
+                "FLAG-DEADLOCK",
+                f"cell {pe[row]} waits for {describe_flag(int(flag[row]))} "
+                f"to reach {target[row]}, but the whole trace holds only "
+                f"{has} increment(s) of it — this wait can never be "
+                f"satisfied", [row], home=int(pe[row]))
 
-    def _join(self, pe: int, keys: list[EventKey]) -> None:
-        vc = self.vc[pe]
-        # A cell's clocks only grow along its program order, so of
-        # several events of one cell the latest carries the join.
-        latest: dict[int, int] = {}
-        for kp, ki in keys:
-            if ki > latest.get(kp, -1):
-                latest[kp] = ki
-        for kp, ki in latest.items():
-            other = self.clock[kp][ki]
-            for c in range(self.num_pes):
-                if other[c] > vc[c]:
-                    vc[c] = other[c]
+        # A receive matches the first SEND of its serial in issue order.
+        msg = col["msg_id"]
+        sends = np.flatnonzero(kind == int(EventKind.SEND))
+        sends = sends[np.argsort(seq[sends], kind="stable")]
+        serials, first_send = np.unique(msg[sends], return_index=True)
+        recvs = np.flatnonzero(kind == int(EventKind.RECV))
+        at = _index_in(serials, msg[recvs])
+        for row in recvs[at < 0].tolist():
+            self._report(
+                "UNMATCHED-RECV",
+                f"cell {pe[row]} receives packet {msg[row]} but no SEND "
+                f"with that serial exists in the trace", [row],
+                severity=SEVERITY_WARNING)
+        send_of, recvs = sends[first_send[at[at >= 0]]], recvs[at >= 0]
 
-    def _finish(self, pe: int, i: int) -> None:
-        self.clock[pe][i] = tuple(self.vc[pe])
-        self.idx[pe] = i + 1
-        self.blocked[pe] = None
-        self._wake((pe, i))
+        # The k-th collective of a (class, group) per member: a rendezvous.
+        coll = np.flatnonzero((kind >= _BARRIER) & (kind <= _VGOP))
+        cls, gid = (kind[coll] > _BARRIER).astype(np.int64), col["group"][coll]
+        groups = int(gid.max(initial=0)) + 1
+        run = (pe[coll] * 2 + cls) * groups + gid
+        by_run = np.argsort(run, kind="stable")
+        occ = np.empty(len(coll), np.int64)
+        occ[by_run] = np.arange(len(coll)) - np.searchsorted(run[by_run],
+                                                             run[by_run])
+        occs = int(occ.max(initial=0)) + 1
+        keys, rdv_of = np.unique((cls * groups + gid) * occs + occ,
+                                 return_inverse=True)
+        R = len(keys)
+        self.rdv_cls, self.rdv_gid, self.rdv_occ = (
+            (keys // occs // groups).tolist(),
+            (keys // occs % groups).tolist(), (keys % occs).tolist())
+        self.mixed = set(np.flatnonzero(
+            np.bincount(rdv_of, kind[coll] == _GOP, R)
+            * np.bincount(rdv_of, kind[coll] == _VGOP, R)).tolist())
 
-    def _schedule(self, pe: int) -> None:
-        """Visit ``pe`` at its next turn: later in this sweep when the
-        sweep has not reached it yet, else in the next one."""
-        if pe <= self._cur:
-            self._next.add(pe)
-        elif pe not in self._in_sweep:
-            self._in_sweep.add(pe)
-            heapq.heappush(self._sweep, pe)
+        # Sync rows: ordinals, predecessors, each cell's current and end.
+        is_sync = np.zeros(total, bool)
+        is_sync[waits] = is_sync[recvs] = is_sync[coll] = True
+        sync = self.sync = np.flatnonzero(is_sync)
+        S = self.S = len(sync)
+        ord_of = np.full(total, -1, np.int64)
+        ord_of[sync] = np.arange(S)
+        self.ord_pe, self.ord_local = pe[sync], local[sync]
+        self.ord_cell: list[int] = self.ord_pe.tolist()
+        self.prev = self._guard(sync)
+        self.cur = np.searchsorted(sync, starts[:-1]).tolist()
+        self.end = np.searchsorted(sync, starts[1:]).tolist()
 
-    def _wake(self, key: EventKey) -> None:
-        """``key`` has just been processed: its waiters get a visit."""
-        for pe in self._waiters.pop(key, ()):
-            self._schedule(pe)
+        # Edges into a wait: of each cell, its latest needed increment.
+        need_n = self.wait_need
+        owner = np.repeat(np.arange(len(waits)), need_n)
+        erow = self.inc_row[np.arange(len(owner)) + np.repeat(
+            self.wait_first - np.cumsum(need_n) + need_n, need_n)]
+        latest = np.lexsort((local[erow], pe[erow], owner))
+        owner, erow = owner[latest], erow[latest]
+        keep = np.r_[(owner[1:] != owner[:-1])
+                     | (pe[erow[1:]] != pe[erow[:-1]]), True][:len(owner)]
+        dep_node = np.r_[ord_of[waits][owner[keep]], ord_of[recvs]]
+        dep_row = np.r_[erow[keep], send_of]
+        order = np.argsort(dep_node, kind="stable")
+        dep_node, dep_row = dep_node[order], dep_row[order]
+        self.dep_off = _offsets(dep_node, S)
+        self.dep_guard = self._guard(dep_row)
+        self.dep_pe, self.dep_tick = pe[dep_row], local[dep_row] + 1
+        # Whose need each guard's completion counts down.
+        guarded = self.dep_guard >= 0
+        order = np.argsort(self.dep_guard[guarded], kind="stable")
+        self.succ = dep_node[guarded][order].tolist()
+        self.succ_off = _offsets(self.dep_guard[guarded][order], S)
 
-    # -- main loop -----------------------------------------------------
+        node_of = np.arange(S)
+        node_of[ord_of[coll]] = S + rdv_of
+        self.node_of = node_of.tolist()
+        need = np.ones(S + R, np.int64)
+        need[S:] = [len(self.groups.members(g)) for g in self.rdv_gid]
+        np.add.at(need, dep_node[guarded], 1)
+        np.subtract.at(need, node_of[self.prev < 0], 1)   # first arrivals
+        self.need = need.tolist()
+        self.ready = np.flatnonzero(need == 0).tolist()
+        by_rdv = np.argsort(rdv_of, kind="stable")
+        self.rdv_ords = ord_of[coll][by_rdv]
+        self.rdv_off = _offsets(rdv_of[by_rdv], R)
+        self.forced: list[int] = []
+        # A clock per completion (per node, unless a stall splits a
+        # rendezvous) and a zero row last: ``clock_of`` of ordinal -1.
+        self.clock = np.zeros((S - len(coll) + R + 1, n), np.int64)
+        self.pieces = 0
+        self.clock_of = np.full(S + 1, -1, np.int64)
+
+    def _guard(self, rows: np.ndarray, side: Any = "left") -> np.ndarray:
+        """The ordinal of the sync row before each of ``rows`` on its
+        cell (``side="right"``: or the row itself), or -1."""
+        before = np.searchsorted(self.sync, rows, side) - 1
+        return np.where(
+            (before >= 0) & (np.r_[self.ord_pe, -1][before] == self.pe[rows]),
+            before, -1)
+
+    def _report(self, code: str, message: str, rows: list[int],
+                **fields: Any) -> None:
+        refs = sorted((EventRef(pe=int(self.pe[row]), seq=int(self.seq[row]),
+                                kind=EventKind(int(self.kind[row])).name)
+                       for row in rows), key=lambda ref: ref.seq)
+        self.diagnostics.append(Diagnostic(
+            code=code, message=message, events=tuple(refs), **fields))
 
     def run(self) -> HBResult:
-        """Sweep the cells in cell order until every program is done.
-
-        The order in which events are processed — and with it every
-        force-release and the order of ``diagnostics`` — is that of a
-        scheduler that visits *every* cell in every sweep.  Such a visit
-        does something only when the cell can move, so only those cells
-        are visited: all of them in the first sweep; afterwards a cell
-        released from a rendezvous, and a cell blocked on a flag or a
-        message when the event it registered on (``_waiters``) is
-        processed.  Whoever processes that event puts the waiter into
-        the current sweep if its turn is still ahead, else into the next
-        (:meth:`_schedule`) — the first turn at which the full sweep
-        would have found it able to move.  A sweep nobody is scheduled
-        for is the full sweep's pass without progress: a stall.
-        """
-        self._next = set(range(self.num_pes))
         while True:
-            self._in_sweep, self._next = self._next, set()
-            self._sweep = sorted(self._in_sweep)    # sorted: a valid heap
-            while self._sweep:
-                self._cur = heapq.heappop(self._sweep)
-                self._advance(self._cur)
-            self._cur = self.num_pes
-            if not self._unfinished:
-                break
-            if not self._next:
-                self._resolve_stall()
-        return HBResult(
-            num_pes=self.num_pes,
-            events=self.events,
-            clock=self.clock,
-            diagnostics=self.diagnostics,
-            increments=self.increments,
-            increment_index=self.inc_index,
-            covering=self.covering,
-        )
+            while self.ready:
+                self._complete(self.ready.pop())
+            blocked = [p for p, o in enumerate(self.cur) if o < self.end[p]]
+            if not blocked:
+                return self._result()
+            self._stall(blocked)
 
-    def _advance(self, pe: int) -> bool:
-        """Run ``pe`` until it blocks or ends; True when it moved."""
-        made = False
-        while True:
-            blk = self.blocked[pe]
-            if blk is not None:
-                if not self._try_release(pe, blk):
-                    return made
-                made = True
+    def _arrived(self, r: int) -> list[int]:
+        """The ordinals of rendezvous ``r`` whose cells wait at it."""
+        cur, cell = self.cur, self.ord_cell
+        return [o for o in self.rdv_ords[
+            self.rdv_off[r]:self.rdv_off[r + 1]].tolist() if cur[cell[o]] == o]
+
+    def _complete(self, node: int, joins: np.ndarray | None = None,
+                  ticks: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> None:
+        """Give ``node``'s arrived rows one clock, move their cells on.  A
+        forced wait or receive brings the ordinals whose clocks it joins
+        and the ``(pe, index + 1)`` components it raises."""
+        r = node - self.S
+        if r >= 0:
+            ords = self._arrived(r)
+            joins = self.prev[ords]
+            kinds = {EventKind(k).name
+                     for k in self.kind[self.sync[ords]].tolist()}
+            if len(kinds) > 1:
+                self._report("REDUCTION-MISMATCH", f"reduction "
+                             f"#{self.rdv_occ[r]} of group {self.rdv_gid[r]} "
+                             f"mixes collective kinds "
+                             f"({'/'.join(sorted(kinds))}): members disagree "
+                             f"on the operation", self.sync[ords].tolist())
+        else:
+            ords = [node]
+            if joins is None:
+                lo, hi = self.dep_off[node], self.dep_off[node + 1]
+                joins = np.r_[self.prev[node], self.dep_guard[lo:hi]]
+                ticks = self.dep_pe[lo:hi], self.dep_tick[lo:hi]
+        clock = np.maximum.reduce(self.clock[self.clock_of[joins]], axis=0)
+        if ticks is not None:
+            np.maximum.at(clock, ticks[0], ticks[1])
+        clock[self.ord_pe[ords]] = self.ord_local[ords] + 1
+        if self.pieces == len(self.clock) - 1:     # a stall split one
+            self.clock = np.r_[self.clock[:-1], np.zeros_like(self.clock)]
+        self.clock[self.pieces] = clock
+        self.clock_of[ords] = self.pieces
+        self.pieces += 1
+        self.need[node] = _SPENT
+        need, succ, off = self.need, self.succ, self.succ_off
+        for o in ords:
+            p = self.ord_cell[o]
+            self.cur[p] = o + 1
+            arrival = [self.node_of[o + 1]] if o + 1 < self.end[p] else []
+            for x in arrival + succ[off[o]:off[o + 1]]:
+                need[x] -= 1
+                if not need[x]:
+                    self.ready.append(x)
+
+    def _stall(self, blocked: list[int]) -> None:
+        """Nothing is ready: report a rendezvous a finished member
+        abandoned, else a cycle at the lowest blocked cell, and force
+        that on."""
+        for p in blocked:
+            r = self.node_of[self.cur[p]] - self.S
+            if r < 0:
                 continue
-            i = self.idx[pe]
-            if i >= len(self.events[pe]):
-                if not self._done[pe]:
-                    self._done[pe] = True
-                    self._unfinished -= 1
-                return made
-            state = self._process(pe, i, self.events[pe][i])
-            made = True
-            if state == "blocked":
-                return made
-
-    # -- event processing ----------------------------------------------
-
-    def _process(self, pe: int, i: int, ev: TraceEvent) -> str:
-        self.vc[pe][pe] += 1
-        kind = ev.kind
-        if kind is EventKind.FLAG_WAIT:
-            return self._process_wait(pe, i, ev)
-        if kind in _COLLECTIVES:
-            return self._process_collective(pe, i, ev)
-        if kind is EventKind.RECV:
-            return self._process_recv(pe, i, ev)
-        self._finish(pe, i)
-        return "done"
-
-    def _process_wait(self, pe: int, i: int, ev: TraceEvent) -> str:
-        iid, target = ev.flag, ev.target
-        if not iid or target <= 0:
-            self._finish(pe, i)
-            return "done"
-        incs = self.increments.get(iid, [])
-        satisfied = len(incs) >= target
-        if not satisfied:
-            self.diagnostics.append(Diagnostic(
-                code="FLAG-DEADLOCK",
-                message=(
-                    f"cell {pe} waits for {describe_flag(iid)} to reach "
-                    f"{target}, but the whole trace holds only "
-                    f"{len(incs)} increment(s) of it — this wait can "
-                    f"never be satisfied"
-                ),
-                events=(_ref(ev),),
-                home=pe,
-            ))
-        need = incs[: min(target, len(incs))]
-        block = _FlagBlock(iid=iid, target=target, need=need,
-                           satisfied=satisfied)
-        if self._flag_ready(pe, block):
-            self._release_wait(pe, i, block)
-            return "done"
-        self.blocked[pe] = block
-        return "blocked"
-
-    def _flag_ready(self, pe: int, block: _FlagBlock) -> bool:
-        """True when every needed increment is processed; else ``pe``
-        registers on the first one that is not."""
-        while block.ptr < len(block.need):
-            key = block.need[block.ptr]
-            if not self._processed(key):
-                self._waiters.setdefault(key, []).append(pe)
-                return False
-            block.ptr += 1
-        return True
-
-    def _release_wait(self, pe: int, i: int, block: _FlagBlock) -> None:
-        self._join(pe, block.need)
-        if block.satisfied:
-            self.covering.setdefault(block.iid, []).append(
-                (block.target, (pe, i))
-            )
-        self._finish(pe, i)
-
-    def _process_collective(self, pe: int, i: int, ev: TraceEvent) -> str:
-        cls = "barrier" if ev.kind is EventKind.BARRIER else "reduction"
-        gid = ev.group
-        occ = self.occ[pe].get((cls, gid), 0)
-        self.occ[pe][(cls, gid)] = occ + 1
-        rkey = (cls, gid, occ)
-        arrived = self.arrivals.setdefault(rkey, {})
-        # The clock itself, not a copy: a cell waiting at a rendezvous
-        # does not touch its clock, and leaves with a new list.
-        arrived[pe] = (self.vc[pe], i, EventKind(ev.kind))
-        members = self.groups.members(gid)
-        if len(arrived) == len(members):
-            self._complete_rendezvous(rkey)
-            return "done"
-        self.blocked[pe] = _CollectiveBlock(rkey=rkey)
-        return "blocked"
-
-    def _complete_rendezvous(self, rkey: tuple[str, int, int]) -> None:
-        arrived = self.arrivals.pop(rkey)
-        cls, gid, occ = rkey
-        kinds = {k for (_, _, k) in arrived.values()}
-        if cls == "reduction" and len(kinds) > 1:
-            refs = tuple(sorted(
-                (_ref(self.events[p][i]) for p, (_, i, _) in arrived.items()),
-                key=lambda r: r.seq,
-            ))
-            names = "/".join(sorted(k.name for k in kinds))
-            self.diagnostics.append(Diagnostic(
-                code="REDUCTION-MISMATCH",
-                message=(
-                    f"reduction #{occ} of group {gid} mixes collective "
-                    f"kinds ({names}): members disagree on the operation"
-                ),
-                events=refs,
-            ))
-        # Component-wise: one max per column over all arrival clocks.
-        clocks = [clk for clk, _i, _k in arrived.values()]
-        merged = [max(column)
-                  for column in zip([0] * self.num_pes, *clocks)]
-        stamp = tuple(merged)
-        for p, (_clk, i, _k) in arrived.items():
-            self.vc[p] = list(merged)
-            self.clock[p][i] = stamp
-            self.idx[p] = i + 1
-            self.blocked[p] = None
-            self._wake((p, i))
-            if p != self._cur:       # the completing cell carries on
-                self._schedule(p)
-
-    def _process_recv(self, pe: int, i: int, ev: TraceEvent) -> str:
-        key = self.send_by_msg.get(ev.msg_id)
-        if key is None:
-            self.diagnostics.append(Diagnostic(
-                code="UNMATCHED-RECV",
-                severity=SEVERITY_WARNING,
-                message=(
-                    f"cell {pe} receives packet {ev.msg_id} but no SEND "
-                    f"with that serial exists in the trace"
-                ),
-                events=(_ref(ev),),
-            ))
-            self._finish(pe, i)
-            return "done"
-        if self._processed(key):
-            self._join(pe, [key])
-            self._finish(pe, i)
-            return "done"
-        self.blocked[pe] = _RecvBlock(send_key=key)
-        self._waiters.setdefault(key, []).append(pe)
-        return "blocked"
-
-    def _try_release(self, pe: int, blk: Any) -> bool:
-        if isinstance(blk, _FlagBlock):
-            if self._flag_ready(pe, blk):
-                self._release_wait(pe, self.idx[pe], blk)
-                return True
-            return False
-        if isinstance(blk, _RecvBlock):
-            if self._processed(blk.send_key):
-                self._join(pe, [blk.send_key])
-                self._finish(pe, self.idx[pe])
-                return True
-            return False
-        # Collectives are released by whoever completes the rendezvous.
-        return False
-
-    # -- stall handling ------------------------------------------------
-
-    def _resolve_stall(self) -> None:
-        """Nothing moved in a full pass: report why and force progress.
-
-        Definite failures (a rendezvous missing a member whose program
-        already finished) are reported as mismatches; anything else is a
-        synchronization cycle, reported on the lowest blocked cell.
-        Force-releasing one party guarantees the replay terminates and
-        keeps analyzing the rest of the trace.
-        """
-        for pe in range(self.num_pes):
-            blk = self.blocked[pe]
-            if not isinstance(blk, _CollectiveBlock):
-                continue
-            cls, gid, occ = blk.rkey
-            arrived = self.arrivals.get(blk.rkey, {})
-            members = self.groups.members(gid)
-            finished = [
-                m for m in members
-                if m not in arrived
-                and self.blocked[m] is None
-                and self.idx[m] >= len(self.events[m])
-            ]
+            ords = self._arrived(r)
+            arrived = sorted(self.ord_cell[o] for o in ords)
+            finished = [m for m in self.groups.members(self.rdv_gid[r])
+                        if m not in arrived and self.cur[m] == self.end[m]]
             if finished:
-                refs = tuple(sorted(
-                    (_ref(self.events[p][i])
-                     for p, (_, i, _) in arrived.items()),
-                    key=lambda r: r.seq,
-                ))
-                code = ("BARRIER-MISMATCH" if cls == "barrier"
-                        else "REDUCTION-MISMATCH")
-                self.diagnostics.append(Diagnostic(
-                    code=code,
-                    message=(
-                        f"cells {sorted(arrived)} reach {cls} #{occ} of "
-                        f"group {gid}, but cells {sorted(finished)} "
-                        f"finish their programs without it — group "
-                        f"members disagree on the collective sequence"
-                    ),
-                    events=refs,
-                ))
-                self._complete_rendezvous(blk.rkey)
+                cls = "reduction" if self.rdv_cls[r] else "barrier"
+                self._report(
+                    f"{cls.upper()}-MISMATCH",
+                    f"cells {arrived} reach {cls} #{self.rdv_occ[r]} of "
+                    f"group {self.rdv_gid[r]}, but cells {finished} finish "
+                    f"their programs without it — group members disagree "
+                    f"on the collective sequence", self.sync[ords].tolist())
+                self._complete(self.S + r)
                 return
-        for pe in range(self.num_pes):
-            blk = self.blocked[pe]
-            if blk is None:
-                continue
-            i = self.idx[pe]
-            ev = self.events[pe][i]
-            self.diagnostics.append(Diagnostic(
-                code="SYNC-STALL",
-                message=(
-                    f"cell {pe} blocks at {EventKind(ev.kind).name} "
-                    f"(seq {ev.seq}) inside a synchronization cycle: no "
-                    f"cell can make progress"
-                ),
-                events=(_ref(ev),),
-            ))
-            if isinstance(blk, _FlagBlock):
-                done = [k for k in blk.need if self._processed(k)]
-                self._join(pe, done)
-                self._finish(pe, i)
-                self._schedule(pe)
-            elif isinstance(blk, _RecvBlock):
-                self._finish(pe, i)
-                self._schedule(pe)
-            elif isinstance(blk, _CollectiveBlock):
-                self._complete_rendezvous(blk.rkey)
-            return
-        raise AssertionError("stall with no blocked cell")  # pragma: no cover
+        o = self.cur[blocked[0]]
+        row = int(self.sync[o])
+        self._report("SYNC-STALL", f"cell {blocked[0]} blocks at "
+                     f"{EventKind(int(self.kind[row])).name} (seq "
+                     f"{self.seq[row]}) inside a synchronization cycle: no "
+                     f"cell can make progress", [row])
+        if self.node_of[o] >= self.S:       # goes with who arrived
+            self._complete(self.node_of[o])
+        elif self.kind[row] == int(EventKind.RECV):   # nothing joined
+            self._complete(o, self.prev[o:o + 1])
+        else:
+            # A wait joins the increments processed so far: those whose
+            # guard (the sync row before them) has completed.
+            w = int(np.searchsorted(self.waits, row))
+            self.forced.append(w)
+            first = int(self.wait_first[w])
+            rows = self.inc_row[first:first + int(self.wait_need[w])]
+            guards = self._guard(rows)
+            done = (guards < 0) | (self.clock_of[guards] >= 0)
+            self._complete(o, np.r_[self.prev[o], guards[done]],
+                           (self.pe[rows[done]], self.local[rows[done]] + 1))
+
+    def _result(self) -> HBResult:
+        # A row's clock is its last sync row's (itself, if it is one).
+        row_clock = self.clock_of[self._guard(np.arange(len(self.kind)),
+                                              "right")]
+        # An increment's covering wait: of the satisfied waits on its
+        # instance released normally, the first in issue order to reach
+        # its position.
+        covers = self.satisfied.copy()
+        covers[self.forced] = False
+        rows = self.waits[covers]
+        group = np.searchsorted(self.inc_ids, self.block["flag"][rows])
+        order = np.lexsort((rows, self.seq[rows], group))
+        span = len(self.inc_row) + 1
+        reach = np.maximum.accumulate(
+            group[order] * span + self.wait_target[covers][order])
+        inc_group = np.repeat(np.arange(len(self.inc_ids)), self.inc_count)
+        want = inc_group * span + np.arange(len(inc_group)) + 1 - np.repeat(
+            self.inc_first, self.inc_count)
+        at = np.searchsorted(reach, want)          # len(reach): the pads
+        found = np.r_[reach, -1][at]
+        hit = (found >= want) & (found // span == inc_group)
+        inc_cover = np.where(hit, np.r_[rows[order], -1][at], -1)
+        return HBResult(self, self.clock, row_clock, inc_cover)
 
 
 def hb_report(trace: Any, subject: str) -> tuple[HBResult, CheckReport]:
     """Convenience: build happens-before and wrap its diagnostics."""
     hb = build_happens_before(trace)
-    report = CheckReport(subject=subject)
-    report.extend(hb.diagnostics)
-    return hb, report
+    return hb, CheckReport(subject=subject, diagnostics=list(hb.diagnostics))

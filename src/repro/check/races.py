@@ -4,41 +4,34 @@ Every annotated PUT/GET contributes *accesses*: byte footprints touched
 on some cell's memory, each with an **issue** event and a **completion**
 event.  Two accesses to overlapping bytes on the same cell, at least one
 a write, race unless one *completes* before the other *issues* in the
-happens-before order — the definition matching the AP1000+ memory
-model, where a PUT is globally visible only once a covering flag wait
-(or an acknowledge on the same T-net channel) has returned.
+happens-before order — the AP1000+ memory model, where a PUT is
+globally visible only once a covering flag wait (or an acknowledge on
+the same T-net channel) has returned.  Completion rules:
 
-Completion rules:
+* **PUT remote write**, **GET remote read / local write** — the wait
+  covering the transfer's receive-flag increment (a GET's reply cannot
+  land before its remote read); or, by the per-(source, destination)
+  T-net FIFO, the completion of any *later* transfer on the same
+  channel (the acknowledge idiom: an acked or flagged successor proves
+  every predecessor arrived).
+* **PUT local source read** — at issue: the functional machine consumes
+  the source synchronously, and modeling the asynchronous send DMA
+  would need a send-flag discipline no shipped kernel uses.
+* **REMOTE_LOAD / REMOTE_STORE** — at issue: single-word accesses the
+  MSC+ generates and retires synchronously (section 4.2).
 
-* **PUT remote write** — the first flag wait on the destination whose
-  target covers this PUT's increment of its receive flag; or, via the
-  per-(source, destination) T-net FIFO, the completion of any *later*
-  transfer on the same channel (the acknowledge idiom: an acked or
-  flagged successor proves every predecessor arrived).
-* **GET remote read / local write** — the wait covering the GET's
-  receive-flag increment (the reply cannot land before the remote read
-  happened), with the same FIFO inheritance among one requester's GETs
-  to one target.
-* **PUT local source read** — completes at issue.  The functional
-  machine consumes the source synchronously; modeling the hardware's
-  asynchronous send DMA would need send-flag discipline no shipped
-  kernel (or the paper's runtime) uses for sources it immediately
-  reuses.
-* **REMOTE_LOAD / REMOTE_STORE** — complete at issue.  These are
-  single-word processor accesses to shared space; the MSC+ generates
-  and retires them synchronously (section 4.2).
-
-Accesses on the same channel never race each other: the T-net delivers
-in order per (source, destination) pair.
+Accesses on one channel never race each other: the T-net delivers in
+order per (source, destination) pair.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.trace.events import EventKind, TraceEvent
+import numpy as np
+
+from repro.trace.events import EventKind
 from repro.check.diagnostics import CheckReport, Diagnostic, EventRef
 from repro.check.hb import EventKey, HBResult
 
@@ -101,7 +94,8 @@ class Access:
     """One side of a transfer: bytes touched on ``home``'s memory."""
 
     key: EventKey
-    ev: TraceEvent
+    seq: int
+    kind: EventKind
     home: int
     fp: Footprint
     is_write: bool
@@ -113,84 +107,61 @@ class Access:
     completions: dict[int, EventKey] = field(default_factory=dict)
 
 
-def _remote_fp(ev: TraceEvent) -> Footprint | None:
-    if ev.raddr < 0:
-        return None
-    return Footprint(ev.raddr, ev.rchunk, ev.rcount, ev.rstep)
-
-
-def _local_fp(ev: TraceEvent) -> Footprint | None:
-    if ev.laddr < 0:
-        return None
-    return Footprint(ev.laddr, ev.lchunk, ev.lcount, ev.lstep)
+_PUT, _GET = int(EventKind.PUT), int(EventKind.GET)
+_STORE, _LOAD = int(EventKind.REMOTE_STORE), int(EventKind.REMOTE_LOAD)
+_SIDES = ("raddr", "rchunk", "rcount", "rstep",
+          "laddr", "lchunk", "lcount", "lstep")
+_VERBS = ("write and read the same bytes", "both write")
 
 
 def extract_accesses(hb: HBResult) -> list[Access]:
     """All memory accesses of the trace, with completions assigned."""
+    block = hb.block
+    if "raddr" not in block:
+        return []
+    rows = np.flatnonzero(np.isin(block["kind"], (_PUT, _GET, _STORE, _LOAD)))
+    pe = block["pe"][rows].astype(np.int64)
+    # A PUT/GET's own completion: the wait covering its receive-flag
+    # increment, by (cell, index).
+    cover = hb.recv_cover[rows]
+    waiter = np.where(cover >= 0, block["pe"][cover], -1)
+    columns = [block["kind"][rows], pe, rows - hb.starts[pe],
+               block["seq"][rows], block["partner"][rows], waiter,
+               cover - hb.starts[waiter], *(block[name][rows]
+                                           for name in _SIDES)]
     accesses: list[Access] = []
     # Channel members in issue order: (seq, access-or-None, completions)
-    # — acks contribute completions without being accesses themselves.
+    # — a transfer without bytes (the acknowledge idiom) still proves,
+    # once complete, delivery of everything earlier on its channel.
     channels: dict[Channel, list[tuple[int, Access | None,
                                        dict[int, EventKey]]]] = {}
-
-    def own_completion(ev: TraceEvent, key: EventKey) -> dict[int, EventKey]:
-        if not ev.recv_flag:
-            return {}
-        k = hb.increment_index(ev.recv_flag, key)
-        wait = hb.covering_wait(ev.recv_flag, k)
-        if wait is None:
-            return {}
-        return {wait[0]: wait}
-
-    for pe in range(hb.num_pes):
-        for i, ev in enumerate(hb.events[pe]):
-            key = (pe, i)
-            if ev.kind is EventKind.PUT:
-                comp = own_completion(ev, key)
-                fwd: Channel = ("fwd", pe, ev.partner)
-                rfp = _remote_fp(ev)
-                if rfp is not None and not rfp.is_empty():
-                    acc = Access(key=key, ev=ev, home=ev.partner, fp=rfp,
-                                 is_write=True, channel=fwd,
-                                 completions=dict(comp))
-                    accesses.append(acc)
-                    channels.setdefault(fwd, []).append((ev.seq, acc, comp))
-                else:
-                    channels.setdefault(fwd, []).append((ev.seq, None, comp))
-                lfp = _local_fp(ev)
-                if lfp is not None and not lfp.is_empty():
-                    accesses.append(Access(
-                        key=key, ev=ev, home=pe, fp=lfp,
-                        is_write=False, sync=True))
-            elif ev.kind is EventKind.GET:
-                comp = own_completion(ev, key)
-                fwd = ("fwd", pe, ev.partner)
-                rep: Channel = ("rep", pe, ev.partner)
-                rfp = _remote_fp(ev)
-                if rfp is not None and not rfp.is_empty():
-                    acc = Access(key=key, ev=ev, home=ev.partner, fp=rfp,
-                                 is_write=False, channel=fwd,
-                                 completions=dict(comp))
-                    accesses.append(acc)
-                    channels.setdefault(fwd, []).append((ev.seq, acc, comp))
-                else:
-                    # The acknowledge idiom: no bytes, but its completion
-                    # proves delivery of everything earlier on the channel.
-                    channels.setdefault(fwd, []).append((ev.seq, None, comp))
-                lfp = _local_fp(ev)
-                if lfp is not None and not lfp.is_empty():
-                    acc = Access(key=key, ev=ev, home=pe, fp=lfp,
-                                 is_write=True, channel=rep,
-                                 completions=dict(comp))
-                    accesses.append(acc)
-                    channels.setdefault(rep, []).append((ev.seq, acc, comp))
-            elif ev.kind in (EventKind.REMOTE_STORE, EventKind.REMOTE_LOAD):
-                rfp = _remote_fp(ev)
-                if rfp is not None and not rfp.is_empty():
-                    accesses.append(Access(
-                        key=key, ev=ev, home=ev.partner, fp=rfp,
-                        is_write=ev.kind is EventKind.REMOTE_STORE,
-                        sync=True))
+    for (k, p, i, seq, partner, wpe, wi, raddr, rchunk, rcount, rstep,
+         laddr, lchunk, lcount, lstep) in zip(*(column.tolist()
+                                                for column in columns)):
+        remote = (Footprint(raddr, rchunk, rcount, rstep)
+                  if raddr >= 0 and rcount and rchunk else None)
+        local = (Footprint(laddr, lchunk, lcount, lstep)
+                 if laddr >= 0 and lcount and lchunk else None)
+        fwd: Channel = ("fwd", p, partner)
+        if k == _PUT:       # (home, footprint, is_write, channel)
+            sides = ((partner, remote, True, fwd), (p, local, False, None))
+        elif k == _GET:
+            sides = ((partner, remote, False, fwd),
+                     (p, local, True, ("rep", p, partner)))
+        else:               # no channel: complete at issue
+            sides = ((partner, remote, k == _STORE, None),)
+        comp: dict[int, EventKey] = {} if wpe < 0 else {wpe: (wpe, wi)}
+        for home, fp, write, channel in sides:
+            acc = None
+            if fp is not None:
+                acc = Access(key=(p, i), seq=seq, kind=EventKind(k),
+                             home=home, fp=fp, is_write=write,
+                             channel=channel, sync=channel is None,
+                             completions={} if channel is None
+                             else dict(comp))
+                accesses.append(acc)
+            if channel is not None and (acc is not None or channel is fwd):
+                channels.setdefault(channel, []).append((seq, acc, comp))
     # FIFO inheritance: walking each channel backward, every element is
     # proven delivered by any later element's completion — keep the
     # earliest known wait per PE.
@@ -212,11 +183,8 @@ def extract_accesses(hb: HBResult) -> list[Access]:
 
 def _completes_before(hb: HBResult, a: Access, b: Access) -> bool:
     """Does ``a`` complete before ``b`` issues (so they cannot race)?"""
-    if a.sync:
-        return hb.happens_before(a.key, b.key)
-    return any(
-        hb.happens_before(wkey, b.key) for wkey in a.completions.values()
-    )
+    waits = [a.key] if a.sync else a.completions.values()
+    return any(hb.happens_before(wkey, b.key) for wkey in waits)
 
 
 def find_races(hb: HBResult, accesses: list[Access]) -> list[Diagnostic]:
@@ -226,9 +194,7 @@ def find_races(hb: HBResult, accesses: list[Access]) -> list[Diagnostic]:
     for acc in accesses:
         by_home.setdefault(acc.home, []).append(acc)
     for home in sorted(by_home):
-        group = sorted(
-            by_home[home], key=lambda a: (a.fp.lo, a.ev.seq)
-        )
+        group = sorted(by_home[home], key=lambda a: (a.fp.lo, a.seq))
         # Span sweep: only accesses whose spans overlap can conflict.
         active: list[tuple[int, int]] = []   # heap of (span_hi, index)
         for j, acc in enumerate(group):
@@ -236,51 +202,34 @@ def find_races(hb: HBResult, accesses: list[Access]) -> list[Diagnostic]:
                 heapq.heappop(active)
             for _hi, k in active:
                 other = group[k]
-                if other.key == acc.key:
-                    continue  # two sides of one event cannot race
-                if not acc.is_write and not other.is_write:
+                if (other.key == acc.key    # two sides of one event
+                        or not (acc.is_write or other.is_write)
+                        or (acc.channel is not None
+                            and acc.channel == other.channel)
+                        or _completes_before(hb, acc, other)
+                        or _completes_before(hb, other, acc)
+                        or not acc.fp.overlaps(other.fp)):
                     continue
-                if (acc.channel is not None
-                        and acc.channel == other.channel):
-                    continue
-                if (_completes_before(hb, acc, other)
-                        or _completes_before(hb, other, acc)):
-                    continue
-                if not acc.fp.overlaps(other.fp):
-                    continue
-                first, second = sorted(
-                    (other, acc), key=lambda a: a.ev.seq
-                )
+                pair = sorted((other, acc), key=lambda a: a.seq)
                 lo, hi = acc.fp.intersection_span(other.fp)
-                both_writes = acc.is_write and other.is_write
-                code = "RACE-PUT-PUT" if both_writes else "RACE-PUT-GET"
-                verb = ("both write" if both_writes
-                        else "write and read the same bytes")
+                both = acc.is_write and other.is_write
                 diagnostics.append(Diagnostic(
-                    code=code,
-                    message=(
-                        f"{_describe(first)} and {_describe(second)} "
-                        f"{verb} on cell {home} with no ordering between "
-                        f"them"
-                    ),
-                    events=(
-                        EventRef(first.ev.pe, first.ev.seq,
-                                 EventKind(first.ev.kind).name),
-                        EventRef(second.ev.pe, second.ev.seq,
-                                 EventKind(second.ev.kind).name),
-                    ),
-                    home=home,
-                    addr_lo=lo,
-                    addr_hi=hi,
+                    code="RACE-PUT-PUT" if both else "RACE-PUT-GET",
+                    message=(f"{_describe(pair[0])} and {_describe(pair[1])} "
+                             f"{_VERBS[both]} on cell {home} with no "
+                             f"ordering between them"),
+                    events=tuple(EventRef(a.key[0], a.seq, a.kind.name)
+                                 for a in pair),
+                    home=home, addr_lo=lo, addr_hi=hi,
                 ))
             heapq.heappush(active, (acc.fp.hi, j))
     return diagnostics
 
 
 def _describe(acc: Access) -> str:
-    kind = EventKind(acc.ev.kind).name
     side = "write" if acc.is_write else "read"
-    return f"cell {acc.ev.pe}'s {kind} (seq {acc.ev.seq}, remote {side})"
+    return (f"cell {acc.key[0]}'s {acc.kind.name} (seq {acc.seq}, "
+            f"remote {side})")
 
 
 def race_report(hb: HBResult, subject: str) -> CheckReport:
@@ -288,8 +237,6 @@ def race_report(hb: HBResult, subject: str) -> CheckReport:
     report = CheckReport(subject=subject)
     accesses = extract_accesses(hb)
     report.stats["accesses"] = len(accesses)
-    report.stats["annotated_events"] = len(
-        {a.key for a in accesses}
-    )
+    report.stats["annotated_events"] = len({a.key for a in accesses})
     report.extend(find_races(hb, accesses))
     return report

@@ -18,6 +18,8 @@ from pathlib import Path
 from types import ModuleType
 from typing import Any
 
+import numpy as np
+
 import repro
 from repro.bench.cache import DEFAULT_CACHE_DIR, TraceCache
 from repro.bench.grid import BenchSpec, workload_specs
@@ -34,6 +36,10 @@ from repro.check.races import race_report
 from repro.machine.config import MachineConfig
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind
+
+_DATA_KINDS = [int(kind) for kind in (EventKind.PUT, EventKind.GET,
+                                      EventKind.REMOTE_STORE,
+                                      EventKind.REMOTE_LOAD)]
 
 
 def repo_root() -> Path:
@@ -66,14 +72,12 @@ def check_trace(trace: TraceBuffer, subject: str) -> CheckReport:
 def trace_is_annotated(trace: TraceBuffer) -> bool:
     """True when every data-bearing one-sided event carries a byte-range
     footprint (zero-byte acknowledges never do)."""
-    data_kinds = (EventKind.PUT, EventKind.GET,
-                  EventKind.REMOTE_STORE, EventKind.REMOTE_LOAD)
-    return all(
-        ev.is_annotated()
-        for pe in range(trace.num_pes)
-        for ev in trace.events_for(pe)
-        if ev.kind in data_kinds and ev.size > 0
-    )
+    block = trace.block()
+    data = np.isin(block["kind"], _DATA_KINDS) & (block["size"] > 0)
+    if "raddr" not in block:
+        return not data.any()
+    return bool(np.all((block["raddr"][data] >= 0)
+                       | (block["laddr"][data] >= 0)))
 
 
 def sanitized_run(spec: BenchSpec, cache: TraceCache | None, *,
@@ -215,8 +219,9 @@ def check_buggy(
 
     Each fixture module declares ``EXPECT`` (the diagnostic codes it was
     built to trigger) and ``build_trace()``.  A fixture *passes* when
-    every expected code is found by the dynamic checker or the lint;
-    the second return value is True only if all fixtures pass.
+    every expected code is found by the dynamic checker or the lint —
+    and, when it expects none, when they find nothing at all; the second
+    return value is True only if all fixtures pass.
     """
     root = repo_root() if root is None else Path(root)
     reports: list[CheckReport] = []
@@ -233,7 +238,14 @@ def check_buggy(
         missing = expect - found
         report.stats["expected"] = len(expect)
         report.stats["caught"] = len(expect - missing)
-        if missing:
+        if not expect:
+            # Expecting nothing is expecting a clean report.
+            all_caught &= report.clean
+            report.notes.append(
+                "clean, as expected: no diagnostics" if report.clean
+                else f"UNEXPECTED diagnostics on a fixture expected "
+                     f"clean: {sorted(found)}")
+        elif missing:
             all_caught = False
             report.notes.append(
                 f"MISSED expected diagnostics: {sorted(missing)}"

@@ -21,11 +21,11 @@ def run(program, cells, expect_deadlock=False):
     return machine.trace
 
 
-def keys_of_kind(hb, kind):
+def keys_of_kind(trace, kind):
     return [
         (pe, i)
-        for pe in range(hb.num_pes)
-        for i, ev in enumerate(hb.events[pe])
+        for pe in range(trace.num_pes)
+        for i, ev in enumerate(trace.events_for(pe))
         if ev.kind is kind
     ]
 
@@ -37,8 +37,9 @@ class TestBarrierEdges:
             yield from ctx.barrier()
             ctx.compute(1.0)
 
-        hb = build_happens_before(run(program, 3))
-        before = keys_of_kind(hb, EventKind.COMPUTE)
+        trace = run(program, 3)
+        hb = build_happens_before(trace)
+        before = keys_of_kind(trace, EventKind.COMPUTE)
         # Each pe: compute at index 0, barrier at 1, compute at 2.
         for pe_a in range(3):
             for pe_b in range(3):
@@ -80,18 +81,19 @@ class TestFlagEdges:
                 yield from ctx.flag_wait(flag, 1)
                 ctx.compute(1.0)
 
-        hb = build_happens_before(run(program, 2))
-        puts = keys_of_kind(hb, EventKind.PUT)
-        waits = keys_of_kind(hb, EventKind.FLAG_WAIT)
+        trace = run(program, 2)
+        hb = build_happens_before(trace)
+        puts = keys_of_kind(trace, EventKind.PUT)
+        waits = keys_of_kind(trace, EventKind.FLAG_WAIT)
         assert len(puts) == 1 and len(waits) == 1
         assert hb.happens_before(puts[0], waits[0])
         # The PUT orders before everything after the wait on pe 0 ...
-        pe0_compute = [k for k in keys_of_kind(hb, EventKind.COMPUTE)
+        pe0_compute = [k for k in keys_of_kind(trace, EventKind.COMPUTE)
                        if k[0] == 0]
         assert hb.happens_before(puts[0], pe0_compute[0])
         # ... but the waiter is NOT ordered before the sender's later
         # work (one-sided: only the flag edge exists).
-        pe1_compute = [k for k in keys_of_kind(hb, EventKind.COMPUTE)
+        pe1_compute = [k for k in keys_of_kind(trace, EventKind.COMPUTE)
                        if k[0] == 1]
         assert not hb.happens_before(waits[0], pe1_compute[0])
 
@@ -161,9 +163,10 @@ class TestIncrementBookkeeping:
             if ctx.pe == 0:
                 yield from ctx.flag_wait(flag, 1)
 
-        hb = build_happens_before(run(program, 2))
-        [put] = keys_of_kind(hb, EventKind.PUT)
-        ev = hb.events[put[0]][put[1]]
+        trace = run(program, 2)
+        hb = build_happens_before(trace)
+        [put] = keys_of_kind(trace, EventKind.PUT)
+        ev = trace.events_for(put[0])[put[1]]
         k = hb.increment_index(ev.recv_flag, put)
         wait = hb.covering_wait(ev.recv_flag, k)
         assert wait is not None and wait[0] == 0
@@ -181,7 +184,7 @@ class TestIncrementBookkeeping:
 
         trace = run(program, 2, expect_deadlock=True)
         hb = build_happens_before(trace)
-        [put] = keys_of_kind(hb, EventKind.PUT)
-        ev = hb.events[put[0]][put[1]]
+        [put] = keys_of_kind(trace, EventKind.PUT)
+        ev = trace.events_for(put[0])[put[1]]
         k = hb.increment_index(ev.recv_flag, put)
         assert hb.covering_wait(ev.recv_flag, k) is None

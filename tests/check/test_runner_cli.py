@@ -81,6 +81,34 @@ class TestBuggyGate:
                      "BARRIER-MISMATCH", "SPMD001", "SPMD002"):
             assert code in union, code
 
+    def test_fixture_expecting_nothing_fails_on_a_finding(self, tmp_path):
+        """An empty ``EXPECT`` asks for a clean report: a finding fails
+        the gate instead of passing as "0/0 caught"."""
+        fixtures = tmp_path / "examples" / "buggy"
+        fixtures.mkdir(parents=True)
+        (fixtures / "quiet_deadlock.py").write_text(
+            "from repro.trace.buffer import TraceBuffer\n"
+            "from repro.trace.events import EventKind, TraceEvent\n"
+            "EXPECT = set()\n"
+            "def build_trace():\n"
+            "    trace = TraceBuffer(num_pes=2)\n"
+            "    trace.record(TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=1,\n"
+            "                            target=1))\n"
+            "    return trace\n")
+        [report], ok = check_buggy(tmp_path)
+        assert not ok
+        assert report.codes() == {"FLAG-DEADLOCK"}
+        assert report.notes == [
+            "UNEXPECTED diagnostics on a fixture expected clean: "
+            "['FLAG-DEADLOCK']"]
+        (fixtures / "quiet_deadlock.py").write_text(
+            "from repro.trace.buffer import TraceBuffer\n"
+            "EXPECT = set()\n"
+            "def build_trace():\n"
+            "    return TraceBuffer(num_pes=2)\n")
+        [report], ok = check_buggy(tmp_path)
+        assert ok and report.notes == ["clean, as expected: no diagnostics"]
+
 
 class TestJson:
     def test_schema_and_determinism(self):

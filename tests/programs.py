@@ -8,9 +8,14 @@ sub-group vector reductions, communication registers, remote word
 access, batches of one-element PUTs and GETs (one that reads what it
 wrote, one refused part-way) and the ``repro.core.api`` spellings;
 steps write disjoint slots and only ever read remotely the never-written
-``out`` array or what its owner wrote before a barrier, so every
-generated program is race-free.  The equivalence tests (back ends,
-wires, streamed traces) draw from :data:`programs`.
+``out`` array or what its owner wrote before a barrier.  So the only
+race a generated program has is ``batch_overlap``'s own: its PUT sends,
+without a wait, what its GET landed (exact on the functional machine,
+which lands a GET before issuing the next command; a ``RACE-PUT-GET``
+on the AP1000+, where the MSC+ orders nothing beyond the flag update).
+The equivalence tests (back ends, wires, streamed traces, the
+checker's happens-before against its sweep-replay oracle) draw from
+:data:`programs`.
 """
 
 from __future__ import annotations

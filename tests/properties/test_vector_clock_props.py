@@ -75,11 +75,11 @@ def run_schedule(n, rounds):
     return machine.trace
 
 
-def sample_keys(hb, limit=24):
+def sample_keys(trace, limit=24):
     keys = [
         (pe, i)
-        for pe in range(hb.num_pes)
-        for i in range(len(hb.events[pe]))
+        for pe in range(trace.num_pes)
+        for i in range(len(trace.events_for(pe)))
     ]
     stride = max(1, len(keys) // limit)
     return keys[::stride]
@@ -92,8 +92,9 @@ COLLECTIVE_KINDS = {EventKind.BARRIER, EventKind.GOP, EventKind.VGOP}
 @given(schedules())
 def test_happens_before_is_transitive_and_irreflexive(sched):
     n, rounds = sched
-    hb = build_happens_before(run_schedule(n, rounds))
-    keys = sample_keys(hb)
+    trace = run_schedule(n, rounds)
+    hb = build_happens_before(trace)
+    keys = sample_keys(trace)
     for a in keys:
         assert not hb.happens_before(a, a)
         for b in keys:
@@ -102,8 +103,8 @@ def test_happens_before_is_transitive_and_irreflexive(sched):
             if hb.happens_before(b, a):
                 # Mutual ordering only between the merged events of one
                 # collective rendezvous — everywhere else HB is strict.
-                assert hb.event(a).kind in COLLECTIVE_KINDS
-                assert hb.event(b).kind in COLLECTIVE_KINDS
+                assert trace.events_for(a[0])[a[1]].kind in COLLECTIVE_KINDS
+                assert trace.events_for(b[0])[b[1]].kind in COLLECTIVE_KINDS
             for c in keys:
                 if not hb.happens_before(b, c):
                     continue
@@ -116,9 +117,11 @@ def test_happens_before_is_transitive_and_irreflexive(sched):
 @given(schedules())
 def test_barriers_totally_order_the_phases(sched):
     n, rounds = sched
-    hb = build_happens_before(run_schedule(n, rounds))
+    trace = run_schedule(n, rounds)
+    hb = build_happens_before(trace)
+    events = [trace.events_for(pe) for pe in range(trace.num_pes)]
     barrier_idx = {
-        pe: [i for i, ev in enumerate(hb.events[pe])
+        pe: [i for i, ev in enumerate(events[pe])
              if ev.kind is EventKind.BARRIER]
         for pe in range(hb.num_pes)
     }
@@ -127,7 +130,7 @@ def test_barriers_totally_order_the_phases(sched):
         for i in range(n):
             for j in range(n):
                 after = barrier_idx[j][t] + 1
-                if after >= len(hb.events[j]):
+                if after >= len(events[j]):
                     continue
                 # Everything up to i's t-th barrier precedes everything
                 # after j's t-th barrier — barriers are global fences.
