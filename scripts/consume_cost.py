@@ -18,10 +18,11 @@ domains never share a column.  Every replay collects its metrics, as
 the bench runner's do.  ``replay calls`` is the profiled calls per
 event of one ``ap1000+`` replay (the program compiled and the link plan
 made beforehand, as ``tests/mlsim/test_replay_cost.py`` counts them), a
-count that repeats exactly; ``--max-replay-calls N`` exits 1 when TC no
-st's exceeds N (CI passes that test's ceiling).
+count that repeats exactly; ``--max-replay-calls TRACE N`` (once per
+trace it holds) exits 1 naming each trace whose count exceeds its N (CI
+passes that test's ceilings for CG and TC no st).
 
-    python scripts/consume_cost.py [--json FILE] [--max-replay-calls N]
+    python scripts/consume_cost.py [--json F] [--max-replay-calls TRACE N]...
 
 (``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
@@ -44,8 +45,6 @@ TRACES = (
     ("CG", 16, {"n": 1400, "outer": 3, "inner": 25}),
 )
 PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
-#: The trace whose replay calls per event ``--max-replay-calls`` holds.
-GATED = "TC no st"
 
 
 def least(repeats: int, func, *args, **kwargs) -> tuple[float, object]:
@@ -63,10 +62,21 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--json", metavar="FILE",
                         help="also write the table as JSON to FILE")
-    parser.add_argument("--max-replay-calls", type=float, metavar="N",
-                        help=f"exit 1 if one {GATED} replay makes more "
-                        "than N profiled calls per trace event")
+    parser.add_argument("--max-replay-calls", nargs=2, action="append",
+                        default=[], metavar=("TRACE", "N"),
+                        help="exit 1 if one replay of TRACE makes more "
+                        "than N profiled calls per trace event (repeat "
+                        "per trace)")
     args = parser.parse_args()
+    ceilings: dict[str, float] = {}
+    for trace, ceiling in args.max_replay_calls:
+        if trace not in {app for app, _, _ in TRACES}:
+            parser.error(f"no trace {trace!r}; the traces are "
+                         + ", ".join(app for app, _, _ in TRACES))
+        try:
+            ceilings[trace] = float(ceiling)
+        except ValueError:
+            parser.error(f"ceiling of {trace!r} is not a number: {ceiling!r}")
 
     if importlib.util.find_spec("repro") is None:
         # Not installed and no PYTHONPATH provides it: this checkout's.
@@ -141,12 +151,12 @@ def main() -> int:
         with open(args.json, "w", encoding="utf-8") as out:
             json.dump({"repeats": args.repeats, "rows": rows}, out, indent=2)
             out.write("\n")
-    ceiling = args.max_replay_calls
-    if ceiling is not None and calls[GATED] > ceiling:
-        print(f"FAIL: a {GATED} replay makes {calls[GATED]:.2f} calls per "
-              f"event, more than the ceiling of {ceiling:g}")
-        return 1
-    return 0
+    over = [trace for trace, ceiling in ceilings.items()
+            if calls[trace] > ceiling]
+    for trace in over:
+        print(f"FAIL: a {trace} replay makes {calls[trace]:.2f} calls per "
+              f"event, more than its ceiling of {ceilings[trace]:g}")
+    return 1 if over else 0
 
 
 if __name__ == "__main__":

@@ -53,7 +53,16 @@ throughput:
   would (:mod:`repro.mlsim.runs`).  The loop reaches a run through one
   opcode at its first row; under ``link_contention`` or
   ``record_timeline`` the step declines and the rows are replayed one
-  by one.
+  by one;
+* a superstep — every PE's local rows closed by a whole-machine
+  collective — is one step too, when consecutive ones form a chain of
+  at least ``_CHAIN_MIN`` rows (plus ``_CHAIN_STEP`` per superstep),
+  found with array operations (:mod:`repro.mlsim.supersteps`).  The
+  loop enters a chain where it releases the collective that opens it:
+  every other PE is parked there, and the step advances them all in
+  numpy operations over the PE axis to the release of the chain's last
+  collective, leaving every float and all scheduler state as the rows
+  would.  It declines where the run step does.
 
 Scheduling replicates the oracle's runnable-deque discipline event for
 event.  Every scheduling decision (park, wake, completion) is a
@@ -110,6 +119,7 @@ from repro.trace.soa import TraceColumns
 
 if TYPE_CHECKING:
     from repro.mlsim.runs import RunCosts
+    from repro.mlsim.supersteps import ChainCosts, Supersteps
 
 # Interpreter opcodes: EventKind collapsed to what the replay loop
 # distinguishes (GOP/VGOP share a handler, as do the CREG pair and the
@@ -170,6 +180,32 @@ _HIST_OVERFLOW = 21
 #: KVM guest, CPython 3.11, numpy 2.4), so they meet at 31-32 rows.
 _RUN_MIN = 32
 
+#: The superstep step's break-even, in rows of a chain (every PE's, from
+#: its first collective to its last): the step costs about as much as
+#: the loop spends on _CHAIN_MIN rows to set up and _CHAIN_STEP rows per
+#: superstep, whatever the PE count (16 PEs: a chain of 10 supersteps
+#: with one local row each; 4 PEs: 64 of them).  Measured with index,
+#: compile and replay of three presets, as a bench grid pays them, on
+#: the same host as _RUN_MIN.
+_CHAIN_MIN = 256
+_CHAIN_STEP = 4
+
+#: Fewest rows of one PE inside a chain that its float lists leave out:
+#: a list pays about 1 µs per span it leaves out, 15-20 ns per row it
+#: keeps.
+_SKIP_MIN = 64
+
+#: Opcodes of a superstep's local rows (they neither wait nor signal),
+#: and of those that take time.
+_LOCAL = np.zeros(_RUN + 1, dtype=bool)
+_LOCAL[[_COMPUTE, _RTSYS, _CREG, _INSTANT, _PHASE]] = True
+_TIMED = np.zeros(_RUN + 1, dtype=bool)
+_TIMED[[_COMPUTE, _RTSYS, _CREG]] = True
+#: Opcodes of a local superstep's first row: a local one, or the
+#: collective that closes an empty segment.
+_OPENS = _LOCAL.copy()
+_OPENS[[_BARRIER, _REDUCTION]] = True
+
 
 def _torus_distances(topology: TorusTopology, src: np.ndarray,
                      dst: np.ndarray) -> np.ndarray:
@@ -183,12 +219,14 @@ def _torus_distances(topology: TorusTopology, src: np.ndarray,
     return np.minimum(fx, w - fx) + np.minimum(fy, h - fy)
 
 
-def _log2_rounds(sizes: np.ndarray) -> dict[int, int]:
-    """ceil(log2(size)) per unique group size, in exact Python math
-    (``math.log2`` on small ints is correctly rounded; no numpy float
-    detour whose rounding we would have to trust)."""
-    return {int(s): (math.ceil(math.log2(int(s))) if s > 1 else 0)
-            for s in np.unique(sizes)}
+def _log2_times(sizes: np.ndarray, step: float) -> np.ndarray:
+    """``ceil(log2(size)) * step`` per row, computed once per distinct
+    group size in exact Python math (``math.log2`` on small ints is
+    correctly rounded; no numpy float detour whose rounding we would
+    have to trust)."""
+    distinct, slot = np.unique(sizes, return_inverse=True)
+    return np.array([(math.ceil(math.log2(s)) if s > 1 else 0) * step
+                     for s in distinct.tolist()])[slot]
 
 
 def _find_runs(columns: TraceColumns, pe_of: np.ndarray) -> dict:
@@ -221,20 +259,90 @@ def _find_runs(columns: TraceColumns, pe_of: np.ndarray) -> dict:
                                    lasts[long].tolist())}
 
 
+def _find_chains(columns: TraceColumns, pe_of: np.ndarray, op: np.ndarray,
+                 by_kind: dict[int, np.ndarray]) -> Supersteps | None:
+    """The plan (:class:`repro.mlsim.supersteps.Supersteps`) of every
+    maximal run of consecutive supersteps worth a step, or ``None``.
+
+    A superstep is every PE's stretch of local rows closed by a
+    whole-machine collective: a BARRIER, GOP or VGOP whose group size is
+    the PE count, with the same kind, group and generation (the loop's
+    rendezvous slot) on every PE.  Any other row ends a chain.  A chain
+    is worth a step when it holds at least ``_CHAIN_MIN`` rows plus
+    ``_CHAIN_STEP`` per superstep: the loop pays per row (and visits
+    every PE at every collective), the step per superstep whatever the
+    PE count.  ``by_kind`` are the trace's rows by kind.
+    """
+    kind, n = columns.kind, columns.num_pes
+    if len(kind) < _CHAIN_MIN:
+        return None
+    collective = np.sort(np.concatenate([
+        by_kind.get(int(k), np.empty(0, dtype=np.int64))
+        for k in (EventKind.BARRIER, EventKind.GOP, EventKind.VGOP)]))
+    whole = columns.group_size[collective] == n
+    count = np.bincount(pe_of[collective[whole]], minlength=n)
+    c = int(count[0])
+    if c < 2 or (count != c).any():
+        return None
+    rows = collective[whole].reshape(n, c)
+    opens, closes = rows[:, :-1], rows[:, 1:]
+    # Before the pass over every row: a superstep whose first row on
+    # some PE is neither local nor a collective is not local, and a
+    # chain holds no more rows than the run of the others it is in.
+    maybe = _OPENS[op[opens + 1]].all(axis=0)
+    if not (_runs(rows, maybe)[2] >= _CHAIN_MIN).any():
+        return None
+    outside = np.cumsum(~_LOCAL[op])
+    local = (outside[closes - 1] == outside[opens]).all(axis=0)
+    # A collective's generation is its rank among its PE's collectives
+    # of one class (barrier, reduction) and group.
+    group = columns.group[collective]
+    key = ((pe_of[collective] * 2 + (kind[collective] !=
+                                     int(EventKind.BARRIER)))
+           * (int(group.max()) + 1) + group)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    heads = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.arange(len(key)) - np.repeat(
+        heads, np.diff(np.append(heads, len(key))))
+    matched = np.ones(c, dtype=bool)
+    for same in (kind[rows], columns.group[rows], rank[whole].reshape(n, c)):
+        matched &= (same == same[0]).all(axis=0)
+    firsts, lasts, size = _runs(rows, matched[:-1] & matched[1:] & local)
+    worth = size >= _CHAIN_MIN + _CHAIN_STEP * (lasts - firsts)
+    if not worth.any():
+        return None
+    from repro.mlsim.supersteps import Supersteps   # for traces with chains
+
+    return Supersteps(columns, op, rows, firsts[worth], lasts[worth])
+
+
+def _runs(rows: np.ndarray,
+          link: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first and last collective (columns of ``rows``) of every
+    maximal run of supersteps ``link`` marks (superstep j closes with
+    collective j + 1), and the rows from the one to the other."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], link, [False]))))
+    firsts, lasts = edges[::2], edges[1::2]
+    return firsts, lasts, (rows[:, lasts] - rows[:, firsts]).sum(axis=0)
+
+
 class _TraceIndex:
     """Preset-independent structure of one decoded trace.
 
     Built once per (columns, topology) pair and shared by every
     per-preset :class:`_Program`: event-kind partitions, hop distances
     for communication events, the integer operand lists of the
-    interpreter (none of which depend on timing parameters), and —
-    materialized lazily because only metric collection and link
-    contention need it — each communication event's route as a tuple of
-    dense physical-link ids.
+    interpreter (none of which depend on timing parameters), the runs
+    and superstep chains the loop replays as steps (``gaps``: the spans
+    of rows the float lists keep), and — materialized lazily because
+    only metric collection and link contention need it — each
+    communication event's route as a tuple of dense physical-link ids.
     """
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
-                 "ops", "run_ops", "runs", "gaps", "starts",
+                 "ops", "run_ops", "runs", "supersteps", "gaps", "starts",
                  "i0", "i1", "i2", "i3",
                  "instant_counts", "_link_plan", "link_table")
 
@@ -265,20 +373,34 @@ class _TraceIndex:
         table = np.full(max(_OPCODE) + 1, -1, dtype=np.int64)
         for k, op in _OPCODE.items():
             table[k] = op
-        self.ops = table[kind].tolist()
+        op = table[kind]
+        self.ops = op.tolist()
         self.starts = columns.starts.tolist()
         self.runs = _find_runs(columns, pe_of_all)
         self.run_ops = self.ops
-        self.gaps = [(0, len(kind))]    # the rows outside runs
         if self.runs:
             self.run_ops = list(self.ops)
+            for first in self.runs:
+                self.run_ops[first] = _RUN
+        self.supersteps = _find_chains(columns, pe_of_all, op,
+                                       self.by_kind)
+        self.gaps = [(0, len(kind))]
+        if self.runs or self.supersteps is not None:
+            # The rows the float lists leave out: the runs', and a
+            # chain's between its first and last collective where a PE
+            # has at least _SKIP_MIN of them.
+            skips = [(first, run.stop) for first, run in self.runs.items()]
+            if self.supersteps is not None:
+                for chain in self.supersteps.chains:
+                    first, stop = chain.inside
+                    long = stop - first >= _SKIP_MIN
+                    skips += zip(first[long].tolist(), stop[long].tolist())
             self.gaps = []
             done = 0
-            for first, run in self.runs.items():
-                self.run_ops[first] = _RUN
+            for first, stop in sorted(skips):
                 if first > done:
                     self.gaps.append((done, first))
-                done = run.stop
+                done = stop
             if done < len(kind):
                 self.gaps.append((done, len(kind)))
         # Integer operands (see the _Program docstring table).  The
@@ -423,13 +545,15 @@ class _Program:
 
     Float slots carry the precomputed per-event costs; see the per-kind
     blocks below.  A trace with runs also gets them as arrays for the run
-    step (``run_costs``, a :class:`repro.mlsim.runs.RunCosts`), and its
-    lists skip the rows inside runs, which only a replay that declines
-    the step reads (:meth:`operands`).
+    step (``run_costs``, a :class:`repro.mlsim.runs.RunCosts`), one with
+    chains for the superstep step (``chain_costs``, a
+    :class:`repro.mlsim.supersteps.ChainCosts`), and its lists skip the
+    rows inside runs and chains, which only a replay that declines the
+    steps reads (:meth:`operands`).
     """
 
     __slots__ = ("index", "params", "costs", "lists", "_full", "run_costs",
-                 "dma_setup", "send_flag_tail", "send_theft",
+                 "chain_costs", "dma_setup", "send_flag_tail", "send_theft",
                  "get_send_cpu")
 
     def __init__(self, index: _TraceIndex, params: MLSimParams) -> None:
@@ -514,22 +638,16 @@ class _Program:
         # software barrier over communication registers otherwise).
         idx = idx_of(EventKind.BARRIER)
         if len(idx):
-            gs = columns.group_size[idx]
-            establish = {s: r * p.group_barrier_step_time
-                         for s, r in _log2_rounds(gs).items()}
-            f0[idx] = [p.barrier_net_time if g == 0 else establish[s]
-                       for g, s in zip(columns.group[idx].tolist(),
-                                       gs.tolist())]
+            f0[idx] = np.where(
+                columns.group[idx] == 0, p.barrier_net_time,
+                _log2_times(columns.group_size[idx],
+                            p.group_barrier_step_time))
 
         # GOP: f0 duration == f1 member cpu share.
         idx = idx_of(EventKind.GOP)
         if len(idx):
-            gs = columns.group_size[idx]
-            dur = {s: r * p.gop_step_time
-                   for s, r in _log2_rounds(gs).items()}
-            vals = [dur[s] for s in gs.tolist()]
-            f0[idx] = vals
-            f1[idx] = vals
+            f0[idx] = f1[idx] = _log2_times(columns.group_size[idx],
+                                            p.gop_step_time)
 
         # VGOP: f0 duration, f1 member cpu share.  A pipelined ring
         # reduction over ring buffers with blocking SEND/RECEIVE (section
@@ -573,21 +691,29 @@ class _Program:
         self.costs: tuple[np.ndarray, ...] = ()
         self._full: tuple[list[float], ...] | None = self.lists
         self.run_costs: RunCosts | None = None
+        self.chain_costs: ChainCosts | None = None
+        if index.runs or index.supersteps is not None:
+            self.costs = costs          # kept for the full lists
+            self._full = None
         if index.runs:
             from repro.mlsim.runs import RunCosts
 
-            self.costs = costs          # kept for the full lists
-            self._full = None
             self.run_costs = RunCosts(
                 kind, index.runs, costs, self.dma_setup,
                 self.send_flag_tail, self.send_theft, self.get_send_cpu)
+        if index.supersteps is not None:
+            from repro.mlsim.supersteps import ChainCosts
 
-    def operands(self, runs: bool) -> tuple[list[float], ...]:
-        """The float slots as lists: with ``runs`` (the loop replays runs
-        as steps) every row outside them, else every row."""
-        if runs:
+            self.chain_costs = ChainCosts(
+                index.supersteps, costs, p.barrier_lib_time,
+                p.creg_access_time)
+
+    def operands(self, stepped: bool) -> tuple[list[float], ...]:
+        """The float slots as lists: ``stepped`` (the loop replays runs
+        and chains as steps) every row outside them, else every row."""
+        if stepped:
             return self.lists
-        if self._full is None:       # a trace with runs: costs are kept
+        if self._full is None:       # a trace with steps: costs are kept
             self._full = _operand_lists(self.costs, [(0, len(self.costs[0]))])
         return self._full
 
@@ -687,13 +813,20 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     index = program.index
     contend = link_contention
     record = record_timeline
-    # Runs are replayed as one step unless a timeline or the link step
-    # needs every row on its own.
+    # Runs and chains are replayed as one step each unless a timeline or
+    # the link step needs every row on its own.
     stepped = not (contend or record)
     ops = index.run_ops if stepped else index.ops
     runs = index.runs
     if program.run_costs is not None:   # no _RUN row otherwise
         run_step = program.run_costs.replay
+    chains: dict = {}                   # by the rows that open them
+    chain = None                        # the chain whose opening is released
+    if stepped and program.chain_costs is not None:
+        from repro.mlsim.supersteps import observe
+
+        chains = program.chain_costs.at
+        chain_step = program.chain_costs.replay
     starts = index.starts
     i0, i1, i2, i3 = index.i0, index.i1, index.i2, index.i3
     f0, f1, f2, f3, f4, f5 = program.operands(stepped)
@@ -987,6 +1120,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     rec_of[pe] = rec
                     if rec[0] == i2[i]:
                         rec[2] = rec[1] + f0[i]
+                        chain = chains.get(i)
+                        if chain is not None:
+                            break       # the superstep step, below
                         waiters = rec[3]
                         if waiters:
                             # Parked members are never queued: release
@@ -1040,6 +1176,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     rec_of[pe] = rec
                     if rec[0] == size:
                         rec[2] = rec[1] + f0[i]
+                        chain = chains.get(i)
+                        if chain is not None:
+                            break       # the superstep step, below
                         waiters = rec[3]
                         if waiters:
                             # Parked members are never queued: release
@@ -1255,6 +1394,20 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
             att = False
         st[:] = i, clk, over, att, bex, brt, bid
         theft[pe] = th
+        if chain is not None:
+            # This PE released the collective that opens a chain, every
+            # other PE parked there: one step takes them all to the
+            # release of its last collective.
+            waits = chain_step(chain, pe, rec, state, theft, rec_of,
+                               (bar_gens, red_gens), ngroups, runnable,
+                               queued, collect)
+            messages += chain.messages
+            bytes_on_wire += chain.nbytes
+            if waits is not None:
+                bw_count += len(waits)
+                bw_total, bw_max = observe(waits, bw_total, bw_max,
+                                           bw_buckets)
+            chain = None
 
     unfinished = [pe for pe in range(n) if state[pe][0] < ends[pe]]
     if unfinished:

@@ -1,0 +1,311 @@
+"""The superstep step of the MLSim replay: the rows between whole-machine
+collectives replayed as array operations over all PEs.
+
+A superstep is every PE's stretch of local rows (COMPUTE, RTSYS, CREG_*,
+PHASE and the robustness instants) closed by a whole-machine collective:
+a BARRIER, GOP or VGOP of all ``num_pes`` PEs with the same kind, group
+and generation on every PE.  A chain is a maximal run of consecutive
+supersteps (``engine_soa._find_chains`` finds them with array
+operations).  :class:`Supersteps` plans all chains of a trace once — the
+local rows laid out as columns over the PE axis, padded where a PE has
+fewer — :class:`Chain` is one chain's part of that plan, and
+:class:`ChainCosts` holds one preset's costs of those rows and replays a
+chain.
+
+The loop of :func:`repro.mlsim.engine_soa.replay_columns` enters a chain
+at the release of the collective that opens it.  Every other PE is then
+parked there, in arrival order, and none is runnable; until the chain's
+last collective no PE depends on another except through the releases.
+So the step advances every PE at once, superstep by superstep, and
+leaves every float and all scheduler state bit for bit as the loop
+would:
+
+* the clock takes the pending theft, the local rows' costs and the
+  barrier library time in row order, column by column; the overhead,
+  execution, RTSYS and idle buckets, once the releases are known, are
+  one sequential ``np.add.accumulate`` per chain.  A PE with fewer local
+  rows is padded with ``0.0``: ``x + 0.0 == x`` for these non-negative
+  sums;
+* a release is the latest arrival plus the ``f0`` of the row of the PE
+  that arrives last; a reduction member is busy for ``min(max(release -
+  clock, 0), f1)`` and idles up to the release;
+* the loop visits the PEs of a chain in a rotation: the PE that releases
+  a collective runs on and arrives first at the next one, then the
+  parked PEs in the order they arrived.  Clocks do not depend on that
+  order; the barrier-wait metric is summed in it.
+
+The step stops at the release of the chain's last collective: cursors at
+that collective's rows, attempted, every PE's rendezvous record that
+collective's, generation counters advanced, the PE that released it
+first in the runnable deque and the parked ones behind it, theft
+charged.  Under link contention or a timeline the loop declines the
+step and replays the rows one by one.  The engine imports this module
+only for a trace that has chains.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from repro.mlsim.engine_soa import _COMPUTE, _CREG, _HIST_OVERFLOW, _TIMED
+from repro.trace.events import EventKind
+from repro.trace.soa import TraceColumns
+
+
+class Supersteps:
+    """The preset-independent plan of every chain of one trace.
+
+    ``rows`` (``n x c``) are the whole-machine collectives' rows per PE;
+    a chain spans collectives ``a..b`` of them.  Superstep ``j`` (closed
+    by collective ``j``) adds its clock addends as the columns
+    ``start[j]:start[j] + width[j]`` of one ``(ncols, n)`` layout shared
+    by all chains: each PE's timed local rows in order (``cells``: flat
+    positions, ``cell_rows``: their rows), padded, then one column of
+    barrier library time if collective ``j`` is a barrier (``lib``).
+    The buckets a chain leaves — overhead, execution, RTSYS, idle, one
+    block of ``n`` columns each — are one sequential sum over the rows
+    of a ``(nsums, 4n)`` layout: per chain an initial row (the PEs'
+    buckets), then per superstep the row of the collective it follows
+    (reduction busy time, idle time; the step fills it), the pending
+    theft before the first, and its clock columns, holding a CREG row's
+    or the library's time as overhead, a COMPUTE row's as execution and
+    an RTSYS row's as RTSYS (``sums``: each cell's flat position there,
+    ``lib_sums``: the library's).  ``at`` is every chain
+    (:class:`Chain`) by the row of its opening collective on each PE.
+    """
+
+    __slots__ = ("rows", "at", "chains", "cell_rows", "cells", "sums",
+                 "creg", "lib", "lib_sums", "ncols", "nsums")
+
+    def __init__(self, columns: TraceColumns, op: np.ndarray,
+                 rows: np.ndarray, firsts: np.ndarray,
+                 lasts: np.ndarray) -> None:
+        n, c = rows.shape
+        self.rows = rows
+        kinds = columns.kind[rows[0]]
+        barrier = kinds == int(EventKind.BARRIER)
+        member = np.zeros(c + 1, dtype=np.int64)
+        member[firsts + 1] += 1
+        member[lasts + 1] -= 1
+        inside = np.cumsum(member[:-1]) > 0       # superstep j in a chain
+        opening = np.zeros(c, dtype=bool)
+        opening[firsts + 1] = True
+        # A timed row's position among the collectives' rows (PE-major,
+        # so ascending) is its PE and the superstep it is in: pe * c + j.
+        timed = np.flatnonzero(_TIMED[op])
+        pos = np.searchsorted(rows.ravel(), timed)
+        kept = inside[pos % c]
+        self.cell_rows = timed[kept]
+        pos = pos[kept]
+        pe, step = np.divmod(pos, c)
+        per = np.bincount(pos, minlength=n * c)
+        rank = np.arange(len(pos)) - (np.cumsum(per) - per)[pos]
+        width = per.reshape(n, c).max(axis=0) + (barrier & inside)
+        start = np.cumsum(width) - width
+        self.ncols = int(width.sum())
+        col = start[step] + rank
+        self.cells = col * n + pe
+        lib = np.flatnonzero(barrier & inside)
+        lib_cols = start[lib] + width[lib] - 1
+        self.lib = (lib_cols[:, None] * n + np.arange(n)).ravel()
+        # The sums layout: per superstep the collective's row (after
+        # the initial row, before the theft, for the first), then the
+        # columns.
+        head = 1 + 2 * opening
+        length = (head + width) * inside
+        sum_start = np.cumsum(length) - length
+        finish = sum_start + opening
+        col_sum = np.repeat(sum_start + head - start, width) \
+            + np.arange(self.ncols)
+        self.nsums = int(length.sum())
+        cell_op = op[self.cell_rows]
+        self.creg = cell_op == _CREG
+        block = np.where(self.creg, 0, np.where(cell_op == _COMPUTE, 1, 2))
+        self.sums = col_sum[col] * 4 * n + block * n + pe
+        self.lib_sums = (col_sum[lib_cols][:, None] * 4 * n
+                         + np.arange(n)).ravel()
+        # Per chain: the generations its collectives 1..m advance, per
+        # (class, group), and the VGOP ring traffic of 0..m - 1.
+        pairs, pair = np.unique(2 * columns.group[rows[0]] + barrier,
+                                return_inverse=True)
+        seen = np.zeros((len(pairs), c + 1), dtype=np.int64)
+        seen[pair, np.arange(1, c + 1)] = 1
+        seen = np.cumsum(seen, axis=1)
+        advanced = (seen[:, lasts + 1] - seen[:, firsts + 1]).T.tolist()
+        vgop = kinds == int(EventKind.VGOP)
+        ring = np.cumsum(np.append(0, np.where(
+            vgop, columns.size[rows].sum(axis=0), 0)))
+        rings = np.cumsum(np.append(0, vgop))
+        traffic = zip(((rings[lasts] - rings[firsts]) * n * (n - 1)).tolist(),
+                      ((ring[lasts] - ring[firsts]) * (n - 1)).tolist())
+        keys = [(bool(key & 1), key >> 1) for key in pairs.tolist()]
+        self.chains: list[Chain] = []
+        self.at: dict[int, Chain] = {}
+        for a, b, counts, (messages, nbytes) in zip(
+                firsts.tolist(), lasts.tolist(), advanced, traffic):
+            chain = Chain(n, a, b, rows, barrier, start, width, sum_start,
+                          finish, length)
+            chain.gens = [(*key, k) for key, k in zip(keys, counts) if k]
+            chain.messages, chain.nbytes = messages, nbytes
+            self.chains.append(chain)
+            self.at.update(dict.fromkeys(rows[:, a].tolist(), chain))
+
+
+class Chain:
+    """One chain of ``m`` supersteps: collectives ``a..b`` of the plan's
+    (:class:`Supersteps`) whole-machine collectives, the step finishing
+    ``a..b - 1`` and the loop ``b``.
+
+    ``bounds`` are each superstep's clock columns; ``sums`` the chain's
+    rows of the sums layout and ``finish`` the collectives' rows within
+    them (``waits``: a barrier's, for the barrier-wait metric, with
+    ``wait_order`` the positions in the arrival order at the chain's
+    opening of the PEs in the order the loop would finish that barrier);
+    ``tail`` the collectives 1..m and the position in that arrival order
+    of the PE that arrives last at each.  ``inside`` bounds the rows
+    between the first and the last collective, per PE, which the loop
+    does not read; ``close`` are the last one's rows, ``gens`` the
+    generations the chain's collectives advance, ``messages`` and
+    ``nbytes`` the VGOP ring traffic of the ones the step finishes.
+    """
+
+    __slots__ = ("n", "m", "a", "close", "inside", "barrier", "bounds",
+                 "sums", "finish", "waits", "wait_order",
+                 "tail", "gens", "messages", "nbytes")
+    gens: list[tuple[bool, int, int]]
+    messages: int
+    nbytes: int
+
+    def __init__(self, n: int, a: int, b: int, rows: np.ndarray,
+                 barrier: np.ndarray, start: np.ndarray, width: np.ndarray,
+                 sum_start: np.ndarray, finish: np.ndarray,
+                 length: np.ndarray) -> None:
+        m = b - a
+        self.n, self.m, self.a = n, m, a
+        self.close = rows[:, b].tolist()
+        self.inside = (rows[:, a] + 1, rows[:, b])
+        self.barrier = barrier[a:b].tolist()
+        self.bounds = list(zip(start[a + 1:b + 1].tolist(),
+                               (start + width)[a + 1:b + 1].tolist()))
+        base = int(sum_start[a + 1])
+        self.sums = (base, int(sum_start[b] + length[b]))
+        self.finish = finish[a + 1:b + 1] - base
+        self.waits = np.flatnonzero(barrier[a:b])[:, None]
+        self.wait_order = (np.arange(n) - self.waits - 1) % n
+        steps = np.arange(1, m + 1)
+        self.tail = (a + steps, (n - 1 - steps) % n)
+
+
+class ChainCosts:
+    """One preset's costs of the chains' local rows (each the loop's: a
+    row's ``f0``, or the communication-register access time) laid out as
+    the plan says, the collectives' ``f0`` and ``f1`` per PE, and the
+    step; ``at`` is the plan's chains by opening row."""
+
+    __slots__ = ("at", "clock", "sums", "f0", "f1")
+
+    def __init__(self, plan: Supersteps, costs: tuple, barrier_lib: float,
+                 creg_access: float) -> None:
+        f0, f1 = costs[0], costs[1]
+        n = plan.rows.shape[0]
+        self.at = plan.at
+        values = np.where(plan.creg, creg_access, f0[plan.cell_rows])
+        clock = np.zeros(plan.ncols * n)
+        clock[plan.cells] = values
+        clock[plan.lib] = barrier_lib
+        self.clock = clock.reshape(plan.ncols, n)
+        sums = np.zeros(plan.nsums * 4 * n)
+        sums[plan.sums] = values
+        sums[plan.lib_sums] = barrier_lib
+        self.sums = sums.reshape(plan.nsums, 4 * n)
+        self.f0 = f0[plan.rows.T]
+        self.f1 = f1[plan.rows.T]
+
+    def replay(self, chain: Chain, pe: int, rec: list, state: list,
+               theft: list, rec_of: list, gens: tuple, ngroups: int,
+               runnable: deque, queued: set,
+               collect: bool) -> np.ndarray | None:
+        """Replay ``chain`` from the release of its opening collective by
+        ``pe`` (``rec`` its rendezvous record, ``gens`` the barrier and
+        reduction generation counters) on the loop's state; return the
+        barrier waits in the loop's order (``collect``), else ``None``."""
+        n, m, a = chain.n, chain.m, chain.a
+        clock, f1 = self.clock, self.f1
+        order = [*(rec[3] or ()), pe]       # arrival order
+        rec[3] = None
+        ranks = np.array(order)
+        now = list(zip(*state))     # cursor, clock, overhead, ... per PE
+        # The PE that releases a collective arrives first at the next
+        # one: the arrival order rotates by one per collective.
+        rows, at = chain.tail
+        tail = self.f0[rows, ranks[at]].tolist()
+        pending = np.array(theft)
+        # The clocks, superstep by superstep; what the collectives leave
+        # in the buckets follows from the arrivals and releases after.
+        maximum, minimum = np.maximum, np.minimum
+        release = rec[2]
+        clk = np.array(now[1])
+        arrivals = [clk]
+        releases = [release]
+        for s, (lo, hi), bar in zip(range(m), chain.bounds, chain.barrier):
+            if bar:
+                clk = maximum(clk, release)
+            else:
+                clk = maximum(clk + minimum(maximum(release - clk, 0.0),
+                                            f1[a + s]), release)
+            if not s:
+                clk = clk + pending
+            for c in range(lo, hi):
+                clk = clk + clock[c]
+            top = max(clk.tolist())
+            release = top + tail[s]
+            arrivals.append(clk)
+            releases.append(release)
+        # A barrier's f1 is 0.0: no busy time, its idle time the wait.
+        arrive = np.array(arrivals[:-1])
+        free = np.array(releases[:-1])[:, None]
+        wait = maximum(free - arrive, 0.0)
+        busy = minimum(wait, f1[a:a + m])
+        sums = self.sums[chain.sums[0]:chain.sums[1]].copy()
+        sums[chain.finish, :n] = busy
+        sums[chain.finish, 3 * n:] = maximum(free - (arrive + busy), 0.0)
+        sums[0] = now[2] + now[4] + now[5] + now[6]
+        sums[2, :n] = pending
+        waits = None
+        if collect and len(chain.waits):
+            waits = wait[chain.waits, ranks[chain.wait_order]].ravel()
+        np.add.accumulate(sums, out=sums)
+        over, ex, rt, bid = sums[-1].reshape(4, n).tolist()
+        for st, i, c, o, x, r, d in zip(state, chain.close, clk.tolist(),
+                                        over, ex, rt, bid):
+            st[:] = i, c, o, True, x, r, d
+        theft[:] = [0.0] * n
+        rec_of[:] = [[n, top, release, None]] * n
+        for is_bar, gid, count in chain.gens:
+            counters = gens[0] if is_bar else gens[1]
+            counters[gid::ngroups] = [counters[gid] + count] * n
+        # The last arrival releases the closing collective and runs on,
+        # the others behind it in arrival order.
+        turn = (m + 1) % n
+        after = order[-turn:] + order[:-turn] if turn else order
+        runnable.extend(after)
+        queued.update(after)
+        return waits
+
+
+def observe(waits: np.ndarray, total: float, high: float,
+            buckets: list) -> tuple[float, float]:
+    """Add ``waits`` to a wait histogram kept as the loop keeps it: the
+    total summed in order, buckets by ``frexp``.  Returns the new total
+    and maximum and counts ``buckets`` in place."""
+    total = float(np.add.accumulate(np.concatenate(((total,), waits)))[-1])
+    high = max(high, float(np.maximum.reduce(waits)))
+    mant, exp = np.frexp(waits)
+    exp -= mant == 0.5
+    exp[waits <= 1.0] = 0
+    counts = np.bincount(np.minimum(exp, _HIST_OVERFLOW))
+    for b in np.flatnonzero(counts).tolist():
+        buckets[b] += int(counts[b])
+    return total, high

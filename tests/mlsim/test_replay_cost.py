@@ -15,36 +15,50 @@ import pytest
 
 from repro.apps.workloads import workload
 from repro.mlsim import engine_soa
-from repro.mlsim.engine_soa import compile_program, replay_columns
+from repro.mlsim.engine_soa import (
+    compile_program,
+    replay_columns,
+    trace_index,
+)
 from repro.mlsim.params import preset
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import load_trace, load_trace_columns, save_trace
+from repro.trace.soa import columns_from_buffer
 
-#: (workload, sizes, ceiling of calls per event inside one replay,
-#: the same with ``record_timeline``).  CG is collectives only (deque
-#: and set traffic per context switch): the control.  TOMCATV without
-#: stride is 8-byte PUTs with their acknowledging GETs in six runs of 99
-#: rows, each replayed as one run step (about 45 numpy and container
-#: calls; it was 4.24 calls per event row by row, one ``record_flag``
-#: per flag update and a dict probe per channel).  Recording declines
-#: the run step and adds one call and four column appends per span (1.25
-#: and 1.03 spans per event) and one and three per packet flow (none and
-#: 1.54): nothing is built per row.
-#: ``scripts/consume_cost.py --max-replay-calls`` holds its TC no st
-#: trace (16 cells, runs of 195 rows: 0.34 today) to the same ceiling
-#: in CI.
+#: case -> (workload, sizes, ceiling of calls per event inside one
+#: replay, the same with ``record_timeline``).  CG is collectives and
+#: local rows only: on 8 cells one chain of 52 supersteps, replayed as
+#: one superstep step (0.39 calls per event; it was 2.01 row by row,
+#: deque and set traffic per context switch, when the ceiling was 3.0).
+#: On 4 cells its supersteps are below the step's break-even, so that
+#: trace keeps counting the loop's context switches (2.05).  TOMCATV
+#: without stride is 8-byte PUTs with their acknowledging GETs in six
+#: runs of 99 rows, each replayed as one run step (about 45 numpy and
+#: container calls; it was 4.24 calls per event row by row, one
+#: ``record_flag`` per flag update and a dict probe per channel).
+#: Recording declines both steps and adds one call and four column
+#: appends per span (1.25 and 1.03 spans per event) and one and three
+#: per packet flow (none and 1.54): nothing is built per row.
+#: ``scripts/consume_cost.py --max-replay-calls`` holds its CG trace (16
+#: cells, one chain of 318 supersteps: 0.14 today) and its TC no st
+#: trace (16 cells, runs of 195 rows: 0.34) to these ceilings in CI.
+CG_CEILING = 0.45
 TC_NO_ST_CEILING = 0.8
 CASES = {
-    "CG": (dict(num_cells=8, n=120, outer=2, inner=5), 3.0, 9.5),
-    "TC no st": (dict(num_cells=4, n=33, iters=1, use_stride=False),
+    "CG": ("CG", dict(num_cells=8, n=120, outer=2, inner=5), CG_CEILING,
+           9.5),
+    "CG below the break-even": (
+        "CG", dict(num_cells=4, n=120, outer=2, inner=5), 2.5, 9.5),
+    "TC no st": ("TC no st",
+                 dict(num_cells=4, n=33, iters=1, use_stride=False),
                  TC_NO_ST_CEILING, 16.5),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def recorded(request, tmp_path_factory):
-    sizes, *ceilings = CASES[request.param]
-    run = workload(request.param).runner(**sizes)
+    app, sizes, *ceilings = CASES[request.param]
+    run = workload(app).runner(**sizes)
     path = tmp_path_factory.mktemp("cost") / "trace.jsonl"
     save_trace(run.trace, path)
     return path, ceilings
@@ -74,8 +88,9 @@ def test_replay_calls_per_event(recorded):
                     "<built-in method builtins.max>")
         for caller in callers if caller[0] == engine_soa.__file__)
     assert from_engine <= 4, from_engine
-    # Everything the replay calls, C methods included (today: CG 2.00,
-    # TOMCATV 0.69 per event; the loop's own work is not a call).
+    # Everything the replay calls, C methods included (today: CG 0.39,
+    # on 4 cells 2.05, TOMCATV 0.69 per event; the loop's own work is
+    # not a call).
     per_event = stats.total_calls / events
     assert per_event < ceiling, per_event
     # The same replay keeping its timeline (today: 8.24 and 15.59; a
@@ -92,6 +107,16 @@ def test_replay_calls_per_event(recorded):
                                     timeline.mark_log)
             for column in log for value in column}
     assert kept == {int, float}, kept
+
+
+def test_cg_cases_sit_either_side_of_the_break_even():
+    chains = {}
+    for name in ("CG", "CG below the break-even"):
+        app, sizes, *_ = CASES[name]
+        columns = columns_from_buffer(workload(app).runner(**sizes).trace)
+        plan = trace_index(columns).supersteps
+        chains[name] = [] if plan is None else [c.m for c in plan.chains]
+    assert chains == {"CG": [52], "CG below the break-even": []}
 
 
 def test_v2_load_records_nothing(recorded):

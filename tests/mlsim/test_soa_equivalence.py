@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, replace
+from contextlib import nullcontext
+from dataclasses import asdict, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from repro.apps.workloads import workload
 from repro.bench.cache import jsonify
 from repro.core.errors import SimulationError
+from repro.mlsim import engine_soa, supersteps
 from repro.mlsim.engine_soa import compile_program, replay_columns, trace_index
 from repro.mlsim.params import MLSimParams, preset
 from repro.mlsim.runs import fifo
@@ -223,6 +226,13 @@ FREE = MLSimParams(
     network_prolog_time=0.0, network_delay_time=0.0,
     network_epilog_time=0.0, put_msg_time=0.0, barrier_net_time=0.0,
     recv_copy_byte_time=0.0)
+#: Every time parameter zero (the computation factor must be positive):
+#: only work moves a clock.
+ZERO = MLSimParams(name="zero", computation_factor=1.0,
+                   hardware_put_get=True, **{
+                       f.name: 0.0 for f in fields(MLSimParams)
+                       if f.name not in ("name", "computation_factor",
+                                         "hardware_put_get")})
 
 
 @st.composite
@@ -233,7 +243,11 @@ def tie_scripts(draw):
     a cell may run ahead of traffic addressed to it (which is how a GET
     reply comes to be discovered out of injection order).  A burst is
     one PE's run of 1-300 PUT/GETs to 1-3 partners, itself included (see
-    ``burst_rows``): long ones are replayed as one run step."""
+    ``burst_rows``): long ones are replayed as one run step.  A
+    collective burst is 1-24 whole-machine collectives with local rows
+    between them (see ``collective_rows``): a chain of supersteps, too
+    short for the step on this few PEs unless the break-even is
+    lowered."""
     n = draw(st.integers(1, 5))
     pe = st.integers(0, n - 1)
     size = st.sampled_from([0, 0, 8, 64, 4096])
@@ -253,6 +267,8 @@ def tie_scripts(draw):
         st.tuples(st.just("burst"), pe,
                   st.lists(pe, min_size=1, max_size=3, unique=True),
                   st.integers(1, 300), st.integers(0, 2**16)),
+        st.tuples(st.just("collectives"), st.integers(1, 24),
+                  st.integers(0, 2**16)),
     )
     return n, draw(st.lists(step, max_size=16))
 
@@ -289,6 +305,43 @@ def burst_rows(buf: TraceBuffer, n: int, src: int, partners, count: int,
                     reached = rng.randint(1, reached)
                 buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=waiter,
                                       flag=flag, target=reached))
+
+
+def collective_rows(buf: TraceBuffer, n: int, count: int,
+                    seed: int) -> None:
+    """``count`` whole-machine collectives of drawn kinds, before each
+    one every PE's own draw of zero to four local rows — COMPUTE,
+    RTSYS, CREG_*, a PHASE mark or a robustness instant — so PEs hold
+    unequal numbers of them and a segment may be empty on every PE.  A
+    VGOP's size is drawn per PE, and the group size is explicit or
+    left to the group table."""
+    rng = random.Random(seed)
+    phase = buf.phase_id("superstep")
+    for _ in range(count):
+        kind = rng.choice([EventKind.BARRIER, EventKind.GOP,
+                           EventKind.VGOP])
+        explicit = rng.random() < 0.5
+        for pe in range(n):
+            for _ in range(rng.choice([0, 0, 1, 1, 2, 4])):
+                local = rng.choice([EventKind.COMPUTE, EventKind.RTSYS,
+                                    EventKind.CREG_STORE,
+                                    EventKind.CREG_LOAD, EventKind.PHASE,
+                                    EventKind.RETRY, EventKind.SPILL])
+                if local in (EventKind.COMPUTE, EventKind.RTSYS):
+                    # Inexact sums too: the barrier-wait total then
+                    # depends on the order it is summed in.
+                    event = TraceEvent(local, pe=pe, work=rng.choice(
+                        [0.0, 1.5, 0.1, 1000.0 / 3, 123456.789]))
+                elif local == EventKind.PHASE:
+                    event = TraceEvent(local, pe=pe, flag=phase)
+                else:
+                    event = TraceEvent(local, pe=pe, partner=pe, size=4)
+                buf.record(event)
+            buf.record(TraceEvent(
+                kind, pe=pe, group=0, group_size=n if explicit else 0,
+                size=(0 if kind == EventKind.BARRIER else 8
+                      if kind == EventKind.GOP
+                      else rng.choice([8, 64, 4096]))))
 
 
 def tie_trace(n: int, steps) -> TraceBuffer:
@@ -341,6 +394,17 @@ def tie_trace(n: int, steps) -> TraceBuffer:
                 buf.record(TraceEvent(EventKind[what], pe=where))
         elif name == "burst":
             burst_rows(buf, n, *step[1:], counts)
+        elif name == "collectives":
+            collective_rows(buf, n, *step[1:])
+        elif name == "remote":
+            _, src, dst, store = step
+            buf.record(TraceEvent(
+                EventKind.REMOTE_STORE if store else EventKind.REMOTE_LOAD,
+                pe=src, partner=dst, size=8))
+        elif name == "mixed":       # one whole-machine reduction, by kind
+            for member, kind in enumerate(step[1]):
+                buf.record(TraceEvent(EventKind[kind], pe=member, group=0,
+                                      group_size=n, size=64))
         else:
             group, explicit = sorted(step[1]), step[2]
             gid = buf.groups.intern(tuple(group))
@@ -356,14 +420,20 @@ def tie_trace(n: int, steps) -> TraceBuffer:
 
 class TestGeneratedTies:
     @settings(max_examples=80, deadline=None)
-    @given(tie_scripts(), st.booleans())
+    @given(tie_scripts(), st.booleans(), st.booleans())
     # TestDiscoveryOrder's shape, in the generator's vocabulary.
     @example((3, [("send", 2, 0, 8), ("compute", 1, 100000.0),
                   ("put", 1, 0, 4096, False, False),
-                  ("get", 0, 1, 4096)]), True)
-    def test_scalar_and_soa_agree_bit_for_bit(self, script, collect):
-        assert_equivalent(tie_trace(*script),
-                          (*map(preset, PRESETS), FREE), collect)
+                  ("get", 0, 1, 4096)]), True, False)
+    @example((1, [("collectives", 3, 0)]), True, True)
+    def test_scalar_and_soa_agree_bit_for_bit(self, script, collect,
+                                              every_chain):
+        """``every_chain``: with the superstep step's break-even at zero,
+        so that every chain of supersteps is one step."""
+        trace = tie_trace(*script)
+        with (mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0)
+              if every_chain else nullcontext()):
+            assert_equivalent(trace, (*map(preset, PRESETS), FREE), collect)
 
 
 #: Bursts on both sides of the run step's threshold (``_RUN_MIN``).
@@ -438,6 +508,96 @@ class TestBursts:
         runs = trace_index(columns_from_buffer(buf)).runs
         assert [(r.start, r.stop, r.pe) for r in runs.values()] == [
             (0, 40, 0), (40, 80, 1), (81, 120, 1)]
+
+
+def chains_of(trace: TraceBuffer) -> list[int]:
+    """The superstep counts of the chains the trace is replayed in."""
+    plan = trace_index(columns_from_buffer(trace)).supersteps
+    return [] if plan is None else [chain.m for chain in plan.chains]
+
+
+#: Traces of whole-machine collectives: the shapes a chain can take and
+#: what ends one, on both sides of the break-even.
+SUPERSTEPS = {
+    # Unequal local rows, segments empty on every PE, PHASE marks and
+    # instants, VGOPs of differing sizes.
+    "unequal segments": (16, [("collectives", 30, 1)], [29]),
+    "four PEs": (4, [("collectives", 90, 2)], [89]),
+    # PE 15 runs last: its PUTs leave theft pending on PEs parked at
+    # the collective that opens the chain, and on itself.
+    "pending theft": (16, [
+        *(("put", 15, dst, 4096, False, False) for dst in range(16)),
+        ("mark", 3, "RETRY"), ("collectives", 24, 3)], [23]),
+    "ended by a subgroup collective": (16, [
+        ("collectives", 20, 4), ("barrier", {0, 1, 2}, True),
+        ("collectives", 20, 5)], [19, 19]),
+    "ended by a PUT": (16, [
+        ("collectives", 20, 6), ("put", 3, 5, 64, False, True),
+        ("collectives", 20, 7)], [19, 19]),
+    "ended by a remote load": (16, [
+        ("collectives", 20, 8), ("remote", 2, 7, False),
+        ("collectives", 20, 9)], [19, 19]),
+    "ended by a remote store": (16, [
+        ("collectives", 20, 10), ("remote", 2, 7, True),
+        ("collectives", 20, 11)], [19, 19]),
+    # GOP on PE 0, VGOP elsewhere: one rendezvous to the loop, but not
+    # one kind, so no superstep closes there.
+    "mismatched kinds": (16, [
+        ("collectives", 15, 12), ("mixed", ("GOP",) + ("VGOP",) * 15),
+        ("collectives", 15, 13)], [14, 14]),
+    "short": (16, [("collectives", 4, 14)], []),
+    "four PEs, short": (4, [("collectives", 40, 2)], []),
+}
+
+
+class TestSupersteps:
+    @pytest.mark.parametrize("name", sorted(SUPERSTEPS))
+    def test_chain_replays_bit_for_bit(self, name):
+        n, script, chains = SUPERSTEPS[name]
+        trace = tie_trace(n, script)
+        assert_equivalent(trace, (*map(preset, PRESETS), FREE, ZERO))
+        assert chains_of(trace) == chains
+
+    def test_a_chain_ends_at_the_trace_end(self):
+        trace = tie_trace(16, [("put", 0, 1, 8, False, False),
+                               ("collectives", 24, 15)])
+        assert_equivalent(trace, (preset("ap1000"), ZERO))
+        index = trace_index(columns_from_buffer(trace))
+        last = index.supersteps.chains[-1]
+        assert last.close == (index.columns.starts[1:] - 1).tolist()
+
+    def test_pending_theft_enters_the_chain(self, monkeypatch):
+        pending = []
+        step = supersteps.ChainCosts.replay
+
+        def spied(self, chain, pe, rec, state, theft, *args):
+            pending.append(list(theft))
+            return step(self, chain, pe, rec, state, theft, *args)
+
+        monkeypatch.setattr(supersteps.ChainCosts, "replay", spied)
+        _, script, _ = SUPERSTEPS["pending theft"]
+        replay_columns(columns_from_buffer(tie_trace(16, script)),
+                       preset("ap1000"))
+        [theft] = pending
+        assert all(theft[:15]) and not theft[15], theft
+
+    def test_timeline_and_contention_decline_the_step(self, monkeypatch):
+        calls = []
+        step = supersteps.ChainCosts.replay
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return step(self, *args)
+
+        monkeypatch.setattr(supersteps.ChainCosts, "replay", counted)
+        columns = columns_from_buffer(tie_trace(16, [("collectives", 30,
+                                                      16)]))
+        plus = preset("ap1000+")
+        replay_columns(columns, plus, collect_metrics=True)
+        assert len(calls) == 1
+        replay_columns(columns, plus, record_timeline=True)
+        replay_columns(columns, plus, link_contention=True)
+        assert len(calls) == 1
 
 
 class TestProgramRefusals:
