@@ -23,7 +23,7 @@ from conftest import write_artifact
 from repro.mlsim.params import ap1000_plus_params
 from repro.mlsim.simulator import simulate
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 CELLS = 8
 ROUNDS = 30
@@ -40,22 +40,18 @@ def _ring_trace(separate_flags: bool) -> TraceBuffer:
         for pe in range(CELLS):
             right = (pe + 1) % CELLS
             if separate_flags:
-                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=right,
-                                      size=DATA_BYTES))
-                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=right,
-                                      size=BULK_BYTES))
-                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=right,
-                                      size=0, recv_flag=flag_of[right]))
+                buf.append(EventKind.PUT, pe, partner=right, size=DATA_BYTES)
+                buf.append(EventKind.PUT, pe, partner=right, size=BULK_BYTES)
+                buf.append(EventKind.PUT, pe, partner=right, size=0,
+                           recv_flag=flag_of[right])
             else:
-                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=right,
-                                      size=DATA_BYTES,
-                                      recv_flag=flag_of[right]))
-                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=right,
-                                      size=BULK_BYTES))
+                buf.append(EventKind.PUT, pe, partner=right, size=DATA_BYTES,
+                           recv_flag=flag_of[right])
+                buf.append(EventKind.PUT, pe, partner=right, size=BULK_BYTES)
         for pe in range(CELLS):
-            buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=pe,
-                                  flag=flag_of[pe], target=i + 1))
-            buf.record(TraceEvent(EventKind.COMPUTE, pe=pe, work=500.0))
+            buf.append(EventKind.FLAG_WAIT, pe, flag=flag_of[pe],
+                       target=i + 1)
+            buf.append(EventKind.COMPUTE, pe, work=500.0)
     return buf
 
 

@@ -12,7 +12,7 @@ from repro.mlsim import put_model as pm
 from repro.mlsim.params import ap1000_params, ap1000_plus_params
 from repro.mlsim.simulator import simulate
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 
 def test_figure7_artifact():
@@ -48,9 +48,8 @@ class TestModelShape:
 
 def _single_put_trace(size):
     buf = TraceBuffer(num_pes=2)
-    buf.record(TraceEvent(EventKind.PUT, pe=0, partner=1, size=size,
-                          recv_flag=9))
-    buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=1, flag=9, target=1))
+    buf.append(EventKind.PUT, 0, partner=1, size=size, recv_flag=9)
+    buf.append(EventKind.FLAG_WAIT, 1, flag=9, target=1)
     return buf
 
 

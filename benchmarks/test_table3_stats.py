@@ -34,8 +34,9 @@ class TestRowStructure:
     def test_cg_vgop_vector_size_is_11200_bytes(self, evaluation):
         runs, _ = evaluation
         from repro.trace.events import EventKind
-        sizes = {ev.size for ev in runs["CG"].trace.events_for(0)
-                 if ev.kind is EventKind.VGOP}
+        block = runs["CG"].trace.block()
+        sizes = set(block["size"][(block["pe"] == 0) & (
+            block["kind"] == EventKind.VGOP)].tolist())
         assert sizes == {11200}
 
     def test_ft_stride_puts(self, stats):

@@ -73,10 +73,9 @@ def main() -> None:
         machine, field = run(use_stride)
         ok = np.allclose(field[1:-1, 1:-1], ref[1:-1, 1:-1], atol=1e-12)
         puts = machine.trace.count(EventKind.PUT)
-        stride_puts = sum(
-            1 for pe in range(CELLS)
-            for ev in machine.trace.events_for(pe)
-            if ev.kind is EventKind.PUT and ev.stride)
+        block = machine.trace.block()
+        stride_puts = int(np.count_nonzero(
+            (block["kind"] == EventKind.PUT) & block["stride"]))
         mode = "stride " if use_stride else "element"
         print(f"[{mode}] field matches numpy: {ok};  halo PUTs: {puts:5d} "
               f"({stride_puts} strided; {machine.trace.total_events} "

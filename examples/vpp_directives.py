@@ -50,9 +50,9 @@ def run(form: str, use_stride: bool = True):
     source = LIST1.replace("{SRC}", form)
     results = machine.run(program, source, use_stride=use_stride)
     gets = machine.trace.count(EventKind.GET)
-    stride_gets = sum(
-        1 for pe in range(CELLS) for ev in machine.trace.events_for(pe)
-        if ev.kind is EventKind.GET and ev.stride)
+    block = machine.trace.block()
+    stride_gets = int(np.count_nonzero(
+        (block["kind"] == EventKind.GET) & block["stride"]))
     return results[0], gets, stride_gets
 
 

@@ -3,9 +3,8 @@
 
 What it costs *the host* to take a recorded trace through the warm
 path — ``load_trace`` (file -> buffer; the block mapped and checked,
-no event built), ``events`` (that buffer's ``TraceEvent`` objects, for
-whoever asks: checker, exporter, digest), ``load_trace_columns`` (file
--> replay columns, what ``repro replay`` and the bench runner use),
+no event built), ``load_trace_columns`` (file -> replay columns, what
+``repro replay`` and the bench runner use),
 ``compile_program`` and ``replay_columns`` under each preset, the
 cache entry's trace file (``save_trace_v2`` of a freshly loaded buffer)
 and ``export`` (``obs.export.export_trace`` of a freshly loaded buffer
@@ -88,7 +87,7 @@ def main() -> int:
     from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
     presets = [preset(name) for name in PRESETS]
-    stages = ["load", "events", "decode", "compile",
+    stages = ["load", "decode", "compile",
               *(f"replay {name}" for name in PRESETS), "save", "export"]
     print(f"min of {args.repeats}; host_us = host wall clock per trace "
           "event, sim_us = simulated elapsed time of the whole trace")
@@ -108,13 +107,11 @@ def main() -> int:
             cost = dict.fromkeys(stages, float("inf"))
             for _ in range(args.repeats):
                 # A fresh buffer per round: it is saved from the arrays
-                # it was mapped to, and its events are built once.
+                # it was mapped to.
                 seconds, loaded = least(1, load_trace, path)
                 cost["load"] = min(cost["load"], seconds)
                 cost["save"] = min(
                     cost["save"], least(1, save_trace_v2, loaded, copy)[0])
-                cost["events"] = min(
-                    cost["events"], least(1, loaded.all_events)[0])
                 cost["export"] = min(cost["export"], least(
                     1, export_trace, load_trace(path), presets[-1])[0])
             cost["decode"], columns = least(

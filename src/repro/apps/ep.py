@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.apps.base import AppRun, execute
 from repro.machine.config import MachineConfig
+from repro.trace.events import EventKind
 
 #: NPB EP constants.
 LCG_A = 5 ** 13
@@ -107,11 +108,9 @@ def run(num_cells: int = DEFAULT_PES, *,
             "bins_match": bool(np.array_equal(bins, ref_bins)),
             "sum_x_match": abs(sx - ref_sx) < 1e-6 * max(abs(ref_sx), 1.0),
             "sum_y_match": abs(sy - ref_sy) < 1e-6 * max(abs(ref_sy), 1.0),
-            "no_communication": all(
-                ev.kind.name in ("COMPUTE", "RTSYS")
-                for pe in range(machine.config.num_cells)
-                for ev in machine.trace.events_for(pe)
-            ),
+            "no_communication": bool(np.isin(
+                machine.trace.block()["kind"],
+                [EventKind.COMPUTE, EventKind.RTSYS]).all()),
         }
 
     return execute("EP", program, num_cells, verify,

@@ -20,7 +20,7 @@ from repro.mlsim.params import MLSimParams
 from repro.mlsim.simulator import simulate
 from repro.network.topology import TorusTopology
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 #: Default message-size sweep (bytes): 4 B to 1 MB.
 SIZE_SWEEP = tuple(4 * (4 ** i) for i in range(10))
@@ -41,14 +41,12 @@ def ping_pong(params: MLSimParams, size: int, *,
     a, b = 0, distance_cells - 1 if distance_cells > 1 else 1
     flag_a, flag_b = 101, 102
     for i in range(rounds):
-        trace.record(TraceEvent(EventKind.PUT, pe=a, partner=b, size=size,
-                                recv_flag=flag_b))
-        trace.record(TraceEvent(EventKind.FLAG_WAIT, pe=b, flag=flag_b,
-                                target=i + 1))
-        trace.record(TraceEvent(EventKind.PUT, pe=b, partner=a, size=size,
-                                recv_flag=flag_a))
-        trace.record(TraceEvent(EventKind.FLAG_WAIT, pe=a, flag=flag_a,
-                                target=i + 1))
+        trace.append(EventKind.PUT, a, partner=b, size=size,
+                     recv_flag=flag_b)
+        trace.append(EventKind.FLAG_WAIT, b, flag=flag_b, target=i + 1)
+        trace.append(EventKind.PUT, b, partner=a, size=size,
+                     recv_flag=flag_a)
+        trace.append(EventKind.FLAG_WAIT, a, flag=flag_a, target=i + 1)
     result = simulate(trace, params)
     round_trip = result.elapsed_us / rounds
     one_way = round_trip / 2.0
@@ -91,8 +89,7 @@ def collective_sweep(params: MLSimParams,
         def one(kind: EventKind, size: int = 8) -> float:
             trace = TraceBuffer(num_pes=n)
             for pe in range(n):
-                trace.record(TraceEvent(kind, pe=pe, group=0, group_size=n,
-                                        size=size))
+                trace.append(kind, pe, group=0, group_size=n, size=size)
             return simulate(trace, params, topo).elapsed_us
 
         rows.append(CollectivePoint(

@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.check.diagnostics import (
     SEVERITY_ERROR,
     CheckReport,
@@ -65,7 +67,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace import buffer as _trace_buffer
 from repro.trace.buffer import TraceBuffer, streaming_to
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 __all__ = [
     "CommGraph",
@@ -180,28 +182,30 @@ def kind_totals(trace: TraceBuffer) -> dict[str, tuple[int, int]]:
 
     COMPUTE/RTSYS/PHASE are excluded; stride transfers are labelled
     ``PUTS``/``GETS`` as in the paper's Table 3, zero-byte acknowledge
-    GETs as ``ACK``.
+    GETs as ``ACK``.  Labels appear in the order the block first has
+    them.
     """
-    totals: dict[str, list[int]] = {}
-    for pe in range(trace.num_pes):
-        for ev in trace.events_for(pe):
-            if ev.kind in UNTIMED_KINDS:
-                continue
-            label = _kind_label(ev)
-            bucket = totals.setdefault(label, [0, 0])
-            bucket[0] += 1
-            bucket[1] += ev.size
-    return {label: (c, b) for label, (c, b) in totals.items()}
+    block = trace.block()
+    timed = ~np.isin(block["kind"], list(UNTIMED_KINDS))
+    labels = _label_codes(block)[timed]
+    codes, first = np.unique(labels, return_index=True)
+    counts = np.bincount(labels, minlength=len(_LABELS))
+    nbytes = np.bincount(labels, block["size"][timed], len(_LABELS))
+    return {_LABELS[code]: (int(counts[code]), int(nbytes[code]))
+            for code in codes[np.argsort(first)].tolist()}
 
 
-def _kind_label(ev: TraceEvent) -> str:
-    if ev.kind is EventKind.PUT and ev.stride:
-        return "PUTS"
-    if ev.kind is EventKind.GET and ev.stride:
-        return "GETS"
-    if ev.kind is EventKind.GET and ev.is_ack:
-        return "ACK"
-    return ev.kind.name
+#: A row's label by code: its kind's name, or one of the three below.
+_LABELS = [kind.name for kind in EventKind] + ["PUTS", "GETS", "ACK"]
+
+
+def _label_codes(block: dict[str, np.ndarray]) -> np.ndarray:
+    """Each row's index in :data:`_LABELS`."""
+    kind = block["kind"].astype(np.int64)
+    put, get = kind == int(EventKind.PUT), kind == int(EventKind.GET)
+    stride, ack = block["stride"], block["is_ack"]
+    return np.select([put & stride, get & stride, get & ack],
+                     np.arange(3) + len(EventKind), kind)
 
 
 def analyze_program(program: Callable[..., Any], num_cells: int,
@@ -257,21 +261,23 @@ class CommGraph:
     def add_run(self, run: CommRun) -> None:
         p = run.num_cells
         self.totals[p] = kind_totals(run.trace)
-        for pe in range(run.num_cells):
-            for ev in run.trace.events_for(pe):
-                site = run.sites.get(ev.seq)
-                if site is None:
-                    continue
-                key = (_kind_label(ev), site[0], site[1])
-                if ev.kind in _EDGE_KINDS:
-                    obs = self.edges.setdefault(key, {}).setdefault(
-                        p, _EdgeObs())
-                    obs.count += 1
-                    obs.nbytes += ev.size
-                    obs.pairs.add((pe, ev.partner))
-                elif ev.kind in _NODE_KINDS:
-                    counts = self.nodes.setdefault(key, {})
-                    counts[p] = counts.get(p, 0) + 1
+        block = run.trace.block()
+        for seq, kind, label, pe, partner, size in zip(*(
+                column.tolist() for column in (
+                    block["seq"], block["kind"], _label_codes(block),
+                    block["pe"], block["partner"], block["size"]))):
+            site = run.sites.get(seq)
+            if site is None:
+                continue
+            key = (_LABELS[label], site[0], site[1])
+            if kind in _EDGE_KINDS:
+                obs = self.edges.setdefault(key, {}).setdefault(p, _EdgeObs())
+                obs.count += 1
+                obs.nbytes += size
+                obs.pairs.add((pe, partner))
+            elif kind in _NODE_KINDS:
+                counts = self.nodes.setdefault(key, {})
+                counts[p] = counts.get(p, 0) + 1
 
     @property
     def sampled(self) -> tuple[int, ...]:
@@ -336,20 +342,19 @@ def _group_desc(members: tuple[int, ...], num_cells: int) -> str:
 def _divergence_findings(run: CommRun) -> list[Diagnostic]:
     """Compare every group member's collective subsequence."""
     sequences: dict[tuple[int, ...],
-                    dict[int, list[TraceEvent]]] = {}
-    for pe in range(run.num_cells):
-        for ev in run.trace.events_for(pe):
-            if ev.kind not in _COLLECTIVE_KINDS:
-                continue
-            members = run.trace.groups.members(ev.group)
-            sequences.setdefault(members, {}).setdefault(
-                pe, []).append(ev)
+                    dict[int, list[tuple[str, int, int]]]] = {}
+    block = run.trace.block()
+    rows = np.flatnonzero(np.isin(block["kind"], list(_COLLECTIVE_KINDS)))
+    for pe, kind, group, size, seq in zip(*(
+            block[name][rows].tolist()
+            for name in ("pe", "kind", "group", "size", "seq"))):
+        members = run.trace.groups.members(group)
+        sequences.setdefault(members, {}).setdefault(pe, []).append(
+            (EventKind(kind).name, size, seq))
     out: list[Diagnostic] = []
     for members, per_member in sorted(sequences.items()):
-        signature = {
-            pe: [(ev.kind.name, ev.size) for ev in per_member.get(pe, [])]
-            for pe in members
-        }
+        signature = {pe: [(name, size) for name, size, _ in
+                          per_member.get(pe, [])] for pe in members}
         reference_pe = members[0]
         reference = signature[reference_pe]
         for pe in members[1:]:
@@ -370,8 +375,8 @@ def _divergence_findings(run: CommRun) -> list[Diagnostic]:
             for who in (reference_pe, pe):
                 evs = per_member.get(who, [])
                 if pos < len(evs):
-                    events.append(EventRef(pe=who, seq=evs[pos].seq,
-                                           kind=evs[pos].kind.name))
+                    events.append(EventRef(pe=who, seq=evs[pos][2],
+                                           kind=evs[pos][0]))
             site = None
             for ref in events:
                 site = run.sites.get(ref.seq)
@@ -397,6 +402,7 @@ def _blocked_findings(run: CommRun,
     if not run.deadlocked:
         return []
     out: list[Diagnostic] = []
+    block = run.trace.block()
     flag_cells = [(pe, state) for pe, state in
                   sorted(run.machine.blocked.items())
                   if state[0] == "flag_wait"]
@@ -404,11 +410,12 @@ def _blocked_findings(run: CommRun,
         current = run.machine.hw_cells[pe].mc.read_flag(addr)
         ref: tuple[EventRef, ...] = ()
         site = None
-        for ev in reversed(list(run.trace.events_for(pe))):
-            if ev.kind is EventKind.FLAG_WAIT and ev.flag == flag_id:
-                ref = (EventRef(pe=pe, seq=ev.seq, kind=ev.kind.name),)
-                site = run.sites.get(ev.seq)
-                break
+        waits = block["seq"][(block["pe"] == pe) & (block["flag"] == flag_id)
+                             & (block["kind"] == int(EventKind.FLAG_WAIT))]
+        if len(waits):
+            seq = int(waits[-1])
+            ref = (EventRef(pe=pe, seq=seq, kind="FLAG_WAIT"),)
+            site = run.sites.get(seq)
         out.append(Diagnostic(
             code="COMM-UNMATCHED-FLAG",
             severity=SEVERITY_ERROR,

@@ -88,7 +88,7 @@ class HBResult:
         #: A clock per completed sync node, zero rows last (row -1); each
         #: row's clock in it.  Increments by instance in issue order, and
         #: each one's covering wait.
-        self._clock, self._row_clock = clock, row_clock.tolist()
+        self._clock, self._row_clock = clock, row_clock
         self._inc_iid, self._inc_row = sync.inc_iid, sync.inc_row
         self._inc_cover = inc_cover
         self.recv_cover = np.full(len(sync.kind), -1, np.int64)
@@ -101,10 +101,16 @@ class HBResult:
 
     def happens_before(self, a: EventKey, b: EventKey) -> bool:
         """True when event ``a`` is ordered strictly before ``b``."""
-        if a[0] == b[0]:
-            return a[1] < b[1]
-        clock = self._row_clock[self._start[b[0]] + b[1]]
-        return int(self._clock[clock, a[0]]) > a[1]
+        rows = self.starts[[a[0], b[0]]] + (a[1], b[1])
+        return bool(self.precedes(rows[:1], rows[1:])[0])
+
+    def precedes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each row of ``a`` is ordered strictly before the row
+        of ``b`` beside it."""
+        pe = self.block["pe"][a].astype(np.int64)
+        return np.where(pe == self.block["pe"][b], a < b,
+                        self._clock[self._row_clock[b], pe]
+                        > a - self.starts[pe])
 
     def concurrent(self, a: EventKey, b: EventKey) -> bool:
         return (a != b and not self.happens_before(a, b)

@@ -49,7 +49,7 @@ from repro.core.errors import IngestError
 from repro.core.flags import flag_global_id
 from repro.ingest.events import PARTNER_OPS, ForeignEvent, ForeignOp
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 #: Symmetric flag slots reserved by the mapper (every cell has 4096
 #: slots; ingested traces use only these two).
@@ -188,8 +188,7 @@ def map_events(events: list[ForeignEvent] | Any, *,
                               source=source, line=ev.line)
         gap = (ev.timestamp - cursor[rank]) * time_unit
         if gap > 0:
-            trace.record(TraceEvent(kind=EventKind.COMPUTE, pe=rank,
-                                    work=gap))
+            trace.append(EventKind.COMPUTE, rank, work=gap)
             synthesized += 1
         cursor[rank] = ev.timestamp
 
@@ -198,30 +197,24 @@ def map_events(events: list[ForeignEvent] | Any, *,
                 raise IngestError(
                     f"negative compute duration {ev.work}",
                     source=source, line=ev.line)
-            trace.record(TraceEvent(kind=EventKind.COMPUTE, pe=rank,
-                                    work=ev.work * time_unit))
+            trace.append(EventKind.COMPUTE, rank, work=ev.work * time_unit)
             cursor[rank] = ev.timestamp + ev.work
         elif ev.op is ForeignOp.PUT:
-            trace.record(TraceEvent(
-                kind=EventKind.PUT, pe=rank, partner=ev.peer,
-                size=ev.size,
-                recv_flag=flag_global_id(ev.peer, PUT_FLAG_SLOT)))
+            trace.append(EventKind.PUT, rank, partner=ev.peer, size=ev.size,
+                         recv_flag=flag_global_id(ev.peer, PUT_FLAG_SLOT))
             if ev.peer < num_ranks:
                 puts_to[ev.peer] += 1
         elif ev.op is ForeignOp.WAIT:
-            trace.record(TraceEvent(
-                kind=EventKind.FLAG_WAIT, pe=rank,
-                flag=flag_global_id(rank, PUT_FLAG_SLOT),
-                target=puts_to[rank]))
+            trace.append(EventKind.FLAG_WAIT, rank,
+                         flag=flag_global_id(rank, PUT_FLAG_SLOT),
+                         target=puts_to[rank])
         elif ev.op is ForeignOp.GET:
             gets_by[rank] += 1
             flag = flag_global_id(rank, GET_FLAG_SLOT)
-            trace.record(TraceEvent(
-                kind=EventKind.GET, pe=rank, partner=ev.peer,
-                size=ev.size, recv_flag=flag))
-            trace.record(TraceEvent(
-                kind=EventKind.FLAG_WAIT, pe=rank, flag=flag,
-                target=gets_by[rank]))
+            trace.append(EventKind.GET, rank, partner=ev.peer, size=ev.size,
+                         recv_flag=flag)
+            trace.append(EventKind.FLAG_WAIT, rank, flag=flag,
+                         target=gets_by[rank])
         elif ev.op is ForeignOp.SEND:
             channel = (rank, ev.peer, ev.tag)
             pending = recv_queue.get(channel)
@@ -231,9 +224,8 @@ def map_events(events: list[ForeignEvent] | Any, *,
                 msg_id = next_msg_id
                 next_msg_id += 1
                 send_queue.setdefault(channel, deque()).append(msg_id)
-            trace.record(TraceEvent(
-                kind=EventKind.SEND, pe=rank, partner=ev.peer,
-                size=ev.size, msg_id=msg_id))
+            trace.append(EventKind.SEND, rank, partner=ev.peer, size=ev.size,
+                         msg_id=msg_id)
         elif ev.op is ForeignOp.RECV:
             channel = (ev.peer, rank, ev.tag)
             ready = send_queue.get(channel)
@@ -244,21 +236,18 @@ def map_events(events: list[ForeignEvent] | Any, *,
                 next_msg_id += 1
                 recv_queue.setdefault(channel, deque()).append(
                     (msg_id, ev))
-            trace.record(TraceEvent(
-                kind=EventKind.RECV, pe=rank, partner=ev.peer,
-                size=ev.size, msg_id=msg_id))
+            trace.append(EventKind.RECV, rank, partner=ev.peer, size=ev.size,
+                         msg_id=msg_id)
         elif ev.op is ForeignOp.BARRIER:
             collectives[rank].append("barrier")
-            trace.record(TraceEvent(
-                kind=EventKind.BARRIER, pe=rank, group=group,
-                group_size=num_ranks))
+            trace.append(EventKind.BARRIER, rank, group=group,
+                         group_size=num_ranks)
         elif ev.op is ForeignOp.REDUCE:
             kind = (EventKind.GOP if ev.size <= SCALAR_REDUCE_BYTES
                     else EventKind.VGOP)
             collectives[rank].append(kind.name.lower())
-            trace.record(TraceEvent(
-                kind=kind, pe=rank, size=ev.size, group=group,
-                group_size=num_ranks))
+            trace.append(kind, rank, size=ev.size, group=group,
+                         group_size=num_ranks)
         else:  # pragma: no cover - the enum is closed
             raise IngestError(f"unmapped op {ev.op!r}", source=source,
                               line=ev.line)

@@ -64,7 +64,7 @@ from repro.machine.machine import (
 from repro.machine.program import CellContext, Group
 from repro.machine.shardmem import DEFAULT_RING_BYTES, SegmentPool, ShmRing
 from repro.network.packet import Packet, PacketKind, StrideSpec
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import EventKind
 
 #: Ring window = 16-byte header + data area.
 _RING_HEADER = 16
@@ -1154,15 +1154,15 @@ def _replay(machine: Machine, shard_of: list[int],
     inject = 0
     cursors = {pe: _Cursor(items) for pe, items in oplogs.items()}
 
-    def record(ev: TraceEvent) -> None:
-        kind = ev.kind
+    def record(row: list) -> None:
+        """Append a logged row (its ``seq`` slot unused) with the shard's
+        group and phase ids made the parent's."""
+        kind, pe = row[0], row[1]
         if kind in (EventKind.BARRIER, EventKind.GOP, EventKind.VGOP):
-            ev.group = trace.groups.intern(
-                groups_of[shard_of[ev.pe]][ev.group])
+            row[12] = trace.groups.intern(groups_of[shard_of[pe]][row[12]])
         elif kind is EventKind.PHASE:
-            ev.flag = trace.phase_id(
-                phases_of[shard_of[ev.pe]][ev.flag - 1])
-        trace.record(ev)
+            row[10] = trace.phase_id(phases_of[shard_of[pe]][row[10] - 1])
+        trace.append(*row[:2], *row[3:15], ranges=tuple(row[15:]) or None)
 
     def arrive(pe: int, item: tuple, wake: set[int]) -> tuple:
         """First processing of a blocking item: apply arrival side
@@ -1252,12 +1252,12 @@ def _replay(machine: Machine, shard_of: list[int],
             cur.idx += 1
             t = item[0]
             if t == "ev":
-                ev = TraceEvent(*item[1])
+                row = list(item[1])
                 if (cur.pending is not None
-                        and ev.kind in (EventKind.SEND, EventKind.RECV)):
-                    ev.msg_id = cur.pending
+                        and row[0] in (EventKind.SEND, EventKind.RECV)):
+                    row[9] = cur.pending
                     cur.pending = None
-                record(ev)
+                record(row)
             elif t == "op":
                 for owner, addr in item[1]:
                     flags[(owner, addr)] = flags.get((owner, addr), 0) + 1

@@ -11,11 +11,11 @@ configurable, much larger bound.
 A probe writes one fixed-width record, as the AP1000's did: one value
 per :data:`EVENT_FIELDS` name (plus the :data:`RANGE_FIELDS` once the
 sanitizer stamps a row), and a recorded buffer is those growable
-columns plus the block it packs from them when a consumer asks.  No
-event object is built, walked or counted on the way to a file;
-:class:`TraceEvent` is only the view type of :meth:`TraceBuffer.events_for`
-/ :meth:`TraceBuffer.all_events` and the argument of the
-:meth:`TraceBuffer.record` shim.
+columns plus the block it packs from them when a consumer asks.  Every
+reader reads the block; no event object is built, walked or counted on
+the way to a file, and :class:`TraceEvent` is the schema the columns
+are derived from (and the argument of :meth:`TraceBuffer.record`, which
+only tests call).
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ FIELD_DTYPES = {
              "float": (np.dtype("<f8"),)}.get(f.type, _INTS)
     for f in fields(TraceEvent)}
 
-#: EventKind by value, for turning a ``kind`` column back into events.
-_KIND_OF = {int(kind): kind for kind in EventKind}
 _MERGED = (int(EventKind.COMPUTE), int(EventKind.RTSYS))
 
 
@@ -298,8 +296,10 @@ class TraceBuffer:
                 self._sink.emit(tuple(values[start:start + ROW]) + more)
 
     def record(self, event: TraceEvent) -> TraceEvent:
-        """Append one event object as a row (the shim of callers that
-        build events: ingest, hand-made traces, the sharded replay)."""
+        """Append one event object as a row: the hand-made traces of
+        tests.  Nothing in ``repro`` calls it (probes :meth:`append`
+        rows); the e2e benchmark's ``trace.record.calls`` counter still
+        names it."""
         values = [getattr(event, name) for name in _NAMES]
         event.seq = self.append(
             *values[:2], *values[3:ROW],
@@ -350,20 +350,6 @@ class TraceBuffer:
         block = self.block()
         order = np.argsort(block["seq"], kind="stable")
         return {name: column[order].tolist() for name, column in block.items()}
-
-    def _views(self, index: slice | np.ndarray) -> list[TraceEvent]:
-        columns = [column[index].tolist() for column in self.block().values()]
-        return list(map(TraceEvent, map(_KIND_OF.__getitem__, columns[0]),
-                        *columns[1:]))
-
-    def events_for(self, pe: int) -> list[TraceEvent]:
-        """PE ``pe``'s events in program order, as views of the block."""
-        lo, hi = np.searchsorted(self.block()["pe"], (pe, pe + 1)).tolist()
-        return self._views(slice(lo, hi))
-
-    def all_events(self) -> list[TraceEvent]:
-        """Every event in global issue order, as views of the block."""
-        return self._views(np.argsort(self.block()["seq"], kind="stable"))
 
     def count(self, kind: EventKind, pe: int | None = None) -> int:
         block = self.block()

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.trace.buffer import TraceBuffer
-from repro.trace.events import TraceEvent
+from repro.trace.events import EventKind
 
 #: Fields that define an event's identity for comparison (``seq`` is
 #: included: global issue order is part of determinism).
@@ -51,28 +53,37 @@ class LengthMismatch:
                 f"{self.right_events}")
 
 
-def _event_key(ev: TraceEvent, fields) -> tuple:
-    return tuple(getattr(ev, f) for f in fields)
-
-
 def compare_traces(left: TraceBuffer, right: TraceBuffer, *,
                    fields=COMPARE_FIELDS):
-    """Return None if the traces match, else the first divergence."""
+    """Return None if the traces match, else the first divergence: PE by
+    PE, a PE's event count before its events, an event's ``fields`` in
+    order."""
     if left.num_pes != right.num_pes:
         return LengthMismatch(pe=-1, left_events=left.num_pes,
                               right_events=right.num_pes)
-    for pe in range(left.num_pes):
-        levs = left.events_for(pe)
-        revs = right.events_for(pe)
-        if len(levs) != len(revs):
-            return LengthMismatch(pe=pe, left_events=len(levs),
-                                  right_events=len(revs))
-        for i, (le, re_) in enumerate(zip(levs, revs)):
-            for field in fields:
-                lv, rv = getattr(le, field), getattr(re_, field)
-                if lv != rv:
-                    return TraceDivergence(pe=pe, index=i, field=field,
-                                           left=lv, right=rv)
+    lb, rb = left.block(), right.block()
+    pes = np.arange(left.num_pes + 1)
+    starts = np.searchsorted(lb["pe"], pes), np.searchsorted(rb["pe"], pes)
+    counts = [np.diff(ends).tolist() for ends in starts]
+    short = np.flatnonzero(np.not_equal(*counts))
+    # Up to the first PE whose counts differ, the rows line up.
+    end = int(starts[0][short[0]]) if len(short) else len(lb["pe"])
+    differ = np.array([lb[name][:end] != rb[name][:end]
+                       for name in fields]).reshape(len(fields), end)
+    rows = np.flatnonzero(differ.any(axis=0))
+    if len(rows):
+        row = int(rows[0])
+        pe = int(lb["pe"][row])
+        name = fields[int(np.argmax(differ[:, row]))]
+        lv, rv = lb[name][row].item(), rb[name][row].item()
+        if name == "kind":
+            lv, rv = EventKind(lv), EventKind(rv)
+        return TraceDivergence(pe=pe, index=row - int(starts[0][pe]),
+                               field=name, left=lv, right=rv)
+    if len(short):
+        pe = int(short[0])
+        return LengthMismatch(pe=pe, left_events=counts[0][pe],
+                              right_events=counts[1][pe])
     return None
 
 
@@ -87,7 +98,7 @@ def assert_traces_equal(left: TraceBuffer, right: TraceBuffer, *,
 def trace_fingerprint(trace: TraceBuffer, *, fields=COMPARE_FIELDS) -> int:
     """A cheap order-sensitive hash of a trace (for regression logs)."""
     acc = hash((trace.num_pes,))
-    for pe in range(trace.num_pes):
-        for ev in trace.events_for(pe):
-            acc = hash((acc, _event_key(ev, fields)))
+    block = trace.block()
+    for key in zip(*(block[name].tolist() for name in fields)):
+        acc = hash((acc, key))
     return acc

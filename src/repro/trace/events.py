@@ -51,10 +51,10 @@ MESSAGE_KINDS = frozenset({
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One probe record as an object: the view type of
-    :meth:`TraceBuffer.events_for` and what :meth:`TraceBuffer.record`
-    takes (a probe appends a row and builds none).  Only the fields
-    relevant to ``kind`` are meaningful; the rest keep their defaults.
+    """The schema of one probe record: its fields, in order, are a
+    trace's columns (a probe appends a row and builds no object).  Only
+    the fields relevant to ``kind`` are meaningful; the rest keep their
+    defaults.
     ``seq`` is a machine-global issue counter that gives MLSim one legal
     total order to break ties with.
     """

@@ -12,6 +12,7 @@ from repro.apps import cg, ep, ft, matmul, scg, sp, tomcatv
 from repro.core.errors import ConfigurationError, TraceBufferOverflowError
 from repro.machine.config import MachineConfig
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 
 class TestEP:
@@ -57,7 +58,7 @@ class TestCG:
     def test_vector_gop_size_is_full_vector(self):
         run = cg.run(num_cells=4, n=120, outer=1, inner=2)
         sizes = {ev.size for pe in range(4)
-                 for ev in run.trace.events_for(pe)
+                 for ev in events_for(run.trace, pe)
                  if ev.kind is EventKind.VGOP}
         assert sizes == {120 * 8}
 

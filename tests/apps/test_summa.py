@@ -5,6 +5,7 @@ import pytest
 from repro.apps import matmul, summa
 from repro.core.errors import ConfigurationError
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 
 class TestCorrectness:
@@ -44,16 +45,16 @@ class TestGroupCollectives:
         """Synchronization happens group-wise: per step, one row-group
         and one column-group barrier on each cell."""
         group_barriers = sum(
-            1 for pe in range(16) for ev in run.trace.events_for(pe)
+            1 for pe in range(16) for ev in events_for(run.trace, pe)
             if ev.kind is EventKind.BARRIER and ev.group != 0)
         world_barriers = sum(
-            1 for pe in range(16) for ev in run.trace.events_for(pe)
+            1 for pe in range(16) for ev in events_for(run.trace, pe)
             if ev.kind is EventKind.BARRIER and ev.group == 0)
         assert group_barriers == 16 * 4 * 2   # cells x steps x 2 groups
         assert world_barriers < group_barriers
 
     def test_group_reductions_used(self, run):
-        gops = [ev for pe in range(16) for ev in run.trace.events_for(pe)
+        gops = [ev for pe in range(16) for ev in events_for(run.trace, pe)
                 if ev.kind is EventKind.GOP]
         # Every cell reduces within its row group; the first grid column
         # then reduces down one column group.

@@ -47,6 +47,7 @@ from repro.check.diagnostics import (
     Diagnostic,
     EventRef,
 )
+from tests.trace.views import events_for
 
 #: (pe, index within that PE's event list) — the identity of one event.
 EventKey = tuple[int, int]
@@ -144,7 +145,7 @@ class _Replay:
     def __init__(self, trace: Any) -> None:
         self.num_pes: int = trace.num_pes
         self.events: list[list[TraceEvent]] = [
-            trace.events_for(pe) for pe in range(self.num_pes)
+            events_for(trace, pe) for pe in range(self.num_pes)
         ]
         self.groups = trace.groups
         n = self.num_pes

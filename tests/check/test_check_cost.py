@@ -5,8 +5,8 @@ calls one ``check_trace`` makes under cProfile, per trace event, on
 sanitized traces at the bench grid's sizes.  The counts repeat exactly,
 so the ceilings sit just above what the code does today; a
 happens-before that walks every event in the interpreter again, or a
-race pass that builds an object per event, fails here rather than as a
-slower ``repro check``.
+race pass that builds an object per access or loops over a footprint's
+chunks, fails here rather than as a slower ``repro check``.
 """
 
 import cProfile
@@ -19,12 +19,17 @@ from repro.check.runner import check_trace
 from repro.machine.config import MachineConfig
 
 #: Ceiling of calls per event.  CG (8 592 events) is half sync rows,
-#: barriers and reductions of 16 cells: one clock join a rendezvous, 2.46
+#: barriers and reductions of 16 cells: one clock join a rendezvous, 2.53
 #: today.  TOMCATV without stride (60 436 events, 956 of them sync rows)
-#: is 8-byte PUTs and their acknowledges: the race pass's per-access
-#: objects, 24.91 today.  The sweep replay this pass replaced made 14.44
-#: and 49.06 (a visit, a clock tuple and a view per event).
-CEILINGS = {"CG": 2.7, "TC no st": 26.0}
+#: is 8-byte PUTs and their acknowledges, 78 000 accesses and 351 000
+#: span-overlapping pairs, all array operations: 0.20 today.  TOMCATV
+#: with stride (2 836 events) pairs 65-chunk columns, whose chunk test
+#: is one array pass: 4.33 today, mostly the happens-before's 341 clock
+#: joins.  The sweep replay that happens-before replaced made 14.44 and
+#: 49.06 (a visit, a clock tuple and a view per event); the object race
+#: pass this one replaced made 24.91 on TOMCATV without stride (an
+#: ``Access`` and a ``Footprint`` per access) and 126.2 with stride.
+CEILINGS = {"CG": 2.7, "TC no st": 0.23, "TC st": 4.6}
 
 
 @pytest.fixture(scope="module", params=sorted(CEILINGS))

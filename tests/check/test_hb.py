@@ -8,6 +8,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
 from repro.check.hb import build_happens_before, hb_report
+from tests.trace.views import events_for
 
 
 def run(program, cells, expect_deadlock=False):
@@ -25,7 +26,7 @@ def keys_of_kind(trace, kind):
     return [
         (pe, i)
         for pe in range(trace.num_pes)
-        for i, ev in enumerate(trace.events_for(pe))
+        for i, ev in enumerate(events_for(trace, pe))
         if ev.kind is kind
     ]
 
@@ -166,7 +167,7 @@ class TestIncrementBookkeeping:
         trace = run(program, 2)
         hb = build_happens_before(trace)
         [put] = keys_of_kind(trace, EventKind.PUT)
-        ev = trace.events_for(put[0])[put[1]]
+        ev = events_for(trace, put[0])[put[1]]
         k = hb.increment_index(ev.recv_flag, put)
         wait = hb.covering_wait(ev.recv_flag, k)
         assert wait is not None and wait[0] == 0
@@ -185,6 +186,6 @@ class TestIncrementBookkeeping:
         trace = run(program, 2, expect_deadlock=True)
         hb = build_happens_before(trace)
         [put] = keys_of_kind(trace, EventKind.PUT)
-        ev = trace.events_for(put[0])[put[1]]
+        ev = events_for(trace, put[0])[put[1]]
         k = hb.increment_index(ev.recv_flag, put)
         assert hb.covering_wait(ev.recv_flag, k) is None

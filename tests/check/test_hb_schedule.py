@@ -26,6 +26,7 @@ from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 from tests.check.reference_hb import reference_happens_before
 from tests.programs import MEMORY, programs, round_program
+from tests.trace.views import record
 
 
 def assert_same_hb(trace, pairs=None):
@@ -85,22 +86,22 @@ def soups(draw):
     for s in draw(st.lists(step, min_size=1, max_size=50)):
         name, cell = s[0], s[1]
         if name == "put":
-            buf.record(TraceEvent(EventKind.PUT, pe=cell, partner=s[2],
-                                  size=8, send_flag=s[3], recv_flag=s[4]))
+            record(buf, TraceEvent(EventKind.PUT, pe=cell, partner=s[2],
+                                   size=8, send_flag=s[3], recv_flag=s[4]))
         elif name == "wait":
-            buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=cell, flag=s[2],
-                                  target=s[3]))
+            record(buf, TraceEvent(EventKind.FLAG_WAIT, pe=cell, flag=s[2],
+                                   target=s[3]))
         elif name in ("barrier", "gop", "vgop"):
             if cell in buf.groups.members(s[2]):
-                buf.record(TraceEvent(EventKind[name.upper()], pe=cell,
-                                      group=s[2], size=8))
+                record(buf, TraceEvent(EventKind[name.upper()], pe=cell,
+                                       group=s[2], size=8))
         elif name == "send":
-            buf.record(TraceEvent(EventKind.SEND, pe=cell, partner=s[2],
-                                  msg_id=s[3]))
+            record(buf, TraceEvent(EventKind.SEND, pe=cell, partner=s[2],
+                                   msg_id=s[3]))
         elif name == "recv":
-            buf.record(TraceEvent(EventKind.RECV, pe=cell, msg_id=s[2]))
+            record(buf, TraceEvent(EventKind.RECV, pe=cell, msg_id=s[2]))
         else:
-            buf.record(TraceEvent(EventKind.COMPUTE, pe=cell, work=1.0))
+            record(buf, TraceEvent(EventKind.COMPUTE, pe=cell, work=1.0))
     return buf
 
 

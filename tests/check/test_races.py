@@ -1,13 +1,21 @@
 """End-to-end race-detection scenarios on the functional machine."""
 
 import numpy as np
+import pytest
 
+from repro.cli import main
 from repro.core import api
+from repro.core.errors import SimulationError
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.machine.shmem import SharedMemory
 from repro.check.hb import build_happens_before
 from repro.check.races import find_races, extract_accesses, race_report
+from repro.check.runner import check_trace
+from repro.trace.buffer import TraceBuffer
+from repro.trace.events import EventKind, TraceEvent
+from repro.trace.io import save_trace
+from tests.trace.views import events_for, record
 
 
 def check(program, cells):
@@ -211,7 +219,7 @@ class TestRemoteWord:
         machine = Machine(MachineConfig(
             num_cells=2, memory_per_cell=1 << 20, sanitize=True))
         addr = machine.run(program)[1]
-        words = [ev for ev in machine.trace.events_for(1)
+        words = [ev for ev in events_for(machine.trace, 1)
                  if ev.kind.name in ("REMOTE_STORE", "REMOTE_LOAD")]
         assert [ev.kind.name for ev in words] == ["REMOTE_STORE",
                                                   "REMOTE_LOAD"]
@@ -235,3 +243,80 @@ class TestDeterminism:
         second = [d.to_dict() for d in check(program, 4).diagnostics]
         assert first == second
         assert len(first) == 3  # all writer pairs reported
+
+
+def two_puts(second, home=1, cells=3, to=None):
+    """Cells 0 and 2 PUT to cell ``home`` (the second to cell ``to``
+    when given): four 8-byte chunks from 0, and ``second`` = (base,
+    chunk, count, step)."""
+    buf = TraceBuffer(num_pes=cells)
+    for pe, (base, chunk, count, step), partner in (
+            (0, (0, 8, 4, 8), home), (2, second, home if to is None else to)):
+        record(buf, TraceEvent(EventKind.PUT, pe=pe, partner=partner,
+                               size=32, raddr=base, rchunk=chunk,
+                               rcount=count, rstep=step))
+    return buf
+
+
+class TestMalformedFootprint:
+    """The sanitizer never writes overlapping or negative chunks, bytes
+    outside the 36-bit physical space or a cell the machine lacks, but a
+    trace file can hold anything: such a footprint is refused, not
+    checked into a missed race, an inverted byte range or a wrapped
+    int64 sum."""
+
+    @pytest.mark.parametrize("second", [
+        (40, 8, 4, -8),     # chunks 40, 32, 24, 16: meets [16, 32)
+        (24, 8, 4, -8),     # was a RACE-PUT-PUT with addr_lo > addr_hi
+        (8, 16, 2, 8),      # chunks overlap each other
+        (8, -8, 1, 8),
+        (8, 8, -1, 8),
+        (1 << 36, 8, 1, 8),             # starts past the physical space
+        ((1 << 36) - 8, 8, 2, 8),       # ends past it
+        (0, 1, 1 << 62, 1 << 62),       # step * (count - 1) wraps int64
+        (1 << 61, 8, 4, 8)])
+    def test_refused_in_memory(self, second):
+        with pytest.raises(SimulationError, match=r"cell 2's PUT \(seq 1\) "
+                           r"to cell 1 has a malformed remote footprint"):
+            check_trace(two_puts(second), "t")
+
+    def test_last_bytes_of_the_space_are_checked(self):
+        top = 1 << 36
+        report = check_trace(two_puts((top - 16, 8, 2, 8)), "t")
+        assert not report.diagnostics
+        buf = two_puts((0, 8, 4, 8))
+        record(buf, TraceEvent(EventKind.PUT, pe=1, partner=2, size=8,
+                               raddr=top - 8, rchunk=8, rcount=1, rstep=8))
+        assert check_trace(buf, "t").stats["accesses"] == 3
+
+    @pytest.mark.parametrize("to", [3, 7, -1])
+    def test_a_cell_outside_the_machine_is_refused(self, to):
+        with pytest.raises(SimulationError, match=rf"cell 2's PUT \(seq 1\) "
+                           rf"to cell {to} has a malformed remote"):
+            check_trace(two_puts((0, 8, 4, 8), to=to), "t")
+
+    def test_a_huge_contiguous_footprint_is_one_chunk(self):
+        # 2**31 one-byte chunks: checked as one range, not chunk by chunk.
+        report = check_trace(two_puts((31, 1, 1 << 31, 1)), "t")
+        [diag] = report.diagnostics
+        assert (diag.addr_lo, diag.addr_hi) == (31, 32)
+
+    def test_well_formed_twin_races(self):
+        report = check_trace(two_puts((16, 8, 2, 8)), "t")
+        assert report.codes() == {"RACE-PUT-PUT"}
+        [diag] = report.diagnostics
+        assert (diag.addr_lo, diag.addr_hi) == (16, 32)
+
+    @pytest.mark.parametrize("trace", [
+        two_puts((40, 8, 4, -8)),
+        # A base that wraps home * span + base in int64 on cell >= 4.
+        two_puts((1 << 61, 8, 4, 8), home=5, cells=6)],
+        ids=["negative-step", "huge-base"])
+    def test_refused_from_a_file(self, trace, tmp_path, capsys):
+        path = tmp_path / "malformed.bin"
+        save_trace(trace, path)
+        assert main(["check", "--trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro: error: cell 2's PUT (seq 1)")

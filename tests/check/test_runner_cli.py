@@ -88,12 +88,11 @@ class TestBuggyGate:
         fixtures.mkdir(parents=True)
         (fixtures / "quiet_deadlock.py").write_text(
             "from repro.trace.buffer import TraceBuffer\n"
-            "from repro.trace.events import EventKind, TraceEvent\n"
+            "from repro.trace.events import EventKind\n"
             "EXPECT = set()\n"
             "def build_trace():\n"
             "    trace = TraceBuffer(num_pes=2)\n"
-            "    trace.record(TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=1,\n"
-            "                            target=1))\n"
+            "    trace.append(EventKind.FLAG_WAIT, 0, flag=1, target=1)\n"
             "    return trace\n")
         [report], ok = check_buggy(tmp_path)
         assert not ok

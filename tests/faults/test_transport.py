@@ -7,6 +7,7 @@ from repro.faults.plan import FaultPlan
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
+from tests.trace.views import all_events
 
 
 def make(n=4, plan=None, **kw):
@@ -142,7 +143,7 @@ class TestQueuePressure:
             q.push(("cmd", i), 8)
         assert q.spilled == 1
         assert m.trace.count(EventKind.SPILL) == 1
-        (ev,) = [e for e in m.trace.all_events()
+        (ev,) = [e for e in all_events(m.trace)
                  if e.kind == EventKind.SPILL]
         assert ev.pe == 0
         assert ev.size == 8  # words spilled ride in the size field

@@ -22,6 +22,7 @@ from repro.ingest.mapper import (
 from repro.mlsim.params import ap1000_plus_params
 from repro.mlsim.simulator import simulate
 from repro.trace.events import EventKind
+from tests.trace.views import all_events, events_for
 
 
 def ev(op, rank, t, **kw):
@@ -29,7 +30,7 @@ def ev(op, rank, t, **kw):
 
 
 def kinds(trace, pe):
-    return [e.kind for e in trace.events_for(pe)]
+    return [e.kind for e in events_for(trace, pe)]
 
 
 class TestClockNormalization:
@@ -43,7 +44,7 @@ class TestClockNormalization:
         assert result.synthesized_compute == 2
         assert kinds(result.trace, 0) == [
             EventKind.BARRIER, EventKind.COMPUTE, EventKind.BARRIER]
-        gap = result.trace.events_for(0)[1]
+        gap = events_for(result.trace, 0)[1]
         assert gap.work == pytest.approx(7.5)
 
     def test_time_unit_scales_gaps_and_work(self):
@@ -51,7 +52,7 @@ class TestClockNormalization:
             ev(ForeignOp.COMPUTE, 0, 0.0, work=2.0),
             ev(ForeignOp.BARRIER, 0, 5.0),
         ], time_unit=10.0)
-        work_events = [e for e in result.trace.events_for(0)
+        work_events = [e for e in events_for(result.trace, 0)
                        if e.kind is EventKind.COMPUTE]
         # 2.0 units of explicit work, then a 3.0-unit gap (compute
         # occupies 0.0-2.0), both scaled by 10 us/unit.
@@ -67,7 +68,7 @@ class TestClockNormalization:
         # leading compute.
         assert kinds(result.trace, 1) == [
             EventKind.COMPUTE, EventKind.BARRIER]
-        assert result.trace.events_for(1)[0].work == pytest.approx(4.0)
+        assert events_for(result.trace, 1)[0].work == pytest.approx(4.0)
 
     def test_backwards_clock_rejected(self):
         with pytest.raises(IngestError, match="runs backwards"):
@@ -83,7 +84,7 @@ class TestPutWaitGet:
             ev(ForeignOp.PUT, 0, 0.0, peer=1, size=64),
             ev(ForeignOp.WAIT, 1, 1.0),
         ])
-        put = result.trace.events_for(0)[0]
+        put = events_for(result.trace, 0)[0]
         assert put.kind is EventKind.PUT
         assert put.recv_flag == flag_global_id(1, PUT_FLAG_SLOT)
 
@@ -93,7 +94,7 @@ class TestPutWaitGet:
             ev(ForeignOp.PUT, 2, 0.5, peer=1, size=8),
             ev(ForeignOp.WAIT, 1, 1.0),
         ])
-        wait = [e for e in result.trace.events_for(1)
+        wait = [e for e in events_for(result.trace, 1)
                 if e.kind is EventKind.FLAG_WAIT][0]
         assert wait.flag == flag_global_id(1, PUT_FLAG_SLOT)
         assert wait.target == 2
@@ -103,7 +104,7 @@ class TestPutWaitGet:
         result = map_events([ev(ForeignOp.WAIT, 0, 0.0),
                              ev(ForeignOp.BARRIER, 1, 0.0),
                              ev(ForeignOp.BARRIER, 0, 1.0)])
-        wait = result.trace.events_for(0)[0]
+        wait = events_for(result.trace, 0)[0]
         assert wait.target == 0
         simulate(result.trace, ap1000_plus_params())  # must not park
 
@@ -113,7 +114,7 @@ class TestPutWaitGet:
             ev(ForeignOp.BARRIER, 1, 0.0),
             ev(ForeignOp.BARRIER, 0, 1.0),
         ])
-        get, wait = result.trace.events_for(0)[:2]
+        get, wait = events_for(result.trace, 0)[:2]
         assert get.kind is EventKind.GET
         assert get.recv_flag == flag_global_id(0, GET_FLAG_SLOT)
         assert wait.kind is EventKind.FLAG_WAIT
@@ -128,9 +129,9 @@ class TestSendRecv:
             ev(ForeignOp.RECV, 1, 2.0, peer=0, size=8),
             ev(ForeignOp.RECV, 1, 3.0, peer=0, size=8),
         ])
-        sends = [e.msg_id for e in result.trace.events_for(0)
+        sends = [e.msg_id for e in events_for(result.trace, 0)
                  if e.kind is EventKind.SEND]
-        recvs = [e.msg_id for e in result.trace.events_for(1)
+        recvs = [e.msg_id for e in events_for(result.trace, 1)
                  if e.kind is EventKind.RECV]
         assert sends == recvs  # non-overtaking, in order
 
@@ -139,9 +140,9 @@ class TestSendRecv:
             ev(ForeignOp.RECV, 1, 0.0, peer=0, size=8),
             ev(ForeignOp.SEND, 0, 5.0, peer=1, size=8),
         ])
-        (recv,) = [e for e in result.trace.events_for(1)
+        (recv,) = [e for e in events_for(result.trace, 1)
                    if e.kind is EventKind.RECV]
-        (send,) = [e for e in result.trace.events_for(0)
+        (send,) = [e for e in events_for(result.trace, 0)
                    if e.kind is EventKind.SEND]
         assert recv.msg_id == send.msg_id
         simulate(result.trace, ap1000_plus_params())
@@ -153,7 +154,7 @@ class TestSendRecv:
             ev(ForeignOp.SEND, 0, 2.0, peer=1, size=8, tag=9),
             ev(ForeignOp.RECV, 1, 3.0, peer=0, size=8, tag=7),
         ])
-        events = {(e.pe, e.msg_id) for e in result.trace.all_events()
+        events = {(e.pe, e.msg_id) for e in all_events(result.trace)
                   if e.kind in (EventKind.SEND, EventKind.RECV)}
         # tag 7: send first (id 1); tag 9: recv first (id 2).
         assert events == {(0, 1), (1, 2), (0, 2), (1, 1)}
@@ -171,7 +172,7 @@ class TestCollectives:
             ev(ForeignOp.REDUCE, 0, 1.0, size=4096),
             ev(ForeignOp.REDUCE, 1, 1.0, size=4096),
         ])
-        ops = [e.kind for e in result.trace.events_for(0)
+        ops = [e.kind for e in events_for(result.trace, 0)
                if e.kind in (EventKind.GOP, EventKind.VGOP)]
         assert ops == [EventKind.GOP, EventKind.VGOP]
 
@@ -188,7 +189,7 @@ class TestCollectives:
             ev(ForeignOp.BARRIER, 1, 0.0),
         ], cells=8)
         assert result.num_cells == 8
-        barrier = result.trace.events_for(0)[0]
+        barrier = events_for(result.trace, 0)[0]
         assert barrier.group_size == 2
         assert result.trace.groups.members(barrier.group) == (0, 1)
         # Idle cells 2..7 must not block the barrier.

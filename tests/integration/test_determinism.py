@@ -4,12 +4,18 @@ whole application suite."""
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import workloads
 from repro.mlsim.params import ap1000_plus_params
 from repro.mlsim.simulator import simulate
 from repro.trace.compare import (
+    COMPARE_FIELDS,
+    LengthMismatch,
+    TraceDivergence,
     assert_traces_equal,
     compare_traces,
     trace_fingerprint,
@@ -17,6 +23,7 @@ from repro.trace.compare import (
 from repro.trace.buffer import TraceBuffer
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.io import load_trace, save_trace
+from tests.trace.views import events_for, record
 
 FAST_CONFIGS = {
     "EP": dict(num_cells=4, log2_pairs=8),
@@ -73,7 +80,7 @@ class TestCompareTooling:
     def _trace(self, *events):
         buf = TraceBuffer(num_pes=2)
         for ev in events:
-            buf.record(ev)
+            record(buf, ev)
         return buf
 
     def test_equal_traces_return_none(self):
@@ -115,3 +122,54 @@ class TestCompareTooling:
         b = self._trace(TraceEvent(EventKind.GET, pe=0, partner=1, size=8),
                         TraceEvent(EventKind.PUT, pe=0, partner=1, size=8))
         assert trace_fingerprint(a) != trace_fingerprint(b)
+
+
+def reference_compare(left, right, fields=COMPARE_FIELDS):
+    """The per-event walk ``compare_traces`` replaced: PE by PE, the
+    event count, then each event's fields in order."""
+    if left.num_pes != right.num_pes:
+        return LengthMismatch(pe=-1, left_events=left.num_pes,
+                              right_events=right.num_pes)
+    for pe in range(left.num_pes):
+        levs, revs = events_for(left, pe), events_for(right, pe)
+        if len(levs) != len(revs):
+            return LengthMismatch(pe=pe, left_events=len(levs),
+                                  right_events=len(revs))
+        for i, (le, re_) in enumerate(zip(levs, revs)):
+            for field in fields:
+                lv, rv = getattr(le, field), getattr(re_, field)
+                if lv != rv:
+                    return TraceDivergence(pe=pe, index=i, field=field,
+                                           left=lv, right=rv)
+    return None
+
+
+_BASE = run_twice("TC st")[0].trace
+#: Fields an edit may change (a block stays sorted by ``pe``).
+_EDITABLE = [name for name in COMPARE_FIELDS if name != "pe"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, _BASE.total_events - 1),
+                          st.sampled_from(_EDITABLE)), max_size=3),
+       st.lists(st.integers(0, _BASE.total_events - 1), max_size=2))
+def test_first_divergence_is_the_per_event_walks(edits, dropped):
+    """Columns compared at once find the divergence, with the values and
+    description, that walking the events did: edited fields, dropped
+    events, or both."""
+    block = {name: np.array(column) for name, column in _BASE.block().items()}
+    for row, name in edits:
+        column = block[name]
+        column[row] = not column[row] if column.dtype == bool else (
+            (column[row] + 1) % (len(EventKind) if name == "kind" else 100))
+    keep = np.ones(_BASE.total_events, bool)
+    keep[dropped] = False
+    other = TraceBuffer.from_block(
+        _BASE.num_pes, _BASE.groups, list(_BASE.phases),
+        {name: column[keep] for name, column in block.items()})
+    for left, right in ((_BASE, other), (other, _BASE)):
+        got, want = compare_traces(left, right), reference_compare(left,
+                                                                   right)
+        assert got == want
+        if want is not None:
+            assert got.describe() == want.describe()

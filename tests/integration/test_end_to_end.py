@@ -12,6 +12,7 @@ from repro.machine.machine import Machine
 from repro.mlsim.params import ap1000_plus_params
 from repro.mlsim.simulator import simulate
 from repro.trace.io import load_trace, save_trace
+from tests.trace.views import events_for
 
 
 class TestHardwareCountersDuringApps:
@@ -84,7 +85,7 @@ class TestAckPolicyAblation:
 
         def acks(machine):
             return sum(1 for pe in range(4)
-                       for ev in machine.trace.events_for(pe)
+                       for ev in events_for(machine.trace, pe)
                        if ev.kind is EventKind.GET and ev.is_ack)
 
         assert acks(every) == 40

@@ -14,6 +14,7 @@ from repro.lang.runtime import VPPRuntime
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 LIST1 = """
 !XOCL SPREAD MOVE
@@ -112,7 +113,7 @@ class TestExecution:
             assert np.array_equal(result, expected)
         assert machine.trace.count(EventKind.GET) > 0
         stride_gets = sum(
-            1 for pe in range(4) for ev in machine.trace.events_for(pe)
+            1 for pe in range(4) for ev in events_for(machine.trace, pe)
             if ev.kind is EventKind.GET and ev.stride)
         assert stride_gets == 0
 
@@ -123,7 +124,7 @@ class TestExecution:
         for result in results:
             assert np.array_equal(result, expected)
         stride_gets = sum(
-            1 for pe in range(4) for ev in machine.trace.events_for(pe)
+            1 for pe in range(4) for ev in events_for(machine.trace, pe)
             if ev.kind is EventKind.GET and ev.stride)
         assert stride_gets > 0
 

@@ -9,6 +9,7 @@ from repro.lang.runtime import VPPRuntime
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 
 def make(n=4):
@@ -209,7 +210,7 @@ class TestOverlapFix:
         assert results[1] == (0.0, 2.0)
         stats_puts = m.trace.count(EventKind.PUT)
         stats_gets = sum(
-            1 for pe in range(4) for ev in m.trace.events_for(pe)
+            1 for pe in range(4) for ev in events_for(m.trace, pe)
             if ev.kind is EventKind.GET and not ev.is_ack)
         assert stats_puts == stats_gets == 3   # one boundary pair each
 
@@ -237,7 +238,7 @@ class TestCostAccounting:
             yield from rt.movewait()
 
         m.run(program)
-        work = sum(ev.work for ev in m.trace.events_for(0)
+        work = sum(ev.work for ev in events_for(m.trace, 0)
                    if ev.kind is EventKind.RTSYS)
         # One remote row gather: call (10) + 1 message (2) + movewait (10).
         assert work == pytest.approx(22.0)
@@ -254,6 +255,6 @@ class TestCostAccounting:
             return None
 
         m.run(program)
-        work = sum(ev.work for ev in m.trace.events_for(0)
+        work = sum(ev.work for ev in events_for(m.trace, 0)
                    if ev.kind is EventKind.RTSYS)
         assert work == pytest.approx(10.0)

@@ -11,6 +11,7 @@ from repro.machine import batch
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 
 def make(n=4):
@@ -179,7 +180,7 @@ class TestAcknowledge:
             yield from ctx.finish_puts()
 
         m.run(program)
-        acks = [ev for pe in range(2) for ev in m.trace.events_for(pe)
+        acks = [ev for pe in range(2) for ev in events_for(m.trace, pe)
                 if ev.kind is EventKind.GET and ev.is_ack]
         assert len(acks) == 2
 
@@ -386,10 +387,10 @@ class TestComputeCharging:
     def test_flops_conversion(self):
         m = make(1)
         m.run(lambda ctx: ctx.compute_flops(100))
-        ev = m.trace.events_for(0)[0]
+        ev = events_for(m.trace, 0)[0]
         assert ev.work == pytest.approx(16.0)   # 100 flops * 0.16 us
 
     def test_rtsys_separate_kind(self):
         m = make(1)
         m.run(lambda ctx: ctx.rtsys(5.0))
-        assert m.trace.events_for(0)[0].kind is EventKind.RTSYS
+        assert events_for(m.trace, 0)[0].kind is EventKind.RTSYS

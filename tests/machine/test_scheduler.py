@@ -26,6 +26,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 
 from .reference_loop import run_reference
+from tests.trace.views import all_events
 
 CASES = {
     "RingShift": dict(num_cells=16, hops=64),
@@ -41,8 +42,8 @@ class TestSchedulerEquivalence:
         monkeypatch.setattr(Machine, "_run_batched", run_reference)
         reference = workload(app).runner(**CASES[app])
         assert batched.verified and reference.verified
-        a = [repr(ev) for ev in batched.trace.all_events()]
-        b = [repr(ev) for ev in reference.trace.all_events()]
+        a = [repr(ev) for ev in all_events(batched.trace)]
+        b = [repr(ev) for ev in all_events(reference.trace)]
         assert a == b
         assert batched.statistics == reference.statistics
 

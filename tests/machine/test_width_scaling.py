@@ -17,6 +17,7 @@ from repro.apps.latency import run_ring_shift
 from repro.apps.workloads import WORKLOADS
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
+from tests.trace.views import all_events
 
 HOPS = 512
 REPRO = os.path.dirname(repro.__file__) + os.sep
@@ -38,7 +39,7 @@ def profiled(runner, *args, **params):
         return sum(ncalls for (filename, _, name), (_, ncalls, *_)
                    in stats.items() if selects(filename, name))
 
-    return len(run.trace.all_events()), count
+    return len(all_events(run.trace)), count
 
 
 def layer_calls_per_event(num_cells, **config):

@@ -32,6 +32,7 @@ from repro.obs.registry import REPLAY_SCHEMA, Histogram
 from repro.trace.buffer import TraceBuffer
 from repro.mlsim.timeline import Flow, Instant, PhaseMark, Span
 from repro.trace.events import EventKind, TraceEvent
+from tests.trace.views import events_for
 
 
 class ReferenceTimeline:
@@ -117,7 +118,7 @@ class MLSimEngine:
         #: Optional replay metric accumulation (repro.obs).
         self.collect = _MetricsAccum(trace.num_pes) if collect_metrics \
             else None
-        self.pes = [_PEState(pe, trace.events_for(pe))
+        self.pes = [_PEState(pe, events_for(trace, pe))
                     for pe in range(trace.num_pes)]
         # --- shared registries -----------------------------------------
         self._flag_times: dict[int, list[float]] = {}

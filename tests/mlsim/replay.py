@@ -8,12 +8,13 @@ from repro.mlsim.params import MLSimParams, ap1000_plus_params
 from repro.network.topology import TorusTopology
 from repro.trace.buffer import TraceBuffer
 from repro.trace.soa import columns_from_buffer
+from tests.trace.views import record
 
 
 def trace_of(num_pes: int, events) -> TraceBuffer:
     buf = TraceBuffer(num_pes=num_pes)
     for ev in events:
-        buf.record(ev)
+        record(buf, ev)
     return buf
 
 

@@ -8,6 +8,7 @@ from repro.mlsim.params import ap1000_params, ap1000_plus_params
 from repro.trace.events import EventKind, TraceEvent
 
 from .replay import flag_wait_ends, replay as run, trace_of
+from tests.trace.views import record
 
 
 class TestComputeAndRtsys:
@@ -187,8 +188,8 @@ class TestBarriers:
             tr = trace_of(5, [])
             assert tr.groups.intern((0, 1, 2, 3)) == 1
             for pe in range(4):
-                tr.record(TraceEvent(EventKind.BARRIER, pe=pe, group=gid,
-                                     group_size=gsize))
+                record(tr, TraceEvent(EventKind.BARRIER, pe=pe, group=gid,
+                                      group_size=gsize))
             return run(tr).elapsed_us
 
         # Software (comm-register) group barrier vs hardware S-net.

@@ -40,6 +40,7 @@ from repro.trace.events import EventKind, TraceEvent
 from repro.trace.soa import columns_from_buffer
 
 from .reference_engine import MLSimEngine
+from tests.trace.views import record
 
 PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
 
@@ -160,7 +161,7 @@ class TestSyntheticCoverage:
                        size=256),
         ]
         for ev in events:
-            buf.record(ev)
+            record(buf, ev)
         return buf
 
     def test_synthetic_trace_byte_identical(self):
@@ -189,7 +190,7 @@ class TestDiscoveryOrder:
                        recv_flag=80),
             TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=80, target=1),
         ):
-            buf.record(ev)
+            record(buf, ev)
         assert_equivalent(buf)
         result = replay_columns(columns_from_buffer(buf), preset("ap1000+"),
                                 record_timeline=True)
@@ -204,7 +205,7 @@ class TestUnknownKinds:
     @pytest.mark.parametrize("kind", [99, -1])
     def test_unknown_kind_is_a_simulation_error(self, kind):
         buf = TraceBuffer(num_pes=1)
-        buf.record(TraceEvent(EventKind.COMPUTE, pe=0, work=1.0))
+        record(buf, TraceEvent(EventKind.COMPUTE, pe=0, work=1.0))
         columns = replace(columns_from_buffer(buf),
                           kind=np.array([kind], dtype=np.int16))
         with pytest.raises(SimulationError,
@@ -289,7 +290,7 @@ def burst_rows(buf: TraceBuffer, n: int, src: int, partners, count: int,
         landed = 0
         if rng.random() < 0.8:
             landed = (200 if get else 100) + src * n + dst
-        buf.record(TraceEvent(
+        record(buf, TraceEvent(
             EventKind.GET if get else EventKind.PUT, pe=src, partner=dst,
             size=rng.choice([0, 0, 8, 64, 4096]), send_flag=sent,
             recv_flag=landed))
@@ -303,8 +304,8 @@ def burst_rows(buf: TraceBuffer, n: int, src: int, partners, count: int,
                 reached = counts[flag]
                 if rng.random() < 0.5:
                     reached = rng.randint(1, reached)
-                buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=waiter,
-                                      flag=flag, target=reached))
+                record(buf, TraceEvent(EventKind.FLAG_WAIT, pe=waiter,
+                                       flag=flag, target=reached))
 
 
 def collective_rows(buf: TraceBuffer, n: int, count: int,
@@ -336,8 +337,8 @@ def collective_rows(buf: TraceBuffer, n: int, count: int,
                     event = TraceEvent(local, pe=pe, flag=phase)
                 else:
                     event = TraceEvent(local, pe=pe, partner=pe, size=4)
-                buf.record(event)
-            buf.record(TraceEvent(
+                record(buf, event)
+            record(buf, TraceEvent(
                 kind, pe=pe, group=0, group_size=n if explicit else 0,
                 size=(0 if kind == EventKind.BARRIER else 8
                       if kind == EventKind.GOP
@@ -358,60 +359,60 @@ def tie_trace(n: int, steps) -> TraceBuffer:
         if name in ("compute", "rtsys"):
             kind = (EventKind.COMPUTE if name == "compute"
                     else EventKind.RTSYS)
-            buf.record(TraceEvent(kind, pe=step[1], work=step[2]))
+            record(buf, TraceEvent(kind, pe=step[1], work=step[2]))
         elif name == "put":
             _, src, dst, nbytes, wait_send, wait_recv = step
             sent, landed = 1 + src, 100 + src * n + dst
-            buf.record(TraceEvent(
+            record(buf, TraceEvent(
                 EventKind.PUT, pe=src, partner=dst, size=nbytes,
                 send_flag=sent if wait_send else 0, recv_flag=landed))
             if wait_send:
-                buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=src,
-                                      flag=sent, target=bump(sent)))
+                record(buf, TraceEvent(EventKind.FLAG_WAIT, pe=src,
+                                       flag=sent, target=bump(sent)))
             target = bump(landed)
             if wait_recv:
-                buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=dst,
-                                      flag=landed, target=target))
+                record(buf, TraceEvent(EventKind.FLAG_WAIT, pe=dst,
+                                       flag=landed, target=target))
         elif name == "get":
             _, src, dst, nbytes = step
             back = 200 + src * n + dst
-            buf.record(TraceEvent(EventKind.GET, pe=src, partner=dst,
-                                  size=nbytes, recv_flag=back))
-            buf.record(TraceEvent(EventKind.FLAG_WAIT, pe=src, flag=back,
-                                  target=bump(back)))
+            record(buf, TraceEvent(EventKind.GET, pe=src, partner=dst,
+                                   size=nbytes, recv_flag=back))
+            record(buf, TraceEvent(EventKind.FLAG_WAIT, pe=src, flag=back,
+                                   target=bump(back)))
         elif name == "send":
             _, src, dst, nbytes = step
-            buf.record(TraceEvent(EventKind.SEND, pe=src, partner=dst,
-                                  size=nbytes, msg_id=serial + 1))
-            buf.record(TraceEvent(EventKind.RECV, pe=dst, partner=src,
-                                  size=nbytes, msg_id=serial + 1))
+            record(buf, TraceEvent(EventKind.SEND, pe=src, partner=dst,
+                                   size=nbytes, msg_id=serial + 1))
+            record(buf, TraceEvent(EventKind.RECV, pe=dst, partner=src,
+                                   size=nbytes, msg_id=serial + 1))
         elif name == "mark":
             _, where, what = step
             if what.startswith("phase"):
-                buf.record(TraceEvent(EventKind.PHASE, pe=where,
-                                      flag=buf.phase_id(what)))
+                record(buf, TraceEvent(EventKind.PHASE, pe=where,
+                                       flag=buf.phase_id(what)))
             else:
-                buf.record(TraceEvent(EventKind[what], pe=where))
+                record(buf, TraceEvent(EventKind[what], pe=where))
         elif name == "burst":
             burst_rows(buf, n, *step[1:], counts)
         elif name == "collectives":
             collective_rows(buf, n, *step[1:])
         elif name == "remote":
             _, src, dst, store = step
-            buf.record(TraceEvent(
+            record(buf, TraceEvent(
                 EventKind.REMOTE_STORE if store else EventKind.REMOTE_LOAD,
                 pe=src, partner=dst, size=8))
         elif name == "mixed":       # one whole-machine reduction, by kind
             for member, kind in enumerate(step[1]):
-                buf.record(TraceEvent(EventKind[kind], pe=member, group=0,
-                                      group_size=n, size=64))
+                record(buf, TraceEvent(EventKind[kind], pe=member, group=0,
+                                       group_size=n, size=64))
         else:
             group, explicit = sorted(step[1]), step[2]
             gid = buf.groups.intern(tuple(group))
             kind = {"barrier": EventKind.BARRIER, "gop": EventKind.GOP,
                     "vgop": EventKind.VGOP}[name]
             for member in group:
-                buf.record(TraceEvent(
+                record(buf, TraceEvent(
                     kind, pe=member, group=gid,
                     group_size=len(group) if explicit else 0,
                     size=step[3] if name != "barrier" else 0))
@@ -499,12 +500,12 @@ class TestBursts:
         buf = TraceBuffer(num_pes=2)
         for pe in (0, 1):
             for k in range(40):
-                buf.record(TraceEvent(EventKind.PUT, pe=pe, partner=1 - pe,
-                                      size=8))
+                record(buf, TraceEvent(EventKind.PUT, pe=pe, partner=1 - pe,
+                                       size=8))
         # A self-GET ends PE 1's stretch: 40 + 39 rows around it.
-        buf.record(TraceEvent(EventKind.GET, pe=1, partner=1, size=8))
+        record(buf, TraceEvent(EventKind.GET, pe=1, partner=1, size=8))
         for k in range(39):
-            buf.record(TraceEvent(EventKind.GET, pe=1, partner=0, size=8))
+            record(buf, TraceEvent(EventKind.GET, pe=1, partner=0, size=8))
         runs = trace_index(columns_from_buffer(buf)).runs
         assert [(r.start, r.stop, r.pe) for r in runs.values()] == [
             (0, 40, 0), (40, 80, 1), (81, 120, 1)]

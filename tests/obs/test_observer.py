@@ -16,6 +16,7 @@ from repro.obs.observer import (
 from repro.obs.registry import MACHINE_SCHEMA
 from repro.trace.events import EventKind
 from repro.trace.io import load_trace, save_trace
+from tests.trace.views import events_for
 
 
 class TestAttachment:
@@ -170,7 +171,7 @@ class TestPhaseAnnotations:
     def test_micro_trace_carries_phase_labels(self):
         trace = micro_trace()
         assert trace.phases == ("init", "exchange", "reduce")
-        kinds = [ev.kind for ev in trace.events_for(0)]
+        kinds = [ev.kind for ev in events_for(trace, 0)]
         assert kinds.count(EventKind.PHASE) == 3
 
     def test_phase_labels_roundtrip_through_jsonl(self):
@@ -183,17 +184,17 @@ class TestPhaseAnnotations:
         save_trace(loaded, again)
         assert again.getvalue() == stream.getvalue()
         assert loaded.phases == trace.phases
-        for ev in loaded.events_for(1):
+        for ev in events_for(loaded, 1):
             if ev.kind is EventKind.PHASE:
                 assert loaded.phase_label(ev.flag) in trace.phases
 
     def test_phase_survives_coalescing(self):
         trace = micro_trace()
         before = sum(1 for pe in range(trace.num_pes)
-                     for ev in trace.events_for(pe)
+                     for ev in events_for(trace, pe)
                      if ev.kind is EventKind.PHASE)
         trace.coalesce_compute()
         after = sum(1 for pe in range(trace.num_pes)
-                    for ev in trace.events_for(pe)
+                    for ev in events_for(trace, pe)
                     if ev.kind is EventKind.PHASE)
         assert before == after == 3 * trace.num_pes

@@ -27,6 +27,7 @@ from repro.core import api
 from repro.core.errors import CommunicationError
 from repro.core.stride import ElementStride
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 MEMORY = 1 << 21
 #: Elements of the receive area each step owns.
@@ -252,4 +253,4 @@ def _event_key(ev, trace):
 
 
 def event_keys(trace, pe):
-    return [_event_key(ev, trace) for ev in trace.events_for(pe)]
+    return [_event_key(ev, trace) for ev in events_for(trace, pe)]

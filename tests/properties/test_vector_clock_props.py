@@ -15,6 +15,7 @@ from repro.check.races import race_report
 from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.trace.events import EventKind
+from tests.trace.views import events_for
 
 K = 4  # elements per transfer
 
@@ -79,7 +80,7 @@ def sample_keys(trace, limit=24):
     keys = [
         (pe, i)
         for pe in range(trace.num_pes)
-        for i in range(len(trace.events_for(pe)))
+        for i in range(len(events_for(trace, pe)))
     ]
     stride = max(1, len(keys) // limit)
     return keys[::stride]
@@ -103,8 +104,8 @@ def test_happens_before_is_transitive_and_irreflexive(sched):
             if hb.happens_before(b, a):
                 # Mutual ordering only between the merged events of one
                 # collective rendezvous — everywhere else HB is strict.
-                assert trace.events_for(a[0])[a[1]].kind in COLLECTIVE_KINDS
-                assert trace.events_for(b[0])[b[1]].kind in COLLECTIVE_KINDS
+                assert events_for(trace, a[0])[a[1]].kind in COLLECTIVE_KINDS
+                assert events_for(trace, b[0])[b[1]].kind in COLLECTIVE_KINDS
             for c in keys:
                 if not hb.happens_before(b, c):
                     continue
@@ -119,7 +120,7 @@ def test_barriers_totally_order_the_phases(sched):
     n, rounds = sched
     trace = run_schedule(n, rounds)
     hb = build_happens_before(trace)
-    events = [trace.events_for(pe) for pe in range(trace.num_pes)]
+    events = [events_for(trace, pe) for pe in range(trace.num_pes)]
     barrier_idx = {
         pe: [i for i, ev in enumerate(events[pe])
              if ev.kind is EventKind.BARRIER]

@@ -26,6 +26,7 @@ from repro.trace.buffer import EVENT_FIELDS, ROW, TraceBuffer, pack
 from repro.trace.events import EventKind, GroupTable, TraceEvent
 from repro.trace.soa import INT_COLUMNS, TraceColumns
 from repro.trace.stats import AppStatistics
+from tests.trace.views import all_events, events_for, record
 
 FIELDS = (
     "kind", "pe", "seq", "partner", "size", "stride", "send_flag",
@@ -51,13 +52,13 @@ def buffer_doc(trace: TraceBuffer) -> dict:
     """Everything a loaded buffer consists of."""
     assert trace.groups is not None
     return {
-        "events": [[repr(ev) for ev in trace.events_for(pe)]
+        "events": [[repr(ev) for ev in events_for(trace, pe)]
                    for pe in range(trace.num_pes)],
         "kinds": [type(ev.kind) for pe in range(trace.num_pes)
-                  for ev in trace.events_for(pe)],
+                  for ev in events_for(trace, pe)],
         "bools": [(type(ev.stride), type(ev.is_ack))
                   for pe in range(trace.num_pes)
-                  for ev in trace.events_for(pe)],
+                  for ev in events_for(trace, pe)],
         "total_events": trace.total_events,
         "seq": trace._seq,
         "groups": [trace.groups.members(g)
@@ -75,14 +76,14 @@ def reference_v2_json(trace: TraceBuffer) -> dict:
     block."""
     assert trace.groups is not None
     n = trace.num_pes
-    events = [ev for pe in range(n) for ev in trace.events_for(pe)]
+    events = [ev for pe in range(n) for ev in events_for(trace, pe)]
     doc: dict = {
         "format": "ap1000-trace-v2",
         "num_pes": n,
         "groups": [list(trace.groups.members(g))
                    for g in range(len(trace.groups))],
         "phases": list(trace.phases),
-        "counts": [len(trace.events_for(pe)) for pe in range(n)],
+        "counts": [len(events_for(trace, pe)) for pe in range(n)],
         "columns": {name: [int(ev.kind) if name == "kind"
                            else getattr(ev, name) for ev in events]
                     for name in FIELDS},
@@ -114,7 +115,7 @@ def reference_v1_text(trace: TraceBuffer) -> str:
     if trace.phases:
         header["phases"] = list(trace.phases)
     return json.dumps(header) + "\n" + "".join(
-        map(_event_line, trace.all_events()))
+        map(_event_line, all_events(trace)))
 
 
 def reference_stream_v1_text(trace: TraceBuffer,
@@ -124,7 +125,7 @@ def reference_stream_v1_text(trace: TraceBuffer,
     interned first: a header, a ``meta`` line per phase, the event
     lines and the footer."""
     assert trace.groups is not None
-    events = trace.all_events() if events is None else events
+    events = all_events(trace) if events is None else events
     counts = [0] * trace.num_pes
     for ev in events:
         counts[ev.pe] += 1
@@ -166,7 +167,7 @@ def reference_buffer_from_v2(doc: dict) -> TraceBuffer:
             if ranges is not None:
                 for name in RANGE_FIELDS:
                     kwargs[name] = ranges[name][idx]
-            trace.record(TraceEvent(**kwargs))
+            record(trace, TraceEvent(**kwargs))
             idx += 1
     return with_seq(trace, cols["seq"])  # the original global order
 
@@ -176,7 +177,7 @@ def reference_columns_from_buffer(trace: TraceBuffer) -> TraceColumns:
     arrays."""
     assert trace.groups is not None
     n = trace.num_pes
-    counts = [len(trace.events_for(pe)) for pe in range(n)]
+    counts = [len(events_for(trace, pe)) for pe in range(n)]
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
     total = int(starts[-1])
@@ -191,7 +192,7 @@ def reference_columns_from_buffer(trace: TraceBuffer) -> TraceColumns:
                   for g in range(len(trace.groups)))
     lo = 0
     for pe in range(n):
-        events = trace.events_for(pe)
+        events = events_for(trace, pe)
         hi = lo + len(events)
         kind[lo:hi] = [ev.kind for ev in events]
         for name, column in ints.items():
@@ -247,7 +248,7 @@ def golden_buffer() -> TraceBuffer:
         TraceEvent(EventKind.SPILL, pe=0, size=16),
     ]
     for ev in events:
-        buf.record(ev)
+        record(buf, ev)
     # A loaded trace keeps the file's seq, whatever it is.
     return with_seq(buf, [(seq * 7) % len(events) + 100
                           for seq in range(len(events))])
@@ -340,7 +341,7 @@ def reference_statistics(trace) -> AppStatistics:
     counts = {kind: 0 for kind in EventKind}
     puts_stride = gets_stride = msg_bytes = msg_count = 0
     for pe in range(n):
-        for ev in trace.events_for(pe):
+        for ev in events_for(trace, pe):
             counts[ev.kind] += 1
             if ev.kind is EventKind.PUT:
                 puts_stride += ev.stride
@@ -375,7 +376,7 @@ def reference_digest(trace) -> str:
     event objects in ``seq`` order, ``msg_id`` renumbered densely."""
     remap: dict[int, int] = {0: 0}
     h = hashlib.sha256()
-    for ev in trace.all_events():
+    for ev in all_events(trace):
         if ev.msg_id not in remap:
             remap[ev.msg_id] = len(remap)
         record = (

@@ -28,6 +28,7 @@ from repro.trace.io import (
 from repro.trace.soa import columns_from_buffer
 
 from .reference import reference_v1_text
+from tests.trace.views import all_events
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def recorded():
 
 
 def events_doc(trace):
-    return [repr(ev) for ev in trace.all_events()]
+    return [repr(ev) for ev in all_events(trace)]
 
 
 def dump(trace) -> bytes:
@@ -79,10 +80,10 @@ class TestRoundTrip:
         path = tmp_path / "t.v2.jsonl"
         save_trace(recorded, path)
         reloaded = load_trace(path)
-        annotated = [ev for ev in recorded.all_events()
+        annotated = [ev for ev in all_events(recorded)
                      if ev.is_annotated()]
         assert annotated, "fixture should carry sanitizer annotations"
-        by_seq = {ev.seq: ev for ev in reloaded.all_events()}
+        by_seq = {ev.seq: ev for ev in all_events(reloaded)}
         for ev in annotated:
             assert by_seq[ev.seq].raddr == ev.raddr
             assert by_seq[ev.seq].laddr == ev.laddr

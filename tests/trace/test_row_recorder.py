@@ -29,6 +29,7 @@ from repro.trace.stats import collect_statistics
 from tests.programs import EVERY_OP, MEMORY, programs, round_program
 
 from .reference import ObjectRecorder, reference_digest, reference_statistics
+from tests.trace.views import events_for
 
 
 class Tee:
@@ -83,7 +84,7 @@ def test_rows_read_as_the_objects_did(cells, steps, sanitize):
     for kind in EventKind:
         for pe in (None, *range(cells)):
             assert rows.count(kind, pe) == oracle.count(kind, pe)
-    assert [rows.events_for(pe) for pe in range(cells)] \
+    assert [events_for(rows, pe) for pe in range(cells)] \
         == [oracle.events_for(pe) for pe in range(cells)]
     # A loaded trace digests as the recorded one.
     assert trace_digest(load_trace(io.BytesIO(dump(rows)))) \

@@ -8,12 +8,13 @@ from repro.trace.stats import (
     collect_statistics,
     format_table3_row,
 )
+from tests.trace.views import record
 
 
 def _buf(events):
     buf = TraceBuffer(num_pes=2)
     for ev in events:
-        buf.record(ev)
+        record(buf, ev)
     return buf
 
 

@@ -38,6 +38,7 @@ from repro.trace.io import (
     save_trace,
 )
 from tests.programs import EVERY_OP, MEMORY, programs, round_program
+from tests.trace.views import all_events, events_for, record
 
 
 def stream_micro(path, **writer_kw):
@@ -101,7 +102,7 @@ class TestWriter:
         with streaming_to(writer):
             buf = TraceBuffer(num_pes=1, capacity=64)
         for _ in range(3):
-            buf.record(TraceEvent(kind=EventKind.COMPUTE, pe=0, work=1))
+            record(buf, TraceEvent(kind=EventKind.COMPUTE, pe=0, work=1))
         # 3 events with flush_events=2: one chunk written, one pending.
         assert path.read_bytes().endswith(b"\n")
         assert [doc.get("total") for doc in records(path)] == [None, 2]
@@ -119,10 +120,10 @@ class TestWriter:
         with streaming_to(writer):
             buf = TraceBuffer(num_pes=1, capacity=64)
         for work in (1.0, 2.0):
-            buf.record(TraceEvent(kind=EventKind.COMPUTE, pe=0, work=work))
+            record(buf, TraceEvent(kind=EventKind.COMPUTE, pe=0, work=work))
         buf.coalesce_compute()
         writer.close()
-        assert [ev.work for ev in load_trace(path).all_events()] \
+        assert [ev.work for ev in all_events(load_trace(path))] \
             == [1.0, 2.0]
 
     def test_binds_only_the_first_buffer(self, tmp_path):
@@ -150,7 +151,7 @@ class TestWriter:
         writer = StreamTraceWriter(tmp_path / "s.trc")
         with streaming_to(writer):
             buf = TraceBuffer(num_pes=1, capacity=16)
-        buf.record(TraceEvent(kind=EventKind.COMPUTE, pe=0, work=1))
+        record(buf, TraceEvent(kind=EventKind.COMPUTE, pe=0, work=1))
         clone = pickle.loads(pickle.dumps(buf))
         assert clone._sink is None
         assert clone.total_events == 1
@@ -174,7 +175,7 @@ class TestSanitizedStream:
                      "--trace", str(saved)]) == 0
         streamed, recorded = load_trace(stream), load_trace(saved)
         assert dump(streamed) == dump(recorded)
-        transfers = [ev for ev in streamed.all_events()
+        transfers = [ev for ev in all_events(streamed)
                      if ev.kind in (EventKind.PUT, EventKind.GET)
                      and ev.size]
         assert transfers and all(ev.is_annotated() for ev in transfers)
@@ -214,7 +215,7 @@ def test_generated_programs_stream_as_they_save(
         state.poll()
     assert state.complete
     assert state.total_events == loaded.total_events
-    assert state.pe_events == [len(loaded.events_for(pe))
+    assert state.pe_events == [len(events_for(loaded, pe))
                                for pe in range(cells)]
     assert state.phase_labels == list(loaded.phases)
 

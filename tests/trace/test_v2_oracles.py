@@ -49,6 +49,7 @@ from .reference import (
     reference_v2_json,
     with_seq,
 )
+from tests.trace.views import all_events, events_for, record
 
 GOLDEN_JSON = Path(__file__).parent / "golden" / "small.v2.jsonl"
 GOLDEN = Path(__file__).parent / "golden" / "small.v2.bin"
@@ -105,7 +106,7 @@ def buffers(draw, shuffle_seq: bool = True) -> TraceBuffer:
     for ev, extra in events:
         for name, value in extra.items():
             setattr(ev, name, value)
-        buf.record(ev)
+        record(buf, ev)
     order = (draw(st.permutations(range(len(events)))) if shuffle_seq
              else range(len(events)))
     base = draw(st.sampled_from((0, 1000, 1 << 31, 1 << 40)))
@@ -140,7 +141,7 @@ def write_stream(trace: TraceBuffer, path: Path, flush_events=7) -> None:
         for pid, label in enumerate(trace.phases, start=1):
             writer.phase(label, pid)
         for pe in range(trace.num_pes):
-            for ev in trace.events_for(pe):
+            for ev in events_for(trace, pe):
                 names = EVENT_FIELDS + RANGE_FIELDS * ev.is_annotated()
                 writer.emit(tuple(getattr(ev, name) for name in names))
 
@@ -152,10 +153,10 @@ def in_seq_order(trace: TraceBuffer) -> TraceBuffer:
                       groups=trace.groups, attach_sink=False)
     for label in trace.phases:
         out.phase_id(label)
-    events = trace.all_events()
+    events = all_events(trace)
     seqs = [ev.seq for ev in events]
     for ev in events:
-        out.record(ev)
+        record(out, ev)
     return with_seq(out, seqs)
 
 
@@ -232,7 +233,7 @@ class TestBulkLoad:
 
         with streaming_to(Sink()) as sink:
             loaded = load_trace(path)
-            loaded.events_for(0)
+            events_for(loaded, 0)
         assert not sink.bound and loaded._sink is None
 
     def test_golden_file_bytes(self, tmp_path):
@@ -255,7 +256,7 @@ class TestBulkLoad:
         them again) load to what that commit loaded them to."""
         gold = golden_buffer()
         pe_major = [ev for pe in range(gold.num_pes)
-                    for ev in gold.events_for(pe)]
+                    for ev in events_for(gold, pe)]
         assert reference_v1_text(gold) == GOLDEN_V1.read_text()
         assert reference_stream_v1_text(gold, pe_major) \
             == GOLDEN_STREAM_V1.read_text()
@@ -284,7 +285,7 @@ class TestBulkLoad:
 
         assert events_built(warm_path) == 0
         # The counter does count: asking for the events builds them all.
-        assert events_built(lambda: load_trace(GOLDEN).all_events()) == 26
+        assert events_built(lambda: all_events(load_trace(GOLDEN))) == 26
 
 
 def _ragged(doc):
@@ -523,10 +524,10 @@ class TestSharedExtraction:
         after = columns_from_buffer(trace)
         assert_same_arrays(after, reference_columns_from_buffer(trace))
         assert after.total_events == before.total_events - 1
-        trace.record(TraceEvent(EventKind.COMPUTE, pe=3, work=1.0))
+        record(trace, TraceEvent(EventKind.COMPUTE, pe=3, work=1.0))
         assert_same_arrays(columns_from_buffer(trace),
                            reference_columns_from_buffer(trace))
-        trace.record(TraceEvent(EventKind.COMPUTE, pe=3, work=2.0))
+        record(trace, TraceEvent(EventKind.COMPUTE, pe=3, work=2.0))
         trace.coalesce_compute()                # the count is as it was
         assert_same_arrays(columns_from_buffer(trace),
                            reference_columns_from_buffer(trace))
@@ -542,13 +543,13 @@ class TestStaleness:
         a loaded buffer turns it into rows without losing an event."""
         trace = load_trace(GOLDEN)
         block = trace.block()
-        trace.events_for(2)[0].size += 1
+        events_for(trace, 2)[0].size += 1
         assert trace.block() is block and trace._rows is None
-        assert trace.all_events() == load_trace(GOLDEN).all_events()
-        trace.record(TraceEvent(EventKind.SPILL, pe=3, size=4))
+        assert all_events(trace) == all_events(load_trace(GOLDEN))
+        record(trace, TraceEvent(EventKind.SPILL, pe=3, size=4))
         assert trace.block() is not block
-        assert trace.events_for(3)[-1].seq == 26
-        assert trace.events_for(2) == load_trace(GOLDEN).events_for(2)
+        assert events_for(trace, 3)[-1].seq == 26
+        assert events_for(trace, 2) == events_for(load_trace(GOLDEN), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(buffers(), st.sampled_from(("coalesce", "record")))
@@ -561,8 +562,8 @@ class TestStaleness:
         if mutation == "coalesce":
             loaded.coalesce_compute()
         else:
-            loaded.record(TraceEvent(EventKind.PUT, pe=0, partner=0,
-                                     size=1 << 33))
+            record(loaded, TraceEvent(EventKind.PUT, pe=0, partner=0,
+                                      size=1 << 33))
         save_trace(loaded, tmp / "b.bin")
         saved_doc = buffer_doc(load_trace(tmp / "b.bin"))
         # A file holds the events, not how many were ever recorded.
