@@ -335,14 +335,16 @@ class _SyncPass:
         if r >= 0:
             ords = self._arrived(r)
             joins = self.prev[ords]
-            kinds = {EventKind(k).name
-                     for k in self.kind[self.sync[ords]].tolist()}
-            if len(kinds) > 1:
-                self._report("REDUCTION-MISMATCH", f"reduction "
-                             f"#{self.rdv_occ[r]} of group {self.rdv_gid[r]} "
-                             f"mixes collective kinds "
-                             f"({'/'.join(sorted(kinds))}): members disagree "
-                             f"on the operation", self.sync[ords].tolist())
+            if r in self.mixed:     # GOP and VGOP members: which arrived
+                kinds = {EventKind(k).name
+                         for k in self.kind[self.sync[ords]].tolist()}
+                if len(kinds) > 1:
+                    self._report(
+                        "REDUCTION-MISMATCH", f"reduction "
+                        f"#{self.rdv_occ[r]} of group {self.rdv_gid[r]} "
+                        f"mixes collective kinds "
+                        f"({'/'.join(sorted(kinds))}): members disagree "
+                        f"on the operation", self.sync[ords].tolist())
         else:
             ords = [node]
             if joins is None:

@@ -163,6 +163,10 @@ _OPCODE = {
     int(EventKind.PHASE): _PHASE,
 }
 
+#: EventKind -> opcode (-1: a kind the replay does not know).
+_OPCODES = np.full(max(_OPCODE) + 1, -1, dtype=np.int64)
+_OPCODES[list(_OPCODE)] = list(_OPCODE.values())
+
 _INSTANT_NAME = {
     int(EventKind.RETRY): "RETRY",
     int(EventKind.TIMEOUT): "TIMEOUT",
@@ -333,17 +337,16 @@ class _TraceIndex:
 
     Built once per (columns, topology) pair and shared by every
     per-preset :class:`_Program`: event-kind partitions, hop distances
-    for communication events, the integer operand lists of the
+    for communication events, the opcodes and integer operands of the
     interpreter (none of which depend on timing parameters), the runs
     and superstep chains the loop replays as steps (``gaps``: the spans
-    of rows the float lists keep), and — materialized lazily because
+    of rows a stepped replay reads), and — materialized lazily because
     only metric collection and link contention need it — each
     communication event's route as a tuple of dense physical-link ids.
     """
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
-                 "ops", "run_ops", "runs", "supersteps", "gaps", "starts",
-                 "i0", "i1", "i2", "i3",
+                 "runs", "supersteps", "gaps", "starts", "_lists",
                  "instant_counts", "_link_plan", "link_table")
 
     def __init__(self, columns: TraceColumns,
@@ -370,18 +373,9 @@ class _TraceIndex:
                 self.pe_src[k] = src
                 self.dist[k] = _torus_distances(topology, src,
                                                 columns.partner[idx])
-        table = np.full(max(_OPCODE) + 1, -1, dtype=np.int64)
-        for k, op in _OPCODE.items():
-            table[k] = op
-        op = table[kind]
-        self.ops = op.tolist()
+        op = _OPCODES[kind]
         self.starts = columns.starts.tolist()
         self.runs = _find_runs(columns, pe_of_all)
-        self.run_ops = self.ops
-        if self.runs:
-            self.run_ops = list(self.ops)
-            for first in self.runs:
-                self.run_ops[first] = _RUN
         self.supersteps = _find_chains(columns, pe_of_all, op,
                                        self.by_kind)
         self.gaps = [(0, len(kind))]
@@ -403,11 +397,30 @@ class _TraceIndex:
                 done = stop
             if done < len(kind):
                 self.gaps.append((done, len(kind)))
-        # Integer operands (see the _Program docstring table).  The
-        # generic layout is the PUT/GET one; kinds whose operands differ
-        # are rewritten with vectorized index assignments.  ``tolist``
-        # yields plain Python ints, so the interpreter never touches
-        # numpy scalars.
+        # The interpreter reads plain Python ints: a stepped replay the
+        # rows of ``gaps`` and each run's first row (opcode _RUN), the
+        # others every row (built on first use).
+        stepped = _operand_lists(self._int_columns(op), self.gaps, 0)
+        for first in self.runs:     # its own list: a run's rows are PUT/GETs
+            stepped[0][first] = _RUN
+        self._lists = {True: stepped}
+        if self.gaps == [(0, len(kind))]:
+            self._lists[False] = stepped
+        # Robustness instants never affect timing; count them up front.
+        self.instant_counts = {"RETRY": 0, "TIMEOUT": 0, "SPILL": 0}
+        for k, name in _INSTANT_NAME.items():
+            idx = self.by_kind.get(k)
+            if idx is not None:
+                self.instant_counts[name] = len(idx)
+        self._link_plan = None
+        self.link_table: list[tuple[int, int]] = []
+
+    def _int_columns(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The opcodes ``op`` and the four integer operand columns (see
+        the _Program docstring table).  The generic layout is the
+        PUT/GET one; kinds whose operands differ are rewritten with
+        vectorized index assignments."""
+        columns = self.columns
         i0 = columns.partner.copy()
         i1 = columns.size.copy()
         i2 = columns.send_flag.copy()
@@ -434,18 +447,18 @@ class _TraceIndex:
                         continue  # keep the generic operand
                     slot[idx] = value[idx] if isinstance(value, np.ndarray) \
                         else value
-        self.i0 = i0.tolist()
-        self.i1 = i1.tolist()
-        self.i2 = i2.tolist()
-        self.i3 = i3.tolist()
-        # Robustness instants never affect timing; count them up front.
-        self.instant_counts = {"RETRY": 0, "TIMEOUT": 0, "SPILL": 0}
-        for k, name in _INSTANT_NAME.items():
-            idx = self.by_kind.get(k)
-            if idx is not None:
-                self.instant_counts[name] = len(idx)
-        self._link_plan = None
-        self.link_table: list[tuple[int, int]] = []
+        return op, i0, i1, i2, i3
+
+    def operands(self, stepped: bool) -> tuple[list[int], ...]:
+        """The opcodes and the four integer operand slots as lists:
+        ``stepped`` (the loop replays runs and chains as steps) the rows
+        it reads, else every row."""
+        got = self._lists.get(stepped)
+        if got is None:
+            kind = self.columns.kind
+            got = self._lists[stepped] = _operand_lists(
+                self._int_columns(_OPCODES[kind]), [(0, len(kind))], 0)
+        return got
 
     def link_plan(self) -> list:
         """Per-event link-id routes (metric collection, link contention).
@@ -717,21 +730,21 @@ class _Program:
             self._full = _operand_lists(self.costs, [(0, len(self.costs[0]))])
         return self._full
 
-def _operand_lists(costs: tuple[np.ndarray, ...],
-                   spans) -> tuple[list[float], ...]:
-    """``costs`` as lists holding the rows of ``spans`` and one shared
-    zero elsewhere (so does a slot no kind wrote: one zero list)."""
-    total = len(costs[0])
+def _operand_lists(arrays: tuple[np.ndarray, ...], spans,
+                   zero: float = 0.0) -> tuple[list, ...]:
+    """``arrays`` as lists holding the rows of ``spans`` and one shared
+    ``zero`` elsewhere (so does an array no kind wrote: one zero list)."""
+    total = len(arrays[0])
     whole = spans == [(0, total)]
     zeros = None
     lists = []
-    for arr in costs:
+    for arr in arrays:
         written = arr.any()
         if written and whole:
             lists.append(arr.tolist())
             continue
         if zeros is None:
-            zeros = [0.0] * total
+            zeros = [zero] * total
         got = zeros
         if written:
             got = list(zeros)
@@ -816,7 +829,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     # Runs and chains are replayed as one step each unless a timeline or
     # the link step needs every row on its own.
     stepped = not (contend or record)
-    ops = index.run_ops if stepped else index.ops
+    ops, i0, i1, i2, i3 = index.operands(stepped)
     runs = index.runs
     if program.run_costs is not None:   # no _RUN row otherwise
         run_step = program.run_costs.replay
@@ -828,7 +841,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
         chains = program.chain_costs.at
         chain_step = program.chain_costs.replay
     starts = index.starts
-    i0, i1, i2, i3 = index.i0, index.i1, index.i2, index.i3
     f0, f1, f2, f3, f4, f5 = program.operands(stepped)
 
     # Per-preset scalar constants (put_model functions of params only).

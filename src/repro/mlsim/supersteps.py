@@ -1,5 +1,6 @@
 """The superstep step of the MLSim replay: the rows between whole-machine
-collectives replayed as array operations over all PEs.
+collectives replayed a superstep at a time, on one float where that is
+exact and in array operations over all PEs elsewhere.
 
 A superstep is every PE's stretch of local rows (COMPUTE, RTSYS, CREG_*,
 PHASE and the robustness instants) closed by a whole-machine collective:
@@ -33,6 +34,36 @@ would:
   a collective runs on and arrives first at the next one, then the
   parked PEs in the order they arrived.  Clocks do not depend on that
   order; the barrier-wait metric is summed in it.
+
+Most supersteps are stepped on one float.  A superstep is *scalar* when
+its start is the release on every PE and its clock columns vary across
+PEs in at most one column: its next release is the current one folded,
+column by column, with each column's largest addend over the PEs, plus
+the tail.  That is exact:
+
+(a) A release is never below an arrival: it is the latest arrival plus
+    the ``f0`` of a collective, which is non-negative.  So a barrier's
+    start, ``max(clock, release)``, is the release on every PE, and
+    ``max(release - clock, 0)`` is ``release - clock``.  (A negative
+    ``f0`` — a malformed trace's negative size — shows as a release
+    below the latest arrival, and that superstep is not scalar.)
+(b) ``fl(x + c)`` is monotone in ``x`` and in ``c``.  With every PE
+    starting at the release and one column varying, the latest arrival
+    is the fold with that column's maximum, and the least the fold with
+    each column's minimum (a lower bound whatever the columns).
+(c) A reduction's start is the release on every PE whenever every
+    arrival is at least half the release: by Sterbenz's lemma
+    ``release - arrival`` is then exact, so ``arrival + min(release -
+    arrival, f1) <= release``.  With the least arrival a float, so is
+    the check.
+
+The other supersteps are *vector* ones, array operations over the PEs
+as above: the first (per-PE clocks, pending theft), one with two or
+more varying columns, and a reduction whose check fails, which first
+materializes the arrivals of the scalar superstep before it.  After the
+loop the scalar supersteps' arrivals are one pass, an array operation
+per column position, and the buckets, barrier waits and the rest follow
+from the arrivals and releases of all supersteps.
 
 The step stops at the release of the chain's last collective: cursors at
 that collective's rows, attempted, every PE's rendezvous record that
@@ -158,7 +189,8 @@ class Chain:
     (:class:`Supersteps`) whole-machine collectives, the step finishing
     ``a..b - 1`` and the loop ``b``.
 
-    ``bounds`` are each superstep's clock columns; ``sums`` the chain's
+    ``bounds`` are each superstep's clock columns (``lo``, ``width``: the
+    same as arrays); ``sums`` the chain's
     rows of the sums layout and ``finish`` the collectives' rows within
     them (``waits``: a barrier's, for the barrier-wait metric, with
     ``wait_order`` the positions in the arrival order at the chain's
@@ -172,7 +204,7 @@ class Chain:
     """
 
     __slots__ = ("n", "m", "a", "close", "inside", "barrier", "bounds",
-                 "sums", "finish", "waits", "wait_order",
+                 "lo", "width", "sums", "finish", "waits", "wait_order",
                  "tail", "gens", "messages", "nbytes")
     gens: list[tuple[bool, int, int]]
     messages: int
@@ -187,8 +219,9 @@ class Chain:
         self.close = rows[:, b].tolist()
         self.inside = (rows[:, a] + 1, rows[:, b])
         self.barrier = barrier[a:b].tolist()
-        self.bounds = list(zip(start[a + 1:b + 1].tolist(),
-                               (start + width)[a + 1:b + 1].tolist()))
+        self.lo, self.width = start[a + 1:b + 1], width[a + 1:b + 1]
+        self.bounds = list(zip(self.lo.tolist(),
+                               (self.lo + self.width).tolist()))
         base = int(sum_start[a + 1])
         self.sums = (base, int(sum_start[b] + length[b]))
         self.finish = finish[a + 1:b + 1] - base
@@ -202,9 +235,13 @@ class ChainCosts:
     """One preset's costs of the chains' local rows (each the loop's: a
     row's ``f0``, or the communication-register access time) laid out as
     the plan says, the collectives' ``f0`` and ``f1`` per PE, and the
-    step; ``at`` is the plan's chains by opening row."""
+    step; ``at`` is the plan's chains by opening row.  Per clock column,
+    ``high`` and ``low`` are its largest and least addend over the PEs
+    and ``varying[c]`` counts the columns before ``c`` whose addends
+    differ between PEs."""
 
-    __slots__ = ("at", "clock", "sums", "f0", "f1")
+    __slots__ = ("at", "clock", "sums", "f0", "f1", "high", "low",
+                 "varying")
 
     def __init__(self, plan: Supersteps, costs: tuple, barrier_lib: float,
                  creg_access: float) -> None:
@@ -216,6 +253,10 @@ class ChainCosts:
         clock[plan.cells] = values
         clock[plan.lib] = barrier_lib
         self.clock = clock.reshape(plan.ncols, n)
+        by_pe = self.clock.T.copy()     # reduced faster along its rows
+        high, low = by_pe.max(axis=0), by_pe.min(axis=0)
+        self.high, self.low = high.tolist(), low.tolist()
+        self.varying = np.cumsum(np.append(0, high != low)).tolist()
         sums = np.zeros(plan.nsums * 4 * n)
         sums[plan.sums] = values
         sums[plan.lib_sums] = barrier_lib
@@ -233,6 +274,7 @@ class ChainCosts:
         barrier waits in the loop's order (``collect``), else ``None``."""
         n, m, a = chain.n, chain.m, chain.a
         clock, f1 = self.clock, self.f1
+        high, low, varying = self.high, self.low, self.varying
         order = [*(rec[3] or ()), pe]       # arrival order
         rec[3] = None
         ranks = np.array(order)
@@ -242,29 +284,67 @@ class ChainCosts:
         rows, at = chain.tail
         tail = self.f0[rows, ranks[at]].tolist()
         pending = np.array(theft)
-        # The clocks, superstep by superstep; what the collectives leave
-        # in the buckets follows from the arrivals and releases after.
+        # The releases, superstep by superstep.  A scalar superstep
+        # starts at the release on every PE and varies in at most one
+        # column: its latest and least arrival (``top``, ``least``) are
+        # floats, its arrivals (``clk`` None) follow after the loop.  A
+        # vector one keeps its arrivals, by collective, in ``arrivals``.
         maximum, minimum = np.maximum, np.minimum
         release = rec[2]
         clk = np.array(now[1])
-        arrivals = [clk]
+        arrivals = {0: clk}
         releases = [release]
+        scalar: list[int] = []      # the scalar supersteps
+        begins: list[float] = []    # and their starts
+        top = least = 0.0
         for s, (lo, hi), bar in zip(range(m), chain.bounds, chain.barrier):
-            if bar:
-                clk = maximum(clk, release)
+            if not s or top > release:
+                even = False        # per-PE clocks and theft; see (a)
+            elif bar:
+                even = True
+            else:                   # (c)
+                even = 2.0 * (least if clk is None
+                              else float(clk.min())) >= release
+            if even and varying[hi] - varying[lo] < 2:
+                top = least = release           # (b)
+                for c in range(lo, hi):
+                    top += high[c]
+                    least += low[c]
+                clk = None
+                scalar.append(s)
+                begins.append(release)
             else:
-                clk = maximum(clk + minimum(maximum(release - clk, 0.0),
-                                            f1[a + s]), release)
-            if not s:
-                clk = clk + pending
-            for c in range(lo, hi):
-                clk = clk + clock[c]
-            top = max(clk.tolist())
+                if even:
+                    clk = np.full(n, release)
+                else:
+                    if clk is None:
+                        clk = arrivals[s] = self._arrivals(
+                            chain, scalar[-1:], begins[-1:])[0]
+                        del scalar[-1], begins[-1]
+                    if bar:
+                        clk = maximum(clk, release)
+                    else:
+                        clk = maximum(clk + minimum(
+                            maximum(release - clk, 0.0), f1[a + s]),
+                            release)
+                    if not s:
+                        clk = clk + pending
+                for c in range(lo, hi):
+                    clk = clk + clock[c]
+                arrivals[s + 1] = clk
+                top = max(clk.tolist())
             release = top + tail[s]
-            arrivals.append(clk)
             releases.append(release)
-        # A barrier's f1 is 0.0: no busy time, its idle time the wait.
-        arrive = np.array(arrivals[:-1])
+        # What the collectives leave in the buckets follows from the
+        # arrivals and releases.  A barrier's f1 is 0.0: no busy time,
+        # its idle time the wait.
+        arrive = np.empty((m + 1, n))
+        if scalar:
+            arrive[np.array(scalar) + 1] = self._arrivals(chain, scalar,
+                                                          begins)
+        arrive[list(arrivals)] = list(arrivals.values())
+        clk = arrive[m]
+        arrive = arrive[:m]
         free = np.array(releases[:-1])[:, None]
         wait = maximum(free - arrive, 0.0)
         busy = minimum(wait, f1[a:a + m])
@@ -293,6 +373,19 @@ class ChainCosts:
         runnable.extend(after)
         queued.update(after)
         return waits
+
+    def _arrivals(self, chain: Chain, steps: list[int],
+                  begins: list[float]) -> np.ndarray:
+        """The PEs' arrivals at the end of supersteps ``steps`` of
+        ``chain`` started at ``begins`` on every PE: each start plus its
+        clock columns in row order, one array operation per column
+        position over the supersteps that have it."""
+        lo, width = chain.lo[steps], chain.width[steps]
+        clk = np.repeat(np.array(begins)[:, None], chain.n, axis=1)
+        for w in range(int(width.max())):
+            live = width > w
+            clk[live] += self.clock[lo[live] + w]
+        return clk
 
 
 def observe(waits: np.ndarray, total: float, high: float,

@@ -551,6 +551,65 @@ SUPERSTEPS = {
 }
 
 
+def superstep_trace(n: int, steps) -> TraceBuffer:
+    """A chain of whole-machine collectives on ``n`` PEs opened by two
+    barriers and closed by one.  Per step ``(works, kind, sizes)``: PE
+    ``pe``'s local rows, COMPUTE and RTSYS in turn with the work of
+    ``works[pe]`` (one clock column each), then a collective of ``kind``
+    with PE ``pe``'s size ``sizes[pe]``."""
+    buf = TraceBuffer(num_pes=n)
+    local = (EventKind.COMPUTE, EventKind.RTSYS)
+    quiet = ([()] * n, EventKind.BARRIER, [0] * n)
+    for works, kind, sizes in (quiet, quiet, *steps, quiet):
+        for pe in range(n):
+            for column, work in enumerate(works[pe]):
+                record(buf, TraceEvent(local[column % 2], pe=pe, work=work))
+            record(buf, TraceEvent(kind, pe=pe, group=0, group_size=n,
+                                   size=sizes[pe]))
+    return buf
+
+
+#: Chains below the break-even (lowered to zero for them) whose
+#: supersteps take both forms of the step, a float or arrays: (PEs,
+#: ``superstep_trace`` steps, supersteps).
+STEPPED = {
+    # Near t = 0 a VGOP lasts longer than the clocks have run: after the
+    # scalar superstep before it the halving check fails.  PE 2's share
+    # of the 64 KiB reduction outlasts the release by rounding under
+    # AP1000+, so its start is not the release.
+    "arrivals below half the release": (4, [
+        ([(2.5,), (0.1,), (0.1,), (0.1,)], EventKind.VGOP,
+         [64, 8, 65536, 64])], 3),
+    # Two columns that vary across PEs, their maxima on different PEs:
+    # the fold of the maxima is no PE's arrival.
+    "two varying columns": (4, [
+        ([(5.0, 0.0), (0.0, 5.0), (1.5, 2.5), (0.1, 0.1)], kind, [8] * 4)
+        for kind in (EventKind.BARRIER, EventKind.GOP, EventKind.VGOP,
+                     EventKind.BARRIER)], 6),
+    # One varying column, then two, in turn, with VGOPs of unequal
+    # shares: under AP1000/SuperSPARC a reduction after a vector
+    # superstep fails the halving check.
+    "scalar and vector in turn": (4, [
+        ([(1.5,), (0.0,), (0.0,), (0.0,)], EventKind.GOP, [8] * 4),
+        ([(0.0, 1.5), (0.1, 2.5), (0.7, 0.0), (1.5, 0.0)], EventKind.VGOP,
+         [8, 4096, 4096, 64]),
+        ([(0.7,), (1.5,), (1.5,), (1.5,)], EventKind.VGOP,
+         [4096, 8, 8, 64]),
+        ([(1.5, 2.5), (2.5, 2.5), (0.1, 0.0), (2.5, 1.5)], EventKind.GOP,
+         [8] * 4),
+        ([(0.7,), (0.0,), (0.0,), (0.0,)], EventKind.GOP, [8] * 4),
+        ([(1.5, 2.5), (2.5, 0.1), (0.7, 1.5), (1000.0 / 3, 0.0)],
+         EventKind.BARRIER, [8] * 4)], 8),
+    # A negative VGOP size (a malformed trace) makes a collective's time
+    # negative: the release is below the latest arrival, and a barrier's
+    # start is not the release on every PE.
+    "a release below an arrival": (4, [
+        ([(0.0,), (100.0,), (0.0,), (1.5,)], EventKind.VGOP,
+         [-65536, -65536, -65536, 8]),
+        ([(1.5,), (0.0,), (0.0,), (1.5,)], EventKind.BARRIER, [0] * 4)], 4),
+}
+
+
 class TestSupersteps:
     @pytest.mark.parametrize("name", sorted(SUPERSTEPS))
     def test_chain_replays_bit_for_bit(self, name):
@@ -599,6 +658,33 @@ class TestSupersteps:
         replay_columns(columns, plus, record_timeline=True)
         replay_columns(columns, plus, link_contention=True)
         assert len(calls) == 1
+
+
+    @pytest.mark.parametrize("name", sorted(STEPPED))
+    def test_stepped_on_floats_and_on_arrays(self, name):
+        n, steps, supersteps_ = STEPPED[name]
+        trace = superstep_trace(n, steps)
+        with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
+            assert_equivalent(trace, (*map(preset, PRESETS), FREE, ZERO))
+            assert chains_of(trace) == [supersteps_]
+
+    def test_a_failed_halving_check_materializes_arrivals(self,
+                                                          monkeypatch):
+        steps = []
+        arrivals = supersteps.ChainCosts._arrivals
+
+        def spied(self, chain, scalar, begins):
+            steps.append(list(scalar))
+            return arrivals(self, chain, scalar, begins)
+
+        monkeypatch.setattr(supersteps.ChainCosts, "_arrivals", spied)
+        n, script, _ = STEPPED["arrivals below half the release"]
+        with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
+            replay_columns(columns_from_buffer(superstep_trace(n, script)),
+                           preset("ap1000+"))
+        # Superstep 1 is scalar, then materialized for the VGOP after it;
+        # no scalar superstep is left for the pass after the loop.
+        assert steps == [[1]], steps
 
 
 class TestProgramRefusals:
