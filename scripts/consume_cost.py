@@ -4,9 +4,12 @@
 What it costs *the host* to take a recorded trace through the warm
 path — ``load_trace`` (file -> buffer; the block mapped and checked,
 no event built), ``load_trace_columns`` (file -> replay columns, what
-``repro replay`` and the bench runner use),
-``compile_program`` and ``replay_columns`` under each preset, the
-cache entry's trace file (``save_trace_v2`` of a freshly loaded buffer)
+``repro replay`` and the bench runner use), ``trace_index`` and its
+``link_plan`` (the per-trace replay plan every preset shares, built
+once per decode) and ``compile_program`` (one preset's costs), all
+three timed on freshly decoded columns, then ``replay_columns`` under
+each preset, the cache entry's trace file (``save_trace_v2`` of a
+freshly loaded buffer)
 and ``export`` (``obs.export.export_trace`` of a freshly loaded buffer
 under ``ap1000+``: a recording replay and the Perfetto document)
 — in microseconds of wall clock per trace event, minimum over
@@ -81,13 +84,17 @@ def main() -> int:
         # Not installed and no PYTHONPATH provides it: this checkout's.
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro.apps.workloads import workload
-    from repro.mlsim.engine_soa import compile_program, replay_columns
+    from repro.mlsim.engine_soa import (
+        compile_program,
+        replay_columns,
+        trace_index,
+    )
     from repro.mlsim.params import preset
     from repro.obs.export import export_trace
     from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
     presets = [preset(name) for name in PRESETS]
-    stages = ["load", "decode", "compile",
+    stages = ["load", "decode", "index", "link plan", "compile",
               *(f"replay {name}" for name in PRESETS), "save", "export"]
     print(f"min of {args.repeats}; host_us = host wall clock per trace "
           "event, sim_us = simulated elapsed time of the whole trace")
@@ -116,11 +123,19 @@ def main() -> int:
                     1, export_trace, load_trace(path), presets[-1])[0])
             cost["decode"], columns = least(
                 args.repeats, load_trace_columns, path)
+            for _ in range(args.repeats):
+                # The plan hangs off the columns: fresh ones per round.
+                fresh = load_trace_columns(path)
+                seconds, index = least(1, trace_index, fresh)
+                cost["index"] = min(cost["index"], seconds)
+                cost["link plan"] = min(cost["link plan"],
+                                        least(1, index.link_plan)[0])
+                for params in presets:
+                    cost["compile"] = min(cost["compile"], least(
+                        1, compile_program, fresh, params)[0])
             sim = {}
             for name, params in zip(PRESETS, presets):
-                seconds, program = least(
-                    args.repeats, compile_program, columns, params)
-                cost["compile"] = min(cost["compile"], seconds)
+                program = compile_program(columns, params)
                 cost[f"replay {name}"], result = least(
                     args.repeats, replay_columns, columns, params,
                     collect_metrics=True, program=program)

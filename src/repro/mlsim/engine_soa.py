@@ -98,11 +98,15 @@ from repro.mlsim.params import MLSimParams
 from repro.mlsim.put_model import (
     get_reply_cpu_theft,
     get_reply_service_time,
+    get_send_cpu_time,
     network_time,
     put_send_cpu_time,
     recv_cpu_theft,
     recv_flag_update_time,
     recv_service_time,
+    send_complete_cpu_theft,
+    send_complete_to_flag_time,
+    send_dma_setup_time,
 )
 from repro.mlsim.timeline import (
     EXECUTION,
@@ -194,21 +198,28 @@ _RUN_MIN = 32
 _CHAIN_MIN = 256
 _CHAIN_STEP = 4
 
-#: Fewest rows of one PE inside a chain that its float lists leave out:
-#: a list pays about 1 µs per span it leaves out, 15-20 ns per row it
-#: keeps.
-_SKIP_MIN = 64
+#: A stepped replay's operand slots are dicts of the rows it reads where
+#: it reads at most one row in _SPARSE, else lists over every row: a
+#: dict costs more per row it holds (to build, and to read in each
+#: replay), a list per row of the trace (to build).  The break-even,
+#: with an index, three programs and three replays per decode as the
+#: bench pays them: even at one row in 12 on a TOMCATV trace, dicts
+#: 2.4 % ahead at one in 14 (EXPERIMENTS.md, "Planning costs what the
+#: stepped replay reads"; same host as _RUN_MIN).
+_SPARSE = 12
 
-#: Opcodes of a superstep's local rows (they neither wait nor signal),
-#: and of those that take time.
-_LOCAL = np.zeros(_RUN + 1, dtype=bool)
-_LOCAL[[_COMPUTE, _RTSYS, _CREG, _INSTANT, _PHASE]] = True
-_TIMED = np.zeros(_RUN + 1, dtype=bool)
-_TIMED[[_COMPUTE, _RTSYS, _CREG]] = True
-#: Opcodes of a local superstep's first row: a local one, or the
-#: collective that closes an empty segment.
-_OPENS = _LOCAL.copy()
-_OPENS[[_BARRIER, _REDUCTION]] = True
+#: Opcodes of a superstep's local rows: they neither wait nor signal.
+_LOCAL_OPS = (_COMPUTE, _RTSYS, _CREG, _INSTANT, _PHASE)
+#: Kinds that wait or signal, besides the collectives: every kind whose
+#: opcode is neither a local one nor a collective's, so a kind added to
+#: _OPCODE ends a superstep unless it is declared local here.
+_CROSSING = tuple(k for k, op in _OPCODE.items()
+                  if op not in (*_LOCAL_OPS, _BARRIER, _REDUCTION))
+#: EventKind -> the bucket block a superstep's timed row adds its time
+#: to (:mod:`repro.mlsim.supersteps`): 0 overhead (CREG), 1 execution
+#: (COMPUTE), 2 run-time system (RTSYS); -1 a row that adds no time.
+_BLOCK = np.select([_OPCODES == _CREG, _OPCODES == _COMPUTE,
+                    _OPCODES == _RTSYS], [0, 1, 2], -1).astype(np.int8)
 
 
 def _torus_distances(topology: TorusTopology, src: np.ndarray,
@@ -224,26 +235,56 @@ def _torus_distances(topology: TorusTopology, src: np.ndarray,
 
 
 def _log2_times(sizes: np.ndarray, step: float) -> np.ndarray:
-    """``ceil(log2(size)) * step`` per row, computed once per distinct
-    group size in exact Python math (``math.log2`` on small ints is
-    correctly rounded; no numpy float detour whose rounding we would
-    have to trust)."""
-    distinct, slot = np.unique(sizes, return_inverse=True)
-    return np.array([(math.ceil(math.log2(s)) if s > 1 else 0) * step
-                     for s in distinct.tolist()])[slot]
+    """``ceil(log2(size)) * step`` per row (0 for a size below 2),
+    computed once per distinct group size in exact Python math
+    (``math.log2`` on small ints is correctly rounded; no numpy float
+    detour whose rounding we would have to trust) and looked up from a
+    table indexed by size."""
+    sizes = np.maximum(sizes, 1)
+    present = np.flatnonzero(np.bincount(sizes))
+    table = np.zeros(int(present[-1]) + 1)
+    table[present] = [(math.ceil(math.log2(s)) if s > 1 else 0) * step
+                      for s in present.tolist()]
+    return table.take(sizes)
 
 
-def _find_runs(columns: TraceColumns, pe_of: np.ndarray) -> dict:
+def _partition(columns: TraceColumns) -> tuple[dict, np.ndarray]:
+    """The rows of each kind the trace holds, ascending, and each row's
+    PE, from one stable sort of the kind column; a kind the replay does
+    not know is a :class:`SimulationError` naming the first one."""
+    kind = columns.kind
+    by_kind: dict[int, np.ndarray] = {}
+    if len(kind):
+        if 0 <= kind.min() and kind.max() < len(_OPCODES):
+            order = np.argsort(kind.astype(np.uint8), kind="stable")
+            bounds = np.searchsorted(kind.take(order),
+                                     np.arange(len(_OPCODES) + 1)).tolist()
+            by_kind = {k: order[lo:hi] for k, (lo, hi)
+                       in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo}
+        if not by_kind or (_OPCODES[list(by_kind)] < 0).any():
+            known = (kind >= 0) & (kind < len(_OPCODES))
+            known[known] = _OPCODES[kind[known]] >= 0
+            raise SimulationError(
+                f"unknown trace event kind {int(kind[~known][0])}")
+    pe_of = np.repeat(np.arange(columns.num_pes, dtype=np.int64),
+                      np.diff(columns.starts))
+    return by_kind, pe_of
+
+
+def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
+               by_kind: dict) -> dict:
     """The plan (:class:`repro.mlsim.runs.Run`) of every maximal stretch
     of at least ``_RUN_MIN`` consecutive PUT/GET rows of one PE, by first
-    row.
+    row (``by_kind``: the trace's rows by kind).
 
     A GET a PE sends itself ends a stretch: its reply takes the channel
     its request just took, so that channel's clamps depend on each
     other and the scalar loop replays the row.
     """
     kind, partner = columns.kind, columns.partner
-    if not len(kind):
+    flowing = sum(len(by_kind.get(int(k), ()))
+                  for k in (EventKind.PUT, EventKind.GET))
+    if not flowing or flowing < _RUN_MIN:
         return {}
     flows = (kind == int(EventKind.PUT)) | (
         (kind == int(EventKind.GET)) & (partner != pe_of))
@@ -263,7 +304,7 @@ def _find_runs(columns: TraceColumns, pe_of: np.ndarray) -> dict:
                                    lasts[long].tolist())}
 
 
-def _find_chains(columns: TraceColumns, pe_of: np.ndarray, op: np.ndarray,
+def _find_chains(columns: TraceColumns, pe_of: np.ndarray,
                  by_kind: dict[int, np.ndarray]) -> Supersteps | None:
     """The plan (:class:`repro.mlsim.supersteps.Supersteps`) of every
     maximal run of consecutive supersteps worth a step, or ``None``.
@@ -282,26 +323,54 @@ def _find_chains(columns: TraceColumns, pe_of: np.ndarray, op: np.ndarray,
         return None
     collective = np.sort(np.concatenate([
         by_kind.get(int(k), np.empty(0, dtype=np.int64))
-        for k in (EventKind.BARRIER, EventKind.GOP, EventKind.VGOP)]))
+        for k in (EventKind.BARRIER, EventKind.GOP, EventKind.VGOP)]),
+        kind="stable")
     whole = columns.group_size[collective] == n
-    count = np.bincount(pe_of[collective[whole]], minlength=n)
+    rows = collective[whole]
+    count = np.diff(np.searchsorted(rows, columns.starts))
     c = int(count[0])
     if c < 2 or (count != c).any():
         return None
-    rows = collective[whole].reshape(n, c)
-    opens, closes = rows[:, :-1], rows[:, 1:]
-    # Before the pass over every row: a superstep whose first row on
-    # some PE is neither local nor a collective is not local, and a
-    # chain holds no more rows than the run of the others it is in.
-    maybe = _OPENS[op[opens + 1]].all(axis=0)
-    if not (_runs(rows, maybe)[2] >= _CHAIN_MIN).any():
+    # A superstep is local unless a row that is neither local nor a
+    # whole-machine collective falls in it on some PE: mark the position
+    # among the collectives' rows (PE-major, so ascending) after each
+    # such row, pe * c + j for superstep j (j = 0: before a PE's first
+    # collective or past its last, in no superstep).
+    crossed = np.zeros(n * c + 1, dtype=bool)
+    crossed[np.searchsorted(rows, np.concatenate([collective[~whole], *(
+        by_kind[k] for k in _CROSSING if k in by_kind)]))] = True
+    local = ~crossed[:-1].reshape(n, c)[:, 1:].any(axis=0)
+    rows = rows.reshape(n, c)
+    # The loop's rendezvous slot: kind, group and generation.  A
+    # collective's generation is its rank among its PE's collectives of
+    # one class (barrier, reduction) and group, the same on every PE
+    # where all are whole-machine ones of the same kind and group.
+    matched = np.ones(c, dtype=bool)
+    for same in (kind[rows], columns.group[rows]):
+        matched &= (same == same[0]).all(axis=0)
+    if not (matched.all() and whole.all()):
+        same = _generations(columns, collective, pe_of)[whole].reshape(n, c)
+        matched &= (same == same[0]).all(axis=0)
+    # Superstep j closes with collective j + 1: a chain runs from the
+    # first to the last collective of a maximal run of linked ones.
+    link = matched[:-1] & matched[1:] & local
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], link, [False]))))
+    firsts, lasts = edges[::2], edges[1::2]
+    size = (rows[:, lasts] - rows[:, firsts]).sum(axis=0)
+    worth = size >= _CHAIN_MIN + _CHAIN_STEP * (lasts - firsts)
+    if not worth.any():
         return None
-    outside = np.cumsum(~_LOCAL[op])
-    local = (outside[closes - 1] == outside[opens]).all(axis=0)
-    # A collective's generation is its rank among its PE's collectives
-    # of one class (barrier, reduction) and group.
+    from repro.mlsim.supersteps import Supersteps   # for traces with chains
+
+    return Supersteps(columns, rows, firsts[worth], lasts[worth])
+
+
+def _generations(columns: TraceColumns, collective: np.ndarray,
+                 pe_of: np.ndarray) -> np.ndarray:
+    """Each of the ``collective`` rows' rank among its PE's collectives
+    of one class (barrier, reduction) and group."""
     group = columns.group[collective]
-    key = ((pe_of[collective] * 2 + (kind[collective] !=
+    key = ((pe_of[collective] * 2 + (columns.kind[collective] !=
                                      int(EventKind.BARRIER)))
            * (int(group.max()) + 1) + group)
     order = np.argsort(key, kind="stable")
@@ -310,102 +379,83 @@ def _find_chains(columns: TraceColumns, pe_of: np.ndarray, op: np.ndarray,
     rank = np.empty(len(key), dtype=np.int64)
     rank[order] = np.arange(len(key)) - np.repeat(
         heads, np.diff(np.append(heads, len(key))))
-    matched = np.ones(c, dtype=bool)
-    for same in (kind[rows], columns.group[rows], rank[whole].reshape(n, c)):
-        matched &= (same == same[0]).all(axis=0)
-    firsts, lasts, size = _runs(rows, matched[:-1] & matched[1:] & local)
-    worth = size >= _CHAIN_MIN + _CHAIN_STEP * (lasts - firsts)
-    if not worth.any():
-        return None
-    from repro.mlsim.supersteps import Supersteps   # for traces with chains
-
-    return Supersteps(columns, op, rows, firsts[worth], lasts[worth])
-
-
-def _runs(rows: np.ndarray,
-          link: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first and last collective (columns of ``rows``) of every
-    maximal run of supersteps ``link`` marks (superstep j closes with
-    collective j + 1), and the rows from the one to the other."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], link, [False]))))
-    firsts, lasts = edges[::2], edges[1::2]
-    return firsts, lasts, (rows[:, lasts] - rows[:, firsts]).sum(axis=0)
+    return rank
 
 
 class _TraceIndex:
     """Preset-independent structure of one decoded trace.
 
     Built once per (columns, topology) pair and shared by every
-    per-preset :class:`_Program`: event-kind partitions, hop distances
-    for communication events, the opcodes and integer operands of the
-    interpreter (none of which depend on timing parameters), the runs
-    and superstep chains the loop replays as steps (``gaps``: the spans
-    of rows a stepped replay reads), and — materialized lazily because
-    only metric collection and link contention need it — each
-    communication event's route as a tuple of dense physical-link ids.
+    per-preset :class:`_Program`: event-kind partitions (``by_kind``)
+    and each row's PE, from one sort of the kind column; hop distances
+    for communication events; the runs and superstep chains the loop
+    replays as steps; the opcodes and integer operands of the
+    interpreter (none of which depend on timing parameters); and —
+    materialized lazily because only metric collection and link
+    contention need it — each communication event's route as a tuple of
+    dense physical-link ids.
+
+    A stepped replay reads only the rows outside runs and chains and
+    each run's first row.  Where those are at most one row in
+    ``_SPARSE`` (``keys``, ascending), its operand slots, here and on
+    each :class:`_Program`, are dicts keyed by them, and a replay that
+    declines the steps gets lists over every row, built on first use
+    (:meth:`operands`).  Otherwise ``keys`` is ``None`` and both read
+    the same lists over every row, but for the opcodes of runs' first
+    rows.
     """
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
-                 "runs", "supersteps", "gaps", "starts", "_lists",
+                 "runs", "supersteps", "keys", "starts", "_lists",
                  "instant_counts", "_link_plan", "link_table")
 
     def __init__(self, columns: TraceColumns,
                  topology: TorusTopology) -> None:
         self.columns = columns
         self.topology = topology
-        kind = columns.kind
-        known = np.isin(kind, list(_OPCODE))
-        if not known.all():
-            raise SimulationError(
-                f"unknown trace event kind {int(kind[~known][0])}")
-        self.by_kind = {k: np.nonzero(kind == k)[0]
-                        for k in np.unique(kind).tolist()}
-        pe_of_all = np.searchsorted(columns.starts,
-                                    np.arange(len(kind), dtype=np.int64),
-                                    side="right") - 1
+        total = len(columns.kind)
+        self.by_kind, pe_of = _partition(columns)
         self.dist = {}
         self.pe_src = {}
         for k in (int(EventKind.PUT), int(EventKind.GET),
                   int(EventKind.SEND), int(EventKind.REMOTE_LOAD)):
             idx = self.by_kind.get(k)
-            if idx is not None and len(idx):
-                src = pe_of_all[idx]
+            if idx is not None:
+                src = pe_of[idx]
                 self.pe_src[k] = src
                 self.dist[k] = _torus_distances(topology, src,
                                                 columns.partner[idx])
-        op = _OPCODES[kind]
         self.starts = columns.starts.tolist()
-        self.runs = _find_runs(columns, pe_of_all)
-        self.supersteps = _find_chains(columns, pe_of_all, op,
-                                       self.by_kind)
-        self.gaps = [(0, len(kind))]
+        self.runs = _find_runs(columns, pe_of, self.by_kind)
+        self.supersteps = _find_chains(columns, pe_of, self.by_kind)
+        self.keys: list[int] | None = None
         if self.runs or self.supersteps is not None:
-            # The rows the float lists leave out: the runs', and a
-            # chain's between its first and last collective where a PE
-            # has at least _SKIP_MIN of them.
-            skips = [(first, run.stop) for first, run in self.runs.items()]
+            # The rows a stepped replay skips: a run's past its first
+            # row, a chain's of each PE past its opening collective.
+            skips = [(first + 1, run.stop) for first, run in self.runs.items()]
             if self.supersteps is not None:
                 for chain in self.supersteps.chains:
-                    first, stop = chain.inside
-                    long = stop - first >= _SKIP_MIN
-                    skips += zip(first[long].tolist(), stop[long].tolist())
-            self.gaps = []
+                    skips += zip(*(edge.tolist() for edge in chain.inside))
+            keys: list[int] = []
             done = 0
             for first, stop in sorted(skips):
-                if first > done:
-                    self.gaps.append((done, first))
+                keys += range(done, first)
                 done = stop
-            if done < len(kind):
-                self.gaps.append((done, len(kind)))
-        # The interpreter reads plain Python ints: a stepped replay the
-        # rows of ``gaps`` and each run's first row (opcode _RUN), the
-        # others every row (built on first use).
-        stepped = _operand_lists(self._int_columns(op), self.gaps, 0)
-        for first in self.runs:     # its own list: a run's rows are PUT/GETs
+            keys += range(done, total)
+            if len(keys) * _SPARSE <= total:
+                self.keys = keys
+        # The interpreter reads plain Python ints.
+        self._lists: dict[bool, tuple] = {}
+        if self.keys is None:
+            stepped = self._lists[False] = _operand_lists(
+                self._int_columns(None), 0)
+            if self.runs:           # its own opcodes: runs are one row
+                stepped = (list(stepped[0]), *stepped[1:])
+        else:
+            stepped = _operand_dicts(self._int_columns(self.keys), self.keys)
+        for first in self.runs:
             stepped[0][first] = _RUN
-        self._lists = {True: stepped}
-        if self.gaps == [(0, len(kind))]:
-            self._lists[False] = stepped
+        self._lists[True] = stepped
         # Robustness instants never affect timing; count them up front.
         self.instant_counts = {"RETRY": 0, "TIMEOUT": 0, "SPILL": 0}
         for k, name in _INSTANT_NAME.items():
@@ -415,16 +465,20 @@ class _TraceIndex:
         self._link_plan = None
         self.link_table: list[tuple[int, int]] = []
 
-    def _int_columns(self, op: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The opcodes ``op`` and the four integer operand columns (see
-        the _Program docstring table).  The generic layout is the
-        PUT/GET one; kinds whose operands differ are rewritten with
-        vectorized index assignments."""
+    def _int_columns(self, rows: list[int] | None) -> tuple[np.ndarray, ...]:
+        """The opcodes and the four integer operand columns (see the
+        _Program docstring table) of ``rows``, or of every row
+        (``None``).  The generic layout is the PUT/GET one; kinds whose
+        operands differ are rewritten with vectorized index
+        assignments."""
         columns = self.columns
-        i0 = columns.partner.copy()
-        i1 = columns.size.copy()
-        i2 = columns.send_flag.copy()
-        i3 = columns.recv_flag.copy()
+        every = rows is None
+        at = slice(None) if rows is None else np.array(rows, dtype=np.int64)
+        kind = columns.kind[at]
+        i0 = columns.partner[at].copy()
+        i1 = columns.size[at].copy()
+        i2 = columns.send_flag[at].copy()
+        i3 = columns.recv_flag[at].copy()
         rewrites = (
             (EventKind.FLAG_WAIT,
              (columns.flag, columns.target, 0, 0)),
@@ -439,25 +493,26 @@ class _TraceIndex:
             (EventKind.VGOP,
              (columns.group, None, columns.group_size, 1)),
         )
-        for k, (v0, v1, v2, v3) in rewrites:
-            idx = self.by_kind.get(int(k))
-            if idx is not None and len(idx):
-                for slot, value in ((i0, v0), (i1, v1), (i2, v2), (i3, v3)):
-                    if value is None:
-                        continue  # keep the generic operand
-                    slot[idx] = value[idx] if isinstance(value, np.ndarray) \
-                        else value
-        return op, i0, i1, i2, i3
+        for k, values in rewrites:
+            idx = (self.by_kind.get(int(k)) if every
+                   else np.flatnonzero(kind == int(k)))
+            if idx is None or not len(idx):
+                continue
+            for slot, value in zip((i0, i1, i2, i3), values):
+                if value is None:
+                    continue  # keep the generic operand
+                slot[idx] = value[at][idx] if isinstance(value, np.ndarray) \
+                    else value
+        return _OPCODES.take(kind), i0, i1, i2, i3
 
-    def operands(self, stepped: bool) -> tuple[list[int], ...]:
-        """The opcodes and the four integer operand slots as lists:
-        ``stepped`` (the loop replays runs and chains as steps) the rows
-        it reads, else every row."""
+    def operands(self, stepped: bool) -> tuple:
+        """The opcodes and the four integer operand slots: ``stepped``
+        (the loop replays runs and chains as steps) the rows it reads,
+        as the class docstring says, else lists over every row."""
         got = self._lists.get(stepped)
         if got is None:
-            kind = self.columns.kind
             got = self._lists[stepped] = _operand_lists(
-                self._int_columns(_OPCODES[kind]), [(0, len(kind))], 0)
+                self._int_columns(None), 0)
         return got
 
     def link_plan(self) -> list:
@@ -539,7 +594,7 @@ def trace_index(columns: TraceColumns,
 
 
 class _Program:
-    """One (trace, params) pair compiled to flat operand lists.
+    """One (trace, params) pair compiled to flat operand slots.
 
     The preset-independent integer operand slots live on the shared
     :class:`_TraceIndex`:
@@ -560,9 +615,11 @@ class _Program:
     blocks below.  A trace with runs also gets them as arrays for the run
     step (``run_costs``, a :class:`repro.mlsim.runs.RunCosts`), one with
     chains for the superstep step (``chain_costs``, a
-    :class:`repro.mlsim.supersteps.ChainCosts`), and its lists skip the
-    rows inside runs and chains, which only a replay that declines the
-    steps reads (:meth:`operands`).
+    :class:`repro.mlsim.supersteps.ChainCosts`).  The slots a stepped
+    replay reads (``lists``) take the index's form: dicts of the rows it
+    reads where the index has ``keys``, and a replay that declines the
+    steps gets lists over every row, built on first use
+    (:meth:`operands`); else both read the same lists over every row.
     """
 
     __slots__ = ("index", "params", "costs", "lists", "_full", "run_costs",
@@ -576,23 +633,15 @@ class _Program:
         p = params
         hw = p.hardware_put_get
         # Per-preset scalar constants (put_model functions of params only).
-        self.dma_setup = p.put_dma_set_time if hw else 0.0
-        self.send_flag_tail = p.send_complete_time + p.send_complete_flag_time
-        self.send_theft = 0.0 if hw else p.send_complete_time
-        get_send_cpu = p.put_prolog_time + p.put_enqueue_time
-        if not hw:
-            get_send_cpu += p.put_msg_post_time * 0
-            get_send_cpu += p.put_dma_set_time
-        self.get_send_cpu = get_send_cpu + p.put_epilog_time
+        self.dma_setup = send_dma_setup_time(p)
+        self.send_flag_tail = send_complete_to_flag_time(p)
+        self.send_theft = send_complete_cpu_theft(p)
+        self.get_send_cpu = get_send_cpu_time(p, 0)
         kind = columns.kind
         total = len(kind)
         by_kind = index.by_kind
-        f0 = np.zeros(total)
-        f1 = np.zeros(total)
-        f2 = np.zeros(total)
-        f3 = np.zeros(total)
-        f4 = np.zeros(total)
-        f5 = np.zeros(total)
+        costs = np.zeros((6, total))
+        f0, f1, f2, f3, f4, f5 = costs
 
         def idx_of(k: EventKind) -> np.ndarray:
             got = by_kind.get(int(k))
@@ -699,15 +748,16 @@ class _Program:
         if len(idx):
             f0[idx] = recv_cpu_theft(p, columns.size[idx])
 
-        costs = (f0, f1, f2, f3, f4, f5)
-        self.lists = _operand_lists(costs, index.gaps)
-        self.costs: tuple[np.ndarray, ...] = ()
-        self._full: tuple[list[float], ...] | None = self.lists
+        self.costs: np.ndarray | None = None
+        self._full: tuple[list[float], ...] | None = None
+        if index.keys is None:
+            self.lists = self._full = _operand_lists(costs)
+        else:
+            self.lists = _operand_dicts(costs.take(index.keys, axis=1),
+                                        index.keys)
+            self.costs = costs          # kept for the full lists
         self.run_costs: RunCosts | None = None
         self.chain_costs: ChainCosts | None = None
-        if index.runs or index.supersteps is not None:
-            self.costs = costs          # kept for the full lists
-            self._full = None
         if index.runs:
             from repro.mlsim.runs import RunCosts
 
@@ -721,42 +771,44 @@ class _Program:
                 index.supersteps, costs, p.barrier_lib_time,
                 p.creg_access_time)
 
-    def operands(self, stepped: bool) -> tuple[list[float], ...]:
-        """The float slots as lists: ``stepped`` (the loop replays runs
-        and chains as steps) every row outside them, else every row."""
+    def operands(self, stepped: bool) -> tuple:
+        """The float slots: ``stepped`` (the loop replays runs and chains
+        as steps) the rows it reads, in the index's form, else lists over
+        every row."""
         if stepped:
             return self.lists
-        if self._full is None:       # a trace with steps: costs are kept
-            self._full = _operand_lists(self.costs, [(0, len(self.costs[0]))])
+        if self._full is None:       # dict slots: costs are kept
+            assert self.costs is not None
+            self._full = _operand_lists(self.costs)
         return self._full
 
-def _operand_lists(arrays: tuple[np.ndarray, ...], spans,
+
+def _operand_dicts(arrays: np.ndarray | tuple[np.ndarray, ...],
+                   keys: list[int]) -> tuple[dict, ...]:
+    """``arrays``, the values of rows ``keys``, as dicts keyed by row."""
+    return tuple(dict(zip(keys, arr.tolist())) for arr in arrays)
+
+
+def _operand_lists(arrays: np.ndarray | tuple[np.ndarray, ...],
                    zero: float = 0.0) -> tuple[list, ...]:
-    """``arrays`` as lists holding the rows of ``spans`` and one shared
-    ``zero`` elsewhere (so does an array no kind wrote: one zero list)."""
-    total = len(arrays[0])
-    whole = spans == [(0, total)]
+    """``arrays`` as lists over every row (an array no kind wrote: one
+    shared list of ``zero``), the slots of a replay that reads every
+    row (:class:`_TraceIndex`)."""
     zeros = None
     lists = []
     for arr in arrays:
-        written = arr.any()
-        if written and whole:
+        if arr.any():
             lists.append(arr.tolist())
             continue
         if zeros is None:
-            zeros = [zero] * total
-        got = zeros
-        if written:
-            got = list(zeros)
-            for a, b in spans:
-                got[a:b] = arr[a:b].tolist()
-        lists.append(got)
+            zeros = [zero] * len(arr)
+        lists.append(zeros)
     return tuple(lists)
 
 
 def compile_program(columns: TraceColumns, params: MLSimParams,
                     topology: TorusTopology | None = None) -> _Program:
-    """Precompute the operand lists for one (trace, params) pair."""
+    """Precompute the operand slots for one (trace, params) pair."""
     return _Program(trace_index(columns, topology), params)
 
 

@@ -80,7 +80,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.mlsim.engine_soa import _COMPUTE, _CREG, _HIST_OVERFLOW, _TIMED
+from repro.mlsim.engine_soa import _BLOCK, _HIST_OVERFLOW
 from repro.trace.events import EventKind
 from repro.trace.soa import TraceColumns
 
@@ -110,9 +110,8 @@ class Supersteps:
     __slots__ = ("rows", "at", "chains", "cell_rows", "cells", "sums",
                  "creg", "lib", "lib_sums", "ncols", "nsums")
 
-    def __init__(self, columns: TraceColumns, op: np.ndarray,
-                 rows: np.ndarray, firsts: np.ndarray,
-                 lasts: np.ndarray) -> None:
+    def __init__(self, columns: TraceColumns, rows: np.ndarray,
+                 firsts: np.ndarray, lasts: np.ndarray) -> None:
         n, c = rows.shape
         self.rows = rows
         kinds = columns.kind[rows[0]]
@@ -124,13 +123,18 @@ class Supersteps:
         opening = np.zeros(c, dtype=bool)
         opening[firsts + 1] = True
         # A timed row's position among the collectives' rows (PE-major,
-        # so ascending) is its PE and the superstep it is in: pe * c + j.
-        timed = np.flatnonzero(_TIMED[op])
-        pos = np.searchsorted(rows.ravel(), timed)
-        kept = inside[pos % c]
+        # so ascending), the count of them before it, is its PE and the
+        # superstep it is in: pe * c + j.
+        blocks = _BLOCK.take(columns.kind)
+        timed = np.flatnonzero(blocks >= 0)
+        collective = np.zeros(len(blocks), dtype=bool)
+        collective[rows.ravel()] = True
+        pos = np.cumsum(collective).take(timed)
+        pe = pos // c
+        step = pos - pe * c
+        kept = inside.take(step)
         self.cell_rows = timed[kept]
-        pos = pos[kept]
-        pe, step = np.divmod(pos, c)
+        pos, pe, step = pos[kept], pe[kept], step[kept]
         per = np.bincount(pos, minlength=n * c)
         rank = np.arange(len(pos)) - (np.cumsum(per) - per)[pos]
         width = per.reshape(n, c).max(axis=0) + (barrier & inside)
@@ -151,27 +155,28 @@ class Supersteps:
         col_sum = np.repeat(sum_start + head - start, width) \
             + np.arange(self.ncols)
         self.nsums = int(length.sum())
-        cell_op = op[self.cell_rows]
-        self.creg = cell_op == _CREG
-        block = np.where(self.creg, 0, np.where(cell_op == _COMPUTE, 1, 2))
-        self.sums = col_sum[col] * 4 * n + block * n + pe
+        block = blocks.take(self.cell_rows).astype(np.int64)
+        self.creg = block == 0
+        self.sums = col_sum.take(col) * 4 * n + block * n + pe
         self.lib_sums = (col_sum[lib_cols][:, None] * 4 * n
                          + np.arange(n)).ravel()
         # Per chain: the generations its collectives 1..m advance, per
         # (class, group), and the VGOP ring traffic of 0..m - 1.
-        pairs, pair = np.unique(2 * columns.group[rows[0]] + barrier,
-                                return_inverse=True)
+        code = 2 * columns.group[rows[0]] + barrier
+        pairs = sorted(set(code.tolist()))
+        pair = np.searchsorted(pairs, code)
         seen = np.zeros((len(pairs), c + 1), dtype=np.int64)
         seen[pair, np.arange(1, c + 1)] = 1
         seen = np.cumsum(seen, axis=1)
         advanced = (seen[:, lasts + 1] - seen[:, firsts + 1]).T.tolist()
         vgop = kinds == int(EventKind.VGOP)
-        ring = np.cumsum(np.append(0, np.where(
-            vgop, columns.size[rows].sum(axis=0), 0)))
+        ring = np.zeros(c + 1, dtype=np.int64)
+        ring[1:][vgop] = columns.size[rows[:, vgop]].sum(axis=0)
+        ring = np.cumsum(ring)
         rings = np.cumsum(np.append(0, vgop))
         traffic = zip(((rings[lasts] - rings[firsts]) * n * (n - 1)).tolist(),
                       ((ring[lasts] - ring[firsts]) * (n - 1)).tolist())
-        keys = [(bool(key & 1), key >> 1) for key in pairs.tolist()]
+        keys = [(bool(key & 1), key >> 1) for key in pairs]
         self.chains: list[Chain] = []
         self.at: dict[int, Chain] = {}
         for a, b, counts, (messages, nbytes) in zip(
@@ -189,8 +194,8 @@ class Chain:
     (:class:`Supersteps`) whole-machine collectives, the step finishing
     ``a..b - 1`` and the loop ``b``.
 
-    ``bounds`` are each superstep's clock columns (``lo``, ``width``: the
-    same as arrays); ``sums`` the chain's
+    ``bounds`` are each superstep's first and stop clock column, as two
+    lists (``lo``, ``width``: as arrays); ``sums`` the chain's
     rows of the sums layout and ``finish`` the collectives' rows within
     them (``waits``: a barrier's, for the barrier-wait metric, with
     ``wait_order`` the positions in the arrival order at the chain's
@@ -220,8 +225,7 @@ class Chain:
         self.inside = (rows[:, a] + 1, rows[:, b])
         self.barrier = barrier[a:b].tolist()
         self.lo, self.width = start[a + 1:b + 1], width[a + 1:b + 1]
-        self.bounds = list(zip(self.lo.tolist(),
-                               (self.lo + self.width).tolist()))
+        self.bounds = (self.lo.tolist(), (self.lo + self.width).tolist())
         base = int(sum_start[a + 1])
         self.sums = (base, int(sum_start[b] + length[b]))
         self.finish = finish[a + 1:b + 1] - base
@@ -248,7 +252,7 @@ class ChainCosts:
         f0, f1 = costs[0], costs[1]
         n = plan.rows.shape[0]
         self.at = plan.at
-        values = np.where(plan.creg, creg_access, f0[plan.cell_rows])
+        values = np.where(plan.creg, creg_access, f0.take(plan.cell_rows))
         clock = np.zeros(plan.ncols * n)
         clock[plan.cells] = values
         clock[plan.lib] = barrier_lib
@@ -261,8 +265,8 @@ class ChainCosts:
         sums[plan.sums] = values
         sums[plan.lib_sums] = barrier_lib
         self.sums = sums.reshape(plan.nsums, 4 * n)
-        self.f0 = f0[plan.rows.T]
-        self.f1 = f1[plan.rows.T]
+        self.f0 = f0.take(plan.rows.T)
+        self.f1 = f1.take(plan.rows.T)
 
     def replay(self, chain: Chain, pe: int, rec: list, state: list,
                theft: list, rec_of: list, gens: tuple, ngroups: int,
@@ -297,7 +301,7 @@ class ChainCosts:
         scalar: list[int] = []      # the scalar supersteps
         begins: list[float] = []    # and their starts
         top = least = 0.0
-        for s, (lo, hi), bar in zip(range(m), chain.bounds, chain.barrier):
+        for s, lo, hi, bar in zip(range(m), *chain.bounds, chain.barrier):
             if not s or top > release:
                 even = False        # per-PE clocks and theft; see (a)
             elif bar:

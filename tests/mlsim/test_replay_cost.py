@@ -1,11 +1,12 @@
 """Host cost of the consume side must stay where the bytes put it.
 
 Counts, not seconds (as in ``tests/machine/test_message_cost.py``):
-what one ``replay_columns`` and one ``load_trace`` of a v2 file call,
-under cProfile.  The counts repeat exactly, so the ceilings sit just
-above what the code does today; a ``min``/``max`` back in the
-interpreter loop, or a loader that re-records events one by one, shows
-up here as a failure rather than as a slower benchmark.
+what one ``replay_columns``, the plan of one replay and one
+``load_trace`` of a v2 file call, under cProfile.  The counts repeat
+exactly, so the ceilings sit just above what the code does today; a
+``min``/``max`` back in the interpreter loop, a plan that works per
+row, or a loader that re-records events one by one, shows up here as a
+failure rather than as a slower benchmark.
 """
 
 import cProfile
@@ -119,6 +120,74 @@ def test_cg_cases_sit_either_side_of_the_break_even():
         plan = trace_index(columns).supersteps
         chains[name] = [] if plan is None else [c.m for c in plan.chains]
     assert chains == {"CG": [52], "CG below the break-even": []}
+
+
+#: case -> ceiling of profiled calls per event of planning the replay
+#: of fresh columns: ``trace_index`` and one ``compile_program``, array
+#: operations per kind, per run and per chain, nothing per row (today
+#: 0.72 and 1.97; before the one sort of the kind column and the
+#: operand dicts, 0.95 and 2.05).  TOMCATV's count is mostly the plans
+#: of its six runs (``runs.Run``).
+PLAN_CEILINGS = {"CG": 0.74, "TC no st": 1.99}
+
+
+def saved(case, tmp_path):
+    """The case's trace file."""
+    app, sizes, *_ = CASES[case]
+    path = tmp_path / "trace.jsonl"
+    save_trace(workload(app).runner(**sizes).trace, path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CEILINGS))
+def test_plan_calls_per_event(case, tmp_path):
+    path = saved(case, tmp_path)
+
+    def plan(columns):
+        trace_index(columns)
+        compile_program(columns, preset("ap1000+"))
+
+    plan(load_trace_columns(path))      # imports on first use: not counted
+    columns = load_trace_columns(path)
+    per_event = profiled(plan, columns).total_calls / columns.total_events
+    assert per_event < PLAN_CEILINGS[case], per_event
+
+
+class Reads(dict):
+    """An operand slot that remembers the rows read from it."""
+
+    def __init__(self, slot):
+        super().__init__(slot)
+        self.read = set()
+
+    def __getitem__(self, row):
+        self.read.add(row)
+        return super().__getitem__(row)
+
+
+def test_a_stepped_index_holds_the_rows_it_reads(tmp_path, monkeypatch):
+    """A stepped replay of CG (one chain of 52 supersteps on 8 PEs)
+    reads 16 of its 872 rows: the index stores the operands of those
+    rows, no more, and so does each program."""
+    columns = load_trace_columns(saved("CG", tmp_path))
+    slots = []
+    operands = engine_soa._TraceIndex.operands
+
+    def spied(self, stepped):
+        got = operands(self, stepped)
+        assert all(isinstance(slot, dict) for slot in got)
+        slots[:] = map(Reads, got)
+        return tuple(slots)
+
+    monkeypatch.setattr(engine_soa._TraceIndex, "operands", spied)
+    program = compile_program(columns, preset("ap1000+"))
+    replay_columns(columns, preset("ap1000+"), collect_metrics=True,
+                   program=program)
+    ops, *others = slots
+    assert set(ops) == ops.read
+    assert all(set(slot) == set(ops)
+               for slot in (*others, *program.operands(True)))
+    assert len(ops) * engine_soa._SPARSE <= columns.total_events
 
 
 def test_v2_load_records_nothing(recorded):

@@ -687,6 +687,79 @@ class TestSupersteps:
         assert steps == [[1]], steps
 
 
+def stepped_trace(seed: int, covered: str) -> TraceBuffer:
+    """A generated program with a run and a chain of supersteps whose
+    steps cover most of its rows (``covered`` "most": a stepped replay
+    reads few, and its operand slots are dicts of those) or few ("few":
+    lists over every row).  The chain is a step only with the
+    break-even lowered to zero."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+
+    def pe() -> int:
+        return rng.randrange(n)
+
+    most = covered == "most"
+    filler = [rng.choice([
+        ("compute", pe(), rng.choice([0.0, 1.5, 40.0])),
+        ("put", pe(), pe(), rng.choice([0, 8, 4096]), rng.random() < 0.5,
+         rng.random() < 0.5),
+        ("get", pe(), pe(), 8), ("send", pe(), pe(), 64),
+        ("mark", pe(), "RETRY"), ("barrier", {0, n - 1}, True)])
+        for _ in range(3 if most else 120)]
+    src = pe()      # its GETs to itself would cut the run
+    steps = [
+        ("burst", src, rng.sample([q for q in range(n) if q != src],
+                                  min(n - 1, 2)),
+         rng.randint(200, 300) if most else rng.randint(32, 60),
+         rng.randrange(2**16)),
+        ("collectives", 80 if most else 6, rng.randrange(2**16))]
+    cut = rng.randint(0, len(filler))
+    return tie_trace(n, [*filler[:cut], *steps, *filler[cut:]])
+
+
+class TestOperandForms:
+    """A stepped replay's operand slots are dicts of the rows it reads
+    where those are few, else lists over every row; a replay that
+    declines the steps gets lists over every row either way."""
+
+    @pytest.mark.parametrize("covered", ["most", "few"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_both_forms_replay_bit_for_bit(self, seed, covered):
+        trace = stepped_trace(seed, covered)
+        trace.coalesce_compute()
+        with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
+            index = trace_index(columns_from_buffer(trace))
+            assert index.runs and index.supersteps is not None
+            sparse = index.keys is not None
+            assert sparse == (covered == "most")
+            assert {type(slot) for slot in index.operands(True)} == {
+                dict if sparse else list}
+            assert_equivalent(trace, tuple(map(preset, PRESETS)))
+
+    def test_timeline_and_contention_after_a_sparse_replay(self):
+        """The full lists come after the dicts, on the same index."""
+        trace = stepped_trace(0, "most")
+        trace.coalesce_compute()
+        columns = columns_from_buffer(trace)
+        plus = preset("ap1000+")
+        with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
+            stepped = replay_columns(columns, plus, collect_metrics=True)
+            assert trace_index(columns).keys is not None
+            timeline = replay_columns(columns, plus, record_timeline=True,
+                                      collect_metrics=True)
+            contended = replay_columns(columns, plus, link_contention=True,
+                                       collect_metrics=True)
+        for result, contend in ((stepped, False), (timeline, False),
+                                (contended, True)):
+            engine = MLSimEngine(trace, plus, None, link_contention=contend,
+                                 record_timeline=True, collect_metrics=True)
+            assert result_doc(result) == result_doc(engine.run())
+            if result is timeline:
+                assert timeline_rows(result.timeline) == timeline_rows(
+                    engine.timeline)
+
+
 class TestProgramRefusals:
     """A compiled program replays only the columns, torus and params it
     was compiled for; anything else would be a wrong result, not an
