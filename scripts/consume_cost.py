@@ -22,9 +22,13 @@ event of one ``ap1000+`` replay (the program compiled and the link plan
 made beforehand, as ``tests/mlsim/test_replay_cost.py`` counts them), a
 count that repeats exactly; ``--max-replay-calls TRACE N`` (once per
 trace it holds) exits 1 naming each trace whose count exceeds its N (CI
-passes that test's ceilings for CG and TC no st).
+passes that test's ceilings for CG and TC no st).  ``plan calls`` is the
+same count for planning a replay of fresh columns — ``trace_index``, its
+``link_plan`` and one ``compile_program`` — and ``--max-plan-calls
+TRACE N`` holds it as the other holds replays (CI: TC no st).
 
     python scripts/consume_cost.py [--json F] [--max-replay-calls TRACE N]...
+        [--max-plan-calls TRACE N]...
 
 (``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
@@ -69,16 +73,24 @@ def main() -> int:
                         help="exit 1 if one replay of TRACE makes more "
                         "than N profiled calls per trace event (repeat "
                         "per trace)")
+    parser.add_argument("--max-plan-calls", nargs=2, action="append",
+                        default=[], metavar=("TRACE", "N"),
+                        help="exit 1 if planning a replay of TRACE (index, "
+                        "link plan, one compile) makes more than N "
+                        "profiled calls per trace event (repeat per trace)")
     args = parser.parse_args()
-    ceilings: dict[str, float] = {}
-    for trace, ceiling in args.max_replay_calls:
-        if trace not in {app for app, _, _ in TRACES}:
-            parser.error(f"no trace {trace!r}; the traces are "
-                         + ", ".join(app for app, _, _ in TRACES))
-        try:
-            ceilings[trace] = float(ceiling)
-        except ValueError:
-            parser.error(f"ceiling of {trace!r} is not a number: {ceiling!r}")
+    ceilings: dict[str, dict[str, float]] = {"replay": {}, "plan": {}}
+    for what, given in (("replay", args.max_replay_calls),
+                        ("plan", args.max_plan_calls)):
+        for trace, ceiling in given:
+            if trace not in {app for app, _, _ in TRACES}:
+                parser.error(f"no trace {trace!r}; the traces are "
+                             + ", ".join(app for app, _, _ in TRACES))
+            try:
+                ceilings[what][trace] = float(ceiling)
+            except ValueError:
+                parser.error(f"{what} ceiling of {trace!r} is not a number: "
+                             f"{ceiling!r}")
 
     if importlib.util.find_spec("repro") is None:
         # Not installed and no PYTHONPATH provides it: this checkout's.
@@ -93,6 +105,12 @@ def main() -> int:
     from repro.obs.export import export_trace
     from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
+    def plan(fresh, params):
+        """The replay's plan on fresh columns: index, link plan, one
+        program."""
+        trace_index(fresh).link_plan()
+        compile_program(fresh, params)
+
     presets = [preset(name) for name in PRESETS]
     stages = ["load", "decode", "index", "link plan", "compile",
               *(f"replay {name}" for name in PRESETS), "save", "export"]
@@ -100,10 +118,10 @@ def main() -> int:
           "event, sim_us = simulated elapsed time of the whole trace")
     print(f"{'trace':>10} {'events':>7} "
           + " ".join(f"{s + ' host_us':>26}" for s in stages) + " "
-          + f"{'replay calls':>13} "
+          + f"{'replay calls':>13} {'plan calls':>11} "
           + " ".join(f"{name + ' sim_us':>19}" for name in PRESETS))
     rows = []
-    calls: dict[str, float] = {}
+    calls: dict[str, dict[str, float]] = {"replay": {}, "plan": {}}
     with tempfile.TemporaryDirectory() as scratch:
         path, copy = Path(scratch, "trace.jsonl"), Path(scratch, "copy.jsonl")
         for app, cells, sizes in TRACES:
@@ -146,28 +164,35 @@ def main() -> int:
             profile = cProfile.Profile()
             profile.runcall(replay_columns, columns, plus,
                             collect_metrics=True, program=program)
-            calls[app] = pstats.Stats(profile).total_calls / events
+            calls["replay"][app] = pstats.Stats(profile).total_calls / events
+            profile = cProfile.Profile()
+            profile.runcall(plan, load_trace_columns(path), plus)
+            calls["plan"][app] = pstats.Stats(profile).total_calls / events
             print(f"{app:>10} {events:>7} "
                   + " ".join(f"{cost[s] * 1e6 / events:>26.3f}"
                              for s in stages) + " "
-                  + f"{calls[app]:>13.2f} "
+                  + f"{calls['replay'][app]:>13.2f} "
+                  + f"{calls['plan'][app]:>11.2f} "
                   + " ".join(f"{sim[name]:>19.1f}" for name in PRESETS))
             rows.append({
                 "trace": app, "events": events,
                 "file_bytes": path.stat().st_size,
                 "host_us": {s: round(cost[s] * 1e6 / events, 4)
                             for s in stages},
-                "replay_calls": round(calls[app], 4),
+                "replay_calls": round(calls["replay"][app], 4),
+                "plan_calls": round(calls["plan"][app], 4),
                 "sim_us": sim})
     if args.json:
         with open(args.json, "w", encoding="utf-8") as out:
             json.dump({"repeats": args.repeats, "rows": rows}, out, indent=2)
             out.write("\n")
-    over = [trace for trace, ceiling in ceilings.items()
-            if calls[trace] > ceiling]
-    for trace in over:
-        print(f"FAIL: a {trace} replay makes {calls[trace]:.2f} calls per "
-              f"event, more than its ceiling of {ceilings[trace]:g}")
+    over = [(what, trace) for what, held in ceilings.items()
+            for trace, ceiling in held.items()
+            if calls[what][trace] > ceiling]
+    for what, trace in over:
+        print(f"FAIL: a {trace} {what} makes {calls[what][trace]:.2f} calls "
+              f"per event, more than its ceiling of "
+              f"{ceilings[what][trace]:g}")
     return 1 if over else 0
 
 

@@ -430,7 +430,17 @@ class Machine:
         if slot is None:
             return
         required = self._alive_members(state.members)
-        if not required or not all(m in slot for m in required):
+        if not required:
+            return
+        if required is state.members:
+            # reduce admits one contribution per member and generation
+            # and nobody else's, so the full group has contributed
+            # exactly when the counts agree: the barrier's rule.
+            if len(slot) < len(required):
+                return
+        elif not all(m in slot for m in required):
+            # Degraded around killed members, some of which may have
+            # contributed before dying: only a membership scan can tell.
             return
         # Combine in member order (alive contributions only, when the
         # group has degraded around killed cells).

@@ -48,9 +48,10 @@ throughput:
   by ``tests/mlsim/test_replay_cost.py``;
 * a run — a maximal stretch of at least ``_RUN_MIN`` consecutive
   PUT/GET rows of one PE, found with array operations — is one step of
-  that pass, planned once per trace and applied per preset in array
-  operations that leave every float and all scheduler state as the rows
-  would (:mod:`repro.mlsim.runs`).  The loop reaches a run through one
+  that pass, every run of a trace planned at once in array operations
+  over their rows and applied per preset in array operations that leave
+  every float and all scheduler state as the rows would
+  (:mod:`repro.mlsim.runs`).  The loop reaches a run through one
   opcode at its first row; under ``link_contention`` or
   ``record_timeline`` the step declines and the rows are replayed one
   by one;
@@ -122,7 +123,7 @@ from repro.trace.events import EventKind
 from repro.trace.soa import TraceColumns
 
 if TYPE_CHECKING:
-    from repro.mlsim.runs import RunCosts
+    from repro.mlsim.runs import RunCosts, Runs
     from repro.mlsim.supersteps import ChainCosts, Supersteps
 
 # Interpreter opcodes: EventKind collapsed to what the replay loop
@@ -272,10 +273,10 @@ def _partition(columns: TraceColumns) -> tuple[dict, np.ndarray]:
 
 
 def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
-               by_kind: dict) -> dict:
-    """The plan (:class:`repro.mlsim.runs.Run`) of every maximal stretch
-    of at least ``_RUN_MIN`` consecutive PUT/GET rows of one PE, by first
-    row (``by_kind``: the trace's rows by kind).
+               by_kind: dict) -> Runs | None:
+    """The plan (:class:`repro.mlsim.runs.Runs`) of every maximal
+    stretch of at least ``_RUN_MIN`` consecutive PUT/GET rows of one PE,
+    or ``None`` (``by_kind``: the trace's rows by kind).
 
     A GET a PE sends itself ends a stretch: its reply takes the channel
     its request just took, so that channel's clamps depend on each
@@ -285,7 +286,7 @@ def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
     flowing = sum(len(by_kind.get(int(k), ()))
                   for k in (EventKind.PUT, EventKind.GET))
     if not flowing or flowing < _RUN_MIN:
-        return {}
+        return None
     flows = (kind == int(EventKind.PUT)) | (
         (kind == int(EventKind.GET)) & (partner != pe_of))
     joined = np.zeros(len(kind), dtype=bool)   # continues the row above
@@ -296,12 +297,11 @@ def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
     lasts = np.flatnonzero(flows & ~np.append(joined[1:], False))
     long = np.flatnonzero(lasts - firsts + 1 >= _RUN_MIN)
     if not len(long):
-        return {}
-    from repro.mlsim.runs import Run    # the run step, for traces with runs
+        return None
+    from repro.mlsim.runs import Runs   # the run step, for traces with runs
 
-    return {first: Run(columns, first, last + 1, int(pe_of[first]))
-            for first, last in zip(firsts[long].tolist(),
-                                   lasts[long].tolist())}
+    firsts = firsts[long]
+    return Runs(columns, firsts, lasts[long] + 1, pe_of[firsts])
 
 
 def _find_chains(columns: TraceColumns, pe_of: np.ndarray,
@@ -388,12 +388,14 @@ class _TraceIndex:
     Built once per (columns, topology) pair and shared by every
     per-preset :class:`_Program`: event-kind partitions (``by_kind``)
     and each row's PE, from one sort of the kind column; hop distances
-    for communication events; the runs and superstep chains the loop
-    replays as steps; the opcodes and integer operands of the
-    interpreter (none of which depend on timing parameters); and —
-    materialized lazily because only metric collection and link
-    contention need it — each communication event's route as a tuple of
-    dense physical-link ids.
+    for communication events; the plans of the runs (``runs``, a
+    :class:`repro.mlsim.runs.Runs`: all of them from one pass over their
+    rows) and superstep chains the loop replays as steps; the opcodes
+    and integer operands of the interpreter (none of which depend on
+    timing parameters); and — materialized lazily because only metric
+    collection and link contention need them — the routes of the
+    message rows the loop reads one by one, as tuples of dense
+    physical-link ids, and the runs' link charges (:meth:`link_plan`).
 
     A stepped replay reads only the rows outside runs and chains and
     each run's first row.  Where those are at most one row in
@@ -407,7 +409,7 @@ class _TraceIndex:
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
                  "runs", "supersteps", "keys", "starts", "_lists",
-                 "instant_counts", "_link_plan", "link_table")
+                 "instant_counts", "_routes", "_link_plans", "link_table")
 
     def __init__(self, columns: TraceColumns,
                  topology: TorusTopology) -> None:
@@ -426,13 +428,15 @@ class _TraceIndex:
                 self.dist[k] = _torus_distances(topology, src,
                                                 columns.partner[idx])
         self.starts = columns.starts.tolist()
-        self.runs = _find_runs(columns, pe_of, self.by_kind)
+        self.runs = runs = _find_runs(columns, pe_of, self.by_kind)
         self.supersteps = _find_chains(columns, pe_of, self.by_kind)
         self.keys: list[int] | None = None
-        if self.runs or self.supersteps is not None:
+        if runs is not None or self.supersteps is not None:
             # The rows a stepped replay skips: a run's past its first
             # row, a chain's of each PE past its opening collective.
-            skips = [(first + 1, run.stop) for first, run in self.runs.items()]
+            skips = [] if runs is None else [
+                (first + 1, stop) for first, stop in zip(runs.first,
+                                                         runs.stop)]
             if self.supersteps is not None:
                 for chain in self.supersteps.chains:
                     skips += zip(*(edge.tolist() for edge in chain.inside))
@@ -449,11 +453,11 @@ class _TraceIndex:
         if self.keys is None:
             stepped = self._lists[False] = _operand_lists(
                 self._int_columns(None), 0)
-            if self.runs:           # its own opcodes: runs are one row
+            if runs is not None:    # its own opcodes: runs are one row
                 stepped = (list(stepped[0]), *stepped[1:])
         else:
             stepped = _operand_dicts(self._int_columns(self.keys), self.keys)
-        for first in self.runs:
+        for first in () if runs is None else runs.first:
             stepped[0][first] = _RUN
         self._lists[True] = stepped
         # Robustness instants never affect timing; count them up front.
@@ -462,7 +466,8 @@ class _TraceIndex:
             idx = self.by_kind.get(k)
             if idx is not None:
                 self.instant_counts[name] = len(idx)
-        self._link_plan = None
+        self._routes: dict | None = None
+        self._link_plans: dict[bool, list | dict] = {}
         self.link_table: list[tuple[int, int]] = []
 
     def _int_columns(self, rows: list[int] | None) -> tuple[np.ndarray, ...]:
@@ -515,19 +520,62 @@ class _TraceIndex:
                 self._int_columns(None), 0)
         return got
 
-    def link_plan(self) -> list:
-        """Per-event link-id routes (metric collection, link contention).
+    def link_plan(self, stepped: bool = True) -> list | dict:
+        """Per-row link-id routes (metric collection, link contention).
 
-        ``plan[i]`` is ``None`` for non-communication events, a tuple of
-        link ids for PUT/SEND (empty for self-sends), and a
-        ``(request_route, reply_route)`` pair for GET.  Link ids are
-        dense indices into ``link_table``.  Each run gets its charges
-        (:meth:`repro.mlsim.runs.Run.plan_links`) with the plan.
+        An entry is a tuple of link ids for a PUT or SEND (empty for a
+        self-send) and a ``(request_route, reply_route)`` pair for a GET;
+        link ids are dense indices into ``link_table``.  ``stepped`` (the
+        loop replays runs as steps) gives the message rows it reads one
+        by one, those outside runs, as a dict by row, and plans the runs'
+        link charges (:meth:`repro.mlsim.runs.Runs.plan_links`); else,
+        or for a trace without runs, a list over every row, ``None`` for
+        a row that is not a message.  A trace without PUT, GET or SEND
+        has the empty plan.
         """
-        if self._link_plan is not None:
-            return self._link_plan
+        if self.runs is None:
+            stepped = False             # one plan serves both
+        plan = self._link_plans.get(stepped)
+        if plan is not None:
+            return plan
+        routes = self._kind_routes()
+        if not routes:
+            plan = []
+        elif stepped:
+            assert self.runs is not None
+            in_run = np.zeros(len(self.columns.kind), dtype=bool)
+            in_run[self.runs.rows] = True
+            plan = {}
+            for rows, route_of, table in routes.values():
+                outside = ~in_run[rows]
+                plan.update(zip(rows[outside].tolist(),
+                                table[route_of[outside]].tolist()))
+            # Each row's route number in its kind's routes.
+            number = np.zeros(len(self.columns.kind), dtype=np.intp)
+            tables = {}
+            for k, (rows, route_of, table) in routes.items():
+                number[rows] = route_of
+                tables[k] = table
+            none = np.empty(0, dtype=object)
+            self.runs.plan_links(number, tables.get(int(EventKind.PUT), none),
+                                 tables.get(int(EventKind.GET), none),
+                                 len(self.link_table))
+        else:
+            every = np.full(len(self.columns.kind), None, dtype=object)
+            for rows, route_of, table in routes.values():
+                every[rows] = table[route_of]
+            plan = every.tolist()
+        self._link_plans[stepped] = plan
+        return plan
+
+    def _kind_routes(self) -> dict[int, tuple[np.ndarray, ...]]:
+        """Per message kind: its rows, each row's route number and the
+        routes (an object array), one per distinct (src, dst) pair (a
+        GET's the request's and the reply's).  Made once; it fills
+        ``link_table``."""
+        if self._routes is not None:
+            return self._routes
         columns, topology = self.columns, self.topology
-        plan = np.full(len(columns.kind), None, dtype=object)
         link_ids: dict[tuple[int, int], int] = {}
         route_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -555,6 +603,7 @@ class _TraceIndex:
         # in order of first appearance (PUTs, then SENDs, then GETs with
         # their reply route), which is the order link ids are handed out
         # in and therefore the order of ``link_table``.
+        self._routes = {}
         for k in (int(EventKind.PUT), int(EventKind.SEND),
                   int(EventKind.GET)):
             idx = self.by_kind.get(k)
@@ -565,18 +614,14 @@ class _TraceIndex:
             pairs, first, inverse = np.unique(
                 self.pe_src[k] * span + dst + 1,
                 return_index=True, return_inverse=True)
-            routes = np.empty(len(pairs), dtype=object)
+            table = np.empty(len(pairs), dtype=object)
             for u in np.argsort(first).tolist():
                 s, d = divmod(int(pairs[u]), span)
                 d -= 1
-                routes[u] = (lids(s, d) if k != int(EventKind.GET)
-                             else (lids(s, d), lids(d, s)))
-            plan[idx] = routes[inverse]
-        plan = plan.tolist()
-        self._link_plan = plan
-        for run in self.runs.values():
-            run.plan_links(columns, plan)
-        return plan
+                table[u] = (lids(s, d) if k != int(EventKind.GET)
+                            else (lids(s, d), lids(d, s)))
+            self._routes[k] = (idx, inverse, table)
+        return self._routes
 
 
 def trace_index(columns: TraceColumns,
@@ -758,7 +803,7 @@ class _Program:
             self.costs = costs          # kept for the full lists
         self.run_costs: RunCosts | None = None
         self.chain_costs: ChainCosts | None = None
-        if index.runs:
+        if index.runs is not None:
             from repro.mlsim.runs import RunCosts
 
             self.run_costs = RunCosts(
@@ -882,9 +927,12 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     # the link step needs every row on its own.
     stepped = not (contend or record)
     ops, i0, i1, i2, i3 = index.operands(stepped)
-    runs = index.runs
-    if program.run_costs is not None:   # no _RUN row otherwise
-        run_step = program.run_costs.replay
+    runs = index.runs if stepped else None      # no _RUN row otherwise
+    if runs is not None:
+        run_costs = program.run_costs
+        assert run_costs is not None
+        run_step = run_costs.replay
+        at = runs.at
     chains: dict = {}                   # by the rows that open them
     chain = None                        # the chain whose opening is released
     if stepped and program.chain_costs is not None:
@@ -943,8 +991,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     chan_last: dict[int, tuple[float, float]] = {}  # src * n + dst
     runnable: deque[int] = deque(range(n))
     queued: set[int] = set(range(n))
-    messages = 0
-    bytes_on_wire = 0
+    # The runs' counts are integer sums: the steps leave them to here.
+    messages = 0 if runs is None else runs.messages
+    bytes_on_wire = 0 if runs is None else runs.nbytes
 
     # Metric accumulators: wait histograms as flat counters (bucket
     # index via frexp instead of Histogram.observe's linear scan), link
@@ -962,14 +1011,20 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     bw_total = 0.0
     bw_max = 0.0
     bw_buckets = [0] * (_HIST_OVERFLOW + 1)
-    plan = index.link_plan() if collect or contend else []
+    plan = index.link_plan(stepped) if collect or contend else []
     nlinks = len(index.link_table)
     if collect:
         dma_busy = [0.0] * n
         link_busy = [0.0] * nlinks
-        link_bytes = [0] * nlinks
-        link_frames = [0] * nlinks
-        metrics = (dma_busy, link_busy, link_bytes, link_frames)
+        if runs is None:
+            link_bytes = [0] * nlinks
+            link_frames = [0] * nlinks
+            metrics = None
+        else:
+            # What the runs put on each link, like their message counts.
+            link_bytes = list(runs.link_bytes)
+            link_frames = list(runs.link_frames)
+            metrics = (dma_busy, link_busy, run_costs.link_values())
     else:
         dma_busy = []
         link_busy = link_bytes = link_frames = []
@@ -1441,13 +1496,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 clk += creg_access
                 over += creg_access
             elif op == _RUN:
-                run = runs[i]
-                clk, over, th = run_step(
-                    run, clk, over, th, n, chan_last, theft, flag_times,
+                clk, over, th, i = run_step(
+                    at[i], clk, over, th, chan_last, theft, flag_times,
                     flag_waiters, queued, runnable, metrics)
-                messages += run.messages
-                bytes_on_wire += run.nbytes
-                i = run.stop - 1
             elif record:
                 # _INSTANT (the link layer and the queue spill hardware
                 # run concurrently with the processor) and _PHASE (a user

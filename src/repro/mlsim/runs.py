@@ -3,11 +3,15 @@ rows of one PE replayed in array operations.
 
 A run is a maximal stretch of at least ``engine_soa._RUN_MIN`` such rows
 (the index finds them; a GET a PE sends itself ends one, because its
-reply takes the channel its request just took).  :class:`Run` plans one
-once per trace — rows, channels, flag updates, theft and DMA targets,
-link charges: nothing that depends on the preset — and
-:class:`RunCosts` holds one preset's per-row costs and replays a run in
-about 45 numpy and container calls, where the loop of
+reply takes the channel its request just took).  :class:`Runs` plans
+every run of a trace at once — rows, channels, flag updates, theft and
+DMA targets, and with the trace's link plan the link charges: nothing
+that depends on the preset — in array operations over the rows of all
+of them, keyed by run: one sort per grouping, then one cut per field,
+so planning costs the runs' rows and no call per run.
+:class:`RunCosts` lays out one preset's values in the order the step
+reads them, every run's in one array per field, and replays a run in
+about 45 profiled calls, where the loop of
 :func:`repro.mlsim.engine_soa.replay_columns` pays about 1.45 µs per
 row.  The step leaves every float and all scheduler state bit for bit
 as the loop's rows would:
@@ -20,9 +24,10 @@ as the loop's rows would:
 * flag times are merged per flag, and waiters are woken in the order
   the loop's ``record_flag`` would wake them;
 * theft per partner, DMA and link busy time are added in row order
-  (``np.add.at`` is sequential); bytes, frames and message counts come
-  from the plan.
+  (``np.add.at`` is sequential).
 
+Message counts and bytes, and the bytes and frames each link carries,
+are integer sums: a replay that steps the runs adds their totals once.
 The loop reaches a run through one opcode at its first row; under link
 contention or a timeline it declines the step and replays the rows.
 The engine imports this module only for a trace that has runs.
@@ -32,236 +37,438 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
 from repro.trace.events import EventKind
 from repro.trace.soa import TraceColumns
 
-
-def _slots(values: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The distinct values in ascending order, and each value's position
-    among them in the smallest integer type: ``np.unique(...,
-    return_inverse=True)`` without a sort (a run has a handful of
-    distinct partners and links, and its plan stays while the trace
-    does)."""
-    distinct = sorted(set(values.tolist()))
-    slot = np.searchsorted(np.array(distinct, dtype=values.dtype), values)
-    return distinct, slot.astype(np.min_scalar_type(len(distinct)))
+#: Selects every row of a run: the channel of a run with one partner.
+_EVERY = slice(None)
 
 
-def _small(positions: np.ndarray) -> np.ndarray:
-    """``positions`` in the smallest integer type that holds them."""
-    top = int(positions.max()) if len(positions) else 0
-    return positions.astype(np.min_scalar_type(top))
+def _small(values: np.ndarray) -> np.ndarray:
+    """``values`` (not negative) in the smallest integer type that
+    holds them."""
+    top = int(values.max()) if len(values) else 0
+    return values.astype(np.min_scalar_type(top))
 
 
-class Run:
-    """The preset-independent plan of one run.
+def _bounds(owner: np.ndarray, count: int) -> list[int]:
+    """Where the entries of each of ``count`` owners begin in ``owner``
+    (ascending), then the end: owner k's are ``[b[k]:b[k + 1]]``."""
+    return owner.searchsorted(np.arange(count + 1)).tolist()
 
-    Row positions are relative to ``start``; ``slice(None)`` selects
-    every row.  ``gets``, ``sends`` and ``recvs`` are the GET rows and
-    the rows with a send or a receive flag (``None``: none).  ``chans``
-    pairs each partner with the rows whose request (PUT or GET) takes
-    its channel and the positions in ``gets`` whose replies take the
-    channel back (``None``: no GET to it).  ``flags`` holds per flag id
-    the positions of its updates in the send-flag times followed by the
-    receive-flag times; ``flag_ids`` is the flag of every update in
-    update order (a row's send flag before its receive flag).  ``theft``
-    names the partners other than the PE and the slot of each row
-    charged to one (``None``: one partner); ``dma`` the PE (PUT) or
-    partner (GET) whose DMA each row keeps busy; ``links``, set with the
-    trace's link plan (:meth:`plan_links`), the link charges.
-    ``self_puts`` are the (absolute) rows of PUTs the PE sends itself,
-    whose receive theft stays pending on it.
+
+def _groups(run: np.ndarray, key: np.ndarray,
+            count: int) -> tuple[np.ndarray, ...]:
+    """Entries grouped by ``(run, key)``, both ascending (``count``
+    runs, ``key`` not negative), each group's entries in their own
+    order: the entries' order, where each group begins in it (then the
+    end), and each group's run and key.  One stable sort of the pair
+    packed in the narrowest integer that holds it (a radix sort up to
+    16 bits)."""
+    span = int(key.max()) + 1 if len(key) else 1
+    packed_type = np.min_scalar_type(count * span)
+    packed = (run.astype(packed_type) * packed_type.type(span)
+              + key.astype(packed_type))
+    order = packed.argsort(kind="stable")
+    packed = packed[order]
+    # A group begins where the pair changes; the last edge is the end.
+    change = np.ones(len(order) + 1, dtype=bool)
+    np.not_equal(packed[1:], packed[:-1], out=change[1:-1])
+    edges = np.flatnonzero(change)
+    run, key = np.divmod(packed[edges[:-1]].astype(np.int64), span)
+    return order, edges, run, key
+
+
+def _distinct(run: np.ndarray, values: np.ndarray,
+              count: int) -> tuple[list[int], list[int], np.ndarray]:
+    """The distinct ``values`` (not negative) of each of ``count`` runs:
+    all of them, run by run and ascending, where each run's begin (then
+    the end), and each entry's position among its run's: one sort
+    (:func:`_groups`)."""
+    order, edges, owner, distinct = _groups(run, values, count)
+    bounds = owner.searchsorted(np.arange(count + 1))
+    slot = np.empty(len(run), dtype=np.intp)    # np.add.at's fast index
+    slot[order] = (np.arange(len(owner)) - bounds[owner]).repeat(
+        edges[1:] - edges[:-1])
+    return distinct.tolist(), bounds.tolist(), slot
+
+
+def _channels(run: np.ndarray, at: np.ndarray, partner: np.ndarray,
+              got: np.ndarray, pe: np.ndarray, n: int,
+              count: int) -> tuple[list, list[tuple], list[int]]:
+    """Each run's lowest partner, and the channels (see :class:`Runs`)
+    of the runs with more than one, all of them run by run, with where
+    each run's begin (then the end).  Only those runs' entries are
+    grouped, by (run, partner); the replies to each, positions among
+    the run's GETs, are grouped the same way."""
+    partners, first, _ = _distinct(run, partner, count)
+    lowest = [partners[b] for b in first[:-1]]
+    mixed = (np.diff(first) > 1)[run]
+    if not mixed.any():
+        return lowest, [], [0] * (count + 1)
+    order, edges, crun, cq = _groups(run[mixed], partner[mixed], count)
+    requests = at[mixed][order]
+    got_run = run[got]
+    replies = np.arange(len(got)) - np.array(_bounds(got_run, count))[got_run]
+    mixed = mixed[got]
+    gorder, gedges, grun, gq = _groups(got_run[mixed], partner[got][mixed],
+                                       count)
+    replies = replies[mixed][gorder]
+    back = np.full((2, len(crun)), -1)
+    back[:, np.searchsorted(crun * n + cq, grun * n + gq)] = (
+        gedges[:-1], gedges[1:])
+    return lowest, [
+        (p * n + q, requests[lo:hi], q * n + p,
+         None if rlo < 0 else replies[rlo:rhi])
+        for p, q, lo, hi, rlo, rhi in zip(
+            pe[crun].tolist(), cq.tolist(), edges[:-1].tolist(),
+            edges[1:].tolist(), *back.tolist())
+    ], _bounds(crun, count)
+
+
+def _updates(columns: TraceColumns, rows: np.ndarray, run: np.ndarray,
+             count: int) -> tuple:
+    """The runs' flag updates (see :class:`Runs`): the entries with a
+    send flag and those with a receive flag, each in order of run, flag
+    id and update (a row's send flag before its receive flag), where
+    each run's begin in both, every run's flags, run by run, and where
+    each run's begin.  One grouping of the updates by (run, flag id):
+    each group's sends and receives are then a slice of its run's."""
+    flagged = np.empty(2 * len(rows), dtype=columns.send_flag.dtype)
+    flagged[0::2] = columns.send_flag[rows]
+    flagged[1::2] = columns.recv_flag[rows]
+    update = np.flatnonzero(flagged)
+    urun = run[update >> 1]
+    rank = np.arange(len(update)) - np.searchsorted(
+        urun, np.arange(count + 1))[urun]
+    order, edges, frun, gid = _groups(urun, flagged[update], count)
+    del urun, flagged
+    update = update[order]
+    recv = (update & 1).astype(bool)
+    sent, landed = update[~recv] >> 1, update[recv] >> 1
+    s, r = _bounds(run[sent], count), _bounds(run[landed], count)
+    # Each group's sends and receives before it, less its run's.
+    before = np.array([np.searchsorted(np.flatnonzero(~recv), edges),
+                       np.searchsorted(np.flatnonzero(recv), edges)])
+    start = np.array((s, r))[:, frun]
+    lows, highs = before[:, :-1] - start, before[:, 1:] - start
+    ranks = _small(rank[order])
+    flags = [(fid, slo, shi, rlo, rhi, ranks[lo:hi])
+             for fid, slo, shi, rlo, rhi, lo, hi in zip(
+                 gid.tolist(), lows[0].tolist(), highs[0].tolist(),
+                 lows[1].tolist(), highs[1].tolist(),
+                 edges[:-1].tolist(), edges[1:].tolist())]
+    return sent, landed, s, r, flags, _bounds(frun, count)
+
+
+def _expand(counts: np.ndarray, seg: np.ndarray, lengths: np.ndarray,
+            flat: np.ndarray) -> np.ndarray:
+    """The links of the routes ``seg`` numbers, in order (``counts``
+    links each, of ``lengths`` links per route, all of them in
+    ``flat``), as 32-bit integers: a trace's charges are many, its
+    routes few."""
+    # A link's place in ``flat``: where its route begins there, plus
+    # its place in the route.
+    skip = (np.cumsum(lengths, dtype=np.int32) - lengths)[seg]
+    skip -= np.cumsum(counts, dtype=np.int32) - counts
+    place = np.repeat(skip, counts)
+    del skip
+    place += np.arange(len(place), dtype=np.int32)
+    return flat[place]
+
+
+class Runs:
+    """The preset-independent plan of every run of a trace.
+
+    ``first``, ``stop`` and ``pe`` list the runs' bounds and PEs in row
+    order; ``at`` maps a run's first row to the record the step unpacks,
+    ``(k, a, b, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1,
+    flags, owed, owed_slot, t0, t1, dma, dma_slot)``:
+
+    * ``k`` is the run's number and ``a:b`` its rows;
+    * ``chans`` pairs each partner, ascending, with the key of the
+      channel its requests take (``pe * n + partner``) and their
+      positions in the run, then the key of the channel back and the
+      positions in ``gets`` of the replies that take it (``None``: no
+      GET to it); with one partner both select every row;
+    * ``gets`` are the positions of the GET rows (``None``: none), and
+      ``g0:g1`` their slice of the GET operands;
+    * ``sends`` and ``recvs`` are the positions of the rows with a send
+      and with a receive flag, by flag id and then by row (``None``:
+      none), and ``s0:s1`` and ``r0:r1`` their slices of the flag
+      operands;
+    * ``flags`` holds per flag id, ascending, ``(gid, slo, shi, rlo,
+      rhi, ranks)``: its updates' slices of ``sends`` and ``recvs``,
+      and their ranks in the run's update order (a row's send flag
+      before its receive flag);
+    * ``owed`` names the partners other than the PE that rows charge
+      theft to (``None``: none), ``owed_slot`` each such row's position
+      among them (``None``: one partner) and ``t0:t1`` their slice of
+      the theft operands;
+    * ``dma`` names the PEs whose DMA the rows keep busy (the PE for a
+      PUT, the partner for a GET), ``dma_slot`` as ``owed_slot``.
+
+    Operand slices index arrays over the runs' rows in run order, whose
+    trace rows are ``get_rows``, ``send_rows``, ``recv_rows`` and
+    ``owed_rows`` (:class:`RunCosts` reads them per preset);
+    ``self_puts`` are the PUTs a PE sends itself, whose receive theft
+    stays pending on it.  ``messages`` and ``nbytes`` total the runs'.
+    :meth:`plan_links` adds the link charges.
     """
 
-    __slots__ = ("start", "stop", "pe", "messages", "nbytes", "gets",
-                 "chans", "sends", "recvs", "flags", "flag_ids", "theft",
-                 "dma", "self_puts", "links")
-    theft: tuple | None
-    links: tuple
+    __slots__ = ("first", "stop", "pe", "at", "rows", "get_rows",
+                 "send_rows", "recv_rows", "owed_rows", "self_puts",
+                 "messages", "nbytes", "links", "charges", "link_bytes",
+                 "link_frames", "_is_get", "_size")
 
-    def __init__(self, columns: TraceColumns, start: int, stop: int,
-                 pe: int) -> None:
-        self.start, self.stop, self.pe = start, stop, pe
-        rows = stop - start
-        every = slice(None)
-        partner = columns.partner[start:stop]
-        is_get = columns.kind[start:stop] == int(EventKind.GET)
-        gets = np.flatnonzero(is_get)
-        self.gets = gets if len(gets) else None
-        self.messages = rows + len(gets)
-        self.nbytes = int(columns.size[start:stop].sum())
-        partners, slot = _slots(partner)
-        self.chans = []
-        requests: slice | np.ndarray
-        replies: slice | np.ndarray | None
-        for k, q in enumerate(partners):
-            if len(partners) == 1:
-                requests, replies = every, every if len(gets) else None
+    def __init__(self, columns: TraceColumns, first: np.ndarray,
+                 stop: np.ndarray, pe: np.ndarray) -> None:
+        n, count = columns.num_pes, len(first)
+        length = stop - first
+        total = int(length.sum())
+        # Every run's rows, run by run: each entry's run, and its
+        # position in the run.
+        run = np.repeat(np.arange(count), length)
+        at = np.arange(total) - np.repeat(np.cumsum(length) - length, length)
+        rows = first[run] + at
+        partner = columns.partner[rows]
+        is_get = columns.kind[rows] == int(EventKind.GET)
+        me = pe[run]
+        self.first, self.stop, self.pe = (first.tolist(), stop.tolist(),
+                                          pe.tolist())
+        self.rows, self._is_get = rows, is_get
+        self._size = _small(columns.size[rows])
+        got = np.flatnonzero(is_get)
+        self.get_rows = rows[got]
+        self.messages = total + len(got)
+        self.nbytes = int(self._size.sum(dtype=np.int64))
+        self.self_puts = rows[~is_get & (partner == me)]
+        g = _bounds(run[got], count)
+        partners, chans, c = _channels(run, at, partner, got, pe, n, count)
+        sent, landed, s, r, flags, f = _updates(columns, rows, run, count)
+        self.send_rows, self.recv_rows = rows[sent], rows[landed]
+        others = np.flatnonzero(partner != me)
+        self.owed_rows = rows if len(others) == total else rows[others]
+        owed, o, owed_slot = _distinct(run[others], partner[others], count)
+        t = _bounds(run[others], count)
+        dma, d, dma_slot = _distinct(run, np.where(is_get, partner, me),
+                                     count)
+        e = _bounds(run, count)
+        get_at, send_at, recv_at = at[got], at[sent], at[landed]
+        # Entries, not positions: those carry the run.
+        if np.array_equal(landed, got):
+            recv_at = get_at        # the GETs' replies raise every flag
+        self.at = {}
+        for k in range(count):
+            a, g0, g1, s0, s1, r0, r1, t0, t1 = (
+                self.first[k], g[k], g[k + 1], s[k], s[k + 1], r[k],
+                r[k + 1], t[k], t[k + 1])
+            gets = get_at[g0:g1] if g1 > g0 else None
+            if c[k + 1] == c[k]:        # one partner: every row
+                p, q = self.pe[k], partners[k]
+                channels = [(p * n + q, _EVERY, q * n + p,
+                             None if gets is None else _EVERY)]
             else:
-                requests = np.flatnonzero(slot == k)
-                replies = np.flatnonzero(slot[gets] == k)
-                if not len(replies):
-                    replies = None
-            self.chans.append((q, requests, replies))
-        send_flag = columns.send_flag[start:stop]
-        recv_flag = columns.recv_flag[start:stop]
-        sends = np.flatnonzero(send_flag)
-        recvs = np.flatnonzero(recv_flag)
-        self.sends = sends if len(sends) else None
-        self.recvs = recvs if len(recvs) else None
-        if np.array_equal(recvs, gets):
-            self.recvs = self.gets
-        position = np.full(2 * rows, -1)
-        position[2 * sends] = np.arange(len(sends))
-        position[2 * recvs + 1] = len(sends) + np.arange(len(recvs))
-        order = position[position >= 0]
-        self.flag_ids = gids = np.concatenate(
-            (send_flag[sends], recv_flag[recvs]))[order]
-        self.flags = [(gid, order[gids == gid])
-                      for gid in sorted(set(gids.tolist()))]
-        others = partner != pe
-        self.theft = None
-        if others.any():
-            owed, owed_slot = _slots(partner[others])
-            self.theft = (owed,
-                          every if others.all() else np.flatnonzero(others),
-                          owed_slot if len(owed) > 1 else None)
-        self.dma = _slots(np.where(is_get, partner, pe))
-        self.self_puts = start + np.flatnonzero(~is_get & ~others)
-        self.links = ()
+                channels = chans[c[k]:c[k + 1]]
+            self.at[a] = (
+                k, a, self.stop[k], channels, gets, g0, g1,
+                send_at[s0:s1] if s1 > s0 else None, s0, s1,
+                None if r1 == r0 else gets if recv_at is get_at
+                else recv_at[r0:r1], r0, r1,
+                flags[f[k]:f[k + 1]],
+                owed[o[k]:o[k + 1]] if t1 > t0 else None,
+                None if o[k + 1] - o[k] < 2 else owed_slot[t0:t1], t0, t1,
+                dma[d[k]:d[k + 1]],
+                None if d[k + 1] - d[k] == 1 else dma_slot[e[k]:e[k + 1]])
+        self.links: list[tuple] = []
 
-    def plan_links(self, columns: TraceColumns, plan: list) -> None:
-        """The run's link charges in the loop's order: ``(lids, slot,
-        source, bytes, frames)``, with ``slot`` the position in ``lids``
-        of each charge and ``source`` its wire time's position in the
-        rows' request wires followed by their reply wires."""
-        start, stop = self.start, self.stop
-        rows = stop - start
-        # Each row charges its request route, then (GET) its reply
-        # route; routes are per (partner, kind), so expand those.
-        is_get = columns.kind[start:stop] == int(EventKind.GET)
-        kinds, kind_of = _slots(2 * columns.partner[start:stop] + is_get)
-        routes: list[tuple[int, ...]] = []
-        for k in range(len(kinds)):
-            first = int(np.argmax(kind_of == k))
-            route = plan[start + first]
-            routes.extend(route if is_get[first] else (route, ()))
-        segment = np.empty(2 * rows, dtype=np.int64)
-        segment[0::2] = 2 * kind_of.astype(np.int64)
-        segment[1::2] = segment[0::2] + 1
-        lengths = np.array([len(r) for r in routes], dtype=np.int64)
-        offsets = np.cumsum(lengths) - lengths
-        flat = np.array([lid for r in routes for lid in r], dtype=np.int64)
-        counts = lengths[segment]
-        owner = np.repeat(np.arange(2 * rows), counts)
-        within = np.arange(len(owner)) - np.repeat(
-            np.cumsum(counts) - counts, counts)
-        lids = flat[offsets[segment[owner]] + within]
-        row, reply = np.divmod(owner, 2)
-        carried = np.where(reply.astype(bool) | ~is_get[row],
-                           columns.size[start:stop][row], 0)
-        uniq, slot = _slots(lids)
-        self.links = (
-            uniq, slot, _small(row + rows * reply),
-            np.bincount(slot, weights=carried,
-                        minlength=len(uniq)).astype(np.int64).tolist(),
-            np.bincount(slot, minlength=len(uniq)).tolist())
+    def plan_links(self, number: np.ndarray, put: np.ndarray,
+                   get: np.ndarray, nlinks: int) -> None:
+        """The runs' link charges, from the trace's routes: the PUT
+        routes, the GET routes as (request, reply) pairs, and each
+        row's route number in its kind's.  Sets ``links``, per run
+        ``(lids, slot, l0, l1)``: the links it charges, ascending, each
+        charge's position among them (``None``: one link) and its slice
+        of the charges, in the loop's order, of which each row's request
+        and reply make ``charges`` (row by row, the request's first);
+        and ``link_bytes`` and ``link_frames``, what the runs put on
+        each link."""
+        rows, is_get, count = self.rows, self._is_get, len(self.first)
+        # Each row charges its request route, then (GET) its reply route:
+        # two segments per row, segment 0 the PUT's empty reply route.
+        segments = [(), *put, *chain.from_iterable(get)]
+        mine = number[rows]
+        seg = np.empty((len(rows), 2), dtype=np.intp)
+        seg[:, 0] = np.where(is_get, 1 + len(put) + 2 * mine, 1 + mine)
+        seg[:, 1] = np.where(is_get, seg[:, 0] + 1, 0)
+        del mine
+        lengths = np.fromiter(map(len, segments), dtype=np.int32,
+                              count=len(segments))
+        flat = np.fromiter(chain.from_iterable(segments), dtype=np.int32,
+                           count=int(lengths.sum()))
+        # Frames and bytes per route (a GET's request carries none),
+        # then per link: integer sums, exact in float64.
+        route = np.repeat(np.arange(len(segments)), lengths)
+        for name, weights in (
+                ("link_frames", np.bincount(seg.ravel(),
+                                            minlength=len(segments))),
+                ("link_bytes", np.bincount(
+                    np.where(is_get, seg[:, 1], seg[:, 0]),
+                    weights=self._size, minlength=len(segments)))):
+            setattr(self, name, np.bincount(
+                flat, weights=weights[route], minlength=nlinks
+            ).astype(np.int64).tolist())
+        self.charges = counts = lengths[seg.ravel()]
+        lids = _expand(counts, seg.ravel(), lengths, flat)
+        del seg
+        # A run's charges follow its rows' segments.
+        length = np.array(self.stop) - np.array(self.first)
+        c = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(np.add.reduceat(counts, 2 * (np.cumsum(length) - length)),
+                  out=c[1:])
+        distinct, d, slot = _distinct(np.repeat(
+            np.arange(count, dtype=np.int32), np.diff(c)), lids, count)
+        c = c.tolist()
+        self.links = [
+            (distinct[d[k]:d[k + 1]],
+             None if d[k + 1] - d[k] == 1 else slot[c[k]:c[k + 1]],
+             c[k], c[k + 1]) for k in range(count)]
 
 
 class RunCosts:
-    """One preset's per-row costs of PUT/GET rows as the run step reads
-    them, each the loop's expression (a PUT's ``f*`` slots and a GET's
-    differ: see ``engine_soa._Program``), and the step itself.
+    """One preset's values as the run step reads them, and the step.
 
-    ``body`` interleaves a row's CPU time with the theft it leaves
-    pending for the next row: the addends of the PE's clock, in order.
-    ``f1`` (a PUT's drain, a GET's service) and ``f2`` (a GET's reply
-    wire) are the program's slots as they are.
+    Each value is the loop's expression (a PUT's ``f*`` slots and a
+    GET's differ: see ``engine_soa._Program``).  Over every row of the
+    trace: ``body`` interleaves a row's CPU time with the theft it
+    leaves pending for the next row (the addends of the PE's clock, in
+    order), ``wire`` is its request wire and ``dma`` (a PUT's drain, a
+    GET's service) what it keeps a DMA busy.  Over the runs' operand
+    rows (:class:`Runs`): ``reply_service`` and ``reply_wire`` of their
+    GETs, the ``send`` and ``recv`` flag addends and the theft ``owed``
+    to a partner.  ``pending`` is the theft each run leaves pending
+    after its last row, and :meth:`link_values` each link charge's wire
+    time in the runs' charge order.
     """
 
-    __slots__ = ("dma_setup", "send_flag_tail", "body", "wire", "send",
-                 "recv", "owed", "f1", "f2")
+    __slots__ = ("plan", "dma_setup", "send_flag_tail", "body", "wire",
+                 "dma", "reply_service", "reply_wire", "send", "recv",
+                 "owed", "pending", "_reply", "_links")
 
-    def __init__(self, kind: np.ndarray, runs: dict, costs: tuple,
+    def __init__(self, kind: np.ndarray, plan: Runs, costs: np.ndarray,
                  dma_setup: float, send_flag_tail: float,
                  send_theft: float, get_send_cpu: float) -> None:
         f0, f1, f2, f3, f4, f5 = costs
+        self.plan = plan
         self.dma_setup = dma_setup
         self.send_flag_tail = send_flag_tail
         put = kind == int(EventKind.PUT)
         pending = np.where(put, 0.0 + send_theft, 0.0 + f5)
-        mine = np.concatenate([run.self_puts for run in runs.values()])
+        mine = plan.self_puts
         pending[mine] += f4[mine]
         body = np.empty(2 * len(put))
         body[0::2] = np.where(put, f0, get_send_cpu)
         body[1::2] = pending
         self.body = body
-        self.wire = np.where(put, f2, f0)           # request wire
-        self.send = np.where(put, f1, 0.0)          # before the send tail
-        self.recv = np.where(put, f3, f4)           # after the arrival
-        self.owed = np.where(put, f4, f3)           # charged to the partner
-        self.f1, self.f2 = f1, f2
+        self.wire = np.where(put, f2, f0)
+        self.dma = f1
+        self.reply_service = f1[plan.get_rows]
+        self.reply_wire = f2[plan.get_rows]
+        rows = plan.send_rows
+        self.send = np.where(put[rows], f1[rows], 0.0)   # before the tail
+        rows = plan.recv_rows
+        self.recv = np.where(put[rows], f3[rows], f4[rows])
+        rows = plan.owed_rows
+        self.owed = np.where(put[rows], f4[rows], f3[rows])
+        self.pending = pending[np.array(plan.stop) - 1].tolist()
+        self._reply = f2
+        self._links: np.ndarray | None = None
 
-    def replay(self, run: Run, clk: float, over: float, th: float, n: int,
+    def link_values(self) -> np.ndarray:
+        """Each run link charge's wire time, in charge order: made once,
+        after the link plan."""
+        if self._links is None:
+            rows = self.plan.rows
+            wires = np.empty((len(rows), 2))
+            wires[:, 0] = self.wire[rows]           # the request's
+            wires[:, 1] = self._reply[rows]         # a GET reply's
+            self._links = np.repeat(wires.ravel(), self.plan.charges)
+        return self._links
+
+    def replay(self, run: tuple, clk: float, over: float, th: float,
                chan_last: dict, theft: list, flag_times: dict,
                flag_waiters: dict, queued: set, runnable: deque,
-               metrics: tuple | None) -> tuple[float, float, float]:
-        """Replay ``run`` on the loop's state (``n`` PEs; ``metrics`` the
-        DMA and link accumulators, or ``None``): returns the PE's clock,
-        overhead and pending theft after its last row."""
-        a, b, pe = run.start, run.stop, run.pe
-        f1, f2 = self.f1, self.f2
-        body = self.body[2 * a:2 * b - 1]
+               metrics: tuple | None) -> tuple[float, float, float, int]:
+        """Replay ``run`` (a :class:`Runs` record) on the loop's state
+        (``metrics`` the DMA and link busy accumulators and the link
+        values, or ``None``): returns the PE's clock, overhead and
+        pending theft after its last row, and that row."""
+        (k, a, b, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1, flags,
+         owed, owed_slot, t0, t1, dma, dma_slot) = run
         # The clock and the overhead take the same addends: the theft
         # pending at each row, then the row's CPU time.
-        clocks = np.add.accumulate(np.concatenate(((clk, th), body)))
-        over = np.add.accumulate(np.concatenate(((over, th), body)))[-1]
+        addends = np.empty((2, 2 * (b - a) + 1))
+        addends[0, 0] = clk
+        addends[1, 0] = over
+        addends[:, 1] = th
+        addends[:, 2:] = self.body[2 * a:2 * b - 1]
+        clocks, overs = np.add.accumulate(addends, axis=1)
         depart = clocks[2::2] + self.dma_setup
         arrival = depart + self.wire[a:b]
-        for q, requests, _ in run.chans:
-            key = pe * n + q
-            arrival[requests], chan_last[key] = fifo(
-                depart[requests], arrival[requests], chan_last.get(key))
-        gets = run.gets
+        for key, requests, _, _ in chans:
+            if requests is _EVERY:
+                arrival, chan_last[key] = fifo(depart, arrival,
+                                               chan_last.get(key))
+            else:
+                arrival[requests], chan_last[key] = fifo(
+                    depart[requests], arrival[requests], chan_last.get(key))
+        received = None
         if gets is not None:
             # A GET's reply leaves the partner when its request has been
             # served, and its receive flag waits for the reply.
-            reply_depart = arrival[gets] + f1[a:b][gets]
-            reply = reply_depart + f2[a:b][gets]
-            for q, _, replies in run.chans:
-                if replies is not None:
-                    key = q * n + pe
+            reply_depart = arrival[gets] + self.reply_service[g0:g1]
+            reply = reply_depart + self.reply_wire[g0:g1]
+            for _, _, key, replies in chans:
+                if replies is _EVERY:
+                    reply, chan_last[key] = fifo(reply_depart, reply,
+                                                 chan_last.get(key))
+                elif replies is not None:
                     reply[replies], chan_last[key] = fifo(
                         reply_depart[replies], reply[replies],
                         chan_last.get(key))
-            arrival[gets] = reply
-        if run.flags:
-            parts = []
-            if run.sends is not None:
-                parts.append((depart[run.sends]
-                              + self.send[a:b][run.sends])
-                             + self.send_flag_tail)
-            if run.recvs is not None:
-                parts.append(arrival[run.recvs]
-                             + self.recv[a:b][run.recvs])
-            times = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            if recvs is gets:
+                received = reply            # the receive flags are the GETs'
+            else:
+                arrival[gets] = reply
+        if flags:
+            sent = () if sends is None else (
+                (depart[sends] + self.send[s0:s1])
+                + self.send_flag_tail).tolist()
+            if recvs is None:
+                landed = ()
+            else:
+                if received is None:
+                    received = arrival[recvs]
+                landed = (received + self.recv[r0:r1]).tolist()
             woken = []
-            for gid, updates in run.flags:
+            for gid, slo, shi, rlo, rhi, ranks in flags:
                 known = flag_times.setdefault(gid, [])
                 before = len(known)
-                known.extend(times[updates].tolist())
+                known += sent[slo:shi]
+                known += landed[rlo:rhi]
                 known.sort()
                 waiters = flag_waiters.get(gid)
                 if waiters:
                     # record_flag wakes a waiter at the update that
                     # brings the flag to its target.
-                    ranks = np.flatnonzero(run.flag_ids == gid).tolist()
+                    reached = before + len(ranks)
                     still = []
                     for order, (wpe, target) in enumerate(waiters):
-                        if target - before <= len(ranks):
+                        if target <= reached:
                             woken.append(
                                 (ranks[target - before - 1], order, wpe))
                         else:
@@ -271,21 +478,15 @@ class RunCosts:
                 if wpe not in queued:
                     queued.add(wpe)
                     runnable.append(wpe)
-        if run.theft is not None:
-            owed, rows, slot = run.theft
-            _add_in_order(theft, owed, slot, self.owed[a:b][rows])
+        if owed is not None:
+            _add_in_order(theft, owed, owed_slot, self.owed[t0:t1])
         if metrics is not None:
-            dma_busy, link_busy, link_bytes, link_frames = metrics
-            _add_in_order(dma_busy, *run.dma, f1[a:b])
-            lids, slot, source, nbytes, frames = run.links
+            dma_busy, link_busy, values = metrics
+            _add_in_order(dma_busy, dma, dma_slot, self.dma[a:b])
+            lids, slot, l0, l1 = self.plan.links[k]
             if lids:
-                _add_in_order(link_busy, lids, slot, np.concatenate(
-                    (self.wire[a:b], f2[a:b]))[source])
-                for lid, nb, nf in zip(lids, nbytes, frames):
-                    link_bytes[lid] += nb
-                    link_frames[lid] += nf
-        return (float(clocks[-1]), float(over),
-                float(self.body[2 * b - 1]))
+                _add_in_order(link_busy, lids, slot, values[l0:l1])
+        return float(clocks[-1]), float(overs[-1]), self.pending[k], b - 1
 
 
 def fifo(depart: np.ndarray, raw: np.ndarray,
@@ -303,13 +504,14 @@ def fifo(depart: np.ndarray, raw: np.ndarray,
     keep = depart >= np.maximum.accumulate(depart)
     if depart[0] < last[0]:
         keep &= depart >= last[0]
-    if keep.all():
+    kept = np.count_nonzero(keep)
+    if kept == len(keep):
         arrival = np.maximum.accumulate(
             np.concatenate(((last[1],), raw)))[1:]
         return arrival, (float(depart[-1]), float(arrival[-1]))
-    kept = np.flatnonzero(keep)
-    if not len(kept):
+    if not kept:
         return raw, last
+    kept = np.flatnonzero(keep)
     arrival = raw.copy()
     arrival[kept] = clamped = np.maximum.accumulate(
         np.concatenate(((last[1],), raw[kept])))[1:]

@@ -13,6 +13,7 @@ import pstats
 import pytest
 
 import repro
+from repro.apps.base import execute
 from repro.apps.latency import run_ring_shift
 from repro.apps.workloads import WORKLOADS
 from repro.machine.config import MachineConfig
@@ -70,6 +71,35 @@ def test_observed_calls_per_event_flat_from_64_to_1024_cells():
     # 541.5 and 3 110.
     narrow = layer_calls_per_event(64, observe=True, sanitize=True)
     wide = layer_calls_per_event(1024, observe=True, sanitize=True)
+    assert wide < 1.25 * narrow, (narrow, wide)
+
+
+def gop_program(ctx, *, rounds: int):
+    """``rounds`` whole-machine scalar reductions and nothing else."""
+    total = 0.0
+    for _ in range(rounds):
+        total += yield from ctx.gop(1.0)
+    return total
+
+
+def run_gops(num_cells: int, *, rounds: int = 4):
+    def verify(results, machine):
+        return {"sums": results == [float(rounds * num_cells)] * num_cells}
+
+    return execute("GOP", gop_program, num_cells, verify, rounds=rounds)
+
+
+def test_reduction_calls_per_event_flat_from_64_to_1024_cells():
+    # A reduction completes when its last member arrives.  While every
+    # arrival scanned the group for its members, one GOP cost calls
+    # quadratic in the group size: 51.4 per event at 64 cells, 531.3 at
+    # 1 024; counted as a barrier counts, 18.3 at both.
+    def calls_per_event(num_cells):
+        events, count = profiled(run_gops, num_cells)
+        return count(lambda filename, _: filename.startswith(LAYERS)) / events
+
+    narrow = calls_per_event(64)
+    wide = calls_per_event(1024)
     assert wide < 1.25 * narrow, (narrow, wide)
 
 

@@ -464,6 +464,24 @@ BURSTS = {
 }
 
 
+def split_flags_trace() -> TraceBuffer:
+    """Two runs of two rows (the run step's break-even lowered to two)
+    whose receive-flag positions read like their GET positions when the
+    runs are put together: PE 0's GETs at 0 and 1, only the first raising
+    a receive flag, then PE 1's PUTs, only the second raising one, which
+    PE 0 waits for."""
+    buf = TraceBuffer(num_pes=2)
+    for kind, pe, landed in ((EventKind.GET, 0, 10), (EventKind.GET, 0, 0),
+                             (EventKind.PUT, 1, 0), (EventKind.PUT, 1, 20)):
+        record(buf, TraceEvent(kind, pe=pe, partner=1 - pe, size=8,
+                               recv_flag=landed))
+    for flag in (20, 10):
+        record(buf, TraceEvent(EventKind.FLAG_WAIT, pe=0, flag=flag,
+                               target=1))
+    record(buf, TraceEvent(EventKind.COMPUTE, pe=0, work=1.5))
+    return buf
+
+
 class TestBursts:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
@@ -494,7 +512,15 @@ class TestBursts:
         trace = tie_trace(*BURSTS[name])
         assert_equivalent(trace, (*map(preset, PRESETS), FREE))
         runs = trace_index(columns_from_buffer(trace)).runs
-        assert bool(runs) == ("short" not in name), sorted(runs)
+        assert (runs is not None) == ("short" not in name), runs and runs.first
+
+    def test_receive_flags_split_across_runs(self):
+        trace = split_flags_trace()
+        with mock.patch.object(engine_soa, "_RUN_MIN", 2):
+            assert_equivalent(trace, (*map(preset, PRESETS), FREE))
+            runs = trace_index(columns_from_buffer(trace)).runs
+        assert [(b - a, pe) for a, b, pe in zip(
+            runs.first, runs.stop, runs.pe)] == [(2, 0), (2, 1)]
 
     def test_runs_are_maximal_stretches_of_one_pe(self):
         buf = TraceBuffer(num_pes=2)
@@ -507,7 +533,7 @@ class TestBursts:
         for k in range(39):
             record(buf, TraceEvent(EventKind.GET, pe=1, partner=0, size=8))
         runs = trace_index(columns_from_buffer(buf)).runs
-        assert [(r.start, r.stop, r.pe) for r in runs.values()] == [
+        assert list(zip(runs.first, runs.stop, runs.pe)) == [
             (0, 40, 0), (40, 80, 1), (81, 120, 1)]
 
 
@@ -730,7 +756,7 @@ class TestOperandForms:
         trace.coalesce_compute()
         with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
             index = trace_index(columns_from_buffer(trace))
-            assert index.runs and index.supersteps is not None
+            assert index.runs is not None and index.supersteps is not None
             sparse = index.keys is not None
             assert sparse == (covered == "most")
             assert {type(slot) for slot in index.operands(True)} == {
