@@ -25,7 +25,8 @@ trace it holds) exits 1 naming each trace whose count exceeds its N (CI
 passes that test's ceilings for CG and TC no st).  ``plan calls`` is the
 same count for planning a replay of fresh columns — ``trace_index``, its
 ``link_plan`` and one ``compile_program`` — and ``--max-plan-calls
-TRACE N`` holds it as the other holds replays (CI: TC no st).
+TRACE N`` holds it as the other holds replays (CI: TC no st and
+RingShift).
 
     python scripts/consume_cost.py [--json F] [--max-replay-calls TRACE N]...
         [--max-plan-calls TRACE N]...

@@ -199,16 +199,6 @@ _RUN_MIN = 32
 _CHAIN_MIN = 256
 _CHAIN_STEP = 4
 
-#: A stepped replay's operand slots are dicts of the rows it reads where
-#: it reads at most one row in _SPARSE, else lists over every row: a
-#: dict costs more per row it holds (to build, and to read in each
-#: replay), a list per row of the trace (to build).  The break-even,
-#: with an index, three programs and three replays per decode as the
-#: bench pays them: even at one row in 12 on a TOMCATV trace, dicts
-#: 2.4 % ahead at one in 14 (EXPERIMENTS.md, "Planning costs what the
-#: stepped replay reads"; same host as _RUN_MIN).
-_SPARSE = 12
-
 #: Opcodes of a superstep's local rows: they neither wait nor signal.
 _LOCAL_OPS = (_COMPUTE, _RTSYS, _CREG, _INSTANT, _PHASE)
 #: Kinds that wait or signal, besides the collectives: every kind whose
@@ -233,6 +223,32 @@ def _torus_distances(topology: TorusTopology, src: np.ndarray,
     fx = (dx - sx) % w
     fy = (dy - sy) % h
     return np.minimum(fx, w - fx) + np.minimum(fy, h - fy)
+
+
+def _torus_links(topology: TorusTopology, src: np.ndarray,
+                 dst: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectorized :meth:`TorusTopology.route` of every pair ``(src[k],
+    dst[k])`` as links — each hop's cell of departure and of arrival,
+    route by route — and each route's hop count: the x ring then the y
+    ring, each the shorter arc, a tie forward, from the arithmetic of
+    :func:`_torus_distances`."""
+    w, h = topology.width, topology.height
+    sy, sx = np.divmod(src, w)
+    dy, dx = np.divmod(dst, w)
+    fx, fy = (dx - sx) % w, (dy - sy) % h
+    along = np.minimum(fx, w - fx)
+    hops = along + np.minimum(fy, h - fy)
+    route = np.repeat(np.arange(len(src)), hops)
+    k = np.arange(1, len(route) + 1) - (np.cumsum(hops) - hops)[route]
+    sx, sy, along = sx[route], sy[route], along[route]
+    step_x = np.where(fx <= w - fx, 1, -1)[route]
+    step_y = np.where(fy <= h - fy, 1, -1)[route]
+
+    def cell(k: np.ndarray) -> np.ndarray:      # after k hops
+        return ((sy + step_y * np.maximum(k - along, 0)) % h * w
+                + (sx + step_x * np.minimum(k, along)) % w)
+
+    return cell(k - 1), cell(k), hops
 
 
 def _log2_times(sizes: np.ndarray, step: float) -> np.ndarray:
@@ -273,10 +289,10 @@ def _partition(columns: TraceColumns) -> tuple[dict, np.ndarray]:
 
 
 def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
-               by_kind: dict) -> Runs | None:
-    """The plan (:class:`repro.mlsim.runs.Runs`) of every maximal
-    stretch of at least ``_RUN_MIN`` consecutive PUT/GET rows of one PE,
-    or ``None`` (``by_kind``: the trace's rows by kind).
+               by_kind: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first and stop rows of every maximal stretch of at least
+    ``_RUN_MIN`` consecutive PUT/GET rows of one PE, or ``None``
+    (``by_kind``: the trace's rows by kind).
 
     A GET a PE sends itself ends a stretch: its reply takes the channel
     its request just took, so that channel's clamps depend on each
@@ -298,16 +314,14 @@ def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
     long = np.flatnonzero(lasts - firsts + 1 >= _RUN_MIN)
     if not len(long):
         return None
-    from repro.mlsim.runs import Runs   # the run step, for traces with runs
-
-    firsts = firsts[long]
-    return Runs(columns, firsts, lasts[long] + 1, pe_of[firsts])
+    return firsts[long], lasts[long] + 1
 
 
 def _find_chains(columns: TraceColumns, pe_of: np.ndarray,
-                 by_kind: dict[int, np.ndarray]) -> Supersteps | None:
-    """The plan (:class:`repro.mlsim.supersteps.Supersteps`) of every
-    maximal run of consecutive supersteps worth a step, or ``None``.
+                 by_kind: dict[int, np.ndarray]) -> tuple | None:
+    """Every maximal run of consecutive supersteps worth a step, or
+    ``None``: the whole-machine collectives' rows per PE (``n x c``)
+    and each chain's first and last of them.
 
     A superstep is every PE's stretch of local rows closed by a
     whole-machine collective: a BARRIER, GOP or VGOP whose group size is
@@ -340,6 +354,8 @@ def _find_chains(columns: TraceColumns, pe_of: np.ndarray,
     crossed[np.searchsorted(rows, np.concatenate([collective[~whole], *(
         by_kind[k] for k in _CROSSING if k in by_kind)]))] = True
     local = ~crossed[:-1].reshape(n, c)[:, 1:].any(axis=0)
+    if not local.any():
+        return None
     rows = rows.reshape(n, c)
     # The loop's rendezvous slot: kind, group and generation.  A
     # collective's generation is its rank among its PE's collectives of
@@ -360,9 +376,7 @@ def _find_chains(columns: TraceColumns, pe_of: np.ndarray,
     worth = size >= _CHAIN_MIN + _CHAIN_STEP * (lasts - firsts)
     if not worth.any():
         return None
-    from repro.mlsim.supersteps import Supersteps   # for traces with chains
-
-    return Supersteps(columns, rows, firsts[worth], lasts[worth])
+    return rows, firsts[worth], lasts[worth]
 
 
 def _generations(columns: TraceColumns, collective: np.ndarray,
@@ -390,25 +404,29 @@ class _TraceIndex:
     and each row's PE, from one sort of the kind column; hop distances
     for communication events; the plans of the runs (``runs``, a
     :class:`repro.mlsim.runs.Runs`: all of them from one pass over their
-    rows) and superstep chains the loop replays as steps; the opcodes
-    and integer operands of the interpreter (none of which depend on
-    timing parameters); and — materialized lazily because only metric
-    collection and link contention need them — the routes of the
-    message rows the loop reads one by one, as tuples of dense
-    physical-link ids, and the runs' link charges (:meth:`link_plan`).
+    rows) and superstep chains (``supersteps``) the loop replays as
+    steps; the opcodes and integer operands of the interpreter (none of
+    which depend on timing parameters); and — materialized lazily
+    because only metric collection and link contention need them — the
+    routes of the message rows the loop reads one by one, as tuples of
+    dense physical-link ids, and the runs' link charges
+    (:meth:`link_plan`).
 
-    A stepped replay reads only the rows outside runs and chains and
-    each run's first row.  Where those are at most one row in
-    ``_SPARSE`` (``keys``, ascending), its operand slots, here and on
-    each :class:`_Program`, are dicts keyed by them, and a replay that
-    declines the steps gets lists over every row, built on first use
-    (:meth:`operands`).  Otherwise ``keys`` is ``None`` and both read
-    the same lists over every row, but for the opcodes of runs' first
-    rows.
+    A stepped replay visits the rows outside runs and chains, each
+    run's first row and each chain's opening and closing collectives.
+    They are its numbering: ``rows`` maps a position in it to its trace
+    row, ``starts`` are each PE's first position (then the end), and
+    the steps' plans are keyed by positions (``Runs.at``,
+    ``Supersteps.at``, ``Chain.close``).  Its operand slots, here and on
+    each :class:`_Program`, are lists over those positions, and a replay
+    that declines the steps gets lists over every row, built on first
+    use (:meth:`operands`).  In a trace without steps ``rows`` is
+    ``None``, ``starts`` are the trace's and one set of lists serves
+    both.
     """
 
     __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
-                 "runs", "supersteps", "keys", "starts", "_lists",
+                 "runs", "supersteps", "rows", "starts", "_lists",
                  "instant_counts", "_routes", "_link_plans", "link_table")
 
     def __init__(self, columns: TraceColumns,
@@ -427,63 +445,68 @@ class _TraceIndex:
                 self.pe_src[k] = src
                 self.dist[k] = _torus_distances(topology, src,
                                                 columns.partner[idx])
+        runs = _find_runs(columns, pe_of, self.by_kind)
+        chains = _find_chains(columns, pe_of, self.by_kind)
+        self.runs: Runs | None = None
+        self.supersteps: Supersteps | None = None
+        self.rows: np.ndarray | None = None
         self.starts = columns.starts.tolist()
-        self.runs = runs = _find_runs(columns, pe_of, self.by_kind)
-        self.supersteps = _find_chains(columns, pe_of, self.by_kind)
-        self.keys: list[int] | None = None
-        if runs is not None or self.supersteps is not None:
-            # The rows a stepped replay skips: a run's past its first
-            # row, a chain's of each PE past its opening collective.
-            skips = [] if runs is None else [
-                (first + 1, stop) for first, stop in zip(runs.first,
-                                                         runs.stop)]
-            if self.supersteps is not None:
-                for chain in self.supersteps.chains:
-                    skips += zip(*(edge.tolist() for edge in chain.inside))
-            keys: list[int] = []
-            done = 0
-            for first, stop in sorted(skips):
-                keys += range(done, first)
-                done = stop
-            keys += range(done, total)
-            if len(keys) * _SPARSE <= total:
-                self.keys = keys
-        # The interpreter reads plain Python ints.
-        self._lists: dict[bool, tuple] = {}
-        if self.keys is None:
-            stepped = self._lists[False] = _operand_lists(
-                self._int_columns(None), 0)
-            if runs is not None:    # its own opcodes: runs are one row
-                stepped = (list(stepped[0]), *stepped[1:])
+        ints = self._int_columns()
+        if runs is None and chains is None:
+            self._lists = dict.fromkeys((True, False),
+                                        _operand_lists(ints, 0))
         else:
-            stepped = _operand_dicts(self._int_columns(self.keys), self.keys)
-        for first in () if runs is None else runs.first:
-            stepped[0][first] = _RUN
-        self._lists[True] = stepped
+            # The rows a stepped replay skips: a run's past its first
+            # row, a chain's of each PE between its opening and closing
+            # collectives.
+            bounds = [] if runs is None else [runs]
+            if chains is not None:
+                collectives, firsts, lasts = chains
+                opens, closes = collectives[:, firsts], collectives[:, lasts]
+                bounds.append((opens.ravel(), closes.ravel()))
+            after, until = (np.concatenate(side) for side in zip(*bounds))
+            # The rows kept: from each skip's end to the next one's start.
+            order = after.argsort()
+            lo = np.concatenate(([0], until[order]))
+            size = np.concatenate((after[order] + 1, [total])) - lo
+            self.rows = rows = np.arange(size.sum()) + np.repeat(
+                lo - (size.cumsum() - size), size)
+            position = rows.searchsorted
+            self.starts = position(columns.starts).tolist()
+            ops, *rest = (column.take(rows) for column in ints)
+            if runs is not None:
+                from repro.mlsim.runs import Runs   # for traces with runs
+
+                keys = position(runs[0])
+                ops[keys] = _RUN
+                self.runs = Runs(columns, *runs, pe_of[runs[0]], keys)
+            if chains is not None:
+                from repro.mlsim.supersteps import Supersteps
+
+                self.supersteps = Supersteps(columns, collectives, firsts,
+                                             lasts, position(opens),
+                                             position(closes))
+            self._lists = {True: _operand_lists((ops, *rest), 0)}
         # Robustness instants never affect timing; count them up front.
         self.instant_counts = {"RETRY": 0, "TIMEOUT": 0, "SPILL": 0}
         for k, name in _INSTANT_NAME.items():
             idx = self.by_kind.get(k)
             if idx is not None:
                 self.instant_counts[name] = len(idx)
-        self._routes: dict | None = None
-        self._link_plans: dict[bool, list | dict] = {}
+        self._routes: tuple | None = None
+        self._link_plans: dict[bool, list] = {}
         self.link_table: list[tuple[int, int]] = []
 
-    def _int_columns(self, rows: list[int] | None) -> tuple[np.ndarray, ...]:
+    def _int_columns(self) -> tuple[np.ndarray, ...]:
         """The opcodes and the four integer operand columns (see the
-        _Program docstring table) of ``rows``, or of every row
-        (``None``).  The generic layout is the PUT/GET one; kinds whose
-        operands differ are rewritten with vectorized index
-        assignments."""
+        _Program docstring table) of every row.  The generic layout is
+        the PUT/GET one; kinds whose operands differ are rewritten with
+        vectorized index assignments."""
         columns = self.columns
-        every = rows is None
-        at = slice(None) if rows is None else np.array(rows, dtype=np.int64)
-        kind = columns.kind[at]
-        i0 = columns.partner[at].copy()
-        i1 = columns.size[at].copy()
-        i2 = columns.send_flag[at].copy()
-        i3 = columns.recv_flag[at].copy()
+        i0 = columns.partner.copy()
+        i1 = columns.size.copy()
+        i2 = columns.send_flag.copy()
+        i3 = columns.recv_flag.copy()
         rewrites = (
             (EventKind.FLAG_WAIT,
              (columns.flag, columns.target, 0, 0)),
@@ -499,128 +522,114 @@ class _TraceIndex:
              (columns.group, None, columns.group_size, 1)),
         )
         for k, values in rewrites:
-            idx = (self.by_kind.get(int(k)) if every
-                   else np.flatnonzero(kind == int(k)))
-            if idx is None or not len(idx):
+            idx = self.by_kind.get(int(k))
+            if idx is None:
                 continue
             for slot, value in zip((i0, i1, i2, i3), values):
                 if value is None:
                     continue  # keep the generic operand
-                slot[idx] = value[at][idx] if isinstance(value, np.ndarray) \
+                slot[idx] = value[idx] if isinstance(value, np.ndarray) \
                     else value
-        return _OPCODES.take(kind), i0, i1, i2, i3
+        return _OPCODES.take(columns.kind), i0, i1, i2, i3
 
     def operands(self, stepped: bool) -> tuple:
-        """The opcodes and the four integer operand slots: ``stepped``
-        (the loop replays runs and chains as steps) the rows it reads,
-        as the class docstring says, else lists over every row."""
+        """The opcodes and the four integer operand slots, as lists:
+        ``stepped`` (the loop replays runs and chains as steps) over the
+        positions of ``rows``, else over every row."""
         got = self._lists.get(stepped)
         if got is None:
             got = self._lists[stepped] = _operand_lists(
-                self._int_columns(None), 0)
+                self._int_columns(), 0)
         return got
 
-    def link_plan(self, stepped: bool = True) -> list | dict:
+    def link_plan(self, stepped: bool = True) -> list:
         """Per-row link-id routes (metric collection, link contention).
 
         An entry is a tuple of link ids for a PUT or SEND (empty for a
         self-send) and a ``(request_route, reply_route)`` pair for a GET;
         link ids are dense indices into ``link_table``.  ``stepped`` (the
-        loop replays runs as steps) gives the message rows it reads one
-        by one, those outside runs, as a dict by row, and plans the runs'
-        link charges (:meth:`repro.mlsim.runs.Runs.plan_links`); else,
-        or for a trace without runs, a list over every row, ``None`` for
-        a row that is not a message.  A trace without PUT, GET or SEND
-        has the empty plan.
+        loop replays runs and chains as steps) gives a list over the
+        positions of ``rows`` and plans the runs' link charges
+        (:meth:`repro.mlsim.runs.Runs.plan_links`); else, or for a trace
+        without steps, a list over every row.  ``None`` is a row that is
+        not a message, and a trace without PUT, GET or SEND has the
+        empty plan.
         """
-        if self.runs is None:
-            stepped = False             # one plan serves both
-        plan = self._link_plans.get(stepped)
+        rows = self.rows if stepped else None
+        plan = self._link_plans.get(rows is not None)
         if plan is not None:
             return plan
-        routes = self._kind_routes()
-        if not routes:
-            plan = []
-        elif stepped:
-            assert self.runs is not None
-            in_run = np.zeros(len(self.columns.kind), dtype=bool)
-            in_run[self.runs.rows] = True
-            plan = {}
-            for rows, route_of, table in routes.values():
-                outside = ~in_run[rows]
-                plan.update(zip(rows[outside].tolist(),
-                                table[route_of[outside]].tolist()))
-            # Each row's route number in its kind's routes.
+        kinds, hops, lids = self._kind_routes()
+        plan = []
+        if kinds:
+            every = np.empty(len(self.columns.kind), dtype=object)  # Nones
+            for at, route_of, table, _ in kinds.values():
+                every[at] = table[route_of]
+            plan = (every if rows is None else every.take(rows)).tolist()
+        if rows is not None and self.runs is not None:
             number = np.zeros(len(self.columns.kind), dtype=np.intp)
-            tables = {}
-            for k, (rows, route_of, table) in routes.items():
-                number[rows] = route_of
-                tables[k] = table
-            none = np.empty(0, dtype=object)
-            self.runs.plan_links(number, tables.get(int(EventKind.PUT), none),
-                                 tables.get(int(EventKind.GET), none),
-                                 len(self.link_table))
-        else:
-            every = np.full(len(self.columns.kind), None, dtype=object)
-            for rows, route_of, table in routes.values():
-                every[rows] = table[route_of]
-            plan = every.tolist()
-        self._link_plans[stepped] = plan
+            for at, route_of, _, first in kinds.values():
+                number[at] = first[route_of]
+            self.runs.plan_links(number, hops, lids, len(self.link_table))
+        self._link_plans[rows is not None] = plan
         return plan
 
-    def _kind_routes(self) -> dict[int, tuple[np.ndarray, ...]]:
-        """Per message kind: its rows, each row's route number and the
-        routes (an object array), one per distinct (src, dst) pair (a
-        GET's the request's and the reply's).  Made once; it fills
-        ``link_table``."""
+    def _kind_routes(self) -> tuple:
+        """The routes of the messages, made once; it fills ``link_table``.
+        Per message kind: its rows, each row's route number in its kind's
+        routes, those routes (an object array, one per distinct (src,
+        dst) pair, a GET's the request's and the reply's) and their
+        places in the trace's routes; then each of those routes' hop
+        count and link ids, route by route.  All are resolved at once
+        (:func:`_torus_links`), pairs in order of first appearance (PUTs,
+        SENDs, then GETs, each request before its reply): the order link
+        ids, and so ``link_table``, are handed out in."""
         if self._routes is not None:
             return self._routes
         columns, topology = self.columns, self.topology
-        link_ids: dict[tuple[int, int], int] = {}
-        route_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-        def lids(src: int, dst: int) -> tuple[int, ...]:
-            if src == dst:
-                return ()
-            got = route_cache.get((src, dst))
-            if got is None:
-                ids = []
-                prev = src
-                for node in topology.route(src, dst):
-                    key = (prev, node)
-                    lid = link_ids.get(key)
-                    if lid is None:
-                        lid = len(self.link_table)
-                        link_ids[key] = lid
-                        self.link_table.append(key)
-                    ids.append(lid)
-                    prev = node
-                got = tuple(ids)
-                route_cache[(src, dst)] = got
-            return got
-
-        # Routes are resolved once per distinct (src, dst) pair, pairs
-        # in order of first appearance (PUTs, then SENDs, then GETs with
-        # their reply route), which is the order link ids are handed out
-        # in and therefore the order of ``link_table``.
-        self._routes = {}
+        cells = topology.width * topology.height
+        kinds, pairs = [], []
         for k in (int(EventKind.PUT), int(EventKind.SEND),
                   int(EventKind.GET)):
             idx = self.by_kind.get(k)
-            if idx is None or not len(idx):
+            if idx is None:
                 continue
-            dst = columns.partner[idx]
-            span = int(dst.max()) + 2       # a partner may be -1
-            pairs, first, inverse = np.unique(
-                self.pe_src[k] * span + dst + 1,
-                return_index=True, return_inverse=True)
-            table = np.empty(len(pairs), dtype=object)
-            for u in np.argsort(first).tolist():
-                s, d = divmod(int(pairs[u]), span)
-                d -= 1
-                table[u] = (lids(s, d) if k != int(EventKind.GET)
-                            else (lids(s, d), lids(d, s)))
-            self._routes[k] = (idx, inverse, table)
+            src, dst = self.pe_src[k], columns.partner[idx]
+            bad = np.flatnonzero(((dst < 0) | (dst >= cells)) & (dst != src))
+            if len(bad):    # refused as TorusTopology.route refuses it
+                topology.route(int(src[bad[0]]), int(dst[bad[0]]))
+            unique, first, inverse = np.unique(
+                src * cells + dst, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            keys = unique[order]
+            if k == int(EventKind.GET):     # the request's, the reply's
+                keys = np.stack((keys, keys % cells * cells + keys // cells),
+                                axis=1).ravel()
+            kinds.append((k, idx, inverse, order, len(keys) // len(order)))
+            pairs.append(keys)
+        if not kinds:
+            self._routes = ({}, None, None)
+            return self._routes
+        tail, head, hops = _torus_links(topology, *np.divmod(
+            np.concatenate(pairs), cells))
+        links, first, inverse = np.unique(
+            tail * cells + head, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        tails, heads = np.divmod(links[order], cells)
+        self.link_table = list(zip(tails.tolist(), heads.tolist()))
+        lids = order.argsort().astype(np.int32)[inverse]
+        flat, ends = lids.tolist(), np.cumsum(hops).tolist()
+        routes = np.fromiter([tuple(flat[lo:hi]) for lo, hi in zip(
+            [0, *ends], ends)], dtype=object, count=len(ends))
+        tables, done = {}, 0
+        for k, idx, inverse, order, step in kinds:
+            rank = done + step * order.argsort()
+            table = routes[rank] if step == 1 else np.fromiter(
+                zip(routes[rank], routes[rank + 1]), dtype=object,
+                count=len(rank))
+            tables[k] = (idx, inverse, table, rank)
+            done += step * len(order)
+        self._routes = (tables, hops, lids)
         return self._routes
 
 
@@ -661,31 +670,52 @@ class _Program:
     step (``run_costs``, a :class:`repro.mlsim.runs.RunCosts`), one with
     chains for the superstep step (``chain_costs``, a
     :class:`repro.mlsim.supersteps.ChainCosts`).  The slots a stepped
-    replay reads (``lists``) take the index's form: dicts of the rows it
-    reads where the index has ``keys``, and a replay that declines the
-    steps gets lists over every row, built on first use
-    (:meth:`operands`); else both read the same lists over every row.
+    replay reads (``lists``) are lists in the index's numbering, and a
+    replay that declines the steps gets lists over every row, built on
+    first use (:meth:`operands`); in a trace without steps both read the
+    same lists.
     """
 
-    __slots__ = ("index", "params", "costs", "lists", "_full", "run_costs",
+    __slots__ = ("index", "params", "lists", "_full", "run_costs",
                  "chain_costs", "dma_setup", "send_flag_tail", "send_theft",
                  "get_send_cpu")
 
     def __init__(self, index: _TraceIndex, params: MLSimParams) -> None:
         self.index = index
         self.params = params
-        columns = index.columns
         p = params
-        hw = p.hardware_put_get
         # Per-preset scalar constants (put_model functions of params only).
         self.dma_setup = send_dma_setup_time(p)
         self.send_flag_tail = send_complete_to_flag_time(p)
         self.send_theft = send_complete_cpu_theft(p)
         self.get_send_cpu = get_send_cpu_time(p, 0)
-        kind = columns.kind
-        total = len(kind)
+        costs = self._costs()
+        rows = index.rows
+        self.lists = _operand_lists(costs if rows is None else costs[:, rows])
+        self._full = self.lists if rows is None else None
+        self.run_costs: RunCosts | None = None
+        self.chain_costs: ChainCosts | None = None
+        if index.runs is not None:
+            from repro.mlsim.runs import RunCosts
+
+            self.run_costs = RunCosts(
+                index.columns.kind, index.runs, costs, self.dma_setup,
+                self.send_flag_tail, self.send_theft, self.get_send_cpu)
+        if index.supersteps is not None:
+            from repro.mlsim.supersteps import ChainCosts
+
+            self.chain_costs = ChainCosts(
+                index.supersteps, costs, p.barrier_lib_time,
+                p.creg_access_time)
+
+    def _costs(self) -> np.ndarray:
+        """The six float slots of every row, as one ``(6, rows)`` array."""
+        index = self.index
+        columns = index.columns
+        p = self.params
+        hw = p.hardware_put_get
         by_kind = index.by_kind
-        costs = np.zeros((6, total))
+        costs = np.zeros((6, len(columns.kind)))
         f0, f1, f2, f3, f4, f5 = costs
 
         def idx_of(k: EventKind) -> np.ndarray:
@@ -792,53 +822,22 @@ class _Program:
         idx = idx_of(EventKind.REMOTE_STORE)
         if len(idx):
             f0[idx] = recv_cpu_theft(p, columns.size[idx])
-
-        self.costs: np.ndarray | None = None
-        self._full: tuple[list[float], ...] | None = None
-        if index.keys is None:
-            self.lists = self._full = _operand_lists(costs)
-        else:
-            self.lists = _operand_dicts(costs.take(index.keys, axis=1),
-                                        index.keys)
-            self.costs = costs          # kept for the full lists
-        self.run_costs: RunCosts | None = None
-        self.chain_costs: ChainCosts | None = None
-        if index.runs is not None:
-            from repro.mlsim.runs import RunCosts
-
-            self.run_costs = RunCosts(
-                kind, index.runs, costs, self.dma_setup,
-                self.send_flag_tail, self.send_theft, self.get_send_cpu)
-        if index.supersteps is not None:
-            from repro.mlsim.supersteps import ChainCosts
-
-            self.chain_costs = ChainCosts(
-                index.supersteps, costs, p.barrier_lib_time,
-                p.creg_access_time)
+        return costs
 
     def operands(self, stepped: bool) -> tuple:
-        """The float slots: ``stepped`` (the loop replays runs and chains
-        as steps) the rows it reads, in the index's form, else lists over
-        every row."""
+        """The float slots, as lists: ``stepped`` (the loop replays runs
+        and chains as steps) in the index's numbering, else over every
+        row."""
         if stepped:
             return self.lists
-        if self._full is None:       # dict slots: costs are kept
-            assert self.costs is not None
-            self._full = _operand_lists(self.costs)
+        if self._full is None:
+            self._full = _operand_lists(self._costs())
         return self._full
-
-
-def _operand_dicts(arrays: np.ndarray | tuple[np.ndarray, ...],
-                   keys: list[int]) -> tuple[dict, ...]:
-    """``arrays``, the values of rows ``keys``, as dicts keyed by row."""
-    return tuple(dict(zip(keys, arr.tolist())) for arr in arrays)
 
 
 def _operand_lists(arrays: np.ndarray | tuple[np.ndarray, ...],
                    zero: float = 0.0) -> tuple[list, ...]:
-    """``arrays`` as lists over every row (an array no kind wrote: one
-    shared list of ``zero``), the slots of a replay that reads every
-    row (:class:`_TraceIndex`)."""
+    """``arrays`` as lists, those no kind wrote one shared list of ``zero``."""
     zeros = None
     lists = []
     for arr in arrays:
@@ -933,14 +932,14 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
         assert run_costs is not None
         run_step = run_costs.replay
         at = runs.at
-    chains: dict = {}                   # by the rows that open them
+    chains: dict = {}                   # by the positions that open them
     chain = None                        # the chain whose opening is released
     if stepped and program.chain_costs is not None:
         from repro.mlsim.supersteps import observe
 
         chains = program.chain_costs.at
         chain_step = program.chain_costs.replay
-    starts = index.starts
+    starts = index.starts if stepped else columns.starts.tolist()
     f0, f1, f2, f3, f4, f5 = program.operands(stepped)
 
     # Per-preset scalar constants (put_model functions of params only).
@@ -1496,7 +1495,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 clk += creg_access
                 over += creg_access
             elif op == _RUN:
-                clk, over, th, i = run_step(
+                clk, over, th = run_step(
                     at[i], clk, over, th, chan_last, theft, flag_times,
                     flag_waiters, queued, runnable, metrics)
             elif record:

@@ -28,8 +28,10 @@ as the loop's rows would:
 
 Message counts and bytes, and the bytes and frames each link carries,
 are integer sums: a replay that steps the runs adds their totals once.
-The loop reaches a run through one opcode at its first row; under link
-contention or a timeline it declines the step and replays the rows.
+The loop reaches a run through one opcode at its first row, the run's
+one position in the stepped replay's numbering, and moves past it as
+past any row; under link contention or a timeline it declines the step
+and replays the rows.
 The engine imports this module only for a trace that has runs.
 """
 
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import chain
 
 import numpy as np
 
@@ -184,12 +185,13 @@ def _expand(counts: np.ndarray, seg: np.ndarray, lengths: np.ndarray,
 class Runs:
     """The preset-independent plan of every run of a trace.
 
-    ``first``, ``stop`` and ``pe`` list the runs' bounds and PEs in row
-    order; ``at`` maps a run's first row to the record the step unpacks,
-    ``(k, a, b, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1,
-    flags, owed, owed_slot, t0, t1, dma, dma_slot)``:
+    ``first``, ``stop`` and ``pe`` list the runs' bounds (trace rows)
+    and PEs in row order; ``at`` maps a run's first row's position in
+    the stepped replay's numbering (``keys``, given by the index) to the
+    record the step unpacks, ``(k, a, b, chans, gets, g0, g1, sends, s0,
+    s1, recvs, r0, r1, flags, owed, owed_slot, t0, t1, dma, dma_slot)``:
 
-    * ``k`` is the run's number and ``a:b`` its rows;
+    * ``k`` is the run's number and ``a:b`` its trace rows;
     * ``chans`` pairs each partner, ascending, with the key of the
       channel its requests take (``pe * n + partner``) and their
       positions in the run, then the key of the channel back and the
@@ -226,7 +228,7 @@ class Runs:
                  "link_frames", "_is_get", "_size")
 
     def __init__(self, columns: TraceColumns, first: np.ndarray,
-                 stop: np.ndarray, pe: np.ndarray) -> None:
+                 stop: np.ndarray, pe: np.ndarray, keys: np.ndarray) -> None:
         n, count = columns.num_pes, len(first)
         length = stop - first
         total = int(length.sum())
@@ -263,7 +265,7 @@ class Runs:
         if np.array_equal(landed, got):
             recv_at = get_at        # the GETs' replies raise every flag
         self.at = {}
-        for k in range(count):
+        for k, key in enumerate(keys.tolist()):
             a, g0, g1, s0, s1, r0, r1, t0, t1 = (
                 self.first[k], g[k], g[k + 1], s[k], s[k + 1], r[k],
                 r[k + 1], t[k], t[k + 1])
@@ -274,7 +276,7 @@ class Runs:
                              None if gets is None else _EVERY)]
             else:
                 channels = chans[c[k]:c[k + 1]]
-            self.at[a] = (
+            self.at[key] = (
                 k, a, self.stop[k], channels, gets, g0, g1,
                 send_at[s0:s1] if s1 > s0 else None, s0, s1,
                 None if r1 == r0 else gets if recv_at is get_at
@@ -286,39 +288,33 @@ class Runs:
                 None if d[k + 1] - d[k] == 1 else dma_slot[e[k]:e[k + 1]])
         self.links: list[tuple] = []
 
-    def plan_links(self, number: np.ndarray, put: np.ndarray,
-                   get: np.ndarray, nlinks: int) -> None:
-        """The runs' link charges, from the trace's routes: the PUT
-        routes, the GET routes as (request, reply) pairs, and each
-        row's route number in its kind's.  Sets ``links``, per run
-        ``(lids, slot, l0, l1)``: the links it charges, ascending, each
-        charge's position among them (``None``: one link) and its slice
-        of the charges, in the loop's order, of which each row's request
-        and reply make ``charges`` (row by row, the request's first);
-        and ``link_bytes`` and ``link_frames``, what the runs put on
-        each link."""
+    def plan_links(self, number: np.ndarray, hops: np.ndarray,
+                   flat: np.ndarray, nlinks: int) -> None:
+        """The runs' link charges, from the trace's routes: each row's
+        request route number (a GET's reply route is the next), each
+        route's hop count and the 32-bit link ids of all routes, route by
+        route (``flat``).  Sets ``links``, per run ``(lids, slot, l0,
+        l1)``: the links it charges, ascending, each charge's position
+        among them (``None``: one link) and its slice of the charges, in
+        the loop's order, of which each row's request and reply make
+        ``charges`` (row by row, the request's first); and ``link_bytes``
+        and ``link_frames``, what the runs put on each link."""
         rows, is_get, count = self.rows, self._is_get, len(self.first)
         # Each row charges its request route, then (GET) its reply route:
         # two segments per row, segment 0 the PUT's empty reply route.
-        segments = [(), *put, *chain.from_iterable(get)]
-        mine = number[rows]
+        lengths = np.append(0, hops).astype(np.int32)
         seg = np.empty((len(rows), 2), dtype=np.intp)
-        seg[:, 0] = np.where(is_get, 1 + len(put) + 2 * mine, 1 + mine)
+        seg[:, 0] = number[rows] + 1
         seg[:, 1] = np.where(is_get, seg[:, 0] + 1, 0)
-        del mine
-        lengths = np.fromiter(map(len, segments), dtype=np.int32,
-                              count=len(segments))
-        flat = np.fromiter(chain.from_iterable(segments), dtype=np.int32,
-                           count=int(lengths.sum()))
         # Frames and bytes per route (a GET's request carries none),
         # then per link: integer sums, exact in float64.
-        route = np.repeat(np.arange(len(segments)), lengths)
+        route = np.repeat(np.arange(len(lengths)), lengths)
         for name, weights in (
                 ("link_frames", np.bincount(seg.ravel(),
-                                            minlength=len(segments))),
+                                            minlength=len(lengths))),
                 ("link_bytes", np.bincount(
                     np.where(is_get, seg[:, 1], seg[:, 0]),
-                    weights=self._size, minlength=len(segments)))):
+                    weights=self._size, minlength=len(lengths)))):
             setattr(self, name, np.bincount(
                 flat, weights=weights[route], minlength=nlinks
             ).astype(np.int64).tolist())
@@ -402,11 +398,11 @@ class RunCosts:
     def replay(self, run: tuple, clk: float, over: float, th: float,
                chan_last: dict, theft: list, flag_times: dict,
                flag_waiters: dict, queued: set, runnable: deque,
-               metrics: tuple | None) -> tuple[float, float, float, int]:
+               metrics: tuple | None) -> tuple[float, float, float]:
         """Replay ``run`` (a :class:`Runs` record) on the loop's state
         (``metrics`` the DMA and link busy accumulators and the link
         values, or ``None``): returns the PE's clock, overhead and
-        pending theft after its last row, and that row."""
+        pending theft after its last row."""
         (k, a, b, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1, flags,
          owed, owed_slot, t0, t1, dma, dma_slot) = run
         # The clock and the overhead take the same addends: the theft
@@ -486,7 +482,7 @@ class RunCosts:
             lids, slot, l0, l1 = self.plan.links[k]
             if lids:
                 _add_in_order(link_busy, lids, slot, values[l0:l1])
-        return float(clocks[-1]), float(overs[-1]), self.pending[k], b - 1
+        return float(clocks[-1]), float(overs[-1]), self.pending[k]
 
 
 def fifo(depart: np.ndarray, raw: np.ndarray,

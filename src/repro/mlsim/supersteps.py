@@ -103,15 +103,18 @@ class Supersteps:
     theft before the first, and its clock columns, holding a CREG row's
     or the library's time as overhead, a COMPUTE row's as execution and
     an RTSYS row's as RTSYS (``sums``: each cell's flat position there,
-    ``lib_sums``: the library's).  ``at`` is every chain
-    (:class:`Chain`) by the row of its opening collective on each PE.
+    ``lib_sums``: the library's).  Rows are trace rows; ``at`` is every
+    chain (:class:`Chain`) by the position of its opening collective on
+    each PE in the stepped replay's numbering (``open_at``, given by the
+    index, as is ``close_at``, the positions of its closing ones).
     """
 
     __slots__ = ("rows", "at", "chains", "cell_rows", "cells", "sums",
                  "creg", "lib", "lib_sums", "ncols", "nsums")
 
     def __init__(self, columns: TraceColumns, rows: np.ndarray,
-                 firsts: np.ndarray, lasts: np.ndarray) -> None:
+                 firsts: np.ndarray, lasts: np.ndarray, open_at: np.ndarray,
+                 close_at: np.ndarray) -> None:
         n, c = rows.shape
         self.rows = rows
         kinds = columns.kind[rows[0]]
@@ -179,14 +182,15 @@ class Supersteps:
         keys = [(bool(key & 1), key >> 1) for key in pairs]
         self.chains: list[Chain] = []
         self.at: dict[int, Chain] = {}
-        for a, b, counts, (messages, nbytes) in zip(
-                firsts.tolist(), lasts.tolist(), advanced, traffic):
-            chain = Chain(n, a, b, rows, barrier, start, width, sum_start,
+        for a, b, opens, close, counts, (messages, nbytes) in zip(
+                firsts.tolist(), lasts.tolist(), open_at.T.tolist(),
+                close_at.T.tolist(), advanced, traffic):
+            chain = Chain(n, a, b, close, barrier, start, width, sum_start,
                           finish, length)
             chain.gens = [(*key, k) for key, k in zip(keys, counts) if k]
             chain.messages, chain.nbytes = messages, nbytes
             self.chains.append(chain)
-            self.at.update(dict.fromkeys(rows[:, a].tolist(), chain))
+            self.at.update(dict.fromkeys(opens, chain))
 
 
 class Chain:
@@ -201,28 +205,27 @@ class Chain:
     ``wait_order`` the positions in the arrival order at the chain's
     opening of the PEs in the order the loop would finish that barrier);
     ``tail`` the collectives 1..m and the position in that arrival order
-    of the PE that arrives last at each.  ``inside`` bounds the rows
-    between the first and the last collective, per PE, which the loop
-    does not read; ``close`` are the last one's rows, ``gens`` the
+    of the PE that arrives last at each.  ``close`` are the last one's
+    positions per PE in the stepped replay's numbering, where the step
+    leaves the cursors; ``gens`` the
     generations the chain's collectives advance, ``messages`` and
     ``nbytes`` the VGOP ring traffic of the ones the step finishes.
     """
 
-    __slots__ = ("n", "m", "a", "close", "inside", "barrier", "bounds",
+    __slots__ = ("n", "m", "a", "close", "barrier", "bounds",
                  "lo", "width", "sums", "finish", "waits", "wait_order",
                  "tail", "gens", "messages", "nbytes")
     gens: list[tuple[bool, int, int]]
     messages: int
     nbytes: int
 
-    def __init__(self, n: int, a: int, b: int, rows: np.ndarray,
+    def __init__(self, n: int, a: int, b: int, close: list[int],
                  barrier: np.ndarray, start: np.ndarray, width: np.ndarray,
                  sum_start: np.ndarray, finish: np.ndarray,
                  length: np.ndarray) -> None:
         m = b - a
         self.n, self.m, self.a = n, m, a
-        self.close = rows[:, b].tolist()
-        self.inside = (rows[:, a] + 1, rows[:, b])
+        self.close = close
         self.barrier = barrier[a:b].tolist()
         self.lo, self.width = start[a + 1:b + 1], width[a + 1:b + 1]
         self.bounds = (self.lo.tolist(), (self.lo + self.width).tolist())

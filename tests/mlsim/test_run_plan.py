@@ -90,7 +90,10 @@ def assert_plans_equal(columns) -> int:
     for k, (a, b, pe) in enumerate(zip(plan.first, plan.stop, plan.pe)):
         ref = Run(columns, a, b, pe)
         ref.plan_links(columns, full)
-        record = plan.at[a]
+        # Keyed by the first row's position in the stepped numbering.
+        key = int(index.rows.searchsorted(a))
+        assert index.rows[key] == a
+        record = plan.at[key]
         (kk, ra, rb, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1,
          flags, owed, owed_slot, t0, t1, dma, dma_slot) = record
         rows = b - a

@@ -24,12 +24,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.workloads import workload
 from repro.bench.cache import jsonify
-from repro.core.errors import SimulationError
+from repro.core.errors import ConfigurationError, SimulationError
+from repro.machine.config import MachineConfig
+from repro.machine.machine import Machine
 from repro.mlsim import engine_soa, supersteps
 from repro.mlsim.engine_soa import compile_program, replay_columns, trace_index
 from repro.mlsim.params import MLSimParams, preset
@@ -40,6 +42,7 @@ from repro.trace.events import EventKind, TraceEvent
 from repro.trace.soa import columns_from_buffer
 
 from .reference_engine import MLSimEngine
+from tests.programs import EVERY_OP, MEMORY, programs, round_program
 from tests.trace.views import record
 
 PRESETS = ("ap1000", "ap1000-fast", "ap1000+")
@@ -650,7 +653,10 @@ class TestSupersteps:
         assert_equivalent(trace, (preset("ap1000"), ZERO))
         index = trace_index(columns_from_buffer(trace))
         last = index.supersteps.chains[-1]
-        assert last.close == (index.columns.starts[1:] - 1).tolist()
+        # Each PE's last position in the stepped numbering, its last row.
+        assert last.close == [end - 1 for end in index.starts[1:]]
+        assert index.rows[last.close].tolist() == (
+            index.columns.starts[1:] - 1).tolist()
 
     def test_pending_theft_enters_the_chain(self, monkeypatch):
         pending = []
@@ -716,8 +722,7 @@ class TestSupersteps:
 def stepped_trace(seed: int, covered: str) -> TraceBuffer:
     """A generated program with a run and a chain of supersteps whose
     steps cover most of its rows (``covered`` "most": a stepped replay
-    reads few, and its operand slots are dicts of those) or few ("few":
-    lists over every row).  The chain is a step only with the
+    visits few) or few ("few").  The chain is a step only with the
     break-even lowered to zero."""
     rng = random.Random(seed)
     n = rng.randint(2, 5)
@@ -744,10 +749,25 @@ def stepped_trace(seed: int, covered: str) -> TraceBuffer:
     return tie_trace(n, [*filler[:cut], *steps, *filler[cut:]])
 
 
+def visited(index) -> list[int]:
+    """The rows a stepped replay visits, by the rule: all but a run's
+    past its first row and a chain's of each PE between its opening and
+    closing collectives."""
+    skipped = set()
+    runs, plan = index.runs, index.supersteps
+    for first, stop in zip(runs.first, runs.stop):
+        skipped.update(range(first + 1, stop))
+    for chain in plan.chains:
+        for opening, closing in plan.rows[:, [chain.a, chain.a + chain.m]]:
+            skipped.update(range(opening + 1, closing))
+    return [row for row in range(len(index.columns.kind))
+            if row not in skipped]
+
+
 class TestOperandForms:
-    """A stepped replay's operand slots are dicts of the rows it reads
-    where those are few, else lists over every row; a replay that
-    declines the steps gets lists over every row either way."""
+    """A stepped replay's operand slots are lists over the rows it
+    visits, numbered densely, whether those are few or most; a replay
+    that declines the steps gets lists over every row."""
 
     @pytest.mark.parametrize("covered", ["most", "few"])
     @pytest.mark.parametrize("seed", range(6))
@@ -755,23 +775,32 @@ class TestOperandForms:
         trace = stepped_trace(seed, covered)
         trace.coalesce_compute()
         with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
-            index = trace_index(columns_from_buffer(trace))
+            columns = columns_from_buffer(trace)
+            index = trace_index(columns)
             assert index.runs is not None and index.supersteps is not None
-            sparse = index.keys is not None
-            assert sparse == (covered == "most")
-            assert {type(slot) for slot in index.operands(True)} == {
-                dict if sparse else list}
+            rows = visited(index)
+            assert index.rows.tolist() == rows
+            assert (2 * len(rows) < columns.total_events) == (
+                covered == "most")
+            program = compile_program(columns, preset("ap1000+"))
+            for stepped, length in ((True, len(rows)),
+                                    (False, columns.total_events)):
+                slots = (*index.operands(stepped),
+                         *program.operands(stepped))
+                assert {type(slot) for slot in slots} == {list}
+                assert {len(slot) for slot in slots} == {length}
             assert_equivalent(trace, tuple(map(preset, PRESETS)))
 
     def test_timeline_and_contention_after_a_sparse_replay(self):
-        """The full lists come after the dicts, on the same index."""
+        """The full lists come after the compact ones, on the same
+        index."""
         trace = stepped_trace(0, "most")
         trace.coalesce_compute()
         columns = columns_from_buffer(trace)
         plus = preset("ap1000+")
         with mock.patch.multiple(engine_soa, _CHAIN_MIN=0, _CHAIN_STEP=0):
             stepped = replay_columns(columns, plus, collect_metrics=True)
-            assert trace_index(columns).keys is not None
+            assert len(trace_index(columns).rows) < columns.total_events
             timeline = replay_columns(columns, plus, record_timeline=True,
                                       collect_metrics=True)
             contended = replay_columns(columns, plus, link_contention=True,
@@ -784,6 +813,74 @@ class TestOperandForms:
             if result is timeline:
                 assert timeline_rows(result.timeline) == timeline_rows(
                     engine.timeline)
+
+
+def forced_steps():
+    """Every stretch of two PUT/GET rows a run, every chain of two
+    supersteps a step."""
+    return mock.patch.multiple(engine_soa, _RUN_MIN=2, _CHAIN_MIN=0,
+                               _CHAIN_STEP=0)
+
+
+class TestGeneratedSteps:
+    """Generated programs (``tests/programs.py``) recorded on the
+    functional machine and replayed with the steps forced: traces that
+    mix runs, chains and the rows between them as no shipped app does,
+    under the three presets, a stepped replay with metrics, a timeline
+    and a contention replay each against the oracle."""
+
+    def record(self, steps, cells: int) -> TraceBuffer:
+        machine = Machine(MachineConfig(num_cells=cells,
+                                        memory_per_cell=MEMORY))
+        machine.run(lambda ctx: round_program(ctx, steps))
+        return machine.trace
+
+    @pytest.mark.parametrize("cells", [2, 5])
+    def test_every_op_mixes_runs_chains_and_rows(self, cells):
+        trace = self.record(EVERY_OP, cells)
+        trace.coalesce_compute()
+        with forced_steps():
+            index = trace_index(columns_from_buffer(trace))
+            assert index.runs is not None and index.supersteps is not None
+            assert index.rows.tolist() == visited(index)
+            assert_equivalent(trace)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=programs, cells=st.integers(2, 5))
+    def test_forced_steps_replay_bit_for_bit(self, steps, cells):
+        trace = self.record(steps, cells)
+        with forced_steps():
+            assert_equivalent(trace)
+
+
+class TestLinkRoutes:
+    """The link plan's routes, resolved in one array pass, are the hops
+    of ``TorusTopology.route``."""
+
+    @pytest.mark.parametrize("width, height", [
+        (1, 1), (1, 6), (2, 2), (4, 4), (3, 5), (8, 2), (6, 4)])
+    def test_every_pair_on_every_shape(self, width, height):
+        """Odd and even rings (a tie between the arcs goes forward),
+        rings of one and two cells, and a cell sending itself."""
+        topology = TorusTopology(width=width, height=height)
+        cells = width * height
+        src, dst = np.divmod(np.arange(cells * cells), cells)
+        tail, head, hops = engine_soa._torus_links(topology, src, dst)
+        paths = [topology.route(s, d)
+                 for s, d in zip(src.tolist(), dst.tolist())]
+        assert hops.tolist() == [len(path) for path in paths]
+        assert list(zip(tail.tolist(), head.tolist())) == [
+            hop for s, path in zip(src.tolist(), paths)
+            for hop in zip([s, *path[:-1]], path)]
+
+    def test_a_partner_off_the_torus_is_refused(self):
+        buf = TraceBuffer(num_pes=4)
+        record(buf, TraceEvent(EventKind.PUT, pe=0, partner=1, size=8))
+        record(buf, TraceEvent(EventKind.PUT, pe=1, partner=9, size=8))
+        index = trace_index(columns_from_buffer(buf))
+        with pytest.raises(ConfigurationError, match="cell id 9"):
+            index.link_plan()
 
 
 class TestProgramRefusals:
