@@ -4,9 +4,11 @@
 What it costs *the host* to take a recorded trace through the warm
 path — ``load_trace`` (file -> buffer; the block mapped and checked,
 no event built), ``load_trace_columns`` (file -> replay columns, what
-``repro replay`` and the bench runner use), ``trace_index`` and its
-``link_plan`` (the per-trace replay plan every preset shares, built
-once per decode) and ``compile_program`` (one preset's costs), all
+``repro replay`` and the bench runner use), ``trace_index`` (the
+per-trace replay plan every preset shares, built once per decode),
+``compile_program`` (one preset's costs) and ``busy`` (the DMA and link
+busy sums of a replay with metrics, made on first use: the index's
+link charges, shared by every preset, and one preset's sums), all
 three timed on freshly decoded columns, then ``replay_columns`` under
 each preset, the cache entry's trace file (``save_trace_v2`` of a
 freshly loaded buffer)
@@ -18,15 +20,15 @@ OpenSHMEM-on-Epiphany paper.  The simulated elapsed time of the same
 trace is printed in ``sim_us`` columns of its own; the two clock
 domains never share a column.  Every replay collects its metrics, as
 the bench runner's do.  ``replay calls`` is the profiled calls per
-event of one ``ap1000+`` replay (the program compiled and the link plan
-made beforehand, as ``tests/mlsim/test_replay_cost.py`` counts them), a
-count that repeats exactly; ``--max-replay-calls TRACE N`` (once per
-trace it holds) exits 1 naming each trace whose count exceeds its N (CI
-passes that test's ceilings for CG and TC no st).  ``plan calls`` is the
-same count for planning a replay of fresh columns — ``trace_index``, its
-``link_plan`` and one ``compile_program`` — and ``--max-plan-calls
-TRACE N`` holds it as the other holds replays (CI: TC no st and
-RingShift).
+event of one ``ap1000+`` replay (the program compiled and its busy
+sums made beforehand, as ``tests/mlsim/test_replay_cost.py`` counts
+them), a count that repeats exactly; ``--max-replay-calls TRACE N``
+(once per trace it holds) exits 1 naming each trace whose count
+exceeds its N (CI passes that test's ceilings for CG and TC no st).
+``plan calls`` is the same count for planning a replay with metrics of
+fresh columns — ``trace_index``, one ``compile_program`` and its
+``busy`` — and ``--max-plan-calls TRACE N`` holds it as the other
+holds replays (CI: TC no st and RingShift).
 
     python scripts/consume_cost.py [--json F] [--max-replay-calls TRACE N]...
         [--max-plan-calls TRACE N]...
@@ -77,7 +79,7 @@ def main() -> int:
     parser.add_argument("--max-plan-calls", nargs=2, action="append",
                         default=[], metavar=("TRACE", "N"),
                         help="exit 1 if planning a replay of TRACE (index, "
-                        "link plan, one compile) makes more than N "
+                        "one compile, its busy sums) makes more than N "
                         "profiled calls per trace event (repeat per trace)")
     args = parser.parse_args()
     ceilings: dict[str, dict[str, float]] = {"replay": {}, "plan": {}}
@@ -107,13 +109,12 @@ def main() -> int:
     from repro.trace.io import load_trace, load_trace_columns, save_trace_v2
 
     def plan(fresh, params):
-        """The replay's plan on fresh columns: index, link plan, one
-        program."""
-        trace_index(fresh).link_plan()
-        compile_program(fresh, params)
+        """The plan of a replay with metrics on fresh columns: index, one
+        program, its busy sums."""
+        compile_program(fresh, params).busy()
 
     presets = [preset(name) for name in PRESETS]
-    stages = ["load", "decode", "index", "link plan", "compile",
+    stages = ["load", "decode", "index", "compile", "busy",
               *(f"replay {name}" for name in PRESETS), "save", "export"]
     print(f"min of {args.repeats}; host_us = host wall clock per trace "
           "event, sim_us = simulated elapsed time of the whole trace")
@@ -145,13 +146,15 @@ def main() -> int:
             for _ in range(args.repeats):
                 # The plan hangs off the columns: fresh ones per round.
                 fresh = load_trace_columns(path)
-                seconds, index = least(1, trace_index, fresh)
-                cost["index"] = min(cost["index"], seconds)
-                cost["link plan"] = min(cost["link plan"],
-                                        least(1, index.link_plan)[0])
-                for params in presets:
-                    cost["compile"] = min(cost["compile"], least(
-                        1, compile_program, fresh, params)[0])
+                cost["index"] = min(cost["index"],
+                                    least(1, trace_index, fresh)[0])
+                for k, params in enumerate(presets):
+                    seconds, program = least(1, compile_program, fresh,
+                                             params)
+                    cost["compile"] = min(cost["compile"], seconds)
+                    if not k:       # the index's link charges, then sums
+                        cost["busy"] = min(cost["busy"],
+                                           least(1, program.busy)[0])
             sim = {}
             for name, params in zip(PRESETS, presets):
                 program = compile_program(columns, params)
@@ -161,7 +164,7 @@ def main() -> int:
                 sim[name] = result.elapsed_us
             plus = presets[PRESETS.index("ap1000+")]
             program = compile_program(columns, plus)
-            program.index.link_plan()
+            program.busy()
             profile = cProfile.Profile()
             profile.runcall(replay_columns, columns, plus,
                             collect_metrics=True, program=program)

@@ -63,7 +63,16 @@ throughput:
   every other PE is parked there, and the step advances them all in
   numpy operations over the PE axis to the release of the chain's last
   collective, leaving every float and all scheduler state as the rows
-  would.  It declines where the run step does.
+  would.  It declines where the run step does;
+* what no visit order can change is no part of the pass.  Message
+  counts and bytes are counted from the kind partition when the trace
+  is indexed.  Each PE's DMA busy time and each link's busy time,
+  bytes and frames are sums over the PUT, GET and SEND rows in
+  trace-row order — PE by PE, each PE's rows in order, a GET's request
+  before its reply — in one ``np.bincount`` per preset
+  (:meth:`_Program.busy`).  The pass keeps what only it knows: clocks,
+  buckets and the two wait histograms, whose sums follow the order it
+  visits PEs in.
 
 Scheduling replicates the oracle's runnable-deque discipline event for
 event.  Every scheduling decision (park, wake, completion) is a
@@ -178,15 +187,27 @@ _INSTANT_NAME = {
     int(EventKind.SPILL): "SPILL",
 }
 
+#: The kinds that keep a DMA and links busy.
+_WIRED = (int(EventKind.PUT), int(EventKind.SEND), int(EventKind.GET))
+
+#: Messages per row of the kinds that send any, and whether each row
+#: carries its size on the wire; a VGOP adds ``group_size - 1`` ring
+#: messages of its size per member (:func:`_traffic`).
+_SENT = {int(EventKind.PUT): (1, True), int(EventKind.GET): (2, True),
+         int(EventKind.SEND): (1, True),
+         int(EventKind.REMOTE_LOAD): (2, False),
+         int(EventKind.REMOTE_STORE): (1, True)}
+
 #: log2 bucket count of repro.obs.registry.Histogram (bounds 2^0..2^20
 #: plus overflow); the interpreter computes bucket indices with frexp
 #: instead of the Histogram's linear scan.
 _HIST_OVERFLOW = 21
 
 #: Fewest consecutive PUT/GET rows the loop replays as one run step: the
-#: break-even.  With metrics on, the step costs about 45 µs whatever its
-#: length up to a few dozen rows, the loop about 1.45 µs per row (2-vCPU
-#: KVM guest, CPython 3.11, numpy 2.4), so they meet at 31-32 rows.
+#: break-even.  The step costs 36-39 µs on runs of 24 to 32 rows, with
+#: metrics on or off (they are no part of it), the loop 1.1-1.6 µs per
+#: such row, so they meet at 24-34 rows (2-vCPU Xeon KVM guest, CPython
+#: 3.11.7, numpy 2.4.6; bursts of PUT/GET rows, best of 150 replays).
 _RUN_MIN = 32
 
 #: The superstep step's break-even, in rows of a chain (every PE's, from
@@ -286,6 +307,24 @@ def _partition(columns: TraceColumns) -> tuple[dict, np.ndarray]:
     pe_of = np.repeat(np.arange(columns.num_pes, dtype=np.int64),
                       np.diff(columns.starts))
     return by_kind, pe_of
+
+
+def _traffic(columns: TraceColumns, by_kind: dict) -> tuple[int, int]:
+    """The messages and bytes a replay puts on the wire (``_SENT``),
+    from ``by_kind``, the trace's rows by kind."""
+    messages = nbytes = 0
+    for k, (sent, carried) in _SENT.items():
+        idx = by_kind.get(k)
+        if idx is not None:
+            messages += sent * len(idx)
+            if carried:
+                nbytes += int(columns.size[idx].sum())
+    idx = by_kind.get(int(EventKind.VGOP))
+    if idx is not None:
+        ring = columns.group_size[idx] - 1
+        messages += int(ring.sum())
+        nbytes += int((columns.size[idx] * ring).sum())
+    return messages, nbytes
 
 
 def _find_runs(columns: TraceColumns, pe_of: np.ndarray,
@@ -406,11 +445,12 @@ class _TraceIndex:
     :class:`repro.mlsim.runs.Runs`: all of them from one pass over their
     rows) and superstep chains (``supersteps``) the loop replays as
     steps; the opcodes and integer operands of the interpreter (none of
-    which depend on timing parameters); and — materialized lazily
-    because only metric collection and link contention need them — the
-    routes of the message rows the loop reads one by one, as tuples of
-    dense physical-link ids, and the runs' link charges
-    (:meth:`link_plan`).
+    which depend on timing parameters); the totals no replay order can
+    change — ``messages`` and ``bytes_on_wire``, and the PUT, GET and
+    SEND rows (``wired``) whose DMA and link charges the programs sum —
+    and, materialized lazily because only metric collection
+    (:meth:`link_charges`) and link contention (:meth:`link_plan`) need
+    them, the messages' routes as dense physical-link ids.
 
     A stepped replay visits the rows outside runs and chains, each
     run's first row and each chain's opening and closing collectives.
@@ -425,9 +465,10 @@ class _TraceIndex:
     both.
     """
 
-    __slots__ = ("columns", "topology", "by_kind", "dist", "pe_src",
-                 "runs", "supersteps", "rows", "starts", "_lists",
-                 "instant_counts", "_routes", "_link_plans", "link_table")
+    __slots__ = ("columns", "topology", "by_kind", "dist", "runs",
+                 "supersteps", "rows", "starts", "_lists", "instant_counts",
+                 "messages", "bytes_on_wire", "wired", "_link_plan",
+                 "_charges", "link_table")
 
     def __init__(self, columns: TraceColumns,
                  topology: TorusTopology) -> None:
@@ -436,14 +477,11 @@ class _TraceIndex:
         total = len(columns.kind)
         self.by_kind, pe_of = _partition(columns)
         self.dist = {}
-        self.pe_src = {}
         for k in (int(EventKind.PUT), int(EventKind.GET),
                   int(EventKind.SEND), int(EventKind.REMOTE_LOAD)):
             idx = self.by_kind.get(k)
             if idx is not None:
-                src = pe_of[idx]
-                self.pe_src[k] = src
-                self.dist[k] = _torus_distances(topology, src,
+                self.dist[k] = _torus_distances(topology, pe_of[idx],
                                                 columns.partner[idx])
         runs = _find_runs(columns, pe_of, self.by_kind)
         chains = _find_chains(columns, pe_of, self.by_kind)
@@ -487,14 +525,19 @@ class _TraceIndex:
                                              lasts, position(opens),
                                              position(closes))
             self._lists = {True: _operand_lists((ops, *rest), 0)}
-        # Robustness instants never affect timing; count them up front.
+        # Robustness instants and message counts never depend on timing;
+        # count them up front.
         self.instant_counts = {"RETRY": 0, "TIMEOUT": 0, "SPILL": 0}
         for k, name in _INSTANT_NAME.items():
             idx = self.by_kind.get(k)
             if idx is not None:
                 self.instant_counts[name] = len(idx)
-        self._routes: tuple | None = None
-        self._link_plans: dict[bool, list] = {}
+        self.messages, self.bytes_on_wire = _traffic(columns, self.by_kind)
+        wired = [self.by_kind[k] for k in _WIRED if k in self.by_kind]
+        self.wired = np.sort(np.concatenate(wired), kind="stable") \
+            if wired else None
+        self._link_plan: list | None = None
+        self._charges: tuple | None = None
         self.link_table: list[tuple[int, int]] = []
 
     def _int_columns(self) -> tuple[np.ndarray, ...]:
@@ -504,22 +547,20 @@ class _TraceIndex:
         vectorized index assignments."""
         columns = self.columns
         i0 = columns.partner.copy()
-        i1 = columns.size.copy()
+        i1 = np.zeros_like(i0)
         i2 = columns.send_flag.copy()
         i3 = columns.recv_flag.copy()
+        collective = (columns.group, None, columns.group_size, 0)
         rewrites = (
             (EventKind.FLAG_WAIT,
              (columns.flag, columns.target, 0, 0)),
             (EventKind.SEND,
              (None, None, columns.msg_id, 0)),
             (EventKind.RECV,
-             (columns.msg_id, 0, 0, 0)),
-            (EventKind.BARRIER,
-             (columns.group, 0, columns.group_size, 0)),
-            (EventKind.GOP,
-             (columns.group, None, columns.group_size, 0)),
-            (EventKind.VGOP,
-             (columns.group, None, columns.group_size, 1)),
+             (columns.msg_id, None, 0, 0)),
+            (EventKind.BARRIER, collective),
+            (EventKind.GOP, collective),
+            (EventKind.VGOP, collective),
         )
         for k, values in rewrites:
             idx = self.by_kind.get(int(k))
@@ -542,95 +583,82 @@ class _TraceIndex:
                 self._int_columns(), 0)
         return got
 
-    def link_plan(self, stepped: bool = True) -> list:
-        """Per-row link-id routes (metric collection, link contention).
+    def link_plan(self) -> list:
+        """Each row's route as link ids, for link contention: a tuple for
+        a PUT or SEND (empty for a self-send), a ``(request_route,
+        reply_route)`` pair for a GET and ``None`` for a row that is not
+        a message; link ids index ``link_table``.  A trace without PUT,
+        GET or SEND has the empty plan."""
+        if self._link_plan is None:
+            self._link_plan = []
+            if self.wired is not None:
+                _, link, counts, _, _ = self.link_charges()
+                flat, ends = link.tolist(), np.cumsum(counts).tolist()
+                routes = [tuple(flat[lo:hi])
+                          for lo, hi in zip([0, *ends], ends)]
+                plan = self._link_plan = [None] * len(self.columns.kind)
+                rows = self.wired
+                for row, get, request, reply in zip(
+                        rows.tolist(), (self.columns.kind[rows] == int(
+                            EventKind.GET)).tolist(),
+                        routes[0::2], routes[1::2]):
+                    plan[row] = (request, reply) if get else request
+        return self._link_plan
 
-        An entry is a tuple of link ids for a PUT or SEND (empty for a
-        self-send) and a ``(request_route, reply_route)`` pair for a GET;
-        link ids are dense indices into ``link_table``.  ``stepped`` (the
-        loop replays runs and chains as steps) gives a list over the
-        positions of ``rows`` and plans the runs' link charges
-        (:meth:`repro.mlsim.runs.Runs.plan_links`); else, or for a trace
-        without steps, a list over every row.  ``None`` is a row that is
-        not a message, and a trace without PUT, GET or SEND has the
-        empty plan.
-        """
-        rows = self.rows if stepped else None
-        plan = self._link_plans.get(rows is not None)
-        if plan is not None:
-            return plan
-        kinds, hops, lids = self._kind_routes()
-        plan = []
-        if kinds:
-            every = np.empty(len(self.columns.kind), dtype=object)  # Nones
-            for at, route_of, table, _ in kinds.values():
-                every[at] = table[route_of]
-            plan = (every if rows is None else every.take(rows)).tolist()
-        if rows is not None and self.runs is not None:
-            number = np.zeros(len(self.columns.kind), dtype=np.intp)
-            for at, route_of, _, first in kinds.values():
-                number[at] = first[route_of]
-            self.runs.plan_links(number, hops, lids, len(self.link_table))
-        self._link_plans[rows is not None] = plan
-        return plan
-
-    def _kind_routes(self) -> tuple:
-        """The routes of the messages, made once; it fills ``link_table``.
-        Per message kind: its rows, each row's route number in its kind's
-        routes, those routes (an object array, one per distinct (src,
-        dst) pair, a GET's the request's and the reply's) and their
-        places in the trace's routes; then each of those routes' hop
-        count and link ids, route by route.  All are resolved at once
-        (:func:`_torus_links`), pairs in order of first appearance (PUTs,
-        SENDs, then GETs, each request before its reply): the order link
-        ids, and so ``link_table``, are handed out in."""
-        if self._routes is not None:
-            return self._routes
-        columns, topology = self.columns, self.topology
+    def link_charges(self) -> tuple:
+        """What the ``wired`` rows charge whatever the order of the
+        replay, made once, on first use; it fills ``link_table``, the
+        links ascending.  Each row has two segments, its request's route
+        and its reply's (empty but for a GET's), and the result is: the
+        PE whose DMA each row keeps busy (a PUT's or SEND's own, a GET's
+        partner); the link of each charge, segment by segment, hop by
+        hop; each segment's charges; and the bytes and frames each link
+        carries.  A route is resolved once per distinct (src, dst) pair,
+        all of them at once (:func:`_torus_links`)."""
+        if self._charges is not None:
+            return self._charges
+        rows, columns, topology = self.wired, self.columns, self.topology
+        if rows is None:
+            self._charges = (np.empty(0, dtype=np.intp),) * 3 + ([], [])
+            return self._charges
         cells = topology.width * topology.height
-        kinds, pairs = [], []
-        for k in (int(EventKind.PUT), int(EventKind.SEND),
-                  int(EventKind.GET)):
-            idx = self.by_kind.get(k)
-            if idx is None:
-                continue
-            src, dst = self.pe_src[k], columns.partner[idx]
-            bad = np.flatnonzero(((dst < 0) | (dst >= cells)) & (dst != src))
-            if len(bad):    # refused as TorusTopology.route refuses it
-                topology.route(int(src[bad[0]]), int(dst[bad[0]]))
-            unique, first, inverse = np.unique(
-                src * cells + dst, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            keys = unique[order]
-            if k == int(EventKind.GET):     # the request's, the reply's
-                keys = np.stack((keys, keys % cells * cells + keys // cells),
-                                axis=1).ravel()
-            kinds.append((k, idx, inverse, order, len(keys) // len(order)))
-            pairs.append(keys)
-        if not kinds:
-            self._routes = ({}, None, None)
-            return self._routes
-        tail, head, hops = _torus_links(topology, *np.divmod(
-            np.concatenate(pairs), cells))
-        links, first, inverse = np.unique(
-            tail * cells + head, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        tails, heads = np.divmod(links[order], cells)
-        self.link_table = list(zip(tails.tolist(), heads.tolist()))
-        lids = order.argsort().astype(np.int32)[inverse]
-        flat, ends = lids.tolist(), np.cumsum(hops).tolist()
-        routes = np.fromiter([tuple(flat[lo:hi]) for lo, hi in zip(
-            [0, *ends], ends)], dtype=object, count=len(ends))
-        tables, done = {}, 0
-        for k, idx, inverse, order, step in kinds:
-            rank = done + step * order.argsort()
-            table = routes[rank] if step == 1 else np.fromiter(
-                zip(routes[rank], routes[rank + 1]), dtype=object,
-                count=len(rank))
-            tables[k] = (idx, inverse, table, rank)
-            done += step * len(order)
-        self._routes = (tables, hops, lids)
-        return self._routes
+        src = columns.starts.searchsorted(rows, side="right") - 1
+        dst = columns.partner[rows]
+        bad = np.flatnonzero(((dst < 0) | (dst >= cells)) & (dst != src))
+        if len(bad):    # refused as TorusTopology.route refuses it
+            topology.route(int(src[bad[0]]), int(dst[bad[0]]))
+        get = columns.kind[rows] == int(EventKind.GET)
+        pairs, route = np.unique(np.concatenate((
+            src * cells + dst, (dst * cells + src)[get])), return_inverse=True)
+        tail, head, hops = _torus_links(topology, *np.divmod(pairs, cells))
+        links, link_of = np.unique(tail * cells + head, return_inverse=True)
+        self.link_table = list(zip(*(end.tolist() for end in np.divmod(
+            links, cells))))
+        # A segment's route is its pair's number plus one: route 0 is the
+        # empty one.
+        m = len(rows)
+        seg = np.zeros((m, 2), dtype=np.intp)
+        seg[:, 0] = route[:m] + 1
+        seg[get, 1] = route[m:] + 1
+        seg = seg.ravel()
+        lengths = np.append(0, hops)
+        counts = lengths[seg]
+        # A charge's place in ``link_of``: where its route begins there,
+        # plus its place in the route.
+        place = np.repeat((np.cumsum(lengths) - lengths)[seg]
+                          - (np.cumsum(counts) - counts), counts)
+        place += np.arange(len(place))
+        link = link_of.astype(np.int32)[place]
+        # Bytes (a GET's request carries none) and frames per route, then
+        # per link: integer sums, exact in float64.
+        size = columns.size[rows]
+        carried = np.stack((np.where(get, 0, size), size), axis=1).ravel()
+        hop_route = np.repeat(np.arange(len(lengths)), lengths)
+        self._charges = (np.where(get, dst, src), link, counts, *(
+            np.bincount(link_of, np.bincount(seg, weights, len(lengths))[
+                hop_route], len(links)).astype(np.int64).tolist()
+            for weights in (carried, None)))
+        return self._charges
 
 
 def trace_index(columns: TraceColumns,
@@ -653,17 +681,17 @@ class _Program:
     The preset-independent integer operand slots live on the shared
     :class:`_TraceIndex`:
 
-    ========  =======  =======  ==========  =========
-    opcode    i0       i1       i2          i3
-    ========  =======  =======  ==========  =========
-    PUT/GET   partner  size     send_flag   recv_flag
-    SEND      partner  size     msg_id      --
-    RECV      msg_id   --       --          --
-    FLAG      flag     target   --          --
-    BARRIER   group    --       group_size  --
-    GOP/VGOP  group    size     group_size  is_vgop
-    RSTORE    partner  size     --          --
-    ========  =======  =======  ==========  =========
+    =========  =======  =======  ==========  =========
+    opcode     i0       i1       i2          i3
+    =========  =======  =======  ==========  =========
+    PUT/GET    partner  --       send_flag   recv_flag
+    SEND       partner  --       msg_id      --
+    RECV       msg_id   --       --          --
+    FLAG       flag     target   --          --
+    BARRIER,   group    --       group_size  --
+    GOP/VGOP
+    RSTORE     partner  --       --          --
+    =========  =======  =======  ==========  =========
 
     Float slots carry the precomputed per-event costs; see the per-kind
     blocks below.  A trace with runs also gets them as arrays for the run
@@ -673,12 +701,15 @@ class _Program:
     replay reads (``lists``) are lists in the index's numbering, and a
     replay that declines the steps gets lists over every row, built on
     first use (:meth:`operands`); in a trace without steps both read the
-    same lists.
+    same lists.  ``wired`` keeps what the index's ``wired`` rows keep a
+    DMA busy for (``f1``) and their segments' wire times (a request's,
+    ``f0`` for a GET and else ``f2``, then a reply's ``f2``) for the busy
+    times (:meth:`busy`).
     """
 
     __slots__ = ("index", "params", "lists", "_full", "run_costs",
                  "chain_costs", "dma_setup", "send_flag_tail", "send_theft",
-                 "get_send_cpu")
+                 "get_send_cpu", "wired", "_busy")
 
     def __init__(self, index: _TraceIndex, params: MLSimParams) -> None:
         self.index = index
@@ -693,6 +724,15 @@ class _Program:
         rows = index.rows
         self.lists = _operand_lists(costs if rows is None else costs[:, rows])
         self._full = self.lists if rows is None else None
+        self.wired = None
+        wired = index.wired
+        if wired is not None:
+            wires = np.empty((len(wired), 2))
+            wires[:, 1] = costs[2, wired]
+            wires[:, 0] = np.where(index.columns.kind[wired] == int(
+                EventKind.GET), costs[0, wired], wires[:, 1])
+            self.wired = (costs[1, wired], wires.ravel())
+        self._busy: tuple[list, list] | None = None
         self.run_costs: RunCosts | None = None
         self.chain_costs: ChainCosts | None = None
         if index.runs is not None:
@@ -834,6 +874,28 @@ class _Program:
             self._full = _operand_lists(self._costs())
         return self._full
 
+    def busy(self) -> tuple[list[float], list[float]]:
+        """Each PE's DMA busy time and each link's (in ``link_table``
+        order), made once, on first use by metrics.  A PUT or SEND keeps
+        its PE's DMA busy for its drain, a GET its partner's for the
+        reply's service, and a message every link on its route for its
+        wire time (:meth:`_TraceIndex.link_charges`): sums in trace-row
+        order — PE by PE, each PE's rows in order, a GET's request
+        before its reply — which ``np.bincount`` adds in."""
+        if self._busy is None:
+            index = self.index
+            n = index.columns.num_pes
+            if self.wired is None:
+                self._busy = ([0.0] * n, [])
+            else:
+                dma, link, counts, _, _ = index.link_charges()
+                drain, wires = self.wired
+                self._busy = (
+                    np.bincount(dma, drain, n).tolist(),
+                    np.bincount(link, np.repeat(wires, counts),
+                                len(index.link_table)).tolist())
+        return self._busy
+
 
 def _operand_lists(arrays: np.ndarray | tuple[np.ndarray, ...],
                    zero: float = 0.0) -> tuple[list, ...]:
@@ -906,8 +968,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     ``link_contention`` serializes transfers behind earlier traffic on
     shared physical links; ``record_timeline`` attaches the span / flow /
     instant log as ``result.timeline``; ``collect_metrics`` attaches the
-    :mod:`repro.obs` replay metric document.  See the module docstring
-    for how the pass below is laid out.
+    :mod:`repro.obs` replay metric document, whose DMA and link totals
+    are the program's sums in trace-row order (:meth:`_Program.busy`)
+    whatever the options.  See the module docstring for how the pass
+    below is laid out.
     """
     n = columns.num_pes
     if topology is not None and topology.num_cells != n:
@@ -990,16 +1054,10 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     chan_last: dict[int, tuple[float, float]] = {}  # src * n + dst
     runnable: deque[int] = deque(range(n))
     queued: set[int] = set(range(n))
-    # The runs' counts are integer sums: the steps leave them to here.
-    messages = 0 if runs is None else runs.messages
-    bytes_on_wire = 0 if runs is None else runs.nbytes
 
-    # Metric accumulators: wait histograms as flat counters (bucket
-    # index via frexp instead of Histogram.observe's linear scan), link
-    # charges as dense arrays indexed by the trace index's link-id plan.
-    # A message's wire time is charged to every physical link on its
-    # route, the same store-and-forward convention as ``contended``: an
-    # upper bound that exposes hot links.
+    # The wait histograms, as flat counters (bucket index via frexp
+    # instead of Histogram.observe's linear scan): the only metrics that
+    # follow the order of the pass.  The rest are the program's sums.
     collect = collect_metrics
     frexp = math.frexp
     fw_count = 0
@@ -1010,25 +1068,13 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     bw_total = 0.0
     bw_max = 0.0
     bw_buckets = [0] * (_HIST_OVERFLOW + 1)
-    plan = index.link_plan(stepped) if collect or contend else []
-    nlinks = len(index.link_table)
     if collect:
-        dma_busy = [0.0] * n
-        link_busy = [0.0] * nlinks
-        if runs is None:
-            link_bytes = [0] * nlinks
-            link_frames = [0] * nlinks
-            metrics = None
-        else:
-            # What the runs put on each link, like their message counts.
-            link_bytes = list(runs.link_bytes)
-            link_frames = list(runs.link_frames)
-            metrics = (dma_busy, link_busy, run_costs.link_values())
-    else:
-        dma_busy = []
-        link_busy = link_bytes = link_frames = []
-        metrics = None
-    link_free = [0.0] * nlinks
+        # The DMA and link busy sums, made (once per program) before the
+        # pass, so that their scratch arrays and its state never peak
+        # together.
+        program.busy()
+    plan = index.link_plan() if contend else []
+    link_free = [0.0] * len(index.link_table)
 
     def contended(route: tuple[int, ...], inject: float,
                   raw: float) -> float:
@@ -1104,7 +1150,12 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
         i, clk, over, att, bex, brt, bid = st
         end = ends[pe]
         th = theft[pe]
-        while i < end:
+        # ``while True``: CPython 3.11 readies a function to specialize
+        # only on entry and on unconditional back edges, and ``while i <
+        # end`` ends in a conditional one (seven unspecialized replays).
+        while True:
+            if i >= end:
+                break
             op = ops[i]
             if th and not att and op < _INSTANT:
                 # Interrupts serviced since this PE's last event are
@@ -1159,16 +1210,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     theft[partner] += f4[i]
                 if record:
                     flow(i, depart, arrival)
-                if collect:
-                    dma_busy[pe] += f1[i]
-                    wire = f2[i]
-                    nb = i1[i]
-                    for lid in plan[i]:
-                        link_busy[lid] += wire
-                        link_bytes[lid] += nb
-                        link_frames[lid] += 1
-                messages += 1
-                bytes_on_wire += i1[i]
             elif op == _FLAG_WAIT:
                 if not att:
                     if record:
@@ -1327,9 +1368,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         span(i, IDLE, clk, clk + (release - clk))
                     bid += release - clk
                     clk = release
-                if i3[i]:  # VGOP ring traffic
-                    messages += size - 1
-                    bytes_on_wire += i1[i] * (size - 1)
             elif op == _GET:
                 if record:
                     span(i, OVERHEAD, clk, clk + get_send_cpu)
@@ -1378,21 +1416,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 if record:
                     flow(i, depart, req_arrival)
                     flow(i, reply_depart, reply_arrival)
-                if collect:
-                    dma_busy[partner] += f1[i]
-                    req_route, rep_route = plan[i]
-                    wire = f0[i]
-                    for lid in req_route:
-                        link_busy[lid] += wire
-                        link_frames[lid] += 1
-                    wire = f2[i]
-                    nb = i1[i]
-                    for lid in rep_route:
-                        link_busy[lid] += wire
-                        link_bytes[lid] += nb
-                        link_frames[lid] += 1
-                messages += 2
-                bytes_on_wire += i1[i]
             elif op == _SEND:
                 if record:
                     span(i, OVERHEAD, clk, clk + f0[i])
@@ -1429,22 +1452,12 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     theft[partner] += f4[i]
                 if record:
                     flow(i, depart, arrival)
-                if collect:
-                    dma_busy[pe] += f1[i]
-                    wire = f2[i]
-                    nb = i1[i]
-                    for lid in plan[i]:
-                        link_busy[lid] += wire
-                        link_bytes[lid] += nb
-                        link_frames[lid] += 1
                 msg = i2[i]
                 ring_arrival[msg] = ready
                 waiter = ring_waiters.pop(msg, None)
                 if waiter is not None and waiter not in queued:
                     queued.add(waiter)
                     runnable.append(waiter)
-                messages += 1
-                bytes_on_wire += i1[i]
             elif op == _RECV:
                 if not att:
                     if record:
@@ -1476,7 +1489,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         span(i, IDLE, clk, clk + (t - clk))
                     bid += t - clk
                     clk = t
-                messages += 2
             elif op == _REMOTE_STORE:
                 if record:
                     span(i, OVERHEAD, clk, clk + remote_access)
@@ -1487,8 +1499,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     th += f0[i]
                 else:
                     theft[partner] += f0[i]
-                messages += 1
-                bytes_on_wire += i1[i]
             elif op == _CREG:
                 if record:
                     span(i, OVERHEAD, clk, clk + creg_access)
@@ -1497,7 +1507,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
             elif op == _RUN:
                 clk, over, th = run_step(
                     at[i], clk, over, th, chan_last, theft, flag_times,
-                    flag_waiters, queued, runnable, metrics)
+                    flag_waiters, queued, runnable)
             elif record:
                 # _INSTANT (the link layer and the queue spill hardware
                 # run concurrently with the processor) and _PHASE (a user
@@ -1515,8 +1525,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
             waits = chain_step(chain, pe, rec, state, theft, rec_of,
                                (bar_gens, red_gens), ngroups, runnable,
                                queued, collect)
-            messages += chain.messages
-            bytes_on_wire += chain.nbytes
             if waits is not None:
                 bw_count += len(waits)
                 bw_total, bw_max = observe(waits, bw_total, bw_max,
@@ -1534,24 +1542,23 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     per_pe = [PEBreakdown(st[4], st[5], st[2], st[6], st[1])
               for st in state]
     result = MLSimResult(model_name=p.name, per_pe=per_pe,
-                         messages=messages, bytes_on_wire=bytes_on_wire)
+                         messages=index.messages,
+                         bytes_on_wire=index.bytes_on_wire)
     if record:
         result.timeline = Timeline(
             columns, (sp_event, sp_code, sp_start, sp_end),
             (fl_event, fl_depart, fl_arrival), (mk_event, mk_t))
     if collect:
         elapsed = max((st[1] for st in state), default=0.0)
-        lid_of = {pair: lid for lid, pair in enumerate(index.link_table)}
-        links = {}
-        for pair in sorted(lid_of):
-            lid = lid_of[pair]
-            busy = link_busy[lid]
-            links[f"{pair[0]}->{pair[1]}"] = {
+        dma_busy, link_busy = program.busy()
+        links = {
+            f"{tail}->{head}": {
                 "busy_us": busy,
-                "bytes": link_bytes[lid],
-                "frames": link_frames[lid],
+                "bytes": nbytes,
+                "frames": frames,
                 "utilization": busy / elapsed if elapsed else 0.0,
-            }
+            } for (tail, head), busy, nbytes, frames in zip(
+                index.link_table, link_busy, *index.link_charges()[3:])}
         dma_max = max(dma_busy, default=0.0)
         result.metrics = {
             "schema": REPLAY_SCHEMA,

@@ -4,17 +4,16 @@ rows of one PE replayed in array operations.
 A run is a maximal stretch of at least ``engine_soa._RUN_MIN`` such rows
 (the index finds them; a GET a PE sends itself ends one, because its
 reply takes the channel its request just took).  :class:`Runs` plans
-every run of a trace at once — rows, channels, flag updates, theft and
-DMA targets, and with the trace's link plan the link charges: nothing
-that depends on the preset — in array operations over the rows of all
-of them, keyed by run: one sort per grouping, then one cut per field,
-so planning costs the runs' rows and no call per run.
+every run of a trace at once — rows, channels, flag updates and theft
+targets: nothing that depends on the preset — in array operations over
+the rows of all of them, keyed by run: one sort per grouping, then one
+cut per field, so planning costs the runs' rows and no call per run.
 :class:`RunCosts` lays out one preset's values in the order the step
 reads them, every run's in one array per field, and replays a run in
-about 45 profiled calls, where the loop of
-:func:`repro.mlsim.engine_soa.replay_columns` pays about 1.45 µs per
-row.  The step leaves every float and all scheduler state bit for bit
-as the loop's rows would:
+about 35 profiled calls (36-39 µs), where the loop of
+:func:`repro.mlsim.engine_soa.replay_columns` pays about 1.1-1.6 µs
+per row.  The step leaves every float and all scheduler state bit for
+bit as the loop's rows would:
 
 * the clock and the overhead are one sequential ``np.add.accumulate``
   over the interleaved pending-theft and CPU addends;
@@ -23,15 +22,17 @@ as the loop's rows would:
   channel's last departure keeps the out-of-order rule (:func:`fifo`);
 * flag times are merged per flag, and waiters are woken in the order
   the loop's ``record_flag`` would wake them;
-* theft per partner, DMA and link busy time are added in row order
-  (``np.add.at`` is sequential).
+* theft per partner is added in row order (``np.add.at`` is
+  sequential).
 
-Message counts and bytes, and the bytes and frames each link carries,
-are integer sums: a replay that steps the runs adds their totals once.
-The loop reaches a run through one opcode at its first row, the run's
-one position in the stepped replay's numbering, and moves past it as
-past any row; under link contention or a timeline it declines the step
-and replays the rows.
+What no order of the replay changes — message counts and bytes, DMA
+and link busy time, link bytes and frames — the step leaves alone: the
+engine sums those over the trace's rows outside the pass, in trace-row
+order (PE by PE, each PE's rows in order, a GET's request before its
+reply: ``engine_soa._Program.busy``).  The loop reaches a run through
+one opcode at its first row, the run's one position in the stepped
+replay's numbering, and moves past it as past any row; under link
+contention or a timeline it declines the step and replays the rows.
 The engine imports this module only for a trace that has runs.
 """
 
@@ -166,22 +167,6 @@ def _updates(columns: TraceColumns, rows: np.ndarray, run: np.ndarray,
     return sent, landed, s, r, flags, _bounds(frun, count)
 
 
-def _expand(counts: np.ndarray, seg: np.ndarray, lengths: np.ndarray,
-            flat: np.ndarray) -> np.ndarray:
-    """The links of the routes ``seg`` numbers, in order (``counts``
-    links each, of ``lengths`` links per route, all of them in
-    ``flat``), as 32-bit integers: a trace's charges are many, its
-    routes few."""
-    # A link's place in ``flat``: where its route begins there, plus
-    # its place in the route.
-    skip = (np.cumsum(lengths, dtype=np.int32) - lengths)[seg]
-    skip -= np.cumsum(counts, dtype=np.int32) - counts
-    place = np.repeat(skip, counts)
-    del skip
-    place += np.arange(len(place), dtype=np.int32)
-    return flat[place]
-
-
 class Runs:
     """The preset-independent plan of every run of a trace.
 
@@ -189,7 +174,7 @@ class Runs:
     and PEs in row order; ``at`` maps a run's first row's position in
     the stepped replay's numbering (``keys``, given by the index) to the
     record the step unpacks, ``(k, a, b, chans, gets, g0, g1, sends, s0,
-    s1, recvs, r0, r1, flags, owed, owed_slot, t0, t1, dma, dma_slot)``:
+    s1, recvs, r0, r1, flags, owed, owed_slot, t0, t1)``:
 
     * ``k`` is the run's number and ``a:b`` its trace rows;
     * ``chans`` pairs each partner, ascending, with the key of the
@@ -210,22 +195,17 @@ class Runs:
     * ``owed`` names the partners other than the PE that rows charge
       theft to (``None``: none), ``owed_slot`` each such row's position
       among them (``None``: one partner) and ``t0:t1`` their slice of
-      the theft operands;
-    * ``dma`` names the PEs whose DMA the rows keep busy (the PE for a
-      PUT, the partner for a GET), ``dma_slot`` as ``owed_slot``.
+      the theft operands.
 
     Operand slices index arrays over the runs' rows in run order, whose
     trace rows are ``get_rows``, ``send_rows``, ``recv_rows`` and
     ``owed_rows`` (:class:`RunCosts` reads them per preset);
     ``self_puts`` are the PUTs a PE sends itself, whose receive theft
-    stays pending on it.  ``messages`` and ``nbytes`` total the runs'.
-    :meth:`plan_links` adds the link charges.
+    stays pending on it.
     """
 
-    __slots__ = ("first", "stop", "pe", "at", "rows", "get_rows",
-                 "send_rows", "recv_rows", "owed_rows", "self_puts",
-                 "messages", "nbytes", "links", "charges", "link_bytes",
-                 "link_frames", "_is_get", "_size")
+    __slots__ = ("first", "stop", "pe", "at", "get_rows", "send_rows",
+                 "recv_rows", "owed_rows", "self_puts")
 
     def __init__(self, columns: TraceColumns, first: np.ndarray,
                  stop: np.ndarray, pe: np.ndarray, keys: np.ndarray) -> None:
@@ -242,12 +222,8 @@ class Runs:
         me = pe[run]
         self.first, self.stop, self.pe = (first.tolist(), stop.tolist(),
                                           pe.tolist())
-        self.rows, self._is_get = rows, is_get
-        self._size = _small(columns.size[rows])
         got = np.flatnonzero(is_get)
         self.get_rows = rows[got]
-        self.messages = total + len(got)
-        self.nbytes = int(self._size.sum(dtype=np.int64))
         self.self_puts = rows[~is_get & (partner == me)]
         g = _bounds(run[got], count)
         partners, chans, c = _channels(run, at, partner, got, pe, n, count)
@@ -257,9 +233,6 @@ class Runs:
         self.owed_rows = rows if len(others) == total else rows[others]
         owed, o, owed_slot = _distinct(run[others], partner[others], count)
         t = _bounds(run[others], count)
-        dma, d, dma_slot = _distinct(run, np.where(is_get, partner, me),
-                                     count)
-        e = _bounds(run, count)
         get_at, send_at, recv_at = at[got], at[sent], at[landed]
         # Entries, not positions: those carry the run.
         if np.array_equal(landed, got):
@@ -283,56 +256,7 @@ class Runs:
                 else recv_at[r0:r1], r0, r1,
                 flags[f[k]:f[k + 1]],
                 owed[o[k]:o[k + 1]] if t1 > t0 else None,
-                None if o[k + 1] - o[k] < 2 else owed_slot[t0:t1], t0, t1,
-                dma[d[k]:d[k + 1]],
-                None if d[k + 1] - d[k] == 1 else dma_slot[e[k]:e[k + 1]])
-        self.links: list[tuple] = []
-
-    def plan_links(self, number: np.ndarray, hops: np.ndarray,
-                   flat: np.ndarray, nlinks: int) -> None:
-        """The runs' link charges, from the trace's routes: each row's
-        request route number (a GET's reply route is the next), each
-        route's hop count and the 32-bit link ids of all routes, route by
-        route (``flat``).  Sets ``links``, per run ``(lids, slot, l0,
-        l1)``: the links it charges, ascending, each charge's position
-        among them (``None``: one link) and its slice of the charges, in
-        the loop's order, of which each row's request and reply make
-        ``charges`` (row by row, the request's first); and ``link_bytes``
-        and ``link_frames``, what the runs put on each link."""
-        rows, is_get, count = self.rows, self._is_get, len(self.first)
-        # Each row charges its request route, then (GET) its reply route:
-        # two segments per row, segment 0 the PUT's empty reply route.
-        lengths = np.append(0, hops).astype(np.int32)
-        seg = np.empty((len(rows), 2), dtype=np.intp)
-        seg[:, 0] = number[rows] + 1
-        seg[:, 1] = np.where(is_get, seg[:, 0] + 1, 0)
-        # Frames and bytes per route (a GET's request carries none),
-        # then per link: integer sums, exact in float64.
-        route = np.repeat(np.arange(len(lengths)), lengths)
-        for name, weights in (
-                ("link_frames", np.bincount(seg.ravel(),
-                                            minlength=len(lengths))),
-                ("link_bytes", np.bincount(
-                    np.where(is_get, seg[:, 1], seg[:, 0]),
-                    weights=self._size, minlength=len(lengths)))):
-            setattr(self, name, np.bincount(
-                flat, weights=weights[route], minlength=nlinks
-            ).astype(np.int64).tolist())
-        self.charges = counts = lengths[seg.ravel()]
-        lids = _expand(counts, seg.ravel(), lengths, flat)
-        del seg
-        # A run's charges follow its rows' segments.
-        length = np.array(self.stop) - np.array(self.first)
-        c = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(np.add.reduceat(counts, 2 * (np.cumsum(length) - length)),
-                  out=c[1:])
-        distinct, d, slot = _distinct(np.repeat(
-            np.arange(count, dtype=np.int32), np.diff(c)), lids, count)
-        c = c.tolist()
-        self.links = [
-            (distinct[d[k]:d[k + 1]],
-             None if d[k + 1] - d[k] == 1 else slot[c[k]:c[k + 1]],
-             c[k], c[k + 1]) for k in range(count)]
+                None if o[k + 1] - o[k] < 2 else owed_slot[t0:t1], t0, t1)
 
 
 class RunCosts:
@@ -342,24 +266,21 @@ class RunCosts:
     GET's differ: see ``engine_soa._Program``).  Over every row of the
     trace: ``body`` interleaves a row's CPU time with the theft it
     leaves pending for the next row (the addends of the PE's clock, in
-    order), ``wire`` is its request wire and ``dma`` (a PUT's drain, a
-    GET's service) what it keeps a DMA busy.  Over the runs' operand
+    order) and ``wire`` is its request wire.  Over the runs' operand
     rows (:class:`Runs`): ``reply_service`` and ``reply_wire`` of their
     GETs, the ``send`` and ``recv`` flag addends and the theft ``owed``
     to a partner.  ``pending`` is the theft each run leaves pending
-    after its last row, and :meth:`link_values` each link charge's wire
-    time in the runs' charge order.
+    after its last row.
     """
 
-    __slots__ = ("plan", "dma_setup", "send_flag_tail", "body", "wire",
-                 "dma", "reply_service", "reply_wire", "send", "recv",
-                 "owed", "pending", "_reply", "_links")
+    __slots__ = ("dma_setup", "send_flag_tail", "body", "wire",
+                 "reply_service", "reply_wire", "send", "recv", "owed",
+                 "pending")
 
     def __init__(self, kind: np.ndarray, plan: Runs, costs: np.ndarray,
                  dma_setup: float, send_flag_tail: float,
                  send_theft: float, get_send_cpu: float) -> None:
         f0, f1, f2, f3, f4, f5 = costs
-        self.plan = plan
         self.dma_setup = dma_setup
         self.send_flag_tail = send_flag_tail
         put = kind == int(EventKind.PUT)
@@ -371,7 +292,6 @@ class RunCosts:
         body[1::2] = pending
         self.body = body
         self.wire = np.where(put, f2, f0)
-        self.dma = f1
         self.reply_service = f1[plan.get_rows]
         self.reply_wire = f2[plan.get_rows]
         rows = plan.send_rows
@@ -381,30 +301,16 @@ class RunCosts:
         rows = plan.owed_rows
         self.owed = np.where(put[rows], f4[rows], f3[rows])
         self.pending = pending[np.array(plan.stop) - 1].tolist()
-        self._reply = f2
-        self._links: np.ndarray | None = None
-
-    def link_values(self) -> np.ndarray:
-        """Each run link charge's wire time, in charge order: made once,
-        after the link plan."""
-        if self._links is None:
-            rows = self.plan.rows
-            wires = np.empty((len(rows), 2))
-            wires[:, 0] = self.wire[rows]           # the request's
-            wires[:, 1] = self._reply[rows]         # a GET reply's
-            self._links = np.repeat(wires.ravel(), self.plan.charges)
-        return self._links
 
     def replay(self, run: tuple, clk: float, over: float, th: float,
                chan_last: dict, theft: list, flag_times: dict,
-               flag_waiters: dict, queued: set, runnable: deque,
-               metrics: tuple | None) -> tuple[float, float, float]:
-        """Replay ``run`` (a :class:`Runs` record) on the loop's state
-        (``metrics`` the DMA and link busy accumulators and the link
-        values, or ``None``): returns the PE's clock, overhead and
-        pending theft after its last row."""
+               flag_waiters: dict, queued: set,
+               runnable: deque) -> tuple[float, float, float]:
+        """Replay ``run`` (a :class:`Runs` record) on the loop's state:
+        returns the PE's clock, overhead and pending theft after its last
+        row."""
         (k, a, b, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1, flags,
-         owed, owed_slot, t0, t1, dma, dma_slot) = run
+         owed, owed_slot, t0, t1) = run
         # The clock and the overhead take the same addends: the theft
         # pending at each row, then the row's CPU time.
         addends = np.empty((2, 2 * (b - a) + 1))
@@ -476,12 +382,6 @@ class RunCosts:
                     runnable.append(wpe)
         if owed is not None:
             _add_in_order(theft, owed, owed_slot, self.owed[t0:t1])
-        if metrics is not None:
-            dma_busy, link_busy, values = metrics
-            _add_in_order(dma_busy, dma, dma_slot, self.dma[a:b])
-            lids, slot, l0, l1 = self.plan.links[k]
-            if lids:
-                _add_in_order(link_busy, lids, slot, values[l0:l1])
         return float(clocks[-1]), float(overs[-1]), self.pending[k]
 
 

@@ -164,7 +164,7 @@ class Supersteps:
         self.lib_sums = (col_sum[lib_cols][:, None] * 4 * n
                          + np.arange(n)).ravel()
         # Per chain: the generations its collectives 1..m advance, per
-        # (class, group), and the VGOP ring traffic of 0..m - 1.
+        # (class, group).
         code = 2 * columns.group[rows[0]] + barrier
         pairs = sorted(set(code.tolist()))
         pair = np.searchsorted(pairs, code)
@@ -172,23 +172,15 @@ class Supersteps:
         seen[pair, np.arange(1, c + 1)] = 1
         seen = np.cumsum(seen, axis=1)
         advanced = (seen[:, lasts + 1] - seen[:, firsts + 1]).T.tolist()
-        vgop = kinds == int(EventKind.VGOP)
-        ring = np.zeros(c + 1, dtype=np.int64)
-        ring[1:][vgop] = columns.size[rows[:, vgop]].sum(axis=0)
-        ring = np.cumsum(ring)
-        rings = np.cumsum(np.append(0, vgop))
-        traffic = zip(((rings[lasts] - rings[firsts]) * n * (n - 1)).tolist(),
-                      ((ring[lasts] - ring[firsts]) * (n - 1)).tolist())
         keys = [(bool(key & 1), key >> 1) for key in pairs]
         self.chains: list[Chain] = []
         self.at: dict[int, Chain] = {}
-        for a, b, opens, close, counts, (messages, nbytes) in zip(
+        for a, b, opens, close, counts in zip(
                 firsts.tolist(), lasts.tolist(), open_at.T.tolist(),
-                close_at.T.tolist(), advanced, traffic):
+                close_at.T.tolist(), advanced):
             chain = Chain(n, a, b, close, barrier, start, width, sum_start,
                           finish, length)
             chain.gens = [(*key, k) for key, k in zip(keys, counts) if k]
-            chain.messages, chain.nbytes = messages, nbytes
             self.chains.append(chain)
             self.at.update(dict.fromkeys(opens, chain))
 
@@ -208,16 +200,13 @@ class Chain:
     of the PE that arrives last at each.  ``close`` are the last one's
     positions per PE in the stepped replay's numbering, where the step
     leaves the cursors; ``gens`` the
-    generations the chain's collectives advance, ``messages`` and
-    ``nbytes`` the VGOP ring traffic of the ones the step finishes.
+    generations the chain's collectives advance.
     """
 
     __slots__ = ("n", "m", "a", "close", "barrier", "bounds",
                  "lo", "width", "sums", "finish", "waits", "wait_order",
-                 "tail", "gens", "messages", "nbytes")
+                 "tail", "gens")
     gens: list[tuple[bool, int, int]]
-    messages: int
-    nbytes: int
 
     def __init__(self, n: int, a: int, b: int, close: list[int],
                  barrier: np.ndarray, start: np.ndarray, width: np.ndarray,

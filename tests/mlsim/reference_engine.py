@@ -164,8 +164,33 @@ class MLSimEngine:
         for st in self.pes:
             st.buckets.clock = st.clock
         if self.collect is not None:
+            self._charge_messages()
             result.metrics = self._metrics_dict()
         return result
+
+    def _charge_messages(self) -> None:
+        """DMA and link busy time, bytes and frames: what each message
+        charges whatever the order of the replay, summed in trace-row
+        order — PE by PE, each PE's events in order, a GET's request
+        before its reply."""
+        p = self.p
+        dma_busy = self.collect.dma_busy
+        for st in self.pes:
+            for ev in st.events:
+                if ev.kind not in (EventKind.PUT, EventKind.GET,
+                                   EventKind.SEND):
+                    continue
+                dist = self._distance(st.pe, ev.partner)
+                wire = pm.network_time(p, ev.size, dist)
+                if ev.kind is EventKind.GET:
+                    dma_busy[ev.partner] += pm.get_reply_service_time(
+                        p, ev.size)
+                    self._charge_links(st.pe, ev.partner,
+                                       pm.network_time(p, 0, dist), 0)
+                    self._charge_links(ev.partner, st.pe, wire, ev.size)
+                else:
+                    dma_busy[st.pe] += pm.dma_drain_time(p, ev.size)
+                    self._charge_links(st.pe, ev.partner, wire, ev.size)
 
     def _metrics_dict(self) -> dict:
         """Render the accumulated replay metrics as a JSON document."""
@@ -447,10 +472,6 @@ class MLSimEngine:
                 ev.recv_flag, arrival + pm.recv_flag_update_time(p, ev.size))
         self.pes[ev.partner].pending_theft += pm.recv_cpu_theft(p, ev.size)
         self._flow(st.pe, depart, ev.partner, arrival, "PUT", ev.size)
-        if self.collect is not None:
-            self.collect.dma_busy[st.pe] += drain
-            self._charge_links(st.pe, ev.partner,
-                               pm.network_time(p, ev.size, dist), ev.size)
         self.messages += 1
         self.bytes_on_wire += ev.size
         return True
@@ -480,13 +501,6 @@ class MLSimEngine:
         self._flow(st.pe, depart, ev.partner, req_arrival, "GET", 0)
         self._flow(ev.partner, reply_depart, st.pe, reply_arrival,
                    "GET-REPLY", ev.size)
-        if self.collect is not None:
-            self.collect.dma_busy[ev.partner] += \
-                pm.get_reply_service_time(p, ev.size)
-            self._charge_links(st.pe, ev.partner,
-                               pm.network_time(p, 0, dist), 0)
-            self._charge_links(ev.partner, st.pe,
-                               pm.network_time(p, ev.size, dist), ev.size)
         self.messages += 2
         self.bytes_on_wire += ev.size
         return True
@@ -539,10 +553,6 @@ class MLSimEngine:
         ready = arrival + pm.recv_service_time(p, ev.size)
         self.pes[ev.partner].pending_theft += pm.recv_cpu_theft(p, ev.size)
         self._flow(st.pe, depart, ev.partner, arrival, "SEND", ev.size)
-        if self.collect is not None:
-            self.collect.dma_busy[st.pe] += drain
-            self._charge_links(st.pe, ev.partner,
-                               pm.network_time(p, ev.size, dist), ev.size)
         self._ring_arrival[ev.msg_id] = ready
         waiter = self._ring_waiters.pop(ev.msg_id, None)
         if waiter is not None:

@@ -75,31 +75,22 @@ def assert_plans_equal(columns) -> int:
     if plan is None:
         return 0
     n = columns.num_pes
-    full = index.link_plan(stepped=False)
-    index.link_plan()                       # plans the runs' links
     program = compile_program(columns, preset("ap1000+"))
     costs = program.run_costs
     f0, f1, f2, f3, f4, f5 = (np.asarray(slot) for slot in
                               program.operands(False))
     put = columns.kind == int(EventKind.PUT)
-    link_bytes = [0] * len(index.link_table)
-    link_frames = [0] * len(index.link_table)
-    messages = nbytes = 0
     self_puts = []
-    charged = entries = 0
     for k, (a, b, pe) in enumerate(zip(plan.first, plan.stop, plan.pe)):
         ref = Run(columns, a, b, pe)
-        ref.plan_links(columns, full)
         # Keyed by the first row's position in the stepped numbering.
         key = int(index.rows.searchsorted(a))
         assert index.rows[key] == a
         record = plan.at[key]
         (kk, ra, rb, chans, gets, g0, g1, sends, s0, s1, recvs, r0, r1,
-         flags, owed, owed_slot, t0, t1, dma, dma_slot) = record
+         flags, owed, owed_slot, t0, t1) = record
         rows = b - a
         assert (kk, ra, rb) == (k, a, b)
-        messages += ref.messages
-        nbytes += ref.nbytes
         self_puts += ref.self_puts.tolist()
         # GETs, and each channel's requests and replies.
         assert positions(gets) == positions(ref.gets)
@@ -122,7 +113,7 @@ def assert_plans_equal(columns) -> int:
         assert sorted(positions(recvs)) == positions(ref.recvs)
         assert len(positions(recvs)) == r1 - r0
         assert recvs is not gets or ref.recvs is ref.gets
-        # Theft owed to partners and the DMA each row keeps busy.
+        # Theft owed to partners.
         if ref.theft is None:
             assert owed is None and t1 == t0
         else:
@@ -133,29 +124,9 @@ def assert_plans_equal(columns) -> int:
             assert (owed_slot is None) == (their_slot is None)
             if owed_slot is not None:
                 assert owed_slot.tolist() == their_slot.tolist()
-        assert dma == ref.dma[0]
-        assert (np.zeros(rows, dtype=int) if dma_slot is None
-                else dma_slot).tolist() == ref.dma[1].tolist()
-        # Link charges: links, slots, and what each charge's wire is.
-        lids, slot, l0, l1 = plan.links[k]
-        uniq, their_slot, source, their_bytes, their_frames = ref.links
-        assert lids == uniq
-        assert (np.zeros(l1 - l0, dtype=int) if slot is None
-                else slot).tolist() == their_slot.tolist()
-        counts = plan.charges[2 * entries:2 * (entries + rows)]
-        entries += rows
-        owner = np.repeat(np.arange(2 * rows), counts)
-        assert (owner // 2 + rows * (owner % 2)).tolist() == \
-            source.tolist()
-        assert l0 == charged and l1 == charged + len(owner)
-        charged = l1
-        for lid, nb, nf in zip(uniq, their_bytes, their_frames):
-            link_bytes[lid] += nb
-            link_frames[lid] += nf
         # The preset's operands, sliced as the step reads them.
         wire = np.where(put, f2, f0)[a:b]
         assert costs.wire[a:b].tolist() == wire.tolist()
-        assert costs.dma[a:b].tolist() == f1[a:b].tolist()
         if gets is not None:
             assert costs.reply_service[g0:g1].tolist() == \
                 f1[a:b][gets].tolist()
@@ -170,11 +141,7 @@ def assert_plans_equal(columns) -> int:
         if owed is not None:
             assert costs.owed[t0:t1].tolist() == np.where(
                 put, f4, f3)[plan.owed_rows[t0:t1]].tolist()
-        assert costs.link_values()[l0:l1].tolist() == np.concatenate(
-            (wire, f2[a:b]))[source].tolist()
-    assert (plan.messages, plan.nbytes) == (messages, nbytes)
     assert plan.self_puts.tolist() == self_puts
-    assert (plan.link_bytes, plan.link_frames) == (link_bytes, link_frames)
     return len(plan.first)
 
 
