@@ -15,11 +15,16 @@ per code object as ``tests/machine/test_message_cost.py`` counts them,
 that one more such operation makes: a count, exact on every host.
 The ``batch`` row gives both per element of a ``transfer_batch`` of
 64 one-element (8-byte) PUTs, and of GETs, in the ``put`` and ``get``
-columns: what the VPP runtime pays per message without stride.
-``--max-put-calls N`` exits 1 when the 8-byte ``put`` count exceeds N
-(CI passes that test's ``PUT_CALLS_CEILING``).
+columns: what the VPP runtime pays per message without stride.  The
+``halo`` row gives both per batch of one halo exchange as TOMCATV
+without stride issues it at n = 65: 65 8-byte PUTs, each with its
+acknowledging GET, and 65 GETs, interleaved.  ``--max-put-calls N``
+exits 1 when the 8-byte ``put`` count exceeds N, and
+``--max-batch-calls N`` when the ``halo`` count does (CI passes that
+test's ``PUT_CALLS_CEILING`` and ``BATCH_CALLS_CEILING``).
 
     python scripts/primitive_cost.py [--json FILE] [--max-put-calls N]
+        [--max-batch-calls N]
 
 (``PYTHONPATH`` set to another checkout's ``src`` measures that commit.)
 """
@@ -43,6 +48,8 @@ SIZES = (8, 4096, 160_000)
 STRIDE_SIZES = SIZES[1:]
 #: Elements of one batch of the ``batch`` row.
 BATCH_ELEMENTS = 64
+#: Mesh rows of the ``halo`` row's exchange: a PUT and a GET per row.
+HALO_ROWS = 65
 
 
 def keep_best(best: dict[str, float], name: str, start: float,
@@ -102,6 +109,46 @@ def batch_program(ctx, batch: int, repeats: int):
             keep_best(best, "get", start, batch * BATCH_ELEMENTS)
     yield from ctx.barrier()
     return best
+
+
+def halo_arrays(ctx):
+    """The arguments of one halo exchange toward cell 1, as
+    ``tests/machine/test_message_cost.py``'s ``halo_burst`` issues it:
+    each row's last owned column PUT into the neighbour's left halo
+    column, acknowledged at once, then its first owned column fetched
+    into this cell's right halo column; and the receive flag."""
+    cols = 4
+    block = ctx.alloc((HALO_ROWS, cols))
+    flag = ctx.alloc_flag()
+    halo = np.arange(HALO_ROWS) * cols
+    gets = np.tile([False, True], HALO_ROWS)
+    remote = np.column_stack((halo, halo + 1)).ravel()
+    local = np.column_stack((halo + cols - 2, halo + cols - 1)).ravel()
+    return (block, block, gets, remote, local), flag
+
+
+def halo_program(ctx, batch: int, repeats: int):
+    """Cell 0 times batches of halo exchanges against cell 1 (reported
+    per exchange)."""
+    arrays, flag = halo_arrays(ctx)
+    best: dict[str, float] = {}
+    if ctx.pe == 0:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(batch):
+                ctx.transfer_batch(1, *arrays, recv_flag=flag, ack=True)
+            keep_best(best, "halo", start, batch)
+    yield from ctx.barrier()
+    return best
+
+
+def counted_halo(ctx, count: int):
+    """``count`` halo exchanges, as :func:`halo_program` issues them."""
+    arrays, flag = halo_arrays(ctx)
+    if ctx.pe == 0:
+        for _ in range(count):
+            ctx.transfer_batch(1, *arrays, recv_flag=flag, ack=True)
+    yield from ctx.barrier()
 
 
 def program(ctx, size: int, batch: int, repeats: int):
@@ -212,6 +259,9 @@ def main() -> int:
     parser.add_argument("--max-put-calls", type=float, metavar="N",
                         help="exit 1 if one more 8-byte put costs more "
                         "than N profiled calls")
+    parser.add_argument("--max-batch-calls", type=float, metavar="N",
+                        help="exit 1 if one more halo exchange costs more "
+                        "than N profiled calls")
     args = parser.parse_args()
 
     if importlib.util.find_spec("repro") is None:
@@ -228,7 +278,8 @@ def main() -> int:
           f"sim_us = simulated AP1000+ PUT (Figure 7, {args.distance} hops); "
           "'st' rows: put_stride / get_stride of 8-byte items 16 apart; "
           f"'batch': per element of a {BATCH_ELEMENTS}-element "
-          "transfer_batch")
+          f"transfer_batch; 'halo': per exchange of {HALO_ROWS} PUT/GET "
+          "pairs with inline acks, one transfer_batch")
     print(f"{'bytes':>10} " + " ".join(f"{n + ' host_us':>17}" for n in names)
           + f" {'put send_cpu sim_us':>20} {'put recv_flag sim_us':>21}")
     # The process's first machine reads about 1 us high in every column
@@ -283,6 +334,15 @@ def main() -> int:
         "bytes": 8, "batch": BATCH_ELEMENTS,
         "host_us": {n: round(v * 1e6, 3) for n, v in best.items()},
         "calls": calls})
+    # One halo exchange per batch: its host time and calls.
+    machine = Machine(MachineConfig(num_cells=args.cells))
+    halo = machine.run(halo_program, args.batch,
+                       max(1, args.repeats // 10))[0]["halo"]
+    halo_calls = calls_per_operation(args.cells, counted_halo)
+    print(f"{'halo':>10} {halo * 1e6:>17.2f}")
+    print(f"{'calls':>10} {halo_calls:>17.1f}")
+    rows.append({"halo": HALO_ROWS, "host_us": round(halo * 1e6, 3),
+                 "calls": halo_calls})
     if args.json:
         document = {"cells": args.cells, "batch": args.batch,
                     "repeats": args.repeats, "distance": args.distance,
@@ -294,6 +354,10 @@ def main() -> int:
     if args.max_put_calls is not None and put_calls > args.max_put_calls:
         print(f"FAIL: an 8-byte put costs {put_calls:.1f} calls, more "
               f"than the ceiling of {args.max_put_calls:g}")
+        return 1
+    if args.max_batch_calls is not None and halo_calls > args.max_batch_calls:
+        print(f"FAIL: a halo exchange costs {halo_calls:.1f} calls, more "
+              f"than the ceiling of {args.max_batch_calls:g}")
         return 1
     return 0
 

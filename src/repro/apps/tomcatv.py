@@ -55,24 +55,44 @@ def initial_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def tridiag_columns(rx: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=4)
+def thomas_pivots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward sweep's divisors and the back substitution's factors
+    of the order-``n`` (-1, DIAG, -1) system, which do not depend on the
+    right-hand side: ``denom[0] = DIAG``, ``cp[i] = -1 / denom[i]`` and
+    ``denom[i] = DIAG + cp[i - 1]``.  Cached, so read-only."""
+    cp, denom = [], []
+    divisor = DIAG
+    for _ in range(n):
+        denom.append(divisor)
+        cp.append(-1.0 / divisor)
+        divisor = DIAG + cp[-1]
+    pivots = np.array(cp), np.array(denom)
+    for array in pivots:
+        array.flags.writeable = False
+    return pivots
+
+
+def tridiag_columns(rhs: np.ndarray) -> np.ndarray:
     """Solve (-1, DIAG, -1) tridiagonal systems along axis 0, one system
-    per column, by the vectorized Thomas algorithm."""
-    n, cols = rx.shape
+    per column, by the vectorized Thomas algorithm: two ufunc calls per
+    row and sweep, the pivots from :func:`thomas_pivots`."""
+    n, cols = rhs.shape
     if cols == 0 or n == 0:
-        return rx.copy()
-    cp = np.empty((n, cols))
-    dp = np.empty((n, cols))
-    cp[0] = -1.0 / DIAG
-    dp[0] = rx[0] / DIAG
-    for i in range(1, n):
-        denom = DIAG + cp[i - 1]
-        cp[i] = -1.0 / denom
-        dp[i] = (rx[i] + dp[i - 1]) / denom
+        return rhs.copy()
+    cp, denom = thomas_pivots(n)
     out = np.empty((n, cols))
-    out[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        out[i] = dp[i] - cp[i] * out[i + 1]
+    rows = list(out)
+    np.divide(rhs[0], DIAG, rows[0])
+    for row, given, previous, divisor in zip(
+            rows[1:], list(rhs)[1:], rows, denom.tolist()[1:]):
+        np.add(given, previous, row)
+        np.divide(row, divisor, row)
+    term = np.empty(cols)
+    for row, factor, following in zip(
+            rows[-2::-1], cp.tolist()[-2::-1], rows[::-1]):
+        np.multiply(following, factor, term)
+        np.subtract(row, term, row)
     return out
 
 
@@ -84,7 +104,9 @@ def relax_step(x: np.ndarray, y: np.ndarray,
 
     ``x``/``y`` views use local column coordinates where column ``c``
     corresponds to global ``j_lo - 1 + c``.  Returns the column-range
-    corrections and the local max displacements.
+    corrections and the local max displacements.  Both meshes' systems
+    are solved as one: ``x``'s residuals in the first ``cols`` columns,
+    ``y``'s in the rest.
     """
     n = x.shape[0]
     cols = j_hi - j_lo
@@ -92,19 +114,17 @@ def relax_step(x: np.ndarray, y: np.ndarray,
         empty = np.zeros((n, 0))
         return empty, empty, 0.0, 0.0
     sl = slice(1, 1 + cols)
-    rx = np.zeros((n, cols))
-    ry = np.zeros((n, cols))
+    residuals = np.zeros((n, 2 * cols))
     interior = slice(1, n - 1)
-    rx[interior] = (x[:-2, sl] + x[2:, sl]
-                    + x[interior, 0:cols] + x[interior, 2:2 + cols]
-                    - 4.0 * x[interior, sl])
-    ry[interior] = (y[:-2, sl] + y[2:, sl]
-                    + y[interior, 0:cols] + y[interior, 2:2 + cols]
-                    - 4.0 * y[interior, sl])
-    dx = tridiag_columns(rx)
-    dy = tridiag_columns(ry)
-    dx[0] = dx[-1] = 0.0
-    dy[0] = dy[-1] = 0.0
+    residuals[interior, :cols] = (
+        x[:-2, sl] + x[2:, sl] + x[interior, 0:cols]
+        + x[interior, 2:2 + cols] - 4.0 * x[interior, sl])
+    residuals[interior, cols:] = (
+        y[:-2, sl] + y[2:, sl] + y[interior, 0:cols]
+        + y[interior, 2:2 + cols] - 4.0 * y[interior, sl])
+    correction = tridiag_columns(residuals)
+    correction[0] = correction[-1] = 0.0
+    dx, dy = correction[:, :cols], correction[:, cols:]
     return (dx, dy, float(np.abs(dx).max(initial=0.0)),
             float(np.abs(dy).max(initial=0.0)))
 

@@ -186,39 +186,50 @@ class MMU(Stateful):
             if probe >= end:
                 return first
 
+    def plan_page(self, page: int, write: bool) -> int | None:
+        """The physical base of 256 KB page number ``page`` for a run of
+        lookups inside it (one or more writing, where ``write``),
+        changing nothing; None if one would fault, be refused, meet a
+        4 KB mapping or a TLB entry the page table no longer holds.
+        :meth:`charge_page` counts the lookups once the run is issued."""
+        entry = self._table_256k.get(page)
+        tlb = self.tlb_256k
+        slot = tlb._slots.get(page % tlb.entries)
+        if (entry is None or page in self._fine_grained
+                or (write and not entry.writable)
+                or (slot is not None and slot[0] == page
+                    and slot[1] != entry)):
+            return None
+        return entry.physical_base
+
     def plan_run(self, logical: np.ndarray, write: np.ndarray,
                  size: int) -> np.ndarray | None:
-        """Where a run of lookups lands, changing nothing: the physical
-        address of each of ``logical`` (``size`` bytes from it, to be
-        written where ``write``), or None if one would fault, be
-        refused, leave its page, meet a 4 KB mapping or a TLB entry the
-        page table no longer holds.  :meth:`charge_run` counts the
-        lookups once the run is issued."""
+        """Where a run of lookups that may span pages lands, changing
+        nothing: the physical address of each of ``logical`` (``size``
+        bytes from it, to be written where ``write``; in any order), or
+        None if one would leave its page or :meth:`plan_page` refuses a
+        page.  :meth:`charge_run` counts the lookups, in the order they
+        come, once the run is issued."""
         numbers = logical // PAGE_256K
         offset = logical - numbers * PAGE_256K
-        first, last = int(numbers.min()), int(numbers.max())
-        if first < 0 or offset.max() + size > PAGE_256K:
+        if int(numbers.min()) < 0 or offset.max() + size > PAGE_256K:
             return None
-        if first == last:
-            pages, which, written = [first], None, [bool(write.any())]
-        else:
-            pages, which = np.unique(numbers, return_inverse=True)
-            written = (np.bincount(which, write, len(pages)) > 0).tolist()
-            pages = pages.tolist()
-        tlb = self.tlb_256k
+        pages, which = np.unique(numbers, return_inverse=True)
+        written = np.bincount(which, write, len(pages)) > 0
         bases = []
-        for page, writes in zip(pages, written):
-            entry = self._table_256k.get(page)
-            slot = tlb._slots.get(page % tlb.entries)
-            if (entry is None or page in self._fine_grained
-                    or (writes and not entry.writable)
-                    or (slot is not None and slot[0] == page
-                        and slot[1] != entry)):
+        for page, writes in zip(pages.tolist(), written.tolist()):
+            base = self.plan_page(page, writes)
+            if base is None:
                 return None
-            bases.append(entry.physical_base)
-        if which is None:
-            return offset + bases[0]
+            bases.append(base)
         return np.asarray(bases, np.int64)[which] + offset
+
+    def charge_page(self, logical: int, lookups: int) -> None:
+        """Count the TLB traffic of ``lookups`` lookups in the page of
+        ``logical`` that :meth:`plan_page` accepted: the first looks up
+        (a hit, or a miss, walk and fill), and every other one hits."""
+        self._lookup(logical)
+        self.tlb_256k.hits += lookups - 1
 
     def charge_run(self, logical: np.ndarray) -> None:
         """Count the TLB traffic of a run :meth:`plan_run` accepted as

@@ -493,7 +493,7 @@ class CellContext(Stateful):
         from repro.machine.batch import issue_batch
 
         if issue_batch(self, node, remote, local, gets, remote_offsets,
-                       local_offsets, recv_flag, ack):
+                       local_offsets, recv_flag, ack) is None:
             return
         for get, theirs, ours in zip(gets.tolist(), remote_offsets.tolist(),
                                      local_offsets.tolist()):

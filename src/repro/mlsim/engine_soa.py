@@ -481,8 +481,13 @@ class _TraceIndex:
                   int(EventKind.SEND), int(EventKind.REMOTE_LOAD)):
             idx = self.by_kind.get(k)
             if idx is not None:
+                # A partner off the torus is refused here, whichever
+                # replay options would read it.
+                partners = columns.partner[idx]
+                topology.coordinates(int(partners.min()))
+                topology.coordinates(int(partners.max()))
                 self.dist[k] = _torus_distances(topology, pe_of[idx],
-                                                columns.partner[idx])
+                                                partners)
         runs = _find_runs(columns, pe_of, self.by_kind)
         chains = _find_chains(columns, pe_of, self.by_kind)
         self.runs: Runs | None = None

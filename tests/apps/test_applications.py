@@ -130,6 +130,50 @@ class TestTomcatv:
         assert np.allclose(xa, xb, atol=1e-12)
 
 
+def broadcast_thomas(rx):
+    """The Thomas solve with its pivots as broadcast arrays, one column
+    per system: the bytes ``tridiag_columns`` must give."""
+    n, cols = rx.shape
+    cp = np.empty((n, cols))
+    dp = np.empty((n, cols))
+    cp[0] = -1.0 / tomcatv.DIAG
+    dp[0] = rx[0] / tomcatv.DIAG
+    for i in range(1, n):
+        denom = tomcatv.DIAG + cp[i - 1]
+        cp[i] = -1.0 / denom
+        dp[i] = (rx[i] + dp[i - 1]) / denom
+    out = np.empty((n, cols))
+    out[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        out[i] = dp[i] - cp[i] * out[i + 1]
+    return out
+
+
+class TestThomas:
+    """Both meshes' tridiagonal systems are solved as one."""
+
+    @pytest.mark.parametrize("cols", [0, 1, 4, 63])
+    def test_stacked_solve_is_the_two_apart(self, cols):
+        rng = np.random.default_rng(cols)
+        rx, ry = rng.standard_normal((2, 65, cols))
+        both = tomcatv.tridiag_columns(np.hstack((rx, ry)))
+        apart = np.hstack((tomcatv.tridiag_columns(rx),
+                           tomcatv.tridiag_columns(ry)))
+        assert both.tobytes() == apart.tobytes()
+        if cols:
+            assert both.tobytes() == broadcast_thomas(
+                np.hstack((rx, ry))).tobytes()
+        dense = (np.diag(np.full(65, tomcatv.DIAG))
+                 - np.eye(65, k=1) - np.eye(65, k=-1))
+        assert np.allclose(both, np.linalg.solve(dense, np.hstack((rx, ry))),
+                           rtol=0, atol=1e-12)
+
+    def test_cached_pivots_are_read_only(self):
+        for pivots in tomcatv.thomas_pivots(65):
+            with pytest.raises(ValueError, match="read-only"):
+                pivots[0] = 0.0
+
+
 class TestMatMul:
     def test_verified(self):
         run = matmul.run(num_cells=4, n=32)

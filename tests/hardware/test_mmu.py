@@ -416,6 +416,42 @@ class TestRunOracle:
         mmu.charge_run(logical)
         assert mmu.state() == oracle.state()
 
+    @given(remaps=st.lists(st.sampled_from(RUN_PAGES[:3]), max_size=2),
+           fine=st.booleans(), page=st.sampled_from(RUN_PAGES),
+           run=st.lists(st.tuples(st.sampled_from([0, 8, 4096,
+                                                   PAGE_256K - 8]),
+                                  st.booleans()),
+                        min_size=1, max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_a_page_plan_equals_the_lookups(self, remaps, fine, page, run):
+        """A run inside one page, planned by its page and charged by its
+        length (what a batch does where a cell's extent is one page)."""
+        mmu = MMU()
+        mmu.map_range(0, 0, 2 * PAGE_256K, page_size=PAGE_256K)
+        mmu.map_page(TLB_ENTRIES_256K * PAGE_256K, 2 * PAGE_256K,
+                     size=PAGE_256K, writable=False)
+        mmu.translate(0)
+        for remapped in remaps:
+            mmu.map_page(remapped * PAGE_256K, (remapped + 3) * PAGE_256K,
+                         size=PAGE_256K)
+        if fine:
+            mmu.map_page(PAGE_256K, PAGE_256K)
+        logical = [page * PAGE_256K + offset for offset, _ in run]
+        write = [written for _, written in run]
+        oracle = MMU(**{name: getattr(mmu, name) for name in (
+            "_table_4k", "_table_256k", "_fine_grained")})
+        oracle.load_state(mmu.state())
+        before = mmu.state()
+        base = mmu.plan_page(page, any(write))
+        assert mmu.state() == before
+        want = [outcome(lambda: oracle.translate_range(a, 8, write=w))
+                for a, w in zip(logical, write)]
+        if base is None:
+            return
+        assert [base + a - page * PAGE_256K for a in logical] == want
+        mmu.charge_page(logical[0], len(logical))
+        assert mmu.state() == oracle.state()
+
     def test_a_stretch_on_one_page_looks_up_once(self):
         mmu = identity_mmu(PAGE_256K)
         logical = np.arange(0, 800, 8)

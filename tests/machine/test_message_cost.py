@@ -16,6 +16,7 @@ import pstats
 import numpy as np
 
 import repro
+import repro.machine.batch  # noqa: F401  (a first batch would import it)
 from repro.apps import tomcatv
 from repro.apps.latency import run_ping_pong
 from repro.machine.config import MachineConfig
@@ -32,6 +33,12 @@ PUT_CALLS_CEILING = 48
 #: (to address 0), may cost.
 GET_CALLS_CEILING = 63
 ACK_GET_CALLS_CEILING = 38
+#: Profiled calls, builtins included, one more TOMCATV-shaped halo batch
+#: may cost; ``scripts/primitive_cost.py --max-batch-calls`` holds its
+#: ``halo`` row to the same number in CI.
+BATCH_CALLS_CEILING = 132
+#: Rows of that halo: one PUT and one GET per row.
+HALO_ROWS = 65
 
 
 def layer_calls_per_command(runner, *args, **kwargs):
@@ -186,3 +193,32 @@ def test_get_is_answered_where_it_lands():
     ack = calls_per_message(get_burst, True)
     assert get < GET_CALLS_CEILING, get
     assert ack < ACK_GET_CALLS_CEILING, ack
+
+
+def halo_burst(ctx, count):
+    """``count`` halo exchanges as TOMCATV without stride issues them:
+    one batch of :data:`HALO_ROWS` 8-byte PUTs into the right
+    neighbour's left halo column, each with its acknowledging GET, and
+    GETs of its first owned column into this cell's right halo."""
+    cols = 4
+    block = ctx.alloc((HALO_ROWS, cols))
+    flag = ctx.alloc_flag()
+    halo = np.arange(HALO_ROWS) * cols
+    gets = np.tile([False, True], HALO_ROWS)
+    remote = np.column_stack((halo, halo + 1)).ravel()
+    local = np.column_stack((halo + cols - 2, halo + cols - 1)).ravel()
+    yield from ctx.barrier()
+    if ctx.pe == 0:
+        for _ in range(count):
+            ctx.transfer_batch(1, block, block, gets, remote, local,
+                               recv_flag=flag, ack=True)
+    yield from ctx.barrier()
+
+
+def test_halo_batch_cost():
+    # One more halo batch, every call counted (numpy's and builtins
+    # too): 130.0 today (285.3 while each cell's lookups were planned
+    # one by one and two ``_disjoint`` calls checked the overlaps).  The batch is planned per array, so a cost paid
+    # per lookup or per cell shows up here before it shows in seconds.
+    calls = calls_per_message(halo_burst)
+    assert calls < BATCH_CALLS_CEILING, calls

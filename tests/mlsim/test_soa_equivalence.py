@@ -878,9 +878,25 @@ class TestLinkRoutes:
         buf = TraceBuffer(num_pes=4)
         record(buf, TraceEvent(EventKind.PUT, pe=0, partner=1, size=8))
         record(buf, TraceEvent(EventKind.PUT, pe=1, partner=9, size=8))
-        index = trace_index(columns_from_buffer(buf))
         with pytest.raises(ConfigurationError, match="cell id 9"):
-            index.link_plan()
+            trace_index(columns_from_buffer(buf))
+
+    @pytest.mark.parametrize("metrics", [False, True])
+    @pytest.mark.parametrize("kind", [
+        EventKind.PUT, EventKind.GET, EventKind.SEND, EventKind.REMOTE_LOAD],
+        ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("partner", [-1, 9])
+    def test_a_replay_refuses_a_partner_off_the_torus(self, partner, kind,
+                                                      metrics):
+        """The same refusal whether or not the replay routes messages:
+        a partner below zero does not wrap to the last PE."""
+        buf = TraceBuffer(num_pes=4)
+        record(buf, TraceEvent(kind, pe=0, partner=partner, size=8))
+        with pytest.raises(ConfigurationError,
+                           match=rf"^cell id {partner} out of range for "
+                                 r"4-cell torus$"):
+            replay_columns(columns_from_buffer(buf), preset("ap1000+"),
+                           collect_metrics=metrics)
 
 
 class TestProgramRefusals:
