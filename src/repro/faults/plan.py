@@ -25,6 +25,7 @@ from typing import Any
 
 from repro.core.errors import ConfigurationError
 from repro.core.state import Stateful
+from repro.hardware.queues import COMMAND_WORDS
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,14 @@ class FaultPlan:
             raise ConfigurationError(
                 f"fault plan {self.name!r}: recovery budget must allow at "
                 "least one timeout round and one retry")
+        if (self.queue_capacity_words is not None
+                and self.queue_capacity_words < COMMAND_WORDS):
+            # A spilled command moves back only into room for a whole
+            # one: a smaller queue fails its first PUT as empty.
+            raise ConfigurationError(
+                f"fault plan {self.name!r}: queue_capacity_words must be "
+                f"at least {COMMAND_WORDS} (one {COMMAND_WORDS}-word "
+                f"command), got {self.queue_capacity_words}")
 
     @property
     def wire_faults(self) -> bool:

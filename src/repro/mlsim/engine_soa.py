@@ -41,11 +41,18 @@ throughput:
   ordering: FIFO channel clamping, flag wakeups, barrier generations,
   CPU-theft application — runs over plain Python lists with no
   per-event object construction, attribute access or builtin-function
-  call: clamps are inline comparisons that keep the operand
-  ``min``/``max`` would keep on a tie.  What remains are container
+  call, and states each rule once.  A clamp is an inline comparison
+  that keeps the operand ``min``/``max`` would keep on a tie, and a
+  channel no message has taken yet reads as ``_NEVER`` — departed at
+  ``-inf``, arrived at ``0.0`` — so the first arrival clamps at zero
+  through the same comparison.  BARRIER, GOP and VGOP share one
+  rendezvous (arrive, release as the last member, or park), the
+  barrier's library prolog and wait sample and a reduction's busy
+  share being branches on the opcode.  What remains are container
   methods (a dict probe per channel, deque and set traffic per context
-  switch) and one ``record_flag`` per flag update, held to a ceiling
-  by ``tests/mlsim/test_replay_cost.py``;
+  switch, an append per wait when metrics are collected) and one
+  ``record_flag`` per flag update, held to a ceiling by
+  ``tests/mlsim/test_replay_cost.py``;
 * a run — a maximal stretch of at least ``_RUN_MIN`` consecutive
   PUT/GET rows of one PE, found with array operations — is one step of
   that pass, every run of a trace planned at once in array operations
@@ -71,8 +78,10 @@ throughput:
   trace-row order — PE by PE, each PE's rows in order, a GET's request
   before its reply — in one ``np.bincount`` per preset
   (:meth:`_Program.busy`).  The pass keeps what only it knows: clocks,
-  buckets and the two wait histograms, whose sums follow the order it
-  visits PEs in.
+  buckets and the flag and barrier waits in the order it visits them
+  (a superstep step's as one array at its place among the loop's),
+  from which :meth:`repro.obs.registry.Histogram.of` builds the two
+  wait histograms once after the pass.
 
 Scheduling replicates the oracle's runnable-deque discipline event for
 event.  Every scheduling decision (park, wake, completion) is a
@@ -136,8 +145,9 @@ if TYPE_CHECKING:
     from repro.mlsim.supersteps import ChainCosts, Supersteps
 
 # Interpreter opcodes: EventKind collapsed to what the replay loop
-# distinguishes (GOP/VGOP share a handler, as do the CREG pair and the
-# three robustness instants).
+# distinguishes (GOP/VGOP share an opcode, as do the CREG pair and the
+# three robustness instants; BARRIER and the reductions share the
+# rendezvous handler).
 _COMPUTE = 0
 _RTSYS = 1
 _PUT = 2
@@ -198,10 +208,9 @@ _SENT = {int(EventKind.PUT): (1, True), int(EventKind.GET): (2, True),
          int(EventKind.REMOTE_LOAD): (2, False),
          int(EventKind.REMOTE_STORE): (1, True)}
 
-#: log2 bucket count of repro.obs.registry.Histogram (bounds 2^0..2^20
-#: plus overflow); the interpreter computes bucket indices with frexp
-#: instead of the Histogram's linear scan.
-_HIST_OVERFLOW = 21
+#: ``chan_last`` of a channel no message has taken yet: every departure
+#: is in order behind it, and the first arrival clamps at zero.
+_NEVER = (-math.inf, 0.0)
 
 #: Fewest consecutive PUT/GET rows the loop replays as one run step: the
 #: break-even.  The step costs 36-39 µs on runs of 24 to 32 rows, with
@@ -952,14 +961,18 @@ def _check_program(program: _Program, columns: TraceColumns,
             f"program was compiled for other params ({what})")
 
 
-def _histogram(count: int, total: float, high: float,
-               buckets: list[int]) -> Histogram:
-    h = Histogram()
-    h.count = count
-    h.total = total
-    h.max = high
-    h._buckets = buckets
-    return h
+def _in_place(waits: list[float],
+              steps: list[tuple[int, np.ndarray]]) -> list | np.ndarray:
+    """``waits`` with each chain step's array inserted at its place."""
+    if not steps:
+        return waits
+    parts: list = []
+    done = 0
+    for place, step in steps:
+        parts += waits[done:place], step
+        done = place
+    parts.append(waits[done:])
+    return np.concatenate(parts)
 
 
 def replay_columns(columns: TraceColumns, params: MLSimParams,
@@ -1004,8 +1017,6 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     chains: dict = {}                   # by the positions that open them
     chain = None                        # the chain whose opening is released
     if stepped and program.chain_costs is not None:
-        from repro.mlsim.supersteps import observe
-
         chains = program.chain_costs.at
         chain_step = program.chain_costs.replay
     starts = index.starts if stepped else columns.starts.tolist()
@@ -1060,19 +1071,14 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
     runnable: deque[int] = deque(range(n))
     queued: set[int] = set(range(n))
 
-    # The wait histograms, as flat counters (bucket index via frexp
-    # instead of Histogram.observe's linear scan): the only metrics that
-    # follow the order of the pass.  The rest are the program's sums.
+    # The waits in the order the pass meets them, a chain step's as an
+    # array at its place among the loop's: the only metrics that follow
+    # the pass (Histogram.of sums them in that order after it).  The
+    # rest are the program's sums.
     collect = collect_metrics
-    frexp = math.frexp
-    fw_count = 0
-    fw_total = 0.0
-    fw_max = 0.0
-    fw_buckets = [0] * (_HIST_OVERFLOW + 1)
-    bw_count = 0
-    bw_total = 0.0
-    bw_max = 0.0
-    bw_buckets = [0] * (_HIST_OVERFLOW + 1)
+    flag_waits: list[float] = []
+    barrier_waits: list[float] = []
+    chain_waits: list[tuple[int, np.ndarray]] = []
     if collect:
         # The DMA and link busy sums, made (once per program) before the
         # pass, so that their scratch arrays and its state never peak
@@ -1197,11 +1203,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 # moment the request arrived, perhaps long before the
                 # target's own later sends were processed — was injected
                 # earlier than the channel head and must not wait for it.
-                last = chan_last.get(key)
-                if last is None:
-                    arrival = 0.0 if raw < 0.0 else raw
-                    chan_last[key] = (depart, arrival)
-                elif depart >= last[0]:
+                last = chan_last.get(key, _NEVER)
+                if depart >= last[0]:
                     arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (depart, arrival)
                 else:
@@ -1236,18 +1239,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                         break
                     t = times[target - 1]
                     if collect:
-                        w = 0.0 if t - clk < 0.0 else t - clk
-                        fw_count += 1
-                        fw_total += w
-                        if w > fw_max:
-                            fw_max = w
-                        if w <= 1.0:
-                            fw_buckets[0] += 1
-                        else:
-                            m, e = frexp(w)
-                            b = e - 1 if m == 0.5 else e
-                            fw_buckets[b if b < _HIST_OVERFLOW
-                                       else _HIST_OVERFLOW] += 1
+                        flag_waits.append(0.0 if t - clk < 0.0 else t - clk)
                     if t > clk:
                         if record:
                             span(i, IDLE, clk, clk + (t - clk))
@@ -1262,20 +1254,26 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     span(i, RTSYS, clk, clk + f0[i])
                 clk += f0[i]
                 brt += f0[i]
-            elif op == _BARRIER:
+            elif op == _BARRIER or op == _REDUCTION:
+                # The rendezvous: a barrier (after its library prolog)
+                # or a reduction arrives; the last member releases it.
                 if not att:
-                    if record:
-                        span(i, OVERHEAD, clk, clk + barrier_lib)
-                    clk += barrier_lib
-                    over += barrier_lib
+                    if op == _BARRIER:
+                        if record:
+                            span(i, OVERHEAD, clk, clk + barrier_lib)
+                        clk += barrier_lib
+                        over += barrier_lib
+                        gens, slots = bar_gens, bar_slots
+                    else:
+                        gens, slots = red_gens, red_slots
                     pk = pe * ngroups + i0[i]
-                    gen = bar_gens[pk]
-                    bar_gens[pk] = gen + 1
+                    gen = gens[pk]
+                    gens[pk] = gen + 1
                     slot = gen * ngroups + i0[i]
-                    rec = bar_slots.get(slot)
+                    rec = slots.get(slot)
                     if rec is None:
-                        rec = [1, clk, None, None]
-                        bar_slots[slot] = rec
+                        rec = [1, clk, None, []]
+                        slots[slot] = rec
                     else:
                         rec[0] += 1
                         if clk > rec[1]:
@@ -1298,76 +1296,21 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                     rec = rec_of[pe]
                 release = rec[2]
                 if release is None:
-                    if rec[3] is None:
-                        rec[3] = [pe]
-                    else:
-                        rec[3].append(pe)
+                    rec[3].append(pe)
                     break
-                if collect:
-                    w = 0.0 if release - clk < 0.0 else release - clk
-                    bw_count += 1
-                    bw_total += w
-                    if w > bw_max:
-                        bw_max = w
-                    if w <= 1.0:
-                        bw_buckets[0] += 1
-                    else:
-                        m, e = frexp(w)
-                        b = e - 1 if m == 0.5 else e
-                        bw_buckets[b if b < _HIST_OVERFLOW
-                                   else _HIST_OVERFLOW] += 1
-                if release > clk:
-                    if record:
-                        span(i, IDLE, clk, clk + (release - clk))
-                    bid += release - clk
-                    clk = release
-            elif op == _REDUCTION:
-                size = i2[i]
-                if not att:
-                    pk = pe * ngroups + i0[i]
-                    gen = red_gens[pk]
-                    red_gens[pk] = gen + 1
-                    slot = gen * ngroups + i0[i]
-                    rec = red_slots.get(slot)
-                    if rec is None:
-                        rec = [1, clk, None, None]
-                        red_slots[slot] = rec
-                    else:
-                        rec[0] += 1
-                        if clk > rec[1]:
-                            rec[1] = clk
-                    att = True
-                    rec_of[pe] = rec
-                    if rec[0] == size:
-                        rec[2] = rec[1] + f0[i]
-                        chain = chains.get(i)
-                        if chain is not None:
-                            break       # the superstep step, below
-                        waiters = rec[3]
-                        if waiters:
-                            # Parked members are never queued: release
-                            # them in arrival order, all at once.
-                            rec[3] = None
-                            queued.update(waiters)
-                            runnable.extend(waiters)
+                w = 0.0 if release - clk < 0.0 else release - clk
+                if op == _BARRIER:
+                    if collect:
+                        barrier_waits.append(w)
                 else:
-                    rec = rec_of[pe]
-                release = rec[2]
-                if release is None:
-                    if rec[3] is None:
-                        rec[3] = [pe]
-                    else:
-                        rec[3].append(pe)
-                    break
-                # The member is busy for its share of the reduction and
-                # idles for the rest of the establishment window.
-                busy = 0.0 if release - clk < 0.0 else release - clk
-                if not busy < f1[i]:
-                    busy = f1[i]
-                if record:
-                    span(i, OVERHEAD, clk, clk + busy)
-                clk += busy
-                over += busy
+                    # The member is busy for its share of the reduction
+                    # and idles for the rest of the establishment window.
+                    if not w < f1[i]:
+                        w = f1[i]
+                    if record:
+                        span(i, OVERHEAD, clk, clk + w)
+                    clk += w
+                    over += w
                 if release > clk:
                     if record:
                         span(i, IDLE, clk, clk + (release - clk))
@@ -1387,11 +1330,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = depart + f0[i]
                 if contend:
                     raw = contended(plan[i][0], depart, raw)
-                last = chan_last.get(key)
-                if last is None:
-                    req_arrival = 0.0 if raw < 0.0 else raw
-                    chan_last[key] = (depart, req_arrival)
-                elif depart >= last[0]:
+                last = chan_last.get(key, _NEVER)
+                if depart >= last[0]:
                     req_arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (depart, req_arrival)
                 else:
@@ -1405,11 +1345,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = reply_depart + f2[i]
                 if contend:
                     raw = contended(plan[i][1], reply_depart, raw)
-                last = chan_last.get(key)
-                if last is None:
-                    reply_arrival = 0.0 if raw < 0.0 else raw
-                    chan_last[key] = (reply_depart, reply_arrival)
-                elif reply_depart >= last[0]:
+                last = chan_last.get(key, _NEVER)
+                if reply_depart >= last[0]:
                     reply_arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (reply_depart, reply_arrival)
                 else:
@@ -1441,11 +1378,8 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                 raw = depart + f2[i]
                 if contend:
                     raw = contended(plan[i], depart, raw)
-                last = chan_last.get(key)
-                if last is None:
-                    arrival = 0.0 if raw < 0.0 else raw
-                    chan_last[key] = (depart, arrival)
-                elif depart >= last[0]:
+                last = chan_last.get(key, _NEVER)
+                if depart >= last[0]:
                     arrival = last[1] if last[1] > raw else raw
                     chan_last[key] = (depart, arrival)
                 else:
@@ -1531,9 +1465,7 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
                                (bar_gens, red_gens), ngroups, runnable,
                                queued, collect)
             if waits is not None:
-                bw_count += len(waits)
-                bw_total, bw_max = observe(waits, bw_total, bw_max,
-                                           bw_buckets)
+                chain_waits.append((len(barrier_waits), waits))
             chain = None
 
     unfinished = [pe for pe in range(n) if state[pe][0] < ends[pe]]
@@ -1570,10 +1502,9 @@ def replay_columns(columns: TraceColumns, params: MLSimParams,
             "model": p.name,
             "elapsed_us": elapsed,
             "waits": {
-                "flag_wait": _histogram(fw_count, fw_total, fw_max,
-                                        fw_buckets).to_dict(),
-                "barrier_wait": _histogram(bw_count, bw_total, bw_max,
-                                           bw_buckets).to_dict(),
+                "flag_wait": Histogram.of(flag_waits).to_dict(),
+                "barrier_wait": Histogram.of(_in_place(
+                    barrier_waits, chain_waits)).to_dict(),
             },
             "dma": {
                 "busy_us": list(dma_busy),

@@ -38,11 +38,11 @@ The engine imports this module only for a trace that has runs.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
 
+from repro.mlsim.engine_soa import _NEVER
 from repro.trace.events import EventKind
 from repro.trace.soa import TraceColumns
 
@@ -324,10 +324,11 @@ class RunCosts:
         for key, requests, _, _ in chans:
             if requests is _EVERY:
                 arrival, chan_last[key] = fifo(depart, arrival,
-                                               chan_last.get(key))
+                                               chan_last.get(key, _NEVER))
             else:
                 arrival[requests], chan_last[key] = fifo(
-                    depart[requests], arrival[requests], chan_last.get(key))
+                    depart[requests], arrival[requests],
+                    chan_last.get(key, _NEVER))
         received = None
         if gets is not None:
             # A GET's reply leaves the partner when its request has been
@@ -337,11 +338,11 @@ class RunCosts:
             for _, _, key, replies in chans:
                 if replies is _EVERY:
                     reply, chan_last[key] = fifo(reply_depart, reply,
-                                                 chan_last.get(key))
+                                                 chan_last.get(key, _NEVER))
                 elif replies is not None:
                     reply[replies], chan_last[key] = fifo(
                         reply_depart[replies], reply[replies],
-                        chan_last.get(key))
+                        chan_last.get(key, _NEVER))
             if recvs is gets:
                 received = reply            # the receive flags are the GETs'
             else:
@@ -386,17 +387,16 @@ class RunCosts:
 
 
 def fifo(depart: np.ndarray, raw: np.ndarray,
-         last: tuple[float, float] | None) -> tuple[np.ndarray, tuple]:
+         last: tuple[float, float]) -> tuple[np.ndarray, tuple]:
     """The loop's FIFO clamp over one channel's transfers of a run, in
     row order: arrivals and the channel's new ``chan_last``.
 
     A transfer departing no earlier than every one before it (and than
     the channel's last) queues behind the latest arrival so far; one
     departing earlier is out of order: it keeps its raw arrival and
-    leaves the channel as it was.
+    leaves the channel as it was.  ``last`` is ``engine_soa._NEVER``
+    on a channel no message has taken yet.
     """
-    if last is None:
-        last = (-math.inf, 0.0)     # the first arrival clamps at zero
     keep = depart >= np.maximum.accumulate(depart)
     if depart[0] < last[0]:
         keep &= depart >= last[0]

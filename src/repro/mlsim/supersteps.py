@@ -33,7 +33,9 @@ would:
 * the loop visits the PEs of a chain in a rotation: the PE that releases
   a collective runs on and arrives first at the next one, then the
   parked PEs in the order they arrived.  Clocks do not depend on that
-  order; the barrier-wait metric is summed in it.
+  order; the barrier waits are returned in it, as one array the loop
+  keeps at its place among its own waits, so that the barrier-wait
+  histogram, built once after the pass, sums them in visit order.
 
 Most supersteps are stepped on one float.  A superstep is *scalar* when
 its start is the release on every PE and its clock columns vary across
@@ -80,7 +82,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.mlsim.engine_soa import _BLOCK, _HIST_OVERFLOW
+from repro.mlsim.engine_soa import _BLOCK
 from repro.trace.events import EventKind
 from repro.trace.soa import TraceColumns
 
@@ -271,7 +273,7 @@ class ChainCosts:
         n, m, a = chain.n, chain.m, chain.a
         clock, f1 = self.clock, self.f1
         high, low, varying = self.high, self.low, self.varying
-        order = [*(rec[3] or ()), pe]       # arrival order
+        order = [*rec[3], pe]       # arrival order
         rec[3] = None
         ranks = np.array(order)
         now = list(zip(*state))     # cursor, clock, overhead, ... per PE
@@ -383,18 +385,3 @@ class ChainCosts:
             clk[live] += self.clock[lo[live] + w]
         return clk
 
-
-def observe(waits: np.ndarray, total: float, high: float,
-            buckets: list) -> tuple[float, float]:
-    """Add ``waits`` to a wait histogram kept as the loop keeps it: the
-    total summed in order, buckets by ``frexp``.  Returns the new total
-    and maximum and counts ``buckets`` in place."""
-    total = float(np.add.accumulate(np.concatenate(((total,), waits)))[-1])
-    high = max(high, float(np.maximum.reduce(waits)))
-    mant, exp = np.frexp(waits)
-    exp -= mant == 0.5
-    exp[waits <= 1.0] = 0
-    counts = np.bincount(np.minimum(exp, _HIST_OVERFLOW))
-    for b in np.flatnonzero(counts).tolist():
-        buckets[b] += int(counts[b])
-    return total, high

@@ -1,7 +1,7 @@
 """Metric primitives: counters, gauges, and log2-bucketed histograms.
 
-Everything here is deliberately dependency-free (imported by both the
-functional machine and the MLSim replay engine) and serializes to plain
+Everything here depends on numpy alone (imported by both the functional
+machine and the MLSim replay engine) and serializes to plain
 JSON-native values, so metric documents can ride inside ``BENCH_*.json``
 artifacts under the bench layer's byte-determinism contract.
 """
@@ -9,6 +9,8 @@ artifacts under the bench layer's byte-determinism contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 #: Schema tag of the functional-machine metrics document
 #: (:func:`repro.obs.observer.machine_metrics`).
@@ -83,6 +85,23 @@ class Histogram:
                 self._buckets[i] += 1
                 return
         self._buckets[-1] += 1
+
+    @classmethod
+    def of(cls, values) -> Histogram:
+        """The histogram :meth:`observe` builds from ``values`` one at a
+        time, in array operations: the total summed in order (a
+        sequential ``np.add.accumulate``), each value in the first
+        bucket whose bound is not below it."""
+        values = np.asarray(values, dtype=np.float64)
+        h = cls(count=len(values))
+        if h.count:
+            h.total = float(np.add.accumulate(
+                np.concatenate(((0.0,), values)))[-1])
+            h.max = float(np.fmax.reduce(values, initial=0.0))
+            h._buckets = np.bincount(
+                np.searchsorted(_BUCKET_BOUNDS, values),
+                minlength=len(_BUCKET_BOUNDS) + 1).tolist()
+        return h
 
     @property
     def mean(self) -> float:

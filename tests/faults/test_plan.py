@@ -51,6 +51,30 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             KillSpec(pe="1")
 
+    @pytest.mark.parametrize("words", [7, 0, -1])
+    def test_queue_holds_one_command(self, words):
+        with pytest.raises(ConfigurationError, match="at least 8"):
+            FaultPlan(queue_capacity_words=words)
+        with pytest.raises(ConfigurationError, match="at least 8"):
+            FaultPlan.from_dict({"queue_capacity_words": words})
+
+    def test_a_one_command_queue_runs(self):
+        def program(ctx):
+            src, dst = ctx.alloc(4), ctx.alloc(4)
+            flag = ctx.alloc_flag()
+            src.data[:] = 1.0 + ctx.pe
+            if ctx.pe == 0:
+                ctx.put(1, dst, src, recv_flag=flag)
+            else:
+                yield from ctx.flag_wait(flag, 1)
+            yield from ctx.barrier()
+            return float(dst.data.sum())
+
+        plan = FaultPlan(queue_capacity_words=8)
+        machine = Machine(MachineConfig(num_cells=2, fault_plan=plan,
+                                        memory_per_cell=1 << 20))
+        assert machine.run(program) == [0.0, 4.0]
+
     @pytest.mark.parametrize("pe", [4, 9, -1])
     def test_machine_refuses_a_kill_outside_it(self, pe):
         plan = FaultPlan(name="stray", kills=(KillSpec(pe=pe),))

@@ -22,6 +22,7 @@ from repro.mlsim.engine_soa import (
     trace_index,
 )
 from repro.mlsim.params import preset
+from repro.obs import registry
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import load_trace, load_trace_columns, save_trace
 from repro.trace.soa import columns_from_buffer
@@ -34,20 +35,23 @@ from repro.trace.soa import columns_from_buffer
 #: and 2.01 row by row, deque and set traffic per context switch, when
 #: the ceiling was 3.0).
 #: On 4 cells its supersteps are below the step's break-even, so that
-#: trace keeps counting the loop's context switches (2.05).  TOMCATV
-#: without stride is 8-byte PUTs with their acknowledging GETs in six
-#: runs of 99 rows, each replayed as one run step (about 35 numpy and
-#: container calls, 0.56 per event; 0.66 while the step also summed
-#: DMA and link busy time, 0.70 while it sliced its operands per run,
-#: and 4.24 row by row, one ``record_flag`` per flag update and a dict
-#: probe per channel).  The DMA and link busy sums are made before the
-#: pass (``_Program.busy``), counted with the plan below.
+#: trace keeps counting the loop's context switches and one append per
+#: barrier wait (2.21; 2.05 while the loop counted the waits' buckets
+#: inline).  TOMCATV without stride is 8-byte PUTs with their
+#: acknowledging GETs in six runs of 99 rows, each replayed as one run
+#: step (about 35 numpy and container calls, 0.62 per event with the
+#: fixed calls of the two wait histograms' ``Histogram.of``; 0.56 before
+#: those, 0.66 while the step also summed DMA and link busy time, 0.70
+#: while it sliced its operands per run, and 4.24 row by row, one
+#: ``record_flag`` per flag update and a dict probe per channel).  The
+#: DMA and link busy sums are made before the pass (``_Program.busy``),
+#: counted with the plan below.
 #: Recording declines both steps and adds one call and four column
 #: appends per span (1.25 and 1.03 spans per event) and one and three
 #: per packet flow (none and 1.54): nothing is built per row.
 #: ``scripts/consume_cost.py --max-replay-calls`` holds its CG trace (16
 #: cells, one chain of 318 supersteps: 0.11 today) and its TC no st
-#: trace (16 cells, runs of 195 rows: 0.26) to these ceilings in CI.
+#: trace (16 cells, runs of 195 rows: 0.27) to these ceilings in CI.
 CG_CEILING = 0.37
 TC_NO_ST_CEILING = 0.7
 CASES = {
@@ -85,23 +89,30 @@ def test_replay_calls_per_event(recorded):
     stats = profiled(replay_columns, columns, params,
                      collect_metrics=True, program=program)
     events = columns.total_events
-    # min/max called from the interpreter: a handful after the loop
-    # (elapsed, DMA and link maxima), none per event.
+    # min/max called from the interpreter or the wait histograms: a
+    # handful after the loop (elapsed, DMA and link maxima), none per
+    # event.
     from_engine = sum(
         callers[caller][0]
         for (_, _, name), (*_, callers) in stats.stats.items()
         if name in ("<built-in method builtins.min>",
                     "<built-in method builtins.max>")
-        for caller in callers if caller[0] == engine_soa.__file__)
+        for caller in callers
+        if caller[0] in (engine_soa.__file__, registry.__file__))
     assert from_engine <= 4, from_engine
+    # The wait histograms are built once each, after the pass.
+    built = sum(calls for (path, _, name), (calls, *_) in stats.stats.items()
+                if path == registry.__file__ and name == "of")
+    assert built <= 2, built
     # Everything the replay calls, C methods included (today: CG 0.36,
-    # on 4 cells 2.05, TOMCATV 0.66 per event; the loop's own work is
+    # on 4 cells 2.21, TOMCATV 0.62 per event; the loop's own work is
     # not a call).
     per_event = stats.total_calls / events
     assert per_event < ceiling, per_event
-    # The same replay keeping its timeline (today: 8.24 and 15.59; a
-    # ``Span`` per span would be six calls more per span), and what it
-    # kept: event indices and times, no label built in the loop.
+    # The same replay keeping its timeline (today: CG 8.57, on 4 cells
+    # 8.43, TOMCATV 15.94; a ``Span`` per span would be six calls more
+    # per span), and what it kept: event indices and times, no label
+    # built in the loop.
     profile = cProfile.Profile()
     result = profile.runcall(
         replay_columns, columns, params, record_timeline=True,

@@ -487,14 +487,16 @@ def split_flags_trace() -> TraceBuffer:
 
 class TestBursts:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+    @given(st.lists(st.tuples(st.sampled_from([-3.0, 0.0, 1.0, 2.5, 7.0]),
                               st.sampled_from([0.0, 0.5, 3.0])),
                     min_size=1, max_size=12),
            st.one_of(st.none(), st.tuples(
                st.sampled_from([-1.0, 0.0, 2.5, 9.0]),
                st.sampled_from([0.0, 3.0, 12.0]))))
     def test_channel_clamp_is_the_loops(self, transfers, last):
-        """``fifo`` against the loop's rule, departures out of order."""
+        """``fifo`` against the loop's rule, departures out of order; a
+        channel no message has taken (``None`` here, ``_NEVER`` to
+        ``fifo``) clamps its first arrival at zero."""
         depart = np.array([d for d, _ in transfers])
         raw = depart + np.array([w for _, w in transfers])
         want, chan = [], last
@@ -507,7 +509,8 @@ class TestBursts:
                 want.append(chan[1])
             else:
                 want.append(r)
-        got, got_chan = fifo(depart, raw, last)
+        got, got_chan = fifo(depart, raw,
+                             engine_soa._NEVER if last is None else last)
         assert (got.tolist(), got_chan) == (want, chan)
 
     @pytest.mark.parametrize("name", sorted(BURSTS))

@@ -1,5 +1,8 @@
 """Metrics registry: counters, gauges, histograms, kind safety."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.obs.registry import (
@@ -63,6 +66,39 @@ class TestHistogram:
         h = Histogram()
         assert h.mean == 0.0
         assert h.to_dict()["count"] == 0
+
+
+#: Each bucket bound, just above it and between bounds, and the overflow.
+EDGES = [0.0, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, 3.0, 2.0 ** 20,
+         math.nextafter(2.0 ** 20, math.inf), 1e9]
+
+
+def observed(values) -> Histogram:
+    h = Histogram()
+    for value in values:
+        h.observe(value)
+    return h
+
+
+class TestHistogramOf:
+    """``Histogram.of`` builds what ``observe`` does one value at a time."""
+
+    @pytest.mark.parametrize(
+        "values", [[], EDGES, EDGES[::-1] * 3] + [[v] for v in EDGES],
+        ids=repr)
+    def test_of_is_observe_in_turn(self, values):
+        want = observed(values)
+        for given in (values, np.array(values, dtype=float)):
+            got = Histogram.of(given)
+            assert got == want
+            assert got.to_dict() == want.to_dict()
+
+    def test_total_is_the_sequential_sum(self):
+        values = [1e16] + [1.0] * 4
+        assert math.fsum(values) == 1e16 + 4
+        got = Histogram.of(values)
+        assert got.total == 1e16 == observed(values).total
+        assert got.count == 5 and got.max == 1e16
 
 
 class TestRegistry:

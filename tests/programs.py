@@ -3,10 +3,12 @@
 A program is a list of ``(op, shift)`` steps; :func:`round_program` runs
 each as one SPMD round in which every cell does ``op`` toward
 ``(pe + shift) mod P`` and then the matching wait.  The ops cover put /
-get and their strided forms, acked put, send-recv, barrier, scalar and
-sub-group vector reductions, communication registers, remote word
-access, batches of one-element PUTs and GETs (one that reads what it
-wrote, one refused part-way) and the ``repro.core.api`` spellings;
+get and their strided forms, acked put, send-recv, barriers of all cells
+and of a sub-group, scalar and sub-group vector reductions (the
+sub-group ops share one non-world group per parity), communication
+registers, remote word access, batches of one-element PUTs and GETs (one
+that reads what it wrote, one refused part-way) and the
+``repro.core.api`` spellings;
 steps write disjoint slots and only ever read remotely the never-written
 ``out`` array or what its owner wrote before a barrier.  So the only
 race a generated program has is ``batch_overlap``'s own: its PUT sends,
@@ -87,6 +89,13 @@ def op_send_recv(ctx, k, to, frm, out, inbox, seen):
 
 def op_barrier(ctx, k, to, frm, out, inbox, seen):
     yield from ctx.barrier()
+
+
+# Named to sort after ``batch``: in EVERY_OP a sub-group barrier between
+# ``barrier`` and ``batch``'s opening one would split their chain.
+def op_subgroup_barrier(ctx, k, to, frm, out, inbox, seen):
+    same_parity = ctx.make_group(range(ctx.pe % 2, ctx.num_cells, 2))
+    yield from ctx.barrier(same_parity)
 
 
 def op_gop(ctx, k, to, frm, out, inbox, seen):
